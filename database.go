@@ -385,9 +385,9 @@ func (d *Database) FetchBatch(oids []OID) ([]Row, error) {
 			keys[j] = oids[i].Key()
 		}
 		err = rel.Tree.GetBatch(keys, func(j int, payload []byte) error {
-			// The payload aliases the pinned page; copy before decoding so
-			// the row's string/bytes values outlive the batch.
-			row, derr := tuple.Decode(rel.Schema, append([]byte(nil), payload...))
+			// The payload aliases the pinned page; Decode copies strings
+			// and bytes out of it, so the row outlives the batch.
+			row, derr := tuple.Decode(rel.Schema, payload)
 			if derr != nil {
 				return derr
 			}

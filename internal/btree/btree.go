@@ -40,6 +40,22 @@ type Tree struct {
 	count  int
 	leaves int
 	seq    uint32 // next duplicate-qualifier
+
+	// Scratch for the mutation path, which is single-threaded (above):
+	// recBuf backs the leaf record being inserted or rewritten, pageBuf
+	// the snapshot of a leaf while a split rebuilds it in place. Both
+	// are copied into pages before the call returns.
+	recBuf  []byte
+	pageBuf []byte
+}
+
+// leafRecord assembles key | seq | payload in the tree's record scratch.
+func (t *Tree) leafRecord(ref entryRef, payload []byte) []byte {
+	rec := binary.LittleEndian.AppendUint64(t.recBuf[:0], uint64(ref.key))
+	rec = binary.LittleEndian.AppendUint32(rec, ref.seq)
+	rec = append(rec, payload...)
+	t.recBuf = rec
+	return rec
 }
 
 // Create allocates an empty tree (a single empty leaf as root).
@@ -153,10 +169,7 @@ func (t *Tree) insertAt(id disk.PageID, level int, ref entryRef, payload []byte)
 	pg := storage.Page{Buf: buf}
 
 	if level == 1 { // leaf
-		rec := make([]byte, leafHdr+len(payload))
-		binary.LittleEndian.PutUint64(rec, uint64(ref.key))
-		binary.LittleEndian.PutUint32(rec[8:], ref.seq)
-		copy(rec[leafHdr:], payload)
+		rec := t.leafRecord(ref, payload)
 		pos := t.lowerBound(pg, ref)
 		if err := pg.InsertAt(pos, rec); err == nil {
 			t.pool.Unpin(id, true)
@@ -253,17 +266,20 @@ func (t *Tree) childFor(pg storage.Page, ref entryRef) (int, disk.PageID) {
 // the caller and remains pinned.
 func (t *Tree) splitLeaf(id disk.PageID, pg storage.Page, pos int, rec []byte) (entryRef, disk.PageID, error) {
 	n := pg.NumSlots()
+	// pg is rebuilt in place below: read its records from a snapshot.
+	t.pageBuf = append(t.pageBuf[:0], pg.Buf...)
+	snap := storage.Page{Buf: t.pageBuf}
 	all := make([][]byte, 0, n+1)
 	for i := 0; i < n; i++ {
-		r, err := pg.Record(i)
+		r, err := snap.Record(i)
 		if err != nil {
 			return entryRef{}, disk.InvalidPageID, err
 		}
-		all = append(all, append([]byte(nil), r...))
+		all = append(all, r)
 	}
 	all = append(all, nil)
 	copy(all[pos+1:], all[pos:])
-	all[pos] = append([]byte(nil), rec...)
+	all[pos] = rec
 
 	oldNext := pg.Next()
 	oldPrev := pg.Prev()
@@ -362,21 +378,34 @@ func (t *Tree) splitInner(pg storage.Page, pos int, rec []byte) (entryRef, disk.
 	return sep, rid, nil
 }
 
-// Get returns the payload of the first entry with exactly key.
+// Get returns the payload of the first entry with exactly key. The
+// returned slice is the caller's own copy.
 func (t *Tree) Get(key int64) ([]byte, error) {
-	it, err := t.SeekGE(key)
-	if err != nil {
-		return nil, err
+	var out []byte
+	err := t.view(key, func(payload []byte) error {
+		out = append([]byte(nil), payload...)
+		return nil
+	})
+	return out, err
+}
+
+// view calls fn with the payload of the first entry with exactly key,
+// as a view into the pinned leaf: one descent, one leaf pin, no copy.
+// The view is valid only until fn returns.
+func (t *Tree) view(key int64, fn func(payload []byte) error) error {
+	var it Iterator
+	if err := t.seek(&it, key); err != nil {
+		return err
 	}
 	defer it.Close()
 	k, payload, ok, err := it.Next()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !ok || k != key {
-		return nil, fmt.Errorf("%w: %d", ErrNotFound, key)
+		return fmt.Errorf("%w: %d", ErrNotFound, key)
 	}
-	return payload, nil
+	return fn(payload)
 }
 
 // GetBatch fetches the payloads of many keys in one page-ordered pass.
@@ -400,11 +429,7 @@ func (t *Tree) GetBatch(keys []int64, fn func(i int, payload []byte) error) erro
 	}
 	if len(keys) < buffer.BatchSortMin {
 		for i, k := range keys {
-			payload, err := t.Get(k)
-			if err != nil {
-				return err
-			}
-			if err := fn(i, payload); err != nil {
+			if err := t.view(k, func(payload []byte) error { return fn(i, payload) }); err != nil {
 				return err
 			}
 		}
@@ -563,9 +588,7 @@ func (t *Tree) Update(key int64, payload []byte) error {
 				t.pool.Unpin(id, false)
 				return fmt.Errorf("%w: %d", ErrNotFound, key)
 			}
-			nrec := make([]byte, leafHdr+len(payload))
-			copy(nrec, rec[:leafHdr])
-			copy(nrec[leafHdr:], payload)
+			nrec := t.leafRecord(e, payload)
 			err = pg.Update(pos, nrec)
 			if errors.Is(err, storage.ErrPageFull) {
 				pg.Compact()
@@ -634,12 +657,26 @@ func (t *Tree) descendToLeaf(ref entryRef) (disk.PageID, error) {
 	return id, nil
 }
 
-// Iterator walks leaf entries in key order starting from a Seek point.
+// Iterator is the tree's one cursor: it walks leaf entries in key order
+// from a Seek point, a page at a time. It pins a leaf when it enters it
+// and holds that single pin until it leaves — for the successor leaf
+// (the old leaf is released before the new one is pinned, so the pool
+// chooses every victim from the same candidates a pin-per-entry walk
+// would offer it), on exhaustion, on error, or on Close. Between Seek
+// and Close an iterator therefore holds at most one page, and a caller
+// that abandons it without Close leaks that pin.
+//
+// While a leaf is held the caller may re-enter the pool (nested probes,
+// other cursors); it must not insert into or restructure this tree.
 type Iterator struct {
 	t    *Tree
-	page disk.PageID
+	page disk.PageID  // the leaf the walk stands on
+	pg   storage.Page // its pinned buffer; Buf is nil while no leaf is held
 	slot int
 	done bool
+	// reused: the held leaf has been reported to the pool as used again
+	// (Pool.Touch) — once per leaf, on the first Next that finds it held.
+	reused bool
 
 	// Sequential readahead (AttachChainPrefetch): as the walk enters each
 	// leaf it announces the leaf consumed and seeds the successor, so the
@@ -649,25 +686,33 @@ type Iterator struct {
 	seedHi   int64       // upper key bound: do not seed past the scan's end
 }
 
-// SeekGE positions an iterator at the first entry with key ≥ key.
+// SeekGE positions an iterator at the first entry with key ≥ key. The
+// leaf it lands on is already pinned and positioned for the first Next.
 func (t *Tree) SeekGE(key int64) (*Iterator, error) {
-	id, err := t.descendToLeaf(entryRef{key, 0})
-	if err != nil {
+	it := new(Iterator)
+	if err := t.seek(it, key); err != nil {
 		return nil, err
 	}
-	it := &Iterator{t: t, page: id}
-	// Position within the leaf.
-	buf, err := t.pool.Pin(id)
-	if err != nil {
-		return nil, err
-	}
-	pg := storage.Page{Buf: buf}
-	it.slot = t.lowerBound(pg, entryRef{key, 0})
-	t.pool.Unpin(id, false)
 	return it, nil
 }
 
-// SeekFirst positions an iterator at the smallest entry.
+// seek is SeekGE into a caller-provided iterator.
+func (t *Tree) seek(it *Iterator, key int64) error {
+	id, err := t.descendToLeaf(entryRef{key, 0})
+	if err != nil {
+		return err
+	}
+	buf, err := t.pool.Pin(id)
+	if err != nil {
+		return err
+	}
+	*it = Iterator{t: t, page: id, pg: storage.Page{Buf: buf}}
+	it.slot = t.lowerBound(it.pg, entryRef{key, 0})
+	return nil
+}
+
+// SeekFirst positions an iterator at the smallest entry. The first leaf
+// is pinned by the first Next, not here.
 func (t *Tree) SeekFirst() (*Iterator, error) {
 	id := t.root
 	for level := t.height; level > 1; level-- {
@@ -683,14 +728,21 @@ func (t *Tree) SeekFirst() (*Iterator, error) {
 }
 
 // Next returns the next entry's key and payload. ok=false signals
-// exhaustion. The payload is a copy.
+// exhaustion. The payload is a view into the pinned leaf: it is valid
+// until the next call to Next or Close and must not be modified; a
+// caller that keeps it longer copies it.
 func (it *Iterator) Next() (key int64, payload []byte, ok bool, err error) {
 	for !it.done {
-		buf, err := it.t.pool.Pin(it.page)
-		if err != nil {
-			return 0, nil, false, err
+		if it.pg.Buf == nil {
+			buf, err := it.t.pool.Pin(it.page)
+			if err != nil {
+				return 0, nil, false, err
+			}
+			it.pg, it.reused = storage.Page{Buf: buf}, false
+		} else if !it.reused {
+			it.t.pool.Touch(it.page)
+			it.reused = true
 		}
-		pg := storage.Page{Buf: buf}
 		if it.chain != nil && it.page != it.notified {
 			// Pin held: safe to release the staged copy and look ahead. Seed
 			// the successor only if the sync walk would enter it too — its
@@ -698,24 +750,21 @@ func (it *Iterator) Next() (key int64, payload []byte, ok bool, err error) {
 			// exactly when that last key stays within the bound.
 			it.notified = it.page
 			it.chain.Consumed(it.page)
-			if nxt := pg.Next(); nxt != disk.InvalidPageID && leafContinues(pg, it.seedHi) {
+			if nxt := it.pg.Next(); nxt != disk.InvalidPageID && leafContinues(it.pg, it.seedHi) {
 				it.chain.Seed(nxt)
 			}
 		}
-		if it.slot < pg.NumSlots() {
-			rec, rerr := pg.Record(it.slot)
+		if it.slot < it.pg.NumSlots() {
+			rec, rerr := it.pg.Record(it.slot)
 			if rerr != nil {
-				it.t.pool.Unpin(it.page, false)
+				it.Close()
 				return 0, nil, false, rerr
 			}
-			k := int64(binary.LittleEndian.Uint64(rec))
-			p := append([]byte(nil), rec[leafHdr:]...)
 			it.slot++
-			it.t.pool.Unpin(it.page, false)
-			return k, p, true, nil
+			return int64(binary.LittleEndian.Uint64(rec)), rec[leafHdr:], true, nil
 		}
-		next := pg.Next()
-		it.t.pool.Unpin(it.page, false)
+		next := it.pg.Next()
+		it.release()
 		if next == disk.InvalidPageID {
 			it.done = true
 			break
@@ -726,9 +775,20 @@ func (it *Iterator) Next() (key int64, payload []byte, ok bool, err error) {
 	return 0, nil, false, nil
 }
 
-// Close releases the iterator (no pins are held between Next calls, so
-// this is a no-op kept for API symmetry).
-func (it *Iterator) Close() {}
+// release unpins the held leaf, if any.
+func (it *Iterator) release() {
+	if it.pg.Buf != nil {
+		it.t.pool.Unpin(it.page, false)
+		it.pg.Buf = nil
+	}
+}
+
+// Close releases the leaf the iterator holds and ends the walk. It is
+// idempotent, and required on every path that stops before exhaustion.
+func (it *Iterator) Close() {
+	it.release()
+	it.done = true
+}
 
 // leafContinues reports whether a walk bounded by hi proceeds past this
 // leaf: an empty leaf is always skipped over, otherwise the walk goes on
@@ -853,10 +913,7 @@ func (t *Tree) UpdateAt(rid storage.RID, payload []byte) error {
 		t.pool.Unpin(rid.Page, false)
 		return err
 	}
-	nrec := make([]byte, leafHdr+len(payload))
-	copy(nrec, rec[:leafHdr])
-	copy(nrec[leafHdr:], payload)
-	err = pg.Update(int(rid.Slot), nrec)
+	err = pg.Update(int(rid.Slot), t.leafRecord(leafEntryKey(rec), payload))
 	t.pool.Unpin(rid.Page, err == nil)
 	return err
 }

@@ -15,7 +15,6 @@
 package buffer
 
 import (
-	"container/list"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -137,7 +136,56 @@ type frame struct {
 	// log record covering a change is durable before the page is. The
 	// mark clears when CollectUnlogged hands the image to the log.
 	unlogged bool
-	lru      *list.Element // position in the replacement list; nil while pinned
+	// prev/next link the frame into its shard's replacement list; both
+	// are nil while the frame is pinned (or not yet resident).
+	prev, next *frame
+}
+
+// frameList is a shard's replacement list: its unpinned frames, front =
+// least recently used. The links live in the frames themselves, so
+// moving a frame on or off the list allocates nothing.
+type frameList struct {
+	root frame // sentinel: root.next is the front, root.prev the back
+	len  int
+}
+
+func (l *frameList) init() { l.root.next, l.root.prev = &l.root, &l.root }
+
+// front returns the first frame, nil when the list is empty.
+func (l *frameList) front() *frame { return l.after(&l.root) }
+
+// after returns the frame following f, nil at the back.
+func (l *frameList) after(f *frame) *frame {
+	if f.next == &l.root {
+		return nil
+	}
+	return f.next
+}
+
+// insert links f in after at.
+func (l *frameList) insert(f, at *frame) {
+	f.prev, f.next = at, at.next
+	at.next.prev = f
+	at.next = f
+	l.len++
+}
+
+func (l *frameList) pushFront(f *frame) { l.insert(f, &l.root) }
+func (l *frameList) pushBack(f *frame)  { l.insert(f, l.root.prev) }
+
+// remove unlinks f if it is on the list.
+func (l *frameList) remove(f *frame) {
+	if f.next == nil {
+		return
+	}
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+	l.len--
+}
+
+func (l *frameList) moveToBack(f *frame) {
+	l.remove(f)
+	l.pushBack(f)
 }
 
 // shard is one stripe of the pool: a fixed-capacity frame table with its
@@ -151,7 +199,7 @@ type shard struct {
 	policy Policy
 	rng    *rand.Rand
 	frames map[disk.PageID]*frame
-	lru    *list.List // unpinned frames, front = least recently used
+	lru    frameList // unpinned frames, front = least recently used
 	retry  atomic.Pointer[RetryPolicy]
 
 	hits, misses, flushes, pins, retries, recovered atomic.Int64
@@ -258,8 +306,8 @@ func NewSharded(dm disk.Manager, capacity int, policy Policy, numShards int) (*P
 			dm: dm, cap: c, policy: policy,
 			rng:    rand.New(rand.NewSource(int64(capacity) + int64(policy) + int64(i)*7919)),
 			frames: make(map[disk.PageID]*frame, c),
-			lru:    list.New(),
 		}
+		p.shards[i].lru.init()
 		rp := DefaultRetryPolicy
 		p.shards[i].retry.Store(&rp)
 	}
@@ -355,8 +403,9 @@ func (p *Pool) Resident() int {
 func (p *Pool) Pin(id disk.PageID) ([]byte, error) {
 	s := p.shardFor(id)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pinLockedFetch(id)
+	buf, err := s.pinLockedFetch(id)
+	s.mu.Unlock()
+	return buf, err
 }
 
 // pinLockedFetch is Pin's body, run under the shard lock.
@@ -499,24 +548,46 @@ func (p *Pool) NewPage() (disk.PageID, []byte, error) {
 func (p *Pool) Unpin(id disk.PageID, dirty bool) {
 	s := p.shardFor(id)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	f, ok := s.frames[id]
 	if !ok || f.pins == 0 {
+		s.mu.Unlock()
 		panic(fmt.Sprintf("buffer: unpin of unpinned page %d", id))
 	}
-	f.dirty = f.dirty || dirty
-	if dirty && p.noSteal.Load() {
-		f.unlogged = true
+	if dirty {
+		f.dirty = true
+		if p.noSteal.Load() {
+			f.unlogged = true
+		}
 	}
 	f.pins--
 	if f.pins == 0 {
 		if f.scan {
 			// Read-once sweep page: next in line for eviction.
-			f.lru = s.lru.PushFront(f)
+			s.lru.pushFront(f)
 		} else {
-			f.lru = s.lru.PushBack(f)
+			s.lru.pushBack(f)
 		}
 	}
+	s.mu.Unlock()
+}
+
+// Touch records that the holder of a pin on page id has used the page
+// again — what a second Pin of it would have told the replacement
+// policy, without the pin. A reader that keeps one pin across many
+// accesses (a B-tree cursor on its leaf, a heap append run on its tail)
+// calls it once per page, so Clock's reference bit ends up exactly as a
+// pin-per-access reader would leave it. LRU and Random keep no
+// per-reference state beyond list order, which the final Unpin sets.
+func (p *Pool) Touch(id disk.PageID) {
+	if p.policy != Clock {
+		return
+	}
+	s := p.shardFor(id)
+	s.mu.Lock()
+	if f, ok := s.frames[id]; ok {
+		f.ref = true
+	}
+	s.mu.Unlock()
 }
 
 // FlushAll writes every dirty frame back to disk (pool contents are
@@ -567,7 +638,7 @@ func (p *Pool) Invalidate() error {
 				f.dirty = false
 				s.flushes.Add(1)
 			}
-			s.lru.Remove(f.lru)
+			s.lru.remove(f)
 			delete(s.frames, id)
 		}
 		s.mu.Unlock()
@@ -592,9 +663,8 @@ func (p *Pool) PinnedCount() int {
 }
 
 func (s *shard) pinLocked(f *frame) {
-	if f.pins == 0 && f.lru != nil {
-		s.lru.Remove(f.lru)
-		f.lru = nil
+	if f.pins == 0 {
+		s.lru.remove(f)
 	}
 	f.pins++
 }
@@ -606,11 +676,10 @@ func (s *shard) victimLocked() (*frame, error) {
 	if len(s.frames) < s.cap {
 		return &frame{buf: make([]byte, disk.PageSize)}, nil
 	}
-	el := s.chooseVictimLocked()
-	if el == nil {
+	f := s.chooseVictimLocked()
+	if f == nil {
 		return nil, fmt.Errorf("buffer: all %d frames of shard pinned or awaiting log capture", s.cap)
 	}
-	f := el.Value.(*frame)
 	// Write back before detaching: if the write fails, the dirty frame
 	// stays resident and no data is lost.
 	if f.dirty {
@@ -620,20 +689,19 @@ func (s *shard) victimLocked() (*frame, error) {
 		f.dirty = false
 		s.flushes.Add(1)
 	}
-	s.lru.Remove(el)
-	f.lru = nil
+	s.lru.remove(f)
 	delete(s.frames, f.id)
 	return f, nil
 }
 
-// chooseVictimLocked picks the element to evict per the policy; the
-// list holds only unpinned frames. Unlogged frames (dirtied under the
-// WAL no-steal gate, image not yet captured) are never chosen: writing
-// them back would put a page on disk ahead of its log record. With the
-// gate off no frame is unlogged and every policy behaves — RNG stream
+// chooseVictimLocked picks the frame to evict per the policy; the list
+// holds only unpinned frames. Unlogged frames (dirtied under the WAL
+// no-steal gate, image not yet captured) are never chosen: writing them
+// back would put a page on disk ahead of its log record. With the gate
+// off no frame is unlogged and every policy behaves — RNG stream
 // included — exactly as it did before the gate existed.
-func (s *shard) chooseVictimLocked() *list.Element {
-	n := s.lru.Len()
+func (s *shard) chooseVictimLocked() *frame {
+	n := s.lru.len
 	if n == 0 {
 		return nil
 	}
@@ -643,41 +711,46 @@ func (s *shard) chooseVictimLocked() *list.Element {
 		// their bit; unlogged frames rotate without losing their bit.
 		// Bounded by two full sweeps, then a linear fallback.
 		for i := 0; i <= 2*n; i++ {
-			el := s.lru.Front()
-			f := el.Value.(*frame)
+			f := s.lru.front()
 			if f.unlogged {
-				s.lru.MoveToBack(el)
+				s.lru.moveToBack(f)
 				continue
 			}
 			if !f.ref {
-				return el
+				return f
 			}
 			f.ref = false
-			s.lru.MoveToBack(el)
+			s.lru.moveToBack(f)
 		}
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			if !el.Value.(*frame).unlogged {
-				return el
-			}
-		}
-		return nil
 	case Random:
-		eligible := make([]*list.Element, 0, n)
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			if !el.Value.(*frame).unlogged {
-				eligible = append(eligible, el)
+		// Draw the k-th eligible frame in front-to-back order: one RNG
+		// draw over the eligible count, as ever.
+		eligible := 0
+		for f := s.lru.front(); f != nil; f = s.lru.after(f) {
+			if !f.unlogged {
+				eligible++
 			}
 		}
-		if len(eligible) == 0 {
+		if eligible == 0 {
 			return nil
 		}
-		return eligible[s.rng.Intn(len(eligible))]
-	default: // LRU
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			if !el.Value.(*frame).unlogged {
-				return el
+		k := s.rng.Intn(eligible)
+		for f := s.lru.front(); f != nil; f = s.lru.after(f) {
+			if f.unlogged {
+				continue
 			}
+			if k == 0 {
+				return f
+			}
+			k--
 		}
 		return nil
 	}
+	// LRU, and Clock's fallback: the first frame that may be written.
+	for f := s.lru.front(); f != nil; f = s.lru.after(f) {
+		if !f.unlogged {
+			return f
+		}
+	}
+	return nil
 }

@@ -163,16 +163,26 @@ func TestShardedConcurrentPins(t *testing.T) {
 	// pool's thread-safety proof, without it still checks contents survive
 	// concurrent eviction. Writers stay on goroutine-private pages so page
 	// contents are deterministic.
+	//
+	// Every goroutine holds one pin at a time, and the hash may send all
+	// of them to one shard at once: each shard gets as many frames as
+	// there are pinners, so "all frames of shard pinned" cannot occur on
+	// any schedule, and four pages compete for every frame so eviction
+	// still runs constantly.
+	const (
+		pinners = 8
+		shards  = 8
+		pages   = 4 * pinners * shards // 256: page i still fits its content byte
+	)
 	d := disk.NewSim()
-	p, err := NewSharded(d, 16, LRU, 8)
+	p, err := NewSharded(d, pinners*shards, LRU, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const pages = 64
 	ids := mkPages(t, d, pages)
 	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for g := 0; g < 8; g++ {
+	errc := make(chan error, pinners)
+	for g := 0; g < pinners; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -199,8 +209,11 @@ func TestShardedConcurrentPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := p.Stats()
-	if s.Hits+s.Misses != 8*300 {
-		t.Fatalf("hits %d + misses %d != %d", s.Hits, s.Misses, 8*300)
+	if s.Hits+s.Misses != pinners*300 {
+		t.Fatalf("hits %d + misses %d != %d", s.Hits, s.Misses, pinners*300)
+	}
+	if s.Misses <= pinners*shards {
+		t.Fatalf("only %d misses: the pool never evicted", s.Misses)
 	}
 }
 

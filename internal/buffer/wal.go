@@ -117,9 +117,7 @@ func (p *Pool) DropAll() error {
 				s.mu.Unlock()
 				return fmt.Errorf("buffer: drop with pinned page %d", id)
 			}
-			if f.lru != nil {
-				s.lru.Remove(f.lru)
-			}
+			s.lru.remove(f)
 			delete(s.frames, id)
 		}
 		s.mu.Unlock()

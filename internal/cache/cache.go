@@ -20,7 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"corep/internal/buffer"
@@ -93,6 +93,9 @@ type Cache struct {
 
 	// units: hashkey → member OIDs of the cached unit (directory).
 	units map[int64]object.Unit
+	// sorted: the directory's hashkeys in ascending order, maintained on
+	// insert and drop so an eviction draws its victim without sorting.
+	sorted []int64
 	// segments: hashkey → number of hash-file entries the value spans.
 	segments map[int64]int
 	// ilocks: subobject OID → hashkeys of cached units containing it.
@@ -302,6 +305,8 @@ func (c *Cache) insertLocked(u object.Unit, locks []object.OID, value []byte) er
 	c.segments[key] = segs
 	if _, exists := c.units[key]; !exists {
 		c.units[key] = append(object.Unit(nil), locks...)
+		at, _ := slices.BinarySearch(c.sorted, key)
+		c.sorted = slices.Insert(c.sorted, at, key)
 		for _, oid := range locks {
 			locks := c.ilocks[oid]
 			if locks == nil {
@@ -333,15 +338,10 @@ func (c *Cache) abortInsert(key int64, written int) {
 
 // evictOne removes one randomly chosen unit.
 func (c *Cache) evictOne() error {
-	// Seed-determinism matters for reproducible experiments: indexing a
-	// map range by rng still inherits the map's randomized iteration
-	// order, so sort the keys before the draw — same seed, same victim.
-	keys := make([]int64, 0, len(c.units))
-	for k := range c.units {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	victim := keys[c.rng.Intn(len(keys))]
+	// Seed-determinism matters for reproducible experiments: a map range
+	// inherits the map's randomized iteration order, so the draw indexes
+	// the ascending key list — same seed, same victim.
+	victim := c.sorted[c.rng.Intn(len(c.sorted))]
 	c.stats.Evictions++
 	return c.drop(victim)
 }
@@ -381,6 +381,9 @@ func (c *Cache) drop(key int64) error {
 	}
 	delete(c.segments, key)
 	delete(c.units, key)
+	if at, ok := slices.BinarySearch(c.sorted, key); ok {
+		c.sorted = slices.Delete(c.sorted, at, at+1)
+	}
 	c.wmMu.Lock()
 	delete(c.epochs, key)
 	c.wmMu.Unlock()
@@ -446,6 +449,10 @@ func (c *Cache) Clear() error {
 func (c *Cache) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if len(c.sorted) != len(c.units) || !slices.IsSorted(c.sorted) {
+		return fmt.Errorf("cache: sorted key list holds %d keys (sorted=%v), directory %d",
+			len(c.sorted), slices.IsSorted(c.sorted), len(c.units))
+	}
 	for key, u := range c.units {
 		for _, oid := range u {
 			if _, ok := c.ilocks[oid][key]; !ok {

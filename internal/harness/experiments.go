@@ -31,6 +31,10 @@ type Scale struct {
 	// Obs is forwarded to every measured run of the experiment; the
 	// zero value collects nothing.
 	Obs obs.Options
+
+	// Cells is forwarded likewise: when set, every measured cell logs
+	// its exact reads and writes there.
+	Cells *CellLog
 }
 
 // The two standard scales.
@@ -107,6 +111,7 @@ func (sc Scale) run(db workload.Config, kind strategy.Kind, numTop int, pr float
 		NumTop:        numTop,
 		DeviceLatency: sc.DeviceLatency,
 		Obs:           sc.Obs,
+		Cells:         sc.Cells,
 	})
 }
 
@@ -372,6 +377,7 @@ func Smart(sc Scale) (*Table, error) {
 				PrUpdate:     0.1,
 				NumTops:      []int{10, nt},
 				Obs:          sc.Obs,
+				Cells:        sc.Cells,
 			})
 			if err != nil {
 				return nil, err

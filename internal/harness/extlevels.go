@@ -52,7 +52,7 @@ func ExtLevels(sc Scale) (*Table, error) {
 				return nil, err
 			}
 			ops := db.GenSequence(sc.retrieves(nt), 0, nt)
-			start := db.Disk.Stats().Total()
+			start := db.Disk.Stats()
 			n := 0
 			for _, op := range ops {
 				if op.Kind != workload.OpRetrieve {
@@ -63,7 +63,9 @@ func ExtLevels(sc Scale) (*Table, error) {
 				}
 				n++
 			}
-			two[i] = float64(db.Disk.Stats().Total()-start) / float64(n)
+			d := db.Disk.Stats().Sub(start)
+			sc.Cells.Add(fmt.Sprintf("two-level %s numtop=%d", k, nt), d)
+			two[i] = float64(d.Total()) / float64(n)
 		}
 		oneLast, twoLast = one[0]/one[1], two[0]/two[1]
 		row = append(row,

@@ -38,7 +38,7 @@ func ExtValue(sc Scale) (*Table, error) {
 				return nil, err
 			}
 			ops := vdb.GenSequence(sc.retrieves(numTop), pr, numTop)
-			start := vdb.Disk.Stats().Total()
+			start := vdb.Disk.Stats()
 			for _, op := range ops {
 				switch op.Kind {
 				case workload.OpRetrieve:
@@ -51,7 +51,9 @@ func ExtValue(sc Scale) (*Table, error) {
 					}
 				}
 			}
-			row = append(row, f1(float64(vdb.Disk.Stats().Total()-start)/float64(len(ops))))
+			d := vdb.Disk.Stats().Sub(start)
+			sc.Cells.Add(fmt.Sprintf("VALUE sf=%d pr=%g", sf, pr), d)
+			row = append(row, f1(float64(d.Total())/float64(len(ops))))
 			valueMB := float64(vdb.Disk.NumPages()) * 2048 / 1e6
 
 			// OID-column contenders.

@@ -10,7 +10,11 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"corep/internal/buffer"
@@ -44,6 +48,48 @@ type RunConfig struct {
 	// per-cell "STRATEGY|SF=n|NT=n|" prefix so grid sweeps sharing one
 	// registry stay distinguishable.
 	Obs obs.Options
+
+	// Cells, when non-nil, receives this run's exact disk reads and
+	// writes under a label naming the cell (TestFigureIOGolden).
+	Cells *CellLog
+}
+
+// CellIO is the exact disk traffic of one measured cell: the unrounded
+// counts behind a table's one-decimal average.
+type CellIO struct {
+	Label  string `json:"label"`
+	Reads  int64  `json:"reads"`
+	Writes int64  `json:"writes"`
+}
+
+// CellLog collects the CellIO of every measured run of an experiment.
+// The nil log discards; a non-nil log is safe for the concurrent grid
+// batches.
+type CellLog struct {
+	mu    sync.Mutex
+	cells []CellIO
+}
+
+// Add records one cell's measured-sequence disk delta.
+func (l *CellLog) Add(label string, d disk.Stats) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.cells = append(l.cells, CellIO{Label: label, Reads: d.Reads, Writes: d.Writes})
+	l.mu.Unlock()
+}
+
+// Sorted returns the recorded cells ordered by label (then counts), so
+// a parallel grid logs the same list on every run.
+func (l *CellLog) Sorted() []CellIO {
+	l.mu.Lock()
+	out := append([]CellIO(nil), l.cells...)
+	l.mu.Unlock()
+	slices.SortFunc(out, func(a, b CellIO) int {
+		return cmp.Or(strings.Compare(a.Label, b.Label), cmp.Compare(a.Reads, b.Reads), cmp.Compare(a.Writes, b.Writes))
+	})
+	return out
 }
 
 // Measurement is the result of one run.
@@ -161,7 +207,15 @@ func Run(rc RunConfig) (*Measurement, error) {
 		nRetr = AdaptiveRetrieves(maxTop)
 	}
 	ops := db.GenMixedSequence(nRetr, rc.PrUpdate, numTops)
-	return Execute(db, st, ops)
+	m, err := Execute(db, st, ops)
+	if err == nil {
+		// Every config field, not Config.String's summary: cells of one
+		// experiment may differ only in pool size or policy.
+		type allFields workload.Config
+		rc.Cells.Add(fmt.Sprintf("%s numtops=%v retrieves=%d pr=%g smartN=%d %+v",
+			rc.Strategy, numTops, nRetr, rc.PrUpdate, rc.SmartThreshold, allFields(dbCfg)), m.Disk)
+	}
+	return m, err
 }
 
 // Execute runs a prepared sequence against a prepared database. Each

@@ -69,44 +69,77 @@ func (f *File) Count() int { return f.count }
 // Append inserts rec at the tail, growing the chain as needed, and
 // returns the record's RID.
 func (f *File) Append(rec []byte) (storage.RID, error) {
+	a := f.Appender()
+	defer a.Close()
+	return a.Append(rec)
+}
+
+// Appender appends a run of records holding the tail page pinned from
+// its first Append to Close, instead of pinning and unpinning it once
+// per record. The caller must not touch the pool between the run's
+// appends (a tight loop over in-memory values is the intended use):
+// then the tail ends the run exactly where a loop of File.Append calls
+// would leave it in the replacement order. Close is required.
+type Appender struct {
+	f     *File
+	pg    storage.Page // the pinned tail; Buf is nil before the first Append
+	dirty bool
+	// reused: the held tail has been reported to the pool as used again
+	// (Pool.Touch) — once per page, on the second append it takes.
+	reused bool
+}
+
+// Appender starts an append run. Nothing is pinned until the first
+// Append.
+func (f *File) Appender() Appender { return Appender{f: f} }
+
+// Append inserts rec at the tail, growing the chain as needed.
+func (a *Appender) Append(rec []byte) (storage.RID, error) {
+	f := a.f
 	if len(rec) > disk.PageSize/2 {
 		return storage.RID{}, errors.New("heap: record larger than half a page")
 	}
-	buf, err := f.pool.Pin(f.last)
-	if err != nil {
-		return storage.RID{}, err
+	if a.pg.Buf == nil {
+		buf, err := f.pool.Pin(f.last)
+		if err != nil {
+			return storage.RID{}, err
+		}
+		a.pg = storage.Page{Buf: buf}
+	} else if !a.reused {
+		f.pool.Touch(f.last)
+		a.reused = true
 	}
-	pg := storage.Page{Buf: buf}
-	slot, err := pg.Insert(rec)
-	if err == nil {
+	slot, err := a.pg.Insert(rec)
+	if errors.Is(err, storage.ErrPageFull) {
+		// Grow the chain: link a fresh page in and make it the held tail.
+		nid, nbuf, nerr := f.pool.NewPage()
+		if nerr != nil {
+			return storage.RID{}, nerr
+		}
+		npg := storage.Page{Buf: nbuf}
+		npg.Init(storage.TypeHeap)
+		npg.SetPrev(f.last)
+		a.pg.SetNext(nid)
 		f.pool.Unpin(f.last, true)
-		f.count++
-		return storage.RID{Page: f.last, Slot: uint16(slot)}, nil
+		a.pg, a.dirty, a.reused = npg, true, false // a new page is born dirty
+		f.last = nid
+		f.pages = append(f.pages, nid)
+		slot, err = a.pg.Insert(rec)
 	}
-	if !errors.Is(err, storage.ErrPageFull) {
-		f.pool.Unpin(f.last, false)
-		return storage.RID{}, err
-	}
-	// Grow the chain.
-	nid, nbuf, nerr := f.pool.NewPage()
-	if nerr != nil {
-		f.pool.Unpin(f.last, false)
-		return storage.RID{}, nerr
-	}
-	npg := storage.Page{Buf: nbuf}
-	npg.Init(storage.TypeHeap)
-	npg.SetPrev(f.last)
-	pg.SetNext(nid)
-	f.pool.Unpin(f.last, true)
-	slot, err = npg.Insert(rec)
-	f.pool.Unpin(nid, true)
 	if err != nil {
 		return storage.RID{}, err
 	}
-	f.last = nid
-	f.pages = append(f.pages, nid)
+	a.dirty = true
 	f.count++
-	return storage.RID{Page: nid, Slot: uint16(slot)}, nil
+	return storage.RID{Page: f.last, Slot: uint16(slot)}, nil
+}
+
+// Close releases the tail page. It is idempotent.
+func (a *Appender) Close() {
+	if a.pg.Buf != nil {
+		a.f.pool.Unpin(a.f.last, a.dirty)
+		a.pg.Buf = nil
+	}
 }
 
 // Update overwrites the record at rid in place. The record stays on its

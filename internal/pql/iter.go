@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"corep/internal/btree"
 	"corep/internal/catalog"
 	"corep/internal/object"
 	"corep/internal/storage"
@@ -107,12 +108,9 @@ type rowIter interface {
 // btreeScan streams a B-tree relation in key order, optionally bounded
 // to [lo, hi].
 type btreeScan struct {
-	rel    *catalog.Relation
-	it     interface {
-		Next() (int64, []byte, bool, error)
-		Close()
-	}
-	hi int64
+	rel *catalog.Relation
+	it  *btree.Iterator
+	hi  int64
 }
 
 func (s *btreeScan) Next() (row, bool, error) {
@@ -163,13 +161,13 @@ func newRelScan(rel *catalog.Relation, where Expr) (rowIter, string, error) {
 			}
 		}
 		var (
-			it  *btreeScanIter
+			it  *btree.Iterator
 			err error
 		)
 		if op == "full-scan" {
-			it, err = newBtreeFirst(rel)
+			it, err = rel.Tree.SeekFirst()
 		} else {
-			it, err = newBtreeSeek(rel, lo)
+			it, err = rel.Tree.SeekGE(lo)
 		}
 		if err != nil {
 			return nil, "", err
@@ -198,35 +196,6 @@ func newRelScan(rel *catalog.Relation, where Expr) (rowIter, string, error) {
 		return nil, "", fmt.Errorf("%w: cannot scan %q (hash relations are key-value stores)", ErrExec, rel.Name)
 	}
 }
-
-// btreeScanIter adapts btree.Iterator to the scan's needs.
-type btreeScanIter struct {
-	it btreeIterator
-}
-
-type btreeIterator interface {
-	Next() (int64, []byte, bool, error)
-	Close()
-}
-
-func newBtreeFirst(rel *catalog.Relation) (*btreeScanIter, error) {
-	it, err := rel.Tree.SeekFirst()
-	if err != nil {
-		return nil, err
-	}
-	return &btreeScanIter{it: it}, nil
-}
-
-func newBtreeSeek(rel *catalog.Relation, lo int64) (*btreeScanIter, error) {
-	it, err := rel.Tree.SeekGE(lo)
-	if err != nil {
-		return nil, err
-	}
-	return &btreeScanIter{it: it}, nil
-}
-
-func (b *btreeScanIter) Next() (int64, []byte, bool, error) { return b.it.Next() }
-func (b *btreeScanIter) Close()                             { b.it.Close() }
 
 // filterIter drops rows whose binding fails the predicate.
 type filterIter struct {
@@ -535,7 +504,7 @@ func (px *pathExec) expandOIDs(oids []object.OID, segs []string, depth int) ([]t
 				if err != nil {
 					return nil, fmt.Errorf("%w: subobject %s: %v", ErrExec, oids[idx], err)
 				}
-				payloads[idx] = append([]byte(nil), payload...)
+				payloads[idx] = payload // Get returns the caller's own copy
 			}
 		}
 		if px.opts.Planner != nil && px.opts.IOStat != nil {

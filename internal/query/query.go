@@ -10,7 +10,7 @@ package query
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"corep/internal/buffer"
 	"corep/internal/heap"
@@ -62,16 +62,41 @@ func NewInt64Temp(pool *buffer.Pool) (*Int64Temp, error) {
 
 // Append adds one value, paying heap-file I/O.
 func (t *Int64Temp) Append(v int64) error {
+	w := t.Appender()
+	defer w.Close()
+	return w.Append(v)
+}
+
+// TempAppender appends a run of values to an Int64Temp under one pin of
+// the heap file's tail page (heap.Appender). The caller must not touch
+// the pool between the run's appends and must Close the run — before
+// reading the temporary, and before appending to another one.
+type TempAppender struct {
+	t *Int64Temp
+	a heap.Appender
+}
+
+// Appender starts an append run; nothing is pinned until its first
+// Append.
+func (t *Int64Temp) Appender() TempAppender {
+	return TempAppender{t: t, a: t.file.Appender()}
+}
+
+// Append adds one value to the run.
+func (w *TempAppender) Append(v int64) error {
 	var rec [8]byte
 	binary.LittleEndian.PutUint64(rec[:], uint64(v))
-	if _, err := t.file.Append(rec[:]); err != nil {
+	if _, err := w.a.Append(rec[:]); err != nil {
 		return err
 	}
-	if !t.hasMax || v > t.max {
+	if t := w.t; !t.hasMax || v > t.max {
 		t.max, t.hasMax = v, true
 	}
 	return nil
 }
+
+// Close ends the run, releasing the tail page. It is idempotent.
+func (w *TempAppender) Close() { w.a.Close() }
 
 // Count returns the number of stored values.
 func (t *Int64Temp) Count() int { return t.file.Count() }
@@ -119,6 +144,7 @@ type TempIter struct {
 func (it *TempIter) Next() (int64, bool, error) {
 	if !it.primed {
 		it.primed = true
+		it.buf = make([]int64, 0, it.t.Count())
 		err := it.t.Scan(func(v int64) (bool, error) {
 			it.buf = append(it.buf, v)
 			return true, nil
@@ -153,18 +179,20 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (*Int64Temp, error)
 	}()
 	// Phase 1: produce sorted runs.
 	var runs []*Int64Temp
-	var cur []int64
+	cur := make([]int64, 0, min(workMem, in.Count()))
 	flush := func() error {
 		if len(cur) == 0 {
 			return nil
 		}
-		sort.Slice(cur, func(i, j int) bool { return cur[i] < cur[j] })
+		slices.Sort(cur)
 		run, err := NewInt64Temp(pool)
 		if err != nil {
 			return err
 		}
+		w := run.Appender()
+		defer w.Close()
 		for _, v := range cur {
-			if err := run.Append(v); err != nil {
+			if err := w.Append(v); err != nil {
 				return err
 			}
 		}
@@ -213,6 +241,10 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (*Int64Temp, error)
 		}
 		heads[i], alive[i] = v, ok
 	}
+	// Every run is in memory now (TempIter reads its heap file on the
+	// first Next), so the merge loop touches only out's tail page.
+	w := out.Appender()
+	defer w.Close()
 	for {
 		best := -1
 		for i := range heads {
@@ -223,7 +255,7 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (*Int64Temp, error)
 		if best < 0 {
 			return out, nil
 		}
-		if err := out.Append(heads[best]); err != nil {
+		if err := w.Append(heads[best]); err != nil {
 			return nil, err
 		}
 		v, ok, err := iters[best].Next()

@@ -56,24 +56,17 @@ func (b bfs) Retrieve(db *workload.DB, q Query) (*Result, error) {
 
 	// Form one temporary per child relation, paying heap-file writes.
 	tempSp := db.Obs.Start("strategy.bfs/temp")
-	temps := make(map[uint16]*query.Int64Temp)
-	var relOrder []uint16
+	tw := newTempWriter(db.Pool)
+	defer tw.close()
 	for _, p := range parents {
 		for _, oid := range p.unit {
-			tmp := temps[oid.Rel()]
-			if tmp == nil {
-				tmp, err = query.NewInt64Temp(db.Pool)
-				if err != nil {
-					return nil, err
-				}
-				temps[oid.Rel()] = tmp
-				relOrder = append(relOrder, oid.Rel())
-			}
-			if err := tmp.Append(oid.Key()); err != nil {
+			if err := tw.add(oid); err != nil {
 				return nil, err
 			}
 		}
 	}
+	tw.close()
+	temps, relOrder := tw.temps, tw.relOrder
 	tempSp.SetAttr("relations", int64(len(relOrder)))
 	tempSp.End()
 	// Keep relation order deterministic.
@@ -109,22 +102,9 @@ func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Tem
 		if err != nil {
 			return err
 		}
-		distinct, err := query.NewInt64Temp(db.Pool)
+		distinct, err := distinctTemp(db.Pool, sorted)
 		if err != nil {
 			return err
-		}
-		uniq := query.NewDistinct(sorted.Iter())
-		for {
-			v, ok, err := uniq.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if err := distinct.Append(v); err != nil {
-				return err
-			}
 		}
 		tmp = distinct
 		n = tmp.Count()
@@ -192,24 +172,7 @@ func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Tem
 		}
 		outerTemp = sorted
 	}
-	it, err := rel.Tree.SeekFirst()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	// The merge join's inner leaf walk never passes the outer's maximum:
-	// readahead (when a prefetcher is attached) stops seeding there.
-	if mx, ok := outerTemp.Max(); ok {
-		defer rel.Tree.AttachChainPrefetch(it, mx)()
-	}
-	return query.MergeJoin(db.Obs, outerTemp.Iter(), treeKeyedIter{it}, func(key int64, payload []byte) (bool, error) {
-		v, err := tuple.DecodeField(db.ChildSchema, payload, attrIdx)
-		if err != nil {
-			return false, err
-		}
-		res.Values = append(res.Values, overlayInt(q.Snap, object.NewOID(rel.ID, key), attrIdx, v.Int))
-		return true, nil
-	})
+	return mergeJoinChild(db, rel, outerTemp, q, res)
 }
 
 func (bfs) Update(db *workload.DB, op workload.Op) error {

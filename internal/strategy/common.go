@@ -3,10 +3,13 @@ package strategy
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
-	"corep/internal/btree"
+	"corep/internal/buffer"
+	"corep/internal/catalog"
 	"corep/internal/object"
+	"corep/internal/query"
 	"corep/internal/tuple"
 	"corep/internal/txn"
 	"corep/internal/workload"
@@ -22,7 +25,7 @@ type parentRef struct {
 // qualifying tuple's children attribute.
 func scanParents(db *workload.DB, lo, hi int64) ([]parentRef, error) {
 	childIdx := db.ParentSchema.MustIndex("children")
-	var out []parentRef
+	out := make([]parentRef, 0, max(0, min(hi-lo+1, int64(db.Cfg.NumParents))))
 	err := db.Parent.Tree.Range(lo, hi, func(key int64, payload []byte) (bool, error) {
 		v, err := tuple.DecodeField(db.ParentSchema, payload, childIdx)
 		if err != nil {
@@ -227,11 +230,101 @@ func (s ioSpan) end() int64 {
 	return s.db.Disk.Stats().Total() - s.start
 }
 
-// treeKeyedIter adapts a btree iterator to query.KeyedIter for merge
-// joins.
-type treeKeyedIter struct{ it *btree.Iterator }
+// tempWriter routes subobject OIDs into one temporary per child
+// relation (§6.2). Consecutive OIDs of the same relation form a run
+// appended under one pin of that temporary's tail page; a change of
+// relation closes the run before the other temporary is touched or
+// created, so pages are used in exactly the order of a per-OID Append
+// loop. close must be called before the temporaries are read.
+type tempWriter struct {
+	pool     *buffer.Pool
+	temps    map[uint16]*query.Int64Temp
+	relOrder []uint16 // relations in order of first appearance
 
-func (t treeKeyedIter) Next() (int64, []byte, bool, error) { return t.it.Next() }
+	cur  uint16
+	run  query.TempAppender
+	open bool
+}
+
+func newTempWriter(pool *buffer.Pool) *tempWriter {
+	return &tempWriter{pool: pool, temps: make(map[uint16]*query.Int64Temp)}
+}
+
+func (w *tempWriter) add(oid object.OID) error {
+	if rel := oid.Rel(); !w.open || rel != w.cur {
+		w.close()
+		tmp := w.temps[rel]
+		if tmp == nil {
+			var err error
+			if tmp, err = query.NewInt64Temp(w.pool); err != nil {
+				return err
+			}
+			w.temps[rel] = tmp
+			w.relOrder = append(w.relOrder, rel)
+		}
+		w.cur, w.run, w.open = rel, tmp.Appender(), true
+	}
+	return w.run.Append(oid.Key())
+}
+
+// close ends the open run, if any. It is idempotent.
+func (w *tempWriter) close() {
+	if w.open {
+		w.run.Close()
+		w.open = false
+	}
+}
+
+// distinctTemp copies the distinct values of a sorted temporary into a
+// new one — the duplicate-removal step of BFSNODUP (§3.1 [3]).
+func distinctTemp(pool *buffer.Pool, sorted *query.Int64Temp) (*query.Int64Temp, error) {
+	distinct, err := query.NewInt64Temp(pool)
+	if err != nil {
+		return nil, err
+	}
+	// The sorted side is read into memory by the first Next, before the
+	// first append, so the run below is the only pool traffic.
+	uniq := query.NewDistinct(sorted.Iter())
+	w := distinct.Appender()
+	defer w.Close()
+	for {
+		v, ok, err := uniq.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return distinct, nil
+		}
+		if err := w.Append(v); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// mergeJoinChild merge-joins a sorted temporary of keys with rel's leaf
+// scan (§3.1 [2]), appending the projected query attribute of every
+// match to res. The scan never passes the temporary's maximum: leaf
+// readahead (when a prefetcher is attached) stops seeding there.
+func mergeJoinChild(db *workload.DB, rel *catalog.Relation, sorted *query.Int64Temp, q Query, res *Result) error {
+	it, err := rel.Tree.SeekFirst()
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	if mx, ok := sorted.Max(); ok {
+		defer rel.Tree.AttachChainPrefetch(it, mx)()
+	}
+	// Every outer value matches at most once.
+	res.Values = slices.Grow(res.Values, sorted.Count())
+	return query.MergeJoin(db.Obs, sorted.Iter(), it, func(key int64, payload []byte) (bool, error) {
+		v, err := tuple.DecodeField(db.ChildSchema, payload, q.AttrIdx)
+		if err != nil {
+			return false, err
+		}
+		res.Values = append(res.Values, overlayInt(q.Snap, object.NewOID(rel.ID, key), q.AttrIdx, v.Int))
+		return true, nil
+	})
+}
 
 // --- cached-unit value codec ---
 //

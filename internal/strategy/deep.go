@@ -104,13 +104,16 @@ func deepBFS(db *workload.TwoLevelDB, q Query, dedup bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	w1 := temp1.Appender()
+	defer w1.Close()
 	for _, p := range parents {
 		for _, mo := range p.unit {
-			if err := temp1.Append(mo.Key()); err != nil {
+			if err := w1.Append(mo.Key()); err != nil {
 				return nil, err
 			}
 		}
 	}
+	w1.Close()
 	temp2, err := query.NewInt64Temp(db.Pool)
 	if err != nil {
 		return nil, err
@@ -120,8 +123,10 @@ func deepBFS(db *workload.TwoLevelDB, q Query, dedup bool) (*Result, error) {
 		if err != nil {
 			return err
 		}
+		w2 := temp2.Appender()
+		defer w2.Close()
 		for _, lo := range leaves {
-			if err := temp2.Append(lo.Key()); err != nil {
+			if err := w2.Append(lo.Key()); err != nil {
 				return err
 			}
 		}
@@ -154,22 +159,9 @@ func deepJoin(db *workload.TwoLevelDB, rel *catalog.Relation, tmp *query.Int64Te
 		if err != nil {
 			return err
 		}
-		distinct, err := query.NewInt64Temp(db.Pool)
+		distinct, err := distinctTemp(db.Pool, sorted)
 		if err != nil {
 			return err
-		}
-		uniq := query.NewDistinct(sorted.Iter())
-		for {
-			v, ok, err := uniq.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if err := distinct.Append(v); err != nil {
-				return err
-			}
 		}
 		tmp = distinct
 		n = tmp.Count()
@@ -199,7 +191,7 @@ func deepJoin(db *workload.TwoLevelDB, rel *catalog.Relation, tmp *query.Int64Te
 		return err
 	}
 	defer it.Close()
-	return query.MergeJoin(db.Obs, outer.Iter(), treeKeyedIter{it}, func(_ int64, payload []byte) (bool, error) {
+	return query.MergeJoin(db.Obs, outer.Iter(), it, func(_ int64, payload []byte) (bool, error) {
 		return true, emit(payload)
 	})
 }

@@ -3,9 +3,7 @@ package strategy
 import (
 	"sort"
 
-	"corep/internal/object"
 	"corep/internal/query"
-	"corep/internal/tuple"
 	"corep/internal/workload"
 )
 
@@ -43,10 +41,13 @@ func (s smart) Retrieve(db *workload.DB, q Query) (*Result, error) {
 	defer bfSp.End()
 	// Cached units answer depth-first (one hash probe each); the rest
 	// feed per-relation temporaries for merge joins.
-	temps := make(map[uint16]*query.Int64Temp)
-	var relOrder []uint16
+	tw := newTempWriter(db.Pool)
+	defer tw.close()
 	for _, p := range parents {
 		unit := p.unit
+		// The cache probe reads hash-file pages: end the open append run
+		// first, so it never spans other pool traffic.
+		tw.close()
 		if db.Cache.IsCached(unit) {
 			value, ok, err := db.Cache.LookupSnap(unit, q.Snap.Epoch())
 			if err != nil {
@@ -60,20 +61,13 @@ func (s smart) Retrieve(db *workload.DB, q Query) (*Result, error) {
 			}
 		}
 		for _, oid := range unit {
-			tmp := temps[oid.Rel()]
-			if tmp == nil {
-				tmp, err = query.NewInt64Temp(db.Pool)
-				if err != nil {
-					return nil, err
-				}
-				temps[oid.Rel()] = tmp
-				relOrder = append(relOrder, oid.Rel())
-			}
-			if err := tmp.Append(oid.Key()); err != nil {
+			if err := tw.add(oid); err != nil {
 				return nil, err
 			}
 		}
 	}
+	tw.close()
+	temps, relOrder := tw.temps, tw.relOrder
 	sort.Slice(relOrder, func(i, j int) bool { return relOrder[i] < relOrder[j] })
 	for _, relID := range relOrder {
 		rel, err := db.ChildByRelID(relID)
@@ -84,25 +78,7 @@ func (s smart) Retrieve(db *workload.DB, q Query) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		it, err := rel.Tree.SeekFirst()
-		if err != nil {
-			return nil, err
-		}
-		finish := func() {}
-		if mx, ok := sorted.Max(); ok {
-			finish = rel.Tree.AttachChainPrefetch(it, mx)
-		}
-		err = query.MergeJoin(db.Obs, sorted.Iter(), treeKeyedIter{it}, func(key int64, payload []byte) (bool, error) {
-			v, err := tuple.DecodeField(db.ChildSchema, payload, q.AttrIdx)
-			if err != nil {
-				return false, err
-			}
-			res.Values = append(res.Values, overlayInt(q.Snap, object.NewOID(rel.ID, key), q.AttrIdx, v.Int))
-			return true, nil
-		})
-		finish()
-		it.Close()
-		if err != nil {
+		if err := mergeJoinChild(db, rel, sorted, q, res); err != nil {
 			return nil, err
 		}
 	}

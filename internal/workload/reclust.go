@@ -44,6 +44,14 @@ type ReclustState struct {
 	mu     sync.Mutex
 	extent *heap.File // lazily created; reset after a crash
 
+	// pageMu guards the bytes of extent pages. A batch appends to the
+	// same tail page whose earlier, already published rows concurrent
+	// readers are fetching, and both sides touch the page header and
+	// slot directory: Read copies a row out under the shared lock, the
+	// append and the write-through rewrite hold it exclusively for the
+	// one page mutation. Lock order: mu → pageMu → pool shard.
+	pageMu sync.RWMutex
+
 	migrated   int64
 	batches    int64
 	pagesDirty int64
@@ -82,6 +90,8 @@ func (db *DB) EnableReclustering(heatCap, halfLife int) error {
 // that survived a crash stay readable even though the post-crash
 // extent chain starts fresh.
 func (rs *ReclustState) Read(rid storage.RID) ([]byte, error) {
+	rs.pageMu.RLock()
+	defer rs.pageMu.RUnlock()
 	buf, err := rs.db.Pool.Pin(rid.Page)
 	if err != nil {
 		return nil, err
@@ -304,6 +314,8 @@ func (rs *ReclustState) appendCopyLocked(parent int64, oid object.OID) (storage.
 	if err != nil {
 		return storage.RID{}, err
 	}
+	rs.pageMu.Lock()
+	defer rs.pageMu.Unlock()
 	return rs.extent.Append(nrec)
 }
 
@@ -332,6 +344,8 @@ func (rs *ReclustState) writeThrough(oid object.OID, ret1 int64) error {
 	if err != nil {
 		return err
 	}
+	rs.pageMu.Lock()
+	defer rs.pageMu.Unlock()
 	buf, err := rs.db.Pool.Pin(e.RID.Page)
 	if err != nil {
 		return err
