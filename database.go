@@ -3,20 +3,17 @@ package corep
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"corep/internal/buffer"
-	"corep/internal/cache"
 	"corep/internal/catalog"
 	"corep/internal/disk"
+	"corep/internal/engine"
 	"corep/internal/object"
 	"corep/internal/obs"
 	"corep/internal/planner"
 	"corep/internal/pql"
 	"corep/internal/tuple"
-	"corep/internal/txn"
 	"corep/internal/wal"
 )
 
@@ -68,19 +65,15 @@ func StrField(name string) FieldDef { return FieldDef{Name: name, Kind: FieldStr
 // ChildrenField declares a subobject-set attribute.
 func ChildrenField(name string) FieldDef { return FieldDef{Name: name, Kind: FieldChildren} }
 
-// statsDisk is the disk interface the object API needs: page transfer
-// plus counter reset (both the in-memory and file backends satisfy it).
-type statsDisk interface {
-	disk.Manager
-	ResetStats()
-}
-
 // Database is an object database over the storage engine — in-memory
 // (NewDatabase) or file-backed (OpenDatabaseFile).
 type Database struct {
-	dsk  statsDisk
-	pool *buffer.Pool
-	cat  *catalog.Catalog
+	// core is the storage engine: disk, pool, catalog, the optional
+	// outside cache (EnableCache), version store
+	// (EnableVersionedServing), log (EnableWAL), reclustering extent and
+	// observability context (TraceTo / EnableMetrics), and the commit
+	// protocol over them — the same core the workload engine embeds.
+	core *engine.Core
 
 	// file and meta are set for file-backed databases (persistence).
 	file *disk.FileDisk
@@ -88,36 +81,24 @@ type Database struct {
 	// rels indexes the relation handles for Relation()/Checkpoint.
 	rels map[string]*Relation
 
-	// cache is the optional outside value cache (EnableCache).
-	cache *cache.Cache
 	// cacheMode selects what procedural children cache (SetCacheMode).
 	cacheMode CacheMode
 
 	// faults is the installed fault plan, if any (SetFaultPlan).
 	faults *disk.FaultPlan
 
-	// txn is the epoch version store (EnableVersionedServing); nil keeps
-	// the historic unversioned cache protocol.
-	txn *txn.Store
-
-	// reclust is the adaptive-clustering state (EnableReclustering; see
-	// database_reclust.go); nil keeps reads on the base rows.
+	// reclust is the adaptive-clustering policy state
+	// (EnableReclustering; see database_reclust.go); nil keeps reads on
+	// the base rows.
 	reclust *reclustState
 
-	// WAL state (EnableWAL; see database_wal.go). walMu serializes
-	// captures and appends so the log sees whole commits; walSeq numbers
-	// acknowledged commits; lastMetaJSON dedups metadata records;
-	// walRecovery holds what OpenDatabaseFile's replay did.
-	wal          *wal.Log
-	walMu        sync.Mutex
-	walSeq       uint64
+	// WAL sidecar state (EnableWAL; see database_wal.go): lastMetaJSON
+	// dedups metadata records; walRecovery holds what
+	// OpenDatabaseFile's replay did.
 	walPath      string
 	lastMetaJSON []byte
 	walRecovery  *wal.Result
 
-	// obs is the observability context (TraceTo / EnableMetrics); the
-	// zero value collects nothing.
-	obs obs.Ctx
 	// traceSink is TraceTo's sink, kept so slow-query capture can tee
 	// span events to both destinations.
 	traceSink obs.Sink
@@ -138,8 +119,7 @@ func NewDatabase(bufferPages int) *Database {
 		bufferPages = buffer.DefaultPoolSize
 	}
 	d := disk.NewSim()
-	pool := buffer.New(d, bufferPages)
-	return &Database{dsk: d, pool: pool, cat: catalog.New(pool), rels: map[string]*Relation{}}
+	return &Database{core: engine.New(d, buffer.New(d, bufferPages)), rels: map[string]*Relation{}}
 }
 
 // Relation is a named relation keyed by its first integer attribute.
@@ -174,7 +154,7 @@ func (d *Database) CreateRelation(name string, fields ...FieldDef) (*Relation, e
 		}
 	}
 	schema := tuple.NewSchema(tf...)
-	rel, err := d.cat.CreateBTree(name, schema)
+	rel, err := d.core.Cat.CreateBTree(name, schema)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +163,7 @@ func (d *Database) CreateRelation(name string, fields ...FieldDef) (*Relation, e
 	// Relation creation is a commit of its own under the WAL: the fresh
 	// root page and the metadata change must survive a crash even if no
 	// tuple is ever inserted.
-	if _, err := d.walCommit(); err != nil {
+	if _, err := d.commit(); err != nil {
 		delete(d.rels, name)
 		return nil, err
 	}
@@ -294,22 +274,7 @@ func (r *Relation) InsertWith(row Row, children map[string]Children) (OID, error
 	// versioned serving the invalidation commits through the version
 	// store so snapshot readers see the watermark before the new epoch.
 	locks := []object.OID{relLockOID(r.rel.ID)}
-	u := r.db.beginTxnUpdate(locks)
-	if err := r.rel.Tree.Insert(key, rec); err != nil {
-		if u != nil {
-			u.Abort()
-		}
-		return 0, err
-	}
-	// WAL ordering: the record must be durable before the epoch
-	// publishes (walCommit is a no-op with the WAL off).
-	if _, err := r.db.walCommit(); err != nil {
-		if u != nil {
-			u.Abort()
-		}
-		return 0, err
-	}
-	if err := r.db.commitInvalidation(u, locks); err != nil {
+	if err := r.db.mutate(locks, func() error { return r.rel.Tree.Insert(key, rec) }); err != nil {
 		return 0, err
 	}
 	return object.NewOID(r.rel.ID, key), nil
@@ -327,14 +292,12 @@ func (r *Relation) Get(key int64) (Row, error) {
 // Fetch resolves any OID to its row, preferring a reclustered copy
 // when adaptive clustering has placed one.
 func (d *Database) Fetch(oid OID) (Row, error) {
-	rel, err := d.cat.ByID(oid.Rel())
+	if row, ok, err := d.fetchRedirected(oid); err != nil || ok {
+		return row, err
+	}
+	rel, err := d.core.Cat.ByID(oid.Rel())
 	if err != nil {
 		return nil, err
-	}
-	if row, ok, err := d.fetchRedirected(oid, rel.Schema); err != nil {
-		return nil, err
-	} else if ok {
-		return row, nil
 	}
 	rec, err := rel.Tree.Get(oid.Key())
 	if err != nil {
@@ -350,60 +313,41 @@ func (d *Database) Fetch(oid OID) (Row, error) {
 // the same or lower simulated I/O cost.
 func (d *Database) FetchBatch(oids []OID) ([]Row, error) {
 	rows := make([]Row, len(oids))
-	byRel := make(map[uint16][]int)
-	for i, oid := range oids {
+	rest, pos := oids, []int(nil)
+	if d.reclust != nil {
 		// Reclustered members read their packed copies — one unit's
 		// members share extent pages, so the pool turns the probes into
-		// one or two page fetches.
-		if d.reclust != nil {
-			rel, err := d.cat.ByID(oid.Rel())
-			if err != nil {
-				return nil, err
-			}
-			if row, ok, err := d.fetchRedirected(oid, rel.Schema); err != nil {
+		// one or two page fetches. Only the rest goes to the B-trees.
+		rest = make([]OID, 0, len(oids))
+		for i, oid := range oids {
+			if row, ok, err := d.fetchRedirected(oid); err != nil {
 				return nil, err
 			} else if ok {
 				rows[i] = row
 				continue
 			}
+			rest, pos = append(rest, oid), append(pos, i)
 		}
-		byRel[oid.Rel()] = append(byRel[oid.Rel()], i)
 	}
-	relIDs := make([]int, 0, len(byRel))
-	for id := range byRel {
-		relIDs = append(relIDs, int(id))
-	}
-	sort.Ints(relIDs)
-	for _, rid := range relIDs {
-		rel, err := d.cat.ByID(uint16(rid))
-		if err != nil {
-			return nil, err
+	err := d.core.Cat.ProbeOIDs(rest, func(i int, rel *catalog.Relation, payload []byte) error {
+		if pos != nil {
+			i = pos[i]
 		}
-		idxs := byRel[uint16(rid)]
-		keys := make([]int64, len(idxs))
-		for j, i := range idxs {
-			keys[j] = oids[i].Key()
-		}
-		err = rel.Tree.GetBatch(keys, func(j int, payload []byte) error {
-			// The payload aliases the pinned page; Decode copies strings
-			// and bytes out of it, so the row outlives the batch.
-			row, derr := tuple.Decode(rel.Schema, payload)
-			if derr != nil {
-				return derr
-			}
-			rows[idxs[j]] = row
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		// The payload aliases the pinned page; Decode copies strings
+		// and bytes out of it, so the row outlives the batch.
+		row, err := tuple.Decode(rel.Schema, payload)
+		rows[i] = row
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
 
 // RelationOf returns the name of the relation an OID references.
 func (d *Database) RelationOf(oid OID) (string, error) {
-	rel, err := d.cat.ByID(oid.Rel())
+	rel, err := d.core.Cat.ByID(oid.Rel())
 	if err != nil {
 		return "", err
 	}
@@ -448,7 +392,7 @@ func (r *Relation) Resolve(key int64, attr string) (*Resolved, error) {
 		}
 		return &Resolved{Representation: object.OIDs.String(), OIDs: oids}, nil
 	case tagProc:
-		res, err := pql.Run(r.db.cat, string(raw[1:]))
+		res, err := pql.Run(r.db.core.Cat, string(raw[1:]))
 		if err != nil {
 			return nil, err
 		}
@@ -462,7 +406,7 @@ func (r *Relation) Resolve(key int64, attr string) (*Resolved, error) {
 			return nil, errors.New("corep: malformed value-based children")
 		}
 		relID := uint16(raw[1]) | uint16(raw[2])<<8
-		rel, err := r.db.cat.ByID(relID)
+		rel, err := r.db.core.Cat.ByID(relID)
 		if err != nil {
 			return nil, err
 		}
@@ -489,10 +433,10 @@ func (r *Relation) Resolve(key int64, attr string) (*Resolved, error) {
 func (d *Database) RetrievePath(relName, childrenAttr, targetAttr string, lo, hi int64) (vals []Value, err error) {
 	done := d.beginSlow("query.path")
 	defer func() { done(err) }()
-	sp := d.obs.Start("query.path")
+	sp := d.core.Obs.Start("query.path")
 	defer sp.End()
-	before := d.dsk.Stats().Total()
-	crel, err := d.cat.Get(relName)
+	before := d.core.Disk.Stats().Total()
+	crel, err := d.core.Cat.Get(relName)
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +444,7 @@ func (d *Database) RetrievePath(relName, childrenAttr, targetAttr string, lo, hi
 	var out []Value
 	defer func() {
 		sp.SetAttr("values", int64(len(out)))
-		d.obs.Histogram("query.io", obs.IOBuckets).Observe(float64(d.dsk.Stats().Total() - before))
+		d.core.Obs.Histogram("query.io", obs.IOBuckets).Observe(float64(d.core.Disk.Stats().Total() - before))
 	}()
 	err = crel.Tree.Range(lo, hi, func(key int64, _ []byte) (bool, error) {
 		res, rerr := r.Resolve(key, childrenAttr)
@@ -516,7 +460,7 @@ func (d *Database) RetrievePath(relName, childrenAttr, targetAttr string, lo, hi
 				return false, ferr
 			}
 			for k, oid := range res.OIDs {
-				srel, ferr := d.cat.ByID(oid.Rel())
+				srel, ferr := d.core.Cat.ByID(oid.Rel())
 				if ferr != nil {
 					return false, ferr
 				}
@@ -569,35 +513,35 @@ type QueryResult struct {
 func (d *Database) Query(src string) (qr *QueryResult, err error) {
 	done := d.beginSlow("query.pql")
 	defer func() { done(err) }()
-	sp := d.obs.Start("query.pql")
+	sp := d.core.Obs.Start("query.pql")
 	defer sp.End()
-	before := d.dsk.Stats().Total()
-	if err := d.walPressure(); err != nil {
+	before := d.core.Disk.Stats().Total()
+	if err := d.core.Relieve(); err != nil {
 		return nil, err
 	}
 	q, err := pql.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	res, err := pql.ExecuteWith(d.cat, q, d.plannerOpts())
+	res, err := pql.ExecuteWith(d.core.Cat, q, d.plannerOpts())
 	if err != nil {
 		return nil, err
 	}
 	sp.SetAttr("rows", int64(len(res.Tuples)))
-	d.obs.Histogram("query.io", obs.IOBuckets).Observe(float64(d.dsk.Stats().Total() - before))
+	d.core.Obs.Histogram("query.io", obs.IOBuckets).Observe(float64(d.core.Disk.Stats().Total() - before))
 	return &QueryResult{Columns: res.Schema.Names(), Rows: res.Tuples}, nil
 }
 
 // Stats returns cumulative simulated I/O counters.
 func (d *Database) Stats() IOStats {
-	s := d.dsk.Stats()
+	s := d.core.Disk.Stats()
 	return IOStats{Reads: s.Reads, Writes: s.Writes}
 }
 
 // SetDeviceLatency sets the simulated per-page device latency (no-op on
 // backends without latency simulation).
 func (d *Database) SetDeviceLatency(l time.Duration) {
-	if s, ok := d.dsk.(interface{ SetLatency(time.Duration) }); ok {
+	if s, ok := d.core.Disk.(interface{ SetLatency(time.Duration) }); ok {
 		s.SetLatency(l)
 	}
 }
@@ -607,27 +551,13 @@ func (d *Database) SetDeviceLatency(l time.Duration) {
 // overlap upcoming page reads with query work. It returns the closer
 // that stops the prefetch workers; call it when done with the database.
 func (d *Database) EnablePrefetch(depth int) func() {
-	pf := buffer.NewPrefetcher(d.pool, depth, 0)
-	d.pool.SetPrefetcher(pf)
-	return func() {
-		d.pool.SetPrefetcher(nil)
-		pf.Close()
-	}
+	d.core.Pool.SetPrefetcher(buffer.NewPrefetcher(d.core.Pool, depth, 0))
+	return d.core.Close
 }
 
 // ResetCold flushes and empties the buffer pool and zeroes the I/O
 // counters.
-func (d *Database) ResetCold() error {
-	d.pool.Prefetcher().Drain()
-	if err := d.pool.FlushAll(); err != nil {
-		return err
-	}
-	if err := d.pool.Invalidate(); err != nil {
-		return err
-	}
-	d.dsk.ResetStats()
-	return nil
-}
+func (d *Database) ResetCold() error { return d.core.ResetCold() }
 
 // RepresentationMatrixCell describes one cell of the paper's Figure 1.
 type RepresentationMatrixCell = object.MatrixCell

@@ -23,7 +23,7 @@ func TestRetrievePathValuesSurviveFrameReuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		testutil.AssertNoLeaks(t, db.pool)
+		testutil.AssertNoLeaks(t, db.core.Pool)
 		if len(vals) != groups*4 {
 			t.Fatalf("%s: %d values", name, len(vals))
 		}
@@ -31,7 +31,7 @@ func TestRetrievePathValuesSurviveFrameReuse(t *testing.T) {
 		for i, v := range vals {
 			want[i] = fmt.Sprint(v)
 		}
-		testutil.ScribbleFrames(t, db.pool)
+		testutil.ScribbleFrames(t, db.core.Pool)
 		for i, v := range vals {
 			if fmt.Sprint(v) != want[i] {
 				t.Fatalf("%s: value %d changed from %s to %v when the frames were overwritten", name, i, want[i], v)
@@ -45,7 +45,7 @@ func TestRetrievePathValuesSurviveFrameReuse(t *testing.T) {
 	if _, err := db.RetrievePath("grp", "members", "no-such-attr", 1, int64(groups)); err == nil {
 		t.Fatal("bad attribute accepted")
 	}
-	testutil.AssertNoLeaks(t, db.pool)
+	testutil.AssertNoLeaks(t, db.core.Pool)
 }
 
 func firstColumn(res *QueryResult, err error) ([]Value, error) {

@@ -35,29 +35,14 @@ func relLockOID(relID uint16) object.OID { return object.NewOID(relID, object.Ma
 // (the paper's SizeCache). RetrievePath then caches materialized units —
 // the `OID × values` and `procedural × values` cells of Figure 1.
 func (d *Database) EnableCache(maxUnits int) error {
-	if d.cache != nil {
+	if d.core.Cache != nil {
 		return errors.New("corep: cache already enabled")
 	}
 	buckets := maxUnits / 4
 	if buckets < 16 {
 		buckets = 16
 	}
-	// The cache's hash file is derived data — rebuilt from scratch after
-	// any reopen, never replayed — so its pages are exempt from the WAL's
-	// no-steal gate. Creating the bucket directory can dirty more frames
-	// than the pool holds; with the gate left armed (and no commit to
-	// capture the frames) eviction would have no legal victim.
-	if d.pool.NoSteal() {
-		d.pool.SetNoSteal(false)
-		defer d.pool.SetNoSteal(true)
-	}
-	c, err := cache.New(d.pool, maxUnits, buckets, 1)
-	if err != nil {
-		return err
-	}
-	c.Obs = d.obs
-	d.cache = c
-	return nil
+	return d.core.NewCache(maxUnits, buckets, 1)
 }
 
 // CacheStats reports cache event counters (zero value when no cache).
@@ -65,18 +50,18 @@ type CacheStats = cache.Stats
 
 // CacheStats returns the cache counters.
 func (d *Database) CacheStats() CacheStats {
-	if d.cache == nil {
+	if d.core.Cache == nil {
 		return CacheStats{}
 	}
-	return d.cache.Stats()
+	return d.core.Cache.Stats()
 }
 
 // CachedUnits returns how many units are currently cached.
 func (d *Database) CachedUnits() int {
-	if d.cache == nil {
+	if d.core.Cache == nil {
 		return 0
 	}
-	return d.cache.Len()
+	return d.core.Cache.Len()
 }
 
 // Update replaces the non-children attributes of the row with the given
@@ -109,37 +94,8 @@ func (r *Relation) Update(key int64, row Row) error {
 	// to the row this update rewrites (harmless if the update then
 	// fails — the base row is always correct).
 	r.db.dropPlacement(object.NewOID(r.rel.ID, key))
-	// Under versioned serving the in-place write happens while the
-	// per-object latches are held and the invalidation watermarks advance
-	// before the commit epoch publishes — snapshot readers either see the
-	// old epoch (and the still-valid cached unit) or the new epoch with
-	// the watermark already in place. Without it, plain invalidation.
 	locks := []object.OID{object.NewOID(r.rel.ID, key), relLockOID(r.rel.ID)}
-	u := r.db.beginTxnUpdate(locks)
-	if err := r.rel.Tree.Update(key, rec); err != nil {
-		if u != nil {
-			u.Abort()
-		}
-		return err
-	}
-	// WAL ordering: durable record before the epoch publishes.
-	if _, err := r.db.walCommit(); err != nil {
-		if u != nil {
-			u.Abort()
-		}
-		return err
-	}
-	return r.db.commitInvalidation(u, locks)
-}
-
-// unitValue frames resolved rows for cache storage: length-prefixed
-// encoded tuples under the subobject relation's schema.
-func encodeRowsForCache(s *tuple.Schema, rows []Row) ([]byte, error) {
-	return object.EncodeNested(s, rows)
-}
-
-func decodeRowsFromCache(s *tuple.Schema, raw []byte) ([]Row, error) {
-	return object.DecodeNested(s, raw)
+	return r.db.mutate(locks, func() error { return r.rel.Tree.Update(key, rec) })
 }
 
 // resolveCached is Resolve plus outside caching for the representations
@@ -147,13 +103,13 @@ func decodeRowsFromCache(s *tuple.Schema, raw []byte) ([]Row, error) {
 // procedural children cache the stored query's result. Value-based
 // children are already materialized (the shaded cells of Figure 1).
 func (r *Relation) resolveCached(key int64, attr string, epoch uint64) (*Resolved, error) {
-	if r.db.cache == nil {
+	if r.db.core.Cache == nil {
 		return r.Resolve(key, attr)
 	}
 	// Cache inserts dirty hash-file pages through the shared pool; under
 	// the WAL gate those frames hold their eviction slots until captured.
 	// Drain the backlog here so a read-only stretch cannot wedge the pool.
-	if err := r.db.walPressure(); err != nil {
+	if err := r.db.core.Relieve(); err != nil {
 		return nil, err
 	}
 	row, err := r.Get(key)
@@ -181,15 +137,15 @@ func (r *Relation) resolveCached(key int64, attr string, epoch uint64) (*Resolve
 				return r.Resolve(key, attr)
 			}
 		}
-		srel, err := r.db.cat.ByID(relID)
+		srel, err := r.db.core.Cat.ByID(relID)
 		if err != nil {
 			return nil, err
 		}
 		unit := object.Unit(oids)
-		if v, ok, err := r.db.cache.LookupSnap(unit, epoch); err != nil {
+		if v, ok, err := r.db.core.Cache.LookupSnap(unit, epoch); err != nil {
 			return nil, err
 		} else if ok {
-			rows, err := decodeRowsFromCache(srel.Schema, v)
+			rows, err := object.DecodeNested(srel.Schema, v)
 			if err != nil {
 				return nil, err
 			}
@@ -208,11 +164,11 @@ func (r *Relation) resolveCached(key int64, attr string, epoch uint64) (*Resolve
 			}
 			rows = append(rows, t)
 		}
-		v, err := encodeRowsForCache(srel.Schema, rows)
+		v, err := object.EncodeNested(srel.Schema, rows)
 		if err != nil {
 			return nil, err
 		}
-		if err := r.db.cache.InsertSnap(unit, v, epoch); err != nil {
+		if err := r.db.core.Cache.InsertSnap(unit, v, epoch); err != nil {
 			return nil, err
 		}
 		return &Resolved{
@@ -234,15 +190,15 @@ func (r *Relation) resolveCached(key int64, attr string, epoch uint64) (*Resolve
 		if err != nil {
 			return nil, err
 		}
-		schema, err := pql.ResultSchema(r.db.cat, q)
+		schema, err := pql.ResultSchema(r.db.core.Cat, q)
 		if err != nil {
 			return nil, err
 		}
 		keyUnit := procCacheKey(src)
-		if v, ok, err := r.db.cache.LookupSnap(keyUnit, epoch); err != nil {
+		if v, ok, err := r.db.core.Cache.LookupSnap(keyUnit, epoch); err != nil {
 			return nil, err
 		} else if ok {
-			rows, err := decodeRowsFromCache(schema, v)
+			rows, err := object.DecodeNested(schema, v)
 			if err != nil {
 				return nil, err
 			}
@@ -252,7 +208,7 @@ func (r *Relation) resolveCached(key int64, attr string, epoch uint64) (*Resolve
 				Schema:         schema.Names(),
 			}, nil
 		}
-		res, err := pql.Execute(r.db.cat, q)
+		res, err := pql.Execute(r.db.core.Cat, q)
 		if err != nil {
 			return nil, err
 		}
@@ -264,15 +220,15 @@ func (r *Relation) resolveCached(key int64, attr string, epoch uint64) (*Resolve
 				locks[i] = object.NewOID(s.RelID, s.Key)
 			}
 			for _, relName := range q.Relations() {
-				if rel, rerr := r.db.cat.Get(relName); rerr == nil {
+				if rel, rerr := r.db.core.Cat.Get(relName); rerr == nil {
 					locks = append(locks, relLockOID(rel.ID))
 				}
 			}
-			v, err := encodeRowsForCache(schema, res.Tuples)
+			v, err := object.EncodeNested(schema, res.Tuples)
 			if err != nil {
 				return nil, err
 			}
-			if err := r.db.cache.InsertSnapWithLocks(keyUnit, locks, v, epoch); err != nil {
+			if err := r.db.core.Cache.InsertSnapWithLocks(keyUnit, locks, v, epoch); err != nil {
 				return nil, err
 			}
 		}
@@ -292,7 +248,7 @@ func (r *Relation) resolveCached(key int64, attr string, epoch uint64) (*Resolve
 // update committing mid-scan can never serve this query a unit newer
 // than its snapshot.
 func (d *Database) RetrievePathCached(relName, childrenAttr, targetAttr string, lo, hi int64) ([]Value, error) {
-	crel, err := d.cat.Get(relName)
+	crel, err := d.core.Cat.Get(relName)
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +272,7 @@ func (d *Database) RetrievePathCached(relName, childrenAttr, targetAttr string, 
 				if ferr != nil {
 					return false, ferr
 				}
-				srel, ferr := d.cat.ByID(oid.Rel())
+				srel, ferr := d.core.Cat.ByID(oid.Rel())
 				if ferr != nil {
 					return false, ferr
 				}
@@ -357,7 +313,7 @@ func (d *Database) RetrievePathN(relName string, attrs []string, lo, hi int64) (
 		return nil, errors.New("corep: RetrievePathN needs at least one children attribute and a target")
 	}
 	childAttrs, targetAttr := attrs[:len(attrs)-1], attrs[len(attrs)-1]
-	crel, err := d.cat.Get(relName)
+	crel, err := d.core.Cat.Get(relName)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +330,7 @@ func (d *Database) RetrievePathN(relName string, attrs []string, lo, hi int64) (
 	for _, attr := range childAttrs {
 		var next []object.OID
 		for _, oid := range frontier {
-			rel, err := d.cat.ByID(oid.Rel())
+			rel, err := d.core.Cat.ByID(oid.Rel())
 			if err != nil {
 				return nil, err
 			}
@@ -396,7 +352,7 @@ func (d *Database) RetrievePathN(relName string, attrs []string, lo, hi int64) (
 		if err != nil {
 			return nil, err
 		}
-		rel, err := d.cat.ByID(oid.Rel())
+		rel, err := d.core.Cat.ByID(oid.Rel())
 		if err != nil {
 			return nil, err
 		}

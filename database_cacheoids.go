@@ -35,14 +35,14 @@ const (
 // children. It applies to subsequent RetrievePathCached calls; existing
 // entries are cleared so the two modes never mix under one key.
 func (d *Database) SetCacheMode(m CacheMode) error {
-	if d.cache == nil {
+	if d.core.Cache == nil {
 		return fmt.Errorf("corep: enable the cache before choosing a mode")
 	}
 	if m != CacheValues && m != CacheOIDs {
 		return fmt.Errorf("corep: unknown cache mode %d", m)
 	}
 	if d.cacheMode != m {
-		if err := d.cache.Clear(); err != nil {
+		if err := d.core.Cache.Clear(); err != nil {
 			return err
 		}
 		d.cacheMode = m
@@ -59,7 +59,7 @@ func (r *Relation) resolveProcCachedOIDs(src string) (*Resolved, error) {
 		return nil, err
 	}
 	keyUnit := procCacheKey("oids:" + src)
-	if v, ok, err := r.db.cache.Lookup(keyUnit); err != nil {
+	if v, ok, err := r.db.core.Cache.Lookup(keyUnit); err != nil {
 		return nil, err
 	} else if ok {
 		oids, err := object.DecodeOIDs(v)
@@ -68,7 +68,7 @@ func (r *Relation) resolveProcCachedOIDs(src string) (*Resolved, error) {
 		}
 		return &Resolved{Representation: object.Procedural.String(), OIDs: oids}, nil
 	}
-	res, err := pql.Execute(r.db.cat, q)
+	res, err := pql.Execute(r.db.core.Cat, q)
 	if err != nil {
 		return nil, err
 	}
@@ -90,11 +90,11 @@ func (r *Relation) resolveProcCachedOIDs(src string) (*Resolved, error) {
 	// leave it valid. That is the maintenance advantage of cached OIDs.
 	var locks []object.OID
 	for _, relName := range q.Relations() {
-		if rel, rerr := r.db.cat.Get(relName); rerr == nil {
+		if rel, rerr := r.db.core.Cat.Get(relName); rerr == nil {
 			locks = append(locks, relLockOID(rel.ID))
 		}
 	}
-	if err := r.db.cache.InsertWithLocks(keyUnit, locks, object.EncodeOIDs(oids)); err != nil {
+	if err := r.db.core.Cache.InsertWithLocks(keyUnit, locks, object.EncodeOIDs(oids)); err != nil {
 		return nil, err
 	}
 	return &Resolved{Representation: object.Procedural.String(), OIDs: oids}, nil

@@ -42,7 +42,7 @@ type FaultStats struct {
 // satisfying IsFault; transient errors are usually absorbed by the
 // buffer pool's retry policy (see FaultStats).
 func (d *Database) SetFaultPlan(cfg *FaultConfig) bool {
-	f, ok := d.dsk.(interface{ SetFault(disk.FaultFunc) })
+	f, ok := d.core.Disk.(interface{ SetFault(disk.FaultFunc) })
 	if !ok {
 		return false
 	}
@@ -78,7 +78,7 @@ func (d *Database) FaultStats() FaultStats {
 			Spikes:    s.Spikes,
 		}
 	}
-	ps := d.pool.Stats()
+	ps := d.core.Pool.Stats()
 	out.Retries = ps.Retries
 	out.Recovered = ps.Recovered
 	return out

@@ -17,47 +17,29 @@ import (
 // the disk/buffer counter deltas charged while it was open. Pass nil to
 // stop tracing.
 func (d *Database) TraceTo(w io.Writer) {
+	ctx := d.core.Obs
 	if w == nil {
-		d.obs.Trace = nil
+		ctx.Trace = nil
 		d.traceSink = nil
 	} else {
 		d.traceSink = obs.NewJSONLSink(w)
-		d.obs.Trace = obs.NewTracer(d.ioSnapshot, d.traceSink)
+		ctx.Trace = obs.NewTracer(d.core.IOSnapshot, d.traceSink)
 	}
-	d.propagateObs()
+	d.core.SetObs(ctx)
 }
 
 // EnableMetrics starts aggregating counters and I/O histograms across
 // subsequent queries. Idempotent; read the result with MetricsReport.
 func (d *Database) EnableMetrics() {
-	if d.obs.Metrics == nil {
-		d.obs.Metrics = obs.NewRegistry()
+	ctx := d.core.Obs
+	if ctx.Metrics == nil {
+		ctx.Metrics = obs.NewRegistry()
 	}
-	d.propagateObs()
+	d.core.SetObs(ctx)
 }
 
 // MetricsReport writes a human-readable report of everything aggregated
 // since EnableMetrics. No-op when metrics were never enabled.
 func (d *Database) MetricsReport(w io.Writer) {
-	d.obs.Metrics.WriteText(w)
-}
-
-// propagateObs pushes the current context down to the layers holding
-// their own copy.
-func (d *Database) propagateObs() {
-	d.pool.SetObs(d.obs)
-	if d.cache != nil {
-		d.cache.Obs = d.obs
-	}
-}
-
-// ioSnapshot is the tracer's counter source over this database's
-// simulated hardware.
-func (d *Database) ioSnapshot() obs.IO {
-	s := d.dsk.Stats()
-	p := d.pool.Stats()
-	return obs.IO{
-		Reads: s.Reads, Writes: s.Writes,
-		Hits: p.Hits, Misses: p.Misses, Flushes: p.Flushes,
-	}
+	d.core.Obs.Metrics.WriteText(w)
 }

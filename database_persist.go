@@ -11,6 +11,7 @@ import (
 	"corep/internal/buffer"
 	"corep/internal/catalog"
 	"corep/internal/disk"
+	"corep/internal/engine"
 	"corep/internal/tuple"
 	"corep/internal/wal"
 )
@@ -84,9 +85,7 @@ func OpenDatabaseFile(path string, bufferPages int) (*Database, error) {
 	}
 	pool := buffer.New(fd, bufferPages)
 	d := &Database{
-		dsk:     fd,
-		pool:    pool,
-		cat:     catalog.New(pool),
+		core:    engine.New(fd, pool),
 		file:    fd,
 		meta:    path + ".meta",
 		walPath: path + ".wal",
@@ -145,7 +144,7 @@ func OpenDatabaseFile(path string, bufferPages int) (*Database, error) {
 			Schema: schema,
 			Tree:   btree.Open(pool, rm.BTree),
 		}
-		if err := d.cat.Restore(crel); err != nil {
+		if err := d.core.Cat.Restore(crel); err != nil {
 			fd.Close()
 			return nil, err
 		}
@@ -182,18 +181,7 @@ func (d *Database) Checkpoint() error {
 	if d.file == nil {
 		return errors.New("corep: Checkpoint on an in-memory database")
 	}
-	if d.wal != nil {
-		// Unlogged frames block FlushAll; capture them first. The images
-		// are redundant with the flush below but keep the log's
-		// redo-covers-everything invariant until the truncation.
-		d.walMu.Lock()
-		err := d.walCaptureLocked()
-		d.walMu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	if err := d.pool.FlushAll(); err != nil {
+	if err := d.core.Flush(); err != nil {
 		return err
 	}
 	if err := d.file.Sync(); err != nil {
@@ -206,15 +194,13 @@ func (d *Database) Checkpoint() error {
 	if err := writeFileAtomic(d.meta, raw); err != nil {
 		return err
 	}
-	if d.wal != nil {
-		d.walMu.Lock()
-		defer d.walMu.Unlock()
+	if d.core.Log() != nil {
 		compact, err := d.metaJSON()
 		if err != nil {
 			return err
 		}
 		d.lastMetaJSON = compact
-		return d.wal.Truncate()
+		return d.core.TruncateLog()
 	}
 	return nil
 }
@@ -260,12 +246,10 @@ func (d *Database) Close() error {
 		return nil
 	}
 	err := d.Checkpoint()
-	if d.wal != nil {
-		if werr := d.wal.Close(); err == nil {
+	if l := d.core.DetachLog(); l != nil {
+		if werr := l.Close(); err == nil {
 			err = werr
 		}
-		d.wal = nil
-		d.pool.SetNoSteal(false)
 	}
 	if err != nil {
 		d.file.Close()

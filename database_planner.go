@@ -58,7 +58,7 @@ func (d *Database) plannerOpts() pql.ExecOpts {
 	d.plannerPlans++
 	return pql.ExecOpts{
 		Planner: d.planner,
-		IOStat:  func() int64 { return d.dsk.Stats().Reads },
+		IOStat:  func() int64 { return d.core.Disk.Stats().Reads },
 	}
 }
 
@@ -75,7 +75,7 @@ func (d *Database) ExplainQuery(src string) (*pql.Plan, error) {
 	if d.planner != nil {
 		opts.Planner = d.planner
 	}
-	return pql.Explain(d.cat, q, opts)
+	return pql.Explain(d.core.Cat, q, opts)
 }
 
 // fetchGroup fetches subobject rows for an OID list, letting the
@@ -88,7 +88,7 @@ func (d *Database) fetchGroup(oids []OID) ([]Row, error) {
 	d.plannerPlans++
 	relID := oids[0].Rel()
 	tr, _ := d.planner.ChooseTraversal(relID, len(oids))
-	before := d.dsk.Stats().Reads
+	before := d.core.Disk.Stats().Reads
 	var (
 		rows []Row
 		err  error
@@ -107,6 +107,6 @@ func (d *Database) fetchGroup(oids []OID) ([]Row, error) {
 			return nil, err
 		}
 	}
-	d.planner.ObserveTraversal(relID, tr, len(oids), d.dsk.Stats().Reads-before)
+	d.planner.ObserveTraversal(relID, tr, len(oids), d.core.Disk.Stats().Reads-before)
 	return rows, nil
 }

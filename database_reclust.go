@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"corep/internal/disk"
-	"corep/internal/heap"
 	"corep/internal/object"
 	"corep/internal/reclust"
-	"corep/internal/storage"
 	"corep/internal/tuple"
 )
 
@@ -37,22 +35,17 @@ const defaultHeatCap = 1024
 // ReclustStats mirrors the reclustering counters (Snapshot.Reclust).
 type ReclustStats = reclust.Stats
 
-// reclustState is the per-database adaptive-clustering state.
+// reclustState is the per-database adaptive-clustering policy state;
+// the extent the copies live on and the counters are the core's.
 type reclustState struct {
 	heat  *reclust.Tracker
 	place *reclust.Map
 
-	extent *heap.File
-	// done marks parents whose units have been reorganized, so a later
-	// Reorganize spends its budget on new heat. An Update that retires
-	// a member's placement clears its owner here — the unit is worth
-	// revisiting.
+	// done marks parents whose units have been reorganized — set only
+	// once their placements are published — so a later Reorganize spends
+	// its budget on new heat. An Update that retires a member's
+	// placement clears its owner here — the unit is worth revisiting.
 	done map[OID]bool
-
-	migrated   int64
-	batches    int64
-	pagesDirty int64
-	dropped    int64
 }
 
 // EnableReclustering installs the adaptive-clustering state: a heat
@@ -97,48 +90,30 @@ func (d *Database) dropPlacement(oid OID) {
 		return
 	}
 	rs.place.Drop([]OID{oid})
-	rs.dropped++
+	d.core.NoteDropped(1)
 	delete(rs.done, OID(e.Owner))
-}
-
-// fetchPlaced reads a migrated copy by RID straight through the buffer
-// pool.
-func (d *Database) fetchPlaced(rid storage.RID) ([]byte, error) {
-	buf, err := d.pool.Pin(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	pg := storage.Page{Buf: buf}
-	rec, err := pg.Record(int(rid.Slot))
-	if err != nil {
-		d.pool.Unpin(rid.Page, false)
-		return nil, err
-	}
-	out := append([]byte(nil), rec...)
-	d.pool.Unpin(rid.Page, false)
-	return out, nil
 }
 
 // fetchRedirected resolves oid through the placement map when
 // reclustering is on; ok reports whether a placed copy answered.
-func (d *Database) fetchRedirected(oid OID, schema *tuple.Schema) (Row, bool, error) {
-	rs := d.reclust
-	if rs == nil {
+func (d *Database) fetchRedirected(oid OID) (Row, bool, error) {
+	if d.reclust == nil {
 		return nil, false, nil
 	}
-	e, ok := rs.place.Latest(oid)
+	e, ok := d.reclust.place.Latest(oid)
 	if !ok {
 		return nil, false, nil
 	}
-	rec, err := d.fetchPlaced(e.RID)
+	rel, err := d.core.Cat.ByID(oid.Rel())
 	if err != nil {
 		return nil, false, err
 	}
-	row, err := tuple.Decode(schema, rec)
+	rec, err := d.core.ReadPlaced(e.RID)
 	if err != nil {
 		return nil, false, err
 	}
-	return row, true, nil
+	row, err := tuple.Decode(rel.Schema, rec)
+	return row, err == nil, err
 }
 
 // ReorganizeResult summarizes one Reorganize call.
@@ -170,6 +145,10 @@ func (d *Database) Reorganize(maxUnits int) (ReorganizeResult, error) {
 	}
 	entries := make(map[OID]reclust.Entry)
 	pages := map[disk.PageID]bool{}
+	// A unit is done only once its placements are published: the final
+	// commit (or any step before it) can fail, and a unit marked done
+	// with nothing placed would never be revisited.
+	var visited []OID
 	for _, kh := range rs.heat.TopN(-1) {
 		if res.Units >= maxUnits {
 			break
@@ -178,7 +157,7 @@ func (d *Database) Reorganize(maxUnits int) (ReorganizeResult, error) {
 		if rs.done[parent] {
 			continue
 		}
-		prel, err := d.cat.ByID(parent.Rel())
+		prel, err := d.core.Cat.ByID(parent.Rel())
 		if err != nil {
 			continue // tracked heat for a relation that no longer exists
 		}
@@ -188,34 +167,35 @@ func (d *Database) Reorganize(maxUnits int) (ReorganizeResult, error) {
 		}
 		row, err := tuple.Decode(prel.Schema, append([]byte(nil), rec...))
 		if err != nil {
-			return res, err
+			return ReorganizeResult{}, err
 		}
 		moved, err := d.reorganizeUnit(parent, prel.Schema, row, entries, pages)
 		if err != nil {
-			return res, err
+			return ReorganizeResult{}, err
 		}
-		rs.done[parent] = true
+		visited = append(visited, parent)
 		res.Units++
 		res.Objects += moved
 		// Under the WAL's no-steal gate dirty extent frames hold their
 		// buffer slots until captured; commit periodically so a large
 		// budget cannot wedge the pool.
-		if d.wal != nil && res.Units%16 == 0 {
-			if _, err := d.walCommit(); err != nil {
-				return res, err
+		if res.Units%16 == 0 {
+			if _, err := d.commit(); err != nil {
+				return ReorganizeResult{}, err
 			}
 		}
 	}
-	if _, err := d.walCommit(); err != nil {
-		return res, err
+	if _, err := d.commit(); err != nil {
+		return ReorganizeResult{}, err
 	}
 	rs.place.Publish(entries)
-	rs.migrated += int64(res.Objects)
-	if res.Units > 0 {
-		rs.batches++
+	for _, parent := range visited {
+		rs.done[parent] = true
 	}
 	res.Pages = len(pages)
-	rs.pagesDirty += int64(res.Pages)
+	if res.Units > 0 {
+		d.core.NoteBatch(res.Objects, res.Pages)
+	}
 	return res, nil
 }
 
@@ -242,7 +222,7 @@ func (d *Database) reorganizeUnit(parent OID, schema *tuple.Schema, row Row, ent
 			if _, ok := rs.place.Latest(oid); ok {
 				continue
 			}
-			srel, err := d.cat.ByID(oid.Rel())
+			srel, err := d.core.Cat.ByID(oid.Rel())
 			if err != nil {
 				return moved, fmt.Errorf("corep: reorganize %v: %w", oid, err)
 			}
@@ -250,14 +230,7 @@ func (d *Database) reorganizeUnit(parent OID, schema *tuple.Schema, row Row, ent
 			if err != nil {
 				continue // dangling member OID; the base read path skips it too
 			}
-			if rs.extent == nil {
-				f, err := heap.Create(d.pool)
-				if err != nil {
-					return moved, err
-				}
-				rs.extent = f
-			}
-			rid, err := rs.extent.Append(append([]byte(nil), rec...))
+			rid, err := d.core.AppendPlaced(rec)
 			if err != nil {
 				return moved, err
 			}
@@ -285,6 +258,9 @@ func (d *Database) HottestUnits(n int) []UnitHeat {
 	if rs == nil {
 		return nil
 	}
+	if n <= 0 {
+		n = -1 // TopN's "all"; its 0 means none
+	}
 	var out []UnitHeat
 	for _, kh := range rs.heat.TopN(n) {
 		oid := OID(kh.Key)
@@ -304,15 +280,6 @@ func (d *Database) ReclustStats() *ReclustStats {
 	if rs == nil {
 		return nil
 	}
-	touches, evictions := rs.heat.Counters()
-	return &ReclustStats{
-		Tracked:    rs.heat.Len(),
-		Touches:    touches,
-		Evictions:  evictions,
-		Placements: rs.place.Len(),
-		Migrated:   rs.migrated,
-		Batches:    rs.batches,
-		PagesDirty: rs.pagesDirty,
-		Dropped:    rs.dropped,
-	}
+	st := d.core.ReclustStats(rs.heat, rs.place)
+	return &st
 }

@@ -1,9 +1,13 @@
 package corep
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
+
+	"corep/internal/testutil"
+	"corep/internal/wal"
 )
 
 // buildScatteredDB creates a database whose groups' members are spread
@@ -244,5 +248,120 @@ func TestReclusteringFileReopen(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("reopened values %v, want %v", got, want)
+	}
+}
+
+// attachMemWAL puts db under a write-ahead log over an in-memory device
+// whose syncs the test can fail.
+func attachMemWAL(t *testing.T, db *Database) *wal.MemDevice {
+	t.Helper()
+	dev := wal.NewMemDevice(0)
+	l, err := wal.Open(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.attachWAL(l); err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
+// TestReorganizeFailedCommitStrandsNothing: a Reorganize whose commit
+// fails publishes no placement, so it must not mark its units done
+// either — the next call has to migrate the same units, and the rows
+// must equal a never-reclustered control throughout.
+func TestReorganizeFailedCommitStrandsNothing(t *testing.T) {
+	subject, groups := buildScatteredDB(t, 64)
+	control, _ := buildScatteredDB(t, 64)
+	if err := subject.EnableReclustering(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	dev := attachMemWAL(t, subject)
+	readAll := func(db *Database) string {
+		vals, err := db.RetrievePath("grp", "members", "val", 1, int64(groups))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(vals)
+	}
+	want := readAll(control)
+	if got := readAll(subject); got != want { // also feeds the heat
+		t.Fatalf("pre-reorganize values diverge: %v vs %v", got, want)
+	}
+
+	dev.FailNextSync()
+	if _, err := subject.Reorganize(groups); err == nil {
+		t.Fatal("Reorganize over a failing fsync reported success")
+	}
+	if st := subject.ReclustStats(); st.Placements != 0 || st.Batches != 0 {
+		t.Fatalf("failed Reorganize published: %+v", *st)
+	}
+	hot := subject.HottestUnits(0)
+	if len(hot) != groups {
+		t.Fatalf("HottestUnits(0) lists %d units, want all %d", len(hot), groups)
+	}
+	for _, u := range hot {
+		if u.Migrated {
+			t.Fatalf("unit %s/%d marked migrated with nothing placed", u.Relation, u.Key)
+		}
+	}
+	if got := readAll(subject); got != want {
+		t.Fatalf("values after the failed batch diverge: %v vs %v", got, want)
+	}
+
+	res, err := subject.Reorganize(groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Units != groups || res.Objects == 0 {
+		t.Fatalf("retry skipped the stranded units: %+v", res)
+	}
+	if st := subject.ReclustStats(); st.Placements != res.Objects {
+		t.Fatalf("%d placements for %d migrated rows", st.Placements, res.Objects)
+	}
+	if got := readAll(subject); got != want {
+		t.Fatalf("post-reorganize values diverge: %v vs %v", got, want)
+	}
+	testutil.AssertNoLeaks(t, subject.core.Pool)
+}
+
+// TestFacadeFailedSyncKeepsSeqAndPublishesNothing: the facade shares
+// the core's sync-failure contract — the in-doubt commit's sequence
+// number comes back with the error — and its write path publishes
+// nothing for it: no epoch, and the cached unit is not invalidated.
+func TestFacadeFailedSyncKeepsSeqAndPublishesNothing(t *testing.T) {
+	db, _ := buildScatteredDB(t, 64)
+	db.EnableVersionedServing()
+	if err := db.EnableCache(16); err != nil {
+		t.Fatal(err)
+	}
+	dev := attachMemWAL(t, db)
+	if _, err := db.RetrievePathCached("grp", "members", "val", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	item, err := db.Relation("item")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commits, cached := db.TxnStats().Commits, db.CachedUnits()
+
+	dev.FailNextSync()
+	if err := item.Update(1, Row{Int(1), Str("x"), Int(-1)}); !errors.Is(err, wal.ErrSyncFailed) {
+		t.Fatalf("Update over a failing fsync: %v", err)
+	}
+	if st := db.TxnStats(); st.Commits != commits || st.Aborts != 1 {
+		t.Fatalf("in-doubt update published an epoch: %+v", *st)
+	}
+	if db.CachedUnits() != cached || db.CacheStats().Invalidations != 0 {
+		t.Fatalf("in-doubt update invalidated the cache: %+v", db.CacheStats())
+	}
+
+	dev.FailNextSync()
+	seq, err := db.commit()
+	if seq == 0 || !errors.Is(err, wal.ErrSyncFailed) {
+		t.Fatalf("commit over a failing fsync = %d, %v; want the appended record's seq and the sync error", seq, err)
+	}
+	if next, err := db.commit(); err != nil || next != seq+1 {
+		t.Fatalf("following commit = %d, %v; want %d", next, err, seq+1)
 	}
 }

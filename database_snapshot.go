@@ -63,8 +63,8 @@ type Snapshot struct {
 
 // Snapshot returns the current consolidated counters.
 func (d *Database) Snapshot() Snapshot {
-	ps := d.pool.Stats()
-	pf := d.pool.Prefetcher().Stats()
+	ps := d.core.Pool.Stats()
+	pf := d.core.Pool.Prefetcher().Stats()
 	sl := d.slow.Stats()
 	snap := Snapshot{
 		Disk:   d.Stats(),
@@ -84,8 +84,8 @@ func (d *Database) Snapshot() Snapshot {
 			Violations: sl.Violations, Dropped: sl.Dropped,
 		},
 	}
-	if d.cache != nil {
-		cs := d.cache.Stats()
+	if d.core.Cache != nil {
+		cs := d.core.Cache.Stats()
 		snap.Cache = &cs
 	}
 	snap.Txn = d.TxnStats()
@@ -185,13 +185,13 @@ func (d *Database) beginSlow(name string) func(error) {
 	if d.traceSink != nil {
 		sink = obs.Tee{col, d.traceSink}
 	}
-	prev := d.obs.Trace
-	d.obs.Trace = obs.NewTracer(d.ioSnapshot, sink)
-	d.propagateObs()
+	prev := d.core.Obs
+	ctx := prev
+	ctx.Trace = obs.NewTracer(d.core.IOSnapshot, sink)
+	d.core.SetObs(ctx)
 	start := time.Now()
 	return func(err error) {
-		d.obs.Trace = prev
-		d.propagateObs()
+		d.core.SetObs(prev)
 		e := obs.SlowEntry{
 			Name: name, Start: start, Duration: time.Since(start),
 			Spans: col.Spans(),

@@ -24,23 +24,15 @@ type TxnStats = txn.Stats
 // RetrievePathCached then pin a snapshot epoch and cache hits are
 // watermark-checked against it; updates commit under per-object latches
 // with an atomic epoch bump. Idempotent.
-func (d *Database) EnableVersionedServing() {
-	if d.txn == nil {
-		d.txn = txn.New(0)
-		// Publish an empty bootstrap epoch so every snapshot carries
-		// epoch ≥ 1: the cache reserves epoch 0 as the "unversioned
-		// caller" sentinel that bypasses watermark checks.
-		d.txn.BeginUpdate(nil).Commit(nil)
-	}
-}
+func (d *Database) EnableVersionedServing() { d.core.EnableVersioning() }
 
 // TxnStats returns the version store's counters (nil before
 // EnableVersionedServing).
 func (d *Database) TxnStats() *TxnStats {
-	if d.txn == nil {
+	if d.core.Versions == nil {
 		return nil
 	}
-	s := d.txn.Stats()
+	s := d.core.Versions.Stats()
 	return &s
 }
 
@@ -48,44 +40,33 @@ func (d *Database) TxnStats() *TxnStats {
 // Without versioned serving it returns epoch 0 (the cache's historic,
 // unversioned path) and a no-op release.
 func (d *Database) beginSnapshotEpoch() (uint64, func()) {
-	if d.txn == nil {
+	if d.core.Versions == nil {
 		return 0, func() {}
 	}
-	snap := d.txn.Begin()
+	snap := d.core.Versions.Begin()
 	return snap.Epoch(), snap.Release
 }
 
-// commitInvalidation runs one mutation's cache-coherence protocol under
-// the version store: per-object latches are already held (u), the
-// watermark advance happens inside the commit critical section before
-// the new epoch publishes — so a reader on an older snapshot can never
-// re-cache or hit a unit covering the touched objects — and the
-// post-publish sweep reclaims dead entries. Nil u (versioning off)
-// falls back to plain invalidation.
-func (d *Database) commitInvalidation(u *txn.Update, oids []object.OID) error {
-	if u != nil {
-		u.Commit(func(epoch uint64) {
-			if d.cache != nil {
-				d.cache.MarkInvalid(oids, epoch)
-			}
-		})
+// mutate is the object API's write path, the core's commit protocol
+// around one in-place tree write: latch locks (a no-op until
+// EnableVersionedServing), write, make the write durable (a no-op until
+// EnableWAL), and only then publish — the invalidation watermarks of
+// locks advance inside the commit critical section before the epoch
+// publishes, so snapshot readers either see the old epoch (and the
+// still-valid cached unit) or the new epoch with the watermark already
+// in place; without versioning, plain invalidation. A failed write or
+// commit publishes nothing.
+func (d *Database) mutate(locks []object.OID, write func() error) error {
+	u := d.core.BeginUpdate(locks)
+	err := write()
+	if err == nil {
+		_, err = d.commit()
 	}
-	if d.cache == nil {
-		return nil
-	}
-	for _, oid := range oids {
-		if _, err := d.cache.Invalidate(oid); err != nil {
-			return err
+	if err != nil {
+		if u != nil {
+			u.Abort()
 		}
+		return err
 	}
-	return nil
-}
-
-// beginTxnUpdate opens a latched update over targets, or returns nil
-// when versioned serving is off.
-func (d *Database) beginTxnUpdate(targets []object.OID) *txn.Update {
-	if d.txn == nil {
-		return nil
-	}
-	return d.txn.BeginUpdate(targets)
+	return d.core.Publish(u, locks, nil)
 }

@@ -13,25 +13,18 @@ import (
 
 // Write-ahead logging for the object API. EnableWAL attaches a redo log
 // (internal/wal) to a file-backed database and arms the buffer pool's
-// no-steal gate; from then on every mutation commits through walCommit:
-// the dirtied page images are captured into the log, a commit record is
-// appended, and the record is made durable (group-committed with any
-// concurrent committers) *before* the mutation publishes its epoch or
-// invalidates caches. A published commit therefore implies a durable
-// log record, and OpenDatabaseFile replays the log after a crash.
+// no-steal gate; from then on every mutation commits through the
+// core's Commit (engine.Core; see mutate in database_txn.go) *before*
+// it publishes its epoch or invalidates caches. A published commit
+// therefore implies a durable log record, and OpenDatabaseFile replays
+// the log after a crash. What this file adds to the shared protocol is
+// the facade's own recovery metadata: the JSON sidecar rides in front
+// of a commit record whenever it changed.
 //
 // The WAL is off by default: none of the paper's experiments (Figures
 // 3–7) involve durability, and with the gate disarmed the pool's
 // replacement decisions and I/O counts are bit-identical to a build
 // without this file.
-
-// walPressureFrac sets how full of unlogged frames the pool may get
-// between commits before a read path forces a capture. Read-side work
-// also dirties pages through the shared pool (the outside cache's hash
-// file, query temporaries); without commits to drain them they would
-// eventually leave eviction with no legal victim. A quarter of the pool
-// leaves ample victim headroom while keeping captures infrequent.
-const walPressureFrac = 4
 
 // EnableWAL attaches a write-ahead log to a file-backed database. The
 // log lives beside the page file at <path>.wal. Idempotent; returns an
@@ -41,7 +34,7 @@ func (d *Database) EnableWAL() error {
 	if d.file == nil {
 		return errors.New("corep: EnableWAL on an in-memory database")
 	}
-	if d.wal != nil {
+	if d.core.Log() != nil {
 		return nil
 	}
 	dev, err := wal.OpenFileDevice(d.walPath)
@@ -65,15 +58,8 @@ func (d *Database) attachWAL(l *wal.Log) error {
 		l.Close()
 		return err
 	}
-	d.walMu.Lock()
-	d.wal = l
 	d.lastMetaJSON = raw
-	d.walMu.Unlock()
-	d.pool.SetNoSteal(true)
-	// Frames already dirty carry changes the log has never seen (pages
-	// touched between open/checkpoint and EnableWAL); mark them so the
-	// first commit captures them rather than letting eviction steal them.
-	d.pool.MarkDirtyUnlogged()
+	d.core.AttachLog(l)
 	return nil
 }
 
@@ -93,9 +79,7 @@ type WALStats struct {
 
 // WALStats returns the log's counters, or nil when the WAL is off.
 func (d *Database) WALStats() *WALStats {
-	d.walMu.Lock()
-	l := d.wal
-	d.walMu.Unlock()
+	l := d.core.Log()
 	if l == nil && d.walRecovery == nil {
 		return nil
 	}
@@ -117,92 +101,34 @@ func (d *Database) WALStats() *WALStats {
 	return out
 }
 
-// walCommit makes one mutation durable: capture every unlogged page
-// image, log the metadata if it changed (B-tree roots and sizes move
-// with inserts), append a commit record, and sync. The capture and
-// appends run under walMu — the log sees whole commits in order — but
-// the Sync runs outside it, which is the entire point: concurrent
-// committers pile their commit records into the log and one fsync
-// (issued by whichever caller reaches the device first) acknowledges
-// them all. Callers must invoke walCommit after the in-place tree write
-// and before commitInvalidation, so that a published epoch implies a
-// durable record.
-//
-// Returns the commit's sequence number for harness bookkeeping; seq 0
-// with a nil error means the WAL is off.
-func (d *Database) walCommit() (uint64, error) {
-	d.walMu.Lock()
-	if d.wal == nil {
-		d.walMu.Unlock()
+// commit makes one mutation durable through the core, logging the
+// sidecar metadata in front of the commit record if it changed (B-tree
+// roots and sizes move with inserts). The object API mutates from one
+// goroutine at a time — the in-place tree writes take no latch either —
+// so lastMetaJSON needs no lock of its own. Returns the core's sequence
+// number (0 with a nil error: the WAL is off; non-zero with an error:
+// appended but not durable, see engine.Core.Commit).
+func (d *Database) commit() (uint64, error) {
+	if d.core.Log() == nil {
 		return 0, nil
-	}
-	if err := d.walCaptureLocked(); err != nil {
-		d.walMu.Unlock()
-		return 0, err
 	}
 	raw, err := d.metaJSON()
 	if err != nil {
-		d.walMu.Unlock()
 		return 0, err
 	}
-	if !bytes.Equal(raw, d.lastMetaJSON) {
-		if _, err := d.wal.AppendMeta(raw); err != nil {
-			d.walMu.Unlock()
-			return 0, err
-		}
+	meta := raw
+	if bytes.Equal(raw, d.lastMetaJSON) {
+		meta = nil
+	}
+	seq, err := d.core.Commit(meta)
+	if seq != 0 && meta != nil {
 		d.lastMetaJSON = raw
 	}
-	d.walSeq++
-	seq := d.walSeq
-	lsn, err := d.wal.AppendCommit(seq)
-	l := d.wal
-	d.walMu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if err := l.Sync(lsn); err != nil {
-		return 0, err
-	}
-	return seq, nil
-}
-
-// walCaptureLocked feeds every unlogged frame's image to the log.
-// Caller holds walMu.
-func (d *Database) walCaptureLocked() error {
-	return d.pool.CollectUnlogged(func(id disk.PageID, img []byte) error {
-		_, err := d.wal.AppendPage(id, img)
-		return err
-	})
-}
-
-// walPressure relieves the read paths: with the gate armed, cache and
-// query-temporary pages dirtied between commits accumulate unlogged
-// marks, and past the limit a capture (no commit record, no fsync)
-// drains them so eviction always has a victim. The images ride along
-// with the next commit's fsync; if the process dies first they are
-// discarded by recovery's atomic-per-commit replay, which is exactly
-// right — they were derived data of an unacknowledged state.
-func (d *Database) walPressure() error {
-	if d.wal == nil {
-		return nil
-	}
-	limit := d.pool.Capacity() / walPressureFrac
-	if limit < 1 {
-		limit = 1
-	}
-	if d.pool.UnloggedCount() < limit {
-		return nil
-	}
-	d.walMu.Lock()
-	defer d.walMu.Unlock()
-	if d.wal == nil {
-		return nil
-	}
-	return d.walCaptureLocked()
+	return seq, err
 }
 
 // metaJSON marshals the sidecar metadata compactly with relations in
-// name order, so equal states yield equal bytes and walCommit's
+// name order, so equal states yield equal bytes and commit's
 // changed-check never false-positives on map iteration order.
 func (d *Database) metaJSON() ([]byte, error) {
 	m := d.buildMeta()

@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"os/exec"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -30,6 +33,16 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 	if got.Timestamp.IsZero() {
 		t.Fatal("timestamp not stamped")
+	}
+	if got.GoVersion != runtime.Version() || got.MaxProcs != runtime.GOMAXPROCS(0) {
+		t.Fatalf("host stamp lost: go %q, GOMAXPROCS %d", got.GoVersion, got.MaxProcs)
+	}
+	// A test binary embeds no VCS stamp, so inside a checkout the rev
+	// can only have come from the git fallback.
+	if exec.Command("git", "rev-parse", "HEAD").Run() == nil {
+		if !regexp.MustCompile(`^[0-9a-f]{40}$`).MatchString(got.GitRev) {
+			t.Fatalf("git_rev %q inside a checkout, want a 40-hex revision", got.GitRev)
+		}
 	}
 	c := got.Cell("sharded/K=8")
 	if c == nil || c.Metrics["qps"] != 80 {

@@ -10,8 +10,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os/exec"
+	"runtime"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -25,6 +28,8 @@ type Envelope struct {
 	Kind      string    `json:"kind"` // throughput | prefetch | chaos | slo | ...
 	GitRev    string    `json:"git_rev,omitempty"`
 	Dirty     bool      `json:"git_dirty,omitempty"`
+	GoVersion string    `json:"go_version,omitempty"`
+	MaxProcs  int       `json:"gomaxprocs,omitempty"`
 	Timestamp time.Time `json:"timestamp"`
 	// Cells is the comparable surface: every benchmark flattens its
 	// results into named cells of scalar metrics.
@@ -41,8 +46,8 @@ type Cell struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// New builds a stamped envelope around payload. The git revision comes
-// from the binary's embedded VCS info when available.
+// New builds a stamped envelope around payload: git revision, Go
+// version and GOMAXPROCS tie the numbers to a commit and a host shape.
 func New(kind string, payload any, cells []Cell) (*Envelope, error) {
 	raw, err := json.Marshal(payload)
 	if err != nil {
@@ -51,6 +56,8 @@ func New(kind string, payload any, cells []Cell) (*Envelope, error) {
 	env := &Envelope{
 		Schema:    SchemaVersion,
 		Kind:      kind,
+		GoVersion: runtime.Version(),
+		MaxProcs:  runtime.GOMAXPROCS(0),
 		Timestamp: time.Now().UTC(),
 		Cells:     cells,
 		Payload:   raw,
@@ -59,22 +66,42 @@ func New(kind string, payload any, cells []Cell) (*Envelope, error) {
 	return env, nil
 }
 
-// vcsRevision reads the build's embedded VCS stamp (empty outside a
-// stamped build, e.g. plain `go test`).
+// vcsRevision reads the build's embedded VCS stamp, falling back to
+// asking git about the working directory: `go run` and `go test`
+// binaries — how every checked-in BENCH_*.json is produced — carry no
+// stamp. Empty outside a checkout or without git.
 func vcsRevision() (rev string, dirty bool) {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "", false
-	}
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			dirty = s.Value == "true"
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				dirty = s.Value == "true"
+			}
 		}
 	}
-	return rev, dirty
+	if rev != "" {
+		return rev, dirty
+	}
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "", false
+	}
+	// A failed status leaves dirty false: the rev alone is still worth
+	// stamping.
+	status, _ := exec.Command("git", "status", "--porcelain").Output()
+	return strings.TrimSpace(string(out)), len(status) > 0
+}
+
+// Write stamps payload and cells into an envelope of the given kind and
+// writes it to w — what every sweep's WriteJSON does.
+func Write(w io.Writer, kind string, payload any, cells []Cell) error {
+	env, err := New(kind, payload, cells)
+	if err != nil {
+		return err
+	}
+	return env.WriteJSON(w)
 }
 
 // WriteJSON writes the envelope as indented JSON.

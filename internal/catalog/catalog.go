@@ -17,6 +17,7 @@ import (
 	"corep/internal/hashfile"
 	"corep/internal/heap"
 	"corep/internal/isam"
+	"corep/internal/object"
 	"corep/internal/tuple"
 )
 
@@ -192,4 +193,74 @@ func (c *Catalog) Names() []string {
 		out = append(out, n)
 	}
 	return out
+}
+
+// OIDGroup is the part of an OID list that references one relation:
+// Pos holds the positions, in list order, of that relation's OIDs.
+type OIDGroup struct {
+	Rel *Relation
+	Pos []int
+}
+
+// GroupOIDs splits oids per referenced relation, groups in ascending
+// relation-id order so every caller's I/O pattern (and anything learned
+// from it) is deterministic.
+func (c *Catalog) GroupOIDs(oids []object.OID) ([]OIDGroup, error) {
+	var groups []OIDGroup
+	for i, oid := range oids {
+		id := oid.Rel()
+		// One list references a handful of relations: a linear scan
+		// of the sorted groups beats a map and allocates nothing.
+		g := 0
+		for g < len(groups) && groups[g].Rel.ID < id {
+			g++
+		}
+		if g == len(groups) || groups[g].Rel.ID != id {
+			rel, err := c.ByID(id)
+			if err != nil {
+				return nil, err
+			}
+			groups = append(groups, OIDGroup{})
+			copy(groups[g+1:], groups[g:])
+			groups[g] = OIDGroup{Rel: rel, Pos: make([]int, 0, len(oids)-i)}
+		}
+		groups[g].Pos = append(groups[g].Pos, i)
+	}
+	return groups, nil
+}
+
+// GetBatch fetches the group's members of oids through the relation's
+// page-ordered B-tree batch lookup and hands each payload to fn with
+// its position i in oids. The payload aliases the pinned page and is
+// valid only until fn returns, as Tree.GetBatch documents.
+func (g OIDGroup) GetBatch(oids []object.OID, fn func(i int, rel *Relation, payload []byte) error) error {
+	keys := make([]int64, len(g.Pos))
+	for j, i := range g.Pos {
+		keys[j] = oids[i].Key()
+	}
+	err := g.Rel.Tree.GetBatch(keys, func(j int, payload []byte) error {
+		return fn(g.Pos[j], g.Rel, payload)
+	})
+	if err != nil {
+		return fmt.Errorf("catalog: batch probe of %s: %w", g.Rel.Name, err)
+	}
+	return nil
+}
+
+// ProbeOIDs resolves a list of OIDs with one sorted sweep per
+// referenced relation: probes are grouped per relation, relations
+// visited in id order, and fn receives each payload at its original
+// position — the output order of a per-OID Get loop at the same or
+// lower I/O cost.
+func (c *Catalog) ProbeOIDs(oids []object.OID, fn func(i int, rel *Relation, payload []byte) error) error {
+	groups, err := c.GroupOIDs(oids)
+	if err != nil {
+		return err
+	}
+	for _, g := range groups {
+		if err := g.GetBatch(oids, fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }

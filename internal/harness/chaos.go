@@ -179,11 +179,7 @@ func (b *ChaosBench) Cells() []bench.Cell {
 
 // WriteJSON writes the bench wrapped in the versioned envelope.
 func (b *ChaosBench) WriteJSON(w io.Writer) error {
-	env, err := bench.New("chaos", b, b.Cells())
-	if err != nil {
-		return err
-	}
-	return env.WriteJSON(w)
+	return bench.Write(w, "chaos", b, b.Cells())
 }
 
 // AllViolations flattens every recorded violation.

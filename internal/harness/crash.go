@@ -150,11 +150,7 @@ func (b *CrashBench) Cells() []bench.Cell {
 
 // WriteJSON writes the bench wrapped in the versioned envelope.
 func (b *CrashBench) WriteJSON(w io.Writer) error {
-	env, err := bench.New("crash", b, b.Cells())
-	if err != nil {
-		return err
-	}
-	return env.WriteJSON(w)
+	return bench.Write(w, "crash", b, b.Cells())
 }
 
 // AllViolations flattens every recorded violation.
@@ -280,7 +276,7 @@ func runCrashScheduleBody(spec crashSpec) *CrashRun {
 		case opErr == nil:
 			run.OpsOK++
 			if op.Kind == workload.OpUpdate {
-				seq, cerr := db.WALCommit()
+				seq, cerr := db.Commit(nil)
 				if cerr != nil {
 					violate(i, "unattributed-error", "commit: "+cerr.Error())
 					return run
@@ -310,7 +306,7 @@ func runCrashScheduleBody(spec crashSpec) *CrashRun {
 			violate(i, "unattributed-error", opErr.Error())
 			return run
 		}
-		if err := db.WALRelieve(); err != nil {
+		if err := db.Relieve(); err != nil {
 			violate(i, "unattributed-error", "pressure capture: "+err.Error())
 			return run
 		}
@@ -325,14 +321,14 @@ func runCrashScheduleBody(spec crashSpec) *CrashRun {
 			if ops[j].Kind != workload.OpUpdate {
 				continue
 			}
-			db.WAL.Device().FailNextSync()
+			db.WAL.FailNextSync()
 			_, opErr, panicked := runChaosOp(db, st, ops[j])
 			if panicked != "" {
 				violate(j, "panic", panicked)
 				return run
 			}
 			if opErr == nil {
-				seq, cerr := db.WALCommit()
+				seq, cerr := db.Commit(nil)
 				if seq != 0 {
 					seqOp[seq] = j // in-doubt: logged, never acknowledged
 					if cerr == nil {
@@ -352,7 +348,7 @@ func runCrashScheduleBody(spec crashSpec) *CrashRun {
 	run.Faults = plan.Stats()
 	run.Acked = len(acked)
 	var keep int64
-	if unsynced := db.WAL.Device().Unsynced(); unsynced > 0 {
+	if unsynced := db.WAL.Unsynced(); unsynced > 0 {
 		keep = rng.Int63n(unsynced + 1)
 	}
 	run.KeptTail = keep
@@ -407,18 +403,18 @@ func runCrashScheduleBody(spec crashSpec) *CrashRun {
 	// Guarantee 2+3: recovered rows equal the control's — the schedule's
 	// own retrieves, plus full-range sweeps over each attribute so every
 	// page (healed torn pages included) is read back and checked.
-	queries := make([]strategy.Query, 0, len(ops)+3)
+	queries := make([]workload.Op, 0, len(ops)+3)
 	for _, op := range ops {
 		if op.Kind == workload.OpRetrieve {
-			queries = append(queries, strategy.Query{Lo: op.Lo, Hi: op.Hi, AttrIdx: op.AttrIdx})
+			queries = append(queries, op)
 		}
 	}
 	all := int64(db.Cfg.NumParents - 1)
 	for _, attr := range []int{workload.FieldRet1, workload.FieldRet2, workload.FieldRet3} {
-		queries = append(queries, strategy.Query{Lo: 0, Hi: all, AttrIdx: attr})
+		queries = append(queries, workload.Op{Kind: workload.OpRetrieve, Lo: 0, Hi: all, AttrIdx: attr})
 	}
 	for qi, q := range queries {
-		got, gotErr, panicked := runCrashRetrieve(db, st, q)
+		got, gotErr, panicked := runChaosOp(db, st, q)
 		if panicked != "" {
 			violate(-1, "panic", fmt.Sprintf("post-recovery retrieve %d: %s", qi, panicked))
 			return run
@@ -427,7 +423,7 @@ func runCrashScheduleBody(spec crashSpec) *CrashRun {
 			violate(-1, "unattributed-error", fmt.Sprintf("post-recovery retrieve %d: %v", qi, gotErr))
 			return run
 		}
-		want, wantErr, panicked := runCrashRetrieve(ctl, cst, q)
+		want, wantErr, panicked := runChaosOp(ctl, cst, q)
 		if panicked != "" || wantErr != nil {
 			violate(-1, "unattributed-error", fmt.Sprintf("control retrieve %d: %v%s", qi, wantErr, panicked))
 			return run
@@ -440,19 +436,4 @@ func runCrashScheduleBody(spec crashSpec) *CrashRun {
 		}
 	}
 	return run
-}
-
-// runCrashRetrieve executes one retrieve, converting a panic into a
-// report.
-func runCrashRetrieve(db *workload.DB, st strategy.Strategy, q strategy.Query) (vals []int64, err error, panicked string) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = fmt.Sprintf("%v", r)
-		}
-	}()
-	res, err := st.Retrieve(db, q)
-	if res != nil {
-		vals = res.Values
-	}
-	return vals, err, ""
 }

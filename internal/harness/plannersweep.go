@@ -364,9 +364,5 @@ func (r *PlannerSweepResult) BenchCells() []bench.Cell {
 
 // WriteJSON writes the sweep wrapped in the versioned envelope.
 func (r *PlannerSweepResult) WriteJSON(w io.Writer) error {
-	env, err := bench.New("planner", r, r.BenchCells())
-	if err != nil {
-		return err
-	}
-	return env.WriteJSON(w)
+	return bench.Write(w, "planner", r, r.BenchCells())
 }

@@ -78,11 +78,7 @@ func (b *PrefetchBench) EnvelopeCells() []bench.Cell {
 
 // WriteJSON writes the bench wrapped in the versioned envelope.
 func (b *PrefetchBench) WriteJSON(w io.Writer) error {
-	env, err := bench.New("prefetch", b, b.EnvelopeCells())
-	if err != nil {
-		return err
-	}
-	return env.WriteJSON(w)
+	return bench.Write(w, "prefetch", b, b.EnvelopeCells())
 }
 
 // DefaultPrefetchSweep returns the standard sweep grid: two device

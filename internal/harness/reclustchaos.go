@@ -406,7 +406,7 @@ func runReclustCrashSchedule(cfg CrashConfig, dbCfg workload.Config, seed int64,
 	// keeps.
 	inDoubt := rng.Intn(2) == 0
 	if inDoubt {
-		db.WAL.Device().FailNextSync()
+		db.WAL.FailNextSync()
 		if _, err := db.ReclustStep(2); err == nil {
 			violate("unattributed-error", "in-doubt batch: fsync failure did not surface")
 			return nil
@@ -421,7 +421,7 @@ func runReclustCrashSchedule(cfg CrashConfig, dbCfg workload.Config, seed int64,
 	// The kill.
 	db.Disk.SetFault(nil)
 	var keep int64
-	if unsynced := db.WAL.Device().Unsynced(); unsynced > 0 {
+	if unsynced := db.WAL.Unsynced(); unsynced > 0 {
 		keep = rng.Int63n(unsynced + 1)
 	}
 	res, err := db.CrashAndRecover(keep)

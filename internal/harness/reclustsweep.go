@@ -235,11 +235,7 @@ func (s *ReclustSweep) CheckConvergence() error {
 
 // WriteJSON writes the sweep wrapped in the versioned envelope.
 func (s *ReclustSweep) WriteJSON(w io.Writer) error {
-	env, err := bench.New("reclust", s, s.BenchCells())
-	if err != nil {
-		return err
-	}
-	return env.WriteJSON(w)
+	return bench.Write(w, "reclust", s, s.BenchCells())
 }
 
 // BenchCells flattens the sweep for the bench envelope.

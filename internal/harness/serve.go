@@ -216,17 +216,6 @@ func (r *ServeResult) Record(reg *obs.Registry, prefix string) {
 	}
 }
 
-// serveIO snapshots the database's shared disk/pool counters — the
-// source for serve-tier slow-log root spans.
-func serveIO(db *workload.DB) obs.IO {
-	ds := db.Disk.Stats()
-	ps := db.Pool.Stats()
-	return obs.IO{
-		Reads: ds.Reads, Writes: ds.Writes,
-		Hits: ps.Hits, Misses: ps.Misses, Flushes: ps.Flushes,
-	}
-}
-
 // opLat is one completed operation's latency, tagged by kind.
 type opLat struct {
 	kind workload.OpKind
@@ -338,7 +327,7 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 				}
 				var ioBefore obs.IO
 				if cfg.SlowLog != nil {
-					ioBefore = serveIO(db)
+					ioBefore = db.IOSnapshot()
 				}
 				opStart := time.Now()
 				var opErr error
@@ -358,8 +347,8 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 					}
 				case workload.OpUpdate:
 					if cfg.Versioned {
-						// The strategy's Update sees db.Versions != nil and
-						// routes through ApplyUpdateVersioned: per-object
+						// With the version store installed the strategy's
+						// Update stages versions (DB.ApplyUpdate): per-object
 						// latches plus the commit epoch bump, no global lock.
 						opErr = st.Update(db, op)
 					} else {
@@ -373,7 +362,7 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 				}
 				dur := time.Since(opStart)
 				if cfg.SlowLog != nil {
-					d := serveIO(db).Sub(ioBefore)
+					d := db.IOSnapshot().Sub(ioBefore)
 					name := "serve.retrieve"
 					if op.Kind == workload.OpUpdate {
 						name = "serve.update"
@@ -603,11 +592,7 @@ func (b *ThroughputBench) Cells() []bench.Cell {
 
 // WriteJSON writes the bench wrapped in the versioned envelope.
 func (b *ThroughputBench) WriteJSON(w io.Writer) error {
-	env, err := bench.New("throughput", b, b.Cells())
-	if err != nil {
-		return err
-	}
-	return env.WriteJSON(w)
+	return bench.Write(w, "throughput", b, b.Cells())
 }
 
 // SLOBench is the tail-latency serving benchmark (BENCH_slo.json): one
@@ -675,9 +660,5 @@ func (b *SLOBench) Cells() []bench.Cell {
 
 // WriteJSON writes the bench wrapped in the versioned envelope.
 func (b *SLOBench) WriteJSON(w io.Writer) error {
-	env, err := bench.New("slo", b, b.Cells())
-	if err != nil {
-		return err
-	}
-	return env.WriteJSON(w)
+	return bench.Write(w, "slo", b, b.Cells())
 }

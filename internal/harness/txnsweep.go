@@ -115,9 +115,5 @@ func (b *TxnBench) Cells() []bench.Cell {
 
 // WriteJSON writes the bench wrapped in the versioned envelope.
 func (b *TxnBench) WriteJSON(w io.Writer) error {
-	env, err := bench.New("txn", b, b.Cells())
-	if err != nil {
-		return err
-	}
-	return env.WriteJSON(w)
+	return bench.Write(w, "txn", b, b.Cells())
 }

@@ -176,11 +176,7 @@ func (s *WALSweep) CheckGrouping() error {
 
 // WriteJSON writes the sweep wrapped in the versioned envelope.
 func (s *WALSweep) WriteJSON(w io.Writer) error {
-	env, err := bench.New("wal", s, s.BenchCells())
-	if err != nil {
-		return err
-	}
-	return env.WriteJSON(w)
+	return bench.Write(w, "wal", s, s.BenchCells())
 }
 
 // BenchCells flattens the sweep for the bench envelope.

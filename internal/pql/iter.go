@@ -9,7 +9,6 @@ package pql
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 
 	"corep/internal/btree"
@@ -451,55 +450,37 @@ func (px *pathExec) expandOIDs(oids []object.OID, segs []string, depth int) ([]t
 	if len(oids) == 0 {
 		return nil, nil
 	}
-	// Positions per relation, relations visited in sorted order so the
-	// choose/observe sequence (and hence the learned model) is
-	// deterministic.
-	groups := map[uint16][]int{}
-	for i, o := range oids {
-		groups[o.Rel()] = append(groups[o.Rel()], i)
+	// Relations are visited in id order so the choose/observe sequence
+	// (and hence the learned model) is deterministic.
+	groups, err := px.cat.GroupOIDs(oids)
+	if err != nil {
+		return nil, err
 	}
-	relIDs := make([]int, 0, len(groups))
-	for id := range groups {
-		relIDs = append(relIDs, int(id))
-	}
-	sort.Ints(relIDs)
-
 	payloads := make([][]byte, len(oids))
-	rels := map[uint16]*catalog.Relation{}
-	for _, rid := range relIDs {
-		relID := uint16(rid)
-		idxs := groups[relID]
-		rel, err := px.cat.ByID(relID)
-		if err != nil {
-			return nil, err
-		}
+	rels := make([]*catalog.Relation, len(oids))
+	for _, g := range groups {
+		rel, relID := g.Rel, g.Rel.ID
 		if rel.Kind != catalog.KindBTree || rel.Tree == nil {
 			return nil, fmt.Errorf("%w: OID target %q is not B-tree structured", ErrExec, rel.Name)
 		}
-		rels[relID] = rel
-
 		tr := TraversalProbe
 		if px.opts.Planner != nil {
-			tr, _ = px.opts.Planner.ChooseTraversal(relID, len(idxs))
+			tr, _ = px.opts.Planner.ChooseTraversal(relID, len(g.Pos))
 		}
 		var io0 int64
 		if px.opts.IOStat != nil {
 			io0 = px.opts.IOStat()
 		}
 		if tr == TraversalBatch {
-			keys := make([]int64, len(idxs))
-			for i, idx := range idxs {
-				keys[i] = oids[idx].Key()
-			}
-			err = rel.Tree.GetBatch(keys, func(i int, payload []byte) error {
-				payloads[idxs[i]] = append([]byte(nil), payload...)
+			err = g.GetBatch(oids, func(i int, _ *catalog.Relation, payload []byte) error {
+				payloads[i] = append([]byte(nil), payload...)
 				return nil
 			})
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrExec, err)
 			}
 		} else {
-			for _, idx := range idxs {
+			for _, idx := range g.Pos {
 				payload, err := rel.Tree.Get(oids[idx].Key())
 				if err != nil {
 					return nil, fmt.Errorf("%w: subobject %s: %v", ErrExec, oids[idx], err)
@@ -507,14 +488,16 @@ func (px *pathExec) expandOIDs(oids []object.OID, segs []string, depth int) ([]t
 				payloads[idx] = payload // Get returns the caller's own copy
 			}
 		}
+		for _, idx := range g.Pos {
+			rels[idx] = rel
+		}
 		if px.opts.Planner != nil && px.opts.IOStat != nil {
-			px.opts.Planner.ObserveTraversal(relID, tr, len(idxs), px.opts.IOStat()-io0)
+			px.opts.Planner.ObserveTraversal(relID, tr, len(g.Pos), px.opts.IOStat()-io0)
 		}
 	}
 
 	var out []tuple.Value
-	for i, o := range oids {
-		rel := rels[o.Rel()]
+	for i, rel := range rels {
 		t, err := tuple.Decode(rel.Schema, payloads[i])
 		if err != nil {
 			return nil, err

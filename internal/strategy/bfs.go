@@ -40,18 +40,12 @@ const tempValuesPerPage = (2048 - 24) / 12
 const sortPassFactor = 3
 
 func (b bfs) Retrieve(db *workload.DB, q Query) (*Result, error) {
-	par := beginIO(db)
-	scanSp := db.Obs.Start("strategy.bfs/scan")
-	parents, err := scanParents(db, q.Lo, q.Hi)
+	parents, res, err := scanPhase(db, q, "strategy.bfs/scan")
 	if err != nil {
 		return nil, err
 	}
-	scanSp.SetAttr("parents", int64(len(parents)))
-	scanSp.End()
-	res := &Result{}
-	res.Split.Par = par.end()
 
-	child := beginIO(db)
+	child := beginIO(db.Core)
 	defer func() { res.Split.Child = child.end() }()
 
 	// Form one temporary per child relation, paying heap-file writes.
@@ -176,10 +170,7 @@ func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Tem
 }
 
 func (bfs) Update(db *workload.DB, op workload.Op) error {
-	if db.Versions != nil {
-		return db.ApplyUpdateVersioned(op, nil)
-	}
-	return db.ApplyUpdateBase(op)
+	return applyUpdate(db, op, db.ApplyUpdateBase, nil)
 }
 
 // oidKeys is a small helper used by tests: the keys of a unit restricted

@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"corep/internal/buffer"
 	"corep/internal/catalog"
+	"corep/internal/engine"
 	"corep/internal/object"
 	"corep/internal/query"
 	"corep/internal/tuple"
@@ -44,6 +44,23 @@ func scanParents(db *workload.DB, lo, hi int64) ([]parentRef, error) {
 	return out, nil
 }
 
+// scanPhase is the first phase every scan-then-fetch strategy shares:
+// range-scan the qualifying parents under the named span and charge the
+// scan's I/O to the result's ParCost.
+func scanPhase(db *workload.DB, q Query, span string) ([]parentRef, *Result, error) {
+	par := beginIO(db.Core)
+	sp := db.Obs.Start(span)
+	parents, err := scanParents(db, q.Lo, q.Hi)
+	if err != nil {
+		return nil, nil, err
+	}
+	sp.SetAttr("parents", int64(len(parents)))
+	sp.End()
+	res := &Result{}
+	res.Split.Par = par.end()
+	return parents, res, nil
+}
+
 // fetchChildAttr probes the child relation for oid and projects the
 // query attribute — the per-subobject step of every depth-first
 // strategy.
@@ -65,12 +82,11 @@ func fetchChildAttr(db *workload.DB, oid object.OID, attrIdx int) (int64, error)
 
 // fetchChildAttrs probes the child relations for every OID of oids and
 // stores the projected attribute at the matching index of out
-// (len(out) == len(oids)). Probes are grouped per child relation and
-// issued through the B-tree's page-ordered GetBatch, so a random probe
-// set becomes one sorted sweep per relation while the output order stays
-// exactly that of a per-OID fetchChildAttr loop. Config.ProbeBatch=false
-// falls back to that loop, reproducing the paper's one-probe-at-a-time
-// INGRES behaviour.
+// (len(out) == len(oids)). Probes go through the catalog's grouped,
+// page-ordered ProbeOIDs, so a random probe set becomes one sorted sweep
+// per relation while the output order stays exactly that of a per-OID
+// fetchChildAttr loop. Config.ProbeBatch=false falls back to that loop,
+// reproducing the paper's one-probe-at-a-time INGRES behaviour.
 func fetchChildAttrs(db *workload.DB, oids []object.OID, attrIdx int, out []int64) error {
 	if !db.Cfg.ProbeBatch {
 		for i, oid := range oids {
@@ -82,47 +98,21 @@ func fetchChildAttrs(db *workload.DB, oids []object.OID, attrIdx int, out []int6
 		}
 		return nil
 	}
-	// Group probe indices per child relation; relations are visited in
-	// id order so the I/O pattern is deterministic.
-	byRel := make(map[uint16][]int)
-	for i, oid := range oids {
-		byRel[oid.Rel()] = append(byRel[oid.Rel()], i)
-	}
-	relIDs := make([]int, 0, len(byRel))
-	for id := range byRel {
-		relIDs = append(relIDs, int(id))
-	}
-	sort.Ints(relIDs)
-	for _, rid := range relIDs {
-		rel, err := db.ChildByRelID(uint16(rid))
+	return db.Cat.ProbeOIDs(oids, func(i int, _ *catalog.Relation, payload []byte) error {
+		v, err := tuple.DecodeField(db.ChildSchema, payload, attrIdx)
 		if err != nil {
 			return err
 		}
-		idxs := byRel[uint16(rid)]
-		keys := make([]int64, len(idxs))
-		for j, i := range idxs {
-			keys[j] = oids[i].Key()
-		}
-		err = rel.Tree.GetBatch(keys, func(j int, payload []byte) error {
-			v, err := tuple.DecodeField(db.ChildSchema, payload, attrIdx)
-			if err != nil {
-				return err
-			}
-			out[idxs[j]] = v.Int
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("strategy: batch probe of %s: %w", rel.Name, err)
-		}
-	}
-	return nil
+		out[i] = v.Int
+		return nil
+	})
 }
 
 // fetchChildRecs fetches the full child records of oids into out
 // (len(out) == len(oids), record copies at their original positions).
-// Like fetchChildAttrs it groups probes per relation and issues them
-// page-ordered, unless Config.ProbeBatch=false asks for one Get per OID.
-// DFSCACHE materializes units through it.
+// Like fetchChildAttrs it batches through ProbeOIDs unless
+// Config.ProbeBatch=false asks for one Get per OID. DFSCACHE
+// materializes units through it.
 func fetchChildRecs(db *workload.DB, oids []object.OID, out [][]byte) error {
 	if !db.Cfg.ProbeBatch {
 		for i, oid := range oids {
@@ -138,34 +128,26 @@ func fetchChildRecs(db *workload.DB, oids []object.OID, out [][]byte) error {
 		}
 		return nil
 	}
-	byRel := make(map[uint16][]int)
-	for i, oid := range oids {
-		byRel[oid.Rel()] = append(byRel[oid.Rel()], i)
+	return db.Cat.ProbeOIDs(oids, func(i int, _ *catalog.Relation, payload []byte) error {
+		out[i] = append([]byte(nil), payload...)
+		return nil
+	})
+}
+
+// applyUpdate is every strategy's Update: write op through the active
+// path (inPlace is the strategy's layout writer, used when versioning
+// is off), then publish it, invalidating the cached units that hold an
+// I-lock on any oid of invalidate (nil for strategies that keep no
+// cache). The invalidation runs even when an in-place apply failed
+// part-way — some targets may already hold new values, so every touched
+// unit must leave the cache or a later lookup would serve the old value.
+func applyUpdate(db *workload.DB, op workload.Op, inPlace func(workload.Op) error, invalidate []object.OID) error {
+	u, applyErr := db.ApplyUpdate(op, inPlace)
+	pubErr := db.Publish(u, invalidate, nil)
+	if applyErr != nil {
+		return applyErr
 	}
-	relIDs := make([]int, 0, len(byRel))
-	for id := range byRel {
-		relIDs = append(relIDs, int(id))
-	}
-	sort.Ints(relIDs)
-	for _, rid := range relIDs {
-		rel, err := db.ChildByRelID(uint16(rid))
-		if err != nil {
-			return err
-		}
-		idxs := byRel[uint16(rid)]
-		keys := make([]int64, len(idxs))
-		for j, i := range idxs {
-			keys[j] = oids[i].Key()
-		}
-		err = rel.Tree.GetBatch(keys, func(j int, payload []byte) error {
-			out[idxs[j]] = append([]byte(nil), payload...)
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("strategy: batch fetch of %s: %w", rel.Name, err)
-		}
-	}
-	return nil
+	return pubErr
 }
 
 // overlayInt returns the snapshot's version of the projected value for
@@ -208,26 +190,22 @@ func overlayRec(db *workload.DB, snap *txn.Snapshot, oid object.OID, rec []byte)
 	if !ok {
 		return rec, nil
 	}
-	t, err := tuple.Decode(db.ChildSchema, rec)
-	if err != nil {
-		return nil, err
-	}
-	t[workload.FieldRet1] = tuple.IntVal(nv)
-	return tuple.Encode(nil, db.ChildSchema, t)
+	return workload.PatchRet1(db.ChildSchema, rec, workload.FieldRet1, nv)
 }
 
-// ioSpan measures the disk I/O of a code span.
+// ioSpan measures the disk I/O of a code span, on any database over the
+// engine core.
 type ioSpan struct {
-	db    *workload.DB
+	core  *engine.Core
 	start int64
 }
 
-func beginIO(db *workload.DB) ioSpan {
-	return ioSpan{db: db, start: db.Disk.Stats().Total()}
+func beginIO(c *engine.Core) ioSpan {
+	return ioSpan{core: c, start: c.Disk.Stats().Total()}
 }
 
 func (s ioSpan) end() int64 {
-	return s.db.Disk.Stats().Total() - s.start
+	return s.core.Disk.Stats().Total() - s.start
 }
 
 // tempWriter routes subobject OIDs into one temporary per child

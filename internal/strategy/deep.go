@@ -50,7 +50,7 @@ func midChildren(db *workload.TwoLevelDB, payload []byte) ([]object.OID, error) 
 }
 
 func deepDFS(db *workload.TwoLevelDB, q Query) (*Result, error) {
-	par := beginIO(db.DB)
+	par := beginIO(db.Core)
 	parents, err := scanParents(db.DB, q.Lo, q.Hi)
 	if err != nil {
 		return nil, err
@@ -58,7 +58,7 @@ func deepDFS(db *workload.TwoLevelDB, q Query) (*Result, error) {
 	res := &Result{}
 	res.Split.Par = par.end()
 
-	child := beginIO(db.DB)
+	child := beginIO(db.Core)
 	mid, leaf := db.Mid(), db.Leaf()
 	for _, p := range parents {
 		for _, mo := range p.unit {
@@ -88,7 +88,7 @@ func deepDFS(db *workload.TwoLevelDB, q Query) (*Result, error) {
 }
 
 func deepBFS(db *workload.TwoLevelDB, q Query, dedup bool) (*Result, error) {
-	par := beginIO(db.DB)
+	par := beginIO(db.Core)
 	parents, err := scanParents(db.DB, q.Lo, q.Hi)
 	if err != nil {
 		return nil, err
@@ -96,7 +96,7 @@ func deepBFS(db *workload.TwoLevelDB, q Query, dedup bool) (*Result, error) {
 	res := &Result{}
 	res.Split.Par = par.end()
 
-	child := beginIO(db.DB)
+	child := beginIO(db.Core)
 	defer func() { res.Split.Child = child.end() }()
 
 	// Level 1: mids.

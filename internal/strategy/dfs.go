@@ -14,18 +14,12 @@ type dfs struct{}
 func (dfs) Kind() Kind { return DFS }
 
 func (dfs) Retrieve(db *workload.DB, q Query) (*Result, error) {
-	par := beginIO(db)
-	scanSp := db.Obs.Start("strategy.dfs/scan")
-	parents, err := scanParents(db, q.Lo, q.Hi)
+	parents, res, err := scanPhase(db, q, "strategy.dfs/scan")
 	if err != nil {
 		return nil, err
 	}
-	scanSp.SetAttr("parents", int64(len(parents)))
-	scanSp.End()
-	res := &Result{}
-	res.Split.Par = par.end()
 
-	child := beginIO(db)
+	child := beginIO(db.Core)
 	probeSp := db.Obs.Start("strategy.dfs/probe")
 	// Flatten the qualifying parents' child OIDs and probe them in one
 	// page-ordered batch; the output order is the per-OID loop's.
@@ -47,8 +41,5 @@ func (dfs) Retrieve(db *workload.DB, q Query) (*Result, error) {
 }
 
 func (dfs) Update(db *workload.DB, op workload.Op) error {
-	if db.Versions != nil {
-		return db.ApplyUpdateVersioned(op, nil)
-	}
-	return db.ApplyUpdateBase(op)
+	return applyUpdate(db, op, db.ApplyUpdateBase, nil)
 }

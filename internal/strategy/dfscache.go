@@ -41,18 +41,12 @@ func (c dfscache) cacheUnit(db *workload.DB, p parentRef) object.Unit {
 }
 
 func (c dfscache) Retrieve(db *workload.DB, q Query) (*Result, error) {
-	par := beginIO(db)
-	scanSp := db.Obs.Start("strategy.dfscache/scan")
-	parents, err := scanParents(db, q.Lo, q.Hi)
+	parents, res, err := scanPhase(db, q, "strategy.dfscache/scan")
 	if err != nil {
 		return nil, err
 	}
-	scanSp.SetAttr("parents", int64(len(parents)))
-	scanSp.End()
-	res := &Result{}
-	res.Split.Par = par.end()
 
-	child := beginIO(db)
+	child := beginIO(db.Core)
 	probeSp := db.Obs.Start("strategy.dfscache/probe")
 	var cacheHits, materialized int64
 	for _, p := range parents {
@@ -105,42 +99,8 @@ func (c dfscache) Retrieve(db *workload.DB, q Query) (*Result, error) {
 	return res, nil
 }
 
+// Update writes op and drops every cached unit containing an updated
+// subobject (I-lock invalidation, §3.2), paying hash-file deletes.
 func (dfscache) Update(db *workload.DB, op workload.Op) error {
-	if db.Versions != nil {
-		// Version-aware invalidation: the watermarks advance inside the
-		// commit critical section — before the epoch publishes — so no
-		// snapshot at or past it can hit a stale entry. The Invalidate
-		// sweep afterwards reclaims the dead entries' hash-file space,
-		// paying the paper's invalidation I/O outside the publish lock;
-		// correctness never depends on the sweep (watermarked entries can
-		// never hit again).
-		if err := db.ApplyUpdateVersioned(op, func(e uint64) {
-			db.Cache.MarkInvalid(op.Targets, e)
-		}); err != nil {
-			return err
-		}
-		var invErr error
-		for _, oid := range op.Targets {
-			if _, err := db.Cache.Invalidate(oid); err != nil && invErr == nil {
-				invErr = err
-			}
-		}
-		return invErr
-	}
-	baseErr := db.ApplyUpdateBase(op)
-	// I-lock invalidation: every cached unit containing an updated
-	// subobject is dropped, paying hash-file deletes. This runs even
-	// when the base apply failed part-way — some targets may already
-	// hold new values, so every touched unit must leave the cache or a
-	// later lookup would serve the old value.
-	var invErr error
-	for _, oid := range op.Targets {
-		if _, err := db.Cache.Invalidate(oid); err != nil && invErr == nil {
-			invErr = err
-		}
-	}
-	if baseErr != nil {
-		return baseErr
-	}
-	return invErr
+	return applyUpdate(db, op, db.ApplyUpdateBase, op.Targets)
 }

@@ -76,7 +76,7 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 		if !hasPar {
 			return nil
 		}
-		span := beginIO(db)
+		span := beginIO(db.Core)
 		var (
 			ch     *buffer.Chain
 			rids   map[object.OID]storage.RID
@@ -142,7 +142,7 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 				continue
 			}
 			if prid, ok := placed[oid]; ok {
-				payload, err := rs.Read(prid)
+				payload, err := db.ReadPlaced(prid)
 				if err != nil {
 					return err
 				}
@@ -187,7 +187,7 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 			unit, hasPar = nil, false
 			local = map[object.OID]int64{}
 			curKey = key
-			scanSpan = beginIO(db)
+			scanSpan = beginIO(db.Core)
 		}
 		ov, err := tuple.DecodeField(db.ClusterSchema, payload, oidIdx)
 		if err != nil {
@@ -218,7 +218,7 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 	// keys and flushes the final group — the historic whole-query scan is
 	// scanRun(q.Lo, q.Hi).
 	scanRun := func(a, b int64) error {
-		scanSpan = beginIO(db)
+		scanSpan = beginIO(db.Core)
 		err := db.ClusterRel.Tree.Range(a, b, scanCB)
 		if err != nil {
 			return err
@@ -258,8 +258,8 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 				}
 				pending = -1
 			}
-			span := beginIO(db)
-			payload, err := rs.Read(e.RID)
+			span := beginIO(db.Core)
+			payload, err := db.ReadPlaced(e.RID)
 			if err != nil {
 				return nil, err
 			}
@@ -290,8 +290,5 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 }
 
 func (dfsclust) Update(db *workload.DB, op workload.Op) error {
-	if db.Versions != nil {
-		return db.ApplyUpdateVersioned(op, nil)
-	}
-	return db.ApplyUpdateCluster(op)
+	return applyUpdate(db, op, db.ApplyUpdateCluster, nil)
 }

@@ -25,18 +25,12 @@ func (s smart) Retrieve(db *workload.DB, q Query) (*Result, error) {
 		return dfscache{}.Retrieve(db, q)
 	}
 
-	par := beginIO(db)
-	scanSp := db.Obs.Start("strategy.smart/scan")
-	parents, err := scanParents(db, q.Lo, q.Hi)
+	parents, res, err := scanPhase(db, q, "strategy.smart/scan")
 	if err != nil {
 		return nil, err
 	}
-	scanSp.SetAttr("parents", int64(len(parents)))
-	scanSp.End()
-	res := &Result{}
-	res.Split.Par = par.end()
 
-	child := beginIO(db)
+	child := beginIO(db.Core)
 	bfSp := db.Obs.Start("strategy.smart/bfpass")
 	defer bfSp.End()
 	// Cached units answer depth-first (one hash probe each); the rest

@@ -15,7 +15,7 @@ import (
 func ValueScan(db *workload.ValueDB, q Query) (*Result, error) {
 	valIdx := db.Schema.MustIndex("values")
 	res := &Result{}
-	span := beginValueIO(db)
+	span := beginIO(db.Core)
 	err := db.Parent.Tree.Range(q.Lo, q.Hi, func(_ int64, payload []byte) (bool, error) {
 		v, err := tuple.DecodeField(db.Schema, payload, valIdx)
 		if err != nil {
@@ -82,15 +82,3 @@ func ValueUpdate(db *workload.ValueDB, op workload.Op) error {
 	}
 	return nil
 }
-
-// beginValueIO mirrors beginIO for the value layout.
-func beginValueIO(db *workload.ValueDB) valueSpan {
-	return valueSpan{db: db, start: db.Disk.Stats().Total()}
-}
-
-type valueSpan struct {
-	db    *workload.ValueDB
-	start int64
-}
-
-func (s valueSpan) end() int64 { return s.db.Disk.Stats().Total() - s.start }

@@ -8,16 +8,16 @@ import (
 	"sync"
 
 	"corep/internal/buffer"
-	"corep/internal/cache"
 	"corep/internal/catalog"
 	"corep/internal/cluster"
 	"corep/internal/disk"
+	"corep/internal/engine"
 	"corep/internal/isam"
 	"corep/internal/object"
 	"corep/internal/obs"
 	"corep/internal/storage"
 	"corep/internal/tuple"
-	"corep/internal/txn"
+	"corep/internal/wal"
 )
 
 // Field indices shared by ParentRel and ChildRel (after the key):
@@ -33,10 +33,19 @@ const (
 // bookkeeping the strategies need (units, assignments), and the
 // simulated hardware underneath.
 type DB struct {
-	Cfg  Config
+	// Core is the storage engine underneath (pool, catalog, outside
+	// cache — built when Cfg.CacheUnits > 0 — version store, log and
+	// extent), shared in shape with the public facade. Its Versions
+	// field, when non-nil, switches every strategy's Update from
+	// in-place base writes to epoch-published versions and lets
+	// retrieves overlay a pinned snapshot epoch; DrainVersions folds
+	// them back.
+	*engine.Core
+
+	Cfg Config
+	// Disk is the core's disk under its concrete type: the simulated
+	// hardware's fault and restore controls are not part of engine.Disk.
 	Disk *disk.Sim
-	Pool *buffer.Pool
-	Cat  *catalog.Catalog
 
 	Parent   *catalog.Relation
 	Children []*catalog.Relation
@@ -44,9 +53,6 @@ type DB struct {
 	// ClusterRel is built when Cfg.Clustered: one relation holding both
 	// objects and subobjects, B-tree on cluster#, ISAM index on OID (§4).
 	ClusterRel *catalog.Relation
-
-	// Cache is the outside value cache, built when Cfg.CacheUnits > 0.
-	Cache *cache.Cache
 
 	ParentSchema  *tuple.Schema
 	ChildSchema   *tuple.Schema
@@ -61,11 +67,6 @@ type DB struct {
 	// Assignment is the clustering assignment (when Clustered).
 	Assignment *cluster.Assignment
 
-	// Obs is the observability context threaded to the strategies and
-	// operators running over this database. Zero value = disabled;
-	// installed by AttachObs.
-	Obs obs.Ctx
-
 	// Latch is the database-level read/write latch for concurrent serving
 	// (harness.Serve): retrieves hold it shared, updates exclusive. The
 	// single-client harness never takes it, and versioned serving
@@ -73,17 +74,11 @@ type DB struct {
 	// and §11.
 	Latch sync.RWMutex
 
-	// WAL, when non-nil, is the attached write-ahead log (EnableWAL in
-	// wal.go): the crash-chaos harness commits through it and severs the
+	// WAL, when non-nil, is the in-memory device of the attached
+	// write-ahead log (EnableWAL in wal.go): the crash-chaos harness
+	// commits through the core, fails syncs here and severs the
 	// database with CrashAndRecover.
-	WAL *WALState
-
-	// Versions, when non-nil, is the epoch-stamped version layer: every
-	// strategy's Update installs versions here instead of writing base
-	// pages, and retrieves overlay a pinned snapshot epoch. Nil (the
-	// default) keeps the in-place single-writer paths bit-identical.
-	// Installed by EnableVersioning; folded back by DrainVersions.
-	Versions *txn.Store
+	WAL *wal.MemDevice
 
 	// Reclust, when non-nil, is the online reclustering state: the heat
 	// tracker fed from retrieve spans and the placement map redirecting
@@ -117,23 +112,9 @@ func (db *DB) AttachObs(o obs.Options) {
 		}
 	}
 	if sink != nil {
-		ctx.Trace = obs.NewTracer(db.ioSnapshot, sink)
+		ctx.Trace = obs.NewTracer(db.IOSnapshot, sink)
 	}
-	db.Obs = ctx
-	db.Pool.SetObs(ctx)
-	if db.Cache != nil {
-		db.Cache.Obs = ctx
-	}
-}
-
-// ioSnapshot is the tracer's counter source: disk I/O plus pool events.
-func (db *DB) ioSnapshot() obs.IO {
-	ds := db.Disk.Stats()
-	ps := db.Pool.Stats()
-	return obs.IO{
-		Reads: ds.Reads, Writes: ds.Writes,
-		Hits: ps.Hits, Misses: ps.Misses, Flushes: ps.Flushes,
-	}
+	db.SetObs(ctx)
 }
 
 // Build generates a database per cfg. The buffer pool is flushed and
@@ -158,11 +139,9 @@ func Build(cfg Config) (*DB, error) {
 		}
 	}
 	if cfg.CacheUnits > 0 {
-		c, err := cache.New(db.Pool, cfg.CacheUnits, cfg.CacheBuckets, cfg.Seed+1)
-		if err != nil {
+		if err := db.NewCache(cfg.CacheUnits, cfg.CacheBuckets, cfg.Seed+1); err != nil {
 			return nil, err
 		}
-		db.Cache = c
 	}
 	if err := db.ResetCold(); err != nil {
 		return nil, err
@@ -184,10 +163,9 @@ func newSkeleton(cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
 	db := &DB{
+		Core:         engine.New(d, pool),
 		Cfg:          cfg,
 		Disk:         d,
-		Pool:         pool,
-		Cat:          catalog.New(pool),
 		childByRelID: make(map[uint16]*catalog.Relation),
 		childCount:   make(map[uint16]int),
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
@@ -220,22 +198,6 @@ func newSkeleton(cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// ResetCold flushes and empties the buffer pool and zeroes the disk
-// counters: the next query starts from a cold, clean state.
-func (db *DB) ResetCold() error {
-	// Quiesce the prefetcher first: Invalidate refuses pinned pages, and
-	// staged prefetch pages hold pins. Nil-safe no-op when prefetch is off.
-	db.Pool.Prefetcher().Drain()
-	if err := db.Pool.FlushAll(); err != nil {
-		return err
-	}
-	if err := db.Pool.Invalidate(); err != nil {
-		return err
-	}
-	db.Disk.ResetStats()
-	return nil
-}
-
 // attachPrefetcher starts the asynchronous prefetcher when the config
 // asks for it. Called after the build's ResetCold so load I/O is never
 // prefetched; idempotent per database.
@@ -244,31 +206,6 @@ func (db *DB) attachPrefetcher() {
 		return
 	}
 	db.Pool.SetPrefetcher(buffer.NewPrefetcher(db.Pool, db.Cfg.PrefetchDepth, 0))
-}
-
-// Close releases background resources (the prefetcher's workers). Safe
-// to call twice and concurrently with running queries: in-flight scans
-// fall back to synchronous reads.
-func (db *DB) Close() {
-	pf := db.Pool.Prefetcher()
-	db.Pool.SetPrefetcher(nil)
-	pf.Close()
-}
-
-// EnableVersioning installs the version store, switching every
-// strategy's Update path from in-place base writes to epoch-published
-// versions (see internal/txn). Idempotent. Call before starting
-// concurrent clients; fold the versions back with DrainVersions once
-// they have quiesced.
-func (db *DB) EnableVersioning() {
-	if db.Versions == nil {
-		db.Versions = txn.New(0)
-		// Publish an empty bootstrap epoch so every versioned snapshot
-		// carries epoch ≥ 1: the cache's watermark API reserves epoch 0
-		// as the "unversioned caller" sentinel (LookupSnap(u, 0) is the
-		// historic Lookup), and a genuine snapshot must never alias it.
-		db.Versions.BeginUpdate(nil).Commit(nil)
-	}
 }
 
 // ChildByRelID resolves a child relation from an OID's relation id.
@@ -309,25 +246,9 @@ func (db *DB) buildChildren() error {
 		if cfg.NumChildRel > 1 {
 			name = fmt.Sprintf("ChildRel%d", r)
 		}
-		rel, err := db.Cat.CreateBTree(name, db.ChildSchema)
+		rel, err := db.loadBTree(name, db.ChildSchema, nChild, db.padFor(db.ChildSchema, cfg.ChildBytes, 0), nil)
 		if err != nil {
 			return err
-		}
-		pad := db.padFor(db.ChildSchema, cfg.ChildBytes, 0)
-		for k := int64(0); k < int64(nChild); k++ {
-			rec, err := tuple.Encode(nil, db.ChildSchema, tuple.Tuple{
-				tuple.IntVal(int64(object.NewOID(rel.ID, k))),
-				tuple.IntVal(db.rng.Int63n(1 << 30)),
-				tuple.IntVal(db.rng.Int63n(1 << 30)),
-				tuple.IntVal(db.rng.Int63n(1 << 30)),
-				tuple.StrVal(pad),
-			})
-			if err != nil {
-				return err
-			}
-			if err := rel.Tree.Insert(k, rec); err != nil {
-				return err
-			}
 		}
 		db.Children = append(db.Children, rel)
 		db.childByRelID[rel.ID] = rel
@@ -336,103 +257,72 @@ func (db *DB) buildChildren() error {
 	return nil
 }
 
-// buildUnitsAndParents generates the units (exact OverlapFactor), the
+// buildUnitsAndParents generates the units (exact OverlapFactor, split
+// over the child relations as buildChildren sized them), the
 // parent→unit assignment (exact UseFactor up to rounding) and loads
 // ParentRel.
 func (db *DB) buildUnitsAndParents() error {
 	cfg := db.Cfg
 	numUnits := cfg.NumParents / cfg.UseFactor
-
-	// Units per child relation, mirroring buildChildren's split.
-	unitRel := make([]int, 0, numUnits)
-	for r := 0; r < cfg.NumChildRel; r++ {
+	db.Units = make([]object.Unit, 0, numUnits)
+	for r, rel := range db.Children {
 		unitsHere := numUnits / cfg.NumChildRel
 		if r < numUnits%cfg.NumChildRel {
 			unitsHere++
 		}
-		for i := 0; i < unitsHere; i++ {
-			unitRel = append(unitRel, r)
-		}
+		db.Units = append(db.Units, db.genUnits(unitsHere, db.childCount[rel.ID], rel.ID)...)
 	}
+	db.ParentUnit = db.genAssignment(cfg.NumParents, numUnits, cfg.UseFactor)
+	return db.loadParents()
+}
 
-	// Per relation: slot multiset with each child appearing OverlapFactor
-	// times, shuffled, chopped into units, with within-unit duplicates
-	// repaired.
-	db.Units = make([]object.Unit, 0, numUnits)
-	ui := 0
-	for r := 0; r < cfg.NumChildRel; r++ {
-		rel := db.Children[r]
-		n := db.childCount[rel.ID]
-		unitsHere := 0
-		for _, ur := range unitRel {
-			if ur == r {
-				unitsHere++
-			}
-		}
-		slots := make([]int64, 0, unitsHere*cfg.SizeUnit)
-		for c := 0; len(slots) < unitsHere*cfg.SizeUnit; c++ {
-			slots = append(slots, int64(c%n))
-		}
-		// The c%n construction already yields each child ≈OverlapFactor
-		// times; shuffle for randomness.
-		db.rng.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
-		for u := 0; u < unitsHere; u++ {
-			chunk := slots[u*cfg.SizeUnit : (u+1)*cfg.SizeUnit]
-			db.fixDuplicates(chunk, slots[(u+1)*cfg.SizeUnit:], int64(n))
-			unit := make(object.Unit, cfg.SizeUnit)
-			for i, c := range chunk {
-				unit[i] = object.NewOID(rel.ID, c)
-			}
-			db.Units = append(db.Units, unit)
-			ui++
-		}
-	}
-
-	// Parent → unit: each unit appears UseFactor times (padded to cover
-	// every parent), shuffled.
-	assign := make([]int, 0, cfg.NumParents)
-	for u := 0; u < numUnits; u++ {
-		for k := 0; k < cfg.UseFactor; k++ {
-			assign = append(assign, u)
-		}
-	}
-	for len(assign) < cfg.NumParents {
-		assign = append(assign, db.rng.Intn(numUnits))
-	}
-	assign = assign[:cfg.NumParents]
-	db.rng.Shuffle(len(assign), func(i, j int) { assign[i], assign[j] = assign[j], assign[i] })
-	db.ParentUnit = assign
-	db.UnitUsers = make([][]int64, numUnits)
-	for p, u := range assign {
+// loadParents fills UnitUsers from ParentUnit and loads ParentRel, each
+// parent carrying its unit's OID list.
+func (db *DB) loadParents() (err error) {
+	db.UnitUsers = make([][]int64, len(db.Units))
+	for p, u := range db.ParentUnit {
 		db.UnitUsers[u] = append(db.UnitUsers[u], int64(p))
 	}
+	pad := db.padFor(db.ParentSchema, db.Cfg.ParentBytes, db.Cfg.SizeUnit*8)
+	db.Parent, err = db.loadBTree("ParentRel", db.ParentSchema, db.Cfg.NumParents, pad, func(p int64) ([]byte, error) {
+		return object.EncodeOIDs(db.UnitOf(p)), nil
+	})
+	return err
+}
 
-	// Load ParentRel.
-	rel, err := db.Cat.CreateBTree("ParentRel", db.ParentSchema)
+// loadBTree creates the B-tree relation name and loads n generated
+// tuples keyed 0..n-1: OID, three random ret fields, the dummy pad and —
+// for the six-attribute schemas — tail(k), a parent's children list or
+// inline values.
+func (db *DB) loadBTree(name string, s *tuple.Schema, n int, pad string, tail func(k int64) ([]byte, error)) (*catalog.Relation, error) {
+	rel, err := db.Cat.CreateBTree(name, s)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	db.Parent = rel
-	childrenBytes := cfg.SizeUnit * 8
-	pad := db.padFor(db.ParentSchema, cfg.ParentBytes, childrenBytes)
-	for p := int64(0); p < int64(cfg.NumParents); p++ {
-		unit := db.Units[assign[p]]
-		rec, err := tuple.Encode(nil, db.ParentSchema, tuple.Tuple{
-			tuple.IntVal(int64(object.NewOID(rel.ID, p))),
-			tuple.IntVal(db.rng.Int63n(1 << 30)),
-			tuple.IntVal(db.rng.Int63n(1 << 30)),
-			tuple.IntVal(db.rng.Int63n(1 << 30)),
-			tuple.StrVal(pad),
-			tuple.BytesVal(object.EncodeOIDs(unit)),
-		})
+	t := make(tuple.Tuple, 0, 6)
+	for k := int64(0); k < int64(n); k++ {
+		t = append(t[:0],
+			tuple.IntVal(int64(object.NewOID(rel.ID, k))),
+			tuple.IntVal(db.rng.Int63n(1<<30)),
+			tuple.IntVal(db.rng.Int63n(1<<30)),
+			tuple.IntVal(db.rng.Int63n(1<<30)),
+			tuple.StrVal(pad))
+		if tail != nil {
+			raw, err := tail(k)
+			if err != nil {
+				return nil, err
+			}
+			t = append(t, tuple.BytesVal(raw))
+		}
+		rec, err := tuple.Encode(nil, s, t)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := rel.Tree.Insert(p, rec); err != nil {
-			return err
+		if err := rel.Tree.Insert(k, rec); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return rel, nil
 }
 
 // fixDuplicates repairs within-unit duplicate subobjects by swapping

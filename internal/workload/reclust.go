@@ -5,7 +5,7 @@ import (
 	"sort"
 	"sync"
 
-	"corep/internal/heap"
+	"corep/internal/disk"
 	"corep/internal/object"
 	"corep/internal/reclust"
 	"corep/internal/storage"
@@ -40,22 +40,9 @@ type ReclustState struct {
 	feeder *reclust.Feeder
 
 	// mu serializes migration batches against each other and against
-	// the extent write-through of ApplyUpdateCluster.
-	mu     sync.Mutex
-	extent *heap.File // lazily created; reset after a crash
-
-	// pageMu guards the bytes of extent pages. A batch appends to the
-	// same tail page whose earlier, already published rows concurrent
-	// readers are fetching, and both sides touch the page header and
-	// slot directory: Read copies a row out under the shared lock, the
-	// append and the write-through rewrite hold it exclusively for the
-	// one page mutation. Lock order: mu → pageMu → pool shard.
-	pageMu sync.RWMutex
-
-	migrated   int64
-	batches    int64
-	pagesDirty int64
-	dropped    int64
+	// the extent write-through of ApplyUpdateCluster. Lock order: mu →
+	// the core's extent page lock → pool shard.
+	mu sync.Mutex
 }
 
 // EnableReclustering installs the reclustering state: a heat tracker
@@ -85,44 +72,8 @@ func (db *DB) EnableReclustering(heatCap, halfLife int) error {
 	return nil
 }
 
-// Read fetches a placed record by RID straight through the buffer
-// pool. Deliberately independent of the extent file handle: placements
-// that survived a crash stay readable even though the post-crash
-// extent chain starts fresh.
-func (rs *ReclustState) Read(rid storage.RID) ([]byte, error) {
-	rs.pageMu.RLock()
-	defer rs.pageMu.RUnlock()
-	buf, err := rs.db.Pool.Pin(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	pg := storage.Page{Buf: buf}
-	rec, err := pg.Record(int(rid.Slot))
-	if err != nil {
-		rs.db.Pool.Unpin(rid.Page, false)
-		return nil, err
-	}
-	out := append([]byte(nil), rec...)
-	rs.db.Pool.Unpin(rid.Page, false)
-	return out, nil
-}
-
 // Stats snapshots the reclustering counters.
-func (rs *ReclustState) Stats() reclust.Stats {
-	touches, evictions := rs.Heat.Counters()
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return reclust.Stats{
-		Tracked:    rs.Heat.Len(),
-		Touches:    touches,
-		Evictions:  evictions,
-		Placements: rs.Place.Len(),
-		Migrated:   rs.migrated,
-		Batches:    rs.batches,
-		PagesDirty: rs.pagesDirty,
-		Dropped:    rs.dropped,
-	}
-}
+func (rs *ReclustState) Stats() reclust.Stats { return rs.db.ReclustStats(rs.Heat, rs.Place) }
 
 // reclustMove is one parent's migration work within a batch: the
 // parent's own row (oids[0]) followed by the unit members to copy.
@@ -134,13 +85,12 @@ type reclustMove struct {
 // ReclustStep runs one migration batch: pick up to maxParents of the
 // hottest not-yet-migrated parents, copy each one's whole unit —
 // parent row, then members in unit order — onto shared extent pages,
-// and publish the placements. Concurrent with versioned serving: the copy reads base
-// pages no versioned updater writes, and publication rides a txn
-// commit — the per-object latch stripes are held, the placement map
-// and the cache watermarks advance inside the commit critical section,
-// so no snapshot ever sees half a batch. With the WAL enabled the
-// batch's page images and placement blob become durable before the
-// redirect publishes; a crash in between loses only orphan extent rows.
+// and publish the placements through the core's commit path (Commit,
+// then Publish). Concurrent with versioned serving: the copy reads base
+// pages no versioned updater writes, and no snapshot ever sees half a
+// batch. With the WAL enabled the batch's page images and placement
+// blob become durable before the redirect publishes; a crash in between
+// loses only orphan extent rows.
 // Returns how many subobjects moved (0 = nothing left worth moving).
 func (db *DB) ReclustStep(maxParents int) (int, error) {
 	rs := db.Reclust
@@ -163,17 +113,17 @@ func (db *DB) ReclustStep(maxParents int) (int, error) {
 	// mid-copy orphans extent slots and changes no answer.
 	entries := make(map[object.OID]reclust.Entry)
 	var moved []object.OID
-	pages := map[storage.RID]bool{} // distinct pages touched, keyed by {page,0}
+	pages := map[disk.PageID]bool{}
 	for _, mv := range batch {
 		for _, oid := range mv.oids {
 			rid, err := rs.appendCopyLocked(mv.parent, oid)
 			if err != nil {
-				rs.dropped += int64(len(moved))
+				db.NoteDropped(len(moved))
 				return 0, err
 			}
 			entries[oid] = reclust.Entry{RID: rid, Owner: mv.parent}
 			moved = append(moved, oid)
-			pages[storage.RID{Page: rid.Page}] = true
+			pages[rid.Page] = true
 		}
 	}
 
@@ -181,57 +131,37 @@ func (db *DB) ReclustStep(maxParents int) (int, error) {
 	// placement state including this batch ride one WAL commit. If the
 	// commit fails nothing was published — the extent rows are orphans
 	// and recovery restores the previous placements.
-	if db.WAL != nil {
+	if db.Log() != nil {
 		combined := rs.Place.Snapshot()
 		for oid, e := range entries {
 			combined[oid] = e
 		}
-		if _, err := db.WALCommitMeta(reclust.EncodePlacements(combined)); err != nil {
-			rs.dropped += int64(len(moved))
+		if _, err := db.Commit(reclust.EncodePlacements(combined)); err != nil {
+			db.NoteDropped(len(moved))
 			return 0, err
 		}
 	}
 
-	// Publish. Versioned serving: take the moved objects' latch stripes
-	// and install the redirects inside the commit critical section, so
-	// they become visible atomically with a fresh epoch and the cache
-	// watermarks cover them before any snapshot at that epoch exists.
-	if db.Versions != nil {
-		u := db.Versions.BeginUpdate(moved)
-		u.Commit(func(e uint64) {
-			for oid, ent := range entries {
-				ent.Epoch = e
-				entries[oid] = ent
-			}
-			rs.Place.Publish(entries)
-			if db.Cache != nil {
-				db.Cache.MarkInvalid(moved, e)
-			}
-		})
-		if db.Cache != nil {
-			for _, oid := range moved {
-				if _, err := db.Cache.Invalidate(oid); err != nil {
-					return len(moved), err
-				}
-			}
+	// Publish. Versioned serving: the moved objects' latch stripes are
+	// taken and the redirects install inside the commit critical
+	// section, so they become visible atomically with a fresh epoch and
+	// the cache watermarks cover them before any snapshot at that epoch
+	// exists.
+	err := db.Publish(db.BeginUpdate(moved), moved, func(e uint64) {
+		for oid, ent := range entries {
+			ent.Epoch = e
+			entries[oid] = ent
 		}
-	} else {
 		rs.Place.Publish(entries)
-		if db.Cache != nil {
-			for _, oid := range moved {
-				if _, err := db.Cache.Invalidate(oid); err != nil {
-					return len(moved), err
-				}
-			}
-		}
+	})
+	if err != nil {
+		return len(moved), err
 	}
 
 	for _, mv := range batch {
 		db.Assignment.Rehome(mv.oids[1:], mv.parent)
 	}
-	rs.migrated += int64(len(moved))
-	rs.batches++
-	rs.pagesDirty += int64(len(pages))
+	db.NoteBatch(len(moved), len(pages))
 	return len(moved), nil
 }
 
@@ -278,18 +208,11 @@ func (rs *ReclustState) planLocked(maxParents int) []reclustMove {
 // to its new home parent, and returns the copy's RID.
 func (rs *ReclustState) appendCopyLocked(parent int64, oid object.OID) (storage.RID, error) {
 	db := rs.db
-	if rs.extent == nil {
-		f, err := heap.Create(db.Pool)
-		if err != nil {
-			return storage.RID{}, err
-		}
-		rs.extent = f
-	}
 	// Source of the copy: the newest placement if one exists (keeps a
 	// re-migrated row's write-through history), else the base row.
 	var payload []byte
 	if e, ok := rs.Place.Latest(oid); ok {
-		rec, err := rs.Read(e.RID)
+		rec, err := db.ReadPlaced(e.RID)
 		if err != nil {
 			return storage.RID{}, err
 		}
@@ -314,9 +237,7 @@ func (rs *ReclustState) appendCopyLocked(parent int64, oid object.OID) (storage.
 	if err != nil {
 		return storage.RID{}, err
 	}
-	rs.pageMu.Lock()
-	defer rs.pageMu.Unlock()
-	return rs.extent.Append(nrec)
+	return db.AppendPlaced(nrec)
 }
 
 // writeThrough keeps a migrated copy coherent with an in-place base
@@ -331,38 +252,13 @@ func (rs *ReclustState) writeThrough(oid object.OID, ret1 int64) error {
 	if !ok {
 		return nil
 	}
-	rec, err := rs.Read(e.RID)
+	rec, err := rs.db.ReadPlaced(e.RID)
 	if err != nil {
 		return err
 	}
-	t, err := tuple.Decode(rs.db.ClusterSchema, rec)
+	nrec, err := PatchRet1(rs.db.ClusterSchema, rec, clusterRet1, ret1)
 	if err != nil {
 		return err
 	}
-	t[2] = tuple.IntVal(ret1) // ret1 is field 2 in ClusterSchema
-	nrec, err := tuple.Encode(nil, rs.db.ClusterSchema, t)
-	if err != nil {
-		return err
-	}
-	rs.pageMu.Lock()
-	defer rs.pageMu.Unlock()
-	buf, err := rs.db.Pool.Pin(e.RID.Page)
-	if err != nil {
-		return err
-	}
-	err = storage.Page{Buf: buf}.Update(int(e.RID.Slot), nrec)
-	rs.db.Pool.Unpin(e.RID.Page, err == nil)
-	return err
-}
-
-// restoreAfterCrash resets the state to what recovery proved durable:
-// the placements from the last committed WAL metadata blob (all
-// visible — the version store died with the process) and a fresh
-// extent chain for future batches. Old extent pages referenced by the
-// surviving placements stay readable via Read.
-func (rs *ReclustState) restoreAfterCrash(entries map[object.OID]reclust.Entry) {
-	rs.mu.Lock()
-	rs.Place.Replace(entries)
-	rs.extent = nil
-	rs.mu.Unlock()
+	return rs.db.RewritePlaced(e.RID, nrec)
 }

@@ -68,7 +68,7 @@ func TestReclustStepMigratesWholeUnits(t *testing.T) {
 			if e.Owner != p {
 				t.Errorf("placement owner %d, want %d", e.Owner, p)
 			}
-			rec, err := rs.Read(e.RID)
+			rec, err := db.ReadPlaced(e.RID)
 			if err != nil {
 				t.Fatalf("placed copy of %v unreadable: %v", oid, err)
 			}
@@ -119,7 +119,7 @@ func TestReclustWriteThrough(t *testing.T) {
 	if !ok {
 		t.Fatal("updated member lost its placement")
 	}
-	rec, err := rs.Read(e.RID)
+	rec, err := db.ReadPlaced(e.RID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestReclustCrashRestore(t *testing.T) {
 		if !ok || got.RID != want.RID {
 			t.Fatalf("placement of %v: restored %+v, committed %+v", oid, got, want)
 		}
-		rec, err := rs.Read(got.RID)
+		rec, err := db.ReadPlaced(got.RID)
 		if err != nil {
 			t.Fatalf("restored placement of %v unreadable: %v", oid, err)
 		}

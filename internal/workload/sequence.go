@@ -7,6 +7,7 @@ import (
 
 	"corep/internal/object"
 	"corep/internal/tuple"
+	"corep/internal/txn"
 )
 
 // OpKind distinguishes retrieves from updates in a query sequence.
@@ -158,6 +159,21 @@ func (db *DB) zipfDraw(n int) int64 {
 	return t.draw(db.rng)
 }
 
+// clusterRet1 is ret1's position in ClusterSchema (cluster# occupies
+// field 0, shifting the ChildSchema fields by one).
+const clusterRet1 = FieldRet1 + 1
+
+// PatchRet1 re-encodes rec (a tuple of schema s) with the integer field
+// at idx replaced by v — the one modification updates make.
+func PatchRet1(s *tuple.Schema, rec []byte, idx int, v int64) ([]byte, error) {
+	t, err := tuple.Decode(s, rec)
+	if err != nil {
+		return nil, err
+	}
+	t[idx] = tuple.IntVal(v)
+	return tuple.Encode(nil, s, t)
+}
+
 // ApplyUpdateBase applies an update op to the base layout (ChildRel
 // B-trees): probe by key, modify ret1 in place. This is the update path
 // of the non-clustered strategies; the caller is charged the I/O.
@@ -171,12 +187,7 @@ func (db *DB) ApplyUpdateBase(op Op) error {
 		if err != nil {
 			return err
 		}
-		t, err := tuple.Decode(db.ChildSchema, rec)
-		if err != nil {
-			return err
-		}
-		t[FieldRet1] = tuple.IntVal(op.NewRet1[i])
-		nrec, err := tuple.Encode(nil, db.ChildSchema, t)
+		nrec, err := PatchRet1(db.ChildSchema, rec, FieldRet1, op.NewRet1[i])
 		if err != nil {
 			return err
 		}
@@ -187,25 +198,28 @@ func (db *DB) ApplyUpdateBase(op Op) error {
 	return nil
 }
 
-// ApplyUpdateVersioned applies an update op through the version store
-// instead of the base layout: targets are validated, staged, and
-// published as one epoch, with the per-stripe write latches held from
-// BeginUpdate through Commit. mark (optional) runs inside the publish
-// critical section — the dfscache strategy advances its invalidation
-// watermarks there. No base page is written, so concurrent snapshot
-// readers never race a B-tree mutation; DrainVersions folds the values
-// back once serving quiesces.
-func (db *DB) ApplyUpdateVersioned(op Op, mark func(epoch uint64)) error {
+// ApplyUpdate applies an update op on whichever write path is active.
+// Unversioned, inPlace (the caller's layout writer: ApplyUpdateBase or
+// ApplyUpdateCluster) rewrites base pages and the result is nil. Under
+// versioned serving the targets are validated and staged in a txn
+// update whose per-stripe write latches are held from here until the
+// caller hands it to Publish, which makes them visible as one epoch. No
+// base page is written, so concurrent snapshot readers never race a
+// B-tree mutation; DrainVersions folds the values back once serving
+// quiesces.
+func (db *DB) ApplyUpdate(op Op, inPlace func(Op) error) (*txn.Update, error) {
+	if db.Versions == nil {
+		return nil, inPlace(op)
+	}
 	u := db.Versions.BeginUpdate(op.Targets)
 	for i, oid := range op.Targets {
 		if _, err := db.ChildByRelID(oid.Rel()); err != nil {
 			u.Abort()
-			return err
+			return nil, err
 		}
 		u.Stage(oid, op.NewRet1[i])
 	}
-	u.Commit(mark)
-	return nil
+	return u, nil
 }
 
 // DrainVersions folds every pending version back into the base layout:
@@ -245,12 +259,7 @@ func (db *DB) ApplyUpdateCluster(op Op) error {
 		if err != nil {
 			return err
 		}
-		t, err := tuple.Decode(db.ClusterSchema, payload)
-		if err != nil {
-			return err
-		}
-		t[2] = tuple.IntVal(op.NewRet1[i]) // ret1 is field 2 in ClusterSchema
-		nrec, err := tuple.Encode(nil, db.ClusterSchema, t)
+		nrec, err := PatchRet1(db.ClusterSchema, payload, clusterRet1, op.NewRet1[i])
 		if err != nil {
 			return err
 		}

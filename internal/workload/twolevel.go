@@ -5,7 +5,6 @@ import (
 
 	"corep/internal/catalog"
 	"corep/internal/object"
-	"corep/internal/tuple"
 )
 
 // Two-level databases back the multi-dot extension experiment: queries
@@ -88,26 +87,9 @@ func BuildTwoLevel(cfg TwoLevelConfig) (*TwoLevelDB, error) {
 		nLeaf = cfg.SizeUnit
 	}
 
-	// LeafRel.
-	leaf, err := db.Cat.CreateBTree("LeafRel", db.ChildSchema)
+	leaf, err := db.loadBTree("LeafRel", db.ChildSchema, nLeaf, db.padFor(db.ChildSchema, cfg.ChildBytes, 0), nil)
 	if err != nil {
 		return nil, err
-	}
-	leafPad := db.padFor(db.ChildSchema, cfg.ChildBytes, 0)
-	for k := int64(0); k < int64(nLeaf); k++ {
-		rec, err := tuple.Encode(nil, db.ChildSchema, tuple.Tuple{
-			tuple.IntVal(int64(object.NewOID(leaf.ID, k))),
-			tuple.IntVal(db.rng.Int63n(1 << 30)),
-			tuple.IntVal(db.rng.Int63n(1 << 30)),
-			tuple.IntVal(db.rng.Int63n(1 << 30)),
-			tuple.StrVal(leafPad),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := leaf.Tree.Insert(k, rec); err != nil {
-			return nil, err
-		}
 	}
 
 	// Leaf units (exact LeafOverlapFactor) and mid→unit assignment
@@ -116,26 +98,12 @@ func BuildTwoLevel(cfg TwoLevelConfig) (*TwoLevelDB, error) {
 	t.MidUnitOf = db.genAssignment(nMid, numLeafUnits, cfg.LeafUseFactor)
 
 	// MidRel: parent-schema tuples carrying their leaf units.
-	mid, err := db.Cat.CreateBTree("MidRel", db.ParentSchema)
+	midPad := db.padFor(db.ParentSchema, cfg.ChildBytes, cfg.SizeUnit*8)
+	mid, err := db.loadBTree("MidRel", db.ParentSchema, nMid, midPad, func(m int64) ([]byte, error) {
+		return object.EncodeOIDs(t.MidUnits[t.MidUnitOf[m]]), nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	midPad := db.padFor(db.ParentSchema, cfg.ChildBytes, cfg.SizeUnit*8)
-	for m := int64(0); m < int64(nMid); m++ {
-		rec, err := tuple.Encode(nil, db.ParentSchema, tuple.Tuple{
-			tuple.IntVal(int64(object.NewOID(mid.ID, m))),
-			tuple.IntVal(db.rng.Int63n(1 << 30)),
-			tuple.IntVal(db.rng.Int63n(1 << 30)),
-			tuple.IntVal(db.rng.Int63n(1 << 30)),
-			tuple.StrVal(midPad),
-			tuple.BytesVal(object.EncodeOIDs(t.MidUnits[t.MidUnitOf[m]])),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := mid.Tree.Insert(m, rec); err != nil {
-			return nil, err
-		}
 	}
 
 	// Register both relations; Children[0] must be MidRel so the flat
@@ -149,31 +117,8 @@ func BuildTwoLevel(cfg TwoLevelConfig) (*TwoLevelDB, error) {
 	// Parent units over MidRel and ParentRel itself.
 	db.Units = db.genUnits(numMidUnits, nMid, mid.ID)
 	db.ParentUnit = db.genAssignment(cfg.NumParents, numMidUnits, cfg.UseFactor)
-	db.UnitUsers = make([][]int64, numMidUnits)
-	for p, u := range db.ParentUnit {
-		db.UnitUsers[u] = append(db.UnitUsers[u], int64(p))
-	}
-	parent, err := db.Cat.CreateBTree("ParentRel", db.ParentSchema)
-	if err != nil {
+	if err := db.loadParents(); err != nil {
 		return nil, err
-	}
-	db.Parent = parent
-	parentPad := db.padFor(db.ParentSchema, cfg.ParentBytes, cfg.SizeUnit*8)
-	for p := int64(0); p < int64(cfg.NumParents); p++ {
-		rec, err := tuple.Encode(nil, db.ParentSchema, tuple.Tuple{
-			tuple.IntVal(int64(object.NewOID(parent.ID, p))),
-			tuple.IntVal(db.rng.Int63n(1 << 30)),
-			tuple.IntVal(db.rng.Int63n(1 << 30)),
-			tuple.IntVal(db.rng.Int63n(1 << 30)),
-			tuple.StrVal(parentPad),
-			tuple.BytesVal(object.EncodeOIDs(db.Units[db.ParentUnit[p]])),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := parent.Tree.Insert(p, rec); err != nil {
-			return nil, err
-		}
 	}
 	if err := db.ResetCold(); err != nil {
 		return nil, err

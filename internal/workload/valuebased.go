@@ -3,9 +3,9 @@ package workload
 import (
 	"math/rand"
 
-	"corep/internal/buffer"
 	"corep/internal/catalog"
 	"corep/internal/disk"
+	"corep/internal/engine"
 	"corep/internal/object"
 	"corep/internal/tuple"
 )
@@ -24,10 +24,10 @@ import (
 
 // ValueDB is a database using the value-based primary representation.
 type ValueDB struct {
+	*engine.Core
+
 	Cfg  Config
-	Disk *disk.Sim
-	Pool *buffer.Pool
-	Cat  *catalog.Catalog
+	Disk *disk.Sim // the core's disk under its concrete type
 
 	// Parent holds everything: each tuple embeds its unit's subobject
 	// values in the `values` attribute.
@@ -58,10 +58,9 @@ func BuildValueBased(cfg Config) (*ValueDB, error) {
 	}
 	cfg = base.Cfg
 	v := &ValueDB{
+		Core:        base.Core,
 		Cfg:         cfg,
 		Disk:        base.Disk,
-		Pool:        base.Pool,
-		Cat:         base.Cat,
 		ChildSchema: base.ChildSchema,
 		Homes:       make(map[object.OID][]int64),
 		rng:         base.rng,
@@ -100,39 +99,20 @@ func BuildValueBased(cfg Config) (*ValueDB, error) {
 	v.Units = base.genUnits(numUnits, nChild, v.childRelID)
 	v.ParentUnit = base.genAssignment(cfg.NumParents, numUnits, cfg.UseFactor)
 
-	parent, err := v.Cat.CreateBTree("ParentRelV", v.Schema)
-	if err != nil {
-		return nil, err
-	}
-	v.Parent = parent
 	// Size the dummy so the non-values part matches the OID layout's
 	// parent body (fixed fields + padding ≈ ParentBytes − unit list).
 	pad := base.padFor(v.Schema, cfg.ParentBytes, cfg.SizeUnit*8)
-	for p := int64(0); p < int64(cfg.NumParents); p++ {
+	v.Parent, err = base.loadBTree("ParentRelV", v.Schema, cfg.NumParents, pad, func(p int64) ([]byte, error) {
 		unit := v.Units[v.ParentUnit[p]]
 		rows := make([]tuple.Tuple, len(unit))
 		for i, oid := range unit {
 			rows[i] = childTuples[oid.Key()]
 			v.Homes[oid] = append(v.Homes[oid], p)
 		}
-		inline, err := object.EncodeNested(v.ChildSchema, rows)
-		if err != nil {
-			return nil, err
-		}
-		rec, err := tuple.Encode(nil, v.Schema, tuple.Tuple{
-			tuple.IntVal(int64(object.NewOID(parent.ID, p))),
-			tuple.IntVal(v.rng.Int63n(1 << 30)),
-			tuple.IntVal(v.rng.Int63n(1 << 30)),
-			tuple.IntVal(v.rng.Int63n(1 << 30)),
-			tuple.StrVal(pad),
-			tuple.BytesVal(inline),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := parent.Tree.Insert(p, rec); err != nil {
-			return nil, err
-		}
+		return object.EncodeNested(v.ChildSchema, rows)
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Deduplicate Homes entries (a parent embeds a subobject once even if
 	// assignment padding repeated a unit).
@@ -151,18 +131,6 @@ func BuildValueBased(cfg Config) (*ValueDB, error) {
 		return nil, err
 	}
 	return v, nil
-}
-
-// ResetCold mirrors DB.ResetCold.
-func (v *ValueDB) ResetCold() error {
-	if err := v.Pool.FlushAll(); err != nil {
-		return err
-	}
-	if err := v.Pool.Invalidate(); err != nil {
-		return err
-	}
-	v.Disk.ResetStats()
-	return nil
 }
 
 // ChildCount returns the number of distinct logical subobjects.

@@ -2,11 +2,8 @@ package workload
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"corep/internal/cache"
-	"corep/internal/disk"
 	"corep/internal/reclust"
 	"corep/internal/wal"
 )
@@ -14,27 +11,15 @@ import (
 // WAL support for generated databases: the crash-chaos harness drives a
 // workload DB with the no-steal gate armed and an in-memory log device
 // whose sync watermark models what a process kill leaves behind. The
-// workload layer logs page images — a workload database's structure is
-// deterministic in its Config (schedules contain retrieves and updates,
-// never inserts, so B-tree roots don't move) — plus, when online
-// reclustering is on, the placement map as a metadata blob: placements
-// are the one piece of structure the Config cannot re-derive, so each
-// migration batch commits them alongside its extent page images
-// (WALCommitMeta) and CrashAndRecover restores them from Result.Meta.
-
-// WALState is the log attached by EnableWAL.
-type WALState struct {
-	mu  sync.Mutex
-	log *wal.Log
-	dev *wal.MemDevice
-	seq uint64
-}
-
-// Log exposes the attached log (stats, direct appends in tests).
-func (w *WALState) Log() *wal.Log { return w.log }
-
-// Device exposes the in-memory log device (crash controls).
-func (w *WALState) Device() *wal.MemDevice { return w.dev }
+// commit protocol itself is the core's (engine.Core.Commit / Relieve);
+// this file adds only what a simulated kill needs. The workload layer
+// logs page images — a workload database's structure is deterministic
+// in its Config (schedules contain retrieves and updates, never
+// inserts, so B-tree roots don't move) — plus, when online reclustering
+// is on, the placement map as a metadata blob: placements are the one
+// piece of structure the Config cannot re-derive, so each migration
+// batch commits them alongside its extent page images and
+// CrashAndRecover restores them from Result.Meta.
 
 // EnableWAL attaches an in-memory write-ahead log and arms the buffer
 // pool's no-steal gate. syncDelay is the simulated fsync latency (the
@@ -50,112 +35,26 @@ func (db *DB) EnableWAL(syncDelay time.Duration) error {
 	if err != nil {
 		return err
 	}
-	db.WAL = &WALState{log: l, dev: dev}
-	db.Pool.SetNoSteal(true)
-	db.Pool.MarkDirtyUnlogged()
+	db.WAL = dev
+	db.AttachLog(l)
 	return nil
-}
-
-// WALCommit makes the current mutation durable: capture every unlogged
-// page image, append a commit record, sync (group-committed across
-// concurrent callers). Returns the commit's sequence number. The
-// capture and appends are serialized under the WAL mutex; the sync runs
-// outside it so concurrent committers share fsyncs.
-func (db *DB) WALCommit() (uint64, error) {
-	w := db.WAL
-	if w == nil {
-		return 0, nil
-	}
-	w.mu.Lock()
-	if err := db.walCaptureLocked(); err != nil {
-		w.mu.Unlock()
-		return 0, err
-	}
-	w.seq++
-	seq := w.seq
-	lsn, err := w.log.AppendCommit(seq)
-	w.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if err := w.log.Sync(lsn); err != nil {
-		return seq, err
-	}
-	return seq, nil
-}
-
-// WALCommitMeta is WALCommit with a metadata blob riding in front of
-// the commit record: the blob becomes the recovery metadata if and only
-// if this commit survives. The reclustering reorganizer commits each
-// migration batch's placement state this way.
-func (db *DB) WALCommitMeta(meta []byte) (uint64, error) {
-	w := db.WAL
-	if w == nil {
-		return 0, nil
-	}
-	w.mu.Lock()
-	if err := db.walCaptureLocked(); err != nil {
-		w.mu.Unlock()
-		return 0, err
-	}
-	if _, err := w.log.AppendMeta(meta); err != nil {
-		w.mu.Unlock()
-		return 0, err
-	}
-	w.seq++
-	seq := w.seq
-	lsn, err := w.log.AppendCommit(seq)
-	w.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if err := w.log.Sync(lsn); err != nil {
-		return seq, err
-	}
-	return seq, nil
-}
-
-func (db *DB) walCaptureLocked() error {
-	return db.Pool.CollectUnlogged(func(id disk.PageID, img []byte) error {
-		_, err := db.WAL.log.AppendPage(id, img)
-		return err
-	})
-}
-
-// WALRelieve captures unlogged frames without a commit record when the
-// backlog nears the pool's capacity — read paths dirty cache pages that
-// no commit will otherwise drain. The captured images ride with the
-// next commit's fsync; discarded by recovery if no commit follows.
-func (db *DB) WALRelieve() error {
-	w := db.WAL
-	if w == nil {
-		return nil
-	}
-	if db.Pool.UnloggedCount() < db.Pool.Capacity()/4 {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return db.walCaptureLocked()
 }
 
 // WALRollback undoes an uncommitted mutation after a failed update:
 // drop every frame (the no-steal gate guarantees uncommitted changes
 // live only in frames) and redo the log's committed batches into the
 // simulated disk, leaving exactly the last committed state. The cache
-// is rebuilt empty — its hash file died with the frames.
+// is rebuilt empty — its hash file died with the frames. Callers have
+// quiesced committers, so reading the device races no append.
 func (db *DB) WALRollback() error {
-	w := db.WAL
-	if w == nil {
+	if db.WAL == nil {
 		return fmt.Errorf("workload: rollback without a WAL")
 	}
 	db.Pool.Prefetcher().Drain()
 	if err := db.Pool.DropAll(); err != nil {
 		return err
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := wal.Recover(w.dev, db.Disk.Restore); err != nil {
+	if _, err := wal.Recover(db.WAL, db.Disk.Restore); err != nil {
 		return err
 	}
 	return db.rebuildCache()
@@ -170,31 +69,35 @@ func (db *DB) WALRollback() error {
 // post-crash phase is verification, not logged operation) and the cache
 // rebuilt empty. Returns what recovery replayed and discarded.
 func (db *DB) CrashAndRecover(keepUnsynced int64) (*wal.Result, error) {
-	w := db.WAL
-	if w == nil {
+	if db.WAL == nil {
 		return nil, fmt.Errorf("workload: crash without a WAL")
 	}
 	db.Pool.Prefetcher().Drain()
 	if err := db.Pool.DropAll(); err != nil {
 		return nil, err
 	}
-	surviving := w.dev.Crash(keepUnsynced)
+	surviving := db.WAL.Crash(keepUnsynced)
 	res, err := wal.Recover(wal.NewMemDeviceBytes(surviving), db.Disk.Restore)
 	if err != nil {
 		return nil, err
 	}
-	db.Pool.SetNoSteal(false)
+	db.DetachLog()
 	db.WAL = nil
-	if db.Reclust != nil {
+	if rs := db.Reclust; rs != nil {
 		// Placements beyond the last committed metadata blob died with
 		// the process; the blob's entries reference extent pages whose
 		// images were replayed above, so exactly the durable redirects
-		// come back — no lost and no duplicated placements.
+		// come back — no lost and no duplicated placements, all visible
+		// (the version store died with the process). Future batches
+		// start a fresh extent chain.
 		entries, derr := reclust.DecodePlacements(res.Meta)
 		if derr != nil {
 			return nil, derr
 		}
-		db.Reclust.restoreAfterCrash(entries)
+		rs.mu.Lock()
+		rs.Place.Replace(entries)
+		db.ResetExtent()
+		rs.mu.Unlock()
 	}
 	if err := db.rebuildCache(); err != nil {
 		return nil, err
@@ -209,20 +112,5 @@ func (db *DB) rebuildCache() error {
 	if db.Cfg.CacheUnits <= 0 {
 		return nil
 	}
-	// Bucket-directory creation dirties more frames than a small pool
-	// holds; cache pages are derived data (rebuilt empty after any
-	// crash), so they are exempt from write-ahead — disarm the no-steal
-	// gate while they are created. Only the rollback path arrives here
-	// with the gate still armed.
-	if db.Pool.NoSteal() {
-		db.Pool.SetNoSteal(false)
-		defer db.Pool.SetNoSteal(true)
-	}
-	c, err := cache.New(db.Pool, db.Cfg.CacheUnits, db.Cfg.CacheBuckets, db.Cfg.Seed+1)
-	if err != nil {
-		return err
-	}
-	c.Obs = db.Obs
-	db.Cache = c
-	return nil
+	return db.NewCache(db.Cfg.CacheUnits, db.Cfg.CacheBuckets, db.Cfg.Seed+1)
 }

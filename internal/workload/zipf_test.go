@@ -132,7 +132,11 @@ func TestApplyUpdateVersionedAndDrain(t *testing.T) {
 	// EnableVersioning published the empty bootstrap epoch 1, so the
 	// first real update commits as epoch 2.
 	marked := uint64(0)
-	if err := db.ApplyUpdateVersioned(op, func(e uint64) { marked = e }); err != nil {
+	u, err := db.ApplyUpdate(op, db.ApplyUpdateBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Publish(u, nil, func(e uint64) { marked = e }); err != nil {
 		t.Fatal(err)
 	}
 	if marked != 2 {
@@ -178,7 +182,7 @@ func TestApplyUpdateVersionedAndDrain(t *testing.T) {
 
 	// Invalid target aborts cleanly and installs nothing.
 	bad := Op{Kind: OpUpdate, Targets: []object.OID{object.NewOID(9999, 0)}, NewRet1: []int64{1}}
-	if err := db.ApplyUpdateVersioned(bad, nil); err == nil {
+	if _, err := db.ApplyUpdate(bad, db.ApplyUpdateBase); err == nil {
 		t.Fatal("invalid relation id: want error")
 	}
 	st := db.Versions.Stats()
