@@ -292,18 +292,12 @@ func (r *Relation) Get(key int64) (Row, error) {
 // Fetch resolves any OID to its row, preferring a reclustered copy
 // when adaptive clustering has placed one.
 func (d *Database) Fetch(oid OID) (Row, error) {
-	if row, ok, err := d.fetchRedirected(oid); err != nil || ok {
-		return row, err
-	}
-	rel, err := d.core.Cat.ByID(oid.Rel())
-	if err != nil {
-		return nil, err
-	}
-	rec, err := rel.Tree.Get(oid.Key())
-	if err != nil {
-		return nil, err
-	}
-	return tuple.Decode(rel.Schema, rec)
+	var row Row
+	err := d.viewRecord(oid, func(rel *catalog.Relation, rec []byte) (err error) {
+		row, err = tuple.Decode(rel.Schema, rec)
+		return err
+	})
+	return row, err
 }
 
 // FetchBatch resolves many OIDs to their rows. Probes are grouped per
@@ -313,29 +307,10 @@ func (d *Database) Fetch(oid OID) (Row, error) {
 // the same or lower simulated I/O cost.
 func (d *Database) FetchBatch(oids []OID) ([]Row, error) {
 	rows := make([]Row, len(oids))
-	rest, pos := oids, []int(nil)
-	if d.reclust != nil {
-		// Reclustered members read their packed copies — one unit's
-		// members share extent pages, so the pool turns the probes into
-		// one or two page fetches. Only the rest goes to the B-trees.
-		rest = make([]OID, 0, len(oids))
-		for i, oid := range oids {
-			if row, ok, err := d.fetchRedirected(oid); err != nil {
-				return nil, err
-			} else if ok {
-				rows[i] = row
-				continue
-			}
-			rest, pos = append(rest, oid), append(pos, i)
-		}
-	}
-	err := d.core.Cat.ProbeOIDs(rest, func(i int, rel *catalog.Relation, payload []byte) error {
-		if pos != nil {
-			i = pos[i]
-		}
-		// The payload aliases the pinned page; Decode copies strings
-		// and bytes out of it, so the row outlives the batch.
-		row, err := tuple.Decode(rel.Schema, payload)
+	err := d.viewRecords(oids, func(i int, rel *catalog.Relation, rec []byte) error {
+		// Decode copies strings and bytes out of the view, so the row
+		// outlives the batch.
+		row, err := tuple.Decode(rel.Schema, rec)
 		rows[i] = row
 		return err
 	})
@@ -343,6 +318,58 @@ func (d *Database) FetchBatch(oids []OID) ([]Row, error) {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// viewRecord calls fn with the stored record of oid: its reclustered
+// copy when adaptive clustering has placed one, the base row otherwise —
+// a view into the pinned B-tree leaf, valid until fn returns.
+func (d *Database) viewRecord(oid OID, fn func(rel *catalog.Relation, rec []byte) error) error {
+	rel, err := d.core.Cat.ByID(oid.Rel())
+	if err != nil {
+		return err
+	}
+	if rec, ok, err := d.placedRecord(oid); err != nil {
+		return err
+	} else if ok {
+		return fn(rel, rec)
+	}
+	return rel.Tree.View(oid.Key(), func(rec []byte) error { return fn(rel, rec) })
+}
+
+// viewRecords is viewRecord for a list: fn sees the record of oids[i]
+// under its position i, not necessarily in list order. Reclustered
+// members read their packed copies — one unit's members share extent
+// pages, so the pool turns the probes into one or two page fetches — and
+// only the rest goes to the B-trees, in one page-ordered sweep per
+// relation.
+func (d *Database) viewRecords(oids []OID, fn func(i int, rel *catalog.Relation, rec []byte) error) error {
+	rest, pos := oids, []int(nil)
+	if d.reclust != nil {
+		rest = make([]OID, 0, len(oids))
+		for i, oid := range oids {
+			rec, ok, err := d.placedRecord(oid)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				rest, pos = append(rest, oid), append(pos, i)
+				continue
+			}
+			rel, err := d.core.Cat.ByID(oid.Rel())
+			if err != nil {
+				return err
+			}
+			if err := fn(i, rel, rec); err != nil {
+				return err
+			}
+		}
+	}
+	return d.core.Cat.ProbeOIDs(rest, func(i int, rel *catalog.Relation, rec []byte) error {
+		if pos != nil {
+			i = pos[i]
+		}
+		return fn(i, rel, rec)
+	})
 }
 
 // RelationOf returns the name of the relation an OID references.
@@ -440,46 +467,32 @@ func (d *Database) RetrievePath(relName, childrenAttr, targetAttr string, lo, hi
 	if err != nil {
 		return nil, err
 	}
-	r := &Relation{db: d, rel: crel, schema: crel.Schema, childAttrs: map[string]bool{childrenAttr: true}}
+	ai, err := childrenIndex(crel, childrenAttr)
+	if err != nil {
+		return nil, err
+	}
 	var out []Value
 	defer func() {
 		sp.SetAttr("values", int64(len(out)))
 		d.core.Obs.Histogram("query.io", obs.IOBuckets).Observe(float64(d.core.Disk.Stats().Total() - before))
 	}()
-	err = crel.Tree.Range(lo, hi, func(key int64, _ []byte) (bool, error) {
-		res, rerr := r.Resolve(key, childrenAttr)
-		if rerr != nil {
-			return false, rerr
+	p := pathProjector{d: d, attr: targetAttr}
+	// The cursor stands on each object's record while its subobjects are
+	// fetched: the children value is taken from that view, not re-read
+	// through a second descent.
+	err = crel.Tree.Range(lo, hi, func(key int64, rec []byte) (bool, error) {
+		if cerr := tuple.Check(crel.Schema, rec); cerr != nil {
+			return false, cerr
 		}
-		if res.OIDs != nil {
-			// OID-represented units are what adaptive clustering can pack;
-			// feed the heat tracker so Reorganize knows what is hot.
-			d.touchHeat(object.NewOID(crel.ID, key))
-			rows, ferr := d.fetchGroup(res.OIDs)
-			if ferr != nil {
-				return false, ferr
-			}
-			for k, oid := range res.OIDs {
-				srel, ferr := d.core.Cat.ByID(oid.Rel())
-				if ferr != nil {
-					return false, ferr
-				}
-				i := srel.Schema.Index(targetAttr)
-				if i < 0 {
-					return false, fmt.Errorf("corep: %s has no attribute %q", srel.Name, targetAttr)
-				}
-				out = append(out, rows[k][i])
-			}
-			return true, nil
+		kids, cerr := tuple.DecodeField(crel.Schema, rec, ai)
+		if cerr != nil {
+			return false, cerr
 		}
-		i := indexOfAttr(res.Schema, targetAttr)
-		if i < 0 {
-			return false, fmt.Errorf("corep: resolved rows have no attribute %q (have %v)", targetAttr, res.Schema)
+		if len(kids.Raw) == 0 {
+			return false, fmt.Errorf("corep: %s.%s is empty", crel.Name, childrenAttr)
 		}
-		for _, row := range res.Rows {
-			out = append(out, row[i])
-		}
-		return true, nil
+		out, cerr = p.children(object.NewOID(crel.ID, key), kids.Raw, out)
+		return cerr == nil, cerr
 	})
 	if err != nil {
 		return nil, err
@@ -487,18 +500,133 @@ func (d *Database) RetrievePath(relName, childrenAttr, targetAttr string, lo, hi
 	return out, nil
 }
 
-// indexOfAttr finds attr among names, accepting both "attr" and the
-// "rel.attr" form the query language produces.
-func indexOfAttr(names []string, attr string) int {
-	for i, n := range names {
-		if n == attr {
-			return i
-		}
-		if len(n) > len(attr) && n[len(n)-len(attr)-1] == '.' && n[len(n)-len(attr):] == attr {
-			return i
-		}
+// childrenIndex returns the position of children attribute attr in rel,
+// or the error for a name that is not one.
+func childrenIndex(rel *catalog.Relation, attr string) (int, error) {
+	i := rel.Schema.Index(attr)
+	if i < 0 {
+		return -1, fmt.Errorf("corep: %s has no attribute %q", rel.Name, attr)
 	}
-	return -1
+	if rel.Schema.Fields[i].Kind != tuple.KBytes {
+		return -1, fmt.Errorf("corep: %s.%s is not a children attribute", rel.Name, attr)
+	}
+	return i, nil
+}
+
+// pathProjector projects one attribute from the subobjects a path
+// retrieval reaches. Subobject records are read where they lie — on the
+// pinned B-tree leaf, inside the parent's value-based children field —
+// checked once, and only attr is materialized from each.
+type pathProjector struct {
+	d    *Database
+	attr string
+	// schema and idx remember where attr sits in the subobject schema
+	// last seen: a path reaches the same relation over and over.
+	schema *tuple.Schema
+	idx    int
+}
+
+// field checks one subobject record and projects attr from it.
+func (p *pathProjector) field(rel *catalog.Relation, rec []byte) (Value, error) {
+	if p.schema != rel.Schema {
+		p.schema, p.idx = rel.Schema, rel.Schema.Index(p.attr)
+	}
+	if p.idx < 0 {
+		return Value{}, fmt.Errorf("corep: %s has no attribute %q", rel.Name, p.attr)
+	}
+	if err := tuple.Check(rel.Schema, rec); err != nil {
+		return Value{}, err
+	}
+	return tuple.DecodeField(rel.Schema, rec, p.idx)
+}
+
+// children appends attr of every subobject of one object's non-empty
+// children value, whichever representation it uses. raw is read in place.
+func (p *pathProjector) children(parent OID, raw []byte, out []Value) ([]Value, error) {
+	d := p.d
+	switch raw[0] {
+	case tagOIDs:
+		oids, err := object.DecodeOIDs(raw[1:])
+		if err != nil {
+			return nil, err
+		}
+		// OID-represented units are what adaptive clustering can pack;
+		// feed the heat tracker so Reorganize knows what is hot.
+		d.touchHeat(parent)
+		return p.members(oids, out)
+	case tagProc:
+		return pql.Project(d.core.Cat, string(raw[1:]), p.attr, out)
+	case tagValue:
+		if len(raw) < 3 {
+			return nil, errors.New("corep: malformed value-based children")
+		}
+		rel, err := d.core.Cat.ByID(uint16(raw[1]) | uint16(raw[2])<<8)
+		if err != nil {
+			return nil, err
+		}
+		i := rel.Schema.Lookup(p.attr)
+		if i < 0 {
+			return nil, fmt.Errorf("corep: resolved rows have no attribute %q (have %v)", p.attr, rel.Schema.Names())
+		}
+		err = object.EachNested(raw[3:], func(rec []byte) error {
+			if err := tuple.Check(rel.Schema, rec); err != nil {
+				return err
+			}
+			v, err := tuple.DecodeField(rel.Schema, rec, i)
+			out = append(out, v)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	return nil, fmt.Errorf("corep: unknown children tag %q", raw[0])
+}
+
+// member projects attr from one subobject, as Fetch would find it.
+func (p *pathProjector) member(oid OID) (v Value, err error) {
+	err = p.d.viewRecord(oid, func(rel *catalog.Relation, rec []byte) error {
+		v, err = p.field(rel, rec)
+		return err
+	})
+	return v, err
+}
+
+// members appends attr of each listed subobject, in list order: as
+// FetchBatch would find them or, where the planner prefers it, one probe
+// each.
+func (p *pathProjector) members(oids []OID, out []Value) ([]Value, error) {
+	d := p.d
+	at := len(out)
+	out = append(out, make([]Value, len(oids))...)
+	take := func(i int, rel *catalog.Relation, rec []byte) (err error) {
+		out[at+i], err = p.field(rel, rec)
+		return err
+	}
+	planned := d.planner != nil && len(oids) > 0
+	tr, relID, before := pql.TraversalBatch, uint16(0), int64(0)
+	if planned {
+		d.plannerPlans++
+		relID = oids[0].Rel()
+		tr, _ = d.planner.ChooseTraversal(relID, len(oids))
+		before = d.core.Disk.Stats().Reads
+	}
+	if tr == pql.TraversalProbe {
+		for i, oid := range oids {
+			v, err := p.member(oid)
+			if err != nil {
+				return nil, fmt.Errorf("corep: fetch %v: %w", oid, err)
+			}
+			out[at+i] = v
+		}
+	} else if err := d.viewRecords(oids, take); err != nil {
+		return nil, err
+	}
+	if planned {
+		d.planner.ObserveTraversal(relID, tr, len(oids), d.core.Disk.Stats().Reads-before)
+	}
+	return out, nil
 }
 
 // QueryResult is a materialized result of the retrieve language.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"corep/internal/cache"
 	"corep/internal/object"
@@ -252,9 +253,13 @@ func (d *Database) RetrievePathCached(relName, childrenAttr, targetAttr string, 
 	if err != nil {
 		return nil, err
 	}
+	if _, err := childrenIndex(crel, childrenAttr); err != nil {
+		return nil, err
+	}
 	epoch, release := d.beginSnapshotEpoch()
 	defer release()
 	r := &Relation{db: d, rel: crel, schema: crel.Schema, childAttrs: map[string]bool{childrenAttr: true}}
+	p := pathProjector{d: d, attr: targetAttr}
 	var out []Value
 	err = crel.Tree.Range(lo, hi, func(key int64, _ []byte) (bool, error) {
 		res, rerr := r.resolveCached(key, childrenAttr, epoch)
@@ -268,23 +273,15 @@ func (d *Database) RetrievePathCached(relName, childrenAttr, targetAttr string, 
 		}
 		if res.OIDs != nil {
 			for _, oid := range res.OIDs {
-				row, ferr := d.Fetch(oid)
+				v, ferr := p.member(oid)
 				if ferr != nil {
 					return false, ferr
 				}
-				srel, ferr := d.core.Cat.ByID(oid.Rel())
-				if ferr != nil {
-					return false, ferr
-				}
-				i := srel.Schema.Index(targetAttr)
-				if i < 0 {
-					return false, fmt.Errorf("corep: %s has no attribute %q", srel.Name, targetAttr)
-				}
-				out = append(out, row[i])
+				out = append(out, v)
 			}
 			return true, nil
 		}
-		i := indexOfAttr(res.Schema, targetAttr)
+		i := slices.IndexFunc(res.Schema, func(name string) bool { return tuple.Named(name, targetAttr) })
 		if i < 0 {
 			return false, fmt.Errorf("corep: resolved rows have no attribute %q (have %v)", targetAttr, res.Schema)
 		}
@@ -317,6 +314,9 @@ func (d *Database) RetrievePathN(relName string, attrs []string, lo, hi int64) (
 	if err != nil {
 		return nil, err
 	}
+	if _, err := childrenIndex(crel, childAttrs[0]); err != nil {
+		return nil, err
+	}
 	// Level 0: qualifying roots.
 	frontier := make([]object.OID, 0, hi-lo+1)
 	err = crel.Tree.Range(lo, hi, func(key int64, _ []byte) (bool, error) {
@@ -334,6 +334,9 @@ func (d *Database) RetrievePathN(relName string, attrs []string, lo, hi int64) (
 			if err != nil {
 				return nil, err
 			}
+			if _, err := childrenIndex(rel, attr); err != nil {
+				return nil, err
+			}
 			rw := &Relation{db: d, rel: rel, schema: rel.Schema, childAttrs: map[string]bool{attr: true}}
 			res, err := rw.Resolve(oid.Key(), attr)
 			if err != nil {
@@ -346,21 +349,14 @@ func (d *Database) RetrievePathN(relName string, attrs []string, lo, hi int64) (
 		}
 		frontier = next
 	}
+	p := pathProjector{d: d, attr: targetAttr}
 	out := make([]Value, 0, len(frontier))
 	for _, oid := range frontier {
-		row, err := d.Fetch(oid)
+		v, err := p.member(oid)
 		if err != nil {
 			return nil, err
 		}
-		rel, err := d.core.Cat.ByID(oid.Rel())
-		if err != nil {
-			return nil, err
-		}
-		i := rel.Schema.Index(targetAttr)
-		if i < 0 {
-			return nil, fmt.Errorf("corep: %s has no attribute %q", rel.Name, targetAttr)
-		}
-		out = append(out, row[i])
+		out = append(out, v)
 	}
 	return out, nil
 }

@@ -8,8 +8,6 @@ package corep
 // probe-everywhere executor, bit-identical to the pre-planner facade.
 
 import (
-	"fmt"
-
 	"corep/internal/planner"
 	"corep/internal/pql"
 )
@@ -76,37 +74,4 @@ func (d *Database) ExplainQuery(src string) (*pql.Plan, error) {
 		opts.Planner = d.planner
 	}
 	return pql.Explain(d.core.Cat, q, opts)
-}
-
-// fetchGroup fetches subobject rows for an OID list, letting the
-// planner pick probe vs batch when enabled (RetrievePath's expansion
-// step). Without a planner it is exactly FetchBatch.
-func (d *Database) fetchGroup(oids []OID) ([]Row, error) {
-	if d.planner == nil || len(oids) == 0 {
-		return d.FetchBatch(oids)
-	}
-	d.plannerPlans++
-	relID := oids[0].Rel()
-	tr, _ := d.planner.ChooseTraversal(relID, len(oids))
-	before := d.core.Disk.Stats().Reads
-	var (
-		rows []Row
-		err  error
-	)
-	if tr == pql.TraversalProbe {
-		rows = make([]Row, len(oids))
-		for i, oid := range oids {
-			rows[i], err = d.Fetch(oid)
-			if err != nil {
-				return nil, fmt.Errorf("corep: fetch %v: %w", oid, err)
-			}
-		}
-	} else {
-		rows, err = d.FetchBatch(oids)
-		if err != nil {
-			return nil, err
-		}
-	}
-	d.planner.ObserveTraversal(relID, tr, len(oids), d.core.Disk.Stats().Reads-before)
-	return rows, nil
 }

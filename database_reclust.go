@@ -94,9 +94,9 @@ func (d *Database) dropPlacement(oid OID) {
 	delete(rs.done, OID(e.Owner))
 }
 
-// fetchRedirected resolves oid through the placement map when
-// reclustering is on; ok reports whether a placed copy answered.
-func (d *Database) fetchRedirected(oid OID) (Row, bool, error) {
+// placedRecord returns oid's migrated copy when reclustering is on and
+// the placement map holds one; the record is the caller's own.
+func (d *Database) placedRecord(oid OID) (rec []byte, ok bool, err error) {
 	if d.reclust == nil {
 		return nil, false, nil
 	}
@@ -104,16 +104,8 @@ func (d *Database) fetchRedirected(oid OID) (Row, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	rel, err := d.core.Cat.ByID(oid.Rel())
-	if err != nil {
-		return nil, false, err
-	}
-	rec, err := d.core.ReadPlaced(e.RID)
-	if err != nil {
-		return nil, false, err
-	}
-	row, err := tuple.Decode(rel.Schema, rec)
-	return row, err == nil, err
+	rec, err = d.core.ReadPlaced(e.RID)
+	return rec, err == nil, err
 }
 
 // ReorganizeResult summarizes one Reorganize call.

@@ -382,17 +382,19 @@ func (t *Tree) splitInner(pg storage.Page, pos int, rec []byte) (entryRef, disk.
 // returned slice is the caller's own copy.
 func (t *Tree) Get(key int64) ([]byte, error) {
 	var out []byte
-	err := t.view(key, func(payload []byte) error {
+	err := t.View(key, func(payload []byte) error {
 		out = append([]byte(nil), payload...)
 		return nil
 	})
 	return out, err
 }
 
-// view calls fn with the payload of the first entry with exactly key,
+// View calls fn with the payload of the first entry with exactly key,
 // as a view into the pinned leaf: one descent, one leaf pin, no copy.
-// The view is valid only until fn returns.
-func (t *Tree) view(key int64, fn func(payload []byte) error) error {
+// The view is read-only and valid only until fn returns; fn may re-enter
+// the pool but must not restructure this tree. A missing key is
+// ErrNotFound, as from Get, and fn's own error is returned as is.
+func (t *Tree) View(key int64, fn func(payload []byte) error) error {
 	var it Iterator
 	if err := t.seek(&it, key); err != nil {
 		return err
@@ -429,7 +431,7 @@ func (t *Tree) GetBatch(keys []int64, fn func(i int, payload []byte) error) erro
 	}
 	if len(keys) < buffer.BatchSortMin {
 		for i, k := range keys {
-			if err := t.view(k, func(payload []byte) error { return fn(i, payload) }); err != nil {
+			if err := t.View(k, func(payload []byte) error { return fn(i, payload) }); err != nil {
 				return err
 			}
 		}

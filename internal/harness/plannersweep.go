@@ -76,9 +76,9 @@ func DefaultPlannerSweepConfig() PlannerSweepConfig {
 
 // PlannerPhaseResult is one phase's measured outcome.
 type PlannerPhaseResult struct {
-	Name      string             `json:"name"`
-	Retrieves int                `json:"retrieves"`
-	Updates   int                `json:"updates"`
+	Name      string `json:"name"`
+	Retrieves int    `json:"retrieves"`
+	Updates   int    `json:"updates"`
 	// IOPerQuery maps arm name ("DFS", …, "PLANNED") to retrieve I/O per
 	// retrieve (pages), summed from each retrieve's measured cost split.
 	IOPerQuery map[string]float64 `json:"io_per_query"`

@@ -243,3 +243,34 @@ func TestPrimaryCachedStrings(t *testing.T) {
 		t.Fatal("cached strings")
 	}
 }
+
+// TestEachNestedWalksInPlace: members come as views into the value, in
+// order, and the walk stops at the first error fn returns.
+func TestEachNestedWalksInPlace(t *testing.T) {
+	s := tuple.NewSchema(tuple.Field{Name: "k", Kind: tuple.KInt}, tuple.Field{Name: "v", Kind: tuple.KString})
+	raw, err := EncodeNested(s, []tuple.Tuple{
+		{tuple.IntVal(1), tuple.StrVal("one")}, {tuple.IntVal(2), tuple.StrVal("two")}, {tuple.IntVal(3), tuple.StrVal("three")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []int64
+	stop := errors.New("stop")
+	err = EachNested(raw, func(rec []byte) error {
+		if &rec[0] != &raw[cap(raw)-cap(rec)] {
+			t.Fatal("member is not a view into the value")
+		}
+		k, err := tuple.Key(s, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+		if k == 2 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || len(keys) != 2 || keys[0] != 1 || keys[1] != 2 {
+		t.Fatalf("walk visited %v and returned %v", keys, err)
+	}
+}

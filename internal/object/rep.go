@@ -136,32 +136,53 @@ func EncodeNested(s *tuple.Schema, tuples []tuple.Tuple) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeNested parses inline subobject tuples written by EncodeNested.
-func DecodeNested(s *tuple.Schema, raw []byte) ([]tuple.Tuple, error) {
+// EachNested walks the inline subobject records of a value written by
+// EncodeNested, calling fn with each encoded record as a view into raw —
+// nothing is decoded or copied, so a reader that wants one field of each
+// member pays for that field only. The framing is checked as the walk
+// reaches it: fn has already seen the members before a truncation, and
+// trailing bytes are reported after the last one.
+func EachNested(raw []byte, fn func(rec []byte) error) error {
 	if len(raw) < 4 {
-		return nil, fmt.Errorf("object: nested value too short (%d bytes)", len(raw))
+		return fmt.Errorf("object: nested value too short (%d bytes)", len(raw))
 	}
 	n := int(binary.LittleEndian.Uint32(raw))
 	raw = raw[4:]
-	out := make([]tuple.Tuple, 0, n)
 	for i := 0; i < n; i++ {
 		if len(raw) < 4 {
-			return nil, fmt.Errorf("object: nested value truncated at tuple %d", i)
+			return fmt.Errorf("object: nested value truncated at tuple %d", i)
 		}
 		l := int(binary.LittleEndian.Uint32(raw))
 		raw = raw[4:]
 		if len(raw) < l {
-			return nil, fmt.Errorf("object: nested tuple %d truncated", i)
+			return fmt.Errorf("object: nested tuple %d truncated", i)
 		}
-		t, err := tuple.Decode(s, raw[:l])
-		if err != nil {
-			return nil, err
+		if err := fn(raw[:l]); err != nil {
+			return err
 		}
-		out = append(out, t)
 		raw = raw[l:]
 	}
 	if len(raw) != 0 {
-		return nil, fmt.Errorf("object: %d trailing bytes after nested tuples", len(raw))
+		return fmt.Errorf("object: %d trailing bytes after nested tuples", len(raw))
+	}
+	return nil
+}
+
+// DecodeNested parses inline subobject tuples written by EncodeNested.
+func DecodeNested(s *tuple.Schema, raw []byte) ([]tuple.Tuple, error) {
+	var out []tuple.Tuple
+	if len(raw) >= 4 {
+		// Every member takes at least its 4-byte length, which bounds what
+		// a damaged count can make this reserve.
+		out = make([]tuple.Tuple, 0, min(int(binary.LittleEndian.Uint32(raw)), len(raw)/4))
+	}
+	err := EachNested(raw, func(rec []byte) error {
+		t, err := tuple.Decode(s, rec)
+		out = append(out, t)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -13,8 +13,8 @@ import (
 // with the harness's static strategies because it *is* one of them per
 // query — the differential suite leans on exactly that.
 type Planned struct {
-	P      *Planner
-	db     *workload.DB
+	P       *Planner
+	db      *workload.DB
 	statics map[strategy.Kind]strategy.Strategy
 }
 

@@ -32,11 +32,10 @@ func (t Target) Pathy() bool { return len(t.Path) > 0 }
 
 // String renders the target as it was written.
 func (t Target) String() string {
-	s := t.Rel + "." + t.Attr
-	for _, seg := range t.Path {
-		s += "." + seg
+	if len(t.Path) == 0 {
+		return t.Rel + "." + t.Attr
 	}
-	return s
+	return t.Rel + "." + t.Attr + "." + strings.Join(t.Path, ".")
 }
 
 // Expr is a boolean where-clause expression.
@@ -105,36 +104,38 @@ func (o Operand) String() string {
 // Relations returns the distinct relation names a query references, in
 // first-appearance order.
 func (q *Query) Relations() []string {
-	seen := map[string]bool{}
 	var out []string
-	add := func(name string) {
-		if name != "" && !seen[name] {
-			seen[name] = true
-			out = append(out, name)
-		}
-	}
 	for _, t := range q.Targets {
-		add(t.Rel)
-	}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch v := e.(type) {
-		case *BinBool:
-			walk(v.L)
-			walk(v.R)
-		case *Not:
-			walk(v.E)
-		case *Compare:
-			if v.L.Column() {
-				add(v.L.Rel)
-			}
-			if v.R.Column() {
-				add(v.R.Rel)
-			}
-		}
+		out = addRelation(out, t.Rel)
 	}
 	if q.Where != nil {
-		walk(q.Where)
+		out = exprRelations(out, q.Where)
+	}
+	return out
+}
+
+// addRelation appends name unless it is empty or already listed; a query
+// names a handful of relations, so the list is its own set.
+func addRelation(out []string, name string) []string {
+	if name == "" {
+		return out
+	}
+	for _, n := range out {
+		if n == name {
+			return out
+		}
+	}
+	return append(out, name)
+}
+
+func exprRelations(out []string, e Expr) []string {
+	switch v := e.(type) {
+	case *BinBool:
+		return exprRelations(exprRelations(out, v.L), v.R)
+	case *Not:
+		return exprRelations(out, v.E)
+	case *Compare:
+		return addRelation(addRelation(out, v.L.Rel), v.R.Rel)
 	}
 	return out
 }
@@ -157,33 +158,54 @@ func (q *Query) String() string {
 
 // Parse parses a retrieve statement.
 func Parse(src string) (*Query, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := parser{src: src}
+	p.advance()
 	q, err := p.query()
+	if err == nil && p.tok.kind != tokEOF {
+		err = fmt.Errorf("pql: trailing input at %s", p.tok)
+	}
+	if err != nil {
+		// A character the lexer rejects anywhere in the statement is the
+		// error to report, also when the grammar gave up before it.
+		for p.lexErr == nil && p.tok.kind != tokEOF {
+			p.advance()
+		}
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
-	}
-	if p.peek().kind != tokEOF {
-		return nil, fmt.Errorf("pql: trailing input at %s", p.peek())
 	}
 	return q, nil
 }
 
+// parser reads tokens off src as the grammar asks for them, one token of
+// lookahead in tok.
 type parser struct {
-	toks []token
-	pos  int
+	src string
+	off int   // where the token after tok starts
+	tok token // the lookahead
+	// lexErr is the first lexing failure; the token stream reads as ended
+	// from there on.
+	lexErr error
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) advance() {
+	if p.lexErr != nil {
+		return
+	}
+	p.tok, p.off, p.lexErr = lexAt(p.src, p.off)
+	if p.lexErr != nil {
+		p.tok = token{kind: tokEOF, pos: p.off}
+	}
+}
+
+func (p *parser) peek() token { return p.tok }
 
 func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
-	}
+	t := p.tok
+	p.advance()
 	return t
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"corep/internal/catalog"
-	"corep/internal/storage"
 	"corep/internal/tuple"
 )
 
@@ -50,20 +49,112 @@ func Run(cat *catalog.Catalog, src string) (*Result, error) {
 	return Execute(cat, q)
 }
 
-// outSchema builds the result schema from the target list. Attributes
-// are named rel.attr so join results stay unambiguous.
-func outSchema(cat *catalog.Catalog, targets []Target) (*tuple.Schema, []Operand, error) {
+// Project is Run for a caller that wants one column of a stored query's
+// result: it appends the value of result column attr — bare or qualified,
+// as tuple.Schema.Lookup resolves it — of every result row to out, and
+// materializes nothing else. A result without such a column is an error
+// whether or not it has rows.
+func Project(cat *catalog.Catalog, src, attr string, out []tuple.Value) ([]tuple.Value, error) {
+	q, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	j := -1
+	b, err := run(cat, q, ExecOpts{}, func(b *bound) error {
+		if j < 0 {
+			if j = b.schema.Lookup(attr); j < 0 {
+				return errNoColumn(b.schema, attr)
+			}
+		}
+		v, err := b.col(j)
+		out = append(out, v)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if j < 0 && b.schema.Lookup(attr) < 0 { // no row asked
+		return nil, errNoColumn(b.schema, attr)
+	}
+	return out, nil
+}
+
+func errNoColumn(s *tuple.Schema, attr string) error {
+	return fmt.Errorf("%w: stored query returns no attribute %q (have %v)", ErrExec, attr, s.Names())
+}
+
+// ExecuteWith runs a parsed query under opts. Execute delegates here
+// with zero options, so planned and unplanned execution share one
+// pipeline — the differential tests hold them row-identical. This is
+// the boundary where rows leave the executor: each is materialized here,
+// field by field through tuple.DecodeField, and owns its strings and
+// bytes.
+func ExecuteWith(cat *catalog.Catalog, q *Query, opts ExecOpts) (*Result, error) {
+	res := &Result{}
+	b, err := run(cat, q, opts, func(b *bound) error {
+		t := make(tuple.Tuple, len(b.cols))
+		for j := range t {
+			v, err := b.col(j)
+			if err != nil {
+				return err
+			}
+			t[j] = v
+		}
+		res.Tuples = append(res.Tuples, t)
+		if b.keyed {
+			key, err := tuple.Key(b.schemas[0], b.recs[0])
+			if err != nil {
+				return err
+			}
+			res.Sources = append(res.Sources, Source{RelID: b.rels[0].ID, Key: key})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Schema = b.schema
+	return res, nil
+}
+
+// run binds q once and streams its result rows to emit; the row emit
+// sees is valid for that call only. It returns the bound query for its
+// result schema, which a path query completes at the first reached leaf.
+func run(cat *catalog.Catalog, q *Query, opts ExecOpts, emit func(*bound) error) (*bound, error) {
+	for _, t := range q.Targets {
+		if t.Pathy() {
+			return runPath(cat, q, opts, emit)
+		}
+	}
+	names := q.Relations()
+	switch len(names) {
+	case 0:
+		return nil, fmt.Errorf("%w: query references no relations", ErrExec)
+	case 1:
+		return runSingle(cat, q, names, emit)
+	case 2:
+		return runJoin(cat, q, names, emit)
+	default:
+		return nil, fmt.Errorf("%w: %d-relation queries not supported", ErrExec, len(names))
+	}
+}
+
+// outSchema builds the result schema from the target list and binds each
+// result column to (slot of its relation in names, field index).
+// Attributes are named rel.attr so join results stay unambiguous.
+func outSchema(cat *catalog.Catalog, names []string, targets []Target) (*tuple.Schema, []col, error) {
 	var fields []tuple.Field
-	var cols []Operand
+	var cols []col
 	for _, t := range targets {
 		rel, err := cat.Get(t.Rel)
 		if err != nil {
 			return nil, nil, err
 		}
+		slot := slotOf(names, t.Rel)
 		if t.All() {
-			for _, f := range rel.Schema.Fields {
+			for i, f := range rel.Schema.Fields {
 				fields = append(fields, tuple.Field{Name: t.Rel + "." + f.Name, Kind: f.Kind, Width: f.Width})
-				cols = append(cols, Operand{Rel: t.Rel, Attr: f.Name})
+				cols = append(cols, col{slot: slot, idx: i})
 			}
 			continue
 		}
@@ -73,340 +164,216 @@ func outSchema(cat *catalog.Catalog, targets []Target) (*tuple.Schema, []Operand
 		}
 		f := rel.Schema.Fields[i]
 		fields = append(fields, tuple.Field{Name: t.Rel + "." + f.Name, Kind: f.Kind, Width: f.Width})
-		cols = append(cols, Operand{Rel: t.Rel, Attr: t.Attr})
+		cols = append(cols, col{slot: slot, idx: i})
 	}
-	return tuple.NewSchema(fields...), cols, nil
+	schema, err := resultSchema(fields)
+	return schema, cols, err
+}
+
+// resultSchema is tuple.NewSchema for result columns, which a target
+// list may name twice: an error here, where NewSchema panics.
+func resultSchema(fields []tuple.Field) (*tuple.Schema, error) {
+	for i, f := range fields {
+		for _, g := range fields[:i] {
+			if f.Name == g.Name {
+				return nil, fmt.Errorf("%w: target list names %s twice", ErrExec, f.Name)
+			}
+		}
+	}
+	return tuple.NewSchema(fields...), nil
 }
 
 // ResultSchema returns the schema a query's result will have, without
 // executing it. Callers that cache materialized results use it to
 // decode cached rows.
 func ResultSchema(cat *catalog.Catalog, q *Query) (*tuple.Schema, error) {
-	s, _, err := outSchema(cat, q.Targets)
+	s, _, err := outSchema(cat, q.Relations(), q.Targets)
 	return s, err
-}
-
-// env binds relation names to the current tuple during evaluation.
-type env map[string]tuple.Tuple
-
-// resolve returns the value of an operand under the current bindings.
-func resolve(cat *catalog.Catalog, o Operand, e env) (tuple.Value, error) {
-	if !o.Column() {
-		if o.IsStr {
-			return tuple.StrVal(o.Str), nil
-		}
-		return tuple.IntVal(o.Num), nil
-	}
-	t, ok := e[o.Rel]
-	if !ok {
-		return tuple.Value{}, fmt.Errorf("%w: relation %q not bound", ErrExec, o.Rel)
-	}
-	rel, err := cat.Get(o.Rel)
-	if err != nil {
-		return tuple.Value{}, err
-	}
-	i := rel.Schema.Index(o.Attr)
-	if i < 0 {
-		return tuple.Value{}, fmt.Errorf("%w: relation %q has no attribute %q", ErrExec, o.Rel, o.Attr)
-	}
-	return t[i], nil
-}
-
-// eval evaluates a boolean expression under bindings e.
-func eval(cat *catalog.Catalog, x Expr, e env) (bool, error) {
-	switch v := x.(type) {
-	case *BinBool:
-		l, err := eval(cat, v.L, e)
-		if err != nil {
-			return false, err
-		}
-		// No short-circuit surprises needed; both sides are side-effect
-		// free, but avoid evaluating R when L decides.
-		if v.Op == "and" && !l {
-			return false, nil
-		}
-		if v.Op == "or" && l {
-			return true, nil
-		}
-		return eval(cat, v.R, e)
-	case *Not:
-		inner, err := eval(cat, v.E, e)
-		if err != nil {
-			return false, err
-		}
-		return !inner, nil
-	case *Compare:
-		lv, err := resolve(cat, v.L, e)
-		if err != nil {
-			return false, err
-		}
-		rv, err := resolve(cat, v.R, e)
-		if err != nil {
-			return false, err
-		}
-		if lv.Kind != rv.Kind {
-			return false, fmt.Errorf("%w: type mismatch in %s (%v vs %v)", ErrExec, v, lv.Kind, rv.Kind)
-		}
-		c := lv.Compare(rv)
-		switch v.Op {
-		case "=":
-			return c == 0, nil
-		case "!=":
-			return c != 0, nil
-		case "<":
-			return c < 0, nil
-		case "<=":
-			return c <= 0, nil
-		case ">":
-			return c > 0, nil
-		case ">=":
-			return c >= 0, nil
-		}
-		return false, fmt.Errorf("%w: unknown operator %q", ErrExec, v.Op)
-	default:
-		return false, fmt.Errorf("%w: unknown expression node %T", ErrExec, x)
-	}
-}
-
-// scanRel iterates every tuple of a relation (B-tree or heap structured).
-func scanRel(rel *catalog.Relation, fn func(tuple.Tuple) (bool, error)) error {
-	decode := func(rec []byte) (tuple.Tuple, error) { return tuple.Decode(rel.Schema, rec) }
-	switch rel.Kind {
-	case catalog.KindBTree:
-		it, err := rel.Tree.SeekFirst()
-		if err != nil {
-			return err
-		}
-		defer it.Close()
-		for {
-			_, payload, ok, err := it.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			t, err := decode(payload)
-			if err != nil {
-				return err
-			}
-			cont, err := fn(t)
-			if err != nil || !cont {
-				return err
-			}
-		}
-	case catalog.KindHeap:
-		var ferr error
-		err := rel.Heap.Scan(func(_ storage.RID, rec []byte) bool {
-			t, err := decode(rec)
-			if err != nil {
-				ferr = err
-				return false
-			}
-			cont, err := fn(t)
-			if err != nil {
-				ferr = err
-				return false
-			}
-			return cont
-		})
-		if ferr != nil {
-			return ferr
-		}
-		return err
-	default:
-		return fmt.Errorf("%w: cannot scan %q (hash relations are key-value stores)", ErrExec, rel.Name)
-	}
 }
 
 // keyRange extracts a [lo,hi] bound on rel's key attribute (field 0)
 // from a conjunctive predicate, for B-tree range scans. Only top-level
 // conjunctions contribute; anything else returns the full range.
 func keyRange(rel *catalog.Relation, x Expr) (lo, hi int64) {
-	lo, hi = -1<<62, 1<<62
-	if len(rel.Schema.Fields) == 0 || rel.Schema.Fields[0].Kind != tuple.KInt {
-		return lo, hi
+	r := keyBounds{lo: -1 << 62, hi: 1 << 62}
+	if keyed(rel.Schema) {
+		r.narrow(rel.Name, rel.Schema.Fields[0].Name, x)
 	}
-	keyAttr := rel.Schema.Fields[0].Name
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch v := e.(type) {
-		case *BinBool:
-			if v.Op == "and" {
-				walk(v.L)
-				walk(v.R)
-			}
-		case *Compare:
-			col, cst, op := v.L, v.R, v.Op
-			if !col.Column() && cst.Column() {
-				col, cst = cst, col
-				// Mirror the operator when the column is on the right.
-				switch op {
-				case "<":
-					op = ">"
-				case "<=":
-					op = ">="
-				case ">":
-					op = "<"
-				case ">=":
-					op = "<="
-				}
-			}
-			if !col.Column() || cst.Column() || cst.IsStr {
-				return
-			}
-			if col.Rel != rel.Name || col.Attr != keyAttr {
-				return
-			}
+	return r.lo, r.hi
+}
+
+type keyBounds struct{ lo, hi int64 }
+
+// narrow tightens the bounds by every comparison of relName.keyAttr
+// with an integer constant that e's top-level conjunction holds.
+func (r *keyBounds) narrow(relName, keyAttr string, e Expr) {
+	switch v := e.(type) {
+	case *BinBool:
+		if v.Op == "and" {
+			r.narrow(relName, keyAttr, v.L)
+			r.narrow(relName, keyAttr, v.R)
+		}
+	case *Compare:
+		col, cst, op := v.L, v.R, v.Op
+		if !col.Column() && cst.Column() {
+			col, cst = cst, col
+			// Mirror the operator when the column is on the right.
 			switch op {
-			case "=":
-				if cst.Num > lo {
-					lo = cst.Num
-				}
-				if cst.Num < hi {
-					hi = cst.Num
-				}
 			case "<":
-				if cst.Num-1 < hi {
-					hi = cst.Num - 1
-				}
+				op = ">"
 			case "<=":
-				if cst.Num < hi {
-					hi = cst.Num
-				}
+				op = ">="
 			case ">":
-				if cst.Num+1 > lo {
-					lo = cst.Num + 1
-				}
+				op = "<"
 			case ">=":
-				if cst.Num > lo {
-					lo = cst.Num
-				}
+				op = "<="
 			}
 		}
-	}
-	walk(x)
-	return lo, hi
-}
-
-func project(cat *catalog.Catalog, cols []Operand, e env) (tuple.Tuple, error) {
-	out := make(tuple.Tuple, len(cols))
-	for i, c := range cols {
-		v, err := resolve(cat, c, e)
-		if err != nil {
-			return nil, err
+		if !col.Column() || cst.Column() || cst.IsStr {
+			return
 		}
-		out[i] = v
+		if col.Rel != relName || col.Attr != keyAttr {
+			return
+		}
+		switch op {
+		case "=":
+			r.lo, r.hi = max(r.lo, cst.Num), min(r.hi, cst.Num)
+		case "<":
+			r.hi = min(r.hi, cst.Num-1)
+		case "<=":
+			r.hi = min(r.hi, cst.Num)
+		case ">":
+			r.lo = max(r.lo, cst.Num+1)
+		case ">=":
+			r.lo = max(r.lo, cst.Num)
+		}
 	}
-	return out, nil
 }
 
-// execSingle runs a single-relation selection as a streaming pipeline:
-// scan → filter → project, pulled row by row (iter.go). The scan is a
-// bounded B-tree range scan when the predicate bounds the key.
-func execSingle(cat *catalog.Catalog, q *Query, relName string) (*Result, error) {
-	rel, err := cat.Get(relName)
+// runSingle runs a single-relation selection: scan → filter → emit,
+// pulled record by record. The scan is a bounded B-tree range scan when
+// the predicate bounds the key.
+func runSingle(cat *catalog.Catalog, q *Query, names []string, emit func(*bound) error) (*bound, error) {
+	b, err := bind(cat, q, names)
 	if err != nil {
 		return nil, err
 	}
-	schema, cols, err := outSchema(cat, q.Targets)
+	if b.schema, b.cols, err = outSchema(cat, names, q.Targets); err != nil {
+		return nil, err
+	}
+	b.keyed = keyed(b.schemas[0])
+	scan, err := openScan(b.rels[0], q.Where)
 	if err != nil {
 		return nil, err
 	}
-	src, _, err := newRelScan(rel, q.Where)
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	var it rowIter = src
-	if q.Where != nil {
-		it = &filterIter{cat: cat, rel: relName, where: q.Where, src: it}
-	}
-	it = &projectIter{cat: cat, rel: relName, cols: cols, src: it}
-	res := &Result{Schema: schema}
-	keyed := len(rel.Schema.Fields) > 0 && rel.Schema.Fields[0].Kind == tuple.KInt
+	defer scan.Close()
 	for {
-		r, ok, err := it.Next()
+		rec, ok, err := scan.Next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return res, nil
+			return b, nil
 		}
-		res.Tuples = append(res.Tuples, r.out)
-		if keyed {
-			res.Sources = append(res.Sources, Source{RelID: rel.ID, Key: r.base[0].Int})
+		b.recs[0] = rec
+		if err := b.filterEmit(emit); err != nil {
+			return nil, err
 		}
 	}
 }
 
-func execJoin(cat *catalog.Catalog, q *Query, outerName, innerName string) (*Result, error) {
-	outer, err := cat.Get(outerName)
+// pass evaluates the predicate, if there is one, on the current row.
+func (b *bound) pass() (bool, error) {
+	if b.where == nil {
+		return true, nil
+	}
+	return b.where.eval(&b.row)
+}
+
+// filterEmit hands the current row to emit if it passes the predicate.
+func (b *bound) filterEmit(emit func(*bound) error) error {
+	if ok, err := b.pass(); err != nil || !ok {
+		return err
+	}
+	return emit(b)
+}
+
+// runJoin runs a two-relation join: a full scan of the outer relation
+// and, per outer record, an index probe of the inner B-tree when the
+// predicate equates its key, a full inner scan otherwise.
+func runJoin(cat *catalog.Catalog, q *Query, names []string, emit func(*bound) error) (*bound, error) {
+	b, err := bind(cat, q, names)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := cat.Get(innerName)
-	if err != nil {
-		return nil, err
-	}
-	schema, cols, err := outSchema(cat, q.Targets)
-	if err != nil {
+	if b.schema, b.cols, err = outSchema(cat, names, q.Targets); err != nil {
 		return nil, err
 	}
 	if q.Where == nil {
 		return nil, fmt.Errorf("%w: join without a where clause (cartesian products rejected)", ErrExec)
 	}
-	res := &Result{Schema: schema}
-	// Index nested loop when the join predicate equates the inner key.
+	outer, inner := b.rels[0], b.rels[1]
 	probe := indexProbeCol(inner, outer, q.Where)
-	err = scanRel(outer, func(ot tuple.Tuple) (bool, error) {
-		e := env{outerName: ot}
-		if probe != nil {
-			key := ot[probe.outerIdx]
-			if key.Kind == tuple.KInt {
-				payload, gerr := inner.Tree.Get(key.Int)
-				if gerr != nil {
-					return true, nil // no partner
-				}
-				it, derr := tuple.Decode(inner.Schema, payload)
-				if derr != nil {
-					return false, derr
-				}
-				e[innerName] = it
-				ok, eerr := eval(cat, q.Where, e)
-				if eerr != nil {
-					return false, eerr
-				}
-				if ok {
-					row, perr := project(cat, cols, e)
-					if perr != nil {
-						return false, perr
-					}
-					res.Tuples = append(res.Tuples, row)
-				}
-				return true, nil
-			}
-		}
-		return true, scanRel(inner, func(it tuple.Tuple) (bool, error) {
-			e[innerName] = it
-			ok, err := eval(cat, q.Where, e)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				row, err := project(cat, cols, e)
-				if err != nil {
-					return false, err
-				}
-				res.Tuples = append(res.Tuples, row)
-			}
-			return true, nil
-		})
-	})
+	oscan, err := openScan(outer, nil)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	defer oscan.Close()
+	for {
+		rec, ok, err := oscan.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return b, nil
+		}
+		b.recs[0] = rec
+		if probe != nil {
+			key, err := tuple.DecodeField(outer.Schema, rec, probe.outerIdx)
+			if err != nil {
+				return nil, err
+			}
+			if key.Kind == tuple.KInt {
+				// A key with no partner — or a probe that fails any other
+				// way — joins nothing; what the partner's row raises is the
+				// query's error.
+				var rowErr error
+				_ = inner.Tree.View(key.Int, func(payload []byte) error {
+					if rowErr = tuple.Check(inner.Schema, payload); rowErr == nil {
+						b.recs[1] = payload
+						rowErr = b.filterEmit(emit)
+					}
+					return rowErr
+				})
+				if rowErr != nil {
+					return nil, rowErr
+				}
+				continue
+			}
+		}
+		if err := b.scanInner(inner, emit); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// scanInner pairs the current outer record with every inner record.
+func (b *bound) scanInner(inner *catalog.Relation, emit func(*bound) error) error {
+	iscan, err := openScan(inner, nil)
+	if err != nil {
+		return err
+	}
+	defer iscan.Close()
+	for {
+		rec, ok, err := iscan.Next()
+		if err != nil || !ok {
+			return err
+		}
+		b.recs[1] = rec
+		if err := b.filterEmit(emit); err != nil {
+			return err
+		}
+	}
 }
 
 // probeSpec says: for each outer tuple, probe inner's B-tree with the

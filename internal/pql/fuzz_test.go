@@ -3,7 +3,6 @@ package pql
 import (
 	"encoding/binary"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -59,10 +58,13 @@ func FuzzPQLParse(f *testing.F) {
 	})
 }
 
-// fuzzCatalog builds the shared execution fixture for FuzzPQLPlan once
-// per process: person/cyclist from the paper's example plus a team →
-// member complex-object layer covering all three children
-// representations (OID list, nested value, stored query).
+// fuzzCatalog builds the shared execution fixture for FuzzPQLPlan and
+// the reference comparison once per process: member/guest B-trees and a
+// visitor heap to select from and join, a team → member complex-object
+// layer covering all three children representations (OID list — one of
+// them spanning two relations — nested value, stored query), and a
+// league → team layer above it, again in all three, for two-segment
+// paths.
 var fuzzCatalog struct {
 	once sync.Once
 	cat  *catalog.Catalog
@@ -71,71 +73,93 @@ var fuzzCatalog struct {
 func fuzzCat() *catalog.Catalog {
 	fuzzCatalog.once.Do(func() {
 		cat := catalog.New(buffer.New(disk.NewSim(), 128))
-		memberSchema := tuple.NewSchema(
-			tuple.Field{Name: "OID", Kind: tuple.KInt},
-			tuple.Field{Name: "name", Kind: tuple.KString, Width: 12},
-			tuple.Field{Name: "score", Kind: tuple.KInt},
-		)
-		member, err := cat.CreateBTree("member", memberSchema)
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < 9; i++ {
-			rec, err := tuple.Encode(nil, memberSchema, tuple.Tuple{
-				tuple.IntVal(int64(i + 1)), tuple.StrVal(fmt.Sprintf("m%d", i)), tuple.IntVal(int64(i * 3 % 7)),
-			})
+		must := func(err error) {
 			if err != nil {
 				panic(err)
 			}
-			if err := member.Tree.Insert(int64(i+1), rec); err != nil {
-				panic(err)
-			}
 		}
-		teamSchema := tuple.NewSchema(
+		insert := func(rel *catalog.Relation, t tuple.Tuple) {
+			rec, err := tuple.Encode(nil, rel.Schema, t)
+			must(err)
+			if rel.Kind == catalog.KindHeap {
+				_, err = rel.Heap.Append(rec)
+			} else {
+				err = rel.Tree.Insert(t[0].Int, rec)
+			}
+			must(err)
+		}
+		personSchema := func() *tuple.Schema {
+			return tuple.NewSchema(
+				tuple.Field{Name: "OID", Kind: tuple.KInt},
+				tuple.Field{Name: "name", Kind: tuple.KString, Width: 12},
+				tuple.Field{Name: "score", Kind: tuple.KInt},
+			)
+		}
+		memberRow := func(i int) tuple.Tuple {
+			return tuple.Tuple{tuple.IntVal(int64(i + 1)), tuple.StrVal(fmt.Sprintf("m%d", i)), tuple.IntVal(int64(i * 3 % 7))}
+		}
+		member, err := cat.CreateBTree("member", personSchema())
+		must(err)
+		for i := 0; i < 9; i++ {
+			insert(member, memberRow(i))
+		}
+		guest, err := cat.CreateBTree("guest", personSchema())
+		must(err)
+		for i := 0; i < 4; i++ {
+			insert(guest, tuple.Tuple{tuple.IntVal(int64(i + 1)), tuple.StrVal(fmt.Sprintf("g%d", i)), tuple.IntVal(int64(10 + i))})
+		}
+		visitor, err := cat.CreateHeap("visitor", personSchema())
+		must(err)
+		for i, name := range []string{"m2", "v1", "m7", "g0"} {
+			insert(visitor, tuple.Tuple{tuple.IntVal(int64(i + 1)), tuple.StrVal(name), tuple.IntVal(int64(i))})
+		}
+
+		oidList := func(oids ...object.OID) []byte {
+			return append([]byte{object.TagOIDs}, object.EncodeOIDs(oids)...)
+		}
+		nested := func(rel *catalog.Relation, rows ...tuple.Tuple) []byte {
+			body, err := object.EncodeNested(rel.Schema, rows)
+			must(err)
+			kids := append([]byte{object.TagValue, 0, 0}, body...)
+			binary.LittleEndian.PutUint16(kids[1:3], rel.ID)
+			return kids
+		}
+		stored := func(src string) []byte { return append([]byte{object.TagProc}, src...) }
+
+		team, err := cat.CreateBTree("team", tuple.NewSchema(
 			tuple.Field{Name: "OID", Kind: tuple.KInt},
 			tuple.Field{Name: "name", Kind: tuple.KString, Width: 12},
 			tuple.Field{Name: "members", Kind: tuple.KBytes, Width: 128},
-		)
-		team, err := cat.CreateBTree("team", teamSchema)
-		if err != nil {
-			panic(err)
+		))
+		must(err)
+		teamRows := []tuple.Tuple{
+			{tuple.IntVal(1), tuple.StrVal("t0"), tuple.BytesVal(oidList(
+				object.NewOID(member.ID, 1), object.NewOID(member.ID, 2), object.NewOID(member.ID, 3)))},
+			{tuple.IntVal(2), tuple.StrVal("t1"), tuple.BytesVal(stored(
+				"retrieve (member.OID, member.name, member.score) where member.OID >= 4 and member.OID <= 6"))},
+			{tuple.IntVal(3), tuple.StrVal("t2"), tuple.BytesVal(nested(member, memberRow(6), memberRow(7), memberRow(8)))},
+			// The OID list spans two relations, and not in relation order.
+			{tuple.IntVal(4), tuple.StrVal("t3"), tuple.BytesVal(oidList(
+				object.NewOID(guest.ID, 2), object.NewOID(member.ID, 9), object.NewOID(guest.ID, 1), object.NewOID(member.ID, 5)))},
+			{tuple.IntVal(5), tuple.StrVal("t4"), tuple.BytesVal(nil)},
 		}
-		for ti := 0; ti < 3; ti++ {
-			var kids []byte
-			switch ti {
-			case 0: // OID-based
-				var oids []object.OID
-				for i := 0; i < 3; i++ {
-					oids = append(oids, object.NewOID(member.ID, int64(ti*3+i+1)))
-				}
-				kids = append([]byte{object.TagOIDs}, object.EncodeOIDs(oids)...)
-			case 1: // stored query
-				kids = append([]byte{object.TagProc},
-					"retrieve (member.OID, member.name, member.score) where member.OID >= 4 and member.OID <= 6"...)
-			case 2: // nested value
-				var rows []tuple.Tuple
-				for i := 6; i < 9; i++ {
-					rows = append(rows, tuple.Tuple{
-						tuple.IntVal(int64(i + 1)), tuple.StrVal(fmt.Sprintf("m%d", i)), tuple.IntVal(int64(i * 3 % 7)),
-					})
-				}
-				body, err := object.EncodeNested(memberSchema, rows)
-				if err != nil {
-					panic(err)
-				}
-				kids = append([]byte{object.TagValue, 0, 0}, body...)
-				binary.LittleEndian.PutUint16(kids[1:3], member.ID)
-			}
-			rec, err := tuple.Encode(nil, teamSchema, tuple.Tuple{
-				tuple.IntVal(int64(ti + 1)), tuple.StrVal(fmt.Sprintf("t%d", ti)), tuple.BytesVal(kids),
-			})
-			if err != nil {
-				panic(err)
-			}
-			if err := team.Tree.Insert(int64(ti+1), rec); err != nil {
-				panic(err)
-			}
+		for _, t := range teamRows {
+			insert(team, t)
 		}
+
+		league, err := cat.CreateBTree("league", tuple.NewSchema(
+			tuple.Field{Name: "OID", Kind: tuple.KInt},
+			tuple.Field{Name: "name", Kind: tuple.KString, Width: 12},
+			tuple.Field{Name: "teams", Kind: tuple.KBytes, Width: 512},
+		))
+		must(err)
+		insert(league, tuple.Tuple{tuple.IntVal(1), tuple.StrVal("l0"), tuple.BytesVal(oidList(
+			object.NewOID(team.ID, 4), object.NewOID(team.ID, 1), object.NewOID(team.ID, 2), object.NewOID(team.ID, 3)))})
+		insert(league, tuple.Tuple{tuple.IntVal(2), tuple.StrVal("l1"), tuple.BytesVal(nested(team, teamRows[2], teamRows[0]))})
+		insert(league, tuple.Tuple{tuple.IntVal(3), tuple.StrVal("l2"), tuple.BytesVal(stored(
+			"retrieve (team.name, team.members) where team.OID <= 2 or team.OID = 5"))})
+		insert(league, tuple.Tuple{tuple.IntVal(4), tuple.StrVal("l3"), tuple.BytesVal(stored(
+			"retrieve (team.members.name, team.name) where team.OID >= 3"))})
 		fuzzCatalog.cat = cat
 	})
 	return fuzzCatalog.cat
@@ -154,45 +178,26 @@ func (p *fuzzPathPlanner) ChooseTraversal(relID uint16, fanout int) (Traversal, 
 func (p *fuzzPathPlanner) ObserveTraversal(uint16, Traversal, int, int64) {}
 
 // FuzzPQLPlan drives the full parse → plan → execute pipeline against a
-// live complex-object catalog, with a traversal planner installed. The
-// contract: nothing panics, Explain succeeds whenever execution does,
-// and the planned executor returns exactly the unplanned executor's
-// rows — the fuzz half of the plan-equivalence suite.
+// live complex-object catalog. The contract: nothing panics, Explain
+// succeeds whenever execution does, and the bound executor — unplanned,
+// and planned with a traversal planner installed — returns exactly what
+// the decode-everything reference evaluator returns (reference_test.go):
+// rows, Sources, result schema, and failing or not.
 func FuzzPQLPlan(f *testing.F) {
-	f.Add("retrieve (team.name, team.members.score) where team.OID <= 2")
-	f.Add("retrieve (team.members.name)")
-	f.Add("retrieve (team.members.score) where team.name = \"t0\"")
-	f.Add("retrieve (member.all) where member.score > 2 and member.OID < 8")
-	f.Add("retrieve (person.name) where person.name = cyclist.name")
-	f.Add("retrieve (team.members.OID) where team.OID = 1 or team.OID = 3")
+	for _, src := range referenceQueries {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		q, err := Parse(src)
 		if err != nil {
 			return
 		}
 		cat := fuzzCat()
-		want, wantErr := Execute(cat, q)
-		var io int64
-		got, gotErr := ExecuteWith(cat, q, ExecOpts{
-			Planner: &fuzzPathPlanner{},
-			IOStat:  func() int64 { io++; return io },
-		})
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("planned/unplanned disagree on error for %q: %v vs %v", src, wantErr, gotErr)
-		}
-		if wantErr != nil {
+		if _, err := agreeWithReference(t, cat, src, q); err != nil {
 			return
 		}
 		if _, err := Explain(cat, q, ExecOpts{Planner: &fuzzPathPlanner{}}); err != nil {
 			t.Fatalf("executable query %q does not explain: %v", src, err)
-		}
-		if len(got.Tuples) != len(want.Tuples) {
-			t.Fatalf("planned returned %d rows, unplanned %d for %q", len(got.Tuples), len(want.Tuples), src)
-		}
-		for i := range want.Tuples {
-			if !reflect.DeepEqual(got.Tuples[i], want.Tuples[i]) {
-				t.Fatalf("row %d diverges for %q: %v vs %v", i, src, got.Tuples[i], want.Tuples[i])
-			}
 		}
 	})
 }

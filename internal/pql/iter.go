@@ -1,15 +1,15 @@
 package pql
 
-// Streaming execution: query pipelines are composed from pull-based
-// row iterators (scan → filter → expand → project) so a planner can
-// swap an operator — the traversal used to expand a multi-dot path, the
-// scan used to drive a selection — without the executor materializing
-// temporaries between stages. Only the final Result is materialized.
+// Streaming execution: a pipeline pulls encoded records from a scan,
+// filters them with the bound predicate, expands a multi-dot path
+// through the children attributes — with the traversal a planner may
+// choose per step — and emits rows one at a time. Records stay encoded
+// views between the stages (bind.go); only what the query returns is
+// materialized.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"corep/internal/btree"
 	"corep/internal/catalog"
@@ -69,194 +69,97 @@ type ExecOpts struct {
 	depth int
 }
 
-// ExecuteWith runs a parsed query under opts. Execute delegates here
-// with zero options, so planned and unplanned execution share one
-// pipeline — the differential tests hold them row-identical.
-func ExecuteWith(cat *catalog.Catalog, q *Query, opts ExecOpts) (*Result, error) {
-	for _, t := range q.Targets {
-		if t.Pathy() {
-			return execPath(cat, q, opts)
+// relScan streams the encoded records of a relation: a B-tree in key
+// order, optionally bounded to [lo, hi], as views into the leaf the
+// cursor holds pinned — valid until the next Next or Close — or a heap,
+// whose push-only Scan is drained into one buffer up front. Every record
+// is framing-checked as it enters the pipeline, which is what lets the
+// stages behind the scan read single fields.
+type relScan struct {
+	schema *tuple.Schema
+	it     *btree.Iterator // B-tree relations
+	hi     int64
+	buf    []byte // heap relations: the records back to back, ends[i] closing the i-th
+	ends   []int
+	i      int
+}
+
+func (s *relScan) Next() ([]byte, bool, error) {
+	var rec []byte
+	if s.it != nil {
+		key, payload, ok, err := s.it.Next()
+		if err != nil || !ok || key > s.hi {
+			return nil, false, err
 		}
+		rec = payload
+	} else {
+		if s.i == len(s.ends) {
+			return nil, false, nil
+		}
+		start := 0
+		if s.i > 0 {
+			start = s.ends[s.i-1]
+		}
+		rec = s.buf[start:s.ends[s.i]]
+		s.i++
 	}
-	rels := q.Relations()
-	switch len(rels) {
-	case 0:
-		return nil, fmt.Errorf("%w: query references no relations", ErrExec)
-	case 1:
-		return execSingle(cat, q, rels[0])
-	case 2:
-		return execJoin(cat, q, rels[0], rels[1])
-	default:
-		return nil, fmt.Errorf("%w: %d-relation queries not supported", ErrExec, len(rels))
+	if err := tuple.Check(s.schema, rec); err != nil {
+		return nil, false, err
+	}
+	return rec, true, nil
+}
+
+// Close releases the leaf the scan holds; required on every path that
+// stops before exhaustion, harmless after it.
+func (s *relScan) Close() {
+	if s.it != nil {
+		s.it.Close()
 	}
 }
 
-// row flows through an iterator pipeline: the driving relation's base
-// tuple plus, after projection, the output tuple.
-type row struct {
-	base tuple.Tuple
-	out  tuple.Tuple
-}
-
-// rowIter is a pull-based streaming operator.
-type rowIter interface {
-	Next() (row, bool, error)
-	Close()
-}
-
-// btreeScan streams a B-tree relation in key order, optionally bounded
-// to [lo, hi].
-type btreeScan struct {
-	rel *catalog.Relation
-	it  *btree.Iterator
-	hi  int64
-}
-
-func (s *btreeScan) Next() (row, bool, error) {
-	key, payload, ok, err := s.it.Next()
-	if err != nil || !ok || key > s.hi {
-		return row{}, false, err
-	}
-	t, err := tuple.Decode(s.rel.Schema, payload)
-	if err != nil {
-		return row{}, false, err
-	}
-	return row{base: t}, true, nil
-}
-
-func (s *btreeScan) Close() { s.it.Close() }
-
-// sliceScan replays pre-materialized tuples — the fallback for heap
-// relations, whose push-only Scan cannot be pulled from.
-type sliceScan struct {
-	rows []tuple.Tuple
-	i    int
-}
-
-func (s *sliceScan) Next() (row, bool, error) {
-	if s.i >= len(s.rows) {
-		return row{}, false, nil
-	}
-	t := s.rows[s.i]
-	s.i++
-	return row{base: t}, true, nil
-}
-
-func (s *sliceScan) Close() {}
-
-// newRelScan builds the scan operator for rel: a pulled B-tree range
-// scan when the predicate bounds the key, a full B-tree scan otherwise,
-// and a one-shot materialization for heap relations (heap.Scan is
-// push-only). The returned op string names the choice for Explain.
-func newRelScan(rel *catalog.Relation, where Expr) (rowIter, string, error) {
+// openScan builds the scan for rel: a B-tree range scan when the
+// predicate bounds the key, a full B-tree scan otherwise, a drained heap
+// scan for heap relations.
+func openScan(rel *catalog.Relation, where Expr) (*relScan, error) {
+	s := &relScan{schema: rel.Schema}
 	switch rel.Kind {
 	case catalog.KindBTree:
 		lo, hi := int64(-1<<62), int64(1<<62)
-		op := "full-scan"
 		if where != nil {
-			if l, h := keyRange(rel, where); l > lo || h < hi {
-				lo, hi = l, h
-				op = fmt.Sprintf("range-scan [%d,%d]", lo, hi)
-			}
+			lo, hi = keyRange(rel, where)
 		}
-		var (
-			it  *btree.Iterator
-			err error
-		)
-		if op == "full-scan" {
-			it, err = rel.Tree.SeekFirst()
+		var err error
+		if lo > -1<<62 || hi < 1<<62 {
+			s.it, err = rel.Tree.SeekGE(lo)
 		} else {
-			it, err = rel.Tree.SeekGE(lo)
+			s.it, err = rel.Tree.SeekFirst()
 		}
-		if err != nil {
-			return nil, "", err
-		}
-		return &btreeScan{rel: rel, it: it, hi: hi}, op, nil
+		s.hi = hi
+		return s, err
 	case catalog.KindHeap:
-		var rows []tuple.Tuple
-		var ferr error
 		err := rel.Heap.Scan(func(_ storage.RID, rec []byte) bool {
-			t, err := tuple.Decode(rel.Schema, rec)
-			if err != nil {
-				ferr = err
-				return false
-			}
-			rows = append(rows, t)
+			s.buf = append(s.buf, rec...)
+			s.ends = append(s.ends, len(s.buf))
 			return true
 		})
-		if ferr != nil {
-			err = ferr
-		}
-		if err != nil {
-			return nil, "", err
-		}
-		return &sliceScan{rows: rows}, "heap-scan", nil
+		return s, err
 	default:
-		return nil, "", fmt.Errorf("%w: cannot scan %q (hash relations are key-value stores)", ErrExec, rel.Name)
+		return nil, fmt.Errorf("%w: cannot scan %q (hash relations are key-value stores)", ErrExec, rel.Name)
 	}
 }
-
-// filterIter drops rows whose binding fails the predicate.
-type filterIter struct {
-	cat   *catalog.Catalog
-	rel   string
-	where Expr
-	src   rowIter
-}
-
-func (f *filterIter) Next() (row, bool, error) {
-	for {
-		r, ok, err := f.src.Next()
-		if err != nil || !ok {
-			return row{}, false, err
-		}
-		pass, err := eval(f.cat, f.where, env{f.rel: r.base})
-		if err != nil {
-			return row{}, false, err
-		}
-		if pass {
-			return r, true, nil
-		}
-	}
-}
-
-func (f *filterIter) Close() { f.src.Close() }
-
-// projectIter fills each row's output tuple from the target columns.
-type projectIter struct {
-	cat  *catalog.Catalog
-	rel  string
-	cols []Operand
-	src  rowIter
-}
-
-func (p *projectIter) Next() (row, bool, error) {
-	r, ok, err := p.src.Next()
-	if err != nil || !ok {
-		return row{}, false, err
-	}
-	out, err := project(p.cat, p.cols, env{p.rel: r.base})
-	if err != nil {
-		return row{}, false, err
-	}
-	r.out = out
-	return r, true, nil
-}
-
-func (p *projectIter) Close() { p.src.Close() }
 
 // maxPathDepth bounds multi-dot expansion (and stored-procedure
 // recursion) so cyclic procedural attributes terminate with an error
 // instead of looping.
 const maxPathDepth = 8
 
-// execPath runs a query whose target list contains one multi-dot path:
+// runPath runs a query whose target list contains one multi-dot path:
 // the root relation is scanned (and filtered) streamingly, and each
 // surviving root row is expanded through its children attributes, one
 // output row per reached subobject — plain targets repeat per expansion,
 // join-style. Exactly one path target is supported, all other targets
 // and the predicate must bind the root relation.
-func execPath(cat *catalog.Catalog, q *Query, opts ExecOpts) (*Result, error) {
+func runPath(cat *catalog.Catalog, q *Query, opts ExecOpts, emit func(*bound) error) (*bound, error) {
 	if opts.depth >= maxPathDepth {
 		return nil, fmt.Errorf("%w: stored query recursion deeper than %d (cyclic procedural attribute?)", ErrExec, maxPathDepth)
 	}
@@ -274,22 +177,25 @@ func execPath(cat *catalog.Catalog, q *Query, opts ExecOpts) (*Result, error) {
 	if pt.All() {
 		return nil, fmt.Errorf("%w: 'all' cannot start a multi-dot path", ErrExec)
 	}
-	rel, err := cat.Get(pt.Rel)
-	if err != nil {
-		return nil, err
-	}
-	for _, rn := range q.Relations() {
+	names := q.Relations()
+	for _, rn := range names {
 		if rn != pt.Rel {
 			return nil, fmt.Errorf("%w: path query must bind only %q (got %q)", ErrExec, pt.Rel, rn)
 		}
 	}
-	// Plain targets resolve against the root schema; the path column's
-	// field spec is discovered at the first reached leaf.
+	b, err := bind(cat, q, names)
+	if err != nil {
+		return nil, err
+	}
+	rel := b.rels[0]
+	// Plain targets resolve against the root schema; the path column
+	// takes the field spec of the first reached leaf.
 	fields := make([]tuple.Field, len(q.Targets))
-	plainCols := make([]Operand, len(q.Targets))
+	b.cols = make([]col, len(q.Targets))
 	for i, t := range q.Targets {
 		if i == ptIdx {
 			fields[i] = tuple.Field{Name: pt.String(), Kind: tuple.KInt, Width: 8}
+			b.cols[i] = col{slot: pathSlot}
 			continue
 		}
 		if t.All() {
@@ -301,7 +207,7 @@ func execPath(cat *catalog.Catalog, q *Query, opts ExecOpts) (*Result, error) {
 		}
 		f := rel.Schema.Fields[fi]
 		fields[i] = tuple.Field{Name: t.Rel + "." + f.Name, Kind: f.Kind, Width: f.Width}
-		plainCols[i] = Operand{Rel: t.Rel, Attr: t.Attr}
+		b.cols[i] = col{idx: fi}
 	}
 	rootIdx := rel.Schema.Index(pt.Attr)
 	if rootIdx < 0 {
@@ -310,58 +216,46 @@ func execPath(cat *catalog.Catalog, q *Query, opts ExecOpts) (*Result, error) {
 	if rel.Schema.Fields[rootIdx].Kind != tuple.KBytes {
 		return nil, fmt.Errorf("%w: %s.%s is not a children attribute", ErrExec, pt.Rel, pt.Attr)
 	}
+	if b.schema, err = resultSchema(fields); err != nil {
+		return nil, err
+	}
+	b.keyed = keyed(rel.Schema)
 
-	src, _, err := newRelScan(rel, q.Where)
+	scan, err := openScan(rel, q.Where)
 	if err != nil {
 		return nil, err
 	}
-	defer src.Close()
-	var it rowIter = src
-	if q.Where != nil {
-		it = &filterIter{cat: cat, rel: pt.Rel, where: q.Where, src: it}
-	}
-
-	px := &pathExec{cat: cat, opts: opts}
-	res := &Result{}
-	keyed := len(rel.Schema.Fields) > 0 && rel.Schema.Fields[0].Kind == tuple.KInt
+	defer scan.Close()
+	px := &pathExec{cat: cat, opts: opts, leaf: &b.schema.Fields[ptIdx]}
+	var vals []tuple.Value
 	for {
-		r, ok, err := it.Next()
+		rec, ok, err := scan.Next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			break
+			return b, nil
 		}
-		vals, err := px.expand(r.base[rootIdx].Raw, pt.Path, 0)
+		b.recs[0] = rec
+		if ok, err := b.pass(); err != nil {
+			return nil, err
+		} else if !ok {
+			continue
+		}
+		kids, err := tuple.DecodeField(rel.Schema, rec, rootIdx)
 		if err != nil {
 			return nil, err
 		}
+		if vals, err = px.expand(kids.Raw, pt.Path, 0, vals[:0]); err != nil {
+			return nil, err
+		}
 		for _, v := range vals {
-			out := make(tuple.Tuple, len(q.Targets))
-			for i := range q.Targets {
-				if i == ptIdx {
-					out[i] = v
-					continue
-				}
-				rv, err := resolve(cat, plainCols[i], env{pt.Rel: r.base})
-				if err != nil {
-					return nil, err
-				}
-				out[i] = rv
-			}
-			res.Tuples = append(res.Tuples, out)
-			if keyed {
-				res.Sources = append(res.Sources, Source{RelID: rel.ID, Key: r.base[0].Int})
+			b.path = v
+			if err := emit(b); err != nil {
+				return nil, err
 			}
 		}
 	}
-	if px.leaf != nil {
-		fields[ptIdx].Kind = px.leaf.Kind
-		fields[ptIdx].Width = px.leaf.Width
-		fields[ptIdx].Name = pt.String()
-	}
-	res.Schema = tuple.NewSchema(fields...)
-	return res, nil
 }
 
 // pathExec expands children attributes through the representation tags,
@@ -369,47 +263,82 @@ func execPath(cat *catalog.Catalog, q *Query, opts ExecOpts) (*Result, error) {
 type pathExec struct {
 	cat  *catalog.Catalog
 	opts ExecOpts
-	// leaf records the field spec of the first projected leaf attribute,
-	// which becomes the path column's schema entry.
-	leaf *tuple.Field
+	// leaf is the path column's entry in the result schema; the first
+	// projected leaf attribute gives it its kind and width.
+	leaf     *tuple.Field
+	leafSeen bool
+	// memo[d] remembers where the segment applied at depth d sits in the
+	// schema last seen there: a path reaches the same few relations over
+	// and over, so the name is looked up once, not per reached row.
+	memo [maxPathDepth]struct {
+		schema *tuple.Schema
+		idx    int
+	}
 }
 
-// expand follows segs through one encoded children value, returning the
-// projected leaf values in traversal order.
-func (px *pathExec) expand(raw []byte, segs []string, depth int) ([]tuple.Value, error) {
+// reached is a row a path step lands on: a stored record (an OID's
+// target, an inline member), or the current row of a running stored
+// query, whose columns are its bound target list.
+type reached struct {
+	schema *tuple.Schema
+	rec    []byte
+	sub    *bound
+}
+
+func (r reached) col(i int) (tuple.Value, error) {
+	if r.sub != nil {
+		return r.sub.col(i)
+	}
+	return tuple.DecodeField(r.schema, r.rec, i)
+}
+
+// expand follows segs through one encoded children value, appending the
+// projected leaf values to out in traversal order. raw is read in place
+// and must stay valid for the call.
+func (px *pathExec) expand(raw []byte, segs []string, depth int, out []tuple.Value) ([]tuple.Value, error) {
 	if depth >= maxPathDepth {
 		return nil, fmt.Errorf("%w: path expansion deeper than %d (cyclic procedural attribute?)", ErrExec, maxPathDepth)
 	}
 	if len(raw) == 0 {
-		return nil, nil // no children
+		return out, nil // no children
 	}
+	last := len(segs) == 1
 	switch raw[0] {
 	case object.TagOIDs:
 		oids, err := object.DecodeOIDs(raw[1:])
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrExec, err)
 		}
-		return px.expandOIDs(oids, segs, depth)
+		return px.expandOIDs(oids, segs, depth, out)
 	case object.TagValue:
 		if len(raw) < 3 {
 			return nil, fmt.Errorf("%w: truncated value-based children field", ErrExec)
 		}
-		relID := binary.LittleEndian.Uint16(raw[1:3])
-		rel, err := px.cat.ByID(relID)
+		rel, err := px.cat.ByID(binary.LittleEndian.Uint16(raw[1:3]))
 		if err != nil {
 			return nil, err
 		}
-		rows, err := object.DecodeNested(rel.Schema, raw[3:])
+		// Members are walked in place: each is checked and stepped before
+		// the next is looked at, and what a member raises is the query's
+		// error as is; only damage to the framing around them is ErrExec.
+		var rowErr error
+		err = object.EachNested(raw[3:], func(rec []byte) error {
+			var v tuple.Value
+			if v, rowErr = px.enter(rel.Schema, rec, segs, depth); rowErr != nil {
+				return rowErr
+			}
+			if last {
+				out = append(out, v)
+			} else {
+				out, rowErr = px.expand(v.Raw, segs[1:], depth+1, out)
+			}
+			return rowErr
+		})
+		if rowErr != nil {
+			return nil, rowErr
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrExec, err)
-		}
-		var out []tuple.Value
-		for _, t := range rows {
-			vs, err := px.step(rel.Schema, t, segs, depth)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, vs...)
 		}
 		return out, nil
 	case object.TagProc:
@@ -417,38 +346,53 @@ func (px *pathExec) expand(raw []byte, segs []string, depth int) ([]tuple.Value,
 		if err != nil {
 			return nil, fmt.Errorf("%w: stored query: %v", ErrExec, err)
 		}
-		res, err := px.execSub(sub, depth)
+		// The stored query runs to its end before any further segment is
+		// followed, so its scan and the expansions below it do not
+		// interleave their page accesses.
+		var kids [][]byte
+		opts := px.opts
+		opts.depth += depth + 1 // runPath refuses once the nesting passes maxPathDepth
+		_, err = run(px.cat, sub, opts, func(b *bound) error {
+			v, err := px.step(reached{schema: b.schema, sub: b}, segs, depth)
+			if err != nil {
+				return err
+			}
+			if last {
+				out = append(out, v)
+			} else {
+				kids = append(kids, v.Raw)
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		var out []tuple.Value
-		for _, t := range res.Tuples {
-			vs, err := px.step(res.Schema, t, segs, depth)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, vs...)
-		}
-		return out, nil
+		return px.expandAll(kids, segs[1:], depth+1, out)
 	}
 	return nil, fmt.Errorf("%w: unknown children representation tag %q", ErrExec, raw[0])
 }
 
-// execSub evaluates a stored procedural query, threading the planner
-// options with the recursion depth advanced — execPath refuses once the
-// nesting passes maxPathDepth.
-func (px *pathExec) execSub(q *Query, depth int) (*Result, error) {
-	opts := px.opts
-	opts.depth += depth + 1
-	return ExecuteWith(px.cat, q, opts)
+// expandAll expands each children value in turn.
+func (px *pathExec) expandAll(kids [][]byte, segs []string, depth int, out []tuple.Value) ([]tuple.Value, error) {
+	var err error
+	for _, raw := range kids {
+		if out, err = px.expand(raw, segs, depth, out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // expandOIDs fetches the listed subobjects — grouped per relation, with
 // the traversal chosen per group — and steps each one through the
-// remaining segments, in OID-list order regardless of traversal.
-func (px *pathExec) expandOIDs(oids []object.OID, segs []string, depth int) ([]tuple.Value, error) {
+// remaining segments, in OID-list order regardless of traversal. The
+// last segment is projected straight off the pinned page, into the
+// subobject's place in out; an earlier one has its children value copied
+// out, and the copies are expanded once every group has been fetched, so
+// a fetch and the expansions below it do not interleave.
+func (px *pathExec) expandOIDs(oids []object.OID, segs []string, depth int, out []tuple.Value) ([]tuple.Value, error) {
 	if len(oids) == 0 {
-		return nil, nil
+		return out, nil
 	}
 	// Relations are visited in id order so the choose/observe sequence
 	// (and hence the learned model) is deterministic.
@@ -456,8 +400,30 @@ func (px *pathExec) expandOIDs(oids []object.OID, segs []string, depth int) ([]t
 	if err != nil {
 		return nil, err
 	}
-	payloads := make([][]byte, len(oids))
-	rels := make([]*catalog.Relation, len(oids))
+	last := len(segs) == 1
+	base := len(out)
+	var kids [][]byte
+	if last {
+		out = append(out, make([]tuple.Value, len(oids))...)
+	} else {
+		kids = make([][]byte, len(oids))
+	}
+	// rowErr is what a fetched record raised (a damaged record, a path
+	// that does not fit it): the query's error as is, where a failed
+	// fetch is wrapped as ErrExec.
+	var rowErr error
+	take := func(i int, rel *catalog.Relation, payload []byte) error {
+		var v tuple.Value
+		if v, rowErr = px.enter(rel.Schema, payload, segs, depth); rowErr != nil {
+			return rowErr
+		}
+		if last {
+			out[base+i] = v
+		} else {
+			kids[i] = v.Raw
+		}
+		return nil
+	}
 	for _, g := range groups {
 		rel, relID := g.Rel, g.Rel.ID
 		if rel.Kind != catalog.KindBTree || rel.Tree == nil {
@@ -472,76 +438,62 @@ func (px *pathExec) expandOIDs(oids []object.OID, segs []string, depth int) ([]t
 			io0 = px.opts.IOStat()
 		}
 		if tr == TraversalBatch {
-			err = g.GetBatch(oids, func(i int, _ *catalog.Relation, payload []byte) error {
-				payloads[i] = append([]byte(nil), payload...)
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrExec, err)
+			err = g.GetBatch(oids, take)
+			if err != nil && rowErr == nil {
+				err = fmt.Errorf("%w: %v", ErrExec, err)
 			}
 		} else {
 			for _, idx := range g.Pos {
-				payload, err := rel.Tree.Get(oids[idx].Key())
+				err = rel.Tree.View(oids[idx].Key(), func(payload []byte) error { return take(idx, rel, payload) })
 				if err != nil {
-					return nil, fmt.Errorf("%w: subobject %s: %v", ErrExec, oids[idx], err)
+					if rowErr == nil {
+						err = fmt.Errorf("%w: subobject %s: %v", ErrExec, oids[idx], err)
+					}
+					break
 				}
-				payloads[idx] = payload // Get returns the caller's own copy
 			}
 		}
-		for _, idx := range g.Pos {
-			rels[idx] = rel
+		if rowErr != nil {
+			return nil, rowErr
+		}
+		if err != nil {
+			return nil, err
 		}
 		if px.opts.Planner != nil && px.opts.IOStat != nil {
 			px.opts.Planner.ObserveTraversal(relID, tr, len(g.Pos), px.opts.IOStat()-io0)
 		}
 	}
-
-	var out []tuple.Value
-	for i, rel := range rels {
-		t, err := tuple.Decode(rel.Schema, payloads[i])
-		if err != nil {
-			return nil, err
-		}
-		vs, err := px.step(rel.Schema, t, segs, depth)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vs...)
-	}
-	return out, nil
+	return px.expandAll(kids, segs[1:], depth+1, out)
 }
 
-// step applies the next segment to a reached tuple: the last segment
-// projects, earlier segments must name further children attributes.
-func (px *pathExec) step(s *tuple.Schema, t tuple.Tuple, segs []string, depth int) ([]tuple.Value, error) {
-	idx := fieldIndex(s, segs[0])
-	if idx < 0 {
-		return nil, fmt.Errorf("%w: no attribute %q along path", ErrExec, segs[0])
+// enter is step for a stored record the path has just reached: the
+// record is framing-checked before anything is read from it.
+func (px *pathExec) enter(s *tuple.Schema, rec []byte, segs []string, depth int) (tuple.Value, error) {
+	if err := tuple.Check(s, rec); err != nil {
+		return tuple.Value{}, err
 	}
-	f := s.Fields[idx]
+	return px.step(reached{schema: s, rec: rec}, segs, depth)
+}
+
+// step reads the next segment from a reached row. The last segment's
+// value is the projection; an earlier one must be a children attribute,
+// whose value the caller expands through the segments that follow.
+// Either way the value is the caller's own copy.
+func (px *pathExec) step(r reached, segs []string, depth int) (tuple.Value, error) {
+	m := &px.memo[depth]
+	if m.schema != r.schema {
+		m.schema, m.idx = r.schema, r.schema.Lookup(segs[0])
+	}
+	if m.idx < 0 {
+		return tuple.Value{}, fmt.Errorf("%w: no attribute %q along path", ErrExec, segs[0])
+	}
+	f := &r.schema.Fields[m.idx]
 	if len(segs) == 1 {
-		if px.leaf == nil {
-			lf := f
-			px.leaf = &lf
+		if !px.leafSeen {
+			px.leaf.Kind, px.leaf.Width, px.leafSeen = f.Kind, f.Width, true
 		}
-		return []tuple.Value{t[idx]}, nil
+	} else if f.Kind != tuple.KBytes {
+		return tuple.Value{}, fmt.Errorf("%w: %q is not a children attribute", ErrExec, segs[0])
 	}
-	if f.Kind != tuple.KBytes {
-		return nil, fmt.Errorf("%w: %q is not a children attribute", ErrExec, segs[0])
-	}
-	return px.expand(t[idx].Raw, segs[1:], depth+1)
-}
-
-// fieldIndex resolves attr against a schema, accepting both bare names
-// and the "rel.attr" names stored-query results carry.
-func fieldIndex(s *tuple.Schema, attr string) int {
-	if i := s.Index(attr); i >= 0 {
-		return i
-	}
-	for i, f := range s.Fields {
-		if strings.HasSuffix(f.Name, "."+attr) {
-			return i
-		}
-	}
-	return -1
+	return r.col(m.idx)
 }

@@ -42,79 +42,66 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// lex splits src into tokens. Keywords stay tokIdent; the parser
-// recognizes them case-insensitively.
-func lex(src string) ([]token, error) {
-	var toks []token
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '(':
-			toks = append(toks, token{tokLParen, "(", i})
-			i++
-		case c == ')':
-			toks = append(toks, token{tokRParen, ")", i})
-			i++
-		case c == ',':
-			toks = append(toks, token{tokComma, ",", i})
-			i++
-		case c == '.':
-			toks = append(toks, token{tokDot, ".", i})
-			i++
-		case c == '=':
-			toks = append(toks, token{tokOp, "=", i})
-			i++
-		case c == '!' && i+1 < len(src) && src[i+1] == '=':
-			toks = append(toks, token{tokOp, "!=", i})
-			i += 2
-		case c == '<' || c == '>':
-			op := string(c)
-			j := i + 1
-			if j < len(src) && src[j] == '=' {
-				op += "="
-				j++
-			}
-			toks = append(toks, token{tokOp, op, i})
-			i = j
-		case c == '"':
-			j := i + 1
-			for j < len(src) && src[j] != '"' {
-				j++
-			}
-			if j >= len(src) {
-				return nil, fmt.Errorf("pql: unterminated string at %d", i)
-			}
-			toks = append(toks, token{tokString, src[i+1 : j], i})
-			i = j + 1
-		case c == '-' || (c >= '0' && c <= '9'):
-			j := i
-			if c == '-' {
-				j++
-			}
-			for j < len(src) && src[j] >= '0' && src[j] <= '9' {
-				j++
-			}
-			if j == i || (c == '-' && j == i+1) {
-				return nil, fmt.Errorf("pql: bad number at %d", i)
-			}
-			toks = append(toks, token{tokNumber, src[i:j], i})
-			i = j
-		case unicode.IsLetter(rune(c)) || c == '_':
-			j := i
-			for j < len(src) && (unicode.IsLetter(rune(src[j])) || unicode.IsDigit(rune(src[j])) || src[j] == '_' || src[j] == '#') {
-				j++
-			}
-			toks = append(toks, token{tokIdent, src[i:j], i})
-			i = j
-		default:
-			return nil, fmt.Errorf("pql: unexpected character %q at %d", c, i)
-		}
+// lexAt reads the token that starts at or after src[i] and returns it
+// with the offset just past it. Keywords stay tokIdent; the parser
+// recognizes them case-insensitively. Every token text is a substring of
+// src or a constant, so lexing allocates nothing.
+func lexAt(src string, i int) (token, int, error) {
+	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
+		i++
 	}
-	toks = append(toks, token{tokEOF, "", len(src)})
-	return toks, nil
+	if i == len(src) {
+		return token{tokEOF, "", i}, i, nil
+	}
+	c := src[i]
+	switch {
+	case c == '(':
+		return token{tokLParen, "(", i}, i + 1, nil
+	case c == ')':
+		return token{tokRParen, ")", i}, i + 1, nil
+	case c == ',':
+		return token{tokComma, ",", i}, i + 1, nil
+	case c == '.':
+		return token{tokDot, ".", i}, i + 1, nil
+	case c == '=':
+		return token{tokOp, "=", i}, i + 1, nil
+	case c == '!' && i+1 < len(src) && src[i+1] == '=':
+		return token{tokOp, "!=", i}, i + 2, nil
+	case c == '<' || c == '>':
+		j := i + 1
+		if j < len(src) && src[j] == '=' {
+			j++
+		}
+		return token{tokOp, src[i:j], i}, j, nil
+	case c == '"':
+		j := i + 1
+		for j < len(src) && src[j] != '"' {
+			j++
+		}
+		if j >= len(src) {
+			return token{}, i, fmt.Errorf("pql: unterminated string at %d", i)
+		}
+		return token{tokString, src[i+1 : j], i}, j + 1, nil
+	case c == '-' || (c >= '0' && c <= '9'):
+		j := i
+		if c == '-' {
+			j++
+		}
+		for j < len(src) && src[j] >= '0' && src[j] <= '9' {
+			j++
+		}
+		if j == i || (c == '-' && j == i+1) {
+			return token{}, i, fmt.Errorf("pql: bad number at %d", i)
+		}
+		return token{tokNumber, src[i:j], i}, j, nil
+	case unicode.IsLetter(rune(c)) || c == '_':
+		j := i
+		for j < len(src) && (unicode.IsLetter(rune(src[j])) || unicode.IsDigit(rune(src[j])) || src[j] == '_' || src[j] == '#') {
+			j++
+		}
+		return token{tokIdent, src[i:j], i}, j, nil
+	}
+	return token{}, i, fmt.Errorf("pql: unexpected character %q at %d", c, i)
 }
 
 func isKeyword(t token, kw string) bool {

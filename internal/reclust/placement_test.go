@@ -51,7 +51,7 @@ func TestPlacementCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	in := map[object.OID]Entry{}
 	for i := 0; i < 200; i++ {
-		in[object.OID(rng.Int63n(1 << 40))] = Entry{
+		in[object.OID(rng.Int63n(1<<40))] = Entry{
 			RID:   storage.RID{Page: disk.PageID(rng.Uint32() >> 1), Slot: uint16(rng.Intn(1 << 16))},
 			Owner: rng.Int63n(1 << 30),
 			Epoch: uint64(rng.Int63()), // dropped by the codec

@@ -27,12 +27,12 @@ package reclust
 
 // Stats aggregates reclustering counters for snapshots and benches.
 type Stats struct {
-	Tracked    int   `json:"units_tracked"`    // heat-table entries
-	Touches    int64 `json:"touches"`          // heat feed events
-	Evictions  int64 `json:"heat_evictions"`   // coldest-first heat-table evictions
-	Placements int   `json:"placements"`       // live placement-map entries
-	Migrated   int64 `json:"migrations"`       // objects copied onto extent pages
-	Batches    int64 `json:"batches"`          // migration steps committed
-	PagesDirty int64 `json:"pages_rewritten"`  // extent pages written to
+	Tracked    int   `json:"units_tracked"`      // heat-table entries
+	Touches    int64 `json:"touches"`            // heat feed events
+	Evictions  int64 `json:"heat_evictions"`     // coldest-first heat-table evictions
+	Placements int   `json:"placements"`         // live placement-map entries
+	Migrated   int64 `json:"migrations"`         // objects copied onto extent pages
+	Batches    int64 `json:"batches"`            // migration steps committed
+	PagesDirty int64 `json:"pages_rewritten"`    // extent pages written to
 	Dropped    int64 `json:"placements_dropped"` // placements retired by updates
 }

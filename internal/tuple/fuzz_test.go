@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -41,7 +42,8 @@ func mustEncode(s *Schema, t Tuple) []byte {
 // exactly (the seed figures depend on records being bit-stable), the
 // projection path DecodeField agrees with the full Decode on every
 // field, Key agrees on the primary key, and EncodedSize matches the
-// wire length.
+// wire length. Check, the framing walk lazy readers run in Decode's
+// place, accepts exactly the records Decode accepts.
 func FuzzTupleDecode(f *testing.F) {
 	f.Add([]byte{0}, []byte{})
 	f.Add([]byte{0}, mustEncode(fuzzSchemas[0], Tuple{IntVal(1), IntVal(-7), IntVal(1 << 40)}))
@@ -58,6 +60,11 @@ func FuzzTupleDecode(f *testing.F) {
 		s := fuzzSchemas[which]
 
 		tup, err := Decode(s, rec)
+		if cerr := Check(s, rec); (cerr == nil) != (err == nil) {
+			t.Fatalf("Check = %v, Decode = %v on %x", cerr, err, rec)
+		} else if cerr != nil && !errors.Is(cerr, ErrDecode) {
+			t.Fatalf("Check rejected with a foreign error: %v", cerr)
+		}
 		if err != nil {
 			return // malformed input rejected cleanly — that's the contract
 		}

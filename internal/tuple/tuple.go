@@ -74,6 +74,28 @@ func (s *Schema) Index(name string) int {
 	return -1
 }
 
+// Named reports whether a column called name answers to attr: it is
+// attr itself, or attr qualified by a relation — "rel.attr", the way a
+// stored query's result names its columns.
+func Named(name, attr string) bool {
+	n := len(name) - len(attr)
+	return n >= 0 && name[n:] == attr && (n == 0 || name[n-1] == '.')
+}
+
+// Lookup is Index by Named: the field called attr or, failing that, the
+// first one called "rel.attr"; -1 when there is neither.
+func (s *Schema) Lookup(attr string) int {
+	if i, ok := s.byName[attr]; ok {
+		return i
+	}
+	for i, f := range s.Fields {
+		if Named(f.Name, attr) {
+			return i
+		}
+	}
+	return -1
+}
+
 // MustIndex is Index but panics on unknown names (programming errors).
 func (s *Schema) MustIndex(name string) int {
 	i := s.Index(name)
@@ -231,6 +253,36 @@ func Decode(s *Schema, rec []byte) (Tuple, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrDecode, len(rec)-off)
 	}
 	return t, nil
+}
+
+// Check walks rec's framing exactly as Decode does — every field in
+// bounds, no trailing bytes — without materializing a value, so
+// Check(s, rec) == nil exactly when Decode(s, rec) succeeds. Readers that
+// take single fields out of a record with DecodeField call it once when
+// the record enters their hands: DecodeField stops at the field it wants
+// and would not notice damage behind it.
+func Check(s *Schema, rec []byte) error {
+	off := 0
+	for _, f := range s.Fields {
+		if f.Kind == KInt {
+			if off+8 > len(rec) {
+				return fmt.Errorf("%w: field %q", ErrDecode, f.Name)
+			}
+			off += 8
+			continue
+		}
+		if off+2 > len(rec) {
+			return fmt.Errorf("%w: field %q length", ErrDecode, f.Name)
+		}
+		off += 2 + int(binary.LittleEndian.Uint16(rec[off:]))
+		if off > len(rec) {
+			return fmt.Errorf("%w: field %q body", ErrDecode, f.Name)
+		}
+	}
+	if off != len(rec) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrDecode, len(rec)-off)
+	}
+	return nil
 }
 
 // DecodeField parses only field idx out of rec, skipping earlier fields

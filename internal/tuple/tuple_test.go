@@ -268,3 +268,57 @@ func TestTupleString(t *testing.T) {
 		t.Fatalf("string = %q", got)
 	}
 }
+
+// TestCheckSeesWhatDecodeFieldSkips: DecodeField stops at the field it
+// wants; Check is what notices damage behind it, with Decode's verdict.
+func TestCheckSeesWhatDecodeFieldSkips(t *testing.T) {
+	s := NewSchema(
+		Field{Name: "oid", Kind: KInt},
+		Field{Name: "name", Kind: KString, Width: 8},
+		Field{Name: "kids", Kind: KBytes},
+		Field{Name: "n", Kind: KInt},
+	)
+	rec, err := Encode(nil, s, Tuple{IntVal(7), StrVal("seven"), BytesVal([]byte{1, 2, 3}), IntVal(-1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Check(s, rec); err != nil {
+		t.Fatalf("Check refuses a sound record: %v", err)
+	}
+	for cut := 0; cut <= len(rec)+1; cut++ {
+		bad := append(append([]byte(nil), rec...), 0xEE)[:cut]
+		_, derr := Decode(s, bad)
+		cerr := Check(s, bad)
+		if (derr == nil) != (cerr == nil) || (cerr != nil && !errors.Is(cerr, ErrDecode)) {
+			t.Fatalf("cut at %d: Check = %v, Decode = %v", cut, cerr, derr)
+		}
+		if cut > 8+2+5 && cut != len(rec) {
+			if v, err := DecodeField(s, bad, 1); err != nil || v.Str != "seven" {
+				t.Fatalf("cut at %d: name reads %v, %v", cut, v, err)
+			}
+			if cerr == nil {
+				t.Fatalf("cut at %d: damage behind name not noticed", cut)
+			}
+		}
+	}
+}
+
+func TestSchemaLookup(t *testing.T) {
+	s := NewSchema(
+		Field{Name: "person.OID", Kind: KInt},
+		Field{Name: "person.name", Kind: KString},
+		Field{Name: "nickname", Kind: KString},
+		Field{Name: "name", Kind: KString},
+	)
+	for attr, want := range map[string]int{
+		"OID": 0, "person.OID": 0, "name": 3, "person.name": 1, "nickname": 2,
+		"ame": -1, "n.name": -1, "": -1, "person": -1, ".name": -1,
+	} {
+		if got := s.Lookup(attr); got != want {
+			t.Errorf("Lookup(%q) = %d, want %d", attr, got, want)
+		}
+	}
+	if !Named("rel.attr", "attr") || !Named("attr", "attr") || Named("relattr", "attr") || Named("attr", "rel.attr") {
+		t.Error("Named: attr answers to attr and rel.attr only")
+	}
+}
