@@ -74,6 +74,11 @@ type Database struct {
 	// observability context (TraceTo / EnableMetrics), and the commit
 	// protocol over them — the same core the workload engine embeds.
 	core *engine.Core
+	// store is how pql and the path retrievals read the core: its catalog,
+	// the read view OID targets are fetched through — the catalog itself
+	// until EnableReclustering swaps in the placement-aware view — and
+	// the heat signal that comes with it.
+	store pql.Store
 
 	// file and meta are set for file-backed databases (persistence).
 	file *disk.FileDisk
@@ -106,8 +111,8 @@ type Database struct {
 	slow *obs.SlowLog
 
 	// planner is the path-traversal cost model (EnablePlanner; see
-	// database_planner.go); nil keeps the static probe-everywhere
-	// executor, bit-identical to the pre-planner behavior.
+	// database_planner.go); nil keeps every expansion on the page-ordered
+	// batch.
 	planner      *planner.PathModel
 	plannerPlans int64
 }
@@ -119,7 +124,16 @@ func NewDatabase(bufferPages int) *Database {
 		bufferPages = buffer.DefaultPoolSize
 	}
 	d := disk.NewSim()
-	return &Database{core: engine.New(d, buffer.New(d, bufferPages)), rels: map[string]*Relation{}}
+	return newDatabase(engine.New(d, buffer.New(d, bufferPages)))
+}
+
+// newDatabase wraps a fresh core, read through its catalog.
+func newDatabase(core *engine.Core) *Database {
+	return &Database{
+		core:  core,
+		store: pql.Store{Cat: core.Cat, View: core.Cat},
+		rels:  map[string]*Relation{},
+	}
 }
 
 // Relation is a named relation keyed by its first integer attribute.
@@ -202,36 +216,22 @@ func ValueChildren(shape *Relation, rows ...Row) Children {
 // Representation returns which primary representation the value uses.
 func (c Children) Representation() string { return c.rep.String() }
 
-// children-field encoding: 1 tag byte, then representation-specific.
-// The tag bytes are shared with the pql executor (multi-dot path
-// expansion reads them), so they live in internal/object.
-const (
-	tagOIDs  = object.TagOIDs
-	tagProc  = object.TagProc
-	tagValue = object.TagValue
-)
-
+// encode serializes the value for storage in a children attribute.
 func (c Children) encode() ([]byte, error) {
+	enc := object.Children{Rep: c.rep, OIDs: c.oids, Query: c.proc}
 	switch c.rep {
-	case object.OIDs:
-		return append([]byte{tagOIDs}, object.EncodeOIDs(c.oids)...), nil
 	case object.Procedural:
 		if _, err := pql.Parse(c.proc); err != nil {
 			return nil, fmt.Errorf("corep: stored query does not parse: %w", err)
 		}
-		return append([]byte{tagProc}, []byte(c.proc)...), nil
 	case object.ValueBased:
-		raw, err := object.EncodeNested(c.rowRel.schema, c.rows)
-		if err != nil {
+		var err error
+		if enc.Nested, err = object.EncodeNested(c.rowRel.schema, c.rows); err != nil {
 			return nil, err
 		}
-		var hdr [3]byte
-		hdr[0] = tagValue
-		hdr[1] = byte(c.rowRel.rel.ID)
-		hdr[2] = byte(c.rowRel.rel.ID >> 8)
-		return append(hdr[:], raw...), nil
+		enc.RelID = c.rowRel.rel.ID
 	}
-	return nil, fmt.Errorf("corep: children value without a representation")
+	return enc.Encode()
 }
 
 // Insert stores a row. Children attributes take a Children value passed
@@ -293,7 +293,7 @@ func (r *Relation) Get(key int64) (Row, error) {
 // when adaptive clustering has placed one.
 func (d *Database) Fetch(oid OID) (Row, error) {
 	var row Row
-	err := d.viewRecord(oid, func(rel *catalog.Relation, rec []byte) (err error) {
+	err := d.store.View.ViewOID(oid, func(rel *catalog.Relation, rec []byte) (err error) {
 		row, err = tuple.Decode(rel.Schema, rec)
 		return err
 	})
@@ -307,7 +307,7 @@ func (d *Database) Fetch(oid OID) (Row, error) {
 // the same or lower simulated I/O cost.
 func (d *Database) FetchBatch(oids []OID) ([]Row, error) {
 	rows := make([]Row, len(oids))
-	err := d.viewRecords(oids, func(i int, rel *catalog.Relation, rec []byte) error {
+	err := d.store.View.ProbeOIDs(oids, func(i int, rel *catalog.Relation, rec []byte) error {
 		// Decode copies strings and bytes out of the view, so the row
 		// outlives the batch.
 		row, err := tuple.Decode(rel.Schema, rec)
@@ -318,58 +318,6 @@ func (d *Database) FetchBatch(oids []OID) ([]Row, error) {
 		return nil, err
 	}
 	return rows, nil
-}
-
-// viewRecord calls fn with the stored record of oid: its reclustered
-// copy when adaptive clustering has placed one, the base row otherwise —
-// a view into the pinned B-tree leaf, valid until fn returns.
-func (d *Database) viewRecord(oid OID, fn func(rel *catalog.Relation, rec []byte) error) error {
-	rel, err := d.core.Cat.ByID(oid.Rel())
-	if err != nil {
-		return err
-	}
-	if rec, ok, err := d.placedRecord(oid); err != nil {
-		return err
-	} else if ok {
-		return fn(rel, rec)
-	}
-	return rel.Tree.View(oid.Key(), func(rec []byte) error { return fn(rel, rec) })
-}
-
-// viewRecords is viewRecord for a list: fn sees the record of oids[i]
-// under its position i, not necessarily in list order. Reclustered
-// members read their packed copies — one unit's members share extent
-// pages, so the pool turns the probes into one or two page fetches — and
-// only the rest goes to the B-trees, in one page-ordered sweep per
-// relation.
-func (d *Database) viewRecords(oids []OID, fn func(i int, rel *catalog.Relation, rec []byte) error) error {
-	rest, pos := oids, []int(nil)
-	if d.reclust != nil {
-		rest = make([]OID, 0, len(oids))
-		for i, oid := range oids {
-			rec, ok, err := d.placedRecord(oid)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				rest, pos = append(rest, oid), append(pos, i)
-				continue
-			}
-			rel, err := d.core.Cat.ByID(oid.Rel())
-			if err != nil {
-				return err
-			}
-			if err := fn(i, rel, rec); err != nil {
-				return err
-			}
-		}
-	}
-	return d.core.Cat.ProbeOIDs(rest, func(i int, rel *catalog.Relation, rec []byte) error {
-		if pos != nil {
-			i = pos[i]
-		}
-		return fn(i, rel, rec)
-	})
 }
 
 // RelationOf returns the name of the relation an OID references.
@@ -407,47 +355,33 @@ func (r *Relation) Resolve(key int64, attr string) (*Resolved, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw := row[ai].Raw
-	if len(raw) == 0 {
-		return nil, fmt.Errorf("corep: %s.%s is empty", r.rel.Name, attr)
+	c, err := object.ParseChildren(row[ai].Raw)
+	if err != nil {
+		return nil, fmt.Errorf("corep: %s.%s: %w", r.rel.Name, attr, err)
 	}
-	switch raw[0] {
-	case tagOIDs:
-		oids, err := object.DecodeOIDs(raw[1:])
+	res := &Resolved{Representation: c.Rep.String(), OIDs: c.OIDs}
+	switch c.Rep {
+	case object.Procedural:
+		q, err := pql.Parse(c.Query)
 		if err != nil {
 			return nil, err
 		}
-		return &Resolved{Representation: object.OIDs.String(), OIDs: oids}, nil
-	case tagProc:
-		res, err := pql.Run(r.db.core.Cat, string(raw[1:]))
+		stored, err := r.db.store.Execute(q, pql.ExecOpts{})
 		if err != nil {
 			return nil, err
 		}
-		return &Resolved{
-			Representation: object.Procedural.String(),
-			Rows:           res.Tuples,
-			Schema:         res.Schema.Names(),
-		}, nil
-	case tagValue:
-		if len(raw) < 3 {
-			return nil, errors.New("corep: malformed value-based children")
-		}
-		relID := uint16(raw[1]) | uint16(raw[2])<<8
-		rel, err := r.db.core.Cat.ByID(relID)
+		res.Rows, res.Schema = stored.Tuples, stored.Schema.Names()
+	case object.ValueBased:
+		rel, err := r.db.core.Cat.ByID(c.RelID)
 		if err != nil {
 			return nil, err
 		}
-		rows, err := object.DecodeNested(rel.Schema, raw[3:])
-		if err != nil {
+		if res.Rows, err = object.DecodeNested(rel.Schema, c.Nested); err != nil {
 			return nil, err
 		}
-		return &Resolved{
-			Representation: object.ValueBased.String(),
-			Rows:           rows,
-			Schema:         rel.Schema.Names(),
-		}, nil
+		res.Schema = rel.Schema.Names()
 	}
-	return nil, fmt.Errorf("corep: unknown children tag %q", raw[0])
+	return res, nil
 }
 
 // RetrievePath answers a multi-dot query like §3's
@@ -458,6 +392,20 @@ func (r *Relation) Resolve(key int64, attr string) (*Resolved, error) {
 // targetAttr from every subobject. Procedural subobject rows must carry
 // targetAttr in the stored query's target list.
 func (d *Database) RetrievePath(relName, childrenAttr, targetAttr string, lo, hi int64) (vals []Value, err error) {
+	return d.retrievePath(relName, []string{childrenAttr, targetAttr}, lo, hi, (*pql.Expander).Expand)
+}
+
+// expandFunc appends what segs project from the subobjects of one
+// object, given its encoded children value: (*pql.Expander).Expand, or
+// RetrievePathCached's detour through the cache.
+type expandFunc func(x *pql.Expander, owner OID, raw []byte, segs []string, out []Value) ([]Value, error)
+
+// retrievePath is the retrieval behind RetrievePath, RetrievePathN and
+// RetrievePathCached: a range scan of relName whose cursor stands on each
+// object's record while its subobjects are fetched — the children value
+// attrs[0] is taken from that view, not re-read through a second descent
+// — and is handed, with the segments that remain, to expand.
+func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, expand expandFunc) (vals []Value, err error) {
 	done := d.beginSlow("query.path")
 	defer func() { done(err) }()
 	sp := d.core.Obs.Start("query.path")
@@ -467,7 +415,7 @@ func (d *Database) RetrievePath(relName, childrenAttr, targetAttr string, lo, hi
 	if err != nil {
 		return nil, err
 	}
-	ai, err := childrenIndex(crel, childrenAttr)
+	ai, err := childrenIndex(crel, attrs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -476,10 +424,7 @@ func (d *Database) RetrievePath(relName, childrenAttr, targetAttr string, lo, hi
 		sp.SetAttr("values", int64(len(out)))
 		d.core.Obs.Histogram("query.io", obs.IOBuckets).Observe(float64(d.core.Disk.Stats().Total() - before))
 	}()
-	p := pathProjector{d: d, attr: targetAttr}
-	// The cursor stands on each object's record while its subobjects are
-	// fetched: the children value is taken from that view, not re-read
-	// through a second descent.
+	x := d.store.Expander(d.plannerOpts())
 	err = crel.Tree.Range(lo, hi, func(key int64, rec []byte) (bool, error) {
 		if cerr := tuple.Check(crel.Schema, rec); cerr != nil {
 			return false, cerr
@@ -488,10 +433,7 @@ func (d *Database) RetrievePath(relName, childrenAttr, targetAttr string, lo, hi
 		if cerr != nil {
 			return false, cerr
 		}
-		if len(kids.Raw) == 0 {
-			return false, fmt.Errorf("corep: %s.%s is empty", crel.Name, childrenAttr)
-		}
-		out, cerr = p.children(object.NewOID(crel.ID, key), kids.Raw, out)
+		out, cerr = expand(x, object.NewOID(crel.ID, key), kids.Raw, attrs[1:], out)
 		return cerr == nil, cerr
 	})
 	if err != nil {
@@ -511,122 +453,6 @@ func childrenIndex(rel *catalog.Relation, attr string) (int, error) {
 		return -1, fmt.Errorf("corep: %s.%s is not a children attribute", rel.Name, attr)
 	}
 	return i, nil
-}
-
-// pathProjector projects one attribute from the subobjects a path
-// retrieval reaches. Subobject records are read where they lie — on the
-// pinned B-tree leaf, inside the parent's value-based children field —
-// checked once, and only attr is materialized from each.
-type pathProjector struct {
-	d    *Database
-	attr string
-	// schema and idx remember where attr sits in the subobject schema
-	// last seen: a path reaches the same relation over and over.
-	schema *tuple.Schema
-	idx    int
-}
-
-// field checks one subobject record and projects attr from it.
-func (p *pathProjector) field(rel *catalog.Relation, rec []byte) (Value, error) {
-	if p.schema != rel.Schema {
-		p.schema, p.idx = rel.Schema, rel.Schema.Index(p.attr)
-	}
-	if p.idx < 0 {
-		return Value{}, fmt.Errorf("corep: %s has no attribute %q", rel.Name, p.attr)
-	}
-	if err := tuple.Check(rel.Schema, rec); err != nil {
-		return Value{}, err
-	}
-	return tuple.DecodeField(rel.Schema, rec, p.idx)
-}
-
-// children appends attr of every subobject of one object's non-empty
-// children value, whichever representation it uses. raw is read in place.
-func (p *pathProjector) children(parent OID, raw []byte, out []Value) ([]Value, error) {
-	d := p.d
-	switch raw[0] {
-	case tagOIDs:
-		oids, err := object.DecodeOIDs(raw[1:])
-		if err != nil {
-			return nil, err
-		}
-		// OID-represented units are what adaptive clustering can pack;
-		// feed the heat tracker so Reorganize knows what is hot.
-		d.touchHeat(parent)
-		return p.members(oids, out)
-	case tagProc:
-		return pql.Project(d.core.Cat, string(raw[1:]), p.attr, out)
-	case tagValue:
-		if len(raw) < 3 {
-			return nil, errors.New("corep: malformed value-based children")
-		}
-		rel, err := d.core.Cat.ByID(uint16(raw[1]) | uint16(raw[2])<<8)
-		if err != nil {
-			return nil, err
-		}
-		i := rel.Schema.Lookup(p.attr)
-		if i < 0 {
-			return nil, fmt.Errorf("corep: resolved rows have no attribute %q (have %v)", p.attr, rel.Schema.Names())
-		}
-		err = object.EachNested(raw[3:], func(rec []byte) error {
-			if err := tuple.Check(rel.Schema, rec); err != nil {
-				return err
-			}
-			v, err := tuple.DecodeField(rel.Schema, rec, i)
-			out = append(out, v)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("corep: unknown children tag %q", raw[0])
-}
-
-// member projects attr from one subobject, as Fetch would find it.
-func (p *pathProjector) member(oid OID) (v Value, err error) {
-	err = p.d.viewRecord(oid, func(rel *catalog.Relation, rec []byte) error {
-		v, err = p.field(rel, rec)
-		return err
-	})
-	return v, err
-}
-
-// members appends attr of each listed subobject, in list order: as
-// FetchBatch would find them or, where the planner prefers it, one probe
-// each.
-func (p *pathProjector) members(oids []OID, out []Value) ([]Value, error) {
-	d := p.d
-	at := len(out)
-	out = append(out, make([]Value, len(oids))...)
-	take := func(i int, rel *catalog.Relation, rec []byte) (err error) {
-		out[at+i], err = p.field(rel, rec)
-		return err
-	}
-	planned := d.planner != nil && len(oids) > 0
-	tr, relID, before := pql.TraversalBatch, uint16(0), int64(0)
-	if planned {
-		d.plannerPlans++
-		relID = oids[0].Rel()
-		tr, _ = d.planner.ChooseTraversal(relID, len(oids))
-		before = d.core.Disk.Stats().Reads
-	}
-	if tr == pql.TraversalProbe {
-		for i, oid := range oids {
-			v, err := p.member(oid)
-			if err != nil {
-				return nil, fmt.Errorf("corep: fetch %v: %w", oid, err)
-			}
-			out[at+i] = v
-		}
-	} else if err := d.viewRecords(oids, take); err != nil {
-		return nil, err
-	}
-	if planned {
-		d.planner.ObserveTraversal(relID, tr, len(oids), d.core.Disk.Stats().Reads-before)
-	}
-	return out, nil
 }
 
 // QueryResult is a materialized result of the retrieve language.
@@ -651,7 +477,7 @@ func (d *Database) Query(src string) (qr *QueryResult, err error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := pql.ExecuteWith(d.core.Cat, q, d.plannerOpts())
+	res, err := d.store.Execute(q, d.plannerOpts())
 	if err != nil {
 		return nil, err
 	}

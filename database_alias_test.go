@@ -120,9 +120,9 @@ func mixedRow(kind string, k int) Row {
 // views into pinned pages — B-tree leaves under a probe or a batch, the
 // parent's own record for inline members, a stored query's scan — on a
 // pool of six frames that recycles each of them many times per call.
-// Through RetrievePath, RetrievePathN and Query, planned and not, what
-// comes back owns its bytes, both forms agree, and no pin is left —
-// also when a member is missing midway.
+// Through RetrievePath, RetrievePathN, RetrievePathCached and Query,
+// planned and not, what comes back owns its bytes, the forms agree, and
+// no pin is left — also when a member is missing midway.
 func TestPathViewsSurviveFrameReuse(t *testing.T) {
 	for _, planned := range []bool{false, true} {
 		db := buildMixedDB(t, 6)
@@ -144,14 +144,18 @@ func TestPathViewsSurviveFrameReuse(t *testing.T) {
 				if err != nil || fmt.Sprint(vals) != "[g3 g1 g2]" {
 					return nil, fmt.Errorf("labels = %v, %v", vals, err)
 				}
-				// Its levels must be OID lists, so grp 1 only; its leaf level
-				// is the projecting probe RetrievePath uses.
-				vals, err = db.RetrievePathN("grp", []string{"members", "name"}, 1, 1)
-				if err != nil {
-					return nil, err
+				return db.RetrievePathN("grp", []string{"members", "name"}, 1, 3)
+			},
+			"RetrievePathCached, no cache": func() ([]Value, error) {
+				return db.RetrievePathCached("grp", "members", "name", 1, 3)
+			},
+			"RetrievePathN, three levels": func() ([]Value, error) {
+				// shelf 1 lists grps 3, 1, 2: rotate into key order.
+				vals, err := db.RetrievePathN("shelf", []string{"grps", "members", "name"}, 1, 1)
+				if err != nil || len(vals) != 8 {
+					return vals, err
 				}
-				rest, err := db.RetrievePath("grp", "members", "name", 2, 3)
-				return append(vals, rest...), err
+				return append(append([]Value{}, vals[1:]...), vals[0]), nil
 			},
 			"two segments": func() ([]Value, error) {
 				// shelf 1 lists grps 3, 1, 2: rotate into key order.
@@ -181,6 +185,27 @@ func TestPathViewsSurviveFrameReuse(t *testing.T) {
 			for i, v := range vals {
 				if v.Str != want[i]+"-padding-to-spread-pages" {
 					t.Fatalf("%s (planned=%v): value %d = %q after the frames were overwritten, want %s…", name, planned, i, v.Str, want[i])
+				}
+			}
+		}
+		// Through the cache — a miss that materializes and inserts, then a
+		// hit — the values are decoded copies all the same.
+		if err := db.EnableCache(8); err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"miss", "hit"} {
+			vals, err := db.RetrievePathCached("grp", "members", "name", 1, 3)
+			if err != nil {
+				t.Fatalf("RetrievePathCached, cache %s (planned=%v): %v", pass, planned, err)
+			}
+			testutil.AssertNoLeaks(t, db.core.Pool)
+			testutil.ScribbleFrames(t, db.core.Pool)
+			if len(vals) != len(want) {
+				t.Fatalf("RetrievePathCached, cache %s (planned=%v): %d values: %v", pass, planned, len(vals), vals)
+			}
+			for i, v := range vals {
+				if v.Str != want[i]+"-padding-to-spread-pages" {
+					t.Fatalf("RetrievePathCached, cache %s (planned=%v): value %d = %q after the frames were overwritten", pass, planned, i, v.Str)
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"slices"
 
 	"corep/internal/cache"
 	"corep/internal/object"
@@ -99,149 +98,6 @@ func (r *Relation) Update(key int64, row Row) error {
 	return r.db.mutate(locks, func() error { return r.rel.Tree.Update(key, rec) })
 }
 
-// resolveCached is Resolve plus outside caching for the representations
-// where precomputation helps: OID children cache the materialized unit;
-// procedural children cache the stored query's result. Value-based
-// children are already materialized (the shaded cells of Figure 1).
-func (r *Relation) resolveCached(key int64, attr string, epoch uint64) (*Resolved, error) {
-	if r.db.core.Cache == nil {
-		return r.Resolve(key, attr)
-	}
-	// Cache inserts dirty hash-file pages through the shared pool; under
-	// the WAL gate those frames hold their eviction slots until captured.
-	// Drain the backlog here so a read-only stretch cannot wedge the pool.
-	if err := r.db.core.Relieve(); err != nil {
-		return nil, err
-	}
-	row, err := r.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	raw := row[r.schema.MustIndex(attr)].Raw
-	if len(raw) == 0 || raw[0] == tagValue {
-		return r.Resolve(key, attr)
-	}
-
-	switch raw[0] {
-	case tagOIDs:
-		oids, err := object.DecodeOIDs(raw[1:])
-		if err != nil {
-			return nil, err
-		}
-		if len(oids) == 0 {
-			return &Resolved{Representation: object.OIDs.String()}, nil
-		}
-		// All-same-relation units cache whole; mixed units fall back.
-		relID := oids[0].Rel()
-		for _, o := range oids {
-			if o.Rel() != relID {
-				return r.Resolve(key, attr)
-			}
-		}
-		srel, err := r.db.core.Cat.ByID(relID)
-		if err != nil {
-			return nil, err
-		}
-		unit := object.Unit(oids)
-		if v, ok, err := r.db.core.Cache.LookupSnap(unit, epoch); err != nil {
-			return nil, err
-		} else if ok {
-			rows, err := object.DecodeNested(srel.Schema, v)
-			if err != nil {
-				return nil, err
-			}
-			return &Resolved{
-				Representation: object.OIDs.String(),
-				Rows:           rows,
-				Schema:         srel.Schema.Names(),
-			}, nil
-		}
-		// Materialize, answer, cache (with I-locks on each member).
-		rows := make([]Row, 0, len(oids))
-		for _, oid := range oids {
-			t, err := r.db.Fetch(oid)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, t)
-		}
-		v, err := object.EncodeNested(srel.Schema, rows)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.db.core.Cache.InsertSnap(unit, v, epoch); err != nil {
-			return nil, err
-		}
-		return &Resolved{
-			Representation: object.OIDs.String(),
-			Rows:           rows,
-			Schema:         srel.Schema.Names(),
-		}, nil
-
-	case tagProc:
-		src := string(raw[1:])
-		if r.db.cacheMode == CacheOIDs {
-			return r.resolveProcCachedOIDs(src)
-		}
-		// Procedural × values (the [JHIN88] column). The cache key
-		// derives from the stored query text, so two objects storing the
-		// same query share one entry (outside caching); the I-locks go on
-		// the result's source tuples, so updating any member invalidates.
-		q, err := pql.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		schema, err := pql.ResultSchema(r.db.core.Cat, q)
-		if err != nil {
-			return nil, err
-		}
-		keyUnit := procCacheKey(src)
-		if v, ok, err := r.db.core.Cache.LookupSnap(keyUnit, epoch); err != nil {
-			return nil, err
-		} else if ok {
-			rows, err := object.DecodeNested(schema, v)
-			if err != nil {
-				return nil, err
-			}
-			return &Resolved{
-				Representation: object.Procedural.String(),
-				Rows:           rows,
-				Schema:         schema.Names(),
-			}, nil
-		}
-		res, err := pql.Execute(r.db.core.Cat, q)
-		if err != nil {
-			return nil, err
-		}
-		// Only single-relation results report their sources; joins are
-		// served uncached (no sound invalidation target).
-		if len(res.Sources) == len(res.Tuples) && len(res.Tuples) > 0 {
-			locks := make([]object.OID, len(res.Sources), len(res.Sources)+len(q.Relations()))
-			for i, s := range res.Sources {
-				locks[i] = object.NewOID(s.RelID, s.Key)
-			}
-			for _, relName := range q.Relations() {
-				if rel, rerr := r.db.core.Cat.Get(relName); rerr == nil {
-					locks = append(locks, relLockOID(rel.ID))
-				}
-			}
-			v, err := object.EncodeNested(schema, res.Tuples)
-			if err != nil {
-				return nil, err
-			}
-			if err := r.db.core.Cache.InsertSnapWithLocks(keyUnit, locks, v, epoch); err != nil {
-				return nil, err
-			}
-		}
-		return &Resolved{
-			Representation: object.Procedural.String(),
-			Rows:           res.Tuples,
-			Schema:         res.Schema.Names(),
-		}, nil
-	}
-	return r.Resolve(key, attr)
-}
-
 // RetrievePathCached is RetrievePath through the cache enabled with
 // EnableCache; without a cache it behaves identically to RetrievePath.
 // With versioned serving on, the whole call reads at one pinned
@@ -249,51 +105,162 @@ func (r *Relation) resolveCached(key int64, attr string, epoch uint64) (*Resolve
 // update committing mid-scan can never serve this query a unit newer
 // than its snapshot.
 func (d *Database) RetrievePathCached(relName, childrenAttr, targetAttr string, lo, hi int64) ([]Value, error) {
-	crel, err := d.core.Cat.Get(relName)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := childrenIndex(crel, childrenAttr); err != nil {
-		return nil, err
+	if d.core.Cache == nil {
+		return d.RetrievePath(relName, childrenAttr, targetAttr, lo, hi)
 	}
 	epoch, release := d.beginSnapshotEpoch()
 	defer release()
-	r := &Relation{db: d, rel: crel, schema: crel.Schema, childAttrs: map[string]bool{childrenAttr: true}}
-	p := pathProjector{d: d, attr: targetAttr}
-	var out []Value
-	err = crel.Tree.Range(lo, hi, func(key int64, _ []byte) (bool, error) {
-		res, rerr := r.resolveCached(key, childrenAttr, epoch)
-		if rerr != nil {
-			return false, rerr
+	return d.retrievePath(relName, []string{childrenAttr, targetAttr}, lo, hi,
+		func(x *pql.Expander, owner OID, raw []byte, segs []string, out []Value) ([]Value, error) {
+			return d.expandCached(x, owner, raw, segs, epoch, out)
+		})
+}
+
+// expandCached is the expander with outside caching in front of it for
+// the representations where precomputation helps: an OID list within one
+// relation caches the materialized unit, procedural children cache the
+// stored query's result (or, under CacheOIDs, its identities). Inline
+// members are already materialized (the shaded cells of Figure 1) and,
+// like a list that mixes relations, go to the expander as they are.
+func (d *Database) expandCached(x *pql.Expander, owner OID, raw []byte, segs []string, epoch uint64, out []Value) ([]Value, error) {
+	// Cache inserts dirty hash-file pages through the shared pool; under
+	// the WAL gate those frames hold their eviction slots until captured.
+	// Drain the backlog here so a read-only stretch cannot wedge the pool.
+	if err := d.core.Relieve(); err != nil {
+		return nil, err
+	}
+	c, err := object.ParseChildren(raw)
+	if err != nil {
+		return x.Expand(owner, raw, segs, out) // the expander's error, or no children
+	}
+	var rows []Row
+	var schema *tuple.Schema
+	switch {
+	case c.Rep == object.OIDs && oneRelation(c.OIDs):
+		// Heat for adaptive clustering: cache hits count too — they still
+		// say this unit is what the workload wants packed.
+		d.touchHeat(owner)
+		rows, schema, err = d.cachedUnit(c.OIDs, epoch)
+	case c.Rep == object.Procedural && d.cacheMode == CacheOIDs:
+		oids, res, err := d.cachedProcOIDs(c.Query)
+		if err != nil {
+			return nil, err
 		}
-		if res.Representation == object.OIDs.String() {
-			// Heat for adaptive clustering: cache hits count too — they
-			// still say this unit is what the workload wants packed.
-			d.touchHeat(object.NewOID(crel.ID, key))
+		if res == nil {
+			return x.ExpandOIDs(0, oids, segs, out)
 		}
-		if res.OIDs != nil {
-			for _, oid := range res.OIDs {
-				v, ferr := p.member(oid)
-				if ferr != nil {
-					return false, ferr
-				}
-				out = append(out, v)
-			}
-			return true, nil
-		}
-		i := slices.IndexFunc(res.Schema, func(name string) bool { return tuple.Named(name, targetAttr) })
-		if i < 0 {
-			return false, fmt.Errorf("corep: resolved rows have no attribute %q (have %v)", targetAttr, res.Schema)
-		}
-		for _, row := range res.Rows {
-			out = append(out, row[i])
-		}
-		return true, nil
-	})
+		rows, schema = res.Tuples, res.Schema
+	case c.Rep == object.Procedural:
+		rows, schema, err = d.cachedProc(c.Query, epoch)
+	default:
+		return x.Expand(owner, raw, segs, out)
+	}
 	if err != nil {
 		return nil, err
 	}
+	i := schema.Lookup(segs[0])
+	if i < 0 {
+		return nil, fmt.Errorf("corep: resolved rows have no attribute %q (have %v)", segs[0], schema.Names())
+	}
+	for _, row := range rows {
+		out = append(out, row[i])
+	}
 	return out, nil
+}
+
+// oneRelation reports whether a non-empty OID list stays within one
+// relation — a unit, the granule the cache holds.
+func oneRelation(oids []OID) bool {
+	for _, o := range oids {
+		if o.Rel() != oids[0].Rel() {
+			return false
+		}
+	}
+	return len(oids) > 0
+}
+
+// cachedUnit returns the rows of a unit, from the cache or materialized
+// and cached with I-locks on each member.
+func (d *Database) cachedUnit(oids []OID, epoch uint64) ([]Row, *tuple.Schema, error) {
+	srel, err := d.core.Cat.ByID(oids[0].Rel())
+	if err != nil {
+		return nil, nil, err
+	}
+	unit := object.Unit(oids)
+	if v, ok, err := d.core.Cache.LookupSnap(unit, epoch); err != nil {
+		return nil, nil, err
+	} else if ok {
+		rows, err := object.DecodeNested(srel.Schema, v)
+		return rows, srel.Schema, err
+	}
+	rows := make([]Row, 0, len(oids))
+	for _, oid := range oids {
+		t, err := d.Fetch(oid)
+		if err != nil {
+			return nil, nil, err
+		}
+		rows = append(rows, t)
+	}
+	v, err := object.EncodeNested(srel.Schema, rows)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rows, srel.Schema, d.core.Cache.InsertSnap(unit, v, epoch)
+}
+
+// cachedProc returns a stored query's result, from the cache or executed
+// and cached — procedural × values (the [JHIN88] column). The cache key
+// derives from the query text, so two objects storing the same query
+// share one entry (outside caching); the I-locks go on the result's
+// source tuples, so updating any member invalidates.
+func (d *Database) cachedProc(src string, epoch uint64) ([]Row, *tuple.Schema, error) {
+	q, err := pql.Parse(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	schema, err := pql.ResultSchema(d.core.Cat, q)
+	if err != nil {
+		return nil, nil, err
+	}
+	keyUnit := procCacheKey(src)
+	if v, ok, err := d.core.Cache.LookupSnap(keyUnit, epoch); err != nil {
+		return nil, nil, err
+	} else if ok {
+		rows, err := object.DecodeNested(schema, v)
+		return rows, schema, err
+	}
+	res, err := d.store.Execute(q, pql.ExecOpts{})
+	if err != nil {
+		return nil, nil, err
+	}
+	// Only single-relation results report their sources; joins are
+	// served uncached (no sound invalidation target).
+	if len(res.Sources) == len(res.Tuples) && len(res.Tuples) > 0 {
+		locks := make([]object.OID, len(res.Sources), len(res.Sources)+len(q.Relations()))
+		for i, s := range res.Sources {
+			locks[i] = object.NewOID(s.RelID, s.Key)
+		}
+		locks = append(locks, d.relLocks(q)...)
+		v, err := object.EncodeNested(schema, res.Tuples)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := d.core.Cache.InsertSnapWithLocks(keyUnit, locks, v, epoch); err != nil {
+			return nil, nil, err
+		}
+	}
+	return res.Tuples, res.Schema, nil
+}
+
+// relLocks returns the relation-level lock of every relation q reads.
+func (d *Database) relLocks(q *pql.Query) []object.OID {
+	var locks []object.OID
+	for _, relName := range q.Relations() {
+		if rel, err := d.core.Cat.Get(relName); err == nil {
+			locks = append(locks, relLockOID(rel.ID))
+		}
+	}
+	return locks
 }
 
 // RetrievePathN answers a query with more than two dots, e.g.
@@ -302,61 +269,13 @@ func (d *Database) RetrievePathCached(relName, childrenAttr, targetAttr string, 
 //
 // by resolving each children attribute level in turn ("queries
 // involving more than two dots in the target list require more levels
-// of relationships to be explored", §3). All intermediate levels must
-// use the OID representation; the final attribute is projected from the
-// leaf objects.
+// of relationships to be explored", §3): attrs names the children
+// attribute of every level, then the attribute projected from the
+// objects the last one reaches. Every level may use any of the three
+// representations, as in the same path written as a Query.
 func (d *Database) RetrievePathN(relName string, attrs []string, lo, hi int64) ([]Value, error) {
 	if len(attrs) < 2 {
 		return nil, errors.New("corep: RetrievePathN needs at least one children attribute and a target")
 	}
-	childAttrs, targetAttr := attrs[:len(attrs)-1], attrs[len(attrs)-1]
-	crel, err := d.core.Cat.Get(relName)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := childrenIndex(crel, childAttrs[0]); err != nil {
-		return nil, err
-	}
-	// Level 0: qualifying roots.
-	frontier := make([]object.OID, 0, hi-lo+1)
-	err = crel.Tree.Range(lo, hi, func(key int64, _ []byte) (bool, error) {
-		frontier = append(frontier, object.NewOID(crel.ID, key))
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Depth-first level expansion (the paper's recursion).
-	for _, attr := range childAttrs {
-		var next []object.OID
-		for _, oid := range frontier {
-			rel, err := d.core.Cat.ByID(oid.Rel())
-			if err != nil {
-				return nil, err
-			}
-			if _, err := childrenIndex(rel, attr); err != nil {
-				return nil, err
-			}
-			rw := &Relation{db: d, rel: rel, schema: rel.Schema, childAttrs: map[string]bool{attr: true}}
-			res, err := rw.Resolve(oid.Key(), attr)
-			if err != nil {
-				return nil, err
-			}
-			if res.OIDs == nil {
-				return nil, fmt.Errorf("corep: level %q of a multi-dot path must use the OID representation", attr)
-			}
-			next = append(next, res.OIDs...)
-		}
-		frontier = next
-	}
-	p := pathProjector{d: d, attr: targetAttr}
-	out := make([]Value, 0, len(frontier))
-	for _, oid := range frontier {
-		v, err := p.member(oid)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return d.retrievePath(relName, attrs, lo, hi, (*pql.Expander).Expand)
 }

@@ -50,36 +50,28 @@ func (d *Database) SetCacheMode(m CacheMode) error {
 	return nil
 }
 
-// resolveProcCachedOIDs is the CacheOIDs variant of the procedural
-// branch of resolveCached: the stored query's *source identities* are
-// cached; values are fetched fresh on every retrieval.
-func (r *Relation) resolveProcCachedOIDs(src string) (*Resolved, error) {
+// cachedProcOIDs is the CacheOIDs variant of cachedProc: the stored
+// query's *source identities* are cached and returned; values are
+// fetched fresh on every retrieval. A join result carries no usable
+// identities and is returned whole instead, uncached.
+func (d *Database) cachedProcOIDs(src string) ([]OID, *pql.Result, error) {
 	q, err := pql.Parse(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	keyUnit := procCacheKey("oids:" + src)
-	if v, ok, err := r.db.core.Cache.Lookup(keyUnit); err != nil {
-		return nil, err
+	if v, ok, err := d.core.Cache.Lookup(keyUnit); err != nil {
+		return nil, nil, err
 	} else if ok {
 		oids, err := object.DecodeOIDs(v)
-		if err != nil {
-			return nil, err
-		}
-		return &Resolved{Representation: object.Procedural.String(), OIDs: oids}, nil
+		return oids, nil, err
 	}
-	res, err := pql.Execute(r.db.core.Cat, q)
+	res, err := d.store.Execute(q, pql.ExecOpts{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(res.Sources) != len(res.Tuples) || len(res.Tuples) == 0 {
-		// Join results carry no usable identities; fall back to the
-		// materialized rows, uncached.
-		return &Resolved{
-			Representation: object.Procedural.String(),
-			Rows:           res.Tuples,
-			Schema:         res.Schema.Names(),
-		}, nil
+		return nil, res, nil
 	}
 	oids := make([]object.OID, len(res.Sources))
 	for i, s := range res.Sources {
@@ -88,14 +80,5 @@ func (r *Relation) resolveProcCachedOIDs(src string) (*Resolved, error) {
 	// Identities only change when the qualifying set changes, so the
 	// entry needs just the relation-level locks — member value updates
 	// leave it valid. That is the maintenance advantage of cached OIDs.
-	var locks []object.OID
-	for _, relName := range q.Relations() {
-		if rel, rerr := r.db.core.Cat.Get(relName); rerr == nil {
-			locks = append(locks, relLockOID(rel.ID))
-		}
-	}
-	if err := r.db.core.Cache.InsertWithLocks(keyUnit, locks, object.EncodeOIDs(oids)); err != nil {
-		return nil, err
-	}
-	return &Resolved{Representation: object.Procedural.String(), OIDs: oids}, nil
+	return oids, nil, d.core.Cache.InsertWithLocks(keyUnit, d.relLocks(q), object.EncodeOIDs(oids))
 }

@@ -84,13 +84,8 @@ func OpenDatabaseFile(path string, bufferPages int) (*Database, error) {
 		return nil, err
 	}
 	pool := buffer.New(fd, bufferPages)
-	d := &Database{
-		core:    engine.New(fd, pool),
-		file:    fd,
-		meta:    path + ".meta",
-		walPath: path + ".wal",
-		rels:    map[string]*Relation{},
-	}
+	d := newDatabase(engine.New(fd, pool))
+	d.file, d.meta, d.walPath = fd, path+".meta", path+".wal"
 
 	// Crash recovery: a non-empty WAL means the last process died with
 	// acknowledged commits not yet checkpointed. Replay it into the page

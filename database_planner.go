@@ -1,11 +1,13 @@
 package corep
 
 // Cost-based planning for the object API: EnablePlanner installs a
-// planner.PathModel that chooses, per sub-path step of a multi-dot
-// retrieval (Query paths and RetrievePath), between per-OID index
-// probes and a batched page-ordered fetch, learning from measured page
-// reads. Default-off: without EnablePlanner every query runs the static
-// probe-everywhere executor, bit-identical to the pre-planner facade.
+// planner.PathModel that chooses, per OID list a multi-dot retrieval
+// expands and per relation the list references, between one index probe
+// per subobject and a batched page-ordered fetch, learning from measured
+// page reads. Query, RetrievePath, RetrievePathN and RetrievePathCached
+// expand paths through the same pql.Expander, so they are planned — and
+// counted — alike. Default-off: without EnablePlanner every expansion is
+// the page-ordered batch, which never reads more pages than probing.
 
 import (
 	"corep/internal/planner"
@@ -13,8 +15,9 @@ import (
 )
 
 // EnablePlanner turns on cost-based traversal planning for pql path
-// queries and RetrievePath. Idempotent; there is no way to disable it
-// short of reopening the database (estimates are cheap and harmless).
+// queries and the RetrievePath family. Idempotent; there is no way to
+// disable it short of reopening the database (estimates are cheap and
+// harmless).
 func (d *Database) EnablePlanner() {
 	if d.planner == nil {
 		d.planner = planner.NewPathModel(0)
@@ -23,8 +26,8 @@ func (d *Database) EnablePlanner() {
 
 // PlannerStats summarizes planner activity for Snapshot().
 type PlannerStats struct {
-	// Plans counts planned executions (path queries and RetrievePath
-	// calls that consulted the planner).
+	// Plans counts planned executions: Query and RetrievePath-family
+	// calls made with the planner on.
 	Plans int64
 	// ProbeChosen / BatchChosen count per-step traversal choices.
 	ProbeChosen int64
@@ -47,8 +50,8 @@ func (d *Database) plannerStats() *PlannerStats {
 	}
 }
 
-// plannerOpts builds the pql execution options: zero (the unplanned
-// executor) until EnablePlanner.
+// plannerOpts builds the pql execution options of one call: zero (the
+// unplanned executor) until EnablePlanner.
 func (d *Database) plannerOpts() pql.ExecOpts {
 	if d.planner == nil {
 		return pql.ExecOpts{}

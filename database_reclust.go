@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"corep/internal/catalog"
 	"corep/internal/disk"
 	"corep/internal/object"
 	"corep/internal/reclust"
@@ -12,13 +13,15 @@ import (
 
 // This file brings adaptive clustering (DESIGN.md §13) to the object
 // API: EnableReclustering attaches a bounded, decayed heat tracker that
-// RetrievePath and RetrievePathCached feed with every OID-represented
-// unit they resolve, and Reorganize migrates the hottest units'
-// subobject rows onto shared heap extent pages. Migration is copy
-// forwarding — base rows are never moved or deleted, a placement map
-// just redirects Fetch/FetchBatch to the packed copy — so a unit whose
-// members were scattered across the relation reads back from one or
-// two extent pages instead. An in-place Update retires the target's
+// the path expander feeds with every OID-represented unit it expands —
+// for Query, RetrievePath, RetrievePathN and RetrievePathCached alike —
+// and Reorganize migrates the hottest units' subobject rows onto shared
+// heap extent pages. Migration is copy forwarding — base rows are never
+// moved or deleted, a placement map just redirects every reader that
+// goes through the database's read view (placedView: Fetch, FetchBatch
+// and the expander) to the packed copy — so a unit whose members were
+// scattered across the relation reads back from one or two extent pages
+// instead. An in-place Update retires the target's
 // placement before touching the base row, so a copy can never go
 // stale. Placements are volatile: a reopened database starts
 // unclustered and re-learns its heat (extent pages a previous run
@@ -65,6 +68,7 @@ func (d *Database) EnableReclustering(heatCap, halfLife int) error {
 		place: reclust.NewMap(),
 		done:  map[OID]bool{},
 	}
+	d.store.View, d.store.Touch = placedView{d}, d.touchHeat
 	return nil
 }
 
@@ -94,18 +98,64 @@ func (d *Database) dropPlacement(oid OID) {
 	delete(rs.done, OID(e.Owner))
 }
 
-// placedRecord returns oid's migrated copy when reclustering is on and
-// the placement map holds one; the record is the caller's own.
-func (d *Database) placedRecord(oid OID) (rec []byte, ok bool, err error) {
-	if d.reclust == nil {
-		return nil, false, nil
-	}
-	e, ok := d.reclust.place.Latest(oid)
+// placedView is the read view of a database with adaptive clustering
+// on: a subobject Reorganize has copied is read from its packed copy,
+// the rest through the catalog.
+type placedView struct{ d *Database }
+
+// placed returns oid's migrated copy when the placement map holds one;
+// the record is the caller's own.
+func (v placedView) placed(oid OID) (rec []byte, ok bool, err error) {
+	e, ok := v.d.reclust.place.Latest(oid)
 	if !ok {
 		return nil, false, nil
 	}
-	rec, err = d.core.ReadPlaced(e.RID)
+	rec, err = v.d.core.ReadPlaced(e.RID)
 	return rec, err == nil, err
+}
+
+// ViewOID lends fn oid's packed copy, or its base row on the pinned leaf.
+func (v placedView) ViewOID(oid OID, fn func(rel *catalog.Relation, rec []byte) error) error {
+	rec, ok, err := v.placed(oid)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return v.d.core.Cat.ViewOID(oid, fn)
+	}
+	rel, err := v.d.core.Cat.ByID(oid.Rel())
+	if err != nil {
+		return err
+	}
+	return fn(rel, rec)
+}
+
+// ProbeOIDs reads placed members from their packed copies — one unit's
+// members share extent pages, so the pool turns the probes into one or
+// two page fetches — and only the rest from the B-trees, in one
+// page-ordered sweep per relation.
+func (v placedView) ProbeOIDs(oids []OID, fn func(i int, rel *catalog.Relation, rec []byte) error) error {
+	rest, pos := make([]OID, 0, len(oids)), []int(nil)
+	for i, oid := range oids {
+		rec, ok, err := v.placed(oid)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			rest, pos = append(rest, oid), append(pos, i)
+			continue
+		}
+		rel, err := v.d.core.Cat.ByID(oid.Rel())
+		if err != nil {
+			return err
+		}
+		if err := fn(i, rel, rec); err != nil {
+			return err
+		}
+	}
+	return v.d.core.Cat.ProbeOIDs(rest, func(i int, rel *catalog.Relation, rec []byte) error {
+		return fn(pos[i], rel, rec)
+	})
 }
 
 // ReorganizeResult summarizes one Reorganize call.
@@ -199,15 +249,17 @@ func (d *Database) reorganizeUnit(parent OID, schema *tuple.Schema, row Row, ent
 	rs := d.reclust
 	moved := 0
 	for i := 0; i < schema.NumFields(); i++ {
-		raw := row[i].Raw
-		if row[i].Kind != tuple.KBytes || len(raw) == 0 || raw[0] != tagOIDs {
+		if row[i].Kind != tuple.KBytes {
 			continue
 		}
-		oids, err := object.DecodeOIDs(raw[1:])
+		c, err := object.ParseChildren(row[i].Raw)
+		if c.Rep != object.OIDs {
+			continue // only subobjects with a place of their own can be moved
+		}
 		if err != nil {
 			return moved, err
 		}
-		for _, oid := range oids {
+		for _, oid := range c.OIDs {
 			if _, staged := entries[oid]; staged {
 				continue
 			}

@@ -162,6 +162,37 @@ func TestReclusteringUpdateRetiresPlacement(t *testing.T) {
 	}
 }
 
+// TestReclusteringHeatFromEveryPathForm: the heat tracker is fed by the
+// path expander, so whichever entry point expands an OID list owned by a
+// stored object heats that unit — the root of a Query as much as a level
+// RetrievePathN reaches through an OID — and nothing else does: inline
+// and stored-query members belong to no unit.
+func TestReclusteringHeatFromEveryPathForm(t *testing.T) {
+	for name, retrieve := range map[string]func(db *Database) error{
+		"Query": func(db *Database) error { _, err := db.Query(`retrieve (shelf.grps.members.name)`); return err },
+		"RetrievePathN": func(db *Database) error {
+			_, err := db.RetrievePathN("shelf", []string{"grps", "members", "name"}, 1, 1)
+			return err
+		},
+	} {
+		db := buildMixedDB(t, 16)
+		if err := db.EnableReclustering(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := retrieve(db); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		hot := map[string]bool{}
+		for _, u := range db.HottestUnits(0) {
+			hot[fmt.Sprintf("%s/%d", u.Relation, u.Key)] = true
+		}
+		// shelf 1 lists grps by OID; of those only grp 1 lists members by OID.
+		if len(hot) != 2 || !hot["shelf/1"] || !hot["grp/1"] {
+			t.Errorf("%s heated %v, want shelf/1 and grp/1", name, hot)
+		}
+	}
+}
+
 func TestReclusteringErrors(t *testing.T) {
 	db := NewDatabase(8)
 	if _, err := db.Reorganize(4); err == nil {

@@ -63,12 +63,19 @@ func TestSlowLogCapturesQuerySpans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The three path entry points are one retrieval and report alike.
 	if _, err := db.RetrievePath("group", "members", "name", 1, 1); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := db.RetrievePathCached("group", "members", "name", 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.RetrievePathN("group", []string{"members", "name"}, 1, 2); err != nil {
+		t.Fatal(err)
+	}
 	slow := db.SlowQueries()
-	if len(slow) != 4 {
-		t.Fatalf("retained %d entries, want all 4", len(slow))
+	if len(slow) != 6 {
+		t.Fatalf("retained %d entries, want all 6", len(slow))
 	}
 	for i := 1; i < len(slow); i++ {
 		if slow[i].Duration > slow[i-1].Duration {
@@ -89,7 +96,7 @@ func TestSlowLogCapturesQuerySpans(t *testing.T) {
 			t.Fatalf("clean query recorded error %q", q.Err)
 		}
 	}
-	if byName["query.pql"] != 3 || byName["query.path"] != 1 {
+	if byName["query.pql"] != 3 || byName["query.path"] != 3 {
 		t.Fatalf("entry names wrong: %v", byName)
 	}
 	if !sawSpans {

@@ -234,6 +234,9 @@ func (c *Catalog) GroupOIDs(oids []object.OID) ([]OIDGroup, error) {
 // its position i in oids. The payload aliases the pinned page and is
 // valid only until fn returns, as Tree.GetBatch documents.
 func (g OIDGroup) GetBatch(oids []object.OID, fn func(i int, rel *Relation, payload []byte) error) error {
+	if g.Rel.Tree == nil {
+		return fmt.Errorf("catalog: OID target %s is not B-tree structured", g.Rel.Name)
+	}
 	keys := make([]int64, len(g.Pos))
 	for j, i := range g.Pos {
 		keys[j] = oids[i].Key()
@@ -245,6 +248,19 @@ func (g OIDGroup) GetBatch(oids []object.OID, fn func(i int, rel *Relation, payl
 		return fmt.Errorf("catalog: batch probe of %s: %w", g.Rel.Name, err)
 	}
 	return nil
+}
+
+// ViewOID calls fn with the stored record of oid: a view into the pinned
+// B-tree leaf, valid until fn returns.
+func (c *Catalog) ViewOID(oid object.OID, fn func(rel *Relation, payload []byte) error) error {
+	rel, err := c.ByID(oid.Rel())
+	if err != nil {
+		return err
+	}
+	if rel.Tree == nil {
+		return fmt.Errorf("catalog: OID target %s is not B-tree structured", rel.Name)
+	}
+	return rel.Tree.View(oid.Key(), func(payload []byte) error { return fn(rel, payload) })
 }
 
 // ProbeOIDs resolves a list of OIDs with one sorted sweep per

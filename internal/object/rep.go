@@ -25,20 +25,6 @@ const (
 	ValueBased
 )
 
-// Children-attribute tag bytes: the first byte of an encoded children
-// field names its primary representation. Shared between the object
-// facade (which encodes them) and the pql executor (which expands
-// multi-dot paths through them).
-const (
-	// TagOIDs precedes an EncodeOIDs list.
-	TagOIDs byte = 'O'
-	// TagProc precedes a stored retrieve-query string.
-	TagProc byte = 'P'
-	// TagValue precedes a 2-byte little-endian relation id (the schema
-	// shape the rows follow) and an EncodeNested body.
-	TagValue byte = 'V'
-)
-
 func (p Primary) String() string {
 	switch p {
 	case Procedural:

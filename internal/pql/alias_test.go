@@ -193,7 +193,7 @@ func TestRowViewsSurviveFrameReuse(t *testing.T) {
 		}
 		for _, tr := range []Traversal{TraversalProbe, TraversalBatch} {
 			var io int64
-			got, err := ExecuteWith(cat, q, ExecOpts{Planner: &stubPlanner{tr: tr}, IOStat: func() int64 { io++; return io }})
+			got, err := Store{Cat: cat, View: cat}.Execute(q, ExecOpts{Planner: &stubPlanner{tr: tr}, IOStat: func() int64 { io++; return io }})
 			if err != nil {
 				t.Fatalf("%s (%s): %v", src, tr, err)
 			}
@@ -223,7 +223,7 @@ func TestNoPinSurvivesAnAbandonedPipeline(t *testing.T) {
 	} {
 		for _, tr := range []Traversal{TraversalProbe, TraversalBatch} {
 			var io int64
-			_, err := ExecuteWith(cat, mustParse(t, src), ExecOpts{Planner: &stubPlanner{tr: tr}, IOStat: func() int64 { io++; return io }})
+			_, err := Store{Cat: cat, View: cat}.Execute(mustParse(t, src), ExecOpts{Planner: &stubPlanner{tr: tr}, IOStat: func() int64 { io++; return io }})
 			if !errors.Is(err, ErrExec) {
 				t.Fatalf("%s (%s): err = %v, want an ErrExec", src, tr, err)
 			}
@@ -335,7 +335,7 @@ func TestLazyDecodeStillChecksRecords(t *testing.T) {
 		} {
 			for _, tr := range []Traversal{TraversalProbe, TraversalBatch} {
 				var io int64
-				_, err := ExecuteWith(cat, mustParse(t, src), ExecOpts{Planner: &stubPlanner{tr: tr}, IOStat: func() int64 { io++; return io }})
+				_, err := Store{Cat: cat, View: cat}.Execute(mustParse(t, src), ExecOpts{Planner: &stubPlanner{tr: tr}, IOStat: func() int64 { io++; return io }})
 				if !errors.Is(err, tuple.ErrDecode) {
 					t.Fatalf("%s record, %s (%s): err = %v, want tuple.ErrDecode", name, src, tr, err)
 				}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"corep/internal/catalog"
+	"corep/internal/object"
 	"corep/internal/tuple"
 )
 
@@ -30,68 +31,35 @@ type Source struct {
 // attributes, type mismatches, unsupported shapes).
 var ErrExec = errors.New("pql: execution error")
 
+// Store is the database a query runs against.
+type Store struct {
+	// Cat names the relations and opens their scans.
+	Cat *catalog.Catalog
+	// View fetches the subobjects an OID list names: Cat itself, or a
+	// view that knows of copies placed elsewhere.
+	View ReadView
+	// Touch, when non-nil, is told the identity of every object whose OID
+	// list a path expands — the heat signal of adaptive clustering.
+	Touch func(owner object.OID)
+}
+
 // Execute runs a parsed query against cat and materializes the result.
 // Supported shapes — which cover the paper's procedural attributes — are
 // single-relation selections, two-relation joins, and multi-dot path
-// queries (one path target; see iter.go). Planned execution goes
-// through ExecuteWith; Execute is the unplanned executor.
+// queries (one path target; see iter.go). It is the unplanned executor
+// reading through the catalog.
 func Execute(cat *catalog.Catalog, q *Query) (*Result, error) {
-	return ExecuteWith(cat, q, ExecOpts{})
+	return Store{Cat: cat, View: cat}.Execute(q, ExecOpts{})
 }
 
-// Run parses and executes src in one step — the call sites that evaluate
-// stored procedural attributes use this.
-func Run(cat *catalog.Catalog, src string) (*Result, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Execute(cat, q)
-}
-
-// Project is Run for a caller that wants one column of a stored query's
-// result: it appends the value of result column attr — bare or qualified,
-// as tuple.Schema.Lookup resolves it — of every result row to out, and
-// materializes nothing else. A result without such a column is an error
-// whether or not it has rows.
-func Project(cat *catalog.Catalog, src, attr string, out []tuple.Value) ([]tuple.Value, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	j := -1
-	b, err := run(cat, q, ExecOpts{}, func(b *bound) error {
-		if j < 0 {
-			if j = b.schema.Lookup(attr); j < 0 {
-				return errNoColumn(b.schema, attr)
-			}
-		}
-		v, err := b.col(j)
-		out = append(out, v)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if j < 0 && b.schema.Lookup(attr) < 0 { // no row asked
-		return nil, errNoColumn(b.schema, attr)
-	}
-	return out, nil
-}
-
-func errNoColumn(s *tuple.Schema, attr string) error {
-	return fmt.Errorf("%w: stored query returns no attribute %q (have %v)", ErrExec, attr, s.Names())
-}
-
-// ExecuteWith runs a parsed query under opts. Execute delegates here
-// with zero options, so planned and unplanned execution share one
-// pipeline — the differential tests hold them row-identical. This is
-// the boundary where rows leave the executor: each is materialized here,
-// field by field through tuple.DecodeField, and owns its strings and
-// bytes.
-func ExecuteWith(cat *catalog.Catalog, q *Query, opts ExecOpts) (*Result, error) {
+// Execute runs a parsed query against st under opts. Planned and
+// unplanned execution share one pipeline — the differential tests hold
+// them row-identical. This is the boundary where rows leave the
+// executor: each is materialized here, field by field through
+// tuple.DecodeField, and owns its strings and bytes.
+func (st Store) Execute(q *Query, opts ExecOpts) (*Result, error) {
 	res := &Result{}
-	b, err := run(cat, q, opts, func(b *bound) error {
+	b, err := run(st, q, opts, func(b *bound) error {
 		t := make(tuple.Tuple, len(b.cols))
 		for j := range t {
 			v, err := b.col(j)
@@ -120,10 +88,10 @@ func ExecuteWith(cat *catalog.Catalog, q *Query, opts ExecOpts) (*Result, error)
 // run binds q once and streams its result rows to emit; the row emit
 // sees is valid for that call only. It returns the bound query for its
 // result schema, which a path query completes at the first reached leaf.
-func run(cat *catalog.Catalog, q *Query, opts ExecOpts, emit func(*bound) error) (*bound, error) {
+func run(st Store, q *Query, opts ExecOpts, emit func(*bound) error) (*bound, error) {
 	for _, t := range q.Targets {
 		if t.Pathy() {
-			return runPath(cat, q, opts, emit)
+			return runPath(st, q, opts, emit)
 		}
 	}
 	names := q.Relations()
@@ -131,9 +99,9 @@ func run(cat *catalog.Catalog, q *Query, opts ExecOpts, emit func(*bound) error)
 	case 0:
 		return nil, fmt.Errorf("%w: query references no relations", ErrExec)
 	case 1:
-		return runSingle(cat, q, names, emit)
+		return runSingle(st.Cat, q, names, emit)
 	case 2:
-		return runJoin(cat, q, names, emit)
+		return runJoin(st.Cat, q, names, emit)
 	default:
 		return nil, fmt.Errorf("%w: %d-relation queries not supported", ErrExec, len(names))
 	}

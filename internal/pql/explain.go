@@ -112,7 +112,7 @@ func explainPath(cat *catalog.Catalog, q *Query, pt Target, opts ExecOpts, p *Pl
 			step.Detail = fmt.Sprintf("traversal=%s (re-planned per fan-out)", tr)
 			step.EstIO = est
 		} else {
-			step.Detail = "traversal=probe (static)"
+			step.Detail = "traversal=batch (static)"
 		}
 		p.Steps = append(p.Steps, step)
 	}

@@ -8,7 +8,6 @@ package pql
 // materialized.
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"corep/internal/btree"
@@ -40,16 +39,28 @@ func (t Traversal) String() string {
 	return "probe"
 }
 
+// ReadView is how an expansion reads the subobjects an OID list names:
+// one at a time, or the whole list in page order with fn seeing the
+// record of oids[i] under its position i. A record is lent to fn as a
+// view, valid until fn returns. *catalog.Catalog is the plain view; a
+// database that keeps copies of hot subobjects elsewhere supplies one
+// that knows where they are.
+type ReadView interface {
+	ViewOID(oid object.OID, fn func(rel *catalog.Relation, rec []byte) error) error
+	ProbeOIDs(oids []object.OID, fn func(i int, rel *catalog.Relation, rec []byte) error) error
+}
+
 // PathPlanner chooses the expansion operator per sub-path step and
 // learns from measured executions. internal/planner.PathModel is the
-// production implementation; a nil planner means TraversalProbe
-// everywhere (the unplanned executor).
+// production implementation; a nil planner means TraversalBatch
+// everywhere (the unplanned executor): one page-ordered sweep per
+// referenced relation, never more page reads than probing.
 type PathPlanner interface {
 	// ChooseTraversal picks the operator for expanding fanout OIDs into
 	// relID, returning the choice and its estimated page cost.
 	ChooseTraversal(relID uint16, fanout int) (Traversal, float64)
-	// ObserveTraversal feeds back a measured expansion: tr fetched
-	// fanout OIDs from relID in pages page reads.
+	// ObserveTraversal feeds back a measured expansion: tr fetched fanout
+	// OIDs from relID in pages page reads.
 	ObserveTraversal(relID uint16, tr Traversal, fanout int, pages int64)
 }
 
@@ -62,10 +73,10 @@ type ExecOpts struct {
 	// expansions can be measured and fed back to the planner.
 	IOStat func() int64
 
-	// depth counts stored-query recursion. Unlike pathExec's segment
-	// depth, it must survive across ExecuteWith re-entry: each TagProc
-	// expansion runs a fresh query pipeline, and without this a stored
-	// query reaching back into its own relation would recurse forever.
+	// depth counts stored-query recursion. Unlike the expander's segment
+	// depth, it must survive across re-entry: each stored query an
+	// expansion meets runs a fresh pipeline, and without this one that
+	// reaches back into its own relation would recurse forever.
 	depth int
 }
 
@@ -76,12 +87,13 @@ type ExecOpts struct {
 // is framing-checked as it enters the pipeline, which is what lets the
 // stages behind the scan read single fields.
 type relScan struct {
-	schema *tuple.Schema
-	it     *btree.Iterator // B-tree relations
-	hi     int64
-	buf    []byte // heap relations: the records back to back, ends[i] closing the i-th
-	ends   []int
-	i      int
+	rel  *catalog.Relation
+	it   *btree.Iterator // B-tree relations
+	key  int64           // of the record it stands on
+	hi   int64
+	buf  []byte // heap relations: the records back to back, ends[i] closing the i-th
+	ends []int
+	i    int
 }
 
 func (s *relScan) Next() ([]byte, bool, error) {
@@ -91,7 +103,7 @@ func (s *relScan) Next() ([]byte, bool, error) {
 		if err != nil || !ok || key > s.hi {
 			return nil, false, err
 		}
-		rec = payload
+		rec, s.key = payload, key
 	} else {
 		if s.i == len(s.ends) {
 			return nil, false, nil
@@ -103,10 +115,19 @@ func (s *relScan) Next() ([]byte, bool, error) {
 		rec = s.buf[start:s.ends[s.i]]
 		s.i++
 	}
-	if err := tuple.Check(s.schema, rec); err != nil {
+	if err := tuple.Check(s.rel.Schema, rec); err != nil {
 		return nil, false, err
 	}
 	return rec, true, nil
+}
+
+// owner is the identity of the record the scan stands on: a B-tree
+// record whose key fits an OID has one, a heap record has none (zero).
+func (s *relScan) owner() object.OID {
+	if s.it == nil || s.key < 0 || s.key > object.MaxKey {
+		return 0
+	}
+	return object.NewOID(s.rel.ID, s.key)
 }
 
 // Close releases the leaf the scan holds; required on every path that
@@ -121,7 +142,7 @@ func (s *relScan) Close() {
 // predicate bounds the key, a full B-tree scan otherwise, a drained heap
 // scan for heap relations.
 func openScan(rel *catalog.Relation, where Expr) (*relScan, error) {
-	s := &relScan{schema: rel.Schema}
+	s := &relScan{rel: rel}
 	switch rel.Kind {
 	case catalog.KindBTree:
 		lo, hi := int64(-1<<62), int64(1<<62)
@@ -159,7 +180,7 @@ const maxPathDepth = 8
 // output row per reached subobject — plain targets repeat per expansion,
 // join-style. Exactly one path target is supported, all other targets
 // and the predicate must bind the root relation.
-func runPath(cat *catalog.Catalog, q *Query, opts ExecOpts, emit func(*bound) error) (*bound, error) {
+func runPath(st Store, q *Query, opts ExecOpts, emit func(*bound) error) (*bound, error) {
 	if opts.depth >= maxPathDepth {
 		return nil, fmt.Errorf("%w: stored query recursion deeper than %d (cyclic procedural attribute?)", ErrExec, maxPathDepth)
 	}
@@ -183,7 +204,7 @@ func runPath(cat *catalog.Catalog, q *Query, opts ExecOpts, emit func(*bound) er
 			return nil, fmt.Errorf("%w: path query must bind only %q (got %q)", ErrExec, pt.Rel, rn)
 		}
 	}
-	b, err := bind(cat, q, names)
+	b, err := bind(st.Cat, q, names)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +247,7 @@ func runPath(cat *catalog.Catalog, q *Query, opts ExecOpts, emit func(*bound) er
 		return nil, err
 	}
 	defer scan.Close()
-	px := &pathExec{cat: cat, opts: opts, leaf: &b.schema.Fields[ptIdx]}
+	px := newExpander(st, opts, &b.schema.Fields[ptIdx])
 	var vals []tuple.Value
 	for {
 		rec, ok, err := scan.Next()
@@ -246,7 +267,7 @@ func runPath(cat *catalog.Catalog, q *Query, opts ExecOpts, emit func(*bound) er
 		if err != nil {
 			return nil, err
 		}
-		if vals, err = px.expand(kids.Raw, pt.Path, 0, vals[:0]); err != nil {
+		if vals, err = px.expand(scan.owner(), kids.Raw, pt.Path, 0, vals[:0]); err != nil {
 			return nil, err
 		}
 		for _, v := range vals {
@@ -258,15 +279,18 @@ func runPath(cat *catalog.Catalog, q *Query, opts ExecOpts, emit func(*bound) er
 	}
 }
 
-// pathExec expands children attributes through the representation tags,
-// choosing (and measuring) the traversal operator per OID step.
-type pathExec struct {
-	cat  *catalog.Catalog
+// Expander follows the segments of a multi-dot path through encoded
+// children values, whichever representation each holds, choosing (and
+// measuring) the traversal operator per OID step. It is the one path
+// expander: a Query's path target and the facade's RetrievePath family
+// both hand it a children value and the segments that remain.
+type Expander struct {
+	st   Store
 	opts ExecOpts
-	// leaf is the path column's entry in the result schema; the first
-	// projected leaf attribute gives it its kind and width.
-	leaf     *tuple.Field
-	leafSeen bool
+	// leaf, until the first leaf attribute has been projected, is the
+	// path column's entry in the result schema, which takes its kind and
+	// width from that attribute.
+	leaf *tuple.Field
 	// memo[d] remembers where the segment applied at depth d sits in the
 	// schema last seen there: a path reaches the same few relations over
 	// and over, so the name is looked up once, not per reached row.
@@ -274,63 +298,84 @@ type pathExec struct {
 		schema *tuple.Schema
 		idx    int
 	}
+	// take is takeRecord bound once: a closure made per OID list would
+	// escape to the heap through the read view's interface, so what the
+	// fetch in progress wants done with each record sits in cur instead.
+	// Fetches never nest — a record is stepped, not expanded, under its
+	// pin — so one cur is enough.
+	take func(i int, rel *catalog.Relation, rec []byte) error
+	cur  oidFetch
 }
 
-// reached is a row a path step lands on: a stored record (an OID's
-// target, an inline member), or the current row of a running stored
-// query, whose columns are its bound target list.
-type reached struct {
-	schema *tuple.Schema
-	rec    []byte
-	sub    *bound
+// oidFetch is what takeRecord does with the records of one OID list.
+type oidFetch struct {
+	segs  []string
+	depth int
+	vals  []tuple.Value // last segment: vals[i] takes what oids[i] projects
+	kids  [][]byte      // an earlier one: kids[i] takes its children value
+	// rowErr is what a fetched record raised (a damaged record, a path
+	// that does not fit it): the query's error as is, where a failed
+	// fetch is wrapped as ErrExec.
+	rowErr error
 }
 
-func (r reached) col(i int) (tuple.Value, error) {
-	if r.sub != nil {
-		return r.sub.col(i)
-	}
-	return tuple.DecodeField(r.schema, r.rec, i)
+func newExpander(st Store, opts ExecOpts, leaf *tuple.Field) *Expander {
+	px := &Expander{st: st, opts: opts, leaf: leaf}
+	px.take = px.takeRecord
+	return px
 }
 
-// expand follows segs through one encoded children value, appending the
-// projected leaf values to out in traversal order. raw is read in place
-// and must stay valid for the call.
-func (px *pathExec) expand(raw []byte, segs []string, depth int, out []tuple.Value) ([]tuple.Value, error) {
+// Expander returns an expander over st for one retrieval.
+func (st Store) Expander(opts ExecOpts) *Expander { return newExpander(st, opts, nil) }
+
+// Expand follows segs — children attributes, then the attribute to
+// project — through raw, the encoded children value of the object owner
+// (zero for one without identity), appending the projected values to out
+// in traversal order. raw is read in place and must stay valid for the
+// call; the appended values own their bytes.
+func (px *Expander) Expand(owner object.OID, raw []byte, segs []string, out []tuple.Value) ([]tuple.Value, error) {
+	return px.expand(owner, raw, segs, 0, out)
+}
+
+// ExpandOIDs is Expand for an OID list already in hand.
+func (px *Expander) ExpandOIDs(owner object.OID, oids []object.OID, segs []string, out []tuple.Value) ([]tuple.Value, error) {
+	return px.expandOIDs(owner, oids, segs, 0, out)
+}
+
+func (px *Expander) expand(owner object.OID, raw []byte, segs []string, depth int, out []tuple.Value) ([]tuple.Value, error) {
 	if depth >= maxPathDepth {
 		return nil, fmt.Errorf("%w: path expansion deeper than %d (cyclic procedural attribute?)", ErrExec, maxPathDepth)
 	}
 	if len(raw) == 0 {
 		return out, nil // no children
 	}
+	c, err := object.ParseChildren(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrExec, err)
+	}
 	last := len(segs) == 1
-	switch raw[0] {
-	case object.TagOIDs:
-		oids, err := object.DecodeOIDs(raw[1:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrExec, err)
-		}
-		return px.expandOIDs(oids, segs, depth, out)
-	case object.TagValue:
-		if len(raw) < 3 {
-			return nil, fmt.Errorf("%w: truncated value-based children field", ErrExec)
-		}
-		rel, err := px.cat.ByID(binary.LittleEndian.Uint16(raw[1:3]))
+	switch c.Rep {
+	case object.OIDs:
+		return px.expandOIDs(owner, c.OIDs, segs, depth, out)
+	case object.ValueBased:
+		rel, err := px.st.Cat.ByID(c.RelID)
 		if err != nil {
 			return nil, err
 		}
 		// Members are walked in place: each is checked and stepped before
 		// the next is looked at, and what a member raises is the query's
 		// error as is; only damage to the framing around them is ErrExec.
+		// An inline member has no identity, so nothing below it is owned.
 		var rowErr error
-		err = object.EachNested(raw[3:], func(rec []byte) error {
+		err = object.EachNested(c.Nested, func(rec []byte) error {
 			var v tuple.Value
-			if v, rowErr = px.enter(rel.Schema, rec, segs, depth); rowErr != nil {
+			if v, rowErr = px.enter(rel, rec, segs, depth); rowErr != nil {
 				return rowErr
 			}
 			if last {
 				out = append(out, v)
 			} else {
-				out, rowErr = px.expand(v.Raw, segs[1:], depth+1, out)
+				out, rowErr = px.expand(0, v.Raw, segs[1:], depth+1, out)
 			}
 			return rowErr
 		})
@@ -338,22 +383,27 @@ func (px *pathExec) expand(raw []byte, segs []string, depth int, out []tuple.Val
 			return nil, rowErr
 		}
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrExec, err)
+			return nil, fmt.Errorf("%w: %w", ErrExec, err)
 		}
 		return out, nil
-	case object.TagProc:
-		sub, err := Parse(string(raw[1:]))
+	default: // object.Procedural
+		sub, err := Parse(c.Query)
 		if err != nil {
-			return nil, fmt.Errorf("%w: stored query: %v", ErrExec, err)
+			return nil, fmt.Errorf("%w: stored query: %w", ErrExec, err)
 		}
 		// The stored query runs to its end before any further segment is
 		// followed, so its scan and the expansions below it do not
-		// interleave their page accesses.
+		// interleave their page accesses. Its rows are columns of a target
+		// list, not objects: what they hold is expanded unowned.
 		var kids [][]byte
 		opts := px.opts
 		opts.depth += depth + 1 // runPath refuses once the nesting passes maxPathDepth
-		_, err = run(px.cat, sub, opts, func(b *bound) error {
-			v, err := px.step(reached{schema: b.schema, sub: b}, segs, depth)
+		_, err = run(px.st, sub, opts, func(b *bound) error {
+			i, err := px.step(b.schema, "", segs, depth)
+			if err != nil {
+				return err
+			}
+			v, err := b.col(i)
 			if err != nil {
 				return err
 			}
@@ -367,133 +417,168 @@ func (px *pathExec) expand(raw []byte, segs []string, depth int, out []tuple.Val
 		if err != nil {
 			return nil, err
 		}
-		return px.expandAll(kids, segs[1:], depth+1, out)
+		return px.expandAll(nil, kids, segs[1:], depth+1, out)
 	}
-	return nil, fmt.Errorf("%w: unknown children representation tag %q", ErrExec, raw[0])
 }
 
-// expandAll expands each children value in turn.
-func (px *pathExec) expandAll(kids [][]byte, segs []string, depth int, out []tuple.Value) ([]tuple.Value, error) {
+// expandAll expands each children value in turn; owners, when not nil,
+// names the object that holds kids[i].
+func (px *Expander) expandAll(owners []object.OID, kids [][]byte, segs []string, depth int, out []tuple.Value) ([]tuple.Value, error) {
 	var err error
-	for _, raw := range kids {
-		if out, err = px.expand(raw, segs, depth, out); err != nil {
+	for i, raw := range kids {
+		var owner object.OID
+		if owners != nil {
+			owner = owners[i]
+		}
+		if out, err = px.expand(owner, raw, segs, depth, out); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// expandOIDs fetches the listed subobjects — grouped per relation, with
-// the traversal chosen per group — and steps each one through the
-// remaining segments, in OID-list order regardless of traversal. The
-// last segment is projected straight off the pinned page, into the
-// subobject's place in out; an earlier one has its children value copied
-// out, and the copies are expanded once every group has been fetched, so
-// a fetch and the expansions below it do not interleave.
-func (px *pathExec) expandOIDs(oids []object.OID, segs []string, depth int, out []tuple.Value) ([]tuple.Value, error) {
+// expandOIDs fetches the listed subobjects of owner and steps each one
+// through the remaining segments, in OID-list order whatever order the
+// fetch visits them in. The last segment is projected straight off the
+// pinned page, into the subobject's place in out; an earlier one has its
+// children value copied out, and the copies are expanded once the whole
+// list has been fetched, so a fetch and the expansions below it do not
+// interleave.
+func (px *Expander) expandOIDs(owner object.OID, oids []object.OID, segs []string, depth int, out []tuple.Value) ([]tuple.Value, error) {
 	if len(oids) == 0 {
 		return out, nil
 	}
-	// Relations are visited in id order so the choose/observe sequence
-	// (and hence the learned model) is deterministic.
-	groups, err := px.cat.GroupOIDs(oids)
-	if err != nil {
-		return nil, err
+	if px.st.Touch != nil && owner != 0 {
+		px.st.Touch(owner)
 	}
-	last := len(segs) == 1
-	base := len(out)
-	var kids [][]byte
-	if last {
+	px.cur = oidFetch{segs: segs, depth: depth}
+	cur := &px.cur
+	if base := len(out); len(segs) == 1 {
 		out = append(out, make([]tuple.Value, len(oids))...)
+		cur.vals = out[base:]
 	} else {
-		kids = make([][]byte, len(oids))
+		cur.kids = make([][]byte, len(oids))
 	}
-	// rowErr is what a fetched record raised (a damaged record, a path
-	// that does not fit it): the query's error as is, where a failed
-	// fetch is wrapped as ErrExec.
-	var rowErr error
-	take := func(i int, rel *catalog.Relation, payload []byte) error {
-		var v tuple.Value
-		if v, rowErr = px.enter(rel.Schema, payload, segs, depth); rowErr != nil {
-			return rowErr
-		}
-		if last {
-			out[base+i] = v
-		} else {
-			kids[i] = v.Raw
-		}
-		return nil
+	err := px.fetch(oids, px.take)
+	if cur.rowErr != nil {
+		return nil, cur.rowErr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrExec, err)
+	}
+	return px.expandAll(oids, cur.kids, segs[1:], depth+1, out)
+}
+
+// takeRecord steps one fetched subobject for the fetch in progress.
+func (px *Expander) takeRecord(i int, rel *catalog.Relation, rec []byte) error {
+	cur := &px.cur
+	v, err := px.enter(rel, rec, cur.segs, cur.depth)
+	if err != nil {
+		cur.rowErr = err
+		return err
+	}
+	if cur.kids == nil {
+		cur.vals[i] = v
+	} else {
+		cur.kids[i] = v.Raw
+	}
+	return nil
+}
+
+// fetch reads the listed subobjects through the read view, handing take
+// the record of oids[i] under i. Unplanned, the whole list goes to the
+// view's page-ordered sweep. A planner chooses per referenced relation —
+// visited in id order, so the choose/observe sequence and hence the
+// learned model are deterministic — between that sweep and one probe per
+// subobject, and is told what the choice cost.
+func (px *Expander) fetch(oids []object.OID, take func(i int, rel *catalog.Relation, rec []byte) error) error {
+	pl := px.opts.Planner
+	if pl == nil {
+		return px.st.View.ProbeOIDs(oids, take)
+	}
+	groups, err := px.st.Cat.GroupOIDs(oids)
+	if err != nil {
+		return err
 	}
 	for _, g := range groups {
-		rel, relID := g.Rel, g.Rel.ID
-		if rel.Kind != catalog.KindBTree || rel.Tree == nil {
-			return nil, fmt.Errorf("%w: OID target %q is not B-tree structured", ErrExec, rel.Name)
+		sub := oids
+		if len(g.Pos) < len(oids) {
+			sub = make([]object.OID, len(g.Pos))
+			for j, i := range g.Pos {
+				sub[j] = oids[i]
+			}
 		}
-		tr := TraversalProbe
-		if px.opts.Planner != nil {
-			tr, _ = px.opts.Planner.ChooseTraversal(relID, len(g.Pos))
-		}
+		tr, _ := pl.ChooseTraversal(g.Rel.ID, len(sub))
 		var io0 int64
 		if px.opts.IOStat != nil {
 			io0 = px.opts.IOStat()
 		}
 		if tr == TraversalBatch {
-			err = g.GetBatch(oids, take)
-			if err != nil && rowErr == nil {
-				err = fmt.Errorf("%w: %v", ErrExec, err)
-			}
+			err = px.st.View.ProbeOIDs(sub, func(j int, rel *catalog.Relation, rec []byte) error {
+				return take(g.Pos[j], rel, rec)
+			})
 		} else {
-			for _, idx := range g.Pos {
-				err = rel.Tree.View(oids[idx].Key(), func(payload []byte) error { return take(idx, rel, payload) })
+			for j, oid := range sub {
+				err = px.st.View.ViewOID(oid, func(rel *catalog.Relation, rec []byte) error {
+					return take(g.Pos[j], rel, rec)
+				})
 				if err != nil {
-					if rowErr == nil {
-						err = fmt.Errorf("%w: subobject %s: %v", ErrExec, oids[idx], err)
-					}
+					err = fmt.Errorf("subobject %s: %w", oid, err)
 					break
 				}
 			}
 		}
-		if rowErr != nil {
-			return nil, rowErr
-		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if px.opts.Planner != nil && px.opts.IOStat != nil {
-			px.opts.Planner.ObserveTraversal(relID, tr, len(g.Pos), px.opts.IOStat()-io0)
+		if px.opts.IOStat != nil {
+			pl.ObserveTraversal(g.Rel.ID, tr, len(sub), px.opts.IOStat()-io0)
 		}
 	}
-	return px.expandAll(kids, segs[1:], depth+1, out)
+	return nil
 }
 
-// enter is step for a stored record the path has just reached: the
-// record is framing-checked before anything is read from it.
-func (px *pathExec) enter(s *tuple.Schema, rec []byte, segs []string, depth int) (tuple.Value, error) {
-	if err := tuple.Check(s, rec); err != nil {
+// enter reads the next segment from a stored record of rel the path has
+// just reached — an OID's target, an inline member. The record is
+// framing-checked before anything is read from it, and the value is the
+// caller's own copy.
+func (px *Expander) enter(rel *catalog.Relation, rec []byte, segs []string, depth int) (tuple.Value, error) {
+	if err := tuple.Check(rel.Schema, rec); err != nil {
 		return tuple.Value{}, err
 	}
-	return px.step(reached{schema: s, rec: rec}, segs, depth)
+	i, err := px.step(rel.Schema, rel.Name, segs, depth)
+	if err != nil {
+		return tuple.Value{}, err
+	}
+	return tuple.DecodeField(rel.Schema, rec, i)
 }
 
-// step reads the next segment from a reached row. The last segment's
-// value is the projection; an earlier one must be a children attribute,
-// whose value the caller expands through the segments that follow.
-// Either way the value is the caller's own copy.
-func (px *pathExec) step(r reached, segs []string, depth int) (tuple.Value, error) {
+// step finds the next segment among the columns s of a row the path has
+// reached: a stored record of relation rel, or (rel empty) the current
+// row of a running stored query, whose columns are its bound target
+// list. The last segment is the projection; an earlier one must be a
+// children attribute, whose value the caller expands through the
+// segments that follow.
+func (px *Expander) step(s *tuple.Schema, rel string, segs []string, depth int) (int, error) {
 	m := &px.memo[depth]
-	if m.schema != r.schema {
-		m.schema, m.idx = r.schema, r.schema.Lookup(segs[0])
+	if m.schema != s {
+		m.schema, m.idx = s, s.Lookup(segs[0])
 	}
 	if m.idx < 0 {
-		return tuple.Value{}, fmt.Errorf("%w: no attribute %q along path", ErrExec, segs[0])
+		return -1, fmt.Errorf("%w: no attribute %q along path", ErrExec, segs[0])
 	}
-	f := &r.schema.Fields[m.idx]
+	f := &s.Fields[m.idx]
 	if len(segs) == 1 {
-		if !px.leafSeen {
-			px.leaf.Kind, px.leaf.Width, px.leafSeen = f.Kind, f.Width, true
+		if px.leaf != nil {
+			px.leaf.Kind, px.leaf.Width = f.Kind, f.Width
+			px.leaf = nil
 		}
 	} else if f.Kind != tuple.KBytes {
-		return tuple.Value{}, fmt.Errorf("%w: %q is not a children attribute", ErrExec, segs[0])
+		name := segs[0]
+		if rel != "" {
+			name = rel + "." + name
+		}
+		return -1, fmt.Errorf("%w: %s is not a children attribute", ErrExec, name)
 	}
-	return r.col(m.idx)
+	return m.idx, nil
 }

@@ -186,16 +186,20 @@ type stubPlanner struct {
 	chosen   int
 	observed int
 	pages    int64
+	// calls logs "choose rel×fanout" / "observe rel×fanout" in order.
+	calls []string
 }
 
 func (s *stubPlanner) ChooseTraversal(relID uint16, fanout int) (Traversal, float64) {
 	s.chosen++
+	s.calls = append(s.calls, fmt.Sprintf("choose %d×%d", relID, fanout))
 	return s.tr, 0
 }
 
 func (s *stubPlanner) ObserveTraversal(relID uint16, tr Traversal, fanout int, pages int64) {
 	s.observed++
 	s.pages += pages
+	s.calls = append(s.calls, fmt.Sprintf("observe %d×%d", relID, fanout))
 }
 
 // TestExecPathPlannedMatchesUnplanned is the executor half of the
@@ -203,11 +207,40 @@ func (s *stubPlanner) ObserveTraversal(relID uint16, tr Traversal, fanout int, p
 // could pick, the planned pipeline returns bit-identical rows — same
 // values, same order — as the unplanned one.
 func TestExecPathPlannedMatchesUnplanned(t *testing.T) {
-	cat, _, _ := teamDB(t, object.TagOIDs)
+	cat, team, member := teamDB(t, object.TagOIDs)
+	// Team 3 lists subobjects of two relations, interleaved: each
+	// relation's share of the list is planned, and charged, on its own.
+	guest, err := cat.CreateBTree("guest", member.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"gus", "hal", "ivy"} {
+		rec, err := tuple.Encode(nil, guest.Schema, tuple.Tuple{tuple.IntVal(int64(i + 1)), tuple.StrVal(name), tuple.IntVal(int64(10 + i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := guest.Tree.Insert(int64(i+1), rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mixed := []object.OID{
+		object.NewOID(guest.ID, 3), object.NewOID(member.ID, 6), object.NewOID(guest.ID, 1),
+		object.NewOID(member.ID, 2), object.NewOID(guest.ID, 2),
+	}
+	rec, err := tuple.Encode(nil, team.Schema, tuple.Tuple{tuple.IntVal(3), tuple.StrVal("team3"),
+		tuple.BytesVal(append([]byte{object.TagOIDs}, object.EncodeOIDs(mixed)...))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := team.Tree.Insert(3, rec); err != nil {
+		t.Fatal(err)
+	}
+	const mixedQuery = `retrieve (team.members.name) where team.OID = 3`
 	queries := []string{
 		`retrieve (team.members.score)`,
 		`retrieve (team.name, team.members.name) where team.OID = 2`,
 		`retrieve (team.members.OID) where team.OID >= 1 and team.OID <= 2`,
+		mixedQuery,
 	}
 	for _, src := range queries {
 		q := mustParse(t, src)
@@ -218,7 +251,7 @@ func TestExecPathPlannedMatchesUnplanned(t *testing.T) {
 		for _, tr := range []Traversal{TraversalProbe, TraversalBatch} {
 			sp := &stubPlanner{tr: tr}
 			var fakeIO int64
-			got, err := ExecuteWith(cat, q, ExecOpts{Planner: sp, IOStat: func() int64 { fakeIO++; return fakeIO }})
+			got, err := Store{Cat: cat, View: cat}.Execute(q, ExecOpts{Planner: sp, IOStat: func() int64 { fakeIO++; return fakeIO }})
 			if err != nil {
 				t.Fatalf("%s: planned(%s): %v", src, tr, err)
 			}
@@ -230,6 +263,19 @@ func TestExecPathPlannedMatchesUnplanned(t *testing.T) {
 			}
 			if sp.chosen == 0 || sp.observed != sp.chosen {
 				t.Fatalf("%s: planner saw %d choices, %d observations", src, sp.chosen, sp.observed)
+			}
+			if src != mixedQuery {
+				continue
+			}
+			if got := names(got, 0); !reflect.DeepEqual(got, []string{"ivy", "fay", "gus", "bob", "hal"}) {
+				t.Fatalf("mixed list, planned(%s): names = %v, want list order", tr, got)
+			}
+			wantCalls := []string{
+				fmt.Sprintf("choose %d×2", member.ID), fmt.Sprintf("observe %d×2", member.ID),
+				fmt.Sprintf("choose %d×3", guest.ID), fmt.Sprintf("observe %d×3", guest.ID),
+			}
+			if !reflect.DeepEqual(sp.calls, wantCalls) {
+				t.Fatalf("mixed list, planned(%s): planner calls %v, want %v (one group per relation, in id order)", tr, sp.calls, wantCalls)
 			}
 		}
 	}
@@ -321,7 +367,7 @@ func TestExplainPath(t *testing.T) {
 // to the legacy semantics on the existing fixture.
 func TestExecSingleStreaming(t *testing.T) {
 	cat := personDB(t)
-	res, err := ExecuteWith(cat, mustParse(t, `retrieve (person.name) where person.age >= 60`), ExecOpts{})
+	res, err := Store{Cat: cat, View: cat}.Execute(mustParse(t, `retrieve (person.name) where person.age >= 60`), ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,6 +198,15 @@ func personDB(t *testing.T) *catalog.Catalog {
 	return cat
 }
 
+// Run parses and executes src in one step.
+func Run(cat *catalog.Catalog, src string) (*Result, error) {
+	q, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return Execute(cat, q)
+}
+
 func names(res *Result, col int) []string {
 	var out []string
 	for _, t := range res.Tuples {

@@ -188,7 +188,7 @@ func refProject(cat *catalog.Catalog, cols []Operand, e refEnv) (tuple.Tuple, er
 	return out, nil
 }
 
-// refExecute is the oracle's ExecuteWith. depth is the stored-query
+// refExecute is the oracle's Store.Execute. depth is the stored-query
 // nesting, as ExecOpts.depth.
 func refExecute(cat *catalog.Catalog, q *Query, depth int) (*Result, error) {
 	for _, t := range q.Targets {
@@ -511,7 +511,7 @@ func agreeWithReference(t testing.TB, cat *catalog.Catalog, src string, q *Query
 		"unplanned": {},
 		"planned":   {Planner: &fuzzPathPlanner{}, IOStat: func() int64 { io++; return io }},
 	} {
-		got, err := ExecuteWith(cat, q, opts)
+		got, err := Store{Cat: cat, View: cat}.Execute(q, opts)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("%s executor and reference disagree on failing %q: %v vs %v", name, src, err, wantErr)
 		}
