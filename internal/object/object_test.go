@@ -2,6 +2,7 @@ package object
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -94,6 +95,33 @@ func TestDecodeOIDsEmpty(t *testing.T) {
 func TestDecodeOIDsMalformed(t *testing.T) {
 	if _, err := DecodeOIDs(make([]byte, 9)); !errors.Is(err, ErrBadOIDList) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestAppendOIDs: lists land behind what the destination already holds,
+// in its storage when it has room, and a malformed list leaves it alone.
+func TestAppendOIDs(t *testing.T) {
+	arena := make([]OID, 0, 8)
+	first, second := []OID{NewOID(1, 5), NewOID(2, 99)}, []OID{NewOID(1, 0), NewOID(3, 7), NewOID(1, 5)}
+	out, err := AppendOIDs(arena, EncodeOIDs(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err = AppendOIDs(out, EncodeOIDs(second)); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(out, append(first, second...)) {
+		t.Fatalf("appended %v", out)
+	}
+	if &out[0] != &arena[:1][0] {
+		t.Fatal("a destination with room was reallocated")
+	}
+	bad, err := AppendOIDs(out, make([]byte, 9))
+	if !errors.Is(err, ErrBadOIDList) || len(bad) != len(out) {
+		t.Fatalf("malformed list: %d OIDs, err = %v", len(bad), err)
+	}
+	if out, err = AppendOIDs(out, nil); err != nil || len(out) != 5 {
+		t.Fatalf("empty list: %d OIDs, err = %v", len(out), err)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // OID identifies an object: relation id ⊕ primary key.
@@ -51,14 +52,25 @@ func EncodeOIDs(oids []OID) []byte {
 
 // DecodeOIDs parses an encoded OID list.
 func DecodeOIDs(raw []byte) ([]OID, error) {
-	if len(raw)%8 != 0 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadOIDList, len(raw))
-	}
-	out := make([]OID, len(raw)/8)
-	for i := range out {
-		out[i] = OID(binary.LittleEndian.Uint64(raw[8*i:]))
+	out, err := AppendOIDs(make([]OID, 0, len(raw)/8), raw)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// AppendOIDs parses an encoded OID list onto dst, so a reader that walks
+// many lists can land them all in storage it owns. raw is only read; a
+// malformed list leaves dst as it was.
+func AppendOIDs(dst []OID, raw []byte) ([]OID, error) {
+	if len(raw)%8 != 0 {
+		return dst, fmt.Errorf("%w: %d bytes", ErrBadOIDList, len(raw))
+	}
+	dst = slices.Grow(dst, len(raw)/8)
+	for ; len(raw) > 0; raw = raw[8:] {
+		dst = append(dst, OID(binary.LittleEndian.Uint64(raw)))
+	}
+	return dst, nil
 }
 
 // Unit is "a collection of subobjects which belong to one relation and

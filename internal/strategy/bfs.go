@@ -40,7 +40,7 @@ const tempValuesPerPage = (2048 - 24) / 12
 const sortPassFactor = 3
 
 func (b bfs) Retrieve(db *workload.DB, q Query) (*Result, error) {
-	parents, res, err := scanPhase(db, q, "strategy.bfs/scan")
+	_, oids, res, err := scanPhase(db, q, "strategy.bfs/scan")
 	if err != nil {
 		return nil, err
 	}
@@ -52,11 +52,9 @@ func (b bfs) Retrieve(db *workload.DB, q Query) (*Result, error) {
 	tempSp := db.Obs.Start("strategy.bfs/temp")
 	tw := newTempWriter(db.Pool)
 	defer tw.close()
-	for _, p := range parents {
-		for _, oid := range p.unit {
-			if err := tw.add(oid); err != nil {
-				return nil, err
-			}
+	for _, oid := range oids {
+		if err := tw.add(oid); err != nil {
+			return nil, err
 		}
 	}
 	tw.close()
@@ -122,11 +120,11 @@ func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Tem
 				if err != nil {
 					return false, err
 				}
-				v, err := tuple.DecodeField(db.ChildSchema, rec, attrIdx)
+				v, err := tuple.Int(db.ChildSchema, rec, attrIdx)
 				if err != nil {
 					return false, err
 				}
-				res.Values = append(res.Values, overlayInt(q.Snap, object.NewOID(rel.ID, key), attrIdx, v.Int))
+				res.Values = append(res.Values, overlayInt(q.Snap, object.NewOID(rel.ID, key), attrIdx, v))
 				return true, nil
 			})
 		}
@@ -142,11 +140,11 @@ func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Tem
 		}
 		vals := make([]int64, len(keys))
 		err = rel.Tree.GetBatch(keys, func(i int, payload []byte) error {
-			v, err := tuple.DecodeField(db.ChildSchema, payload, attrIdx)
+			v, err := tuple.Int(db.ChildSchema, payload, attrIdx)
 			if err != nil {
 				return err
 			}
-			vals[i] = overlayInt(q.Snap, object.NewOID(rel.ID, keys[i]), attrIdx, v.Int)
+			vals[i] = overlayInt(q.Snap, object.NewOID(rel.ID, keys[i]), attrIdx, v)
 			return nil
 		})
 		if err != nil {

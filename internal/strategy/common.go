@@ -15,50 +15,72 @@ import (
 	"corep/internal/workload"
 )
 
-// parentRef is one qualifying ParentRel tuple: its key and its unit.
+// parentRef is one qualifying ParentRel tuple: its key and its unit, a
+// view into the retrieve's OID arena.
 type parentRef struct {
 	key  int64
 	unit []object.OID
 }
 
+// storedParents clamps a query's key bounds to the keys ParentRel and
+// ClusterRel hold, [0, NumParents-1], and counts the keys left (0: the
+// query selects nothing). An open upper bound costs nothing to ask for.
+func storedParents(db *workload.DB, lo, hi int64) (first, last int64, n int) {
+	first, last = max(lo, 0), min(hi, int64(db.Cfg.NumParents)-1)
+	return first, last, int(max(0, last-first+1))
+}
+
 // scanParents range-scans ParentRel for lo ≤ key ≤ hi and decodes each
-// qualifying tuple's children attribute.
-func scanParents(db *workload.DB, lo, hi int64) ([]parentRef, error) {
+// qualifying tuple's children attribute. The units land back to back in
+// one arena, returned whole as oids: the retrieve's subobjects in probe
+// order. Both slices are the caller's; nothing in them aliases a page.
+func scanParents(db *workload.DB, lo, hi int64) (parents []parentRef, oids []object.OID, err error) {
 	childIdx := db.ParentSchema.MustIndex("children")
-	out := make([]parentRef, 0, max(0, min(hi-lo+1, int64(db.Cfg.NumParents))))
-	err := db.Parent.Tree.Range(lo, hi, func(key int64, payload []byte) (bool, error) {
-		v, err := tuple.DecodeField(db.ParentSchema, payload, childIdx)
+	_, _, n := storedParents(db, lo, hi)
+	parents = make([]parentRef, 0, n)
+	oids = make([]object.OID, 0, n*db.Cfg.SizeUnit)
+	err = db.Parent.Tree.Range(lo, hi, func(key int64, payload []byte) (bool, error) {
+		raw, err := tuple.FieldBytes(db.ParentSchema, payload, childIdx)
 		if err != nil {
 			return false, err
 		}
-		oids, err := object.DecodeOIDs(v.Raw)
-		if err != nil {
+		start := len(oids)
+		if oids, err = object.AppendOIDs(oids, raw); err != nil {
 			return false, err
 		}
-		out = append(out, parentRef{key: key, unit: oids})
+		parents = append(parents, parentRef{key: key, unit: oids[start:]})
 		return true, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	// A unit longer than SizeUnit moves the arena under the views cut
+	// before it: cut them all again from the final one, each capped at
+	// its own end so an append cannot reach its neighbour.
+	off := 0
+	for i := range parents {
+		end := off + len(parents[i].unit)
+		parents[i].unit = oids[off:end:end]
+		off = end
+	}
+	return parents, oids, nil
 }
 
 // scanPhase is the first phase every scan-then-fetch strategy shares:
 // range-scan the qualifying parents under the named span and charge the
 // scan's I/O to the result's ParCost.
-func scanPhase(db *workload.DB, q Query, span string) ([]parentRef, *Result, error) {
+func scanPhase(db *workload.DB, q Query, span string) ([]parentRef, []object.OID, *Result, error) {
 	par := beginIO(db.Core)
 	sp := db.Obs.Start(span)
-	parents, err := scanParents(db, q.Lo, q.Hi)
+	parents, oids, err := scanParents(db, q.Lo, q.Hi)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	sp.SetAttr("parents", int64(len(parents)))
 	sp.End()
 	res := &Result{}
 	res.Split.Par = par.end()
-	return parents, res, nil
+	return parents, oids, res, nil
 }
 
 // fetchChildAttr probes the child relation for oid and projects the
@@ -73,11 +95,7 @@ func fetchChildAttr(db *workload.DB, oid object.OID, attrIdx int) (int64, error)
 	if err != nil {
 		return 0, fmt.Errorf("strategy: subobject %v: %w", oid, err)
 	}
-	v, err := tuple.DecodeField(db.ChildSchema, rec, attrIdx)
-	if err != nil {
-		return 0, err
-	}
-	return v.Int, nil
+	return tuple.Int(db.ChildSchema, rec, attrIdx)
 }
 
 // fetchChildAttrs probes the child relations for every OID of oids and
@@ -99,11 +117,11 @@ func fetchChildAttrs(db *workload.DB, oids []object.OID, attrIdx int, out []int6
 		return nil
 	}
 	return db.Cat.ProbeOIDs(oids, func(i int, _ *catalog.Relation, payload []byte) error {
-		v, err := tuple.DecodeField(db.ChildSchema, payload, attrIdx)
+		v, err := tuple.Int(db.ChildSchema, payload, attrIdx)
 		if err != nil {
 			return err
 		}
-		out[i] = v.Int
+		out[i] = v
 		return nil
 	})
 }
@@ -295,11 +313,11 @@ func mergeJoinChild(db *workload.DB, rel *catalog.Relation, sorted *query.Int64T
 	// Every outer value matches at most once.
 	res.Values = slices.Grow(res.Values, sorted.Count())
 	return query.MergeJoin(db.Obs, sorted.Iter(), it, func(key int64, payload []byte) (bool, error) {
-		v, err := tuple.DecodeField(db.ChildSchema, payload, q.AttrIdx)
+		v, err := tuple.Int(db.ChildSchema, payload, q.AttrIdx)
 		if err != nil {
 			return false, err
 		}
-		res.Values = append(res.Values, overlayInt(q.Snap, object.NewOID(rel.ID, key), q.AttrIdx, v.Int))
+		res.Values = append(res.Values, overlayInt(q.Snap, object.NewOID(rel.ID, key), q.AttrIdx, v))
 		return true, nil
 	})
 }
@@ -351,11 +369,11 @@ func decodeUnitValue(value []byte, fn func(rec []byte) error) error {
 // of a cached unit value.
 func projectUnitValue(db *workload.DB, value []byte, attrIdx int, out *[]int64) error {
 	return decodeUnitValue(value, func(rec []byte) error {
-		v, err := tuple.DecodeField(db.ChildSchema, rec, attrIdx)
+		v, err := tuple.Int(db.ChildSchema, rec, attrIdx)
 		if err != nil {
 			return err
 		}
-		*out = append(*out, v.Int)
+		*out = append(*out, v)
 		return nil
 	})
 }

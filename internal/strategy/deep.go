@@ -42,16 +42,16 @@ func DeepRetrieve(db *workload.TwoLevelDB, kind Kind, q Query) (*Result, error) 
 // midChildren decodes a MidRel tuple's children attribute.
 func midChildren(db *workload.TwoLevelDB, payload []byte) ([]object.OID, error) {
 	idx := db.ParentSchema.MustIndex("children")
-	v, err := tuple.DecodeField(db.ParentSchema, payload, idx)
+	raw, err := tuple.FieldBytes(db.ParentSchema, payload, idx)
 	if err != nil {
 		return nil, err
 	}
-	return object.DecodeOIDs(v.Raw)
+	return object.DecodeOIDs(raw)
 }
 
 func deepDFS(db *workload.TwoLevelDB, q Query) (*Result, error) {
 	par := beginIO(db.Core)
-	parents, err := scanParents(db.DB, q.Lo, q.Hi)
+	_, mids, err := scanParents(db.DB, q.Lo, q.Hi)
 	if err != nil {
 		return nil, err
 	}
@@ -60,27 +60,25 @@ func deepDFS(db *workload.TwoLevelDB, q Query) (*Result, error) {
 
 	child := beginIO(db.Core)
 	mid, leaf := db.Mid(), db.Leaf()
-	for _, p := range parents {
-		for _, mo := range p.unit {
-			mrec, err := mid.Tree.Get(mo.Key())
+	for _, mo := range mids {
+		mrec, err := mid.Tree.Get(mo.Key())
+		if err != nil {
+			return nil, err
+		}
+		leaves, err := midChildren(db, mrec)
+		if err != nil {
+			return nil, err
+		}
+		for _, lo := range leaves {
+			lrec, err := leaf.Tree.Get(lo.Key())
 			if err != nil {
 				return nil, err
 			}
-			leaves, err := midChildren(db, mrec)
+			v, err := tuple.Int(db.ChildSchema, lrec, q.AttrIdx)
 			if err != nil {
 				return nil, err
 			}
-			for _, lo := range leaves {
-				lrec, err := leaf.Tree.Get(lo.Key())
-				if err != nil {
-					return nil, err
-				}
-				v, err := tuple.DecodeField(db.ChildSchema, lrec, q.AttrIdx)
-				if err != nil {
-					return nil, err
-				}
-				res.Values = append(res.Values, v.Int)
-			}
+			res.Values = append(res.Values, v)
 		}
 	}
 	res.Split.Child = child.end()
@@ -89,7 +87,7 @@ func deepDFS(db *workload.TwoLevelDB, q Query) (*Result, error) {
 
 func deepBFS(db *workload.TwoLevelDB, q Query, dedup bool) (*Result, error) {
 	par := beginIO(db.Core)
-	parents, err := scanParents(db.DB, q.Lo, q.Hi)
+	_, mids, err := scanParents(db.DB, q.Lo, q.Hi)
 	if err != nil {
 		return nil, err
 	}
@@ -106,11 +104,9 @@ func deepBFS(db *workload.TwoLevelDB, q Query, dedup bool) (*Result, error) {
 	}
 	w1 := temp1.Appender()
 	defer w1.Close()
-	for _, p := range parents {
-		for _, mo := range p.unit {
-			if err := w1.Append(mo.Key()); err != nil {
-				return nil, err
-			}
+	for _, mo := range mids {
+		if err := w1.Append(mo.Key()); err != nil {
+			return nil, err
 		}
 	}
 	w1.Close()
@@ -137,11 +133,11 @@ func deepBFS(db *workload.TwoLevelDB, q Query, dedup bool) (*Result, error) {
 	}
 	// Level 2: leaves.
 	return res, deepJoin(db, db.Leaf(), temp2, dedup, func(payload []byte) error {
-		v, err := tuple.DecodeField(db.ChildSchema, payload, q.AttrIdx)
+		v, err := tuple.Int(db.ChildSchema, payload, q.AttrIdx)
 		if err != nil {
 			return err
 		}
-		res.Values = append(res.Values, v.Int)
+		res.Values = append(res.Values, v)
 		return nil
 	})
 }

@@ -1,9 +1,6 @@
 package strategy
 
-import (
-	"corep/internal/object"
-	"corep/internal/workload"
-)
+import "corep/internal/workload"
 
 // dfs is the plain depth-first strategy (§3.1 [1]): "For each OID of
 // 'elders', fetch the corresponding subobject from the relation person,
@@ -14,19 +11,15 @@ type dfs struct{}
 func (dfs) Kind() Kind { return DFS }
 
 func (dfs) Retrieve(db *workload.DB, q Query) (*Result, error) {
-	parents, res, err := scanPhase(db, q, "strategy.dfs/scan")
+	_, oids, res, err := scanPhase(db, q, "strategy.dfs/scan")
 	if err != nil {
 		return nil, err
 	}
 
 	child := beginIO(db.Core)
 	probeSp := db.Obs.Start("strategy.dfs/probe")
-	// Flatten the qualifying parents' child OIDs and probe them in one
-	// page-ordered batch; the output order is the per-OID loop's.
-	var oids []object.OID
-	for _, p := range parents {
-		oids = append(oids, p.unit...)
-	}
+	// Probe the qualifying parents' child OIDs in one page-ordered batch;
+	// the output order is the per-OID loop's.
 	if len(oids) > 0 {
 		res.Values = make([]int64, len(oids))
 		if err := fetchChildAttrs(db, oids, q.AttrIdx, res.Values); err != nil {

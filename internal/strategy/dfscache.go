@@ -41,7 +41,7 @@ func (c dfscache) cacheUnit(db *workload.DB, p parentRef) object.Unit {
 }
 
 func (c dfscache) Retrieve(db *workload.DB, q Query) (*Result, error) {
-	parents, res, err := scanPhase(db, q, "strategy.dfscache/scan")
+	parents, _, res, err := scanPhase(db, q, "strategy.dfscache/scan")
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,10 @@
 package strategy
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 
 	"corep/internal/buffer"
 	"corep/internal/disk"
@@ -30,15 +33,28 @@ type dfsclust struct{}
 func (dfsclust) Kind() Kind { return DFSCLUST }
 
 func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
-	parentRelID := db.Parent.ID
-	oidIdx := db.ClusterSchema.MustIndex("OID")
-	childrenIdx := db.ClusterSchema.MustIndex("children")
-	// In ClusterSchema the ret fields sit one position later than in
-	// ChildSchema (cluster# occupies field 0).
-	attrIdx := q.AttrIdx + 1
-
-	res := &Result{}
-	var scanIO, fetchIO int64
+	first, last, n := storedParents(db, q.Lo, q.Hi)
+	res := &Result{Values: make([]int64, 0, n*db.Cfg.SizeUnit)}
+	// Everything the group scan reuses from one cluster# group to the
+	// next lives in this call: strategies are shared by concurrent
+	// clients.
+	s := &clustScan{
+		db:          db,
+		q:           q,
+		res:         res,
+		parentRelID: db.Parent.ID,
+		oidIdx:      db.ClusterSchema.MustIndex("OID"),
+		childrenIdx: db.ClusterSchema.MustIndex("children"),
+		// In ClusterSchema the ret fields sit one position later than in
+		// ChildSchema (cluster# occupies field 0).
+		attrIdx: q.AttrIdx + 1,
+		// Online reclustering, when enabled, may have migrated some of
+		// this range's units onto shared extent pages; the placement map
+		// is consulted per key, at the reader's snapshot epoch.
+		reclust: db.Reclust,
+		snapE:   q.Snap.Epoch(),
+		local:   make([]localVal, 0, db.Cfg.SizeUnit),
+	}
 	// Scan and fetch interleave per cluster group, so one span covers the
 	// whole retrieve; the ParCost/ChildCost split travels as attributes.
 	// The parent range rides along too — the reclustering heat tracker
@@ -47,193 +63,14 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 	defer func() {
 		sp.SetAttr("lo", q.Lo)
 		sp.SetAttr("hi", q.Hi)
-		sp.SetAttr("par_io", scanIO)
-		sp.SetAttr("child_io", fetchIO)
+		sp.SetAttr("par_io", s.scanIO)
+		sp.SetAttr("child_io", s.fetchIO)
 		sp.SetAttr("values", int64(len(res.Values)))
 		sp.End()
 	}()
 
-	// Online reclustering, when enabled, may have migrated some of this
-	// range's units onto shared extent pages; the placement map is
-	// consulted per key below, at the reader's snapshot epoch.
-	rs := db.Reclust
-	snapE := q.Snap.Epoch()
-
-	// One cluster# group: the parent's unit and the locally clustered
-	// subobject values.
-	var (
-		unit   []object.OID
-		local  = map[object.OID]int64{}
-		hasPar = false
-		curKey = int64(-1)
-	)
-	// resolve answers the current group, charging index/data fetches to
-	// ChildCost. With a prefetcher attached it resolves the group's
-	// non-local probes through the ISAM index first: the RIDs' data pages,
-	// deduplicated in first-occurrence order, become the prefetch plan, so
-	// upcoming fetches stage while the current ones are consumed.
-	resolve := func() error {
-		if !hasPar {
-			return nil
-		}
-		span := beginIO(db.Core)
-		var (
-			ch     *buffer.Chain
-			rids   map[object.OID]storage.RID
-			placed map[object.OID]storage.RID
-		)
-		if rs != nil {
-			for _, oid := range unit {
-				if _, ok := local[oid]; ok {
-					continue
-				}
-				if e, ok := rs.Place.Lookup(oid, snapE); ok {
-					if placed == nil {
-						placed = map[object.OID]storage.RID{}
-					}
-					placed[oid] = e.RID
-				}
-			}
-		}
-		if pf := db.Pool.Prefetcher(); pf != nil {
-			var keys []int64
-			seen := map[disk.PageID]bool{}
-			var plan []disk.PageID
-			for _, oid := range unit {
-				if _, ok := local[oid]; ok {
-					continue
-				}
-				// Migrated members' pages are known without an index
-				// probe: they lead the prefetch plan.
-				if prid, ok := placed[oid]; ok {
-					if !seen[prid.Page] {
-						seen[prid.Page] = true
-						plan = append(plan, prid.Page)
-					}
-					continue
-				}
-				keys = append(keys, int64(oid))
-			}
-			if len(keys) > 1 {
-				rr, err := db.ClusterRel.Index.ProbeBatch(keys)
-				if err != nil {
-					return fmt.Errorf("strategy: clustered probe batch: %w", err)
-				}
-				rids = make(map[object.OID]storage.RID, len(keys))
-				for i, rid := range rr {
-					rids[object.OID(keys[i])] = rid
-					if !seen[rid.Page] {
-						seen[rid.Page] = true
-						plan = append(plan, rid.Page)
-					}
-				}
-			}
-			if len(plan) > 1 {
-				psp := db.Obs.Start("prefetch.probeplan")
-				psp.SetAttr("pages", int64(len(plan)))
-				psp.End()
-				ch = pf.Start(plan)
-				defer ch.Finish()
-			}
-		}
-		for _, oid := range unit {
-			if v, ok := local[oid]; ok {
-				res.Values = append(res.Values, overlayInt(q.Snap, oid, q.AttrIdx, v))
-				continue
-			}
-			if prid, ok := placed[oid]; ok {
-				payload, err := db.ReadPlaced(prid)
-				if err != nil {
-					return err
-				}
-				ch.Consumed(prid.Page)
-				av, err := tuple.DecodeField(db.ClusterSchema, payload, attrIdx)
-				if err != nil {
-					return err
-				}
-				res.Values = append(res.Values, overlayInt(q.Snap, oid, q.AttrIdx, av.Int))
-				continue
-			}
-			rid, ok := rids[oid]
-			if !ok {
-				var err error
-				rid, err = db.ClusterRel.Index.Probe(int64(oid))
-				if err != nil {
-					return fmt.Errorf("strategy: clustered subobject %v: %w", oid, err)
-				}
-			}
-			_, payload, err := db.ClusterRel.Tree.GetAt(rid)
-			if err != nil {
-				return err
-			}
-			ch.Consumed(rid.Page)
-			av, err := tuple.DecodeField(db.ClusterSchema, payload, attrIdx)
-			if err != nil {
-				return err
-			}
-			res.Values = append(res.Values, overlayInt(q.Snap, oid, q.AttrIdx, av.Int))
-		}
-		fetchIO += span.end()
-		return nil
-	}
-
-	var scanSpan ioSpan
-	scanCB := func(key int64, payload []byte) (bool, error) {
-		if key != curKey {
-			scanIO += scanSpan.end()
-			if err := resolve(); err != nil {
-				return false, err
-			}
-			unit, hasPar = nil, false
-			local = map[object.OID]int64{}
-			curKey = key
-			scanSpan = beginIO(db.Core)
-		}
-		ov, err := tuple.DecodeField(db.ClusterSchema, payload, oidIdx)
-		if err != nil {
-			return false, err
-		}
-		oid := object.OID(ov.Int)
-		if oid.Rel() == parentRelID {
-			cv, err := tuple.DecodeField(db.ClusterSchema, payload, childrenIdx)
-			if err != nil {
-				return false, err
-			}
-			oids, err := object.DecodeOIDs(cv.Raw)
-			if err != nil {
-				return false, err
-			}
-			unit = oids
-			hasPar = true
-			return true, nil
-		}
-		av, err := tuple.DecodeField(db.ClusterSchema, payload, attrIdx)
-		if err != nil {
-			return false, err
-		}
-		local[oid] = av.Int
-		return true, nil
-	}
-	// scanRun range-scans ClusterRel over a contiguous run of cluster#
-	// keys and flushes the final group — the historic whole-query scan is
-	// scanRun(q.Lo, q.Hi).
-	scanRun := func(a, b int64) error {
-		scanSpan = beginIO(db.Core)
-		err := db.ClusterRel.Tree.Range(a, b, scanCB)
-		if err != nil {
-			return err
-		}
-		scanIO += scanSpan.end()
-		if err := resolve(); err != nil {
-			return err
-		}
-		unit, hasPar, curKey = nil, false, -1
-		local = map[object.OID]int64{}
-		return nil
-	}
-
-	if rs == nil {
-		if err := scanRun(q.Lo, q.Hi); err != nil {
+	if s.reclust == nil {
+		if err := s.scanRun(q.Lo, q.Hi); err != nil {
 			return nil, err
 		}
 	} else {
@@ -242,10 +79,12 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 		// members resolve through their placements, and the B-tree scan
 		// skips the key entirely. Residual runs of un-migrated keys scan
 		// as before, so placed and scanned groups interleave in key
-		// order — result order matches the historic scan exactly.
+		// order — result order matches the historic scan exactly. The
+		// walk covers the keys ClusterRel holds, not the query's bounds:
+		// an open range ends where the relation does.
 		pending := int64(-1)
-		for k := q.Lo; k <= q.Hi; k++ {
-			e, ok := rs.Place.Lookup(object.NewOID(parentRelID, k), snapE)
+		for k := first; k <= last; k++ {
+			e, ok := s.reclust.Place.Lookup(object.NewOID(s.parentRelID, k), s.snapE)
 			if !ok {
 				if pending < 0 {
 					pending = k
@@ -253,7 +92,7 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 				continue
 			}
 			if pending >= 0 {
-				if err := scanRun(pending, k-1); err != nil {
+				if err := s.scanRun(pending, k-1); err != nil {
 					return nil, err
 				}
 				pending = -1
@@ -263,30 +102,266 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			cv, err := tuple.DecodeField(db.ClusterSchema, payload, childrenIdx)
-			if err != nil {
+			s.reset(k) // a migrated parent has no rows riding along
+			if err := s.takeUnit(payload); err != nil {
 				return nil, err
 			}
-			oids, err := object.DecodeOIDs(cv.Raw)
-			if err != nil {
+			s.scanIO += span.end()
+			if err := s.resolve(); err != nil {
 				return nil, err
 			}
-			scanIO += span.end()
-			unit, hasPar, curKey = oids, true, k
-			if err := resolve(); err != nil {
-				return nil, err
-			}
-			unit, hasPar, curKey = nil, false, -1
 		}
 		if pending >= 0 {
-			if err := scanRun(pending, q.Hi); err != nil {
+			if err := s.scanRun(pending, last); err != nil {
 				return nil, err
 			}
 		}
 	}
-	res.Split.Par = scanIO
-	res.Split.Child = fetchIO
+	res.Split.Par = s.scanIO
+	res.Split.Child = s.fetchIO
 	return res, nil
+}
+
+// clustScan is the state of one DFSCLUST retrieve. The group fields
+// describe the cluster# group being read and are reused, storage and
+// all, for the next one; only res outlives the retrieve, and it holds
+// integers — nothing here or there aliases a page.
+type clustScan struct {
+	db  *workload.DB
+	q   Query
+	res *Result
+
+	parentRelID                  uint16
+	oidIdx, childrenIdx, attrIdx int
+	reclust                      *workload.ReclustState
+	snapE                        uint64
+
+	scanIO, fetchIO int64
+	scanSpan        ioSpan
+
+	// One cluster# group: the parent's unit, and the locally clustered
+	// subobjects' projected values in physical order.
+	curKey int64
+	hasPar bool
+	unit   []object.OID
+	local  []localVal
+	// Per resolve, parallel to unit: where each member's value comes
+	// from; keys and plan are the prefetch branch's probe list and pages.
+	members []member
+	keys    []int64
+	plan    []disk.PageID
+}
+
+// localVal is one subobject row of the current group: its OID and the
+// projected attribute.
+type localVal struct {
+	oid object.OID
+	val int64
+}
+
+// member is how resolve answers one unit member.
+type member struct {
+	from uint8
+	val  int64       // fromGroup
+	rid  storage.RID // fromExtent, fromTree
+}
+
+const (
+	fromIndex  uint8 = iota // not located yet: ISAM probe, then the tree
+	fromGroup               // rode along the scan
+	fromExtent              // migrated: read through its placement
+	fromTree                // RID already probed for the prefetch plan
+)
+
+// linearProbeMax is the group size up to which lookup scans the pairs;
+// a unit of the paper's size (5) never leaves it.
+const linearProbeMax = 16
+
+// reset begins the group of cluster# key, keeping the last one's storage.
+func (s *clustScan) reset(key int64) {
+	s.curKey, s.hasPar = key, false
+	s.unit, s.local = s.unit[:0], s.local[:0]
+}
+
+// takeUnit makes the parent row rec the current group's parent: its
+// children list is copied out of rec into the unit buffer.
+func (s *clustScan) takeUnit(rec []byte) error {
+	raw, err := tuple.FieldBytes(s.db.ClusterSchema, rec, s.childrenIdx)
+	if err != nil {
+		return err
+	}
+	if s.unit, err = object.AppendOIDs(s.unit[:0], raw); err != nil {
+		return err
+	}
+	s.hasPar = true
+	return nil
+}
+
+// row is the ClusterRel cursor callback: payload is a view into the
+// pinned leaf, and everything kept from it is copied before returning.
+func (s *clustScan) row(key int64, payload []byte) (bool, error) {
+	if key != s.curKey {
+		s.scanIO += s.scanSpan.end()
+		if err := s.resolve(); err != nil {
+			return false, err
+		}
+		s.reset(key)
+		s.scanSpan = beginIO(s.db.Core)
+	}
+	ov, err := tuple.Int(s.db.ClusterSchema, payload, s.oidIdx)
+	if err != nil {
+		return false, err
+	}
+	oid := object.OID(ov)
+	if oid.Rel() == s.parentRelID {
+		return true, s.takeUnit(payload)
+	}
+	av, err := tuple.Int(s.db.ClusterSchema, payload, s.attrIdx)
+	if err != nil {
+		return false, err
+	}
+	s.local = append(s.local, localVal{oid, av})
+	return true, nil
+}
+
+// lookup finds oid among the group's local rows, whatever physical order
+// they arrived in; the row scanned last wins. Small groups are probed
+// linearly; larger ones were put in OID order by resolve and are
+// searched.
+func (s *clustScan) lookup(oid object.OID) (int64, bool) {
+	if len(s.local) <= linearProbeMax {
+		for i := len(s.local) - 1; i >= 0; i-- {
+			if s.local[i].oid == oid {
+				return s.local[i].val, true
+			}
+		}
+		return 0, false
+	}
+	i := sort.Search(len(s.local), func(i int) bool { return s.local[i].oid > oid })
+	if i > 0 && s.local[i-1].oid == oid {
+		return s.local[i-1].val, true
+	}
+	return 0, false
+}
+
+// scanRun range-scans ClusterRel over a contiguous run of cluster# keys
+// and answers the final group — the historic whole-query scan is
+// scanRun(q.Lo, q.Hi).
+func (s *clustScan) scanRun(a, b int64) error {
+	s.reset(-1)
+	s.scanSpan = beginIO(s.db.Core)
+	if err := s.db.ClusterRel.Tree.Range(a, b, s.row); err != nil {
+		return err
+	}
+	s.scanIO += s.scanSpan.end()
+	return s.resolve()
+}
+
+// resolve answers the current group in unit order, once, charging index
+// and data fetches to ChildCost. With a prefetcher attached it resolves
+// the group's non-local probes through the ISAM index first: the RIDs'
+// data pages, deduplicated in first-occurrence order, become the
+// prefetch plan, so upcoming fetches stage while the current ones are
+// consumed.
+func (s *clustScan) resolve() error {
+	if !s.hasPar {
+		return nil
+	}
+	s.hasPar = false
+	db := s.db
+	span := beginIO(db.Core)
+	// buildCluster stores a group in OID order; updates and migration may
+	// not keep it, and lookup searches a large group.
+	byOID := func(a, b localVal) int { return cmp.Compare(a.oid, b.oid) }
+	if len(s.local) > linearProbeMax && !slices.IsSortedFunc(s.local, byOID) {
+		slices.SortStableFunc(s.local, byOID)
+	}
+	s.members = slices.Grow(s.members[:0], len(s.unit))
+	for _, oid := range s.unit {
+		m := member{}
+		if v, ok := s.lookup(oid); ok {
+			m = member{from: fromGroup, val: v}
+		} else if s.reclust != nil {
+			if e, ok := s.reclust.Place.Lookup(oid, s.snapE); ok {
+				m = member{from: fromExtent, rid: e.RID}
+			}
+		}
+		s.members = append(s.members, m)
+	}
+
+	var ch *buffer.Chain
+	if pf := db.Pool.Prefetcher(); pf != nil {
+		// Migrated members' pages are known without an index probe: they
+		// lead the prefetch plan.
+		s.keys, s.plan = s.keys[:0], s.plan[:0]
+		for i, m := range s.members {
+			switch m.from {
+			case fromExtent:
+				s.planPage(m.rid.Page)
+			case fromIndex:
+				s.keys = append(s.keys, int64(s.unit[i]))
+			}
+		}
+		if len(s.keys) > 1 {
+			rids, err := db.ClusterRel.Index.ProbeBatch(s.keys)
+			if err != nil {
+				return fmt.Errorf("strategy: clustered probe batch: %w", err)
+			}
+			for i := range s.members {
+				if s.members[i].from == fromIndex {
+					s.members[i] = member{from: fromTree, rid: rids[0]}
+					s.planPage(rids[0].Page)
+					rids = rids[1:]
+				}
+			}
+		}
+		if len(s.plan) > 1 {
+			psp := db.Obs.Start("prefetch.probeplan")
+			psp.SetAttr("pages", int64(len(s.plan)))
+			psp.End()
+			ch = pf.Start(s.plan)
+			defer ch.Finish()
+		}
+	}
+
+	for i, oid := range s.unit {
+		m := s.members[i]
+		if m.from != fromGroup {
+			var (
+				payload []byte
+				err     error
+			)
+			if m.from == fromExtent {
+				payload, err = db.ReadPlaced(m.rid)
+			} else {
+				if m.from == fromIndex {
+					if m.rid, err = db.ClusterRel.Index.Probe(int64(oid)); err != nil {
+						return fmt.Errorf("strategy: clustered subobject %v: %w", oid, err)
+					}
+				}
+				_, payload, err = db.ClusterRel.Tree.GetAt(m.rid)
+			}
+			if err != nil {
+				return err
+			}
+			ch.Consumed(m.rid.Page)
+			av, err := tuple.Int(db.ClusterSchema, payload, s.attrIdx)
+			if err != nil {
+				return err
+			}
+			m.val = av
+		}
+		s.res.Values = append(s.res.Values, overlayInt(s.q.Snap, oid, s.q.AttrIdx, m.val))
+	}
+	s.fetchIO += span.end()
+	return nil
+}
+
+// planPage adds id to the prefetch plan unless it is already there.
+func (s *clustScan) planPage(id disk.PageID) {
+	if !slices.Contains(s.plan, id) {
+		s.plan = append(s.plan, id)
+	}
 }
 
 func (dfsclust) Update(db *workload.DB, op workload.Op) error {

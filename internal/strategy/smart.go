@@ -25,7 +25,7 @@ func (s smart) Retrieve(db *workload.DB, q Query) (*Result, error) {
 		return dfscache{}.Retrieve(db, q)
 	}
 
-	parents, res, err := scanPhase(db, q, "strategy.smart/scan")
+	parents, _, res, err := scanPhase(db, q, "strategy.smart/scan")
 	if err != nil {
 		return nil, err
 	}

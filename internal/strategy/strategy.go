@@ -25,6 +25,7 @@ package strategy
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"corep/internal/txn"
 	"corep/internal/workload"
@@ -98,8 +99,18 @@ type Query struct {
 	Snap *txn.Snapshot
 }
 
-// NumTop returns the number of parents the query selects.
-func (q Query) NumTop() int { return int(q.Hi - q.Lo + 1) }
+// NumTop returns the number of parents the query selects: the size of
+// its key range, 0 when the range is empty, math.MaxInt when an open
+// bound (Hi = math.MaxInt64, say) makes it larger than an int holds.
+func (q Query) NumTop() int {
+	if q.Hi < q.Lo {
+		return 0
+	}
+	if d := uint64(q.Hi) - uint64(q.Lo); d < math.MaxInt {
+		return int(d) + 1
+	}
+	return math.MaxInt
+}
 
 // CostSplit separates a retrieve's I/O into the cost of accessing
 // ParentRel tuples (ParCost) and the cost of fetching subobjects

@@ -24,6 +24,14 @@ var fuzzSchemas = []*Schema{
 		Field{Name: "dummy", Kind: KString, Width: 8},
 		Field{Name: "kids", Kind: KBytes},
 	),
+	// An integer behind a variable-width field: outside the integer
+	// prefix, so it is reached by the walk.
+	NewSchema(
+		Field{Name: "a", Kind: KInt},
+		Field{Name: "b", Kind: KString, Width: 8},
+		Field{Name: "c", Kind: KInt},
+		Field{Name: "d", Kind: KBytes},
+	),
 }
 
 // mustEncode builds a seed record for f.Add.
@@ -43,7 +51,10 @@ func mustEncode(s *Schema, t Tuple) []byte {
 // projection path DecodeField agrees with the full Decode on every
 // field, Key agrees on the primary key, and EncodedSize matches the
 // wire length. Check, the framing walk lazy readers run in Decode's
-// place, accepts exactly the records Decode accepts.
+// place, accepts exactly the records Decode accepts. On every input,
+// decodable or not, the single-field readers (DecodeField, FieldBytes,
+// Int) accept, refuse and return what the reference walk of
+// fieldwalk_test.go does.
 func FuzzTupleDecode(f *testing.F) {
 	f.Add([]byte{0}, []byte{})
 	f.Add([]byte{0}, mustEncode(fuzzSchemas[0], Tuple{IntVal(1), IntVal(-7), IntVal(1 << 40)}))
@@ -51,6 +62,7 @@ func FuzzTupleDecode(f *testing.F) {
 	f.Add([]byte{1}, mustEncode(fuzzSchemas[1], Tuple{IntVal(0), StrVal(""), BytesVal(nil)}))
 	f.Add([]byte{2}, mustEncode(fuzzSchemas[2], Tuple{StrVal("a\x00b"), BytesVal(bytes.Repeat([]byte{0xff}, 300))}))
 	f.Add([]byte{2}, []byte{2, 0, 'h', 'i', 0xff, 0xff})
+	f.Add([]byte{3}, mustEncode(fuzzSchemas[3], Tuple{IntVal(9), StrVal("mid"), IntVal(-9), BytesVal([]byte{7})}))
 
 	f.Fuzz(func(t *testing.T, sel, rec []byte) {
 		var which int
@@ -58,6 +70,7 @@ func FuzzTupleDecode(f *testing.F) {
 			which = int(sel[0]) % len(fuzzSchemas)
 		}
 		s := fuzzSchemas[which]
+		sameAsWalk(t, s, rec)
 
 		tup, err := Decode(s, rec)
 		if cerr := Check(s, rec); (cerr == nil) != (err == nil) {

@@ -52,6 +52,9 @@ type Field struct {
 type Schema struct {
 	Fields []Field
 	byName map[string]int
+	// intPrefix counts the leading integer fields: field i < intPrefix
+	// sits at byte 8*i of every record, whatever follows it.
+	intPrefix int
 }
 
 // NewSchema builds a schema from fields; field names must be unique.
@@ -62,6 +65,9 @@ func NewSchema(fields ...Field) *Schema {
 			panic(fmt.Sprintf("tuple: duplicate field %q", f.Name))
 		}
 		s.byName[f.Name] = i
+		if f.Kind == KInt && s.intPrefix == i {
+			s.intPrefix = i + 1
+		}
 	}
 	return s
 }
@@ -286,39 +292,82 @@ func Check(s *Schema, rec []byte) error {
 }
 
 // DecodeField parses only field idx out of rec, skipping earlier fields
-// without materializing them. Projection-heavy strategies use this to
-// avoid per-tuple garbage.
+// without materializing them. Projection-heavy readers use this to avoid
+// per-tuple garbage. An integer inside the schema's integer prefix is
+// one bounds check and one load at byte 8*idx; a record too short for it
+// takes the walk below, which refuses it as it always has.
 func DecodeField(s *Schema, rec []byte, idx int) (Value, error) {
-	off := 0
-	for i, f := range s.Fields {
-		switch f.Kind {
-		case KInt:
-			if off+8 > len(rec) {
-				return Value{}, fmt.Errorf("%w: field %q", ErrDecode, f.Name)
-			}
-			if i == idx {
-				return IntVal(int64(binary.LittleEndian.Uint64(rec[off:]))), nil
-			}
-			off += 8
-		default:
-			if off+2 > len(rec) {
-				return Value{}, fmt.Errorf("%w: field %q length", ErrDecode, f.Name)
-			}
-			n := int(binary.LittleEndian.Uint16(rec[off:]))
-			off += 2
-			if off+n > len(rec) {
-				return Value{}, fmt.Errorf("%w: field %q body", ErrDecode, f.Name)
-			}
-			if i == idx {
-				if f.Kind == KString {
-					return StrVal(string(rec[off : off+n])), nil
-				}
-				return BytesVal(append([]byte(nil), rec[off:off+n]...)), nil
-			}
-			off += n
-		}
+	if uint(idx) < uint(s.intPrefix) && 8*idx+8 <= len(rec) {
+		return IntVal(int64(binary.LittleEndian.Uint64(rec[8*idx:]))), nil
 	}
-	return Value{}, fmt.Errorf("%w: field %d out of range", ErrDecode, idx)
+	body, err := FieldBytes(s, rec, idx)
+	if err != nil {
+		return Value{}, err
+	}
+	switch s.Fields[idx].Kind {
+	case KInt:
+		return IntVal(int64(binary.LittleEndian.Uint64(body))), nil
+	case KString:
+		return StrVal(string(body)), nil
+	default:
+		return BytesVal(append([]byte(nil), body...)), nil
+	}
+}
+
+// Int is DecodeField for an integer field, returning the integer: a
+// record is refused exactly when DecodeField refuses it (inside the
+// integer prefix, when it is shorter than 8*(idx+1)), and a field of
+// another kind is an error. It is the way to read an integer per row:
+// the seven-word Value DecodeField returns crosses the stack on both
+// sides of the call, which costs several times the load itself.
+func Int(s *Schema, rec []byte, idx int) (int64, error) {
+	if uint(idx) < uint(s.intPrefix) && 8*idx+8 <= len(rec) {
+		return int64(binary.LittleEndian.Uint64(rec[8*idx:])), nil
+	}
+	body, err := FieldBytes(s, rec, idx)
+	if err != nil {
+		return 0, err
+	}
+	if f := s.Fields[idx]; f.Kind != KInt {
+		return 0, fmt.Errorf("tuple: field %q is %v, not int", f.Name, f.Kind)
+	}
+	return int64(binary.LittleEndian.Uint64(body)), nil
+}
+
+// FieldBytes returns the encoded body of field idx as a view into rec:
+// the used bytes of a character or byte field (without the length
+// prefix), the eight bytes of an integer. It runs the length checks of
+// DecodeField and refuses the same records, but copies nothing: the view
+// is read-only and lives as long as rec does — for a record handed to a
+// cursor or View callback, until that callback returns. Its capacity
+// equals its length, so appending to it never writes into rec.
+func FieldBytes(s *Schema, rec []byte, idx int) ([]byte, error) {
+	i, off := 0, 0
+	if p := s.intPrefix; idx >= p && 8*p <= len(rec) {
+		i, off = p, 8*p // the integer prefix needs no walk
+	}
+	for ; i < len(s.Fields); i++ {
+		f := s.Fields[i]
+		end := off + 8
+		if f.Kind != KInt {
+			if off+2 > len(rec) {
+				return nil, fmt.Errorf("%w: field %q length", ErrDecode, f.Name)
+			}
+			off += 2
+			end = off + int(binary.LittleEndian.Uint16(rec[off-2:]))
+		}
+		if end > len(rec) {
+			if f.Kind == KInt {
+				return nil, fmt.Errorf("%w: field %q", ErrDecode, f.Name)
+			}
+			return nil, fmt.Errorf("%w: field %q body", ErrDecode, f.Name)
+		}
+		if i == idx {
+			return rec[off:end:end], nil
+		}
+		off = end
+	}
+	return nil, fmt.Errorf("%w: field %d out of range", ErrDecode, idx)
 }
 
 // Key returns the tuple's primary-key integer (field 0 by convention).
