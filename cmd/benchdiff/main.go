@@ -8,7 +8,10 @@
 //	benchdiff -threshold 0.05 OLD NEW       # tighter gate
 //	benchdiff -report diff.txt OLD NEW      # also write the report to a file
 //
-// Exit status: 0 clean, 1 regression detected, 2 usage or read error.
+// Exit status: 0 clean, 1 regression detected, 2 usage or read error —
+// including a baseline (OLD) that carries no git_rev: a comparison
+// against numbers nobody can tie to a commit is refused, not printed
+// with a question mark.
 package main
 
 import (
@@ -42,6 +45,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	old, err := readEnvelope(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
+		return 2
+	}
+	if old.GitRev == "" {
+		fmt.Fprintf(stderr, "benchdiff: %s: unstamped baseline (no git_rev), regenerate it with corepbench -sweep %s inside a checkout\n", fs.Arg(0), old.Kind)
 		return 2
 	}
 	new_, err := readEnvelope(fs.Arg(1))

@@ -10,8 +10,15 @@ import (
 	"corep/internal/bench"
 )
 
-// writeRun writes a minimal envelope with the given p99 to a temp file.
+// writeRun writes a minimal envelope with the given p99 to a temp file,
+// stamped with a made-up revision so the fixture does not depend on the
+// test running inside a checkout.
 func writeRun(t *testing.T, dir, name string, p99 float64) string {
+	t.Helper()
+	return writeRunAt(t, dir, name, p99, strings.Repeat("ab", 20))
+}
+
+func writeRunAt(t *testing.T, dir, name string, p99 float64, rev string) string {
 	t.Helper()
 	env, err := bench.New("slo", map[string]string{"synthetic": name}, []bench.Cell{
 		{Name: "total", Metrics: map[string]float64{"p99_ns": p99, "qps": 100}},
@@ -19,6 +26,7 @@ func writeRun(t *testing.T, dir, name string, p99 float64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	env.GitRev = rev
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {
@@ -93,5 +101,16 @@ func TestUsageAndBadInputs(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "schema_version") {
 		t.Fatalf("legacy rejection not actionable: %s", errOut.String())
+	}
+
+	// A baseline nobody can tie to a commit is refused; the new side of
+	// the comparison may be unstamped (a run outside a checkout).
+	unstamped := writeRunAt(t, dir, "unstamped.json", 1, "")
+	errOut.Reset()
+	if code := run([]string{unstamped, good}, &out, &errOut); code != 2 || !strings.Contains(errOut.String(), "unstamped baseline") {
+		t.Fatalf("unstamped baseline: exit %d, want 2 and a reason: %s", code, errOut.String())
+	}
+	if code := run([]string{good, unstamped}, &out, &errOut); code != 0 {
+		t.Fatalf("unstamped new run: exit %d, want 0: %s", code, errOut.String())
 	}
 }

@@ -1,22 +1,27 @@
 // Command corepbench regenerates the tables and figures of Jhingran &
 // Stonebraker, "Alternatives in Complex Object Representation: A
-// Performance Perspective" (ICDE 1990).
+// Performance Perspective" (ICDE 1990), and runs the benchmark sweeps
+// that hold everything added since to its gate.
 //
 // Usage:
 //
-//	corepbench -list
+//	corepbench -list                    # both tables: experiments and sweeps
 //	corepbench -exp fig3                # one experiment at paper scale
 //	corepbench -all -scale quick        # every experiment, small scale
 //	corepbench -exp fig3,fig5 -seed 7   # several experiments
 //	corepbench -exp fig3 -metrics       # + per-cell I/O histograms, cache/buffer breakdowns
 //	corepbench -exp fig3 -trace         # + JSON-lines span stream on stderr
 //	corepbench -exp fig3 -profile out   # + out.cpu.pprof / out.heap.pprof
-//	corepbench -chaos -chaos-seeds 50   # differential chaos sweep, writes BENCH_chaos.json
-//	corepbench -txn                     # versioned-vs-latched contention sweep, writes BENCH_txn.json
+//	corepbench -sweep chaos,crash       # full grids, write BENCH_chaos.json and BENCH_crash.json
+//	corepbench -sweep txn -scale quick -out t.json   # reduced grid, one named file
 //
 // Paper scale uses the paper's environment (10,000 parents, sequences
 // of up to 1000 queries); quick scale shrinks both so the full suite
-// finishes in minutes while preserving the qualitative shapes.
+// finishes in minutes while preserving the qualitative shapes. For a
+// sweep, paper scale is the full grid its checked-in BENCH_<name>.json
+// was generated with and quick scale the reduced grid the smoke jobs and
+// tests run. A sweep prints its cells, writes them in a stamped envelope
+// and exits 1 when its gate (harness.Report.Check) reports a violation.
 package main
 
 import (
@@ -25,81 +30,36 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"corep/internal/bench"
 	"corep/internal/harness"
 	"corep/internal/obs"
-	"corep/internal/strategy"
-	"corep/internal/workload"
 )
 
 func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		expName  = flag.String("exp", "", "experiment(s) to run, comma-separated (see -list)")
-		all      = flag.Bool("all", false, "run every experiment")
-		list     = flag.Bool("list", false, "list experiments")
-		scale    = flag.String("scale", "paper", "paper or quick")
-		seed     = flag.Int64("seed", 1, "workload generator seed")
-		plot     = flag.Bool("plot", false, "also render an ASCII log-log chart of each table")
-		verify   = flag.Bool("verify", false, "run the cross-strategy agreement self-check and exit")
-		metrics  = flag.Bool("metrics", false, "print per-experiment metrics (I/O histograms, cache/buffer breakdowns)")
-		trace    = flag.Bool("trace", false, "stream per-span JSON lines to stderr (see -trace-out)")
-		traceOut = flag.String("trace-out", "", "write the span stream to this file instead of stderr")
-		profile  = flag.String("profile", "", "write CPU and heap profiles to <prefix>.cpu.pprof / <prefix>.heap.pprof")
-		parallel = flag.Int("parallel", 0, "worker goroutines for experiment grids (default GOMAXPROCS)")
-
-		throughput    = flag.Bool("throughput", false, "run the concurrent-serving throughput benchmark and exit")
-		throughputOut = flag.String("throughput-out", "BENCH_throughput.json", "where -throughput writes its JSON result")
-		clients       = flag.String("clients", "1,2,4,8", "client counts for -throughput, comma-separated")
-		shards        = flag.Int("shards", 8, "buffer-pool lock stripes for -throughput's sharded runs")
-
-		latency     = flag.Duration("latency", 0, "simulated per-page device latency for experiment runs (e.g. 200us)")
-		prefetch    = flag.Bool("prefetch", false, "run the prefetch latency×depth sweep and exit (nonzero exit on any read-count or row regression)")
-		prefetchOut = flag.String("prefetch-out", "BENCH_prefetch.json", "where -prefetch writes its JSON result")
-
-		chaos         = flag.Bool("chaos", false, "run the differential chaos-test sweep and exit (nonzero exit on any violation)")
-		chaosSeeds    = flag.Int("chaos-seeds", 0, "fault schedules per strategy for -chaos (default 50)")
-		chaosOut      = flag.String("chaos-out", "BENCH_chaos.json", "where -chaos writes its JSON result")
-		chaosUpdaters = flag.Int("chaos-updaters", 0, "with -chaos: also hammer the versioned store with this many concurrent updaters (torn/lost-version audit)")
-
-		crash      = flag.Bool("crash", false, "run the kill-and-reopen crash-chaos sweep and exit (nonzero exit on any violation)")
-		crashSeeds = flag.Int("crash-seeds", 0, "kill schedules per strategy for -crash (default 50)")
-		crashOut   = flag.String("crash-out", "BENCH_crash.json", "where -crash writes its JSON result")
-
-		walMode    = flag.Bool("wal", false, "run the WAL group-commit sweep and exit (nonzero exit unless fsyncs/commit strictly decreases with clients)")
-		walOut     = flag.String("wal-out", "BENCH_wal.json", "where -wal writes its JSON result")
-		walClients = flag.String("wal-clients", "", "client counts for -wal, comma-separated (default 1,2,4,8,16)")
-
-		txnMode     = flag.Bool("txn", false, "run the versioned-vs-latched write-contention sweep and exit, writes BENCH_txn.json")
-		txnOut      = flag.String("txn-out", "BENCH_txn.json", "where -txn writes its JSON result")
-		txnStrategy = flag.String("txn-strategy", "DFSCACHE", "strategy for -txn")
-		txnThetas   = flag.String("txn-thetas", "0,0.9", "zipf skew values for -txn, comma-separated")
-		txnUpdates  = flag.String("txn-updates", "0,0.3,0.6", "update-mix probabilities for -txn, comma-separated")
-		txnClients  = flag.String("txn-clients", "1,2,4,8", "client counts for -txn, comma-separated")
-		txnOps      = flag.Int("txn-ops", 0, "operations per client for -txn (default 40)")
-
-		plannerMode    = flag.Bool("planner", false, "run the cost-based planner shifting-mix sweep and exit (nonzero exit unless the planner beats every static strategy on the full run)")
-		plannerOut     = flag.String("planner-out", "BENCH_planner.json", "where -planner writes its JSON result")
-		plannerQueries = flag.Int("planner-queries", 0, "scale every phase's retrieve count for -planner (0 = defaults)")
-
-		reclustMode    = flag.Bool("reclust", false, "run the online-reclustering convergence sweep and exit (nonzero exit unless io/query strictly decreases and lands on the static cell)")
-		reclustOut     = flag.String("reclust-out", "BENCH_reclust.json", "where -reclust writes its JSON result")
-		reclustRounds  = flag.Int("reclust-rounds", 0, "migration rounds for -reclust (default 6)")
-		reclustQueries = flag.Int("reclust-queries", 0, "fixed query-set size for -reclust (default 300)")
-
-		slo          = flag.Bool("slo", false, "run the tail-latency SLO serving benchmark and exit")
-		sloOut       = flag.String("slo-out", "BENCH_slo.json", "where -slo writes its JSON result")
-		sloTarget    = flag.Float64("slo-target", 0.99, "SLO quantile for -slo (0.99 = p99)")
-		sloThreshold = flag.Duration("slo-threshold", 250*time.Millisecond, "SLO latency threshold for -slo")
-		sloClients   = flag.Int("slo-clients", 8, "concurrent clients for -slo")
-
-		watch = flag.Duration("watch", 0, "periodically dump live metrics to stderr while running (e.g. -watch 2s)")
+		expName   = flag.String("exp", "", "experiment(s) to run, comma-separated (see -list)")
+		sweepName = flag.String("sweep", "", "benchmark sweep(s) to run, comma-separated (see -list)")
+		all       = flag.Bool("all", false, "run every experiment")
+		list      = flag.Bool("list", false, "list experiments and sweeps")
+		scale     = flag.String("scale", "paper", "paper or quick (for a sweep: its full or its reduced grid)")
+		seed      = flag.Int64("seed", 1, "workload generator seed (a sweep keeps its own default unless this is given)")
+		out       = flag.String("out", "", "where a single -sweep writes its envelope (default BENCH_<name>.json, SMOKE_<name>.json at quick scale)")
+		plot      = flag.Bool("plot", false, "also render an ASCII log-log chart of each table")
+		verify    = flag.Bool("verify", false, "run the cross-strategy agreement self-check and exit")
+		metrics   = flag.Bool("metrics", false, "print per-experiment metrics (I/O histograms, cache/buffer breakdowns)")
+		trace     = flag.Bool("trace", false, "stream per-span JSON lines to stderr (see -trace-out)")
+		traceOut  = flag.String("trace-out", "", "write the span stream to this file instead of stderr")
+		profile   = flag.String("profile", "", "write CPU and heap profiles to <prefix>.cpu.pprof / <prefix>.heap.pprof")
+		parallel  = flag.Int("parallel", 0, "worker goroutines for experiment grids (default GOMAXPROCS)")
+		latency   = flag.Duration("latency", 0, "simulated per-page device latency (e.g. 200us); a serving sweep keeps its default unless this is given")
+		watch     = flag.Duration("watch", 0, "periodically dump live metrics to stderr while running (e.g. -watch 2s)")
 	)
 	flag.Parse()
 
@@ -110,11 +70,29 @@ func run() int {
 	}
 
 	if *list {
-		fmt.Println("experiments:")
+		fmt.Println("experiments (-exp):")
 		for _, e := range harness.Experiments {
 			fmt.Printf("  %-14s %s\n", e.Name, e.Paper)
 		}
+		fmt.Println("sweeps (-sweep; bench-trend gates the counted ones at 10%, the clocked ones at 50%):")
+		for _, s := range harness.Sweeps {
+			kind := "counted"
+			if s.Clocked {
+				kind = "clocked"
+			}
+			fmt.Printf("  %-14s %s [%s]\n", s.Name, s.About, kind)
+		}
 		return 0
+	}
+
+	var quick bool
+	switch strings.ToLower(*scale) {
+	case "paper":
+	case "quick":
+		quick = true
+	default:
+		fmt.Fprintf(os.Stderr, "unknown scale %q (want paper or quick)\n", *scale)
+		return 2
 	}
 
 	if *profile != "" {
@@ -143,8 +121,8 @@ func run() int {
 		}()
 	}
 
-	// liveReg is what -watch dumps: serve modes and the experiment loop
-	// publish their current registry here (experiments swap registries,
+	// liveReg is what -watch dumps: the serving sweeps and the experiment
+	// loop publish their current registry here (experiments swap registries,
 	// so the watcher follows the pointer, not one registry).
 	var liveReg atomic.Pointer[obs.Registry]
 	if *watch > 0 {
@@ -182,492 +160,32 @@ func run() int {
 		return 0
 	}
 
-	if *prefetch {
-		lats, depths := harness.DefaultPrefetchSweep()
-		fmt.Printf("running prefetch sweep (latencies=%v, depths=%v, seed=%d)...\n", lats, depths, *seed)
-		bench, err := harness.RunPrefetchSweep(lats, depths, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prefetch: %v\n", err)
-			return 1
-		}
-		bad := false
-		for _, c := range bench.Cells {
-			fmt.Printf("  lat=%-6s depth=%-3d sync=%-10s pref=%-10s speedup=%.2fx reads %d→%d rows_match=%v\n",
-				c.Latency, c.Depth, c.SyncElapsed.Round(time.Millisecond), c.PrefElapsed.Round(time.Millisecond),
-				c.Speedup, c.SyncReads, c.PrefReads, c.RowsMatch)
-			// Wall clock is noisy in CI; the hard gates are determinism and
-			// read counts, which prefetch must never regress.
-			if c.PrefReads > c.SyncReads {
-				fmt.Fprintf(os.Stderr, "prefetch: page reads regressed at lat=%s depth=%d (%d > %d)\n",
-					c.Latency, c.Depth, c.PrefReads, c.SyncReads)
-				bad = true
-			}
-			if !c.RowsMatch {
-				fmt.Fprintf(os.Stderr, "prefetch: result rows diverged at lat=%s depth=%d\n", c.Latency, c.Depth)
-				bad = true
-			}
-		}
-		fmt.Printf("  best speedup: %.2fx\n", bench.BestSpeedup)
-		f, err := os.Create(*prefetchOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prefetch: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := bench.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "prefetch: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *prefetchOut)
-		if bad {
-			return 1
-		}
-		return 0
-	}
-
-	if *plannerMode {
-		cfg := harness.DefaultPlannerSweepConfig()
-		if *plannerQueries > 0 {
-			for i := range cfg.Phases {
-				cfg.Phases[i].Retrieves = *plannerQueries
-			}
-		}
-		if *seed != 1 {
-			cfg.Seed = *seed
-			cfg.DB.Seed = *seed
-		}
-		fmt.Printf("running planner shifting-mix sweep (parents=%d, %d phases, seed=%d)...\n",
-			cfg.DB.NumParents, len(cfg.Phases), cfg.Seed)
-		start := time.Now()
-		sweep, err := harness.RunPlannerSweep(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "planner: %v\n", err)
-			return 1
-		}
-		for _, ph := range sweep.Phases {
-			fmt.Printf("  phase %-8s (%d retrieves, %d updates):\n", ph.Name, ph.Retrieves, ph.Updates)
-			for _, arm := range sweep.Arms {
-				fmt.Printf("    %-10s %8.2f io/query\n", arm, ph.IOPerQuery[arm])
-			}
-		}
-		fmt.Printf("  full run:\n")
-		for _, arm := range sweep.Arms {
-			fmt.Printf("    %-10s %8.2f io/query\n", arm, sweep.TotalIOPerQuery[arm])
-		}
-		fmt.Printf("  %d retrieve results checked row-identical across arms; planner made %d choices (%d probes, %d switches) in %s\n",
-			sweep.RowsCompared, sweep.PlannerStats.Choices, sweep.PlannerStats.Probes,
-			sweep.PlannerStats.Switches, time.Since(start).Round(time.Millisecond))
-		bad := false
-		if err := sweep.CheckPlannerSweep(); err != nil {
-			fmt.Fprintf(os.Stderr, "planner: VIOLATION %v\n", err)
-			bad = true
-		}
-		f, err := os.Create(*plannerOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "planner: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := sweep.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "planner: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *plannerOut)
-		if bad {
-			return 1
-		}
-		return 0
-	}
-
-	if *reclustMode {
-		cfg := harness.DefaultReclustSweepConfig()
-		if *reclustRounds > 0 {
-			cfg.MaxRounds = *reclustRounds
-		}
-		if *reclustQueries > 0 {
-			cfg.NumRetrieves = *reclustQueries
-		}
-		if *seed != 1 {
-			cfg.DB.Seed = *seed
-		}
-		fmt.Printf("running reclustering convergence sweep (parents=%d, θ=%.2g, %d queries, ≤%d rounds, seed=%d)...\n",
-			cfg.DB.NumParents, cfg.ZipfTheta, cfg.NumRetrieves, cfg.MaxRounds, cfg.DB.Seed)
-		start := time.Now()
-		sweep, err := harness.RunReclustSweep(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reclust: %v\n", err)
-			return 1
-		}
-		fmt.Printf("  static DFSCLUST cell: %.2f io/query\n", sweep.StaticIOPerQuery)
-		for _, r := range sweep.Rounds {
-			fmt.Printf("  round %d: io/query=%-8.2f moved=%-4d migration_io=%-6d placements=%d\n",
-				r.Round, r.IOPerQuery, r.Moved, r.MigrationIO, r.Placements)
-		}
-		fmt.Printf("  %d result values checked against the no-reclust control, %d objects migrated in %s\n",
-			sweep.RowsChecked, sweep.Stats.Migrated, time.Since(start).Round(time.Millisecond))
-		bad := false
-		if err := sweep.CheckConvergence(); err != nil {
-			fmt.Fprintf(os.Stderr, "reclust: VIOLATION %v\n", err)
-			bad = true
-		}
-		f, err := os.Create(*reclustOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reclust: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := sweep.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "reclust: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *reclustOut)
-		if bad {
-			return 1
-		}
-		return 0
-	}
-
-	if *chaos {
-		cfg := harness.DefaultChaosConfig()
-		if *chaosSeeds > 0 {
-			cfg.Schedules = *chaosSeeds
-		}
-		if *seed != 1 {
-			cfg.FaultSeed = *seed
-		}
-		fmt.Printf("running chaos sweep (%d strategies × %d schedules, fault seed base %d)...\n",
-			len(cfg.Strategies), cfg.Schedules, cfg.FaultSeed)
-		start := time.Now()
-		bench, err := harness.RunChaos(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-			return 1
-		}
-		for _, s := range bench.Strategies {
-			var injected, retries, recovered, degraded, cleanErrs, rows int64
-			for _, r := range s.Runs {
-				injected += r.Faults.Injected
-				retries += r.Retries
-				recovered += r.Recovered
-				degraded += r.CacheDegraded
-				cleanErrs += int64(r.CleanErrors)
-				rows += int64(r.RowsCompared)
-			}
-			fmt.Printf("  %-16s baseline_reads=%-6d rows_checked=%-5d faults=%-4d retried=%-4d recovered=%-4d degraded=%-3d clean_errors=%d\n",
-				s.Strategy, s.BaselineReads, rows, injected, retries, recovered, degraded, cleanErrs)
-		}
-		viol := bench.AllViolations()
-		for _, v := range viol {
-			fmt.Fprintf(os.Stderr, "chaos: VIOLATION %s\n", v)
-		}
-		fmt.Printf("  %d violation(s) in %s\n", len(viol), time.Since(start).Round(time.Millisecond))
-		f, err := os.Create(*chaosOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := bench.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *chaosOut)
-		if *chaosUpdaters > 0 {
-			cfg.ConcurrentUpdaters = *chaosUpdaters
-			fmt.Printf("running txn atomicity hammer (%d updaters × %d rounds)...\n", *chaosUpdaters, cfg.Ops)
-			for _, kind := range []strategy.Kind{strategy.DFS, strategy.DFSCACHE} {
-				tv, err := harness.RunTxnChaos(cfg, kind)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "chaos: txn hammer %s: %v\n", kind, err)
-					return 1
-				}
-				for _, v := range tv {
-					fmt.Fprintf(os.Stderr, "chaos: VIOLATION %s\n", v)
-				}
-				fmt.Printf("  %-16s %d violation(s)\n", kind, len(tv))
-				viol = append(viol, tv...)
-			}
-		}
-		if len(viol) > 0 {
-			return 1
-		}
-		return 0
-	}
-
-	if *crash {
-		cfg := harness.DefaultCrashConfig()
-		if *crashSeeds > 0 {
-			cfg.Schedules = *crashSeeds
-		}
-		if *seed != 1 {
-			cfg.Seed = *seed
-		}
-		fmt.Printf("running crash-chaos sweep (%d strategies × %d kill schedules, seed base %d)...\n",
-			len(cfg.Strategies), cfg.Schedules, cfg.Seed)
-		start := time.Now()
-		bench, err := harness.RunCrashChaos(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "crash: %v\n", err)
-			return 1
-		}
-		for _, s := range bench.Strategies {
-			var acked, replayed, discarded, rollbacks, midCommit, cleanErrs, rows int
-			for _, r := range s.Runs {
-				acked += r.Acked
-				replayed += r.ReplayedCommits
-				discarded += r.DiscardedRecords
-				rollbacks += r.Rollbacks
-				cleanErrs += r.CleanErrors
-				rows += r.RowsCompared
-				if r.MidCommit {
-					midCommit++
-				}
-			}
-			fmt.Printf("  %-16s acked=%-5d replayed=%-5d discarded=%-4d mid_commit=%-3d rollbacks=%-3d clean_errors=%-3d rows_checked=%d\n",
-				s.Strategy, acked, replayed, discarded, midCommit, rollbacks, cleanErrs, rows)
-		}
-		viol := bench.AllViolations()
-		for _, v := range viol {
-			fmt.Fprintf(os.Stderr, "crash: VIOLATION %s\n", v)
-		}
-		fmt.Printf("  %d violation(s) in %s\n", len(viol), time.Since(start).Round(time.Millisecond))
-		f, err := os.Create(*crashOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "crash: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := bench.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "crash: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *crashOut)
-		if len(viol) > 0 {
-			return 1
-		}
-		return 0
-	}
-
-	if *walMode {
-		cfg := harness.DefaultWALSweepConfig()
-		if *walClients != "" {
-			counts, err := parseInts(*walClients)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad -wal-clients: %v\n", err)
-				return 2
-			}
-			cfg.Clients = counts
-		}
-		fmt.Printf("running WAL group-commit sweep (clients=%v, batches=%v, %d commits/client, fsync=%s)...\n",
-			cfg.Clients, cfg.Batches, cfg.CommitsPerClient, cfg.SyncDelay)
-		sweep, err := harness.RunWALSweep(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wal: %v\n", err)
-			return 1
-		}
-		for _, c := range sweep.Cells {
-			fmt.Printf("  c%-3d b%-2d commits=%-5d fsyncs=%-5d fsyncs/commit=%-6.3f group=%-6.2f max_group=%-3d commit_qps=%.0f\n",
-				c.Clients, c.Batch, c.Commits, c.Fsyncs, c.FsyncsPerCommit, c.GroupSize, c.MaxGroup, c.CommitQPS)
-		}
-		f, err := os.Create(*walOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wal: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := sweep.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "wal: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *walOut)
-		if err := sweep.CheckGrouping(); err != nil {
-			fmt.Fprintf(os.Stderr, "wal: group commit not amortizing: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *txnMode {
-		kind, ok := kindByName(*txnStrategy)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown -txn-strategy %q\n", *txnStrategy)
+	if *sweepName != "" {
+		if *all || *expName != "" {
+			fmt.Fprintln(os.Stderr, "-sweep runs sweeps, -exp/-all experiments: pick one")
 			return 2
 		}
-		thetas, err := parseFloats(*txnThetas)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -txn-thetas: %v\n", err)
-			return 2
-		}
-		updates, err := parseFloats(*txnUpdates)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -txn-updates: %v\n", err)
-			return 2
-		}
-		counts, err := parseInts(*txnClients)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -txn-clients: %v\n", err)
-			return 2
-		}
-		cfg := harness.DefaultTxnSweep()
-		cfg.Base.Strategy = kind
-		cfg.Base.DB.Seed = *seed
-		cfg.Thetas, cfg.Updates, cfg.Clients = thetas, updates, counts
-		if *txnOps > 0 {
-			cfg.Base.OpsPerClient = *txnOps
-		}
-		if *latency > 0 {
-			cfg.Base.DiskLatency = *latency
-		}
-		fmt.Printf("running txn contention sweep (%s, thetas=%v, updates=%v, clients=%v, ops=%d, seed=%d)...\n",
-			kind, cfg.Thetas, cfg.Updates, cfg.Clients, cfg.Base.OpsPerClient, *seed)
-		bench, err := harness.RunTxnSweep(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "txn: %v\n", err)
-			return 1
-		}
-		for _, pt := range bench.Points {
-			ratio := 0.0
-			if pt.Latched.QPS > 0 {
-				ratio = pt.Versioned.QPS / pt.Latched.QPS
+		// A sweep keeps its own default seed and latency unless the flag
+		// was given — whatever its value.
+		opts := harness.SweepOpts{Quick: quick}
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "seed":
+				opts.Seed = seed
+			case "latency":
+				opts.Latency = latency
 			}
-			fmt.Printf("  z=%-4g u=%-4g K=%-2d versioned=%-7.0f latched=%-7.0f qps (%.2fx) retr=%-7.0f upd=%-6.0f waits=%d\n",
-				pt.Theta, pt.PrUpdate, pt.Clients, pt.Versioned.QPS, pt.Latched.QPS, ratio,
-				pt.Versioned.RetrieveQPS, pt.Versioned.UpdateQPS, pt.Versioned.Txn.Waited)
-		}
-		f, err := os.Create(*txnOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "txn: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := bench.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "txn: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *txnOut)
-		return 0
-	}
-
-	if *slo {
-		reg := obs.NewRegistry()
-		liveReg.Store(reg)
-		cfg := harness.ServeConfig{
-			DB:           workload.Config{NumParents: 2000, Seed: *seed, ProbeBatch: true, PoolShards: *shards},
-			Strategy:     strategy.DFS,
-			Clients:      *sloClients,
-			OpsPerClient: 40,
-			PrUpdate:     0.05,
-			NumTop:       8,
-			DiskLatency:  *latency,
-			SLO:          &harness.SLO{Target: *sloTarget, Threshold: *sloThreshold},
-			Metrics:      reg,
-		}
-		if cfg.DiskLatency == 0 {
-			cfg.DiskLatency = 100 * time.Microsecond
-		}
-		fmt.Printf("running SLO benchmark (clients=%d, p%g<=%s, seed=%d)...\n",
-			cfg.Clients, *sloTarget*100, *sloThreshold, *seed)
-		bench, err := harness.RunSLO(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "slo: %v\n", err)
-			return 1
-		}
-		fmt.Printf("  %s\n", bench.Result)
-		for _, kind := range []string{"retrieve", "update"} {
-			if s := bench.Result.PerOp[kind]; s.Count > 0 {
-				fmt.Printf("  %-9s %s\n", kind, s)
-			}
-		}
-		for i, q := range bench.SlowQueries {
-			if i >= 5 {
-				fmt.Printf("  ... %d more slow queries in %s\n", len(bench.SlowQueries)-i, *sloOut)
-				break
-			}
-			fmt.Printf("  slow[%d] %-14s client=%d dur=%-12s io=%d over_slo=%v\n",
-				i, q.Name, q.Client, q.Duration, q.IO(), q.OverSLO)
-		}
-		f, err := os.Create(*sloOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "slo: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := bench.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "slo: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *sloOut)
-		if !bench.Result.SLOMet {
-			fmt.Fprintf(os.Stderr, "slo: objective missed (%d ops at or over %s)\n",
-				bench.Result.SLOViolations, *sloThreshold)
-			return 1
-		}
-		return 0
-	}
-
-	if *throughput {
-		var counts []int
-		for _, s := range strings.Split(*clients, ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
-			}
-			n, err := strconv.Atoi(s)
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "bad -clients value %q\n", s)
-				return 2
-			}
-			counts = append(counts, n)
-		}
-		base := harness.ServeConfig{
-			DB:           workload.Config{NumParents: 2000, Seed: *seed, ProbeBatch: true},
-			Strategy:     strategy.DFS,
-			OpsPerClient: 40,
-			PrUpdate:     0.05,
-			NumTop:       8,
-			DiskLatency:  *latency,
-		}
+		})
 		if *watch > 0 {
-			reg := obs.NewRegistry()
-			liveReg.Store(reg)
-			base.Metrics = reg
+			opts.Metrics = obs.NewRegistry()
+			liveReg.Store(opts.Metrics)
 		}
-		fmt.Printf("running throughput benchmark (clients=%v, shards=%d, seed=%d)...\n", counts, *shards, *seed)
-		bench, err := harness.RunThroughput(base, *shards, counts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "throughput: %v\n", err)
-			return 1
-		}
-		for i := range bench.Sharded {
-			fmt.Printf("  sharded  %s\n", bench.Sharded[i])
-			fmt.Printf("  baseline %s\n", bench.Baseline[i])
-		}
-		for k, s := range bench.Speedup {
-			fmt.Printf("  speedup %s: %.2fx\n", k, s)
-		}
-		f, err := os.Create(*throughputOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "throughput: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := bench.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "throughput: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *throughputOut)
-		return 0
+		return runSweeps(*sweepName, opts, *out)
 	}
 
-	var sc harness.Scale
-	switch strings.ToLower(*scale) {
-	case "paper":
-		sc = harness.PaperScale
-	case "quick":
+	sc := harness.PaperScale
+	if quick {
 		sc = harness.QuickScale
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q (want paper or quick)\n", *scale)
-		return 2
 	}
 	sc.Seed = *seed
 	sc.Parallel = *parallel
@@ -682,11 +200,7 @@ func run() int {
 	case *all:
 		runs = harness.Experiments
 	case *expName != "":
-		for _, name := range strings.Split(*expName, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
+		for _, name := range splitNames(*expName) {
 			e, ok := harness.FindExperiment(name)
 			if !ok {
 				fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", name)
@@ -732,46 +246,73 @@ func run() int {
 	return 0
 }
 
-// kindByName resolves a strategy name as printed by Kind.String.
-func kindByName(name string) (strategy.Kind, bool) {
-	for _, k := range strategy.AllKindsWithAblations {
-		if strings.EqualFold(k.String(), name) {
-			return k, true
-		}
-	}
-	return 0, false
+// splitNames splits a comma-separated -exp / -sweep value.
+func splitNames(list string) []string {
+	return strings.FieldsFunc(list, func(r rune) bool { return r == ',' || r == ' ' })
 }
 
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+// runSweeps is the one path every sweep takes: run the registered grid,
+// print the cells, report the gate, write the envelope.
+func runSweeps(list string, opts harness.SweepOpts, out string) int {
+	var sweeps []harness.Sweep
+	for _, name := range splitNames(list) {
+		s, ok := harness.FindSweep(name)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown sweep %q; try -list\n", name)
+			return 2
 		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad value %q", part)
+		// Every named sweep must accept the options before the first one
+		// runs (and overwrites its output).
+		if _, err := s.Resolve(opts); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
 		}
-		out = append(out, v)
+		sweeps = append(sweeps, s)
 	}
-	return out, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad value %q", part)
-		}
-		out = append(out, n)
+	if len(sweeps) == 0 || out != "" && len(sweeps) > 1 {
+		fmt.Fprintln(os.Stderr, "-sweep needs a name (see -list), and -out exactly one")
+		return 2
 	}
-	return out, nil
+	scale, prefix := "paper", "BENCH_"
+	if opts.Quick {
+		// A reduced grid must never land on a checked-in baseline's name.
+		scale, prefix = "quick", "SMOKE_"
+	}
+	status := 0
+	for _, s := range sweeps {
+		fmt.Printf("running %s (scale=%s)...\n", s.Name, scale)
+		start := time.Now()
+		rep, err := s.Run(opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", s.Name, err)
+			return 1
+		}
+		bench.WriteCells(os.Stdout, rep.Cells())
+		violations := rep.Check()
+		for _, v := range violations {
+			fmt.Fprintf(os.Stderr, "%s: VIOLATION %s\n", s.Name, v)
+		}
+		path := out
+		if path == "" {
+			path = prefix + s.Name + ".json"
+		}
+		f, err := os.Create(path)
+		if err == nil {
+			err = s.Write(f, rep)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", s.Name, err)
+			return 1
+		}
+		fmt.Printf("wrote %s: %d violation(s) in %s\n", path, len(violations), time.Since(start).Round(time.Millisecond))
+		if len(violations) > 0 {
+			status = 1
+		}
+	}
+	return status
 }
 
 // startWatch dumps the currently published registry to stderr every

@@ -95,7 +95,7 @@ func vcsRevision() (rev string, dirty bool) {
 }
 
 // Write stamps payload and cells into an envelope of the given kind and
-// writes it to w — what every sweep's WriteJSON does.
+// writes it to w.
 func Write(w io.Writer, kind string, payload any, cells []Cell) error {
 	env, err := New(kind, payload, cells)
 	if err != nil {
@@ -146,4 +146,24 @@ func (c *Cell) SortedMetrics() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// WriteCells prints cells one per line, metrics in name order — the
+// human-readable form of exactly what the envelope holds and benchdiff
+// compares. Latencies (a *_ns metric, or a percentile demoted to its
+// bare informational name) print as durations.
+func WriteCells(w io.Writer, cells []Cell) {
+	for _, c := range cells {
+		fmt.Fprintf(w, "  %-26s", c.Name)
+		for _, m := range c.SortedMetrics() {
+			v := c.Metrics[m]
+			switch base := strings.TrimSuffix(m, "_ns"); {
+			case base != m, base == "max", base == "p50", base == "p95", base == "p99":
+				fmt.Fprintf(w, " %s=%s", base, time.Duration(v).Round(time.Microsecond))
+			default:
+				fmt.Fprintf(w, " %s=%.4g", m, v)
+			}
+		}
+		fmt.Fprintln(w)
+	}
 }

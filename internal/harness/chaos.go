@@ -7,8 +7,9 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
-	"io"
+	"slices"
 	"time"
 
 	"corep/internal/bench"
@@ -18,10 +19,13 @@ import (
 	"corep/internal/workload"
 )
 
-// ChaosConfig parameterizes one differential chaos sweep.
+// ChaosConfig parameterizes one differential sweep of strategies ×
+// seeded schedules: fault schedules (RunChaos), kill schedules
+// (RunCrashChaos, RunReclustCrash) or a concurrent hammer (RunTxnChaos,
+// RunReclustChaos).
 type ChaosConfig struct {
 	DB         workload.Config
-	Strategies []strategy.Kind
+	Strategies []strategy.Kind `json:"-"` // named in the results
 
 	// Schedules is how many seeded fault schedules run per strategy;
 	// schedule s uses fault seed FaultSeed + s. A fault-free control
@@ -38,14 +42,10 @@ type ChaosConfig struct {
 	// Plan is the fault mix; its Seed field is overridden per schedule.
 	Plan disk.FaultPlanConfig
 
-	// Timeout bounds one schedule; exceeding it is recorded as a
-	// deadlock violation. 0 means 120s.
-	Timeout time.Duration
-
-	// ConcurrentUpdaters arms the versioned-store atomicity hammer
-	// (RunTxnChaos): that many writer goroutines commit sentinel batches
-	// while as many readers audit every snapshot for torn or lost
-	// versions. 0 lets RunTxnChaos pick its default (2).
+	// ConcurrentUpdaters sizes the atomicity hammers (RunTxnChaos,
+	// RunReclustChaos): that many writer goroutines commit sentinel
+	// batches, Ops rounds each, while as many readers audit every
+	// snapshot for torn or lost versions.
 	ConcurrentUpdaters int
 
 	// SlowLogSize, when positive, arms per-schedule tail sampling: every
@@ -61,12 +61,25 @@ type ChaosConfig struct {
 	SlowThreshold time.Duration
 }
 
-// DefaultChaosConfig is a sweep over all six strategies sized so a
-// 50-schedule run finishes in seconds: a small database, a mixed
+// faultPlan is the config's fault mix seeded for one schedule.
+func (c ChaosConfig) faultPlan(seed int64) *disk.FaultPlan {
+	pc := c.Plan
+	pc.Seed = seed
+	return disk.NewFaultPlan(pc)
+}
+
+// scheduleTimeout bounds one seeded schedule; outliving it is a deadlock
+// violation.
+const scheduleTimeout = 120 * time.Second
+
+// chaosGrid is the chaos sweep (and, through ConcurrentUpdaters, the
+// txnchaos hammer): all six strategies on a database small enough that
+// the full grid's ten schedules each finish in seconds, a mixed
 // workload, and fault rates that fire a handful of times per schedule.
 // Batched probes and the prefetcher are enabled — the concurrent code
-// paths are exactly what fault coverage is for.
-func DefaultChaosConfig() ChaosConfig {
+// paths are exactly what fault coverage is for. The seed is the fault
+// seed base; the database is the same on every run.
+func chaosGrid(o SweepOpts) ChaosConfig {
 	return ChaosConfig{
 		DB: workload.Config{
 			NumParents:      400,
@@ -74,12 +87,13 @@ func DefaultChaosConfig() ChaosConfig {
 			ProbeBatch:      true,
 			PrefetchEnabled: true,
 		},
-		Strategies: strategy.AllKinds,
-		Schedules:  50,
-		FaultSeed:  1000,
-		Ops:        30,
-		PrUpdate:   0.25,
-		NumTop:     8,
+		Strategies:         strategy.AllKinds,
+		Schedules:          pick(o, 10, 3),
+		FaultSeed:          *o.Seed,
+		Ops:                30,
+		PrUpdate:           0.25,
+		NumTop:             8,
+		ConcurrentUpdaters: 3,
 		Plan: disk.FaultPlanConfig{
 			PTransient:   0.003,
 			TransientLen: 2,
@@ -91,274 +105,351 @@ func DefaultChaosConfig() ChaosConfig {
 	}
 }
 
-// ChaosViolation is one broken resilience guarantee.
-type ChaosViolation struct {
-	Strategy string `json:"strategy"`
-	Seed     int64  `json:"fault_seed"`
-	OpIndex  int    `json:"op_index"`
-	Kind     string `json:"kind"` // panic | wrong-rows | unattributed-error | pin-leak | staged-leak | cache-invariant | deadlock
-	Detail   string `json:"detail"`
+func chaosSweep(o SweepOpts) (Report, error) { return RunChaos(chaosGrid(o)) }
+
+// scheduleLog is what every seeded schedule books, whichever harness
+// drives it.
+type scheduleLog struct {
+	Seed        int64       `json:"seed"`
+	OpsOK       int         `json:"ops_ok"`
+	CleanErrors int         `json:"clean_errors"` // attributed fault errors surfaced to the caller
+	Violations  []Violation `json:"violations,omitempty"`
+
+	strategy string
 }
 
-func (v ChaosViolation) String() string {
-	return fmt.Sprintf("%s seed=%d op=%d %s: %s", v.Strategy, v.Seed, v.OpIndex, v.Kind, v.Detail)
+func (l *scheduleLog) log() *scheduleLog { return l }
+
+func (l *scheduleLog) violate(op int, kind, detail string) {
+	l.Violations = append(l.Violations, Violation{
+		Strategy: l.strategy, Seed: l.Seed, OpIndex: op, Kind: kind, Detail: detail,
+	})
 }
 
 // ChaosRun is the outcome of one schedule (one strategy, one seed).
 type ChaosRun struct {
-	Seed          int64 `json:"fault_seed"`
-	OpsOK         int   `json:"ops_ok"`
-	CleanErrors   int   `json:"clean_errors"` // attributed fault errors surfaced to the caller
-	FailedUpdates int   `json:"failed_updates"`
-	RowsCompared  int   `json:"rows_compared"` // retrieves checked against the baseline
+	scheduleLog
+	FailedUpdates int `json:"failed_updates"`
+	RowsCompared  int `json:"rows_compared"` // retrieves checked against the baseline
 
-	Faults        disk.FaultStats  `json:"faults"`
-	Retries       int64            `json:"buffer_retries"`
-	Recovered     int64            `json:"buffer_recovered"`
-	CacheDegraded int64            `json:"cache_degraded"`
-	CacheOrphans  int64            `json:"cache_orphans"`
-	PrefetchErrs  int64            `json:"prefetch_fetch_errors"`
-	Violations    []ChaosViolation `json:"violations,omitempty"`
+	Faults        disk.FaultStats `json:"faults"`
+	Retries       int64           `json:"buffer_retries"`
+	Recovered     int64           `json:"buffer_recovered"`
+	CacheDegraded int64           `json:"cache_degraded"`
+	CacheOrphans  int64           `json:"cache_orphans"`
+	PrefetchErrs  int64           `json:"prefetch_fetch_errors"`
 
 	// SlowQueries is the schedule's tail sample (ChaosConfig.SlowLogSize
 	// slowest operations, exact span trees, fault-plan attr deltas).
 	SlowQueries []obs.SlowEntry `json:"slow_queries,omitempty"`
 }
 
-// ChaosStrategy aggregates one strategy's schedules.
-type ChaosStrategy struct {
-	Strategy      string      `json:"strategy"`
-	BaselineReads int64       `json:"baseline_reads"`
-	Control       *ChaosRun   `json:"control"` // fault-free differential run
-	Runs          []*ChaosRun `json:"runs"`
+// tally adds the schedule's counts to its strategy's cell. Clean-error
+// and retry counts legitimately wander with the fault mix and stay
+// informational.
+func (r *ChaosRun) tally(m map[string]float64) {
+	m["clean_errors"] += float64(r.CleanErrors)
+	m["ops_ok"] += float64(r.OpsOK)
+	m["retries"] += float64(r.Retries)
+	m["recovered"] += float64(r.Recovered)
 }
 
-// ChaosBench is the full sweep, written to BENCH_chaos.json.
-type ChaosBench struct {
-	Config     string               `json:"config"`
-	Schedules  int                  `json:"schedules_per_strategy"`
-	Ops        int                  `json:"ops_per_schedule"`
-	PrUpdate   float64              `json:"pr_update"`
-	NumTop     int                  `json:"num_top"`
-	Plan       disk.FaultPlanConfig `json:"fault_plan"`
-	Strategies []*ChaosStrategy     `json:"strategies"`
-	Violations int                  `json:"violations"`
+// scheduleRun is one seeded schedule's record: the shared log plus what
+// its harness adds, which it sums into its strategy's cell.
+type scheduleRun interface {
+	comparable
+	log() *scheduleLog
+	tally(m map[string]float64)
 }
+
+// StrategyRuns is one strategy's row of a schedule sweep.
+type StrategyRuns[R scheduleRun] struct {
+	Strategy string `json:"strategy"`
+	Config   string `json:"config"` // as provisioned for the strategy
+	// BaselineReads and Control are the chaos sweep's: the fault-free
+	// baseline's page reads and the fault-free differential run.
+	BaselineReads int64 `json:"baseline_reads,omitempty"`
+	Control       R     `json:"control,omitempty"`
+	Runs          []R   `json:"runs"`
+}
+
+// all is every schedule of the row, the control first.
+func (s *StrategyRuns[R]) all() []R {
+	var none R
+	if s.Control == none {
+		return s.Runs
+	}
+	return append([]R{s.Control}, s.Runs...)
+}
+
+// ScheduleBench is the payload of the chaos, crash and txnchaos sweeps:
+// strategies × seeded schedules under one config.
+type ScheduleBench[R scheduleRun] struct {
+	Config     ChaosConfig        `json:"config"`
+	Strategies []*StrategyRuns[R] `json:"strategies"`
+	Violations int                `json:"violations"`
+}
+
+type (
+	ChaosBench    = ScheduleBench[*ChaosRun]
+	ChaosStrategy = StrategyRuns[*ChaosRun]
+)
 
 // Cells flattens the sweep into one envelope cell per strategy.
-// Violations and baseline reads are deterministic (seeded schedules) and
-// gate; clean-error/retry counts legitimately wander with the fault mix
-// and stay informational.
-func (b *ChaosBench) Cells() []bench.Cell {
+// Violations are deterministic (seeded schedules) and gate; so do chaos's
+// baseline reads, which replay exactly with the prefetcher off and move
+// by a page or two with it on; the rest is each run type's tally.
+func (b *ScheduleBench[R]) Cells() []bench.Cell {
 	var cells []bench.Cell
 	for _, s := range b.Strategies {
-		var viol, cleanErrs, opsOK int
-		var retries, recovered int64
-		runs := s.Runs
-		if s.Control != nil {
-			runs = append([]*ChaosRun{s.Control}, runs...)
+		m := map[string]float64{"violations": 0}
+		if s.BaselineReads > 0 {
+			m["baseline_reads"] = float64(s.BaselineReads)
 		}
-		for _, r := range runs {
-			viol += len(r.Violations)
-			cleanErrs += r.CleanErrors
-			opsOK += r.OpsOK
-			retries += r.Retries
-			recovered += r.Recovered
+		for _, r := range s.all() {
+			m["violations"] += float64(len(r.log().Violations))
+			r.tally(m)
 		}
-		cells = append(cells, bench.Cell{Name: s.Strategy, Metrics: map[string]float64{
-			"violations":     float64(viol),
-			"baseline_reads": float64(s.BaselineReads),
-			"clean_errors":   float64(cleanErrs),
-			"ops_ok":         float64(opsOK),
-			"retries":        float64(retries),
-			"recovered":      float64(recovered),
-		}})
+		cells = append(cells, bench.Cell{Name: s.Strategy, Metrics: m})
 	}
 	return cells
 }
 
-// WriteJSON writes the bench wrapped in the versioned envelope.
-func (b *ChaosBench) WriteJSON(w io.Writer) error {
-	return bench.Write(w, "chaos", b, b.Cells())
-}
-
-// AllViolations flattens every recorded violation.
-func (b *ChaosBench) AllViolations() []ChaosViolation {
-	var out []ChaosViolation
+// Check returns every violation any schedule recorded: the sweep's gate
+// is that there are none.
+func (b *ScheduleBench[R]) Check() []Violation {
+	var out []Violation
 	for _, s := range b.Strategies {
-		if s.Control != nil {
-			out = append(out, s.Control.Violations...)
-		}
-		for _, r := range s.Runs {
-			out = append(out, r.Violations...)
+		for _, r := range s.all() {
+			out = append(out, r.log().Violations...)
 		}
 	}
 	return out
 }
 
+// runSchedules provisions the database for each strategy in turn and
+// has row fill in that strategy's schedules. The returned error covers
+// harness-level failures only (a baseline that cannot even build);
+// broken guarantees come back as violations in the bench.
+func runSchedules[R scheduleRun](cfg ChaosConfig, kinds []strategy.Kind, row func(strategy.Kind, workload.Config, *StrategyRuns[R]) error) (*ScheduleBench[R], error) {
+	b := &ScheduleBench[R]{Config: cfg}
+	for _, kind := range kinds {
+		dbCfg := provisionFor(kind, cfg.DB.WithDefaults())
+		s := &StrategyRuns[R]{Strategy: kind.String(), Config: dbCfg.String()}
+		if err := row(kind, dbCfg, s); err != nil {
+			return nil, fmt.Errorf("%s: %w", kind, err)
+		}
+		b.Strategies = append(b.Strategies, s)
+	}
+	b.Violations = len(b.Check())
+	return b, nil
+}
+
 // baselineRow is the fault-free answer of one retrieve, order-insensitive.
 type baselineRow []int64
 
-// RunChaos executes the sweep. The returned error covers harness-level
-// failures only (a baseline that cannot even build); resilience
-// failures are returned as violations in the bench.
+// RunChaos executes the fault-schedule sweep.
 func RunChaos(cfg ChaosConfig) (*ChaosBench, error) {
-	if len(cfg.Strategies) == 0 {
-		cfg.Strategies = strategy.AllKinds
-	}
-	if cfg.Schedules < 1 {
-		cfg.Schedules = 1
-	}
-	if cfg.Ops < 1 {
-		cfg.Ops = 20
-	}
-	if cfg.NumTop < 1 {
-		cfg.NumTop = 8
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 120 * time.Second
-	}
-	bench := &ChaosBench{
-		Config:    cfg.DB.WithDefaults().String(),
-		Schedules: cfg.Schedules,
-		Ops:       cfg.Ops,
-		PrUpdate:  cfg.PrUpdate,
-		NumTop:    cfg.NumTop,
-		Plan:      cfg.Plan.WithDefaults(),
-	}
-	bench.Plan.Seed = cfg.FaultSeed
-	for _, kind := range cfg.Strategies {
-		sres, err := runChaosStrategy(cfg, kind)
+	return runSchedules(cfg, cfg.Strategies, func(kind strategy.Kind, dbCfg workload.Config, out *ChaosStrategy) error {
+		// Fault-free baseline: the rows every schedule is held to.
+		base, baseReads, err := chaosBaseline(cfg, kind, dbCfg)
 		if err != nil {
-			return nil, fmt.Errorf("chaos: %s: %w", kind, err)
+			return err
 		}
-		bench.Strategies = append(bench.Strategies, sres)
-	}
-	bench.Violations = len(bench.AllViolations())
-	return bench, nil
+		out.BaselineReads = baseReads
+
+		// Control schedule: no faults installed. Rows must match the
+		// baseline, and with the prefetcher off (no worker/consumer timing
+		// races) the page-read count must be bit-identical — the regression
+		// gate for "retry plumbing changed nothing when faults are off".
+		control := scheduleSpec{cfg: cfg, kind: kind, dbCfg: dbCfg, base: base, seed: -1, faulted: false, wantReads: -1}
+		if !dbCfg.PrefetchEnabled {
+			control.wantReads = baseReads
+		}
+		out.Control = runChaosSchedule(control)
+
+		for s := 0; s < cfg.Schedules; s++ {
+			spec := scheduleSpec{cfg: cfg, kind: kind, dbCfg: dbCfg, base: base, seed: cfg.FaultSeed + int64(s), faulted: true, wantReads: -1}
+			out.Runs = append(out.Runs, runChaosSchedule(spec))
+		}
+		return nil
+	})
 }
 
-func runChaosStrategy(cfg ChaosConfig, kind strategy.Kind) (*ChaosStrategy, error) {
-	dbCfg := provisionFor(kind, cfg.DB.WithDefaults())
+// subject is one freshly built database with its strategy and the op
+// sequence its generator yields — the same sequence for every build of
+// one config, which is what lets a schedule be held to a baseline or a
+// control built beside it.
+type subject struct {
+	db  *workload.DB
+	st  strategy.Strategy
+	ops []workload.Op
+}
 
-	// Fault-free baseline: the rows every schedule is held to.
-	base, baseReads, err := chaosBaseline(cfg, kind, dbCfg)
+func openSubject(kind strategy.Kind, dbCfg workload.Config, ops int, prUpdate float64, numTop int) (*subject, error) {
+	db, err := workload.Build(dbCfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("build: %w", err)
 	}
-	out := &ChaosStrategy{Strategy: kind.String(), BaselineReads: baseReads}
+	st, err := strategy.New(kind, db)
+	if err != nil {
+		db.Close()
+		return nil, fmt.Errorf("strategy: %w", err)
+	}
+	return &subject{db: db, st: st, ops: db.GenSequence(ops, prUpdate, numTop)}, nil
+}
 
-	// Control schedule: no faults installed. Rows must match the
-	// baseline, and with the prefetcher off (no worker/consumer timing
-	// races) the page-read count must be bit-identical — the regression
-	// gate for "retry plumbing changed nothing when faults are off".
-	control := scheduleSpec{cfg: cfg, kind: kind, dbCfg: dbCfg, base: base, seed: -1, faulted: false, wantReads: -1}
-	if !dbCfg.PrefetchEnabled {
-		control.wantReads = baseReads
+// fullSweeps is one full-range retrieve per ret attribute: every object
+// of the database read back.
+func fullSweeps(db *workload.DB) []workload.Op {
+	var qs []workload.Op
+	for _, attr := range []int{workload.FieldRet1, workload.FieldRet2, workload.FieldRet3} {
+		qs = append(qs, workload.Op{Kind: workload.OpRetrieve, Lo: 0, Hi: int64(db.Cfg.NumParents - 1), AttrIdx: attr})
 	}
-	out.Control = runChaosSchedule(control)
+	return qs
+}
 
-	for s := 0; s < cfg.Schedules; s++ {
-		spec := scheduleSpec{cfg: cfg, kind: kind, dbCfg: dbCfg, base: base, seed: cfg.FaultSeed + int64(s), faulted: true, wantReads: -1}
-		out.Runs = append(out.Runs, runChaosSchedule(spec))
+// compareWithControl runs each query on the subject and on its control
+// and requires the same rows — value for value in order, or as
+// multisets when sorted is set. It returns how many results it compared;
+// an operation that fails or panics on either side is a violation and
+// ends the comparison.
+func compareWithControl(s, ctl *subject, queries []workload.Op, sorted bool, violate func(kind, detail string)) int {
+	for qi, q := range queries {
+		var rows [2][]int64
+		for side, sub := range []*subject{s, ctl} {
+			vals, err := runChaosOp(sub.db, sub.st, q)
+			if err != nil {
+				kind := "unattributed-error"
+				if panicked(err) {
+					kind = "panic"
+				}
+				violate(kind, fmt.Sprintf("retrieve %d (control: %v): %v", qi, side == 1, err))
+				return qi
+			}
+			if sorted {
+				vals = sortedVals(vals)
+			}
+			rows[side] = vals
+		}
+		if !slices.Equal(rows[0], rows[1]) {
+			violate("wrong-rows", fmt.Sprintf("retrieve %d [%d,%d] attr=%d: %d values differ from the control's %d",
+				qi, q.Lo, q.Hi, q.AttrIdx, len(rows[0]), len(rows[1])))
+		}
 	}
-	return out, nil
+	return len(queries)
 }
 
 // chaosBaseline runs the op sequence fault-free and records each
 // retrieve's sorted values plus the measured-phase page reads.
 func chaosBaseline(cfg ChaosConfig, kind strategy.Kind, dbCfg workload.Config) ([]baselineRow, int64, error) {
-	db, err := workload.Build(dbCfg)
+	s, err := openSubject(kind, dbCfg, cfg.Ops, cfg.PrUpdate, cfg.NumTop)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer db.Close()
-	st, err := strategy.New(kind, db)
-	if err != nil {
+	defer s.db.Close()
+	if err := s.db.ResetCold(); err != nil {
 		return nil, 0, err
 	}
-	ops := db.GenSequence(cfg.Ops, cfg.PrUpdate, cfg.NumTop)
-	if err := db.ResetCold(); err != nil {
-		return nil, 0, err
-	}
-	startReads := db.Disk.Stats().Reads
-	rows := make([]baselineRow, 0, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case workload.OpRetrieve:
-			res, err := st.Retrieve(db, strategy.Query{Lo: op.Lo, Hi: op.Hi, AttrIdx: op.AttrIdx})
-			if err != nil {
-				return nil, 0, fmt.Errorf("baseline retrieve %d: %w", i, err)
-			}
-			rows = append(rows, sortedVals(res.Values))
-		case workload.OpUpdate:
-			if err := st.Update(db, op); err != nil {
-				return nil, 0, fmt.Errorf("baseline update %d: %w", i, err)
-			}
+	startReads := s.db.Disk.Stats().Reads
+	rows := make([]baselineRow, 0, len(s.ops))
+	for i, op := range s.ops {
+		vals, err := runChaosOp(s.db, s.st, op)
+		if err != nil {
+			return nil, 0, fmt.Errorf("baseline op %d: %w", i, err)
+		}
+		if op.Kind == workload.OpUpdate {
 			rows = append(rows, nil)
+		} else {
+			rows = append(rows, sortedVals(vals))
 		}
 	}
-	return rows, db.Disk.Stats().Reads - startReads, nil
+	return rows, s.db.Disk.Stats().Reads - startReads, nil
 }
 
+// scheduleSpec is one schedule of a chaos or a crash sweep; the last
+// three fields are the chaos sweep's.
 type scheduleSpec struct {
 	cfg       ChaosConfig
 	kind      strategy.Kind
 	dbCfg     workload.Config
-	base      []baselineRow
 	seed      int64
+	base      []baselineRow
 	faulted   bool
 	wantReads int64 // control only: expected page reads, -1 = don't check
 }
 
-// runChaosSchedule executes one schedule under a watchdog. A schedule
-// that outlives the timeout is reported as a deadlock (its goroutine,
-// and the database it holds, are abandoned).
-func runChaosSchedule(spec scheduleSpec) *ChaosRun {
-	done := make(chan *ChaosRun, 1)
-	go func() { done <- runChaosScheduleBody(spec) }()
+// underWatchdog runs one schedule body on a fresh run record (wrap makes
+// the harness's run type around the shared log). A body that outlives
+// scheduleTimeout is reported as a deadlock — on a second fresh record,
+// because the abandoned goroutine (and the database it holds) still owns
+// the first.
+func underWatchdog[R scheduleRun](spec scheduleSpec, wrap func(scheduleLog) R, body func(scheduleSpec, R)) R {
+	fresh := func() R { return wrap(scheduleLog{Seed: spec.seed, strategy: spec.kind.String()}) }
+	run := fresh()
+	done := make(chan struct{})
+	go func() { body(spec, run); close(done) }()
 	select {
-	case run := <-done:
-		return run
-	case <-time.After(spec.cfg.Timeout):
-		return &ChaosRun{Seed: spec.seed, Violations: []ChaosViolation{{
-			Strategy: spec.kind.String(), Seed: spec.seed, OpIndex: -1,
-			Kind: "deadlock", Detail: fmt.Sprintf("schedule still running after %s", spec.cfg.Timeout),
-		}}}
+	case <-done:
+	case <-time.After(scheduleTimeout):
+		run = fresh()
+		run.log().violate(-1, "deadlock", fmt.Sprintf("schedule still running after %s", scheduleTimeout))
+	}
+	return run
+}
+
+func runChaosSchedule(spec scheduleSpec) *ChaosRun {
+	return underWatchdog(spec, func(l scheduleLog) *ChaosRun { return &ChaosRun{scheduleLog: l} }, runChaosScheduleBody)
+}
+
+// opOutcome classifies one guarded operation.
+type opOutcome int
+
+const (
+	opOK       opOutcome = iota
+	opFaulted            // clean error attributed to the injector
+	opBroken             // unattributed error: a violation, the schedule may go on
+	opPanicked           // a violation, and the schedule cannot go on
+)
+
+// exec runs one operation against the subject and books it: counted as
+// ok, counted as a clean injector-attributed error, or recorded as a
+// violation.
+func (l *scheduleLog) exec(i int, s *subject, op workload.Op) ([]int64, error, opOutcome) {
+	vals, err := runChaosOp(s.db, s.st, op)
+	switch {
+	case panicked(err):
+		l.violate(i, "panic", err.Error())
+		return nil, err, opPanicked
+	case err == nil:
+		l.OpsOK++
+		return vals, nil, opOK
+	case disk.IsFault(err):
+		l.CleanErrors++
+		return nil, err, opFaulted
+	default:
+		l.violate(i, "unattributed-error", err.Error())
+		return nil, err, opBroken
 	}
 }
 
-func runChaosScheduleBody(spec scheduleSpec) *ChaosRun {
-	run := &ChaosRun{Seed: spec.seed}
-	violate := func(op int, kind, detail string) {
-		run.Violations = append(run.Violations, ChaosViolation{
-			Strategy: spec.kind.String(), Seed: spec.seed, OpIndex: op, Kind: kind, Detail: detail,
-		})
+func runChaosScheduleBody(spec scheduleSpec, run *ChaosRun) {
+	s, err := openSubject(spec.kind, spec.dbCfg, spec.cfg.Ops, spec.cfg.PrUpdate, spec.cfg.NumTop)
+	if err == nil {
+		defer s.db.Close()
+		err = s.db.ResetCold()
 	}
-	db, err := workload.Build(spec.dbCfg)
 	if err != nil {
-		violate(-1, "unattributed-error", "build: "+err.Error())
-		return run
+		run.violate(-1, "unattributed-error", err.Error())
+		return
 	}
-	defer db.Close()
-	st, err := strategy.New(spec.kind, db)
-	if err != nil {
-		violate(-1, "unattributed-error", "strategy: "+err.Error())
-		return run
-	}
-	ops := db.GenSequence(spec.cfg.Ops, spec.cfg.PrUpdate, spec.cfg.NumTop)
-	if err := db.ResetCold(); err != nil {
-		violate(-1, "unattributed-error", "reset: "+err.Error())
-		return run
-	}
+	db := s.db
 	startReads := db.Disk.Stats().Reads
 	poolBefore := db.Pool.Stats()
 
 	var plan *disk.FaultPlan
 	if spec.faulted {
-		pc := spec.cfg.Plan
-		pc.Seed = spec.seed
-		plan = disk.NewFaultPlan(pc)
+		plan = spec.cfg.faultPlan(spec.seed)
 		db.Disk.SetFault(plan.Fn())
 	}
 
@@ -377,7 +468,7 @@ func runChaosScheduleBody(spec scheduleSpec) *ChaosRun {
 	// baseline and comparison stops. Everything else still applies.
 	diverged := false
 	retrieveIdx := 0
-	for i, op := range ops {
+	for i, op := range s.ops {
 		var col *obs.Collector
 		var faultsBefore disk.FaultStats
 		if slowLog != nil {
@@ -388,7 +479,7 @@ func runChaosScheduleBody(spec scheduleSpec) *ChaosRun {
 			}
 		}
 		opStart := time.Now()
-		vals, opErr, panicked := runChaosOp(db, st, op)
+		vals, opErr, outcome := run.exec(i, s, op)
 		if slowLog != nil {
 			dur := time.Since(opStart)
 			db.AttachObs(obs.Options{})
@@ -409,47 +500,34 @@ func runChaosScheduleBody(spec scheduleSpec) *ChaosRun {
 			if opErr != nil {
 				e.Err = opErr.Error()
 			}
-			if panicked != "" {
-				e.Err = "panic: " + panicked
-			}
 			slowLog.Offer(e)
 		}
-		if panicked != "" {
-			violate(i, "panic", panicked)
+		if outcome == opPanicked {
 			break
 		}
 		switch {
-		case opErr == nil:
-			run.OpsOK++
-			if op.Kind == workload.OpRetrieve && !diverged {
-				want := spec.base[i]
-				run.RowsCompared++
-				if !equalInt64(sortedVals(vals), want) {
-					violate(i, "wrong-rows", fmt.Sprintf("retrieve %d returned %d values that differ from the fault-free baseline (%d values)",
-						retrieveIdx, len(vals), len(want)))
-				}
-			}
-		case disk.IsFault(opErr):
-			run.CleanErrors++
-			if op.Kind == workload.OpUpdate {
+		case outcome != opOK && op.Kind == workload.OpUpdate:
+			if outcome == opFaulted {
 				run.FailedUpdates++
-				diverged = true
 			}
-		default:
-			violate(i, "unattributed-error", opErr.Error())
-			if op.Kind == workload.OpUpdate {
-				diverged = true
+			diverged = true
+		case outcome == opOK && op.Kind == workload.OpRetrieve && !diverged:
+			want := spec.base[i]
+			run.RowsCompared++
+			if !slices.Equal(sortedVals(vals), want) {
+				run.violate(i, "wrong-rows", fmt.Sprintf("retrieve %d returned %d values that differ from the fault-free baseline (%d values)",
+					retrieveIdx, len(vals), len(want)))
 			}
 		}
 		if op.Kind == workload.OpRetrieve {
 			retrieveIdx++
 		}
 		if n := db.Pool.PinnedCount(); n != 0 {
-			violate(i, "pin-leak", fmt.Sprintf("%d pages still pinned after op", n))
+			run.violate(i, "pin-leak", fmt.Sprintf("%d pages still pinned after op", n))
 			break // later ops would wedge on the leaked pins
 		}
 		if n := db.Pool.Prefetcher().StagedCount(); n != 0 {
-			violate(i, "staged-leak", fmt.Sprintf("%d prefetched pages still staged after op", n))
+			run.violate(i, "staged-leak", fmt.Sprintf("%d prefetched pages still staged after op", n))
 			break
 		}
 	}
@@ -467,7 +545,7 @@ func runChaosScheduleBody(spec scheduleSpec) *ChaosRun {
 	}
 	if db.Cache != nil {
 		if err := db.Cache.CheckInvariants(); err != nil {
-			violate(-1, "cache-invariant", err.Error())
+			run.violate(-1, "cache-invariant", err.Error())
 		}
 		cs := db.Cache.Stats()
 		run.CacheDegraded = cs.Degraded
@@ -479,29 +557,36 @@ func runChaosScheduleBody(spec scheduleSpec) *ChaosRun {
 	run.PrefetchErrs = db.Pool.Prefetcher().Stats().FetchErrs
 	if spec.wantReads >= 0 {
 		if got := endReads - startReads; got != spec.wantReads {
-			violate(-1, "wrong-rows", fmt.Sprintf("control run read %d pages, baseline read %d — fault-free behaviour drifted", got, spec.wantReads))
+			run.violate(-1, "wrong-rows", fmt.Sprintf("control run read %d pages, baseline read %d — fault-free behaviour drifted", got, spec.wantReads))
 		}
 	}
-	return run
 }
 
-// runChaosOp executes one operation, converting a panic into a report
+// panicError is a panic caught under an operation, as that operation's
+// error.
+type panicError struct{ value any }
+
+func (p panicError) Error() string { return fmt.Sprintf("panic: %v", p.value) }
+
+func panicked(err error) bool {
+	var p panicError
+	return errors.As(err, &p)
+}
+
+// runChaosOp executes one operation, converting a panic into an error
 // instead of tearing the harness down.
-func runChaosOp(db *workload.DB, st strategy.Strategy, op workload.Op) (vals []int64, err error, panicked string) {
+func runChaosOp(db *workload.DB, st strategy.Strategy, op workload.Op) (vals []int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			panicked = fmt.Sprintf("%v", r)
+			vals, err = nil, panicError{r}
 		}
 	}()
-	switch op.Kind {
-	case workload.OpRetrieve:
-		var res *strategy.Result
-		res, err = st.Retrieve(db, strategy.Query{Lo: op.Lo, Hi: op.Hi, AttrIdx: op.AttrIdx})
-		if res != nil {
-			vals = res.Values
-		}
-	case workload.OpUpdate:
-		err = st.Update(db, op)
+	if op.Kind == workload.OpUpdate {
+		return nil, st.Update(db, op)
 	}
-	return vals, err, ""
+	res, err := st.Retrieve(db, strategy.Query{Lo: op.Lo, Hi: op.Hi, AttrIdx: op.AttrIdx})
+	if res != nil {
+		vals = res.Values
+	}
+	return vals, err
 }

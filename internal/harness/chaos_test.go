@@ -10,17 +10,8 @@ import (
 )
 
 func TestChaosSmoke(t *testing.T) {
-	cfg := DefaultChaosConfig()
-	cfg.Schedules = 3
-	if testing.Short() {
-		cfg.Schedules = 1
-		cfg.Strategies = []strategy.Kind{strategy.DFSCACHE, strategy.DFSCLUST}
-	}
-	bench, err := RunChaos(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range bench.AllViolations() {
+	bench := quickReport(t, "chaos").(*ChaosBench)
+	for _, v := range bench.Check() {
 		t.Errorf("violation: %s", v)
 	}
 	// The sweep must actually have exercised faults, or the contract was
@@ -46,7 +37,7 @@ func TestChaosSmoke(t *testing.T) {
 // proving the retry/degradation plumbing changes nothing with faults
 // off.
 func TestChaosControlBitIdentity(t *testing.T) {
-	cfg := DefaultChaosConfig()
+	cfg := chaosGrid(gridOf(t, "chaos", true))
 	cfg.DB = workload.Config{NumParents: 400, Seed: 42}
 	cfg.Schedules = 1
 	bench, err := RunChaos(cfg)
@@ -90,7 +81,7 @@ func TestChaosSlowLogAttributesSpikes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range bench.AllViolations() {
+	for _, v := range bench.Check() {
 		t.Errorf("violation: %s", v)
 	}
 	st := bench.Strategies[0]

@@ -7,17 +7,8 @@ import (
 )
 
 func TestCrashChaosSmoke(t *testing.T) {
-	cfg := DefaultCrashConfig()
-	cfg.Schedules = 4
-	if testing.Short() {
-		cfg.Schedules = 2
-		cfg.Strategies = []strategy.Kind{strategy.DFS, strategy.DFSCACHE, strategy.DFSCLUST}
-	}
-	bench, err := RunCrashChaos(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range bench.AllViolations() {
+	bench := quickReport(t, "crash").(*CrashBench)
+	for _, v := range bench.Check() {
 		t.Errorf("violation: %s", v)
 	}
 	// The sweep is vacuous unless it committed, replayed, and compared.
@@ -54,7 +45,7 @@ func TestCrashChaosDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two sweeps")
 	}
-	cfg := DefaultCrashConfig()
+	cfg := crashGrid(gridOf(t, "crash", true))
 	cfg.Schedules = 2
 	cfg.Strategies = []strategy.Kind{strategy.DFSCACHE}
 	a, err := RunCrashChaos(cfg)

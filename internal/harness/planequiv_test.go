@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"corep/internal/planner"
@@ -27,7 +28,7 @@ func TestPlannerDifferentialFigureGrid(t *testing.T) {
 	widths := []int{1, 10, 100, 300}
 	for _, base := range grid {
 		base := base
-		label := fmt.Sprintf("UF=%d_OF=%d_NCR=%d", base.UseFactor, maxInt(base.OverlapFactor, 1), maxInt(base.NumChildRel, 1))
+		label := fmt.Sprintf("UF=%d_OF=%d_NCR=%d", base.UseFactor, max(base.OverlapFactor, 1), max(base.NumChildRel, 1))
 		t.Run(label, func(t *testing.T) {
 			cfg := base
 			cfg.NumParents = 400
@@ -94,7 +95,7 @@ func TestPlannerDifferentialFigureGrid(t *testing.T) {
 							t.Fatalf("%s query %d: %s: %v", stage, qi, k, err)
 						}
 						staticIO[k] += res.Split.Total()
-						if !equalInt64(sortedVals(res.Values), want) {
+						if !slices.Equal(sortedVals(res.Values), want) {
 							t.Fatalf("%s query %d [%d,%d] attr %d: %s rows diverge from planner (%d vs %d values)",
 								stage, qi, q.Lo, q.Hi, q.AttrIdx, k, len(res.Values), len(pres.Values))
 						}
@@ -139,7 +140,7 @@ func TestPlannerDifferentialFigureGrid(t *testing.T) {
 // worst static arm (the full acceptance gates run in the benchmark
 // job, where the phases are long enough for estimates to converge).
 func TestPlannerSweepReduced(t *testing.T) {
-	cfg := DefaultPlannerSweepConfig()
+	cfg := plannerGrid(gridOf(t, "planner", true))
 	cfg.DB.NumParents = 400
 	cfg.DB.CacheUnits = 400
 	cfg.Phases = []PlannerPhase{
@@ -174,7 +175,7 @@ func TestPlannerSweepReduced(t *testing.T) {
 		t.Fatalf("planner made %d choices, want 90 retrieves", res.PlannerStats.Choices)
 	}
 	var cells int
-	for _, c := range res.BenchCells() {
+	for _, c := range res.Cells() {
 		cells++
 		if c.Name == "" {
 			t.Fatal("unnamed bench cell")

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"time"
 
 	"corep/internal/bench"
@@ -45,24 +44,24 @@ type PrefetchCell struct {
 type PrefetchBench struct {
 	Config   string          `json:"config"`
 	Strategy string          `json:"strategy"`
-	Cells    []*PrefetchCell `json:"cells"`
+	Points   []*PrefetchCell `json:"cells"`
 	// BestSpeedup is the largest per-cell speedup observed.
 	BestSpeedup float64 `json:"best_speedup"`
 }
 
-// EnvelopeCells flattens the sweep for the versioned envelope. Read
-// counts are deterministic and gate exactly; speedups gate at the
-// threshold; wasted/dropped prefetches are informational (they vary with
+// Cells flattens the sweep for the versioned envelope. Read counts are
+// deterministic and gate exactly; speedups gate at the threshold;
+// wasted/dropped prefetches are informational (they vary with
 // scheduling).
-func (b *PrefetchBench) EnvelopeCells() []bench.Cell {
+func (b *PrefetchBench) Cells() []bench.Cell {
 	var cells []bench.Cell
-	for _, c := range b.Cells {
+	for _, c := range b.Points {
 		rowsFailed := 0.0
 		if !c.RowsMatch {
 			rowsFailed = 1
 		}
 		cells = append(cells, bench.Cell{
-			Name: fmt.Sprintf("lat=%s/depth=%d", c.Latency, c.Depth),
+			Name: c.name(),
 			Metrics: map[string]float64{
 				"speedup":           c.Speedup,
 				"sync_reads":        float64(c.SyncReads),
@@ -76,15 +75,30 @@ func (b *PrefetchBench) EnvelopeCells() []bench.Cell {
 	return cells
 }
 
-// WriteJSON writes the bench wrapped in the versioned envelope.
-func (b *PrefetchBench) WriteJSON(w io.Writer) error {
-	return bench.Write(w, "prefetch", b, b.EnvelopeCells())
+func (c *PrefetchCell) name() string { return fmt.Sprintf("lat=%s/depth=%d", c.Latency, c.Depth) }
+
+// Check holds every cell to the two things prefetch must never do: read
+// more pages than the synchronous path, or return different rows. Wall
+// clock is noisy in CI and is left to the baseline comparison.
+func (b *PrefetchBench) Check() []Violation {
+	var out []Violation
+	for _, c := range b.Points {
+		if c.PrefReads > c.SyncReads {
+			out = append(out, gate(c.name(), "page reads regressed (%d > %d)", c.PrefReads, c.SyncReads))
+		}
+		if !c.RowsMatch {
+			out = append(out, gate(c.name(), "result rows diverged"))
+		}
+	}
+	return out
 }
 
-// DefaultPrefetchSweep returns the standard sweep grid: two device
-// latencies around fast-NVMe to disk-array territory, two window depths.
-func DefaultPrefetchSweep() ([]time.Duration, []int) {
-	return []time.Duration{200 * time.Microsecond, time.Millisecond}, []int{4, 16}
+// prefetchSweep runs the grid: device latencies from fast-NVMe to
+// disk-array territory, two window depths; the quick grid keeps the fast
+// device only.
+func prefetchSweep(o SweepOpts) (Report, error) {
+	latencies := []time.Duration{200 * time.Microsecond, time.Millisecond}
+	return RunPrefetchSweep(pick(o, latencies, latencies[:1]), []int{4, 16}, *o.Seed)
 }
 
 // Sweep workload: BFS at a NumTop small enough that joinOne picks the
@@ -115,16 +129,12 @@ func prefetchSweepConfig(seed int64) workload.Config {
 // wall clock, page reads, an FNV-1a digest of every result row, and the
 // prefetcher's counters (zero when cfg has prefetch off).
 func runPrefetchMode(kind strategy.Kind, cfg workload.Config, retrieves, numTop int, latency time.Duration) (elapsed time.Duration, reads int64, rows uint64, st buffer.PrefetchStats, err error) {
-	db, err := workload.Build(cfg)
+	s, err := openSubject(kind, cfg, retrieves, 0, numTop)
 	if err != nil {
 		return 0, 0, 0, st, err
 	}
+	db, strat, ops := s.db, s.st, s.ops
 	defer db.Close()
-	strat, err := strategy.New(kind, db)
-	if err != nil {
-		return 0, 0, 0, st, err
-	}
-	ops := db.GenSequence(retrieves, 0, numTop)
 	if err := db.ResetCold(); err != nil {
 		return 0, 0, 0, st, err
 	}
@@ -151,9 +161,6 @@ func runPrefetchMode(kind strategy.Kind, cfg workload.Config, retrieves, numTop 
 // synchronous baseline, then one prefetch-enabled run per depth over the
 // identical database, sequence and pool configuration.
 func RunPrefetchSweep(latencies []time.Duration, depths []int, seed int64) (*PrefetchBench, error) {
-	if len(latencies) == 0 || len(depths) == 0 {
-		latencies, depths = DefaultPrefetchSweep()
-	}
 	base := prefetchSweepConfig(seed)
 	bench := &PrefetchBench{
 		Config:   base.WithDefaults().String(),
@@ -188,7 +195,7 @@ func RunPrefetchSweep(latencies []time.Duration, depths []int, seed int64) (*Pre
 			if cell.Speedup > bench.BestSpeedup {
 				bench.BestSpeedup = cell.Speedup
 			}
-			bench.Cells = append(bench.Cells, cell)
+			bench.Points = append(bench.Points, cell)
 		}
 	}
 	return bench, nil

@@ -151,24 +151,18 @@ func TestPrefetchShutdownRace(t *testing.T) {
 }
 
 // BenchmarkPrefetchSweep is CI's bench-smoke entry point: one pass over
-// the default latency×depth grid per iteration, failing the run on any
+// the full latency×depth grid per iteration, failing the run on any
 // read-count or row divergence.
 func BenchmarkPrefetchSweep(b *testing.B) {
-	lats, depths := DefaultPrefetchSweep()
+	s, _ := FindSweep("prefetch")
 	for i := 0; i < b.N; i++ {
-		bench, err := RunPrefetchSweep(lats, depths, 1)
+		rep, err := s.Run(SweepOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range bench.Cells {
-			if c.PrefReads > c.SyncReads {
-				b.Fatalf("lat=%s depth=%d: prefetch reads %d > sync reads %d",
-					c.Latency, c.Depth, c.PrefReads, c.SyncReads)
-			}
-			if !c.RowsMatch {
-				b.Fatalf("lat=%s depth=%d: rows diverged", c.Latency, c.Depth)
-			}
+		for _, v := range rep.Check() {
+			b.Fatal(v)
 		}
-		b.ReportMetric(bench.BestSpeedup, "best-speedup")
+		b.ReportMetric(rep.(*PrefetchBench).BestSpeedup, "best-speedup")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"corep/internal/disk"
@@ -39,77 +38,38 @@ func reclustChaosCfg(base workload.Config) workload.Config {
 
 // RunReclustChaos hammers a reclustering database with concurrent
 // versioned updaters, snapshot readers, and a migration goroutine, all
-// under the config's fault plan. Updater u owns parent u's unit and
-// commits round-stamped sentinel batches; readers audit every
-// snapshot retrieve for torn groups (a unit showing two different
-// sentinels, or a sentinel mixed with build values); the reclusterer
-// migrates hot units in small batches the whole time — a faulted batch
-// must drop cleanly, publishing nothing. After the writers quiesce the
-// versions drain into the base layout and full-attribute sweeps are
-// compared value-for-value against a never-reclustered control build.
-func RunReclustChaos(cfg ChaosConfig) ([]ChaosViolation, error) {
-	updaters := cfg.ConcurrentUpdaters
-	if updaters < 1 {
-		updaters = 3
-	}
-	rounds := cfg.Ops
-	if rounds < 1 {
-		rounds = 20
-	}
+// under the config's fault plan. Readers audit every snapshot retrieve
+// for torn groups (a unit showing two different sentinels, or a sentinel
+// mixed with build values); the reclusterer migrates hot units in small
+// batches the whole time — a faulted batch must drop cleanly, publishing
+// nothing. After the writers quiesce the versions drain into the base
+// layout and full-attribute sweeps are compared value-for-value against
+// a never-reclustered control build.
+func RunReclustChaos(cfg ChaosConfig) ([]Violation, error) {
 	dbCfg := reclustChaosCfg(cfg.DB)
-	db, err := workload.Build(dbCfg)
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
-	st, err := strategy.New(strategy.DFSCLUST, db)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.ResetCold(); err != nil {
-		return nil, err
-	}
-	db.EnableVersioning()
-	if err := db.EnableReclustering(0, 0); err != nil {
-		return nil, err
-	}
-	db.AttachObs(obs.Options{}) // joins the heat feeder to the span tee
-
-	if cfg.Plan != (disk.FaultPlanConfig{}) {
-		pc := cfg.Plan
-		pc.Seed = cfg.FaultSeed
-		db.Disk.SetFault(disk.NewFaultPlan(pc).Fn())
-	}
-
-	batches := make([][]object.OID, updaters)
-	for u := range batches {
-		batches[u] = db.UnitOf(int64(u))
-		if len(batches[u]) == 0 {
-			return nil, fmt.Errorf("harness: reclust chaos: parent %d has an empty unit", u)
+	h, err := newHammer("dfsclust+reclust", strategy.DFSCLUST, dbCfg, cfg, func(db *workload.DB) error {
+		if err := db.EnableReclustering(0, 0); err != nil {
+			return err
 		}
+		db.AttachObs(obs.Options{}) // joins the heat feeder to the span tee
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Build values are < 2^30, so a sentinel is recognizable in any
-	// retrieve result and carries its updater and round.
-	sentinel := func(u, r int) int64 { return int64(u+1)<<32 | int64(r) }
-
-	var (
-		mu         sync.Mutex
-		violations []ChaosViolation
-	)
-	violate := func(vkind, detail string) {
-		mu.Lock()
-		violations = append(violations, ChaosViolation{
-			Strategy: "dfsclust+reclust", Seed: cfg.FaultSeed, OpIndex: -1, Kind: vkind, Detail: detail,
-		})
-		mu.Unlock()
+	db, st, updaters := h.db, h.st, len(h.batches)
+	defer db.Close()
+	members := 0
+	for _, b := range h.batches {
+		members += len(b)
 	}
 
-	// auditOnce retrieves the updaters' parent range under one snapshot
+	// The audit retrieves the updaters' parent range under one snapshot
 	// and checks each unit's slice of the result: all-sentinel groups
 	// must agree on one round, and a sentinel mixed with build values is
 	// a torn read — regardless of whether the values came off base
 	// pages, migrated extent pages, or the version overlay.
-	auditOnce := func() {
+	audit := func(int, int) {
 		snap := db.Versions.Begin()
 		defer snap.Release()
 		res, err := st.Retrieve(db, strategy.Query{
@@ -117,21 +77,17 @@ func RunReclustChaos(cfg ChaosConfig) ([]ChaosViolation, error) {
 		})
 		if err != nil {
 			if !disk.IsFault(err) {
-				violate("unattributed-error", "snapshot retrieve: "+err.Error())
+				h.violate("unattributed-error", "snapshot retrieve: "+err.Error())
 			}
 			return
 		}
-		want := 0
-		for _, b := range batches {
-			want += len(b)
-		}
-		if len(res.Values) != want {
-			violate("wrong-rows", fmt.Sprintf(
-				"snapshot retrieve returned %d values, want %d (lost or duplicated members)", len(res.Values), want))
+		if len(res.Values) != members {
+			h.violate("wrong-rows", fmt.Sprintf(
+				"snapshot retrieve returned %d values, want %d (lost or duplicated members)", len(res.Values), members))
 			return
 		}
 		off := 0
-		for u, b := range batches {
+		for u, b := range h.batches {
 			group := res.Values[off : off+len(b)]
 			off += len(b)
 			builds, sentinels := 0, 0
@@ -143,65 +99,26 @@ func RunReclustChaos(cfg ChaosConfig) ([]ChaosViolation, error) {
 				}
 				sentinels++
 				if seen >= 0 && v != seen {
-					violate("torn-version", fmt.Sprintf(
+					h.violate("torn-version", fmt.Sprintf(
 						"updater %d: sentinels %d and %d in one snapshot at epoch %d", u, seen, v, snap.Epoch()))
 				}
 				seen = v
 			}
 			if builds > 0 && sentinels > 0 {
-				violate("torn-version", fmt.Sprintf(
+				h.violate("torn-version", fmt.Sprintf(
 					"updater %d: %d members at sentinel %d, %d still at build values, at epoch %d",
 					u, sentinels, seen, builds, snap.Epoch()))
 			}
 		}
 	}
 
-	var (
-		wg          sync.WaitGroup
-		writersDone atomic.Bool
-		audits      atomic.Int64
-		migrated    atomic.Int64
-		migErrs     atomic.Int64
-	)
-	for u := 0; u < updaters; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			for r := 1; r <= rounds; r++ {
-				op := workload.Op{Kind: workload.OpUpdate, Targets: batches[u]}
-				for range batches[u] {
-					op.NewRet1 = append(op.NewRet1, sentinel(u, r))
-				}
-				if err := st.Update(db, op); err != nil {
-					violate("unattributed-error", fmt.Sprintf("updater %d round %d: %v", u, r, err))
-					return
-				}
-			}
-		}(u)
-	}
-	var rwg sync.WaitGroup
-	for g := 0; g < updaters; g++ {
-		rwg.Add(1)
-		go func() {
-			defer rwg.Done()
-			for {
-				done := writersDone.Load()
-				auditOnce()
-				audits.Add(1)
-				if done {
-					return
-				}
-			}
-		}()
-	}
 	// The reorganizer: small batches, continuously, for the whole run.
 	// A faulted batch is clean degradation — nothing published — but any
 	// other error is a bug in the migration protocol.
-	rwg.Add(1)
-	go func() {
-		defer rwg.Done()
+	var migrated, migErrs atomic.Int64
+	reorganize := func(quiesced func() bool) {
 		for {
-			done := writersDone.Load()
+			done := quiesced()
 			n, err := db.ReclustStep(2)
 			switch {
 			case err == nil:
@@ -209,7 +126,7 @@ func RunReclustChaos(cfg ChaosConfig) ([]ChaosViolation, error) {
 			case disk.IsFault(err):
 				migErrs.Add(1)
 			default:
-				violate("unattributed-error", "reclust step: "+err.Error())
+				h.violate("unattributed-error", "reclust step: "+err.Error())
 				return
 			}
 			if done {
@@ -217,16 +134,12 @@ func RunReclustChaos(cfg ChaosConfig) ([]ChaosViolation, error) {
 			}
 			runtime.Gosched()
 		}
-	}()
-	wg.Wait()
-	writersDone.Store(true)
-	rwg.Wait()
+	}
+	h.run(audit, reorganize)
 
-	// Quiesce: lift the faults, migrate the updaters' parents if the
-	// faulted phase never got to them, and drain the version store
-	// through the strategy's own update path (which now write-throughs
-	// to the migrated copies).
-	db.Disk.SetFault(nil)
+	// Quiesce: migrate the updaters' parents if the faulted phase never
+	// got to them, and drain the version store through the strategy's own
+	// update path (which now write-throughs to the migrated copies).
 	// This step counts towards the liveness check below: on few cores the
 	// writers can finish before the auditors' spans have made any unit
 	// hot, so the concurrent reorganizer legitimately finds nothing to
@@ -234,84 +147,32 @@ func RunReclustChaos(cfg ChaosConfig) ([]ChaosViolation, error) {
 	// by the time the run is compared with its control.
 	n, err := db.ReclustStep(updaters)
 	if err != nil {
-		violate("unattributed-error", "post-fault reclust step: "+err.Error())
+		h.violate("unattributed-error", "post-fault reclust step: "+err.Error())
 	}
 	migrated.Add(int64(n))
-	if _, err := db.DrainVersions(func(op workload.Op) error { return st.Update(db, op) }); err != nil {
-		violate("unattributed-error", "drain: "+err.Error())
-	}
+	h.drain()
 
 	// Control: identical scattered build, never reclustered, with each
 	// updater's final batch applied once. Full-range sweeps over every
 	// attribute must agree value for value — same rows, same order.
 	ctlCfg := dbCfg
 	ctlCfg.CacheUnits = 0
-	ctl, err := workload.Build(ctlCfg)
+	ctl, err := openSubject(strategy.DFSCLUST, ctlCfg, 0, 0, 1)
 	if err != nil {
-		return violations, fmt.Errorf("harness: reclust chaos control: %w", err)
+		return h.log.Violations, fmt.Errorf("harness: reclust chaos control: %w", err)
 	}
-	defer ctl.Close()
-	cst, err := strategy.New(strategy.DFSCLUST, ctl)
-	if err != nil {
-		return violations, err
-	}
-	for u, b := range batches {
-		op := workload.Op{Kind: workload.OpUpdate, Targets: b}
-		for range b {
-			op.NewRet1 = append(op.NewRet1, sentinel(u, rounds))
-		}
-		if err := cst.Update(ctl, op); err != nil {
-			return violations, fmt.Errorf("harness: reclust chaos control update: %w", err)
+	defer ctl.db.Close()
+	for u := range h.batches {
+		if err := ctl.st.Update(ctl.db, h.batchOp(u, h.rounds)); err != nil {
+			return h.log.Violations, fmt.Errorf("harness: reclust chaos control update: %w", err)
 		}
 	}
-	compareSweeps(db, st, ctl, cst, violate)
+	compareWithControl(h.subject, ctl, fullSweeps(db), false, h.violate)
 
-	if n := db.Pool.PinnedCount(); n != 0 {
-		violate("pin-leak", fmt.Sprintf("%d pages still pinned after reclust chaos", n))
-	}
-	if db.Cache != nil {
-		if err := db.Cache.CheckInvariants(); err != nil {
-			violate("cache-invariant", err.Error())
-		}
-	}
-	if audits.Load() == 0 {
-		violate("unattributed-error", "reader goroutines never completed an audit")
-	}
 	if migrated.Load() == 0 && migErrs.Load() == 0 {
-		violate("unattributed-error", "reorganizer never ran a batch")
+		h.violate("unattributed-error", "reorganizer never ran a batch")
 	}
-	return violations, nil
-}
-
-// compareSweeps runs full-range retrieves over every ret attribute on
-// both databases and requires value-for-value equality.
-func compareSweeps(db *workload.DB, st strategy.Strategy, ctl *workload.DB, cst strategy.Strategy, violate func(kind, detail string)) {
-	hi := int64(db.Cfg.NumParents - 1)
-	for _, attr := range []int{workload.FieldRet1, workload.FieldRet2, workload.FieldRet3} {
-		q := strategy.Query{Lo: 0, Hi: hi, AttrIdx: attr}
-		got, err := st.Retrieve(db, q)
-		if err != nil {
-			violate("unattributed-error", fmt.Sprintf("sweep attr %d: %v", attr, err))
-			continue
-		}
-		want, err := cst.Retrieve(ctl, q)
-		if err != nil {
-			violate("unattributed-error", fmt.Sprintf("control sweep attr %d: %v", attr, err))
-			continue
-		}
-		if len(got.Values) != len(want.Values) {
-			violate("wrong-rows", fmt.Sprintf(
-				"sweep attr %d: %d values vs control's %d — lost or duplicated objects", attr, len(got.Values), len(want.Values)))
-			continue
-		}
-		for i := range got.Values {
-			if got.Values[i] != want.Values[i] {
-				violate("wrong-rows", fmt.Sprintf(
-					"sweep attr %d value %d: got %d, control says %d", attr, i, got.Values[i], want.Values[i]))
-				break
-			}
-		}
-	}
+	return h.finish(), nil
 }
 
 // RunReclustCrash runs seeded kill schedules against a reclustering
@@ -325,50 +186,37 @@ func compareSweeps(db *workload.DB, st strategy.Strategy, ctl *workload.DB, cst 
 // in-doubt one's — and every object must read back exactly once,
 // checked value-for-value against a crash-free never-reclustered
 // control. Migration must also still work on the recovered database.
-func RunReclustCrash(cfg CrashConfig) ([]ChaosViolation, error) {
-	if cfg.Schedules < 1 {
-		cfg.Schedules = 1
-	}
-	if cfg.Ops < 1 {
-		cfg.Ops = 20
-	}
-	if cfg.NumTop < 1 {
-		cfg.NumTop = 4
-	}
+func RunReclustCrash(cfg ChaosConfig) ([]Violation, error) {
 	dbCfg := reclustChaosCfg(cfg.DB)
 	dbCfg.CacheUnits = 0 // cache pages are exempt from write-ahead; keep schedules about placements
 	if dbCfg.ZipfTheta == 0 {
 		dbCfg.ZipfTheta = 0.9
 	}
 
-	var violations []ChaosViolation
+	var violations []Violation
 	for s := 0; s < cfg.Schedules; s++ {
-		seed := cfg.Seed + int64(s)
-		violate := func(vkind, detail string) {
-			violations = append(violations, ChaosViolation{
-				Strategy: "dfsclust+reclust", Seed: seed, OpIndex: -1, Kind: vkind, Detail: detail,
-			})
-		}
-		if err := runReclustCrashSchedule(cfg, dbCfg, seed, violate); err != nil {
+		log := scheduleLog{Seed: cfg.FaultSeed + int64(s), strategy: "dfsclust+reclust"}
+		err := runReclustCrashSchedule(cfg, dbCfg, log.Seed, func(kind, detail string) { log.violate(-1, kind, detail) })
+		violations = append(violations, log.Violations...)
+		if err != nil {
 			return violations, err
 		}
 	}
 	return violations, nil
 }
 
-func runReclustCrashSchedule(cfg CrashConfig, dbCfg workload.Config, seed int64, violate func(kind, detail string)) error {
+func runReclustCrashSchedule(cfg ChaosConfig, dbCfg workload.Config, seed int64, violate func(kind, detail string)) error {
 	rng := rand.New(rand.NewSource(seed))
 	dbCfg.Seed = seed
 
-	db, err := workload.Build(dbCfg)
+	// The sequence is the schedule's skewed retrieves, which feed the
+	// heat tracker.
+	s, err := openSubject(strategy.DFSCLUST, dbCfg, cfg.Ops, 0, cfg.NumTop)
 	if err != nil {
 		return err
 	}
+	db, st := s.db, s.st
 	defer db.Close()
-	st, err := strategy.New(strategy.DFSCLUST, db)
-	if err != nil {
-		return err
-	}
 	if err := db.EnableReclustering(0, 0); err != nil {
 		return err
 	}
@@ -376,12 +224,10 @@ func runReclustCrashSchedule(cfg CrashConfig, dbCfg workload.Config, seed int64,
 	if err := db.EnableWAL(0); err != nil {
 		return err
 	}
-	if cfg.PTorn > 0 {
-		db.Disk.SetFault(disk.NewFaultPlan(disk.FaultPlanConfig{PTorn: cfg.PTorn, Seed: seed}).Fn())
+	if cfg.Plan != (disk.FaultPlanConfig{}) {
+		db.Disk.SetFault(cfg.faultPlan(seed).Fn())
 	}
-
-	// Feed the heat tracker with the schedule's skewed retrieves.
-	for _, op := range db.GenSequence(cfg.Ops, 0, cfg.NumTop) {
+	for _, op := range s.ops {
 		if _, err := st.Retrieve(db, strategy.Query{Lo: op.Lo, Hi: op.Hi, AttrIdx: op.AttrIdx}); err != nil {
 			violate("unattributed-error", "heat retrieve: "+err.Error())
 			return nil
@@ -418,13 +264,7 @@ func runReclustCrashSchedule(cfg CrashConfig, dbCfg workload.Config, seed int64,
 		}
 	}
 
-	// The kill.
-	db.Disk.SetFault(nil)
-	var keep int64
-	if unsynced := db.WAL.Unsynced(); unsynced > 0 {
-		keep = rng.Int63n(unsynced + 1)
-	}
-	res, err := db.CrashAndRecover(keep)
+	res, _, err := kill(db, rng)
 	if err != nil {
 		violate("unattributed-error", "recover: "+err.Error())
 		return nil
@@ -452,16 +292,12 @@ func runReclustCrashSchedule(cfg CrashConfig, dbCfg workload.Config, seed int64,
 
 	// Exactly-once readability: full sweeps against a crash-free,
 	// never-reclustered control of the same config.
-	ctl, err := workload.Build(dbCfg)
+	ctl, err := openSubject(strategy.DFSCLUST, dbCfg, 0, 0, 1)
 	if err != nil {
 		return err
 	}
-	defer ctl.Close()
-	cst, err := strategy.New(strategy.DFSCLUST, ctl)
-	if err != nil {
-		return err
-	}
-	compareSweeps(db, st, ctl, cst, violate)
+	defer ctl.db.Close()
+	compareWithControl(s, ctl, fullSweeps(db), false, violate)
 
 	// The recovered database keeps reorganizing: one more batch (the WAL
 	// is gone, so it publishes directly), then the rows must still match.
@@ -469,7 +305,7 @@ func runReclustCrashSchedule(cfg CrashConfig, dbCfg workload.Config, seed int64,
 		violate("unattributed-error", "post-recovery reclust step: "+err.Error())
 		return nil
 	}
-	compareSweeps(db, st, ctl, cst, violate)
+	compareWithControl(s, ctl, fullSweeps(db), false, violate)
 	if n := db.Pool.PinnedCount(); n != 0 {
 		violate("pin-leak", fmt.Sprintf("%d pages still pinned after crash schedule", n))
 	}

@@ -44,13 +44,13 @@ func TestReclustChaosUnderFaults(t *testing.T) {
 }
 
 func TestReclustCrashSchedules(t *testing.T) {
-	v, err := RunReclustCrash(CrashConfig{
+	v, err := RunReclustCrash(ChaosConfig{
 		DB:        workload.Config{NumParents: 200},
 		Schedules: 12,
-		Seed:      909,
+		FaultSeed: 909,
 		Ops:       20,
 		NumTop:    4,
-		PTorn:     0.01,
+		Plan:      disk.FaultPlanConfig{PTorn: 0.01},
 	})
 	if err != nil {
 		t.Fatal(err)

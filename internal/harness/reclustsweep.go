@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"io"
+	"slices"
 
 	"corep/internal/bench"
 	"corep/internal/obs"
@@ -40,16 +40,17 @@ type ReclustSweepConfig struct {
 	HalfLife      int `json:"half_life"`       // heat decay half-life in queries
 }
 
-// DefaultReclustSweepConfig returns the configuration behind the
-// committed BENCH_reclust.json: a database an order of magnitude
-// larger than the pool, θ=0.9 skew, and a migration budget that
-// finishes the queried hot set within the round limit.
-func DefaultReclustSweepConfig() ReclustSweepConfig {
+// reclustGrid is the configuration behind the committed
+// BENCH_reclust.json: a database an order of magnitude larger than the
+// pool, θ=0.9 skew, and a migration budget that finishes the queried hot
+// set within the round limit. The whole sweep takes a fraction of a
+// second, so the quick grid is the same grid.
+func reclustGrid(o SweepOpts) ReclustSweepConfig {
 	return ReclustSweepConfig{
 		DB: workload.Config{
 			NumParents: 2000,
 			PoolPages:  60,
-			Seed:       9,
+			Seed:       *o.Seed,
 		},
 		NumRetrieves:  300,
 		NumTop:        4,
@@ -60,6 +61,8 @@ func DefaultReclustSweepConfig() ReclustSweepConfig {
 		HalfLife:      256,
 	}
 }
+
+func reclustSweep(o SweepOpts) (Report, error) { return RunReclustSweep(reclustGrid(o)) }
 
 // ReclustRound is one measured migration round. Round 0 is the fully
 // scattered starting point, before any migration.
@@ -88,20 +91,20 @@ type ReclustSweep struct {
 
 // replayRetrieves runs the fixed query set cold and returns average
 // I/O per query plus every projected value in order.
-func replayRetrieves(db *workload.DB, st strategy.Strategy, ops []workload.Op) (float64, []int64, error) {
-	if err := db.ResetCold(); err != nil {
+func replayRetrieves(s *subject, ops []workload.Op) (float64, []int64, error) {
+	if err := s.db.ResetCold(); err != nil {
 		return 0, nil, err
 	}
-	before := db.Disk.Stats().Total()
+	before := s.db.Disk.Stats().Total()
 	var vals []int64
 	for _, op := range ops {
-		res, err := st.Retrieve(db, strategy.Query{Lo: op.Lo, Hi: op.Hi, AttrIdx: op.AttrIdx})
+		res, err := s.st.Retrieve(s.db, strategy.Query{Lo: op.Lo, Hi: op.Hi, AttrIdx: op.AttrIdx})
 		if err != nil {
 			return 0, nil, err
 		}
 		vals = append(vals, res.Values...)
 	}
-	io := db.Disk.Stats().Total() - before
+	io := s.db.Disk.Stats().Total() - before
 	return float64(io) / float64(len(ops)), vals, nil
 }
 
@@ -111,37 +114,28 @@ func RunReclustSweep(cfg ReclustSweepConfig) (*ReclustSweep, error) {
 	base.Clustered = true
 	base.CacheUnits = 0
 	base.ZipfTheta = cfg.ZipfTheta
+	scattered := base
+	scattered.ScatterClusters = true
 
-	build := func(scatter bool) (*workload.DB, strategy.Strategy, error) {
-		c := base
-		c.ScatterClusters = scatter
-		db, err := workload.Build(c)
-		if err != nil {
-			return nil, nil, err
-		}
-		st, err := strategy.New(strategy.DFSCLUST, db)
-		if err != nil {
-			db.Close()
-			return nil, nil, err
-		}
-		return db, st, nil
-	}
-
-	subject, subjectSt, err := build(true)
+	// One fixed retrieve set, generated once (by the subject) and
+	// replayed on every database: identical data (same seed, values drawn
+	// before layout) means identical correct answers everywhere.
+	subj, err := openSubject(strategy.DFSCLUST, scattered, cfg.NumRetrieves, 0, cfg.NumTop)
 	if err != nil {
 		return nil, err
 	}
+	subject, ops := subj.db, subj.ops // the database that reclusters
 	defer subject.Close()
-	control, controlSt, err := build(true)
+	control, err := openSubject(strategy.DFSCLUST, scattered, 0, 0, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer control.Close()
-	static, staticSt, err := build(false)
+	defer control.db.Close()
+	static, err := openSubject(strategy.DFSCLUST, base, 0, 0, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer static.Close()
+	defer static.db.Close()
 
 	// The heat tracker rides the subject's span stream; enable before
 	// attaching obs so the feeder joins the sink tee.
@@ -150,22 +144,17 @@ func RunReclustSweep(cfg ReclustSweepConfig) (*ReclustSweep, error) {
 	}
 	subject.AttachObs(obs.Options{})
 
-	// One fixed retrieve set, generated once and replayed on every
-	// database: identical data (same seed, values drawn before layout)
-	// means identical correct answers everywhere.
-	ops := subject.GenSequence(cfg.NumRetrieves, 0, cfg.NumTop)
-
 	sweep := &ReclustSweep{Config: cfg}
-	staticIO, staticVals, err := replayRetrieves(static, staticSt, ops)
+	staticIO, staticVals, err := replayRetrieves(static, ops)
 	if err != nil {
 		return nil, err
 	}
 	sweep.StaticIOPerQuery = staticIO
-	_, controlVals, err := replayRetrieves(control, controlSt, ops)
+	_, controlVals, err := replayRetrieves(control, ops)
 	if err != nil {
 		return nil, err
 	}
-	if fmt.Sprint(staticVals) != fmt.Sprint(controlVals) {
+	if !slices.Equal(staticVals, controlVals) {
 		return nil, fmt.Errorf("reclust sweep: static and scattered builds disagree on rows")
 	}
 
@@ -185,7 +174,7 @@ func RunReclustSweep(cfg ReclustSweepConfig) (*ReclustSweep, error) {
 				break // hot set fully migrated
 			}
 		}
-		ioq, vals, err := replayRetrieves(subject, subjectSt, ops)
+		ioq, vals, err := replayRetrieves(subj, ops)
 		if err != nil {
 			return nil, fmt.Errorf("reclust sweep round %d: %w", round, err)
 		}
@@ -210,36 +199,31 @@ func RunReclustSweep(cfg ReclustSweepConfig) (*ReclustSweep, error) {
 	return sweep, nil
 }
 
-// CheckConvergence verifies the acceptance properties: I/O-per-query
-// strictly decreases across migration rounds, and the final round
-// lands within ReclustConvergenceSlack of the statically-clustered
-// cell. Returns an error naming the first offending pair.
-func (s *ReclustSweep) CheckConvergence() error {
+// Check verifies the acceptance properties: I/O-per-query strictly
+// decreases across migration rounds, and the final round lands within
+// ReclustConvergenceSlack of the statically-clustered cell.
+func (s *ReclustSweep) Check() []Violation {
 	if len(s.Rounds) < 2 {
-		return fmt.Errorf("reclust sweep: only %d rounds measured", len(s.Rounds))
+		return []Violation{gate("rounds", "only %d rounds measured", len(s.Rounds))}
 	}
+	var out []Violation
 	for i := 1; i < len(s.Rounds); i++ {
 		prev, cur := s.Rounds[i-1], s.Rounds[i]
 		if cur.IOPerQuery >= prev.IOPerQuery {
-			return fmt.Errorf("io/query did not decrease from round %d (%.2f) to round %d (%.2f)",
-				prev.Round, prev.IOPerQuery, cur.Round, cur.IOPerQuery)
+			out = append(out, gate(fmt.Sprintf("round%d", cur.Round), "io/query did not decrease from round %d (%.2f): %.2f",
+				prev.Round, prev.IOPerQuery, cur.IOPerQuery))
 		}
 	}
 	final := s.Rounds[len(s.Rounds)-1].IOPerQuery
 	if final > s.StaticIOPerQuery*ReclustConvergenceSlack {
-		return fmt.Errorf("final io/query %.2f outside %.0f%% of static cell %.2f",
-			final, (ReclustConvergenceSlack-1)*100, s.StaticIOPerQuery)
+		out = append(out, gate("convergence", "final io/query %.2f outside %.0f%% of static cell %.2f",
+			final, (ReclustConvergenceSlack-1)*100, s.StaticIOPerQuery))
 	}
-	return nil
+	return out
 }
 
-// WriteJSON writes the sweep wrapped in the versioned envelope.
-func (s *ReclustSweep) WriteJSON(w io.Writer) error {
-	return bench.Write(w, "reclust", s, s.BenchCells())
-}
-
-// BenchCells flattens the sweep for the bench envelope.
-func (s *ReclustSweep) BenchCells() []bench.Cell {
+// Cells flattens the sweep for the bench envelope.
+func (s *ReclustSweep) Cells() []bench.Cell {
 	cells := []bench.Cell{{
 		Name:    "static",
 		Metrics: map[string]float64{"io_per_query": s.StaticIOPerQuery},

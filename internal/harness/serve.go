@@ -2,8 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -27,11 +26,6 @@ type SLO struct {
 	Threshold time.Duration `json:"threshold_ns"`
 }
 
-// DefaultSLO is the objective the SLO benchmark runs under when the
-// caller does not supply one: p99 at or under 250ms for the default
-// serving workload (2000 parents, 100µs device latency, 8 clients).
-func DefaultSLO() SLO { return SLO{Target: 0.99, Threshold: 250 * time.Millisecond} }
-
 // LatencySummary is one attribution cell's latency distribution: a
 // client, an operation kind, or the whole run.
 type LatencySummary struct {
@@ -43,25 +37,26 @@ type LatencySummary struct {
 	Violations int           `json:"slo_violations,omitempty"`
 }
 
-func (s LatencySummary) String() string {
-	return fmt.Sprintf("n=%d p50=%s p95=%s p99=%s max=%s viol=%d",
-		s.Count, s.P50, s.P95, s.P99, s.Max, s.Violations)
+// quantile reads the p-quantile off sorted latencies (the nearest-rank
+// convention the serve tier has always used); 0 when there are none.
+func quantile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[int(p*float64(len(sorted)-1))]
 }
 
-// summarize computes exact percentiles over a copy of lats (the nearest-
-// rank convention the serve tier has always used) plus SLO violations.
+// summarize sorts lats in place and computes exact percentiles plus SLO
+// violations.
 func summarize(lats []time.Duration, slo *SLO) LatencySummary {
-	s := LatencySummary{Count: len(lats)}
-	if len(lats) == 0 {
-		return s
+	slices.Sort(lats)
+	s := LatencySummary{
+		Count: len(lats),
+		P50:   quantile(lats, 0.50), P95: quantile(lats, 0.95), P99: quantile(lats, 0.99), Max: quantile(lats, 1),
 	}
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	pct := func(p float64) time.Duration { return sorted[int(p*float64(len(sorted)-1))] }
-	s.P50, s.P95, s.P99, s.Max = pct(0.50), pct(0.95), pct(0.99), sorted[len(sorted)-1]
 	if slo != nil && slo.Threshold > 0 {
-		i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= slo.Threshold })
-		s.Violations = len(sorted) - i
+		i, _ := slices.BinarySearch(lats, slo.Threshold)
+		s.Violations = len(lats) - i
 	}
 	return s
 }
@@ -136,23 +131,18 @@ type ServeResult struct {
 	Elapsed   time.Duration `json:"elapsed_ns"`
 	QPS       float64       `json:"qps"`
 
-	P50 time.Duration `json:"p50_ns"`
-	P90 time.Duration `json:"p90_ns"`
-	P95 time.Duration `json:"p95_ns"`
-	P99 time.Duration `json:"p99_ns"`
-	Max time.Duration `json:"max_ns"`
-
-	// PerOp decomposes latency by operation kind ("retrieve", "update");
-	// PerClient by client goroutine — the serve tier's SLO cells.
+	// The whole run's latency distribution; PerOp decomposes it by
+	// operation kind ("retrieve", "update"), PerClient by client
+	// goroutine — the serve tier's SLO cells.
+	LatencySummary
 	PerOp     map[string]LatencySummary `json:"per_op,omitempty"`
 	PerClient []LatencySummary          `json:"per_client,omitempty"`
 
-	// SLO echoes the armed objective; SLOViolations counts operations at
-	// or over its threshold across all cells; SLOMet reports whether the
-	// Target quantile stayed at or under the threshold.
-	SLO           *SLO `json:"slo,omitempty"`
-	SLOViolations int  `json:"slo_violations,omitempty"`
-	SLOMet        bool `json:"slo_met,omitempty"`
+	// SLO echoes the armed objective (Violations, in every summary,
+	// counts operations at or over its threshold); SLOMet reports whether
+	// the Target quantile stayed at or under the threshold.
+	SLO    *SLO `json:"slo,omitempty"`
+	SLOMet bool `json:"slo_met,omitempty"`
 
 	// SlowRetained is how many span-carrying entries the slow log kept
 	// (0 without a slow log).
@@ -180,16 +170,6 @@ type ServeResult struct {
 	Txn          *txn.Stats    `json:"txn,omitempty"`
 }
 
-func (r *ServeResult) String() string {
-	s := fmt.Sprintf("K=%d shards=%d: %.0f qps (%d retr + %d upd in %s; p50=%s p95=%s p99=%s max=%s)",
-		r.Clients, r.Shards, r.QPS, r.Retrieves, r.Updates,
-		r.Elapsed.Round(time.Millisecond), r.P50, r.P95, r.P99, r.Max)
-	if r.SLO != nil {
-		s += fmt.Sprintf(" slo[p%g<=%s met=%v viol=%d]", r.SLO.Target*100, r.SLO.Threshold, r.SLOMet, r.SLOViolations)
-	}
-	return s
-}
-
 // Record exports the finished result into reg as metric points (gauges,
 // nanosecond latencies, milli-QPS) so sinks flushing the registry see
 // completed runs, not only the live histograms. Nil-safe on reg.
@@ -204,7 +184,7 @@ func (r *ServeResult) Record(reg *obs.Registry, prefix string) {
 	reg.Gauge(prefix + "serve.result.max_ns").Set(int64(r.Max))
 	reg.Gauge(prefix + "serve.result.total_io").Set(r.TotalIO)
 	reg.Gauge(prefix + "serve.result.failed").Set(int64(r.Failed))
-	reg.Gauge(prefix + "serve.result.slo_violations").Set(int64(r.SLOViolations))
+	reg.Gauge(prefix + "serve.result.slo_violations").Set(int64(r.Violations))
 	if r.Txn != nil {
 		reg.Gauge(prefix + "serve.result.txn.versions_installed").Set(r.Txn.Installed)
 		reg.Gauge(prefix + "serve.result.txn.commits").Set(r.Txn.Commits)
@@ -241,22 +221,17 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	if cfg.NumTop < 1 {
 		cfg.NumTop = 1
 	}
-	dbCfg := provisionFor(cfg.Strategy, cfg.DB.WithDefaults())
-	db, err := workload.Build(dbCfg)
+	// Sequence generation uses the DB's single-threaded rng; the whole mix
+	// is produced up front and split into per-client chunks.
+	subj, err := openSubject(cfg.Strategy, provisionFor(cfg.Strategy, cfg.DB.WithDefaults()),
+		cfg.Clients*cfg.OpsPerClient, cfg.PrUpdate, cfg.NumTop)
 	if err != nil {
 		return nil, err
 	}
+	db, st := subj.db, subj.st
 	defer db.Close()
-	st, err := strategy.New(cfg.Strategy, db)
-	if err != nil {
-		return nil, err
-	}
-
-	// Sequence generation uses the DB's single-threaded rng; produce the
-	// whole mix up front and split it into per-client chunks.
-	ops := db.GenSequence(cfg.Clients*cfg.OpsPerClient, cfg.PrUpdate, cfg.NumTop)
 	chunks := make([][]workload.Op, cfg.Clients)
-	for i, op := range ops {
+	for i, op := range subj.ops {
 		c := i % cfg.Clients
 		chunks[c] = append(chunks[c], op)
 	}
@@ -428,13 +403,11 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		txnStats = &s
 	}
 
-	var all []time.Duration
-	var retrLats, updLats []time.Duration
+	var all, retrLats, updLats []time.Duration
 	perClient := make([]LatencySummary, cfg.Clients)
 	for c, l := range latencies {
 		cl := make([]time.Duration, 0, len(l))
 		for _, ol := range l {
-			all = append(all, ol.d)
 			cl = append(cl, ol.d)
 			if ol.kind == workload.OpUpdate {
 				updLats = append(updLats, ol.d)
@@ -442,40 +415,29 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 				retrLats = append(retrLats, ol.d)
 			}
 		}
+		all = append(all, cl...)
 		perClient[c] = summarize(cl, cfg.SLO)
 	}
-	total := summarize(all, cfg.SLO)
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) time.Duration {
-		if len(all) == 0 {
-			return 0
-		}
-		return all[int(p*float64(len(all)-1))]
-	}
 	res := &ServeResult{
-		Clients:   cfg.Clients,
-		Shards:    db.Pool.NumShards(),
-		Retrieves: int(retrieves.Load()),
-		Updates:   int(updates.Load()),
-		Elapsed:   elapsed,
-		P50:       pct(0.50),
-		P90:       pct(0.90),
-		P95:       pct(0.95),
-		P99:       pct(0.99),
-		Max:       pct(1.0),
+		Clients:        cfg.Clients,
+		Shards:         db.Pool.NumShards(),
+		Retrieves:      int(retrieves.Load()),
+		Updates:        int(updates.Load()),
+		Elapsed:        elapsed,
+		LatencySummary: summarize(all, cfg.SLO),
 		PerOp: map[string]LatencySummary{
 			"retrieve": summarize(retrLats, cfg.SLO),
 			"update":   summarize(updLats, cfg.SLO),
 		},
-		PerClient: perClient,
-		TotalIO:   db.Disk.Stats().Total(),
-		Failed:    int(failed.Load()),
+		PerClient:    perClient,
+		TotalIO:      db.Disk.Stats().Total(),
+		Failed:       int(failed.Load()),
+		ErrorSamples: samples,
+		Versioned:    cfg.Versioned,
+		DrainApplied: drained,
+		DrainTime:    drainTime,
+		Txn:          txnStats,
 	}
-	res.ErrorSamples = samples
-	res.Versioned = cfg.Versioned
-	res.DrainApplied = drained
-	res.DrainTime = drainTime
-	res.Txn = txnStats
 	if elapsed > 0 {
 		res.QPS = float64(res.Retrieves+res.Updates) / elapsed.Seconds()
 		res.RetrieveQPS = float64(res.Retrieves) / elapsed.Seconds()
@@ -484,85 +446,120 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	if cfg.SLO != nil {
 		slo := *cfg.SLO
 		res.SLO = &slo
-		res.SLOViolations = total.Violations
-		res.SLOMet = len(all) > 0 && pct(slo.Target) <= slo.Threshold
+		res.SLOMet = len(all) > 0 && quantile(all, slo.Target) <= slo.Threshold
 	}
 	res.SlowRetained = cfg.SlowLog.Stats().Retained
 	res.Record(reg, prefix)
 	return res, nil
 }
 
-// ThroughputBench is the result of a throughput sweep: for each client
-// count, a lock-striped run and a single-shard (global-mutex-equivalent)
-// baseline run of the identical workload.
-type ThroughputBench struct {
-	Config   string             `json:"config"`
-	Strategy string             `json:"strategy"`
-	Sharded  []*ServeResult     `json:"sharded"`
-	Baseline []*ServeResult     `json:"baseline_1shard"`
-	Speedup  map[string]float64 `json:"speedup_vs_baseline"`
+// servePoint is one named configuration of a serving grid: what it
+// changes about the grid's base configuration.
+type servePoint struct {
+	name string
+	edit func(*ServeConfig)
 }
 
-// RunThroughput sweeps clientCounts with the given base configuration,
-// running each point once with shards lock stripes and once with the
-// single-shard baseline, and reports QPS speedups. base.Metrics, when
-// set, collects each point's latency histograms under a
-// "<mode>.k<K>." prefix.
-func RunThroughput(base ServeConfig, shards int, clientCounts []int) (*ThroughputBench, error) {
-	if shards < 2 {
-		shards = 8
-	}
-	if base.DiskLatency == 0 {
-		// Default device model: 100µs per page transfer, roughly a fast
-		// NVMe random read. Throughput then measures how much of that
-		// wait the pool stripes let concurrent clients overlap.
-		base.DiskLatency = 100 * time.Microsecond
-	}
-	bench := &ThroughputBench{
-		Config:   base.DB.WithDefaults().String(),
+// ServeRun is one point's outcome.
+type ServeRun struct {
+	Name string `json:"name"`
+	*ServeResult
+}
+
+// ServeGrid is the outcome of serving every point of a grid from one
+// base configuration — the payload of the throughput, txn and slo
+// sweeps. Every point rebuilds the same seeded database and sequence, so
+// points that differ only in mode execute the identical operation stream.
+type ServeGrid struct {
+	Config   string     `json:"config"` // as provisioned for the strategy
+	Strategy string     `json:"strategy"`
+	Runs     []ServeRun `json:"runs"`
+}
+
+// serveGrid serves each point in turn. base.Metrics, when set, collects
+// each point's latency histograms under a "<point name>." prefix.
+func serveGrid(base ServeConfig, points []servePoint) (*ServeGrid, error) {
+	g := &ServeGrid{
+		Config:   provisionFor(base.Strategy, base.DB.WithDefaults()).String(),
 		Strategy: base.Strategy.String(),
-		Speedup:  make(map[string]float64),
 	}
-	for _, k := range clientCounts {
+	for _, pt := range points {
 		cfg := base
-		cfg.Clients = k
-		cfg.DB.PoolShards = shards
-		cfg.MetricsPrefix = base.MetricsPrefix + fmt.Sprintf("sharded.k%d.", k)
-		sharded, err := Serve(cfg)
+		cfg.MetricsPrefix = base.MetricsPrefix + pt.name + "."
+		pt.edit(&cfg)
+		res, err := Serve(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("harness: throughput K=%d sharded: %w", k, err)
+			return nil, fmt.Errorf("harness: serving %s: %w", pt.name, err)
 		}
-		cfg.DB.PoolShards = 1
-		cfg.MetricsPrefix = base.MetricsPrefix + fmt.Sprintf("baseline.k%d.", k)
-		baseline, err := Serve(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("harness: throughput K=%d baseline: %w", k, err)
-		}
-		bench.Sharded = append(bench.Sharded, sharded)
-		bench.Baseline = append(bench.Baseline, baseline)
-		if baseline.QPS > 0 {
-			bench.Speedup[fmt.Sprintf("K=%d", k)] = sharded.QPS / baseline.QPS
-		}
+		g.Runs = append(g.Runs, ServeRun{pt.name, res})
 	}
-	return bench, nil
+	return g, nil
 }
 
-// serveCell flattens one result into an envelope cell. Wall-clock
-// percentiles and QPS gate regressions; max is informational (too noisy
-// to gate); total_io is deterministic and gates exactly. Versioned runs
+// Run returns the named point's result (nil when absent).
+func (g *ServeGrid) Run(name string) *ServeResult {
+	for _, r := range g.Runs {
+		if r.Name == name {
+			return r.ServeResult
+		}
+	}
+	return nil
+}
+
+// Cells flattens the grid: one cell per point, under the point's name.
+func (g *ServeGrid) Cells() []bench.Cell {
+	var cells []bench.Cell
+	for _, r := range g.Runs {
+		cells = append(cells, serveCell(r.Name, r.ServeResult))
+	}
+	return cells
+}
+
+// Check is empty for a plain serving grid: a failed operation aborts the
+// run, and the clocks are held to the baseline, not to a gate.
+func (g *ServeGrid) Check() []Violation { return nil }
+
+// minBeyond is the k of "a percentile gates when the run has the samples
+// to define it": at least k samples must lie beyond it, so p95 gates from
+// 20k = 60 samples and p99 from 100k = 300. With fewer the "percentile"
+// is one of the run's two or three largest samples — at 40 samples p99 is
+// the runner-up and p95 the one after, and both moved by more than 50%
+// between identical runs. Three is the smallest k that demotes those
+// 40-sample cells (k = 2 still gates p95 at exactly 40) and nothing above
+// 60 samples.
+const minBeyond = 3
+
+// metrics adds the distribution to a cell: each percentile gates
+// (name_ns) when the run has the samples to define it and is
+// informational (bare name, like max) otherwise.
+func (s LatencySummary) metrics(m map[string]float64) {
+	for _, p := range []struct {
+		name string
+		per  int // one sample in per lies beyond the percentile
+		v    time.Duration
+	}{{"p50", 2, s.P50}, {"p95", 20, s.P95}, {"p99", 100, s.P99}} {
+		if s.Count >= p.per*minBeyond {
+			m[p.name+"_ns"] = float64(p.v)
+		} else {
+			m[p.name] = float64(p.v)
+		}
+	}
+	m["max"] = float64(s.Max)
+}
+
+// serveCell flattens one result into an envelope cell. QPS and the
+// percentiles the run can define gate regressions; total_io is
+// deterministic at one client and gates; failures gate. Versioned runs
 // carry the split throughputs plus the txn counters as informational
 // metrics ("snapshots", not "*_reads": the suffix rules in benchdiff
 // would otherwise gate a counter lower-is-better).
 func serveCell(name string, r *ServeResult) bench.Cell {
 	c := bench.Cell{Name: name, Metrics: map[string]float64{
 		"qps":      r.QPS,
-		"p50_ns":   float64(r.P50),
-		"p95_ns":   float64(r.P95),
-		"p99_ns":   float64(r.P99),
-		"max":      float64(r.Max),
 		"total_io": float64(r.TotalIO),
 		"failed":   float64(r.Failed),
 	}}
+	r.LatencySummary.metrics(c.Metrics)
 	if r.Retrieves > 0 {
 		c.Metrics["retrieve_qps"] = r.RetrieveQPS
 	}
@@ -578,41 +575,78 @@ func serveCell(name string, r *ServeResult) bench.Cell {
 	return c
 }
 
-// Cells flattens the sweep for the versioned envelope.
-func (b *ThroughputBench) Cells() []bench.Cell {
-	var cells []bench.Cell
-	for _, r := range b.Sharded {
-		cells = append(cells, serveCell(fmt.Sprintf("sharded/K=%d", r.Clients), r))
+// serveBase is the serving workload the throughput and slo sweeps share:
+// DFS over 2,000 parents with batched probes, 5% updates, 40 operations
+// per client (10 on the quick grid).
+func serveBase(o SweepOpts) ServeConfig {
+	return ServeConfig{
+		DB:           workload.Config{NumParents: 2000, Seed: *o.Seed, ProbeBatch: true},
+		Strategy:     strategy.DFS,
+		OpsPerClient: pick(o, 40, 10),
+		PrUpdate:     0.05,
+		NumTop:       8,
+		DiskLatency:  *o.Latency,
+		Metrics:      o.Metrics,
 	}
-	for _, r := range b.Baseline {
-		cells = append(cells, serveCell(fmt.Sprintf("baseline/K=%d", r.Clients), r))
-	}
-	return cells
 }
 
-// WriteJSON writes the bench wrapped in the versioned envelope.
-func (b *ThroughputBench) WriteJSON(w io.Writer) error {
-	return bench.Write(w, "throughput", b, b.Cells())
+// ThroughputBench is the result of a throughput sweep: for each client
+// count, a lock-striped run and a single-shard (global-mutex-equivalent)
+// baseline run of the identical workload.
+type ThroughputBench struct {
+	*ServeGrid
+	Speedup map[string]float64 `json:"speedup_vs_baseline"`
+}
+
+// RunThroughput sweeps clientCounts with the given base configuration,
+// running each point once with shards lock stripes and once with the
+// single-shard baseline, and reports QPS speedups. The device latency
+// (the sweep's default is 100µs per page transfer, roughly a fast NVMe
+// random read) is what the pool stripes let concurrent clients overlap.
+func RunThroughput(base ServeConfig, shards int, clientCounts []int) (*ThroughputBench, error) {
+	var points []servePoint
+	for _, k := range clientCounts {
+		for _, mode := range []struct {
+			name   string
+			shards int
+		}{{"sharded", shards}, {"baseline", 1}} {
+			points = append(points, servePoint{fmt.Sprintf("%s/K=%d", mode.name, k), func(c *ServeConfig) {
+				c.Clients, c.DB.PoolShards = k, mode.shards
+			}})
+		}
+	}
+	g, err := serveGrid(base, points)
+	if err != nil {
+		return nil, err
+	}
+	b := &ThroughputBench{ServeGrid: g, Speedup: make(map[string]float64)}
+	for _, k := range clientCounts {
+		key := fmt.Sprintf("K=%d", k)
+		if baseline := g.Run("baseline/" + key); baseline.QPS > 0 {
+			b.Speedup[key] = g.Run("sharded/"+key).QPS / baseline.QPS
+		}
+	}
+	return b, nil
+}
+
+func throughputSweep(o SweepOpts) (Report, error) {
+	return RunThroughput(serveBase(o), 8, pick(o, []int{1, 2, 4, 8}, []int{1, 2}))
 }
 
 // SLOBench is the tail-latency serving benchmark (BENCH_slo.json): one
 // Serve run with an SLO armed and the slow log capturing span-attributed
 // outliers, reported as per-op-kind and per-client percentile cells.
 type SLOBench struct {
-	Config      string          `json:"config"`
-	Strategy    string          `json:"strategy"`
+	*ServeGrid                  // the one run, named "total"
 	SLO         SLO             `json:"slo"`
-	Result      *ServeResult    `json:"result"`
 	SlowQueries []obs.SlowEntry `json:"slow_queries,omitempty"`
 }
 
 // RunSLO runs one SLO-instrumented serve: metrics registry and slow log
-// armed (cfg.Metrics/cfg.SlowLog are created when nil), DefaultSLO when
-// none is set.
+// armed (cfg.Metrics/cfg.SlowLog are created when nil).
 func RunSLO(cfg ServeConfig) (*SLOBench, error) {
 	if cfg.SLO == nil {
-		slo := DefaultSLO()
-		cfg.SLO = &slo
+		return nil, fmt.Errorf("harness: RunSLO needs an objective (ServeConfig.SLO)")
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
@@ -620,45 +654,53 @@ func RunSLO(cfg ServeConfig) (*SLOBench, error) {
 	if cfg.SlowLog == nil {
 		cfg.SlowLog = obs.NewSlowLog(obs.DefaultSlowLogSize, cfg.SLO.Threshold)
 	}
-	res, err := Serve(cfg)
+	g, err := serveGrid(cfg, []servePoint{{"total", func(*ServeConfig) {}}})
 	if err != nil {
 		return nil, err
 	}
-	return &SLOBench{
-		Config:      cfg.DB.WithDefaults().String(),
-		Strategy:    cfg.Strategy.String(),
-		SLO:         *cfg.SLO,
-		Result:      res,
-		SlowQueries: cfg.SlowLog.Snapshot(),
-	}, nil
+	return &SLOBench{ServeGrid: g, SLO: *cfg.SLO, SlowQueries: cfg.SlowLog.Snapshot()}, nil
+}
+
+// sloSweep holds the serving workload at 8 clients (4 on the quick grid)
+// to p99 <= 1s. The threshold is deliberately far above the ~200ms the
+// run measures: the objective's violation count is a lower-better metric
+// whose baseline is zero, and 0→N regresses at any benchdiff threshold,
+// so a scheduler stall on a shared runner must not be able to conjure
+// one.
+func sloSweep(o SweepOpts) (Report, error) {
+	cfg := serveBase(o)
+	cfg.DB.PoolShards = 8
+	cfg.Clients = pick(o, 8, 4)
+	cfg.SLO = &SLO{Target: 0.99, Threshold: time.Second}
+	return RunSLO(cfg)
 }
 
 // Cells flattens the run: one total cell plus one per operation kind.
 func (b *SLOBench) Cells() []bench.Cell {
-	cells := []bench.Cell{serveCell("total", b.Result)}
-	cells[0].Metrics["slo_violations"] = float64(b.Result.SLOViolations)
-	if b.Result.SLOMet {
+	total := b.Run("total")
+	cells := b.ServeGrid.Cells()
+	cells[0].Metrics["slo_violations"] = float64(total.Violations)
+	cells[0].Metrics["slo_met"] = 0
+	if total.SLOMet {
 		cells[0].Metrics["slo_met"] = 1
-	} else {
-		cells[0].Metrics["slo_met"] = 0
 	}
 	for _, kind := range []string{"retrieve", "update"} {
-		s := b.Result.PerOp[kind]
+		s := total.PerOp[kind]
 		if s.Count == 0 {
 			continue
 		}
-		cells = append(cells, bench.Cell{Name: "op/" + kind, Metrics: map[string]float64{
-			"p50_ns": float64(s.P50),
-			"p95_ns": float64(s.P95),
-			"p99_ns": float64(s.P99),
-			"max":    float64(s.Max),
-			"count":  float64(s.Count),
-		}})
+		m := map[string]float64{"count": float64(s.Count)}
+		s.metrics(m)
+		cells = append(cells, bench.Cell{Name: "op/" + kind, Metrics: m})
 	}
 	return cells
 }
 
-// WriteJSON writes the bench wrapped in the versioned envelope.
-func (b *SLOBench) WriteJSON(w io.Writer) error {
-	return bench.Write(w, "slo", b, b.Cells())
+// Check reports a missed objective.
+func (b *SLOBench) Check() []Violation {
+	if total := b.Run("total"); !total.SLOMet {
+		return []Violation{gate("total", "objective p%g <= %s missed (%d ops at or over the threshold)",
+			b.SLO.Target*100, b.SLO.Threshold, total.Violations)}
+	}
+	return nil
 }

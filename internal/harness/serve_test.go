@@ -74,19 +74,19 @@ func TestRunThroughputSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bench.Sharded) != 2 || len(bench.Baseline) != 2 {
-		t.Fatalf("sweep sizes: %d sharded, %d baseline", len(bench.Sharded), len(bench.Baseline))
+	if len(bench.Runs) != 4 {
+		t.Fatalf("sweep size: %d runs, want 2 sharded + 2 baseline", len(bench.Runs))
 	}
-	if bench.Sharded[0].Shards != 4 || bench.Baseline[0].Shards != 1 {
-		t.Fatalf("shard counts: %d vs %d", bench.Sharded[0].Shards, bench.Baseline[0].Shards)
+	if s, b := bench.Run("sharded/K=1").Shards, bench.Run("baseline/K=1").Shards; s != 4 || b != 1 {
+		t.Fatalf("shard counts: %d vs %d", s, b)
 	}
 	if len(bench.Speedup) != 2 {
 		t.Fatalf("speedups = %v", bench.Speedup)
 	}
 	// Identical workload either side: the simulated I/O must agree.
-	for i := range bench.Sharded {
-		if bench.Sharded[i].TotalIO == 0 || bench.Baseline[i].TotalIO == 0 {
-			t.Fatalf("no I/O measured at K=%d", bench.Sharded[i].Clients)
+	for _, r := range bench.Runs {
+		if r.TotalIO == 0 {
+			t.Fatalf("no I/O measured at %s", r.Name)
 		}
 	}
 }
@@ -303,8 +303,8 @@ func TestServeSLOAndHistograms(t *testing.T) {
 	if res.SLO == nil || *res.SLO != slo {
 		t.Fatalf("SLO not echoed: %+v", res.SLO)
 	}
-	if res.SLOViolations != total {
-		t.Fatalf("violations = %d, want every op (%d) at 1ns threshold", res.SLOViolations, total)
+	if res.Violations != total {
+		t.Fatalf("violations = %d, want every op (%d) at 1ns threshold", res.Violations, total)
 	}
 	if res.SLOMet {
 		t.Fatal("SLO reported met at 1ns threshold")
@@ -406,11 +406,10 @@ func TestServeDisabledPathUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.SLO != nil || plain.SLOViolations != 0 || plain.SlowRetained != 0 {
+	if plain.SLO != nil || plain.Violations != 0 || plain.SlowRetained != 0 {
 		t.Fatalf("disabled run carries SLO residue: %+v", plain)
 	}
-	slo := DefaultSLO()
-	cfg.SLO = &slo
+	cfg.SLO = &SLO{Target: 0.99, Threshold: 250 * time.Millisecond}
 	cfg.Metrics = obs.NewRegistry()
 	cfg.SlowLog = obs.NewSlowLog(4, 0)
 	armed, err := Serve(cfg)
@@ -437,11 +436,15 @@ func TestRunSLOBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Result == nil || len(b.SlowQueries) == 0 {
+	if b.Run("total") == nil || len(b.SlowQueries) == 0 {
 		t.Fatalf("SLO bench missing result or slow queries: %+v", b)
 	}
+	if len(b.Check()) != 1 {
+		t.Fatalf("1ns SLO passed its gate: %v", b.Check())
+	}
+	slo, _ := FindSweep("slo")
 	var buf bytes.Buffer
-	if err := b.WriteJSON(&buf); err != nil {
+	if err := slo.Write(&buf, b); err != nil {
 		t.Fatal(err)
 	}
 	env, err := bench.Read(&buf)
@@ -477,8 +480,9 @@ func TestThroughputEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	throughput, _ := FindSweep("throughput")
 	var buf bytes.Buffer
-	if err := b.WriteJSON(&buf); err != nil {
+	if err := throughput.Write(&buf, b); err != nil {
 		t.Fatal(err)
 	}
 	env, err := bench.Read(&buf)
@@ -493,7 +497,42 @@ func TestThroughputEnvelope(t *testing.T) {
 	if err := json.Unmarshal(env.Payload, &native); err != nil {
 		t.Fatal(err)
 	}
-	if len(native.Sharded) != 1 {
+	if len(native.Runs) != 2 || native.Run("sharded/K=2").QPS <= 0 || native.Speedup["K=2"] <= 0 {
 		t.Fatalf("payload lost native results: %+v", native)
+	}
+}
+
+// TestPercentilesGateOnlyWithSamples: a percentile carries the gated _ns
+// name only from 20·minBeyond (p95) and 100·minBeyond (p99) samples on;
+// below that it is informational like max. The 40-sample K=1 cells are
+// the ones whose p95 and p99 flaked bench-trend.
+func TestPercentilesGateOnlyWithSamples(t *testing.T) {
+	for _, tc := range []struct {
+		count int
+		gated []string
+		info  []string
+	}{
+		{5, nil, []string{"p50", "p95", "p99"}},
+		{40, []string{"p50_ns"}, []string{"p95", "p99"}},
+		{59, []string{"p50_ns"}, []string{"p95", "p99"}},
+		{60, []string{"p50_ns", "p95_ns"}, []string{"p99"}},
+		{299, []string{"p50_ns", "p95_ns"}, []string{"p99"}},
+		{300, []string{"p50_ns", "p95_ns", "p99_ns"}, nil},
+	} {
+		m := map[string]float64{}
+		LatencySummary{Count: tc.count, P50: 1, P95: 2, P99: 3, Max: 4}.metrics(m)
+		for _, name := range append(tc.gated, tc.info...) {
+			if _, ok := m[name]; !ok {
+				t.Errorf("%d samples: no %s in %v", tc.count, name, m)
+			}
+		}
+		if want := len(tc.gated) + len(tc.info) + 1; len(m) != want || m["max"] != 4 {
+			t.Errorf("%d samples: %v, want %d metrics with max", tc.count, m, want)
+		}
+		for _, name := range tc.info {
+			if bench.MetricDirection(name) != bench.Info {
+				t.Errorf("%s would gate", name)
+			}
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,11 +101,11 @@ func TestVersionedDifferentialAllStrategies(t *testing.T) {
 				t.Fatalf("retrieve count differs: %d vs %d", len(baseRows), len(verRows))
 			}
 			for i := range baseRows {
-				if !equalInt64(baseRows[i], verRows[i]) {
+				if !slices.Equal(baseRows[i], verRows[i]) {
 					t.Fatalf("retrieve %d rows differ: base %v, versioned %v", i, baseRows[i], verRows[i])
 				}
 			}
-			if !equalInt64(baseFinal, verFinal) {
+			if !slices.Equal(baseFinal, verFinal) {
 				t.Fatalf("post-drain base layout differs (%d vs %d values)", len(baseFinal), len(verFinal))
 			}
 			testutil.AssertNoLeaks(t, dbB.Pool)
@@ -210,8 +212,8 @@ func TestTxnChaosNoTornVersions(t *testing.T) {
 					ConcurrentUpdaters: 3,
 				}
 				if faulted {
-					cfg.Plan = DefaultChaosConfig().Plan
-					cfg.FaultSeed = 1000
+					full := chaosGrid(gridOf(t, "chaos", false))
+					cfg.Plan, cfg.FaultSeed = full.Plan, full.FaultSeed
 				}
 				violations, err := RunTxnChaos(cfg, kind)
 				if err != nil {
@@ -245,9 +247,6 @@ func TestRunTxnSweepSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Points) != 4 {
-		t.Fatalf("points = %d, want 4", len(b.Points))
-	}
 	cells := b.Cells()
 	if len(cells) != 8 {
 		t.Fatalf("cells = %d, want 8", len(cells))
@@ -260,12 +259,16 @@ func TestRunTxnSweepSmoke(t *testing.T) {
 			t.Fatalf("cell %s missing retrieve_qps", c.Name)
 		}
 	}
-	for _, pt := range b.Points {
-		if pt.Versioned.Txn == nil || pt.Latched.Txn != nil {
-			t.Fatalf("txn stats on the wrong side at z=%g u=%g K=%d", pt.Theta, pt.PrUpdate, pt.Clients)
+	for _, r := range b.Runs {
+		versioned := strings.HasPrefix(r.Name, "versioned/")
+		if versioned != (r.Txn != nil) {
+			t.Fatalf("txn stats on the wrong side at %s", r.Name)
 		}
-		if pt.Versioned.Txn.Commits != int64(pt.Versioned.Updates)+1 {
-			t.Fatalf("versioned commits = %d, want %d+1", pt.Versioned.Txn.Commits, pt.Versioned.Updates)
+		if versioned && r.Txn.Commits != int64(r.Updates)+1 {
+			t.Fatalf("%s commits = %d, want %d+1", r.Name, r.Txn.Commits, r.Updates)
 		}
+	}
+	if b.Run("versioned/z0.9/u0.3/K=2") == nil || b.Run("latched/z0/u0.3/K=1") == nil {
+		t.Fatalf("points are not paired per (theta, update rate, clients): %+v", cells)
 	}
 }

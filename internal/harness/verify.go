@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"corep/internal/strategy"
 	"corep/internal/workload"
@@ -36,7 +36,7 @@ func VerifyAgreement(sc Scale) (*Table, error) {
 		cfg.Seed = sc.Seed
 		cfg.Clustered = true
 		cfg.CacheUnits = 200
-		label := fmt.Sprintf("UF=%d OF=%d NCR=%d", cfg.UseFactor, maxInt(cfg.OverlapFactor, 1), maxInt(cfg.NumChildRel, 1))
+		label := fmt.Sprintf("UF=%d OF=%d NCR=%d", cfg.UseFactor, max(cfg.OverlapFactor, 1), max(cfg.NumChildRel, 1))
 		queries, values, err := verifyOne(cfg)
 		result := "PASS"
 		if err != nil {
@@ -49,13 +49,6 @@ func VerifyAgreement(sc Scale) (*Table, error) {
 	}
 	t.AddNote("every strategy answered every query identically, before and after updates")
 	return t, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // verifyOne checks one configuration, returning how many queries and
@@ -100,12 +93,12 @@ func verifyOne(cfg workload.Config) (int, int, error) {
 				}
 				g := sortedVals(got.Values)
 				if k == strategy.BFSNODUP {
-					if !equalInt64(g, dedupVals(want)) {
+					if !slices.Equal(g, dedupVals(want)) {
 						return fmt.Errorf("%v set mismatch on [%d,%d]", k, q.Lo, q.Hi)
 					}
 					continue
 				}
-				if !equalInt64(g, want) {
+				if !slices.Equal(g, want) {
 					return fmt.Errorf("%v mismatch on [%d,%d]: %d vs %d values", k, q.Lo, q.Hi, len(g), len(want))
 				}
 			}
@@ -138,8 +131,8 @@ func verifyOne(cfg workload.Config) (int, int, error) {
 }
 
 func sortedVals(v []int64) []int64 {
-	out := append([]int64(nil), v...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(v)
+	slices.Sort(out)
 	return out
 }
 
@@ -151,16 +144,4 @@ func dedupVals(sorted []int64) []int64 {
 		}
 	}
 	return out
-}
-
-func equalInt64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -27,14 +26,15 @@ type WALSweepConfig struct {
 	SyncDelay        time.Duration // simulated fsync latency
 }
 
-// DefaultWALSweepConfig returns the grid behind BENCH_wal.json.
-func DefaultWALSweepConfig() WALSweepConfig {
-	return WALSweepConfig{
-		Clients:          []int{1, 2, 4, 8, 16},
-		Batches:          []int{1, 4},
-		CommitsPerClient: 200,
+// walSweep runs the grid behind BENCH_wal.json, or the quick grid's
+// three well-separated client counts at one batch size.
+func walSweep(o SweepOpts) (Report, error) {
+	return RunWALSweep(WALSweepConfig{
+		Clients:          pick(o, []int{1, 2, 4, 8, 16}, []int{1, 4, 16}),
+		Batches:          pick(o, []int{1, 4}, []int{1}),
+		CommitsPerClient: pick(o, 200, 150),
 		SyncDelay:        200 * time.Microsecond,
-	}
+	})
 }
 
 // WALCell is one clients×batch measurement.
@@ -53,7 +53,7 @@ type WALCell struct {
 // WALSweep is the full grid, one cell per configuration.
 type WALSweep struct {
 	Config WALSweepConfig `json:"config"`
-	Cells  []WALCell      `json:"cells"`
+	Points []WALCell      `json:"cells"`
 }
 
 // RunWALSweep measures the grid. Every commit appends cfg batch page
@@ -68,7 +68,7 @@ func RunWALSweep(cfg WALSweepConfig) (*WALSweep, error) {
 			if err != nil {
 				return nil, err
 			}
-			sweep.Cells = append(sweep.Cells, cell)
+			sweep.Points = append(sweep.Points, cell)
 		}
 	}
 	return sweep, nil
@@ -151,40 +151,30 @@ func runWALCell(clients, batch int, cfg WALSweepConfig) (WALCell, error) {
 	return cell, nil
 }
 
-// CheckGrouping verifies the acceptance property: within each batch
-// size, fsyncs per commit strictly decreases as the client count grows.
-// Returns a descriptive error naming the first offending pair.
-func (s *WALSweep) CheckGrouping() error {
-	byBatch := map[int][]WALCell{}
-	for _, c := range s.Cells {
-		byBatch[c.Batch] = append(byBatch[c.Batch], c)
-	}
-	for batch, cells := range byBatch {
-		for i := 1; i < len(cells); i++ {
-			prev, cur := cells[i-1], cells[i]
-			if cur.Clients <= prev.Clients {
-				continue
-			}
-			if cur.FsyncsPerCommit >= prev.FsyncsPerCommit {
-				return fmt.Errorf("batch %d: fsyncs/commit did not decrease from %d clients (%.3f) to %d clients (%.3f)",
-					batch, prev.Clients, prev.FsyncsPerCommit, cur.Clients, cur.FsyncsPerCommit)
-			}
+// Check verifies the acceptance property: within each batch size,
+// fsyncs per commit strictly decreases as the client count grows.
+func (s *WALSweep) Check() []Violation {
+	var out []Violation
+	last := map[int]WALCell{}
+	for _, cur := range s.Points {
+		prev, ok := last[cur.Batch]
+		last[cur.Batch] = cur
+		if ok && cur.Clients > prev.Clients && cur.FsyncsPerCommit >= prev.FsyncsPerCommit {
+			out = append(out, gate(cur.name(), "fsyncs/commit did not decrease from %d clients (%.3f) to %d clients (%.3f)",
+				prev.Clients, prev.FsyncsPerCommit, cur.Clients, cur.FsyncsPerCommit))
 		}
 	}
-	return nil
+	return out
 }
 
-// WriteJSON writes the sweep wrapped in the versioned envelope.
-func (s *WALSweep) WriteJSON(w io.Writer) error {
-	return bench.Write(w, "wal", s, s.BenchCells())
-}
+func (c WALCell) name() string { return fmt.Sprintf("c%d_b%d", c.Clients, c.Batch) }
 
-// BenchCells flattens the sweep for the bench envelope.
-func (s *WALSweep) BenchCells() []bench.Cell {
+// Cells flattens the sweep for the bench envelope.
+func (s *WALSweep) Cells() []bench.Cell {
 	var cells []bench.Cell
-	for _, c := range s.Cells {
+	for _, c := range s.Points {
 		cells = append(cells, bench.Cell{
-			Name: fmt.Sprintf("c%d_b%d", c.Clients, c.Batch),
+			Name: c.name(),
 			Metrics: map[string]float64{
 				"commit_qps":        c.CommitQPS,
 				"fsyncs":            float64(c.Fsyncs),

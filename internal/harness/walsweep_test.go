@@ -1,25 +1,13 @@
 package harness
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestWALSweepGrouping(t *testing.T) {
-	cfg := WALSweepConfig{
-		Clients:          []int{1, 4, 16},
-		Batches:          []int{1},
-		CommitsPerClient: 150,
-		SyncDelay:        200 * time.Microsecond,
+	sweep := quickReport(t, "wal").(*WALSweep)
+	for _, v := range sweep.Check() {
+		t.Fatal(v)
 	}
-	sweep, err := RunWALSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sweep.CheckGrouping(); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range sweep.Cells {
+	for _, c := range sweep.Points {
 		if c.Clients == 1 && c.FsyncsPerCommit != 1.0 {
 			t.Errorf("single committer should pay one fsync per commit, got %.3f", c.FsyncsPerCommit)
 		}
@@ -27,7 +15,7 @@ func TestWALSweepGrouping(t *testing.T) {
 			t.Errorf("c%d_b%d: nonpositive commit_qps", c.Clients, c.Batch)
 		}
 	}
-	if got := len(sweep.BenchCells()); got != 3 {
+	if got := len(sweep.Cells()); got != 3 {
 		t.Fatalf("expected 3 bench cells, got %d", got)
 	}
 }

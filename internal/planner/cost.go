@@ -163,7 +163,7 @@ func (p *Planner) prior(kind strategy.Kind, numTop int) float64 {
 		// spans object+subobject tuples); the rest — shared units homed in
 		// another parent's cluster, plus everything a scattered layout
 		// displaced — are fetched via the ISAM OID index.
-		clustered := s.ClusterCoverage / float64(maxInt(s.ShareFactor, 1))
+		clustered := s.ClusterCoverage / float64(max(s.ShareFactor, 1))
 		isam := s.ClusterHeight
 		if isam < 1 {
 			isam = 2
@@ -175,11 +175,4 @@ func (p *Planner) prior(kind strategy.Kind, numTop int) float64 {
 
 	// Unknown kind (SMART is never a candidate): effectively infinite.
 	return 1e18
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
