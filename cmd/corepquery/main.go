@@ -396,11 +396,9 @@ func printSnapshot(snap corep.Snapshot, asJSON bool) {
 		fmt.Printf("planner:  %d planned executions, %d probe / %d batch traversals (%d warmup)\n",
 			snap.Planner.Plans, snap.Planner.ProbeChosen, snap.Planner.BatchChosen, snap.Planner.Warmup)
 	}
-	if snap.Reclust != nil {
+	if rs := snap.Reclust; rs != nil {
 		fmt.Printf("reclust:  %d units tracked (%d touches, %d evictions), %d migrations in %d batches, %d pages rewritten, %d placements (%d dropped)\n",
-			snap.Reclust.Tracked, snap.Reclust.Touches, snap.Reclust.Evictions,
-			snap.Reclust.Migrated, snap.Reclust.Batches, snap.Reclust.PagesDirty,
-			snap.Reclust.Placements, snap.Reclust.Dropped)
+			rs.Tracked, rs.Touches, rs.Evictions, rs.Migrated, rs.Batches, rs.PagesDirty, rs.Placements, rs.Dropped)
 	}
 	fmt.Printf("faults:   %d injected over %d ops; pool retried %d, recovered %d\n",
 		snap.Faults.Injected, snap.Faults.Ops, snap.Faults.Retries, snap.Faults.Recovered)

@@ -75,9 +75,8 @@ type Database struct {
 	// protocol over them — the same core the workload engine embeds.
 	core *engine.Core
 	// store is how pql and the path retrievals read the core: its catalog,
-	// the read view OID targets are fetched through — the catalog itself
-	// until EnableReclustering swaps in the placement-aware view — and
-	// the heat signal that comes with it.
+	// its placement-aware read view for OID targets — the catalog's own
+	// until a Reorganize has placed something — and its heat feed.
 	store pql.Store
 
 	// file and meta are set for file-backed databases (persistence).
@@ -91,11 +90,6 @@ type Database struct {
 
 	// faults is the installed fault plan, if any (SetFaultPlan).
 	faults *disk.FaultPlan
-
-	// reclust is the adaptive-clustering policy state
-	// (EnableReclustering; see database_reclust.go); nil keeps reads on
-	// the base rows.
-	reclust *reclustState
 
 	// WAL sidecar state (EnableWAL; see database_wal.go): lastMetaJSON
 	// dedups metadata records; walRecovery holds what
@@ -127,11 +121,11 @@ func NewDatabase(bufferPages int) *Database {
 	return newDatabase(engine.New(d, buffer.New(d, bufferPages)))
 }
 
-// newDatabase wraps a fresh core, read through its catalog.
+// newDatabase wraps a fresh core.
 func newDatabase(core *engine.Core) *Database {
 	return &Database{
 		core:  core,
-		store: pql.Store{Cat: core.Cat, View: core.Cat},
+		store: pql.Store{Cat: core.Cat, View: core, Touch: func(owner OID) { core.Touch(int64(owner)) }},
 		rels:  map[string]*Relation{},
 	}
 }

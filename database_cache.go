@@ -91,10 +91,12 @@ func (r *Relation) Update(key int64, row Row) error {
 	}
 	// A reclustered copy must never serve stale values: retire the
 	// placement before the base row changes, so every reader falls back
-	// to the row this update rewrites (harmless if the update then
-	// fails — the base row is always correct).
-	r.db.dropPlacement(object.NewOID(r.rel.ID, key))
-	locks := []object.OID{object.NewOID(r.rel.ID, key), relLockOID(r.rel.ID)}
+	// to the row this update rewrites and the commit below logs the
+	// placements without it (harmless if the update then fails — the
+	// base row is always correct).
+	oid := object.NewOID(r.rel.ID, key)
+	r.db.core.Retire(oid)
+	locks := []object.OID{oid, relLockOID(r.rel.ID)}
 	return r.db.mutate(locks, func() error { return r.rel.Tree.Update(key, rec) })
 }
 
@@ -139,7 +141,7 @@ func (d *Database) expandCached(x *pql.Expander, owner OID, raw []byte, segs []s
 	case c.Rep == object.OIDs && oneRelation(c.OIDs):
 		// Heat for adaptive clustering: cache hits count too — they still
 		// say this unit is what the workload wants packed.
-		d.touchHeat(owner)
+		d.core.Touch(int64(owner))
 		rows, schema, err = d.cachedUnit(c.OIDs, epoch)
 	case c.Rep == object.Procedural && d.cacheMode == CacheOIDs:
 		oids, res, err := d.cachedProcOIDs(c.Query)

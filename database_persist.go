@@ -70,6 +70,9 @@ type relMeta struct {
 type dbMeta struct {
 	Version   int
 	Relations []relMeta
+	// Placements is the adaptive-clustering placement map
+	// (reclust.EncodePlacements), absent while nothing is placed.
+	Placements []byte `json:",omitempty"`
 }
 
 // OpenDatabaseFile opens (creating if needed) a file-backed database at
@@ -145,6 +148,13 @@ func OpenDatabaseFile(path string, bufferPages int) (*Database, error) {
 		}
 		d.rels[rm.Name] = &Relation{db: d, rel: crel, schema: schema, childAttrs: childAttrs}
 	}
+	// The placements of the last checkpoint or replayed commit: their
+	// extent pages are in the page file, so reads take the packed copies
+	// at once.
+	if err := d.core.RestorePlacements(m.Placements); err != nil {
+		fd.Close()
+		return nil, fmt.Errorf("corep: corrupt metadata %s: %w", d.meta, err)
+	}
 	return d, nil
 }
 
@@ -182,7 +192,8 @@ func (d *Database) Checkpoint() error {
 	if err := d.file.Sync(); err != nil {
 		return err
 	}
-	raw, err := json.MarshalIndent(d.buildMeta(), "", "  ")
+	placements := d.core.PlacementBlob()
+	raw, err := json.MarshalIndent(d.buildMeta(placements), "", "  ")
 	if err != nil {
 		return err
 	}
@@ -190,7 +201,7 @@ func (d *Database) Checkpoint() error {
 		return err
 	}
 	if d.core.Log() != nil {
-		compact, err := d.metaJSON()
+		compact, err := d.metaJSON(placements)
 		if err != nil {
 			return err
 		}

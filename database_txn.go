@@ -29,7 +29,7 @@ func (d *Database) EnableVersionedServing() { d.core.EnableVersioning() }
 // TxnStats returns the version store's counters (nil before
 // EnableVersionedServing).
 func (d *Database) TxnStats() *TxnStats {
-	if d.core.Versions == nil {
+	if !d.core.Versioned() {
 		return nil
 	}
 	s := d.core.Versions.Stats()
@@ -40,7 +40,7 @@ func (d *Database) TxnStats() *TxnStats {
 // Without versioned serving it returns epoch 0 (the cache's historic,
 // unversioned path) and a no-op release.
 func (d *Database) beginSnapshotEpoch() (uint64, func()) {
-	if d.core.Versions == nil {
+	if !d.core.Versioned() {
 		return 0, func() {}
 	}
 	snap := d.core.Versions.Begin()

@@ -53,7 +53,7 @@ func (d *Database) EnableWAL() error {
 // EnableWAL so tests and the crash harness can attach a log over a
 // MemDevice.
 func (d *Database) attachWAL(l *wal.Log) error {
-	raw, err := d.metaJSON()
+	raw, err := d.metaJSON(d.core.PlacementBlob())
 	if err != nil {
 		l.Close()
 		return err
@@ -103,7 +103,8 @@ func (d *Database) WALStats() *WALStats {
 
 // commit makes one mutation durable through the core, logging the
 // sidecar metadata in front of the commit record if it changed (B-tree
-// roots and sizes move with inserts). The object API mutates from one
+// roots and sizes move with inserts, placements with Reorganize and with
+// an Update that retires one). The object API mutates from one
 // goroutine at a time — the in-place tree writes take no latch either —
 // so lastMetaJSON needs no lock of its own. Returns the core's sequence
 // number (0 with a nil error: the WAL is off; non-zero with an error:
@@ -112,7 +113,7 @@ func (d *Database) commit() (uint64, error) {
 	if d.core.Log() == nil {
 		return 0, nil
 	}
-	raw, err := d.metaJSON()
+	raw, err := d.metaJSON(d.core.PlacementBlob())
 	if err != nil {
 		return 0, err
 	}
@@ -130,15 +131,15 @@ func (d *Database) commit() (uint64, error) {
 // metaJSON marshals the sidecar metadata compactly with relations in
 // name order, so equal states yield equal bytes and commit's
 // changed-check never false-positives on map iteration order.
-func (d *Database) metaJSON() ([]byte, error) {
-	m := d.buildMeta()
-	return json.Marshal(m)
+func (d *Database) metaJSON(placements []byte) ([]byte, error) {
+	return json.Marshal(d.buildMeta(placements))
 }
 
 // buildMeta assembles the sidecar metadata struct, relations sorted by
-// name.
-func (d *Database) buildMeta() dbMeta {
-	m := dbMeta{Version: metaVersion}
+// name, around the encoded placements (the live ones, or a Reorganize
+// batch's about to be published).
+func (d *Database) buildMeta(placements []byte) dbMeta {
+	m := dbMeta{Version: metaVersion, Placements: placements}
 	names := make([]string, 0, len(d.rels))
 	for name := range d.rels {
 		names = append(names, name)

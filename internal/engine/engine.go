@@ -18,7 +18,6 @@ package engine
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"corep/internal/buffer"
 	"corep/internal/cache"
@@ -27,8 +26,6 @@ import (
 	"corep/internal/heap"
 	"corep/internal/object"
 	"corep/internal/obs"
-	"corep/internal/reclust"
-	"corep/internal/storage"
 	"corep/internal/txn"
 	"corep/internal/wal"
 )
@@ -77,12 +74,15 @@ type Core struct {
 	// to the same tail page whose earlier, already published rows
 	// concurrent readers are fetching, and both sides touch the page
 	// header and slot directory: ReadPlaced copies a row out under the
-	// shared lock, AppendPlaced and RewritePlaced hold it exclusively
+	// shared lock, appendPlaced and RewritePlaced hold it exclusively
 	// for the one page mutation. Lock order: pageMu → pool shard.
 	pageMu sync.RWMutex
 	extent *heap.File // lazily created; reset after a crash
 
-	migrated, batches, pagesDirty, dropped atomic.Int64
+	// Reclust is the adaptive-clustering state (reclust.go); nil (the
+	// default) keeps every read on the base rows. Installed by
+	// InitReclust.
+	Reclust *Reclust
 }
 
 // New assembles a core over d with an already-built pool.
@@ -124,6 +124,9 @@ func (c *Core) EnableVersioning() {
 		c.Versions.BeginUpdate(nil).Commit(nil)
 	}
 }
+
+// Versioned reports whether EnableVersioning has installed the store.
+func (c *Core) Versioned() bool { return c.Versions != nil }
 
 // BeginUpdate latches targets' write stripes for one mutation, or
 // returns nil when versioning is off — Publish accepts either.
@@ -285,15 +288,17 @@ func (c *Core) captureLocked() error {
 // discarded by recovery's atomic-per-commit replay, which is exactly
 // right — they were derived data of an unacknowledged state.
 func (c *Core) Relieve() error {
-	if c.Log() == nil {
-		return nil
-	}
-	if c.Pool.UnloggedCount() < max(1, c.Pool.Capacity()/pressureFrac) {
+	if !c.pressed() {
 		return nil
 	}
 	c.logMu.Lock()
 	defer c.logMu.Unlock()
 	return c.captureLocked()
+}
+
+// pressed reports whether the unlogged backlog has reached the limit.
+func (c *Core) pressed() bool {
+	return c.Log() != nil && c.Pool.UnloggedCount() >= max(1, c.Pool.Capacity()/pressureFrac)
 }
 
 // TruncateLog empties the log — the checkpoint's last step, once the
@@ -348,90 +353,4 @@ func (c *Core) Publish(u *txn.Update, oids []object.OID, install func(epoch uint
 		}
 	}
 	return first
-}
-
-// --- reclustering extent ---
-
-// ReadPlaced fetches a migrated copy by RID straight through the buffer
-// pool. Deliberately independent of the extent file handle: placements
-// that survived a crash stay readable even though the post-crash extent
-// chain starts fresh.
-func (c *Core) ReadPlaced(rid storage.RID) ([]byte, error) {
-	c.pageMu.RLock()
-	defer c.pageMu.RUnlock()
-	buf, err := c.Pool.Pin(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := storage.Page{Buf: buf}.Record(int(rid.Slot))
-	if err == nil {
-		rec = append([]byte(nil), rec...)
-	}
-	c.Pool.Unpin(rid.Page, false)
-	return rec, err
-}
-
-// AppendPlaced copies rec onto the extent's tail page (creating the
-// extent on first use) and returns the copy's RID. Nothing references
-// it until the caller publishes a placement.
-func (c *Core) AppendPlaced(rec []byte) (storage.RID, error) {
-	c.pageMu.Lock()
-	defer c.pageMu.Unlock()
-	if c.extent == nil {
-		f, err := heap.Create(c.Pool)
-		if err != nil {
-			return storage.RID{}, err
-		}
-		c.extent = f
-	}
-	return c.extent.Append(rec)
-}
-
-// RewritePlaced replaces the migrated copy at rid in place.
-func (c *Core) RewritePlaced(rid storage.RID, rec []byte) error {
-	c.pageMu.Lock()
-	defer c.pageMu.Unlock()
-	buf, err := c.Pool.Pin(rid.Page)
-	if err != nil {
-		return err
-	}
-	err = storage.Page{Buf: buf}.Update(int(rid.Slot), rec)
-	c.Pool.Unpin(rid.Page, err == nil)
-	return err
-}
-
-// ResetExtent starts a fresh extent chain for future batches (crash
-// recovery: the old handle's tail may not have survived). Old extent
-// pages referenced by surviving placements stay readable.
-func (c *Core) ResetExtent() {
-	c.pageMu.Lock()
-	c.extent = nil
-	c.pageMu.Unlock()
-}
-
-// NoteBatch counts one published migration batch.
-func (c *Core) NoteBatch(objects, pages int) {
-	c.migrated.Add(int64(objects))
-	c.batches.Add(1)
-	c.pagesDirty.Add(int64(pages))
-}
-
-// NoteDropped counts placements retired (by updates) or extent rows
-// orphaned (by a failed batch).
-func (c *Core) NoteDropped(n int) { c.dropped.Add(int64(n)) }
-
-// ReclustStats assembles the reclustering counters around the caller's
-// heat tracker and placement map.
-func (c *Core) ReclustStats(heat *reclust.Tracker, place *reclust.Map) reclust.Stats {
-	touches, evictions := heat.Counters()
-	return reclust.Stats{
-		Tracked:    heat.Len(),
-		Touches:    touches,
-		Evictions:  evictions,
-		Placements: place.Len(),
-		Migrated:   c.migrated.Load(),
-		Batches:    c.batches.Load(),
-		PagesDirty: c.pagesDirty.Load(),
-		Dropped:    c.dropped.Load(),
-	}
 }

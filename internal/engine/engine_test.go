@@ -250,7 +250,7 @@ func TestFailedCommitPublishesNothing(t *testing.T) {
 	epoch := c.Versions.Published()
 
 	u := c.BeginUpdate(unit)
-	rid, err := c.AppendPlaced([]byte("copy"))
+	rid, err := c.appendPlaced([]byte("copy"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,6 +278,214 @@ func TestFailedCommitPublishesNothing(t *testing.T) {
 	}
 }
 
+// fakeUnits is an Enumerator over rows held in a map: unit k is rows
+// 10k..10k+2 of relation 1, hot in descending k.
+type fakeUnits struct {
+	rows   map[object.OID][]byte
+	failOn object.OID // Row fails here, if non-zero
+}
+
+func newFakeUnits(c *Core, units int) *fakeUnits {
+	f := &fakeUnits{rows: map[object.OID][]byte{}}
+	for k := 1; k <= units; k++ {
+		for _, oid := range f.unit(int64(k)) {
+			f.rows[oid] = []byte{byte(oid.Key()), 0xCD}
+		}
+		c.Reclust.Heat.Touch(int64(k), float64(k))
+	}
+	return f
+}
+
+func (f *fakeUnits) unit(k int64) []object.OID {
+	return []object.OID{object.NewOID(1, 10*k), object.NewOID(1, 10*k+1), object.NewOID(1, 10*k+2)}
+}
+
+var errRowUnreadable = errors.New("row unreadable")
+
+func (f *fakeUnits) enumerator() Enumerator {
+	return Enumerator{
+		Unit: func(k int64) ([]object.OID, error) { return f.unit(k), nil },
+		Row: func(_ int64, oid object.OID) ([]byte, error) {
+			if oid == f.failOn {
+				return nil, errRowUnreadable
+			}
+			return f.rows[oid], nil
+		},
+	}
+}
+
+// TestMigrate is the one statement of the batch protocol, for both front
+// ends: plan → copy → Commit(placements) → Publish, nothing published
+// and nothing migrated on any failure, placements stamped with the
+// batch's epoch, and a recovery restores the last committed map.
+func TestMigrate(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		logged, version  bool
+		failSync, failAt bool
+	}{
+		{name: "clean"},
+		{name: "clean-logged", logged: true},
+		{name: "failed-commit", logged: true, failSync: true},
+		{name: "failed-copy", logged: true, failAt: true},
+		{name: "versioned", logged: true, version: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, dev := newCore(t, 32, tc.logged)
+			if _, err := c.Migrate(2, Enumerator{}); !errors.Is(err, ErrReclustOff) {
+				t.Fatalf("Migrate before InitReclust: %v", err)
+			}
+			if err := c.InitReclust(0, 0); err != nil {
+				t.Fatal(err)
+			}
+			if tc.version {
+				c.EnableVersioning()
+			}
+			f := newFakeUnits(c, 3)
+			if tc.failSync {
+				dev.FailNextSync()
+			}
+			if tc.failAt {
+				f.failOn = f.unit(2)[1] // after four rows were copied
+			}
+			res, err := c.Migrate(2, f.enumerator())
+			if tc.failSync || tc.failAt {
+				if err == nil || (tc.failAt && !errors.Is(err, errRowUnreadable)) {
+					t.Fatalf("Migrate = %+v, %v; want the injected failure", res, err)
+				}
+				st := *c.ReclustStats()
+				if st.Placements != 0 || st.Batches != 0 || st.Migrated != 0 || res.Objects != 0 {
+					t.Fatalf("failed batch published: %+v, %+v", st, res)
+				}
+				if tc.failAt && st.Dropped != 4 {
+					t.Fatalf("%d orphans counted, want the 4 rows copied before the failure", st.Dropped)
+				}
+				if hot := c.HotUnits(-1); len(hot) != 3 || hot[0].Migrated {
+					t.Fatalf("failed batch marked units migrated: %+v", hot)
+				}
+				f.failOn = 0
+				if res, err = c.Migrate(2, f.enumerator()); err != nil {
+					t.Fatalf("retry: %v", err)
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+
+			// The two hottest units, whole, hottest first.
+			if len(res.Units) != 2 || res.Units[0].Owner != 3 || res.Units[1].Owner != 2 || res.Objects != 6 || res.Pages != 1 {
+				t.Fatalf("batch = %+v, want units 3 and 2 on one page", res)
+			}
+			var epoch uint64
+			if tc.version {
+				epoch = c.Versions.Published()
+			}
+			for _, u := range res.Units {
+				for _, oid := range u.OIDs {
+					e, ok := c.Reclust.Place.Latest(oid)
+					if !ok || e.Owner != u.Owner || e.Epoch != epoch {
+						t.Fatalf("placement of %v = %+v (%v), want owner %d at epoch %d", oid, e, ok, u.Owner, epoch)
+					}
+					if _, early := c.Placed(oid, epoch-1); tc.version && early {
+						t.Fatalf("a snapshot before the batch sees %v placed", oid)
+					}
+					if rec, err := c.ReadPlaced(e.RID); err != nil || !bytes.Equal(rec, f.rows[oid]) {
+						t.Fatalf("copy of %v = %v, %v", oid, rec, err)
+					}
+				}
+			}
+			if st := *c.ReclustStats(); st.Placements != 6 || st.Batches != 1 || st.Migrated != 6 || st.PagesDirty != 1 {
+				t.Fatalf("stats after one batch: %+v", st)
+			}
+			if hot := c.HotUnits(2); !hot[0].Migrated || !hot[1].Migrated {
+				t.Fatalf("migrated units not marked: %+v", hot)
+			}
+
+			// Migrated is the map's answer: the next batch takes what is
+			// left, a retired row makes its unit worth a visit again, and
+			// then there is nothing to do.
+			c.Retire(f.unit(3)[0])
+			if res, err = c.Migrate(4, f.enumerator()); err != nil || res.Objects != 4 || len(res.Units) != 2 {
+				t.Fatalf("second batch = %+v, %v; want unit 1 and the retired row of unit 3", res, err)
+			}
+			if res, err = c.Migrate(4, f.enumerator()); err != nil || res.Objects != 0 || res.Units != nil {
+				t.Fatalf("third batch = %+v, %v; want nothing", res, err)
+			}
+			testutil.AssertNoLeaks(t, c.Pool)
+			if !tc.logged {
+				return
+			}
+
+			// A batch left in doubt, then the crash: what comes back is
+			// the last committed map, on a core that never enabled
+			// reclustering too.
+			committed := c.Reclust.Place.Snapshot()
+			c.Retire(f.unit(1)...)
+			dev.FailNextSync()
+			if _, err := c.Migrate(4, f.enumerator()); err == nil {
+				t.Fatal("in-doubt batch reported success")
+			}
+			meta := recoverImage(t, dev.Crash(0)).Meta
+			for _, into := range []*Core{c, New(c.Disk, c.Pool)} {
+				if err := into.RestorePlacements(meta); err != nil {
+					t.Fatal(err)
+				}
+				if got := into.Reclust.Place.Snapshot(); len(got) != len(committed) {
+					t.Fatalf("restored %d placements, committed %d", len(got), len(committed))
+				}
+				for oid, want := range committed {
+					if rid, ok := into.Placed(oid, 0); !ok || rid != want.RID {
+						t.Fatalf("restored placement of %v = %v (%v), want %v", oid, rid, ok, want.RID)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPlacementBlobIsKept: the encoding a front end folds into its own
+// metadata is made once per change of the map, and a core serving
+// restored placements accepts one InitReclust.
+func TestPlacementBlobIsKept(t *testing.T) {
+	c, _ := newCore(t, 32, true)
+	if c.PlacementBlob() != nil || c.ReclustStats() != nil {
+		t.Fatal("placements on a core without reclustering")
+	}
+	if err := c.InitReclust(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	f := newFakeUnits(c, 2)
+	if _, err := c.Migrate(2, f.enumerator()); err != nil {
+		t.Fatal(err)
+	}
+	n := c.Reclust.Encodes()
+	blob := c.PlacementBlob()
+	if got, _ := reclust.DecodePlacements(blob); len(got) != 6 || c.Reclust.Encodes() != n {
+		t.Fatalf("blob after the batch holds %d placements, %d new encodings; want the batch's own", len(got), c.Reclust.Encodes()-n)
+	}
+	c.Retire(object.NewOID(9, 9)) // places nothing: no change
+	if c.PlacementBlob(); c.Reclust.Encodes() != n {
+		t.Fatal("an unchanged map was encoded again")
+	}
+	c.Retire(f.unit(1)[0])
+	if got, _ := reclust.DecodePlacements(c.PlacementBlob()); len(got) != 5 || c.Reclust.Encodes() != n+1 {
+		t.Fatalf("blob after a retire: %d placements, %d encodings", len(got), c.Reclust.Encodes()-n)
+	}
+
+	fresh := New(c.Disk, c.Pool)
+	if err := fresh.RestorePlacements(blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.InitReclust(8, 0); err != nil || fresh.Reclust.Heat.Cap() != 8 {
+		t.Fatalf("InitReclust over restored placements: %v", err)
+	}
+	if err := fresh.InitReclust(8, 0); err == nil {
+		t.Fatal("second InitReclust succeeded")
+	}
+	if fresh.Placements() != 6 {
+		t.Fatalf("InitReclust lost the restored placements: %d", fresh.Placements())
+	}
+}
+
 // TestReadPlacedConcurrentAppend: a batch appends to the very tail page
 // whose published rows readers are fetching. Run under -race: both
 // sides touch the page header and slot directory.
@@ -294,7 +502,7 @@ func TestReadPlacedConcurrentAppend(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rows; i++ {
-			rid, err := c.AppendPlaced(want(i))
+			rid, err := c.appendPlaced(want(i))
 			if err != nil {
 				t.Error(err)
 				return

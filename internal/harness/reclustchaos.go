@@ -8,7 +8,6 @@ import (
 
 	"corep/internal/disk"
 	"corep/internal/object"
-	"corep/internal/obs"
 	"corep/internal/reclust"
 	"corep/internal/strategy"
 	"corep/internal/workload"
@@ -48,11 +47,7 @@ func reclustChaosCfg(base workload.Config) workload.Config {
 func RunReclustChaos(cfg ChaosConfig) ([]Violation, error) {
 	dbCfg := reclustChaosCfg(cfg.DB)
 	h, err := newHammer("dfsclust+reclust", strategy.DFSCLUST, dbCfg, cfg, func(db *workload.DB) error {
-		if err := db.EnableReclustering(0, 0); err != nil {
-			return err
-		}
-		db.AttachObs(obs.Options{}) // joins the heat feeder to the span tee
-		return nil
+		return db.EnableReclustering(0, 0)
 	})
 	if err != nil {
 		return nil, err
@@ -141,7 +136,7 @@ func RunReclustChaos(cfg ChaosConfig) ([]Violation, error) {
 	// got to them, and drain the version store through the strategy's own
 	// update path (which now write-throughs to the migrated copies).
 	// This step counts towards the liveness check below: on few cores the
-	// writers can finish before the auditors' spans have made any unit
+	// writers can finish before the auditors' retrieves have made any unit
 	// hot, so the concurrent reorganizer legitimately finds nothing to
 	// move — what must hold on every schedule is that migration happened
 	// by the time the run is compared with its control.
@@ -220,7 +215,6 @@ func runReclustCrashSchedule(cfg ChaosConfig, dbCfg workload.Config, seed int64,
 	if err := db.EnableReclustering(0, 0); err != nil {
 		return err
 	}
-	db.AttachObs(obs.Options{})
 	if err := db.EnableWAL(0); err != nil {
 		return err
 	}

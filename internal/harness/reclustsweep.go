@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"corep/internal/bench"
-	"corep/internal/obs"
 	"corep/internal/reclust"
 	"corep/internal/strategy"
 	"corep/internal/workload"
@@ -137,12 +136,10 @@ func RunReclustSweep(cfg ReclustSweepConfig) (*ReclustSweep, error) {
 	}
 	defer static.db.Close()
 
-	// The heat tracker rides the subject's span stream; enable before
-	// attaching obs so the feeder joins the sink tee.
+	// DFSCLUST retrieves feed the subject's heat tracker directly.
 	if err := subject.EnableReclustering(cfg.HeatCap, cfg.HalfLife); err != nil {
 		return nil, err
 	}
-	subject.AttachObs(obs.Options{})
 
 	sweep := &ReclustSweep{Config: cfg}
 	staticIO, staticVals, err := replayRetrieves(static, ops)
@@ -195,7 +192,7 @@ func RunReclustSweep(cfg ReclustSweepConfig) (*ReclustSweep, error) {
 			Placements:  subject.Reclust.Place.Len(),
 		})
 	}
-	sweep.Stats = subject.Reclust.Stats()
+	sweep.Stats = *subject.ReclustStats()
 	return sweep, nil
 }
 

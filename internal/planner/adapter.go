@@ -84,7 +84,7 @@ func (pl *Planned) Update(db *workload.DB, op workload.Op) error {
 	} else if err := pl.statics[strategy.DFS].Update(db, op); err != nil {
 		return err
 	}
-	if db.ClusterRel != nil && db.Versions == nil {
+	if db.ClusterRel != nil && !db.Versioned() {
 		if err := db.ApplyUpdateCluster(op); err != nil {
 			return err
 		}

@@ -67,8 +67,8 @@ func ShapeOf(db *workload.DB) Shape {
 			// Scattered layout: nothing sits on its home page until the
 			// online reclusterer migrates it — credit its placements.
 			s.ClusterCoverage = 0
-			if db.Reclust != nil && db.Cfg.SizeUnit > 0 && len(db.Units) > 0 {
-				placed := float64(db.Reclust.Place.Len()) /
+			if db.Cfg.SizeUnit > 0 && len(db.Units) > 0 {
+				placed := float64(db.Placements()) /
 					float64(len(db.Units)*db.Cfg.SizeUnit)
 				if placed > 1 {
 					placed = 1

@@ -3,6 +3,7 @@ package reclust
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"sort"
 	"sync/atomic"
 
@@ -60,59 +61,41 @@ func (m *Map) Publish(entries map[object.OID]Entry) {
 	if len(entries) == 0 {
 		return
 	}
-	old := *m.v.Load()
-	next := make(map[object.OID]Entry, len(old)+len(entries))
-	for k, v := range old {
-		next[k] = v
-	}
-	for k, v := range entries {
-		next[k] = v
-	}
+	next := maps.Clone(*m.v.Load())
+	maps.Copy(next, entries)
 	m.v.Store(&next)
 }
 
 // Drop retires the placements of oids (updates that outgrow the
-// migrated copy, or recovery trimming). Missing oids are ignored;
-// returns how many entries were removed.
+// migrated copy). Missing oids are ignored — a call that hits nothing
+// copies nothing; returns how many entries were removed.
 func (m *Map) Drop(oids []object.OID) int {
 	old := *m.v.Load()
-	n := 0
+	hit := false
 	for _, oid := range oids {
-		if _, ok := old[oid]; ok {
-			n++
+		if _, hit = old[oid]; hit {
+			break
 		}
 	}
-	if n == 0 {
+	if !hit {
 		return 0
 	}
-	next := make(map[object.OID]Entry, len(old)-n)
-	for k, v := range old {
-		next[k] = v
-	}
+	next := maps.Clone(old)
 	for _, oid := range oids {
 		delete(next, oid)
 	}
 	m.v.Store(&next)
-	return n
+	return len(old) - len(next)
 }
 
 // Snapshot returns a copy of the live placements (WAL metadata,
 // introspection).
-func (m *Map) Snapshot() map[object.OID]Entry {
-	old := *m.v.Load()
-	out := make(map[object.OID]Entry, len(old))
-	for k, v := range old {
-		out[k] = v
-	}
-	return out
-}
+func (m *Map) Snapshot() map[object.OID]Entry { return maps.Clone(*m.v.Load()) }
 
 // Replace installs entries as the entire map (crash recovery).
 func (m *Map) Replace(entries map[object.OID]Entry) {
 	next := make(map[object.OID]Entry, len(entries))
-	for k, v := range entries {
-		next[k] = v
-	}
+	maps.Copy(next, entries)
 	m.v.Store(&next)
 }
 

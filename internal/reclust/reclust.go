@@ -7,8 +7,8 @@
 // layer (ClusterRel extents) and the object-API facade (relation heap
 // extents) reuse them:
 //
-//   - Tracker: bounded, decayed per-parent access-heat counters. Fed by
-//     the obs span pipeline (Feeder) or directly. Decay is
+//   - Tracker: bounded, decayed per-parent access-heat counters, fed
+//     directly by the read paths (engine.Core.Touch). Decay is
 //     multiplicative per logical tick, so the *ordering* of heats is
 //     invariant under scaling every touch weight — the property test's
 //     contract — and eviction removes the coldest entry first.

@@ -48,17 +48,14 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 		// In ClusterSchema the ret fields sit one position later than in
 		// ChildSchema (cluster# occupies field 0).
 		attrIdx: q.AttrIdx + 1,
-		// Online reclustering, when enabled, may have migrated some of
-		// this range's units onto shared extent pages; the placement map
-		// is consulted per key, at the reader's snapshot epoch.
-		reclust: db.Reclust,
-		snapE:   q.Snap.Epoch(),
-		local:   make([]localVal, 0, db.Cfg.SizeUnit),
+		// Online reclustering may have migrated some of this range's units
+		// onto shared extent pages; the core's placements are consulted
+		// per key, at the reader's snapshot epoch.
+		snapE: q.Snap.Epoch(),
+		local: make([]localVal, 0, db.Cfg.SizeUnit),
 	}
 	// Scan and fetch interleave per cluster group, so one span covers the
 	// whole retrieve; the ParCost/ChildCost split travels as attributes.
-	// The parent range rides along too — the reclustering heat tracker
-	// feeds on it through the span sink.
 	sp := db.Obs.Start("strategy.dfsclust/retrieve")
 	defer func() {
 		sp.SetAttr("lo", q.Lo)
@@ -67,55 +64,52 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 		sp.SetAttr("child_io", s.fetchIO)
 		sp.SetAttr("values", int64(len(res.Values)))
 		sp.End()
+		db.TouchRange(first, last) // the reclustering heat: every parent asked for
 	}()
 
-	if s.reclust == nil {
-		if err := s.scanRun(q.Lo, q.Hi); err != nil {
+	// A parent whose whole unit has migrated serves straight off the
+	// extent: the parent row's copy carries the children list, the members
+	// resolve through their placements, and the B-tree scan skips the key
+	// entirely. Residual runs of un-migrated keys scan as before, so
+	// placed and scanned groups interleave in key order — result order
+	// matches the historic scan exactly. The walk covers the keys
+	// ClusterRel holds, not the query's bounds: an open range ends where
+	// the relation does.
+	pending, anyPlaced := first, db.Placements() > 0
+	for k := first; anyPlaced && k <= last; k++ {
+		rid, ok := db.Placed(object.NewOID(s.parentRelID, k), s.snapE)
+		if !ok {
+			continue
+		}
+		if pending < k {
+			if err := s.scanRun(pending, k-1); err != nil {
+				return nil, err
+			}
+		}
+		pending = k + 1
+		span := beginIO(db.Core)
+		payload, err := db.ReadPlaced(rid)
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		// A parent whose whole unit has migrated serves straight off the
-		// extent: the parent row's copy carries the children list, the
-		// members resolve through their placements, and the B-tree scan
-		// skips the key entirely. Residual runs of un-migrated keys scan
-		// as before, so placed and scanned groups interleave in key
-		// order — result order matches the historic scan exactly. The
-		// walk covers the keys ClusterRel holds, not the query's bounds:
-		// an open range ends where the relation does.
-		pending := int64(-1)
-		for k := first; k <= last; k++ {
-			e, ok := s.reclust.Place.Lookup(object.NewOID(s.parentRelID, k), s.snapE)
-			if !ok {
-				if pending < 0 {
-					pending = k
-				}
-				continue
-			}
-			if pending >= 0 {
-				if err := s.scanRun(pending, k-1); err != nil {
-					return nil, err
-				}
-				pending = -1
-			}
-			span := beginIO(db.Core)
-			payload, err := db.ReadPlaced(e.RID)
-			if err != nil {
-				return nil, err
-			}
-			s.reset(k) // a migrated parent has no rows riding along
-			if err := s.takeUnit(payload); err != nil {
-				return nil, err
-			}
-			s.scanIO += span.end()
-			if err := s.resolve(); err != nil {
-				return nil, err
-			}
+		s.reset(k) // a migrated parent has no rows riding along
+		if err := s.takeUnit(payload); err != nil {
+			return nil, err
 		}
-		if pending >= 0 {
-			if err := s.scanRun(pending, last); err != nil {
-				return nil, err
-			}
+		s.scanIO += span.end()
+		if err := s.resolve(); err != nil {
+			return nil, err
 		}
+	}
+	var err error
+	switch {
+	case pending == first: // nothing served off the extent: the historic whole-query scan
+		err = s.scanRun(q.Lo, q.Hi)
+	case pending <= last:
+		err = s.scanRun(pending, last)
+	}
+	if err != nil {
+		return nil, err
 	}
 	res.Split.Par = s.scanIO
 	res.Split.Child = s.fetchIO
@@ -133,7 +127,6 @@ type clustScan struct {
 
 	parentRelID                  uint16
 	oidIdx, childrenIdx, attrIdx int
-	reclust                      *workload.ReclustState
 	snapE                        uint64
 
 	scanIO, fetchIO int64
@@ -281,10 +274,8 @@ func (s *clustScan) resolve() error {
 		m := member{}
 		if v, ok := s.lookup(oid); ok {
 			m = member{from: fromGroup, val: v}
-		} else if s.reclust != nil {
-			if e, ok := s.reclust.Place.Lookup(oid, s.snapE); ok {
-				m = member{from: fromExtent, rid: e.RID}
-			}
+		} else if rid, ok := db.Placed(oid, s.snapE); ok {
+			m = member{from: fromExtent, rid: rid}
 		}
 		s.members = append(s.members, m)
 	}

@@ -200,6 +200,42 @@ func TestDFSCLUSTGroupScanMatchesDFS(t *testing.T) {
 	})
 }
 
+// TestReclustHeatNeedsNoTracer: the retrieves themselves feed the heat
+// tracker — no AttachObs, no sink — with the parents the relation
+// holds, not the query's bounds, and ReclustStep migrates what they
+// made hot.
+func TestReclustHeatNeedsNoTracer(t *testing.T) {
+	db := buildDB(t, smallCfg())
+	if err := db.EnableReclustering(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	st := mustNew(t, DFSCLUST, db)
+	for _, q := range []Query{
+		{Lo: 40, Hi: 44, AttrIdx: workload.FieldRet1},
+		{Lo: 42, Hi: 42, AttrIdx: workload.FieldRet1},
+		{Lo: int64(db.Cfg.NumParents) - 2, Hi: math.MaxInt64, AttrIdx: workload.FieldRet1},
+	} {
+		if _, err := st.Retrieve(db, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := *db.ReclustStats()
+	if stats.Tracked != 7 || stats.Touches != 8 {
+		t.Fatalf("three retrieves over 5+1+2 stored parents: %+v", stats)
+	}
+	if hot := db.Reclust.Heat.TopN(1); hot[0].Key != 42 {
+		t.Fatalf("hottest parent %d, want 42 (touched twice)", hot[0].Key)
+	}
+	moved, err := db.ReclustStep(1)
+	if err != nil || moved != 1+len(db.UnitOf(42)) {
+		t.Fatalf("ReclustStep moved %d rows, %v; want parent 42's whole unit", moved, err)
+	}
+	if _, ok := db.Placed(object.NewOID(db.Parent.ID, 42), 0); !ok {
+		t.Fatal("the hottest parent's row was not placed")
+	}
+	sameAsDFS(t, db, Query{Lo: 40, Hi: 44, AttrIdx: workload.FieldRet1})
+}
+
 // TestDFSCLUSTOpenRangeUnderReclustering: with reclustering on, the walk
 // over the query's keys must end where ClusterRel does. It used to count
 // to the query's own upper bound — ten seconds for 1<<31, never for

@@ -39,7 +39,10 @@ type DB struct {
 	// field, when non-nil, switches every strategy's Update from
 	// in-place base writes to epoch-published versions and lets
 	// retrieves overlay a pinned snapshot epoch; DrainVersions folds
-	// them back.
+	// them back. Its Reclust field, when non-nil (EnableReclustering), is
+	// the online reclustering state: the heat tracker DFSCLUST retrieves
+	// feed and the placement map redirecting migrated rows to extent
+	// pages.
 	*engine.Core
 
 	Cfg Config
@@ -70,8 +73,7 @@ type DB struct {
 	// Latch is the database-level read/write latch for concurrent serving
 	// (harness.Serve): retrieves hold it shared, updates exclusive. The
 	// single-client harness never takes it, and versioned serving
-	// (Versions != nil) retires it entirely. See DESIGN.md §Concurrency
-	// and §11.
+	// retires it entirely. See DESIGN.md §Concurrency and §11.
 	Latch sync.RWMutex
 
 	// WAL, when non-nil, is the in-memory device of the attached
@@ -79,12 +81,6 @@ type DB struct {
 	// commits through the core, fails syncs here and severs the
 	// database with CrashAndRecover.
 	WAL *wal.MemDevice
-
-	// Reclust, when non-nil, is the online reclustering state: the heat
-	// tracker fed from retrieve spans and the placement map redirecting
-	// migrated subobjects to extent pages. Nil (the default) keeps every
-	// read path on the load-time layout. Installed by EnableReclustering.
-	Reclust *ReclustState
 
 	childByRelID map[uint16]*catalog.Relation
 	childCount   map[uint16]int
@@ -100,19 +96,8 @@ type DB struct {
 // single-threaded use) while the sink and registry may be shared.
 func (db *DB) AttachObs(o obs.Options) {
 	ctx := obs.Ctx{Metrics: o.Metrics, Prefix: o.Prefix}
-	sink := o.Sink
-	// Reclustering taps the span stream for its heat signal: tee the
-	// feeder in front of the caller's sink (enable reclustering before
-	// attaching obs). With no caller sink the feeder becomes the sink.
-	if db.Reclust != nil {
-		if sink != nil {
-			sink = obs.Tee{sink, db.Reclust.feeder}
-		} else {
-			sink = db.Reclust.feeder
-		}
-	}
-	if sink != nil {
-		ctx.Trace = obs.NewTracer(db.IOSnapshot, sink)
+	if o.Sink != nil {
+		ctx.Trace = obs.NewTracer(db.IOSnapshot, o.Sink)
 	}
 	db.SetObs(ctx)
 }

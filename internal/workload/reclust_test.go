@@ -85,7 +85,7 @@ func TestReclustStepMigratesWholeUnits(t *testing.T) {
 		}
 	}
 
-	st := rs.Stats()
+	st := *db.ReclustStats()
 	if st.Migrated != int64(moved) || st.Batches != 1 || st.Placements != moved || st.PagesDirty == 0 {
 		t.Errorf("stats after one step: %+v", st)
 	}

@@ -208,7 +208,7 @@ func (db *DB) ApplyUpdateBase(op Op) error {
 // B-tree mutation; DrainVersions folds the values back once serving
 // quiesces.
 func (db *DB) ApplyUpdate(op Op, inPlace func(Op) error) (*txn.Update, error) {
-	if db.Versions == nil {
+	if !db.Versioned() {
 		return nil, inPlace(op)
 	}
 	u := db.Versions.BeginUpdate(op.Targets)
@@ -230,10 +230,10 @@ func (db *DB) ApplyUpdate(op Op, inPlace func(Op) error) (*txn.Update, error) {
 // to base pages rather than re-versioning. Callers must have quiesced
 // concurrent use first.
 func (db *DB) DrainVersions(apply func(Op) error) (int, error) {
-	vs := db.Versions
-	if vs == nil {
+	if !db.Versioned() {
 		return 0, nil
 	}
+	vs := db.Versions
 	db.Versions = nil
 	defer func() { db.Versions = vs }()
 	return vs.Drain(func(oid object.OID, val int64) error {
@@ -266,10 +266,11 @@ func (db *DB) ApplyUpdateCluster(op Op) error {
 		if err := db.ClusterRel.Tree.UpdateAt(rid, nrec); err != nil {
 			return err
 		}
-		if db.Reclust != nil {
-			if err := db.Reclust.writeThrough(oid, op.NewRet1[i]); err != nil {
-				return err
-			}
+		err = db.WriteThrough(oid, func(rec []byte) ([]byte, error) {
+			return PatchRet1(db.ClusterSchema, rec, clusterRet1, op.NewRet1[i])
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

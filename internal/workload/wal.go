@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"corep/internal/reclust"
 	"corep/internal/wal"
 )
 
@@ -18,8 +17,9 @@ import (
 // inserts, so B-tree roots don't move) — plus, when online reclustering
 // is on, the placement map as a metadata blob: placements are the one
 // piece of structure the Config cannot re-derive, so each migration
-// batch commits them alongside its extent page images and
-// CrashAndRecover restores them from Result.Meta.
+// batch commits them alongside its extent page images
+// (engine.Core.Migrate) and CrashAndRecover hands Result.Meta back to
+// the core.
 
 // EnableWAL attaches an in-memory write-ahead log and arms the buffer
 // pool's no-steal gate. syncDelay is the simulated fsync latency (the
@@ -83,21 +83,10 @@ func (db *DB) CrashAndRecover(keepUnsynced int64) (*wal.Result, error) {
 	}
 	db.DetachLog()
 	db.WAL = nil
-	if rs := db.Reclust; rs != nil {
-		// Placements beyond the last committed metadata blob died with
-		// the process; the blob's entries reference extent pages whose
-		// images were replayed above, so exactly the durable redirects
-		// come back — no lost and no duplicated placements, all visible
-		// (the version store died with the process). Future batches
-		// start a fresh extent chain.
-		entries, derr := reclust.DecodePlacements(res.Meta)
-		if derr != nil {
-			return nil, derr
-		}
-		rs.mu.Lock()
-		rs.Place.Replace(entries)
-		db.ResetExtent()
-		rs.mu.Unlock()
+	// Placements beyond the last committed metadata blob died with the
+	// process; exactly the durable redirects come back.
+	if err := db.RestorePlacements(res.Meta); err != nil {
+		return nil, err
 	}
 	if err := db.rebuildCache(); err != nil {
 		return nil, err
