@@ -79,6 +79,12 @@ func (s Stats) Counters() []obs.KV {
 	}
 }
 
+// entry is the directory's record of one cached unit.
+type entry struct {
+	locks object.Unit // the I-lock set as the insert named it; an OID may repeat
+	segs  int         // hash-file entries the value spans
+}
+
 // Cache is an outside value cache with bounded capacity (SizeCache,
 // "the maximum number of units that can be cached", §4 [3]).
 type Cache struct {
@@ -91,15 +97,16 @@ type Cache struct {
 	maxUnits int
 	rng      *rand.Rand
 
-	// units: hashkey → member OIDs of the cached unit (directory).
-	units map[int64]object.Unit
+	// dir: hashkey → the cached unit's directory entry.
+	dir map[int64]entry
 	// sorted: the directory's hashkeys in ascending order, maintained on
 	// insert and drop so an eviction draws its victim without sorting.
 	sorted []int64
-	// segments: hashkey → number of hash-file entries the value spans.
-	segments map[int64]int
-	// ilocks: subobject OID → hashkeys of cached units containing it.
-	ilocks map[object.OID]map[int64]struct{}
+	// ilocks: subobject OID → hashkeys of the cached units holding an
+	// I-lock on it, in the order the locks were taken. A subobject belongs
+	// to a handful of units, so a set is a short pointer-free slice
+	// (append to lock, swap-remove to unlock) the collector never scans.
+	ilocks map[object.OID][]int64
 
 	stats Stats
 
@@ -132,9 +139,8 @@ func New(pool *buffer.Pool, maxUnits, buckets int, seed int64) (*Cache, error) {
 		file:     f,
 		maxUnits: maxUnits,
 		rng:      rand.New(rand.NewSource(seed)),
-		units:    make(map[int64]object.Unit),
-		segments: make(map[int64]int),
-		ilocks:   make(map[object.OID]map[int64]struct{}),
+		dir:      make(map[int64]entry),
+		ilocks:   make(map[object.OID][]int64),
 		wm:       make(map[object.OID]uint64),
 		epochs:   make(map[int64]uint64),
 	}, nil
@@ -144,7 +150,7 @@ func New(pool *buffer.Pool, maxUnits, buckets int, seed int64) (*Cache, error) {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.units)
+	return len(c.dir)
 }
 
 // Capacity returns SizeCache.
@@ -163,7 +169,7 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) IsCached(u object.Unit) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.units[u.HashKey()]
+	_, ok := c.dir[u.HashKey()]
 	return ok
 }
 
@@ -194,7 +200,7 @@ func numSegments(valueLen int) int {
 // stored segment on hit. ok=false means a miss (no I/O is charged: the
 // directory is memory resident).
 func (c *Cache) Lookup(u object.Unit) (value []byte, ok bool, err error) {
-	return c.LookupSnap(u, 0)
+	return c.AppendLookup(nil, u, 0)
 }
 
 // LookupSnap is Lookup for a versioned reader pinned at snapshot epoch
@@ -203,27 +209,35 @@ func (c *Cache) Lookup(u object.Unit) (value []byte, ok bool, err error) {
 // latched paths — skips the watermark check entirely, so those paths
 // are byte-identical to the historic Lookup.
 func (c *Cache) LookupSnap(u object.Unit, snap uint64) (value []byte, ok bool, err error) {
+	return c.AppendLookup(nil, u, snap)
+}
+
+// AppendLookup is LookupSnap appending the value to dst, straight off
+// the pinned hash-file pages: a caller that keeps one buffer across
+// lookups pays no allocation per hit. The buffer stays the caller's;
+// the cache keeps no reference to it. On a hit the extended slice is
+// returned; on a miss, a degraded hit or an error, dst as it came.
+func (c *Cache) AppendLookup(dst []byte, u object.Unit, snap uint64) (value []byte, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := u.HashKey()
-	segs, cached := c.segments[key]
+	e, cached := c.dir[key]
 	if !cached {
 		c.stats.Misses++
-		return nil, false, nil
+		return dst, false, nil
 	}
-	if snap > 0 && !c.freshLocked(key, u, snap) {
+	if snap > 0 && !c.freshLocked(key, e.locks, snap) {
 		c.stats.Misses++
 		c.stats.StaleRejects++
-		return nil, false, nil
+		return dst, false, nil
 	}
 	// Only hits open a span: misses never touch the hash file.
 	sp := c.Obs.Start("cache.lookup")
 	defer sp.End()
-	sp.SetAttr("segments", int64(segs))
-	var out []byte
-	for i := 0; i < segs; i++ {
-		v, err := c.file.Get(segKey(key, i))
-		if err != nil {
+	sp.SetAttr("segments", int64(e.segs))
+	out := dst
+	for i := 0; i < e.segs; i++ {
+		if out, err = c.file.AppendValue(out, segKey(key, i)); err != nil {
 			if disk.IsFault(err) {
 				// Graceful degradation: a faulted segment turns the hit
 				// into a miss. The entry is dropped so later lookups don't
@@ -231,15 +245,14 @@ func (c *Cache) LookupSnap(u object.Unit, snap uint64) (value []byte, ok bool, e
 				// unit from the base relations — same rows, more I/O.
 				sp.SetAttr("degraded", 1)
 				if derr := c.drop(key); derr != nil {
-					return nil, false, derr
+					return dst, false, derr
 				}
 				c.stats.Degraded++
 				c.stats.Misses++
-				return nil, false, nil
+				return dst, false, nil
 			}
-			return nil, false, fmt.Errorf("cache: directory/file mismatch for key %d seg %d: %w", key, i, err)
+			return dst, false, fmt.Errorf("cache: directory/file mismatch for key %d seg %d: %w", key, i, err)
 		}
-		out = append(out, v...)
 	}
 	c.stats.Hits++
 	return out, true, nil
@@ -249,7 +262,8 @@ func (c *Cache) LookupSnap(u object.Unit, snap uint64) (value []byte, ok bool, e
 // unit, §3.2). If the cache is full, a random victim is evicted first —
 // the paper bounds SizeCache but does not fix a policy; see the
 // abl-cachesize bench for sensitivity. Inserting an already-cached unit
-// refreshes its value.
+// refreshes its value. The value is copied into the hash file's pages;
+// the caller may reuse its buffer as soon as Insert returns.
 func (c *Cache) Insert(u object.Unit, value []byte) error {
 	return c.InsertWithLocks(u, u, value)
 }
@@ -270,27 +284,23 @@ func (c *Cache) insertLocked(u object.Unit, locks []object.OID, value []byte) er
 	defer sp.End()
 	sp.SetAttr("bytes", int64(len(value)))
 	key := u.HashKey()
-	if _, exists := c.units[key]; !exists && len(c.units) >= c.maxUnits {
+	e, exists := c.dir[key]
+	if !exists && len(c.dir) >= c.maxUnits {
 		if err := c.evictOne(); err != nil {
 			return err
 		}
 	}
 	// Replace any previous segments, then write the new ones.
-	if old, exists := c.segments[key]; exists {
-		for i := 0; i < old; i++ {
-			if err := c.deleteSeg(segKey(key, i)); err != nil {
-				c.abortInsert(key, 0)
-				return err
-			}
+	for i := 0; i < e.segs; i++ {
+		if err := c.deleteSeg(segKey(key, i)); err != nil {
+			c.abortInsert(key, 0)
+			return err
 		}
 	}
 	segs := numSegments(len(value))
 	for i := 0; i < segs; i++ {
 		lo := i * maxSegment
-		hi := lo + maxSegment
-		if hi > len(value) {
-			hi = len(value)
-		}
+		hi := min(lo+maxSegment, len(value))
 		if err := c.file.Put(segKey(key, i), value[lo:hi]); err != nil {
 			// Fail safe: whatever was written (and whatever the entry held
 			// before) must read as a miss, never as a directory/file
@@ -302,20 +312,20 @@ func (c *Cache) insertLocked(u object.Unit, locks []object.OID, value []byte) er
 			return err
 		}
 	}
-	c.segments[key] = segs
-	if _, exists := c.units[key]; !exists {
-		c.units[key] = append(object.Unit(nil), locks...)
+	if !exists {
+		e.locks = append(object.Unit(nil), locks...)
 		at, _ := slices.BinarySearch(c.sorted, key)
 		c.sorted = slices.Insert(c.sorted, at, key)
 		for _, oid := range locks {
-			locks := c.ilocks[oid]
-			if locks == nil {
-				locks = make(map[int64]struct{})
-				c.ilocks[oid] = locks
+			// A lock set naming an OID twice holds one lock: the unit is
+			// new, so only this loop can have put key there, last.
+			if held := c.ilocks[oid]; len(held) == 0 || held[len(held)-1] != key {
+				c.ilocks[oid] = append(held, key)
 			}
-			locks[key] = struct{}{}
 		}
 	}
+	e.segs = segs
+	c.dir[key] = e
 	c.stats.Inserts++
 	return nil
 }
@@ -325,15 +335,15 @@ func (c *Cache) insertLocked(u object.Unit, locks []object.OID, value []byte) er
 // unit (if it was cached before) leaves the directory — its old value
 // is partially gone and must never be served.
 func (c *Cache) abortInsert(key int64, written int) {
-	if _, ok := c.units[key]; ok {
-		c.segments[key] = written
+	if e, ok := c.dir[key]; ok {
+		e.segs = written
+		c.dir[key] = e
 		c.drop(key) //nolint:errcheck // best effort: the insert error is already surfacing
 		return
 	}
 	for i := 0; i < written; i++ {
 		c.deleteSeg(segKey(key, i)) //nolint:errcheck // best effort
 	}
-	delete(c.segments, key)
 }
 
 // evictOne removes one randomly chosen unit.
@@ -369,73 +379,81 @@ func (c *Cache) deleteSeg(k int64) error {
 // deletes fail: a unit must never stay visible after an invalidation
 // or eviction decision, or a later lookup could serve a stale value.
 func (c *Cache) drop(key int64) error {
-	u, ok := c.units[key]
+	e, ok := c.dir[key]
 	if !ok {
 		return nil
 	}
 	var firstErr error
-	for i := 0; i < c.segments[key]; i++ {
+	for i := 0; i < e.segs; i++ {
 		if err := c.deleteSeg(segKey(key, i)); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	delete(c.segments, key)
-	delete(c.units, key)
+	delete(c.dir, key)
 	if at, ok := slices.BinarySearch(c.sorted, key); ok {
 		c.sorted = slices.Delete(c.sorted, at, at+1)
 	}
 	c.wmMu.Lock()
 	delete(c.epochs, key)
 	c.wmMu.Unlock()
-	for _, oid := range u {
-		if locks := c.ilocks[oid]; locks != nil {
-			delete(locks, key)
-			if len(locks) == 0 {
-				delete(c.ilocks, oid)
-			}
+	for _, oid := range e.locks {
+		// Not found: an OID the lock set repeats, already released, or
+		// the set Invalidate detached before dropping its holders.
+		held := c.ilocks[oid]
+		at := slices.Index(held, key)
+		if at < 0 {
+			continue
 		}
+		if len(held) == 1 {
+			delete(c.ilocks, oid)
+			continue
+		}
+		held[at] = held[len(held)-1]
+		c.ilocks[oid] = held[:len(held)-1]
 	}
 	return firstErr
 }
 
 // Invalidate drops every cached unit holding an I-lock on the updated
-// subobject, returning how many were invalidated. Each drop pays
-// hash-file delete I/O — the invalidation cost that makes caching lose
-// when Pr(UPDATE) → 1 (§5.2.1).
+// subobject, in the order the locks were taken, returning how many were
+// invalidated. Each drop pays hash-file delete I/O — the invalidation
+// cost that makes caching lose when Pr(UPDATE) → 1 (§5.2.1). Every
+// holder leaves the directory even when a hash-file delete fails; the
+// first such error is returned.
 func (c *Cache) Invalidate(updated object.OID) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	locks := c.ilocks[updated]
-	if len(locks) == 0 {
+	keys := c.ilocks[updated]
+	if len(keys) == 0 {
 		return 0, nil
 	}
 	sp := c.Obs.Start("cache.invalidate")
 	defer sp.End()
-	keys := make([]int64, 0, len(locks))
-	for k := range locks {
-		keys = append(keys, k)
-	}
+	// Detach the set first: every holder goes, and drop then has nothing
+	// to unlock under this OID while the loop reads the slice.
+	delete(c.ilocks, updated)
+	var firstErr error
 	for _, k := range keys {
-		if err := c.drop(k); err != nil {
-			return 0, err
+		if err := c.drop(k); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	c.stats.Invalidations += int64(len(keys))
 	sp.SetAttr("fanout", int64(len(keys)))
 	c.Obs.Histogram("cache.invalidation.fanout", obs.CountBuckets).Observe(float64(len(keys)))
+	if firstErr != nil {
+		return 0, firstErr
+	}
 	return len(keys), nil
 }
 
-// Clear empties the cache (between experiment configurations).
+// Clear empties the cache (between experiment configurations), highest
+// hashkey first.
 func (c *Cache) Clear() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	keys := make([]int64, 0, len(c.units))
-	for k := range c.units {
-		keys = append(keys, k)
-	}
-	for _, k := range keys {
-		if err := c.drop(k); err != nil {
+	for len(c.sorted) > 0 {
+		if err := c.drop(c.sorted[len(c.sorted)-1]); err != nil {
 			return err
 		}
 	}
@@ -449,52 +467,49 @@ func (c *Cache) Clear() error {
 func (c *Cache) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.sorted) != len(c.units) || !slices.IsSorted(c.sorted) {
+	if len(c.sorted) != len(c.dir) || !slices.IsSorted(c.sorted) {
 		return fmt.Errorf("cache: sorted key list holds %d keys (sorted=%v), directory %d",
-			len(c.sorted), slices.IsSorted(c.sorted), len(c.units))
+			len(c.sorted), slices.IsSorted(c.sorted), len(c.dir))
 	}
-	for key, u := range c.units {
-		for _, oid := range u {
-			if _, ok := c.ilocks[oid][key]; !ok {
+	wantEntries := 0
+	for key, e := range c.dir {
+		for _, oid := range e.locks {
+			if !slices.Contains(c.ilocks[oid], key) {
 				return fmt.Errorf("cache: unit %d member %v missing I-lock", key, oid)
 			}
 		}
-		for i := 0; i < c.segments[key]; i++ {
+		for i := 0; i < e.segs; i++ {
 			if ok, err := c.file.Contains(segKey(key, i)); err != nil || !ok {
 				return fmt.Errorf("cache: unit %d segment %d not in hash file (err=%v)", key, i, err)
 			}
 		}
+		wantEntries += e.segs
 	}
-	for oid, locks := range c.ilocks {
-		for key := range locks {
-			u, ok := c.units[key]
+	for oid, held := range c.ilocks {
+		if len(held) == 0 {
+			return fmt.Errorf("cache: empty I-lock set kept for %v", oid)
+		}
+		for i, key := range held {
+			if slices.Contains(held[:i], key) {
+				return fmt.Errorf("cache: %v holds two I-locks on unit %d", oid, key)
+			}
+			e, ok := c.dir[key]
 			if !ok {
 				return fmt.Errorf("cache: I-lock of %v references dropped unit %d", oid, key)
 			}
-			found := false
-			for _, member := range u {
-				if member == oid {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(e.locks, oid) {
 				return fmt.Errorf("cache: I-lock of %v on unit %d that does not contain it", oid, key)
 			}
 		}
 	}
 	c.wmMu.Lock()
 	for key := range c.epochs {
-		if _, ok := c.units[key]; !ok {
+		if _, ok := c.dir[key]; !ok {
 			c.wmMu.Unlock()
 			return fmt.Errorf("cache: materialization epoch for dropped unit %d", key)
 		}
 	}
 	c.wmMu.Unlock()
-	wantEntries := 0
-	for key := range c.units {
-		wantEntries += c.segments[key]
-	}
 	cnt := c.file.Count()
 	if c.stats.Orphans == 0 {
 		if cnt != wantEntries {

@@ -147,3 +147,22 @@ func TestDropCleansEpochs(t *testing.T) {
 		t.Fatalf("re-insert after evict = %q,%v", v, ok)
 	}
 }
+
+// TestWatermarkFollowsLockSet: freshness is judged on the entry's lock
+// set, not on the key unit the lookup names. A cached procedural result
+// is keyed by its query and locked on its result tuples; an update to a
+// result tuple must stop every snapshot from hitting it, swept or not.
+func TestWatermarkFollowsLockSet(t *testing.T) {
+	c := newTestCache(t, 4)
+	key, locks := unit(900), unit(1, 2)
+	if err := c.InsertSnapWithLocks(key, locks, []byte("rows"), 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := c.LookupSnap(key, 6); !ok {
+		t.Fatal("snap=6, no updates: want hit")
+	}
+	c.MarkInvalid([]object.OID{locks[1]}, 7)
+	if _, ok, _ := c.LookupSnap(key, 8); ok {
+		t.Fatal("a result tuple updated at 7 > M=5: must miss before the sweep runs")
+	}
+}

@@ -22,7 +22,10 @@ import (
 var ErrNotFound = errors.New("hashfile: key not found")
 
 // File is a static hash file mapping int64 keys to byte payloads. Keys
-// are unique: Put of an existing key replaces its value.
+// are unique: Put of an existing key replaces its value. A File has no
+// lock of its own (its entry count is a plain field) and callers must
+// serialise it: the outside cache, the only caller in the engine, runs
+// every call under its mutex.
 type File struct {
 	pool    *buffer.Pool
 	first   disk.PageID // bucket i lives at first + i
@@ -92,41 +95,50 @@ func fnv64(key int64) uint64 {
 	return h
 }
 
-// record layout: key int64 | value bytes
-func encodeRec(key int64, value []byte) []byte {
-	rec := make([]byte, 8+len(value))
-	binary.LittleEndian.PutUint64(rec, uint64(key))
-	copy(rec[8:], value)
-	return rec
+// A record is key int64 | value bytes. find returns the slot and record
+// of key's entry in pg (the record aliases the page), or slot -1.
+func find(pg storage.Page, key int64) (slot int, rec []byte) {
+	slot = -1
+	pg.LiveRecords(func(s int, r []byte) bool {
+		if int64(binary.LittleEndian.Uint64(r)) != key {
+			return true
+		}
+		slot, rec = s, r
+		return false
+	})
+	return slot, rec
 }
 
 // Get returns a copy of key's value.
 func (f *File) Get(key int64) ([]byte, error) {
+	return f.AppendValue(nil, key)
+}
+
+// AppendValue appends key's value to dst straight off the pinned bucket
+// page and returns the extended slice: a caller that keeps one buffer
+// pays no allocation per read. A missing key is the bare ErrNotFound
+// (every Put probes for one, so the miss must cost nothing to report);
+// on any error dst is returned as it came.
+func (f *File) AppendValue(dst []byte, key int64) ([]byte, error) {
 	id := f.bucketPage(key)
 	for id != disk.InvalidPageID {
 		buf, err := f.pool.Pin(id)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		pg := storage.Page{Buf: buf}
-		var out []byte
-		found := false
-		pg.LiveRecords(func(_ int, rec []byte) bool {
-			if int64(binary.LittleEndian.Uint64(rec)) == key {
-				out = append([]byte(nil), rec[8:]...)
-				found = true
-				return false
-			}
-			return true
-		})
+		slot, rec := find(pg, key)
+		if slot >= 0 {
+			dst = append(dst, rec[8:]...)
+		}
 		next := pg.Next()
 		f.pool.Unpin(id, false)
-		if found {
-			return out, nil
+		if slot >= 0 {
+			return dst, nil
 		}
 		id = next
 	}
-	return nil, fmt.Errorf("%w: %d", ErrNotFound, key)
+	return dst, ErrNotFound
 }
 
 // Contains reports whether key is present, with the same I/O cost as Get.
@@ -142,13 +154,18 @@ func (f *File) Contains(key int64) (bool, error) {
 }
 
 // Put stores value under key, replacing any existing value. Values
-// larger than roughly half a page are rejected.
+// larger than roughly half a page are rejected. The key and the value
+// are written into the page as two parts, so no framed copy of the value
+// is built on the way.
 func (f *File) Put(key int64, value []byte) error {
-	rec := encodeRec(key, value)
-	if len(rec) > disk.PageSize-128 {
+	if 8+len(value) > disk.PageSize-128 {
 		return fmt.Errorf("hashfile: value of %d bytes too large", len(value))
 	}
-	// Replace semantics: drop any old entry first.
+	var k [8]byte
+	binary.LittleEndian.PutUint64(k[:], uint64(key))
+	// Replace semantics: drop any old entry first. The walk stays even
+	// when the caller knows the key is absent: it reads the bucket's whole
+	// overflow chain, and the paper's figures count those reads.
 	if err := f.Delete(key); err != nil && !errors.Is(err, ErrNotFound) {
 		return err
 	}
@@ -159,7 +176,7 @@ func (f *File) Put(key int64, value []byte) error {
 			return err
 		}
 		pg := storage.Page{Buf: buf}
-		if _, err := pg.Insert(rec); err == nil {
+		if _, err := pg.InsertParts(k[:], value); err == nil {
 			f.pool.Unpin(id, true)
 			f.count++
 			return nil
@@ -169,7 +186,7 @@ func (f *File) Put(key int64, value []byte) error {
 		}
 		// Reclaim dead-slot space before chaining a new overflow page.
 		pg.Compact()
-		if _, err := pg.Insert(rec); err == nil {
+		if _, err := pg.InsertParts(k[:], value); err == nil {
 			f.pool.Unpin(id, true)
 			f.count++
 			return nil
@@ -190,7 +207,7 @@ func (f *File) Put(key int64, value []byte) error {
 		npg.SetPrev(id)
 		pg.SetNext(nid)
 		f.pool.Unpin(id, true)
-		if _, err := npg.Insert(rec); err != nil {
+		if _, err := npg.InsertParts(k[:], value); err != nil {
 			f.pool.Unpin(nid, true)
 			return err
 		}
@@ -200,9 +217,10 @@ func (f *File) Put(key int64, value []byte) error {
 	}
 }
 
-// Delete removes key's entry. The cache-invalidation path (§3.2: updates
-// "invalidate all the (cached) units whose I-locks are held by the
-// subobject") is a sequence of Deletes.
+// Delete removes key's entry; a missing key is the bare ErrNotFound.
+// The cache-invalidation path (§3.2: updates "invalidate all the
+// (cached) units whose I-locks are held by the subobject") is a sequence
+// of Deletes.
 func (f *File) Delete(key int64) error {
 	id := f.bucketPage(key)
 	for id != disk.InvalidPageID {
@@ -211,15 +229,7 @@ func (f *File) Delete(key int64) error {
 			return err
 		}
 		pg := storage.Page{Buf: buf}
-		slot := -1
-		pg.LiveRecords(func(s int, rec []byte) bool {
-			if int64(binary.LittleEndian.Uint64(rec)) == key {
-				slot = s
-				return false
-			}
-			return true
-		})
-		if slot >= 0 {
+		if slot, _ := find(pg, key); slot >= 0 {
 			if err := pg.Delete(slot); err != nil {
 				f.pool.Unpin(id, false)
 				return err
@@ -232,7 +242,7 @@ func (f *File) Delete(key int64) error {
 		f.pool.Unpin(id, false)
 		id = next
 	}
-	return fmt.Errorf("%w: %d", ErrNotFound, key)
+	return ErrNotFound
 }
 
 // Scan calls fn for every live entry in bucket order. Values alias the

@@ -272,3 +272,53 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		}
 	}
 }
+
+// TestInPlaceAllocationCeiling: a replacing Put into a full bucket (the
+// walk for the old entry, a page compaction, the two-part insert), a
+// Delete, and an AppendValue into a buffer that already fits the value
+// allocate nothing — and neither does the probe for a key that is not
+// there, which every Put of a new key makes once.
+func TestInPlaceAllocationCeiling(t *testing.T) {
+	f, _, _ := newFile(t, 1)
+	val := bytes.Repeat([]byte("v"), 300)
+	for i := int64(0); i < 12; i++ { // the one bucket and an overflow page
+		if err := f.Put(i, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := append(make([]byte, 0, 512), "prefix"...)
+	var err error
+	allocs := testing.AllocsPerRun(50, func() {
+		if err = f.Put(3, val); err != nil {
+			return
+		}
+		if err = f.Delete(7); err != nil {
+			return
+		}
+		if err = f.Put(7, val); err != nil {
+			return
+		}
+		if _, err = f.AppendValue(buf, 7); err != nil {
+			return
+		}
+		if _, err = f.AppendValue(buf, 99); err == ErrNotFound { // the bare sentinel, by contract
+			err = f.Delete(99)
+		}
+		if err == ErrNotFound {
+			err = nil
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("Put, Delete, AppendValue and two misses allocate %.0f objects, want 0", allocs)
+	}
+	got, err := f.AppendValue(buf, 7)
+	if err != nil || !bytes.Equal(got, append([]byte("prefix"), val...)) {
+		t.Fatalf("AppendValue = %d bytes, %v: want prefix+value", len(got), err)
+	}
+	if got, err := f.AppendValue(buf, 99); err != ErrNotFound || !bytes.Equal(got, []byte("prefix")) {
+		t.Fatalf("AppendValue of a missing key = %q, %v: want dst as it came and the bare ErrNotFound", got, err)
+	}
+}

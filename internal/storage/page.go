@@ -120,14 +120,22 @@ func (p Page) setSlot(i int, off, ln uint16) {
 }
 
 // Insert appends rec to the page, returning its slot number.
-func (p Page) Insert(rec []byte) (int, error) {
-	if len(rec) > p.FreeSpace() {
+func (p Page) Insert(rec []byte) (int, error) { return p.InsertParts(rec, nil) }
+
+// InsertParts appends the record head|tail to the page, returning its
+// slot number: a caller that frames a header before a payload (the hash
+// file's key|value) writes both straight into the page and builds no
+// joined copy first.
+func (p Page) InsertParts(head, tail []byte) (int, error) {
+	ln := len(head) + len(tail)
+	if ln > p.FreeSpace() {
 		return 0, ErrPageFull
 	}
 	n := p.NumSlots()
-	off := p.freePtr() - uint16(len(rec))
-	copy(p.Buf[off:], rec)
-	p.setSlot(n, off, uint16(len(rec)))
+	off := p.freePtr() - uint16(ln)
+	copy(p.Buf[off:], head)
+	copy(p.Buf[int(off)+len(head):], tail)
+	p.setSlot(n, off, uint16(ln))
 	p.setFreePtr(off)
 	p.setNumSlots(n + 1)
 	return n, nil
@@ -171,26 +179,27 @@ func (p Page) RemoveAt(i int) error {
 }
 
 // Compact rewrites the page so that only live records remain, packed at
-// the back, preserving slot order. Splits use this to reclaim space.
+// the back, preserving slot order (dead slots leave the directory, so
+// live records are renumbered). B-tree leaves reclaim space with it
+// before a split, and the outside cache's hash file on nearly every
+// insert: at capacity each insert follows an eviction or invalidation
+// that left a dead slot in a full bucket. It rebuilds the page from a
+// snapshot on the stack and allocates nothing.
 func (p Page) Compact() {
-	n := p.NumSlots()
-	type ent struct{ rec []byte }
-	live := make([]ent, 0, n)
-	for i := 0; i < n; i++ {
-		off, ln := p.slot(i)
+	var snap [disk.PageSize]byte
+	old := Page{Buf: snap[:copy(snap[:], p.Buf)]}
+	p.Init(old.Type())
+	p.SetNext(old.Next())
+	p.SetPrev(old.Prev())
+	p.SetAux(old.Aux())
+	// Not LiveRecords: a slice handed to a callback is assumed to escape,
+	// which would move the snapshot to the heap.
+	for i, n := 0, old.NumSlots(); i < n; i++ {
+		off, ln := old.slot(i)
 		if off == 0 {
 			continue
 		}
-		live = append(live, ent{append([]byte(nil), p.Buf[off:off+ln]...)})
-	}
-	t := p.Type()
-	next, prev, aux := p.Next(), p.Prev(), p.Aux()
-	p.Init(t)
-	p.SetNext(next)
-	p.SetPrev(prev)
-	p.SetAux(aux)
-	for _, e := range live {
-		if _, err := p.Insert(e.rec); err != nil {
+		if _, err := p.Insert(old.Buf[off : off+ln]); err != nil {
 			panic("storage: compact overflow") // cannot happen: same records, fresh page
 		}
 	}
@@ -209,9 +218,9 @@ func (p Page) Record(i int) ([]byte, error) {
 	return p.Buf[off : off+ln], nil
 }
 
-// Delete marks slot i dead. The space is not reclaimed (the paper's
-// environment has "no insertions or deletions" during measured runs, so
-// compaction is not on any hot path).
+// Delete marks slot i dead. The record's space is reclaimed only by a
+// later Compact, which the access method calls when an insert finds the
+// page full.
 func (p Page) Delete(i int) error {
 	if i < 0 || i >= p.NumSlots() {
 		return fmt.Errorf("%w: slot %d of %d", ErrBadSlot, i, p.NumSlots())

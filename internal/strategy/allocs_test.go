@@ -40,3 +40,59 @@ func TestRetrieveAllocationCeiling(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedRetrieveAllocationCeiling pins the one value buffer per
+// DFSCACHE retrieve. Served entirely from the cache, a retrieve allocates
+// the same few objects for 5 units and for 50: its result, its scan
+// state and the buffer every hit is appended into — no value copy per
+// unit. Materializing every unit into a full cache costs what the cache
+// keeps per unit — its copy of the lock set and a slot in each member's
+// I-lock set — and nothing per member record: no record copy, no framing
+// copy, no hash-file record, no page compaction on the heap (25 objects
+// per unit before the maintenance path worked in place).
+func TestCachedRetrieveAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const cacheUnits, perUnitCeiling = 60, 10
+	// UseFactor 1: every parent has a unit of its own, so a key range
+	// never seen before misses on every unit.
+	db := buildDB(t, workload.Config{NumParents: 2000, SizeUnit: 5, UseFactor: 1, PoolPages: 4000, CacheUnits: cacheUnits, Seed: 3})
+	st := mustNew(t, DFSCACHE, db)
+	retrieve := func(lo, n int64) {
+		if _, err := st.Retrieve(db, Query{Lo: lo, Hi: lo + n - 1, AttrIdx: workload.FieldRet1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits := func(numTop int64) float64 {
+		retrieve(100, numTop) // cache the range: cacheUnits holds the widest
+		before := db.Cache.Stats()
+		allocs := testing.AllocsPerRun(20, func() { retrieve(100, numTop) })
+		if d := db.Cache.Stats().Sub(before); d.Misses != 0 || d.Hits != 21*numTop {
+			t.Fatalf("NumTop %d was not served from the cache: %+v", numTop, d)
+		}
+		return allocs
+	}
+	few, many := hits(5), hits(50)
+	t.Logf("%.0f objects per retrieve of 5 cached units, %.0f of 50", few, many)
+	if few != many || many > 8 {
+		t.Errorf("DFSCACHE allocates %.0f objects for 5 cached units and %.0f for 50: want one small count (<= 8) for both", few, many)
+	}
+
+	retrieve(0, 2000) // every page in the pool, the cache at capacity
+	const numTop = 20
+	next := int64(200)
+	before := db.Cache.Stats()
+	allocs := testing.AllocsPerRun(20, func() {
+		retrieve(next, numTop)
+		next += numTop
+	})
+	if d := db.Cache.Stats().Sub(before); d.Hits != 0 || d.Evictions != 21*numTop {
+		t.Fatalf("materializing retrieves hit the cache or found it not full: %+v", d)
+	}
+	perUnit := allocs / numTop
+	t.Logf("%.1f objects per materialized unit", perUnit)
+	if perUnit > perUnitCeiling {
+		t.Errorf("materializing a unit into a full cache allocates %.1f objects, want <= %d", perUnit, perUnitCeiling)
+	}
+}

@@ -126,30 +126,52 @@ func fetchChildAttrs(db *workload.DB, oids []object.OID, attrIdx int, out []int6
 	})
 }
 
-// fetchChildRecs fetches the full child records of oids into out
-// (len(out) == len(oids), record copies at their original positions).
-// Like fetchChildAttrs it batches through ProbeOIDs unless
-// Config.ProbeBatch=false asks for one Get per OID. DFSCACHE
-// materializes units through it.
-func fetchChildRecs(db *workload.DB, oids []object.OID, out [][]byte) error {
-	if !db.Cfg.ProbeBatch {
-		for i, oid := range oids {
-			rel, err := db.ChildByRelID(oid.Rel())
+// materializeUnit appends the cache value of unit — its members' records
+// framed in unit order — to dst: DFSCACHE's materialization (§3.2). The
+// paper's mode, one probe per member, frames each record straight off
+// its pinned leaf: the descent and pin of Tree.Get without the copy.
+// Config.ProbeBatch visits the members in page order instead, so that
+// arm holds the records until the sweep is done. Under a snapshot a
+// member the reader sees a newer version of is patched with the overlay
+// before it is framed: the cached value must really be current as of
+// the epoch recorded with the entry.
+func materializeUnit(db *workload.DB, dst []byte, unit []object.OID, snap *txn.Snapshot) ([]byte, error) {
+	if db.Cfg.ProbeBatch {
+		recs := make([][]byte, len(unit))
+		err := db.Cat.ProbeOIDs(unit, func(i int, _ *catalog.Relation, payload []byte) error {
+			recs[i] = append([]byte(nil), payload...)
+			return nil
+		})
+		if err != nil {
+			return dst, err
+		}
+		for i, oid := range unit {
+			rec, err := overlayRec(db, snap, oid, recs[i])
+			if err != nil {
+				return dst, err
+			}
+			dst = appendUnitMember(dst, rec)
+		}
+		return dst, nil
+	}
+	for _, oid := range unit {
+		rel, err := db.ChildByRelID(oid.Rel())
+		if err != nil {
+			return dst, err
+		}
+		err = rel.Tree.View(oid.Key(), func(payload []byte) error {
+			rec, err := overlayRec(db, snap, oid, payload)
 			if err != nil {
 				return err
 			}
-			rec, err := rel.Tree.Get(oid.Key())
-			if err != nil {
-				return fmt.Errorf("strategy: subobject %v: %w", oid, err)
-			}
-			out[i] = rec
+			dst = appendUnitMember(dst, rec)
+			return nil
+		})
+		if err != nil {
+			return dst, fmt.Errorf("strategy: subobject %v: %w", oid, err)
 		}
-		return nil
 	}
-	return db.Cat.ProbeOIDs(oids, func(i int, _ *catalog.Relation, payload []byte) error {
-		out[i] = append([]byte(nil), payload...)
-		return nil
-	})
+	return dst, nil
 }
 
 // applyUpdate is every strategy's Update: write op through the active
@@ -329,20 +351,10 @@ func mergeJoinChild(db *workload.DB, rel *catalog.Relation, sorted *query.Int64T
 // ... of a subobject is stored with the referencing object" — here with
 // the unit (§2.3).
 
-// encodeUnitValue frames member records into one cache value.
-func encodeUnitValue(recs [][]byte) []byte {
-	n := 0
-	for _, r := range recs {
-		n += 2 + len(r)
-	}
-	out := make([]byte, 0, n)
-	for _, r := range recs {
-		var l [2]byte
-		binary.LittleEndian.PutUint16(l[:], uint16(len(r)))
-		out = append(out, l[:]...)
-		out = append(out, r...)
-	}
-	return out
+// appendUnitMember frames one member record onto a cache value.
+func appendUnitMember(value, rec []byte) []byte {
+	value = binary.LittleEndian.AppendUint16(value, uint16(len(rec)))
+	return append(value, rec...)
 }
 
 // decodeUnitValue yields each framed member record. The callback's rec

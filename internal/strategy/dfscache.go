@@ -1,6 +1,8 @@
 package strategy
 
 import (
+	"slices"
+
 	"corep/internal/disk"
 	"corep/internal/object"
 	"corep/internal/workload"
@@ -41,21 +43,27 @@ func (c dfscache) cacheUnit(db *workload.DB, p parentRef) object.Unit {
 }
 
 func (c dfscache) Retrieve(db *workload.DB, q Query) (*Result, error) {
-	parents, _, res, err := scanPhase(db, q, "strategy.dfscache/scan")
+	parents, oids, res, err := scanPhase(db, q, "strategy.dfscache/scan")
 	if err != nil {
 		return nil, err
 	}
+	res.Values = slices.Grow(res.Values, len(oids)) // every subobject yields one value
 
 	child := beginIO(db.Core)
 	probeSp := db.Obs.Start("strategy.dfscache/probe")
 	var cacheHits, materialized int64
+	// One value buffer serves the whole retrieve: a hit is appended into
+	// it off the cache's pages, a miss is framed into it off the child
+	// leaves, either is projected and — the cache copies what it is
+	// handed — the next unit overwrites it.
+	var value []byte
 	for _, p := range parents {
-		unit := p.unit
 		key := c.cacheUnit(db, p)
 		// Snapshot epoch 0 (nil Snap) is the historic unversioned path;
 		// under versioned serving the epoch gates hits on the cache's
 		// update watermarks (see cache/version.go).
-		value, ok, err := db.Cache.LookupSnap(key, q.Snap.Epoch())
+		var ok bool
+		value, ok, err = db.Cache.AppendLookup(value[:0], key, q.Snap.Epoch())
 		if err != nil {
 			return nil, err
 		}
@@ -66,23 +74,11 @@ func (c dfscache) Retrieve(db *workload.DB, q Query) (*Result, error) {
 			}
 			continue
 		}
-		// Materialize the unit with one page-ordered batch, answer from
-		// it, and cache it. Under a snapshot, base records are patched
-		// with the version overlay first: the cached value must really be
-		// current as of the epoch recorded with the entry.
+		// Materialize the unit, answer from it, and cache it.
 		materialized++
-		recs := make([][]byte, len(unit))
-		if err := fetchChildRecs(db, unit, recs); err != nil {
+		if value, err = materializeUnit(db, value[:0], p.unit, q.Snap); err != nil {
 			return nil, err
 		}
-		if q.Snap != nil {
-			for i, oid := range unit {
-				if recs[i], err = overlayRec(db, q.Snap, oid, recs[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		value = encodeUnitValue(recs)
 		if err := projectUnitValue(db, value, q.AttrIdx, &res.Values); err != nil {
 			return nil, err
 		}

@@ -37,13 +37,15 @@ func (s smart) Retrieve(db *workload.DB, q Query) (*Result, error) {
 	// feed per-relation temporaries for merge joins.
 	tw := newTempWriter(db.Pool)
 	defer tw.close()
+	var value []byte // one buffer for every cached unit read, as in DFSCACHE
 	for _, p := range parents {
 		unit := p.unit
 		// The cache probe reads hash-file pages: end the open append run
 		// first, so it never spans other pool traffic.
 		tw.close()
 		if db.Cache.IsCached(unit) {
-			value, ok, err := db.Cache.LookupSnap(unit, q.Snap.Epoch())
+			var ok bool
+			value, ok, err = db.Cache.AppendLookup(value[:0], unit, q.Snap.Epoch())
 			if err != nil {
 				return nil, err
 			}
