@@ -272,15 +272,3 @@ func BenchmarkExtValue(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblPolicy sweeps the buffer replacement policy.
-func BenchmarkAblPolicy(b *testing.B) {
-	for _, pol := range []int{0, 1, 2} { // buffer.LRU, Clock, Random
-		name := []string{"lru", "clock", "random"}[pol]
-		for _, k := range []strategy.Kind{strategy.DFS, strategy.BFS} {
-			b.Run(fmt.Sprintf("policy=%s/%s", name, k), func(b *testing.B) {
-				measure(b, workload.Config{UseFactor: 5, PoolPolicy: pol}, k, 200, 0)
-			})
-		}
-	}
-}

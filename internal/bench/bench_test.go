@@ -71,6 +71,9 @@ func TestMetricDirection(t *testing.T) {
 		"retrieve_qps": HigherBetter,
 		"update_qps":   HigherBetter,
 		"speedup":      HigherBetter,
+		// prefetch's sync/prefetch ratio is two wall clocks: reported,
+		// never gated (planner's "speedup" is a ratio of counts).
+		"wall_speedup": Info,
 		// The txn sweep's counters are deliberately named off the
 		// lower-better suffixes ("snapshots", not "snapshot_reads"):
 		// they are volume indicators, not costs, and must never gate.
@@ -145,6 +148,20 @@ func TestCompareDirections(t *testing.T) {
 	}
 	if byMetric["clean_errors"].Regressed {
 		t.Fatal("informational metric gated the build")
+	}
+
+	// A ratio of counts gates, a ratio of clocks is informational: the
+	// prefetch sweep's two reads of 1.60 and 2.99 on one cell are a noisy
+	// host, its read counts are what a regression would move.
+	old = env(t, "prefetch", Cell{Name: "lat=200µs/depth=4", Metrics: map[string]float64{"wall_speedup": 2.99, "prefetch_reads": 439}})
+	new_ = env(t, "prefetch", Cell{Name: "lat=200µs/depth=4", Metrics: map[string]float64{"wall_speedup": 1.60, "prefetch_reads": 439}})
+	if d, err = Compare(old, new_, 0.10); err != nil || len(d.Regressions()) != 0 {
+		t.Fatalf("wall-clock ratio gated the build: %v (err %v)", d.Regressions(), err)
+	}
+	old = env(t, "planner", Cell{Name: "planner|gate", Metrics: map[string]float64{"speedup": 1.057}})
+	new_ = env(t, "planner", Cell{Name: "planner|gate", Metrics: map[string]float64{"speedup": 0.93}})
+	if d, err = Compare(old, new_, 0.10); err != nil || len(d.Regressions()) != 1 {
+		t.Fatalf("counted speedup 1.057 → 0.93 not flagged: %v (err %v)", d.Regressions(), err)
 	}
 }
 

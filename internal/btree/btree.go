@@ -676,9 +676,6 @@ type Iterator struct {
 	pg   storage.Page // its pinned buffer; Buf is nil while no leaf is held
 	slot int
 	done bool
-	// reused: the held leaf has been reported to the pool as used again
-	// (Pool.Touch) — once per leaf, on the first Next that finds it held.
-	reused bool
 
 	// Sequential readahead (AttachChainPrefetch): as the walk enters each
 	// leaf it announces the leaf consumed and seeds the successor, so the
@@ -740,10 +737,7 @@ func (it *Iterator) Next() (key int64, payload []byte, ok bool, err error) {
 			if err != nil {
 				return 0, nil, false, err
 			}
-			it.pg, it.reused = storage.Page{Buf: buf}, false
-		} else if !it.reused {
-			it.t.pool.Touch(it.page)
-			it.reused = true
+			it.pg = storage.Page{Buf: buf}
 		}
 		if it.chain != nil && it.page != it.notified {
 			// Pin held: safe to release the staged copy and look ahead. Seed

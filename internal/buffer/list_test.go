@@ -20,9 +20,9 @@ const evictionTracePath = "testdata/eviction_trace.json"
 // the victim of every eviction, in order. The script mixes plain and
 // scan pins, holds up to three pins at a time and dirties some frames,
 // so it exercises the list's front, back and middle.
-func evictionTrace(t *testing.T, policy Policy) []int {
+func evictionTrace(t *testing.T) []int {
 	t.Helper()
-	p, _, ids := poolWith(t, policy, 8, 40)
+	p, _, ids := poolWith(t, 8, 40)
 	index := make(map[disk.PageID]int, len(ids))
 	for i, id := range ids {
 		index[id] = i
@@ -81,21 +81,18 @@ func evictionTrace(t *testing.T, policy Policy) []int {
 }
 
 // TestEvictionTraceGolden pins the replacement list's observable
-// behaviour: for each policy the scripted trace must evict exactly the
-// pages, in exactly the order, recorded in testdata/eviction_trace.json.
-// The golden was recorded from the container/list implementation at the
-// parent of the commit that embedded the links in the frames:
+// behaviour: the scripted trace must evict exactly the pages, in exactly
+// the order, recorded in testdata/eviction_trace.json. The golden is
+// recorded in a checkout of the parent commit, never from the change
+// under test:
 //
-//	cp internal/buffer/list_test.go /root/scratch/parent/internal/buffer/
+//	cp internal/buffer/list_test.go internal/buffer/policy_test.go /root/scratch/parent/internal/buffer/
 //	(cd /root/scratch/parent && go test ./internal/buffer -run TestEvictionTraceGolden -update)
 //	cp /root/scratch/parent/internal/buffer/testdata/eviction_trace.json internal/buffer/testdata/
 func TestEvictionTraceGolden(t *testing.T) {
-	got := map[string][]int{}
-	for _, pol := range []Policy{LRU, Clock, Random} {
-		got[pol.String()] = evictionTrace(t, pol)
-		if len(got[pol.String()]) < 500 {
-			t.Fatalf("%s: only %d evictions, the script is too tame", pol, len(got[pol.String()]))
-		}
+	got := map[string][]int{"lru": evictionTrace(t)}
+	if len(got["lru"]) < 500 {
+		t.Fatalf("only %d evictions, the script is too tame", len(got["lru"]))
 	}
 	if *updateTrace {
 		raw, err := json.Marshal(got)
@@ -133,18 +130,16 @@ func TestEvictionTraceGolden(t *testing.T) {
 // TestPinUnpinHitAllocatesNothing: the hit path — find the frame, take
 // it off the replacement list, put it back — must not touch the heap.
 func TestPinUnpinHitAllocatesNothing(t *testing.T) {
-	for _, pol := range []Policy{LRU, Clock, Random} {
-		p, _, ids := poolWith(t, pol, 4, 2)
-		touch(t, p, ids[0])
-		touch(t, p, ids[1])
-		n := testing.AllocsPerRun(200, func() {
-			if _, err := p.Pin(ids[0]); err != nil {
-				t.Fatal(err)
-			}
-			p.Unpin(ids[0], false)
-		})
-		if n != 0 {
-			t.Fatalf("%s: Pin+Unpin hit allocates %v objects", pol, n)
+	p, _, ids := poolWith(t, 4, 2)
+	touch(t, p, ids[0])
+	touch(t, p, ids[1])
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := p.Pin(ids[0]); err != nil {
+			t.Fatal(err)
 		}
+		p.Unpin(ids[0], false)
+	})
+	if n != 0 {
+		t.Fatalf("Pin+Unpin hit allocates %v objects", n)
 	}
 }

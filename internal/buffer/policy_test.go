@@ -6,27 +6,10 @@ import (
 	"corep/internal/disk"
 )
 
-func poolWith(t *testing.T, policy Policy, capacity, pages int) (*Pool, *disk.Sim, []disk.PageID) {
+func poolWith(t *testing.T, capacity, pages int) (*Pool, *disk.Sim, []disk.PageID) {
 	t.Helper()
-	d := disk.NewSim()
-	p, err := NewWithPolicy(d, capacity, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]disk.PageID, pages)
-	buf := make([]byte, disk.PageSize)
-	for i := range ids {
-		var err error
-		if ids[i], err = d.Alloc(); err != nil {
-			t.Fatal(err)
-		}
-		buf[0] = byte(i)
-		if err := d.Write(ids[i], buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.ResetStats()
-	return p, d, ids
+	p, d := newPool(capacity)
+	return p, d, mkPages(t, d, pages)
 }
 
 func touch(t *testing.T, p *Pool, id disk.PageID) {
@@ -37,93 +20,35 @@ func touch(t *testing.T, p *Pool, id disk.PageID) {
 	p.Unpin(id, false)
 }
 
-func TestPolicyNames(t *testing.T) {
-	if LRU.String() != "lru" || Clock.String() != "clock" || Random.String() != "random" {
-		t.Fatal("policy names")
-	}
-	if New(disk.NewSim(), 2).PolicyName() != LRU {
-		t.Fatal("default policy not LRU")
-	}
-}
-
-func TestClockSecondChance(t *testing.T) {
-	// Pool of 2: load A, B; re-reference A; loading C must evict B (A
-	// gets its second chance).
-	p, d, ids := poolWith(t, Clock, 2, 3)
-	touch(t, p, ids[0])
-	touch(t, p, ids[1])
-	touch(t, p, ids[0]) // sets A's reference bit again
-	touch(t, p, ids[2]) // eviction decision
-	d.ResetStats()
-	touch(t, p, ids[0])
-	if d.Stats().Reads != 0 {
-		t.Fatal("Clock evicted the referenced frame A")
-	}
-	touch(t, p, ids[1])
-	if d.Stats().Reads != 1 {
-		t.Fatal("Clock kept the unreferenced frame B")
-	}
-}
-
-func TestRandomEvictsSomething(t *testing.T) {
-	p, _, ids := poolWith(t, Random, 4, 20)
-	for round := 0; round < 5; round++ {
-		for _, id := range ids {
-			touch(t, p, id)
-		}
-	}
-	// Correctness under churn: all contents still valid.
-	for i, id := range ids {
-		buf, err := p.Pin(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if buf[0] != byte(i) {
-			t.Fatalf("page %d corrupted", i)
-		}
-		p.Unpin(id, false)
-	}
-}
-
 func TestAllPoliciesRespectPins(t *testing.T) {
-	for _, pol := range []Policy{LRU, Clock, Random} {
-		p, _, ids := poolWith(t, pol, 2, 3)
-		if _, err := p.Pin(ids[0]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Pin(ids[1]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Pin(ids[2]); err == nil {
-			t.Fatalf("%v evicted a pinned frame", pol)
-		}
-		p.Unpin(ids[0], false)
-		p.Unpin(ids[1], false)
-		if _, err := p.Pin(ids[2]); err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-		p.Unpin(ids[2], false)
+	p, _, ids := poolWith(t, 2, 3)
+	if _, err := p.Pin(ids[0]); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := p.Pin(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Pin(ids[2]); err == nil {
+		t.Fatal("evicted a pinned frame")
+	}
+	p.Unpin(ids[0], false)
+	p.Unpin(ids[1], false)
+	if _, err := p.Pin(ids[2]); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(ids[2], false)
 }
 
 func TestSequentialScanDefeatsAllPoliciesEqually(t *testing.T) {
 	// A cyclic scan of N pages through a pool of M < N misses every time
-	// under LRU (the classic sequential-flooding case); Clock behaves the
-	// same; Random does slightly better. Assert LRU's full-miss behavior
-	// and that every policy stays correct.
-	for _, pol := range []Policy{LRU, Clock, Random} {
-		p, d, ids := poolWith(t, pol, 8, 32)
-		for round := 0; round < 3; round++ {
-			for _, id := range ids {
-				touch(t, p, id)
-			}
+	// under LRU: the classic sequential-flooding case.
+	p, d, ids := poolWith(t, 8, 32)
+	for round := 0; round < 3; round++ {
+		for _, id := range ids {
+			touch(t, p, id)
 		}
-		reads := d.Stats().Reads
-		if pol == LRU && reads != int64(3*len(ids)) {
-			t.Fatalf("LRU cyclic scan reads = %d, want all misses %d", reads, 3*len(ids))
-		}
-		if reads < int64(len(ids)) {
-			t.Fatalf("%v: impossible read count %d", pol, reads)
-		}
+	}
+	if reads := d.Stats().Reads; reads != int64(3*len(ids)) {
+		t.Fatalf("cyclic scan reads = %d, want all misses %d", reads, 3*len(ids))
 	}
 }

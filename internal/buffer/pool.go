@@ -16,7 +16,6 @@ package buffer
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,33 +27,6 @@ import (
 
 // DefaultPoolSize is the paper's buffer size: 100 pages.
 const DefaultPoolSize = 100
-
-// Policy selects the replacement policy. The paper does not name
-// INGRES's policy; LRU is the default and the abl-policy bench shows
-// the sensitivity.
-type Policy uint8
-
-// Replacement policies.
-const (
-	LRU    Policy = iota // evict the least recently used unpinned frame
-	Clock                // second-chance FIFO (reference bits)
-	Random               // evict a uniformly random unpinned frame
-)
-
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case Clock:
-		return "clock"
-	case Random:
-		return "random"
-	}
-	return fmt.Sprintf("unknown(%d)", uint8(p))
-}
-
-// Valid reports whether p names a known replacement policy.
-func (p Policy) Valid() bool { return p <= Random }
 
 // Stats counts buffer-pool events. Disk-level reads/writes are tracked
 // by the disk manager; these counters describe pool behaviour.
@@ -122,8 +94,7 @@ type frame struct {
 	buf   []byte
 	pins  int
 	dirty bool
-	ref   bool // Clock reference bit, set on every pin
-	// scan marks a frame loaded by a batch sweep (PinScan miss). Scan
+	// scan marks a frame loaded by a flooding sweep (PinScan miss). Scan
 	// frames are unpinned to the eviction end of the replacement list, so
 	// a sorted sweep larger than the pool churns one slot instead of
 	// flushing the resident set (LRU sequential flooding). A normal Pin
@@ -146,7 +117,6 @@ type frame struct {
 // moving a frame on or off the list allocates nothing.
 type frameList struct {
 	root frame // sentinel: root.next is the front, root.prev the back
-	len  int
 }
 
 func (l *frameList) init() { l.root.next, l.root.prev = &l.root, &l.root }
@@ -167,7 +137,6 @@ func (l *frameList) insert(f, at *frame) {
 	f.prev, f.next = at, at.next
 	at.next.prev = f
 	at.next = f
-	l.len++
 }
 
 func (l *frameList) pushFront(f *frame) { l.insert(f, &l.root) }
@@ -180,12 +149,6 @@ func (l *frameList) remove(f *frame) {
 	}
 	f.prev.next, f.next.prev = f.next, f.prev
 	f.prev, f.next = nil, nil
-	l.len--
-}
-
-func (l *frameList) moveToBack(f *frame) {
-	l.remove(f)
-	l.pushBack(f)
 }
 
 // shard is one stripe of the pool: a fixed-capacity frame table with its
@@ -196,8 +159,6 @@ type shard struct {
 	mu     sync.Mutex
 	dm     disk.Manager
 	cap    int
-	policy Policy
-	rng    *rand.Rand
 	frames map[disk.PageID]*frame
 	lru    frameList // unpinned frames, front = least recently used
 	retry  atomic.Pointer[RetryPolicy]
@@ -242,7 +203,6 @@ func (s *shard) writePage(id disk.PageID, buf []byte) error {
 type Pool struct {
 	dm     disk.Manager
 	cap    int
-	policy Policy
 	shards []*shard
 
 	obsMu sync.Mutex
@@ -260,34 +220,22 @@ type Pool struct {
 	noSteal atomic.Bool
 }
 
-// New creates a single-shard LRU pool of capacity pages over dm.
-// Capacity must be ≥ 1.
+// New creates a single-shard pool of capacity pages over dm. Capacity
+// must be ≥ 1.
 func New(dm disk.Manager, capacity int) *Pool {
-	p, err := NewSharded(dm, capacity, LRU, 1)
+	p, err := NewSharded(dm, capacity, 1)
 	if err != nil {
 		panic("buffer: " + err.Error())
 	}
 	return p
 }
 
-// NewWithPolicy creates a single-shard pool with an explicit replacement
-// policy, rejecting unknown policies.
-func NewWithPolicy(dm disk.Manager, capacity int, policy Policy) (*Pool, error) {
-	return NewSharded(dm, capacity, policy, 1)
-}
-
 // NewSharded creates a pool striped into numShards shards. Capacity is
 // the total frame count, distributed as evenly as possible; the shard
-// count is clamped so every shard holds at least one frame. Shard 0 of a
-// single-shard pool uses the same deterministic RNG seed as the historic
-// global pool, so experiments that depend on Random-policy eviction
-// order reproduce exactly.
-func NewSharded(dm disk.Manager, capacity int, policy Policy, numShards int) (*Pool, error) {
+// count is clamped so every shard holds at least one frame.
+func NewSharded(dm disk.Manager, capacity int, numShards int) (*Pool, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("capacity must be >= 1, got %d", capacity)
-	}
-	if !policy.Valid() {
-		return nil, fmt.Errorf("unknown replacement policy %s", policy)
 	}
 	if numShards < 1 {
 		numShards = 1
@@ -295,27 +243,20 @@ func NewSharded(dm disk.Manager, capacity int, policy Policy, numShards int) (*P
 	if numShards > capacity {
 		numShards = capacity
 	}
-	p := &Pool{dm: dm, cap: capacity, policy: policy, shards: make([]*shard, numShards)}
+	p := &Pool{dm: dm, cap: capacity, shards: make([]*shard, numShards)}
 	base, extra := capacity/numShards, capacity%numShards
 	for i := range p.shards {
 		c := base
 		if i < extra {
 			c++
 		}
-		p.shards[i] = &shard{
-			dm: dm, cap: c, policy: policy,
-			rng:    rand.New(rand.NewSource(int64(capacity) + int64(policy) + int64(i)*7919)),
-			frames: make(map[disk.PageID]*frame, c),
-		}
+		p.shards[i] = &shard{dm: dm, cap: c, frames: make(map[disk.PageID]*frame, c)}
 		p.shards[i].lru.init()
 		rp := DefaultRetryPolicy
 		p.shards[i].retry.Store(&rp)
 	}
 	return p, nil
 }
-
-// PolicyName returns the replacement policy in use.
-func (p *Pool) PolicyName() Policy { return p.policy }
 
 // Capacity returns the total number of frames in the pool.
 func (p *Pool) Capacity() int { return p.cap }
@@ -413,7 +354,6 @@ func (s *shard) pinLockedFetch(id disk.PageID) ([]byte, error) {
 	s.pins.Add(1)
 	if f, ok := s.frames[id]; ok {
 		s.hits.Add(1)
-		f.ref = true
 		f.scan = false
 		s.pinLocked(f)
 		return f.buf, nil
@@ -431,9 +371,10 @@ func (s *shard) pinLockedFetch(id disk.PageID) ([]byte, error) {
 	return f.buf, nil
 }
 
-// PinScan is Pin for page-ordered batch sweeps (GetBatch): a resident
-// page is pinned without touching its replacement state, while a page
-// the sweep has to load from disk is marked read-once, so unpinning it
+// PinScan is Pin for sweeps big enough to flood the pool (btree.GetBatch
+// decides; the prefetcher stages every page with it): a resident page
+// is pinned without touching its replacement state, while a page the
+// sweep has to load from disk is marked read-once, so unpinning it
 // sends it to the eviction end instead of displacing the hot set.
 func (p *Pool) PinScan(id disk.PageID) ([]byte, error) {
 	s := p.shardFor(id)
@@ -453,7 +394,7 @@ func (p *Pool) PinScan(id disk.PageID) ([]byte, error) {
 	if err := s.readPage(id, f.buf); err != nil {
 		return nil, err
 	}
-	f.id, f.pins, f.dirty, f.scan, f.ref = id, 1, false, true, false
+	f.id, f.pins, f.dirty, f.scan = id, 1, false, true
 	s.frames[id] = f
 	return f.buf, nil
 }
@@ -497,7 +438,7 @@ func (p *Pool) GetBatch(ids []disk.PageID, fn func(i int, buf []byte) error) err
 	}
 	for i := 0; i < len(order); {
 		id := ids[order[i]]
-		buf, err := p.PinScan(id)
+		buf, err := p.Pin(id)
 		if err != nil {
 			return err
 		}
@@ -567,25 +508,6 @@ func (p *Pool) Unpin(id disk.PageID, dirty bool) {
 		} else {
 			s.lru.pushBack(f)
 		}
-	}
-	s.mu.Unlock()
-}
-
-// Touch records that the holder of a pin on page id has used the page
-// again — what a second Pin of it would have told the replacement
-// policy, without the pin. A reader that keeps one pin across many
-// accesses (a B-tree cursor on its leaf, a heap append run on its tail)
-// calls it once per page, so Clock's reference bit ends up exactly as a
-// pin-per-access reader would leave it. LRU and Random keep no
-// per-reference state beyond list order, which the final Unpin sets.
-func (p *Pool) Touch(id disk.PageID) {
-	if p.policy != Clock {
-		return
-	}
-	s := p.shardFor(id)
-	s.mu.Lock()
-	if f, ok := s.frames[id]; ok {
-		f.ref = true
 	}
 	s.mu.Unlock()
 }
@@ -669,9 +591,9 @@ func (s *shard) pinLocked(f *frame) {
 	f.pins++
 }
 
-// victimLocked returns a free frame, evicting the shard's replacement
-// choice if the shard is full. The returned frame is detached from the
-// map/LRU.
+// victimLocked returns a free frame, evicting the shard's least
+// recently used evictable frame if the shard is full. The returned
+// frame is detached from the map/LRU.
 func (s *shard) victimLocked() (*frame, error) {
 	if len(s.frames) < s.cap {
 		return &frame{buf: make([]byte, disk.PageSize)}, nil
@@ -694,59 +616,11 @@ func (s *shard) victimLocked() (*frame, error) {
 	return f, nil
 }
 
-// chooseVictimLocked picks the frame to evict per the policy; the list
-// holds only unpinned frames. Unlogged frames (dirtied under the WAL
-// no-steal gate, image not yet captured) are never chosen: writing them
-// back would put a page on disk ahead of its log record. With the gate
-// off no frame is unlogged and every policy behaves — RNG stream
-// included — exactly as it did before the gate existed.
+// chooseVictimLocked picks the frame to evict: the least recently used
+// of the unpinned frames the list holds. Unlogged frames (dirtied under
+// the WAL no-steal gate, image not yet captured) are never chosen:
+// writing them back would put a page on disk ahead of its log record.
 func (s *shard) chooseVictimLocked() *frame {
-	n := s.lru.len
-	if n == 0 {
-		return nil
-	}
-	switch s.policy {
-	case Clock:
-		// Second chance: rotate referenced frames to the back, clearing
-		// their bit; unlogged frames rotate without losing their bit.
-		// Bounded by two full sweeps, then a linear fallback.
-		for i := 0; i <= 2*n; i++ {
-			f := s.lru.front()
-			if f.unlogged {
-				s.lru.moveToBack(f)
-				continue
-			}
-			if !f.ref {
-				return f
-			}
-			f.ref = false
-			s.lru.moveToBack(f)
-		}
-	case Random:
-		// Draw the k-th eligible frame in front-to-back order: one RNG
-		// draw over the eligible count, as ever.
-		eligible := 0
-		for f := s.lru.front(); f != nil; f = s.lru.after(f) {
-			if !f.unlogged {
-				eligible++
-			}
-		}
-		if eligible == 0 {
-			return nil
-		}
-		k := s.rng.Intn(eligible)
-		for f := s.lru.front(); f != nil; f = s.lru.after(f) {
-			if f.unlogged {
-				continue
-			}
-			if k == 0 {
-				return f
-			}
-			k--
-		}
-		return nil
-	}
-	// LRU, and Clock's fallback: the first frame that may be written.
 	for f := s.lru.front(); f != nil; f = s.lru.after(f) {
 		if !f.unlogged {
 			return f

@@ -172,7 +172,7 @@ func TestPrefetchNilSafety(t *testing.T) {
 
 func TestNewPrefetcherClampsToShardCapacity(t *testing.T) {
 	d := disk.NewSim()
-	p, err := NewSharded(d, 16, LRU, 8) // 2 frames per shard
+	p, err := NewSharded(d, 16, 8) // 2 frames per shard
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestNewPrefetcherClampsToShardCapacity(t *testing.T) {
 // be released, and consumers must fall back to synchronous reads.
 func TestPrefetchCloseRaces(t *testing.T) {
 	d := disk.NewSim()
-	p, err := NewSharded(d, 64, LRU, 4)
+	p, err := NewSharded(d, 64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

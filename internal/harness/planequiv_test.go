@@ -186,3 +186,24 @@ func TestPlannerSweepReduced(t *testing.T) {
 		t.Fatalf("bench cells = %d with %d arms", cells, len(res.Arms))
 	}
 }
+
+// TestPlannerGateHoldsAcrossSeeds runs the checked-in planner sweep at
+// seeds 1-7 and holds each to the sweep's own gate. BENCH_planner.json
+// pins one seed; the earn-your-keep verdicts (EXPERIMENTS.md) rest on
+// all seven, so a guardrail that only the default seed tolerates losing
+// fails here.
+func TestPlannerGateHoldsAcrossSeeds(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("seven full planner sweeps of deterministic counts")
+	}
+	s, _ := FindSweep("planner")
+	for seed := int64(1); seed <= 7; seed++ {
+		rep, err := s.Run(SweepOpts{Seed: &seed})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, v := range rep.Check() {
+			t.Errorf("seed %d: %v", seed, v)
+		}
+	}
+}

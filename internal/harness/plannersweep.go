@@ -199,14 +199,7 @@ func RunPlannerSweep(cfg PlannerSweepConfig) (*PlannerSweepResult, error) {
 			if op.Kind == workload.OpUpdate {
 				updates++
 				for _, a := range arms {
-					// Identical composite write-through on every arm; the
-					// planner arm's Update additionally feeds its warmth signal.
-					if a == plArm {
-						if err := a.st.Update(a.db, op); err != nil {
-							return nil, err
-						}
-						continue
-					}
+					// Identical composite write-through on every arm.
 					if err := a.updater.Update(a.db, op); err != nil {
 						return nil, err
 					}

@@ -132,11 +132,11 @@ func TestSweepSeedIsTheDefault(t *testing.T) {
 			want := quickReport(t, s.Name).Cells()
 			for i, c := range rep.Cells() {
 				for m, v := range c.Metrics {
-					// Two gated metrics do not replay exactly: speedup is a
-					// clock, and chaos runs with the prefetcher on, whose
-					// worker timing moves baseline_reads by a page or two
-					// (ROADMAP item 7's residue).
-					if bench.MetricDirection(m) != bench.Info && m != "speedup" && m != "baseline_reads" && want[i].Metrics[m] != v {
+					// One gated metric does not replay exactly: chaos runs
+					// with the prefetcher on, whose worker timing moves
+					// baseline_reads by a page or two (ROADMAP item 7's
+					// residue).
+					if bench.MetricDirection(m) != bench.Info && m != "baseline_reads" && want[i].Metrics[m] != v {
 						t.Errorf("%s %s: %v with -seed %d, %v without", c.Name, m, v, def, want[i].Metrics[m])
 					}
 				}

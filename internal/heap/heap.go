@@ -84,9 +84,6 @@ type Appender struct {
 	f     *File
 	pg    storage.Page // the pinned tail; Buf is nil before the first Append
 	dirty bool
-	// reused: the held tail has been reported to the pool as used again
-	// (Pool.Touch) — once per page, on the second append it takes.
-	reused bool
 }
 
 // Appender starts an append run. Nothing is pinned until the first
@@ -105,9 +102,6 @@ func (a *Appender) Append(rec []byte) (storage.RID, error) {
 			return storage.RID{}, err
 		}
 		a.pg = storage.Page{Buf: buf}
-	} else if !a.reused {
-		f.pool.Touch(f.last)
-		a.reused = true
 	}
 	slot, err := a.pg.Insert(rec)
 	if errors.Is(err, storage.ErrPageFull) {
@@ -121,7 +115,7 @@ func (a *Appender) Append(rec []byte) (storage.RID, error) {
 		npg.SetPrev(f.last)
 		a.pg.SetNext(nid)
 		f.pool.Unpin(f.last, true)
-		a.pg, a.dirty, a.reused = npg, true, false // a new page is born dirty
+		a.pg, a.dirty = npg, true // a new page is born dirty
 		f.last = nid
 		f.pages = append(f.pages, nid)
 		slot, err = a.pg.Insert(rec)

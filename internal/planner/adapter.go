@@ -74,8 +74,7 @@ func (pl *Planned) Retrieve(db *workload.DB, q strategy.Query) (*strategy.Result
 // candidate plans stay result-equivalent afterwards: the cache-aware
 // path (which both writes base pages and repairs the outside cache)
 // when a cache exists, plain base-page writes otherwise, plus the
-// cluster layout when one is built. It also feeds the planner's
-// cache-warmth signal.
+// cluster layout when one is built.
 func (pl *Planned) Update(db *workload.DB, op workload.Op) error {
 	if st, ok := pl.statics[strategy.DFSCACHE]; ok {
 		if err := st.Update(db, op); err != nil {
@@ -85,10 +84,7 @@ func (pl *Planned) Update(db *workload.DB, op workload.Op) error {
 		return err
 	}
 	if db.ClusterRel != nil && !db.Versioned() {
-		if err := db.ApplyUpdateCluster(op); err != nil {
-			return err
-		}
+		return db.ApplyUpdateCluster(op)
 	}
-	pl.P.NoteUpdate(1)
 	return nil
 }

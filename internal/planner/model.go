@@ -3,14 +3,9 @@ package planner
 // model is the online estimator: a table of decayed-mean cells keyed by
 // (arm, log₂-NumTop bucket). Each observation folds into the cell's
 // mean with an exponential per-observation decay, so recent costs
-// dominate as the workload shifts; evidence *weight* additionally fades
-// with a staleness half-life measured in planner choices, so an arm
-// that stops being observed eventually drops below MinEvidence and
-// falls back to its analytic prior rather than trusting a stale mean.
+// dominate as the workload shifts.
 type model struct {
-	cells    map[cellKey]*cell
-	clock    int64   // advances on every observe; staleness reference
-	halfLife float64 // choices until unrefreshed weight halves
+	cells map[cellKey]*cell
 }
 
 type cellKey struct {
@@ -21,122 +16,41 @@ type cellKey struct {
 type cell struct {
 	mean   float64
 	weight float64
-	last   int64 // clock at last observation
-	ever   bool  // observed at least once (seeding does not count as warmup)
 }
 
 // decayPerObs discounts prior evidence on each new observation: with
 // 0.8, the effective window is the last ~5 observations.
 const decayPerObs = 0.8
 
-func newModel(halfLife float64) model {
-	return model{cells: map[cellKey]*cell{}, halfLife: halfLife}
+func newModel() model {
+	return model{cells: map[cellKey]*cell{}}
 }
 
-func (m *model) cellAt(arm, bucket int) *cell {
+// observe folds one measured cost into the (arm, bucket) cell.
+func (m *model) observe(arm, bucket int, cost float64) {
 	k := cellKey{arm, bucket}
 	c := m.cells[k]
 	if c == nil {
 		c = &cell{}
 		m.cells[k] = c
 	}
-	return c
-}
-
-// observe folds one measured cost into the (arm, bucket) cell and
-// advances the staleness clock.
-func (m *model) observe(arm, bucket int, cost float64) {
-	m.clock++
-	c := m.cellAt(arm, bucket)
 	w := c.weight * decayPerObs
 	c.mean = (c.mean*w + cost) / (w + 1)
 	c.weight = w + 1
-	c.last = m.clock
-	c.ever = true
 }
 
-// seed primes a cell from aggregated external evidence (a harness
-// registry histogram mean) at modest weight. It does not set ever: a
-// seeded arm still gets one live warmup probe, so priming can inform
-// but never permanently misdirect the planner.
-func (m *model) seed(arm, bucket int, mean float64) {
-	c := m.cellAt(arm, bucket)
-	if c.ever {
-		return // live evidence outranks seeding
-	}
-	c.mean = mean
-	c.weight = MinEvidence
-	c.last = m.clock
-}
-
-// effectiveWeight applies the staleness fade: evidence halves every
-// halfLife clock ticks since the cell was last refreshed.
-func (m *model) effectiveWeight(c *cell) float64 {
-	if c.weight == 0 {
-		return 0
-	}
-	age := float64(m.clock - c.last)
-	if age <= 0 || m.halfLife <= 0 {
-		return c.weight
-	}
-	return c.weight * pow2(-age/m.halfLife)
-}
-
-// pow2 computes 2**x for the fade without importing math (x ≤ 0 here).
-func pow2(x float64) float64 {
-	// 2^x = e^(x ln 2); a short Taylor/squaring hybrid is overkill — use
-	// repeated halving for the integer part and a quadratic for the rest.
-	if x >= 0 {
-		return 1
-	}
-	r := 1.0
-	for x <= -1 {
-		r *= 0.5
-		x++
-	}
-	// x ∈ (-1, 0]: 2^x ≈ 1 + x·ln2 + (x·ln2)²/2 (max err < 2%, fine for a
-	// fade threshold).
-	const ln2 = 0.6931471805599453
-	t := x * ln2
-	return r * (1 + t + t*t/2)
-}
-
-// estimate returns the cell's decayed mean and whether its faded
-// evidence clears MinEvidence (step blending: above the threshold the
-// observed mean is used verbatim, below it the caller falls back to the
-// analytic prior — a step function, so uniform weight rescaling that
-// keeps cells above the threshold provably cannot change any decision).
+// estimate returns the cell's decayed mean and whether its evidence
+// clears MinEvidence: above the threshold the observed mean is used
+// verbatim, below it the caller falls back to the analytic prior.
 func (m *model) estimate(arm, bucket int) (float64, bool) {
 	c := m.cells[cellKey{arm, bucket}]
 	if c == nil {
 		return 0, false
 	}
-	return c.mean, m.effectiveWeight(c) >= MinEvidence
+	return c.mean, c.weight >= MinEvidence
 }
 
-// everObserved reports whether the cell has received a live observation.
+// everObserved reports whether the cell has received an observation.
 func (m *model) everObserved(arm, bucket int) bool {
-	c := m.cells[cellKey{arm, bucket}]
-	return c != nil && c.ever
-}
-
-// lastObserved returns the clock of the cell's last observation (0 if
-// never observed), for the least-recently-measured probe schedule.
-func (m *model) lastObserved(arm, bucket int) int64 {
-	c := m.cells[cellKey{arm, bucket}]
-	if c == nil {
-		return 0
-	}
-	return c.last
-}
-
-// decayAll multiplies every cell's weight by f, leaving means (and
-// hence, while weights stay above MinEvidence, decisions) unchanged.
-func (m *model) decayAll(f float64) {
-	if f <= 0 || f > 1 {
-		return
-	}
-	for _, c := range m.cells {
-		c.weight *= f
-	}
+	return m.cells[cellKey{arm, bucket}] != nil
 }

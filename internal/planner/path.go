@@ -28,7 +28,7 @@ func NewPathModel(treeHeight int) *PathModel {
 	if treeHeight < 1 {
 		treeHeight = 2
 	}
-	return &PathModel{model: newModel(DefaultHalfLife), treeHeight: treeHeight}
+	return &PathModel{model: newModel(), treeHeight: treeHeight}
 }
 
 // arm packs (traversal, relation) into one estimator arm id.

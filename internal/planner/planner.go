@@ -22,38 +22,24 @@
 package planner
 
 import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
-	"corep/internal/obs"
 	"corep/internal/strategy"
 )
 
 // MinEvidence is the decayed observation weight below which a cell's
-// estimate falls back to the analytic prior. Two effects hang off it:
-// staleness fade (model.go) drops long-unobserved arms back to their
-// priors instead of trusting obsolete measurements, and — because it
-// takes several observations to clear the threshold — an arm whose
-// prior is attractive keeps being tried for a few queries before its
-// measured cost takes over. That grace period is what lets a
-// state-dependent strategy (DFSCACHE warming its cache) show its
-// steady-state cost rather than being written off on one cold probe.
+// estimate falls back to the analytic prior. Because it takes several
+// observations to clear the threshold, an arm whose prior is attractive
+// keeps being tried for a few queries before its measured cost takes
+// over. That grace period is what lets a state-dependent strategy
+// (DFSCACHE warming its cache) show its steady-state cost rather than
+// being written off on one cold probe.
 const MinEvidence = 3.0
 
-// SwitchMargin is the hysteresis band: the incumbent choice for a
-// bucket is kept unless some other arm's estimate undercuts it by more
-// than this fraction. Sticking with the incumbent keeps state-dependent
-// strategies honest (a cache only warms if it keeps being used) and
-// stops thrash between near-equal arms.
-const SwitchMargin = 0.10
-
-// ProbeWorthFactor bounds exploration: an arm is only probed (warmup or
-// periodic) while its estimate is within this factor of the current
-// best. Re-estimation matters near the decision boundary; measuring an
-// arm whose prior is hopeless just pays its cost for nothing.
+// ProbeWorthFactor bounds exploration: an arm is only given its warmup
+// probe while its estimate is within this factor of the current best.
+// Re-estimation matters near the decision boundary; measuring an arm
+// whose prior is hopeless just pays its cost for nothing.
 const ProbeWorthFactor = 3.0
 
 // Config parameterizes a Planner.
@@ -61,31 +47,10 @@ type Config struct {
 	// Shape describes the database the plans run against (ShapeOf).
 	Shape Shape
 
-	// Candidates restricts the kinds considered; empty means every kind
-	// the shape supports (see CandidateKinds).
-	Candidates []strategy.Kind
-
-	// Seed rotates the warmup/probe order so plans are replayable from a
-	// seed without being tied to one fixed exploration order.
+	// Seed rotates the warmup order so plans are replayable from a seed
+	// without being tied to one fixed exploration order.
 	Seed int64
-
-	// ProbeEvery forces one re-observation of the least-recently-measured
-	// candidate every N choices within a NumTop bucket, keeping estimates
-	// of unchosen arms grounded as the mix shifts. 0 uses
-	// DefaultProbeEvery; negative disables probing entirely.
-	ProbeEvery int
-
-	// HalfLife is the staleness half-life in choices: a cell unobserved
-	// for HalfLife choices has its evidence weight halved. 0 uses
-	// DefaultHalfLife.
-	HalfLife int
 }
-
-// DefaultProbeEvery re-probes a stale arm every 64 choices per bucket.
-const DefaultProbeEvery = 64
-
-// DefaultHalfLife fades unrefreshed evidence with a 512-choice half-life.
-const DefaultHalfLife = 512
 
 // Estimate is one candidate's scored plan.
 type Estimate struct {
@@ -102,8 +67,8 @@ type Decision struct {
 	Kind strategy.Kind `json:"kind"`
 	// Est is the chosen candidate's estimate.
 	Est Estimate `json:"est"`
-	// Probe marks a forced exploration choice (warmup or periodic
-	// re-probe) rather than an argmin exploitation.
+	// Probe marks a forced exploration choice (an arm's warmup
+	// measurement) rather than an argmin exploitation.
 	Probe bool `json:"probe,omitempty"`
 	// Alternatives lists every candidate's estimate, in candidate order.
 	Alternatives []Estimate `json:"alternatives,omitempty"`
@@ -115,13 +80,10 @@ type Stats struct {
 	Probes   int64 `json:"probes"`
 	Observed int64 `json:"observed"`
 	Switches int64 `json:"switches"` // choice differed from the bucket's previous choice
-	Updates  int64 `json:"updates"`  // update ops noted (cache-warmth signal)
-	Seeded   int64 `json:"seeded"`   // cells primed from a metrics registry
 }
 
 // Planner chooses a workload strategy per query. Safe for concurrent
-// use: all state sits behind one mutex, and the obs registry it can
-// seed from is itself thread-safe.
+// use: all state sits behind one mutex.
 type Planner struct {
 	mu    sync.Mutex
 	cfg   Config
@@ -132,36 +94,23 @@ type Planner struct {
 	// lastChoice remembers each bucket's previous decision for the
 	// Switches counter.
 	lastChoice map[int]strategy.Kind
-	// bucketSeq counts choices per bucket for the probe schedule.
-	bucketSeq map[int]int64
 	// warmth estimates the steady-state fraction of the queried working
-	// set the outside cache can serve — pulled toward observed DFSCACHE
-	// hit rates, cut by update invalidations (NoteUpdate). It starts
-	// optimistic (1.0, capacity-capped in the prior): the cache deserves
-	// the benefit of the doubt until live hit rates say otherwise, since
-	// a cold first probe systematically understates a cache that would
-	// have warmed under sustained use.
+	// set the outside cache can serve, pulled toward observed DFSCACHE
+	// hit rates (updates reach it through the hit rates they cost). It
+	// starts optimistic (1.0, capacity-capped in the prior): the cache
+	// deserves the benefit of the doubt until live hit rates say
+	// otherwise, since a cold first probe systematically understates a
+	// cache that would have warmed under sustained use.
 	warmth float64
 }
 
 // New builds a planner for the given configuration.
 func New(cfg Config) *Planner {
-	if cfg.ProbeEvery == 0 {
-		cfg.ProbeEvery = DefaultProbeEvery
-	}
-	if cfg.HalfLife == 0 {
-		cfg.HalfLife = DefaultHalfLife
-	}
-	cands := cfg.Candidates
-	if len(cands) == 0 {
-		cands = CandidateKinds(cfg.Shape)
-	}
 	return &Planner{
 		cfg:        cfg,
-		cands:      cands,
-		model:      newModel(float64(cfg.HalfLife)),
+		cands:      CandidateKinds(cfg.Shape),
+		model:      newModel(),
 		lastChoice: map[int]strategy.Kind{},
-		bucketSeq:  map[int]int64{},
 		warmth:     1,
 	}
 }
@@ -212,8 +161,6 @@ func (p *Planner) Choose(numTop int) Decision {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	bucket := bucketOf(numTop)
-	seq := p.bucketSeq[bucket]
-	p.bucketSeq[bucket] = seq + 1
 	p.stats.Choices++
 
 	ests := make([]Estimate, len(p.cands))
@@ -251,40 +198,7 @@ func (p *Planner) Choose(numTop int) Decision {
 		}
 	}
 
-	// Periodic probe: re-measure the least-recently-observed arm near
-	// the decision boundary so idle estimates stay grounded as the mix
-	// shifts.
-	if p.cfg.ProbeEvery > 0 && seq%int64(p.cfg.ProbeEvery) == int64(p.cfg.ProbeEvery)-1 {
-		j, oldest := -1, int64(0)
-		for i, k := range p.cands {
-			if ests[i].IO > ests[best].IO*ProbeWorthFactor {
-				continue
-			}
-			last := p.model.lastObserved(int(k), bucket)
-			if j < 0 || last < oldest {
-				j, oldest = i, last
-			}
-		}
-		if j >= 0 && p.cands[j] != p.cands[best] {
-			p.stats.Probes++
-			d := Decision{Kind: p.cands[j], Est: ests[j], Probe: true, Alternatives: ests}
-			p.noteChoice(bucket, d.Kind)
-			return d
-		}
-	}
-
-	// Exploit, with hysteresis: keep the bucket's incumbent unless the
-	// best alternative undercuts it by more than SwitchMargin.
-	choice := best
-	if inc, ok := p.lastChoice[bucket]; ok {
-		for i, k := range p.cands {
-			if k == inc && ests[i].IO <= ests[best].IO*(1+SwitchMargin) {
-				choice = i
-				break
-			}
-		}
-	}
-	d := Decision{Kind: p.cands[choice], Est: ests[choice], Alternatives: ests}
+	d := Decision{Kind: p.cands[best], Est: ests[best], Alternatives: ests}
 	p.noteChoice(bucket, d.Kind)
 	return d
 }
@@ -297,7 +211,7 @@ func (p *Planner) noteChoice(bucket int, k strategy.Kind) {
 }
 
 // Observe feeds one measured execution back: kind answered a
-// numTop-parent query in io pages. Advances the staleness clock.
+// numTop-parent query in io pages.
 func (p *Planner) Observe(kind strategy.Kind, numTop int, io int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -312,8 +226,8 @@ func (p *Planner) Observe(kind strategy.Kind, numTop int, io int64) {
 // where sustained use would land. Trusting cold readings at full
 // weight is exactly the feedback loop that writes the cache off before
 // it ever warms (the planner stops choosing DFSCACHE, so the rate
-// never recovers). Genuine regressions still propagate: updates cut
-// warmth directly (NoteUpdate), and once a cell has real evidence the
+// never recovers). Genuine regressions still propagate: sustained low
+// readings do pull warmth down, and once a cell has real evidence the
 // observed mean outranks the warmth-driven prior anyway.
 const (
 	warmthRise = 0.5
@@ -338,33 +252,6 @@ func (p *Planner) ObserveHitRate(rate float64) {
 	p.mu.Unlock()
 }
 
-// NoteUpdate records an update touching n subobjects: every touched
-// unit is invalidated from the outside cache, so warmth decays in
-// proportion to the cache's capacity.
-func (p *Planner) NoteUpdate(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.Updates++
-	if p.cfg.Shape.CacheUnits <= 0 {
-		return
-	}
-	f := 1 - float64(n)/float64(p.cfg.Shape.CacheUnits)
-	if f < 0 {
-		f = 0
-	}
-	p.warmth *= f
-}
-
-// DecayEvidence multiplies every cell's evidence weight by f ∈ (0,1] —
-// the histogram-decay hook. Means are untouched, so decisions are
-// invariant as long as cells keep MinEvidence weight (the
-// scale-invariance property test).
-func (p *Planner) DecayEvidence(f float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.model.decayAll(f)
-}
-
 // Warmth returns the current cache-warmth estimate (the DFSCACHE
 // prior's hit-rate parameter).
 func (p *Planner) Warmth() float64 {
@@ -378,116 +265,4 @@ func (p *Planner) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
-}
-
-// Estimates returns every candidate's current estimate for a
-// numTop-parent query, without recording a choice — the explain surface.
-func (p *Planner) Estimates(numTop int) []Estimate {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	bucket := bucketOf(numTop)
-	out := make([]Estimate, len(p.cands))
-	for i, k := range p.cands {
-		mean, evid := p.model.estimate(int(k), bucket)
-		if evid {
-			out[i] = Estimate{Kind: k, IO: mean, Observed: true}
-		} else {
-			out[i] = Estimate{Kind: k, IO: p.prior(k, numTop), Observed: false}
-		}
-	}
-	return out
-}
-
-// SeedFromRegistry primes estimator cells from a harness metrics
-// registry: every per-(strategy, SF, NumTop) retrieve-I/O histogram the
-// harness aggregates (cells named like "DFSCACHE|SF=5|NT=300|retrieve.io")
-// whose share factor matches the planner's shape becomes prior evidence
-// for that (kind, bucket) cell. The registry is internally synchronized,
-// so seeding is safe while serving threads keep observing into it.
-func (p *Planner) SeedFromRegistry(reg *obs.Registry) int {
-	pts := reg.Points()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, pt := range pts {
-		if pt.Kind != "histogram" || pt.Count == 0 {
-			continue
-		}
-		kind, sf, numTop, ok := parseCellName(pt.Name)
-		if !ok || sf != p.cfg.Shape.ShareFactor {
-			continue
-		}
-		found := false
-		for _, k := range p.cands {
-			if k == kind {
-				found = true
-				break
-			}
-		}
-		if !found {
-			continue
-		}
-		p.model.seed(int(kind), bucketOf(numTop), pt.Sum/float64(pt.Count))
-		n++
-	}
-	p.stats.Seeded += int64(n)
-	return n
-}
-
-// parseCellName decodes harness metric names of the form
-// "<KIND>|SF=<n>|NT=<n>|retrieve.io" (or "…|query.io" for cells
-// measured before the retrieve/update split existed).
-func parseCellName(name string) (strategy.Kind, int, int, bool) {
-	parts := strings.Split(name, "|")
-	if len(parts) != 4 {
-		return 0, 0, 0, false
-	}
-	if parts[3] != "retrieve.io" && parts[3] != "query.io" {
-		return 0, 0, 0, false
-	}
-	var kind strategy.Kind
-	found := false
-	for _, k := range strategy.AllKindsWithAblations {
-		if k.String() == parts[0] {
-			kind, found = k, true
-			break
-		}
-	}
-	if !found {
-		return 0, 0, 0, false
-	}
-	sf, err := strconv.Atoi(strings.TrimPrefix(parts[1], "SF="))
-	if err != nil {
-		return 0, 0, 0, false
-	}
-	nt, err := strconv.Atoi(strings.TrimPrefix(parts[2], "NT="))
-	if err != nil {
-		return 0, 0, 0, false // "NT=mix" cells carry no single width
-	}
-	return kind, sf, nt, true
-}
-
-// String renders the estimator table for debugging and \plan output.
-func (p *Planner) String() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var b strings.Builder
-	fmt.Fprintf(&b, "planner: %d choices (%d probes, %d switches), %d observed, warmth %.2f\n",
-		p.stats.Choices, p.stats.Probes, p.stats.Switches, p.stats.Observed, p.warmth)
-	keys := make([]cellKey, 0, len(p.model.cells))
-	for k := range p.model.cells {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].bucket != keys[j].bucket {
-			return keys[i].bucket < keys[j].bucket
-		}
-		return keys[i].arm < keys[j].arm
-	})
-	for _, k := range keys {
-		c := p.model.cells[k]
-		fmt.Fprintf(&b, "  nt≈2^%-2d %-10s mean=%-8.2f weight=%.2f\n",
-			k.bucket, strategy.Kind(k.arm), c.mean, c.weight)
-	}
-	return b.String()
 }

@@ -3,7 +3,6 @@ package planner
 import (
 	"testing"
 
-	"corep/internal/obs"
 	"corep/internal/strategy"
 )
 
@@ -82,72 +81,18 @@ func TestDominatedNeverChosen(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		d := p.Choose(nt)
 		if d.Probe {
-			// Probes re-measure near the boundary; a dominated arm must not
-			// even be probed once its estimate sits beyond ProbeWorthFactor.
-			if d.Kind == strategy.DFS {
-				t.Fatalf("choice %d probed DFS, estimated %.0f vs best 20 — outside the probe-worth bound", i, d.Est.IO)
-			}
-			p.Observe(d.Kind, nt, cost[d.Kind])
-			continue
+			t.Fatalf("choice %d probed %s: every arm has been measured", i, d.Kind)
 		}
 		if d.Kind != strategy.BFS {
 			t.Fatalf("choice %d exploited %s (est %.1f), want dominant BFS", i, d.Kind, d.Est.IO)
 		}
-		// The exploit invariant: the chosen estimate stays within the
-		// hysteresis band of the argmin.
-		min := d.Est.IO
+		// The exploit invariant: the chosen estimate is the argmin.
 		for _, e := range d.Alternatives {
-			if e.IO < min {
-				min = e.IO
+			if e.IO < d.Est.IO {
+				t.Fatalf("choice %d picked est %.1f, %s is estimated at %.1f", i, d.Est.IO, e.Kind, e.IO)
 			}
 		}
-		if d.Est.IO > min*(1+SwitchMargin) {
-			t.Fatalf("choice %d picked est %.1f, argmin %.1f: outside the hysteresis band", i, d.Est.IO, min)
-		}
 		p.Observe(d.Kind, nt, cost[d.Kind])
-	}
-}
-
-// TestScaleInvariance: uniformly rescaling evidence weights (histogram
-// decay) leaves estimates and the resulting decision unchanged as long
-// as cells keep MinEvidence — the estimate is a step function of
-// weight, and means are untouched. Once decay pushes a cell below the
-// threshold, its estimate reverts to the analytic prior.
-func TestScaleInvariance(t *testing.T) {
-	mk := func() *Planner { return New(Config{Shape: testShape(), Seed: 11}) }
-	a, b := mk(), mk()
-	const nt = 16
-	costs := map[strategy.Kind]int64{
-		strategy.DFS: 90, strategy.BFS: 35, strategy.BFSNODUP: 45,
-		strategy.DFSCACHE: 30, strategy.DFSCLUST: 70,
-	}
-	for i := 0; i < 20; i++ {
-		for _, k := range a.Candidates() {
-			a.Observe(k, nt, costs[k])
-			b.Observe(k, nt, costs[k])
-		}
-	}
-	// After 20 observations a cell's weight is ~5 (the decayPerObs
-	// geometric limit); 0.8× keeps it ≈4 ≥ MinEvidence.
-	b.DecayEvidence(0.8)
-	ea, eb := a.Estimates(nt), b.Estimates(nt)
-	for i := range ea {
-		if ea[i] != eb[i] {
-			t.Fatalf("estimate %d changed under weight rescale: %+v vs %+v", i, ea[i], eb[i])
-		}
-	}
-	da, db := a.Choose(nt), b.Choose(nt)
-	if da.Kind != db.Kind || da.Probe != db.Probe {
-		t.Fatalf("decision diverged after weight rescale: %s/probe=%v vs %s/probe=%v",
-			da.Kind, da.Probe, db.Kind, db.Probe)
-	}
-	// Decaying below MinEvidence is the semantic boundary: estimates fall
-	// back to the analytic priors.
-	b.DecayEvidence(0.1)
-	for _, e := range b.Estimates(nt) {
-		if e.Observed {
-			t.Fatalf("estimate %+v still trusted after decaying weights to ~0.4", e)
-		}
 	}
 }
 
@@ -159,7 +104,7 @@ func TestDeterministicReplay(t *testing.T) {
 		mk := func() *Planner { return New(Config{Shape: testShape(), Seed: seed}) }
 		a, b := mk(), mk()
 		// Synthetic costs: deterministic in (kind, step), shifting over time
-		// so switches and staleness fades both occur.
+		// so switches occur.
 		cost := func(k strategy.Kind, i int) int64 {
 			base := int64(20 + 13*int64(k)%57)
 			if i > 150 {
@@ -179,8 +124,6 @@ func TestDeterministicReplay(t *testing.T) {
 			if i%50 == 49 {
 				a.ObserveHitRate(0.6)
 				b.ObserveHitRate(0.6)
-				a.NoteUpdate(3)
-				b.NoteUpdate(3)
 			}
 		}
 		sa, sb := a.Stats(), b.Stats()
@@ -190,37 +133,8 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestStalenessFallsBackToPrior: an arm that stops being observed fades
-// below MinEvidence and its estimate reverts to the analytic prior.
-func TestStalenessFallsBackToPrior(t *testing.T) {
-	p := New(Config{Shape: testShape(), Seed: 0, HalfLife: 16})
-	const nt = 8
-	for i := 0; i < 10; i++ {
-		p.Observe(strategy.BFS, nt, 40)
-	}
-	found := func() Estimate {
-		for _, e := range p.Estimates(nt) {
-			if e.Kind == strategy.BFS {
-				return e
-			}
-		}
-		t.Fatal("BFS missing from estimates")
-		return Estimate{}
-	}
-	if e := found(); !e.Observed {
-		t.Fatalf("BFS estimate not observed after 10 measurements: %+v", e)
-	}
-	// Age the cell far past the half-life by observing another arm.
-	for i := 0; i < 200; i++ {
-		p.Observe(strategy.DFS, nt, 90)
-	}
-	if e := found(); e.Observed {
-		t.Fatalf("BFS estimate still trusted after 200 choices unobserved (half-life 16): %+v", e)
-	}
-}
-
-// TestWarmthDynamics: warmth rises quickly on good hit rates, resists
-// cold readings, and is cut by update invalidations.
+// TestWarmthDynamics: warmth rises quickly on good hit rates and
+// resists cold readings.
 func TestWarmthDynamics(t *testing.T) {
 	p := New(Config{Shape: testShape()})
 	if w := p.Warmth(); w != 1 {
@@ -247,12 +161,6 @@ func TestWarmthDynamics(t *testing.T) {
 	if w := p.Warmth(); w < 0.6 {
 		t.Fatalf("warmth %.2f slow to recover on good hit rates", w)
 	}
-	// Updates invalidate cached units in proportion to capacity.
-	before := p.Warmth()
-	p.NoteUpdate(p.cfg.Shape.CacheUnits / 2)
-	if w := p.Warmth(); w > before*0.51 {
-		t.Fatalf("warmth %.2f after invalidating half the cache (was %.2f)", w, before)
-	}
 }
 
 // TestPriorOrdering sanity-checks the analytic priors' relative order in
@@ -270,15 +178,15 @@ func TestPriorOrdering(t *testing.T) {
 		}
 		return min
 	}
-	if m := argmin(p.Estimates(8)); m.Kind != strategy.DFSCLUST {
+	if m := argmin(p.Choose(8).Alternatives); m.Kind != strategy.DFSCLUST {
 		t.Fatalf("clean-cluster narrow argmin = %s, want DFSCLUST", m.Kind)
 	}
 	// Scatter the layout and the warm cache takes over.
 	scat := testShape()
 	scat.ClusterCoverage = 0
 	pScat := New(Config{Shape: scat, Seed: 2})
-	if m := argmin(pScat.Estimates(8)); m.Kind != strategy.DFSCACHE {
-		t.Fatalf("scattered narrow warm-cache argmin = %s, want DFSCACHE; ests %+v", m.Kind, pScat.Estimates(8))
+	if ests := pScat.Choose(8).Alternatives; argmin(ests).Kind != strategy.DFSCACHE {
+		t.Fatalf("scattered narrow warm-cache argmin = %s, want DFSCACHE; ests %+v", argmin(ests).Kind, ests)
 	}
 
 	// A scattered cluster layout must cost DFSCLUST more than a clean one.
@@ -298,56 +206,6 @@ func TestPriorOrdering(t *testing.T) {
 	}
 	if cold, dfs := pc.prior(strategy.DFSCACHE, 8), pc.prior(strategy.DFS, 8); cold < dfs {
 		t.Fatalf("cold-cache DFSCACHE prior %.1f below DFS %.1f: misses cost probes plus insert", cold, dfs)
-	}
-}
-
-func TestSeedFromRegistry(t *testing.T) {
-	reg := obs.NewRegistry()
-	h := reg.Histogram("DFSCACHE|SF=1|NT=8|retrieve.io", obs.IOBuckets)
-	for i := 0; i < 4; i++ {
-		h.Observe(24)
-	}
-	// Wrong share factor and non-candidate kinds are skipped.
-	reg.Histogram("BFS|SF=5|NT=8|retrieve.io", obs.IOBuckets).Observe(100)
-	reg.Histogram("SMART|SF=1|NT=8|retrieve.io", obs.IOBuckets).Observe(100)
-	reg.Histogram("BFS|SF=1|NT=mix|retrieve.io", obs.IOBuckets).Observe(100)
-
-	p := New(Config{Shape: testShape(), Seed: 1})
-	if n := p.SeedFromRegistry(reg); n != 1 {
-		t.Fatalf("SeedFromRegistry primed %d cells, want 1", n)
-	}
-	mean, evid := p.model.estimate(int(strategy.DFSCACHE), bucketOf(8))
-	if !evid || mean != 24 {
-		t.Fatalf("seeded cell = (%.1f, %v), want (24, true)", mean, evid)
-	}
-	// Seeding never sets ever: the arm still gets a live warmup probe.
-	if p.model.everObserved(int(strategy.DFSCACHE), bucketOf(8)) {
-		t.Fatal("seeding marked the cell as live-observed")
-	}
-	// Live evidence outranks a later seed.
-	p.Observe(strategy.DFSCACHE, 8, 48)
-	p.SeedFromRegistry(reg)
-	mean, _ = p.model.estimate(int(strategy.DFSCACHE), bucketOf(8))
-	if mean == 24 {
-		t.Fatal("re-seeding overwrote live evidence")
-	}
-}
-
-func TestParseCellName(t *testing.T) {
-	k, sf, nt, ok := parseCellName("DFSCLUST|SF=2|NT=300|retrieve.io")
-	if !ok || k != strategy.DFSCLUST || sf != 2 || nt != 300 {
-		t.Fatalf("parseCellName = %v %d %d %v", k, sf, nt, ok)
-	}
-	for _, bad := range []string{
-		"DFSCLUST|SF=2|NT=300|update.io", // wrong metric
-		"NOPE|SF=2|NT=300|retrieve.io",   // unknown kind
-		"DFS|SF=x|NT=300|retrieve.io",    // bad SF
-		"DFS|SF=2|NT=mix|retrieve.io",    // mixed-width cell
-		"retrieve.io",                    // wrong arity
-	} {
-		if _, _, _, ok := parseCellName(bad); ok {
-			t.Fatalf("parseCellName accepted %q", bad)
-		}
 	}
 }
 
@@ -377,15 +235,5 @@ func TestPathModelWarmupAndConvergence(t *testing.T) {
 	probe, batch, warm := pm.Counts()
 	if probe+batch == 0 || warm == 0 {
 		t.Fatalf("counts: probe=%d batch=%d warmup=%d", probe, batch, warm)
-	}
-}
-
-func TestPow2(t *testing.T) {
-	cases := map[float64]float64{0: 1, -1: 0.5, -2: 0.25, -0.5: 0.7071, -3.5: 0.0884}
-	for x, want := range cases {
-		got := pow2(x)
-		if got < want*0.97 || got > want*1.03 {
-			t.Errorf("pow2(%v) = %v, want ≈%v", x, got, want)
-		}
 	}
 }

@@ -7,73 +7,48 @@ import (
 	"testing"
 
 	"corep/internal/obs"
-	"corep/internal/strategy"
 )
 
-// TestConcurrentPlanningAndRegistry stresses the registry-fed planning
-// path under -race: serving goroutines plan and observe while updater
-// goroutines keep mutating the same obs registry cells the planner
-// seeds from, and a reader keeps flushing text dumps. The registry is
-// internally synchronized and the planner holds one mutex; this test
-// pins that down (the fix-it satellite — any torn read between the two
-// shows up here).
+// TestConcurrentPlanningAndRegistry stresses the planner under -race:
+// serving goroutines plan and observe while a reader keeps taking the
+// introspection surfaces and flushing the obs registry the serving
+// threads count into. The planner holds one mutex and the registry is
+// internally synchronized; any torn read shows up here.
 func TestConcurrentPlanningAndRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := New(Config{Shape: testShape(), Seed: 5})
 	var wg sync.WaitGroup
 
-	// Updater goroutines: mutate the histogram cells the planner reads.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				name := fmt.Sprintf("%s|SF=1|NT=%d|retrieve.io",
-					strategy.AllKinds[i%len(strategy.AllKinds)], 1<<(i%8))
-				reg.Histogram(name, obs.IOBuckets).Observe(float64(20 + i%64))
-				reg.Counter("updates").Add(1)
-			}
-		}(g)
-	}
-
-	// Serving goroutines: plan, observe, and re-seed concurrently.
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				nt := 1 << (i % 8)
 				d := p.Choose(nt)
 				p.Observe(d.Kind, nt, int64(30+i%40))
+				reg.Histogram(fmt.Sprintf("%s|SF=1|NT=%d|retrieve.io", d.Kind, nt), obs.IOBuckets).Observe(float64(30 + i%40))
 				if i%17 == 0 {
 					p.ObserveHitRate(float64(i%10) / 10)
-					p.NoteUpdate(1)
-				}
-				if i%101 == 0 {
-					p.SeedFromRegistry(reg)
-					p.DecayEvidence(0.99)
 				}
 			}
-		}(g)
+		}()
 	}
 
-	// Reader goroutine: introspection surfaces while everything churns.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			_ = p.Estimates(8)
 			_ = p.Stats()
-			_ = p.String()
 			_ = p.Warmth()
+			_ = p.Candidates()
 			reg.WriteText(io.Discard)
-			_ = reg.Points()
 		}
 	}()
 
 	wg.Wait()
-	if s := p.Stats(); s.Choices != 4*500 {
-		t.Fatalf("lost choices under concurrency: %d, want %d", s.Choices, 4*500)
+	if s := p.Stats(); s.Choices != 4*500 || s.Observed != 4*500 {
+		t.Fatalf("lost work under concurrency: %d choices, %d observed, want %d", s.Choices, s.Observed, 4*500)
 	}
 }
 

@@ -37,7 +37,6 @@ type Config struct {
 	ParentBytes int // target encoded width of a ParentRel tuple
 	ChildBytes  int // target encoded width of a ChildRel tuple
 	PoolPages   int // buffer pool size in pages
-	PoolPolicy  int // buffer replacement policy (buffer.LRU/Clock/Random)
 	// PoolShards is the buffer pool's lock-stripe count. The default (1)
 	// reproduces the paper's single-client eviction behaviour exactly;
 	// concurrent serving (harness.Serve) raises it.
@@ -141,9 +140,6 @@ func (c Config) Validate() error {
 	}
 	if c.SizeUnit*8+120 > c.ParentBytes*4 {
 		return fmt.Errorf("workload: SizeUnit %d too large for ParentBytes %d", c.SizeUnit, c.ParentBytes)
-	}
-	if !buffer.Policy(c.PoolPolicy).Valid() {
-		return fmt.Errorf("workload: unknown PoolPolicy %d", c.PoolPolicy)
 	}
 	if c.PoolShards < 0 {
 		return fmt.Errorf("workload: negative PoolShards %d", c.PoolShards)

@@ -143,7 +143,7 @@ func newSkeleton(cfg Config) (*DB, error) {
 		return nil, err
 	}
 	d := disk.NewSim()
-	pool, err := buffer.NewSharded(d, cfg.PoolPages, buffer.Policy(cfg.PoolPolicy), cfg.PoolShards)
+	pool, err := buffer.NewSharded(d, cfg.PoolPages, cfg.PoolShards)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
