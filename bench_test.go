@@ -170,6 +170,10 @@ func BenchmarkExtLevels(b *testing.B) {
 	}
 	for _, k := range []strategy.Kind{strategy.DFS, strategy.BFS, strategy.BFSNODUP} {
 		b.Run(k.String(), func(b *testing.B) {
+			st, err := strategy.New(k, db.DB)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var lastIO float64
 			for i := 0; i < b.N; i++ {
 				if err := db.ResetCold(); err != nil {
@@ -178,7 +182,7 @@ func BenchmarkExtLevels(b *testing.B) {
 				ops := db.GenSequence(benchRetrieves, 0, 200)
 				start := db.Disk.Stats().Total()
 				for _, op := range ops {
-					if _, err := strategy.DeepRetrieve(db, k, strategy.Query{Lo: op.Lo, Hi: op.Hi, AttrIdx: op.AttrIdx}); err != nil {
+					if _, err := st.Retrieve(db.DB, strategy.Query{Lo: op.Lo, Hi: op.Hi, AttrIdx: op.AttrIdx}); err != nil {
 						b.Fatal(err)
 					}
 				}

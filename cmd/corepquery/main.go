@@ -12,7 +12,7 @@
 //
 //	retrieve (...) [where ...]   run a query
 //	\path <group-key>            retrieve (group.members.name) for one group
-//	\plan retrieve (...)         show the operator pipeline and planned traversals without executing
+//	\plan retrieve (...)         show the operator pipeline without executing
 //	\heat                        hottest units seen by the adaptive-clustering tracker
 //	\reclust                     reorganize: pack the hottest units onto shared extent pages
 //	\stats                       consolidated per-layer counters (\stats json for raw JSON)
@@ -120,9 +120,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// Cost-based traversal planning: path queries choose probe vs batch
-	// expansion per step; \plan shows the pipeline without running it.
-	db.EnablePlanner()
 	if *trace {
 		db.TraceTo(os.Stderr)
 	}
@@ -391,10 +388,6 @@ func printSnapshot(snap corep.Snapshot, asJSON bool) {
 			fmt.Printf("; recovery replayed %d, discarded %d", snap.WAL.RecoveryReplayed, snap.WAL.RecoveryDiscarded)
 		}
 		fmt.Println()
-	}
-	if snap.Planner != nil {
-		fmt.Printf("planner:  %d planned executions, %d probe / %d batch traversals (%d warmup)\n",
-			snap.Planner.Plans, snap.Planner.ProbeChosen, snap.Planner.BatchChosen, snap.Planner.Warmup)
 	}
 	if rs := snap.Reclust; rs != nil {
 		fmt.Printf("reclust:  %d units tracked (%d touches, %d evictions), %d migrations in %d batches, %d pages rewritten, %d placements (%d dropped)\n",

@@ -11,7 +11,6 @@ import (
 	"corep/internal/engine"
 	"corep/internal/object"
 	"corep/internal/obs"
-	"corep/internal/planner"
 	"corep/internal/pql"
 	"corep/internal/tuple"
 	"corep/internal/wal"
@@ -103,12 +102,6 @@ type Database struct {
 	traceSink obs.Sink
 	// slow is the slow-query log (EnableSlowLog); nil collects nothing.
 	slow *obs.SlowLog
-
-	// planner is the path-traversal cost model (EnablePlanner; see
-	// database_planner.go); nil keeps every expansion on the page-ordered
-	// batch.
-	planner      *planner.PathModel
-	plannerPlans int64
 }
 
 // NewDatabase creates an in-memory database with the given buffer-pool
@@ -360,7 +353,7 @@ func (r *Relation) Resolve(key int64, attr string) (*Resolved, error) {
 		if err != nil {
 			return nil, err
 		}
-		stored, err := r.db.store.Execute(q, pql.ExecOpts{})
+		stored, err := r.db.store.Execute(q)
 		if err != nil {
 			return nil, err
 		}
@@ -418,7 +411,7 @@ func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, ex
 		sp.SetAttr("values", int64(len(out)))
 		d.core.Obs.Histogram("query.io", obs.IOBuckets).Observe(float64(d.core.Disk.Stats().Total() - before))
 	}()
-	x := d.store.Expander(d.plannerOpts())
+	x := d.store.Expander()
 	err = crel.Tree.Range(lo, hi, func(key int64, rec []byte) (bool, error) {
 		if cerr := tuple.Check(crel.Schema, rec); cerr != nil {
 			return false, cerr
@@ -471,7 +464,7 @@ func (d *Database) Query(src string) (qr *QueryResult, err error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := d.store.Execute(q, d.plannerOpts())
+	res, err := d.store.Execute(q)
 	if err != nil {
 		return nil, err
 	}

@@ -117,113 +117,108 @@ func mixedRow(kind string, k int) Row {
 }
 
 // TestPathViewsSurviveFrameReuse: path retrieval reads subobjects as
-// views into pinned pages — B-tree leaves under a probe or a batch, the
+// views into pinned pages — B-tree leaves under a batch, the
 // parent's own record for inline members, a stored query's scan — on a
 // pool of six frames that recycles each of them many times per call.
-// Through RetrievePath, RetrievePathN, RetrievePathCached and Query,
-// planned and not, what comes back owns its bytes, the forms agree, and
-// no pin is left — also when a member is missing midway.
+// Through RetrievePath, RetrievePathN, RetrievePathCached and Query what
+// comes back owns its bytes, the forms agree, and no pin is left — also
+// when a member is missing midway.
 func TestPathViewsSurviveFrameReuse(t *testing.T) {
-	for _, planned := range []bool{false, true} {
-		db := buildMixedDB(t, 6)
-		if planned {
-			db.EnablePlanner()
-		}
-		want := []string{
-			"part-0590", "item-0003", "part-0002", "item-0301", "item-0599", // grp 1, in list order
-			"item-0011", "item-0012", // grp 2
-			"part-0205", // grp 3
-		}
-		for name, retrieve := range map[string]func() ([]Value, error){
-			"RetrievePath": func() ([]Value, error) { return db.RetrievePath("grp", "members", "name", 1, 3) },
-			"Query": func() ([]Value, error) {
-				return firstColumn(db.Query(`retrieve (grp.members.name) where grp.key <= 3`))
-			},
-			"RetrievePathN": func() ([]Value, error) {
-				vals, err := db.RetrievePathN("shelf", []string{"grps", "label"}, 1, 1)
-				if err != nil || fmt.Sprint(vals) != "[g3 g1 g2]" {
-					return nil, fmt.Errorf("labels = %v, %v", vals, err)
-				}
-				return db.RetrievePathN("grp", []string{"members", "name"}, 1, 3)
-			},
-			"RetrievePathCached, no cache": func() ([]Value, error) {
-				return db.RetrievePathCached("grp", "members", "name", 1, 3)
-			},
-			"RetrievePathN, three levels": func() ([]Value, error) {
-				// shelf 1 lists grps 3, 1, 2: rotate into key order.
-				vals, err := db.RetrievePathN("shelf", []string{"grps", "members", "name"}, 1, 1)
-				if err != nil || len(vals) != 8 {
-					return vals, err
-				}
-				return append(append([]Value{}, vals[1:]...), vals[0]), nil
-			},
-			"two segments": func() ([]Value, error) {
-				// shelf 1 lists grps 3, 1, 2: rotate into key order.
-				vals, err := firstColumn(db.Query(`retrieve (shelf.grps.members.name)`))
-				if err != nil || len(vals) != 8 {
-					return vals, err
-				}
-				return append(append([]Value{}, vals[1:]...), vals[0]), nil
-			},
-			"join": func() ([]Value, error) {
-				vals, err := firstColumn(db.Query(`retrieve (part.name, item.name) where item.OID = part.val and part.OID <= 60`))
-				if err != nil || len(vals) != 60 || vals[59].Str[:9] != "part-0060" {
-					return nil, fmt.Errorf("join: %d rows, %v", len(vals), err)
-				}
-				return db.RetrievePath("grp", "members", "name", 1, 3)
-			},
-		} {
-			vals, err := retrieve()
-			if err != nil {
-				t.Fatalf("%s (planned=%v): %v", name, planned, err)
-			}
-			testutil.AssertNoLeaks(t, db.core.Pool)
-			testutil.ScribbleFrames(t, db.core.Pool)
-			if len(vals) != len(want) {
-				t.Fatalf("%s (planned=%v): %d values: %v", name, planned, len(vals), vals)
-			}
-			for i, v := range vals {
-				if v.Str != want[i]+"-padding-to-spread-pages" {
-					t.Fatalf("%s (planned=%v): value %d = %q after the frames were overwritten, want %s…", name, planned, i, v.Str, want[i])
-				}
-			}
-		}
-		// Through the cache — a miss that materializes and inserts, then a
-		// hit — the values are decoded copies all the same.
-		if err := db.EnableCache(8); err != nil {
-			t.Fatal(err)
-		}
-		for _, pass := range []string{"miss", "hit"} {
-			vals, err := db.RetrievePathCached("grp", "members", "name", 1, 3)
-			if err != nil {
-				t.Fatalf("RetrievePathCached, cache %s (planned=%v): %v", pass, planned, err)
-			}
-			testutil.AssertNoLeaks(t, db.core.Pool)
-			testutil.ScribbleFrames(t, db.core.Pool)
-			if len(vals) != len(want) {
-				t.Fatalf("RetrievePathCached, cache %s (planned=%v): %d values: %v", pass, planned, len(vals), vals)
-			}
-			for i, v := range vals {
-				if v.Str != want[i]+"-padding-to-spread-pages" {
-					t.Fatalf("RetrievePathCached, cache %s (planned=%v): value %d = %q after the frames were overwritten", pass, planned, i, v.Str)
-				}
-			}
-		}
-		// grp 4 lists a member that is not there, after two that are: the
-		// leaf under the range cursor and the failed probe's are released.
-		if _, err := db.RetrievePath("grp", "members", "name", 1, 4); err == nil {
-			t.Fatal("dangling member accepted")
-		}
-		testutil.AssertNoLeaks(t, db.core.Pool)
-		if _, err := db.Query(`retrieve (grp.label, grp.members.val)`); err == nil {
-			t.Fatal("dangling member accepted by Query")
-		}
-		testutil.AssertNoLeaks(t, db.core.Pool)
-		if _, err := db.RetrievePath("grp", "members", "label", 2, 3); err == nil {
-			t.Fatal("attribute the members lack accepted")
-		}
-		testutil.AssertNoLeaks(t, db.core.Pool)
+	db := buildMixedDB(t, 6)
+	want := []string{
+		"part-0590", "item-0003", "part-0002", "item-0301", "item-0599", // grp 1, in list order
+		"item-0011", "item-0012", // grp 2
+		"part-0205", // grp 3
 	}
+	for name, retrieve := range map[string]func() ([]Value, error){
+		"RetrievePath": func() ([]Value, error) { return db.RetrievePath("grp", "members", "name", 1, 3) },
+		"Query": func() ([]Value, error) {
+			return firstColumn(db.Query(`retrieve (grp.members.name) where grp.key <= 3`))
+		},
+		"RetrievePathN": func() ([]Value, error) {
+			vals, err := db.RetrievePathN("shelf", []string{"grps", "label"}, 1, 1)
+			if err != nil || fmt.Sprint(vals) != "[g3 g1 g2]" {
+				return nil, fmt.Errorf("labels = %v, %v", vals, err)
+			}
+			return db.RetrievePathN("grp", []string{"members", "name"}, 1, 3)
+		},
+		"RetrievePathCached, no cache": func() ([]Value, error) {
+			return db.RetrievePathCached("grp", "members", "name", 1, 3)
+		},
+		"RetrievePathN, three levels": func() ([]Value, error) {
+			// shelf 1 lists grps 3, 1, 2: rotate into key order.
+			vals, err := db.RetrievePathN("shelf", []string{"grps", "members", "name"}, 1, 1)
+			if err != nil || len(vals) != 8 {
+				return vals, err
+			}
+			return append(append([]Value{}, vals[1:]...), vals[0]), nil
+		},
+		"two segments": func() ([]Value, error) {
+			// shelf 1 lists grps 3, 1, 2: rotate into key order.
+			vals, err := firstColumn(db.Query(`retrieve (shelf.grps.members.name)`))
+			if err != nil || len(vals) != 8 {
+				return vals, err
+			}
+			return append(append([]Value{}, vals[1:]...), vals[0]), nil
+		},
+		"join": func() ([]Value, error) {
+			vals, err := firstColumn(db.Query(`retrieve (part.name, item.name) where item.OID = part.val and part.OID <= 60`))
+			if err != nil || len(vals) != 60 || vals[59].Str[:9] != "part-0060" {
+				return nil, fmt.Errorf("join: %d rows, %v", len(vals), err)
+			}
+			return db.RetrievePath("grp", "members", "name", 1, 3)
+		},
+	} {
+		vals, err := retrieve()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		testutil.AssertNoLeaks(t, db.core.Pool)
+		testutil.ScribbleFrames(t, db.core.Pool)
+		if len(vals) != len(want) {
+			t.Fatalf("%s: %d values: %v", name, len(vals), vals)
+		}
+		for i, v := range vals {
+			if v.Str != want[i]+"-padding-to-spread-pages" {
+				t.Fatalf("%s: value %d = %q after the frames were overwritten, want %s…", name, i, v.Str, want[i])
+			}
+		}
+	}
+	// Through the cache — a miss that materializes and inserts, then a
+	// hit — the values are decoded copies all the same.
+	if err := db.EnableCache(8); err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"miss", "hit"} {
+		vals, err := db.RetrievePathCached("grp", "members", "name", 1, 3)
+		if err != nil {
+			t.Fatalf("RetrievePathCached, cache %s: %v", pass, err)
+		}
+		testutil.AssertNoLeaks(t, db.core.Pool)
+		testutil.ScribbleFrames(t, db.core.Pool)
+		if len(vals) != len(want) {
+			t.Fatalf("RetrievePathCached, cache %s: %d values: %v", pass, len(vals), vals)
+		}
+		for i, v := range vals {
+			if v.Str != want[i]+"-padding-to-spread-pages" {
+				t.Fatalf("RetrievePathCached, cache %s: value %d = %q after the frames were overwritten", pass, i, v.Str)
+			}
+		}
+	}
+	// grp 4 lists a member that is not there, after two that are: the
+	// leaf under the range cursor and the failed probe's are released.
+	if _, err := db.RetrievePath("grp", "members", "name", 1, 4); err == nil {
+		t.Fatal("dangling member accepted")
+	}
+	testutil.AssertNoLeaks(t, db.core.Pool)
+	if _, err := db.Query(`retrieve (grp.label, grp.members.val)`); err == nil {
+		t.Fatal("dangling member accepted by Query")
+	}
+	testutil.AssertNoLeaks(t, db.core.Pool)
+	if _, err := db.RetrievePath("grp", "members", "label", 2, 3); err == nil {
+		t.Fatal("attribute the members lack accepted")
+	}
+	testutil.AssertNoLeaks(t, db.core.Pool)
 }
 
 // TestRetrievePathChecksMemberRecords: RetrievePath projects one

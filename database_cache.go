@@ -231,7 +231,7 @@ func (d *Database) cachedProc(src string, epoch uint64) ([]Row, *tuple.Schema, e
 		rows, err := object.DecodeNested(schema, v)
 		return rows, schema, err
 	}
-	res, err := d.store.Execute(q, pql.ExecOpts{})
+	res, err := d.store.Execute(q)
 	if err != nil {
 		return nil, nil, err
 	}

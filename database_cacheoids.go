@@ -66,7 +66,7 @@ func (d *Database) cachedProcOIDs(src string) ([]OID, *pql.Result, error) {
 		oids, err := object.DecodeOIDs(v)
 		return oids, nil, err
 	}
-	res, err := d.store.Execute(q, pql.ExecOpts{})
+	res, err := d.store.Execute(q)
 	if err != nil {
 		return nil, nil, err
 	}

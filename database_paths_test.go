@@ -160,24 +160,21 @@ func buildPathsDB(t *testing.T, seed int64, pool int) (*Database, *pathsModel) {
 // lists mix relations, RetrievePath, the same path as a Query,
 // RetrievePathN and RetrievePathCached return what the plain-Go model
 // holds — as does a three-level path whose middle level is an OID list,
-// inline or a stored query — with the planner off and on, the cache off
-// and on, before and after Reorganize has packed the units the
+// inline or a stored query — with the cache off and on, before and after
+// Reorganize has packed the units the
 // retrievals heated. Where every page a retrieval touches fits the pool,
 // the forms also read the same pages: after Reorganize a Query finds the
 // packed copies RetrievePath finds.
 func TestPathEntryPointsAgree(t *testing.T) {
 	for _, cfg := range []struct {
-		planned, cached bool
-		pool            int
+		cached bool
+		pool   int
 	}{
-		{pool: 512}, {pool: 8}, {planned: true, pool: 8}, {cached: true, pool: 8}, {planned: true, cached: true, pool: 8},
+		{pool: 512}, {pool: 8}, {cached: true, pool: 8},
 	} {
-		t.Run(fmt.Sprintf("planned=%v,cached=%v,pool=%d", cfg.planned, cfg.cached, cfg.pool), func(t *testing.T) {
+		t.Run(fmt.Sprintf("cached=%v,pool=%d", cfg.cached, cfg.pool), func(t *testing.T) {
 			const seed = 15
 			db, m := buildPathsDB(t, seed, cfg.pool)
-			if cfg.planned {
-				db.EnablePlanner()
-			}
 			if cfg.cached {
 				if err := db.EnableCache(16); err != nil {
 					t.Fatal(err)
@@ -250,8 +247,8 @@ func TestPathEntryPointsAgree(t *testing.T) {
 			}
 			check("reorganized")
 
-			if cfg.planned || cfg.cached || cfg.pool < 512 {
-				return // reads depend on what the model learnt, the cache holds, the pool evicted
+			if cfg.cached || cfg.pool < 512 {
+				return // reads depend on what the cache holds, the pool evicted
 			}
 			cold := func(get func() ([]Value, error)) int64 {
 				t.Helper()

@@ -58,7 +58,6 @@ type Snapshot struct {
 	Txn      *TxnStats     `json:"txn,omitempty"`     // nil until EnableVersionedServing (see database_txn.go)
 	WAL      *WALStats     `json:"wal,omitempty"`     // nil until EnableWAL (see database_wal.go)
 	Reclust  *ReclustStats `json:"reclust,omitempty"` // nil until EnableReclustering (see database_reclust.go)
-	Planner  *PlannerStats `json:"planner,omitempty"` // nil until EnablePlanner (see database_planner.go)
 }
 
 // Snapshot returns the current consolidated counters.
@@ -91,7 +90,6 @@ func (d *Database) Snapshot() Snapshot {
 	snap.Txn = d.TxnStats()
 	snap.WAL = d.WALStats()
 	snap.Reclust = d.ReclustStats()
-	snap.Planner = d.plannerStats()
 	return snap
 }
 

@@ -48,6 +48,10 @@ func ExtLevels(sc Scale) (*Table, error) {
 		}
 		var two [2]float64
 		for i, k := range []strategy.Kind{strategy.BFS, strategy.BFSNODUP} {
+			st, err := strategy.New(k, db.DB)
+			if err != nil {
+				return nil, err
+			}
 			if err := db.ResetCold(); err != nil {
 				return nil, err
 			}
@@ -58,7 +62,7 @@ func ExtLevels(sc Scale) (*Table, error) {
 				if op.Kind != workload.OpRetrieve {
 					continue
 				}
-				if _, err := strategy.DeepRetrieve(db, k, strategy.Query{Lo: op.Lo, Hi: op.Hi, AttrIdx: op.AttrIdx}); err != nil {
+				if _, err := st.Retrieve(db.DB, strategy.Query{Lo: op.Lo, Hi: op.Hi, AttrIdx: op.AttrIdx}); err != nil {
 					return nil, err
 				}
 				n++

@@ -171,8 +171,8 @@ func TestPlannerSweepReduced(t *testing.T) {
 	if got := res.TotalIOPerQuery[pl]; got > worst {
 		t.Fatalf("planner full-run %.2f io/query worse than worst static %.2f", got, worst)
 	}
-	if res.PlannerStats.Choices != 90 {
-		t.Fatalf("planner made %d choices, want 90 retrieves", res.PlannerStats.Choices)
+	if res.Activity.Choices != 90 {
+		t.Fatalf("planner made %d choices, want 90 retrieves", res.Activity.Choices)
 	}
 	var cells int
 	for _, c := range res.Cells() {

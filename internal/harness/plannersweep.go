@@ -100,8 +100,8 @@ type PlannerSweepResult struct {
 	// RowsCompared counts retrieve results checked identical between the
 	// planner arm and each static arm.
 	RowsCompared int64 `json:"rows_compared"`
-	// PlannerStats is the planner arm's activity.
-	PlannerStats planner.Stats `json:"planner_stats"`
+	// Activity is the planner arm's choose/observe counts.
+	Activity planner.Stats `json:"planner_stats"`
 }
 
 type sweepArm struct {
@@ -250,7 +250,7 @@ func RunPlannerSweep(cfg PlannerSweepConfig) (*PlannerSweepResult, error) {
 		res.TotalIOPerQuery[a.name] = float64(totIO[a.name]) / float64(max(totRetr, 1))
 	}
 	if pl, ok := plArm.st.(*planner.Planned); ok {
-		res.PlannerStats = pl.P.Stats()
+		res.Activity = pl.P.Stats()
 	}
 	return res, nil
 }
@@ -304,8 +304,8 @@ func (r *PlannerSweepResult) Cells() []bench.Cell {
 	}
 	summary := map[string]float64{
 		"rows_compared": float64(r.RowsCompared),
-		"switches":      float64(r.PlannerStats.Switches),
-		"probes":        float64(r.PlannerStats.Probes),
+		"switches":      float64(r.Activity.Switches),
+		"probes":        float64(r.Activity.Probes),
 	}
 	if pl := r.TotalIOPerQuery[strategy.Planned.String()]; pl > 0 {
 		summary["speedup"] = bestStatic(r.TotalIOPerQuery) / pl

@@ -9,7 +9,7 @@ type model struct {
 }
 
 type cellKey struct {
-	arm    int // strategy.Kind (or path traversal id)
+	arm    int // strategy.Kind
 	bucket int
 }
 

@@ -6,13 +6,12 @@
 // the update/retrieve mix shifts, so the choice tracks the workload
 // instead of a fixed threshold.
 //
-// Two planning surfaces share the model machinery:
-//
-//   - Planner + Planned (adapter.go): per-query choice among the
-//     workload strategies DFS/BFS/BFSNODUP/DFSCACHE/DFSCLUST.
-//   - PathModel (path.go): per-sub-path traversal choice (probe vs
-//     batched fetch) inside the pql streaming executor's expansion
-//     operator, for multi-dot paths like group.members.name.
+// Planner + Planned (adapter.go) is the one planning surface: a
+// per-query choice among the workload strategies
+// DFS/BFS/BFSNODUP/DFSCACHE/DFSCLUST. (A second model that chose probe
+// against batch per pql path step lost its trial to the batch alone —
+// EXPERIMENTS.md, earn-your-keep ledger; the per-step choice returns
+// when the expansion step has a second operator that can win.)
 //
 // Determinism is a design constraint: no randomness anywhere, ties
 // break in Kind order, and the only state is the decayed estimator

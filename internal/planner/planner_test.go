@@ -208,32 +208,3 @@ func TestPriorOrdering(t *testing.T) {
 		t.Fatalf("cold-cache DFSCACHE prior %.1f below DFS %.1f: misses cost probes plus insert", cold, dfs)
 	}
 }
-
-func TestPathModelWarmupAndConvergence(t *testing.T) {
-	pm := NewPathModel(3)
-	// Warmup: both traversals tried once per (rel, fanout-bucket).
-	tr1, _ := pm.ChooseTraversal(7, 16)
-	pm.ObserveTraversal(7, tr1, 16, 40)
-	tr2, _ := pm.ChooseTraversal(7, 16)
-	pm.ObserveTraversal(7, tr2, 16, 4)
-	if tr1 == tr2 {
-		t.Fatalf("warmup reused traversal %v before trying the alternative", tr1)
-	}
-	// With tr2 measured 10× cheaper, it wins from here on.
-	for i := 0; i < 50; i++ {
-		tr, _ := pm.ChooseTraversal(7, 16)
-		cost := int64(40)
-		if tr == tr2 {
-			cost = 4
-		}
-		pm.ObserveTraversal(7, tr, 16, cost)
-	}
-	tr, est := pm.ChooseTraversal(7, 16)
-	if tr != tr2 {
-		t.Fatalf("converged on %v (est %.1f), want the measured-cheap traversal %v", tr, est, tr2)
-	}
-	probe, batch, warm := pm.Counts()
-	if probe+batch == 0 || warm == 0 {
-		t.Fatalf("counts: probe=%d batch=%d warmup=%d", probe, batch, warm)
-	}
-}

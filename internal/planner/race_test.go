@@ -51,26 +51,3 @@ func TestConcurrentPlanningAndRegistry(t *testing.T) {
 		t.Fatalf("lost work under concurrency: %d choices, %d observed, want %d", s.Choices, s.Observed, 4*500)
 	}
 }
-
-// TestConcurrentPathModel races traversal planning against observation.
-func TestConcurrentPathModel(t *testing.T) {
-	pm := NewPathModel(3)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 400; i++ {
-				rel := uint16(i % 4)
-				fanout := 1 << (i % 7)
-				tr, _ := pm.ChooseTraversal(rel, fanout)
-				pm.ObserveTraversal(rel, tr, fanout, int64(2+i%30))
-			}
-		}(g)
-	}
-	wg.Wait()
-	probe, batch, _ := pm.Counts()
-	if probe+batch != 8*400 {
-		t.Fatalf("lost choices: probe %d + batch %d != %d", probe, batch, 8*400)
-	}
-}

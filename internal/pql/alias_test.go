@@ -173,9 +173,8 @@ func viewDB(t *testing.T, frames int) (*catalog.Catalog, *buffer.Pool) {
 // are views into pinned pages, and a 4-frame pool recycles every frame
 // many times within one query. What a query returns must nevertheless
 // own its bytes, be what the decode-everything reference returns, and
-// leave no pin behind — for OID lists spanning two relations (probed and
-// batched), inline members, stored-query members, a two-segment path
-// and both join forms.
+// leave no pin behind — for OID lists spanning two relations, inline
+// members, stored-query members, a two-segment path and both join forms.
 func TestRowViewsSurviveFrameReuse(t *testing.T) {
 	cat, pool := viewDB(t, 4)
 	for _, src := range []string{
@@ -191,17 +190,14 @@ func TestRowViewsSurviveFrameReuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", src, err)
 		}
-		for _, tr := range []Traversal{TraversalProbe, TraversalBatch} {
-			var io int64
-			got, err := Store{Cat: cat, View: cat}.Execute(q, ExecOpts{Planner: &stubPlanner{tr: tr}, IOStat: func() int64 { io++; return io }})
-			if err != nil {
-				t.Fatalf("%s (%s): %v", src, tr, err)
-			}
-			testutil.AssertNoLeaks(t, pool)
-			testutil.ScribbleFrames(t, pool)
-			if len(got.Tuples) == 0 || !reflect.DeepEqual(got.Tuples, want.Tuples) {
-				t.Fatalf("%s (%s): after the frames were overwritten\n got %v\nwant %v", src, tr, got.Tuples, want.Tuples)
-			}
+		got, err := Execute(cat, q)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		testutil.AssertNoLeaks(t, pool)
+		testutil.ScribbleFrames(t, pool)
+		if len(got.Tuples) == 0 || !reflect.DeepEqual(got.Tuples, want.Tuples) {
+			t.Fatalf("%s: after the frames were overwritten\n got %v\nwant %v", src, got.Tuples, want.Tuples)
 		}
 	}
 }
@@ -221,14 +217,11 @@ func TestNoPinSurvivesAnAbandonedPipeline(t *testing.T) {
 		`retrieve (crate.contents.label.name)`,                      // label is no children attribute
 		`retrieve (item.name) where item.OID > 5 and item.name = 3`, // predicate fails mid-scan
 	} {
-		for _, tr := range []Traversal{TraversalProbe, TraversalBatch} {
-			var io int64
-			_, err := Store{Cat: cat, View: cat}.Execute(mustParse(t, src), ExecOpts{Planner: &stubPlanner{tr: tr}, IOStat: func() int64 { io++; return io }})
-			if !errors.Is(err, ErrExec) {
-				t.Fatalf("%s (%s): err = %v, want an ErrExec", src, tr, err)
-			}
-			testutil.AssertNoLeaks(t, pool)
+		_, err := Execute(cat, mustParse(t, src))
+		if !errors.Is(err, ErrExec) {
+			t.Fatalf("%s: err = %v, want an ErrExec", src, err)
 		}
+		testutil.AssertNoLeaks(t, pool)
 	}
 	item, err := cat.Get("item")
 	if err != nil {
@@ -259,9 +252,9 @@ func TestNoPinSurvivesAnAbandonedPipeline(t *testing.T) {
 // TestLazyDecodeStillChecksRecords: the pipeline materializes only the
 // fields a query names, but a record damaged in a field *behind* the
 // projected one is still refused with tuple.ErrDecode, as when every
-// record was decoded whole — wherever it enters: under a scan, as an OID
-// probe or batch, as an inline member, as a join partner, inside a
-// stored query.
+// record was decoded whole — wherever it enters: under a scan, in an OID
+// list's sweep, as an inline member, as a join partner, inside a stored
+// query.
 func TestLazyDecodeStillChecksRecords(t *testing.T) {
 	for name, damage := range map[string]func([]byte) []byte{
 		"truncated": func(rec []byte) []byte { return rec[:len(rec)-2] },
@@ -333,14 +326,11 @@ func TestLazyDecodeStillChecksRecords(t *testing.T) {
 			`retrieve (good.name, bad.name) where bad.OID = good.OID`,
 			`retrieve (good.name) where good.name = bad.name`,
 		} {
-			for _, tr := range []Traversal{TraversalProbe, TraversalBatch} {
-				var io int64
-				_, err := Store{Cat: cat, View: cat}.Execute(mustParse(t, src), ExecOpts{Planner: &stubPlanner{tr: tr}, IOStat: func() int64 { io++; return io }})
-				if !errors.Is(err, tuple.ErrDecode) {
-					t.Fatalf("%s record, %s (%s): err = %v, want tuple.ErrDecode", name, src, tr, err)
-				}
-				testutil.AssertNoLeaks(t, cat.Pool())
+			_, err := Execute(cat, mustParse(t, src))
+			if !errors.Is(err, tuple.ErrDecode) {
+				t.Fatalf("%s record, %s: err = %v, want tuple.ErrDecode", name, src, err)
 			}
+			testutil.AssertNoLeaks(t, cat.Pool())
 		}
 		// Records before the damaged one, and queries that never reach it,
 		// are unaffected.

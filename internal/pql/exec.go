@@ -46,20 +46,17 @@ type Store struct {
 // Execute runs a parsed query against cat and materializes the result.
 // Supported shapes — which cover the paper's procedural attributes — are
 // single-relation selections, two-relation joins, and multi-dot path
-// queries (one path target; see iter.go). It is the unplanned executor
-// reading through the catalog.
+// queries (one path target; see iter.go). It reads through the catalog.
 func Execute(cat *catalog.Catalog, q *Query) (*Result, error) {
-	return Store{Cat: cat, View: cat}.Execute(q, ExecOpts{})
+	return Store{Cat: cat, View: cat}.Execute(q)
 }
 
-// Execute runs a parsed query against st under opts. Planned and
-// unplanned execution share one pipeline — the differential tests hold
-// them row-identical. This is the boundary where rows leave the
-// executor: each is materialized here, field by field through
-// tuple.DecodeField, and owns its strings and bytes.
-func (st Store) Execute(q *Query, opts ExecOpts) (*Result, error) {
+// Execute runs a parsed query against st. This is the boundary where
+// rows leave the executor: each is materialized here, field by field
+// through tuple.DecodeField, and owns its strings and bytes.
+func (st Store) Execute(q *Query) (*Result, error) {
 	res := &Result{}
-	b, err := run(st, q, opts, func(b *bound) error {
+	b, err := run(st, q, ExecOpts{}, func(b *bound) error {
 		t := make(tuple.Tuple, len(b.cols))
 		for j := range t {
 			v, err := b.col(j)

@@ -21,11 +21,8 @@ type PlanStep struct {
 	Op string `json:"op"`
 	// Rel is the relation (or path segment) the operator touches.
 	Rel string `json:"rel"`
-	// Detail carries operator-specific notes (chosen traversal, bounds).
+	// Detail carries operator-specific notes (bounds, the predicate).
 	Detail string `json:"detail,omitempty"`
-	// EstIO is the planner's page estimate when one is available (< 0
-	// when no estimate applies).
-	EstIO float64 `json:"est_io"`
 }
 
 func (p *Plan) String() string {
@@ -33,9 +30,6 @@ func (p *Plan) String() string {
 	fmt.Fprintf(&b, "plan for %s\n", p.Query)
 	for i, s := range p.Steps {
 		fmt.Fprintf(&b, "  %d. %-18s %-12s", i+1, s.Op, s.Rel)
-		if s.EstIO >= 0 {
-			fmt.Fprintf(&b, " est≈%.1f pages", s.EstIO)
-		}
 		if s.Detail != "" {
 			fmt.Fprintf(&b, "  %s", s.Detail)
 		}
@@ -44,20 +38,13 @@ func (p *Plan) String() string {
 	return b.String()
 }
 
-// explainFanout is the nominal fan-out Explain quotes traversal
-// estimates at; the executed choice re-plans per actual fan-out.
-const explainFanout = 8
-
-// Explain reports the plan for q without executing it. With a
-// PathPlanner in opts, expand steps carry the traversal the planner
-// would currently choose at a nominal fan-out; execution re-chooses per
-// actual fan-out, so Explain is a live view of the model, not a frozen
-// contract.
-func Explain(cat *catalog.Catalog, q *Query, opts ExecOpts) (*Plan, error) {
+// Explain reports the plan for q without executing it. The options are
+// those Execute takes; no plan depends on them.
+func Explain(cat *catalog.Catalog, q *Query, _ ExecOpts) (*Plan, error) {
 	p := &Plan{Query: q.String()}
 	for _, t := range q.Targets {
 		if t.Pathy() {
-			return explainPath(cat, q, t, opts, p)
+			return explainPath(cat, q, t, p)
 		}
 	}
 	rels := q.Relations()
@@ -69,9 +56,9 @@ func Explain(cat *catalog.Catalog, q *Query, opts ExecOpts) (*Plan, error) {
 		}
 		p.Steps = append(p.Steps, scanStep(rel, q.Where))
 		if q.Where != nil {
-			p.Steps = append(p.Steps, PlanStep{Op: "filter", Rel: rels[0], Detail: q.Where.String(), EstIO: -1})
+			p.Steps = append(p.Steps, PlanStep{Op: "filter", Rel: rels[0], Detail: q.Where.String()})
 		}
-		p.Steps = append(p.Steps, PlanStep{Op: "project", Rel: rels[0], EstIO: -1})
+		p.Steps = append(p.Steps, PlanStep{Op: "project", Rel: rels[0]})
 		return p, nil
 	case 2:
 		outer, err := cat.Get(rels[0])
@@ -83,40 +70,32 @@ func Explain(cat *catalog.Catalog, q *Query, opts ExecOpts) (*Plan, error) {
 			return nil, err
 		}
 		p.Steps = append(p.Steps, scanStep(outer, nil))
-		join := PlanStep{Op: "nested-loop", Rel: rels[1], EstIO: -1}
+		join := PlanStep{Op: "nested-loop", Rel: rels[1]}
 		if q.Where != nil && indexProbeCol(inner, outer, q.Where) != nil {
 			join.Op = "index-nested-loop"
 			join.Detail = "probe inner key per outer row"
 		}
-		p.Steps = append(p.Steps, join, PlanStep{Op: "project", Rel: rels[0] + "⋈" + rels[1], EstIO: -1})
+		p.Steps = append(p.Steps, join, PlanStep{Op: "project", Rel: rels[0] + "⋈" + rels[1]})
 		return p, nil
 	default:
 		return nil, fmt.Errorf("%w: cannot explain %d-relation query", ErrExec, len(rels))
 	}
 }
 
-func explainPath(cat *catalog.Catalog, q *Query, pt Target, opts ExecOpts, p *Plan) (*Plan, error) {
+func explainPath(cat *catalog.Catalog, q *Query, pt Target, p *Plan) (*Plan, error) {
 	rel, err := cat.Get(pt.Rel)
 	if err != nil {
 		return nil, err
 	}
 	p.Steps = append(p.Steps, scanStep(rel, q.Where))
 	if q.Where != nil {
-		p.Steps = append(p.Steps, PlanStep{Op: "filter", Rel: pt.Rel, Detail: q.Where.String(), EstIO: -1})
+		p.Steps = append(p.Steps, PlanStep{Op: "filter", Rel: pt.Rel, Detail: q.Where.String()})
 	}
 	segs := append([]string{pt.Attr}, pt.Path...)
 	for i := 0; i+1 < len(segs); i++ {
-		step := PlanStep{Op: "expand", Rel: segs[i], EstIO: -1}
-		if opts.Planner != nil {
-			tr, est := opts.Planner.ChooseTraversal(0, explainFanout)
-			step.Detail = fmt.Sprintf("traversal=%s (re-planned per fan-out)", tr)
-			step.EstIO = est
-		} else {
-			step.Detail = "traversal=batch (static)"
-		}
-		p.Steps = append(p.Steps, step)
+		p.Steps = append(p.Steps, PlanStep{Op: "expand", Rel: segs[i]})
 	}
-	p.Steps = append(p.Steps, PlanStep{Op: "project", Rel: segs[len(segs)-1], EstIO: -1})
+	p.Steps = append(p.Steps, PlanStep{Op: "project", Rel: segs[len(segs)-1]})
 	return p, nil
 }
 
@@ -125,12 +104,12 @@ func scanStep(rel *catalog.Relation, where Expr) PlanStep {
 	case catalog.KindBTree:
 		if where != nil {
 			if lo, hi := keyRange(rel, where); lo > -1<<62 || hi < 1<<62 {
-				return PlanStep{Op: "range-scan", Rel: rel.Name, Detail: fmt.Sprintf("[%d,%d]", lo, hi), EstIO: -1}
+				return PlanStep{Op: "range-scan", Rel: rel.Name, Detail: fmt.Sprintf("[%d,%d]", lo, hi)}
 			}
 		}
-		return PlanStep{Op: "full-scan", Rel: rel.Name, EstIO: -1}
+		return PlanStep{Op: "full-scan", Rel: rel.Name}
 	case catalog.KindHeap:
-		return PlanStep{Op: "heap-scan", Rel: rel.Name, EstIO: -1}
+		return PlanStep{Op: "heap-scan", Rel: rel.Name}
 	}
-	return PlanStep{Op: "scan", Rel: rel.Name, EstIO: -1}
+	return PlanStep{Op: "scan", Rel: rel.Name}
 }

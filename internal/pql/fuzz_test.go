@@ -165,24 +165,12 @@ func fuzzCat() *catalog.Catalog {
 	return fuzzCatalog.cat
 }
 
-// fuzzPathPlanner deterministically alternates traversals so fuzzing
-// exercises both expansion operators (and their interleavings) without
-// depending on the upstream planner package.
-type fuzzPathPlanner struct{ n int }
-
-func (p *fuzzPathPlanner) ChooseTraversal(relID uint16, fanout int) (Traversal, float64) {
-	p.n++
-	return Traversal(p.n % 2), 0
-}
-
-func (p *fuzzPathPlanner) ObserveTraversal(uint16, Traversal, int, int64) {}
-
 // FuzzPQLPlan drives the full parse → plan → execute pipeline against a
 // live complex-object catalog. The contract: nothing panics, Explain
-// succeeds whenever execution does, and the bound executor — unplanned,
-// and planned with a traversal planner installed — returns exactly what
-// the decode-everything reference evaluator returns (reference_test.go):
-// rows, Sources, result schema, and failing or not.
+// succeeds whenever execution does, and the bound executor returns
+// exactly what the decode-everything reference evaluator — one probe per
+// reached subobject — returns (reference_test.go): rows, Sources, result
+// schema, and failing or not.
 func FuzzPQLPlan(f *testing.F) {
 	for _, src := range referenceQueries {
 		f.Add(src)
@@ -196,7 +184,7 @@ func FuzzPQLPlan(f *testing.F) {
 		if _, err := agreeWithReference(t, cat, src, q); err != nil {
 			return
 		}
-		if _, err := Explain(cat, q, ExecOpts{Planner: &fuzzPathPlanner{}}); err != nil {
+		if _, err := Explain(cat, q, ExecOpts{}); err != nil {
 			t.Fatalf("executable query %q does not explain: %v", src, err)
 		}
 	})

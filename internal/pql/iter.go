@@ -2,10 +2,9 @@ package pql
 
 // Streaming execution: a pipeline pulls encoded records from a scan,
 // filters them with the bound predicate, expands a multi-dot path
-// through the children attributes — with the traversal a planner may
-// choose per step — and emits rows one at a time. Records stay encoded
-// views between the stages (bind.go); only what the query returns is
-// materialized.
+// through the children attributes and emits rows one at a time. Records
+// stay encoded views between the stages (bind.go); only what the query
+// returns is materialized.
 
 import (
 	"fmt"
@@ -16,28 +15,6 @@ import (
 	"corep/internal/storage"
 	"corep/internal/tuple"
 )
-
-// Traversal enumerates the expansion operators a multi-dot path step
-// can run as. Both produce rows in identical (OID-list) order, so they
-// are plan-equivalent by construction; only their I/O differs.
-type Traversal uint8
-
-// Expansion operators.
-const (
-	// TraversalProbe fetches each subobject with its own root-to-leaf
-	// index descent — DFS-flavored, cheap for small fan-outs.
-	TraversalProbe Traversal = iota
-	// TraversalBatch fetches the whole OID list in one page-ordered
-	// batch — BFS-flavored, amortizing page reads across the fan-out.
-	TraversalBatch
-)
-
-func (t Traversal) String() string {
-	if t == TraversalBatch {
-		return "batch"
-	}
-	return "probe"
-}
 
 // ReadView is how an expansion reads the subobjects an OID list names:
 // one at a time, or the whole list in page order with fn seeing the
@@ -50,29 +27,9 @@ type ReadView interface {
 	ProbeOIDs(oids []object.OID, fn func(i int, rel *catalog.Relation, rec []byte) error) error
 }
 
-// PathPlanner chooses the expansion operator per sub-path step and
-// learns from measured executions. internal/planner.PathModel is the
-// production implementation; a nil planner means TraversalBatch
-// everywhere (the unplanned executor): one page-ordered sweep per
-// referenced relation, never more page reads than probing.
-type PathPlanner interface {
-	// ChooseTraversal picks the operator for expanding fanout OIDs into
-	// relID, returning the choice and its estimated page cost.
-	ChooseTraversal(relID uint16, fanout int) (Traversal, float64)
-	// ObserveTraversal feeds back a measured expansion: tr fetched fanout
-	// OIDs from relID in pages page reads.
-	ObserveTraversal(relID uint16, tr Traversal, fanout int, pages int64)
-}
-
-// ExecOpts parameterizes planned execution. The zero value is the
-// unplanned executor.
+// ExecOpts is the state one execution hands the pipelines it nests. The
+// zero value starts a query.
 type ExecOpts struct {
-	// Planner, when non-nil, chooses the traversal per path step.
-	Planner PathPlanner
-	// IOStat, when non-nil, samples the cumulative page-read counter so
-	// expansions can be measured and fed back to the planner.
-	IOStat func() int64
-
 	// depth counts stored-query recursion. Unlike the expander's segment
 	// depth, it must survive across re-entry: each stored query an
 	// expansion meets runs a fresh pipeline, and without this one that
@@ -280,10 +237,9 @@ func runPath(st Store, q *Query, opts ExecOpts, emit func(*bound) error) (*bound
 }
 
 // Expander follows the segments of a multi-dot path through encoded
-// children values, whichever representation each holds, choosing (and
-// measuring) the traversal operator per OID step. It is the one path
-// expander: a Query's path target and the facade's RetrievePath family
-// both hand it a children value and the segments that remain.
+// children values, whichever representation each holds. It is the one
+// path expander: a Query's path target and the facade's RetrievePath
+// family both hand it a children value and the segments that remain.
 type Expander struct {
 	st   Store
 	opts ExecOpts
@@ -326,7 +282,7 @@ func newExpander(st Store, opts ExecOpts, leaf *tuple.Field) *Expander {
 }
 
 // Expander returns an expander over st for one retrieval.
-func (st Store) Expander(opts ExecOpts) *Expander { return newExpander(st, opts, nil) }
+func (st Store) Expander() *Expander { return newExpander(st, ExecOpts{}, nil) }
 
 // Expand follows segs — children attributes, then the attribute to
 // project — through raw, the encoded children value of the object owner
@@ -459,7 +415,10 @@ func (px *Expander) expandOIDs(owner object.OID, oids []object.OID, segs []strin
 	} else {
 		cur.kids = make([][]byte, len(oids))
 	}
-	err := px.fetch(oids, px.take)
+	// The one expansion operator: the view's page-ordered sweep of the
+	// whole list, which below btree.BatchSortMin keys is the per-OID probe
+	// loop and above it never reads more pages than that loop.
+	err := px.st.View.ProbeOIDs(oids, px.take)
 	if cur.rowErr != nil {
 		return nil, cur.rowErr
 	}
@@ -481,59 +440,6 @@ func (px *Expander) takeRecord(i int, rel *catalog.Relation, rec []byte) error {
 		cur.vals[i] = v
 	} else {
 		cur.kids[i] = v.Raw
-	}
-	return nil
-}
-
-// fetch reads the listed subobjects through the read view, handing take
-// the record of oids[i] under i. Unplanned, the whole list goes to the
-// view's page-ordered sweep. A planner chooses per referenced relation —
-// visited in id order, so the choose/observe sequence and hence the
-// learned model are deterministic — between that sweep and one probe per
-// subobject, and is told what the choice cost.
-func (px *Expander) fetch(oids []object.OID, take func(i int, rel *catalog.Relation, rec []byte) error) error {
-	pl := px.opts.Planner
-	if pl == nil {
-		return px.st.View.ProbeOIDs(oids, take)
-	}
-	groups, err := px.st.Cat.GroupOIDs(oids)
-	if err != nil {
-		return err
-	}
-	for _, g := range groups {
-		sub := oids
-		if len(g.Pos) < len(oids) {
-			sub = make([]object.OID, len(g.Pos))
-			for j, i := range g.Pos {
-				sub[j] = oids[i]
-			}
-		}
-		tr, _ := pl.ChooseTraversal(g.Rel.ID, len(sub))
-		var io0 int64
-		if px.opts.IOStat != nil {
-			io0 = px.opts.IOStat()
-		}
-		if tr == TraversalBatch {
-			err = px.st.View.ProbeOIDs(sub, func(j int, rel *catalog.Relation, rec []byte) error {
-				return take(g.Pos[j], rel, rec)
-			})
-		} else {
-			for j, oid := range sub {
-				err = px.st.View.ViewOID(oid, func(rel *catalog.Relation, rec []byte) error {
-					return take(g.Pos[j], rel, rec)
-				})
-				if err != nil {
-					err = fmt.Errorf("subobject %s: %w", oid, err)
-					break
-				}
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if px.opts.IOStat != nil {
-			pl.ObserveTraversal(g.Rel.ID, tr, len(sub), px.opts.IOStat()-io0)
-		}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"corep/internal/catalog"
 	"corep/internal/disk"
 	"corep/internal/object"
+	"corep/internal/testutil"
 	"corep/internal/tuple"
 )
 
@@ -178,38 +180,14 @@ func TestExecPathEveryRepresentation(t *testing.T) {
 	}
 }
 
-// stubPlanner forces one traversal everywhere and records calls — the
-// in-package stand-in for planner.PathModel (which lives upstream of
-// pql and is exercised through the facade).
-type stubPlanner struct {
-	tr       Traversal
-	chosen   int
-	observed int
-	pages    int64
-	// calls logs "choose rel×fanout" / "observe rel×fanout" in order.
-	calls []string
-}
-
-func (s *stubPlanner) ChooseTraversal(relID uint16, fanout int) (Traversal, float64) {
-	s.chosen++
-	s.calls = append(s.calls, fmt.Sprintf("choose %d×%d", relID, fanout))
-	return s.tr, 0
-}
-
-func (s *stubPlanner) ObserveTraversal(relID uint16, tr Traversal, fanout int, pages int64) {
-	s.observed++
-	s.pages += pages
-	s.calls = append(s.calls, fmt.Sprintf("observe %d×%d", relID, fanout))
-}
-
-// TestExecPathPlannedMatchesUnplanned is the executor half of the
-// plan-equivalence property: for every traversal operator the planner
-// could pick, the planned pipeline returns bit-identical rows — same
-// values, same order — as the unplanned one.
-func TestExecPathPlannedMatchesUnplanned(t *testing.T) {
+// TestExecPathMatchesPerOIDProbes: the expander fetches an OID list in
+// one page-ordered sweep per referenced relation; the rows — values,
+// order, Sources — are those of the reference evaluator, which fetches
+// each subobject with a ViewOID of its own and decodes it whole. Team 3
+// lists subobjects of two relations, interleaved: the sweeps visit one
+// relation after the other, the rows come out in list order.
+func TestExecPathMatchesPerOIDProbes(t *testing.T) {
 	cat, team, member := teamDB(t, object.TagOIDs)
-	// Team 3 lists subobjects of two relations, interleaved: each
-	// relation's share of the list is planned, and charged, on its own.
 	guest, err := cat.CreateBTree("guest", member.Schema)
 	if err != nil {
 		t.Fatal(err)
@@ -236,48 +214,86 @@ func TestExecPathPlannedMatchesUnplanned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const mixedQuery = `retrieve (team.members.name) where team.OID = 3`
-	queries := []string{
+	for _, src := range []string{
 		`retrieve (team.members.score)`,
 		`retrieve (team.name, team.members.name) where team.OID = 2`,
 		`retrieve (team.members.OID) where team.OID >= 1 and team.OID <= 2`,
 		mixedQuery,
-	}
-	for _, src := range queries {
-		q := mustParse(t, src)
-		want, err := Execute(cat, q)
+	} {
+		got, err := agreeWithReference(t, cat, src, mustParse(t, src))
 		if err != nil {
-			t.Fatalf("%s: unplanned: %v", src, err)
+			t.Fatalf("%s: %v", src, err)
 		}
-		for _, tr := range []Traversal{TraversalProbe, TraversalBatch} {
-			sp := &stubPlanner{tr: tr}
-			var fakeIO int64
-			got, err := Store{Cat: cat, View: cat}.Execute(q, ExecOpts{Planner: sp, IOStat: func() int64 { fakeIO++; return fakeIO }})
-			if err != nil {
-				t.Fatalf("%s: planned(%s): %v", src, tr, err)
-			}
-			if !reflect.DeepEqual(got.Tuples, want.Tuples) {
-				t.Fatalf("%s: planned(%s) rows diverge:\n got %v\nwant %v", src, tr, got.Tuples, want.Tuples)
-			}
-			if !reflect.DeepEqual(got.Sources, want.Sources) {
-				t.Fatalf("%s: planned(%s) sources diverge", src, tr)
-			}
-			if sp.chosen == 0 || sp.observed != sp.chosen {
-				t.Fatalf("%s: planner saw %d choices, %d observations", src, sp.chosen, sp.observed)
-			}
-			if src != mixedQuery {
-				continue
-			}
-			if got := names(got, 0); !reflect.DeepEqual(got, []string{"ivy", "fay", "gus", "bob", "hal"}) {
-				t.Fatalf("mixed list, planned(%s): names = %v, want list order", tr, got)
-			}
-			wantCalls := []string{
-				fmt.Sprintf("choose %d×2", member.ID), fmt.Sprintf("observe %d×2", member.ID),
-				fmt.Sprintf("choose %d×3", guest.ID), fmt.Sprintf("observe %d×3", guest.ID),
-			}
-			if !reflect.DeepEqual(sp.calls, wantCalls) {
-				t.Fatalf("mixed list, planned(%s): planner calls %v, want %v (one group per relation, in id order)", tr, sp.calls, wantCalls)
-			}
+		if src != mixedQuery {
+			continue
 		}
+		if got := names(got, 0); !reflect.DeepEqual(got, []string{"ivy", "fay", "gus", "bob", "hal"}) {
+			t.Fatalf("mixed list: names = %v, want list order", got)
+		}
+	}
+}
+
+// TestExpansionReadsNoMorePagesThanProbes is the property the expander
+// having one operator rests on: for an OID list below btree's
+// BatchSortMin (where the sweep is the probe loop) and one well above it
+// (where it sorts), expanding the list reads no more pages than fetching
+// its subobjects one ViewOID at a time, from the same cold pool.
+func TestExpansionReadsNoMorePagesThanProbes(t *testing.T) {
+	cat, pool := viewDB(t, 8)
+	item, err := cat.Get("item")
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := cat.Get("part")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := func(fetch func() error) int64 {
+		t.Helper()
+		if err := pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.Invalidate(); err != nil {
+			t.Fatal(err)
+		}
+		before := pool.Disk().Stats().Reads
+		if err := fetch(); err != nil {
+			t.Fatal(err)
+		}
+		testutil.AssertNoLeaks(t, pool)
+		return pool.Disk().Stats().Reads - before
+	}
+	rng := rand.New(rand.NewSource(22))
+	for _, n := range []int{buffer.BatchSortMin - 1, 4 * buffer.BatchSortMin} {
+		oids := make([]object.OID, n)
+		for i := range oids {
+			oids[i] = object.NewOID([]*catalog.Relation{item, part}[rng.Intn(2)].ID, 1+rng.Int63n(400))
+		}
+		var probed, expanded []tuple.Value
+		probes := cold(func() error {
+			for _, oid := range oids {
+				err := cat.ViewOID(oid, func(rel *catalog.Relation, rec []byte) error {
+					v, err := tuple.DecodeField(rel.Schema, rec, 1)
+					probed = append(probed, v)
+					return err
+				})
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		sweep := cold(func() (err error) {
+			expanded, err = Store{Cat: cat, View: cat}.Expander().ExpandOIDs(0, oids, []string{"name"}, nil)
+			return err
+		})
+		if !reflect.DeepEqual(expanded, probed) {
+			t.Fatalf("%d OIDs: the expansion and the probes return different values", n)
+		}
+		if sweep > probes {
+			t.Errorf("%d OIDs: the expansion reads %d pages, one probe per OID %d", n, sweep, probes)
+		}
+		t.Logf("%d OIDs: expansion %d page reads, probes %d", n, sweep, probes)
 	}
 }
 
@@ -336,7 +352,7 @@ func TestExecPathErrors(t *testing.T) {
 	_ = bad
 }
 
-// TestExplainPath: the plan surface names the traversal per step.
+// TestExplainPath: the plan surface names the pipeline's operators.
 func TestExplainPath(t *testing.T) {
 	cat, _, _ := teamDB(t, object.TagOIDs)
 	plan, err := Explain(cat, mustParse(t, `retrieve (team.name, team.members.score) where team.OID <= 2`), ExecOpts{})
@@ -352,22 +368,13 @@ func TestExplainPath(t *testing.T) {
 			t.Fatalf("plan %q missing %q", s, want)
 		}
 	}
-	// With a planner installed the chosen traversal is quoted.
-	sp := &stubPlanner{tr: TraversalBatch}
-	plan2, err := Explain(cat, mustParse(t, `retrieve (team.members.score)`), ExecOpts{Planner: sp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan2.String(), "batch") {
-		t.Fatalf("plan %q does not name the batch traversal", plan2.String())
-	}
 }
 
 // TestExecSingleStreaming pins the refactored single-relation pipeline
 // to the legacy semantics on the existing fixture.
 func TestExecSingleStreaming(t *testing.T) {
 	cat := personDB(t)
-	res, err := Store{Cat: cat, View: cat}.Execute(mustParse(t, `retrieve (person.name) where person.age >= 60`), ExecOpts{})
+	res, err := Store{Cat: cat, View: cat}.Execute(mustParse(t, `retrieve (person.name) where person.age >= 60`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -409,7 +409,8 @@ func (px *refPathExec) expand(raw []byte, segs []string, depth int) ([]tuple.Val
 			return nil, fmt.Errorf("%w: %v", ErrExec, err)
 		}
 		// One relation after the other in id order, as the executor
-		// fetches them, then every member stepped in list order.
+		// fetches them — but one ViewOID per subobject where it sweeps —
+		// then every member stepped in list order.
 		groups, err := px.cat.GroupOIDs(oids)
 		if err != nil {
 			return nil, err
@@ -417,18 +418,19 @@ func (px *refPathExec) expand(raw []byte, segs []string, depth int) ([]tuple.Val
 		rels := make([]*catalog.Relation, len(oids))
 		rows = make([]tuple.Tuple, len(oids))
 		for _, g := range groups {
-			if g.Rel.Kind != catalog.KindBTree || g.Rel.Tree == nil {
-				return nil, fmt.Errorf("%w: OID target %q is not B-tree structured", ErrExec, g.Rel.Name)
-			}
 			for _, i := range g.Pos {
-				payload, err := g.Rel.Tree.Get(oids[i].Key())
+				var rowErr error
+				err := px.cat.ViewOID(oids[i], func(rel *catalog.Relation, payload []byte) error {
+					rels[i] = rel
+					rows[i], rowErr = tuple.Decode(rel.Schema, payload)
+					return rowErr
+				})
+				if rowErr != nil {
+					return nil, rowErr
+				}
 				if err != nil {
 					return nil, fmt.Errorf("%w: subobject %s: %v", ErrExec, oids[i], err)
 				}
-				if rows[i], err = tuple.Decode(g.Rel.Schema, payload); err != nil {
-					return nil, err
-				}
-				rels[i] = g.Rel
 			}
 		}
 		var out []tuple.Value
@@ -499,39 +501,32 @@ func (px *refPathExec) step(s *tuple.Schema, t tuple.Tuple, segs []string, depth
 	return px.expand(t[idx].Raw, segs[1:], depth+1)
 }
 
-// agreeWithReference runs q through the bound executor — unplanned, and
-// planned with alternating traversals — and holds each run to the
-// oracle: both fail or both succeed with the same rows, Sources and
-// result schema.
+// agreeWithReference runs q through the bound executor and holds the run
+// to the oracle: both fail or both succeed with the same rows, Sources
+// and result schema.
 func agreeWithReference(t testing.TB, cat *catalog.Catalog, src string, q *Query) (*Result, error) {
 	t.Helper()
 	want, wantErr := refExecute(cat, q, 0)
-	var io int64
-	for name, opts := range map[string]ExecOpts{
-		"unplanned": {},
-		"planned":   {Planner: &fuzzPathPlanner{}, IOStat: func() int64 { io++; return io }},
-	} {
-		got, err := Store{Cat: cat, View: cat}.Execute(q, opts)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("%s executor and reference disagree on failing %q: %v vs %v", name, src, err, wantErr)
+	got, err := Execute(cat, q)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("executor and reference disagree on failing %q: %v vs %v", src, err, wantErr)
+	}
+	if err != nil {
+		return want, wantErr
+	}
+	if len(got.Tuples) != len(want.Tuples) {
+		t.Fatalf("%d rows, reference %d, for %q", len(got.Tuples), len(want.Tuples), src)
+	}
+	for i := range want.Tuples {
+		if !reflect.DeepEqual(got.Tuples[i], want.Tuples[i]) {
+			t.Fatalf("row %d of %q = %v, reference %v", i, src, got.Tuples[i], want.Tuples[i])
 		}
-		if err != nil {
-			continue
-		}
-		if len(got.Tuples) != len(want.Tuples) {
-			t.Fatalf("%s: %d rows, reference %d, for %q", name, len(got.Tuples), len(want.Tuples), src)
-		}
-		for i := range want.Tuples {
-			if !reflect.DeepEqual(got.Tuples[i], want.Tuples[i]) {
-				t.Fatalf("%s: row %d of %q = %v, reference %v", name, i, src, got.Tuples[i], want.Tuples[i])
-			}
-		}
-		if !reflect.DeepEqual(got.Sources, want.Sources) {
-			t.Fatalf("%s: sources of %q = %v, reference %v", name, src, got.Sources, want.Sources)
-		}
-		if !reflect.DeepEqual(got.Schema.Fields, want.Schema.Fields) {
-			t.Fatalf("%s: schema of %q = %+v, reference %+v", name, src, got.Schema.Fields, want.Schema.Fields)
-		}
+	}
+	if !reflect.DeepEqual(got.Sources, want.Sources) {
+		t.Fatalf("sources of %q = %v, reference %v", src, got.Sources, want.Sources)
+	}
+	if !reflect.DeepEqual(got.Schema.Fields, want.Schema.Fields) {
+		t.Fatalf("schema of %q = %+v, reference %+v", src, got.Schema.Fields, want.Schema.Fields)
 	}
 	return want, wantErr
 }

@@ -23,26 +23,6 @@ type Int64Iter interface {
 	Next() (v int64, ok bool, err error)
 }
 
-// SliceIter adapts an in-memory slice to Int64Iter (tests and small
-// internal streams).
-type SliceIter struct {
-	vals []int64
-	pos  int
-}
-
-// NewSliceIter wraps vals.
-func NewSliceIter(vals []int64) *SliceIter { return &SliceIter{vals: vals} }
-
-// Next implements Int64Iter.
-func (s *SliceIter) Next() (int64, bool, error) {
-	if s.pos >= len(s.vals) {
-		return 0, false, nil
-	}
-	v := s.vals[s.pos]
-	s.pos++
-	return v, true, nil
-}
-
 // Int64Temp is a temporary relation of int64 values backed by a heap
 // file — the paper's "temp" relation "whose single attribute is OID".
 type Int64Temp struct {

@@ -12,6 +12,25 @@ import (
 	"corep/internal/obs"
 )
 
+// SliceIter adapts an in-memory slice to Int64Iter.
+type SliceIter struct {
+	vals []int64
+	pos  int
+}
+
+// NewSliceIter wraps vals.
+func NewSliceIter(vals []int64) *SliceIter { return &SliceIter{vals: vals} }
+
+// Next implements Int64Iter.
+func (s *SliceIter) Next() (int64, bool, error) {
+	if s.pos >= len(s.vals) {
+		return 0, false, nil
+	}
+	v := s.vals[s.pos]
+	s.pos++
+	return v, true, nil
+}
+
 func newPool() *buffer.Pool { return buffer.New(disk.NewSim(), 32) }
 
 func TestTempAppendScan(t *testing.T) {

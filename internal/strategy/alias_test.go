@@ -88,13 +88,13 @@ func TestMergeJoinErrorReleasesCursor(t *testing.T) {
 	// An attribute index the schema does not have: the first match fails
 	// inside the join callback while the cursor holds its leaf.
 	res := &Result{}
-	err = mergeJoinChild(db, rel, tmp, Query{AttrIdx: 99}, res)
+	err = mergeJoinChild(db, rel, tmp, project(db, rel, Query{AttrIdx: 99}, res))
 	if err == nil {
 		t.Fatal("join with a bad attribute succeeded")
 	}
 	testutil.AssertNoLeaks(t, db.Pool)
 	// And the good path still works afterwards.
-	if err := mergeJoinChild(db, rel, tmp, Query{AttrIdx: workload.FieldRet1}, res); err != nil {
+	if err := mergeJoinChild(db, rel, tmp, project(db, rel, Query{AttrIdx: workload.FieldRet1}, res)); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Values) != len(first) {

@@ -1,12 +1,11 @@
 package strategy
 
 import (
-	"sort"
+	"slices"
 
 	"corep/internal/catalog"
 	"corep/internal/object"
 	"corep/internal/query"
-	"corep/internal/tuple"
 	"corep/internal/workload"
 )
 
@@ -19,7 +18,10 @@ import (
 // before the join (BFSNODUP, §3.1 [3]).
 //
 // With NumChildRel > 1 the strategy keeps one temporary per child
-// relation and runs one join each (§6.2).
+// relation and runs one join each (§6.2). Where the joined relation is
+// an inner level, the join fills the next level's temporaries instead of
+// the result and they are joined in turn — the same join per level, so
+// BFSNODUP eliminates duplicates before each (§5.1).
 type bfs struct {
 	dedup bool
 }
@@ -50,40 +52,63 @@ func (b bfs) Retrieve(db *workload.DB, q Query) (*Result, error) {
 
 	// Form one temporary per child relation, paying heap-file writes.
 	tempSp := db.Obs.Start("strategy.bfs/temp")
-	tw := newTempWriter(db.Pool)
-	defer tw.close()
+	level := newTempWriter(db.Pool)
+	defer level.close()
 	for _, oid := range oids {
-		if err := tw.add(oid); err != nil {
+		if err := level.add(oid); err != nil {
 			return nil, err
 		}
 	}
-	tw.close()
-	temps, relOrder := tw.temps, tw.relOrder
-	tempSp.SetAttr("relations", int64(len(relOrder)))
+	level.close()
+	tempSp.SetAttr("relations", int64(len(level.relOrder)))
 	tempSp.End()
-	// Keep relation order deterministic.
-	sort.Slice(relOrder, func(i, j int) bool { return relOrder[i] < relOrder[j] })
 
-	for _, relID := range relOrder {
-		tmp := temps[relID]
-		rel, err := db.ChildByRelID(relID)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.joinOne(db, rel, tmp, q, res); err != nil {
+	for level != nil {
+		if level, err = b.joinLevel(db, level, q, res); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
 }
 
+// joinLevel joins each temporary of one level against its relation and
+// returns the level the joins filled: nil once every joined relation was
+// a last level.
+func (b bfs) joinLevel(db *workload.DB, level *tempWriter, q Query, res *Result) (*tempWriter, error) {
+	var next *tempWriter
+	// Keep relation order deterministic.
+	slices.Sort(level.relOrder)
+	for _, relID := range level.relOrder {
+		rel, err := db.ChildByRelID(relID)
+		if err != nil {
+			return nil, err
+		}
+		if next == nil && childrenIdx(rel) >= 0 {
+			next = newTempWriter(db.Pool)
+			if err := next.reserve(); err != nil {
+				return nil, err
+			}
+		}
+		if err := b.joinOne(db, rel, level.temps[relID], q, res, next); err != nil {
+			return nil, err
+		}
+	}
+	return next, nil
+}
+
 // joinOne joins one temporary against one child relation, choosing the
-// join method by an I/O estimate.
-func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Temp, q Query, res *Result) error {
-	attrIdx := q.AttrIdx
+// join method by an I/O estimate. Whichever it chooses, each tuple the
+// join reaches goes through the level's one step (levelStep): into res
+// when rel is a last level, into next when it is an inner one.
+func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Temp, q Query, res *Result, next *tempWriter) error {
 	n := tmp.Count()
 	if n == 0 {
 		return nil
+	}
+	ci := childrenIdx(rel)
+	take := project(db, rel, q, res)
+	if ci >= 0 {
+		take = next.takeChildren(rel, ci)
 	}
 	if b.dedup {
 		// BFSNODUP: "eliminate the duplicates before executing the above
@@ -114,18 +139,13 @@ func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Tem
 		probeSp := db.Obs.Start("strategy.bfs/probe")
 		probeSp.SetAttr("values", int64(n))
 		defer probeSp.End()
-		if !db.Cfg.ProbeBatch {
+		if !db.Cfg.ProbeBatch || ci >= 0 {
 			return tmp.Scan(func(key int64) (bool, error) {
 				rec, err := rel.Tree.Get(key)
 				if err != nil {
 					return false, err
 				}
-				v, err := tuple.Int(db.ChildSchema, rec, attrIdx)
-				if err != nil {
-					return false, err
-				}
-				res.Values = append(res.Values, overlayInt(q.Snap, object.NewOID(rel.ID, key), attrIdx, v))
-				return true, nil
+				return take(key, rec)
 			})
 		}
 		// Batched: collect the temp's keys, probe them page-ordered, and
@@ -139,13 +159,9 @@ func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Tem
 			return err
 		}
 		vals := make([]int64, len(keys))
-		err = rel.Tree.GetBatch(keys, func(i int, payload []byte) error {
-			v, err := tuple.Int(db.ChildSchema, payload, attrIdx)
-			if err != nil {
-				return err
-			}
-			vals[i] = overlayInt(q.Snap, object.NewOID(rel.ID, keys[i]), attrIdx, v)
-			return nil
+		err = rel.Tree.GetBatch(keys, func(i int, payload []byte) (err error) {
+			vals[i], err = childAttr(db, q, object.NewOID(rel.ID, keys[i]), payload)
+			return err
 		})
 		if err != nil {
 			return err
@@ -164,21 +180,13 @@ func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Tem
 		}
 		outerTemp = sorted
 	}
-	return mergeJoinChild(db, rel, outerTemp, q, res)
+	if ci < 0 {
+		// Every outer value matches at most once.
+		res.Values = slices.Grow(res.Values, outerTemp.Count())
+	}
+	return mergeJoinChild(db, rel, outerTemp, take)
 }
 
 func (bfs) Update(db *workload.DB, op workload.Op) error {
 	return applyUpdate(db, op, db.ApplyUpdateBase, nil)
-}
-
-// oidKeys is a small helper used by tests: the keys of a unit restricted
-// to one relation.
-func oidKeys(unit []object.OID, relID uint16) []int64 {
-	var out []int64
-	for _, o := range unit {
-		if o.Rel() == relID {
-			out = append(out, o.Key())
-		}
-	}
-	return out
 }

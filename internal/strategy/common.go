@@ -83,47 +83,37 @@ func scanPhase(db *workload.DB, q Query, span string) ([]parentRef, []object.OID
 	return parents, oids, res, nil
 }
 
-// fetchChildAttr probes the child relation for oid and projects the
-// query attribute — the per-subobject step of every depth-first
-// strategy.
-func fetchChildAttr(db *workload.DB, oid object.OID, attrIdx int) (int64, error) {
-	rel, err := db.ChildByRelID(oid.Rel())
+// childrenIdx returns the position of rel's children attribute, or -1:
+// a reached relation that carries one is an inner level, whose tuples are
+// walked through to their own subobjects, and one that does not is a
+// last level, whose tuples are projected ("queries involving more than
+// two dots … require more levels of relationships to be explored", §3).
+func childrenIdx(rel *catalog.Relation) int { return rel.Schema.Index("children") }
+
+// multiLevel reports whether db has an inner level.
+func multiLevel(db *workload.DB) bool {
+	return slices.ContainsFunc(db.Children, func(rel *catalog.Relation) bool { return childrenIdx(rel) >= 0 })
+}
+
+// appendChildren decodes the children attribute, at ci, of an
+// inner-level tuple of rel onto dst.
+func appendChildren(dst []object.OID, rel *catalog.Relation, ci int, payload []byte) ([]object.OID, error) {
+	raw, err := tuple.FieldBytes(rel.Schema, payload, ci)
+	if err != nil {
+		return dst, err
+	}
+	return object.AppendOIDs(dst, raw)
+}
+
+// childAttr projects the query attribute from the record of last-level
+// subobject oid, overlaid with the snapshot's version — the per-tuple
+// step every strategy's last level ends in.
+func childAttr(db *workload.DB, q Query, oid object.OID, payload []byte) (int64, error) {
+	v, err := tuple.Int(db.ChildSchema, payload, q.AttrIdx)
 	if err != nil {
 		return 0, err
 	}
-	rec, err := rel.Tree.Get(oid.Key())
-	if err != nil {
-		return 0, fmt.Errorf("strategy: subobject %v: %w", oid, err)
-	}
-	return tuple.Int(db.ChildSchema, rec, attrIdx)
-}
-
-// fetchChildAttrs probes the child relations for every OID of oids and
-// stores the projected attribute at the matching index of out
-// (len(out) == len(oids)). Probes go through the catalog's grouped,
-// page-ordered ProbeOIDs, so a random probe set becomes one sorted sweep
-// per relation while the output order stays exactly that of a per-OID
-// fetchChildAttr loop. Config.ProbeBatch=false falls back to that loop,
-// reproducing the paper's one-probe-at-a-time INGRES behaviour.
-func fetchChildAttrs(db *workload.DB, oids []object.OID, attrIdx int, out []int64) error {
-	if !db.Cfg.ProbeBatch {
-		for i, oid := range oids {
-			v, err := fetchChildAttr(db, oid, attrIdx)
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-		return nil
-	}
-	return db.Cat.ProbeOIDs(oids, func(i int, _ *catalog.Relation, payload []byte) error {
-		v, err := tuple.Int(db.ChildSchema, payload, attrIdx)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
+	return overlayInt(q.Snap, oid, q.AttrIdx, v), nil
 }
 
 // materializeUnit appends the cache value of unit — its members' records
@@ -204,19 +194,6 @@ func overlayInt(snap *txn.Snapshot, oid object.OID, attrIdx int, v int64) int64 
 	return v
 }
 
-// overlayValues patches a batch of projected values in place with the
-// snapshot's versions (out[i] belongs to oids[i]).
-func overlayValues(snap *txn.Snapshot, oids []object.OID, attrIdx int, out []int64) {
-	if snap == nil || attrIdx != workload.FieldRet1 {
-		return
-	}
-	for i, oid := range oids {
-		if v, ok := snap.Read(oid); ok {
-			out[i] = v
-		}
-	}
-}
-
 // overlayRec re-encodes a full child record with the snapshot's ret1
 // version of oid patched in, when one exists; otherwise the record is
 // returned unchanged. DFSCACHE patches materialized records before
@@ -258,6 +235,9 @@ type tempWriter struct {
 	pool     *buffer.Pool
 	temps    map[uint16]*query.Int64Temp
 	relOrder []uint16 // relations in order of first appearance
+	// spare is a temporary created ahead of the relation that will own
+	// it (reserve); the first new relation takes it.
+	spare *query.Int64Temp
 
 	cur  uint16
 	run  query.TempAppender
@@ -268,14 +248,27 @@ func newTempWriter(pool *buffer.Pool) *tempWriter {
 	return &tempWriter{pool: pool, temps: make(map[uint16]*query.Int64Temp)}
 }
 
+// reserve creates the writer's first temporary now rather than at its
+// first OID. A level below the first fills while the level above is
+// being joined, and ext-levels' counted cells have its temporary in the
+// pool before that join's sort and probes start: created at the first
+// append instead, a two-level BFS at NumTop 2000 reads 166,560 pages for
+// the golden file's 167,640 (BFSNODUP 68,280 for 69,360).
+func (w *tempWriter) reserve() (err error) {
+	w.spare, err = query.NewInt64Temp(w.pool)
+	return err
+}
+
 func (w *tempWriter) add(oid object.OID) error {
 	if rel := oid.Rel(); !w.open || rel != w.cur {
 		w.close()
 		tmp := w.temps[rel]
 		if tmp == nil {
-			var err error
-			if tmp, err = query.NewInt64Temp(w.pool); err != nil {
-				return err
+			if tmp, w.spare = w.spare, nil; tmp == nil {
+				var err error
+				if tmp, err = query.NewInt64Temp(w.pool); err != nil {
+					return err
+				}
 			}
 			w.temps[rel] = tmp
 			w.relOrder = append(w.relOrder, rel)
@@ -283,6 +276,26 @@ func (w *tempWriter) add(oid object.OID) error {
 		w.cur, w.run, w.open = rel, tmp.Appender(), true
 	}
 	return w.run.Append(oid.Key())
+}
+
+// takeChildren is an inner level's step: append the children of each
+// reached tuple of rel, whose children attribute sits at ci, to w — one
+// run per tuple, closed before the join that reached it touches the pool
+// again.
+func (w *tempWriter) takeChildren(rel *catalog.Relation, ci int) levelStep {
+	var kids []object.OID
+	return func(_ int64, payload []byte) (_ bool, err error) {
+		if kids, err = appendChildren(kids[:0], rel, ci, payload); err != nil {
+			return false, err
+		}
+		defer w.close()
+		for _, oid := range kids {
+			if err := w.add(oid); err != nil {
+				return false, err
+			}
+		}
+		return true, nil
+	}
 }
 
 // close ends the open run, if any. It is idempotent.
@@ -319,11 +332,30 @@ func distinctTemp(pool *buffer.Pool, sorted *query.Int64Temp) (*query.Int64Temp,
 	}
 }
 
+// levelStep is what a join does with each tuple of the relation it
+// reaches, whichever way it joins: a last level projects the tuple into
+// the result, an inner level appends its children to the next level's
+// temporaries. false or an error stops the join.
+type levelStep func(key int64, payload []byte) (bool, error)
+
+// project is a last level's step: append the query attribute of each
+// reached tuple of rel to res.
+func project(db *workload.DB, rel *catalog.Relation, q Query, res *Result) levelStep {
+	return func(key int64, payload []byte) (bool, error) {
+		v, err := childAttr(db, q, object.NewOID(rel.ID, key), payload)
+		if err != nil {
+			return false, err
+		}
+		res.Values = append(res.Values, v)
+		return true, nil
+	}
+}
+
 // mergeJoinChild merge-joins a sorted temporary of keys with rel's leaf
-// scan (§3.1 [2]), appending the projected query attribute of every
-// match to res. The scan never passes the temporary's maximum: leaf
-// readahead (when a prefetcher is attached) stops seeding there.
-func mergeJoinChild(db *workload.DB, rel *catalog.Relation, sorted *query.Int64Temp, q Query, res *Result) error {
+// scan (§3.1 [2]), handing every match to take. The scan never passes
+// the temporary's maximum: leaf readahead (when a prefetcher is
+// attached) stops seeding there.
+func mergeJoinChild(db *workload.DB, rel *catalog.Relation, sorted *query.Int64Temp, take levelStep) error {
 	it, err := rel.Tree.SeekFirst()
 	if err != nil {
 		return err
@@ -332,16 +364,7 @@ func mergeJoinChild(db *workload.DB, rel *catalog.Relation, sorted *query.Int64T
 	if mx, ok := sorted.Max(); ok {
 		defer rel.Tree.AttachChainPrefetch(it, mx)()
 	}
-	// Every outer value matches at most once.
-	res.Values = slices.Grow(res.Values, sorted.Count())
-	return query.MergeJoin(db.Obs, sorted.Iter(), it, func(key int64, payload []byte) (bool, error) {
-		v, err := tuple.Int(db.ChildSchema, payload, q.AttrIdx)
-		if err != nil {
-			return false, err
-		}
-		res.Values = append(res.Values, overlayInt(q.Snap, object.NewOID(rel.ID, key), q.AttrIdx, v))
-		return true, nil
-	})
+	return query.MergeJoin(db.Obs, sorted.Iter(), it, take)
 }
 
 // --- cached-unit value codec ---

@@ -1,7 +1,7 @@
 package strategy
 
 import (
-	"sort"
+	"slices"
 
 	"corep/internal/query"
 	"corep/internal/workload"
@@ -64,7 +64,7 @@ func (s smart) Retrieve(db *workload.DB, q Query) (*Result, error) {
 	}
 	tw.close()
 	temps, relOrder := tw.temps, tw.relOrder
-	sort.Slice(relOrder, func(i, j int) bool { return relOrder[i] < relOrder[j] })
+	slices.Sort(relOrder)
 	for _, relID := range relOrder {
 		rel, err := db.ChildByRelID(relID)
 		if err != nil {
@@ -74,7 +74,9 @@ func (s smart) Retrieve(db *workload.DB, q Query) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := mergeJoinChild(db, rel, sorted, q, res); err != nil {
+		// Every outer value matches at most once.
+		res.Values = slices.Grow(res.Values, sorted.Count())
+		if err := mergeJoinChild(db, rel, sorted, project(db, rel, q, res)); err != nil {
 			return nil, err
 		}
 	}

@@ -148,6 +148,11 @@ type Strategy interface {
 var (
 	ErrNeedsCache   = errors.New("strategy: database built without a cache")
 	ErrNeedsCluster = errors.New("strategy: database built without ClusterRel")
+	// ErrOneLevel refuses a caching or clustering strategy on a database
+	// whose child relations carry children of their own: a cached unit
+	// and a cluster hold last-level records, and only DFS, BFS and
+	// BFSNODUP walk levels.
+	ErrOneLevel = errors.New("strategy: walks one level of subobjects, database has more")
 )
 
 // DefaultSmartThreshold is N of §5.3 ("N=300 in our experiments").
@@ -156,6 +161,12 @@ const DefaultSmartThreshold = 300
 // New constructs a strategy of the given kind for db, validating that
 // the database has the structures the strategy needs.
 func New(kind Kind, db *workload.DB) (Strategy, error) {
+	switch kind {
+	case DFSCACHE, DFSCACHEINSIDE, DFSCLUST, SMART:
+		if multiLevel(db) {
+			return nil, fmt.Errorf("%w (%v)", ErrOneLevel, kind)
+		}
+	}
 	switch kind {
 	case DFS:
 		return dfs{}, nil
@@ -189,8 +200,8 @@ func New(kind Kind, db *workload.DB) (Strategy, error) {
 
 // NewSmart constructs SMART with an explicit NumTop threshold.
 func NewSmart(db *workload.DB, threshold int) (Strategy, error) {
-	if db.Cache == nil {
-		return nil, ErrNeedsCache
+	if _, err := New(SMART, db); err != nil {
+		return nil, err
 	}
 	return smart{threshold: threshold}, nil
 }
