@@ -20,7 +20,7 @@ func writeRun(t *testing.T, dir, name string, p99 float64) string {
 
 func writeRunAt(t *testing.T, dir, name string, p99 float64, rev string) string {
 	t.Helper()
-	env, err := bench.New("slo", map[string]string{"synthetic": name}, []bench.Cell{
+	env, err := bench.New("throughput", map[string]string{"synthetic": name}, []bench.Cell{
 		{Name: "total", Metrics: map[string]float64{"p99_ns": p99, "qps": 100}},
 	})
 	if err != nil {

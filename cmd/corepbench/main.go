@@ -9,7 +9,6 @@
 //	corepbench -exp fig3                # one experiment at paper scale
 //	corepbench -all -scale quick        # every experiment, small scale
 //	corepbench -exp fig3,fig5 -seed 7   # several experiments
-//	corepbench -exp fig3 -metrics       # + per-cell I/O histograms, cache/buffer breakdowns
 //	corepbench -exp fig3 -trace         # + JSON-lines span stream on stderr
 //	corepbench -exp fig3 -profile out   # + out.cpu.pprof / out.heap.pprof
 //	corepbench -sweep chaos,crash       # full grids, write BENCH_chaos.json and BENCH_crash.json
@@ -31,8 +30,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"corep/internal/bench"
@@ -53,13 +50,11 @@ func run() int {
 		out       = flag.String("out", "", "where a single -sweep writes its envelope (default BENCH_<name>.json, SMOKE_<name>.json at quick scale)")
 		plot      = flag.Bool("plot", false, "also render an ASCII log-log chart of each table")
 		verify    = flag.Bool("verify", false, "run the cross-strategy agreement self-check and exit")
-		metrics   = flag.Bool("metrics", false, "print per-experiment metrics (I/O histograms, cache/buffer breakdowns)")
 		trace     = flag.Bool("trace", false, "stream per-span JSON lines to stderr (see -trace-out)")
 		traceOut  = flag.String("trace-out", "", "write the span stream to this file instead of stderr")
 		profile   = flag.String("profile", "", "write CPU and heap profiles to <prefix>.cpu.pprof / <prefix>.heap.pprof")
 		parallel  = flag.Int("parallel", 0, "worker goroutines for experiment grids (default GOMAXPROCS)")
 		latency   = flag.Duration("latency", 0, "simulated per-page device latency (e.g. 200us); a serving sweep keeps its default unless this is given")
-		watch     = flag.Duration("watch", 0, "periodically dump live metrics to stderr while running (e.g. -watch 2s)")
 	)
 	flag.Parse()
 
@@ -121,16 +116,6 @@ func run() int {
 		}()
 	}
 
-	// liveReg is what -watch dumps: the serving sweeps and the experiment
-	// loop publish their current registry here (experiments swap registries,
-	// so the watcher follows the pointer, not one registry).
-	var liveReg atomic.Pointer[obs.Registry]
-	if *watch > 0 {
-		*metrics = true // watching implies collecting
-		stop := startWatch(*watch, &liveReg)
-		defer stop()
-	}
-
 	var sink obs.Sink
 	if *trace || *traceOut != "" {
 		w := os.Stderr
@@ -176,10 +161,6 @@ func run() int {
 				opts.Latency = latency
 			}
 		})
-		if *watch > 0 {
-			opts.Metrics = obs.NewRegistry()
-			liveReg.Store(opts.Metrics)
-		}
 		return runSweeps(*sweepName, opts, *out)
 	}
 
@@ -190,7 +171,7 @@ func run() int {
 	sc.Seed = *seed
 	sc.Parallel = *parallel
 	sc.DeviceLatency = *latency
-	sc.Obs.Sink = sink
+	sc.Obs = sink
 
 	var runs []harness.Experiment
 	switch {
@@ -218,12 +199,6 @@ func run() int {
 	}
 
 	for _, e := range runs {
-		// A fresh registry per experiment keeps the per-cell metric names
-		// from colliding across experiments.
-		if *metrics {
-			sc.Obs.Metrics = obs.NewRegistry()
-			liveReg.Store(sc.Obs.Metrics)
-		}
 		start := time.Now()
 		fmt.Printf("running %s (%s, scale=%s, seed=%d)...\n", e.Name, e.Paper, *scale, *seed)
 		table, err := e.Run(sc)
@@ -235,11 +210,6 @@ func run() int {
 		table.Fprint(os.Stdout)
 		if *plot {
 			harness.PlotFromTable(table, true, true).Fprint(os.Stdout)
-			fmt.Println()
-		}
-		if *metrics {
-			fmt.Printf("metrics for %s:\n", e.Name)
-			sc.Obs.Metrics.WriteText(os.Stdout)
 			fmt.Println()
 		}
 	}
@@ -313,32 +283,4 @@ func runSweeps(list string, opts harness.SweepOpts, out string) int {
 		}
 	}
 	return status
-}
-
-// startWatch dumps the currently published registry to stderr every
-// interval until the returned stop func is called — live progress for
-// long benchmark runs.
-func startWatch(interval time.Duration, reg *atomic.Pointer[obs.Registry]) func() {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case now := <-tick.C:
-				r := reg.Load()
-				if r == nil {
-					continue
-				}
-				fmt.Fprintf(os.Stderr, "--- watch %s ---\n", now.Format("15:04:05"))
-				r.WriteText(os.Stderr)
-			}
-		}
-	}()
-	return func() { close(done); wg.Wait() }
 }

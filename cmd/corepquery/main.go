@@ -19,12 +19,10 @@
 //	\checkpoint                  flush + sync the page file, replace the sidecar, truncate the WAL (-file only)
 //	\slow                        the retained slowest queries with attributed I/O
 //	\faults                      fault-injection and retry counters
-//	\metrics                     aggregated metrics report (with -metrics)
 //	\help                        this text
 //	\quit
 //
-// Flags: -trace streams per-span JSON lines to stderr, -metrics
-// aggregates I/O histograms readable via \metrics, -profile <prefix>
+// Flags: -trace streams per-span JSON lines to stderr, -profile <prefix>
 // writes CPU/heap profiles on exit. The -fault-* flags arm a seeded
 // deterministic fault plan (e.g. -fault-transient 0.01) so retry and
 // degradation behavior can be explored interactively. The slow-query
@@ -53,7 +51,6 @@ import (
 func main() {
 	var (
 		trace   = flag.Bool("trace", false, "stream per-span JSON lines to stderr")
-		metrics = flag.Bool("metrics", false, "aggregate metrics (report with \\metrics)")
 		profile = flag.String("profile", "", "write <prefix>.cpu.pprof and <prefix>.heap.pprof on exit")
 		latency = flag.Duration("latency", 0, "simulated per-page device latency (e.g. 200us)")
 
@@ -123,9 +120,6 @@ func main() {
 	if *trace {
 		db.TraceTo(os.Stderr)
 	}
-	if *metrics {
-		db.EnableMetrics()
-	}
 	if *latency > 0 {
 		db.SetDeviceLatency(*latency)
 	}
@@ -164,7 +158,7 @@ func main() {
 		case line == `\quit` || line == `\q`:
 			return
 		case line == `\help`:
-			fmt.Println(`retrieve (...) [where ...] | \path <key> | \plan <query> | \heat | \reclust | \stats [json] | \checkpoint | \slow | \faults | \metrics | \quit`)
+			fmt.Println(`retrieve (...) [where ...] | \path <key> | \plan <query> | \heat | \reclust | \stats [json] | \checkpoint | \slow | \faults | \quit`)
 		case line == `\stats` || line == `\stats json`:
 			printSnapshot(db.Snapshot(), strings.HasSuffix(line, "json"))
 		case line == `\checkpoint`:
@@ -204,8 +198,6 @@ func main() {
 			fs := db.FaultStats()
 			fmt.Printf("faults: %d injected over %d ops (%d transient, %d permanent hits, %d torn, %d spikes); pool retried %d, recovered %d\n",
 				fs.Injected, fs.Ops, fs.Transient, fs.Permanent, fs.Torn, fs.Spikes, fs.Retries, fs.Recovered)
-		case line == `\metrics`:
-			db.MetricsReport(os.Stdout)
 		case strings.HasPrefix(line, `\plan`):
 			src := strings.TrimSpace(strings.TrimPrefix(line, `\plan`))
 			if src == "" {

@@ -70,7 +70,7 @@ type Database struct {
 	// core is the storage engine: disk, pool, catalog, the optional
 	// outside cache (EnableCache), version store
 	// (EnableVersionedServing), log (EnableWAL), reclustering extent and
-	// observability context (TraceTo / EnableMetrics), and the commit
+	// observability context (TraceTo / EnableSlowLog), and the commit
 	// protocol over them — the same core the workload engine embeds.
 	core *engine.Core
 	// store is how pql and the path retrievals read the core: its catalog,
@@ -97,9 +97,12 @@ type Database struct {
 	lastMetaJSON []byte
 	walRecovery  *wal.Result
 
-	// traceSink is TraceTo's sink, kept so slow-query capture can tee
-	// span events to both destinations.
-	traceSink obs.Sink
+	// tracer is the database's one tracer, made on the first TraceTo or
+	// EnableSlowLog and installed while either reads its spans, so span
+	// ids are unique for the database's lifetime. spans routes what it
+	// emits (database_obs.go).
+	tracer *obs.Tracer
+	spans  spanRouter
 	// slow is the slow-query log (EnableSlowLog); nil collects nothing.
 	slow *obs.SlowLog
 }
@@ -397,7 +400,6 @@ func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, ex
 	defer func() { done(err) }()
 	sp := d.core.Obs.Start("query.path")
 	defer sp.End()
-	before := d.core.Disk.Stats().Total()
 	crel, err := d.core.Cat.Get(relName)
 	if err != nil {
 		return nil, err
@@ -407,10 +409,7 @@ func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, ex
 		return nil, err
 	}
 	var out []Value
-	defer func() {
-		sp.SetAttr("values", int64(len(out)))
-		d.core.Obs.Histogram("query.io", obs.IOBuckets).Observe(float64(d.core.Disk.Stats().Total() - before))
-	}()
+	defer func() { sp.SetAttr("values", int64(len(out))) }()
 	x := d.store.Expander()
 	err = crel.Tree.Range(lo, hi, func(key int64, rec []byte) (bool, error) {
 		if cerr := tuple.Check(crel.Schema, rec); cerr != nil {
@@ -456,7 +455,6 @@ func (d *Database) Query(src string) (qr *QueryResult, err error) {
 	defer func() { done(err) }()
 	sp := d.core.Obs.Start("query.pql")
 	defer sp.End()
-	before := d.core.Disk.Stats().Total()
 	if err := d.core.Relieve(); err != nil {
 		return nil, err
 	}
@@ -469,7 +467,6 @@ func (d *Database) Query(src string) (qr *QueryResult, err error) {
 		return nil, err
 	}
 	sp.SetAttr("rows", int64(len(res.Tuples)))
-	d.core.Obs.Histogram("query.io", obs.IOBuckets).Observe(float64(d.core.Disk.Stats().Total() - before))
 	return &QueryResult{Columns: res.Schema.Names(), Rows: res.Tuples}, nil
 }
 

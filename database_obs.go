@@ -2,14 +2,15 @@ package corep
 
 import (
 	"io"
+	"sync"
 
 	"corep/internal/obs"
 )
 
-// This file is the object API's observability surface: span tracing of
-// queries and path retrievals (I/O-attributed, like the harness) and an
-// aggregated metrics report. The exported signatures use only standard
-// library types; the obs machinery stays internal.
+// This file is the object API's tracing surface: span tracing of queries
+// and path retrievals, I/O-attributed like the harness. The exported
+// signatures use only standard library types; the obs machinery stays
+// internal.
 
 // TraceTo streams one JSON object per completed span to w — the same
 // JSON-lines format corepbench -trace emits. Spans cover Query and
@@ -17,29 +18,64 @@ import (
 // the disk/buffer counter deltas charged while it was open. Pass nil to
 // stop tracing.
 func (d *Database) TraceTo(w io.Writer) {
-	ctx := d.core.Obs
-	if w == nil {
-		ctx.Trace = nil
-		d.traceSink = nil
-	} else {
-		d.traceSink = obs.NewJSONLSink(w)
-		ctx.Trace = obs.NewTracer(d.core.IOSnapshot, d.traceSink)
+	var out obs.Sink
+	if w != nil {
+		out = obs.NewJSONLSink(w)
+	}
+	d.spans.mu.Lock()
+	d.spans.out = out
+	d.spans.mu.Unlock()
+	d.installTracer()
+}
+
+// installTracer puts the database's one tracer in place while anything
+// reads its spans (TraceTo, the slow log) and takes it out otherwise, so
+// an untraced database pays nothing. The tracer is made once: its span
+// ids never restart.
+func (d *Database) installTracer() {
+	var ctx obs.Ctx
+	if d.spans.out != nil || d.slow != nil {
+		if d.tracer == nil {
+			d.tracer = obs.NewTracer(d.core.IOSnapshot, &d.spans)
+		}
+		ctx.Trace = d.tracer
 	}
 	d.core.SetObs(ctx)
 }
 
-// EnableMetrics starts aggregating counters and I/O histograms across
-// subsequent queries. Idempotent; read the result with MetricsReport.
-func (d *Database) EnableMetrics() {
-	ctx := d.core.Obs
-	if ctx.Metrics == nil {
-		ctx.Metrics = obs.NewRegistry()
-	}
-	d.core.SetObs(ctx)
+// spanRouter is the sink of the database's tracer: every span goes to
+// the TraceTo stream, if any, and to the slow log's capture of the call
+// being timed, if one is open.
+type spanRouter struct {
+	mu  sync.Mutex
+	out obs.Sink       // the TraceTo stream
+	cur *obs.Collector // the timed call's capture
 }
 
-// MetricsReport writes a human-readable report of everything aggregated
-// since EnableMetrics. No-op when metrics were never enabled.
-func (d *Database) MetricsReport(w io.Writer) {
-	d.core.Obs.Metrics.WriteText(w)
+// Span implements obs.Sink.
+func (r *spanRouter) Span(ev *obs.SpanEvent) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.out != nil {
+		r.out.Span(ev)
+	}
+	if r.cur != nil {
+		r.cur.Span(ev)
+	}
+}
+
+// capture starts collecting spans for one call.
+func (r *spanRouter) capture() {
+	r.mu.Lock()
+	r.cur = obs.NewCollector()
+	r.mu.Unlock()
+}
+
+// release ends the capture and hands over what it collected.
+func (r *spanRouter) release() []obs.SpanEvent {
+	r.mu.Lock()
+	cur := r.cur
+	r.cur = nil
+	r.mu.Unlock()
+	return cur.Spans()
 }

@@ -136,11 +136,11 @@ func (q SlowQuery) TotalIO() int64 {
 // 0 means no threshold). capacity <= 0 disables capture. Re-enabling
 // resets previously captured entries.
 func (d *Database) EnableSlowLog(capacity int, threshold time.Duration) {
-	if capacity <= 0 {
-		d.slow = nil
-		return
+	d.slow = nil
+	if capacity > 0 {
+		d.slow = obs.NewSlowLog(capacity, threshold)
 	}
-	d.slow = obs.NewSlowLog(capacity, threshold)
+	d.installTracer()
 }
 
 // SlowQueries returns the retained entries, slowest first (empty without
@@ -168,31 +168,20 @@ func (d *Database) SlowQueries() []SlowQuery {
 // noSlowDone is beginSlow's no-op completion when capture is off.
 var noSlowDone = func(error) {}
 
-// beginSlow arms span capture for one query when the slow log is on: the
-// tracer is swapped for one that also feeds a private collector (tracing
-// via TraceTo, if active, still sees every span through the tee), and
-// the returned func restores the previous tracer and offers the entry.
-// The object API is single-threaded per database, same contract the
-// tracer itself carries, so the swap is safe.
+// beginSlow times one query when the slow log is on and collects the
+// spans the database's tracer emits meanwhile; the returned func offers
+// the entry. The object API is single-threaded per database, the same
+// contract the tracer itself carries.
 func (d *Database) beginSlow(name string) func(error) {
 	if d.slow == nil {
 		return noSlowDone
 	}
-	col := obs.NewCollector()
-	var sink obs.Sink = col
-	if d.traceSink != nil {
-		sink = obs.Tee{col, d.traceSink}
-	}
-	prev := d.core.Obs
-	ctx := prev
-	ctx.Trace = obs.NewTracer(d.core.IOSnapshot, sink)
-	d.core.SetObs(ctx)
+	d.spans.capture()
 	start := time.Now()
 	return func(err error) {
-		d.core.SetObs(prev)
 		e := obs.SlowEntry{
 			Name: name, Start: start, Duration: time.Since(start),
-			Spans: col.Spans(),
+			Spans: d.spans.release(),
 		}
 		if err != nil {
 			e.Err = err.Error()

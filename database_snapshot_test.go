@@ -145,31 +145,59 @@ func TestSlowLogThresholdMarksViolations(t *testing.T) {
 }
 
 // TestSlowLogTeesWithTracing: with TraceTo active alongside the slow
-// log, the external trace stream still receives every span.
+// log, the external trace stream still receives every span, one
+// SpanEvent per line with io == reads + writes, and span ids stay unique
+// across queries — both read the database's one tracer, so a captured
+// entry's ids are the stream's ids.
 func TestSlowLogTeesWithTracing(t *testing.T) {
 	db, _, _ := cachedDB(t)
 	var trace bytes.Buffer
 	db.TraceTo(&trace)
 	db.EnableSlowLog(4, 0)
-	if _, err := db.Query(`retrieve (person.name) where person.age >= 60`); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if _, err := db.Query(`retrieve (person.name) where person.age >= 60`); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !strings.Contains(trace.String(), "query.pql") {
-		t.Fatalf("trace stream lost spans under slow-log capture:\n%s", trace.String())
+	type span struct {
+		ID     uint64 `json:"id"`
+		Parent uint64 `json:"parent"`
+		Name   string `json:"name"`
+		Reads  int64  `json:"reads"`
+		Writes int64  `json:"writes"`
+		IO     int64  `json:"io"`
 	}
-	if len(db.SlowQueries()) == 0 {
-		t.Fatal("slow log captured nothing while tracing")
+	byID := map[uint64]span{}
+	roots := 0
+	for _, line := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
+		var sp span
+		if err := json.Unmarshal([]byte(line), &sp); err != nil || sp.ID == 0 || sp.Name == "" {
+			t.Fatalf("trace line is not a span event (%v): %s", err, line)
+		}
+		if sp.IO != sp.Reads+sp.Writes {
+			t.Errorf("span %d: io %d != reads %d + writes %d", sp.ID, sp.IO, sp.Reads, sp.Writes)
+		}
+		if _, dup := byID[sp.ID]; dup {
+			t.Fatalf("span id %d emitted twice:\n%s", sp.ID, trace.String())
+		}
+		byID[sp.ID] = sp
+		if sp.Name == "query.pql" {
+			roots++
+		}
 	}
-}
-
-// TestMetricsReportWithoutEnable is the nil-registry regression test:
-// MetricsReport before EnableMetrics must write nothing and not panic.
-func TestMetricsReportWithoutEnable(t *testing.T) {
-	db := corep.NewDatabase(16)
-	var buf bytes.Buffer
-	db.MetricsReport(&buf)
-	if buf.Len() != 0 {
-		t.Fatalf("disabled metrics wrote %q", buf.String())
+	if roots != 3 {
+		t.Fatalf("trace stream carries %d query.pql spans, want 3:\n%s", roots, trace.String())
+	}
+	slow := db.SlowQueries()
+	if len(slow) != 3 {
+		t.Fatalf("slow log retained %d entries, want 3", len(slow))
+	}
+	for _, q := range slow {
+		for _, sp := range q.Spans {
+			if got, ok := byID[sp.ID]; !ok || got.Name != sp.Name || got.Parent != sp.Parent {
+				t.Errorf("captured span %d (%s) is not the stream's span %+v", sp.ID, sp.Name, got)
+			}
+		}
 	}
 }
 

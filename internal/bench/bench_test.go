@@ -128,9 +128,9 @@ func TestCompareFlagsP99Regression(t *testing.T) {
 }
 
 func TestCompareDirections(t *testing.T) {
-	old := env(t, "slo",
+	old := env(t, "throughput",
 		Cell{Name: "total", Metrics: map[string]float64{"qps": 100, "violations": 0, "clean_errors": 5}})
-	new_ := env(t, "slo",
+	new_ := env(t, "throughput",
 		Cell{Name: "total", Metrics: map[string]float64{"qps": 80, "violations": 2, "clean_errors": 50}})
 	d, err := Compare(old, new_, 0.10)
 	if err != nil {

@@ -38,7 +38,6 @@ var higherBetter = map[string]bool{
 	"update_qps":   true,
 	"commit_qps":   true,
 	"speedup":      true,
-	"slo_met":      true,
 }
 
 // MetricDirection classifies a metric name: an explicit allowlist for

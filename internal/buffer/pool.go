@@ -58,18 +58,6 @@ func (s Stats) String() string {
 	return fmt.Sprintf("hits=%d misses=%d flushes=%d hitrate=%.3f", s.Hits, s.Misses, s.Flushes, s.HitRate())
 }
 
-// Counters exposes the stats as named values for uniform sink reporting.
-func (s Stats) Counters() []obs.KV {
-	return []obs.KV{
-		{Key: "buffer.hits", Value: s.Hits},
-		{Key: "buffer.misses", Value: s.Misses},
-		{Key: "buffer.flushes", Value: s.Flushes},
-		{Key: "buffer.pins", Value: s.Pins},
-		{Key: "buffer.retries", Value: s.Retries},
-		{Key: "buffer.recovered", Value: s.Recovered},
-	}
-}
-
 // RetryPolicy bounds how the pool reissues disk operations that fail
 // with a transient injected fault (disk.IsTransient). Permanent faults
 // and real errors are never retried. With no fault injector installed

@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 
 	"corep/internal/disk"
-	"corep/internal/obs"
 )
 
 // BatchSortMin is the batch size below which the page-ordered batch
@@ -70,19 +69,6 @@ func (s PrefetchStats) Sub(o PrefetchStats) PrefetchStats {
 		Wasted:    s.Wasted - o.Wasted,
 		Dropped:   s.Dropped - o.Dropped,
 		FetchErrs: s.FetchErrs - o.FetchErrs,
-	}
-}
-
-// Counters exposes the stats as named values for uniform sink reporting.
-func (s PrefetchStats) Counters() []obs.KV {
-	return []obs.KV{
-		{Key: "prefetch.requested", Value: s.Requested},
-		{Key: "prefetch.staged", Value: s.Staged},
-		{Key: "prefetch.consumed", Value: s.Consumed},
-		{Key: "prefetch.coalesced", Value: s.Coalesced},
-		{Key: "prefetch.wasted", Value: s.Wasted},
-		{Key: "prefetch.dropped", Value: s.Dropped},
-		{Key: "prefetch.fetch_errors", Value: s.FetchErrs},
 	}
 }
 

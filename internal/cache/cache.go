@@ -65,20 +65,6 @@ func (s Stats) String() string {
 		s.Hits, s.Misses, s.Inserts, s.Evictions, s.Invalidations, s.HitRate())
 }
 
-// Counters exposes the stats as named values for uniform sink reporting.
-func (s Stats) Counters() []obs.KV {
-	return []obs.KV{
-		{Key: "cache.hits", Value: s.Hits},
-		{Key: "cache.misses", Value: s.Misses},
-		{Key: "cache.inserts", Value: s.Inserts},
-		{Key: "cache.evictions", Value: s.Evictions},
-		{Key: "cache.invalidations", Value: s.Invalidations},
-		{Key: "cache.degraded", Value: s.Degraded},
-		{Key: "cache.orphans", Value: s.Orphans},
-		{Key: "cache.stale_rejects", Value: s.StaleRejects},
-	}
-}
-
 // entry is the directory's record of one cached unit.
 type entry struct {
 	locks object.Unit // the I-lock set as the insert named it; an OID may repeat
@@ -440,7 +426,6 @@ func (c *Cache) Invalidate(updated object.OID) (int, error) {
 	}
 	c.stats.Invalidations += int64(len(keys))
 	sp.SetAttr("fanout", int64(len(keys)))
-	c.Obs.Histogram("cache.invalidation.fanout", obs.CountBuckets).Observe(float64(len(keys)))
 	if firstErr != nil {
 		return 0, firstErr
 	}

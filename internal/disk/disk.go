@@ -13,8 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"corep/internal/obs"
 )
 
 // PageSize is the size of every disk page in bytes. INGRES 5.0, the
@@ -69,16 +67,6 @@ func (s Stats) ReadFraction() float64 {
 
 func (s Stats) String() string {
 	return fmt.Sprintf("reads=%d writes=%d allocs=%d io=%d", s.Reads, s.Writes, s.Allocs, s.Total())
-}
-
-// Counters exposes the stats as named values for uniform sink reporting.
-func (s Stats) Counters() []obs.KV {
-	return []obs.KV{
-		{Key: "disk.reads", Value: s.Reads},
-		{Key: "disk.writes", Value: s.Writes},
-		{Key: "disk.allocs", Value: s.Allocs},
-		{Key: "disk.frees", Value: s.Frees},
-	}
 }
 
 // Common errors returned by Manager implementations.

@@ -14,7 +14,6 @@ import (
 
 	"corep/internal/bench"
 	"corep/internal/disk"
-	"corep/internal/obs"
 	"corep/internal/strategy"
 	"corep/internal/workload"
 )
@@ -47,18 +46,6 @@ type ChaosConfig struct {
 	// batches, Ops rounds each, while as many readers audit every
 	// snapshot for torn or lost versions.
 	ConcurrentUpdaters int
-
-	// SlowLogSize, when positive, arms per-schedule tail sampling: every
-	// operation is traced (full span tree plus per-op fault-plan deltas)
-	// and the SlowLogSize slowest land in ChaosRun.SlowQueries. A
-	// schedule is single-threaded, so unlike the serve tier the captured
-	// I/O deltas are exact — a latency spike shows up as an entry whose
-	// fault.spikes attribute names the injector. Zero disables capture
-	// entirely (no tracer attached, nothing measured).
-	SlowLogSize int
-	// SlowThreshold marks entries at or over it as SLO violations
-	// (0 = retain-slowest only).
-	SlowThreshold time.Duration
 }
 
 // faultPlan is the config's fault mix seeded for one schedule.
@@ -138,10 +125,6 @@ type ChaosRun struct {
 	CacheDegraded int64           `json:"cache_degraded"`
 	CacheOrphans  int64           `json:"cache_orphans"`
 	PrefetchErrs  int64           `json:"prefetch_fetch_errors"`
-
-	// SlowQueries is the schedule's tail sample (ChaosConfig.SlowLogSize
-	// slowest operations, exact span trees, fault-plan attr deltas).
-	SlowQueries []obs.SlowEntry `json:"slow_queries,omitempty"`
 }
 
 // tally adds the schedule's counts to its strategy's cell. Clean-error
@@ -415,21 +398,21 @@ const (
 // exec runs one operation against the subject and books it: counted as
 // ok, counted as a clean injector-attributed error, or recorded as a
 // violation.
-func (l *scheduleLog) exec(i int, s *subject, op workload.Op) ([]int64, error, opOutcome) {
+func (l *scheduleLog) exec(i int, s *subject, op workload.Op) ([]int64, opOutcome) {
 	vals, err := runChaosOp(s.db, s.st, op)
 	switch {
 	case panicked(err):
 		l.violate(i, "panic", err.Error())
-		return nil, err, opPanicked
+		return nil, opPanicked
 	case err == nil:
 		l.OpsOK++
-		return vals, nil, opOK
+		return vals, opOK
 	case disk.IsFault(err):
 		l.CleanErrors++
-		return nil, err, opFaulted
+		return nil, opFaulted
 	default:
 		l.violate(i, "unattributed-error", err.Error())
-		return nil, err, opBroken
+		return nil, opBroken
 	}
 }
 
@@ -453,55 +436,13 @@ func runChaosScheduleBody(spec scheduleSpec, run *ChaosRun) {
 		db.Disk.SetFault(plan.Fn())
 	}
 
-	// Tail sampling: with a slow log armed every op runs under a
-	// collector-backed tracer (the schedule is single-threaded, so the
-	// swap is safe and the captured deltas exact) and fault-plan stat
-	// deltas ride along as span attributes.
-	var slowLog *obs.SlowLog
-	if spec.cfg.SlowLogSize > 0 {
-		slowLog = obs.NewSlowLog(spec.cfg.SlowLogSize, spec.cfg.SlowThreshold)
-		defer func() { run.SlowQueries = slowLog.Snapshot() }()
-	}
-
 	// diverged flips once an update fails: some targets may hold new
 	// values and some old, so later rows are legitimately unlike the
 	// baseline and comparison stops. Everything else still applies.
 	diverged := false
 	retrieveIdx := 0
 	for i, op := range s.ops {
-		var col *obs.Collector
-		var faultsBefore disk.FaultStats
-		if slowLog != nil {
-			col = obs.NewCollector()
-			db.AttachObs(obs.Options{Sink: col})
-			if plan != nil {
-				faultsBefore = plan.Stats()
-			}
-		}
-		opStart := time.Now()
-		vals, opErr, outcome := run.exec(i, s, op)
-		if slowLog != nil {
-			dur := time.Since(opStart)
-			db.AttachObs(obs.Options{})
-			name := "chaos.retrieve"
-			if op.Kind == workload.OpUpdate {
-				name = "chaos.update"
-			}
-			e := obs.SlowEntry{Name: name, Start: opStart, Duration: dur, Spans: col.Spans()}
-			if plan != nil {
-				fd := plan.Stats()
-				e.Attrs = []obs.Attr{
-					{Key: "fault.injected", Val: fd.Injected - faultsBefore.Injected},
-					{Key: "fault.spikes", Val: fd.Spikes - faultsBefore.Spikes},
-					{Key: "fault.transient", Val: fd.Transient - faultsBefore.Transient},
-					{Key: "fault.permanent_hits", Val: fd.PermanentHits - faultsBefore.PermanentHits},
-				}
-			}
-			if opErr != nil {
-				e.Err = opErr.Error()
-			}
-			slowLog.Offer(e)
-		}
+		vals, outcome := run.exec(i, s, op)
 		if outcome == opPanicked {
 			break
 		}

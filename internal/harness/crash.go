@@ -131,7 +131,7 @@ func runCrashScheduleBody(spec scheduleSpec, run *CrashRun) {
 
 	for i := 0; i < crashAt; i++ {
 		op := ops[i]
-		_, _, outcome := run.exec(i, s, op)
+		_, outcome := run.exec(i, s, op)
 		switch {
 		case outcome == opBroken || outcome == opPanicked:
 			return

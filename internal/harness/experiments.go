@@ -27,9 +27,9 @@ type Scale struct {
 	// (corepbench -parallel); 0 means GOMAXPROCS.
 	Parallel int
 
-	// Obs is forwarded to every measured run of the experiment; the
-	// zero value collects nothing.
-	Obs obs.Options
+	// Obs is forwarded to every measured run of the experiment (corepbench
+	// -trace); nil collects nothing.
+	Obs obs.Sink
 
 	// Cells is forwarded likewise: when set, every measured cell logs
 	// its exact reads and writes there.

@@ -44,10 +44,8 @@ type RunConfig struct {
 	// after the build (0: latency-free, the paper's pure-I/O-count mode).
 	DeviceLatency time.Duration
 
-	// Obs configures tracing/metrics for this run. Metric names get a
-	// per-cell "STRATEGY|SF=n|NT=n|" prefix so grid sweeps sharing one
-	// registry stay distinguishable.
-	Obs obs.Options
+	// Obs, when non-nil, receives this run's spans (corepbench -trace).
+	Obs obs.Sink
 
 	// Cells, when non-nil, receives this run's exact disk reads and
 	// writes under a label naming the cell (TestFigureIOGolden).
@@ -174,14 +172,7 @@ func Run(rc RunConfig) (*Measurement, error) {
 	}
 	defer db.Close()
 	db.Disk.SetLatency(rc.DeviceLatency)
-	if rc.Obs.Enabled() {
-		ntLabel := fmt.Sprintf("%d", rc.NumTop)
-		if len(rc.NumTops) > 0 {
-			ntLabel = "mix"
-		}
-		cell := fmt.Sprintf("%s|SF=%d|NT=%s|", rc.Strategy, dbCfg.ShareFactor(), ntLabel)
-		db.AttachObs(rc.Obs.WithPrefix(cell))
-	}
+	db.AttachObs(rc.Obs)
 	var st strategy.Strategy
 	if rc.Strategy == strategy.SMART && rc.SmartThreshold > 0 {
 		st, err = strategy.NewSmart(db, rc.SmartThreshold)
@@ -249,11 +240,8 @@ func Execute(db *workload.DB, st strategy.Strategy, ops []workload.Op) (*Measure
 			}
 			sp.End()
 			split.Add(res.Split)
-			d := db.Disk.Stats().Total() - before
-			retrIO += d
+			retrIO += db.Disk.Stats().Total() - before
 			m.Retrieves++
-			ob.Histogram("query.io", obs.IOBuckets).Observe(float64(d))
-			ob.Histogram("retrieve.io", obs.IOBuckets).Observe(float64(d))
 		case workload.OpUpdate:
 			sp := ob.Start("query.update")
 			sp.SetAttr("targets", int64(len(op.Targets)))
@@ -261,11 +249,8 @@ func Execute(db *workload.DB, st strategy.Strategy, ops []workload.Op) (*Measure
 				return nil, fmt.Errorf("harness: %s update: %w", st.Kind(), err)
 			}
 			sp.End()
-			d := db.Disk.Stats().Total() - before
-			updIO += d
+			updIO += db.Disk.Stats().Total() - before
 			m.Updates++
-			ob.Histogram("query.io", obs.IOBuckets).Observe(float64(d))
-			ob.Histogram("update.io", obs.IOBuckets).Observe(float64(d))
 		}
 	}
 	total := retrIO + updIO
@@ -286,18 +271,6 @@ func Execute(db *workload.DB, st strategy.Strategy, ops []workload.Op) (*Measure
 	m.Prefetch = db.Pool.Prefetcher().Stats().Sub(startPref)
 	if db.Cache != nil {
 		m.Cache = db.Cache.Stats().Sub(startCache)
-	}
-	if ob.Enabled() {
-		ob.AddCounters(m.Disk.Counters())
-		ob.AddCounters(m.Buffer.Counters())
-		if db.Pool.Prefetcher() != nil {
-			ob.AddCounters(m.Prefetch.Counters())
-		}
-		ob.Gauge("buffer.resident").Set(int64(db.Pool.Resident()))
-		if db.Cache != nil {
-			ob.AddCounters(m.Cache.Counters())
-			ob.Gauge("cache.units").Set(int64(db.Cache.Len()))
-		}
 	}
 	return m, nil
 }

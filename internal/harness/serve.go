@@ -3,38 +3,25 @@ package harness
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"corep/internal/bench"
 	"corep/internal/disk"
-	"corep/internal/obs"
 	"corep/internal/strategy"
 	"corep/internal/txn"
 	"corep/internal/workload"
 )
 
-// SLO declares the serving latency objective: the Target quantile of
-// per-operation wall-clock latency must stay at or under Threshold.
-// Every operation at or over Threshold counts as one violation
-// regardless of the quantile, so violation counts stay meaningful even
-// when the objective itself is met.
-type SLO struct {
-	Target    float64       `json:"target"` // quantile the objective is stated at, e.g. 0.99
-	Threshold time.Duration `json:"threshold_ns"`
-}
-
 // LatencySummary is one attribution cell's latency distribution: a
 // client, an operation kind, or the whole run.
 type LatencySummary struct {
-	Count      int           `json:"count"`
-	P50        time.Duration `json:"p50_ns"`
-	P95        time.Duration `json:"p95_ns"`
-	P99        time.Duration `json:"p99_ns"`
-	Max        time.Duration `json:"max_ns"`
-	Violations int           `json:"slo_violations,omitempty"`
+	Count int           `json:"count"`
+	P50   time.Duration `json:"p50_ns"`
+	P95   time.Duration `json:"p95_ns"`
+	P99   time.Duration `json:"p99_ns"`
+	Max   time.Duration `json:"max_ns"`
 }
 
 // quantile reads the p-quantile off sorted latencies (the nearest-rank
@@ -46,19 +33,13 @@ func quantile(sorted []time.Duration, p float64) time.Duration {
 	return sorted[int(p*float64(len(sorted)-1))]
 }
 
-// summarize sorts lats in place and computes exact percentiles plus SLO
-// violations.
-func summarize(lats []time.Duration, slo *SLO) LatencySummary {
+// summarize sorts lats in place and computes exact percentiles.
+func summarize(lats []time.Duration) LatencySummary {
 	slices.Sort(lats)
-	s := LatencySummary{
+	return LatencySummary{
 		Count: len(lats),
 		P50:   quantile(lats, 0.50), P95: quantile(lats, 0.95), P99: quantile(lats, 0.99), Max: quantile(lats, 1),
 	}
-	if slo != nil && slo.Threshold > 0 {
-		i, _ := slices.BinarySearch(lats, slo.Threshold)
-		s.Violations = len(lats) - i
-	}
-	return s
 }
 
 // ServeConfig configures one concurrent serving run: K client goroutines
@@ -98,26 +79,6 @@ type ServeConfig struct {
 	// the measured phase (build and reset run fault-free). Pair it with
 	// IsolateErrors unless a single fault should abort the run.
 	FaultPlan *disk.FaultPlanConfig
-
-	// SLO, when non-nil, is the latency objective: per-cell summaries
-	// count operations at or over Threshold, and the result reports
-	// whether the Target quantile met it.
-	SLO *SLO
-
-	// Metrics, when non-nil, receives per-client and per-operation-kind
-	// latency histograms plus live progress counters, all under
-	// MetricsPrefix — the serving tier's cells in the shared registry.
-	// Nil (the default) collects nothing and costs nothing on the op path.
-	Metrics       *obs.Registry
-	MetricsPrefix string
-
-	// SlowLog, when non-nil, captures a root span (wall clock plus
-	// disk/buffer counter deltas) for every operation and retains the
-	// slowest — tail sampling for the serving tier. Because clients run
-	// concurrently over shared counters, serve-tier deltas are
-	// approximate attribution (see DESIGN.md §10); single-threaded
-	// contexts (chaos harness, object API) capture exact per-op trees.
-	SlowLog *obs.SlowLog
 }
 
 // ServeResult is the outcome of one Serve run: throughput plus
@@ -133,20 +94,10 @@ type ServeResult struct {
 
 	// The whole run's latency distribution; PerOp decomposes it by
 	// operation kind ("retrieve", "update"), PerClient by client
-	// goroutine — the serve tier's SLO cells.
+	// goroutine.
 	LatencySummary
 	PerOp     map[string]LatencySummary `json:"per_op,omitempty"`
 	PerClient []LatencySummary          `json:"per_client,omitempty"`
-
-	// SLO echoes the armed objective (Violations, in every summary,
-	// counts operations at or over its threshold); SLOMet reports whether
-	// the Target quantile stayed at or under the threshold.
-	SLO    *SLO `json:"slo,omitempty"`
-	SLOMet bool `json:"slo_met,omitempty"`
-
-	// SlowRetained is how many span-carrying entries the slow log kept
-	// (0 without a slow log).
-	SlowRetained int `json:"slow_retained,omitempty"`
 
 	TotalIO int64 `json:"total_io"`
 
@@ -168,32 +119,6 @@ type ServeResult struct {
 	DrainApplied int           `json:"drain_applied,omitempty"`
 	DrainTime    time.Duration `json:"drain_ns,omitempty"`
 	Txn          *txn.Stats    `json:"txn,omitempty"`
-}
-
-// Record exports the finished result into reg as metric points (gauges,
-// nanosecond latencies, milli-QPS) so sinks flushing the registry see
-// completed runs, not only the live histograms. Nil-safe on reg.
-func (r *ServeResult) Record(reg *obs.Registry, prefix string) {
-	if reg == nil {
-		return
-	}
-	reg.Gauge(prefix + "serve.result.qps_milli").Set(int64(r.QPS * 1000))
-	reg.Gauge(prefix + "serve.result.p50_ns").Set(int64(r.P50))
-	reg.Gauge(prefix + "serve.result.p95_ns").Set(int64(r.P95))
-	reg.Gauge(prefix + "serve.result.p99_ns").Set(int64(r.P99))
-	reg.Gauge(prefix + "serve.result.max_ns").Set(int64(r.Max))
-	reg.Gauge(prefix + "serve.result.total_io").Set(r.TotalIO)
-	reg.Gauge(prefix + "serve.result.failed").Set(int64(r.Failed))
-	reg.Gauge(prefix + "serve.result.slo_violations").Set(int64(r.Violations))
-	if r.Txn != nil {
-		reg.Gauge(prefix + "serve.result.txn.versions_installed").Set(r.Txn.Installed)
-		reg.Gauge(prefix + "serve.result.txn.commits").Set(r.Txn.Commits)
-		reg.Gauge(prefix + "serve.result.txn.aborts").Set(r.Txn.Aborts)
-		reg.Gauge(prefix + "serve.result.txn.snapshots").Set(r.Txn.Snapshots)
-		reg.Gauge(prefix + "serve.result.txn.overlay_hits").Set(r.Txn.Hits)
-		reg.Gauge(prefix + "serve.result.txn.latch_waits").Set(r.Txn.Waited)
-		reg.Gauge(prefix + "serve.result.txn.drain_applied").Set(int64(r.DrainApplied))
-	}
 }
 
 // opLat is one completed operation's latency, tagged by kind.
@@ -247,16 +172,6 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		defer db.Disk.SetFault(nil)
 	}
 
-	// SLO instruments: one histogram per operation kind (shared across
-	// clients), one per client, plus live progress counters. All are nil
-	// no-ops when cfg.Metrics is nil, so the disabled op path is free.
-	reg, prefix := cfg.Metrics, cfg.MetricsPrefix
-	hRetr := reg.Histogram(prefix+"serve.op.retrieve.latency_ns", obs.LatencyBuckets)
-	hUpd := reg.Histogram(prefix+"serve.op.update.latency_ns", obs.LatencyBuckets)
-	cRetr := reg.Counter(prefix + "serve.ops.retrieves")
-	cUpd := reg.Counter(prefix + "serve.ops.updates")
-	cFail := reg.Counter(prefix + "serve.ops.failed")
-
 	var (
 		wg        sync.WaitGroup
 		stop      atomic.Bool
@@ -280,7 +195,6 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 			return false
 		}
 		failed.Add(1)
-		cFail.Add(1)
 		sampleMu.Lock()
 		if len(samples) < 5 {
 			samples = append(samples, err.Error())
@@ -293,16 +207,11 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			hClient := reg.Histogram(prefix+"serve.client."+strconv.Itoa(c)+".latency_ns", obs.LatencyBuckets)
 			lats := make([]opLat, 0, len(chunks[c]))
 			defer func() { latencies[c] = lats }()
 			for _, op := range chunks[c] {
 				if stop.Load() {
 					return
-				}
-				var ioBefore obs.IO
-				if cfg.SlowLog != nil {
-					ioBefore = db.IOSnapshot()
 				}
 				opStart := time.Now()
 				var opErr error
@@ -336,23 +245,6 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 					}
 				}
 				dur := time.Since(opStart)
-				if cfg.SlowLog != nil {
-					d := db.IOSnapshot().Sub(ioBefore)
-					name := "serve.retrieve"
-					if op.Kind == workload.OpUpdate {
-						name = "serve.update"
-					}
-					e := obs.SlowEntry{
-						Name: name, Client: c, Start: opStart, Duration: dur,
-						Spans: []obs.SpanEvent{{ID: 1, Name: name,
-							Reads: d.Reads, Writes: d.Writes, IO: d.Reads + d.Writes,
-							Hits: d.Hits, Misses: d.Misses, Flushes: d.Flushes}},
-					}
-					if opErr != nil {
-						e.Err = opErr.Error()
-					}
-					cfg.SlowLog.Offer(e)
-				}
 				if opErr != nil {
 					if !isolate(opErr) {
 						fail(opErr)
@@ -360,17 +252,11 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 					}
 					continue
 				}
-				switch op.Kind {
-				case workload.OpRetrieve:
-					retrieves.Add(1)
-					cRetr.Add(1)
-					hRetr.Observe(float64(dur))
-				case workload.OpUpdate:
+				if op.Kind == workload.OpUpdate {
 					updates.Add(1)
-					cUpd.Add(1)
-					hUpd.Observe(float64(dur))
+				} else {
+					retrieves.Add(1)
 				}
-				hClient.Observe(float64(dur))
 				lats = append(lats, opLat{kind: op.Kind, d: dur})
 			}
 		}(c)
@@ -416,7 +302,7 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 			}
 		}
 		all = append(all, cl...)
-		perClient[c] = summarize(cl, cfg.SLO)
+		perClient[c] = summarize(cl)
 	}
 	res := &ServeResult{
 		Clients:        cfg.Clients,
@@ -424,10 +310,10 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		Retrieves:      int(retrieves.Load()),
 		Updates:        int(updates.Load()),
 		Elapsed:        elapsed,
-		LatencySummary: summarize(all, cfg.SLO),
+		LatencySummary: summarize(all),
 		PerOp: map[string]LatencySummary{
-			"retrieve": summarize(retrLats, cfg.SLO),
-			"update":   summarize(updLats, cfg.SLO),
+			"retrieve": summarize(retrLats),
+			"update":   summarize(updLats),
 		},
 		PerClient:    perClient,
 		TotalIO:      db.Disk.Stats().Total(),
@@ -443,13 +329,6 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		res.RetrieveQPS = float64(res.Retrieves) / elapsed.Seconds()
 		res.UpdateQPS = float64(res.Updates) / elapsed.Seconds()
 	}
-	if cfg.SLO != nil {
-		slo := *cfg.SLO
-		res.SLO = &slo
-		res.SLOMet = len(all) > 0 && quantile(all, slo.Target) <= slo.Threshold
-	}
-	res.SlowRetained = cfg.SlowLog.Stats().Retained
-	res.Record(reg, prefix)
 	return res, nil
 }
 
@@ -467,17 +346,16 @@ type ServeRun struct {
 }
 
 // ServeGrid is the outcome of serving every point of a grid from one
-// base configuration — the payload of the throughput, txn and slo
-// sweeps. Every point rebuilds the same seeded database and sequence, so
-// points that differ only in mode execute the identical operation stream.
+// base configuration — the payload of the throughput and txn sweeps.
+// Every point rebuilds the same seeded database and sequence, so points
+// that differ only in mode execute the identical operation stream.
 type ServeGrid struct {
 	Config   string     `json:"config"` // as provisioned for the strategy
 	Strategy string     `json:"strategy"`
 	Runs     []ServeRun `json:"runs"`
 }
 
-// serveGrid serves each point in turn. base.Metrics, when set, collects
-// each point's latency histograms under a "<point name>." prefix.
+// serveGrid serves each point in turn.
 func serveGrid(base ServeConfig, points []servePoint) (*ServeGrid, error) {
 	g := &ServeGrid{
 		Config:   provisionFor(base.Strategy, base.DB.WithDefaults()).String(),
@@ -485,7 +363,6 @@ func serveGrid(base ServeConfig, points []servePoint) (*ServeGrid, error) {
 	}
 	for _, pt := range points {
 		cfg := base
-		cfg.MetricsPrefix = base.MetricsPrefix + pt.name + "."
 		pt.edit(&cfg)
 		res, err := Serve(cfg)
 		if err != nil {
@@ -575,9 +452,9 @@ func serveCell(name string, r *ServeResult) bench.Cell {
 	return c
 }
 
-// serveBase is the serving workload the throughput and slo sweeps share:
-// DFS over 2,000 parents with batched probes, 5% updates, 40 operations
-// per client (10 on the quick grid).
+// serveBase is the throughput sweep's serving workload: DFS over 2,000
+// parents with batched probes, 5% updates, 40 operations per client (10
+// on the quick grid).
 func serveBase(o SweepOpts) ServeConfig {
 	return ServeConfig{
 		DB:           workload.Config{NumParents: 2000, Seed: *o.Seed, ProbeBatch: true},
@@ -586,7 +463,6 @@ func serveBase(o SweepOpts) ServeConfig {
 		PrUpdate:     0.05,
 		NumTop:       8,
 		DiskLatency:  *o.Latency,
-		Metrics:      o.Metrics,
 	}
 }
 
@@ -631,76 +507,4 @@ func RunThroughput(base ServeConfig, shards int, clientCounts []int) (*Throughpu
 
 func throughputSweep(o SweepOpts) (Report, error) {
 	return RunThroughput(serveBase(o), 8, pick(o, []int{1, 2, 4, 8}, []int{1, 2}))
-}
-
-// SLOBench is the tail-latency serving benchmark (BENCH_slo.json): one
-// Serve run with an SLO armed and the slow log capturing span-attributed
-// outliers, reported as per-op-kind and per-client percentile cells.
-type SLOBench struct {
-	*ServeGrid                  // the one run, named "total"
-	SLO         SLO             `json:"slo"`
-	SlowQueries []obs.SlowEntry `json:"slow_queries,omitempty"`
-}
-
-// RunSLO runs one SLO-instrumented serve: metrics registry and slow log
-// armed (cfg.Metrics/cfg.SlowLog are created when nil).
-func RunSLO(cfg ServeConfig) (*SLOBench, error) {
-	if cfg.SLO == nil {
-		return nil, fmt.Errorf("harness: RunSLO needs an objective (ServeConfig.SLO)")
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
-	if cfg.SlowLog == nil {
-		cfg.SlowLog = obs.NewSlowLog(obs.DefaultSlowLogSize, cfg.SLO.Threshold)
-	}
-	g, err := serveGrid(cfg, []servePoint{{"total", func(*ServeConfig) {}}})
-	if err != nil {
-		return nil, err
-	}
-	return &SLOBench{ServeGrid: g, SLO: *cfg.SLO, SlowQueries: cfg.SlowLog.Snapshot()}, nil
-}
-
-// sloSweep holds the serving workload at 8 clients (4 on the quick grid)
-// to p99 <= 1s. The threshold is deliberately far above the ~200ms the
-// run measures: the objective's violation count is a lower-better metric
-// whose baseline is zero, and 0→N regresses at any benchdiff threshold,
-// so a scheduler stall on a shared runner must not be able to conjure
-// one.
-func sloSweep(o SweepOpts) (Report, error) {
-	cfg := serveBase(o)
-	cfg.DB.PoolShards = 8
-	cfg.Clients = pick(o, 8, 4)
-	cfg.SLO = &SLO{Target: 0.99, Threshold: time.Second}
-	return RunSLO(cfg)
-}
-
-// Cells flattens the run: one total cell plus one per operation kind.
-func (b *SLOBench) Cells() []bench.Cell {
-	total := b.Run("total")
-	cells := b.ServeGrid.Cells()
-	cells[0].Metrics["slo_violations"] = float64(total.Violations)
-	cells[0].Metrics["slo_met"] = 0
-	if total.SLOMet {
-		cells[0].Metrics["slo_met"] = 1
-	}
-	for _, kind := range []string{"retrieve", "update"} {
-		s := total.PerOp[kind]
-		if s.Count == 0 {
-			continue
-		}
-		m := map[string]float64{"count": float64(s.Count)}
-		s.metrics(m)
-		cells = append(cells, bench.Cell{Name: "op/" + kind, Metrics: m})
-	}
-	return cells
-}
-
-// Check reports a missed objective.
-func (b *SLOBench) Check() []Violation {
-	if total := b.Run("total"); !total.SLOMet {
-		return []Violation{gate("total", "objective p%g <= %s missed (%d ops at or over the threshold)",
-			b.SLO.Target*100, b.SLO.Threshold, total.Violations)}
-	}
-	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"corep/internal/bench"
-	"corep/internal/obs"
 )
 
 // Violation is one broken guarantee: a resilience or durability
@@ -53,9 +52,6 @@ type SweepOpts struct {
 	// value given is the value used, zero included.
 	Seed    *int64
 	Latency *time.Duration
-	// Metrics, when non-nil, receives the serving sweeps' live
-	// histograms (corepbench -watch).
-	Metrics *obs.Registry
 }
 
 // pick returns the full grid's value, or the quick grid's.
@@ -97,7 +93,6 @@ var Sweeps = []Sweep{
 	{"wal", "group commit, clients × batch: fsyncs per commit fall as committers are added", true, 0, 0, walSweep},
 	{"throughput", "concurrent serving, sharded pool vs one shard, 1-8 clients", true, 1, 100 * time.Microsecond, throughputSweep},
 	{"txn", "versioned vs latched serving, skew × update rate × clients", true, 1, 100 * time.Microsecond, txnSweep},
-	{"slo", "tail latency of one serving run against its objective, slow queries attributed", true, 1, 100 * time.Microsecond, sloSweep},
 }
 
 // FindSweep resolves a sweep by name.

@@ -182,10 +182,6 @@ func TestSweepGatesFire(t *testing.T) {
 	txnChaos := func(v []Violation) Report {
 		return &TxnChaosBench{Strategies: []*StrategyRuns[*scheduleLog]{{Strategy: "DFS", Runs: []*scheduleLog{{Violations: v}}}}}
 	}
-	slo := func(met bool) Report {
-		run := ServeRun{"total", &ServeResult{SLOMet: met, LatencySummary: LatencySummary{Violations: 3}}}
-		return &SLOBench{ServeGrid: &ServeGrid{Runs: []ServeRun{run}}, SLO: SLO{Target: 0.99, Threshold: time.Second}}
-	}
 	for _, tc := range []struct {
 		name string
 		rep  Report
@@ -208,8 +204,6 @@ func TestSweepGatesFire(t *testing.T) {
 		{"crash passes", crash(nil), 0},
 		{"crash violation", crash(broken), 1},
 		{"txnchaos violation", txnChaos(broken), 1},
-		{"slo met", slo(true), 0},
-		{"slo missed", slo(false), 1},
 	} {
 		if got := tc.rep.Check(); len(got) != tc.want {
 			t.Errorf("%s: %d violation(s), want %d: %v", tc.name, len(got), tc.want, got)

@@ -15,16 +15,6 @@ func BenchmarkDisabledSpan(b *testing.B) {
 	}
 }
 
-// BenchmarkDisabledMetrics is the registry-off counterpart.
-func BenchmarkDisabledMetrics(b *testing.B) {
-	var ctx Ctx
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ctx.Counter("disk.reads").Add(1)
-		ctx.Histogram("query.io", IOBuckets).Observe(float64(i))
-	}
-}
-
 // BenchmarkDisabledSlowLog measures the tail-sampling hook cost when the
 // slow log is off — the guard every serve/chaos/query hot path pays.
 // Must be 0 allocs/op.

@@ -1,19 +1,18 @@
 // Package obs is the observability layer of the engine: span-style
-// tracing, a metrics registry, and pluggable sinks.
+// tracing, pluggable span sinks, and the slow log.
 //
 // The repo's performance yardstick is counted page I/O, so a span does
 // not time anything — it attributes the disk and buffer-pool counter
 // deltas of a code region ("where did every I/O get charged?"), the
 // per-operator decomposition behind the paper's ParCost/ChildCost
-// split. Metrics aggregate the same counters across a query sequence
-// (I/O-per-query histograms, cache hit rates, invalidation fan-out).
+// split. Aggregate counts live where they are made: the layers' Stats
+// structs and the harness's Measurement.
 //
 // Everything is disabled by default and free when disabled: the zero
-// Ctx, a nil *Tracer and a nil *Registry are all valid no-ops, and the
-// disabled paths perform no allocation (asserted by a benchmark). The
+// Ctx, a nil *Tracer and a nil *SlowLog are all valid no-ops, and the
+// disabled paths perform no allocation (asserted by a test). The
 // package imports only the standard library so that every storage layer
-// (disk, buffer, cache, query, strategy) can depend on it without
-// cycles.
+// (buffer, cache, query, strategy) can depend on it without cycles.
 package obs
 
 // IO is a snapshot of the counters a span attributes to itself: disk
@@ -39,87 +38,12 @@ func (a IO) Sub(b IO) IO {
 // Total returns reads plus writes — the paper's single I/O cost figure.
 func (a IO) Total() int64 { return a.Reads + a.Writes }
 
-// KV is one named counter value. The storage layers (disk, buffer,
-// cache) expose their Stats structs as []KV so that every layer reports
-// uniformly through the sinks and the registry.
-type KV struct {
-	Key   string
-	Value int64
-}
-
-// Options is what a caller (CLI flag parsing, a test) asks to collect.
-// The zero value disables everything.
-type Options struct {
-	// Sink receives span events; nil disables tracing.
-	Sink Sink
-	// Metrics receives aggregated counters/histograms; nil disables them.
-	Metrics *Registry
-	// Prefix is prepended to every metric name registered through the
-	// derived Ctx — the harness uses it to label per-experiment,
-	// per-(strategy, NumTop, ShareFactor) cells.
-	Prefix string
-}
-
-// Enabled reports whether anything would be collected.
-func (o Options) Enabled() bool { return o.Sink != nil || o.Metrics != nil }
-
-// WithPrefix returns a copy with extra appended to the metric prefix.
-func (o Options) WithPrefix(extra string) Options {
-	o.Prefix += extra
-	return o
-}
-
 // Ctx is the handle threaded through the stack: a tracer bound to one
-// database's counters plus the shared registry. The zero Ctx is a valid
-// no-op, so un-instrumented code paths cost nothing.
+// database's counters. The zero Ctx is a valid no-op, so
+// un-instrumented code paths cost nothing.
 type Ctx struct {
-	Trace   *Tracer
-	Metrics *Registry
-	Prefix  string
+	Trace *Tracer
 }
-
-// Enabled reports whether the context collects anything.
-func (c Ctx) Enabled() bool { return c.Trace != nil || c.Metrics != nil }
-
-// Tracing reports whether spans are being recorded.
-func (c Ctx) Tracing() bool { return c.Trace != nil }
 
 // Start opens a span; no-op (and allocation-free) when tracing is off.
 func (c Ctx) Start(name string) Span { return c.Trace.Start(name) }
-
-// Counter returns the named counter, or a no-op nil counter when
-// metrics are off. The context prefix is prepended.
-func (c Ctx) Counter(name string) *Counter {
-	if c.Metrics == nil {
-		return nil
-	}
-	return c.Metrics.Counter(c.Prefix + name)
-}
-
-// Gauge returns the named gauge (nil no-op when metrics are off).
-func (c Ctx) Gauge(name string) *Gauge {
-	if c.Metrics == nil {
-		return nil
-	}
-	return c.Metrics.Gauge(c.Prefix + name)
-}
-
-// Histogram returns the named histogram, creating it with the given
-// bucket upper bounds (nil no-op when metrics are off).
-func (c Ctx) Histogram(name string, bounds []float64) *Histogram {
-	if c.Metrics == nil {
-		return nil
-	}
-	return c.Metrics.Histogram(c.Prefix+name, bounds)
-}
-
-// AddCounters bulk-adds a layer's KV counters into the registry — how
-// disk.Stats, buffer.Stats and cache.Stats deltas reach the sinks.
-func (c Ctx) AddCounters(kvs []KV) {
-	if c.Metrics == nil {
-		return
-	}
-	for _, kv := range kvs {
-		c.Metrics.Counter(c.Prefix + kv.Key).Add(kv.Value)
-	}
-}

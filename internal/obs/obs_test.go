@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -76,124 +75,19 @@ func TestDisabledTracerIsInert(t *testing.T) {
 }
 
 // TestDisabledPathAllocatesNothing is the hard guarantee behind leaving
-// the instrumentation calls in every hot path: with the zero Ctx, span
-// and metric calls must not allocate.
+// the instrumentation calls in every hot path: with the zero Ctx and a
+// nil slow log, span and capture calls must not allocate.
 func TestDisabledPathAllocatesNothing(t *testing.T) {
 	var ctx Ctx
+	var sl *SlowLog
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := ctx.Start("strategy.dfs/probe")
 		sp.SetAttr("values", 42)
 		sp.End()
-		ctx.Counter("disk.reads").Add(1)
-		ctx.Gauge("buffer.resident").Set(9)
-		ctx.Histogram("query.io", IOBuckets).Observe(3)
-		ctx.AddCounters(nil)
+		sl.Offer(SlowEntry{Name: "query.pql"})
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled obs path allocated %.1f allocs/op, want 0", allocs)
-	}
-}
-
-func TestHistogramBucketBoundaries(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1} { // ≤1
-		h.Observe(v)
-	}
-	for _, v := range []float64{1.5, 2} { // (1,2]
-		h.Observe(v)
-	}
-	h.Observe(4)   // (2,4] — boundary lands in its own bucket
-	h.Observe(4.1) // overflow
-	h.Observe(100) // overflow
-
-	s := h.Snapshot()
-	if want := []int64{2, 2, 1}; !reflect.DeepEqual(s.Counts, want) {
-		t.Errorf("bucket counts = %v, want %v", s.Counts, want)
-	}
-	if s.Overflow != 2 {
-		t.Errorf("overflow = %d, want 2", s.Overflow)
-	}
-	if s.Count != 7 {
-		t.Errorf("count = %d, want 7", s.Count)
-	}
-	if s.Min != 0.5 || s.Max != 100 {
-		t.Errorf("min/max = %v/%v, want 0.5/100", s.Min, s.Max)
-	}
-	if want := 0.5 + 1 + 1.5 + 2 + 4 + 4.1 + 100; s.Sum != want {
-		t.Errorf("sum = %v, want %v", s.Sum, want)
-	}
-}
-
-func TestHistogramUnsortedBoundsAreSorted(t *testing.T) {
-	h := NewHistogram([]float64{4, 1, 2})
-	h.Observe(1.5)
-	s := h.Snapshot()
-	if !reflect.DeepEqual(s.Bounds, []float64{1, 2, 4}) {
-		t.Errorf("bounds = %v, want sorted", s.Bounds)
-	}
-	if s.Counts[1] != 1 {
-		t.Errorf("observation landed in %v, want bucket 1", s.Counts)
-	}
-}
-
-func TestExpBuckets(t *testing.T) {
-	if got, want := ExpBuckets(1, 2, 4), []float64{1, 2, 4, 8}; !reflect.DeepEqual(got, want) {
-		t.Errorf("ExpBuckets = %v, want %v", got, want)
-	}
-}
-
-func TestRegistryPointsSortedAndTyped(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("z.count").Add(3)
-	r.Counter("z.count").Add(4)
-	r.Gauge("a.gauge").Set(11)
-	r.Histogram("m.hist", []float64{10}).Observe(5)
-	pts := r.Points()
-	if len(pts) != 3 {
-		t.Fatalf("want 3 points, got %d", len(pts))
-	}
-	if pts[0].Name != "a.gauge" || pts[1].Name != "m.hist" || pts[2].Name != "z.count" {
-		t.Errorf("points not sorted: %v", pts)
-	}
-	if pts[2].Value != 7 || pts[2].Kind != "counter" {
-		t.Errorf("counter point wrong: %+v", pts[2])
-	}
-	if pts[1].Count != 1 || pts[1].Buckets[0] != (Bucket{LE: 10, Count: 1}) {
-		t.Errorf("histogram point wrong: %+v", pts[1])
-	}
-}
-
-func TestNilRegistryAndInstrumentsAreSafe(t *testing.T) {
-	var r *Registry
-	r.Counter("x").Add(1)
-	r.Gauge("y").Set(1)
-	r.Histogram("z", nil).Observe(1)
-	if r.Points() != nil {
-		t.Error("nil registry should export no points")
-	}
-	r.Flush(NewCollector())
-}
-
-func TestRegistryConcurrentUse(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.Counter("c").Add(1)
-				r.Histogram("h", CountBuckets).Observe(float64(i % 32))
-				r.Gauge("g").Set(int64(i))
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Counter("c").Value(); got != 8*500 {
-		t.Errorf("counter = %d, want %d", got, 8*500)
-	}
-	if got := r.Histogram("h", nil).Snapshot().Count; got != 8*500 {
-		t.Errorf("histogram count = %d, want %d", got, 8*500)
 	}
 }
 
@@ -208,60 +102,11 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 	}
 	sink.Span(&span)
 
-	reg := NewRegistry()
-	reg.Counter("disk.reads").Add(42)
-	reg.Histogram("query.io", []float64{1, 8, 64}).Observe(12)
-	reg.Flush(sink)
-
-	events, err := ReadEvents(bytes.NewReader(buf.Bytes()))
+	spans, err := readSpans(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 3 {
-		t.Fatalf("want 3 events, got %d", len(events))
-	}
-	if events[0].Type != "span" || !reflect.DeepEqual(*events[0].Span, span) {
-		t.Errorf("span did not round-trip: %+v", events[0].Span)
-	}
-	wantPoints := reg.Points()
-	for i, ev := range events[1:] {
-		if ev.Type != "metric" {
-			t.Fatalf("event %d type = %q, want metric", i+1, ev.Type)
-		}
-		if !reflect.DeepEqual(*ev.Metric, wantPoints[i]) {
-			t.Errorf("metric %d did not round-trip:\n got %+v\nwant %+v", i, *ev.Metric, wantPoints[i])
-		}
-	}
-}
-
-func TestReadEventsRejectsGarbage(t *testing.T) {
-	if _, err := ReadEvents(bytes.NewReader([]byte("{\"type\":\"span\"}\nnot json\n"))); err == nil {
-		t.Error("want error on malformed line")
-	}
-}
-
-func TestTeeDuplicates(t *testing.T) {
-	a, b := NewCollector(), NewCollector()
-	tee := Tee{a, b}
-	tee.Span(&SpanEvent{ID: 1, Name: "x"})
-	tee.Metric(MetricPoint{Name: "m", Kind: "counter", Value: 1})
-	if len(a.Spans()) != 1 || len(b.Spans()) != 1 || len(a.Metrics()) != 1 || len(b.Metrics()) != 1 {
-		t.Error("tee did not duplicate events")
-	}
-}
-
-func TestTextSinkAndWriteTextSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	ts := NewTextSink(&buf)
-	ts.Span(&SpanEvent{ID: 1, Name: "query.retrieve", Reads: 3, IO: 3, Attrs: []Attr{{Key: "numtop", Val: 5}}})
-	ts.Metric(MetricPoint{Name: "c", Kind: "counter", Value: 2})
-	reg := NewRegistry()
-	reg.Counter("disk.reads").Add(1)
-	reg.Histogram("query.io", []float64{1, 2}).Observe(1)
-	reg.WriteText(&buf)
-	for _, want := range []string{"query.retrieve", "numtop=5", "disk.reads", "query.io"} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Errorf("output missing %q:\n%s", want, buf.String())
-		}
+	if len(spans) != 1 || !reflect.DeepEqual(spans[0], span) {
+		t.Errorf("span did not round-trip: %+v", spans)
 	}
 }

@@ -1,30 +1,19 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 )
 
-// Sink receives completed spans and exported metrics. Implementations
-// must be safe for concurrent use: parallel grid runs share one sink.
+// Sink receives completed spans. Implementations must be safe for
+// concurrent use: parallel grid runs share one sink.
 type Sink interface {
 	Span(ev *SpanEvent)
-	Metric(p MetricPoint)
 }
 
-// Event is the envelope of the JSON-lines stream: exactly one of Span
-// or Metric is set, discriminated by Type ("span" or "metric").
-type Event struct {
-	Type   string       `json:"type"`
-	Span   *SpanEvent   `json:"span,omitempty"`
-	Metric *MetricPoint `json:"metric,omitempty"`
-}
-
-// JSONLSink streams events as JSON lines — the machine-readable trace
-// format (read back with ReadEvents).
+// JSONLSink streams spans as JSON lines, one SpanEvent object per line —
+// the machine-readable trace format.
 type JSONLSink struct {
 	mu  sync.Mutex
 	enc *json.Encoder
@@ -39,80 +28,14 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 func (s *JSONLSink) Span(ev *SpanEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.enc.Encode(Event{Type: "span", Span: ev})
+	_ = s.enc.Encode(ev)
 }
 
-// Metric implements Sink.
-func (s *JSONLSink) Metric(p MetricPoint) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_ = s.enc.Encode(Event{Type: "metric", Metric: &p})
-}
-
-// ReadEvents decodes a JSON-lines event stream (blank lines skipped).
-func ReadEvents(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("obs: bad event line %q: %w", line, err)
-		}
-		out = append(out, ev)
-	}
-	return out, sc.Err()
-}
-
-// TextSink renders events as human-readable lines — the "watch it run"
-// format.
-type TextSink struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewTextSink creates a text sink over w.
-func NewTextSink(w io.Writer) *TextSink { return &TextSink{w: w} }
-
-// Span implements Sink.
-func (s *TextSink) Span(ev *SpanEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fmt.Fprintf(s.w, "span #%d", ev.ID)
-	if ev.Parent != 0 {
-		fmt.Fprintf(s.w, "<-#%d", ev.Parent)
-	}
-	fmt.Fprintf(s.w, " %s io=%d (r=%d w=%d) buf(h=%d m=%d f=%d)",
-		ev.Name, ev.IO, ev.Reads, ev.Writes, ev.Hits, ev.Misses, ev.Flushes)
-	for _, a := range ev.Attrs {
-		fmt.Fprintf(s.w, " %s=%d", a.Key, a.Val)
-	}
-	fmt.Fprintln(s.w)
-}
-
-// Metric implements Sink.
-func (s *TextSink) Metric(p MetricPoint) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch p.Kind {
-	case "histogram":
-		fmt.Fprintf(s.w, "metric %s %s count=%d sum=%.1f min=%.0f max=%.0f\n",
-			p.Kind, p.Name, p.Count, p.Sum, p.Min, p.Max)
-	default:
-		fmt.Fprintf(s.w, "metric %s %s %d\n", p.Kind, p.Name, p.Value)
-	}
-}
-
-// Collector buffers events in memory — the sink tests and harness
+// Collector buffers spans in memory — the sink tests and harness
 // assertions use.
 type Collector struct {
-	mu      sync.Mutex
-	spans   []SpanEvent
-	metrics []MetricPoint
+	mu    sync.Mutex
+	spans []SpanEvent
 }
 
 // NewCollector creates an empty collector.
@@ -125,40 +48,9 @@ func (c *Collector) Span(ev *SpanEvent) {
 	c.spans = append(c.spans, *ev)
 }
 
-// Metric implements Sink.
-func (c *Collector) Metric(p MetricPoint) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.metrics = append(c.metrics, p)
-}
-
 // Spans returns a copy of the collected spans.
 func (c *Collector) Spans() []SpanEvent {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]SpanEvent(nil), c.spans...)
-}
-
-// Metrics returns a copy of the collected metric points.
-func (c *Collector) Metrics() []MetricPoint {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]MetricPoint(nil), c.metrics...)
-}
-
-// Tee duplicates events to several sinks.
-type Tee []Sink
-
-// Span implements Sink.
-func (t Tee) Span(ev *SpanEvent) {
-	for _, s := range t {
-		s.Span(ev)
-	}
-}
-
-// Metric implements Sink.
-func (t Tee) Metric(p MetricPoint) {
-	for _, s := range t {
-		s.Metric(p)
-	}
 }

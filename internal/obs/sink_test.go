@@ -1,16 +1,38 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"sync"
 	"testing"
 )
 
+// readSpans decodes a JSON-lines span stream (blank lines skipped).
+func readSpans(r io.Reader) ([]SpanEvent, error) {
+	var out []SpanEvent
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		var ev SpanEvent
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return nil, fmt.Errorf("bad span line %q: %w", line, err)
+		}
+		out = append(out, ev)
+	}
+	return out, sc.Err()
+}
+
 // TestJSONLSinkConcurrentWrites hammers one JSONL sink from many
-// goroutines (parallel grid runs and serve clients share a sink) and
-// asserts the stream stays line-atomic: every line parses, nothing is
-// torn or interleaved, and no event is lost.
+// goroutines (parallel grid runs share a sink) and asserts the stream
+// stays line-atomic: every line parses, nothing is torn or interleaved,
+// and no span is lost.
 func TestJSONLSinkConcurrentWrites(t *testing.T) {
 	const goroutines, perG = 16, 200
 	var buf bytes.Buffer
@@ -25,37 +47,27 @@ func TestJSONLSinkConcurrentWrites(t *testing.T) {
 				// Reads mirrors ID so a torn/interleaved line shows up as a
 				// parse failure or a mismatched pair.
 				sink.Span(&SpanEvent{ID: id, Name: "op", Reads: int64(id), IO: int64(id)})
-				sink.Metric(MetricPoint{Name: "m", Kind: "counter", Value: int64(id)})
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	events, err := ReadEvents(&buf)
+	spans, err := readSpans(&buf)
 	if err != nil {
 		t.Fatalf("stream corrupted: %v", err)
 	}
-	spans, metrics := 0, 0
-	for _, ev := range events {
-		switch ev.Type {
-		case "span":
-			spans++
-			if ev.Span.Reads != int64(ev.Span.ID) {
-				t.Fatalf("torn span: id=%d reads=%d", ev.Span.ID, ev.Span.Reads)
-			}
-		case "metric":
-			metrics++
-		default:
-			t.Fatalf("unknown event type %q", ev.Type)
+	for _, sp := range spans {
+		if sp.Reads != int64(sp.ID) || sp.Name != "op" {
+			t.Fatalf("torn span: %+v", sp)
 		}
 	}
-	if spans != goroutines*perG || metrics != goroutines*perG {
-		t.Fatalf("lost events: %d spans, %d metrics, want %d each", spans, metrics, goroutines*perG)
+	if len(spans) != goroutines*perG {
+		t.Fatalf("lost spans: %d, want %d", len(spans), goroutines*perG)
 	}
 }
 
 // TestCollectorConcurrentWrites is the collector-sink counterpart: no
-// lost or corrupted events under concurrent Span/Metric/reader traffic.
+// lost or corrupted spans under concurrent Span/reader traffic.
 func TestCollectorConcurrentWrites(t *testing.T) {
 	const goroutines, perG = 16, 200
 	c := NewCollector()
@@ -67,7 +79,6 @@ func TestCollectorConcurrentWrites(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				id := uint64(g*perG + i + 1)
 				c.Span(&SpanEvent{ID: id, Reads: int64(id)})
-				c.Metric(MetricPoint{Name: "m", Value: int64(id)})
 				if i%64 == 0 {
 					_ = c.Spans() // concurrent reader
 				}
@@ -84,9 +95,6 @@ func TestCollectorConcurrentWrites(t *testing.T) {
 			t.Fatalf("corrupted span: id=%d reads=%d", sp.ID, sp.Reads)
 		}
 	}
-	if got := len(c.Metrics()); got != goroutines*perG {
-		t.Fatalf("collected %d metrics, want %d", got, goroutines*perG)
-	}
 }
 
 // TestJSONLSinkLineAtomicityRaw re-checks line atomicity at the byte
@@ -100,7 +108,7 @@ func TestJSONLSinkLineAtomicityRaw(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				sink.Metric(MetricPoint{Name: "x", Kind: "gauge", Value: int64(i)})
+				sink.Span(&SpanEvent{ID: uint64(i + 1), Name: "x", Attrs: []Attr{{Key: "i", Val: int64(i)}}})
 			}
 		}()
 	}

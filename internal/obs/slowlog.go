@@ -32,19 +32,11 @@ type SlowLog struct {
 	dropped    int64
 }
 
-// DefaultSlowLogSize is the retained-entry capacity used when a caller
-// asks for a slow log without sizing it.
-const DefaultSlowLogSize = 32
-
 // NewSlowLog creates a slow log retaining the capacity slowest entries
-// (DefaultSlowLogSize when capacity <= 0). threshold, when positive, is
-// the SLO bound: entries at or over it are flagged OverSLO and counted
-// as violations.
+// (at least one). threshold, when positive, is the SLO bound: entries at
+// or over it are flagged OverSLO and counted as violations.
 func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
-	if capacity <= 0 {
-		capacity = DefaultSlowLogSize
-	}
-	return &SlowLog{capacity: capacity, threshold: threshold}
+	return &SlowLog{capacity: max(capacity, 1), threshold: threshold}
 }
 
 // SlowEntry is one retained operation: identity, timing, outcome, and

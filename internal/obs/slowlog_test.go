@@ -110,44 +110,3 @@ func TestSlowEntryIOAndAttr(t *testing.T) {
 		t.Fatal("missing attr reported present")
 	}
 }
-
-func TestHistSnapshotQuantile(t *testing.T) {
-	h := NewHistogram(ExpBuckets(1, 2, 12))
-	for i := 1; i <= 1000; i++ {
-		h.Observe(float64(i))
-	}
-	s := h.Snapshot()
-	if got := s.Quantile(0); got != 1 {
-		t.Fatalf("q0 = %g, want min 1", got)
-	}
-	if got := s.Quantile(1); got != 1000 {
-		t.Fatalf("q1 = %g, want max 1000", got)
-	}
-	// Uniform 1..1000: the true p50 is 500, p99 is 990. Exponential
-	// buckets bound the estimate within one bucket ratio (2x).
-	for _, tc := range []struct {
-		q, want float64
-	}{{0.50, 500}, {0.95, 950}, {0.99, 990}} {
-		got := s.Quantile(tc.q)
-		if got < tc.want/2 || got > tc.want*2 {
-			t.Errorf("q%.2f = %g, want within 2x of %g", tc.q, got, tc.want)
-		}
-	}
-	if (HistSnapshot{}).Quantile(0.5) != 0 {
-		t.Fatal("empty snapshot quantile != 0")
-	}
-}
-
-func TestHistSnapshotQuantileOverflow(t *testing.T) {
-	h := NewHistogram([]float64{10})
-	for _, v := range []float64{5, 100, 200, 300} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if got := s.Quantile(0.99); got < 10 || got > 300 {
-		t.Fatalf("overflow quantile = %g, want within (10, 300]", got)
-	}
-	if got := s.Quantile(1); got != 300 {
-		t.Fatalf("q1 = %g, want 300", got)
-	}
-}

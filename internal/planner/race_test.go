@@ -1,21 +1,15 @@
 package planner
 
 import (
-	"fmt"
-	"io"
 	"sync"
 	"testing"
-
-	"corep/internal/obs"
 )
 
-// TestConcurrentPlanningAndRegistry stresses the planner under -race:
-// serving goroutines plan and observe while a reader keeps taking the
-// introspection surfaces and flushing the obs registry the serving
-// threads count into. The planner holds one mutex and the registry is
-// internally synchronized; any torn read shows up here.
-func TestConcurrentPlanningAndRegistry(t *testing.T) {
-	reg := obs.NewRegistry()
+// TestConcurrentPlanning stresses the planner under -race: serving
+// goroutines plan and observe while a reader keeps taking the
+// introspection surfaces. The planner holds one mutex; any torn read
+// shows up here.
+func TestConcurrentPlanning(t *testing.T) {
 	p := New(Config{Shape: testShape(), Seed: 5})
 	var wg sync.WaitGroup
 
@@ -27,7 +21,6 @@ func TestConcurrentPlanningAndRegistry(t *testing.T) {
 				nt := 1 << (i % 8)
 				d := p.Choose(nt)
 				p.Observe(d.Kind, nt, int64(30+i%40))
-				reg.Histogram(fmt.Sprintf("%s|SF=1|NT=%d|retrieve.io", d.Kind, nt), obs.IOBuckets).Observe(float64(30 + i%40))
 				if i%17 == 0 {
 					p.ObserveHitRate(float64(i%10) / 10)
 				}
@@ -42,7 +35,6 @@ func TestConcurrentPlanningAndRegistry(t *testing.T) {
 			_ = p.Stats()
 			_ = p.Warmth()
 			_ = p.Candidates()
-			reg.WriteText(io.Discard)
 		}
 	}()
 

@@ -155,14 +155,12 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 	if workMem < 2 {
 		workMem = 2
 	}
-	ob := pool.Obs()
-	sp := ob.Start("query.sort")
+	sp := pool.Obs().Start("query.sort")
 	defer sp.End()
 	nruns := 0
 	defer func() {
 		sp.SetAttr("values", int64(in.Count()))
 		sp.SetAttr("runs", int64(nruns))
-		ob.Histogram("query.temp.values", obs.CountBuckets).Observe(float64(in.Count()))
 	}()
 	// Phase 1: produce sorted runs.
 	var runs []*Int64Temp

@@ -115,7 +115,7 @@ func TestDeepPinHygiene(t *testing.T) {
 func TestDeepSpansAreTheFlatOnes(t *testing.T) {
 	spans := func(db *workload.DB, k Kind) []string {
 		sink := obs.NewCollector()
-		db.AttachObs(obs.Options{Sink: sink})
+		db.AttachObs(sink)
 		// One parent: every join probes, so /probe is opened at each level.
 		if _, err := mustNew(t, k, db).Retrieve(db, Query{Lo: 3, Hi: 3, AttrIdx: workload.FieldRet1}); err != nil {
 			t.Fatalf("%v: %v", k, err)

@@ -88,18 +88,14 @@ type DB struct {
 	zipf         map[int]*zipfTable // per-range draw tables for Cfg.ZipfTheta
 }
 
-// AttachObs wires an observability configuration to this database: the
-// tracer snapshots this DB's disk and pool counters, and the context is
-// propagated to the buffer pool and the cache so that operator- and
-// cache-level spans share one trace. Call with enabled options at most
-// once per database; each database gets its own tracer (spans assume
-// single-threaded use) while the sink and registry may be shared.
-func (db *DB) AttachObs(o obs.Options) {
-	ctx := obs.Ctx{Metrics: o.Metrics, Prefix: o.Prefix}
-	if o.Sink != nil {
-		ctx.Trace = obs.NewTracer(db.IOSnapshot, o.Sink)
-	}
-	db.SetObs(ctx)
+// AttachObs traces this database into sink: the tracer snapshots this
+// DB's disk and pool counters, and the context is propagated to the
+// buffer pool and the cache so that operator- and cache-level spans
+// share one trace. A nil sink detaches. Each database gets its own
+// tracer (spans assume single-threaded use) while the sink may be
+// shared.
+func (db *DB) AttachObs(sink obs.Sink) {
+	db.SetObs(obs.Ctx{Trace: obs.NewTracer(db.IOSnapshot, sink)})
 }
 
 // Build generates a database per cfg. The buffer pool is flushed and
