@@ -284,6 +284,46 @@ func TestObjectAPIErrors(t *testing.T) {
 	}
 }
 
+// TestInsertRefusesKeysOutsideTheOIDRange: a key is half of its row's
+// OID, so Insert and InsertWith refuse one outside [0, 2^48-1] with an
+// error, and store nothing. Both used to store the row and then panic
+// making its OID.
+func TestInsertRefusesKeysOutsideTheOIDRange(t *testing.T) {
+	db := corep.NewDatabase(16)
+	rel, err := db.CreateRelation("r", corep.IntField("k"), corep.StrField("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxKey = 1<<48 - 1
+	for _, key := range []int64{-1, maxKey + 1, -1 << 62} {
+		insert := map[string]func() (corep.OID, error){
+			"Insert":     func() (corep.OID, error) { return rel.Insert(corep.Row{corep.Int(key), corep.Str("x")}) },
+			"InsertWith": func() (corep.OID, error) { return rel.InsertWith(corep.Row{corep.Int(key), corep.Str("x")}, nil) },
+		}
+		for name, f := range insert {
+			if _, err := f(); err == nil || !strings.Contains(err.Error(), "outside the OID range") {
+				t.Errorf("%s of key %d: err = %v", name, key, err)
+			}
+		}
+		if row, err := rel.Get(key); err == nil {
+			t.Errorf("key %d was stored: %v", key, row)
+		}
+	}
+	res, err := db.Query(`retrieve (r.k)`)
+	if err != nil || len(res.Rows) != 0 {
+		t.Fatalf("rows after refused inserts: %v, %v", res, err)
+	}
+	for _, key := range []int64{0, maxKey} {
+		oid, err := rel.Insert(corep.Row{corep.Int(key), corep.Str("x")})
+		if err != nil {
+			t.Fatalf("key %d: %v", key, err)
+		}
+		if row, err := db.Fetch(oid); err != nil || row[0].Int != key {
+			t.Fatalf("key %d fetched as %v, %v", key, row, err)
+		}
+	}
+}
+
 func TestRepresentationMatrixExported(t *testing.T) {
 	cells := corep.RepresentationMatrix()
 	if len(cells) != 9 {

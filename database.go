@@ -255,6 +255,11 @@ func (r *Relation) InsertWith(row Row, children map[string]Children) (OID, error
 		return 0, errors.New("corep: key value must be an integer")
 	}
 	key := full[0].Int
+	// The key is half of the row's OID: one outside the OID range is
+	// refused here, before the row is stored, not by NewOID after.
+	if key < 0 || key > object.MaxKey {
+		return 0, fmt.Errorf("corep: key %d outside the OID range [0, %d]", key, object.MaxKey)
+	}
 	rec, err := tuple.Encode(nil, r.schema, full)
 	if err != nil {
 		return 0, err
@@ -393,8 +398,10 @@ type expandFunc func(x *pql.Expander, owner OID, raw []byte, segs []string, out 
 // retrievePath is the retrieval behind RetrievePath, RetrievePathN and
 // RetrievePathCached: a range scan of relName whose cursor stands on each
 // object's record while its subobjects are fetched — the children value
-// attrs[0] is taken from that view, not re-read through a second descent
-// — and is handed, with the segments that remain, to expand.
+// attrs[0] is read in place from that view, under the cursor's pin, not
+// copied or re-read through a second descent — and is handed, with the
+// segments that remain, to expand. The values are collected
+// (pql.Collect): the caller gets one exact-size copy of them.
 func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, expand expandFunc) (vals []Value, err error) {
 	done := d.beginSlow("query.path")
 	defer func() { done(err) }()
@@ -408,24 +415,22 @@ func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, ex
 	if err != nil {
 		return nil, err
 	}
-	var out []Value
-	defer func() { sp.SetAttr("values", int64(len(out))) }()
 	x := d.store.Expander()
-	err = crel.Tree.Range(lo, hi, func(key int64, rec []byte) (bool, error) {
-		if cerr := tuple.Check(crel.Schema, rec); cerr != nil {
-			return false, cerr
-		}
-		kids, cerr := tuple.DecodeField(crel.Schema, rec, ai)
-		if cerr != nil {
-			return false, cerr
-		}
-		out, cerr = expand(x, object.NewOID(crel.ID, key), kids.Raw, attrs[1:], out)
-		return cerr == nil, cerr
+	return pql.Collect(func(out []Value) ([]Value, error) {
+		err := crel.Tree.Range(lo, hi, func(key int64, rec []byte) (bool, error) {
+			if cerr := tuple.Check(crel.Schema, rec); cerr != nil {
+				return false, cerr
+			}
+			kids, cerr := tuple.FieldBytes(crel.Schema, rec, ai)
+			if cerr != nil {
+				return false, cerr
+			}
+			out, cerr = expand(x, object.NewOID(crel.ID, key), kids, attrs[1:], out)
+			return cerr == nil, cerr
+		})
+		sp.SetAttr("values", int64(len(out)))
+		return out, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // childrenIndex returns the position of children attribute attr in rel,

@@ -120,9 +120,12 @@ func mixedRow(kind string, k int) Row {
 // views into pinned pages — B-tree leaves under a batch, the
 // parent's own record for inline members, a stored query's scan — on a
 // pool of six frames that recycles each of them many times per call.
-// Through RetrievePath, RetrievePathN, RetrievePathCached and Query what
-// comes back owns its bytes, the forms agree, and no pin is left — also
-// when a member is missing midway.
+// The parent's children value itself is read in place under the range
+// cursor's pin, also while a stored query over the parent's own relation
+// pins that leaf again. Through RetrievePath, RetrievePathN,
+// RetrievePathCached (either cache mode) and Query what comes back owns
+// its bytes, the forms agree, and no pin is left — also when a member is
+// missing midway.
 func TestPathViewsSurviveFrameReuse(t *testing.T) {
 	db := buildMixedDB(t, 6)
 	want := []string{
@@ -184,25 +187,60 @@ func TestPathViewsSurviveFrameReuse(t *testing.T) {
 			}
 		}
 	}
-	// Through the cache — a miss that materializes and inserts, then a
-	// hit — the values are decoded copies all the same.
-	if err := db.EnableCache(8); err != nil {
+	// grp 5 stores a query over grp itself: it scans the leaf the range
+	// cursor stands on, and lends the children value from, pinning it a
+	// second time.
+	grp, err := db.Relation("grp")
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pass := range []string{"miss", "hit"} {
-		vals, err := db.RetrievePathCached("grp", "members", "name", 1, 3)
+	self := ProcChildren(`retrieve (grp.label) where grp.key >= 1 and grp.key <= 3`)
+	if _, err := grp.InsertWith(Row{Int(5), Str("g5"), Value{}}, map[string]Children{"members": self}); err != nil {
+		t.Fatal(err)
+	}
+	labels := func(name string, vals []Value, err error) {
+		t.Helper()
 		if err != nil {
-			t.Fatalf("RetrievePathCached, cache %s: %v", pass, err)
+			t.Fatalf("%s, stored query over grp: %v", name, err)
 		}
 		testutil.AssertNoLeaks(t, db.core.Pool)
 		testutil.ScribbleFrames(t, db.core.Pool)
-		if len(vals) != len(want) {
-			t.Fatalf("RetrievePathCached, cache %s: %d values: %v", pass, len(vals), vals)
+		if got := fmt.Sprint(vals); got != "[g1 g2 g3]" {
+			t.Fatalf("%s, stored query over grp: %s after the frames were overwritten", name, got)
 		}
-		for i, v := range vals {
-			if v.Str != want[i]+"-padding-to-spread-pages" {
-				t.Fatalf("RetrievePathCached, cache %s: value %d = %q after the frames were overwritten", pass, i, v.Str)
+	}
+	vals, err := db.RetrievePath("grp", "members", "label", 5, 5)
+	labels("RetrievePath", vals, err)
+	vals, err = firstColumn(db.Query(`retrieve (grp.members.label) where grp.key = 5`))
+	labels("Query", vals, err)
+	// Through the cache — a miss that materializes and inserts, then a
+	// hit — the values are decoded copies all the same, whether the cache
+	// holds a stored query's values or its members' identities.
+	if err := db.EnableCache(8); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []CacheMode{CacheValues, CacheOIDs} {
+		if err := db.SetCacheMode(mode); err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"miss", "hit"} {
+			name := fmt.Sprintf("RetrievePathCached, mode %d, cache %s", mode, pass)
+			vals, err := db.RetrievePathCached("grp", "members", "name", 1, 3)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			testutil.AssertNoLeaks(t, db.core.Pool)
+			testutil.ScribbleFrames(t, db.core.Pool)
+			if len(vals) != len(want) {
+				t.Fatalf("%s: %d values: %v", name, len(vals), vals)
+			}
+			for i, v := range vals {
+				if v.Str != want[i]+"-padding-to-spread-pages" {
+					t.Fatalf("%s: value %d = %q after the frames were overwritten", name, i, v.Str)
+				}
+			}
+			vals, err = db.RetrievePathCached("grp", "members", "label", 5, 5)
+			labels(name, vals, err)
 		}
 	}
 	// grp 4 lists a member that is not there, after two that are: the

@@ -695,6 +695,10 @@ func (t *Tree) SeekGE(key int64) (*Iterator, error) {
 	return it, nil
 }
 
+// SeekGEInto is SeekGE into an iterator the caller owns, closed or never
+// used, for a reader that opens one scan after another.
+func (t *Tree) SeekGEInto(it *Iterator, key int64) error { return t.seek(it, key) }
+
 // seek is SeekGE into a caller-provided iterator.
 func (t *Tree) seek(it *Iterator, key int64) error {
 	id, err := t.descendToLeaf(entryRef{key, 0})

@@ -103,8 +103,10 @@ func (o Operand) String() string {
 
 // Relations returns the distinct relation names a query references, in
 // first-appearance order.
-func (q *Query) Relations() []string {
-	var out []string
+func (q *Query) Relations() []string { return q.appendRelations(nil) }
+
+// appendRelations is Relations appended to out.
+func (q *Query) appendRelations(out []string) []string {
 	for _, t := range q.Targets {
 		out = addRelation(out, t.Rel)
 	}
@@ -157,8 +159,25 @@ func (q *Query) String() string {
 }
 
 // Parse parses a retrieve statement.
-func Parse(src string) (*Query, error) {
-	p := parser{src: src}
+func Parse(src string) (*Query, error) { return new(parseScratch).parse(src) }
+
+// parseScratch is the storage a statement is parsed into: the query and
+// its expression nodes. A reader that parses one statement after another
+// — an expansion meeting stored query after stored query — keeps one and
+// parses each into it in turn, which hands the nodes of the last parse
+// out again: only a statement bigger than any before it allocates. The
+// query a parse returns lives until the next one.
+type parseScratch struct {
+	q    Query
+	bins []BinBool
+	nots []Not
+	cmps []Compare
+}
+
+func (sc *parseScratch) parse(src string) (*Query, error) {
+	sc.q = Query{Targets: sc.q.Targets[:0]}
+	sc.bins, sc.nots, sc.cmps = sc.bins[:0], sc.nots[:0], sc.cmps[:0]
+	p := parser{src: src, sc: sc}
 	p.advance()
 	q, err := p.query()
 	if err == nil && p.tok.kind != tokEOF {
@@ -189,6 +208,39 @@ type parser struct {
 	// lexErr is the first lexing failure; the token stream reads as ended
 	// from there on.
 	lexErr error
+	sc     *parseScratch // where the query and its nodes are built
+}
+
+// grab hands out the next element of *s, zeroed. A full slice is
+// replaced by a fresh one twice its size, never grown in place: the
+// elements handed out so far are pointed to and must stay where they are.
+func grab[T any](s *[]T) *T {
+	if len(*s) == cap(*s) {
+		*s = make([]T, 0, max(2, 2*cap(*s)))
+	}
+	*s = (*s)[:len(*s)+1]
+	e := &(*s)[len(*s)-1]
+	var zero T
+	*e = zero
+	return e
+}
+
+func (p *parser) binBool(op string, l, r Expr) Expr {
+	n := grab(&p.sc.bins)
+	*n = BinBool{Op: op, L: l, R: r}
+	return n
+}
+
+func (p *parser) not(e Expr) Expr {
+	n := grab(&p.sc.nots)
+	n.E = e
+	return n
+}
+
+func (p *parser) compare(op string, l, r Operand) Expr {
+	n := grab(&p.sc.cmps)
+	*n = Compare{Op: op, L: l, R: r}
+	return n
 }
 
 func (p *parser) advance() {
@@ -224,7 +276,7 @@ func (p *parser) query() (*Query, error) {
 	if _, err := p.expect(tokLParen, "'('"); err != nil {
 		return nil, err
 	}
-	q := &Query{}
+	q := &p.sc.q
 	for {
 		tgt, err := p.target()
 		if err != nil {
@@ -288,7 +340,7 @@ func (p *parser) orExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinBool{Op: "or", L: l, R: r}
+		l = p.binBool("or", l, r)
 	}
 	return l, nil
 }
@@ -304,7 +356,7 @@ func (p *parser) andExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinBool{Op: "and", L: l, R: r}
+		l = p.binBool("and", l, r)
 	}
 	return l, nil
 }
@@ -316,7 +368,7 @@ func (p *parser) primary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Not{E: e}, nil
+		return p.not(e), nil
 	}
 	if p.peek().kind == tokLParen {
 		p.next()
@@ -341,7 +393,7 @@ func (p *parser) primary() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Compare{Op: op.text, L: l, R: r}, nil
+	return p.compare(op.text, l, r), nil
 }
 
 func (p *parser) operand() (Operand, error) {

@@ -46,8 +46,11 @@ type bound struct {
 	rels  [2]*catalog.Relation
 	where *bexpr  // nil without a where clause
 	nodes []bexpr // the predicate's nodes, allocated together
-	// cols binds result column j; schema names and types the columns.
+	// cols binds result column j; schema names and types the columns. Its
+	// fields are fields, and schema is out once the target list is bound.
 	cols   []col
+	fields []tuple.Field
+	out    tuple.Schema
 	schema *tuple.Schema
 	// keyed: rows report their Source, the key of the record in slot 0.
 	keyed bool
@@ -80,22 +83,54 @@ func keyed(s *tuple.Schema) bool {
 }
 
 // bind resolves the relations q names (at most two) and binds its
-// predicate. The target list is bound by the caller: its shape differs
-// between plain and path queries.
-func bind(cat *catalog.Catalog, q *Query, names []string) (*bound, error) {
-	b := &bound{}
+// predicate into b, over whatever b held: the storage of the predicate's
+// nodes and of the result columns is kept for the columns to come. The
+// target list is bound by the caller: its shape differs between plain
+// and path queries.
+func (b *bound) bind(cat *catalog.Catalog, q *Query, names []string) error {
+	*b = bound{nodes: b.nodes[:0], cols: b.cols[:0], fields: b.fields[:0]}
 	for i, n := range names {
 		rel, err := cat.Get(n)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		b.rels[i], b.schemas[i] = rel, rel.Schema
 	}
 	if q.Where != nil {
-		b.nodes = make([]bexpr, 0, countNodes(q.Where))
+		if n := countNodes(q.Where); cap(b.nodes) < n {
+			b.nodes = make([]bexpr, 0, n)
+		}
 		b.where = b.bindExpr(q.Where, names)
 	}
-	return b, nil
+	return nil
+}
+
+// addCol appends result column c, named rel.f. A name the column had in
+// the last query bound here is kept when it spells the same, so binding
+// the same few target lists over and over allocates no names.
+func (b *bound) addCol(rel string, f tuple.Field, c col) {
+	n := len(b.fields)
+	if n < cap(b.fields) {
+		b.fields = b.fields[:n+1]
+	} else {
+		b.fields = append(b.fields, tuple.Field{})
+	}
+	name := b.fields[n].Name
+	if len(name) != len(rel)+1+len(f.Name) || name[:len(rel)] != rel || !tuple.Named(name, f.Name) {
+		name = rel + "." + f.Name
+	}
+	b.fields[n] = tuple.Field{Name: name, Kind: f.Kind, Width: f.Width}
+	b.cols = append(b.cols, c)
+}
+
+// setSchema makes the result columns the result schema.
+func (b *bound) setSchema() error {
+	if err := checkColumns(b.fields); err != nil {
+		return err
+	}
+	b.out.Reset(b.fields)
+	b.schema = &b.out
+	return nil
 }
 
 func countNodes(x Expr) int {

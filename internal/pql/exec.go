@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"corep/internal/catalog"
 	"corep/internal/object"
@@ -14,10 +15,10 @@ import (
 type Result struct {
 	Schema *tuple.Schema
 	Tuples []tuple.Tuple
-	// Sources identifies, for single-relation queries, the base tuple
-	// each result row came from: (relation id, key). Callers that cache
-	// query results use these to place invalidation locks. Empty for
-	// joins.
+	// Sources identifies, for single-relation queries run with
+	// ExecuteSources, the base tuple each result row came from: (relation
+	// id, key). Callers that cache query results use these to place
+	// invalidation locks. Empty for joins and for Execute.
 	Sources []Source
 }
 
@@ -52,108 +53,168 @@ func Execute(cat *catalog.Catalog, q *Query) (*Result, error) {
 }
 
 // Execute runs a parsed query against st. This is the boundary where
-// rows leave the executor: each is materialized here, field by field
-// through tuple.DecodeField, and owns its strings and bytes.
-func (st Store) Execute(q *Query) (*Result, error) {
+// rows leave the executor: each value is materialized here through
+// tuple.DecodeField and owns its strings and bytes. The values are
+// collected (Collect), and the rows cut out of the one slab that makes.
+func (st Store) Execute(q *Query) (*Result, error) { return st.execute(q, false) }
+
+// ExecuteSources is Execute with the result's Sources filled in.
+func (st Store) ExecuteSources(q *Query) (*Result, error) { return st.execute(q, true) }
+
+func (st Store) execute(q *Query, sources bool) (*Result, error) {
 	res := &Result{}
-	b, err := run(st, q, ExecOpts{}, func(b *bound) error {
-		t := make(tuple.Tuple, len(b.cols))
-		for j := range t {
-			v, err := b.col(j)
-			if err != nil {
-				return err
+	var b *bound
+	rows := 0
+	slab, err := Collect(func(vals []tuple.Value) ([]tuple.Value, error) {
+		var err error
+		b, err = run(st, q, ExecOpts{}, new(scratch), func(b *bound) error {
+			for j := range b.cols {
+				v, err := b.col(j)
+				if err != nil {
+					return err
+				}
+				vals = append(vals, v)
 			}
-			t[j] = v
-		}
-		res.Tuples = append(res.Tuples, t)
-		if b.keyed {
-			key, err := tuple.Key(b.schemas[0], b.recs[0])
-			if err != nil {
-				return err
+			rows++
+			if sources && b.keyed {
+				key, err := tuple.Key(b.schemas[0], b.recs[0])
+				if err != nil {
+					return err
+				}
+				res.Sources = append(res.Sources, Source{RelID: b.rels[0].ID, Key: key})
 			}
-			res.Sources = append(res.Sources, Source{RelID: b.rels[0].ID, Key: key})
-		}
-		return nil
+			return nil
+		})
+		return vals, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	res.Schema = b.schema
+	if rows > 0 {
+		w := len(b.cols)
+		res.Tuples = make([]tuple.Tuple, rows)
+		for i := range res.Tuples {
+			res.Tuples[i] = slab[i*w : (i+1)*w : (i+1)*w]
+		}
+	}
 	return res, nil
 }
 
-// run binds q once and streams its result rows to emit; the row emit
-// sees is valid for that call only. It returns the bound query for its
-// result schema, which a path query completes at the first reached leaf.
-func run(st Store, q *Query, opts ExecOpts, emit func(*bound) error) (*bound, error) {
+// Collect hands fill a pooled buffer to append values to and returns one
+// exact-size copy of what it appended, so a result is built without the
+// garbage of growing it and is its caller's alone. The buffer goes back
+// to the pool cleared, so the pool pins no value's strings; after an
+// error it is dropped with what it holds.
+func Collect(fill func(buf []tuple.Value) ([]tuple.Value, error)) ([]tuple.Value, error) {
+	buf := valueBufs.Get().(*[]tuple.Value)
+	vals, err := fill((*buf)[:0])
+	if err != nil {
+		return nil, err
+	}
+	var out []tuple.Value
+	if len(vals) > 0 {
+		out = make([]tuple.Value, len(vals))
+		copy(out, vals)
+	}
+	putValues(buf, vals)
+	return out, nil
+}
+
+// valueBufs lends the buffers values are collected in.
+var valueBufs = sync.Pool{New: func() any { return new([]tuple.Value) }}
+
+// putValues clears vals, which holds values up to its length only, and
+// returns it to the pool as buf.
+func putValues(buf *[]tuple.Value, vals []tuple.Value) {
+	clear(vals)
+	*buf = vals[:0]
+	valueBufs.Put(buf)
+}
+
+// scratch is the storage one query runs in: its parse, its relation
+// list, the bound query and the scan of its first relation. Execute runs
+// each query in a fresh one. An Expander keeps one per expansion depth
+// and runs every stored query it meets at that depth in it, one after
+// the other, so a stored query after the first at its depth allocates
+// nothing here.
+type scratch struct {
+	parse parseScratch
+	names []string
+	b     bound
+	scan  relScan
+}
+
+// run binds q once, in sc, and streams its result rows to emit; the row
+// emit sees is valid for that call only. It returns the bound query for
+// its result schema, which a path query completes at the first reached
+// leaf; both live as long as sc is not reused.
+func run(st Store, q *Query, opts ExecOpts, sc *scratch, emit func(*bound) error) (*bound, error) {
 	for _, t := range q.Targets {
 		if t.Pathy() {
-			return runPath(st, q, opts, emit)
+			return runPath(st, q, opts, sc, emit)
 		}
 	}
-	names := q.Relations()
-	switch len(names) {
+	sc.names = q.appendRelations(sc.names[:0])
+	switch len(sc.names) {
 	case 0:
 		return nil, fmt.Errorf("%w: query references no relations", ErrExec)
 	case 1:
-		return runSingle(st.Cat, q, names, emit)
+		return runSingle(st.Cat, q, sc, emit)
 	case 2:
-		return runJoin(st.Cat, q, names, emit)
+		return runJoin(st.Cat, q, sc, emit)
 	default:
-		return nil, fmt.Errorf("%w: %d-relation queries not supported", ErrExec, len(names))
+		return nil, fmt.Errorf("%w: %d-relation queries not supported", ErrExec, len(sc.names))
 	}
 }
 
-// outSchema builds the result schema from the target list and binds each
-// result column to (slot of its relation in names, field index).
+// outSchema binds the target list: each result column to (slot of its
+// relation in names, field index), and the result schema over them.
 // Attributes are named rel.attr so join results stay unambiguous.
-func outSchema(cat *catalog.Catalog, names []string, targets []Target) (*tuple.Schema, []col, error) {
-	var fields []tuple.Field
-	var cols []col
+func (b *bound) outSchema(cat *catalog.Catalog, names []string, targets []Target) error {
 	for _, t := range targets {
 		rel, err := cat.Get(t.Rel)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		slot := slotOf(names, t.Rel)
 		if t.All() {
 			for i, f := range rel.Schema.Fields {
-				fields = append(fields, tuple.Field{Name: t.Rel + "." + f.Name, Kind: f.Kind, Width: f.Width})
-				cols = append(cols, col{slot: slot, idx: i})
+				b.addCol(t.Rel, f, col{slot: slot, idx: i})
 			}
 			continue
 		}
 		i := rel.Schema.Index(t.Attr)
 		if i < 0 {
-			return nil, nil, fmt.Errorf("%w: relation %q has no attribute %q", ErrExec, t.Rel, t.Attr)
+			return fmt.Errorf("%w: relation %q has no attribute %q", ErrExec, t.Rel, t.Attr)
 		}
-		f := rel.Schema.Fields[i]
-		fields = append(fields, tuple.Field{Name: t.Rel + "." + f.Name, Kind: f.Kind, Width: f.Width})
-		cols = append(cols, col{slot: slot, idx: i})
+		b.addCol(t.Rel, rel.Schema.Fields[i], col{slot: slot, idx: i})
 	}
-	schema, err := resultSchema(fields)
-	return schema, cols, err
+	return b.setSchema()
 }
 
-// resultSchema is tuple.NewSchema for result columns, which a target
-// list may name twice: an error here, where NewSchema panics.
-func resultSchema(fields []tuple.Field) (*tuple.Schema, error) {
+// checkColumns refuses a target list that names a result column twice:
+// an error here, where tuple.NewSchema panics.
+func checkColumns(fields []tuple.Field) error {
 	for i, f := range fields {
 		for _, g := range fields[:i] {
 			if f.Name == g.Name {
-				return nil, fmt.Errorf("%w: target list names %s twice", ErrExec, f.Name)
+				return fmt.Errorf("%w: target list names %s twice", ErrExec, f.Name)
 			}
 		}
 	}
-	return tuple.NewSchema(fields...), nil
+	return nil
 }
 
 // ResultSchema returns the schema a query's result will have, without
 // executing it. Callers that cache materialized results use it to
 // decode cached rows.
 func ResultSchema(cat *catalog.Catalog, q *Query) (*tuple.Schema, error) {
-	s, _, err := outSchema(cat, q.Relations(), q.Targets)
-	return s, err
+	b := new(bound)
+	if err := b.outSchema(cat, q.Relations(), q.Targets); err != nil {
+		return nil, err
+	}
+	return b.schema, nil
 }
 
 // keyRange extracts a [lo,hi] bound on rel's key attribute (field 0)
@@ -218,17 +279,17 @@ func (r *keyBounds) narrow(relName, keyAttr string, e Expr) {
 // runSingle runs a single-relation selection: scan → filter → emit,
 // pulled record by record. The scan is a bounded B-tree range scan when
 // the predicate bounds the key.
-func runSingle(cat *catalog.Catalog, q *Query, names []string, emit func(*bound) error) (*bound, error) {
-	b, err := bind(cat, q, names)
-	if err != nil {
+func runSingle(cat *catalog.Catalog, q *Query, sc *scratch, emit func(*bound) error) (*bound, error) {
+	b := &sc.b
+	if err := b.bind(cat, q, sc.names); err != nil {
 		return nil, err
 	}
-	if b.schema, b.cols, err = outSchema(cat, names, q.Targets); err != nil {
+	if err := b.outSchema(cat, sc.names, q.Targets); err != nil {
 		return nil, err
 	}
 	b.keyed = keyed(b.schemas[0])
-	scan, err := openScan(b.rels[0], q.Where)
-	if err != nil {
+	scan := &sc.scan
+	if err := scan.open(b.rels[0], q.Where); err != nil {
 		return nil, err
 	}
 	defer scan.Close()
@@ -266,12 +327,12 @@ func (b *bound) filterEmit(emit func(*bound) error) error {
 // runJoin runs a two-relation join: a full scan of the outer relation
 // and, per outer record, an index probe of the inner B-tree when the
 // predicate equates its key, a full inner scan otherwise.
-func runJoin(cat *catalog.Catalog, q *Query, names []string, emit func(*bound) error) (*bound, error) {
-	b, err := bind(cat, q, names)
-	if err != nil {
+func runJoin(cat *catalog.Catalog, q *Query, sc *scratch, emit func(*bound) error) (*bound, error) {
+	b := &sc.b
+	if err := b.bind(cat, q, sc.names); err != nil {
 		return nil, err
 	}
-	if b.schema, b.cols, err = outSchema(cat, names, q.Targets); err != nil {
+	if err := b.outSchema(cat, sc.names, q.Targets); err != nil {
 		return nil, err
 	}
 	if q.Where == nil {
@@ -279,8 +340,8 @@ func runJoin(cat *catalog.Catalog, q *Query, names []string, emit func(*bound) e
 	}
 	outer, inner := b.rels[0], b.rels[1]
 	probe := indexProbeCol(inner, outer, q.Where)
-	oscan, err := openScan(outer, nil)
-	if err != nil {
+	oscan := &sc.scan
+	if err := oscan.open(outer, nil); err != nil {
 		return nil, err
 	}
 	defer oscan.Close()
@@ -324,8 +385,8 @@ func runJoin(cat *catalog.Catalog, q *Query, names []string, emit func(*bound) e
 
 // scanInner pairs the current outer record with every inner record.
 func (b *bound) scanInner(inner *catalog.Relation, emit func(*bound) error) error {
-	iscan, err := openScan(inner, nil)
-	if err != nil {
+	var iscan relScan
+	if err := iscan.open(inner, nil); err != nil {
 		return err
 	}
 	defer iscan.Close()

@@ -62,9 +62,9 @@ func FuzzPQLParse(f *testing.F) {
 // the reference comparison once per process: member/guest B-trees and a
 // visitor heap to select from and join, a team → member complex-object
 // layer covering all three children representations (OID list — one of
-// them spanning two relations — nested value, stored query), and a
-// league → team layer above it, again in all three, for two-segment
-// paths.
+// them spanning two relations — nested value, stored query), a league →
+// team layer above it, again in all three, for two-segment paths, and a
+// club → members layer of stored queries with different target lists.
 var fuzzCatalog struct {
 	once sync.Once
 	cat  *catalog.Catalog
@@ -160,6 +160,23 @@ func fuzzCat() *catalog.Catalog {
 			"retrieve (team.name, team.members) where team.OID <= 2 or team.OID = 5"))})
 		insert(league, tuple.Tuple{tuple.IntVal(4), tuple.StrVal("l3"), tuple.BytesVal(stored(
 			"retrieve (team.members.name, team.name) where team.OID >= 3"))})
+
+		// A club's members are mostly stored queries, each with its own
+		// target list over its own relation — rel.all, a heap, a path — so
+		// an expansion runs one after the other at the same depth, each in
+		// the storage the last one left, where a column sits elsewhere.
+		club, err := cat.CreateBTree("club", team.Schema)
+		must(err)
+		for i, kids := range [][]byte{
+			stored("retrieve (member.all) where member.OID <= 2"),
+			stored("retrieve (guest.OID, guest.score, guest.name) where guest.OID >= 3"),
+			oidList(object.NewOID(member.ID, 7)),
+			stored("retrieve (team.members.name) where team.OID = 1"),
+			stored("retrieve (visitor.name, visitor.OID)"),
+			stored("retrieve (member.score, member.name) where member.OID = 4"),
+		} {
+			insert(club, tuple.Tuple{tuple.IntVal(int64(i + 1)), tuple.StrVal(fmt.Sprintf("c%d", i)), tuple.BytesVal(kids)})
+		}
 		fuzzCatalog.cat = cat
 	})
 	return fuzzCatalog.cat

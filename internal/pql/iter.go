@@ -45,8 +45,9 @@ type ExecOpts struct {
 // stages behind the scan read single fields.
 type relScan struct {
 	rel  *catalog.Relation
-	it   *btree.Iterator // B-tree relations
-	key  int64           // of the record it stands on
+	it   *btree.Iterator // B-tree relations: cur, or an unbounded scan's own
+	cur  btree.Iterator
+	key  int64 // of the record it stands on
 	hi   int64
 	buf  []byte // heap relations: the records back to back, ends[i] closing the i-th
 	ends []int
@@ -95,11 +96,13 @@ func (s *relScan) Close() {
 	}
 }
 
-// openScan builds the scan for rel: a B-tree range scan when the
-// predicate bounds the key, a full B-tree scan otherwise, a drained heap
-// scan for heap relations.
-func openScan(rel *catalog.Relation, where Expr) (*relScan, error) {
-	s := &relScan{rel: rel}
+// open makes s the scan for rel, over whatever closed scan s was: a
+// B-tree range scan when the predicate bounds the key, a full B-tree
+// scan otherwise, a drained heap scan for heap relations. A bounded scan
+// seeks in s's own iterator and a heap scan drains into s's buffer, so a
+// relScan opened scan after scan allocates for neither.
+func (s *relScan) open(rel *catalog.Relation, where Expr) error {
+	*s = relScan{rel: rel, buf: s.buf[:0], ends: s.ends[:0]}
 	switch rel.Kind {
 	case catalog.KindBTree:
 		lo, hi := int64(-1<<62), int64(1<<62)
@@ -108,21 +111,21 @@ func openScan(rel *catalog.Relation, where Expr) (*relScan, error) {
 		}
 		var err error
 		if lo > -1<<62 || hi < 1<<62 {
-			s.it, err = rel.Tree.SeekGE(lo)
+			s.it = &s.cur
+			err = rel.Tree.SeekGEInto(s.it, lo)
 		} else {
 			s.it, err = rel.Tree.SeekFirst()
 		}
 		s.hi = hi
-		return s, err
+		return err
 	case catalog.KindHeap:
-		err := rel.Heap.Scan(func(_ storage.RID, rec []byte) bool {
+		return rel.Heap.Scan(func(_ storage.RID, rec []byte) bool {
 			s.buf = append(s.buf, rec...)
 			s.ends = append(s.ends, len(s.buf))
 			return true
 		})
-		return s, err
 	default:
-		return nil, fmt.Errorf("%w: cannot scan %q (hash relations are key-value stores)", ErrExec, rel.Name)
+		return fmt.Errorf("%w: cannot scan %q (hash relations are key-value stores)", ErrExec, rel.Name)
 	}
 }
 
@@ -137,7 +140,7 @@ const maxPathDepth = 8
 // output row per reached subobject — plain targets repeat per expansion,
 // join-style. Exactly one path target is supported, all other targets
 // and the predicate must bind the root relation.
-func runPath(st Store, q *Query, opts ExecOpts, emit func(*bound) error) (*bound, error) {
+func runPath(st Store, q *Query, opts ExecOpts, sc *scratch, emit func(*bound) error) (*bound, error) {
 	if opts.depth >= maxPathDepth {
 		return nil, fmt.Errorf("%w: stored query recursion deeper than %d (cyclic procedural attribute?)", ErrExec, maxPathDepth)
 	}
@@ -155,25 +158,23 @@ func runPath(st Store, q *Query, opts ExecOpts, emit func(*bound) error) (*bound
 	if pt.All() {
 		return nil, fmt.Errorf("%w: 'all' cannot start a multi-dot path", ErrExec)
 	}
-	names := q.Relations()
-	for _, rn := range names {
+	sc.names = q.appendRelations(sc.names[:0])
+	for _, rn := range sc.names {
 		if rn != pt.Rel {
 			return nil, fmt.Errorf("%w: path query must bind only %q (got %q)", ErrExec, pt.Rel, rn)
 		}
 	}
-	b, err := bind(st.Cat, q, names)
-	if err != nil {
+	b := &sc.b
+	if err := b.bind(st.Cat, q, sc.names); err != nil {
 		return nil, err
 	}
 	rel := b.rels[0]
 	// Plain targets resolve against the root schema; the path column
 	// takes the field spec of the first reached leaf.
-	fields := make([]tuple.Field, len(q.Targets))
-	b.cols = make([]col, len(q.Targets))
 	for i, t := range q.Targets {
 		if i == ptIdx {
-			fields[i] = tuple.Field{Name: pt.String(), Kind: tuple.KInt, Width: 8}
-			b.cols[i] = col{slot: pathSlot}
+			b.fields = append(b.fields, tuple.Field{Name: pt.String(), Kind: tuple.KInt, Width: 8})
+			b.cols = append(b.cols, col{slot: pathSlot})
 			continue
 		}
 		if t.All() {
@@ -183,9 +184,7 @@ func runPath(st Store, q *Query, opts ExecOpts, emit func(*bound) error) (*bound
 		if fi < 0 {
 			return nil, fmt.Errorf("%w: relation %q has no attribute %q", ErrExec, t.Rel, t.Attr)
 		}
-		f := rel.Schema.Fields[fi]
-		fields[i] = tuple.Field{Name: t.Rel + "." + f.Name, Kind: f.Kind, Width: f.Width}
-		b.cols[i] = col{idx: fi}
+		b.addCol(t.Rel, rel.Schema.Fields[fi], col{idx: fi})
 	}
 	rootIdx := rel.Schema.Index(pt.Attr)
 	if rootIdx < 0 {
@@ -194,24 +193,28 @@ func runPath(st Store, q *Query, opts ExecOpts, emit func(*bound) error) (*bound
 	if rel.Schema.Fields[rootIdx].Kind != tuple.KBytes {
 		return nil, fmt.Errorf("%w: %s.%s is not a children attribute", ErrExec, pt.Rel, pt.Attr)
 	}
-	if b.schema, err = resultSchema(fields); err != nil {
+	if err := b.setSchema(); err != nil {
 		return nil, err
 	}
 	b.keyed = keyed(rel.Schema)
 
-	scan, err := openScan(rel, q.Where)
-	if err != nil {
+	scan := &sc.scan
+	if err := scan.open(rel, q.Where); err != nil {
 		return nil, err
 	}
 	defer scan.Close()
 	px := newExpander(st, opts, &b.schema.Fields[ptIdx])
-	var vals []tuple.Value
+	// One root row's values collect in a pooled buffer, cleared before the
+	// next row's, so the buffer holds no strings once the scan ends.
+	buf := valueBufs.Get().(*[]tuple.Value)
+	vals := (*buf)[:0]
 	for {
 		rec, ok, err := scan.Next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
+			putValues(buf, vals)
 			return b, nil
 		}
 		b.recs[0] = rec
@@ -220,11 +223,13 @@ func runPath(st Store, q *Query, opts ExecOpts, emit func(*bound) error) (*bound
 		} else if !ok {
 			continue
 		}
-		kids, err := tuple.DecodeField(rel.Schema, rec, rootIdx)
+		// The children value is read in place, under the scan's pin, which
+		// holds until the expansion below has returned.
+		kids, err := tuple.FieldBytes(rel.Schema, rec, rootIdx)
 		if err != nil {
 			return nil, err
 		}
-		if vals, err = px.expand(scan.owner(), kids.Raw, pt.Path, 0, vals[:0]); err != nil {
+		if vals, err = px.expand(scan.owner(), kids, pt.Path, 0, vals); err != nil {
 			return nil, err
 		}
 		for _, v := range vals {
@@ -233,6 +238,8 @@ func runPath(st Store, q *Query, opts ExecOpts, emit func(*bound) error) (*bound
 				return nil, err
 			}
 		}
+		clear(vals)
+		vals = vals[:0]
 	}
 }
 
@@ -261,6 +268,24 @@ type Expander struct {
 	// pin — so one cur is enough.
 	take func(i int, rel *catalog.Relation, rec []byte) error
 	cur  oidFetch
+	// row is takeRow bound once, the emit of every stored query the
+	// expansion runs, with what it does with the rows in proc. A stored
+	// query runs to its end before the path goes on, so one proc is
+	// enough.
+	row  func(*bound) error
+	proc procRun
+	// scratch[d] is where the stored queries met at depth d run, one
+	// after the other: only the first of them in a call allocates its
+	// parse, binding and scan.
+	scratch [maxPathDepth]*scratch
+}
+
+// procRun is what takeRow does with the rows of one stored query.
+type procRun struct {
+	segs  []string
+	depth int
+	out   []tuple.Value // last segment: the projected values, appended
+	kids  [][]byte      // an earlier one: the children values
 }
 
 // oidFetch is what takeRecord does with the records of one OID list.
@@ -277,7 +302,7 @@ type oidFetch struct {
 
 func newExpander(st Store, opts ExecOpts, leaf *tuple.Field) *Expander {
 	px := &Expander{st: st, opts: opts, leaf: leaf}
-	px.take = px.takeRecord
+	px.take, px.row = px.takeRecord, px.takeRow
 	return px
 }
 
@@ -343,38 +368,53 @@ func (px *Expander) expand(owner object.OID, raw []byte, segs []string, depth in
 		}
 		return out, nil
 	default: // object.Procedural
-		sub, err := Parse(c.Query)
+		sc := px.scratch[depth]
+		if sc == nil {
+			sc = new(scratch)
+			px.scratch[depth] = sc
+		}
+		sub, err := sc.parse.parse(c.Query)
 		if err != nil {
 			return nil, fmt.Errorf("%w: stored query: %w", ErrExec, err)
 		}
 		// The stored query runs to its end before any further segment is
 		// followed, so its scan and the expansions below it do not
 		// interleave their page accesses. Its rows are columns of a target
-		// list, not objects: what they hold is expanded unowned.
-		var kids [][]byte
+		// list, not objects: what they hold is expanded unowned. Its result
+		// schema is built where the last stored query at this depth had
+		// its own, at the same address: the memo must not take it for that
+		// one.
+		px.memo[depth].schema = nil
+		px.proc = procRun{segs: segs, depth: depth, out: out}
 		opts := px.opts
 		opts.depth += depth + 1 // runPath refuses once the nesting passes maxPathDepth
-		_, err = run(px.st, sub, opts, func(b *bound) error {
-			i, err := px.step(b.schema, "", segs, depth)
-			if err != nil {
-				return err
-			}
-			v, err := b.col(i)
-			if err != nil {
-				return err
-			}
-			if last {
-				out = append(out, v)
-			} else {
-				kids = append(kids, v.Raw)
-			}
-			return nil
-		})
+		_, err = run(px.st, sub, opts, sc, px.row)
+		pr := px.proc
+		px.proc = procRun{}
 		if err != nil {
 			return nil, err
 		}
-		return px.expandAll(nil, kids, segs[1:], depth+1, out)
+		return px.expandAll(nil, pr.kids, segs[1:], depth+1, pr.out)
 	}
+}
+
+// takeRow steps one row of the stored query in progress.
+func (px *Expander) takeRow(b *bound) error {
+	pr := &px.proc
+	i, err := px.step(b.schema, "", pr.segs, pr.depth)
+	if err != nil {
+		return err
+	}
+	v, err := b.col(i)
+	if err != nil {
+		return err
+	}
+	if len(pr.segs) == 1 {
+		pr.out = append(pr.out, v)
+	} else {
+		pr.kids = append(pr.kids, v.Raw)
+	}
+	return nil
 }
 
 // expandAll expands each children value in turn; owners, when not nil,

@@ -153,7 +153,7 @@ func TestExecPathEveryRepresentation(t *testing.T) {
 		t.Run(string(rep), func(t *testing.T) {
 			cat, team, member := teamDB(t, rep)
 			_, _ = team, member
-			res, err := Execute(cat, mustParse(t, `retrieve (team.name, team.members.score) where team.OID <= 2`))
+			res, err := Store{Cat: cat, View: cat}.ExecuteSources(mustParse(t, `retrieve (team.name, team.members.score) where team.OID <= 2`))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -430,23 +430,27 @@ func TestNotDoesNotNarrowKeyRange(t *testing.T) {
 
 func TestResultSources(t *testing.T) {
 	cat := personDB(t)
-	res, err := Run(cat, `retrieve (person.name) where person.age >= 60`)
-	if err != nil {
-		t.Fatal(err)
+	run := func(src string) *Result {
+		t.Helper()
+		res, err := Store{Cat: cat, View: cat}.ExecuteSources(mustParse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	res := run(`retrieve (person.name) where person.age >= 60`)
 	if len(res.Sources) != len(res.Tuples) {
 		t.Fatalf("sources = %d, tuples = %d", len(res.Sources), len(res.Tuples))
 	}
 	if res.Sources[0].Key != 1 || res.Sources[1].Key != 2 {
 		t.Fatalf("sources = %+v", res.Sources)
 	}
-	// Joins carry no sources.
-	res, err = Run(cat, `retrieve (person.name) where person.name = cyclist.name`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Sources) != 0 {
+	// Joins carry no sources, nor does a query run with plain Execute.
+	if res := run(`retrieve (person.name) where person.name = cyclist.name`); len(res.Sources) != 0 {
 		t.Fatalf("join sources = %d", len(res.Sources))
+	}
+	if res, err := Run(cat, `retrieve (person.name) where person.age >= 60`); err != nil || len(res.Sources) != 0 {
+		t.Fatalf("Execute: %v sources, %v", res, err)
 	}
 }
 

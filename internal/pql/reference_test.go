@@ -172,8 +172,11 @@ func refOutSchema(cat *catalog.Catalog, targets []Target) (*tuple.Schema, []Oper
 		fields = append(fields, tuple.Field{Name: t.Rel + "." + f.Name, Kind: f.Kind, Width: f.Width})
 		cols = append(cols, Operand{Rel: t.Rel, Attr: t.Attr})
 	}
-	schema, err := resultSchema(fields) // the one departure: a column named twice used to panic
-	return schema, cols, err
+	// The one departure: a column named twice used to panic.
+	if err := checkColumns(fields); err != nil {
+		return nil, nil, err
+	}
+	return tuple.NewSchema(fields...), cols, nil
 }
 
 func refProject(cat *catalog.Catalog, cols []Operand, e refEnv) (tuple.Tuple, error) {
@@ -345,7 +348,7 @@ func refPath(cat *catalog.Catalog, q *Query, depth int) (*Result, error) {
 	if rel.Schema.Fields[rootIdx].Kind != tuple.KBytes {
 		return nil, fmt.Errorf("%w: %s.%s is not a children attribute", ErrExec, pt.Rel, pt.Attr)
 	}
-	if _, err := resultSchema(fields); err != nil {
+	if err := checkColumns(fields); err != nil {
 		return nil, err
 	}
 	px := &refPathExec{cat: cat, depth: depth}
@@ -503,16 +506,21 @@ func (px *refPathExec) step(s *tuple.Schema, t tuple.Tuple, segs []string, depth
 
 // agreeWithReference runs q through the bound executor and holds the run
 // to the oracle: both fail or both succeed with the same rows, Sources
-// and result schema.
+// and result schema. Execute, which leaves Sources out, returns the same
+// rows and schema as ExecuteSources.
 func agreeWithReference(t testing.TB, cat *catalog.Catalog, src string, q *Query) (*Result, error) {
 	t.Helper()
 	want, wantErr := refExecute(cat, q, 0)
-	got, err := Execute(cat, q)
+	got, err := Store{Cat: cat, View: cat}.ExecuteSources(q)
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("executor and reference disagree on failing %q: %v vs %v", src, err, wantErr)
 	}
 	if err != nil {
 		return want, wantErr
+	}
+	plain, err := Execute(cat, q)
+	if err != nil || plain.Sources != nil || !reflect.DeepEqual(plain.Tuples, got.Tuples) || !reflect.DeepEqual(plain.Schema, got.Schema) {
+		t.Fatalf("Execute of %q differs from ExecuteSources: %v, %v", src, plain, err)
 	}
 	if len(got.Tuples) != len(want.Tuples) {
 		t.Fatalf("%d rows, reference %d, for %q", len(got.Tuples), len(want.Tuples), src)
@@ -559,6 +567,11 @@ var referenceQueries = []string{
 	`retrieve (league.name, league.teams.members.score) where league.OID != 2`,
 	`retrieve (league.teams.name) where league.OID >= 1`,
 	`retrieve (league.teams.members)`,
+	// stored queries of different target lists one after the other
+	`retrieve (club.members.name)`,
+	`retrieve (club.name, club.members.OID) where club.OID <= 3 or club.OID = 5`,
+	`retrieve (club.members.score) where club.OID = 1 or club.OID = 6`,
+	`retrieve (club.members.score)`,
 	// errors, and errors an and/or or an empty scan never reaches
 	`retrieve (member.nope)`,
 	`retrieve (member.name) where member.nope = 1`,

@@ -48,10 +48,11 @@ type Field struct {
 }
 
 // Schema is an ordered list of fields. The first field is by convention
-// the primary key in this reproduction (OID or hashkey).
+// the primary key in this reproduction (OID or hashkey). Names are found
+// by a scan of Fields: a schema here has a handful of fields, and a map
+// would cost more to build than every lookup it could save.
 type Schema struct {
 	Fields []Field
-	byName map[string]int
 	// intPrefix counts the leading integer fields: field i < intPrefix
 	// sits at byte 8*i of every record, whatever follows it.
 	intPrefix int
@@ -59,23 +60,33 @@ type Schema struct {
 
 // NewSchema builds a schema from fields; field names must be unique.
 func NewSchema(fields ...Field) *Schema {
-	s := &Schema{Fields: fields, byName: make(map[string]int, len(fields))}
+	s := new(Schema)
+	s.Reset(fields)
+	return s
+}
+
+// Reset makes s the schema of fields in place, as NewSchema would build
+// it, for a reader that builds one short-lived schema after another in
+// the same storage. Whoever remembers something about s by its address
+// must forget it.
+func (s *Schema) Reset(fields []Field) {
+	*s = Schema{Fields: fields}
 	for i, f := range fields {
-		if _, dup := s.byName[f.Name]; dup {
+		if s.Index(f.Name) < i {
 			panic(fmt.Sprintf("tuple: duplicate field %q", f.Name))
 		}
-		s.byName[f.Name] = i
 		if f.Kind == KInt && s.intPrefix == i {
 			s.intPrefix = i + 1
 		}
 	}
-	return s
 }
 
 // Index returns the position of the named field, or -1.
 func (s *Schema) Index(name string) int {
-	if i, ok := s.byName[name]; ok {
-		return i
+	for i := range s.Fields {
+		if s.Fields[i].Name == name {
+			return i
+		}
 	}
 	return -1
 }
@@ -91,7 +102,7 @@ func Named(name, attr string) bool {
 // Lookup is Index by Named: the field called attr or, failing that, the
 // first one called "rel.attr"; -1 when there is neither.
 func (s *Schema) Lookup(attr string) int {
-	if i, ok := s.byName[attr]; ok {
+	if i := s.Index(attr); i >= 0 {
 		return i
 	}
 	for i, f := range s.Fields {
