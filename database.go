@@ -489,15 +489,6 @@ func (d *Database) SetDeviceLatency(l time.Duration) {
 	}
 }
 
-// EnablePrefetch attaches an asynchronous prefetcher (window depth; 0
-// means buffer.DefaultPrefetchDepth) so batch fetches and range scans
-// overlap upcoming page reads with query work. It returns the closer
-// that stops the prefetch workers; call it when done with the database.
-func (d *Database) EnablePrefetch(depth int) func() {
-	d.core.Pool.SetPrefetcher(buffer.NewPrefetcher(d.core.Pool, depth, 0))
-	return d.core.Close
-}
-
 // ResetCold flushes and empties the buffer pool and zeroes the I/O
 // counters.
 func (d *Database) ResetCold() error { return d.core.ResetCold() }

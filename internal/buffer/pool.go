@@ -19,7 +19,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"corep/internal/disk"
 	"corep/internal/obs"
@@ -58,24 +57,15 @@ func (s Stats) String() string {
 	return fmt.Sprintf("hits=%d misses=%d flushes=%d hitrate=%.3f", s.Hits, s.Misses, s.Flushes, s.HitRate())
 }
 
-// RetryPolicy bounds how the pool reissues disk operations that fail
-// with a transient injected fault (disk.IsTransient). Permanent faults
-// and real errors are never retried. With no fault injector installed
-// the policy is inert: no disk error is transient, so every counter and
-// every I/O count is bit-identical to a pool without retry.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per operation (first
-	// attempt included). Values < 1 mean 1: no retry.
-	MaxAttempts int
-	// Backoff is slept before retry k as Backoff << (k-1). It is served
-	// under the shard lock — keep it at simulation scale (microseconds),
-	// like disk.Sim's device latency.
-	Backoff time.Duration
-}
-
-// DefaultRetryPolicy rides out a default fault plan's transient episode
-// (length 2) with one attempt to spare, without sleeping.
-var DefaultRetryPolicy = RetryPolicy{MaxAttempts: 3}
+// retryAttempts bounds how often the pool issues a disk operation that
+// fails with a transient injected fault (disk.IsTransient): the first
+// attempt plus two retries, so a default fault plan's transient episode
+// (two failing attempts) succeeds on the third, without sleeping.
+// Permanent faults and real errors are never retried. With no fault
+// injector installed the bound is inert: no disk error is transient, so
+// every counter and every I/O count is bit-identical to a pool without
+// retry.
+const retryAttempts = 3
 
 type frame struct {
 	id    disk.PageID
@@ -230,21 +220,18 @@ type shard struct {
 	cap   int
 	table frameTable
 	lru   frameList // unpinned frames, front = least recently used
-	retry atomic.Pointer[RetryPolicy]
 
 	// Event counters, guarded by mu like every update to them.
 	hits, misses, flushes, pins int64
 	// Retries can happen outside any shard lock (NewPage's Alloc runs
-	// under shard 0's policy before its page has a shard), so these two
-	// stay atomic.
+	// through shard 0 before its page has a shard), so these two stay
+	// atomic.
 	retries, recovered atomic.Int64
 }
 
-// run executes a disk operation under the shard's retry policy:
-// transient faults are reissued up to MaxAttempts times, everything
-// else returns immediately.
+// run executes a disk operation: transient faults are reissued up to
+// retryAttempts tries in all, everything else returns immediately.
 func (s *shard) run(op func() error) error {
-	rp := *s.retry.Load()
 	for attempt := 1; ; attempt++ {
 		err := op()
 		if err == nil {
@@ -253,13 +240,10 @@ func (s *shard) run(op func() error) error {
 			}
 			return nil
 		}
-		if attempt >= rp.MaxAttempts || !disk.IsTransient(err) {
+		if attempt >= retryAttempts || !disk.IsTransient(err) {
 			return err
 		}
 		s.retries.Add(1)
-		if d := rp.Backoff; d > 0 {
-			time.Sleep(d << (attempt - 1))
-		}
 	}
 }
 
@@ -326,8 +310,6 @@ func NewSharded(dm disk.Manager, capacity int, numShards int) (*Pool, error) {
 		}
 		p.shards[i] = &shard{dm: dm, cap: c, table: newFrameTable(c)}
 		p.shards[i].lru.init()
-		rp := DefaultRetryPolicy
-		p.shards[i].retry.Store(&rp)
 	}
 	return p, nil
 }
@@ -366,17 +348,6 @@ func (p *Pool) Stats() Stats {
 		s.Recovered += sh.recovered.Load()
 	}
 	return s
-}
-
-// SetRetryPolicy installs the transient-fault retry policy on every
-// shard (DefaultRetryPolicy at construction).
-func (p *Pool) SetRetryPolicy(rp RetryPolicy) {
-	if rp.MaxAttempts < 1 {
-		rp.MaxAttempts = 1
-	}
-	for _, s := range p.shards {
-		s.retry.Store(&rp)
-	}
 }
 
 // SetObs installs the observability context operators below the workload
@@ -534,8 +505,8 @@ func (p *Pool) GetBatch(ids []disk.PageID, fn func(i int, buf []byte) error) err
 // NewPage allocates a fresh disk page, pins it and returns its id and
 // buffer. The frame starts dirty (it must reach disk eventually).
 func (p *Pool) NewPage() (disk.PageID, []byte, error) {
-	// Alloc retries run under shard 0's policy (the target shard is
-	// unknown until the id exists); its counters absorb them.
+	// Alloc retries run through shard 0 (the target shard is unknown
+	// until the id exists); its counters absorb them.
 	var id disk.PageID
 	err := p.shards[0].run(func() error {
 		var e error

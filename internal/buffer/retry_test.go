@@ -33,9 +33,8 @@ func TestRetryRecoversTransientRead(t *testing.T) {
 func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 	d := disk.NewSim()
 	p := New(d, 4)
-	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
 	id, _ := d.Alloc()
-	// Episode longer than the retry budget: the pin must fail cleanly.
+	// Episode longer than the three attempts: the pin must fail cleanly.
 	plan := disk.NewFaultPlan(disk.FaultPlanConfig{Seed: 1, PTransient: 1, TransientLen: 5, MaxFaults: 1})
 	d.SetFault(plan.Fn())
 	if _, err := p.Pin(id); !disk.IsTransient(err) {
@@ -45,8 +44,8 @@ func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 		t.Fatal("failed pin left a pinned frame")
 	}
 	st := p.Stats()
-	if st.Retries != 1 || st.Recovered != 0 {
-		t.Fatalf("stats = %+v, want Retries=1 Recovered=0", st)
+	if st.Retries != 2 || st.Recovered != 0 {
+		t.Fatalf("stats = %+v, want Retries=2 Recovered=0", st)
 	}
 }
 

@@ -57,14 +57,6 @@ func (s Stats) Add(o Stats) Stats {
 		Allocs: s.Allocs + o.Allocs, Frees: s.Frees + o.Frees}
 }
 
-// ReadFraction returns reads / (reads+writes), or 0 with no traffic.
-func (s Stats) ReadFraction() float64 {
-	if s.Total() == 0 {
-		return 0
-	}
-	return float64(s.Reads) / float64(s.Total())
-}
-
 func (s Stats) String() string {
 	return fmt.Sprintf("reads=%d writes=%d allocs=%d io=%d", s.Reads, s.Writes, s.Allocs, s.Total())
 }

@@ -34,7 +34,6 @@ type PlannerPhase struct {
 // PlannerSweepConfig parameterizes RunPlannerSweep.
 type PlannerSweepConfig struct {
 	DB     workload.Config `json:"db"`
-	Seed   int64           `json:"seed"`
 	Phases []PlannerPhase  `json:"phases"`
 }
 
@@ -47,13 +46,12 @@ const PlannerPhaseSlack = 1.10
 // no static strategy wins them all — a cache-friendly narrow-read phase,
 // a wide-scan phase, and an update-heavy phase after the rate ramps —
 // over a scattered-cluster database where every strategy is executable
-// but none dominates. The seed drives the database, the op stream and
-// the planner's probes alike. The phases are as short as the planner's
-// estimates need to converge (shorter ones miss the gate) and the sweep
+// but none dominates. The seed drives the database and the op stream.
+// The phases are as short as the planner's one learned estimate, cache
+// warmth, needs to converge (shorter ones miss the gate) and the sweep
 // takes two seconds, so the quick grid is the same grid.
 func plannerGrid(o SweepOpts) PlannerSweepConfig {
 	return PlannerSweepConfig{
-		Seed: *o.Seed,
 		DB: workload.Config{
 			NumParents: 1500,
 			SizeUnit:   5,
@@ -100,7 +98,7 @@ type PlannerSweepResult struct {
 	// RowsCompared counts retrieve results checked identical between the
 	// planner arm and each static arm.
 	RowsCompared int64 `json:"rows_compared"`
-	// Activity is the planner arm's choose/observe counts.
+	// Activity is the planner arm's choice count.
 	Activity planner.Stats `json:"planner_stats"`
 }
 
@@ -146,10 +144,7 @@ func RunPlannerSweep(cfg PlannerSweepConfig) (*PlannerSweepResult, error) {
 		}
 		a := &sweepArm{name: kind.String(), db: s.db, updater: s.st}
 		if kind == strategy.Planned {
-			a.st, err = planner.NewPlanned(s.db, planner.New(planner.Config{
-				Shape: planner.ShapeOf(s.db),
-				Seed:  cfg.Seed,
-			}))
+			a.st, err = planner.NewPlanned(s.db, nil)
 		} else {
 			a.st, err = strategy.New(kind, s.db)
 		}
@@ -302,11 +297,7 @@ func (r *PlannerSweepResult) Cells() []bench.Cell {
 			Metrics: map[string]float64{"io_per_query": r.TotalIOPerQuery[arm]},
 		})
 	}
-	summary := map[string]float64{
-		"rows_compared": float64(r.RowsCompared),
-		"switches":      float64(r.Activity.Switches),
-		"probes":        float64(r.Activity.Probes),
-	}
+	summary := map[string]float64{"rows_compared": float64(r.RowsCompared)}
 	if pl := r.TotalIOPerQuery[strategy.Planned.String()]; pl > 0 {
 		summary["speedup"] = bestStatic(r.TotalIOPerQuery) / pl
 	}

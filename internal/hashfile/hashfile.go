@@ -72,9 +72,6 @@ func (f *File) State() State {
 	return State{First: f.first, Buckets: f.buckets, Count: f.count}
 }
 
-// Buckets returns the bucket count.
-func (f *File) Buckets() int { return f.buckets }
-
 // Count returns the number of live entries.
 func (f *File) Count() int { return f.count }
 

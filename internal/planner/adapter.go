@@ -9,9 +9,9 @@ import (
 
 // Planned adapts a Planner to the strategy.Strategy interface: each
 // Retrieve asks the planner for a plan, executes the chosen static
-// strategy, and feeds the measured cost back. It interleaves freely
-// with the harness's static strategies because it *is* one of them per
-// query — the differential suite leans on exactly that.
+// strategy, and feeds a DFSCACHE run's hit rate back. It interleaves
+// freely with the harness's static strategies because it *is* one of
+// them per query — the differential suite leans on exactly that.
 type Planned struct {
 	P       *Planner
 	db      *workload.DB
@@ -19,7 +19,7 @@ type Planned struct {
 }
 
 // NewPlanned builds the adaptive strategy over db. When p is nil a
-// fresh planner is derived from the database's shape (seed 0).
+// fresh planner is derived from the database's shape.
 func NewPlanned(db *workload.DB, p *Planner) (*Planned, error) {
 	if p == nil {
 		p = New(Config{Shape: ShapeOf(db)})
@@ -41,9 +41,8 @@ func NewPlanned(db *workload.DB, p *Planner) (*Planned, error) {
 // Kind identifies the adaptive dispatcher.
 func (pl *Planned) Kind() strategy.Kind { return strategy.Planned }
 
-// Retrieve plans, executes, and observes. The returned rows are exactly
-// what the chosen static strategy produced; Split carries its measured
-// cost, which also becomes the observation for that (kind, NumTop) cell.
+// Retrieve plans and executes. The returned rows are exactly what the
+// chosen static strategy produced; Split carries its measured cost.
 func (pl *Planned) Retrieve(db *workload.DB, q strategy.Query) (*strategy.Result, error) {
 	d := pl.P.Choose(q.NumTop())
 	st := pl.statics[d.Kind]
@@ -58,8 +57,6 @@ func (pl *Planned) Retrieve(db *workload.DB, q strategy.Query) (*strategy.Result
 	if err != nil {
 		return nil, err
 	}
-	pl.P.Observe(d.Kind, q.NumTop(), res.Split.Total())
-
 	if d.Kind == strategy.DFSCACHE && db.Cache != nil {
 		cs := db.Cache.Stats()
 		if dh, dm := cs.Hits-hits0, cs.Misses-miss0; dh+dm > 0 {

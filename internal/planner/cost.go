@@ -9,6 +9,8 @@ import (
 // parameterized by: index geometry, fan-out, and which auxiliary
 // structures exist. Build one with ShapeOf.
 type Shape struct {
+	// NumParents is the stored parent count: no query selects more.
+	NumParents int
 	// ParentHeight/ParentLeaves describe ParentRel's B-tree.
 	ParentHeight int
 	ParentLeaves int
@@ -38,6 +40,7 @@ type Shape struct {
 // ShapeOf derives the cost shape from a built workload database.
 func ShapeOf(db *workload.DB) Shape {
 	s := Shape{
+		NumParents:  db.Cfg.NumParents,
 		SizeUnit:    db.Cfg.SizeUnit,
 		ShareFactor: db.Cfg.ShareFactor(),
 		NumChildRel: db.Cfg.NumChildRel,
@@ -92,10 +95,16 @@ const (
 // numTop-parent query, in pages. The formulas deliberately mirror the
 // strategies' own cost structure (and, for BFS, its internal
 // probe-vs-merge optimizer) rather than aiming for absolute accuracy:
-// the planner only needs relative order to be right until observations
-// take over, and observations always outrank priors.
+// the planner only needs their relative order to be right. They do not
+// model the buffer pool (every probe is charged as a miss) or the
+// update rate (it reaches DFSCACHE through warmth only).
 func (p *Planner) prior(kind strategy.Kind, numTop int) float64 {
-	s := p.cfg.Shape
+	s := p.shape
+	if s.NumParents > 0 {
+		// An open bound (NumTop math.MaxInt) selects every stored parent;
+		// priced unclamped it would overflow the products below.
+		numTop = min(numTop, s.NumParents)
+	}
 	n := numTop * s.SizeUnit // subobject fetches the query implies
 	if n < 1 {
 		n = 1

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"math"
 	"testing"
 
 	"corep/internal/strategy"
@@ -10,6 +11,7 @@ import (
 // executable (cache and cluster present, share factor 1).
 func testShape() Shape {
 	return Shape{
+		NumParents:   1500,
 		ParentHeight: 2, ParentLeaves: 24,
 		ChildHeight: 3, ChildLeaves: 120,
 		SizeUnit: 5, ShareFactor: 1, NumChildRel: 1,
@@ -53,82 +55,84 @@ func TestCandidateKinds(t *testing.T) {
 	}
 }
 
-func TestBucketOf(t *testing.T) {
-	cases := map[int]int{0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 8: 3, 512: 9, 1000: 9}
-	for nt, want := range cases {
-		if got := bucketOf(nt); got != want {
-			t.Errorf("bucketOf(%d) = %d, want %d", nt, got, want)
+// TestChooseIsArgminOfPriors is the planner's contract: at a fixed
+// warmth a choice depends on (Shape, numTop) alone — Observe calls in
+// any order change nothing — and the chosen estimate is the lowest
+// prior, ties going to the lower Kind.
+func TestChooseIsArgminOfPriors(t *testing.T) {
+	shapes := []Shape{testShape()}
+	for _, mod := range []func(*Shape){
+		func(s *Shape) { s.ClusterCoverage = 0 },
+		func(s *Shape) { s.ShareFactor, s.ClusterCoverage = 3, 0.5 },
+		func(s *Shape) { s.HasCache = false },
+		func(s *Shape) { s.HasCluster, s.CacheUnits = false, 40 },
+	} {
+		s := testShape()
+		mod(&s)
+		shapes = append(shapes, s)
+	}
+	widths := []int{0, 1, 2, 8, 64, 512, 1500, 5000, math.MaxInt}
+	for si, shape := range shapes {
+		for _, warm := range []float64{1, 0.6, 0.1} {
+			mk := func() *Planner {
+				p := New(Config{Shape: shape})
+				for i := 0; i < 50; i++ {
+					p.ObserveHitRate(warm)
+				}
+				return p
+			}
+			fresh, fed := mk(), mk()
+			// Feed one planner observations in two different orders;
+			// neither may move a choice.
+			for i := 0; i < 200; i++ {
+				for _, k := range fed.Candidates() {
+					fed.Observe(k, widths[(i+int(k))%len(widths)], int64(1+(i*37+int(k)*11)%900))
+				}
+			}
+			for i := 199; i >= 0; i-- {
+				fed.Observe(fed.Candidates()[i%len(fed.Candidates())], widths[i%len(widths)], int64(i))
+			}
+			if fresh.Warmth() != fed.Warmth() {
+				t.Fatalf("shape %d: Observe moved warmth %v -> %v", si, fresh.Warmth(), fed.Warmth())
+			}
+			for _, nt := range widths {
+				d, e := fresh.Choose(nt), fed.Choose(nt)
+				if d != e {
+					t.Fatalf("shape %d warmth %.1f NumTop %d: observations changed the choice: %+v vs %+v", si, warm, nt, d, e)
+				}
+				for _, k := range fresh.Candidates() {
+					pr := fresh.prior(k, nt)
+					if pr < d.IO || pr == d.IO && k < d.Kind {
+						t.Fatalf("shape %d warmth %.1f NumTop %d: chose %s at %.1f, %s is priced %.1f",
+							si, warm, nt, d.Kind, d.IO, k, pr)
+					}
+					if k == d.Kind && pr != d.IO {
+						t.Fatalf("shape %d NumTop %d: decision IO %.1f is not %s's prior %.1f", si, nt, d.IO, k, pr)
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestDominatedNeverChosen is the monotonicity property: once every arm
-// has real evidence, a strictly dominated arm (everyone measures
-// cheaper) is never picked by a non-probe decision.
-func TestDominatedNeverChosen(t *testing.T) {
-	p := New(Config{Shape: testShape(), Seed: 3})
-	const nt = 8
-	// Give every arm solid evidence; BFS dominates, DFS is dominated.
-	cost := map[strategy.Kind]int64{
-		strategy.DFS: 500, strategy.BFS: 20, strategy.BFSNODUP: 40,
-		strategy.DFSCACHE: 60, strategy.DFSCLUST: 80,
-	}
-	for i := 0; i < 10; i++ {
+// TestPriorOpenBoundClampsToStoredParents: an open-ended range
+// (NumTop math.MaxInt) selects every stored parent and must be priced
+// as such — unclamped, the subobject count overflowed and BFS/BFSNODUP
+// came out negative, or DFS was chosen for a full scan.
+func TestPriorOpenBoundClampsToStoredParents(t *testing.T) {
+	for _, su := range []int{2, 5} {
+		s := testShape()
+		s.SizeUnit = su
+		p := New(Config{Shape: s})
 		for _, k := range p.Candidates() {
-			p.Observe(k, nt, cost[k])
-		}
-	}
-	for i := 0; i < 200; i++ {
-		d := p.Choose(nt)
-		if d.Probe {
-			t.Fatalf("choice %d probed %s: every arm has been measured", i, d.Kind)
-		}
-		if d.Kind != strategy.BFS {
-			t.Fatalf("choice %d exploited %s (est %.1f), want dominant BFS", i, d.Kind, d.Est.IO)
-		}
-		// The exploit invariant: the chosen estimate is the argmin.
-		for _, e := range d.Alternatives {
-			if e.IO < d.Est.IO {
-				t.Fatalf("choice %d picked est %.1f, %s is estimated at %.1f", i, d.Est.IO, e.Kind, e.IO)
+			for _, nt := range []int{0, 1, s.NumParents, s.NumParents + 1, math.MaxInt / 2, math.MaxInt} {
+				if io := p.prior(k, nt); io < 0 {
+					t.Fatalf("SizeUnit %d: %s priced at %.3g pages for NumTop %d", su, k, io, nt)
+				}
 			}
 		}
-		p.Observe(d.Kind, nt, cost[d.Kind])
-	}
-}
-
-// TestDeterministicReplay: two planners with the same seed fed the same
-// observation sequence produce the same decision sequence — there is no
-// hidden randomness.
-func TestDeterministicReplay(t *testing.T) {
-	for _, seed := range []int64{0, 1, 7, -3} {
-		mk := func() *Planner { return New(Config{Shape: testShape(), Seed: seed}) }
-		a, b := mk(), mk()
-		// Synthetic costs: deterministic in (kind, step), shifting over time
-		// so switches occur.
-		cost := func(k strategy.Kind, i int) int64 {
-			base := int64(20 + 13*int64(k)%57)
-			if i > 150 {
-				base = 120 - base%90 // regime shift mid-run
-			}
-			return base + int64(i%7)
-		}
-		for i := 0; i < 300; i++ {
-			nt := []int{4, 8, 256}[i%3]
-			da, db := a.Choose(nt), b.Choose(nt)
-			if da.Kind != db.Kind || da.Probe != db.Probe || da.Est != db.Est {
-				t.Fatalf("seed %d step %d: decisions diverged: %+v vs %+v", seed, i, da, db)
-			}
-			c := cost(da.Kind, i)
-			a.Observe(da.Kind, nt, c)
-			b.Observe(db.Kind, nt, c)
-			if i%50 == 49 {
-				a.ObserveHitRate(0.6)
-				b.ObserveHitRate(0.6)
-			}
-		}
-		sa, sb := a.Stats(), b.Stats()
-		if sa != sb {
-			t.Fatalf("seed %d: stats diverged: %+v vs %+v", seed, sa, sb)
+		if open, all := p.Choose(math.MaxInt), p.Choose(s.NumParents); open != all {
+			t.Fatalf("SizeUnit %d: open bound chose %+v, all %d parents chose %+v", su, open, s.NumParents, all)
 		}
 	}
 }
@@ -169,24 +173,14 @@ func TestPriorOrdering(t *testing.T) {
 	// With a clean cluster layout at share factor 1, every subobject
 	// rides the parent scan: DFSCLUST is the cheapest narrow plan.
 	p := New(Config{Shape: testShape()})
-	argmin := func(ests []Estimate) Estimate {
-		min := ests[0]
-		for _, e := range ests {
-			if e.IO < min.IO {
-				min = e
-			}
-		}
-		return min
-	}
-	if m := argmin(p.Choose(8).Alternatives); m.Kind != strategy.DFSCLUST {
-		t.Fatalf("clean-cluster narrow argmin = %s, want DFSCLUST", m.Kind)
+	if d := p.Choose(8); d.Kind != strategy.DFSCLUST {
+		t.Fatalf("clean-cluster narrow argmin = %s, want DFSCLUST", d.Kind)
 	}
 	// Scatter the layout and the warm cache takes over.
 	scat := testShape()
 	scat.ClusterCoverage = 0
-	pScat := New(Config{Shape: scat, Seed: 2})
-	if ests := pScat.Choose(8).Alternatives; argmin(ests).Kind != strategy.DFSCACHE {
-		t.Fatalf("scattered narrow warm-cache argmin = %s, want DFSCACHE; ests %+v", argmin(ests).Kind, ests)
+	if d := New(Config{Shape: scat}).Choose(8); d.Kind != strategy.DFSCACHE {
+		t.Fatalf("scattered narrow warm-cache argmin = %+v, want DFSCACHE", d)
 	}
 
 	// A scattered cluster layout must cost DFSCLUST more than a clean one.

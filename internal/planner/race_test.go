@@ -6,11 +6,11 @@ import (
 )
 
 // TestConcurrentPlanning stresses the planner under -race: serving
-// goroutines plan and observe while a reader keeps taking the
+// goroutines plan and feed hit rates while a reader keeps taking the
 // introspection surfaces. The planner holds one mutex; any torn read
 // shows up here.
 func TestConcurrentPlanning(t *testing.T) {
-	p := New(Config{Shape: testShape(), Seed: 5})
+	p := New(Config{Shape: testShape()})
 	var wg sync.WaitGroup
 
 	for g := 0; g < 4; g++ {
@@ -39,7 +39,7 @@ func TestConcurrentPlanning(t *testing.T) {
 	}()
 
 	wg.Wait()
-	if s := p.Stats(); s.Choices != 4*500 || s.Observed != 4*500 {
-		t.Fatalf("lost work under concurrency: %d choices, %d observed, want %d", s.Choices, s.Observed, 4*500)
+	if s := p.Stats(); s.Choices != 4*500 {
+		t.Fatalf("lost work under concurrency: %d choices, want %d", s.Choices, 4*500)
 	}
 }

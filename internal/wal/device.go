@@ -76,7 +76,6 @@ type MemDevice struct {
 	synced    int64
 	syncDelay time.Duration
 	failNext  bool
-	syncs     int64
 }
 
 // NewMemDevice returns an empty in-memory device. syncDelay, when
@@ -129,7 +128,6 @@ func (m *MemDevice) Sync() error {
 	delay := m.syncDelay
 	if !fail {
 		m.synced = int64(len(m.buf))
-		m.syncs++
 	}
 	m.mu.Unlock()
 	if delay > 0 {
@@ -162,13 +160,6 @@ func (m *MemDevice) FailNextSync() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.failNext = true
-}
-
-// Syncs returns how many successful Syncs the device served.
-func (m *MemDevice) Syncs() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.syncs
 }
 
 // Unsynced returns how many written bytes are not yet durable.
