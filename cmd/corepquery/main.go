@@ -365,8 +365,6 @@ func printSnapshot(snap corep.Snapshot, asJSON bool) {
 			snap.Cache.Hits, snap.Cache.Misses, snap.Cache.Inserts,
 			snap.Cache.Evictions, snap.Cache.Invalidations)
 	}
-	fmt.Printf("prefetch: %d requested, %d staged, %d consumed, %d wasted\n",
-		snap.Prefetch.Requested, snap.Prefetch.Staged, snap.Prefetch.Consumed, snap.Prefetch.Wasted)
 	if snap.Txn != nil {
 		fmt.Printf("txn:      epoch %d, %d commits (%d versions), %d aborts, %d snapshot reads, %d latch waits\n",
 			snap.Txn.Published, snap.Txn.Commits, snap.Txn.Installed,

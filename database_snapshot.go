@@ -21,17 +21,6 @@ type BufferStats struct {
 	Recovered int64 `json:"recovered"`
 }
 
-// PrefetchStats mirrors the asynchronous prefetcher's counters.
-type PrefetchStats struct {
-	Requested int64 `json:"requested"`
-	Staged    int64 `json:"staged"`
-	Consumed  int64 `json:"consumed"`
-	Coalesced int64 `json:"coalesced"`
-	Wasted    int64 `json:"wasted"`
-	Dropped   int64 `json:"dropped"`
-	FetchErrs int64 `json:"fetch_errs"`
-}
-
 // SlowLogStats summarizes the slow log's accounting without the entries.
 type SlowLogStats struct {
 	Enabled    bool          `json:"enabled"`
@@ -45,25 +34,23 @@ type SlowLogStats struct {
 
 // Snapshot is a consolidated view of every layer's counters at one
 // moment. Counters are read layer by layer without a global pause, so
-// across-layer sums may be torn by in-flight work (a prefetch landing
-// between the disk and pool reads, say); each individual layer's struct
-// is itself consistent.
+// across-layer sums may be torn by in-flight work (a concurrent reader's
+// page landing between the disk and pool reads, say); each individual
+// layer's struct is itself consistent.
 type Snapshot struct {
-	Disk     IOStats       `json:"disk"`
-	Buffer   BufferStats   `json:"buffer"`
-	Cache    *CacheStats   `json:"cache,omitempty"` // nil until EnableCache (see database_cache.go)
-	Faults   FaultStats    `json:"faults"`
-	Prefetch PrefetchStats `json:"prefetch"`
-	SlowLog  SlowLogStats  `json:"slow_log"`
-	Txn      *TxnStats     `json:"txn,omitempty"`     // nil until EnableVersionedServing (see database_txn.go)
-	WAL      *WALStats     `json:"wal,omitempty"`     // nil until EnableWAL (see database_wal.go)
-	Reclust  *ReclustStats `json:"reclust,omitempty"` // nil until EnableReclustering (see database_reclust.go)
+	Disk    IOStats       `json:"disk"`
+	Buffer  BufferStats   `json:"buffer"`
+	Cache   *CacheStats   `json:"cache,omitempty"` // nil until EnableCache (see database_cache.go)
+	Faults  FaultStats    `json:"faults"`
+	SlowLog SlowLogStats  `json:"slow_log"`
+	Txn     *TxnStats     `json:"txn,omitempty"`     // nil until EnableVersionedServing (see database_txn.go)
+	WAL     *WALStats     `json:"wal,omitempty"`     // nil until EnableWAL (see database_wal.go)
+	Reclust *ReclustStats `json:"reclust,omitempty"` // nil until EnableReclustering (see database_reclust.go)
 }
 
 // Snapshot returns the current consolidated counters.
 func (d *Database) Snapshot() Snapshot {
 	ps := d.core.Pool.Stats()
-	pf := d.core.Pool.Prefetcher().Stats()
 	sl := d.slow.Stats()
 	snap := Snapshot{
 		Disk:   d.Stats(),
@@ -71,11 +58,6 @@ func (d *Database) Snapshot() Snapshot {
 		Buffer: BufferStats{
 			Hits: ps.Hits, Misses: ps.Misses, Flushes: ps.Flushes,
 			Pins: ps.Pins, Retries: ps.Retries, Recovered: ps.Recovered,
-		},
-		Prefetch: PrefetchStats{
-			Requested: pf.Requested, Staged: pf.Staged, Consumed: pf.Consumed,
-			Coalesced: pf.Coalesced, Wasted: pf.Wasted, Dropped: pf.Dropped,
-			FetchErrs: pf.FetchErrs,
 		},
 		SlowLog: SlowLogStats{
 			Enabled: d.slow.Enabled(), Capacity: sl.Capacity, Threshold: sl.Threshold,

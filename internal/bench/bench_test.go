@@ -71,8 +71,8 @@ func TestMetricDirection(t *testing.T) {
 		"retrieve_qps": HigherBetter,
 		"update_qps":   HigherBetter,
 		"speedup":      HigherBetter,
-		// prefetch's sync/prefetch ratio is two wall clocks: reported,
-		// never gated (planner's "speedup" is a ratio of counts).
+		// A ratio of two wall clocks is reported, never gated
+		// (planner's "speedup" is a ratio of counts).
 		"wall_speedup": Info,
 		// The txn sweep's counters are deliberately named off the
 		// lower-better suffixes ("snapshots", not "snapshot_reads"):
@@ -150,11 +150,11 @@ func TestCompareDirections(t *testing.T) {
 		t.Fatal("informational metric gated the build")
 	}
 
-	// A ratio of counts gates, a ratio of clocks is informational: the
-	// prefetch sweep's two reads of 1.60 and 2.99 on one cell are a noisy
-	// host, its read counts are what a regression would move.
-	old = env(t, "prefetch", Cell{Name: "lat=200µs/depth=4", Metrics: map[string]float64{"wall_speedup": 2.99, "prefetch_reads": 439}})
-	new_ = env(t, "prefetch", Cell{Name: "lat=200µs/depth=4", Metrics: map[string]float64{"wall_speedup": 1.60, "prefetch_reads": 439}})
+	// A ratio of counts gates, a ratio of clocks is informational: two
+	// reads of 1.60 and 2.99 on one cell are a noisy host, the cell's
+	// read counts are what a regression would move.
+	old = env(t, "throughput", Cell{Name: "lat=200µs/K=4", Metrics: map[string]float64{"wall_speedup": 2.99, "sync_reads": 439}})
+	new_ = env(t, "throughput", Cell{Name: "lat=200µs/K=4", Metrics: map[string]float64{"wall_speedup": 1.60, "sync_reads": 439}})
 	if d, err = Compare(old, new_, 0.10); err != nil || len(d.Regressions()) != 0 {
 		t.Fatalf("wall-clock ratio gated the build: %v (err %v)", d.Regressions(), err)
 	}
@@ -190,7 +190,7 @@ func TestCompareTxnSweepGates(t *testing.T) {
 
 func TestCompareKindMismatchAndMissingCells(t *testing.T) {
 	a := env(t, "chaos", Cell{Name: "DFS", Metrics: map[string]float64{"violations": 0}})
-	b := env(t, "prefetch")
+	b := env(t, "crash")
 	if _, err := Compare(a, b, 0.1); err == nil {
 		t.Fatal("kind mismatch accepted")
 	}

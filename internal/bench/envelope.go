@@ -25,7 +25,7 @@ const SchemaVersion = 1
 // Envelope wraps one benchmark run.
 type Envelope struct {
 	Schema    int       `json:"schema_version"`
-	Kind      string    `json:"kind"` // throughput | prefetch | chaos | ...
+	Kind      string    `json:"kind"` // throughput | chaos | crash | ...
 	GitRev    string    `json:"git_rev,omitempty"`
 	Dirty     bool      `json:"git_dirty,omitempty"`
 	GoVersion string    `json:"go_version,omitempty"`

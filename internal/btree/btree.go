@@ -467,7 +467,6 @@ func (t *Tree) GetBatch(keys []int64, fn func(i int, payload []byte) error) erro
 	L := float64(t.leaves)
 	distinct := L * (1 - math.Pow(1-1/L, float64(len(keys))))
 	scan := distinct >= 0.85*float64(t.pool.Capacity())
-	var ch *buffer.Chain
 	pin := func(id disk.PageID) error {
 		var (
 			b   []byte
@@ -482,19 +481,9 @@ func (t *Tree) GetBatch(keys []int64, fn func(i int, payload []byte) error) erro
 			return err
 		}
 		leaf, pg = id, storage.Page{Buf: b}
-		ch.Consumed(id)
 		return nil
 	}
 	defer unpin()
-	// With a prefetcher attached, resolve the batch's leaf plan up front
-	// and hand it over: upcoming leaves stage into the pool while the
-	// current one is consumed.
-	if pf := t.pool.Prefetcher(); pf != nil {
-		if plan := t.leafPlan(keys, order); len(plan) > 1 {
-			ch = pf.Start(plan)
-			defer ch.Finish()
-		}
-	}
 
 	for i := 0; i < len(order); {
 		k := keys[order[i]]
@@ -620,29 +609,6 @@ func (t *Tree) Update(key int64, payload []byte) error {
 	return fmt.Errorf("%w: %d", ErrNotFound, key)
 }
 
-// leafPlan resolves the leaf page each distinct key of a sorted batch
-// lands on — the page-ordered prefetch plan for GetBatch. Descents pin
-// only inner pages (hot after the first key); consecutive dedup equals
-// full dedup because keys ascend and the leaf chain is nondecreasing.
-// Any error abandons the plan (prefetch is best-effort).
-func (t *Tree) leafPlan(keys []int64, order []int) []disk.PageID {
-	plan := make([]disk.PageID, 0, 16)
-	for i, o := range order {
-		k := keys[o]
-		if i > 0 && k == keys[order[i-1]] {
-			continue
-		}
-		id, err := t.descendToLeaf(entryRef{k, 0})
-		if err != nil {
-			return nil
-		}
-		if n := len(plan); n == 0 || plan[n-1] != id {
-			plan = append(plan, id)
-		}
-	}
-	return plan
-}
-
 // descendToLeaf returns the leaf page that would contain ref.
 func (t *Tree) descendToLeaf(ref entryRef) (disk.PageID, error) {
 	id := t.root
@@ -676,13 +642,6 @@ type Iterator struct {
 	pg   storage.Page // its pinned buffer; Buf is nil while no leaf is held
 	slot int
 	done bool
-
-	// Sequential readahead (AttachChainPrefetch): as the walk enters each
-	// leaf it announces the leaf consumed and seeds the successor, so the
-	// next leaf's read overlaps this leaf's processing.
-	chain    *buffer.Chain
-	notified disk.PageID // last leaf announced to the chain
-	seedHi   int64       // upper key bound: do not seed past the scan's end
 }
 
 // SeekGE positions an iterator at the first entry with key ≥ key. The
@@ -743,17 +702,6 @@ func (it *Iterator) Next() (key int64, payload []byte, ok bool, err error) {
 			}
 			it.pg = storage.Page{Buf: buf}
 		}
-		if it.chain != nil && it.page != it.notified {
-			// Pin held: safe to release the staged copy and look ahead. Seed
-			// the successor only if the sync walk would enter it too — its
-			// first entry follows this leaf's last, so the walk continues
-			// exactly when that last key stays within the bound.
-			it.notified = it.page
-			it.chain.Consumed(it.page)
-			if nxt := it.pg.Next(); nxt != disk.InvalidPageID && leafContinues(it.pg, it.seedHi) {
-				it.chain.Seed(nxt)
-			}
-		}
 		if it.slot < it.pg.NumSlots() {
 			rec, rerr := it.pg.Record(it.slot)
 			if rerr != nil {
@@ -788,43 +736,6 @@ func (it *Iterator) release() {
 func (it *Iterator) Close() {
 	it.release()
 	it.done = true
-}
-
-// leafContinues reports whether a walk bounded by hi proceeds past this
-// leaf: an empty leaf is always skipped over, otherwise the walk goes on
-// exactly when the leaf's last key is still within the bound.
-func leafContinues(pg storage.Page, hi int64) bool {
-	n := pg.NumSlots()
-	if n == 0 {
-		return true
-	}
-	rec, err := pg.Record(n - 1)
-	if err != nil {
-		return false
-	}
-	return int64(binary.LittleEndian.Uint64(rec)) <= hi
-}
-
-// AttachChainPrefetch puts it under sequential readahead up to key bound
-// hi: each leaf the walk enters seeds its successor with the attached
-// prefetcher, overlapping the next leaf's read with the current leaf's
-// processing. Returns the detach function, which MUST be called before
-// the iterator is abandoned (it releases the chain's staged pages); with
-// no prefetcher attached both the call and the detach are no-ops.
-func (t *Tree) AttachChainPrefetch(it *Iterator, hi int64) func() {
-	pf := t.pool.Prefetcher()
-	if pf == nil || it == nil || it.done {
-		return func() {}
-	}
-	ch := pf.Start(nil)
-	if ch == nil {
-		return func() {}
-	}
-	it.chain, it.seedHi, it.notified = ch, hi, disk.InvalidPageID
-	return func() {
-		it.chain = nil
-		ch.Finish()
-	}
 }
 
 // ScanLeavesRID calls fn for every entry in key order with its record id
@@ -929,7 +840,6 @@ func (t *Tree) Range(lo, hi int64, fn func(key int64, payload []byte) (bool, err
 		return err
 	}
 	defer it.Close()
-	defer t.AttachChainPrefetch(it, hi)()
 	for {
 		k, p, ok, err := it.Next()
 		if err != nil {

@@ -27,6 +27,14 @@ import (
 // DefaultPoolSize is the paper's buffer size: 100 pages.
 const DefaultPoolSize = 100
 
+// BatchSortMin is the batch size below which the page-ordered batch
+// paths (btree.GetBatch and the batch probes built on it) degenerate to
+// a per-request loop in input order. A handful of probes gains nothing
+// from sorting, and reordering them would perturb the buffer pool's
+// eviction sequence — small batches must cost exactly what the
+// equivalent loop costs.
+const BatchSortMin = 16
+
 // Stats counts buffer-pool events. Disk-level reads/writes are tracked
 // by the disk manager; these counters describe pool behaviour.
 type Stats struct {
@@ -266,10 +274,6 @@ type Pool struct {
 	obsMu sync.Mutex
 	obs   obs.Ctx
 
-	// pref is the attached asynchronous prefetcher, nil when prefetch is
-	// disabled (the default — the paper's synchronous access pattern).
-	pref atomic.Pointer[Prefetcher]
-
 	// noSteal arms the WAL write-ahead gate: frames dirtied while it is
 	// on are marked unlogged and pinned to memory (not evictable, not
 	// flushable) until CollectUnlogged captures their images for the
@@ -365,15 +369,6 @@ func (p *Pool) Obs() obs.Ctx {
 	return p.obs
 }
 
-// SetPrefetcher attaches (or, with nil, detaches) the asynchronous
-// prefetcher scans consult. The caller owns the prefetcher's lifecycle:
-// detach it here before Close so new scans stop seeing it.
-func (p *Pool) SetPrefetcher(pf *Prefetcher) { p.pref.Store(pf) }
-
-// Prefetcher returns the attached prefetcher, or nil when prefetch is
-// off. Scans treat the nil result (and nil Chains) as inert.
-func (p *Pool) Prefetcher() *Prefetcher { return p.pref.Load() }
-
 // Resident returns the number of frames currently holding a page — the
 // buffer-pool residency gauge.
 func (p *Pool) Resident() int {
@@ -420,7 +415,7 @@ func (s *shard) pinLockedFetch(id disk.PageID) ([]byte, error) {
 }
 
 // PinScan is Pin for sweeps big enough to flood the pool (btree.GetBatch
-// decides; the prefetcher stages every page with it): a resident page
+// decides): a resident page
 // is pinned without touching its replacement state, while a page the
 // sweep has to load from disk is marked read-once, so unpinning it
 // sends it to the eviction end instead of displacing the hot set.
@@ -468,29 +463,12 @@ func (p *Pool) GetBatch(ids []disk.PageID, fn func(i int, buf []byte) error) err
 		}
 		return order[a] < order[b]
 	})
-	// The sorted distinct ids are exactly the sweep's page plan — hand it
-	// to the prefetcher (when attached) so upcoming pages stage while the
-	// current one is consumed.
-	var ch *Chain
-	if pf := p.Prefetcher(); pf != nil {
-		plan := make([]disk.PageID, 0, len(order))
-		for _, o := range order {
-			if id := ids[o]; len(plan) == 0 || id != plan[len(plan)-1] {
-				plan = append(plan, id)
-			}
-		}
-		if len(plan) > 1 {
-			ch = pf.Start(plan)
-			defer ch.Finish()
-		}
-	}
 	for i := 0; i < len(order); {
 		id := ids[order[i]]
 		buf, err := p.Pin(id)
 		if err != nil {
 			return err
 		}
-		ch.Consumed(id)
 		for ; i < len(order) && ids[order[i]] == id; i++ {
 			if err := fn(order[i], buf); err != nil {
 				p.Unpin(id, false)

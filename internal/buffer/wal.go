@@ -107,7 +107,7 @@ func (p *Pool) CollectUnlogged(fn func(id disk.PageID, img []byte) error) error 
 // buffer pool's share of a simulated process kill (frames are DRAM;
 // the page file and the synced log prefix are what survive). It
 // refuses pinned frames: a crash simulation must quiesce operators
-// (and the prefetcher) first, and a leaked pin is a bug worth
+// first, and a leaked pin is a bug worth
 // surfacing, not silently dropping.
 func (p *Pool) DropAll() error {
 	for _, s := range p.shards {

@@ -173,9 +173,6 @@ func (c *Core) Flush() error {
 // ResetCold flushes and empties the buffer pool and zeroes the disk
 // counters: the next query starts from a cold, clean state.
 func (c *Core) ResetCold() error {
-	// Quiesce the prefetcher first: Invalidate refuses pinned pages, and
-	// staged prefetch pages hold pins. Nil-safe no-op when prefetch is off.
-	c.Pool.Prefetcher().Drain()
 	if err := c.Flush(); err != nil {
 		return err
 	}
@@ -186,14 +183,12 @@ func (c *Core) ResetCold() error {
 	return nil
 }
 
-// Close releases background resources (the prefetcher's workers). Safe
-// to call twice and concurrently with running queries: in-flight scans
-// fall back to synchronous reads.
-func (c *Core) Close() {
-	pf := c.Pool.Prefetcher()
-	c.Pool.SetPrefetcher(nil)
-	pf.Close()
-}
+// Close does nothing: a core runs no background work to stop. Nothing
+// in the module needs it; it stays so that callers written when it did
+// still compile — the benchmark driver's engine and probe harnesses
+// (benchmark/engine.go, benchmark/probes.go) close their workload.DB
+// with it.
+func (c *Core) Close() {}
 
 // --- write-ahead log ---
 

@@ -2,8 +2,8 @@
 // fault schedules and held to one contract — a run either returns rows
 // identical to the fault-free baseline or surfaces a clean error
 // attributed to the injector (errors.Is(err, disk.ErrFaulted)). A
-// panic, a hang, a leaked pin, a staged prefetch page left behind, a
-// broken cache invariant, or a silently wrong answer is a violation.
+// panic, a hang, a leaked pin, a broken cache invariant, or a silently
+// wrong answer is a violation.
 package harness
 
 import (
@@ -63,16 +63,15 @@ const scheduleTimeout = 120 * time.Second
 // txnchaos hammer): all six strategies on a database small enough that
 // the full grid's ten schedules each finish in seconds, a mixed
 // workload, and fault rates that fire a handful of times per schedule.
-// Batched probes and the prefetcher are enabled — the concurrent code
-// paths are exactly what fault coverage is for. The seed is the fault
-// seed base; the database is the same on every run.
+// Batched probes are enabled — the page-ordered batch paths are exactly
+// what fault coverage is for. The seed is the fault seed base; the
+// database is the same on every run, and so is every cell.
 func chaosGrid(o SweepOpts) ChaosConfig {
 	return ChaosConfig{
 		DB: workload.Config{
-			NumParents:      400,
-			Seed:            42,
-			ProbeBatch:      true,
-			PrefetchEnabled: true,
+			NumParents: 400,
+			Seed:       42,
+			ProbeBatch: true,
 		},
 		Strategies:         strategy.AllKinds,
 		Schedules:          pick(o, 10, 3),
@@ -124,7 +123,6 @@ type ChaosRun struct {
 	Recovered     int64           `json:"buffer_recovered"`
 	CacheDegraded int64           `json:"cache_degraded"`
 	CacheOrphans  int64           `json:"cache_orphans"`
-	PrefetchErrs  int64           `json:"prefetch_fetch_errors"`
 }
 
 // tally adds the schedule's counts to its strategy's cell. Clean-error
@@ -180,8 +178,8 @@ type (
 
 // Cells flattens the sweep into one envelope cell per strategy.
 // Violations are deterministic (seeded schedules) and gate; so do chaos's
-// baseline reads, which replay exactly with the prefetcher off and move
-// by a page or two with it on; the rest is each run type's tally.
+// baseline reads, which replay exactly; the rest is each run type's
+// tally.
 func (b *ScheduleBench[R]) Cells() []bench.Cell {
 	var cells []bench.Cell
 	for _, s := range b.Strategies {
@@ -242,14 +240,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosBench, error) {
 		out.BaselineReads = baseReads
 
 		// Control schedule: no faults installed. Rows must match the
-		// baseline, and with the prefetcher off (no worker/consumer timing
-		// races) the page-read count must be bit-identical — the regression
-		// gate for "retry plumbing changed nothing when faults are off".
-		control := scheduleSpec{cfg: cfg, kind: kind, dbCfg: dbCfg, base: base, seed: -1, faulted: false, wantReads: -1}
-		if !dbCfg.PrefetchEnabled {
-			control.wantReads = baseReads
-		}
-		out.Control = runChaosSchedule(control)
+		// baseline and the page-read count must be bit-identical — the
+		// regression gate for "retry plumbing changed nothing when faults
+		// are off".
+		out.Control = runChaosSchedule(scheduleSpec{cfg: cfg, kind: kind, dbCfg: dbCfg, base: base, seed: -1, faulted: false, wantReads: baseReads})
 
 		for s := 0; s < cfg.Schedules; s++ {
 			spec := scheduleSpec{cfg: cfg, kind: kind, dbCfg: dbCfg, base: base, seed: cfg.FaultSeed + int64(s), faulted: true, wantReads: -1}
@@ -276,7 +270,6 @@ func openSubject(kind strategy.Kind, dbCfg workload.Config, ops int, prUpdate fl
 	}
 	st, err := strategy.New(kind, db)
 	if err != nil {
-		db.Close()
 		return nil, fmt.Errorf("strategy: %w", err)
 	}
 	return &subject{db: db, st: st, ops: db.GenSequence(ops, prUpdate, numTop)}, nil
@@ -330,7 +323,6 @@ func chaosBaseline(cfg ChaosConfig, kind strategy.Kind, dbCfg workload.Config) (
 	if err != nil {
 		return nil, 0, err
 	}
-	defer s.db.Close()
 	if err := s.db.ResetCold(); err != nil {
 		return nil, 0, err
 	}
@@ -419,7 +411,6 @@ func (l *scheduleLog) exec(i int, s *subject, op workload.Op) ([]int64, opOutcom
 func runChaosScheduleBody(spec scheduleSpec, run *ChaosRun) {
 	s, err := openSubject(spec.kind, spec.dbCfg, spec.cfg.Ops, spec.cfg.PrUpdate, spec.cfg.NumTop)
 	if err == nil {
-		defer s.db.Close()
 		err = s.db.ResetCold()
 	}
 	if err != nil {
@@ -467,10 +458,6 @@ func runChaosScheduleBody(spec scheduleSpec, run *ChaosRun) {
 			run.violate(i, "pin-leak", fmt.Sprintf("%d pages still pinned after op", n))
 			break // later ops would wedge on the leaked pins
 		}
-		if n := db.Pool.Prefetcher().StagedCount(); n != 0 {
-			run.violate(i, "staged-leak", fmt.Sprintf("%d prefetched pages still staged after op", n))
-			break
-		}
 	}
 
 	// Snapshot the measured-phase reads before the post-schedule audit
@@ -495,7 +482,6 @@ func runChaosScheduleBody(spec scheduleSpec, run *ChaosRun) {
 	poolAfter := db.Pool.Stats().Sub(poolBefore)
 	run.Retries = poolAfter.Retries
 	run.Recovered = poolAfter.Recovered
-	run.PrefetchErrs = db.Pool.Prefetcher().Stats().FetchErrs
 	if spec.wantReads >= 0 {
 		if got := endReads - startReads; got != spec.wantReads {
 			run.violate(-1, "wrong-rows", fmt.Sprintf("control run read %d pages, baseline read %d — fault-free behaviour drifted", got, spec.wantReads))

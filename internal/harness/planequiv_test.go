@@ -40,7 +40,6 @@ func TestPlannerDifferentialFigureGrid(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer db.Close()
 
 			pl, err := planner.NewPlanned(db, nil)
 			if err != nil {

@@ -133,7 +133,6 @@ func RunPlannerSweep(cfg PlannerSweepConfig) (*PlannerSweepResult, error) {
 	for i, ph := range cfg.Phases {
 		phaseOps[i] = gen.GenSequence(ph.Retrieves, ph.PrUpdate, ph.NumTop)
 	}
-	gen.Close()
 
 	// Build the arms: every candidate static strategy plus the planner.
 	// Each holds a DFSCACHE strategy over the same database as its updater.
@@ -149,7 +148,6 @@ func RunPlannerSweep(cfg PlannerSweepConfig) (*PlannerSweepResult, error) {
 			a.st, err = strategy.New(kind, s.db)
 		}
 		if err != nil {
-			s.db.Close()
 			return nil, err
 		}
 		return a, nil
@@ -165,11 +163,6 @@ func RunPlannerSweep(cfg PlannerSweepConfig) (*PlannerSweepResult, error) {
 		}
 		arms = append(arms, a)
 	}
-	defer func() {
-		for _, a := range arms {
-			a.db.Close()
-		}
-	}()
 	for _, a := range arms {
 		if err := a.db.ResetCold(); err != nil {
 			return nil, err

@@ -53,7 +53,6 @@ func RunReclustChaos(cfg ChaosConfig) ([]Violation, error) {
 		return nil, err
 	}
 	db, st, updaters := h.db, h.st, len(h.batches)
-	defer db.Close()
 	members := 0
 	for _, b := range h.batches {
 		members += len(b)
@@ -156,7 +155,6 @@ func RunReclustChaos(cfg ChaosConfig) ([]Violation, error) {
 	if err != nil {
 		return h.log.Violations, fmt.Errorf("harness: reclust chaos control: %w", err)
 	}
-	defer ctl.db.Close()
 	for u := range h.batches {
 		if err := ctl.st.Update(ctl.db, h.batchOp(u, h.rounds)); err != nil {
 			return h.log.Violations, fmt.Errorf("harness: reclust chaos control update: %w", err)
@@ -211,7 +209,6 @@ func runReclustCrashSchedule(cfg ChaosConfig, dbCfg workload.Config, seed int64,
 		return err
 	}
 	db, st := s.db, s.st
-	defer db.Close()
 	if err := db.EnableReclustering(0, 0); err != nil {
 		return err
 	}
@@ -290,7 +287,6 @@ func runReclustCrashSchedule(cfg ChaosConfig, dbCfg workload.Config, seed int64,
 	if err != nil {
 		return err
 	}
-	defer ctl.db.Close()
 	compareWithControl(s, ctl, fullSweeps(db), false, violate)
 
 	// The recovered database keeps reorganizing: one more batch (the WAL

@@ -124,17 +124,14 @@ func RunReclustSweep(cfg ReclustSweepConfig) (*ReclustSweep, error) {
 		return nil, err
 	}
 	subject, ops := subj.db, subj.ops // the database that reclusters
-	defer subject.Close()
 	control, err := openSubject(strategy.DFSCLUST, scattered, 0, 0, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer control.db.Close()
 	static, err := openSubject(strategy.DFSCLUST, base, 0, 0, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer static.db.Close()
 
 	// DFSCLUST retrieves feed the subject's heat tracker directly.
 	if err := subject.EnableReclustering(cfg.HeatCap, cfg.HalfLife); err != nil {

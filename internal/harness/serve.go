@@ -154,7 +154,6 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		return nil, err
 	}
 	db, st := subj.db, subj.st
-	defer db.Close()
 	chunks := make([][]workload.Op, cfg.Clients)
 	for i, op := range subj.ops {
 		c := i % cfg.Clients

@@ -76,22 +76,18 @@ func TestVersionedDifferentialAllStrategies(t *testing.T) {
 				}
 				st, err := strategy.New(kind, db)
 				if err != nil {
-					db.Close()
 					t.Fatal(err)
 				}
 				ops := db.GenSequence(40, 0.4, 6)
 				if err := db.ResetCold(); err != nil {
-					db.Close()
 					t.Fatal(err)
 				}
 				return db, st, ops
 			}
 			dbA, stA, opsA := build()
-			defer dbA.Close()
 			baseRows, baseFinal := runSequenceRows(t, dbA, stA, opsA, false)
 
 			dbB, stB, opsB := build()
-			defer dbB.Close()
 			if len(opsA) != len(opsB) {
 				t.Fatalf("sequence regeneration diverged: %d vs %d ops", len(opsA), len(opsB))
 			}

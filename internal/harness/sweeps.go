@@ -16,7 +16,7 @@ type Violation struct {
 	Strategy string `json:"strategy"`
 	Seed     int64  `json:"seed"`
 	OpIndex  int    `json:"op_index"`
-	Kind     string `json:"kind"` // gate | panic | deadlock | wrong-rows | unattributed-error | pin-leak | staged-leak | cache-invariant | lost-commit | unknown-commit | rollback | torn-version | lost-update
+	Kind     string `json:"kind"` // gate | panic | deadlock | wrong-rows | unattributed-error | pin-leak | cache-invariant | lost-commit | unknown-commit | rollback | torn-version | lost-update
 	Detail   string `json:"detail"`
 }
 
@@ -84,7 +84,6 @@ type Sweep struct {
 // Sweeps lists every sweep, beside Experiments: the figures reproduce
 // the paper, the sweeps hold the subsystems added since to their gates.
 var Sweeps = []Sweep{
-	{"prefetch", "asynchronous prefetch vs the synchronous path, latency × depth: reads never rise, rows never differ", false, 1, 0, prefetchSweep},
 	{"chaos", "every strategy under seeded disk-fault schedules: rows match the fault-free baseline or the error names the injector", false, 1000, 0, chaosSweep},
 	{"txnchaos", "concurrent sentinel updaters against snapshot auditors on the versioned store: no torn or lost versions", false, 1000, 0, txnChaosSweep},
 	{"crash", "every strategy under seeded kill-and-reopen schedules with torn writes: every acknowledged commit survives", false, 4242, 0, crashSweep},

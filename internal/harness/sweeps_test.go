@@ -132,11 +132,7 @@ func TestSweepSeedIsTheDefault(t *testing.T) {
 			want := quickReport(t, s.Name).Cells()
 			for i, c := range rep.Cells() {
 				for m, v := range c.Metrics {
-					// One gated metric does not replay exactly: chaos runs
-					// with the prefetcher on, whose worker timing moves
-					// baseline_reads by a page or two (ROADMAP item 7's
-					// residue).
-					if bench.MetricDirection(m) != bench.Info && m != "baseline_reads" && want[i].Metrics[m] != v {
+					if bench.MetricDirection(m) != bench.Info && want[i].Metrics[m] != v {
 						t.Errorf("%s %s: %v with -seed %d, %v without", c.Name, m, v, def, want[i].Metrics[m])
 					}
 				}
@@ -148,9 +144,6 @@ func TestSweepSeedIsTheDefault(t *testing.T) {
 // TestSweepGatesFire doctors a passing report of each gated sweep and
 // expects its Check to say so: the gates are code like any other.
 func TestSweepGatesFire(t *testing.T) {
-	prefetch := func(sync, pref int64, rows bool) Report {
-		return &PrefetchBench{Points: []*PrefetchCell{{Latency: time.Millisecond, Depth: 4, SyncReads: sync, PrefReads: pref, RowsMatch: rows}}}
-	}
 	wal := func(fsyncsPerCommit ...float64) Report {
 		s := &WALSweep{}
 		for i, f := range fsyncsPerCommit {
@@ -187,9 +180,6 @@ func TestSweepGatesFire(t *testing.T) {
 		rep  Report
 		want int
 	}{
-		{"prefetch passes", prefetch(100, 100, true), 0},
-		{"prefetch reads 101 > 100", prefetch(100, 101, true), 1},
-		{"prefetch rows differ", prefetch(100, 100, false), 1},
 		{"wal passes", wal(1, 0.6, 0.3), 0},
 		{"wal fsyncs/commit flat", wal(1, 0.6, 0.6), 1},
 		{"reclust passes", reclust(2, 30, 10, 2.2), 0},

@@ -17,8 +17,7 @@ import (
 )
 
 // File is a heap file: a forward-linked chain of TypeHeap pages. The
-// chain order is mirrored in pages so a full scan knows its page plan up
-// front (sequential readahead).
+// chain is mirrored in pages so Drop frees the file without reading it.
 type File struct {
 	pool  *buffer.Pool
 	first disk.PageID
@@ -170,20 +169,12 @@ func (f *File) Get(rid storage.RID) ([]byte, error) {
 // Scan calls fn for every live record in chain order. fn's rec slice is
 // only valid during the call; return false to stop early.
 func (f *File) Scan(fn func(rid storage.RID, rec []byte) bool) error {
-	// The chain order is known up front: hand it to the prefetcher (when
-	// attached) so the next pages stage while this one is consumed.
-	var ch *buffer.Chain
-	if pf := f.pool.Prefetcher(); pf != nil && len(f.pages) > 1 {
-		ch = pf.Start(f.pages)
-		defer ch.Finish()
-	}
 	id := f.first
 	for id != disk.InvalidPageID {
 		buf, err := f.pool.Pin(id)
 		if err != nil {
 			return err
 		}
-		ch.Consumed(id)
 		pg := storage.Page{Buf: buf}
 		stop := false
 		pg.LiveRecords(func(slot int, rec []byte) bool {

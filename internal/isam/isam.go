@@ -254,10 +254,10 @@ func (x *Index) Probe(key int64) (storage.RID, error) {
 }
 
 // ProbeBatch probes many keys, returning one RID per key in input
-// order. It is a plain Probe loop — the static index's top levels stay
-// buffered, so batching saves nothing on the index itself — but the RID
-// list it returns is what lets callers form a page-ordered plan over the
-// data pages (DFSCLUST's probe prefetch).
+// order. It is a plain Probe loop, costing exactly what the loop costs:
+// the static index's top levels stay buffered, so batching saves
+// nothing on the index itself. No strategy calls it; it stays for the
+// benchmark driver's per-layer probe (isam.probebatch_ns_per_key).
 func (x *Index) ProbeBatch(keys []int64) ([]storage.RID, error) {
 	rids := make([]storage.RID, len(keys))
 	for i, k := range keys {

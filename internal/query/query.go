@@ -26,9 +26,7 @@ type Int64Iter interface {
 // Int64Temp is a temporary relation of int64 values backed by a heap
 // file — the paper's "temp" relation "whose single attribute is OID".
 type Int64Temp struct {
-	file   *heap.File
-	max    int64
-	hasMax bool
+	file *heap.File
 }
 
 // NewInt64Temp creates an empty temporary.
@@ -52,27 +50,21 @@ func (t *Int64Temp) Append(v int64) error {
 // the pool between the run's appends and must Close the run — before
 // reading the temporary, and before appending to another one.
 type TempAppender struct {
-	t *Int64Temp
 	a heap.Appender
 }
 
 // Appender starts an append run; nothing is pinned until its first
 // Append.
 func (t *Int64Temp) Appender() TempAppender {
-	return TempAppender{t: t, a: t.file.Appender()}
+	return TempAppender{a: t.file.Appender()}
 }
 
 // Append adds one value to the run.
 func (w *TempAppender) Append(v int64) error {
 	var rec [8]byte
 	binary.LittleEndian.PutUint64(rec[:], uint64(v))
-	if _, err := w.a.Append(rec[:]); err != nil {
-		return err
-	}
-	if t := w.t; !t.hasMax || v > t.max {
-		t.max, t.hasMax = v, true
-	}
-	return nil
+	_, err := w.a.Append(rec[:])
+	return err
 }
 
 // Close ends the run, releasing the tail page. It is idempotent.
@@ -85,11 +77,6 @@ func (t *Int64Temp) Count() int { return t.file.Count() }
 // until its consumer is done with it and no longer. Any open append run
 // must be closed first; the temporary must not be used afterwards.
 func (t *Int64Temp) Drop() error { return t.file.Drop() }
-
-// Max returns the largest appended value (ok=false when empty). A merge
-// join driven by this temporary never walks the inner side past Max —
-// the bound its leaf readahead stops seeding at.
-func (t *Int64Temp) Max() (int64, bool) { return t.max, t.hasMax }
 
 // Scan calls fn for each value in insertion order.
 func (t *Int64Temp) Scan(fn func(v int64) (bool, error)) error {

@@ -373,18 +373,13 @@ func project(db *workload.DB, rel *catalog.Relation, q Query, res *Result) level
 }
 
 // mergeJoinChild merge-joins a sorted temporary of keys with rel's leaf
-// scan (§3.1 [2]), handing every match to take. The scan never passes
-// the temporary's maximum: leaf readahead (when a prefetcher is
-// attached) stops seeding there.
+// scan (§3.1 [2]), handing every match to take.
 func mergeJoinChild(db *workload.DB, rel *catalog.Relation, sorted *query.Int64Temp, take levelStep) error {
 	it, err := rel.Tree.SeekFirst()
 	if err != nil {
 		return err
 	}
 	defer it.Close()
-	if mx, ok := sorted.Max(); ok {
-		defer rel.Tree.AttachChainPrefetch(it, mx)()
-	}
 	return query.MergeJoin(db.Obs, sorted.Iter(), it, take)
 }
 

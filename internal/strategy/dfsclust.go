@@ -6,8 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"corep/internal/buffer"
-	"corep/internal/disk"
 	"corep/internal/object"
 	"corep/internal/storage"
 	"corep/internal/tuple"
@@ -138,11 +136,6 @@ type clustScan struct {
 	hasPar bool
 	unit   []object.OID
 	local  []localVal
-	// Per resolve, parallel to unit: where each member's value comes
-	// from; keys and plan are the prefetch branch's probe list and pages.
-	members []member
-	keys    []int64
-	plan    []disk.PageID
 }
 
 // localVal is one subobject row of the current group: its OID and the
@@ -151,20 +144,6 @@ type localVal struct {
 	oid object.OID
 	val int64
 }
-
-// member is how resolve answers one unit member.
-type member struct {
-	from uint8
-	val  int64       // fromGroup
-	rid  storage.RID // fromExtent, fromTree
-}
-
-const (
-	fromIndex  uint8 = iota // not located yet: ISAM probe, then the tree
-	fromGroup               // rode along the scan
-	fromExtent              // migrated: read through its placement
-	fromTree                // RID already probed for the prefetch plan
-)
 
 // linearProbeMax is the group size up to which lookup scans the pairs;
 // a unit of the paper's size (5) never leaves it.
@@ -251,11 +230,9 @@ func (s *clustScan) scanRun(a, b int64) error {
 }
 
 // resolve answers the current group in unit order, once, charging index
-// and data fetches to ChildCost. With a prefetcher attached it resolves
-// the group's non-local probes through the ISAM index first: the RIDs'
-// data pages, deduplicated in first-occurrence order, become the
-// prefetch plan, so upcoming fetches stage while the current ones are
-// consumed.
+// and data fetches to ChildCost: a member that rode along the scan costs
+// nothing, a migrated one is read through its placement, and the rest
+// are a random access through the ISAM index on ClusterRel.OID.
 func (s *clustScan) resolve() error {
 	if !s.hasPar {
 		return nil
@@ -269,90 +246,33 @@ func (s *clustScan) resolve() error {
 	if len(s.local) > linearProbeMax && !slices.IsSortedFunc(s.local, byOID) {
 		slices.SortStableFunc(s.local, byOID)
 	}
-	s.members = slices.Grow(s.members[:0], len(s.unit))
 	for _, oid := range s.unit {
-		m := member{}
-		if v, ok := s.lookup(oid); ok {
-			m = member{from: fromGroup, val: v}
-		} else if rid, ok := db.Placed(oid, s.snapE); ok {
-			m = member{from: fromExtent, rid: rid}
-		}
-		s.members = append(s.members, m)
-	}
-
-	var ch *buffer.Chain
-	if pf := db.Pool.Prefetcher(); pf != nil {
-		// Migrated members' pages are known without an index probe: they
-		// lead the prefetch plan.
-		s.keys, s.plan = s.keys[:0], s.plan[:0]
-		for i, m := range s.members {
-			switch m.from {
-			case fromExtent:
-				s.planPage(m.rid.Page)
-			case fromIndex:
-				s.keys = append(s.keys, int64(s.unit[i]))
-			}
-		}
-		if len(s.keys) > 1 {
-			rids, err := db.ClusterRel.Index.ProbeBatch(s.keys)
-			if err != nil {
-				return fmt.Errorf("strategy: clustered probe batch: %w", err)
-			}
-			for i := range s.members {
-				if s.members[i].from == fromIndex {
-					s.members[i] = member{from: fromTree, rid: rids[0]}
-					s.planPage(rids[0].Page)
-					rids = rids[1:]
-				}
-			}
-		}
-		if len(s.plan) > 1 {
-			psp := db.Obs.Start("prefetch.probeplan")
-			psp.SetAttr("pages", int64(len(s.plan)))
-			psp.End()
-			ch = pf.Start(s.plan)
-			defer ch.Finish()
-		}
-	}
-
-	for i, oid := range s.unit {
-		m := s.members[i]
-		if m.from != fromGroup {
+		v, ok := s.lookup(oid)
+		if !ok {
 			var (
 				payload []byte
 				err     error
 			)
-			if m.from == fromExtent {
-				payload, err = db.ReadPlaced(m.rid)
+			if rid, placed := db.Placed(oid, s.snapE); placed {
+				payload, err = db.ReadPlaced(rid)
 			} else {
-				if m.from == fromIndex {
-					if m.rid, err = db.ClusterRel.Index.Probe(int64(oid)); err != nil {
-						return fmt.Errorf("strategy: clustered subobject %v: %w", oid, err)
-					}
+				var rid storage.RID
+				if rid, err = db.ClusterRel.Index.Probe(int64(oid)); err != nil {
+					return fmt.Errorf("strategy: clustered subobject %v: %w", oid, err)
 				}
-				_, payload, err = db.ClusterRel.Tree.GetAt(m.rid)
+				_, payload, err = db.ClusterRel.Tree.GetAt(rid)
 			}
 			if err != nil {
 				return err
 			}
-			ch.Consumed(m.rid.Page)
-			av, err := tuple.Int(db.ClusterSchema, payload, s.attrIdx)
-			if err != nil {
+			if v, err = tuple.Int(db.ClusterSchema, payload, s.attrIdx); err != nil {
 				return err
 			}
-			m.val = av
 		}
-		s.res.Values = append(s.res.Values, overlayInt(s.q.Snap, oid, s.q.AttrIdx, m.val))
+		s.res.Values = append(s.res.Values, overlayInt(s.q.Snap, oid, s.q.AttrIdx, v))
 	}
 	s.fetchIO += span.end()
 	return nil
-}
-
-// planPage adds id to the prefetch plan unless it is already there.
-func (s *clustScan) planPage(id disk.PageID) {
-	if !slices.Contains(s.plan, id) {
-		s.plan = append(s.plan, id)
-	}
 }
 
 func (dfsclust) Update(db *workload.DB, op workload.Op) error {

@@ -7,13 +7,11 @@ import (
 	"corep/internal/buffer"
 )
 
-// AssertNoLeaks fails the test when the pool still holds pinned frames
-// or the prefetcher still holds staged (pinned) pages. Every operator
-// and every strategy must return the pool to zero pins when it
-// finishes — a leaked pin wedges eviction for everyone sharing the
-// shard. Call it (usually via defer) after the workload under test has
-// fully completed, and after draining the prefetcher if one is
-// attached.
+// AssertNoLeaks fails the test when the pool still holds pinned
+// frames. Every operator and every strategy must return the pool to
+// zero pins when it finishes — a leaked pin wedges eviction for
+// everyone sharing the shard. Call it (usually via defer) after the
+// workload under test has fully completed.
 func AssertNoLeaks(t testing.TB, pool *buffer.Pool) {
 	t.Helper()
 	if pool == nil {
@@ -21,12 +19,5 @@ func AssertNoLeaks(t testing.TB, pool *buffer.Pool) {
 	}
 	if n := pool.PinnedCount(); n != 0 {
 		t.Errorf("buffer pool leaks %d pinned page(s)", n)
-	}
-	pf := pool.Prefetcher()
-	if n := pf.StagedCount(); n != 0 {
-		t.Errorf("prefetcher leaks %d staged page(s)", n)
-	}
-	if n := pf.InflightCount(); n != 0 {
-		t.Errorf("prefetcher still has %d request(s) in flight", n)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // truth and later reads are unaffected — but any bytes a test obtained
 // earlier that still alias a pool frame read 0xA5 afterwards. Results
 // that own their bytes do not change: that is what no-aliasing tests
-// assert. The pool must be quiescent (no pins, no prefetch in flight).
+// assert. The pool must be quiescent (no pins).
 func ScribbleFrames(t testing.TB, pool *buffer.Pool) {
 	t.Helper()
 	if err := pool.FlushAll(); err != nil {

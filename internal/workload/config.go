@@ -9,11 +9,7 @@
 // parents; updates modify a fixed number of ChildRel tuples in place.
 package workload
 
-import (
-	"fmt"
-
-	"corep/internal/buffer"
-)
+import "fmt"
 
 // Defaults from §4 of the paper.
 const (
@@ -48,15 +44,6 @@ type Config struct {
 	// figure's I/O counts; the concurrent serving path turns it on to
 	// trade fidelity for fewer page fetches.
 	ProbeBatch bool
-
-	// PrefetchEnabled turns on the asynchronous prefetcher: chain scans
-	// and page-ordered batch probes overlap upcoming page reads with
-	// query work. Off (the default), every access is synchronous exactly
-	// as the paper's testbed — all Figure 3–7 cells stay bit-identical.
-	PrefetchEnabled bool
-	// PrefetchDepth bounds the prefetch window (in-flight + staged
-	// pages). 0 with PrefetchEnabled means buffer.DefaultPrefetchDepth.
-	PrefetchDepth int
 
 	Clustered    bool // also build ClusterRel + its ISAM OID index
 	CacheUnits   int  // SizeCache; 0 disables the cache
@@ -113,9 +100,6 @@ func (c Config) WithDefaults() Config {
 	if c.CacheBuckets == 0 {
 		c.CacheBuckets = 256
 	}
-	if c.PrefetchEnabled && c.PrefetchDepth == 0 {
-		c.PrefetchDepth = buffer.DefaultPrefetchDepth
-	}
 	if c.UpdateBatch == 0 {
 		c.UpdateBatch = DefaultUpdateBatch
 	}
@@ -143,9 +127,6 @@ func (c Config) Validate() error {
 	}
 	if c.PoolShards < 0 {
 		return fmt.Errorf("workload: negative PoolShards %d", c.PoolShards)
-	}
-	if c.PrefetchDepth < 0 {
-		return fmt.Errorf("workload: negative PrefetchDepth %d", c.PrefetchDepth)
 	}
 	if c.ZipfTheta < 0 {
 		return fmt.Errorf("workload: negative ZipfTheta %g", c.ZipfTheta)

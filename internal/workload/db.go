@@ -127,7 +127,6 @@ func Build(cfg Config) (*DB, error) {
 	if err := db.ResetCold(); err != nil {
 		return nil, err
 	}
-	db.attachPrefetcher()
 	return db, nil
 }
 
@@ -177,16 +176,6 @@ func newSkeleton(cfg Config) (*DB, error) {
 	)
 
 	return db, nil
-}
-
-// attachPrefetcher starts the asynchronous prefetcher when the config
-// asks for it. Called after the build's ResetCold so load I/O is never
-// prefetched; idempotent per database.
-func (db *DB) attachPrefetcher() {
-	if !db.Cfg.PrefetchEnabled {
-		return
-	}
-	db.Pool.SetPrefetcher(buffer.NewPrefetcher(db.Pool, db.Cfg.PrefetchDepth, 0))
 }
 
 // ChildByRelID resolves a child relation from an OID's relation id.

@@ -13,7 +13,6 @@ func buildReclustDB(t *testing.T) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
 	if err := db.EnableReclustering(0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +24,6 @@ func TestEnableReclusteringErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer flat.Close()
 	if err := flat.EnableReclustering(0, 0); err == nil {
 		t.Error("reclustering enabled on a non-clustered layout")
 	}

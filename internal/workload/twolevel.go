@@ -123,7 +123,6 @@ func BuildTwoLevel(cfg TwoLevelConfig) (*TwoLevelDB, error) {
 	if err := db.ResetCold(); err != nil {
 		return nil, err
 	}
-	db.attachPrefetcher()
 	return t, nil
 }
 

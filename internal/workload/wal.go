@@ -50,7 +50,6 @@ func (db *DB) WALRollback() error {
 	if db.WAL == nil {
 		return fmt.Errorf("workload: rollback without a WAL")
 	}
-	db.Pool.Prefetcher().Drain()
 	if err := db.Pool.DropAll(); err != nil {
 		return err
 	}
@@ -72,7 +71,6 @@ func (db *DB) CrashAndRecover(keepUnsynced int64) (*wal.Result, error) {
 	if db.WAL == nil {
 		return nil, fmt.Errorf("workload: crash without a WAL")
 	}
-	db.Pool.Prefetcher().Drain()
 	if err := db.Pool.DropAll(); err != nil {
 		return nil, err
 	}

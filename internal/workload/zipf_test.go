@@ -44,12 +44,10 @@ func TestZipfThetaZeroSequenceUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
 	b, err := Build(Config{NumParents: 400, Seed: 11, CacheUnits: 50, ZipfTheta: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
 	sa := a.GenSequence(60, 0.4, 8)
 	sb := b.GenSequence(60, 0.4, 8)
 	if len(sa) != len(sb) {
@@ -75,7 +73,6 @@ func TestZipfSequenceSkewsParents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	ops := db.GenSequence(400, 0.4, 8)
 	lowLo, retrieves := 0, 0
 	targets := make(map[object.OID]int)
@@ -122,7 +119,6 @@ func TestApplyUpdateVersionedAndDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	db.EnableVersioning()
 
 	op := db.genUpdate()
