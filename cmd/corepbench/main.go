@@ -48,8 +48,6 @@ func run() int {
 		scale     = flag.String("scale", "paper", "paper or quick (for a sweep: its full or its reduced grid)")
 		seed      = flag.Int64("seed", 1, "workload generator seed (a sweep keeps its own default unless this is given)")
 		out       = flag.String("out", "", "where a single -sweep writes its envelope (default BENCH_<name>.json, SMOKE_<name>.json at quick scale)")
-		plot      = flag.Bool("plot", false, "also render an ASCII log-log chart of each table")
-		verify    = flag.Bool("verify", false, "run the cross-strategy agreement self-check and exit")
 		trace     = flag.Bool("trace", false, "stream per-span JSON lines to stderr (see -trace-out)")
 		traceOut  = flag.String("trace-out", "", "write the span stream to this file instead of stderr")
 		profile   = flag.String("profile", "", "write CPU and heap profiles to <prefix>.cpu.pprof / <prefix>.heap.pprof")
@@ -131,20 +129,6 @@ func run() int {
 		sink = obs.NewJSONLSink(w)
 	}
 
-	if *verify {
-		sc := harness.QuickScale
-		sc.Seed = *seed
-		sc.Parallel = *parallel
-		table, err := harness.VerifyAgreement(sc)
-		if table != nil {
-			table.Fprint(os.Stdout)
-		}
-		if err != nil {
-			return 1
-		}
-		return 0
-	}
-
 	if *sweepName != "" {
 		if *all || *expName != "" {
 			fmt.Fprintln(os.Stderr, "-sweep runs sweeps, -exp/-all experiments: pick one")
@@ -208,10 +192,6 @@ func run() int {
 		}
 		table.AddNote("elapsed %s", time.Since(start).Round(time.Millisecond))
 		table.Fprint(os.Stdout)
-		if *plot {
-			harness.PlotFromTable(table, true, true).Fprint(os.Stdout)
-			fmt.Println()
-		}
 	}
 	return 0
 }

@@ -109,7 +109,10 @@ func main() {
 	// snapshot epoch and check cached units against per-OID commit
 	// watermarks, so \stats shows the cache and txn counters (commits,
 	// snapshot reads, latch waits) as queries run.
-	db.EnableCache(64)
+	if err := db.EnableCache(64); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	db.EnableVersionedServing()
 	// Adaptive clustering: \path queries feed the heat tracker, \heat
 	// shows what it learned, \reclust packs the hottest units.
@@ -166,7 +169,7 @@ func main() {
 				fmt.Println("error:", err)
 				continue
 			}
-			if ws := db.WALStats(); ws != nil {
+			if ws := db.Snapshot().WAL; ws != nil {
 				fmt.Printf("checkpoint complete, wal truncated (%d truncation(s) this session)\n", ws.Truncates)
 			} else {
 				fmt.Println("checkpoint complete")
@@ -195,7 +198,7 @@ func main() {
 		case line == `\slow`:
 			printSlow(db.SlowQueries())
 		case line == `\faults`:
-			fs := db.FaultStats()
+			fs := db.Snapshot().Faults
 			fmt.Printf("faults: %d injected over %d ops (%d transient, %d permanent hits, %d torn, %d spikes); pool retried %d, recovered %d\n",
 				fs.Injected, fs.Ops, fs.Transient, fs.Permanent, fs.Torn, fs.Spikes, fs.Retries, fs.Recovered)
 		case strings.HasPrefix(line, `\plan`):

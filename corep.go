@@ -2,186 +2,21 @@
 // representation, reproducing Jhingran & Stonebraker, "Alternatives in
 // Complex Object Representation: A Performance Perspective" (ICDE 1990).
 //
-// The package offers two entry points:
-//
-//   - The workload API (this file): generate the paper's parameterized
-//     databases (§4), run its query-processing strategies (DFS, BFS,
-//     BFSNODUP, DFSCACHE, DFSCLUST, SMART) and measure I/O — everything
-//     needed to regenerate the paper's figures, at paper scale or your
-//     own parameter points.
-//
-//   - The object API (database.go): a small complex-object database for
-//     your own schemas, supporting the paper's representation matrix —
-//     procedural, OID-list and value-based primary representations —
-//     with multi-dot path retrieval (group.members.name) and a QUEL-like
-//     retrieve language.
+// Its one entry point is Database: a small complex-object database for
+// your own schemas, supporting the paper's representation matrix —
+// procedural, OID-list and value-based primary representations — with
+// multi-dot path retrieval (group.members.name) and a QUEL-like retrieve
+// language. The examples in this package's tests walk through all three
+// representations, multi-level navigation and a file-backed database.
 //
 // Everything runs on a from-scratch storage engine (2 KB slotted pages,
-// a 100-page LRU buffer pool, B-tree / ISAM / hash access methods) whose
-// counted page I/O is the performance model, mirroring the paper's
-// INGRES testbed.
+// an LRU buffer pool, B-tree / ISAM / hash access methods) whose counted
+// page I/O is the performance model, mirroring the paper's INGRES
+// testbed. The paper's figures and the benchmark sweeps are regenerated
+// by cmd/corepbench, which drives the engine's strategies directly.
 package corep
 
-import (
-	"io"
-
-	"corep/internal/harness"
-	"corep/internal/strategy"
-	"corep/internal/workload"
-)
-
-// WorkloadConfig parameterizes a generated experiment database; zero
-// fields default to the paper's environment (10,000 parents, SizeUnit 5,
-// 200/100-byte tuples, 100-page buffer). See workload.Config.
-type WorkloadConfig = workload.Config
-
-// Workload is a generated experiment database.
-type Workload struct {
-	db *workload.DB
-}
-
-// Strategy identifies a query-processing strategy.
-type Strategy = strategy.Kind
-
-// The strategies of the paper's Figure 2 plus the SMART hybrid of §5.3
-// and the inside-caching ablation.
-const (
-	DFS            = strategy.DFS
-	BFS            = strategy.BFS
-	BFSNoDup       = strategy.BFSNODUP
-	DFSCache       = strategy.DFSCACHE
-	DFSClust       = strategy.DFSCLUST
-	Smart          = strategy.SMART
-	DFSCacheInside = strategy.DFSCACHEINSIDE
-)
-
-// Strategies lists the paper's strategies.
-var Strategies = strategy.AllKinds
-
-// NewWorkload builds a database for the given parameter point. Supply
-// Clustered / CacheUnits in the config for the strategies that need
-// them.
-func NewWorkload(cfg WorkloadConfig) (*Workload, error) {
-	db, err := workload.Build(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Workload{db: db}, nil
-}
-
-// Query is one retrieve:
-//
-//	retrieve (ParentRel.children.attr) where lo ≤ ParentRel.OID ≤ hi
-type Query = strategy.Query
-
-// Retrieve-attribute indices (ret1..ret3 of §4).
-const (
-	Ret1 = workload.FieldRet1
-	Ret2 = workload.FieldRet2
-	Ret3 = workload.FieldRet3
-)
-
-// Result is a retrieve's values plus its measured I/O split.
-type Result = strategy.Result
-
-// Retrieve answers q with the given strategy, charging simulated I/O.
-func (w *Workload) Retrieve(s Strategy, q Query) (*Result, error) {
-	st, err := strategy.New(s, w.db)
-	if err != nil {
-		return nil, err
-	}
-	return st.Retrieve(w.db, q)
-}
-
-// Op is one element of a generated query sequence.
-type Op = workload.Op
-
-// GenSequence produces a shuffled sequence of numRetrieves retrieves at
-// the given NumTop mixed with updates at fraction prUpdate (§4).
-func (w *Workload) GenSequence(numRetrieves int, prUpdate float64, numTop int) []Op {
-	return w.db.GenSequence(numRetrieves, prUpdate, numTop)
-}
-
-// Measurement summarizes a measured sequence run.
-type Measurement = harness.Measurement
-
-// Measure runs ops through strategy s from a cold buffer and reports
-// average I/O — the paper's yardstick.
-func (w *Workload) Measure(s Strategy, ops []Op) (*Measurement, error) {
-	st, err := strategy.New(s, w.db)
-	if err != nil {
-		return nil, err
-	}
-	return harness.Execute(w.db, st, ops)
-}
-
-// IOStats reports the cumulative simulated disk traffic.
+// IOStats reports the cumulative disk traffic.
 type IOStats struct {
 	Reads, Writes int64
-}
-
-// Stats returns the workload's cumulative I/O counters.
-func (w *Workload) Stats() IOStats {
-	s := w.db.Disk.Stats()
-	return IOStats{Reads: s.Reads, Writes: s.Writes}
-}
-
-// ResetCold empties the buffer pool and zeroes the counters so the next
-// query starts cold.
-func (w *Workload) ResetCold() error { return w.db.ResetCold() }
-
-// Experiment names one of the paper's reproducible figures/tables; see
-// ListExperiments.
-type Experiment = harness.Experiment
-
-// ExperimentTable is a printable experiment result.
-type ExperimentTable = harness.Table
-
-// ListExperiments returns every registered experiment (figures 3, 4, 5
-// and 7, §6.2, §5.3, and the ablations).
-func ListExperiments() []Experiment { return harness.Experiments }
-
-// RunExperiment runs a named experiment at paper scale (quick=false) or
-// reduced scale (quick=true).
-func RunExperiment(name string, quick bool) (*ExperimentTable, error) {
-	e, ok := harness.FindExperiment(name)
-	if !ok {
-		return nil, errUnknownExperiment(name)
-	}
-	sc := harness.PaperScale
-	if quick {
-		sc = harness.QuickScale
-	}
-	return e.Run(sc)
-}
-
-// RenderExperiment runs a named experiment and writes its table — and,
-// when plot is true, an ASCII log-log chart — to w.
-func RenderExperiment(w io.Writer, name string, quick, plot bool) error {
-	table, err := RunExperiment(name, quick)
-	if err != nil {
-		return err
-	}
-	table.Fprint(w)
-	if plot {
-		harness.PlotFromTable(table, true, true).Fprint(w)
-	}
-	return nil
-}
-
-// VerifySelfCheck runs the cross-strategy agreement check (the engine's
-// end-to-end self-test) and writes its report to w; a non-nil error
-// means some strategy disagreed.
-func VerifySelfCheck(w io.Writer) error {
-	table, err := harness.VerifyAgreement(harness.QuickScale)
-	if table != nil {
-		table.Fprint(w)
-	}
-	return err
-}
-
-type errUnknownExperiment string
-
-func (e errUnknownExperiment) Error() string {
-	return "corep: unknown experiment " + string(e)
 }

@@ -1,114 +1,11 @@
 package corep_test
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
 	"corep"
 )
-
-// --- workload API ---
-
-func newBenchWorkload(t *testing.T) *corep.Workload {
-	t.Helper()
-	w, err := corep.NewWorkload(corep.WorkloadConfig{
-		NumParents: 500,
-		UseFactor:  5,
-		Clustered:  true,
-		CacheUnits: 50,
-		Seed:       3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
-func TestWorkloadRetrieveAllStrategies(t *testing.T) {
-	w := newBenchWorkload(t)
-	q := corep.Query{Lo: 10, Hi: 29, AttrIdx: corep.Ret1}
-	var want []int64
-	for i, s := range corep.Strategies {
-		res, err := w.Retrieve(s, q)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		if s == corep.BFSNoDup {
-			continue // set semantics
-		}
-		got := append([]int64(nil), res.Values...)
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		if i == 0 {
-			want = got
-			if len(want) != 20*5 {
-				t.Fatalf("expected 100 values, got %d", len(want))
-			}
-			continue
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v returned %d values, want %d", s, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("%v disagrees at %d", s, j)
-			}
-		}
-	}
-}
-
-func TestWorkloadMeasure(t *testing.T) {
-	w := newBenchWorkload(t)
-	ops := w.GenSequence(20, 0.25, 10)
-	m, err := w.Measure(corep.BFS, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Retrieves != 20 {
-		t.Fatalf("retrieves = %d", m.Retrieves)
-	}
-	if m.Updates == 0 {
-		t.Fatal("no updates in mixed sequence")
-	}
-	if m.AvgIO <= 0 {
-		t.Fatalf("avg I/O = %f", m.AvgIO)
-	}
-}
-
-func TestWorkloadStatsAndReset(t *testing.T) {
-	w := newBenchWorkload(t)
-	if _, err := w.Retrieve(corep.DFS, corep.Query{Lo: 0, Hi: 9, AttrIdx: corep.Ret2}); err != nil {
-		t.Fatal(err)
-	}
-	if s := w.Stats(); s.Reads == 0 {
-		t.Fatal("no reads counted")
-	}
-	if err := w.ResetCold(); err != nil {
-		t.Fatal(err)
-	}
-	if s := w.Stats(); s.Reads != 0 {
-		t.Fatal("reset did not zero counters")
-	}
-}
-
-func TestListAndRunExperiment(t *testing.T) {
-	exps := corep.ListExperiments()
-	if len(exps) < 6 {
-		t.Fatalf("only %d experiments registered", len(exps))
-	}
-	names := map[string]bool{}
-	for _, e := range exps {
-		names[e.Name] = true
-	}
-	for _, want := range []string{"fig3", "fig4", "fig5", "fig7", "nchild", "smart"} {
-		if !names[want] {
-			t.Fatalf("experiment %q missing", want)
-		}
-	}
-	if _, err := corep.RunExperiment("no-such-figure", true); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-}
 
 // --- object API ---
 
@@ -346,34 +243,4 @@ func joinVals(vals []corep.Value) string {
 		parts[i] = v.Str
 	}
 	return strings.Join(parts, " ")
-}
-
-func TestRenderExperiment(t *testing.T) {
-	// Smallest real experiment at quick scale is still seconds; exercise
-	// the rendering path through the error branch plus a real run of the
-	// cheapest experiment.
-	var sb strings.Builder
-	if err := corep.RenderExperiment(&sb, "no-such", true, false); err == nil {
-		t.Fatal("unknown experiment rendered")
-	}
-	if err := corep.RenderExperiment(&sb, "abl-cachesize", true, true); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "abl-cachesize") || !strings.Contains(out, "SizeCache") {
-		t.Fatalf("render output missing table:\n%s", out)
-	}
-}
-
-func TestVerifySelfCheckAPI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("self-check runs full quick-scale agreement")
-	}
-	var sb strings.Builder
-	if err := corep.VerifySelfCheck(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "PASS") {
-		t.Fatalf("self-check output:\n%s", sb.String())
-	}
 }

@@ -174,9 +174,6 @@ func (d *Database) CreateRelation(name string, fields ...FieldDef) (*Relation, e
 	return r, nil
 }
 
-// Name returns the relation's name.
-func (r *Relation) Name() string { return r.rel.Name }
-
 // Children is a value for a children attribute: exactly one of the
 // three primary representations of §2.1.
 type Children struct {

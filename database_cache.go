@@ -45,16 +45,8 @@ func (d *Database) EnableCache(maxUnits int) error {
 	return d.core.NewCache(maxUnits, buckets, 1)
 }
 
-// CacheStats reports cache event counters (zero value when no cache).
+// CacheStats reports cache event counters (Snapshot.Cache).
 type CacheStats = cache.Stats
-
-// CacheStats returns the cache counters.
-func (d *Database) CacheStats() CacheStats {
-	if d.core.Cache == nil {
-		return CacheStats{}
-	}
-	return d.core.Cache.Stats()
-}
 
 // CachedUnits returns how many units are currently cached.
 func (d *Database) CachedUnits() int {

@@ -63,11 +63,11 @@ func TestCachedOIDPath(t *testing.T) {
 		t.Fatalf("cached units = %d", db.CachedUnits())
 	}
 	// Second retrieval hits the cache.
-	before := db.CacheStats()
+	before := *db.Snapshot().Cache
 	if _, err := db.RetrievePathCached("group", "members", "name", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	delta := db.CacheStats().Sub(before)
+	delta := db.Snapshot().Cache.Sub(before)
 	if delta.Hits == 0 || delta.Misses != 0 {
 		t.Fatalf("cache delta = %+v", delta)
 	}
@@ -82,7 +82,7 @@ func TestCachedProcPath(t *testing.T) {
 	if joinVals(names) != "John Mary Paul" {
 		t.Fatalf("got %q", joinVals(names))
 	}
-	before := db.CacheStats()
+	before := *db.Snapshot().Cache
 	names, err = db.RetrievePathCached("group", "members", "name", 2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestCachedProcPath(t *testing.T) {
 	if joinVals(names) != "John Mary Paul" {
 		t.Fatalf("cached read got %q", joinVals(names))
 	}
-	if delta := db.CacheStats().Sub(before); delta.Hits == 0 {
+	if delta := db.Snapshot().Cache.Sub(before); delta.Hits == 0 {
 		t.Fatalf("no cache hit: %+v", delta)
 	}
 }
@@ -162,14 +162,14 @@ func TestProcEntrySharedAcrossGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	units := db.CachedUnits()
-	before := db.CacheStats()
+	before := *db.Snapshot().Cache
 	if _, err := db.RetrievePathCached("group", "members", "name", 3, 3); err != nil {
 		t.Fatal(err)
 	}
 	if db.CachedUnits() != units {
 		t.Fatalf("second group created its own entry: %d → %d", units, db.CachedUnits())
 	}
-	if delta := db.CacheStats().Sub(before); delta.Hits == 0 {
+	if delta := db.Snapshot().Cache.Sub(before); delta.Hits == 0 {
 		t.Fatal("second group missed the shared entry")
 	}
 }

@@ -22,11 +22,11 @@ func TestCacheOIDsModeBasic(t *testing.T) {
 		t.Fatalf("cached units = %d", db.CachedUnits())
 	}
 	// Second retrieval hits the cached identity list.
-	before := db.CacheStats()
+	before := *db.Snapshot().Cache
 	if _, err := db.RetrievePathCached("group", "members", "name", 2, 2); err != nil {
 		t.Fatal(err)
 	}
-	if delta := db.CacheStats().Sub(before); delta.Hits == 0 {
+	if delta := db.Snapshot().Cache.Sub(before); delta.Hits == 0 {
 		t.Fatalf("no hit: %+v", delta)
 	}
 }

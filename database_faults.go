@@ -38,9 +38,9 @@ type FaultStats struct {
 
 // SetFaultPlan installs a seeded fault plan on the database's disk, or
 // clears it when cfg is nil. It reports false on backends without
-// fault injection. Queries hitting injected faults return errors
-// satisfying IsFault; transient errors are usually absorbed by the
-// buffer pool's retry policy (see FaultStats).
+// fault injection. Queries hitting injected faults return errors;
+// transient ones are usually absorbed by the buffer pool's retry
+// policy (see Snapshot.Faults).
 func (d *Database) SetFaultPlan(cfg *FaultConfig) bool {
 	f, ok := d.core.Disk.(interface{ SetFault(disk.FaultFunc) })
 	if !ok {
@@ -63,9 +63,9 @@ func (d *Database) SetFaultPlan(cfg *FaultConfig) bool {
 	return true
 }
 
-// FaultStats returns the installed plan's injection counters (zero when
+// faultStats returns the installed plan's injection counters (zero when
 // no plan is installed) alongside the buffer pool's retry counters.
-func (d *Database) FaultStats() FaultStats {
+func (d *Database) faultStats() FaultStats {
 	var out FaultStats
 	if d.faults != nil {
 		s := d.faults.Stats()
@@ -83,7 +83,3 @@ func (d *Database) FaultStats() FaultStats {
 	out.Recovered = ps.Recovered
 	return out
 }
-
-// IsFault reports whether err originates from injected fault, letting
-// callers distinguish chaos-induced failures from real bugs.
-func IsFault(err error) bool { return disk.IsFault(err) }

@@ -3,6 +3,8 @@ package corep
 import (
 	"strings"
 	"testing"
+
+	"corep/internal/disk"
 )
 
 // buildFaultDB makes a database whose pool is small enough that scans
@@ -42,7 +44,7 @@ func TestFaultPlanRetriesAreInvisible(t *testing.T) {
 	if len(got.Rows) != len(want.Rows) {
 		t.Fatalf("rows diverged under transient faults: %d vs %d", len(got.Rows), len(want.Rows))
 	}
-	fs := db.FaultStats()
+	fs := db.Snapshot().Faults
 	if fs.Injected == 0 || fs.Transient == 0 {
 		t.Fatalf("plan injected nothing: %+v", fs)
 	}
@@ -54,9 +56,9 @@ func TestFaultPlanRetriesAreInvisible(t *testing.T) {
 	if !db.SetFaultPlan(nil) {
 		t.Fatal("clearing the plan failed")
 	}
-	ops := db.FaultStats().Ops
+	ops := db.Snapshot().Faults.Ops
 	if ops != 0 {
-		t.Fatalf("cleared plan still observing ops: %+v", db.FaultStats())
+		t.Fatalf("cleared plan still observing ops: %+v", db.Snapshot().Faults)
 	}
 	if _, err := db.Query("retrieve (item.OID) where item.OID >= 1"); err != nil {
 		t.Fatalf("query after clearing plan: %v", err)
@@ -72,10 +74,10 @@ func TestFaultPlanPermanentErrorsAreAttributed(t *testing.T) {
 	if err == nil {
 		t.Fatal("scan over condemned pages succeeded")
 	}
-	if !IsFault(err) {
+	if !disk.IsFault(err) {
 		t.Fatalf("error not attributed to injection: %v", err)
 	}
-	if fs := db.FaultStats(); fs.Permanent == 0 {
+	if fs := db.Snapshot().Faults; fs.Permanent == 0 {
 		t.Fatalf("no permanent hits recorded: %+v", fs)
 	}
 }

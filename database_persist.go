@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"corep/internal/btree"
 	"corep/internal/buffer"
@@ -167,12 +168,13 @@ func (d *Database) Relation(name string) (*Relation, error) {
 	return nil, fmt.Errorf("corep: no relation %q", name)
 }
 
-// Relations lists the database's relation names.
+// Relations lists the database's relation names, sorted.
 func (d *Database) Relations() []string {
 	out := make([]string, 0, len(d.rels))
 	for n := range d.rels {
 		out = append(out, n)
 	}
+	sort.Strings(out)
 	return out
 }
 

@@ -3,7 +3,6 @@ package corep_test
 import (
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"corep"
@@ -59,7 +58,6 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	defer db2.Close()
 	names := db2.Relations()
-	sort.Strings(names)
 	if len(names) != 2 || names[0] != "group" || names[1] != "person" {
 		t.Fatalf("relations = %v", names)
 	}

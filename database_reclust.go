@@ -160,7 +160,3 @@ func (d *Database) HottestUnits(n int) []UnitHeat {
 	}
 	return out
 }
-
-// ReclustStats returns the adaptive-clustering counters (nil until
-// EnableReclustering).
-func (d *Database) ReclustStats() *ReclustStats { return d.core.ReclustStats() }

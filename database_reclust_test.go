@@ -150,7 +150,7 @@ func TestReclusteringUpdateRetiresPlacement(t *testing.T) {
 	if err := item.Update(1, Row{Int(1), Str("updated"), Int(424242)}); err != nil {
 		t.Fatal(err)
 	}
-	if db.ReclustStats().Dropped == 0 {
+	if db.Snapshot().Reclust.Dropped == 0 {
 		t.Error("update of a migrated member dropped no placement")
 	}
 	vals, err := db.RetrievePath("grp", "members", "val", 1, 1)
@@ -488,7 +488,7 @@ func TestReorganizeFailedCommitStrandsNothing(t *testing.T) {
 	if _, err := subject.Reorganize(groups); err == nil {
 		t.Fatal("Reorganize over a failing fsync reported success")
 	}
-	if st := subject.ReclustStats(); st.Placements != 0 || st.Batches != 0 {
+	if st := subject.Snapshot().Reclust; st.Placements != 0 || st.Batches != 0 {
 		t.Fatalf("failed Reorganize published: %+v", *st)
 	}
 	if durableMeta() != metaBefore || liveMeta() != live {
@@ -514,7 +514,7 @@ func TestReorganizeFailedCommitStrandsNothing(t *testing.T) {
 	if res.Units != groups || res.Objects == 0 {
 		t.Fatalf("retry skipped the stranded units: %+v", res)
 	}
-	if st := subject.ReclustStats(); st.Placements != res.Objects {
+	if st := subject.Snapshot().Reclust; st.Placements != res.Objects {
 		t.Fatalf("%d placements for %d migrated rows", st.Placements, res.Objects)
 	}
 	if got := readAll(subject); got != want {
@@ -562,10 +562,10 @@ func TestReorganizeFaultAbortsBatch(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := db.Reorganize(groups); !IsFault(err) {
+	if _, err := db.Reorganize(groups); !disk.IsFault(err) {
 		t.Fatalf("Reorganize over a condemned member page = %v, want the fault", err)
 	}
-	if st := db.ReclustStats(); st.Placements != 0 || st.Batches != 0 {
+	if st := db.Snapshot().Reclust; st.Placements != 0 || st.Batches != 0 {
 		t.Fatalf("faulted Reorganize published: %+v", *st)
 	}
 	for _, u := range db.HottestUnits(0) {
@@ -612,12 +612,12 @@ func TestVersionedCachedReclustering(t *testing.T) {
 		t.Fatalf("%d cached units after reading %d groups", db.CachedUnits(), groups)
 	}
 
-	commits := db.TxnStats().Commits
+	commits := db.Snapshot().Txn.Commits
 	res, err := db.Reorganize(groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.TxnStats().Commits; got != commits+1 {
+	if got := db.Snapshot().Txn.Commits; got != commits+1 {
 		t.Fatalf("Reorganize published %d epochs, want the batch as one", got-commits)
 	}
 	epoch := db.core.Versions.Published()
@@ -628,8 +628,8 @@ func TestVersionedCachedReclustering(t *testing.T) {
 	}
 	// Every cached unit held a moved member: the watermarks retire them
 	// all, for readers at the batch's epoch and before it alike.
-	if db.CachedUnits() != 0 || db.CacheStats().Invalidations < int64(groups) {
-		t.Fatalf("moved members' units still cached: %d units, %+v", db.CachedUnits(), db.CacheStats())
+	if db.CachedUnits() != 0 || db.Snapshot().Cache.Invalidations < int64(groups) {
+		t.Fatalf("moved members' units still cached: %d units, %+v", db.CachedUnits(), *db.Snapshot().Cache)
 	}
 	if got := fmt.Sprint(read(1, groups)); got != want {
 		t.Fatalf("values after Reorganize %v, want %v", got, want)
@@ -645,7 +645,7 @@ func TestVersionedCachedReclustering(t *testing.T) {
 	if got := read(1, 1)[0].Int; got != 424242 {
 		t.Fatalf("cached read after the update of a migrated member sees %d, want 424242", got)
 	}
-	if st := db.ReclustStats(); st.Placements != res.Objects-1 || st.Dropped != 1 {
+	if st := db.Snapshot().Reclust; st.Placements != res.Objects-1 || st.Dropped != 1 {
 		t.Fatalf("update of a migrated member: %+v, want %d placements and 1 dropped", *st, res.Objects-1)
 	}
 	testutil.AssertNoLeaks(t, db.core.Pool)
@@ -669,17 +669,17 @@ func TestFacadeFailedSyncKeepsSeqAndPublishesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	commits, cached := db.TxnStats().Commits, db.CachedUnits()
+	commits, cached := db.Snapshot().Txn.Commits, db.CachedUnits()
 
 	dev.FailNextSync()
 	if err := item.Update(1, Row{Int(1), Str("x"), Int(-1)}); !errors.Is(err, wal.ErrSyncFailed) {
 		t.Fatalf("Update over a failing fsync: %v", err)
 	}
-	if st := db.TxnStats(); st.Commits != commits || st.Aborts != 1 {
+	if st := db.Snapshot().Txn; st.Commits != commits || st.Aborts != 1 {
 		t.Fatalf("in-doubt update published an epoch: %+v", *st)
 	}
-	if db.CachedUnits() != cached || db.CacheStats().Invalidations != 0 {
-		t.Fatalf("in-doubt update invalidated the cache: %+v", db.CacheStats())
+	if db.CachedUnits() != cached || db.Snapshot().Cache.Invalidations != 0 {
+		t.Fatalf("in-doubt update invalidated the cache: %+v", *db.Snapshot().Cache)
 	}
 
 	dev.FailNextSync()

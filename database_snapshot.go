@@ -54,7 +54,7 @@ func (d *Database) Snapshot() Snapshot {
 	sl := d.slow.Stats()
 	snap := Snapshot{
 		Disk:   d.Stats(),
-		Faults: d.FaultStats(),
+		Faults: d.faultStats(),
 		Buffer: BufferStats{
 			Hits: ps.Hits, Misses: ps.Misses, Flushes: ps.Flushes,
 			Pins: ps.Pins, Retries: ps.Retries, Recovered: ps.Recovered,
@@ -69,9 +69,9 @@ func (d *Database) Snapshot() Snapshot {
 		cs := d.core.Cache.Stats()
 		snap.Cache = &cs
 	}
-	snap.Txn = d.TxnStats()
-	snap.WAL = d.WALStats()
-	snap.Reclust = d.ReclustStats()
+	snap.Txn = d.txnStats()
+	snap.WAL = d.walStats()
+	snap.Reclust = d.core.ReclustStats()
 	return snap
 }
 

@@ -26,9 +26,9 @@ type TxnStats = txn.Stats
 // with an atomic epoch bump. Idempotent.
 func (d *Database) EnableVersionedServing() { d.core.EnableVersioning() }
 
-// TxnStats returns the version store's counters (nil before
+// txnStats returns the version store's counters (nil before
 // EnableVersionedServing).
-func (d *Database) TxnStats() *TxnStats {
+func (d *Database) txnStats() *TxnStats {
 	if !d.core.Versioned() {
 		return nil
 	}

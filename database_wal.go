@@ -77,8 +77,8 @@ type WALStats struct {
 	RecoveryDiscarded int     `json:"recovery_discarded"`
 }
 
-// WALStats returns the log's counters, or nil when the WAL is off.
-func (d *Database) WALStats() *WALStats {
+// walStats returns the log's counters, or nil when the WAL is off.
+func (d *Database) walStats() *WALStats {
 	l := d.core.Log()
 	if l == nil && d.walRecovery == nil {
 		return nil

@@ -156,7 +156,7 @@ func TestWALCheckpointTruncates(t *testing.T) {
 	if fi.Size() != 0 {
 		t.Fatalf("log is %d bytes after checkpoint, want 0", fi.Size())
 	}
-	ws := db.WALStats()
+	ws := db.Snapshot().WAL
 	if ws == nil || ws.Truncates != 1 {
 		t.Fatalf("WALStats = %+v, want one truncation", ws)
 	}

@@ -517,3 +517,11 @@ func runChaosOp(db *workload.DB, st strategy.Strategy, op workload.Op) (vals []i
 	}
 	return vals, err
 }
+
+// sortedVals returns a sorted copy of v: the multiset every differential
+// check compares.
+func sortedVals(v []int64) []int64 {
+	out := slices.Clone(v)
+	slices.Sort(out)
+	return out
+}

@@ -116,11 +116,6 @@ type Measurement struct {
 	Cache cache.Stats // zero unless the strategy uses the cache
 }
 
-func (m Measurement) String() string {
-	return fmt.Sprintf("%s: avg=%.1f (retr=%.1f par=%.1f child=%.1f upd=%.1f) over %d retrieves + %d updates",
-		m.Strategy, m.AvgIO, m.AvgRetrieveIO, m.AvgPar, m.AvgChild, m.AvgUpdateIO, m.Retrieves, m.Updates)
-}
-
 // AdaptiveRetrieves picks a sequence length: the paper's 1000 at small
 // NumTop, fewer at large NumTop where per-query cost converges quickly.
 func AdaptiveRetrieves(numTop int) int {

@@ -194,22 +194,6 @@ func TestScaleNumTopsClamp(t *testing.T) {
 	}
 }
 
-func TestVerifyAgreementPasses(t *testing.T) {
-	sc := Scale{NumParents: 400, MaxRetrieves: 10, Seed: 3}
-	table, err := VerifyAgreement(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != 4 {
-		t.Fatalf("rows = %d", len(table.Rows))
-	}
-	for _, row := range table.Rows {
-		if row[len(row)-1] != "PASS" {
-			t.Fatalf("row failed: %v", row)
-		}
-	}
-}
-
 func TestAllExperimentsTiny(t *testing.T) {
 	// Every registered experiment must run end to end at tiny scale and
 	// produce a non-empty table — the regression guard for the whole

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -67,82 +68,92 @@ func equalSlices(a, b []int64) bool {
 	return true
 }
 
+// requireAgreement is the central correctness property: every strategy,
+// the inside-caching ablation included, answers q with the multiset of
+// values DFS returns (BFSNODUP: the same set). The strategies share no
+// code on their read paths (DFS probes B-trees, BFS merge-joins
+// temporaries, DFSCACHE reads the hash-file cache, DFSCLUST scans
+// ClusterRel through the ISAM index), so agreement is strong evidence
+// the storage engine and every plan are correct. It returns DFS's
+// values, sorted.
+func requireAgreement(t *testing.T, db *workload.DB, q Query, when string) []int64 {
+	t.Helper()
+	ref, err := mustNew(t, DFS, db).Retrieve(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sortedCopy(ref.Values)
+	for _, k := range AllKindsWithAblations {
+		if k == DFS {
+			continue
+		}
+		got, err := mustNew(t, k, db).Retrieve(db, q)
+		if err != nil {
+			t.Fatalf("%v on %+v %s: %v", k, q, when, err)
+		}
+		exp := want
+		if k == BFSNODUP {
+			exp = dedup(want)
+		}
+		if !equalSlices(sortedCopy(got.Values), exp) {
+			t.Fatalf("%v disagrees with DFS on %+v %s: %d vs %d values",
+				k, q, when, len(got.Values), len(exp))
+		}
+	}
+	return want
+}
+
+// TestAllStrategiesAgree holds every strategy to DFS on databases
+// spanning the parameter space (sharing, overlap, several child
+// relations), before and after a mixed update sequence applied through
+// every layout.
 func TestAllStrategiesAgree(t *testing.T) {
-	// The central correctness property: every strategy answers every
-	// query with the same multiset of values (BFSNODUP: the same set).
-	db := buildDB(t, smallCfg())
-	queries := []Query{
-		{Lo: 0, Hi: 0, AttrIdx: workload.FieldRet1},
-		{Lo: 10, Hi: 19, AttrIdx: workload.FieldRet2},
-		{Lo: 0, Hi: 299, AttrIdx: workload.FieldRet3},
-		{Lo: 250, Hi: 299, AttrIdx: workload.FieldRet1},
-	}
-	for _, q := range queries {
-		ref, err := mustNew(t, DFS, db).Retrieve(db, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := sortedCopy(ref.Values)
-		if len(want) != q.NumTop()*db.Cfg.SizeUnit {
-			t.Fatalf("DFS returned %d values for NumTop=%d", len(want), q.NumTop())
-		}
-		for _, k := range []Kind{BFS, DFSCACHE, DFSCLUST, SMART} {
-			got, err := mustNew(t, k, db).Retrieve(db, q)
-			if err != nil {
-				t.Fatalf("%v: %v", k, err)
+	for _, cfg := range []workload.Config{
+		smallCfg(),
+		// The corners: no sharing, heavy sharing, overlap, several child relations.
+		{NumParents: 400, SizeUnit: 5, UseFactor: 1, Seed: 3, CacheUnits: 200},
+		// 80 shared units in 40 slots: DFSCACHE evicts and re-reads shared units.
+		{NumParents: 400, SizeUnit: 5, UseFactor: 5, Seed: 3, CacheUnits: 40},
+		{NumParents: 400, SizeUnit: 5, UseFactor: 2, OverlapFactor: 3, Seed: 3, CacheUnits: 200},
+		{NumParents: 400, SizeUnit: 5, UseFactor: 5, NumChildRel: 3, Seed: 3, CacheUnits: 200},
+		{NumParents: 200, SizeUnit: 5, UseFactor: 1, OverlapFactor: 5, Seed: 23},
+		{NumParents: 200, SizeUnit: 5, UseFactor: 2, NumChildRel: 3, Seed: 31},
+	} {
+		name := fmt.Sprintf("UF=%d_OF=%d_NCR=%d_seed=%d",
+			cfg.UseFactor, max(cfg.OverlapFactor, 1), max(cfg.NumChildRel, 1), cfg.Seed)
+		t.Run(name, func(t *testing.T) {
+			db := buildDB(t, cfg)
+			n := int64(cfg.NumParents)
+			queries := []Query{
+				{Lo: 0, Hi: 0, AttrIdx: workload.FieldRet1},
+				{Lo: n / 4, Hi: n/4 + 9, AttrIdx: workload.FieldRet2},
+				{Lo: 0, Hi: n - 1, AttrIdx: workload.FieldRet3},
+				{Lo: n - 25, Hi: n - 1, AttrIdx: workload.FieldRet1},
 			}
-			if !equalSlices(sortedCopy(got.Values), want) {
-				t.Fatalf("%v disagrees with DFS on %+v: %d vs %d values",
-					k, q, len(got.Values), len(want))
+			for _, q := range queries {
+				if got := requireAgreement(t, db, q, "before updates"); len(got) != q.NumTop()*db.Cfg.SizeUnit {
+					t.Fatalf("DFS returned %d values for NumTop=%d", len(got), q.NumTop())
+				}
 			}
-		}
-		nd, err := mustNew(t, BFSNODUP, db).Retrieve(db, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalSlices(sortedCopy(nd.Values), dedup(ref.Values)) {
-			t.Fatalf("BFSNODUP set differs on %+v", q)
-		}
-	}
-}
-
-func TestAgreementWithOverlap(t *testing.T) {
-	cfg := workload.Config{NumParents: 200, SizeUnit: 5, UseFactor: 1, OverlapFactor: 5, Seed: 23}
-	db := buildDB(t, cfg)
-	q := Query{Lo: 20, Hi: 79, AttrIdx: workload.FieldRet2}
-	ref, err := mustNew(t, DFS, db).Retrieve(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sortedCopy(ref.Values)
-	for _, k := range []Kind{BFS, DFSCACHE, DFSCLUST, SMART} {
-		got, err := mustNew(t, k, db).Retrieve(db, q)
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		if !equalSlices(sortedCopy(got.Values), want) {
-			t.Fatalf("%v disagrees with DFS under overlap", k)
-		}
-	}
-}
-
-func TestAgreementWithMultipleChildRels(t *testing.T) {
-	cfg := workload.Config{NumParents: 200, SizeUnit: 5, UseFactor: 2, NumChildRel: 3, Seed: 31}
-	db := buildDB(t, cfg)
-	q := Query{Lo: 0, Hi: 99, AttrIdx: workload.FieldRet1}
-	ref, err := mustNew(t, DFS, db).Retrieve(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sortedCopy(ref.Values)
-	for _, k := range []Kind{BFS, DFSCACHE, DFSCLUST, SMART} {
-		got, err := mustNew(t, k, db).Retrieve(db, q)
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		if !equalSlices(sortedCopy(got.Values), want) {
-			t.Fatalf("%v disagrees with DFS across child relations", k)
-		}
+			cached := mustNew(t, DFSCACHE, db)
+			for _, op := range db.GenSequence(10, 0.5, 10) {
+				if op.Kind != workload.OpUpdate {
+					continue
+				}
+				if err := cached.Update(db, op); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.ApplyUpdateCluster(op); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, q := range queries {
+				requireAgreement(t, db, q, "after updates")
+			}
+			if err := db.Cache.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -370,21 +381,7 @@ func TestUpdateSequenceKeepsAgreement(t *testing.T) {
 			}
 		}
 	}
-	q := Query{Lo: 0, Hi: 299, AttrIdx: workload.FieldRet1}
-	ref, err := mustNew(t, DFS, db).Retrieve(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sortedCopy(ref.Values)
-	for _, k := range []Kind{BFS, DFSCACHE, DFSCLUST, SMART} {
-		got, err := mustNew(t, k, db).Retrieve(db, q)
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		if !equalSlices(sortedCopy(got.Values), want) {
-			t.Fatalf("%v disagrees after mixed sequence", k)
-		}
-	}
+	requireAgreement(t, db, Query{Lo: 0, Hi: 299, AttrIdx: workload.FieldRet1}, "after mixed sequence")
 	if err := db.Cache.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

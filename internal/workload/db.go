@@ -191,9 +191,6 @@ func (db *DB) ChildByRelID(id uint16) (*catalog.Relation, error) {
 // given relation id (tracked at build time so callers need no I/O).
 func (db *DB) ChildCount(id uint16) int { return db.childCount[id] }
 
-// NumUnits returns the number of distinct units.
-func (db *DB) NumUnits() int { return len(db.Units) }
-
 // UnitOf returns the unit referenced by the parent with key p.
 func (db *DB) UnitOf(p int64) object.Unit { return db.Units[db.ParentUnit[p]] }
 

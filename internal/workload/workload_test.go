@@ -26,8 +26,8 @@ func TestBuildCardinalities(t *testing.T) {
 		t.Fatalf("|ChildRel| = %d, want 1000", n)
 	}
 	// NumUnits = NumParents/UseFactor = 200.
-	if db.NumUnits() != 200 {
-		t.Fatalf("NumUnits = %d, want 200", db.NumUnits())
+	if len(db.Units) != 200 {
+		t.Fatalf("NumUnits = %d, want 200", len(db.Units))
 	}
 	pn, err := db.Parent.Tree.Len()
 	if err != nil {
