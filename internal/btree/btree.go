@@ -169,8 +169,12 @@ func (t *Tree) insertAt(id disk.PageID, level int, ref entryRef, payload []byte)
 	pg := storage.Page{Buf: buf}
 
 	if level == 1 { // leaf
+		pos, err := lowerBound(pg, 0, pg.NumSlots(), ref)
+		if err != nil {
+			t.pool.Unpin(id, false)
+			return entryRef{}, disk.InvalidPageID, err
+		}
 		rec := t.leafRecord(ref, payload)
-		pos := t.lowerBound(pg, ref)
 		if err := pg.InsertAt(pos, rec); err == nil {
 			t.pool.Unpin(id, true)
 			return entryRef{}, disk.InvalidPageID, nil
@@ -212,14 +216,16 @@ func (t *Tree) insertAt(id disk.PageID, level int, ref entryRef, payload []byte)
 	return psep, pright, err
 }
 
-// lowerBound returns the first slot in a leaf whose entry is ≥ ref.
-func (t *Tree) lowerBound(pg storage.Page, ref entryRef) int {
-	lo, hi := 0, pg.NumSlots()
+// lowerBound returns the first slot in [lo, hi) of a leaf whose entry
+// is ≥ ref, or hi if there is none. It is the tree's one leaf search:
+// insert, seek, Update, GetBatch and NextGE all go through it. A slot
+// that cannot be read is an error, as it is for Next.
+func lowerBound(pg storage.Page, lo, hi int, ref entryRef) (int, error) {
 	for lo < hi {
 		mid := (lo + hi) / 2
 		rec, err := pg.Record(mid)
 		if err != nil {
-			panic(fmt.Sprintf("btree: corrupt leaf: %v", err))
+			return 0, err
 		}
 		if leafEntryKey(rec).less(ref) {
 			lo = mid + 1
@@ -227,7 +233,7 @@ func (t *Tree) lowerBound(pg storage.Page, ref entryRef) int {
 			hi = mid
 		}
 	}
-	return lo
+	return lo, nil
 }
 
 // childFor returns, for an inner page, the separator slot index at which
@@ -498,7 +504,11 @@ func (t *Tree) GetBatch(keys []int64, fn func(i int, payload []byte) error) erro
 			}
 			fresh = true
 		}
-		if pos := t.lowerBound(pg, entryRef{k, 0}); pos < pg.NumSlots() {
+		pos, err := lowerBound(pg, 0, pg.NumSlots(), entryRef{k, 0})
+		if err != nil {
+			return err
+		}
+		if pos < pg.NumSlots() {
 			rec, err := pg.Record(pos)
 			if err != nil {
 				return err
@@ -567,7 +577,11 @@ func (t *Tree) Update(key int64, payload []byte) error {
 			return err
 		}
 		pg := storage.Page{Buf: buf}
-		pos := t.lowerBound(pg, entryRef{key, 0})
+		pos, err := lowerBound(pg, 0, pg.NumSlots(), entryRef{key, 0})
+		if err != nil {
+			t.pool.Unpin(id, false)
+			return err
+		}
 		if pos < pg.NumSlots() {
 			rec, err := pg.Record(pos)
 			if err != nil {
@@ -583,7 +597,11 @@ func (t *Tree) Update(key int64, payload []byte) error {
 			err = pg.Update(pos, nrec)
 			if errors.Is(err, storage.ErrPageFull) {
 				pg.Compact()
-				pos = t.lowerBound(pg, entryRef{key, 0}) // compaction may renumber slots
+				// Compaction may renumber slots.
+				if pos, err = lowerBound(pg, 0, pg.NumSlots(), entryRef{key, 0}); err != nil {
+					t.pool.Unpin(id, true)
+					return err
+				}
 				err = pg.Update(pos, nrec)
 			}
 			if errors.Is(err, storage.ErrPageFull) {
@@ -626,9 +644,9 @@ func (t *Tree) descendToLeaf(ref entryRef) (disk.PageID, error) {
 }
 
 // Iterator is the tree's one cursor: it walks leaf entries in key order
-// from a Seek point, a page at a time. It pins a leaf when it enters it
-// and holds that single pin until it leaves — for the successor leaf
-// (the old leaf is released before the new one is pinned, so the pool
+// from a Seek point, a page at a time — Next one entry, NextGE ahead to
+// a key. It pins a leaf when it enters it and holds that single pin
+// until it leaves — for the successor leaf (the old leaf is released before the new one is pinned, so the pool
 // chooses every victim from the same candidates a pin-per-entry walk
 // would offer it), on exhaustion, on error, or on Close. Between Seek
 // and Close an iterator therefore holds at most one page, and a caller
@@ -668,8 +686,13 @@ func (t *Tree) seek(it *Iterator, key int64) error {
 	if err != nil {
 		return err
 	}
-	*it = Iterator{t: t, page: id, pg: storage.Page{Buf: buf}}
-	it.slot = t.lowerBound(it.pg, entryRef{key, 0})
+	pg := storage.Page{Buf: buf}
+	slot, err := lowerBound(pg, 0, pg.NumSlots(), entryRef{key, 0})
+	if err != nil {
+		t.pool.Unpin(id, false)
+		return err
+	}
+	*it = Iterator{t: t, page: id, pg: pg, slot: slot}
 	return nil
 }
 
@@ -691,25 +714,71 @@ func (t *Tree) SeekFirst() (*Iterator, error) {
 
 // Next returns the next entry's key and payload. ok=false signals
 // exhaustion. The payload is a view into the pinned leaf: it is valid
-// until the next call to Next or Close and must not be modified; a
-// caller that keeps it longer copies it.
+// until the next call to Next, NextGE or Close and must not be
+// modified; a caller that keeps it longer copies it.
 func (it *Iterator) Next() (key int64, payload []byte, ok bool, err error) {
+	if it.pg.Buf == nil || it.slot >= it.pg.NumSlots() {
+		if ok, err := it.enter(); !ok {
+			return 0, nil, false, err
+		}
+	}
+	rec, err := it.pg.Record(it.slot)
+	if err != nil {
+		it.Close()
+		return 0, nil, false, err
+	}
+	it.slot++
+	return int64(binary.LittleEndian.Uint64(rec)), rec[leafHdr:], true, nil
+}
+
+// NextGE returns the first entry from the cursor on whose key is ≥ key —
+// the entry a run of Next calls would stop at, with the same view
+// contract — without decoding the entries it passes over. It reads the
+// held leaf's last key: if that is ≥ key, a binary search of the leaf's
+// unread slots finds the entry; otherwise it leaves the leaf for its
+// successor. It therefore pins exactly the leaves, in the same order and
+// once each, that the Next calls would have pinned. A key at or below
+// the next entry's is Next.
+func (it *Iterator) NextGE(key int64) (int64, []byte, bool, error) {
+	for {
+		if it.pg.Buf == nil || it.slot >= it.pg.NumSlots() {
+			if ok, err := it.enter(); !ok {
+				return 0, nil, false, err
+			}
+		}
+		n := it.pg.NumSlots()
+		last, err := it.pg.Record(n - 1)
+		if err != nil {
+			it.Close()
+			return 0, nil, false, err
+		}
+		if int64(binary.LittleEndian.Uint64(last)) >= key {
+			// The last slot qualifies, so the search need not look at it.
+			if it.slot, err = lowerBound(it.pg, it.slot, n-1, entryRef{key, 0}); err != nil {
+				it.Close()
+				return 0, nil, false, err
+			}
+			return it.Next()
+		}
+		it.slot = n
+	}
+}
+
+// enter makes the walk stand on a held leaf with an unread slot: it pins
+// the current leaf if it is not held, and while the held leaf has nothing
+// left it releases it and pins the successor. false means the chain is
+// exhausted (nothing is then held) or a pin failed.
+func (it *Iterator) enter() (bool, error) {
 	for !it.done {
 		if it.pg.Buf == nil {
 			buf, err := it.t.pool.Pin(it.page)
 			if err != nil {
-				return 0, nil, false, err
+				return false, err
 			}
 			it.pg = storage.Page{Buf: buf}
 		}
 		if it.slot < it.pg.NumSlots() {
-			rec, rerr := it.pg.Record(it.slot)
-			if rerr != nil {
-				it.Close()
-				return 0, nil, false, rerr
-			}
-			it.slot++
-			return int64(binary.LittleEndian.Uint64(rec)), rec[leafHdr:], true, nil
+			return true, nil
 		}
 		next := it.pg.Next()
 		it.release()
@@ -720,7 +789,7 @@ func (it *Iterator) Next() (key int64, payload []byte, ok bool, err error) {
 		it.page = next
 		it.slot = 0
 	}
-	return 0, nil, false, nil
+	return false, nil
 }
 
 // release unpins the held leaf, if any.

@@ -3,10 +3,13 @@ package btree
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"corep/internal/buffer"
 	"corep/internal/disk"
+	"corep/internal/storage"
 	"corep/internal/testutil"
 )
 
@@ -212,5 +215,171 @@ func TestCursorSurvivesPinFailure(t *testing.T) {
 	}
 	if k, _, ok, err := it.Next(); err != nil || !ok || k != 0 {
 		t.Fatalf("resumed walk: key %d ok=%v err=%v", k, ok, err)
+	}
+}
+
+// repackedTree builds, the same way on every call, a tree of random keys
+// with duplicates over a 6-frame pool, then grows a third of the entries
+// by Update so leaves are compacted and entries re-inserted (a grown
+// duplicate moves to the back of its run). Payloads are unique.
+func repackedTree(t *testing.T) (*Tree, *buffer.Pool, *disk.Sim) {
+	t.Helper()
+	d := disk.NewSim()
+	pool := buffer.New(d, 6)
+	tr, err := Create(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	var keys []int64
+	for i := 0; i < 1500; i++ {
+		k := rng.Int63n(2000)
+		if i%10 == 0 && len(keys) > 0 {
+			k = keys[rng.Intn(len(keys))] // a duplicate
+		}
+		keys = append(keys, k)
+		if err := tr.Insert(k, []byte(fmt.Sprintf("p%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		k := keys[rng.Intn(len(keys))]
+		if err := tr.Update(k, []byte(fmt.Sprintf("grown-%d-%040d", i, k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	testutil.AssertNoLeaks(t, pool)
+	return tr, pool, d
+}
+
+// TestNextGEIsARunOfNext: NextGE(k) lands on the entry a run of Next
+// calls stops at — the first from the cursor on with key ≥ k, or the
+// very next entry when k is no larger — and costs exactly what that run
+// costs: the same leaves pinned, in the same order, once each, so the
+// pool's and the disk's counters agree after every step.
+func TestNextGEIsARunOfNext(t *testing.T) {
+	seek, seekPool, seekDisk := repackedTree(t)
+	walk, walkPool, walkDisk := repackedTree(t)
+	itS, err := seek.SeekFirst()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer itS.Close()
+	itW, err := walk.SeekFirst()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer itW.Close()
+	rng := rand.New(rand.NewSource(3))
+	for target, steps := int64(-50), 0; ; steps++ {
+		target += rng.Int63n(60) - 10
+		ks, ps, oks, err := itS.NextGE(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kw, pw, okw := int64(0), []byte(nil), false
+		for {
+			if kw, pw, okw, err = itW.Next(); err != nil {
+				t.Fatal(err)
+			}
+			if !okw || kw >= target {
+				break
+			}
+		}
+		if oks != okw || ks != kw || !bytes.Equal(ps, pw) {
+			t.Fatalf("step %d, NextGE(%d) = %d %q ok=%v, Next walk = %d %q ok=%v", steps, target, ks, ps, oks, kw, pw, okw)
+		}
+		if s, w := seekPool.Stats(), walkPool.Stats(); s != w {
+			t.Fatalf("step %d, NextGE(%d): pool %+v, Next walk %+v", steps, target, s, w)
+		}
+		if s, w := seekDisk.Stats(), walkDisk.Stats(); s != w {
+			t.Fatalf("step %d, NextGE(%d): disk %+v, Next walk %+v", steps, target, s, w)
+		}
+		if !oks {
+			break
+		}
+		if n := seekPool.PinnedCount(); n != 1 {
+			t.Fatalf("step %d: NextGE holds %d pages", steps, n)
+		}
+	}
+	testutil.AssertNoLeaks(t, seekPool)
+	if _, _, ok, err := itS.NextGE(0); ok || err != nil {
+		t.Fatalf("NextGE after exhaustion: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestCorruptLeafSlotIsAnError: a leaf whose slots cannot be read fails
+// every search of it — SeekGE, Get, Update, Insert, GetBatch and NextGE —
+// with the slot's error, as Next fails on it, and holds no pin after.
+func TestCorruptLeafSlotIsAnError(t *testing.T) {
+	tr, pool := cursorTree(t, 500)
+	const key = 250
+	leaf, err := tr.descendToLeaf(entryRef{key, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := pool.Pin(leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Kill every slot but the last: a binary search of the leaf meets a
+	// dead slot at its first probe, while its last key still reads.
+	pg := storage.Page{Buf: buf}
+	for i := 0; i < pg.NumSlots()-1; i++ {
+		if err := pg.Delete(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool.Unpin(leaf, true)
+
+	keys := make([]int64, buffer.BatchSortMin)
+	for i := range keys {
+		keys[i] = key + int64(i)
+	}
+	ops := map[string]func() error{
+		"SeekGE": func() error {
+			it, err := tr.SeekGE(key)
+			if err == nil {
+				it.Close()
+			}
+			return err
+		},
+		"Get":    func() error { _, err := tr.Get(key); return err },
+		"Update": func() error { return tr.Update(key, payload(key)) },
+		"Insert": func() error { return tr.Insert(key, payload(key)) },
+		"GetBatch": func() error {
+			return tr.GetBatch(keys, func(int, []byte) error { return nil })
+		},
+		"NextGE": func() error {
+			it, err := tr.SeekFirst()
+			if err != nil {
+				return err
+			}
+			defer it.Close()
+			_, _, _, err = it.NextGE(key)
+			return err
+		},
+		"Next": func() error {
+			it, err := tr.SeekFirst()
+			if err != nil {
+				return err
+			}
+			defer it.Close()
+			for {
+				_, _, ok, err := it.Next()
+				if !ok || err != nil {
+					return err
+				}
+			}
+		},
+	}
+	for name, op := range ops {
+		if err := op(); !errors.Is(err, storage.ErrBadSlot) {
+			t.Fatalf("%s on a corrupt leaf: err = %v", name, err)
+		}
+		testutil.AssertNoLeaks(t, pool)
 	}
 }

@@ -10,7 +10,9 @@ package query
 
 import (
 	"encoding/binary"
-	"slices"
+	"math"
+	"math/bits"
+	"sync"
 
 	"corep/internal/buffer"
 	"corep/internal/heap"
@@ -135,9 +137,11 @@ func (it *TempIter) Next() (int64, bool, error) {
 
 // SortTemp external-merge-sorts a temporary into a new temporary,
 // charging run-formation and merge I/O. workMem bounds the in-memory
-// working set, in values (e.g. 20 pages × ~170 values). The runs are
-// dropped once merged (a single run is the result itself), and on an
-// error nothing SortTemp made is left behind; in stays the caller's.
+// working set, in values (e.g. 20 pages × ~170 values). Each run is
+// radix-sorted in memory (sortBuf.radixSort) in buffers lent by
+// sortBufs. The runs are dropped once merged (a single run is the
+// result itself), and on an error nothing SortTemp made is left behind;
+// in stays the caller's.
 func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err error) {
 	if workMem < 2 {
 		workMem = 2
@@ -158,12 +162,17 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 			}
 		}
 	}()
-	cur := make([]int64, 0, min(workMem, in.Count()))
+	bufs := sortBufs.Get().(*sortBuf)
+	defer sortBufs.Put(bufs)
+	if n := min(workMem, in.Count()); cap(bufs.run) < n {
+		bufs.run = make([]int64, 0, n)
+	}
+	cur := bufs.run[:0]
 	flush := func() error {
 		if len(cur) == 0 {
 			return nil
 		}
-		slices.Sort(cur)
+		sorted := bufs.radixSort(cur)
 		run, err := NewInt64Temp(pool)
 		if err != nil {
 			return err
@@ -171,7 +180,7 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 		runs = append(runs, run)
 		w := run.Appender()
 		defer w.Close()
-		for _, v := range cur {
+		for _, v := range sorted {
 			if err := w.Append(v); err != nil {
 				return err
 			}
@@ -250,6 +259,58 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 	}
 }
 
+// sortBuf is the memory SortTemp sorts in: the run being collected and
+// the radix sort's second buffer.
+type sortBuf struct{ run, scratch []int64 }
+
+// sortBufs lends SortTemp its sortBuf, so a sort allocates no run memory
+// once the pool has lent a buffer of the run's size.
+var sortBufs = sync.Pool{New: func() any { return new(sortBuf) }}
+
+// radixSort sorts vs ascending with an LSD radix sort over the bytes of
+// v − min(vs), taken as unsigned: one stable counting pass per byte of
+// max − min, so two for a temporary of OIDs and eight at most, and no
+// pass when every value is equal. The differences are computed modulo
+// 2⁶⁴, which orders the full int64 range, negatives included. The passes
+// alternate between vs and b.scratch (grown to len(vs) if shorter), and
+// the one the last pass filled is returned: the int64s a comparison
+// sort would leave, in the same order.
+func (b *sortBuf) radixSort(vs []int64) []int64 {
+	if len(vs) < 2 {
+		return vs
+	}
+	lo, hi := vs[0], vs[0]
+	for _, v := range vs[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	passes := (bits.Len64(uint64(hi)-uint64(lo)) + 7) / 8
+	if passes == 0 {
+		return vs
+	}
+	if cap(b.scratch) < len(vs) {
+		b.scratch = make([]int64, len(vs))
+	}
+	src, dst := vs, b.scratch[:len(vs)]
+	for shift := uint(0); shift < uint(8*passes); shift += 8 {
+		var start [256]int
+		for _, v := range src {
+			start[byte((uint64(v)-uint64(lo))>>shift)]++
+		}
+		sum := 0
+		for d, c := range start {
+			start[d] = sum
+			sum += c
+		}
+		for _, v := range src {
+			d := byte((uint64(v) - uint64(lo)) >> shift)
+			dst[start[d]] = v
+			start[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
 // Distinct wraps a sorted Int64Iter, dropping adjacent duplicates — the
 // duplicate-removal step of BFSNODUP (§3.1 [3]).
 type Distinct struct {
@@ -275,18 +336,22 @@ func (d *Distinct) Next() (int64, bool, error) {
 	}
 }
 
-// KeyedIter yields (key, payload) pairs in key order — the inner side of
-// a merge join (a B-tree leaf scan in the paper's setup).
+// KeyedIter is the inner side of a merge join (a B-tree leaf scan in the
+// paper's setup): NextGE moves it forward, in key order, to the first
+// entry whose key is ≥ key, without handing over the entries it passes.
 type KeyedIter interface {
-	Next() (key int64, payload []byte, ok bool, err error)
+	NextGE(key int64) (k int64, payload []byte, ok bool, err error)
 }
 
 // MergeJoin joins a sorted outer Int64Iter against a sorted KeyedIter,
 // calling fn once per outer value that finds a match. Duplicate outer
 // values re-emit the matching payload (plain BFS keeps duplicates,
-// §3.1); unmatched outer values are skipped. The payload passed to fn is
-// only valid during the call. The span opened on ob attributes the
-// join's I/O (pass the zero Ctx to run uninstrumented).
+// §3.1); unmatched outer values are skipped. The inner side only ever
+// seeks to the next outer value, so the join's CPU there follows the
+// rows it joins, not the entries between them, while it reads exactly
+// the leaves an entry-by-entry walk would. The payload
+// passed to fn is only valid during the call. The span opened on ob
+// attributes the join's I/O (pass the zero Ctx to run uninstrumented).
 func MergeJoin(ob obs.Ctx, outer Int64Iter, inner KeyedIter, fn func(key int64, payload []byte) (bool, error)) error {
 	sp := ob.Start("query.mergejoin")
 	defer sp.End()
@@ -296,7 +361,13 @@ func MergeJoin(ob obs.Ctx, outer Int64Iter, inner KeyedIter, fn func(key int64, 
 	if err != nil {
 		return err
 	}
-	ik, ip, iok, err := inner.Next()
+	// An empty outer side still opens the inner one at its first entry,
+	// as a join reading both heads does: that leaf pin is counted I/O.
+	first := int64(math.MinInt64)
+	if ook {
+		first = ov
+	}
+	ik, ip, iok, err := inner.NextGE(first)
 	if err != nil {
 		return err
 	}
@@ -310,7 +381,7 @@ func MergeJoin(ob obs.Ctx, outer Int64Iter, inner KeyedIter, fn func(key int64, 
 				return err
 			}
 		case ov > ik:
-			ik, ip, iok, err = inner.Next()
+			ik, ip, iok, err = inner.NextGE(ov)
 			if err != nil {
 				return err
 			}

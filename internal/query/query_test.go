@@ -181,11 +181,6 @@ func TestDistinctEmpty(t *testing.T) {
 	}
 }
 
-// btreeIter adapts a btree iterator to KeyedIter.
-type btreeIter struct{ it *btree.Iterator }
-
-func (b btreeIter) Next() (int64, []byte, bool, error) { return b.it.Next() }
-
 func TestMergeJoinAgainstBTree(t *testing.T) {
 	pool := newPool()
 	tr, err := btree.Create(pool)
@@ -203,7 +198,7 @@ func TestMergeJoinAgainstBTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	err = MergeJoin(obs.Ctx{}, outer, btreeIter{it}, func(k int64, p []byte) (bool, error) {
+	err = MergeJoin(obs.Ctx{}, outer, it, func(k int64, p []byte) (bool, error) {
 		got = append(got, string(p))
 		return true, nil
 	})
@@ -224,7 +219,7 @@ func TestMergeJoinEarlyStop(t *testing.T) {
 	}
 	it, _ := tr.SeekFirst()
 	n := 0
-	err := MergeJoin(obs.Ctx{}, NewSliceIter([]int64{0, 1, 2, 3}), btreeIter{it}, func(int64, []byte) (bool, error) {
+	err := MergeJoin(obs.Ctx{}, NewSliceIter([]int64{0, 1, 2, 3}), it, func(int64, []byte) (bool, error) {
 		n++
 		return n < 2, nil
 	})
@@ -240,7 +235,7 @@ func TestMergeJoinEmptySides(t *testing.T) {
 	pool := newPool()
 	tr, _ := btree.Create(pool)
 	it, _ := tr.SeekFirst()
-	err := MergeJoin(obs.Ctx{}, NewSliceIter([]int64{1, 2}), btreeIter{it}, func(int64, []byte) (bool, error) {
+	err := MergeJoin(obs.Ctx{}, NewSliceIter([]int64{1, 2}), it, func(int64, []byte) (bool, error) {
 		t.Fatal("emitted from empty inner")
 		return false, nil
 	})
@@ -249,7 +244,7 @@ func TestMergeJoinEmptySides(t *testing.T) {
 	}
 	_ = tr.Insert(1, []byte("x"))
 	it, _ = tr.SeekFirst()
-	err = MergeJoin(obs.Ctx{}, NewSliceIter(nil), btreeIter{it}, func(int64, []byte) (bool, error) {
+	err = MergeJoin(obs.Ctx{}, NewSliceIter(nil), it, func(int64, []byte) (bool, error) {
 		t.Fatal("emitted from empty outer")
 		return false, nil
 	})
@@ -286,7 +281,7 @@ func TestMergeJoinMatchesNestedLoopProperty(t *testing.T) {
 		}
 		it, _ := tr.SeekFirst()
 		got := 0
-		err := MergeJoin(obs.Ctx{}, NewSliceIter(outer), btreeIter{it}, func(int64, []byte) (bool, error) {
+		err := MergeJoin(obs.Ctx{}, NewSliceIter(outer), it, func(int64, []byte) (bool, error) {
 			got++
 			return true, nil
 		})
