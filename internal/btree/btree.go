@@ -401,6 +401,23 @@ func (t *Tree) Get(key int64) ([]byte, error) {
 // the pool but must not restructure this tree. A missing key is
 // ErrNotFound, as from Get, and fn's own error is returned as is.
 func (t *Tree) View(key int64, fn func(payload []byte) error) error {
+	return t.visit(key, false, fn)
+}
+
+// Patch is View for a writer: fn may change the payload's bytes in
+// place, but not its length. The leaf is unpinned dirty if fn returns
+// nil and clean otherwise, so fn refuses a record by returning an error
+// before it writes. It is one descent and one leaf pin, and the pool's
+// replacement order, reads and writes are those of a Get followed by an
+// Update of the entry: Update's descent re-touches only the pages Get
+// has just made most recent.
+func (t *Tree) Patch(key int64, fn func(payload []byte) error) error {
+	return t.visit(key, true, fn)
+}
+
+// visit runs fn on the first entry with exactly key under its leaf pin,
+// the pin released dirty when write is set and fn succeeds.
+func (t *Tree) visit(key int64, write bool, fn func(payload []byte) error) error {
 	var it Iterator
 	if err := t.seek(&it, key); err != nil {
 		return err
@@ -413,7 +430,14 @@ func (t *Tree) View(key int64, fn func(payload []byte) error) error {
 	if !ok || k != key {
 		return fmt.Errorf("%w: %d", ErrNotFound, key)
 	}
-	return fn(payload)
+	if err := fn(payload); err != nil {
+		return err
+	}
+	if write {
+		t.pool.Unpin(it.page, true)
+		it.pg.Buf = nil
+	}
+	return nil
 }
 
 // GetBatch fetches the payloads of many keys in one page-ordered pass.
@@ -811,7 +835,9 @@ func (it *Iterator) Close() {
 // (leaf page + slot). ISAM indexes over a bulk-loaded tree are built from
 // this scan; the RIDs stay valid as long as no further inserts occur and
 // updates keep record sizes unchanged — exactly the paper's static
-// ClusterRel environment.
+// ClusterRel environment. fn runs under the leaf's pin: the payload is a
+// read-only view valid until fn returns, and fn may re-enter the pool
+// but must not restructure this tree.
 func (t *Tree) ScanLeavesRID(fn func(rid storage.RID, key int64, payload []byte) (bool, error)) error {
 	id := t.root
 	for level := t.height; level > 1; level-- {
@@ -829,72 +855,50 @@ func (t *Tree) ScanLeavesRID(fn func(rid storage.RID, key int64, payload []byte)
 			return err
 		}
 		pg := storage.Page{Buf: buf}
-		n := pg.NumSlots()
-		type ent struct {
-			slot int
-			rec  []byte
-		}
-		ents := make([]ent, 0, n)
-		for i := 0; i < n; i++ {
-			rec, rerr := pg.Record(i)
-			if rerr != nil {
-				t.pool.Unpin(id, false)
-				return rerr
+		for i, n := 0, pg.NumSlots(); i < n; i++ {
+			rec, err := pg.Record(i)
+			cont := false
+			if err == nil {
+				key := int64(binary.LittleEndian.Uint64(rec))
+				cont, err = fn(storage.RID{Page: id, Slot: uint16(i)}, key, rec[leafHdr:])
 			}
-			ents = append(ents, ent{i, append([]byte(nil), rec...)})
+			if !cont {
+				t.pool.Unpin(id, false)
+				return err
+			}
 		}
 		next := pg.Next()
 		t.pool.Unpin(id, false)
-		for _, e := range ents {
-			key := int64(binary.LittleEndian.Uint64(e.rec))
-			cont, err := fn(storage.RID{Page: id, Slot: uint16(e.slot)}, key, e.rec[leafHdr:])
-			if err != nil {
-				return err
-			}
-			if !cont {
-				return nil
-			}
-		}
 		id = next
 	}
 	return nil
 }
 
-// GetAt fetches the payload stored at a leaf RID previously obtained
-// from ScanLeavesRID. The returned slice is a copy.
-func (t *Tree) GetAt(rid storage.RID) (key int64, payload []byte, err error) {
-	buf, err := t.pool.Pin(rid.Page)
-	if err != nil {
-		return 0, nil, err
-	}
-	pg := storage.Page{Buf: buf}
-	rec, err := pg.Record(int(rid.Slot))
-	if err != nil {
-		t.pool.Unpin(rid.Page, false)
-		return 0, nil, err
-	}
-	key = int64(binary.LittleEndian.Uint64(rec))
-	payload = append([]byte(nil), rec[leafHdr:]...)
-	t.pool.Unpin(rid.Page, false)
-	return key, payload, nil
+// ViewAt calls fn with the payload stored at a leaf RID previously
+// obtained from ScanLeavesRID, under the leaf's pin and with View's
+// contract: a read-only view valid until fn returns.
+func (t *Tree) ViewAt(rid storage.RID, fn func(payload []byte) error) error {
+	return t.visitAt(rid, false, fn)
 }
 
-// UpdateAt replaces the payload at a leaf RID in place. The new payload
-// must fit the page (same-size updates always do — the paper's updates
-// modify tuples in place).
-func (t *Tree) UpdateAt(rid storage.RID, payload []byte) error {
+// PatchAt is ViewAt for a writer, with Patch's contract: fn changes the
+// payload in place, keeping its length, and the leaf is unpinned dirty
+// only if fn succeeds.
+func (t *Tree) PatchAt(rid storage.RID, fn func(payload []byte) error) error {
+	return t.visitAt(rid, true, fn)
+}
+
+// visitAt is visit for a RID: one pin of the RID's page.
+func (t *Tree) visitAt(rid storage.RID, write bool, fn func(payload []byte) error) error {
 	buf, err := t.pool.Pin(rid.Page)
 	if err != nil {
 		return err
 	}
-	pg := storage.Page{Buf: buf}
-	rec, err := pg.Record(int(rid.Slot))
-	if err != nil {
-		t.pool.Unpin(rid.Page, false)
-		return err
+	rec, err := storage.Page{Buf: buf}.Record(int(rid.Slot))
+	if err == nil {
+		err = fn(rec[leafHdr:])
 	}
-	err = pg.Update(int(rid.Slot), t.leafRecord(leafEntryKey(rec), payload))
-	t.pool.Unpin(rid.Page, err == nil)
+	t.pool.Unpin(rid.Page, write && err == nil)
 	return err
 }
 

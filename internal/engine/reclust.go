@@ -372,8 +372,9 @@ func (c *Core) Retire(oids ...object.OID) {
 // WriteThrough patches oid's packed copy in place, if it has one: the
 // update rule of a front end whose updates keep the row's width. Batches
 // are excluded meanwhile, so copy-then-update and update-then-copy both
-// leave the copy carrying the new value.
-func (c *Core) WriteThrough(oid object.OID, patch func(rec []byte) ([]byte, error)) error {
+// leave the copy carrying the new value. patch changes the record it is
+// handed in place, keeping its length.
+func (c *Core) WriteThrough(oid object.OID, patch func(rec []byte) error) error {
 	r := c.Reclust
 	if r == nil {
 		return nil
@@ -386,7 +387,7 @@ func (c *Core) WriteThrough(oid object.OID, patch func(rec []byte) ([]byte, erro
 	}
 	rec, err := c.ReadPlaced(e.RID)
 	if err == nil {
-		rec, err = patch(rec)
+		err = patch(rec)
 	}
 	if err != nil {
 		return err

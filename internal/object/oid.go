@@ -43,11 +43,16 @@ var ErrBadOIDList = errors.New("object: malformed OID list")
 // EncodeOIDs serializes an OID list for storage in a "children"
 // attribute (§2.2 shows group.members holding the members' OIDs).
 func EncodeOIDs(oids []OID) []byte {
-	out := make([]byte, 8*len(oids))
-	for i, o := range oids {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(o))
+	return AppendEncoded(make([]byte, 0, 8*len(oids)), oids)
+}
+
+// AppendEncoded appends EncodeOIDs(oids) to dst, for a writer that
+// encodes one list after another into storage it owns.
+func AppendEncoded(dst []byte, oids []OID) []byte {
+	for _, o := range oids {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(o))
 	}
-	return out
+	return dst
 }
 
 // DecodeOIDs parses an encoded OID list.

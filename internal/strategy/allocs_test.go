@@ -11,16 +11,15 @@ import (
 // 5 cluster# groups or 50 (its result, its scan state and scratch, the
 // cursor — no map, no copied children value, no OID list per group), and
 // a scanParents-based retrieve one parent slice and one OID arena however
-// many parents qualify. A per-group or per-parent allocation coming back
-// shows here as a count that grows with NumTop.
+// many parents qualify. DFS runs in the paper's mode, one probe per
+// subobject, each record read under its leaf pin: a record copy per
+// subobject coming back shows here too. A per-group, per-parent or
+// per-subobject allocation shows as a count that grows with NumTop.
 func TestRetrieveAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	// ProbeBatch: DFS's fetch phase is then one ProbeOIDs sweep; the
-	// paper's one-probe-at-a-time mode copies a record per subobject,
-	// which is the fetch's cost, not the scan's.
-	db := buildDB(t, workload.Config{NumParents: 2000, SizeUnit: 5, UseFactor: 1, PoolPages: 4000, ProbeBatch: true, Seed: 3})
+	db := buildDB(t, workload.Config{NumParents: 2000, SizeUnit: 5, UseFactor: 1, PoolPages: 4000, Seed: 3})
 	allocs := func(k Kind, numTop int64) float64 {
 		st := mustNew(t, k, db)
 		q := Query{Lo: 100, Hi: 100 + numTop - 1, AttrIdx: workload.FieldRet1}

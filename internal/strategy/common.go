@@ -194,9 +194,9 @@ func overlayInt(snap *txn.Snapshot, oid object.OID, attrIdx int, v int64) int64 
 	return v
 }
 
-// overlayRec re-encodes a full child record with the snapshot's ret1
-// version of oid patched in, when one exists; otherwise the record is
-// returned unchanged. DFSCACHE patches materialized records before
+// overlayRec returns a copy of a full child record with the snapshot's
+// ret1 version of oid patched in, when one exists; otherwise the record
+// is returned unchanged. DFSCACHE patches materialized records before
 // caching them, so a cached value really is current as of the reader's
 // snapshot (the cache records that epoch as the entry's M watermark).
 func overlayRec(db *workload.DB, snap *txn.Snapshot, oid object.OID, rec []byte) ([]byte, error) {
@@ -207,7 +207,8 @@ func overlayRec(db *workload.DB, snap *txn.Snapshot, oid object.OID, rec []byte)
 	if !ok {
 		return rec, nil
 	}
-	return workload.PatchRet1(db.ChildSchema, rec, workload.FieldRet1, nv)
+	rec = append([]byte(nil), rec...)
+	return rec, tuple.PutInt(db.ChildSchema, rec, workload.FieldRet1, nv)
 }
 
 // ioSpan measures the disk I/O of a code span, on any database over the

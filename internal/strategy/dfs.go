@@ -59,21 +59,27 @@ func fetchLevel(db *workload.DB, oids []object.OID, q Query, out []int64) ([]int
 		if err != nil {
 			return nil, err
 		}
-		rec, err := rel.Tree.Get(oid.Key())
-		if err != nil {
-			return nil, fmt.Errorf("strategy: subobject %v: %w", oid, err)
-		}
-		if ci := childrenIdx(rel); ci >= 0 {
-			if kids, err = appendChildren(kids[:0], rel, ci, rec); err == nil {
-				out, err = fetchLevel(db, kids, q, out)
+		// The record is read under its leaf pin. An inner level's
+		// subobjects are copied out and fetched after the pin is
+		// released, so pins never nest.
+		ci := childrenIdx(rel)
+		err = rel.Tree.View(oid.Key(), func(rec []byte) (err error) {
+			if ci >= 0 {
+				kids, err = appendChildren(kids[:0], rel, ci, rec)
+				return err
 			}
-		} else {
 			var v int64
 			v, err = childAttr(db, q, oid, rec)
 			out = append(out, v)
-		}
+			return err
+		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("strategy: subobject %v: %w", oid, err)
+		}
+		if ci >= 0 {
+			if out, err = fetchLevel(db, kids, q, out); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil

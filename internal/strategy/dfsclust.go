@@ -249,23 +249,23 @@ func (s *clustScan) resolve() error {
 	for _, oid := range s.unit {
 		v, ok := s.lookup(oid)
 		if !ok {
-			var (
-				payload []byte
-				err     error
-			)
+			var err error
 			if rid, placed := db.Placed(oid, s.snapE); placed {
-				payload, err = db.ReadPlaced(rid)
+				var payload []byte
+				if payload, err = db.ReadPlaced(rid); err == nil {
+					v, err = tuple.Int(db.ClusterSchema, payload, s.attrIdx)
+				}
 			} else {
 				var rid storage.RID
 				if rid, err = db.ClusterRel.Index.Probe(int64(oid)); err != nil {
 					return fmt.Errorf("strategy: clustered subobject %v: %w", oid, err)
 				}
-				_, payload, err = db.ClusterRel.Tree.GetAt(rid)
+				err = db.ClusterRel.Tree.ViewAt(rid, func(payload []byte) (err error) {
+					v, err = tuple.Int(db.ClusterSchema, payload, s.attrIdx)
+					return err
+				})
 			}
 			if err != nil {
-				return err
-			}
-			if v, err = tuple.Int(db.ClusterSchema, payload, s.attrIdx); err != nil {
 				return err
 			}
 		}

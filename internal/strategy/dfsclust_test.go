@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -69,14 +70,26 @@ func reverseGroup(t *testing.T, db *workload.DB, p int64) int {
 	}
 	for i, j := 0, len(kids)-1; i < j; i, j = i+1, j-1 {
 		a, b := kids[i], kids[j]
-		if err := db.ClusterRel.Tree.UpdateAt(rids[a], recs[b]); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.ClusterRel.Tree.UpdateAt(rids[b], recs[a]); err != nil {
-			t.Fatal(err)
-		}
+		overwrite(t, db, rids[a], recs[b])
+		overwrite(t, db, rids[b], recs[a])
 	}
 	return len(kids)
+}
+
+// overwrite replaces the ClusterRel row at rid with rec, of the same
+// length, in place.
+func overwrite(t *testing.T, db *workload.DB, rid storage.RID, rec []byte) {
+	t.Helper()
+	err := db.ClusterRel.Tree.PatchAt(rid, func(payload []byte) error {
+		if len(payload) != len(rec) {
+			return fmt.Errorf("row of %d bytes at %v, replacement of %d", len(payload), rid, len(rec))
+		}
+		copy(payload, rec)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // nameTwice makes parent p's unit name its member j in position i as
@@ -112,13 +125,15 @@ func nameTwice(t *testing.T, db *workload.DB, p int64, i, j int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, crec, err := db.ClusterRel.Tree.GetAt(rid)
+	var crec []byte
+	err = db.ClusterRel.Tree.ViewAt(rid, func(payload []byte) error {
+		crec = patch(db.ClusterSchema, payload)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.ClusterRel.Tree.UpdateAt(rid, patch(db.ClusterSchema, crec)); err != nil {
-		t.Fatal(err)
-	}
+	overwrite(t, db, rid, crec)
 }
 
 // TestDFSCLUSTGroupScanMatchesDFS holds the slice-backed group scan to

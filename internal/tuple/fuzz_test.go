@@ -111,3 +111,55 @@ func FuzzTupleDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPutInt holds the in-place integer writer to the codec: on every
+// record Decode accepts, PutInt of an integer field yields exactly the
+// bytes of decode, set, encode; on every input, it refuses exactly what
+// Int refuses, leaves a refused record as it was, and writes a value Int
+// then reads back.
+func FuzzPutInt(f *testing.F) {
+	f.Add([]byte{0}, []byte{}, int64(0))
+	f.Add([]byte{0}, mustEncode(fuzzSchemas[0], Tuple{IntVal(1), IntVal(-7), IntVal(1 << 40)}), int64(-1))
+	f.Add([]byte{1}, mustEncode(fuzzSchemas[1], Tuple{IntVal(42), StrVal("cyclist"), BytesVal([]byte{1, 2, 3})}), int64(5))
+	f.Add([]byte{2}, []byte{2, 0, 'h', 'i', 0xff, 0xff}, int64(9))
+	f.Add([]byte{3}, mustEncode(fuzzSchemas[3], Tuple{IntVal(9), StrVal("mid"), IntVal(-9), BytesVal([]byte{7})}), int64(1<<62))
+	f.Add([]byte{3}, []byte{1, 2, 3, 4, 5, 6, 7, 8, 3, 0, 'a'}, int64(3))
+
+	f.Fuzz(func(t *testing.T, sel, rec []byte, v int64) {
+		var which int
+		if len(sel) > 0 {
+			which = int(sel[0]) % len(fuzzSchemas)
+		}
+		s := fuzzSchemas[which]
+		tup, derr := Decode(s, rec)
+		for idx := -1; idx <= len(s.Fields); idx++ {
+			got := append([]byte(nil), rec...)
+			perr := PutInt(s, got, idx, v)
+			_, ierr := Int(s, rec, idx)
+			if (perr == nil) != (ierr == nil) {
+				t.Fatalf("field %d of %x: PutInt = %v, Int = %v", idx, rec, perr, ierr)
+			}
+			if perr != nil {
+				if !bytes.Equal(got, rec) {
+					t.Fatalf("field %d: refused PutInt changed %x to %x", idx, rec, got)
+				}
+				continue
+			}
+			if back, err := Int(s, got, idx); err != nil || back != v {
+				t.Fatalf("field %d: Int after PutInt(%d) = %d, %v", idx, v, back, err)
+			}
+			if derr != nil {
+				continue
+			}
+			set := append(Tuple(nil), tup...)
+			set[idx] = IntVal(v)
+			want, err := Encode(nil, s, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("field %d: PutInt(%d) gave\n%x\ndecode, set, encode gave\n%x", idx, v, got, want)
+			}
+		}
+	})
+}

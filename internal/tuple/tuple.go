@@ -214,26 +214,36 @@ func Encode(dst []byte, s *Schema, t Tuple) ([]byte, error) {
 		}
 		switch f.Kind {
 		case KInt:
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(v.Int))
-			dst = append(dst, b[:]...)
+			dst = AppendInt(dst, v.Int)
 		case KString:
-			dst = appendVar(dst, []byte(v.Str))
+			dst = append(appendLen(dst, len(v.Str)), v.Str...)
 		case KBytes:
-			dst = appendVar(dst, v.Raw)
+			dst = AppendBytes(dst, v.Raw)
 		}
 	}
 	return dst, nil
 }
 
-func appendVar(dst, b []byte) []byte {
-	if len(b) > 0xffff {
+// AppendInt appends an integer field holding v, as Encode writes it.
+func AppendInt(dst []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, uint64(v))
+}
+
+// AppendBytes appends a byte field holding b, as Encode writes it. With
+// AppendInt it lets a loader build a record of one schema from a stored
+// record of another whose fields are a run of its own.
+func AppendBytes(dst, b []byte) []byte {
+	return append(appendLen(dst, len(b)), b...)
+}
+
+// appendLen appends a variable field's length prefix. A string body is
+// appended as a string, not converted to []byte, so encoding a row into
+// a reused buffer allocates nothing.
+func appendLen(dst []byte, n int) []byte {
+	if n > 0xffff {
 		panic("tuple: variable field exceeds 64 KiB")
 	}
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(len(b)))
-	dst = append(dst, l[:]...)
-	return append(dst, b...)
+	return binary.LittleEndian.AppendUint16(dst, uint16(n))
 }
 
 // Decode parses rec per schema s. String and byte values copy out of rec
@@ -343,6 +353,27 @@ func Int(s *Schema, rec []byte, idx int) (int64, error) {
 		return 0, fmt.Errorf("tuple: field %q is %v, not int", f.Name, f.Kind)
 	}
 	return int64(binary.LittleEndian.Uint64(body)), nil
+}
+
+// PutInt overwrites integer field idx of rec with v in place: the bytes
+// Encode would produce for the decoded tuple with field idx set to v,
+// without decoding anything. It refuses exactly the records and fields
+// Int refuses, and leaves a refused record untouched. Updates patch a
+// pinned record with it.
+func PutInt(s *Schema, rec []byte, idx int, v int64) error {
+	if uint(idx) < uint(s.intPrefix) && 8*idx+8 <= len(rec) {
+		binary.LittleEndian.PutUint64(rec[8*idx:], uint64(v))
+		return nil
+	}
+	body, err := FieldBytes(s, rec, idx)
+	if err != nil {
+		return err
+	}
+	if f := s.Fields[idx]; f.Kind != KInt {
+		return fmt.Errorf("tuple: field %q is %v, not int", f.Name, f.Kind)
+	}
+	binary.LittleEndian.PutUint64(body, uint64(v))
+	return nil
 }
 
 // FieldBytes returns the encoded body of field idx as a view into rec:

@@ -9,7 +9,10 @@
 // parents; updates modify a fixed number of ChildRel tuples in place.
 package workload
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Defaults from §4 of the paper.
 const (
@@ -110,6 +113,10 @@ func (c Config) WithDefaults() Config {
 // objects sharing a subobject (§3.3).
 func (c Config) ShareFactor() int { return c.UseFactor * c.OverlapFactor }
 
+// ErrNegative reports a size or count set below zero. Zero asks for the
+// default, so no negative value means anything.
+var ErrNegative = errors.New("workload: negative parameter")
+
 // Validate rejects configurations the generator cannot honour.
 func (c Config) Validate() error {
 	if c.NumParents < 1 || c.SizeUnit < 1 || c.UseFactor < 1 || c.OverlapFactor < 1 || c.NumChildRel < 1 {
@@ -125,8 +132,20 @@ func (c Config) Validate() error {
 	if c.SizeUnit*8+120 > c.ParentBytes*4 {
 		return fmt.Errorf("workload: SizeUnit %d too large for ParentBytes %d", c.SizeUnit, c.ParentBytes)
 	}
-	if c.PoolShards < 0 {
-		return fmt.Errorf("workload: negative PoolShards %d", c.PoolShards)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"PoolPages", c.PoolPages},
+		{"PoolShards", c.PoolShards},
+		{"ChildBytes", c.ChildBytes},
+		{"CacheUnits", c.CacheUnits},
+		{"CacheBuckets", c.CacheBuckets},
+		{"UpdateBatch", c.UpdateBatch},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%w: %s %d", ErrNegative, f.name, f.v)
+		}
 	}
 	if c.ZipfTheta < 0 {
 		return fmt.Errorf("workload: negative ZipfTheta %g", c.ZipfTheta)

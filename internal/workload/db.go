@@ -3,7 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -251,8 +251,10 @@ func (db *DB) loadParents() (err error) {
 		db.UnitUsers[u] = append(db.UnitUsers[u], int64(p))
 	}
 	pad := db.padFor(db.ParentSchema, db.Cfg.ParentBytes, db.Cfg.SizeUnit*8)
+	var raw []byte
 	db.Parent, err = db.loadBTree("ParentRel", db.ParentSchema, db.Cfg.NumParents, pad, func(p int64) ([]byte, error) {
-		return object.EncodeOIDs(db.UnitOf(p)), nil
+		raw = object.AppendEncoded(raw[:0], db.UnitOf(p))
+		return raw, nil
 	})
 	return err
 }
@@ -260,13 +262,15 @@ func (db *DB) loadParents() (err error) {
 // loadBTree creates the B-tree relation name and loads n generated
 // tuples keyed 0..n-1: OID, three random ret fields, the dummy pad and —
 // for the six-attribute schemas — tail(k), a parent's children list or
-// inline values.
+// inline values, read before the next call to tail. Every row is encoded
+// into one reused buffer, which Insert copies into the leaf.
 func (db *DB) loadBTree(name string, s *tuple.Schema, n int, pad string, tail func(k int64) ([]byte, error)) (*catalog.Relation, error) {
 	rel, err := db.Cat.CreateBTree(name, s)
 	if err != nil {
 		return nil, err
 	}
 	t := make(tuple.Tuple, 0, 6)
+	var rec []byte
 	for k := int64(0); k < int64(n); k++ {
 		t = append(t[:0],
 			tuple.IntVal(int64(object.NewOID(rel.ID, k))),
@@ -281,8 +285,7 @@ func (db *DB) loadBTree(name string, s *tuple.Schema, n int, pad string, tail fu
 			}
 			t = append(t, tuple.BytesVal(raw))
 		}
-		rec, err := tuple.Encode(nil, s, t)
-		if err != nil {
+		if rec, err = tuple.Encode(rec[:0], s, t); err != nil {
 			return nil, err
 		}
 		if err := rel.Tree.Insert(k, rec); err != nil {
@@ -328,8 +331,18 @@ func (db *DB) fixDuplicates(chunk, rest []int64, n int64) {
 
 // buildCluster computes the clustering assignment and materializes
 // ClusterRel: for each parent key p in order, the parent's row followed
-// by the subobjects clustered with it, all under cluster# = p; then the
-// static ISAM index on OID.
+// by the subobjects clustered with it in OID order, all under cluster#
+// = p; then the static ISAM index on OID.
+//
+// ClusterSchema is cluster# followed by ParentSchema's fields, and a
+// subobject row is ChildSchema's fields plus an empty children list, so
+// a row is built from bytes, not tuples: the cluster# followed by the
+// parent's stored record, or by the subobject's stored record and an
+// empty children field. Those are exactly the bytes decoding the record
+// and encoding the widened tuple produce. Parents come from one walk of
+// ParentRel, subobjects from one walk of each child relation into an
+// arena that lives for this call only, and every row goes through
+// Tree.Insert, so ClusterRel's pages are the insert path's.
 func (db *DB) buildCluster() error {
 	a, err := cluster.Assign(db.Units, db.UnitUsers, db.rng)
 	if err != nil {
@@ -344,24 +357,13 @@ func (db *DB) buildCluster() error {
 		for oid := range a.Owner {
 			oids = append(oids, oid)
 		}
-		sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
+		slices.Sort(oids)
 		for _, oid := range oids {
 			a.Owner[oid] = db.rng.Int63n(int64(db.Cfg.NumParents))
 		}
 	}
 	db.Assignment = a
-
-	// Invert: parent key → owned subobjects. Map iteration order is
-	// random, so sort each owner's subobjects: within-cluster row order
-	// decides RID placement in ClusterRel, and an unsorted order made
-	// clustered probe I/O vary run to run under an identical seed.
-	owned := make(map[int64][]object.OID)
-	for oid, p := range a.Owner {
-		owned[p] = append(owned[p], oid)
-	}
-	for _, oids := range owned {
-		sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	}
+	owned := ownedBy(a.Owner, db.Cfg.NumParents)
 
 	rel, err := db.Cat.CreateBTree("ClusterRel", db.ClusterSchema)
 	if err != nil {
@@ -369,45 +371,36 @@ func (db *DB) buildCluster() error {
 	}
 	db.ClusterRel = rel
 
-	// Cache child tuples for re-encoding into ClusterRel.
-	childTuple := func(oid object.OID) (tuple.Tuple, error) {
-		crel, err := db.ChildByRelID(oid.Rel())
-		if err != nil {
-			return nil, err
+	kids := make(map[uint16]*rowArena, len(db.Children))
+	for _, crel := range db.Children {
+		if kids[crel.ID], err = loadArena(crel, db.childCount[crel.ID]); err != nil {
+			return err
 		}
-		rec, err := crel.Tree.Get(oid.Key())
-		if err != nil {
-			return nil, err
-		}
-		return tuple.Decode(db.ChildSchema, rec)
 	}
-	for p := int64(0); p < int64(db.Cfg.NumParents); p++ {
-		prec, err := db.Parent.Tree.Get(p)
+	it, err := db.Parent.Tree.SeekFirst()
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	var rec []byte
+	for {
+		p, payload, ok, err := it.Next()
 		if err != nil {
 			return err
 		}
-		pt, err := tuple.Decode(db.ParentSchema, prec)
-		if err != nil {
-			return err
+		if !ok {
+			break
 		}
-		row := tuple.Tuple{tuple.IntVal(p), pt[0], pt[1], pt[2], pt[3], pt[4], pt[5]}
-		rec, err := tuple.Encode(nil, db.ClusterSchema, row)
-		if err != nil {
-			return err
-		}
+		rec = append(tuple.AppendInt(rec[:0], p), payload...)
 		if err := rel.Tree.Insert(p, rec); err != nil {
 			return err
 		}
 		for _, oid := range owned[p] {
-			ct, err := childTuple(oid)
+			kid, err := kids[oid.Rel()].row(oid)
 			if err != nil {
 				return err
 			}
-			row := tuple.Tuple{tuple.IntVal(p), ct[0], ct[1], ct[2], ct[3], ct[4], tuple.BytesVal(nil)}
-			rec, err := tuple.Encode(nil, db.ClusterSchema, row)
-			if err != nil {
-				return err
-			}
+			rec = tuple.AppendBytes(append(tuple.AppendInt(rec[:0], p), kid...), nil)
 			if err := rel.Tree.Insert(p, rec); err != nil {
 				return err
 			}
@@ -415,14 +408,14 @@ func (db *DB) buildCluster() error {
 	}
 
 	// Static ISAM index on ClusterRel.OID.
-	var entries []isam.Entry
+	entries := make([]isam.Entry, 0, len(owned)+len(a.Owner))
 	oidIdx := db.ClusterSchema.MustIndex("OID")
 	err = rel.Tree.ScanLeavesRID(func(rid storage.RID, _ int64, payload []byte) (bool, error) {
-		v, err := tuple.DecodeField(db.ClusterSchema, payload, oidIdx)
+		oid, err := tuple.Int(db.ClusterSchema, payload, oidIdx)
 		if err != nil {
 			return false, err
 		}
-		entries = append(entries, isam.Entry{Key: v.Int, RID: rid})
+		entries = append(entries, isam.Entry{Key: oid, RID: rid})
 		return true, nil
 	})
 	if err != nil {
@@ -434,6 +427,80 @@ func (db *DB) buildCluster() error {
 	}
 	rel.Index = idx
 	return nil
+}
+
+// ownedBy inverts a clustering assignment: owned[p] lists the
+// subobjects parent p owns, in OID order (within-cluster row order
+// decides RID placement in ClusterRel, and map order is random). The
+// lists share one backing array.
+func ownedBy(owner map[object.OID]int64, numParents int) [][]object.OID {
+	count := make([]int, numParents)
+	for _, p := range owner {
+		count[p]++
+	}
+	owned := make([][]object.OID, numParents)
+	flat := make([]object.OID, len(owner))
+	off := 0
+	for p, n := range count {
+		owned[p] = flat[off : off : off+n]
+		off += n
+	}
+	for oid, p := range owner {
+		owned[p] = append(owned[p], oid)
+	}
+	for _, oids := range owned {
+		slices.Sort(oids)
+	}
+	return owned
+}
+
+// rowArena holds one relation's stored records, keyed 0..n-1, in one
+// buffer: key k's record is data[end[k-1]:end[k]].
+type rowArena struct {
+	data []byte
+	end  []int
+}
+
+// loadArena copies the n records of rel, whose keys are 0..n-1, in one
+// walk of its leaves.
+func loadArena(rel *catalog.Relation, n int) (*rowArena, error) {
+	a := &rowArena{end: make([]int, 0, n)}
+	it, err := rel.Tree.SeekFirst()
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	for {
+		k, payload, ok, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if k != int64(len(a.end)) {
+			return nil, fmt.Errorf("workload: %s key %d where %d was due", rel.Name, k, len(a.end))
+		}
+		if a.data == nil {
+			a.data = make([]byte, 0, n*len(payload))
+		}
+		a.data = append(a.data, payload...)
+		a.end = append(a.end, len(a.data))
+	}
+	return a, nil
+}
+
+// row returns oid's record, a view into the arena.
+func (a *rowArena) row(oid object.OID) ([]byte, error) {
+	k := oid.Key()
+	if a == nil || k >= int64(len(a.end)) {
+		return nil, fmt.Errorf("workload: no subobject %v", oid)
+	}
+	start := 0
+	if k > 0 {
+		start = a.end[k-1]
+	}
+	return a.data[start:a.end[k]], nil
 }
 
 // padFor computes the dummy padding string that brings an encoded tuple

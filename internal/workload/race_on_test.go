@@ -1,0 +1,6 @@
+//go:build race
+
+package workload
+
+// raceEnabled reports that this test binary was built with -race.
+const raceEnabled = true

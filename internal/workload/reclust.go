@@ -5,6 +5,7 @@ import (
 
 	"corep/internal/engine"
 	"corep/internal/object"
+	"corep/internal/tuple"
 )
 
 // Online reclustering for the clustered layout (DESIGN.md §13). The
@@ -79,9 +80,10 @@ func (db *DB) reclustRow(parent int64, oid object.OID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, rec, err := db.ClusterRel.Tree.GetAt(rid)
-	if err != nil {
-		return nil, err
-	}
-	return PatchRet1(db.ClusterSchema, rec, 0, parent)
+	var rec []byte
+	err = db.ClusterRel.Tree.ViewAt(rid, func(payload []byte) error {
+		rec = append(rec, payload...)
+		return tuple.PutInt(db.ClusterSchema, rec, 0, parent)
+	})
+	return rec, err
 }

@@ -163,35 +163,20 @@ func (db *DB) zipfDraw(n int) int64 {
 // field 0, shifting the ChildSchema fields by one).
 const clusterRet1 = FieldRet1 + 1
 
-// PatchRet1 re-encodes rec (a tuple of schema s) with the integer field
-// at idx replaced by v — the one modification updates make.
-func PatchRet1(s *tuple.Schema, rec []byte, idx int, v int64) ([]byte, error) {
-	t, err := tuple.Decode(s, rec)
-	if err != nil {
-		return nil, err
-	}
-	t[idx] = tuple.IntVal(v)
-	return tuple.Encode(nil, s, t)
-}
-
 // ApplyUpdateBase applies an update op to the base layout (ChildRel
-// B-trees): probe by key, modify ret1 in place. This is the update path
-// of the non-clustered strategies; the caller is charged the I/O.
+// B-trees): one descent by key, ret1 patched in place in the pinned
+// leaf. This is the update path of the non-clustered strategies; the
+// caller is charged the I/O.
 func (db *DB) ApplyUpdateBase(op Op) error {
 	for i, oid := range op.Targets {
 		rel, err := db.ChildByRelID(oid.Rel())
 		if err != nil {
 			return err
 		}
-		rec, err := rel.Tree.Get(oid.Key())
+		err = rel.Tree.Patch(oid.Key(), func(rec []byte) error {
+			return tuple.PutInt(db.ChildSchema, rec, FieldRet1, op.NewRet1[i])
+		})
 		if err != nil {
-			return err
-		}
-		nrec, err := PatchRet1(db.ChildSchema, rec, FieldRet1, op.NewRet1[i])
-		if err != nil {
-			return err
-		}
-		if err := rel.Tree.Update(oid.Key(), nrec); err != nil {
 			return err
 		}
 	}
@@ -255,21 +240,13 @@ func (db *DB) ApplyUpdateCluster(op Op) error {
 		if err != nil {
 			return err
 		}
-		_, payload, err := db.ClusterRel.Tree.GetAt(rid)
-		if err != nil {
+		patch := func(rec []byte) error {
+			return tuple.PutInt(db.ClusterSchema, rec, clusterRet1, op.NewRet1[i])
+		}
+		if err := db.ClusterRel.Tree.PatchAt(rid, patch); err != nil {
 			return err
 		}
-		nrec, err := PatchRet1(db.ClusterSchema, payload, clusterRet1, op.NewRet1[i])
-		if err != nil {
-			return err
-		}
-		if err := db.ClusterRel.Tree.UpdateAt(rid, nrec); err != nil {
-			return err
-		}
-		err = db.WriteThrough(oid, func(rec []byte) ([]byte, error) {
-			return PatchRet1(db.ClusterSchema, rec, clusterRet1, op.NewRet1[i])
-		})
-		if err != nil {
+		if err := db.WriteThrough(oid, patch); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"corep/internal/object"
@@ -208,16 +210,16 @@ func TestClusteredBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("probe %v: %v", o, err)
 			}
-			_, payload, err := db.ClusterRel.Tree.GetAt(rid)
+			var got int64
+			err = db.ClusterRel.Tree.ViewAt(rid, func(payload []byte) (err error) {
+				got, err = tuple.Int(db.ClusterSchema, payload, db.ClusterSchema.MustIndex("OID"))
+				return err
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, err := tuple.DecodeField(db.ClusterSchema, payload, db.ClusterSchema.MustIndex("OID"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if object.OID(v.Int) != o {
-				t.Fatalf("index probe of %v returned %v", o, object.OID(v.Int))
+			if object.OID(got) != o {
+				t.Fatalf("index probe of %v returned %v", o, object.OID(got))
 			}
 		}
 	}
@@ -322,13 +324,13 @@ func TestApplyUpdateCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, payload, err := db.ClusterRel.Tree.GetAt(rid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _ := tuple.DecodeField(db.ClusterSchema, payload, 2)
-	if v.Int != 777 {
-		t.Fatalf("ret1 = %d", v.Int)
+	var v int64
+	err = db.ClusterRel.Tree.ViewAt(rid, func(payload []byte) (err error) {
+		v, err = tuple.Int(db.ClusterSchema, payload, 2)
+		return err
+	})
+	if err != nil || v != 777 {
+		t.Fatalf("ret1 = %d, %v", v, err)
 	}
 }
 
@@ -365,6 +367,37 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		if err := c.WithDefaults().Validate(); err == nil {
 			t.Fatalf("config %d accepted: %+v", i, c)
 		}
+	}
+}
+
+// TestValidateRefusesNegatives: a negative size or count is refused by
+// name, by Validate and by Build, where it once built (UpdateBatch -3:
+// update ops with no targets; CacheUnits -5: no cache) or failed deep
+// inside the cache's hash file (CacheBuckets -1).
+func TestValidateRefusesNegatives(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"UpdateBatch", func(c *Config) { c.UpdateBatch = -3 }},
+		{"CacheUnits", func(c *Config) { c.CacheUnits = -5 }},
+		{"CacheBuckets", func(c *Config) { c.CacheBuckets = -1 }},
+		{"ChildBytes", func(c *Config) { c.ChildBytes = -100 }},
+		{"PoolPages", func(c *Config) { c.PoolPages = -8 }},
+		{"PoolShards", func(c *Config) { c.PoolShards = -2 }},
+	} {
+		cfg := smallCfg()
+		tc.set(&cfg)
+		err := cfg.WithDefaults().Validate()
+		if !errors.Is(err, ErrNegative) || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate = %v, want ErrNegative naming the field", tc.field, err)
+		}
+		if _, err := Build(cfg); !errors.Is(err, ErrNegative) {
+			t.Errorf("%s: Build = %v, want ErrNegative", tc.field, err)
+		}
+	}
+	if err := smallCfg().WithDefaults().Validate(); err != nil {
+		t.Fatalf("the base config is refused: %v", err)
 	}
 }
 
