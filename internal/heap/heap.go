@@ -10,6 +10,7 @@ package heap
 
 import (
 	"errors"
+	"sync"
 
 	"corep/internal/buffer"
 	"corep/internal/disk"
@@ -22,8 +23,23 @@ type File struct {
 	pool  *buffer.Pool
 	first disk.PageID
 	last  disk.PageID
-	pages []disk.PageID
+	pages *pageList // lent by pageLists; nil once dropped
 	count int
+}
+
+// pageList is a file's page ids in chain order.
+type pageList struct{ ids []disk.PageID }
+
+// pageLists lends page lists: Drop gives a file's back, emptied, and
+// Create or Open takes one, so a temporary formed after another was
+// dropped grows into the dropped one's list instead of a fresh slice.
+var pageLists = sync.Pool{New: func() any { return new(pageList) }}
+
+// lendPages takes an empty page list from pageLists.
+func lendPages() *pageList {
+	l := pageLists.Get().(*pageList)
+	l.ids = l.ids[:0]
+	return l
 }
 
 // Create allocates an empty heap file.
@@ -34,13 +50,15 @@ func Create(pool *buffer.Pool) (*File, error) {
 	}
 	storage.Page{Buf: buf}.Init(storage.TypeHeap)
 	pool.Unpin(id, true)
-	return &File{pool: pool, first: id, last: id, pages: []disk.PageID{id}}, nil
+	pages := lendPages()
+	pages.ids = append(pages.ids, id)
+	return &File{pool: pool, first: id, last: id, pages: pages}, nil
 }
 
 // Open re-attaches to an existing heap file rooted at first. The caller
 // must know the chain head (the catalog stores it).
 func Open(pool *buffer.Pool, first disk.PageID) (*File, error) {
-	f := &File{pool: pool, first: first, last: first}
+	f := &File{pool: pool, first: first, last: first, pages: lendPages()}
 	// Walk to the tail so appends keep working; also recount records.
 	id := first
 	for id != disk.InvalidPageID {
@@ -52,7 +70,7 @@ func Open(pool *buffer.Pool, first disk.PageID) (*File, error) {
 		pg.LiveRecords(func(int, []byte) bool { f.count++; return true })
 		next := pg.Next()
 		pool.Unpin(id, false)
-		f.pages = append(f.pages, id)
+		f.pages.ids = append(f.pages.ids, id)
 		f.last = id
 		id = next
 	}
@@ -116,7 +134,7 @@ func (a *Appender) Append(rec []byte) (storage.RID, error) {
 		f.pool.Unpin(f.last, true)
 		a.pg, a.dirty = npg, true // a new page is born dirty
 		f.last = nid
-		f.pages = append(f.pages, nid)
+		f.pages.ids = append(f.pages.ids, nid)
 		slot, err = a.pg.Insert(rec)
 	}
 	if err != nil {
@@ -198,14 +216,19 @@ func (f *File) Scan(fn func(rid storage.RID, rec []byte) bool) error {
 // from the page list the file keeps, so no page is read to find them.
 // The pool is not told: a frame still holding one of the pages is
 // evicted, and written back if dirty, exactly as if the file lived on,
-// so dropping moves no I/O count. The file must not be used afterwards;
-// a second Drop does nothing.
+// so dropping moves no I/O count. The page list goes back to
+// pageLists. The file must not be used afterwards; a second Drop does
+// nothing.
 func (f *File) Drop() error {
+	if f.pages == nil {
+		return nil
+	}
 	dm := f.pool.Disk()
 	var err error
-	for _, id := range f.pages {
+	for _, id := range f.pages.ids {
 		err = errors.Join(err, dm.Free(id))
 	}
+	pageLists.Put(f.pages)
 	f.pages = nil
 	f.first, f.last, f.count = disk.InvalidPageID, disk.InvalidPageID, 0
 	return err

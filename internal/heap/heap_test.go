@@ -196,3 +196,76 @@ func TestAppendCostsIO(t *testing.T) {
 		t.Fatalf("leaked pins: %d", pool.PinnedCount())
 	}
 }
+
+// TestDropLendsItsPageList: files formed one after another, each
+// dropped before the next is created — a retrieve's temporaries — reuse
+// one page list. Each Drop frees exactly its own file's pages, a second
+// Drop of a dropped file frees nothing and reports nothing, and a file
+// reopened with Open drops its whole chain too.
+func TestDropLendsItsPageList(t *testing.T) {
+	d := disk.NewSim()
+	pool := buffer.New(d, 16)
+	live := func() int64 { s := d.Stats(); return s.Allocs - s.Frees }
+	rec := bytes.Repeat([]byte{7}, 100)
+	fill := func(f *File, n int) {
+		t.Helper()
+		a := f.Appender()
+		defer a.Close()
+		for i := 0; i < n; i++ {
+			if _, err := a.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var prev *File
+	for i, n := range []int{200, 30, 500, 0, 90} {
+		before := live()
+		f, err := Create(pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(f, n)
+		pages, err := f.NumPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := live() - before; got != int64(pages) {
+			t.Fatalf("file %d: %d live pages for a %d-page chain", i, got, pages)
+		}
+		if prev != nil {
+			if err := prev.Drop(); err != nil {
+				t.Fatalf("second Drop of file %d: %v", i-1, err)
+			}
+		}
+		if got := live() - before; got != int64(pages) {
+			t.Fatalf("file %d: a second Drop of its predecessor freed %d of its pages", i, int64(pages)-(live()-before))
+		}
+		if err := f.Drop(); err != nil {
+			t.Fatalf("file %d: %v", i, err)
+		}
+		if got := live(); got != before {
+			t.Fatalf("file %d: %d live pages after Drop, %d before it was created", i, got, before)
+		}
+		prev = f
+	}
+
+	before := live()
+	f, err := Create(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(f, 300)
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	g, err := Open(pool, f.First())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Drop(); err != nil {
+		t.Fatal(err)
+	}
+	if got := live(); got != before {
+		t.Fatalf("reopened file: %d live pages after Drop, %d before", got, before)
+	}
+}

@@ -10,6 +10,7 @@ package query
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/bits"
 	"sync"
@@ -98,50 +99,67 @@ func (t *Int64Temp) Scan(fn func(v int64) (bool, error)) error {
 }
 
 // Iter returns a pull iterator over the temporary in insertion order.
-// It materializes positions lazily by walking the heap chain; each page
-// is pinned once per visit (buffer hits are free).
+// Its first Next reads the whole temporary into a buffer lent by
+// scratchPool; Close gives the buffer back.
 func (t *Int64Temp) Iter() *TempIter { return &TempIter{t: t} }
 
-// TempIter pulls values from an Int64Temp.
+// TempIter pulls values from an Int64Temp. A reader that stops before
+// the end (a merge join whose inner side ran out, an error) must Close
+// it; one never Closed only leaves its buffer to the collector.
 type TempIter struct {
 	t      *Int64Temp
-	buf    []int64
+	buf    *scratch // nil before the first Next and after Close
 	pos    int
 	primed bool
+	err    error
 }
 
 // Next implements Int64Iter. The first call scans the heap into memory;
 // the I/O for that scan is charged at that moment. (The values
 // themselves are small — one page of OIDs holds ~170 — so holding the
 // decoded ints in memory mirrors INGRES keeping the outer stream of a
-// merge join flowing.)
+// merge join flowing.) An error of that scan is returned by every call,
+// and the buffer goes back to the pool at once.
 func (it *TempIter) Next() (int64, bool, error) {
 	if !it.primed {
 		it.primed = true
-		it.buf = make([]int64, 0, it.t.Count())
-		err := it.t.Scan(func(v int64) (bool, error) {
-			it.buf = append(it.buf, v)
+		it.buf = lend(it.t.Count())
+		it.err = it.t.Scan(func(v int64) (bool, error) {
+			it.buf.vs = append(it.buf.vs, v)
 			return true, nil
 		})
-		if err != nil {
-			return 0, false, err
+		if it.err != nil {
+			it.Close()
 		}
 	}
-	if it.pos >= len(it.buf) {
+	if it.err != nil {
+		return 0, false, it.err
+	}
+	if it.buf == nil || it.pos >= len(it.buf.vs) {
 		return 0, false, nil
 	}
-	v := it.buf[it.pos]
+	v := it.buf.vs[it.pos]
 	it.pos++
 	return v, true, nil
+}
+
+// Close gives the iterator's buffer back to scratchPool; from then on
+// Next reports the end (or the scan's error). It is idempotent.
+func (it *TempIter) Close() {
+	it.primed = true
+	if it.buf != nil {
+		scratchPool.Put(it.buf)
+		it.buf = nil
+	}
 }
 
 // SortTemp external-merge-sorts a temporary into a new temporary,
 // charging run-formation and merge I/O. workMem bounds the in-memory
 // working set, in values (e.g. 20 pages × ~170 values). Each run is
-// radix-sorted in memory (sortBuf.radixSort) in buffers lent by
-// sortBufs. The runs are dropped once merged (a single run is the
-// result itself), and on an error nothing SortTemp made is left behind;
-// in stays the caller's.
+// radix-sorted in memory (scratch.radixSort) in buffers lent by
+// scratchPool. The runs are dropped once merged (a single run is the
+// result itself), a refused page free failing the sort, and on an error
+// nothing SortTemp made is left behind; in stays the caller's.
 func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err error) {
 	if workMem < 2 {
 		workMem = 2
@@ -156,18 +174,13 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 	// Phase 1: produce sorted runs.
 	var runs []*Int64Temp
 	defer func() {
-		if err != nil || len(runs) > 1 {
-			for _, r := range runs {
-				r.Drop()
-			}
+		if err != nil {
+			dropAll(runs) // the sort's own error is the one reported
 		}
 	}()
-	bufs := sortBufs.Get().(*sortBuf)
-	defer sortBufs.Put(bufs)
-	if n := min(workMem, in.Count()); cap(bufs.run) < n {
-		bufs.run = make([]int64, 0, n)
-	}
-	cur := bufs.run[:0]
+	bufs := lend(min(workMem, in.Count()))
+	defer scratchPool.Put(bufs)
+	cur := bufs.vs
 	flush := func() error {
 		if len(cur) == 0 {
 			return nil
@@ -221,9 +234,10 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 			out.Drop()
 		}
 	}()
-	iters := make([]Int64Iter, len(runs))
+	iters := make([]*TempIter, len(runs))
 	for i, r := range runs {
 		iters[i] = r.Iter()
+		defer iters[i].Close()
 	}
 	heads := make([]int64, len(runs))
 	alive := make([]bool, len(runs))
@@ -246,6 +260,12 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 			}
 		}
 		if best < 0 {
+			// Merged: the runs go now, and a refused free fails the sort.
+			merged := runs
+			runs = nil
+			if err := dropAll(merged); err != nil {
+				return nil, err
+			}
 			return out, nil
 		}
 		if err := w.Append(heads[best]); err != nil {
@@ -259,23 +279,45 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 	}
 }
 
-// sortBuf is the memory SortTemp sorts in: the run being collected and
-// the radix sort's second buffer.
-type sortBuf struct{ run, scratch []int64 }
+// dropAll drops every temporary of ts, returning their errors joined.
+func dropAll(ts []*Int64Temp) error {
+	var err error
+	for _, t := range ts {
+		err = errors.Join(err, t.Drop())
+	}
+	return err
+}
 
-// sortBufs lends SortTemp its sortBuf, so a sort allocates no run memory
-// once the pool has lent a buffer of the run's size.
-var sortBufs = sync.Pool{New: func() any { return new(sortBuf) }}
+// scratch is the package's lent memory: a TempIter's decoded values
+// (vs), or the run SortTemp collects (vs) and its radix sort's second
+// buffer (aux).
+type scratch struct{ vs, aux []int64 }
+
+// scratchPool lends scratch to SortTemp and TempIter, so neither
+// allocates value memory once the pool has lent a buffer of the size
+// it needs. Nothing handed out of the package aliases it.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// lend takes a scratch from scratchPool with vs empty and room for n
+// values.
+func lend(n int) *scratch {
+	s := scratchPool.Get().(*scratch)
+	if cap(s.vs) < n {
+		s.vs = make([]int64, 0, n)
+	}
+	s.vs = s.vs[:0]
+	return s
+}
 
 // radixSort sorts vs ascending with an LSD radix sort over the bytes of
 // v − min(vs), taken as unsigned: one stable counting pass per byte of
 // max − min, so two for a temporary of OIDs and eight at most, and no
 // pass when every value is equal. The differences are computed modulo
 // 2⁶⁴, which orders the full int64 range, negatives included. The passes
-// alternate between vs and b.scratch (grown to len(vs) if shorter), and
+// alternate between vs and b.aux (grown to len(vs) if shorter), and
 // the one the last pass filled is returned: the int64s a comparison
 // sort would leave, in the same order.
-func (b *sortBuf) radixSort(vs []int64) []int64 {
+func (b *scratch) radixSort(vs []int64) []int64 {
 	if len(vs) < 2 {
 		return vs
 	}
@@ -287,10 +329,10 @@ func (b *sortBuf) radixSort(vs []int64) []int64 {
 	if passes == 0 {
 		return vs
 	}
-	if cap(b.scratch) < len(vs) {
-		b.scratch = make([]int64, len(vs))
+	if cap(b.aux) < len(vs) {
+		b.aux = make([]int64, len(vs))
 	}
-	src, dst := vs, b.scratch[:len(vs)]
+	src, dst := vs, b.aux[:len(vs)]
 	for shift := uint(0); shift < uint(8*passes); shift += 8 {
 		var start [256]int
 		for _, v := range src {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -77,6 +78,150 @@ func TestTempIter(t *testing.T) {
 	}
 	if fmt.Sprint(got) != "[3 1 2]" {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// failNth fails the nth disk operation after it is installed with a
+// permanent fault; *fired reports whether it got that far.
+func failNth(n int, fired *bool) disk.FaultFunc {
+	ops := 0
+	return func(string, disk.PageID) error {
+		if ops++; ops == n {
+			*fired = true
+			return disk.ErrPermanent
+		}
+		return nil
+	}
+}
+
+// TestTempIterErrorIsSticky: when the first Next's heap scan fails
+// part-way — here on the read of the temporary's second page, the pool
+// cold — every later Next returns that error, never the partial run it
+// had read, and the iterator holds neither a pin nor its lent buffer.
+func TestTempIterErrorIsSticky(t *testing.T) {
+	d := disk.NewSim()
+	pool := buffer.New(d, 32)
+	tmp, err := NewInt64Temp(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := tmp.Appender()
+	for v := int64(0); v < 1000; v++ { // six pages
+		if err := w.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	if err := pool.Invalidate(); err != nil {
+		t.Fatal(err)
+	}
+	fired := false
+	d.SetFault(failNth(2, &fired))
+	it := tmp.Iter()
+	_, _, first := it.Next()
+	d.SetFault(nil)
+	if !fired || !errors.Is(first, disk.ErrPermanent) {
+		t.Fatalf("first Next: err %v, fault fired %v; want the second page's read to fail", first, fired)
+	}
+	for i := 0; i < 3; i++ {
+		if v, ok, err := it.Next(); ok || err != first {
+			t.Fatalf("Next after the failed scan = (%d, %v, %v), want (0, false, %v)", v, ok, err, first)
+		}
+	}
+	if it.buf != nil {
+		t.Fatal("a failed iterator kept its lent buffer")
+	}
+	if n := pool.PinnedCount(); n != 0 {
+		t.Fatalf("%d pages left pinned", n)
+	}
+	it.Close()
+}
+
+// TestTempIterClose: Close gives the buffer back before the end and is
+// idempotent; Next then reports the end, and a fresh iterator reads the
+// temporary whole.
+func TestTempIterClose(t *testing.T) {
+	tmp, _ := NewInt64Temp(newPool())
+	for v := int64(0); v < 400; v++ {
+		_ = tmp.Append(v)
+	}
+	it := tmp.Iter()
+	if v, ok, err := it.Next(); v != 0 || !ok || err != nil {
+		t.Fatalf("Next = (%d, %v, %v)", v, ok, err)
+	}
+	it.Close()
+	it.Close()
+	if it.buf != nil {
+		t.Fatal("Close kept the lent buffer")
+	}
+	if _, ok, err := it.Next(); ok || err != nil {
+		t.Fatalf("Next after Close = (%v, %v), want the end", ok, err)
+	}
+	n := 0
+	for it := tmp.Iter(); ; n++ {
+		v, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if v != int64(n) {
+			t.Fatalf("value %d = %d", n, v)
+		}
+	}
+	if n != 400 {
+		t.Fatalf("read %d values, want 400", n)
+	}
+}
+
+// TestSortTempReportsRunDropError: a merged run whose page was freed
+// behind its back — the first run's first page, once the merge has read
+// it — makes dropping the runs fail, and SortTemp reports that instead
+// of returning its output, which it drops: only the input is left.
+func TestSortTempReportsRunDropError(t *testing.T) {
+	d := disk.NewSim()
+	pool := buffer.New(d, 4) // the runs are evicted before the merge reads them
+	in, err := NewInt64Temp(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := int64(0); v < 1000; v++ {
+		if err := in.Append((v * 7919) % 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func() int64 { s := d.Stats(); return s.Allocs - s.Frees }
+	inPages := live()
+	var victim disk.PageID
+	read, freed := false, false
+	d.SetFault(func(op string, id disk.PageID) error {
+		switch {
+		case op == "alloc" && victim == 0:
+			victim = id
+		case op == "read" && id == victim:
+			read = true
+		case op == "read" && read && !freed:
+			freed = true
+			if err := d.Free(victim); err != nil {
+				t.Errorf("freeing page %d: %v", victim, err)
+			}
+		}
+		return nil
+	})
+	out, err := SortTemp(pool, in, 300) // four runs
+	d.SetFault(nil)
+	if !freed {
+		t.Fatal("the merge never read the first run's first page back")
+	}
+	if out != nil || !errors.Is(err, disk.ErrPageNotFound) {
+		t.Fatalf("SortTemp = (%v, %v), want the runs' refused free", out, err)
+	}
+	if got := live(); got != inPages {
+		t.Fatalf("%d live pages, want the input's %d", got, inPages)
+	}
+	if n := pool.PinnedCount(); n != 0 {
+		t.Fatalf("%d pages left pinned", n)
 	}
 }
 

@@ -10,20 +10,29 @@ import (
 // warm DFSCLUST retrieve allocates the same few objects whether it reads
 // 5 cluster# groups or 50 (its result, its scan state and scratch, the
 // cursor — no map, no copied children value, no OID list per group), and
-// a scanParents-based retrieve one parent slice and one OID arena however
-// many parents qualify. DFS runs in the paper's mode, one probe per
-// subobject, each record read under its leaf pin: a record copy per
-// subobject coming back shows here too. A per-group, per-parent or
-// per-subobject allocation shows as a count that grows with NumTop.
+// a scanParents-based retrieve only its result: the parent list and the
+// OID arena are lent by the strategy's scratch pool. DFS runs in the
+// paper's mode, one probe per subobject, each record read under its leaf
+// pin: a record copy per subobject coming back shows here too. A
+// per-group, per-parent or per-subobject allocation shows as a count
+// that grows with NumTop.
+//
+// BFS, BFSNODUP and SMART's breadth-first pass run in wide_scan's regime
+// — every OID sorted in one run and merge-joined with the child leaves,
+// at NumTop 5 and 50 alike — on a full pool, where a temporary's fresh
+// page takes an evicted frame rather than a new one. Each retrieve
+// allocates its result, its temporaries' handles, the sort's run list,
+// the outer reader and the inner cursor, and nothing that grows with
+// NumTop: the parent list, the OID arena, the reader's values, the
+// sort's buffers, the temporaries' page lists and the writers' relation
+// tables are lent.
 func TestRetrieveAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	db := buildDB(t, workload.Config{NumParents: 2000, SizeUnit: 5, UseFactor: 1, PoolPages: 4000, Seed: 3})
-	allocs := func(k Kind, numTop int64) float64 {
-		st := mustNew(t, k, db)
+	allocs := func(db *workload.DB, st Strategy, numTop int64) float64 {
 		q := Query{Lo: 100, Hi: 100 + numTop - 1, AttrIdx: workload.FieldRet1}
-		if _, err := st.Retrieve(db, q); err != nil { // warm: no page fault inside the count
+		if _, err := st.Retrieve(db, q); err != nil { // warm: no page fault inside the count, every pool lent
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(20, func() {
@@ -32,10 +41,38 @@ func TestRetrieveAllocationCeiling(t *testing.T) {
 			}
 		})
 	}
-	for _, k := range []Kind{DFSCLUST, DFS} {
-		few, many := allocs(k, 5), allocs(k, 50)
-		if few != many || many > 16 {
-			t.Errorf("%v allocates %.0f objects for NumTop 5 and %.0f for NumTop 50: want one small count (<= 16) for both", k, few, many)
+	db := buildDB(t, workload.Config{NumParents: 2000, SizeUnit: 5, UseFactor: 1, PoolPages: 4000, Seed: 3})
+	// DFS allocates its result and its values, DFSCLUST those and its
+	// per-call scan state.
+	for _, c := range []struct {
+		k       Kind
+		ceiling float64
+	}{{DFSCLUST, 4}, {DFS, 2}} {
+		st := mustNew(t, c.k, db)
+		few, many := allocs(db, st, 5), allocs(db, st, 50)
+		if few != many || many > c.ceiling {
+			t.Errorf("%v allocates %.0f objects for NumTop 5 and %.0f for NumTop 50: want one count (<= %.0f) for both", c.k, few, many, c.ceiling)
+		}
+	}
+
+	// 100 and 1,000 OIDs over 2,000 subobjects on 118 leaves: the merge
+	// join wins at both NumTops (probes cost 300 and 3,000 pages), and
+	// 1,000 OIDs are one sort run.
+	wide := buildDB(t, workload.Config{NumParents: 2000, SizeUnit: 20, UseFactor: 20, Seed: 3})
+	smart, err := NewSmart(wide, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ceilings are the measured counts: one lent buffer allocated
+	// afresh again shows as one object over. BFSNODUP adds the distinct
+	// copy's two handles and its Distinct reader.
+	for _, c := range []struct {
+		st      Strategy
+		ceiling float64
+	}{{mustNew(t, BFS, wide), 9}, {mustNew(t, BFSNODUP, wide), 12}, {smart, 9}} {
+		few, many := allocs(wide, c.st, 5), allocs(wide, c.st, 50)
+		if few != many || many > c.ceiling {
+			t.Errorf("%v allocates %.0f objects for NumTop 5 and %.0f for NumTop 50: want one count (<= %.0f) for both", c.st.Kind(), few, many, c.ceiling)
 		}
 	}
 }

@@ -41,20 +41,21 @@ const tempValuesPerPage = (2048 - 24) / 12
 // pages (read input, write runs, read runs during the merge).
 const sortPassFactor = 3
 
-func (b bfs) Retrieve(db *workload.DB, q Query) (*Result, error) {
-	_, oids, res, err := scanPhase(db, q, "strategy.bfs/scan")
+func (b bfs) Retrieve(db *workload.DB, q Query) (_ *Result, err error) {
+	sc, res, err := scanPhase(db, q, "strategy.bfs/scan")
 	if err != nil {
 		return nil, err
 	}
+	defer sc.release()
 
 	child := beginIO(db.Core)
 	defer func() { res.Split.Child = child.end() }()
 
 	// Form one temporary per child relation, paying heap-file writes.
 	tempSp := db.Obs.Start("strategy.bfs/temp")
-	level := newTempWriter(db.Pool)
-	defer func() { level.drop() }()
-	for _, oid := range oids {
+	level := sc.tempWriter(db.Pool)
+	defer func() { firstErr(&err, sc.dropWriter(level)) }()
+	for _, oid := range sc.oids {
 		if err := level.add(oid); err != nil {
 			return nil, err
 		}
@@ -65,8 +66,8 @@ func (b bfs) Retrieve(db *workload.DB, q Query) (*Result, error) {
 
 	// A level's temporaries are dropped as soon as its joins are done.
 	for level != nil {
-		next, err := b.joinLevel(db, level, q, res)
-		level.drop()
+		next, err := b.joinLevel(db, sc, level, q, res)
+		firstErr(&err, sc.dropWriter(level))
 		level = next
 		if err != nil {
 			return nil, err
@@ -76,10 +77,10 @@ func (b bfs) Retrieve(db *workload.DB, q Query) (*Result, error) {
 }
 
 // joinLevel joins each temporary of one level against its relation and
-// returns the level the joins filled: nil once every joined relation was
-// a last level. On an error the partly filled level is returned too, for
-// the caller to drop.
-func (b bfs) joinLevel(db *workload.DB, level *tempWriter, q Query, res *Result) (*tempWriter, error) {
+// returns the level the joins filled, a writer lent by sc: nil once
+// every joined relation was a last level. On an error the partly filled
+// level is returned too, for the caller to drop.
+func (b bfs) joinLevel(db *workload.DB, sc *scratch, level *tempWriter, q Query, res *Result) (*tempWriter, error) {
 	var next *tempWriter
 	// Keep relation order deterministic.
 	slices.Sort(level.relOrder)
@@ -89,7 +90,7 @@ func (b bfs) joinLevel(db *workload.DB, level *tempWriter, q Query, res *Result)
 			return next, err
 		}
 		if next == nil && childrenIdx(rel) >= 0 {
-			next = newTempWriter(db.Pool)
+			next = sc.tempWriter(db.Pool)
 			if err := next.reserve(); err != nil {
 				return next, err
 			}
@@ -105,7 +106,7 @@ func (b bfs) joinLevel(db *workload.DB, level *tempWriter, q Query, res *Result)
 // join method by an I/O estimate. Whichever it chooses, each tuple the
 // join reaches goes through the level's one step (levelStep): into res
 // when rel is a last level, into next when it is an inner one.
-func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Temp, q Query, res *Result, next *tempWriter) error {
+func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Temp, q Query, res *Result, next *tempWriter) (err error) {
 	n := tmp.Count()
 	if n == 0 {
 		return nil
@@ -124,17 +125,21 @@ func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Tem
 		if err != nil {
 			return err
 		}
-		defer sorted.Drop()
+		defer func() { firstErr(&err, sorted.Drop()) }()
 		distinct, err := distinctTemp(db.Pool, sorted)
 		if err != nil {
 			return err
 		}
-		defer distinct.Drop()
+		defer func() { firstErr(&err, distinct.Drop()) }()
 		tmp = distinct
 		n = tmp.Count()
 		dedupSp.SetAttr("in", int64(sorted.Count()))
 		dedupSp.SetAttr("out", int64(n))
 		dedupSp.End()
+	}
+	if ci < 0 {
+		// Every value of the temporary matches once at most.
+		res.Values = slices.Grow(res.Values, n)
 	}
 	tempPages := (n + tempValuesPerPage - 1) / tempValuesPerPage
 	probeCost := int64(n) * int64(rel.Tree.Height())
@@ -147,8 +152,15 @@ func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Tem
 		probeSp.SetAttr("values", int64(n))
 		defer probeSp.End()
 		if !db.Cfg.ProbeBatch || ci >= 0 {
+			// Each record is copied off its leaf into one buffer and
+			// taken after the pin is released: an inner level's step
+			// touches the pool.
+			var rec []byte
 			return tmp.Scan(func(key int64) (bool, error) {
-				rec, err := rel.Tree.Get(key)
+				err := rel.Tree.View(key, func(payload []byte) error {
+					rec = append(rec[:0], payload...)
+					return nil
+				})
 				if err != nil {
 					return false, err
 				}
@@ -185,12 +197,8 @@ func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Tem
 		if err != nil {
 			return err
 		}
-		defer sorted.Drop()
+		defer func() { firstErr(&err, sorted.Drop()) }()
 		outerTemp = sorted
-	}
-	if ci < 0 {
-		// Every outer value matches at most once.
-		res.Values = slices.Grow(res.Values, outerTemp.Count())
 	}
 	return mergeJoinChild(db, rel, outerTemp, take)
 }

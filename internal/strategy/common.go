@@ -2,8 +2,10 @@ package strategy
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"corep/internal/buffer"
 	"corep/internal/catalog"
@@ -30,16 +32,61 @@ func storedParents(db *workload.DB, lo, hi int64) (first, last int64, n int) {
 	return first, last, int(max(0, last-first+1))
 }
 
+// scratch is the working memory a scan-then-fetch retrieve borrows from
+// scratchPool and gives back (release) when it returns, on every path:
+// the scan phase's parent list and the OID arena its units are cut
+// from, and the temporary writers its levels dropped, relation tables
+// emptied, for the next level or retrieve to reuse. Nothing a Result
+// holds aliases it.
+type scratch struct {
+	parents []parentRef
+	oids    []object.OID
+	writers []*tempWriter
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func (s *scratch) release() { scratchPool.Put(s) }
+
+// tempWriter lends a writer over pool: one a dropped writer left behind
+// if there is one, else a new one.
+func (s *scratch) tempWriter(pool *buffer.Pool) *tempWriter {
+	n := len(s.writers)
+	if n == 0 {
+		return newTempWriter(pool)
+	}
+	w := s.writers[n-1]
+	s.writers = s.writers[:n-1]
+	w.pool = pool
+	return w
+}
+
+// dropWriter drops w's temporaries (tempWriter.drop) and keeps w, its
+// tables emptied, for the next tempWriter call. It is nil-safe; w must
+// not be used afterwards.
+func (s *scratch) dropWriter(w *tempWriter) error {
+	if w == nil {
+		return nil
+	}
+	err := w.drop()
+	clear(w.temps)
+	*w = tempWriter{temps: w.temps, relOrder: w.relOrder[:0]}
+	s.writers = append(s.writers, w)
+	return err
+}
+
 // scanParents range-scans ParentRel for lo ≤ key ≤ hi and decodes each
 // qualifying tuple's children attribute. The units land back to back in
-// one arena, returned whole as oids: the retrieve's subobjects in probe
-// order. Both slices are the caller's; nothing in them aliases a page.
-func scanParents(db *workload.DB, lo, hi int64) (parents []parentRef, oids []object.OID, err error) {
+// one arena, sc.oids: the retrieve's subobjects in probe order. Each
+// qualifying tuple's key and unit, a view into the arena, lands in
+// sc.parents. Both slices are lent: they are the retrieve's until it
+// releases sc, and nothing in them aliases a page.
+func scanParents(db *workload.DB, lo, hi int64, sc *scratch) error {
 	childIdx := db.ParentSchema.MustIndex("children")
 	_, _, n := storedParents(db, lo, hi)
-	parents = make([]parentRef, 0, n)
-	oids = make([]object.OID, 0, n*db.Cfg.SizeUnit)
-	err = db.Parent.Tree.Range(lo, hi, func(key int64, payload []byte) (bool, error) {
+	parents := slices.Grow(sc.parents[:0], n)
+	oids := slices.Grow(sc.oids[:0], n*db.Cfg.SizeUnit)
+	err := db.Parent.Tree.Range(lo, hi, func(key int64, payload []byte) (bool, error) {
 		raw, err := tuple.FieldBytes(db.ParentSchema, payload, childIdx)
 		if err != nil {
 			return false, err
@@ -51,8 +98,9 @@ func scanParents(db *workload.DB, lo, hi int64) (parents []parentRef, oids []obj
 		parents = append(parents, parentRef{key: key, unit: oids[start:]})
 		return true, nil
 	})
+	sc.parents, sc.oids = parents, oids
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	// A unit longer than SizeUnit moves the arena under the views cut
 	// before it: cut them all again from the final one, each capped at
@@ -63,24 +111,36 @@ func scanParents(db *workload.DB, lo, hi int64) (parents []parentRef, oids []obj
 		parents[i].unit = oids[off:end:end]
 		off = end
 	}
-	return parents, oids, nil
+	return nil
 }
 
 // scanPhase is the first phase every scan-then-fetch strategy shares:
-// range-scan the qualifying parents under the named span and charge the
-// scan's I/O to the result's ParCost.
-func scanPhase(db *workload.DB, q Query, span string) ([]parentRef, []object.OID, *Result, error) {
+// range-scan the qualifying parents under the named span, into scratch
+// taken from scratchPool, and charge the scan's I/O to the result's
+// ParCost. The caller releases the scratch when its retrieve returns;
+// on an error scanPhase has released it.
+func scanPhase(db *workload.DB, q Query, span string) (*scratch, *Result, error) {
 	par := beginIO(db.Core)
 	sp := db.Obs.Start(span)
-	parents, oids, err := scanParents(db, q.Lo, q.Hi)
-	if err != nil {
-		return nil, nil, nil, err
+	sc := scratchPool.Get().(*scratch)
+	if err := scanParents(db, q.Lo, q.Hi, sc); err != nil {
+		sc.release()
+		return nil, nil, err
 	}
-	sp.SetAttr("parents", int64(len(parents)))
+	sp.SetAttr("parents", int64(len(sc.parents)))
 	sp.End()
 	res := &Result{}
 	res.Split.Par = par.end()
-	return parents, oids, res, nil
+	return sc, res, nil
+}
+
+// firstErr sets *err to cleanup when *err is nil: a cleanup's error —
+// a dropped temporary's disk.Free refusing a page — is reported by a
+// retrieve that had none of its own.
+func firstErr(err *error, cleanup error) {
+	if *err == nil {
+		*err = cleanup
+	}
 }
 
 // childrenIdx returns the position of rel's children attribute, or -1:
@@ -308,18 +368,17 @@ func (w *tempWriter) close() {
 }
 
 // drop closes the open run and frees every temporary the writer made,
-// the reserved one included. It is nil-safe.
-func (w *tempWriter) drop() {
-	if w == nil {
-		return
-	}
+// the reserved one included, returning every page-free error joined.
+func (w *tempWriter) drop() error {
 	w.close()
+	var err error
 	for _, rel := range w.relOrder {
-		w.temps[rel].Drop()
+		err = errors.Join(err, w.temps[rel].Drop())
 	}
 	if w.spare != nil {
-		w.spare.Drop()
+		err = errors.Join(err, w.spare.Drop())
 	}
+	return err
 }
 
 // distinctTemp copies the distinct values of a sorted temporary into a
@@ -337,7 +396,9 @@ func distinctTemp(pool *buffer.Pool, sorted *query.Int64Temp) (_ *query.Int64Tem
 	}()
 	// The sorted side is read into memory by the first Next, before the
 	// first append, so the run below is the only pool traffic.
-	uniq := query.NewDistinct(sorted.Iter())
+	in := sorted.Iter()
+	defer in.Close()
+	uniq := query.NewDistinct(in)
 	w := distinct.Appender()
 	defer w.Close()
 	for {
@@ -381,7 +442,9 @@ func mergeJoinChild(db *workload.DB, rel *catalog.Relation, sorted *query.Int64T
 		return err
 	}
 	defer it.Close()
-	return query.MergeJoin(db.Obs, sorted.Iter(), it, take)
+	outer := sorted.Iter()
+	defer outer.Close()
+	return query.MergeJoin(db.Obs, outer, it, take)
 }
 
 // --- cached-unit value codec ---

@@ -18,14 +18,15 @@ type dfs struct{}
 func (dfs) Kind() Kind { return DFS }
 
 func (dfs) Retrieve(db *workload.DB, q Query) (*Result, error) {
-	_, oids, res, err := scanPhase(db, q, "strategy.dfs/scan")
+	sc, res, err := scanPhase(db, q, "strategy.dfs/scan")
 	if err != nil {
 		return nil, err
 	}
+	defer sc.release()
 
 	child := beginIO(db.Core)
 	probeSp := db.Obs.Start("strategy.dfs/probe")
-	if res.Values, err = fetchLevel(db, oids, q, nil); err != nil {
+	if res.Values, err = fetchLevel(db, sc.oids, q, nil); err != nil {
 		return nil, err
 	}
 	probeSp.SetAttr("values", int64(len(res.Values)))

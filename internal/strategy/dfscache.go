@@ -43,11 +43,12 @@ func (c dfscache) cacheUnit(db *workload.DB, p parentRef) object.Unit {
 }
 
 func (c dfscache) Retrieve(db *workload.DB, q Query) (*Result, error) {
-	parents, oids, res, err := scanPhase(db, q, "strategy.dfscache/scan")
+	sc, res, err := scanPhase(db, q, "strategy.dfscache/scan")
 	if err != nil {
 		return nil, err
 	}
-	res.Values = slices.Grow(res.Values, len(oids)) // every subobject yields one value
+	defer sc.release()
+	res.Values = slices.Grow(res.Values, len(sc.oids)) // every subobject yields one value
 
 	child := beginIO(db.Core)
 	probeSp := db.Obs.Start("strategy.dfscache/probe")
@@ -57,7 +58,7 @@ func (c dfscache) Retrieve(db *workload.DB, q Query) (*Result, error) {
 	// leaves, either is projected and — the cache copies what it is
 	// handed — the next unit overwrites it.
 	var value []byte
-	for _, p := range parents {
+	for _, p := range sc.parents {
 		key := c.cacheUnit(db, p)
 		// Snapshot epoch 0 (nil Snap) is the historic unversioned path;
 		// under versioned serving the epoch gates hits on the cache's

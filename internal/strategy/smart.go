@@ -20,25 +20,26 @@ type smart struct {
 
 func (smart) Kind() Kind { return SMART }
 
-func (s smart) Retrieve(db *workload.DB, q Query) (*Result, error) {
+func (s smart) Retrieve(db *workload.DB, q Query) (_ *Result, err error) {
 	if q.NumTop() <= s.threshold {
 		return dfscache{}.Retrieve(db, q)
 	}
 
-	parents, _, res, err := scanPhase(db, q, "strategy.smart/scan")
+	sc, res, err := scanPhase(db, q, "strategy.smart/scan")
 	if err != nil {
 		return nil, err
 	}
+	defer sc.release()
 
 	child := beginIO(db.Core)
 	bfSp := db.Obs.Start("strategy.smart/bfpass")
 	defer bfSp.End()
 	// Cached units answer depth-first (one hash probe each); the rest
 	// feed per-relation temporaries for merge joins.
-	tw := newTempWriter(db.Pool)
-	defer tw.drop()
+	tw := sc.tempWriter(db.Pool)
+	defer func() { firstErr(&err, sc.dropWriter(tw)) }()
 	var value []byte // one buffer for every cached unit read, as in DFSCACHE
-	for _, p := range parents {
+	for _, p := range sc.parents {
 		unit := p.unit
 		// The cache probe reads hash-file pages: end the open append run
 		// first, so it never spans other pool traffic.
@@ -77,7 +78,7 @@ func (s smart) Retrieve(db *workload.DB, q Query) (*Result, error) {
 		// Every outer value matches at most once.
 		res.Values = slices.Grow(res.Values, sorted.Count())
 		err = mergeJoinChild(db, rel, sorted, project(db, rel, q, res))
-		sorted.Drop()
+		firstErr(&err, sorted.Drop())
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"errors"
 	"testing"
 
 	"corep/internal/disk"
@@ -34,7 +35,12 @@ func failNth(n int, fired *bool) disk.FaultFunc {
 // sort's runs — is dropped by the time the retrieve returns, so 50
 // retrieves leave the disk with as many live pages as they found. The
 // full-range query sorts 1,500 OIDs in two runs. The same holds when a
-// fault fails the retrieve part-way, at every point of a sweep.
+// fault fails the retrieve part-way, at every point of a sweep. A
+// retrieve reports a refused page free (Retrieve returns the drops'
+// error when it has none of its own), so the unfaulted retrieves' nil
+// errors say every drop freed exactly its own pages, with page lists
+// lent from one temporary to the next; a faulted one fails with the
+// injected fault and nothing else.
 func TestTemporariesReturnTheirPages(t *testing.T) {
 	full := Query{Lo: 0, Hi: 299, AttrIdx: workload.FieldRet1}
 	cases := []struct {
@@ -96,6 +102,9 @@ func TestTemporariesReturnTheirPages(t *testing.T) {
 				if err != nil {
 					failed++
 				}
+				if err != nil && (!fired || !errors.Is(err, disk.ErrPermanent)) {
+					t.Fatalf("fault at op %d (fired %v): retrieve failed with %v", n, fired, err)
+				}
 				if got := livePages(db.Disk); got != live {
 					t.Fatalf("fault at op %d (err %v): %d live pages, %d before", n, err, got, live)
 				}
@@ -141,4 +150,50 @@ func TestTemporariesReturnTheirPages(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRetrieveReportsDropError: a temporary whose page is freed behind
+// its back — what a page list shared by two live temporaries would do —
+// makes the drop's disk.Free fail, and the retrieve, which had no error
+// of its own, reports it instead of dropping it. The page goes at the
+// first disk read after the retrieve's first temporary page is
+// allocated, while that temporary is alive.
+func TestRetrieveReportsDropError(t *testing.T) {
+	for _, k := range []Kind{BFS, BFSNODUP, SMART} {
+		t.Run(k.String(), func(t *testing.T) {
+			db := buildDB(t, smallCfg())
+			s, err := NewSmart(db, 20)
+			if k != SMART {
+				s, err = New(k, db)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Pool.Invalidate(); err != nil { // cold: the join reads leaves
+				t.Fatal(err)
+			}
+			var temp disk.PageID
+			stolen := false
+			db.Disk.SetFault(func(op string, id disk.PageID) error {
+				switch {
+				case op == "alloc" && temp == 0:
+					temp = id
+				case op == "read" && temp != 0 && !stolen:
+					stolen = true
+					if err := db.Disk.Free(temp); err != nil {
+						t.Errorf("freeing page %d: %v", temp, err)
+					}
+				}
+				return nil
+			})
+			_, err = s.Retrieve(db, Query{Lo: 0, Hi: 299, AttrIdx: workload.FieldRet1})
+			db.Disk.SetFault(nil)
+			if !stolen {
+				t.Fatal("the retrieve read no page after forming its first temporary")
+			}
+			if !errors.Is(err, disk.ErrPageNotFound) {
+				t.Fatalf("retrieve returned %v, want the drop's refused free of page %d", err, temp)
+			}
+		})
+	}
 }
