@@ -37,8 +37,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -48,86 +50,91 @@ import (
 	"corep"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the shell over args: it answers the commands read from in on
+// out, and writes flag errors, the -trace stream and any error that ends
+// it to errOut. It returns the exit status.
+func run(args []string, in io.Reader, out, errOut io.Writer) int {
+	fs := flag.NewFlagSet("corepquery", flag.ContinueOnError)
+	fs.SetOutput(errOut)
 	var (
-		trace   = flag.Bool("trace", false, "stream per-span JSON lines to stderr")
-		profile = flag.String("profile", "", "write <prefix>.cpu.pprof and <prefix>.heap.pprof on exit")
-		latency = flag.Duration("latency", 0, "simulated per-page device latency (e.g. 200us)")
+		trace   = fs.Bool("trace", false, "stream per-span JSON lines to stderr")
+		profile = fs.String("profile", "", "write <prefix>.cpu.pprof and <prefix>.heap.pprof on exit")
+		latency = fs.Duration("latency", 0, "simulated per-page device latency (e.g. 200us)")
 
-		file    = flag.String("file", "", "back the shell with this on-disk page file (persists across runs)")
-		walFlag = flag.Bool("wal", false, "with -file: write-ahead log every commit (group commit + crash recovery)")
+		file    = fs.String("file", "", "back the shell with this on-disk page file (persists across runs)")
+		walFlag = fs.Bool("wal", false, "with -file: write-ahead log every commit (group commit + crash recovery)")
 
-		slowN         = flag.Int("slow-n", 16, "slow-query log capacity (0 disables \\slow)")
-		slowThreshold = flag.Duration("slow-threshold", 0, "mark queries at or over this latency as SLO violations in \\slow")
+		slowN         = fs.Int("slow-n", 16, "slow-query log capacity (0 disables \\slow)")
+		slowThreshold = fs.Duration("slow-threshold", 0, "mark queries at or over this latency as SLO violations in \\slow")
 
-		faultSeed      = flag.Int64("fault-seed", 1, "seed for the deterministic fault plan (with -fault-*)")
-		faultTransient = flag.Float64("fault-transient", 0, "per-transfer probability of a retryable read/write error")
-		faultPermanent = flag.Float64("fault-permanent", 0, "per-transfer probability of condemning the touched page")
-		faultTorn      = flag.Float64("fault-torn", 0, "per-write probability of a torn (half-persisted) write")
+		faultSeed      = fs.Int64("fault-seed", 1, "seed for the deterministic fault plan (with -fault-*)")
+		faultTransient = fs.Float64("fault-transient", 0, "per-transfer probability of a retryable read/write error")
+		faultPermanent = fs.Float64("fault-permanent", 0, "per-transfer probability of condemning the touched page")
+		faultTorn      = fs.Float64("fault-torn", 0, "per-write probability of a torn (half-persisted) write")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(errOut, err)
+		return 1
+	}
 
 	if *profile != "" {
 		cpu, err := os.Create(*profile + ".cpu.pprof")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer cpu.Close()
 		if err := pprof.StartCPUProfile(cpu); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 		defer func() {
 			heap, err := os.Create(*profile + ".heap.pprof")
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(errOut, err)
 				return
 			}
 			defer heap.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(heap); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(errOut, err)
 			}
 		}()
 	}
 
 	if *walFlag && *file == "" {
-		fmt.Fprintln(os.Stderr, "-wal requires -file (the log lives next to the page file)")
-		os.Exit(1)
+		return fail(errors.New("-wal requires -file (the log lives next to the page file)"))
 	}
-	db, groups, err := openDB(*file, *walFlag)
+	opts := corep.Options{
+		Path:        *file,
+		BufferPages: 100,
+		// \path reads the cache at a pinned snapshot epoch and heats the
+		// units \heat shows and \reclust packs; \stats shows it all.
+		CacheUnits:       64,
+		Versioned:        true,
+		Reclustering:     true,
+		SlowLogCapacity:  *slowN,
+		SlowLogThreshold: *slowThreshold,
+	}
+	if *trace {
+		opts.Trace = errOut
+	}
+	db, groups, err := openDB(out, opts, *walFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if *file != "" {
 		defer db.Close()
 	}
-	// Versioned serving over the outside cache: \path reads pin a
-	// snapshot epoch and check cached units against per-OID commit
-	// watermarks, so \stats shows the cache and txn counters (commits,
-	// snapshot reads, latch waits) as queries run.
-	if err := db.EnableCache(64); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	db.EnableVersionedServing()
-	// Adaptive clustering: \path queries feed the heat tracker, \heat
-	// shows what it learned, \reclust packs the hottest units.
-	if err := db.EnableReclustering(0, 0); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if *trace {
-		db.TraceTo(os.Stderr)
-	}
 	if *latency > 0 {
 		db.SetDeviceLatency(*latency)
-	}
-	if *slowN > 0 {
-		db.EnableSlowLog(*slowN, *slowThreshold)
 	}
 	if *faultTransient > 0 || *faultPermanent > 0 || *faultTorn > 0 {
 		db.SetFaultPlan(&corep.FaultConfig{
@@ -136,20 +143,20 @@ func main() {
 			PermanentRate: *faultPermanent,
 			TornRate:      *faultTorn,
 		})
-		fmt.Printf("fault injection armed (seed=%d): transient=%g permanent=%g torn=%g — \\faults for counters\n",
+		fmt.Fprintf(out, "fault injection armed (seed=%d): transient=%g permanent=%g torn=%g — \\faults for counters\n",
 			*faultSeed, *faultTransient, *faultPermanent, *faultTorn)
 	}
-	fmt.Println("corep query shell — the paper's example database is loaded.")
-	fmt.Println("relations: person(OID,name,age), cyclist(OID,name), group(key,name,members)")
-	fmt.Printf("groups: %s\n", strings.Join(groups, ", "))
-	fmt.Println(`try: retrieve (person.name, person.age) where person.age >= 60`)
-	fmt.Println(`     \path 1    \stats    \slow    \help    \quit`)
+	fmt.Fprintln(out, "corep query shell — the paper's example database is loaded.")
+	fmt.Fprintln(out, "relations: person(OID,name,age), cyclist(OID,name), group(key,name,members)")
+	fmt.Fprintf(out, "groups: %s\n", strings.Join(groups, ", "))
+	fmt.Fprintln(out, `try: retrieve (person.name, person.age) where person.age >= 60`)
+	fmt.Fprintln(out, `     \path 1    \stats    \slow    \help    \quit`)
 
-	sc := bufio.NewScanner(os.Stdin)
-	interactive := isTerminal()
+	sc := bufio.NewScanner(in)
+	interactive := isTerminal(in)
 	for {
 		if interactive {
-			fmt.Print("corep> ")
+			fmt.Fprint(out, "corep> ")
 		}
 		if !sc.Scan() {
 			break
@@ -159,25 +166,25 @@ func main() {
 		case line == "":
 			continue
 		case line == `\quit` || line == `\q`:
-			return
+			return 0
 		case line == `\help`:
-			fmt.Println(`retrieve (...) [where ...] | \path <key> | \plan <query> | \heat | \reclust | \stats [json] | \checkpoint | \slow | \faults | \quit`)
+			fmt.Fprintln(out, `retrieve (...) [where ...] | \path <key> | \plan <query> | \heat | \reclust | \stats [json] | \checkpoint | \slow | \faults | \quit`)
 		case line == `\stats` || line == `\stats json`:
-			printSnapshot(db.Snapshot(), strings.HasSuffix(line, "json"))
+			printSnapshot(out, db.Snapshot(), strings.HasSuffix(line, "json"))
 		case line == `\checkpoint`:
 			if err := db.Checkpoint(); err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(out, "error:", err)
 				continue
 			}
 			if ws := db.Snapshot().WAL; ws != nil {
-				fmt.Printf("checkpoint complete, wal truncated (%d truncation(s) this session)\n", ws.Truncates)
+				fmt.Fprintf(out, "checkpoint complete, wal truncated (%d truncation(s) this session)\n", ws.Truncates)
 			} else {
-				fmt.Println("checkpoint complete")
+				fmt.Fprintln(out, "checkpoint complete")
 			}
 		case line == `\heat`:
 			units := db.HottestUnits(10)
 			if len(units) == 0 {
-				fmt.Println("heat table empty (run some \\path queries first)")
+				fmt.Fprintln(out, "heat table empty (run some \\path queries first)")
 				continue
 			}
 			for _, u := range units {
@@ -185,83 +192,79 @@ func main() {
 				if u.Migrated {
 					mark = "  (migrated)"
 				}
-				fmt.Printf("  %-10s key=%-6d heat=%.3f%s\n", u.Relation, u.Key, u.Heat, mark)
+				fmt.Fprintf(out, "  %-10s key=%-6d heat=%.3f%s\n", u.Relation, u.Key, u.Heat, mark)
 			}
 		case line == `\reclust`:
 			res, err := db.Reorganize(0)
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(out, "error:", err)
 				continue
 			}
-			fmt.Printf("reorganized %d unit(s): %d subobject cop(ies) packed onto %d extent page(s)\n",
+			fmt.Fprintf(out, "reorganized %d unit(s): %d subobject cop(ies) packed onto %d extent page(s)\n",
 				res.Units, res.Objects, res.Pages)
 		case line == `\slow`:
-			printSlow(db.SlowQueries())
+			printSlow(out, db.SlowQueries())
 		case line == `\faults`:
 			fs := db.Snapshot().Faults
-			fmt.Printf("faults: %d injected over %d ops (%d transient, %d permanent hits, %d torn, %d spikes); pool retried %d, recovered %d\n",
+			fmt.Fprintf(out, "faults: %d injected over %d ops (%d transient, %d permanent hits, %d torn, %d spikes); pool retried %d, recovered %d\n",
 				fs.Injected, fs.Ops, fs.Transient, fs.Permanent, fs.Torn, fs.Spikes, fs.Retries, fs.Recovered)
 		case strings.HasPrefix(line, `\plan`):
 			src := strings.TrimSpace(strings.TrimPrefix(line, `\plan`))
 			if src == "" {
-				fmt.Println("usage: \\plan retrieve (...) [where ...]")
+				fmt.Fprintln(out, "usage: \\plan retrieve (...) [where ...]")
 				continue
 			}
 			plan, err := db.ExplainQuery(src)
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(out, "error:", err)
 				continue
 			}
-			fmt.Print(plan.String())
+			fmt.Fprint(out, plan.String())
 		case strings.HasPrefix(line, `\path`):
 			arg := strings.TrimSpace(strings.TrimPrefix(line, `\path`))
 			key, err := strconv.ParseInt(arg, 10, 64)
 			if err != nil {
-				fmt.Println("usage: \\path <group-key>")
+				fmt.Fprintln(out, "usage: \\path <group-key>")
 				continue
 			}
-			vals, err := db.RetrievePathCached("group", "members", "name", key, key)
+			vals, err := db.RetrievePath("group", "members", "name", key, key)
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(out, "error:", err)
 				continue
 			}
 			for _, v := range vals {
-				fmt.Println(" ", v.Str)
+				fmt.Fprintln(out, " ", v.Str)
 			}
 		default:
 			res, err := db.Query(line)
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(out, "error:", err)
 				continue
 			}
-			fmt.Println(strings.Join(res.Columns, " | "))
+			fmt.Fprintln(out, strings.Join(res.Columns, " | "))
 			for _, row := range res.Rows {
 				cells := make([]string, len(row))
 				for i, v := range row {
 					cells[i] = v.String()
 				}
-				fmt.Println(strings.Join(cells, " | "))
+				fmt.Fprintln(out, strings.Join(cells, " | "))
 			}
-			fmt.Printf("(%d rows)\n", len(res.Rows))
+			fmt.Fprintf(out, "(%d rows)\n", len(res.Rows))
 		}
 	}
+	return 0
 }
 
 // openDB builds the shell's database: in-memory with the §2 example by
-// default, or backed by an on-disk page file (recovering its WAL and
-// skipping the example load when the file already holds it).
-func openDB(path string, useWAL bool) (*corep.Database, []string, error) {
-	if path == "" {
-		db := corep.NewDatabase(100)
-		groups, err := loadExample(db)
-		return db, groups, err
-	}
-	db, err := corep.OpenDatabaseFile(path, 100)
+// default, or backed by the on-disk page file opts.Path names (recovering
+// its WAL and skipping the example load when the file already holds it).
+func openDB(out io.Writer, opts corep.Options, useWAL bool) (*corep.Database, []string, error) {
+	db, err := corep.Open(opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	if res := db.RecoveryResult(); res != nil {
-		fmt.Printf("wal: recovered %d page image(s) across %d commit(s), discarded %d torn-tail record(s)\n",
+		fmt.Fprintf(out, "wal: recovered %d page image(s) across %d commit(s), discarded %d torn-tail record(s)\n",
 			res.Replayed, len(res.Commits), res.DiscardedRecords)
 	}
 	if useWAL {
@@ -339,70 +342,71 @@ func loadExample(db *corep.Database) ([]string, error) {
 	return names, nil
 }
 
-// isTerminal reports whether stdin looks interactive (best effort, no
-// syscalls beyond Stat).
-func isTerminal() bool {
-	fi, err := os.Stdin.Stat()
-	if err != nil {
+// isTerminal reports whether in is a terminal (best effort, no syscalls
+// beyond Stat).
+func isTerminal(in io.Reader) bool {
+	f, ok := in.(*os.File)
+	if !ok {
 		return false
 	}
-	return fi.Mode()&os.ModeCharDevice != 0
+	fi, err := f.Stat()
+	return err == nil && fi.Mode()&os.ModeCharDevice != 0
 }
 
 // printSnapshot renders the consolidated counters, one layer per line
 // (or raw JSON with \stats json).
-func printSnapshot(snap corep.Snapshot, asJSON bool) {
+func printSnapshot(out io.Writer, snap corep.Snapshot, asJSON bool) {
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(snap); err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(out, "error:", err)
 		}
 		return
 	}
-	fmt.Printf("disk:     %d reads, %d writes\n", snap.Disk.Reads, snap.Disk.Writes)
-	fmt.Printf("buffer:   %d hits, %d misses, %d flushes, %d pins\n",
+	fmt.Fprintf(out, "disk:     %d reads, %d writes\n", snap.Disk.Reads, snap.Disk.Writes)
+	fmt.Fprintf(out, "buffer:   %d hits, %d misses, %d flushes, %d pins\n",
 		snap.Buffer.Hits, snap.Buffer.Misses, snap.Buffer.Flushes, snap.Buffer.Pins)
 	if snap.Cache != nil {
-		fmt.Printf("cache:    %d hits, %d misses, %d inserts, %d evictions, %d invalidations\n",
+		fmt.Fprintf(out, "cache:    %d hits, %d misses, %d inserts, %d evictions, %d invalidations\n",
 			snap.Cache.Hits, snap.Cache.Misses, snap.Cache.Inserts,
 			snap.Cache.Evictions, snap.Cache.Invalidations)
 	}
 	if snap.Txn != nil {
-		fmt.Printf("txn:      epoch %d, %d commits (%d versions), %d aborts, %d snapshot reads, %d latch waits\n",
+		fmt.Fprintf(out, "txn:      epoch %d, %d commits (%d versions), %d aborts, %d snapshot reads, %d latch waits\n",
 			snap.Txn.Published, snap.Txn.Commits, snap.Txn.Installed,
 			snap.Txn.Aborts, snap.Txn.Snapshots, snap.Txn.Waited)
 	}
 	if snap.WAL != nil {
-		fmt.Printf("wal:      %d commits in %d fsyncs (group %.2f, max %d), %d page images, %d truncations",
+		fmt.Fprintf(out, "wal:      %d commits in %d fsyncs (group %.2f, max %d), %d page images, %d truncations",
 			snap.WAL.Commits, snap.WAL.Fsyncs, snap.WAL.GroupSize, snap.WAL.MaxGroup,
 			snap.WAL.PageImages, snap.WAL.Truncates)
 		if snap.WAL.RecoveryReplayed > 0 || snap.WAL.RecoveryDiscarded > 0 {
-			fmt.Printf("; recovery replayed %d, discarded %d", snap.WAL.RecoveryReplayed, snap.WAL.RecoveryDiscarded)
+			fmt.Fprintf(out, "; recovery replayed %d, discarded %d", snap.WAL.RecoveryReplayed, snap.WAL.RecoveryDiscarded)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 	if rs := snap.Reclust; rs != nil {
-		fmt.Printf("reclust:  %d units tracked (%d touches, %d evictions), %d migrations in %d batches, %d pages rewritten, %d placements (%d dropped)\n",
+		fmt.Fprintf(out, "reclust:  %d units tracked (%d touches, %d evictions), %d migrations in %d batches, %d pages rewritten, %d placements (%d dropped)\n",
 			rs.Tracked, rs.Touches, rs.Evictions, rs.Migrated, rs.Batches, rs.PagesDirty, rs.Placements, rs.Dropped)
 	}
-	fmt.Printf("faults:   %d injected over %d ops; pool retried %d, recovered %d\n",
+	fmt.Fprintf(out, "faults:   %d injected over %d ops; pool retried %d, recovered %d\n",
 		snap.Faults.Injected, snap.Faults.Ops, snap.Faults.Retries, snap.Faults.Recovered)
 	if snap.SlowLog.Enabled {
-		fmt.Printf("slow log: %d/%d retained of %d observed",
+		fmt.Fprintf(out, "slow log: %d/%d retained of %d observed",
 			snap.SlowLog.Retained, snap.SlowLog.Capacity, snap.SlowLog.Observed)
 		if snap.SlowLog.Threshold > 0 {
-			fmt.Printf(", %d over %s", snap.SlowLog.Violations, snap.SlowLog.Threshold)
+			fmt.Fprintf(out, ", %d over %s", snap.SlowLog.Violations, snap.SlowLog.Threshold)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 }
 
 // printSlow lists the retained slow queries, slowest first, with their
 // attributed I/O and span trees.
-func printSlow(slow []corep.SlowQuery) {
+func printSlow(out io.Writer, slow []corep.SlowQuery) {
 	if len(slow) == 0 {
-		fmt.Println("slow log empty (run some queries, or start with -slow-n > 0)")
+		fmt.Fprintln(out, "slow log empty (run some queries, or start with -slow-n > 0)")
 		return
 	}
 	for i, q := range slow {
@@ -413,13 +417,13 @@ func printSlow(slow []corep.SlowQuery) {
 		if q.Err != "" {
 			mark += "  err=" + q.Err
 		}
-		fmt.Printf("[%d] %-12s %12s  io=%d%s\n", i, q.Name, q.Duration, q.TotalIO(), mark)
+		fmt.Fprintf(out, "[%d] %-12s %12s  io=%d%s\n", i, q.Name, q.Duration, q.TotalIO(), mark)
 		for _, sp := range q.Spans {
 			indent := "      "
 			if sp.Parent != 0 {
 				indent += "  "
 			}
-			fmt.Printf("%s%s: %d reads, %d writes, %d hits, %d misses\n",
+			fmt.Fprintf(out, "%s%s: %d reads, %d writes, %d hits, %d misses\n",
 				indent, sp.Name, sp.Reads, sp.Writes, sp.Hits, sp.Misses)
 		}
 	}

@@ -1,8 +1,13 @@
 package corep_test
 
 import (
+	"errors"
+	"fmt"
+	"io"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"corep"
 )
@@ -218,6 +223,86 @@ func TestInsertRefusesKeysOutsideTheOIDRange(t *testing.T) {
 		if row, err := db.Fetch(oid); err != nil || row[0].Int != key {
 			t.Fatalf("key %d fetched as %v, %v", key, row, err)
 		}
+	}
+}
+
+// TestInsertWithRefusesUnknownChildrenKeys: a children key that names no
+// children attribute — misspelled, or naming an integer field — is
+// refused with an error naming it, and nothing is stored. It used to be
+// dropped, storing an empty OID list.
+func TestInsertWithRefusesUnknownChildrenKeys(t *testing.T) {
+	db, oids := buildScientists(t)
+	group, err := db.CreateRelation("group",
+		corep.IntField("key"), corep.StrField("name"), corep.ChildrenField("members"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"memebrs", "key"} {
+		_, err := group.InsertWith(corep.Row{corep.Int(1), corep.Str("elders"), corep.Value{}},
+			map[string]corep.Children{key: corep.OIDChildren(oids["John"])})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", key)) {
+			t.Errorf("children key %q: err = %v", key, err)
+		}
+	}
+	res, err := db.Query(`retrieve (group.key)`)
+	if err != nil || len(res.Rows) != 0 {
+		t.Fatalf("rows after refused inserts: %v, %v", res, err)
+	}
+}
+
+// TestOptionsValidate: Open refuses what Validate names, with an error
+// errors.Is tells apart, and a database it opens runs with exactly the
+// layers its Options switch on. A mode can only be chosen at Open, so a
+// second cache, a second heat tracker or a mode switch under a full
+// cache cannot arise.
+func TestOptionsValidate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts corep.Options
+		want error
+	}{
+		{"zero value", corep.Options{}, nil},
+		{"every switch", corep.Options{
+			BufferPages: 16, CacheUnits: 8, CacheMode: corep.CacheOIDs, Versioned: true, Reclustering: true,
+			Trace: io.Discard, SlowLogCapacity: 4, SlowLogThreshold: time.Millisecond,
+		}, nil},
+		{"cache, values", corep.Options{CacheUnits: 8}, nil},
+		{"versioned without a cache", corep.Options{Versioned: true}, nil},
+		{"cache mode without a cache", corep.Options{CacheMode: corep.CacheOIDs}, corep.ErrCacheModeWithoutCache},
+		{"negative CacheUnits", corep.Options{CacheUnits: -1}, corep.ErrNegativeOption},
+		{"negative BufferPages", corep.Options{BufferPages: -1}, corep.ErrNegativeOption},
+		{"negative SlowLogCapacity", corep.Options{SlowLogCapacity: -1}, corep.ErrNegativeOption},
+		{"negative SlowLogThreshold", corep.Options{SlowLogCapacity: 4, SlowLogThreshold: -time.Second}, corep.ErrNegativeOption},
+		{"unknown cache mode", corep.Options{CacheUnits: 8, CacheMode: corep.CacheMode(9)}, corep.ErrUnknownCacheMode},
+		{"unknown cache mode without a cache", corep.Options{CacheMode: corep.CacheMode(9)}, corep.ErrUnknownCacheMode},
+	} {
+		if err := c.opts.Validate(); !errors.Is(err, c.want) {
+			t.Errorf("%s: Validate = %v, want %v", c.name, err, c.want)
+		}
+		db, err := corep.Open(c.opts)
+		if !errors.Is(err, c.want) || (db == nil) != (c.want != nil) {
+			t.Errorf("%s: Open = %v, %v; want %v", c.name, db, err, c.want)
+		}
+		if db == nil {
+			continue
+		}
+		snap := db.Snapshot()
+		if got := [4]bool{snap.Cache != nil, snap.Txn != nil, snap.Reclust != nil, snap.SlowLog.Enabled}; got !=
+			[4]bool{c.opts.CacheUnits > 0, c.opts.Versioned, c.opts.Reclustering, c.opts.SlowLogCapacity > 0} {
+			t.Errorf("%s: cache, txn, reclust, slow log on = %v", c.name, got)
+		}
+	}
+	// NewDatabase and OpenDatabaseFile keep reading a pool size <= 0 as
+	// the default.
+	if _, err := corep.NewDatabase(-5).CreateRelation("r", corep.IntField("k")); err != nil {
+		t.Fatal(err)
+	}
+	db, err := corep.OpenDatabaseFile(filepath.Join(t.TempDir(), "default.db"), -5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

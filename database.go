@@ -3,6 +3,7 @@ package corep
 import (
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"corep/internal/buffer"
@@ -65,13 +66,12 @@ func StrField(name string) FieldDef { return FieldDef{Name: name, Kind: FieldStr
 func ChildrenField(name string) FieldDef { return FieldDef{Name: name, Kind: FieldChildren} }
 
 // Database is an object database over the storage engine — in-memory
-// (NewDatabase) or file-backed (OpenDatabaseFile).
+// or file-backed, configured once by the Options it is opened with.
 type Database struct {
 	// core is the storage engine: disk, pool, catalog, the optional
-	// outside cache (EnableCache), version store
-	// (EnableVersionedServing), log (EnableWAL), reclustering extent and
-	// observability context (TraceTo / EnableSlowLog), and the commit
-	// protocol over them — the same core the workload engine embeds.
+	// outside cache, version store, log (EnableWAL), reclustering extent
+	// and observability context, and the commit protocol over them — the
+	// same core the workload engine embeds.
 	core *engine.Core
 	// store is how pql and the path retrievals read the core: its catalog,
 	// its placement-aware read view for OID targets — the catalog's own
@@ -84,7 +84,7 @@ type Database struct {
 	// rels indexes the relation handles for Relation()/Checkpoint.
 	rels map[string]*Relation
 
-	// cacheMode selects what procedural children cache (SetCacheMode).
+	// cacheMode selects what procedural children cache.
 	cacheMode CacheMode
 
 	// faults is the installed fault plan, if any (SetFaultPlan).
@@ -97,24 +97,125 @@ type Database struct {
 	lastMetaJSON []byte
 	walRecovery  *wal.Result
 
-	// tracer is the database's one tracer, made on the first TraceTo or
-	// EnableSlowLog and installed while either reads its spans, so span
-	// ids are unique for the database's lifetime. spans routes what it
-	// emits (database_obs.go).
-	tracer *obs.Tracer
-	spans  spanRouter
-	// slow is the slow-query log (EnableSlowLog); nil collects nothing.
+	// spans routes what the database's one tracer emits
+	// (database_obs.go).
+	spans spanRouter
+	// slow is the slow-query log; nil collects nothing.
 	slow *obs.SlowLog
 }
 
-// NewDatabase creates an in-memory database with the given buffer-pool
-// size in 2 KB pages (the paper used 100).
-func NewDatabase(bufferPages int) *Database {
-	if bufferPages <= 0 {
-		bufferPages = buffer.DefaultPoolSize
+// Options fix a database's configuration when it is opened. The zero
+// value is an in-memory database with the default pool and every layer
+// below off.
+type Options struct {
+	Path        string // page file, sidecar at Path+".meta", log at Path+".wal"; reopened if there, in memory if ""
+	BufferPages int    // pool size in 2 KB pages (the paper used 100); 0 means the default
+
+	CacheUnits int       // outside value cache of this many units (the paper's SizeCache), read by RetrievePath; 0 means none
+	CacheMode  CacheMode // what the cache keeps of stored queries; a mode other than CacheValues needs CacheUnits
+
+	Versioned    bool // epoch version store: cached reads pin a snapshot, mutations commit epochs (database_txn.go)
+	Reclustering bool // heat tracker (1,024 units) fed by path retrievals, which Reorganize packs (database_reclust.go)
+
+	Trace            io.Writer     // one JSON line per completed span, corepbench -trace's format
+	SlowLogCapacity  int           // keep this many of the slowest Query and path calls (SlowQueries); 0 means none
+	SlowLogThreshold time.Duration // count slow-log calls at or over it as violations; 0 means none
+}
+
+// Errors of Options.Validate.
+var (
+	ErrNegativeOption        = errors.New("corep: negative BufferPages, CacheUnits, SlowLogCapacity or SlowLogThreshold")
+	ErrUnknownCacheMode      = errors.New("corep: unknown cache mode")
+	ErrCacheModeWithoutCache = errors.New("corep: cache mode without a cache (set CacheUnits)")
+)
+
+// Validate reports the first option Open would refuse, as or wrapping
+// one of the errors above.
+func (o Options) Validate() error {
+	switch {
+	case o.BufferPages < 0 || o.CacheUnits < 0 || o.SlowLogCapacity < 0 || o.SlowLogThreshold < 0:
+		return ErrNegativeOption
+	case o.CacheMode != CacheValues && o.CacheMode != CacheOIDs:
+		return fmt.Errorf("%w %d", ErrUnknownCacheMode, o.CacheMode)
+	case o.CacheMode != CacheValues && o.CacheUnits == 0:
+		return ErrCacheModeWithoutCache
 	}
-	d := disk.NewSim()
-	return newDatabase(engine.New(d, buffer.New(d, bufferPages)))
+	return nil
+}
+
+// Open creates or reopens a database configured by opts. A file-backed
+// database is recovered and restored first — its WAL replayed, its
+// relations and placements read back — and configured after, so the
+// cache's pages come after every page the file holds.
+func Open(opts Options) (*Database, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	pages := opts.BufferPages
+	if pages == 0 {
+		pages = buffer.DefaultPoolSize
+	}
+	var d *Database
+	if opts.Path == "" {
+		sim := disk.NewSim()
+		d = newDatabase(engine.New(sim, buffer.New(sim, pages)))
+	} else {
+		var err error
+		if d, err = openFile(opts.Path, pages); err != nil {
+			return nil, err
+		}
+	}
+	if err := d.configure(opts); err != nil {
+		if d.file != nil {
+			d.file.Close()
+		}
+		return nil, err
+	}
+	return d, nil
+}
+
+// configure switches on what o asks for, before any caller holds d.
+func (d *Database) configure(o Options) error {
+	if o.CacheUnits > 0 {
+		if err := d.core.NewCache(o.CacheUnits, max(o.CacheUnits/4, 16), 1); err != nil {
+			return err
+		}
+		d.cacheMode = o.CacheMode
+		// The cache's pages are derived data no log needs. Written back
+		// now, they leave EnableWAL no dirty frame to mark unlogged — on a
+		// small pool every frame, and no eviction victim.
+		if d.file != nil {
+			if err := d.core.Flush(); err != nil {
+				return err
+			}
+		}
+	}
+	if o.Versioned {
+		d.core.EnableVersioning()
+	}
+	if o.Reclustering {
+		if err := d.core.InitReclust(0, 0); err != nil {
+			return fmt.Errorf("corep: %w", err)
+		}
+	}
+	if o.SlowLogCapacity > 0 {
+		d.slow = obs.NewSlowLog(o.SlowLogCapacity, o.SlowLogThreshold)
+	}
+	if o.Trace != nil {
+		d.spans.out = obs.NewJSONLSink(o.Trace)
+	}
+	// An untraced database installs no tracer and pays nothing for one.
+	if d.spans.out != nil || d.slow != nil {
+		d.core.SetObs(obs.Ctx{Trace: obs.NewTracer(d.core.IOSnapshot, &d.spans)})
+	}
+	return nil
+}
+
+// NewDatabase creates an in-memory database with the given buffer-pool
+// size in 2 KB pages (the paper used 100; <= 0 means the default).
+func NewDatabase(bufferPages int) *Database {
+	d, _ := Open(Options{BufferPages: max(bufferPages, 0)}) // only options left unset here can fail
+	return d
 }
 
 // newDatabase wraps a fresh core.
@@ -200,9 +301,6 @@ func ValueChildren(shape *Relation, rows ...Row) Children {
 	return Children{rep: object.ValueBased, rows: rows, rowRel: shape}
 }
 
-// Representation returns which primary representation the value uses.
-func (c Children) Representation() string { return c.rep.String() }
-
 // encode serializes the value for storage in a children attribute.
 func (c Children) encode() ([]byte, error) {
 	enc := object.Children{Rep: c.rep, OIDs: c.oids, Query: c.proc}
@@ -228,10 +326,16 @@ func (r *Relation) Insert(row Row) (OID, error) {
 }
 
 // InsertWith stores a row whose children attributes are given
-// separately, keyed by attribute name.
+// separately, keyed by attribute name. A key that names no children
+// attribute of the relation is refused.
 func (r *Relation) InsertWith(row Row, children map[string]Children) (OID, error) {
 	if len(row) != r.schema.NumFields() {
 		return 0, fmt.Errorf("corep: %d values for %d fields", len(row), r.schema.NumFields())
+	}
+	for name := range children {
+		if !r.childAttrs[name] {
+			return 0, fmt.Errorf("corep: %s has no children attribute %q", r.rel.Name, name)
+		}
 	}
 	full := make(Row, len(row))
 	copy(full, row)
@@ -382,24 +486,22 @@ func (r *Relation) Resolve(key int64, attr string) (*Resolved, error) {
 //
 // resolving whichever representation each object stores and projecting
 // targetAttr from every subobject. Procedural subobject rows must carry
-// targetAttr in the stored query's target list.
+// targetAttr in the stored query's target list. With Options.CacheUnits
+// set, units and stored-query results come from the outside cache
+// (database_cache.go); the values are the same.
 func (d *Database) RetrievePath(relName, childrenAttr, targetAttr string, lo, hi int64) (vals []Value, err error) {
-	return d.retrievePath(relName, []string{childrenAttr, targetAttr}, lo, hi, (*pql.Expander).Expand)
+	return d.retrievePath(relName, []string{childrenAttr, targetAttr}, lo, hi, d.core.Cache != nil)
 }
 
-// expandFunc appends what segs project from the subobjects of one
-// object, given its encoded children value: (*pql.Expander).Expand, or
-// RetrievePathCached's detour through the cache.
-type expandFunc func(x *pql.Expander, owner OID, raw []byte, segs []string, out []Value) ([]Value, error)
-
-// retrievePath is the retrieval behind RetrievePath, RetrievePathN and
-// RetrievePathCached: a range scan of relName whose cursor stands on each
-// object's record while its subobjects are fetched — the children value
-// attrs[0] is read in place from that view, under the cursor's pin, not
-// copied or re-read through a second descent — and is handed, with the
-// segments that remain, to expand. The values are collected
-// (pql.Collect): the caller gets one exact-size copy of them.
-func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, expand expandFunc) (vals []Value, err error) {
+// retrievePath is the retrieval behind RetrievePath and RetrievePathN: a
+// range scan of relName whose cursor stands on each object's record
+// while its subobjects are fetched — the children value attrs[0] is read
+// in place from that view, under the cursor's pin, not copied or re-read
+// through a second descent — and is handed, with the segments that
+// remain, to the expander, or with cached to expandCached in front of
+// it. The values are collected (pql.Collect): the caller gets one
+// exact-size copy of them.
+func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, cached bool) (vals []Value, err error) {
 	done := d.beginSlow("query.path")
 	defer func() { done(err) }()
 	sp := d.core.Obs.Start("query.path")
@@ -412,6 +514,16 @@ func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, ex
 	if err != nil {
 		return nil, err
 	}
+	// With versioned serving a cached read runs at one pinned snapshot
+	// epoch: cache hits are watermark-checked against it, so an update
+	// committing mid-scan can never serve it a unit newer than its
+	// snapshot. Epoch 0 is the cache's unversioned protocol.
+	var epoch uint64
+	if cached && d.core.Versioned() {
+		snap := d.core.Versions.Begin()
+		defer snap.Release()
+		epoch = snap.Epoch()
+	}
 	x := d.store.Expander()
 	return pql.Collect(func(out []Value) ([]Value, error) {
 		err := crel.Tree.Range(lo, hi, func(key int64, rec []byte) (bool, error) {
@@ -422,7 +534,11 @@ func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, ex
 			if cerr != nil {
 				return false, cerr
 			}
-			out, cerr = expand(x, object.NewOID(crel.ID, key), kids, attrs[1:], out)
+			if cached {
+				out, cerr = d.expandCached(x, object.NewOID(crel.ID, key), kids, attrs[1:], epoch, out)
+			} else {
+				out, cerr = x.Expand(object.NewOID(crel.ID, key), kids, attrs[1:], out)
+			}
 			return cerr == nil, cerr
 		})
 		sp.SetAttr("values", int64(len(out)))
@@ -470,12 +586,6 @@ func (d *Database) Query(src string) (qr *QueryResult, err error) {
 	}
 	sp.SetAttr("rows", int64(len(res.Tuples)))
 	return &QueryResult{Columns: res.Schema.Names(), Rows: res.Tuples}, nil
-}
-
-// Stats returns cumulative simulated I/O counters.
-func (d *Database) Stats() IOStats {
-	s := d.core.Disk.Stats()
-	return IOStats{Reads: s.Reads, Writes: s.Writes}
 }
 
 // SetDeviceLatency sets the simulated per-page device latency (no-op on

@@ -17,7 +17,7 @@ import (
 // their bytes: junking every frame afterwards changes nothing, and no
 // pin is left behind, also when the callback fails midway.
 func TestRetrievePathValuesSurviveFrameReuse(t *testing.T) {
-	db, groups := buildScatteredDB(t, 6)
+	db, groups := buildScatteredDB(t, Options{BufferPages: 6})
 	for name, retrieve := range map[string]func() ([]Value, error){
 		"RetrievePath": func() ([]Value, error) { return db.RetrievePath("grp", "members", "name", 1, int64(groups)) },
 		"Query":        func() ([]Value, error) { return firstColumn(db.Query(`retrieve (grp.members.name)`)) },
@@ -62,14 +62,18 @@ func firstColumn(res *QueryResult, err error) ([]Value, error) {
 	return out, nil
 }
 
-// buildMixedDB is buildScatteredDB with every representation: item and
+// buildMixedDB is buildScatteredDB with every representation, opened
+// with opts: item and
 // part rows spread over many pages of a small pool; grp 1 lists members
 // of both relations by OID, scattered; grp 2 holds its members inline;
 // grp 3 stores a query; grp 4 lists a member that does not exist after
 // two that do. shelf 1 lists grps 1–3 by OID (a two-segment path).
-func buildMixedDB(t *testing.T, pool int) *Database {
+func buildMixedDB(t *testing.T, opts Options) *Database {
 	t.Helper()
-	db := NewDatabase(pool)
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mk := func(name string) (*Relation, []OID) {
 		rel, err := db.CreateRelation(name, IntField("OID"), StrField("name"), IntField("val"))
 		if err != nil {
@@ -122,12 +126,12 @@ func mixedRow(kind string, k int) Row {
 // pool of six frames that recycles each of them many times per call.
 // The parent's children value itself is read in place under the range
 // cursor's pin, also while a stored query over the parent's own relation
-// pins that leaf again. Through RetrievePath, RetrievePathN,
-// RetrievePathCached (either cache mode) and Query what comes back owns
+// pins that leaf again. Through RetrievePath (no cache, or a cache in
+// either mode), RetrievePathN and Query what comes back owns
 // its bytes, the forms agree, and no pin is left — also when a member is
 // missing midway.
 func TestPathViewsSurviveFrameReuse(t *testing.T) {
-	db := buildMixedDB(t, 6)
+	db := buildMixedDB(t, Options{BufferPages: 6})
 	want := []string{
 		"part-0590", "item-0003", "part-0002", "item-0301", "item-0599", // grp 1, in list order
 		"item-0011", "item-0012", // grp 2
@@ -144,9 +148,6 @@ func TestPathViewsSurviveFrameReuse(t *testing.T) {
 				return nil, fmt.Errorf("labels = %v, %v", vals, err)
 			}
 			return db.RetrievePathN("grp", []string{"members", "name"}, 1, 3)
-		},
-		"RetrievePathCached, no cache": func() ([]Value, error) {
-			return db.RetrievePathCached("grp", "members", "name", 1, 3)
 		},
 		"RetrievePathN, three levels": func() ([]Value, error) {
 			// shelf 1 lists grps 3, 1, 2: rotate into key order.
@@ -190,15 +191,18 @@ func TestPathViewsSurviveFrameReuse(t *testing.T) {
 	// grp 5 stores a query over grp itself: it scans the leaf the range
 	// cursor stands on, and lends the children value from, pinning it a
 	// second time.
-	grp, err := db.Relation("grp")
-	if err != nil {
-		t.Fatal(err)
+	selfQuery := func(db *Database) {
+		t.Helper()
+		grp, err := db.Relation("grp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		self := ProcChildren(`retrieve (grp.label) where grp.key >= 1 and grp.key <= 3`)
+		if _, err := grp.InsertWith(Row{Int(5), Str("g5"), Value{}}, map[string]Children{"members": self}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	self := ProcChildren(`retrieve (grp.label) where grp.key >= 1 and grp.key <= 3`)
-	if _, err := grp.InsertWith(Row{Int(5), Str("g5"), Value{}}, map[string]Children{"members": self}); err != nil {
-		t.Fatal(err)
-	}
-	labels := func(name string, vals []Value, err error) {
+	labels := func(db *Database, name string, vals []Value, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s, stored query over grp: %v", name, err)
@@ -209,23 +213,38 @@ func TestPathViewsSurviveFrameReuse(t *testing.T) {
 			t.Fatalf("%s, stored query over grp: %s after the frames were overwritten", name, got)
 		}
 	}
+	// grp 4 lists a member that is not there, after two that are: the
+	// leaf under the range cursor and the failed probe's are released.
+	dangling := func(db *Database) {
+		t.Helper()
+		if _, err := db.RetrievePath("grp", "members", "name", 1, 4); err == nil {
+			t.Fatal("dangling member accepted")
+		}
+		testutil.AssertNoLeaks(t, db.core.Pool)
+		if _, err := db.Query(`retrieve (grp.label, grp.members.val)`); err == nil {
+			t.Fatal("dangling member accepted by Query")
+		}
+		testutil.AssertNoLeaks(t, db.core.Pool)
+		if _, err := db.RetrievePath("grp", "members", "label", 2, 3); err == nil {
+			t.Fatal("attribute the members lack accepted")
+		}
+		testutil.AssertNoLeaks(t, db.core.Pool)
+	}
+	selfQuery(db)
 	vals, err := db.RetrievePath("grp", "members", "label", 5, 5)
-	labels("RetrievePath", vals, err)
+	labels(db, "RetrievePath", vals, err)
 	vals, err = firstColumn(db.Query(`retrieve (grp.members.label) where grp.key = 5`))
-	labels("Query", vals, err)
+	labels(db, "Query", vals, err)
+	dangling(db)
 	// Through the cache — a miss that materializes and inserts, then a
 	// hit — the values are decoded copies all the same, whether the cache
 	// holds a stored query's values or its members' identities.
-	if err := db.EnableCache(8); err != nil {
-		t.Fatal(err)
-	}
 	for _, mode := range []CacheMode{CacheValues, CacheOIDs} {
-		if err := db.SetCacheMode(mode); err != nil {
-			t.Fatal(err)
-		}
+		db := buildMixedDB(t, Options{BufferPages: 6, CacheUnits: 8, CacheMode: mode})
+		selfQuery(db)
 		for _, pass := range []string{"miss", "hit"} {
-			name := fmt.Sprintf("RetrievePathCached, mode %d, cache %s", mode, pass)
-			vals, err := db.RetrievePathCached("grp", "members", "name", 1, 3)
+			name := fmt.Sprintf("RetrievePath, cache mode %d, cache %s", mode, pass)
+			vals, err := db.RetrievePath("grp", "members", "name", 1, 3)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -239,31 +258,18 @@ func TestPathViewsSurviveFrameReuse(t *testing.T) {
 					t.Fatalf("%s: value %d = %q after the frames were overwritten", name, i, v.Str)
 				}
 			}
-			vals, err = db.RetrievePathCached("grp", "members", "label", 5, 5)
-			labels(name, vals, err)
+			vals, err = db.RetrievePath("grp", "members", "label", 5, 5)
+			labels(db, name, vals, err)
 		}
+		dangling(db)
 	}
-	// grp 4 lists a member that is not there, after two that are: the
-	// leaf under the range cursor and the failed probe's are released.
-	if _, err := db.RetrievePath("grp", "members", "name", 1, 4); err == nil {
-		t.Fatal("dangling member accepted")
-	}
-	testutil.AssertNoLeaks(t, db.core.Pool)
-	if _, err := db.Query(`retrieve (grp.label, grp.members.val)`); err == nil {
-		t.Fatal("dangling member accepted by Query")
-	}
-	testutil.AssertNoLeaks(t, db.core.Pool)
-	if _, err := db.RetrievePath("grp", "members", "label", 2, 3); err == nil {
-		t.Fatal("attribute the members lack accepted")
-	}
-	testutil.AssertNoLeaks(t, db.core.Pool)
 }
 
 // TestRetrievePathChecksMemberRecords: RetrievePath projects one
 // attribute per member, yet refuses a member record damaged behind that
 // attribute, as Fetch's full decode would.
 func TestRetrievePathChecksMemberRecords(t *testing.T) {
-	db := buildMixedDB(t, 16)
+	db := buildMixedDB(t, Options{BufferPages: 16})
 	item, err := db.core.Cat.Get("item")
 	if err != nil {
 		t.Fatal(err)
@@ -276,11 +282,10 @@ func TestRetrievePathChecksMemberRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, retrieve := range map[string]func() error{
-		"RetrievePath":       func() error { _, err := db.RetrievePath("grp", "members", "name", 1, 1); return err },
-		"RetrievePathCached": func() error { _, err := db.RetrievePathCached("grp", "members", "name", 1, 1); return err },
-		"RetrievePathN":      func() error { _, err := db.RetrievePathN("grp", []string{"members", "name"}, 1, 1); return err },
-		"Query":              func() error { _, err := db.Query(`retrieve (grp.members.name) where grp.key = 1`); return err },
-		"Fetch":              func() error { _, err := db.Fetch(OID(item.ID)<<48 | 301); return err },
+		"RetrievePath":  func() error { _, err := db.RetrievePath("grp", "members", "name", 1, 1); return err },
+		"RetrievePathN": func() error { _, err := db.RetrievePathN("grp", []string{"members", "name"}, 1, 1); return err },
+		"Query":         func() error { _, err := db.Query(`retrieve (grp.members.name) where grp.key = 1`); return err },
+		"Fetch":         func() error { _, err := db.Fetch(OID(item.ID)<<48 | 301); return err },
 	} {
 		if err := retrieve(); !errors.Is(err, tuple.ErrDecode) {
 			t.Errorf("%s: err = %v, want tuple.ErrDecode", name, err)
@@ -293,11 +298,10 @@ func TestRetrievePathChecksMemberRecords(t *testing.T) {
 // attribute that holds no children, every path entry point says so —
 // they used to report the attribute "empty".
 func TestRetrievePathNamesANonChildrenAttribute(t *testing.T) {
-	db := buildMixedDB(t, 16)
+	db := buildMixedDB(t, Options{BufferPages: 16})
 	for name, retrieve := range map[string]func(attr string) error{
-		"RetrievePath":       func(a string) error { _, err := db.RetrievePath("grp", a, "name", 1, 3); return err },
-		"RetrievePathCached": func(a string) error { _, err := db.RetrievePathCached("grp", a, "name", 1, 3); return err },
-		"RetrievePathN":      func(a string) error { _, err := db.RetrievePathN("grp", []string{a, "name"}, 1, 3); return err },
+		"RetrievePath":  func(a string) error { _, err := db.RetrievePath("grp", a, "name", 1, 3); return err },
+		"RetrievePathN": func(a string) error { _, err := db.RetrievePathN("grp", []string{a, "name"}, 1, 3); return err },
 		"RetrievePathN, second level": func(a string) error {
 			_, err := db.RetrievePathN("shelf", []string{"grps", a, "name"}, 1, 1)
 			return err

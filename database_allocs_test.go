@@ -109,7 +109,7 @@ func TestFacadeAllocationCeiling(t *testing.T) {
 // RetrievePath, RetrievePathN and Query on one database get exactly what
 // one goroutine gets. Run it under -race.
 func TestConcurrentPathReadsMatchSerial(t *testing.T) {
-	db := buildMixedDB(t, 64)
+	db := buildMixedDB(t, Options{BufferPages: 64})
 	forms := []struct {
 		name string
 		get  func() ([]Value, error)

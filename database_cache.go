@@ -27,23 +27,10 @@ func procCacheKey(src string) object.Unit {
 func relLockOID(relID uint16) object.OID { return object.NewOID(relID, object.MaxKey) }
 
 // This file adds the cached representations of the matrix (§2.3) to the
-// object API: an optional outside value cache that RetrievePath consults
-// for OID-represented and procedural children, and in-place updates with
-// I-lock invalidation so the cache never serves stale subobjects.
-
-// EnableCache attaches an outside value cache of at most maxUnits units
-// (the paper's SizeCache). RetrievePath then caches materialized units —
-// the `OID × values` and `procedural × values` cells of Figure 1.
-func (d *Database) EnableCache(maxUnits int) error {
-	if d.core.Cache != nil {
-		return errors.New("corep: cache already enabled")
-	}
-	buckets := maxUnits / 4
-	if buckets < 16 {
-		buckets = 16
-	}
-	return d.core.NewCache(maxUnits, buckets, 1)
-}
+// object API: the outside value cache Options.CacheUnits configures,
+// which RetrievePath consults for OID-represented and procedural
+// children, and in-place updates with I-lock invalidation so the cache
+// never serves stale subobjects.
 
 // CacheStats reports cache event counters (Snapshot.Cache).
 type CacheStats = cache.Stats
@@ -90,24 +77,6 @@ func (r *Relation) Update(key int64, row Row) error {
 	r.db.core.Retire(oid)
 	locks := []object.OID{oid, relLockOID(r.rel.ID)}
 	return r.db.mutate(locks, func() error { return r.rel.Tree.Update(key, rec) })
-}
-
-// RetrievePathCached is RetrievePath through the cache enabled with
-// EnableCache; without a cache it behaves identically to RetrievePath.
-// With versioned serving on, the whole call reads at one pinned
-// snapshot epoch: cache hits are watermark-checked against it, so an
-// update committing mid-scan can never serve this query a unit newer
-// than its snapshot.
-func (d *Database) RetrievePathCached(relName, childrenAttr, targetAttr string, lo, hi int64) ([]Value, error) {
-	if d.core.Cache == nil {
-		return d.RetrievePath(relName, childrenAttr, targetAttr, lo, hi)
-	}
-	epoch, release := d.beginSnapshotEpoch()
-	defer release()
-	return d.retrievePath(relName, []string{childrenAttr, targetAttr}, lo, hi,
-		func(x *pql.Expander, owner OID, raw []byte, segs []string, out []Value) ([]Value, error) {
-			return d.expandCached(x, owner, raw, segs, epoch, out)
-		})
 }
 
 // expandCached is the expander with outside caching in front of it for
@@ -266,10 +235,12 @@ func (d *Database) relLocks(q *pql.Query) []object.OID {
 // of relationships to be explored", §3): attrs names the children
 // attribute of every level, then the attribute projected from the
 // objects the last one reaches. Every level may use any of the three
-// representations, as in the same path written as a Query.
+// representations, as in the same path written as a Query. Like Query,
+// it reads no cache: the outside cache holds one level's units, and
+// only RetrievePath consults it.
 func (d *Database) RetrievePathN(relName string, attrs []string, lo, hi int64) ([]Value, error) {
 	if len(attrs) < 2 {
 		return nil, errors.New("corep: RetrievePathN needs at least one children attribute and a target")
 	}
-	return d.retrievePath(relName, attrs, lo, hi, (*pql.Expander).Expand)
+	return d.retrievePath(relName, attrs, lo, hi, false)
 }

@@ -7,10 +7,19 @@ import (
 )
 
 // cachedDB builds persons + an elders group under both OID and
-// procedural representations, with the outside cache enabled.
+// procedural representations, with the outside cache on.
 func cachedDB(t *testing.T) (*corep.Database, *corep.Relation, *corep.Relation) {
 	t.Helper()
-	db := corep.NewDatabase(64)
+	return openGroups(t, corep.Options{BufferPages: 64, CacheUnits: 32})
+}
+
+// openGroups is cachedDB's database opened with opts.
+func openGroups(t *testing.T, opts corep.Options) (*corep.Database, *corep.Relation, *corep.Relation) {
+	t.Helper()
+	db, err := corep.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	person, err := db.CreateRelation("person",
 		corep.IntField("OID"), corep.StrField("name"), corep.IntField("age"))
 	if err != nil {
@@ -44,15 +53,12 @@ func cachedDB(t *testing.T) (*corep.Database, *corep.Relation, *corep.Relation) 
 	); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.EnableCache(32); err != nil {
-		t.Fatal(err)
-	}
 	return db, person, group
 }
 
 func TestCachedOIDPath(t *testing.T) {
 	db, _, _ := cachedDB(t)
-	names, err := db.RetrievePathCached("group", "members", "name", 1, 1)
+	names, err := db.RetrievePath("group", "members", "name", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +70,7 @@ func TestCachedOIDPath(t *testing.T) {
 	}
 	// Second retrieval hits the cache.
 	before := *db.Snapshot().Cache
-	if _, err := db.RetrievePathCached("group", "members", "name", 1, 1); err != nil {
+	if _, err := db.RetrievePath("group", "members", "name", 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	delta := db.Snapshot().Cache.Sub(before)
@@ -75,7 +81,7 @@ func TestCachedOIDPath(t *testing.T) {
 
 func TestCachedProcPath(t *testing.T) {
 	db, _, _ := cachedDB(t)
-	names, err := db.RetrievePathCached("group", "members", "name", 2, 2)
+	names, err := db.RetrievePath("group", "members", "name", 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +89,7 @@ func TestCachedProcPath(t *testing.T) {
 		t.Fatalf("got %q", joinVals(names))
 	}
 	before := *db.Snapshot().Cache
-	names, err = db.RetrievePathCached("group", "members", "name", 2, 2)
+	names, err = db.RetrievePath("group", "members", "name", 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +103,14 @@ func TestCachedProcPath(t *testing.T) {
 
 func TestUpdateInvalidatesOIDUnit(t *testing.T) {
 	db, person, _ := cachedDB(t)
-	if _, err := db.RetrievePathCached("group", "members", "name", 1, 1); err != nil {
+	if _, err := db.RetrievePath("group", "members", "name", 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Rename Mary; the cached unit must be dropped and the re-read fresh.
 	if err := person.Update(2, corep.Row{corep.Int(2), corep.Str("Marie"), corep.Int(63)}); err != nil {
 		t.Fatal(err)
 	}
-	names, err := db.RetrievePathCached("group", "members", "name", 1, 1)
+	names, err := db.RetrievePath("group", "members", "name", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +121,7 @@ func TestUpdateInvalidatesOIDUnit(t *testing.T) {
 
 func TestUpdateInvalidatesProcResult(t *testing.T) {
 	db, person, _ := cachedDB(t)
-	if _, err := db.RetrievePathCached("group", "members", "name", 2, 2); err != nil {
+	if _, err := db.RetrievePath("group", "members", "name", 2, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Jill grows old enough to qualify: a newly-satisfying tuple, caught
@@ -123,7 +129,7 @@ func TestUpdateInvalidatesProcResult(t *testing.T) {
 	if err := person.Update(4, corep.Row{corep.Int(4), corep.Str("Jill"), corep.Int(70)}); err != nil {
 		t.Fatal(err)
 	}
-	names, err := db.RetrievePathCached("group", "members", "name", 2, 2)
+	names, err := db.RetrievePath("group", "members", "name", 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +140,13 @@ func TestUpdateInvalidatesProcResult(t *testing.T) {
 
 func TestInsertInvalidatesProcResult(t *testing.T) {
 	db, person, _ := cachedDB(t)
-	if _, err := db.RetrievePathCached("group", "members", "name", 2, 2); err != nil {
+	if _, err := db.RetrievePath("group", "members", "name", 2, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := person.Insert(corep.Row{corep.Int(9), corep.Str("Ada"), corep.Int(81)}); err != nil {
 		t.Fatal(err)
 	}
-	names, err := db.RetrievePathCached("group", "members", "name", 2, 2)
+	names, err := db.RetrievePath("group", "members", "name", 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +164,12 @@ func TestProcEntrySharedAcrossGroups(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RetrievePathCached("group", "members", "name", 2, 2); err != nil {
+	if _, err := db.RetrievePath("group", "members", "name", 2, 2); err != nil {
 		t.Fatal(err)
 	}
 	units := db.CachedUnits()
 	before := *db.Snapshot().Cache
-	if _, err := db.RetrievePathCached("group", "members", "name", 3, 3); err != nil {
+	if _, err := db.RetrievePath("group", "members", "name", 3, 3); err != nil {
 		t.Fatal(err)
 	}
 	if db.CachedUnits() != units {
@@ -185,16 +191,6 @@ func TestUpdateErrors(t *testing.T) {
 	}
 	if err := person.Update(1, corep.Row{corep.Int(1)}); err == nil {
 		t.Fatal("arity mismatch accepted")
-	}
-}
-
-func TestEnableCacheTwice(t *testing.T) {
-	db := corep.NewDatabase(16)
-	if err := db.EnableCache(8); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.EnableCache(8); err == nil {
-		t.Fatal("double enable accepted")
 	}
 }
 

@@ -1,8 +1,6 @@
 package corep
 
 import (
-	"fmt"
-
 	"corep/internal/object"
 	"corep/internal/pql"
 )
@@ -15,8 +13,8 @@ import (
 // subobject — precisely the trade-off between the two cached
 // representations.
 
-// CacheMode selects what RetrievePathCached stores for procedural
-// children.
+// CacheMode selects what the outside cache stores for procedural
+// children (Options.CacheMode).
 type CacheMode uint8
 
 // Cache modes for procedural children. (OID children always cache
@@ -30,25 +28,6 @@ const (
 	// only membership changes do (the relation-level lock covers those).
 	CacheOIDs
 )
-
-// SetCacheMode chooses the cached representation for procedural
-// children. It applies to subsequent RetrievePathCached calls; existing
-// entries are cleared so the two modes never mix under one key.
-func (d *Database) SetCacheMode(m CacheMode) error {
-	if d.core.Cache == nil {
-		return fmt.Errorf("corep: enable the cache before choosing a mode")
-	}
-	if m != CacheValues && m != CacheOIDs {
-		return fmt.Errorf("corep: unknown cache mode %d", m)
-	}
-	if d.cacheMode != m {
-		if err := d.core.Cache.Clear(); err != nil {
-			return err
-		}
-		d.cacheMode = m
-	}
-	return nil
-}
 
 // cachedProcOIDs is the CacheOIDs variant of cachedProc: the stored
 // query's *source identities* are cached and returned; values are

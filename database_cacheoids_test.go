@@ -6,12 +6,13 @@ import (
 	"corep"
 )
 
+// cacheOIDs is cachedDB's configuration caching stored queries'
+// identities instead of their values.
+var cacheOIDs = corep.Options{BufferPages: 64, CacheUnits: 32, CacheMode: corep.CacheOIDs}
+
 func TestCacheOIDsModeBasic(t *testing.T) {
-	db, _, _ := cachedDB(t)
-	if err := db.SetCacheMode(corep.CacheOIDs); err != nil {
-		t.Fatal(err)
-	}
-	names, err := db.RetrievePathCached("group", "members", "name", 2, 2)
+	db, _, _ := openGroups(t, cacheOIDs)
+	names, err := db.RetrievePath("group", "members", "name", 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func TestCacheOIDsModeBasic(t *testing.T) {
 	}
 	// Second retrieval hits the cached identity list.
 	before := *db.Snapshot().Cache
-	if _, err := db.RetrievePathCached("group", "members", "name", 2, 2); err != nil {
+	if _, err := db.RetrievePath("group", "members", "name", 2, 2); err != nil {
 		t.Fatal(err)
 	}
 	if delta := db.Snapshot().Cache.Sub(before); delta.Hits == 0 {
@@ -36,11 +37,8 @@ func TestCacheOIDsSurvivesMemberValueUpdate(t *testing.T) {
 	// member's value does not invalidate the identity list — and the
 	// retrieval still returns the fresh value because values are fetched
 	// at query time.
-	db, person, _ := cachedDB(t)
-	if err := db.SetCacheMode(corep.CacheOIDs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.RetrievePathCached("group", "members", "name", 2, 2); err != nil {
+	db, person, _ := openGroups(t, cacheOIDs)
+	if _, err := db.RetrievePath("group", "members", "name", 2, 2); err != nil {
 		t.Fatal(err)
 	}
 	units := db.CachedUnits()
@@ -53,7 +51,7 @@ func TestCacheOIDsSurvivesMemberValueUpdate(t *testing.T) {
 	// The relation-level lock invalidates identity lists too (membership
 	// might have changed); correctness first.
 	_ = units
-	names, err := db.RetrievePathCached("group", "members", "name", 2, 2)
+	names, err := db.RetrievePath("group", "members", "name", 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +62,7 @@ func TestCacheOIDsSurvivesMemberValueUpdate(t *testing.T) {
 	if err := person.Update(4, corep.Row{corep.Int(4), corep.Str("Jilly"), corep.Int(99)}); err != nil {
 		t.Fatal(err)
 	}
-	names, err = db.RetrievePathCached("group", "members", "name", 2, 2)
+	names, err = db.RetrievePath("group", "members", "name", 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,44 +74,18 @@ func TestCacheOIDsSurvivesMemberValueUpdate(t *testing.T) {
 func TestCacheOIDsFreshValues(t *testing.T) {
 	// Even while the identity list stays cached, values come from the
 	// base relation — so a value update between retrievals is visible.
-	db, person, _ := cachedDB(t)
-	if err := db.SetCacheMode(corep.CacheOIDs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.RetrievePathCached("group", "members", "name", 2, 2); err != nil {
+	db, person, _ := openGroups(t, cacheOIDs)
+	if _, err := db.RetrievePath("group", "members", "name", 2, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := person.Update(1, corep.Row{corep.Int(1), corep.Str("Johnny"), corep.Int(62)}); err != nil {
 		t.Fatal(err)
 	}
-	names, err := db.RetrievePathCached("group", "members", "name", 2, 2)
+	names, err := db.RetrievePath("group", "members", "name", 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if joinVals(names) != "Johnny Mary Paul" {
 		t.Fatalf("got %q", joinVals(names))
-	}
-}
-
-func TestSetCacheModeValidation(t *testing.T) {
-	db := corep.NewDatabase(16)
-	if err := db.SetCacheMode(corep.CacheOIDs); err == nil {
-		t.Fatal("mode set without a cache")
-	}
-	if err := db.EnableCache(8); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetCacheMode(corep.CacheMode(9)); err == nil {
-		t.Fatal("bogus mode accepted")
-	}
-	if err := db.SetCacheMode(corep.CacheOIDs); err != nil {
-		t.Fatal(err)
-	}
-	// Switching modes clears existing entries.
-	if err := db.SetCacheMode(corep.CacheValues); err != nil {
-		t.Fatal(err)
-	}
-	if db.CachedUnits() != 0 {
-		t.Fatal("mode switch kept entries")
 	}
 }

@@ -42,17 +42,21 @@ const (
 	pathsShelves = 9
 )
 
-// buildPathsDB draws a three-level database from seed. item and part
+// buildPathsDB draws a three-level database from seed into a database
+// opened with opts. item and part
 // rows are padded over many pages. grp g holds its members as an OID
 // list within item, an OID list mixing item and part, inline rows or a
 // stored query, by g mod 4; grp 1's list is empty. shelf s holds grps as
 // an OID list, inline grp rows (each carrying its own members value) or a
 // stored query, by s mod 3 — the middle level of shelf.grps.members.name
 // takes every representation.
-func buildPathsDB(t *testing.T, seed int64, pool int) (*Database, *pathsModel) {
+func buildPathsDB(t *testing.T, seed int64, opts Options) (*Database, *pathsModel) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	db := NewDatabase(pool)
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	name := func(kind string, k int) string { return fmt.Sprintf("%s-%04d-padding-to-spread-pages", kind, k) }
 	mk := func(kind string) (*Relation, []OID) {
 		rel, err := db.CreateRelation(kind, IntField("OID"), StrField("name"), IntField("val"))
@@ -157,11 +161,11 @@ func buildPathsDB(t *testing.T, seed int64, pool int) (*Database, *pathsModel) {
 
 // TestPathEntryPointsAgree: one path has one answer. Over a seeded
 // database whose groups mix the three representations and whose OID
-// lists mix relations, RetrievePath, the same path as a Query,
-// RetrievePathN and RetrievePathCached return what the plain-Go model
-// holds — as does a three-level path whose middle level is an OID list,
-// inline or a stored query — with the cache off and on, before and after
-// Reorganize has packed the units the
+// lists mix relations, RetrievePath (twice: with a cache, a miss and then
+// a hit), the same path as a Query and RetrievePathN return what the
+// plain-Go model holds — as does a three-level path whose middle level is
+// an OID list, inline or a stored query — on one seed opened with the
+// cache off and on, before and after Reorganize has packed the units the
 // retrievals heated. Where every page a retrieval touches fits the pool,
 // the forms also read the same pages: after Reorganize a Query finds the
 // packed copies RetrievePath finds.
@@ -174,15 +178,11 @@ func TestPathEntryPointsAgree(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("cached=%v,pool=%d", cfg.cached, cfg.pool), func(t *testing.T) {
 			const seed = 15
-			db, m := buildPathsDB(t, seed, cfg.pool)
+			opts := Options{BufferPages: cfg.pool, Reclustering: true}
 			if cfg.cached {
-				if err := db.EnableCache(16); err != nil {
-					t.Fatal(err)
-				}
+				opts.CacheUnits = 16
 			}
-			if err := db.EnableReclustering(0, 0); err != nil {
-				t.Fatal(err)
-			}
+			db, m := buildPathsDB(t, seed, opts)
 			rng := rand.New(rand.NewSource(seed))
 			strs := func(vals []Value, err error) ([]string, error) {
 				out := make([]string, len(vals))
@@ -209,14 +209,11 @@ func TestPathEntryPointsAgree(t *testing.T) {
 						{"Query", m.members(lo, hi), func() ([]Value, error) {
 							return firstColumn(db.Query(fmt.Sprintf(`retrieve (grp.members.name) where grp.key >= %d and grp.key <= %d`, lo, hi)))
 						}},
+						{"RetrievePath again", m.members(lo, hi), func() ([]Value, error) {
+							return db.RetrievePath("grp", "members", "name", int64(lo), int64(hi))
+						}},
 						{"RetrievePathN", m.members(lo, hi), func() ([]Value, error) {
 							return db.RetrievePathN("grp", []string{"members", "name"}, int64(lo), int64(hi))
-						}},
-						{"RetrievePathCached", m.members(lo, hi), func() ([]Value, error) {
-							return db.RetrievePathCached("grp", "members", "name", int64(lo), int64(hi))
-						}},
-						{"RetrievePathCached again", m.members(lo, hi), func() ([]Value, error) {
-							return db.RetrievePathCached("grp", "members", "name", int64(lo), int64(hi))
 						}},
 						{"RetrievePathN, three levels", m.shelved(slo, shi), func() ([]Value, error) {
 							return db.RetrievePathN("shelf", []string{"grps", "members", "name"}, int64(slo), int64(shi))
@@ -258,7 +255,7 @@ func TestPathEntryPointsAgree(t *testing.T) {
 				if _, err := get(); err != nil {
 					t.Fatal(err)
 				}
-				return db.Stats().Reads
+				return db.Snapshot().Disk.Reads
 			}
 			path := cold(func() ([]Value, error) { return db.RetrievePath("grp", "members", "name", 1, pathsGroups) })
 			query := cold(func() ([]Value, error) { return firstColumn(db.Query(`retrieve (grp.members.name)`)) })

@@ -19,9 +19,9 @@ import (
 
 // File-backed persistence for the object API: the page file holds every
 // relation's pages; a sidecar JSON file holds the out-of-page metadata
-// (schemas, roots, counters). Checkpoint writes both; OpenDatabaseFile
-// reopens them. The cache is derived data and is not persisted —
-// re-enable it after reopening and it warms up again.
+// (schemas, roots, counters). Checkpoint writes both; Open reopens
+// them. The cache is derived data and is not persisted — a reopened
+// database opened with a cache starts it empty and it warms up again.
 //
 // Durability model. Two regimes, chosen by whether EnableWAL was
 // called (see database_wal.go and DESIGN.md §12):
@@ -37,7 +37,7 @@ import (
 //   - WAL on: commit consistency. Every mutation's page images and a
 //     commit record are fsynced to <path>.wal before the mutation is
 //     acknowledged; the buffer pool's no-steal gate keeps uncaptured
-//     pages off the page file. OpenDatabaseFile replays the log —
+//     pages off the page file. Open replays the log —
 //     committed batches are redone into the page file, a torn or
 //     uncommitted tail is discarded — so every acknowledged commit
 //     survives a kill, and a torn page-file write is healed by its
@@ -77,12 +77,16 @@ type dbMeta struct {
 }
 
 // OpenDatabaseFile opens (creating if needed) a file-backed database at
-// path. The sidecar metadata lives at path + ".meta". Call Checkpoint
-// to persist and Close when done.
+// path with a buffer pool of bufferPages (<= 0 means the default) and
+// every other option off. The sidecar metadata lives at path + ".meta".
+// Call Checkpoint to persist and Close when done.
 func OpenDatabaseFile(path string, bufferPages int) (*Database, error) {
-	if bufferPages <= 0 {
-		bufferPages = buffer.DefaultPoolSize
-	}
+	return Open(Options{Path: path, BufferPages: max(bufferPages, 0)})
+}
+
+// openFile opens the page file at path under a pool of bufferPages,
+// replays its WAL and restores its relations and placements.
+func openFile(path string, bufferPages int) (*Database, error) {
 	fd, err := disk.OpenFile(path)
 	if err != nil {
 		return nil, err

@@ -14,8 +14,8 @@ import (
 // This file brings adaptive clustering (DESIGN.md §13) to the object
 // API. The mechanism is the core's (engine.Core.Migrate): the path
 // expander feeds its heat tracker with every OID-represented unit it
-// expands — for Query, RetrievePath, RetrievePathN and
-// RetrievePathCached alike — and Reorganize copies the hottest units'
+// expands — for Query, RetrievePath and RetrievePathN alike, the cache's
+// hits included — and Reorganize copies the hottest units'
 // subobject rows onto shared heap extent pages. Migration is copy
 // forwarding — base rows are never moved or deleted, the placement map
 // redirects every reader that goes through the core's read view (Fetch,
@@ -35,20 +35,6 @@ const DefaultReclustUnits = 8
 
 // ReclustStats mirrors the reclustering counters (Snapshot.Reclust).
 type ReclustStats = reclust.Stats
-
-// EnableReclustering installs the adaptive-clustering state: a heat
-// tracker bounded to heatCap units (<=0 means a 1024-entry default)
-// with the given decay half-life in touches (<=0 means the package
-// default), and an empty placement map. Default-off — a database that
-// never calls this keeps every read and update path untouched. A
-// reopened database that carries placements serves them at once; call
-// this to go on collecting heat.
-func (d *Database) EnableReclustering(heatCap, halfLife int) error {
-	if err := d.core.InitReclust(heatCap, halfLife); err != nil {
-		return fmt.Errorf("corep: %w", err)
-	}
-	return nil
-}
 
 // ReorganizeResult summarizes one Reorganize call.
 type ReorganizeResult struct {
@@ -83,6 +69,9 @@ func (d *Database) Reorganize(maxUnits int) (ReorganizeResult, error) {
 			return d.lastMetaJSON, err
 		},
 	})
+	if errors.Is(err, engine.ErrReclustOff) {
+		return ReorganizeResult{}, errors.New("corep: reclustering not enabled (open with Options.Reclustering)")
+	}
 	if err != nil {
 		return ReorganizeResult{}, fmt.Errorf("corep: %w", err)
 	}
@@ -144,7 +133,7 @@ type UnitHeat struct {
 }
 
 // HottestUnits returns the n hottest tracked units, hottest first
-// (n <= 0 means all; empty until EnableReclustering).
+// (n <= 0 means all; empty without Options.Reclustering).
 func (d *Database) HottestUnits(n int) []UnitHeat {
 	if n <= 0 {
 		n = -1 // the tracker's "all"; its 0 means none

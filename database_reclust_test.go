@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"corep/internal/disk"
@@ -15,12 +16,16 @@ import (
 	"corep/internal/wal"
 )
 
-// buildScatteredDB creates a database whose groups' members are spread
-// across a large item relation — the layout adaptive clustering is
-// supposed to fix. Returns the database and the group count.
-func buildScatteredDB(t *testing.T, pool int) (*Database, int) {
+// buildScatteredDB creates a database, opened with opts, whose groups'
+// members are spread across a large item relation — the layout adaptive
+// clustering is supposed to fix. Returns the database and the group
+// count.
+func buildScatteredDB(t *testing.T, opts Options) (*Database, int) {
 	t.Helper()
-	db := NewDatabase(pool)
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return db, fillScattered(t, db)
 }
 
@@ -65,12 +70,9 @@ func fillScattered(t *testing.T, db *Database) int {
 // a lower cold-cache I/O cost than an identical database that never
 // reclusters.
 func TestReclusteringPacksHotUnits(t *testing.T) {
-	subject, groups := buildScatteredDB(t, 8)
-	control, _ := buildScatteredDB(t, 8)
+	subject, groups := buildScatteredDB(t, Options{BufferPages: 8, Reclustering: true})
+	control, _ := buildScatteredDB(t, Options{BufferPages: 8})
 
-	if err := subject.EnableReclustering(0, 0); err != nil {
-		t.Fatal(err)
-	}
 	readAll := func(db *Database) []Value {
 		var all []Value
 		for g := 1; g <= groups; g++ {
@@ -111,19 +113,19 @@ func TestReclusteringPacksHotUnits(t *testing.T) {
 	}
 	readAll(subject)
 	readAll(control)
-	if sr, cr := subject.Stats().Reads, control.Stats().Reads; sr >= cr {
+	if sr, cr := subject.Snapshot().Disk.Reads, control.Snapshot().Disk.Reads; sr >= cr {
 		t.Errorf("reclustered cold reads %d, want < control's %d", sr, cr)
 	}
 
 	snap := subject.Snapshot()
 	if snap.Reclust == nil {
-		t.Fatal("Snapshot().Reclust nil after EnableReclustering")
+		t.Fatal("Snapshot().Reclust nil with Options.Reclustering")
 	}
 	if snap.Reclust.Migrated == 0 || snap.Reclust.Placements == 0 || snap.Reclust.Tracked == 0 {
 		t.Errorf("empty reclust snapshot: %+v", *snap.Reclust)
 	}
 	if control.Snapshot().Reclust != nil {
-		t.Error("control Snapshot().Reclust non-nil without EnableReclustering")
+		t.Error("control Snapshot().Reclust non-nil without Options.Reclustering")
 	}
 }
 
@@ -131,10 +133,7 @@ func TestReclusteringPacksHotUnits(t *testing.T) {
 // retire the stale copy, and the unit must become eligible for
 // re-reorganization carrying the new value.
 func TestReclusteringUpdateRetiresPlacement(t *testing.T) {
-	db, groups := buildScatteredDB(t, 8)
-	if err := db.EnableReclustering(0, 0); err != nil {
-		t.Fatal(err)
-	}
+	db, groups := buildScatteredDB(t, Options{BufferPages: 8, Reclustering: true})
 	if _, err := db.RetrievePath("grp", "members", "val", 1, int64(groups)); err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +186,7 @@ func TestReclusteringHeatFromEveryPathForm(t *testing.T) {
 			return err
 		},
 	} {
-		db := buildMixedDB(t, 16)
-		if err := db.EnableReclustering(0, 0); err != nil {
-			t.Fatal(err)
-		}
+		db := buildMixedDB(t, Options{BufferPages: 16, Reclustering: true})
 		if err := retrieve(db); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -206,15 +202,12 @@ func TestReclusteringHeatFromEveryPathForm(t *testing.T) {
 }
 
 func TestReclusteringErrors(t *testing.T) {
-	db := NewDatabase(8)
-	if _, err := db.Reorganize(4); err == nil {
-		t.Error("Reorganize without EnableReclustering succeeded")
+	if _, err := NewDatabase(8).Reorganize(4); err == nil || !strings.Contains(err.Error(), "Options.Reclustering") {
+		t.Errorf("Reorganize without Options.Reclustering: %v", err)
 	}
-	if err := db.EnableReclustering(0, 0); err != nil {
+	db, err := Open(Options{BufferPages: 8, Reclustering: true})
+	if err != nil {
 		t.Fatal(err)
-	}
-	if err := db.EnableReclustering(0, 0); err == nil {
-		t.Error("double EnableReclustering succeeded")
 	}
 	// An empty heat table reorganizes to nothing, not an error.
 	res, err := db.Reorganize(4)
@@ -231,7 +224,10 @@ func TestReclusteringErrors(t *testing.T) {
 		"unknown tag": {0x7f, 1, 2, 3},
 		"no tag":      {},
 	} {
-		db := NewDatabase(8)
+		db, err := Open(Options{BufferPages: 8, Reclustering: true})
+		if err != nil {
+			t.Fatal(err)
+		}
 		grp, err := db.CreateRelation("grp", IntField("key"), ChildrenField("members"))
 		if err != nil {
 			t.Fatal(err)
@@ -247,9 +243,6 @@ func TestReclusteringErrors(t *testing.T) {
 		if err := grp.rel.Tree.Update(1, rec); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.EnableReclustering(0, 0); err != nil {
-			t.Fatal(err)
-		}
 		db.core.Touch(int64(oid))
 		if _, err := db.Reorganize(4); !errors.Is(err, object.ErrBadChildren) {
 			t.Errorf("%s: Reorganize = %v, want the children codec's error", name, err)
@@ -258,10 +251,10 @@ func TestReclusteringErrors(t *testing.T) {
 }
 
 // openScatteredFile loads the scattered layout into a fresh file-backed
-// database, turns the WAL and reclustering on, and heats every group.
+// database with reclustering on, turns the WAL on, and heats every group.
 func openScatteredFile(t *testing.T, path string) (*Database, int) {
 	t.Helper()
-	db, err := OpenDatabaseFile(path, 16)
+	db, err := Open(Options{Path: path, BufferPages: 16, Reclustering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,9 +263,6 @@ func openScatteredFile(t *testing.T, path string) (*Database, int) {
 		t.Fatal(err)
 	}
 	if err := db.EnableWAL(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.EnableReclustering(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.RetrievePath("grp", "members", "val", 1, int64(groups)); err != nil {
@@ -291,14 +281,13 @@ func coldUnitReads(t *testing.T, db *Database) (string, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprint(vals), db.Stats().Reads
+	return fmt.Sprint(vals), db.Snapshot().Disk.Reads
 }
 
 // TestReclusteringFileReopen: placements ride the sidecar metadata, so a
-// reopened database returns the same values and serves a reorganized
-// unit from the same packed copies at the same cost, before
-// EnableReclustering is called again — and EnableReclustering then
-// succeeds, once.
+// database reopened without reclustering returns the same values and
+// serves a reorganized unit from the same packed copies at the same
+// cost — and one reopened with it collects heat over those placements.
 func TestReclusteringFileReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reclust.pages")
 	db, groups := openScatteredFile(t, path)
@@ -323,7 +312,6 @@ func TestReclusteringFileReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
 	snap := re.Snapshot().Reclust
 	if snap == nil || snap.Placements != len(placed) {
 		t.Fatalf("reopened reclust snapshot %+v, want %d placements", snap, len(placed))
@@ -336,11 +324,17 @@ func TestReclusteringFileReopen(t *testing.T) {
 	if got, reads := coldUnitReads(t, re); got != want || reads != packed {
 		t.Fatalf("reopened unit: %s in %d reads, want %s in %d", got, reads, want, packed)
 	}
-	if err := re.EnableReclustering(0, 0); err != nil {
-		t.Fatalf("EnableReclustering over restored placements: %v", err)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if err := re.EnableReclustering(0, 0); err == nil {
-		t.Error("double EnableReclustering succeeded after a reopen")
+
+	re, err = Open(Options{Path: path, BufferPages: 16, Reclustering: true})
+	if err != nil {
+		t.Fatalf("Options.Reclustering over restored placements: %v", err)
+	}
+	defer re.Close()
+	if got := re.Snapshot().Reclust.Placements; got != len(placed) {
+		t.Fatalf("reopened with reclustering: %d placements, want %d", got, len(placed))
 	}
 	// The packed units are still migrated: fresh heat moves nothing twice.
 	if _, err := re.RetrievePath("grp", "members", "val", 1, int64(groups)); err != nil {
@@ -445,11 +439,8 @@ func attachMemWAL(t *testing.T, db *Database) *wal.MemDevice {
 // either — the next call has to migrate the same units, and the rows
 // must equal a never-reclustered control throughout.
 func TestReorganizeFailedCommitStrandsNothing(t *testing.T) {
-	subject, groups := buildScatteredDB(t, 64)
-	control, _ := buildScatteredDB(t, 64)
-	if err := subject.EnableReclustering(0, 0); err != nil {
-		t.Fatal(err)
-	}
+	subject, groups := buildScatteredDB(t, Options{BufferPages: 64, Reclustering: true})
+	control, _ := buildScatteredDB(t, Options{BufferPages: 64})
 	dev := attachMemWAL(t, subject)
 	readAll := func(db *Database) string {
 		vals, err := db.RetrievePath("grp", "members", "val", 1, int64(groups))
@@ -532,10 +523,7 @@ func TestReorganizeFailedCommitStrandsNothing(t *testing.T) {
 // nothing marked migrated, and once the page reads again the whole unit
 // is placed — not the part that happened to be readable.
 func TestReorganizeFaultAbortsBatch(t *testing.T) {
-	db, groups := buildScatteredDB(t, 8)
-	if err := db.EnableReclustering(0, 0); err != nil {
-		t.Fatal(err)
-	}
+	db, groups := buildScatteredDB(t, Options{BufferPages: 8, Reclustering: true})
 	if _, err := db.RetrievePath("grp", "members", "val", 1, int64(groups)); err != nil {
 		t.Fatal(err)
 	}
@@ -591,17 +579,10 @@ func TestReorganizeFaultAbortsBatch(t *testing.T) {
 // cache watermarks cover the moved members, and an Update of a migrated
 // member is what the next cached read returns.
 func TestVersionedCachedReclustering(t *testing.T) {
-	db, groups := buildScatteredDB(t, 64)
-	db.EnableVersionedServing()
-	if err := db.EnableCache(16); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.EnableReclustering(0, 0); err != nil {
-		t.Fatal(err)
-	}
+	db, groups := buildScatteredDB(t, Options{BufferPages: 64, CacheUnits: 16, Versioned: true, Reclustering: true})
 	read := func(lo, hi int) []Value {
 		t.Helper()
-		vals, err := db.RetrievePathCached("grp", "members", "val", int64(lo), int64(hi))
+		vals, err := db.RetrievePath("grp", "members", "val", int64(lo), int64(hi))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -656,13 +637,9 @@ func TestVersionedCachedReclustering(t *testing.T) {
 // number comes back with the error — and its write path publishes
 // nothing for it: no epoch, and the cached unit is not invalidated.
 func TestFacadeFailedSyncKeepsSeqAndPublishesNothing(t *testing.T) {
-	db, _ := buildScatteredDB(t, 64)
-	db.EnableVersionedServing()
-	if err := db.EnableCache(16); err != nil {
-		t.Fatal(err)
-	}
+	db, _ := buildScatteredDB(t, Options{BufferPages: 64, CacheUnits: 16, Versioned: true})
 	dev := attachMemWAL(t, db)
-	if _, err := db.RetrievePathCached("grp", "members", "val", 1, 1); err != nil {
+	if _, err := db.RetrievePath("grp", "members", "val", 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	item, err := db.Relation("item")

@@ -40,20 +40,21 @@ type SlowLogStats struct {
 type Snapshot struct {
 	Disk    IOStats       `json:"disk"`
 	Buffer  BufferStats   `json:"buffer"`
-	Cache   *CacheStats   `json:"cache,omitempty"` // nil until EnableCache (see database_cache.go)
+	Cache   *CacheStats   `json:"cache,omitempty"` // nil without Options.CacheUnits (see database_cache.go)
 	Faults  FaultStats    `json:"faults"`
 	SlowLog SlowLogStats  `json:"slow_log"`
-	Txn     *TxnStats     `json:"txn,omitempty"`     // nil until EnableVersionedServing (see database_txn.go)
+	Txn     *TxnStats     `json:"txn,omitempty"`     // nil without Options.Versioned (see database_txn.go)
 	WAL     *WALStats     `json:"wal,omitempty"`     // nil until EnableWAL (see database_wal.go)
-	Reclust *ReclustStats `json:"reclust,omitempty"` // nil until EnableReclustering (see database_reclust.go)
+	Reclust *ReclustStats `json:"reclust,omitempty"` // nil without Options.Reclustering or restored placements (see database_reclust.go)
 }
 
 // Snapshot returns the current consolidated counters.
 func (d *Database) Snapshot() Snapshot {
+	ds := d.core.Disk.Stats()
 	ps := d.core.Pool.Stats()
 	sl := d.slow.Stats()
 	snap := Snapshot{
-		Disk:   d.Stats(),
+		Disk:   IOStats{Reads: ds.Reads, Writes: ds.Writes},
 		Faults: d.faultStats(),
 		Buffer: BufferStats{
 			Hits: ps.Hits, Misses: ps.Misses, Flushes: ps.Flushes,
@@ -112,21 +113,8 @@ func (q SlowQuery) TotalIO() int64 {
 	return total
 }
 
-// EnableSlowLog starts tail sampling: every subsequent Query and
-// RetrievePath call is timed and span-traced, and the capacity slowest
-// are retained (plus a violation count for calls at or over threshold;
-// 0 means no threshold). capacity <= 0 disables capture. Re-enabling
-// resets previously captured entries.
-func (d *Database) EnableSlowLog(capacity int, threshold time.Duration) {
-	d.slow = nil
-	if capacity > 0 {
-		d.slow = obs.NewSlowLog(capacity, threshold)
-	}
-	d.installTracer()
-}
-
 // SlowQueries returns the retained entries, slowest first (empty without
-// EnableSlowLog).
+// Options.SlowLogCapacity).
 func (d *Database) SlowQueries() []SlowQuery {
 	entries := d.slow.Snapshot()
 	out := make([]SlowQuery, len(entries))

@@ -11,12 +11,11 @@ import (
 )
 
 func TestSnapshotConsolidatesLayers(t *testing.T) {
-	db, _, _ := cachedDB(t)
+	db, _, _ := openGroups(t, corep.Options{BufferPages: 64, CacheUnits: 32, SlowLogCapacity: 4})
 	if err := db.ResetCold(); err != nil {
 		t.Fatal(err)
 	}
-	db.EnableSlowLog(4, 0)
-	if _, err := db.RetrievePathCached("group", "members", "name", 1, 2); err != nil {
+	if _, err := db.RetrievePath("group", "members", "name", 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Query(`retrieve (person.name) where person.age >= 60`); err != nil {
@@ -53,21 +52,20 @@ func TestSnapshotConsolidatesLayers(t *testing.T) {
 }
 
 func TestSlowLogCapturesQuerySpans(t *testing.T) {
-	db, _, _ := cachedDB(t)
+	db, _, _ := openGroups(t, corep.Options{BufferPages: 64, CacheUnits: 32, SlowLogCapacity: 8})
 	if err := db.ResetCold(); err != nil {
 		t.Fatal(err)
 	}
-	db.EnableSlowLog(8, 0)
 	for i := 0; i < 3; i++ {
 		if _, err := db.Query(`retrieve (person.name) where person.age >= 60`); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The three path entry points are one retrieval and report alike.
+	// The path entry points are one retrieval and report alike.
 	if _, err := db.RetrievePath("group", "members", "name", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RetrievePathCached("group", "members", "name", 1, 2); err != nil {
+	if _, err := db.RetrievePath("group", "members", "name", 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.RetrievePathN("group", []string{"members", "name"}, 1, 2); err != nil {
@@ -120,18 +118,20 @@ func TestSlowLogCapturesQuerySpans(t *testing.T) {
 		t.Fatal("failed query not captured in slow log")
 	}
 
-	// Disabling clears capture.
-	db.EnableSlowLog(0, 0)
-	if got := db.SlowQueries(); len(got) != 0 {
-		t.Fatalf("disabled slow log still returns %d entries", len(got))
+	// A database opened without a slow log captures nothing.
+	plain, _, _ := cachedDB(t)
+	if _, err := plain.Query(`retrieve (person.name) where person.age >= 60`); err != nil {
+		t.Fatal(err)
+	}
+	if got := plain.SlowQueries(); len(got) != 0 {
+		t.Fatalf("database without a slow log returns %d entries", len(got))
 	}
 }
 
 // TestSlowLogThresholdMarksViolations: entries at or over the threshold
 // carry OverSLO and count as violations in the snapshot.
 func TestSlowLogThresholdMarksViolations(t *testing.T) {
-	db, _, _ := cachedDB(t)
-	db.EnableSlowLog(4, time.Nanosecond)
+	db, _, _ := openGroups(t, corep.Options{BufferPages: 64, CacheUnits: 32, SlowLogCapacity: 4, SlowLogThreshold: time.Nanosecond})
 	if _, err := db.Query(`retrieve (person.name) where person.age >= 60`); err != nil {
 		t.Fatal(err)
 	}
@@ -144,16 +144,14 @@ func TestSlowLogThresholdMarksViolations(t *testing.T) {
 	}
 }
 
-// TestSlowLogTeesWithTracing: with TraceTo active alongside the slow
+// TestSlowLogTeesWithTracing: with a trace stream alongside the slow
 // log, the external trace stream still receives every span, one
 // SpanEvent per line with io == reads + writes, and span ids stay unique
 // across queries — both read the database's one tracer, so a captured
 // entry's ids are the stream's ids.
 func TestSlowLogTeesWithTracing(t *testing.T) {
-	db, _, _ := cachedDB(t)
 	var trace bytes.Buffer
-	db.TraceTo(&trace)
-	db.EnableSlowLog(4, 0)
+	db, _, _ := openGroups(t, corep.Options{BufferPages: 64, CacheUnits: 32, Trace: &trace, SlowLogCapacity: 4})
 	for i := 0; i < 3; i++ {
 		if _, err := db.Query(`retrieve (person.name) where person.age >= 60`); err != nil {
 			t.Fatal(err)
@@ -206,12 +204,13 @@ func TestSlowLogTeesWithTracing(t *testing.T) {
 // slow log armed.
 func TestSlowLogDoesNotChangeIO(t *testing.T) {
 	run := func(arm bool) int64 {
-		db, _, _ := cachedDB(t)
+		opts := corep.Options{BufferPages: 64, CacheUnits: 32}
+		if arm {
+			opts.SlowLogCapacity = 8
+		}
+		db, _, _ := openGroups(t, opts)
 		if err := db.ResetCold(); err != nil {
 			t.Fatal(err)
-		}
-		if arm {
-			db.EnableSlowLog(8, 0)
 		}
 		if _, err := db.Query(`retrieve (person.name) where person.age >= 60`); err != nil {
 			t.Fatal(err)
@@ -219,7 +218,8 @@ func TestSlowLogDoesNotChangeIO(t *testing.T) {
 		if _, err := db.RetrievePath("group", "members", "name", 1, 2); err != nil {
 			t.Fatal(err)
 		}
-		return db.Stats().Reads + db.Stats().Writes
+		s := db.Snapshot().Disk
+		return s.Reads + s.Writes
 	}
 	plain, armed := run(false), run(true)
 	if plain != armed {

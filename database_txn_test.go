@@ -10,26 +10,28 @@ import (
 // store: cached reads pin snapshot epochs, updates commit with an epoch
 // bump, and the counters surface through Snapshot().
 func TestVersionedServingCounters(t *testing.T) {
-	db, person, _ := cachedDB(t)
-	db.EnableVersionedServing()
+	db, person, _ := openGroups(t, corep.Options{BufferPages: 64, CacheUnits: 32, Versioned: true})
+	// The store publishes a bootstrap epoch at Open, and the load's six
+	// inserts commit through it.
+	loaded := db.Snapshot().Txn.Commits
+	if loaded != 1+6 {
+		t.Fatalf("commits after the load = %d, want 7 (bootstrap + 6 inserts)", loaded)
+	}
 
-	if _, err := db.RetrievePathCached("group", "members", "name", 1, 1); err != nil {
+	if _, err := db.RetrievePath("group", "members", "name", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RetrievePathCached("group", "members", "name", 1, 1); err != nil {
+	if _, err := db.RetrievePath("group", "members", "name", 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := person.Update(1, corep.Row{corep.Int(1), corep.Str("Johnny"), corep.Int(63)}); err != nil {
 		t.Fatal(err)
 	}
 	snap := db.Snapshot()
-	if snap.Txn == nil {
-		t.Fatal("Snapshot().Txn nil after EnableVersionedServing")
-	}
-	// One bootstrap commit plus the update's commit; two pinned read
-	// epochs; nothing aborted, nothing left active.
-	if snap.Txn.Commits != 2 {
-		t.Fatalf("commits = %d, want 2 (bootstrap + update)", snap.Txn.Commits)
+	// The update's commit; two pinned read epochs; nothing aborted,
+	// nothing left active.
+	if snap.Txn.Commits != loaded+1 {
+		t.Fatalf("commits = %d, want %d (the load's + the update)", snap.Txn.Commits, loaded+1)
 	}
 	if snap.Txn.Snapshots < 2 {
 		t.Fatalf("snapshot reads = %d, want >= 2", snap.Txn.Snapshots)
@@ -40,7 +42,7 @@ func TestVersionedServingCounters(t *testing.T) {
 
 	// The update's commit invalidated the cached unit through the
 	// watermark protocol: the next read re-materializes the new value.
-	names, err := db.RetrievePathCached("group", "members", "name", 1, 1)
+	names, err := db.RetrievePath("group", "members", "name", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +52,11 @@ func TestVersionedServingCounters(t *testing.T) {
 }
 
 // TestVersionedServingIsOptIn pins the default: without
-// EnableVersionedServing the snapshot reports no txn layer and the
+// Options.Versioned the snapshot reports no txn layer and the
 // historic cache protocol runs unchanged.
 func TestVersionedServingIsOptIn(t *testing.T) {
 	db, _, _ := cachedDB(t)
-	if _, err := db.RetrievePathCached("group", "members", "name", 1, 1); err != nil {
+	if _, err := db.RetrievePath("group", "members", "name", 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if snap := db.Snapshot(); snap.Txn != nil {

@@ -16,7 +16,7 @@ import (
 // no-steal gate; from then on every mutation commits through the
 // core's Commit (engine.Core; see mutate in database_txn.go) *before*
 // it publishes its epoch or invalidates caches. A published commit
-// therefore implies a durable log record, and OpenDatabaseFile replays
+// therefore implies a durable log record, and Open replays
 // the log after a crash. What this file adds to the shared protocol is
 // the facade's own recovery metadata: the JSON sidecar rides in front
 // of a commit record whenever it changed.
@@ -159,7 +159,7 @@ func (d *Database) buildMeta(placements []byte) dbMeta {
 }
 
 // recoverWAL replays the redo log into the page file during
-// OpenDatabaseFile. Committed page images are installed with
+// Open. Committed page images are installed with
 // fd.Restore, the page file is synced, the last committed metadata
 // record (if any) supersedes the sidecar, and only then is the log
 // truncated — the order matters: the log must remain the authority
@@ -194,6 +194,6 @@ func recoverWAL(fd *disk.FileDisk, dev wal.Device, metaPath string) (*wal.Result
 	return res, nil
 }
 
-// RecoveryResult reports what OpenDatabaseFile's WAL replay did, or nil
+// RecoveryResult reports what Open's WAL replay did, or nil
 // if the database opened without a log to replay.
 func (d *Database) RecoveryResult() *wal.Result { return d.walRecovery }

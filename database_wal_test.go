@@ -217,7 +217,7 @@ func TestWALInMemoryRejected(t *testing.T) {
 // with victims (pool of 16 frames, far more pages touched).
 func TestWALCacheReadsDoNotWedgePool(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cached.db")
-	db, err := corep.OpenDatabaseFile(path, 16)
+	db, err := corep.Open(corep.Options{Path: path, BufferPages: 16, CacheUnits: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,14 +249,11 @@ func TestWALCacheReadsDoNotWedgePool(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.EnableCache(2000); err != nil {
-		t.Fatal(err)
-	}
 	// Read-only stretch: every parent's unit is resolved and cached,
 	// dirtying cache pages with no commits to capture them.
 	for round := 0; round < 3; round++ {
 		for p := int64(0); p < 40; p++ {
-			if _, err := db.RetrievePathCached("parent", "kids", "x", p, p); err != nil {
+			if _, err := db.RetrievePath("parent", "kids", "x", p, p); err != nil {
 				t.Fatalf("round %d parent %d: %v", round, p, err)
 			}
 		}

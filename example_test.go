@@ -129,7 +129,7 @@ func Example_scientists() {
 		fmt.Printf("  primary=%-11s cached=%-6s  %s\n", cell.Primary, cell.Cached, status)
 	}
 
-	s := db.Stats()
+	s := db.Snapshot().Disk
 	fmt.Printf("\nsimulated I/O for the retrievals: %d reads, %d writes\n", s.Reads, s.Writes)
 
 	// Output:
@@ -304,7 +304,7 @@ func Example_vlsi() {
 	}
 	fmt.Printf("cells in the transitive closure of cell39's instances: %d\n", len(seen))
 
-	s := db.Stats()
+	s := db.Snapshot().Disk
 	fmt.Printf("simulated I/O for the navigation: %d reads, %d writes\n", s.Reads, s.Writes)
 
 	// Output:

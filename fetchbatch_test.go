@@ -56,7 +56,7 @@ func TestFetchBatchMatchesFetchLoop(t *testing.T) {
 		}
 		seq = append(seq, row)
 	}
-	s := db.Stats()
+	s := db.Snapshot().Disk
 	ioSeq := s.Reads + s.Writes
 
 	if err := db.ResetCold(); err != nil {
@@ -67,7 +67,7 @@ func TestFetchBatchMatchesFetchLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ResetCold zeroed the counters, so this delta is the batch alone.
-	s2 := db.Stats()
+	s2 := db.Snapshot().Disk
 	ioBatch := s2.Reads + s2.Writes
 
 	if len(batch) != len(seq) {

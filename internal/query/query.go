@@ -171,15 +171,21 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 		sp.SetAttr("values", int64(in.Count()))
 		sp.SetAttr("runs", int64(nruns))
 	}()
-	// Phase 1: produce sorted runs.
-	var runs []*Int64Temp
+	// Phase 1: produce sorted runs, listed in the lent scratch. The
+	// scratch goes back to the pool, its run list cleared, only after
+	// the error path below has dropped the runs: defers run last first.
+	bufs := lend(min(workMem, in.Count()))
+	runs := bufs.runs[:0]
+	defer func() {
+		clear(runs[:cap(runs)])
+		bufs.runs = runs[:0]
+		scratchPool.Put(bufs)
+	}()
 	defer func() {
 		if err != nil {
 			dropAll(runs) // the sort's own error is the one reported
 		}
 	}()
-	bufs := lend(min(workMem, in.Count()))
-	defer scratchPool.Put(bufs)
 	cur := bufs.vs
 	flush := func() error {
 		if len(cur) == 0 {
@@ -262,7 +268,7 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 		if best < 0 {
 			// Merged: the runs go now, and a refused free fails the sort.
 			merged := runs
-			runs = nil
+			runs = runs[:0]
 			if err := dropAll(merged); err != nil {
 				return nil, err
 			}
@@ -289,9 +295,13 @@ func dropAll(ts []*Int64Temp) error {
 }
 
 // scratch is the package's lent memory: a TempIter's decoded values
-// (vs), or the run SortTemp collects (vs) and its radix sort's second
-// buffer (aux).
-type scratch struct{ vs, aux []int64 }
+// (vs), or the run SortTemp collects (vs), its radix sort's second
+// buffer (aux) and the list of runs it has written (runs, every entry
+// nil while the scratch is in the pool).
+type scratch struct {
+	vs, aux []int64
+	runs    []*Int64Temp
+}
 
 // scratchPool lends scratch to SortTemp and TempIter, so neither
 // allocates value memory once the pool has lent a buffer of the size

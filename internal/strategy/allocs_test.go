@@ -69,7 +69,7 @@ func TestRetrieveAllocationCeiling(t *testing.T) {
 	for _, c := range []struct {
 		st      Strategy
 		ceiling float64
-	}{{mustNew(t, BFS, wide), 9}, {mustNew(t, BFSNODUP, wide), 12}, {smart, 9}} {
+	}{{mustNew(t, BFS, wide), 8}, {mustNew(t, BFSNODUP, wide), 11}, {smart, 8}} {
 		few, many := allocs(wide, c.st, 5), allocs(wide, c.st, 50)
 		if few != many || many > c.ceiling {
 			t.Errorf("%v allocates %.0f objects for NumTop 5 and %.0f for NumTop 50: want one count (<= %.0f) for both", c.st.Kind(), few, many, c.ceiling)
