@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"corep/internal/btree"
 	"corep/internal/buffer"
 	"corep/internal/catalog"
 	"corep/internal/disk"
@@ -319,8 +320,14 @@ func (c Children) encode() ([]byte, error) {
 	return enc.Encode()
 }
 
+// ErrDuplicateKey reports an insert of a key its relation already
+// holds: an OID names one object, so the second row is refused and
+// nothing is written.
+var ErrDuplicateKey = errors.New("corep: duplicate key")
+
 // Insert stores a row. Children attributes take a Children value passed
-// via InsertWith; plain Insert requires the relation to have none.
+// via InsertWith; plain Insert requires the relation to have none. A key
+// the relation holds is refused with ErrDuplicateKey.
 func (r *Relation) Insert(row Row) (OID, error) {
 	return r.InsertWith(row, nil)
 }
@@ -370,7 +377,11 @@ func (r *Relation) InsertWith(row Row, children map[string]Children) (OID, error
 	// versioned serving the invalidation commits through the version
 	// store so snapshot readers see the watermark before the new epoch.
 	locks := []object.OID{relLockOID(r.rel.ID)}
-	if err := r.db.mutate(locks, func() error { return r.rel.Tree.Insert(key, rec) }); err != nil {
+	err = r.db.mutate(locks, func() error { return r.rel.Tree.InsertUnique(key, rec) })
+	if errors.Is(err, btree.ErrDuplicateKey) {
+		return 0, fmt.Errorf("%w: %s key %d", ErrDuplicateKey, r.rel.Name, key)
+	}
+	if err != nil {
 		return 0, err
 	}
 	return object.NewOID(r.rel.ID, key), nil

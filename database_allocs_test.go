@@ -11,18 +11,20 @@ import (
 // TestFacadeAllocationCeiling: RetrievePath and Query allocate for what
 // they return and for a fixed set-up, not for what they pass over. Warm,
 // over 6 and over 60 groups of one representation, a group may cost its
-// members' strings and a small constant — its OID list and the batch
-// probe's bookkeeping, its stored query's text — and the set-up must not
-// grow with the group count. A copied children value, a result grown by
-// appends, or a stored query parsed and bound afresh per group shows
-// here as a slope above the ceiling.
+// members' strings and, for a stored query, its text; an OID list is
+// decoded into the expander's buffer for its depth and probed with
+// lent bookkeeping, so it costs nothing more (4 objects more while the
+// list and the batch probe's group table, positions and keys were
+// allocated per group). The set-up must not grow with the group count.
+// A copied children value, a result grown by appends, or a stored query
+// parsed and bound afresh per group shows here as a slope above the
+// ceiling.
 func TestFacadeAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	const (
 		groups, members = 60, 5
-		perGroup        = 4  // beyond the members' strings
 		setUp           = 30 // per call, whatever the width
 	)
 	db := NewDatabase(512)
@@ -45,15 +47,16 @@ func TestFacadeAllocationCeiling(t *testing.T) {
 	// Groups 0-59 list their members by OID, 100-159 store a query,
 	// 200-259 hold them inline.
 	reps := []struct {
-		name string
-		base int64
-		kids func(lo int) Children
+		name     string
+		base     int64
+		perGroup float64 // beyond the members' strings
+		kids     func(lo int) Children
 	}{
-		{"OID list", 0, func(lo int) Children { return OIDChildren(oids[lo : lo+members]...) }},
-		{"stored query", 100, func(lo int) Children {
+		{"OID list", 0, 0, func(lo int) Children { return OIDChildren(oids[lo : lo+members]...) }},
+		{"stored query", 100, 1, func(lo int) Children {
 			return ProcChildren(fmt.Sprintf(`retrieve (person.name) where person.OID >= %d and person.OID <= %d`, lo, lo+members-1))
 		}},
-		{"inline", 200, func(lo int) Children { return ValueChildren(person, rows[lo:lo+members]...) }},
+		{"inline", 200, 0, func(lo int) Children { return ValueChildren(person, rows[lo:lo+members]...) }},
 	}
 	for _, rep := range reps {
 		for g := 0; g < groups; g++ {
@@ -95,9 +98,12 @@ func TestFacadeAllocationCeiling(t *testing.T) {
 			slope := (many - few) / (groups - 6)
 			fixed := few - 6*slope
 			t.Logf("%s over %s: %.1f objects per group, %.1f per call", form.name, rep.name, slope, fixed)
-			if slope > members+perGroup || fixed > setUp {
-				t.Errorf("%s over %s groups allocates %.0f objects for 6 groups and %.0f for %d: %.1f per group (ceiling %d), %.1f per call (ceiling %d)",
-					form.name, rep.name, few, many, groups, slope, members+perGroup, fixed, setUp)
+			// Half an object of slack: a result buffer that doubles once
+			// more over the wider call reads as a fraction per group; a
+			// per-group allocation reads as a whole one.
+			if slope > members+rep.perGroup+0.5 || fixed > setUp {
+				t.Errorf("%s over %s groups allocates %.0f objects for 6 groups and %.0f for %d: %.1f per group (ceiling %.0f), %.1f per call (ceiling %d)",
+					form.name, rep.name, few, many, groups, slope, members+rep.perGroup, fixed, setUp)
 			}
 		}
 	}

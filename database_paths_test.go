@@ -272,3 +272,71 @@ func TestPathEntryPointsAgree(t *testing.T) {
 		})
 	}
 }
+
+// TestExpansionTouchesEveryOwner: each OID list a path expands is
+// decoded into the expander's buffer for its depth, and the objects a
+// list names are the owners of the lists one level down. Every list is
+// shorter than the one above it, so a buffer shared between depths
+// would be overwritten in place, and the next owner read from it would
+// be a member of the level below. The owners the expander reports, in
+// order, are the root and each middle object.
+func TestExpansionTouchesEveryOwner(t *testing.T) {
+	db := NewDatabase(64)
+	leaf, err := db.CreateRelation("leaf", IntField("OID"), IntField("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid, err := db.CreateRelation("mid", IntField("OID"), ChildrenField("leaves"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := db.CreateRelation("top", IntField("OID"), ChildrenField("mids"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaves, mids []OID
+	for k := int64(0); k < 8; k++ {
+		oid, err := leaf.Insert(Row{Int(k), Int(k * 10)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves = append(leaves, oid)
+	}
+	for k := int64(0); k < 4; k++ {
+		oid, err := mid.InsertWith(Row{Int(k), Value{}}, map[string]Children{"leaves": OIDChildren(leaves[2*k], leaves[2*k+1])})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mids = append(mids, oid)
+	}
+	root, err := top.InsertWith(Row{Int(1), Value{}}, map[string]Children{"mids": OIDChildren(mids...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var touched []OID
+	db.store.Touch = func(owner OID) { touched = append(touched, owner) }
+	for _, form := range []struct {
+		name string
+		get  func() (int, error)
+	}{
+		{"RetrievePathN", func() (int, error) {
+			vals, err := db.RetrievePathN("top", []string{"mids", "leaves", "v"}, 1, 1)
+			return len(vals), err
+		}},
+		{"Query", func() (int, error) {
+			res, err := db.Query(`retrieve (top.mids.leaves.v)`)
+			if err != nil {
+				return 0, err
+			}
+			return len(res.Rows), nil
+		}},
+	} {
+		touched = touched[:0]
+		if n, err := form.get(); err != nil || n != len(leaves) {
+			t.Fatalf("%s: %d values, %v", form.name, n, err)
+		}
+		if want := append([]OID{root}, mids...); !reflect.DeepEqual(touched, want) {
+			t.Errorf("%s touched %v, want the root and every middle object %v", form.name, touched, want)
+		}
+	}
+}

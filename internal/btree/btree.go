@@ -31,6 +31,9 @@ const (
 // ErrNotFound reports a missing key.
 var ErrNotFound = errors.New("btree: key not found")
 
+// ErrDuplicateKey reports an InsertUnique of a key the tree holds.
+var ErrDuplicateKey = errors.New("btree: duplicate key")
+
 // Tree is a B+tree handle. Trees are not safe for concurrent mutation;
 // the paper's driver is single-threaded.
 type Tree struct {
@@ -122,13 +125,26 @@ func (a entryRef) less(b entryRef) bool {
 // Insert adds payload under key. Duplicate keys are allowed; each
 // insertion gets a fresh sequence number, and scans return duplicates in
 // insertion order.
-func (t *Tree) Insert(key int64, payload []byte) error {
+func (t *Tree) Insert(key int64, payload []byte) error { return t.insert(key, payload, false) }
+
+// InsertUnique is Insert into a tree whose keys are unique: a key the
+// tree already holds is refused with ErrDuplicateKey before anything is
+// written, the tree's state included. The check rides the insert's own
+// descent: it reads the leaf entries on both sides of the insertion
+// point and, when that point is a leaf's first slot, the previous
+// leaf's last entry.
+func (t *Tree) InsertUnique(key int64, payload []byte) error { return t.insert(key, payload, true) }
+
+func (t *Tree) insert(key int64, payload []byte, unique bool) error {
 	if leafHdr+len(payload) > disk.PageSize/2-64 {
 		return fmt.Errorf("btree: payload of %d bytes too large", len(payload))
 	}
 	seq := t.seq
 	t.seq++
-	promoted, right, err := t.insertAt(t.root, t.height, entryRef{key, seq}, payload)
+	promoted, right, err := t.insertAt(t.root, t.height, entryRef{key, seq}, payload, unique)
+	if errors.Is(err, ErrDuplicateKey) {
+		t.seq = seq
+	}
 	if err != nil {
 		return err
 	}
@@ -159,9 +175,9 @@ func (t *Tree) Insert(key int64, payload []byte) error {
 }
 
 // insertAt descends into page id at the given level (level 1 == leaf)
-// and inserts. On split it returns the promoted separator and the new
-// right sibling.
-func (t *Tree) insertAt(id disk.PageID, level int, ref entryRef, payload []byte) (entryRef, disk.PageID, error) {
+// and inserts, refusing a key the tree holds when unique is set. On
+// split it returns the promoted separator and the new right sibling.
+func (t *Tree) insertAt(id disk.PageID, level int, ref entryRef, payload []byte, unique bool) (entryRef, disk.PageID, error) {
 	buf, err := t.pool.Pin(id)
 	if err != nil {
 		return entryRef{}, disk.InvalidPageID, err
@@ -170,6 +186,9 @@ func (t *Tree) insertAt(id disk.PageID, level int, ref entryRef, payload []byte)
 
 	if level == 1 { // leaf
 		pos, err := lowerBound(pg, 0, pg.NumSlots(), ref)
+		if err == nil && unique {
+			err = t.refuseDuplicate(pg, pos, ref.key)
+		}
 		if err != nil {
 			t.pool.Unpin(id, false)
 			return entryRef{}, disk.InvalidPageID, err
@@ -190,7 +209,7 @@ func (t *Tree) insertAt(id disk.PageID, level int, ref entryRef, payload []byte)
 	// Inner node: find child to descend into.
 	childPos, child := t.childFor(pg, ref)
 	t.pool.Unpin(id, false)
-	sep, right, err := t.insertAt(child, level-1, ref, payload)
+	sep, right, err := t.insertAt(child, level-1, ref, payload, unique)
 	if err != nil || right == disk.InvalidPageID {
 		return entryRef{}, disk.InvalidPageID, err
 	}
@@ -214,6 +233,40 @@ func (t *Tree) insertAt(id disk.PageID, level int, ref entryRef, payload []byte)
 	psep, pright, err := t.splitInner(pg, childPos, rec[:])
 	t.pool.Unpin(id, true)
 	return psep, pright, err
+}
+
+// refuseDuplicate returns ErrDuplicateKey when key is held by an entry
+// beside slot pos of the pinned leaf pg — the last entry before it or
+// the entry at it — or, when pos is the leaf's first slot, by the
+// previous leaf's last entry, which it pins beside pg.
+func (t *Tree) refuseDuplicate(pg storage.Page, pos int, key int64) error {
+	holds := func(pg storage.Page, slot int) error {
+		if slot < 0 || slot >= pg.NumSlots() {
+			return nil
+		}
+		rec, err := pg.Record(slot)
+		if err == nil && leafEntryKey(rec).key == key {
+			err = fmt.Errorf("%w: %d", ErrDuplicateKey, key)
+		}
+		return err
+	}
+	if err := holds(pg, pos-1); err != nil {
+		return err
+	}
+	if err := holds(pg, pos); err != nil {
+		return err
+	}
+	prev := pg.Prev()
+	if pos > 0 || prev == disk.InvalidPageID {
+		return nil
+	}
+	buf, err := t.pool.Pin(prev)
+	if err != nil {
+		return err
+	}
+	defer t.pool.Unpin(prev, false)
+	pp := storage.Page{Buf: buf}
+	return holds(pp, pp.NumSlots()-1)
 }
 
 // lowerBound returns the first slot in [lo, hi) of a leaf whose entry

@@ -93,6 +93,13 @@ type Cache struct {
 	// to a handful of units, so a set is a short pointer-free slice
 	// (append to lock, swap-remove to unlock) the collector never scans.
 	ilocks map[object.OID][]int64
+	// spareLocks and spareSets hold, emptied, the backing arrays of the
+	// lock lists of dropped entries and of the I-lock sets that emptied;
+	// the next insert fills them instead of allocating. Each array was
+	// live once, so the spares and the live lists together never
+	// outnumber the most that were ever live at one time.
+	spareLocks []object.Unit
+	spareSets  [][]int64
 
 	stats Stats
 
@@ -299,15 +306,20 @@ func (c *Cache) insertLocked(u object.Unit, locks []object.OID, value []byte) er
 		}
 	}
 	if !exists {
-		e.locks = append(object.Unit(nil), locks...)
+		e.locks = append(pop(&c.spareLocks), locks...)
 		at, _ := slices.BinarySearch(c.sorted, key)
 		c.sorted = slices.Insert(c.sorted, at, key)
 		for _, oid := range locks {
 			// A lock set naming an OID twice holds one lock: the unit is
 			// new, so only this loop can have put key there, last.
-			if held := c.ilocks[oid]; len(held) == 0 || held[len(held)-1] != key {
-				c.ilocks[oid] = append(held, key)
+			held := c.ilocks[oid]
+			if len(held) > 0 && held[len(held)-1] == key {
+				continue
 			}
+			if held == nil {
+				held = pop(&c.spareSets)
+			}
+			c.ilocks[oid] = append(held, key)
 		}
 	}
 	e.segs = segs
@@ -360,6 +372,26 @@ func (c *Cache) deleteSeg(k int64) error {
 	}
 }
 
+// pop takes the last spare array off *spares, or nil when there is none.
+func pop[S ~[]E, E any](spares *[]S) S {
+	n := len(*spares)
+	if n == 0 {
+		return nil
+	}
+	s := (*spares)[n-1]
+	(*spares)[n-1] = nil
+	*spares = (*spares)[:n-1]
+	return s
+}
+
+// keep files s's backing array, emptied, among spares.
+func keep[S ~[]E, E any](spares []S, s S) []S {
+	if cap(s) == 0 {
+		return spares
+	}
+	return append(spares, s[:0])
+}
+
 // drop removes a unit from the file, the directory and the lock table.
 // The in-memory directory is always cleaned, even when hash-file
 // deletes fail: a unit must never stay visible after an invalidation
@@ -392,11 +424,13 @@ func (c *Cache) drop(key int64) error {
 		}
 		if len(held) == 1 {
 			delete(c.ilocks, oid)
+			c.spareSets = keep(c.spareSets, held)
 			continue
 		}
 		held[at] = held[len(held)-1]
 		c.ilocks[oid] = held[:len(held)-1]
 	}
+	c.spareLocks = keep(c.spareLocks, e.locks)
 	return firstErr
 }
 
@@ -424,6 +458,7 @@ func (c *Cache) Invalidate(updated object.OID) (int, error) {
 			firstErr = err
 		}
 	}
+	c.spareSets = keep(c.spareSets, keys)
 	c.stats.Invalidations += int64(len(keys))
 	sp.SetAttr("fanout", int64(len(keys)))
 	if firstErr != nil {
@@ -446,8 +481,9 @@ func (c *Cache) Clear() error {
 }
 
 // CheckInvariants verifies directory/lock-table consistency: every
-// cached unit's OIDs hold an I-lock on it and vice versa, and the hash
-// file agrees with the directory. Tests call this after randomized
+// cached unit's OIDs hold an I-lock on it and vice versa, the hash file
+// agrees with the directory, and no spare array is still a live lock
+// list or I-lock set, or kept twice. Tests call this after randomized
 // workloads.
 func (c *Cache) CheckInvariants() error {
 	c.mu.Lock()
@@ -456,8 +492,50 @@ func (c *Cache) CheckInvariants() error {
 		return fmt.Errorf("cache: sorted key list holds %d keys (sorted=%v), directory %d",
 			len(c.sorted), slices.IsSorted(c.sorted), len(c.dir))
 	}
-	wantEntries := 0
+	// Live lists and sets start at their array's first element, so one
+	// address per array tells whether two of them, or a spare, share it.
+	lists := make(map[*object.OID]bool, len(c.dir)+len(c.spareLocks))
 	for key, e := range c.dir {
+		if cap(e.locks) == 0 {
+			continue
+		}
+		if at := &e.locks[:1][0]; !lists[at] {
+			lists[at] = true
+			continue
+		}
+		return fmt.Errorf("cache: unit %d shares its lock list's array", key)
+	}
+	for _, s := range c.spareLocks {
+		if len(s) != 0 || cap(s) == 0 || lists[&s[:1][0]] {
+			return fmt.Errorf("cache: spare lock list (len %d, cap %d) is not an emptied array of its own", len(s), cap(s))
+		}
+		lists[&s[:1][0]] = true
+	}
+	sets := make(map[*int64]bool, len(c.ilocks)+len(c.spareSets))
+	for oid, held := range c.ilocks {
+		if cap(held) == 0 {
+			continue // refused as empty below
+		}
+		if at := &held[:1][0]; !sets[at] {
+			sets[at] = true
+			continue
+		}
+		return fmt.Errorf("cache: the I-lock set of %v shares its array", oid)
+	}
+	for _, s := range c.spareSets {
+		if len(s) != 0 || cap(s) == 0 || sets[&s[:1][0]] {
+			return fmt.Errorf("cache: spare I-lock set (len %d, cap %d) is not an emptied array of its own", len(s), cap(s))
+		}
+		sets[&s[:1][0]] = true
+	}
+	// The hash file is probed in key order, so the check's own I/O is the
+	// same from run to run.
+	wantEntries := 0
+	for i, key := range c.sorted {
+		e, ok := c.dir[key]
+		if !ok || i > 0 && c.sorted[i-1] == key {
+			return fmt.Errorf("cache: sorted key list holds %d twice or without a directory entry", key)
+		}
 		for _, oid := range e.locks {
 			if !slices.Contains(c.ilocks[oid], key) {
 				return fmt.Errorf("cache: unit %d member %v missing I-lock", key, oid)

@@ -10,6 +10,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"corep/internal/btree"
@@ -195,61 +196,6 @@ func (c *Catalog) Names() []string {
 	return out
 }
 
-// OIDGroup is the part of an OID list that references one relation:
-// Pos holds the positions, in list order, of that relation's OIDs.
-type OIDGroup struct {
-	Rel *Relation
-	Pos []int
-}
-
-// GroupOIDs splits oids per referenced relation, groups in ascending
-// relation-id order so every caller's I/O pattern (and anything learned
-// from it) is deterministic.
-func (c *Catalog) GroupOIDs(oids []object.OID) ([]OIDGroup, error) {
-	var groups []OIDGroup
-	for i, oid := range oids {
-		id := oid.Rel()
-		// One list references a handful of relations: a linear scan
-		// of the sorted groups beats a map and allocates nothing.
-		g := 0
-		for g < len(groups) && groups[g].Rel.ID < id {
-			g++
-		}
-		if g == len(groups) || groups[g].Rel.ID != id {
-			rel, err := c.ByID(id)
-			if err != nil {
-				return nil, err
-			}
-			groups = append(groups, OIDGroup{})
-			copy(groups[g+1:], groups[g:])
-			groups[g] = OIDGroup{Rel: rel, Pos: make([]int, 0, len(oids)-i)}
-		}
-		groups[g].Pos = append(groups[g].Pos, i)
-	}
-	return groups, nil
-}
-
-// GetBatch fetches the group's members of oids through the relation's
-// page-ordered B-tree batch lookup and hands each payload to fn with
-// its position i in oids. The payload aliases the pinned page and is
-// valid only until fn returns, as Tree.GetBatch documents.
-func (g OIDGroup) GetBatch(oids []object.OID, fn func(i int, rel *Relation, payload []byte) error) error {
-	if g.Rel.Tree == nil {
-		return fmt.Errorf("catalog: OID target %s is not B-tree structured", g.Rel.Name)
-	}
-	keys := make([]int64, len(g.Pos))
-	for j, i := range g.Pos {
-		keys[j] = oids[i].Key()
-	}
-	err := g.Rel.Tree.GetBatch(keys, func(j int, payload []byte) error {
-		return fn(g.Pos[j], g.Rel, payload)
-	})
-	if err != nil {
-		return fmt.Errorf("catalog: batch probe of %s: %w", g.Rel.Name, err)
-	}
-	return nil
-}
-
 // ViewOID calls fn with the stored record of oid: a view into the pinned
 // B-tree leaf, valid until fn returns.
 func (c *Catalog) ViewOID(oid object.OID, fn func(rel *Relation, payload []byte) error) error {
@@ -263,19 +209,67 @@ func (c *Catalog) ViewOID(oid object.OID, fn func(rel *Relation, payload []byte)
 	return rel.Tree.View(oid.Key(), func(payload []byte) error { return fn(rel, payload) })
 }
 
+// probeScratch is the bookkeeping a ProbeOIDs call borrows from
+// probePool and gives back when it returns: the relations the list
+// references, in ascending id order, and the positions and keys of the
+// relation being probed. Nothing fn is handed aliases it.
+type probeScratch struct {
+	rels []*Relation
+	pos  []int
+	keys []int64
+}
+
+var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
+
+func (s *probeScratch) release() {
+	clear(s.rels)
+	s.rels = s.rels[:0]
+	probePool.Put(s)
+}
+
 // ProbeOIDs resolves a list of OIDs with one sorted sweep per
-// referenced relation: probes are grouped per relation, relations
-// visited in id order, and fn receives each payload at its original
-// position — the output order of a per-OID Get loop at the same or
-// lower I/O cost.
+// referenced relation: every referenced relation is resolved first,
+// then the relations are visited in id order, each with one B-tree
+// batch lookup of its OIDs' keys, and fn receives each payload at its
+// original position — the output order of a per-OID Get loop at the
+// same or lower I/O cost. The grouping lives in lent storage, so a
+// call allocates none of it.
 func (c *Catalog) ProbeOIDs(oids []object.OID, fn func(i int, rel *Relation, payload []byte) error) error {
-	groups, err := c.GroupOIDs(oids)
-	if err != nil {
-		return err
-	}
-	for _, g := range groups {
-		if err := g.GetBatch(oids, fn); err != nil {
+	sc := probePool.Get().(*probeScratch)
+	defer sc.release()
+	for _, oid := range oids {
+		id := oid.Rel()
+		// One list references a handful of relations: a linear scan
+		// of the sorted ones beats a map and allocates nothing.
+		g := 0
+		for g < len(sc.rels) && sc.rels[g].ID < id {
+			g++
+		}
+		if g < len(sc.rels) && sc.rels[g].ID == id {
+			continue
+		}
+		rel, err := c.ByID(id)
+		if err != nil {
 			return err
+		}
+		sc.rels = slices.Insert(sc.rels, g, rel)
+	}
+	for _, rel := range sc.rels {
+		if rel.Tree == nil {
+			return fmt.Errorf("catalog: OID target %s is not B-tree structured", rel.Name)
+		}
+		pos, keys := sc.pos[:0], sc.keys[:0]
+		for i, oid := range oids {
+			if oid.Rel() == rel.ID {
+				pos, keys = append(pos, i), append(keys, oid.Key())
+			}
+		}
+		sc.pos, sc.keys = pos, keys
+		err := rel.Tree.GetBatch(keys, func(j int, payload []byte) error {
+			return fn(pos[j], rel, payload)
+		})
+		if err != nil {
+			return fmt.Errorf("catalog: batch probe of %s: %w", rel.Name, err)
 		}
 	}
 	return nil

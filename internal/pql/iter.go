@@ -278,6 +278,10 @@ type Expander struct {
 	// after the other: only the first of them in a call allocates its
 	// parse, binding and scan.
 	scratch [maxPathDepth]*scratch
+	// oids[d] is where the OID lists met at depth d are decoded, one
+	// after the other: a list is fetched and its members' children
+	// values copied out before the next list at that depth is decoded.
+	oids [maxPathDepth][]object.OID
 }
 
 // procRun is what takeRow does with the rows of one stored query.
@@ -330,14 +334,20 @@ func (px *Expander) expand(owner object.OID, raw []byte, segs []string, depth in
 	if len(raw) == 0 {
 		return out, nil // no children
 	}
+	if raw[0] == object.TagOIDs {
+		oids, err := object.AppendOIDs(px.oids[depth][:0], raw[1:])
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrExec, err)
+		}
+		px.oids[depth] = oids
+		return px.expandOIDs(owner, oids, segs, depth, out)
+	}
 	c, err := object.ParseChildren(raw)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrExec, err)
 	}
 	last := len(segs) == 1
 	switch c.Rep {
-	case object.OIDs:
-		return px.expandOIDs(owner, c.OIDs, segs, depth, out)
 	case object.ValueBased:
 		rel, err := px.st.Cat.ByID(c.RelID)
 		if err != nil {

@@ -8,10 +8,12 @@ package pql
 // rows, Sources, result schema and on whether a query fails at all.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -411,29 +413,32 @@ func (px *refPathExec) expand(raw []byte, segs []string, depth int) ([]tuple.Val
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrExec, err)
 		}
-		// One relation after the other in id order, as the executor
-		// fetches them — but one ViewOID per subobject where it sweeps —
-		// then every member stepped in list order.
-		groups, err := px.cat.GroupOIDs(oids)
-		if err != nil {
-			return nil, err
+		// Every relation resolved, then one relation after the other in
+		// id order, as the executor fetches them — but one ViewOID per
+		// subobject where it sweeps — then every member stepped in list
+		// order.
+		order := make([]int, len(oids))
+		for i, oid := range oids {
+			if _, err := px.cat.ByID(oid.Rel()); err != nil {
+				return nil, err
+			}
+			order[i] = i
 		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(oids[a].Rel(), oids[b].Rel()) })
 		rels := make([]*catalog.Relation, len(oids))
 		rows = make([]tuple.Tuple, len(oids))
-		for _, g := range groups {
-			for _, i := range g.Pos {
-				var rowErr error
-				err := px.cat.ViewOID(oids[i], func(rel *catalog.Relation, payload []byte) error {
-					rels[i] = rel
-					rows[i], rowErr = tuple.Decode(rel.Schema, payload)
-					return rowErr
-				})
-				if rowErr != nil {
-					return nil, rowErr
-				}
-				if err != nil {
-					return nil, fmt.Errorf("%w: subobject %s: %v", ErrExec, oids[i], err)
-				}
+		for _, i := range order {
+			var rowErr error
+			err := px.cat.ViewOID(oids[i], func(rel *catalog.Relation, payload []byte) error {
+				rels[i] = rel
+				rows[i], rowErr = tuple.Decode(rel.Schema, payload)
+				return rowErr
+			})
+			if rowErr != nil {
+				return nil, rowErr
+			}
+			if err != nil {
+				return nil, fmt.Errorf("%w: subobject %s: %v", ErrExec, oids[i], err)
 			}
 		}
 		var out []tuple.Value

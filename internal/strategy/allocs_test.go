@@ -77,20 +77,22 @@ func TestRetrieveAllocationCeiling(t *testing.T) {
 	}
 }
 
-// TestCachedRetrieveAllocationCeiling pins the one value buffer per
-// DFSCACHE retrieve. Served entirely from the cache, a retrieve allocates
-// the same few objects for 5 units and for 50: its result, its scan
-// state and the buffer every hit is appended into — no value copy per
-// unit. Materializing every unit into a full cache costs what the cache
-// keeps per unit — its copy of the lock set and a slot in each member's
-// I-lock set — and nothing per member record: no record copy, no framing
-// copy, no hash-file record, no page compaction on the heap (25 objects
-// per unit before the maintenance path worked in place).
+// TestCachedRetrieveAllocationCeiling pins what a DFSCACHE retrieve
+// allocates: its result and nothing else. Served entirely from the
+// cache, a retrieve allocates the same two objects for 5 units and for
+// 50 — its Result and its values; the value buffer every hit is
+// appended into is lent by the retrieve's scratch. Materializing every
+// unit into a full cache costs nothing per unit: the evicted entry's
+// lock list and emptied I-lock sets are recycled for the new one, and
+// no member record is copied, framed afresh, written through a
+// hash-file record or compacted on the heap (6.3 objects per unit
+// while each entry copied its lock set and each newly locked OID got a
+// set of its own, 25 before the maintenance path worked in place).
 func TestCachedRetrieveAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const cacheUnits, perUnitCeiling = 60, 10
+	const cacheUnits, hitCeiling, perUnitCeiling = 60, 2, 1
 	// UseFactor 1: every parent has a unit of its own, so a key range
 	// never seen before misses on every unit.
 	db := buildDB(t, workload.Config{NumParents: 2000, SizeUnit: 5, UseFactor: 1, PoolPages: 4000, CacheUnits: cacheUnits, Seed: 3})
@@ -111,8 +113,8 @@ func TestCachedRetrieveAllocationCeiling(t *testing.T) {
 	}
 	few, many := hits(5), hits(50)
 	t.Logf("%.0f objects per retrieve of 5 cached units, %.0f of 50", few, many)
-	if few != many || many > 8 {
-		t.Errorf("DFSCACHE allocates %.0f objects for 5 cached units and %.0f for 50: want one small count (<= 8) for both", few, many)
+	if few != many || many > hitCeiling {
+		t.Errorf("DFSCACHE allocates %.0f objects for 5 cached units and %.0f for 50: want one count (<= %d) for both", few, many, hitCeiling)
 	}
 
 	retrieve(0, 2000) // every page in the pool, the cache at capacity

@@ -35,12 +35,14 @@ func storedParents(db *workload.DB, lo, hi int64) (first, last int64, n int) {
 // scratch is the working memory a scan-then-fetch retrieve borrows from
 // scratchPool and gives back (release) when it returns, on every path:
 // the scan phase's parent list and the OID arena its units are cut
-// from, and the temporary writers its levels dropped, relation tables
-// emptied, for the next level or retrieve to reuse. Nothing a Result
-// holds aliases it.
+// from, the unit value buffer DFSCACHE and SMART read cached and
+// materialized units into, and the temporary writers its levels
+// dropped, relation tables emptied, for the next level or retrieve to
+// reuse. Nothing a Result holds aliases it.
 type scratch struct {
 	parents []parentRef
 	oids    []object.OID
+	value   []byte
 	writers []*tempWriter
 }
 

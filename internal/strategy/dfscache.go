@@ -53,37 +53,36 @@ func (c dfscache) Retrieve(db *workload.DB, q Query) (*Result, error) {
 	child := beginIO(db.Core)
 	probeSp := db.Obs.Start("strategy.dfscache/probe")
 	var cacheHits, materialized int64
-	// One value buffer serves the whole retrieve: a hit is appended into
-	// it off the cache's pages, a miss is framed into it off the child
-	// leaves, either is projected and — the cache copies what it is
-	// handed — the next unit overwrites it.
-	var value []byte
+	// One value buffer, the scratch's, serves the whole retrieve: a hit
+	// is appended into it off the cache's pages, a miss is framed into it
+	// off the child leaves, either is projected and — the cache copies
+	// what it is handed — the next unit overwrites it.
 	for _, p := range sc.parents {
 		key := c.cacheUnit(db, p)
 		// Snapshot epoch 0 (nil Snap) is the historic unversioned path;
 		// under versioned serving the epoch gates hits on the cache's
 		// update watermarks (see cache/version.go).
 		var ok bool
-		value, ok, err = db.Cache.AppendLookup(value[:0], key, q.Snap.Epoch())
+		sc.value, ok, err = db.Cache.AppendLookup(sc.value[:0], key, q.Snap.Epoch())
 		if err != nil {
 			return nil, err
 		}
 		if ok {
 			cacheHits++
-			if err := projectUnitValue(db, value, q.AttrIdx, &res.Values); err != nil {
+			if err := projectUnitValue(db, sc.value, q.AttrIdx, &res.Values); err != nil {
 				return nil, err
 			}
 			continue
 		}
 		// Materialize the unit, answer from it, and cache it.
 		materialized++
-		if value, err = materializeUnit(db, value[:0], p.unit, q.Snap); err != nil {
+		if sc.value, err = materializeUnit(db, sc.value[:0], p.unit, q.Snap); err != nil {
 			return nil, err
 		}
-		if err := projectUnitValue(db, value, q.AttrIdx, &res.Values); err != nil {
+		if err := projectUnitValue(db, sc.value, q.AttrIdx, &res.Values); err != nil {
 			return nil, err
 		}
-		if err := db.Cache.InsertSnap(key, value, q.Snap.Epoch()); err != nil && !disk.IsFault(err) {
+		if err := db.Cache.InsertSnap(key, sc.value, q.Snap.Epoch()); err != nil && !disk.IsFault(err) {
 			// A faulted insert only means the unit isn't cached; the rows
 			// are already materialized, so degrade and keep answering.
 			return nil, err

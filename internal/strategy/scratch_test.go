@@ -106,13 +106,19 @@ func TestResultsOutliveTheNextRetrieve(t *testing.T) {
 // one strategy value, each over its own range, as serve_2c's two DFS
 // clients do; every answer must equal the serial run's, so no two
 // retrieves ever hold the same lent scratch. BFS rides along for the
-// query package's pool and the temporaries' page lists. Run under -race.
+// query package's pool and the temporaries' page lists, DFSCACHE for
+// the scratch's value buffer and the cache's recycled lock lists and
+// I-lock sets: its cache holds fewer units than the clients' ranges
+// reach, so evictions hand sets from one client's units to another's
+// while they run. Run under -race.
 func TestConcurrentRetrievesMatchSerial(t *testing.T) {
-	db := buildDB(t, workload.Config{NumParents: 300, SizeUnit: 5, UseFactor: 3, Seed: 11, PoolPages: 400})
+	const cacheUnits = 24
+	db := buildDB(t, workload.Config{NumParents: 300, SizeUnit: 5, UseFactor: 3, Seed: 11, PoolPages: 400, CacheUnits: cacheUnits})
 	const clients = 4
 	query := func(c int) Query { return Query{Lo: int64(40 * c), Hi: int64(40*c + 99), AttrIdx: workload.FieldRet1} }
-	for _, k := range []Kind{DFS, BFS} {
+	for _, k := range []Kind{DFS, BFS, DFSCACHE} {
 		st := mustNew(t, k, db)
+		before := db.Cache.Stats()
 		want := make([][]int64, clients)
 		for c := range want {
 			res, err := st.Retrieve(db, query(c))
@@ -140,5 +146,11 @@ func TestConcurrentRetrievesMatchSerial(t *testing.T) {
 			}(c)
 		}
 		wg.Wait()
+		if d := db.Cache.Stats().Sub(before); k == DFSCACHE && d.Evictions < clients*cacheUnits {
+			t.Errorf("DFSCACHE evicted %d units: the clients should keep recycling the cache's sets", d.Evictions)
+		}
+	}
+	if err := db.Cache.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

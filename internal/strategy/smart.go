@@ -38,20 +38,20 @@ func (s smart) Retrieve(db *workload.DB, q Query) (_ *Result, err error) {
 	// feed per-relation temporaries for merge joins.
 	tw := sc.tempWriter(db.Pool)
 	defer func() { firstErr(&err, sc.dropWriter(tw)) }()
-	var value []byte // one buffer for every cached unit read, as in DFSCACHE
 	for _, p := range sc.parents {
 		unit := p.unit
 		// The cache probe reads hash-file pages: end the open append run
 		// first, so it never spans other pool traffic.
 		tw.close()
 		if db.Cache.IsCached(unit) {
+			// Into the scratch's value buffer, as in DFSCACHE.
 			var ok bool
-			value, ok, err = db.Cache.AppendLookup(value[:0], unit, q.Snap.Epoch())
+			sc.value, ok, err = db.Cache.AppendLookup(sc.value[:0], unit, q.Snap.Epoch())
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				if err := projectUnitValue(db, value, q.AttrIdx, &res.Values); err != nil {
+				if err := projectUnitValue(db, sc.value, q.AttrIdx, &res.Values); err != nil {
 					return nil, err
 				}
 				continue
