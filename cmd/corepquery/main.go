@@ -206,8 +206,8 @@ func run(args []string, in io.Reader, out, errOut io.Writer) int {
 			printSlow(out, db.SlowQueries())
 		case line == `\faults`:
 			fs := db.Snapshot().Faults
-			fmt.Fprintf(out, "faults: %d injected over %d ops (%d transient, %d permanent hits, %d torn, %d spikes); pool retried %d, recovered %d\n",
-				fs.Injected, fs.Ops, fs.Transient, fs.Permanent, fs.Torn, fs.Spikes, fs.Retries, fs.Recovered)
+			fmt.Fprintf(out, "faults: %d injected over %d ops (%d transient, %d permanent hits, %d torn); pool retried %d, recovered %d\n",
+				fs.Injected, fs.Ops, fs.Transient, fs.Permanent, fs.Torn, fs.Retries, fs.Recovered)
 		case strings.HasPrefix(line, `\plan`):
 			src := strings.TrimSpace(strings.TrimPrefix(line, `\plan`))
 			if src == "" {

@@ -19,8 +19,6 @@ type FaultConfig struct {
 	// TornRate makes a write persist only the first half of the page
 	// while still reporting failure.
 	TornRate float64
-	// SpikeRate serves the operation after an extra latency spike.
-	SpikeRate float64
 }
 
 // FaultStats reports what an installed fault plan injected and how the
@@ -31,7 +29,6 @@ type FaultStats struct {
 	Transient int64 // transient failures returned
 	Permanent int64 // failures from condemned pages
 	Torn      int64 // torn writes
-	Spikes    int64 // latency spikes
 	Retries   int64 // buffer-pool retries of transient failures
 	Recovered int64 // operations that succeeded after retrying
 }
@@ -56,7 +53,6 @@ func (d *Database) SetFaultPlan(cfg *FaultConfig) bool {
 		PTransient: cfg.TransientRate,
 		PPermanent: cfg.PermanentRate,
 		PTorn:      cfg.TornRate,
-		PSpike:     cfg.SpikeRate,
 	})
 	d.faults = plan
 	f.SetFault(plan.Fn())
@@ -75,7 +71,6 @@ func (d *Database) faultStats() FaultStats {
 			Transient: s.Transient,
 			Permanent: s.PermanentHits,
 			Torn:      s.Torn,
-			Spikes:    s.Spikes,
 		}
 	}
 	ps := d.core.Pool.Stats()

@@ -143,7 +143,6 @@ func openFile(path string, bufferPages int) (*Database, error) {
 		crel := &catalog.Relation{
 			Name:   rm.Name,
 			ID:     rm.ID,
-			Kind:   catalog.KindBTree,
 			Schema: schema,
 			Tree:   btree.Open(pool, rm.BTree),
 		}

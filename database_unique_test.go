@@ -16,9 +16,6 @@ func checkOneRowPerKey(t *testing.T, db *Database) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rel.Tree == nil {
-			continue
-		}
 		if err := rel.Tree.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -1,10 +1,11 @@
 // Package catalog tracks relations and their storage structures.
 //
 // The paper's database (§4) holds ParentRel and ChildRel as B-trees on
-// OID, ClusterRel as a B-tree on cluster# with an ISAM index on OID, and
-// Cache as a hash relation. The catalog maps relation names and ids to
-// those structures so that OIDs — "the concatenation of the relation
-// identifier and the primary key of a tuple" — can be resolved.
+// OID and ClusterRel as a B-tree on cluster# with an ISAM index on OID
+// (its Cache relation, a hash file, belongs to internal/cache). The
+// catalog maps relation names and ids to those structures so that
+// OIDs — "the concatenation of the relation identifier and the primary
+// key of a tuple" — can be resolved.
 package catalog
 
 import (
@@ -15,36 +16,22 @@ import (
 
 	"corep/internal/btree"
 	"corep/internal/buffer"
-	"corep/internal/hashfile"
-	"corep/internal/heap"
 	"corep/internal/isam"
 	"corep/internal/object"
 	"corep/internal/tuple"
 )
 
-// Kind describes the primary storage structure of a relation.
-type Kind uint8
-
-// Storage structure kinds.
-const (
-	KindBTree Kind = iota // clustered B-tree on the integer key
-	KindHeap              // unordered heap file
-	KindHash              // static hash file
-)
-
 // ErrNoRelation reports an unknown relation name or id.
 var ErrNoRelation = errors.New("catalog: no such relation")
 
-// Relation is a named relation plus handles to its storage structures.
+// Relation is a named relation plus handles to its storage structures:
+// every relation is a clustered B-tree on its integer key, as every
+// relation of the paper's testbed is (§4).
 type Relation struct {
 	Name   string
 	ID     uint16
-	Kind   Kind
 	Schema *tuple.Schema
-
-	Tree *btree.Tree    // when Kind == KindBTree
-	Heap *heap.File     // when Kind == KindHeap
-	Hash *hashfile.File // when Kind == KindHash
+	Tree   *btree.Tree
 
 	// Index is an optional secondary ISAM index (ClusterRel.OID in the
 	// paper's setup).
@@ -85,26 +72,7 @@ func (c *Catalog) CreateBTree(name string, schema *tuple.Schema) (*Relation, err
 	if err != nil {
 		return nil, err
 	}
-	return c.register(&Relation{Name: name, Kind: KindBTree, Schema: schema, Tree: tr})
-}
-
-// CreateHeap registers a new heap-structured relation.
-func (c *Catalog) CreateHeap(name string, schema *tuple.Schema) (*Relation, error) {
-	h, err := heap.Create(c.pool)
-	if err != nil {
-		return nil, err
-	}
-	return c.register(&Relation{Name: name, Kind: KindHeap, Schema: schema, Heap: h})
-}
-
-// CreateHash registers a new hash-structured relation with the given
-// bucket count.
-func (c *Catalog) CreateHash(name string, schema *tuple.Schema, buckets int) (*Relation, error) {
-	h, err := hashfile.Create(c.pool, buckets)
-	if err != nil {
-		return nil, err
-	}
-	return c.register(&Relation{Name: name, Kind: KindHash, Schema: schema, Hash: h})
+	return c.register(&Relation{Name: name, Schema: schema, Tree: tr})
 }
 
 func (c *Catalog) register(r *Relation) (*Relation, error) {
@@ -203,9 +171,6 @@ func (c *Catalog) ViewOID(oid object.OID, fn func(rel *Relation, payload []byte)
 	if err != nil {
 		return err
 	}
-	if rel.Tree == nil {
-		return fmt.Errorf("catalog: OID target %s is not B-tree structured", rel.Name)
-	}
 	return rel.Tree.View(oid.Key(), func(payload []byte) error { return fn(rel, payload) })
 }
 
@@ -255,9 +220,6 @@ func (c *Catalog) ProbeOIDs(oids []object.OID, fn func(i int, rel *Relation, pay
 		sc.rels = slices.Insert(sc.rels, g, rel)
 	}
 	for _, rel := range sc.rels {
-		if rel.Tree == nil {
-			return fmt.Errorf("catalog: OID target %s is not B-tree structured", rel.Name)
-		}
 		pos, keys := sc.pos[:0], sc.keys[:0]
 		for i, oid := range oids {
 			if oid.Rel() == rel.ID {

@@ -26,7 +26,7 @@ func TestCreateAndGet(t *testing.T) {
 	if r.ID == 0 {
 		t.Fatal("relation id 0 assigned")
 	}
-	if r.Kind != KindBTree || r.Tree == nil {
+	if r.Tree == nil {
 		t.Fatal("btree relation missing tree")
 	}
 	got, err := c.Get("ParentRel")
@@ -42,16 +42,10 @@ func TestCreateAndGet(t *testing.T) {
 func TestDistinctIDs(t *testing.T) {
 	c := newCat()
 	a, _ := c.CreateBTree("a", schema())
-	b, _ := c.CreateHeap("b", schema())
-	h, _ := c.CreateHash("c", schema(), 4)
+	b, _ := c.CreateBTree("b", schema())
+	h, _ := c.CreateBTree("c", schema())
 	if a.ID == b.ID || b.ID == h.ID || a.ID == h.ID {
 		t.Fatalf("ids: %d %d %d", a.ID, b.ID, h.ID)
-	}
-	if b.Kind != KindHeap || b.Heap == nil {
-		t.Fatal("heap relation")
-	}
-	if h.Kind != KindHash || h.Hash == nil {
-		t.Fatal("hash relation")
 	}
 }
 
@@ -60,7 +54,7 @@ func TestDuplicateName(t *testing.T) {
 	if _, err := c.CreateBTree("x", schema()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateHeap("x", schema()); err == nil {
+	if _, err := c.CreateBTree("x", schema()); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
 }
@@ -101,7 +95,7 @@ func TestDrop(t *testing.T) {
 		t.Fatalf("double drop: %v", err)
 	}
 	// Name can be reused after drop.
-	if _, err := c.CreateHeap("tmp", schema()); err != nil {
+	if _, err := c.CreateBTree("tmp", schema()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -109,7 +103,7 @@ func TestDrop(t *testing.T) {
 func TestNames(t *testing.T) {
 	c := newCat()
 	_, _ = c.CreateBTree("a", schema())
-	_, _ = c.CreateHeap("b", schema())
+	_, _ = c.CreateBTree("b", schema())
 	names := c.Names()
 	if len(names) != 2 {
 		t.Fatalf("names = %v", names)

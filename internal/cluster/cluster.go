@@ -73,8 +73,8 @@ func Assign(units []object.Unit, usersOf [][]int64, rng *rand.Rand) (*Assignment
 // Rehome records that the subobjects in oids have been physically
 // re-placed with parent home (an online reclustering migration batch).
 // It is a pure delta on Owner — HomeParent keeps the load-time choice —
-// and returns how many owners actually changed, so FragmentsOf and
-// MeanFragments track the post-migration layout.
+// and returns how many owners actually changed, so Owner tracks the
+// post-migration layout.
 func (a *Assignment) Rehome(oids []object.OID, home int64) int {
 	moved := 0
 	for _, oid := range oids {
@@ -84,30 +84,4 @@ func (a *Assignment) Rehome(oids []object.OID, home int64) int {
 		}
 	}
 	return moved
-}
-
-// FragmentsOf returns, for one unit, the number of distinct physical
-// homes its subobjects live at — 1 means the unit is perfectly
-// clustered, higher values are the degradation of §3.3 case [3] ("to
-// fetch the subobjects of o₀, we have to do at least two random
-// accesses").
-func (a *Assignment) FragmentsOf(u object.Unit) int {
-	homes := map[int64]struct{}{}
-	for _, oid := range u {
-		homes[a.Owner[oid]] = struct{}{}
-	}
-	return len(homes)
-}
-
-// MeanFragments averages FragmentsOf over all units: the summary
-// statistic behind Figure 7's degradation curve.
-func MeanFragments(a *Assignment, units []object.Unit) float64 {
-	if len(units) == 0 {
-		return 0
-	}
-	total := 0
-	for _, u := range units {
-		total += a.FragmentsOf(u)
-	}
-	return float64(total) / float64(len(units))
 }

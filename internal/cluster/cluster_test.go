@@ -9,6 +9,32 @@ import (
 
 func oid(k int64) object.OID { return object.NewOID(2, k) }
 
+// fragmentsOf returns, for one unit, the number of distinct physical
+// homes its subobjects live at — 1 means the unit is perfectly
+// clustered, higher values are the degradation of §3.3 case [3] ("to
+// fetch the subobjects of o₀, we have to do at least two random
+// accesses").
+func fragmentsOf(a *Assignment, u object.Unit) int {
+	homes := map[int64]struct{}{}
+	for _, oid := range u {
+		homes[a.Owner[oid]] = struct{}{}
+	}
+	return len(homes)
+}
+
+// meanFragments averages fragmentsOf over all units: the summary
+// statistic behind Figure 7's degradation curve.
+func meanFragments(a *Assignment, units []object.Unit) float64 {
+	if len(units) == 0 {
+		return 0
+	}
+	total := 0
+	for _, u := range units {
+		total += fragmentsOf(a, u)
+	}
+	return float64(total) / float64(len(units))
+}
+
 func TestShareFactorOneIdeal(t *testing.T) {
 	// Case [1]: each unit has one user and units are disjoint: every
 	// subobject clusters with its only parent, nothing scattered.
@@ -26,7 +52,7 @@ func TestShareFactorOneIdeal(t *testing.T) {
 		t.Fatalf("scattered = %d", a.Scattered)
 	}
 	for i, u := range units {
-		if a.FragmentsOf(u) != 1 {
+		if fragmentsOf(a, u) != 1 {
 			t.Fatalf("unit %d fragmented", i)
 		}
 		for _, o := range u {
@@ -53,7 +79,7 @@ func TestOverlapOneWholeUnits(t *testing.T) {
 		t.Fatalf("scattered = %d", a.Scattered)
 	}
 	for i, u := range units {
-		if a.FragmentsOf(u) != 1 {
+		if fragmentsOf(a, u) != 1 {
 			t.Fatalf("unit %d fragmented", i)
 		}
 		home := a.Owner[u[0]]
@@ -95,7 +121,7 @@ func TestOverlapScatters(t *testing.T) {
 		}
 		maxFrag := 0
 		for _, u := range units {
-			if f := a.FragmentsOf(u); f > maxFrag {
+			if f := fragmentsOf(a, u); f > maxFrag {
 				maxFrag = f
 			}
 		}
@@ -168,7 +194,7 @@ func TestMeanFragmentsMonotoneInOverlap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return MeanFragments(a, units)
+		return meanFragments(a, units)
 	}
 	m1, m5 := mean(1), mean(5)
 	if m1 > 1.2 {

@@ -35,11 +35,6 @@ type FaultPlanConfig struct {
 	// TornPrefix bytes and the write reports ErrTornWrite.
 	PTorn float64
 
-	// MinPage/MaxPage, when MaxPage > 0, restrict injection to the page
-	// id range [MinPage, MaxPage]. Ongoing episodes and condemned pages
-	// are unaffected (they were in range when injected).
-	MinPage, MaxPage PageID
-
 	// MaxFaults, when > 0, caps the number of injection decisions
 	// (episode starts, condemnations, spikes, torn writes). Already
 	// condemned pages keep failing past the cap — permanence is
@@ -110,7 +105,7 @@ func (p *FaultPlan) decide(op string, id PageID) error {
 	p.stats.Ops++
 
 	// Standing state first: an in-progress transient episode or a
-	// condemned page fails regardless of range or cap, so a retry of the
+	// condemned page fails regardless of the cap, so a retry of the
 	// same operation sees a coherent device.
 	if n, ok := p.episodes[id]; ok && n > 0 {
 		if n == 1 {
@@ -128,10 +123,6 @@ func (p *FaultPlan) decide(op string, id PageID) error {
 		return fmt.Errorf("%w (%s page %d)", ErrPermanent, op, id)
 	}
 
-	if p.cfg.MaxPage > 0 && (id < p.cfg.MinPage || id > p.cfg.MaxPage) {
-		p.mu.Unlock()
-		return nil
-	}
 	if p.cfg.MaxFaults > 0 && p.stats.Injected >= p.cfg.MaxFaults {
 		p.mu.Unlock()
 		return nil

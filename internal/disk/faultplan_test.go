@@ -87,16 +87,6 @@ func TestFaultPlanPermanentSticks(t *testing.T) {
 	}
 }
 
-func TestFaultPlanPageRange(t *testing.T) {
-	p := NewFaultPlan(FaultPlanConfig{Seed: 1, PTransient: 1, MinPage: 100, MaxPage: 200})
-	if err := p.decide("read", 5); err != nil {
-		t.Fatalf("out-of-range page faulted: %v", err)
-	}
-	if err := p.decide("read", 150); !IsTransient(err) {
-		t.Fatalf("in-range page did not fault: %v", err)
-	}
-}
-
 func TestFaultPlanSpike(t *testing.T) {
 	var slept time.Duration
 	p := NewFaultPlan(FaultPlanConfig{Seed: 1, PSpike: 1, SpikeDur: 123 * time.Microsecond})

@@ -20,8 +20,8 @@ import (
 
 // ChaosConfig parameterizes one differential sweep of strategies ×
 // seeded schedules: fault schedules (RunChaos), kill schedules
-// (RunCrashChaos, RunReclustCrash) or a concurrent hammer (RunTxnChaos,
-// RunReclustChaos).
+// (RunCrashChaos; runReclustCrash in the tests) or a concurrent hammer
+// (RunTxnChaos; runReclustChaos in the tests).
 type ChaosConfig struct {
 	DB         workload.Config
 	Strategies []strategy.Kind `json:"-"` // named in the results
@@ -42,7 +42,7 @@ type ChaosConfig struct {
 	Plan disk.FaultPlanConfig
 
 	// ConcurrentUpdaters sizes the atomicity hammers (RunTxnChaos,
-	// RunReclustChaos): that many writer goroutines commit sentinel
+	// runReclustChaos): that many writer goroutines commit sentinel
 	// batches, Ops rounds each, while as many readers audit every
 	// snapshot for torn or lost versions.
 	ConcurrentUpdaters int

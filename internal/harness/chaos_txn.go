@@ -11,8 +11,8 @@ import (
 	"corep/internal/workload"
 )
 
-// hammer is the concurrent skeleton under RunTxnChaos and
-// RunReclustChaos: N updater goroutines each own one parent's unit and
+// hammer is the concurrent skeleton under RunTxnChaos and the
+// reclustering hammer its tests run (runReclustChaos): N updater goroutines each own one parent's unit and
 // repeatedly commit the whole batch with a round-stamped sentinel value,
 // while N auditor goroutines pin snapshots and check what they see. The
 // contract under audit is commit atomicity — a snapshot sees a batch
@@ -269,14 +269,12 @@ func RunTxnChaos(cfg ChaosConfig, kind strategy.Kind) ([]Violation, error) {
 	return h.finish(), nil
 }
 
-// TxnChaosBench is the txnchaos sweep: RunTxnChaos under the chaos
+func (l *scheduleLog) tally(map[string]float64) {}
+
+// txnChaosSweep is the txnchaos sweep: RunTxnChaos under the chaos
 // grid's database and fault plan (ConcurrentUpdaters × Ops rounds), for
 // an uncached and a cached strategy. A hammer run is one schedule whose
 // only count is its violations.
-type TxnChaosBench = ScheduleBench[*scheduleLog]
-
-func (l *scheduleLog) tally(map[string]float64) {}
-
 func txnChaosSweep(o SweepOpts) (Report, error) {
 	cfg := chaosGrid(o)
 	return runSchedules(cfg, []strategy.Kind{strategy.DFS, strategy.DFSCACHE}, func(kind strategy.Kind, _ workload.Config, out *StrategyRuns[*scheduleLog]) error {

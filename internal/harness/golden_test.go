@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -19,6 +22,18 @@ const figureGoldenPath = "testdata/figure_io_golden.json"
 type figureGolden struct {
 	Rows  [][]string `json:"rows"`
 	Cells []CellIO   `json:"cells"`
+}
+
+// sortedCells returns the cells l recorded ordered by label (then
+// counts), so a parallel grid logs the same list on every run.
+func sortedCells(l *CellLog) []CellIO {
+	l.mu.Lock()
+	out := append([]CellIO(nil), l.cells...)
+	l.mu.Unlock()
+	slices.SortFunc(out, func(a, b CellIO) int {
+		return cmp.Or(strings.Compare(a.Label, b.Label), cmp.Compare(a.Reads, b.Reads), cmp.Compare(a.Writes, b.Writes))
+	})
+	return out
 }
 
 // TestFigureIOGolden machine-checks the "counted I/O bit-identical"
@@ -70,7 +85,7 @@ func TestFigureIOGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				g := figureGolden{Rows: tab.Rows, Cells: sc.Cells.Sorted()}
+				g := figureGolden{Rows: tab.Rows, Cells: sortedCells(sc.Cells)}
 				mu.Lock()
 				got[e.Name] = g
 				mu.Unlock()

@@ -10,10 +10,7 @@
 package harness
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -29,8 +26,6 @@ import (
 type RunConfig struct {
 	DB       workload.Config
 	Strategy strategy.Kind
-	// SmartThreshold overrides SMART's N when > 0.
-	SmartThreshold int
 
 	// NumRetrieves is the number of retrieve queries (0 → adaptive from
 	// NumTop, capped at 1000 — the paper's typical sequence length).
@@ -76,18 +71,6 @@ func (l *CellLog) Add(label string, d disk.Stats) {
 	l.mu.Lock()
 	l.cells = append(l.cells, CellIO{Label: label, Reads: d.Reads, Writes: d.Writes})
 	l.mu.Unlock()
-}
-
-// Sorted returns the recorded cells ordered by label (then counts), so
-// a parallel grid logs the same list on every run.
-func (l *CellLog) Sorted() []CellIO {
-	l.mu.Lock()
-	out := append([]CellIO(nil), l.cells...)
-	l.mu.Unlock()
-	slices.SortFunc(out, func(a, b CellIO) int {
-		return cmp.Or(strings.Compare(a.Label, b.Label), cmp.Compare(a.Reads, b.Reads), cmp.Compare(a.Writes, b.Writes))
-	})
-	return out
 }
 
 // Measurement is the result of one run.
@@ -163,12 +146,7 @@ func Run(rc RunConfig) (*Measurement, error) {
 	}
 	db.Disk.SetLatency(rc.DeviceLatency)
 	db.AttachObs(rc.Obs)
-	var st strategy.Strategy
-	if rc.Strategy == strategy.SMART && rc.SmartThreshold > 0 {
-		st, err = strategy.NewSmart(db, rc.SmartThreshold)
-	} else {
-		st, err = strategy.New(rc.Strategy, db)
-	}
+	st, err := strategy.New(rc.Strategy, db)
 	if err != nil {
 		return nil, err
 	}
@@ -193,8 +171,8 @@ func Run(rc RunConfig) (*Measurement, error) {
 		// Every config field, not Config.String's summary: cells of one
 		// experiment may differ only in pool size or policy.
 		type allFields workload.Config
-		rc.Cells.Add(fmt.Sprintf("%s numtops=%v retrieves=%d pr=%g smartN=%d %+v",
-			rc.Strategy, numTops, nRetr, rc.PrUpdate, rc.SmartThreshold, allFields(dbCfg)), m.Disk)
+		rc.Cells.Add(fmt.Sprintf("%s numtops=%v retrieves=%d pr=%g %+v",
+			rc.Strategy, numTops, nRetr, rc.PrUpdate, allFields(dbCfg)), m.Disk)
 	}
 	return m, err
 }

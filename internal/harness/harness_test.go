@@ -95,24 +95,6 @@ func TestMeasurementConsistency(t *testing.T) {
 	}
 }
 
-func TestSmartThresholdOverride(t *testing.T) {
-	m, err := Run(RunConfig{
-		DB:             workload.Config{NumParents: 300, UseFactor: 3, Seed: 2},
-		Strategy:       strategy.SMART,
-		SmartThreshold: 1,
-		NumRetrieves:   5,
-		NumTop:         5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Above the threshold SMART uses its breadth-first pass and must not
-	// populate the cache.
-	if m.Cache.Inserts != 0 {
-		t.Fatalf("SMART above threshold inserted %d units", m.Cache.Inserts)
-	}
-}
-
 func TestExperimentsRegistered(t *testing.T) {
 	want := []string{"fig3", "fig4", "fig5", "fig7", "nchild", "smart",
 		"ext-levels", "ext-value", "abl-buffer", "abl-cachesize", "abl-inside", "abl-sizeunit"}

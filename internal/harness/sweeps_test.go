@@ -173,7 +173,7 @@ func TestSweepGatesFire(t *testing.T) {
 		return &CrashBench{Strategies: []*CrashStrategy{{Strategy: "DFS", Runs: []*CrashRun{{scheduleLog: scheduleLog{Violations: v}}}}}}
 	}
 	txnChaos := func(v []Violation) Report {
-		return &TxnChaosBench{Strategies: []*StrategyRuns[*scheduleLog]{{Strategy: "DFS", Runs: []*scheduleLog{{Violations: v}}}}}
+		return &ScheduleBench[*scheduleLog]{Strategies: []*StrategyRuns[*scheduleLog]{{Strategy: "DFS", Runs: []*scheduleLog{{Violations: v}}}}}
 	}
 	for _, tc := range []struct {
 		name string

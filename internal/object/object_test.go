@@ -154,17 +154,6 @@ func TestUnitHashKeyCollisionsRare(t *testing.T) {
 	}
 }
 
-func TestSplitByRel(t *testing.T) {
-	oids := []OID{NewOID(1, 1), NewOID(2, 1), NewOID(1, 2), NewOID(3, 1)}
-	m := SplitByRel(oids)
-	if len(m) != 3 {
-		t.Fatalf("groups = %d", len(m))
-	}
-	if len(m[1]) != 2 || m[1][0].Key() != 1 || m[1][1].Key() != 2 {
-		t.Fatalf("rel 1 group = %v", m[1])
-	}
-}
-
 func TestRepresentationMatrix(t *testing.T) {
 	cells := RepresentationMatrix()
 	if len(cells) != 9 {

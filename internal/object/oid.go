@@ -98,14 +98,3 @@ func (u Unit) HashKey() int64 {
 	}
 	return int64(h)
 }
-
-// SplitByRel partitions a unit's OIDs by their relation id, preserving
-// order within each group. BFS over NumChildRel > 1 relations needs one
-// temporary per child relation (§6.2).
-func SplitByRel(oids []OID) map[uint16][]OID {
-	out := make(map[uint16][]OID)
-	for _, o := range oids {
-		out[o.Rel()] = append(out[o.Rel()], o)
-	}
-	return out
-}

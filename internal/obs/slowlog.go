@@ -46,7 +46,6 @@ func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
 type SlowEntry struct {
 	Seq      uint64        `json:"seq"`
 	Name     string        `json:"name"`
-	Client   int           `json:"client,omitempty"`
 	Start    time.Time     `json:"start"`
 	Duration time.Duration `json:"duration_ns"`
 	OverSLO  bool          `json:"over_slo,omitempty"`

@@ -68,12 +68,12 @@ func TestSlowLogConcurrentOffer(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				l.Offer(SlowEntry{Client: g, Duration: time.Duration(i) * time.Microsecond})
+				l.Offer(SlowEntry{Name: "op", Duration: time.Duration(i) * time.Microsecond})
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 	st := l.Stats()

@@ -143,14 +143,6 @@ func (p *Planner) ObserveHitRate(rate float64) {
 	p.mu.Unlock()
 }
 
-// Warmth returns the current cache-warmth estimate (the DFSCACHE
-// prior's hit-rate parameter).
-func (p *Planner) Warmth() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.warmth
-}
-
 // Stats returns a copy of the activity counters.
 func (p *Planner) Stats() Stats {
 	p.mu.Lock()

@@ -9,6 +9,14 @@ import (
 
 // testShape is a small database shape on which every candidate kind is
 // executable (cache and cluster present, share factor 1).
+// warmthOf returns p's current cache-warmth estimate (the DFSCACHE
+// prior's hit-rate parameter).
+func warmthOf(p *Planner) float64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.warmth
+}
+
 func testShape() Shape {
 	return Shape{
 		NumParents:   1500,
@@ -92,8 +100,8 @@ func TestChooseIsArgminOfPriors(t *testing.T) {
 			for i := 199; i >= 0; i-- {
 				fed.Observe(fed.Candidates()[i%len(fed.Candidates())], widths[i%len(widths)], int64(i))
 			}
-			if fresh.Warmth() != fed.Warmth() {
-				t.Fatalf("shape %d: Observe moved warmth %v -> %v", si, fresh.Warmth(), fed.Warmth())
+			if warmthOf(fresh) != warmthOf(fed) {
+				t.Fatalf("shape %d: Observe moved warmth %v -> %v", si, warmthOf(fresh), warmthOf(fed))
 			}
 			for _, nt := range widths {
 				d, e := fresh.Choose(nt), fed.Choose(nt)
@@ -141,28 +149,28 @@ func TestPriorOpenBoundClampsToStoredParents(t *testing.T) {
 // resists cold readings.
 func TestWarmthDynamics(t *testing.T) {
 	p := New(Config{Shape: testShape()})
-	if w := p.Warmth(); w != 1 {
+	if w := warmthOf(p); w != 1 {
 		t.Fatalf("initial warmth = %v, want optimistic 1", w)
 	}
 	// A few cold readings barely move it (the cache deserves time to warm).
 	for i := 0; i < 3; i++ {
 		p.ObserveHitRate(0)
 	}
-	if w := p.Warmth(); w < 0.75 {
+	if w := warmthOf(p); w < 0.75 {
 		t.Fatalf("warmth %.2f collapsed after 3 cold readings; the fall gain should resist transients", w)
 	}
 	// Sustained cold readings do get through eventually.
 	for i := 0; i < 200; i++ {
 		p.ObserveHitRate(0)
 	}
-	low := p.Warmth()
+	low := warmthOf(p)
 	if low > 0.1 {
 		t.Fatalf("warmth %.2f still high after 200 cold readings", low)
 	}
 	// Rises are tracked fast.
 	p.ObserveHitRate(0.9)
 	p.ObserveHitRate(0.9)
-	if w := p.Warmth(); w < 0.6 {
+	if w := warmthOf(p); w < 0.6 {
 		t.Fatalf("warmth %.2f slow to recover on good hit rates", w)
 	}
 }

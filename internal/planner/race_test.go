@@ -33,7 +33,7 @@ func TestConcurrentPlanning(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			_ = p.Stats()
-			_ = p.Warmth()
+			_ = warmthOf(p)
 			_ = p.Candidates()
 		}
 	}()

@@ -15,10 +15,10 @@ import (
 )
 
 // row is the executor's one row form: the encoded record each bound
-// relation currently stands on. A record is a view — into the pinned
-// leaf of the scan or probe that produced it, or into a heap scan's copy
-// — valid until that operator moves on, so nothing downstream keeps one;
-// what outlives the row is copied out of it by DecodeField.
+// relation currently stands on. A record is a view into the pinned leaf
+// of the scan or probe that produced it, valid until that operator moves
+// on, so nothing downstream keeps one; what outlives the row is copied
+// out of it by DecodeField.
 type row struct {
 	schemas [2]*tuple.Schema
 	recs    [2][]byte

@@ -411,7 +411,7 @@ type probeSpec struct {
 // indexProbeCol detects a top-level equality inner.key = outer.attr that
 // lets the join run as an index nested loop on the inner B-tree.
 func indexProbeCol(inner, outer *catalog.Relation, x Expr) *probeSpec {
-	if inner.Kind != catalog.KindBTree || len(inner.Schema.Fields) == 0 || inner.Schema.Fields[0].Kind != tuple.KInt {
+	if len(inner.Schema.Fields) == 0 || inner.Schema.Fields[0].Kind != tuple.KInt {
 		return nil
 	}
 	keyAttr := inner.Schema.Fields[0].Name

@@ -16,7 +16,7 @@ type Plan struct {
 
 // PlanStep is one operator of a plan.
 type PlanStep struct {
-	// Op names the operator: range-scan, full-scan, heap-scan, filter,
+	// Op names the operator: range-scan, full-scan, filter,
 	// expand, index-nested-loop, nested-loop, project.
 	Op string `json:"op"`
 	// Rel is the relation (or path segment) the operator touches.
@@ -100,16 +100,10 @@ func explainPath(cat *catalog.Catalog, q *Query, pt Target, p *Plan) (*Plan, err
 }
 
 func scanStep(rel *catalog.Relation, where Expr) PlanStep {
-	switch rel.Kind {
-	case catalog.KindBTree:
-		if where != nil {
-			if lo, hi := keyRange(rel, where); lo > -1<<62 || hi < 1<<62 {
-				return PlanStep{Op: "range-scan", Rel: rel.Name, Detail: fmt.Sprintf("[%d,%d]", lo, hi)}
-			}
+	if where != nil {
+		if lo, hi := keyRange(rel, where); lo > -1<<62 || hi < 1<<62 {
+			return PlanStep{Op: "range-scan", Rel: rel.Name, Detail: fmt.Sprintf("[%d,%d]", lo, hi)}
 		}
-		return PlanStep{Op: "full-scan", Rel: rel.Name}
-	case catalog.KindHeap:
-		return PlanStep{Op: "heap-scan", Rel: rel.Name}
 	}
-	return PlanStep{Op: "scan", Rel: rel.Name}
+	return PlanStep{Op: "full-scan", Rel: rel.Name}
 }

@@ -59,8 +59,8 @@ func FuzzPQLParse(f *testing.F) {
 }
 
 // fuzzCatalog builds the shared execution fixture for FuzzPQLPlan and
-// the reference comparison once per process: member/guest B-trees and a
-// visitor heap to select from and join, a team → member complex-object
+// the reference comparison once per process: member, guest and visitor
+// B-trees to select from and join, a team → member complex-object
 // layer covering all three children representations (OID list — one of
 // them spanning two relations — nested value, stored query), a league →
 // team layer above it, again in all three, for two-segment paths, and a
@@ -81,12 +81,7 @@ func fuzzCat() *catalog.Catalog {
 		insert := func(rel *catalog.Relation, t tuple.Tuple) {
 			rec, err := tuple.Encode(nil, rel.Schema, t)
 			must(err)
-			if rel.Kind == catalog.KindHeap {
-				_, err = rel.Heap.Append(rec)
-			} else {
-				err = rel.Tree.Insert(t[0].Int, rec)
-			}
-			must(err)
+			must(rel.Tree.Insert(t[0].Int, rec))
 		}
 		personSchema := func() *tuple.Schema {
 			return tuple.NewSchema(
@@ -108,7 +103,7 @@ func fuzzCat() *catalog.Catalog {
 		for i := 0; i < 4; i++ {
 			insert(guest, tuple.Tuple{tuple.IntVal(int64(i + 1)), tuple.StrVal(fmt.Sprintf("g%d", i)), tuple.IntVal(int64(10 + i))})
 		}
-		visitor, err := cat.CreateHeap("visitor", personSchema())
+		visitor, err := cat.CreateBTree("visitor", personSchema())
 		must(err)
 		for i, name := range []string{"m2", "v1", "m7", "g0"} {
 			insert(visitor, tuple.Tuple{tuple.IntVal(int64(i + 1)), tuple.StrVal(name), tuple.IntVal(int64(i))})
@@ -162,9 +157,10 @@ func fuzzCat() *catalog.Catalog {
 			"retrieve (team.members.name, team.name) where team.OID >= 3"))})
 
 		// A club's members are mostly stored queries, each with its own
-		// target list over its own relation — rel.all, a heap, a path — so
-		// an expansion runs one after the other at the same depth, each in
-		// the storage the last one left, where a column sits elsewhere.
+		// target list over its own relation — rel.all, reordered columns,
+		// a path — so an expansion runs one after the other at the same
+		// depth, each in the storage the last one left, where a column
+		// sits elsewhere.
 		club, err := cat.CreateBTree("club", team.Schema)
 		must(err)
 		for i, kids := range [][]byte{

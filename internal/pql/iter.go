@@ -12,7 +12,6 @@ import (
 	"corep/internal/btree"
 	"corep/internal/catalog"
 	"corep/internal/object"
-	"corep/internal/storage"
 	"corep/internal/tuple"
 )
 
@@ -37,52 +36,35 @@ type ExecOpts struct {
 	depth int
 }
 
-// relScan streams the encoded records of a relation: a B-tree in key
-// order, optionally bounded to [lo, hi], as views into the leaf the
-// cursor holds pinned — valid until the next Next or Close — or a heap,
-// whose push-only Scan is drained into one buffer up front. Every record
-// is framing-checked as it enters the pipeline, which is what lets the
+// relScan streams the encoded records of a relation in key order,
+// optionally bounded to [lo, hi], as views into the leaf the cursor
+// holds pinned — valid until the next Next or Close. Every record is
+// framing-checked as it enters the pipeline, which is what lets the
 // stages behind the scan read single fields.
 type relScan struct {
-	rel  *catalog.Relation
-	it   *btree.Iterator // B-tree relations: cur, or an unbounded scan's own
-	cur  btree.Iterator
-	key  int64 // of the record it stands on
-	hi   int64
-	buf  []byte // heap relations: the records back to back, ends[i] closing the i-th
-	ends []int
-	i    int
+	rel *catalog.Relation
+	it  *btree.Iterator // cur, or an unbounded scan's own
+	cur btree.Iterator
+	key int64 // of the record it stands on
+	hi  int64
 }
 
 func (s *relScan) Next() ([]byte, bool, error) {
-	var rec []byte
-	if s.it != nil {
-		key, payload, ok, err := s.it.Next()
-		if err != nil || !ok || key > s.hi {
-			return nil, false, err
-		}
-		rec, s.key = payload, key
-	} else {
-		if s.i == len(s.ends) {
-			return nil, false, nil
-		}
-		start := 0
-		if s.i > 0 {
-			start = s.ends[s.i-1]
-		}
-		rec = s.buf[start:s.ends[s.i]]
-		s.i++
+	key, rec, ok, err := s.it.Next()
+	if err != nil || !ok || key > s.hi {
+		return nil, false, err
 	}
+	s.key = key
 	if err := tuple.Check(s.rel.Schema, rec); err != nil {
 		return nil, false, err
 	}
 	return rec, true, nil
 }
 
-// owner is the identity of the record the scan stands on: a B-tree
-// record whose key fits an OID has one, a heap record has none (zero).
+// owner is the identity of the record the scan stands on: zero when its
+// key does not fit an OID.
 func (s *relScan) owner() object.OID {
-	if s.it == nil || s.key < 0 || s.key > object.MaxKey {
+	if s.key < 0 || s.key > object.MaxKey {
 		return 0
 	}
 	return object.NewOID(s.rel.ID, s.key)
@@ -97,36 +79,24 @@ func (s *relScan) Close() {
 }
 
 // open makes s the scan for rel, over whatever closed scan s was: a
-// B-tree range scan when the predicate bounds the key, a full B-tree
-// scan otherwise, a drained heap scan for heap relations. A bounded scan
-// seeks in s's own iterator and a heap scan drains into s's buffer, so a
-// relScan opened scan after scan allocates for neither.
+// range scan when the predicate bounds the key, a full scan otherwise.
+// A bounded scan seeks in s's own iterator, so a relScan opened scan
+// after scan allocates nothing for it.
 func (s *relScan) open(rel *catalog.Relation, where Expr) error {
-	*s = relScan{rel: rel, buf: s.buf[:0], ends: s.ends[:0]}
-	switch rel.Kind {
-	case catalog.KindBTree:
-		lo, hi := int64(-1<<62), int64(1<<62)
-		if where != nil {
-			lo, hi = keyRange(rel, where)
-		}
-		var err error
-		if lo > -1<<62 || hi < 1<<62 {
-			s.it = &s.cur
-			err = rel.Tree.SeekGEInto(s.it, lo)
-		} else {
-			s.it, err = rel.Tree.SeekFirst()
-		}
-		s.hi = hi
-		return err
-	case catalog.KindHeap:
-		return rel.Heap.Scan(func(_ storage.RID, rec []byte) bool {
-			s.buf = append(s.buf, rec...)
-			s.ends = append(s.ends, len(s.buf))
-			return true
-		})
-	default:
-		return fmt.Errorf("%w: cannot scan %q (hash relations are key-value stores)", ErrExec, rel.Name)
+	*s = relScan{rel: rel}
+	lo, hi := int64(-1<<62), int64(1<<62)
+	if where != nil {
+		lo, hi = keyRange(rel, where)
 	}
+	var err error
+	if lo > -1<<62 || hi < 1<<62 {
+		s.it = &s.cur
+		err = rel.Tree.SeekGEInto(s.it, lo)
+	} else {
+		s.it, err = rel.Tree.SeekFirst()
+	}
+	s.hi = hi
+	return err
 }
 
 // maxPathDepth bounds multi-dot expansion (and stored-procedure

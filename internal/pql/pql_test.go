@@ -359,28 +359,6 @@ func TestKeyRangeExtraction(t *testing.T) {
 	}
 }
 
-func TestExecHeapRelation(t *testing.T) {
-	cat := catalog.New(buffer.New(disk.NewSim(), 16))
-	s := tuple.NewSchema(tuple.Field{Name: "k", Kind: tuple.KInt}, tuple.Field{Name: "v", Kind: tuple.KString, Width: 10})
-	rel, err := cat.CreateHeap("h", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 10; i++ {
-		rec, _ := tuple.Encode(nil, s, tuple.Tuple{tuple.IntVal(i), tuple.StrVal(fmt.Sprintf("v%d", i))})
-		if _, err := rel.Heap.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := Run(cat, `retrieve (h.v) where h.k >= 8`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tuples) != 2 {
-		t.Fatalf("rows = %d", len(res.Tuples))
-	}
-}
-
 func TestParseAndEvalNot(t *testing.T) {
 	cat := personDB(t)
 	res, err := Run(cat, `retrieve (person.name) where not person.age >= 60`)

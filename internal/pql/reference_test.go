@@ -19,7 +19,6 @@ import (
 
 	"corep/internal/catalog"
 	"corep/internal/object"
-	"corep/internal/storage"
 	"corep/internal/tuple"
 )
 
@@ -103,52 +102,31 @@ func refEval(cat *catalog.Catalog, x Expr, e refEnv) (bool, error) {
 // refScan calls fn with every tuple of rel whose key lies in the range
 // the predicate bounds (all of them without one), fully decoded.
 func refScan(rel *catalog.Relation, where Expr, fn func(tuple.Tuple) error) error {
-	switch rel.Kind {
-	case catalog.KindBTree:
-		lo, hi := int64(-1<<62), int64(1<<62)
-		if where != nil {
-			lo, hi = keyRange(rel, where)
+	lo, hi := int64(-1<<62), int64(1<<62)
+	if where != nil {
+		lo, hi = keyRange(rel, where)
+	}
+	it, err := rel.Tree.SeekFirst()
+	if lo > -1<<62 || hi < 1<<62 {
+		it, err = rel.Tree.SeekGE(lo)
+	}
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for {
+		key, payload, ok, err := it.Next()
+		if err != nil || !ok || key > hi {
+			return err
 		}
-		it, err := rel.Tree.SeekFirst()
-		if lo > -1<<62 || hi < 1<<62 {
-			it, err = rel.Tree.SeekGE(lo)
-		}
+		t, err := tuple.Decode(rel.Schema, payload)
 		if err != nil {
 			return err
 		}
-		defer it.Close()
-		for {
-			key, payload, ok, err := it.Next()
-			if err != nil || !ok || key > hi {
-				return err
-			}
-			t, err := tuple.Decode(rel.Schema, payload)
-			if err != nil {
-				return err
-			}
-			if err := fn(t); err != nil {
-				return err
-			}
+		if err := fn(t); err != nil {
+			return err
 		}
-	case catalog.KindHeap:
-		var rows []tuple.Tuple
-		var ferr error
-		err := rel.Heap.Scan(func(_ storage.RID, rec []byte) bool {
-			var t tuple.Tuple
-			if t, ferr = tuple.Decode(rel.Schema, rec); ferr == nil {
-				rows = append(rows, t)
-			}
-			return ferr == nil
-		})
-		if ferr != nil {
-			err = ferr
-		}
-		for i := 0; err == nil && i < len(rows); i++ {
-			err = fn(rows[i])
-		}
-		return err
 	}
-	return fmt.Errorf("%w: cannot scan %q (hash relations are key-value stores)", ErrExec, rel.Name)
 }
 
 func refOutSchema(cat *catalog.Catalog, targets []Target) (*tuple.Schema, []Operand, error) {
@@ -547,7 +525,7 @@ func agreeWithReference(t testing.TB, cat *catalog.Catalog, src string, q *Query
 // referenceQueries cover every query shape over every storage and
 // representation the fixture has; they also seed FuzzPQLPlan.
 var referenceQueries = []string{
-	// single relation: B-tree full and range scans, heap, targets
+	// single relation: full and range scans, targets
 	`retrieve (member.all)`,
 	`retrieve (member.all) where member.score > 2 and member.OID < 8`,
 	`retrieve (member.name, member.OID) where member.OID >= 3 and member.OID <= 5`,
@@ -556,7 +534,7 @@ var referenceQueries = []string{
 	`retrieve (visitor.all)`,
 	`retrieve (visitor.name) where visitor.score != 1`,
 	`retrieve (team.members) where team.OID = 4`,
-	// joins: index probe, nested loop, heap on either side
+	// joins: index probe, nested loop on a non-key predicate
 	`retrieve (member.name, guest.name) where guest.OID = member.score`,
 	`retrieve (member.name, guest.score) where member.OID = guest.OID and guest.score > 10`,
 	`retrieve (member.OID) where member.name = visitor.name`,
@@ -606,12 +584,25 @@ var referenceQueries = []string{
 // would have raised it.
 func TestBoundExecutorMatchesReference(t *testing.T) {
 	cat := fuzzCat()
+	joins := map[string]int{}
 	for _, src := range referenceQueries {
 		q, err := Parse(src)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
 		agreeWithReference(t, cat, src, q)
+		if p, err := Explain(cat, q, ExecOpts{}); err == nil {
+			for _, st := range p.Steps {
+				joins[st.Op]++
+			}
+		}
+	}
+	// Every fixture relation is a B-tree, so only a join predicate off
+	// the inner key keeps the plain nested loop in the seeds
+	// FuzzPQLPlan starts from.
+	if joins["nested-loop"] == 0 || joins["index-nested-loop"] == 0 {
+		t.Fatalf("seed plans hold %d nested-loop and %d index-nested-loop joins; want both",
+			joins["nested-loop"], joins["index-nested-loop"])
 	}
 
 	rng := rand.New(rand.NewSource(14))

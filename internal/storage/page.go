@@ -31,16 +31,18 @@ import (
 // PageType tags what an access method stores in a page.
 type PageType uint8
 
-// Page types used across the access methods.
+// Page types used across the access methods. Every page header stores
+// one, so the numbers are an on-disk format and never shift; the blank
+// ones are tags nothing writes.
 const (
-	TypeFree    PageType = iota // unused page
+	_           PageType = iota // 0: uninitialised
 	TypeHeap                    // heap-file data page
 	TypeBTLeaf                  // B+tree leaf
 	TypeBTInner                 // B+tree internal node
 	TypeISAM                    // ISAM index level page
-	TypeHashDir                 // hash file directory page
+	_                           // 5: hash file directory page, unused
 	TypeHashBkt                 // hash file bucket page
-	TypeMeta                    // per-relation metadata page
+	_                           // 7: per-relation metadata page, unused
 )
 
 const (

@@ -59,7 +59,7 @@ func TestRetrieveAllocationCeiling(t *testing.T) {
 	// join wins at both NumTops (probes cost 300 and 3,000 pages), and
 	// 1,000 OIDs are one sort run.
 	wide := buildDB(t, workload.Config{NumParents: 2000, SizeUnit: 20, UseFactor: 20, Seed: 3})
-	smart, err := NewSmart(wide, 1)
+	smart, err := newSmart(wide, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,8 +77,8 @@ func TestDeepUnsupportedKinds(t *testing.T) {
 			t.Fatalf("%v over two levels: err = %v, want ErrOneLevel", k, err)
 		}
 	}
-	if _, err := NewSmart(db.DB, 10); !errors.Is(err, ErrOneLevel) {
-		t.Fatalf("NewSmart over two levels: err = %v, want ErrOneLevel", err)
+	if _, err := newSmart(db.DB, 10); !errors.Is(err, ErrOneLevel) {
+		t.Fatalf("newSmart over two levels: err = %v, want ErrOneLevel", err)
 	}
 }
 

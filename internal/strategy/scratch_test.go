@@ -43,7 +43,7 @@ func TestResultsOutliveTheNextRetrieve(t *testing.T) {
 			st := mustNew(t, c.kind, db)
 			if c.kind == SMART {
 				var err error
-				if st, err = NewSmart(db, 20); err != nil {
+				if st, err = newSmart(db, 20); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -197,11 +197,3 @@ func New(kind Kind, db *workload.DB) (Strategy, error) {
 	}
 	return nil, fmt.Errorf("strategy: unknown kind %d", kind)
 }
-
-// NewSmart constructs SMART with an explicit NumTop threshold.
-func NewSmart(db *workload.DB, threshold int) (Strategy, error) {
-	if _, err := New(SMART, db); err != nil {
-		return nil, err
-	}
-	return smart{threshold: threshold}, nil
-}

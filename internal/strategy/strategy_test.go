@@ -273,9 +273,18 @@ func TestCachedRepeatIsCheaper(t *testing.T) {
 	}
 }
 
+// newSmart constructs SMART with an explicit NumTop threshold, so a
+// small database reaches its breadth-first pass.
+func newSmart(db *workload.DB, threshold int) (Strategy, error) {
+	if _, err := New(SMART, db); err != nil {
+		return nil, err
+	}
+	return smart{threshold: threshold}, nil
+}
+
 func TestSmartSwitchesStrategy(t *testing.T) {
 	db := buildDB(t, smallCfg())
-	s, err := NewSmart(db, 20)
+	s, err := newSmart(db, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestTemporariesReturnTheirPages(t *testing.T) {
 			func(t *testing.T, db *workload.DB) Strategy { return mustNew(t, BFSNODUP, db) }},
 		{"SMART", func(t *testing.T) *workload.DB { return buildDB(t, smallCfg()) },
 			func(t *testing.T, db *workload.DB) Strategy {
-				s, err := NewSmart(db, 20) // NumTop 300 takes the breadth-first pass
+				s, err := newSmart(db, 20) // NumTop 300 takes the breadth-first pass
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func TestRetrieveReportsDropError(t *testing.T) {
 	for _, k := range []Kind{BFS, BFSNODUP, SMART} {
 		t.Run(k.String(), func(t *testing.T) {
 			db := buildDB(t, smallCfg())
-			s, err := NewSmart(db, 20)
+			s, err := newSmart(db, 20)
 			if k != SMART {
 				s, err = New(k, db)
 			}

@@ -423,22 +423,6 @@ func Key(s *Schema, rec []byte) (int64, error) {
 	return int64(binary.LittleEndian.Uint64(rec)), nil
 }
 
-// EncodedSize returns the record size Encode would produce.
-func EncodedSize(s *Schema, t Tuple) int {
-	n := 0
-	for i, f := range s.Fields {
-		switch f.Kind {
-		case KInt:
-			n += 8
-		case KString:
-			n += 2 + len(t[i].Str)
-		case KBytes:
-			n += 2 + len(t[i].Raw)
-		}
-	}
-	return n
-}
-
 func (t Tuple) String() string {
 	var b strings.Builder
 	b.WriteByte('(')

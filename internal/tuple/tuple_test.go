@@ -153,15 +153,6 @@ func TestKey(t *testing.T) {
 	}
 }
 
-func TestEncodedSize(t *testing.T) {
-	s := childSchema()
-	tp := Tuple{IntVal(1), IntVal(2), IntVal(3), IntVal(4), StrVal("abcdef")}
-	rec, _ := Encode(nil, s, tp)
-	if got := EncodedSize(s, tp); got != len(rec) {
-		t.Fatalf("EncodedSize = %d, len = %d", got, len(rec))
-	}
-}
-
 func TestBlankCompressionEffect(t *testing.T) {
 	// The declared width does not inflate the record: short strings
 	// produce short records (the INGRES blank-compression analogue).

@@ -31,8 +31,9 @@ type Result struct {
 // REDOes committed batches: page images are buffered until their
 // commit record is seen, then applied in log order via apply. The scan
 // stops at the first invalid record (short, checksum mismatch, wrong
-// LSN) — the torn tail a crash mid-append leaves — and everything from
-// there on, plus any trailing committed-less images, is discarded.
+// LSN) — the torn tail a crash mid-append leaves, or a record damaged
+// mid-log, which it cannot tell apart — and everything from there on,
+// plus any trailing committed-less images, is discarded.
 //
 // apply must install the full page image at id, extending the page
 // space if the page was allocated after the last checkpoint (see

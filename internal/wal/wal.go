@@ -20,12 +20,16 @@
 // LSNs are byte offsets into the log. Each record stamps its own LSN
 // so a record read at the wrong offset (a stale tail from a recycled
 // log file) is rejected exactly like a checksum mismatch.
+//
+// Recovery does not tell a torn tail from a record damaged mid-log: the
+// scan stops at the first record that fails validation and discards it
+// and everything after it, committed batches included, as the tail. No
+// error is returned for either; Result.DiscardedBytes counts what was
+// dropped.
 package wal
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"hash/crc32"
 
 	"corep/internal/disk"
@@ -60,10 +64,6 @@ const maxPayload = 1 << 20
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorrupt reports a record that failed validation mid-log (not at
-// the torn tail, where truncation is expected and silent).
-var ErrCorrupt = errors.New("wal: corrupt record")
-
 // encodeRecord appends a framed record to dst and returns the result.
 // lsn must be the offset the record will be written at.
 func encodeRecord(dst []byte, lsn int64, typ byte, pageID disk.PageID, payload []byte) []byte {
@@ -79,10 +79,6 @@ func encodeRecord(dst []byte, lsn int64, typ byte, pageID disk.PageID, payload [
 	binary.LittleEndian.PutUint32(dst[start:start+4], crc)
 	return dst
 }
-
-// recordSize returns the framed size of a record with the given payload
-// length.
-func recordSize(payloadLen int) int64 { return int64(headerSize + payloadLen) }
 
 // decoded is one validated record.
 type decoded struct {
@@ -149,16 +145,4 @@ func commitPayload(seq uint64) []byte {
 	var p [8]byte
 	binary.LittleEndian.PutUint64(p[:], seq)
 	return p[:]
-}
-
-func typeName(typ byte) string {
-	switch typ {
-	case recPage:
-		return "page"
-	case recCommit:
-		return "commit"
-	case recMeta:
-		return "meta"
-	}
-	return fmt.Sprintf("unknown(%d)", typ)
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -343,11 +342,5 @@ func TestStatsString(t *testing.T) {
 	s := Stats{Commits: 10, Fsyncs: 4}
 	if g := s.AvgGroup(); g != 2.5 {
 		t.Fatalf("AvgGroup = %v", g)
-	}
-	if typeName(recPage) != "page" || typeName(recCommit) != "commit" || typeName(recMeta) != "meta" {
-		t.Fatal("typeName mismatch")
-	}
-	if typeName(99) != fmt.Sprintf("unknown(%d)", 99) {
-		t.Fatal("typeName unknown mismatch")
 	}
 }

@@ -22,8 +22,11 @@ const (
 	DefaultChildBytes  = 100
 	DefaultPoolPages   = 100
 	DefaultCacheUnits  = 1000
-	DefaultUpdateBatch = 10
+	DefaultUpdateBatch = 10 // ChildRel tuples modified per update query
 )
+
+// cacheBuckets is the hash bucket count of the Cache relation.
+const cacheBuckets = 256
 
 // Config parameterizes one generated database.
 type Config struct {
@@ -48,11 +51,8 @@ type Config struct {
 	// trade fidelity for fewer page fetches.
 	ProbeBatch bool
 
-	Clustered    bool // also build ClusterRel + its ISAM OID index
-	CacheUnits   int  // SizeCache; 0 disables the cache
-	CacheBuckets int  // hash buckets of the Cache relation
-
-	UpdateBatch int // ChildRel tuples modified per update query
+	Clustered  bool // also build ClusterRel + its ISAM OID index
+	CacheUnits int  // SizeCache; 0 disables the cache
 
 	// ScatterClusters deliberately mis-clusters ClusterRel at load time:
 	// every subobject's owner is drawn uniformly at random instead of from
@@ -100,12 +100,6 @@ func (c Config) WithDefaults() Config {
 	if c.PoolShards == 0 {
 		c.PoolShards = 1
 	}
-	if c.CacheBuckets == 0 {
-		c.CacheBuckets = 256
-	}
-	if c.UpdateBatch == 0 {
-		c.UpdateBatch = DefaultUpdateBatch
-	}
 	return c
 }
 
@@ -140,8 +134,6 @@ func (c Config) Validate() error {
 		{"PoolShards", c.PoolShards},
 		{"ChildBytes", c.ChildBytes},
 		{"CacheUnits", c.CacheUnits},
-		{"CacheBuckets", c.CacheBuckets},
-		{"UpdateBatch", c.UpdateBatch},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%w: %s %d", ErrNegative, f.name, f.v)

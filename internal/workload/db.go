@@ -120,7 +120,7 @@ func Build(cfg Config) (*DB, error) {
 		}
 	}
 	if cfg.CacheUnits > 0 {
-		if err := db.NewCache(cfg.CacheUnits, cfg.CacheBuckets, cfg.Seed+1); err != nil {
+		if err := db.NewCache(cfg.CacheUnits, cacheBuckets, cfg.Seed+1); err != nil {
 			return nil, err
 		}
 	}

@@ -95,14 +95,14 @@ func (db *DB) GenMixedSequence(numRetrieves int, prUpdate float64, numTops []int
 	return ops
 }
 
-// genUpdate picks UpdateBatch random ChildRel tuples and new ret1
+// genUpdate picks DefaultUpdateBatch random ChildRel tuples and new ret1
 // values. With ZipfTheta > 0, each target is a member of a zipf-hot
 // parent's unit instead of a uniform child — updates then collide with
 // the skewed retrieve ranges on the same subobjects, which is the
 // contention the -txn sweep measures.
 func (db *DB) genUpdate() Op {
 	op := Op{Kind: OpUpdate}
-	for i := 0; i < db.Cfg.UpdateBatch; i++ {
+	for i := 0; i < DefaultUpdateBatch; i++ {
 		if db.Cfg.ZipfTheta > 0 {
 			unit := db.UnitOf(db.zipfDraw(db.Cfg.NumParents))
 			op.Targets = append(op.Targets, unit[db.rng.Intn(len(unit))])

@@ -52,12 +52,6 @@ type TwoLevelDB struct {
 	MidUnitOf []int
 }
 
-// Mid returns the intermediate relation.
-func (t *TwoLevelDB) Mid() *catalog.Relation { return t.Children[0] }
-
-// Leaf returns the leaf relation.
-func (t *TwoLevelDB) Leaf() *catalog.Relation { return t.Children[1] }
-
 // BuildTwoLevel generates a two-level database. Cardinalities follow
 // the flat generator level by level: |MidRel| = NumParents × SizeUnit /
 // ShareFactor₁, |LeafRel| = |MidRel| × SizeUnit / ShareFactor₂.

@@ -15,10 +15,10 @@ func TestBuildTwoLevelCardinalities(t *testing.T) {
 		t.Fatal(err)
 	}
 	// |MidRel| = 400*5/2 = 1000; |LeafRel| = 1000*5/2 = 2500.
-	if n := db.ChildCount(db.Mid().ID); n != 1000 {
+	if n := db.ChildCount(db.Children[0].ID); n != 1000 {
 		t.Fatalf("|MidRel| = %d", n)
 	}
-	if n := db.ChildCount(db.Leaf().ID); n != 2500 {
+	if n := db.ChildCount(db.Children[1].ID); n != 2500 {
 		t.Fatalf("|LeafRel| = %d", n)
 	}
 	if len(db.MidUnits) != 500 {
@@ -41,10 +41,10 @@ func TestTwoLevelOIDResolution(t *testing.T) {
 	}
 	childrenIdx := db.ParentSchema.MustIndex("children")
 	for _, mo := range unit {
-		if mo.Rel() != db.Mid().ID {
+		if mo.Rel() != db.Children[0].ID {
 			t.Fatalf("parent references %v, not MidRel", mo)
 		}
-		rec, err := db.Mid().Tree.Get(mo.Key())
+		rec, err := db.Children[0].Tree.Get(mo.Key())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,10 +60,10 @@ func TestTwoLevelOIDResolution(t *testing.T) {
 			t.Fatalf("mid %v has %d leaves", mo, len(leaves))
 		}
 		for _, lo := range leaves {
-			if lo.Rel() != db.Leaf().ID {
+			if lo.Rel() != db.Children[1].ID {
 				t.Fatalf("mid references %v, not LeafRel", lo)
 			}
-			if _, err := db.Leaf().Tree.Get(lo.Key()); err != nil {
+			if _, err := db.Children[1].Tree.Get(lo.Key()); err != nil {
 				t.Fatalf("leaf %v: %v", lo, err)
 			}
 		}

@@ -166,7 +166,7 @@ func (v *ValueDB) GenSequence(numRetrieves int, prUpdate float64, numTop int) []
 	}
 	for i := 0; i < numUpdates; i++ {
 		op := Op{Kind: OpUpdate}
-		for j := 0; j < v.Cfg.UpdateBatch; j++ {
+		for j := 0; j < DefaultUpdateBatch; j++ {
 			op.Targets = append(op.Targets, object.NewOID(v.childRelID, v.rng.Int63n(int64(v.childCount))))
 			op.NewRet1 = append(op.NewRet1, v.rng.Int63n(1<<30))
 		}

@@ -99,5 +99,5 @@ func (db *DB) rebuildCache() error {
 	if db.Cfg.CacheUnits <= 0 {
 		return nil
 	}
-	return db.NewCache(db.Cfg.CacheUnits, db.Cfg.CacheBuckets, db.Cfg.Seed+1)
+	return db.NewCache(db.Cfg.CacheUnits, cacheBuckets, db.Cfg.Seed+1)
 }

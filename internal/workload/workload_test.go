@@ -247,7 +247,7 @@ func TestGenSequenceShape(t *testing.T) {
 			}
 		case OpUpdate:
 			updates++
-			if len(op.Targets) != db.Cfg.UpdateBatch {
+			if len(op.Targets) != DefaultUpdateBatch {
 				t.Fatalf("update batch = %d", len(op.Targets))
 			}
 		}
@@ -371,17 +371,14 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 }
 
 // TestValidateRefusesNegatives: a negative size or count is refused by
-// name, by Validate and by Build, where it once built (UpdateBatch -3:
-// update ops with no targets; CacheUnits -5: no cache) or failed deep
-// inside the cache's hash file (CacheBuckets -1).
+// name, by Validate and by Build, where it once built (CacheUnits -5: no
+// cache).
 func TestValidateRefusesNegatives(t *testing.T) {
 	for _, tc := range []struct {
 		field string
 		set   func(*Config)
 	}{
-		{"UpdateBatch", func(c *Config) { c.UpdateBatch = -3 }},
 		{"CacheUnits", func(c *Config) { c.CacheUnits = -5 }},
-		{"CacheBuckets", func(c *Config) { c.CacheBuckets = -1 }},
 		{"ChildBytes", func(c *Config) { c.ChildBytes = -100 }},
 		{"PoolPages", func(c *Config) { c.PoolPages = -8 }},
 		{"PoolShards", func(c *Config) { c.PoolShards = -2 }},
