@@ -27,12 +27,15 @@ import (
 // called (see database_wal.go and DESIGN.md §12):
 //
 //   - WAL off (the default): checkpoint consistency. Close/Checkpoint
-//     leave the page file and sidecar mutually consistent; a process
-//     that dies between checkpoints may leave pages newer than the
-//     metadata describes, and updates since the last Checkpoint are
-//     simply gone. Treat the last successful Checkpoint as the durable
-//     state. This is the regime of the paper's experiments — none of
-//     them involve crashes — and it costs zero extra I/O.
+//     leave the page file and sidecar mutually consistent. A process
+//     that dies between checkpoints is not rolled back to the last
+//     Checkpoint: the pool writes dirty pages in place whenever it
+//     evicts them, so the page file may hold some of the later updates
+//     and not others while the sidecar still describes the checkpoint.
+//     Until that state is detected and refused (ROADMAP item 24), what
+//     a reopen after such a crash serves is undefined. This is the
+//     regime of the paper's experiments — none of them involve
+//     crashes — and it costs zero extra I/O.
 //
 //   - WAL on: commit consistency. Every mutation's page images and a
 //     commit record are fsynced to <path>.wal before the mutation is

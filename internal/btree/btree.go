@@ -776,17 +776,28 @@ func (t *Tree) seek(it *Iterator, key int64) error {
 // SeekFirst positions an iterator at the smallest entry. The first leaf
 // is pinned by the first Next, not here.
 func (t *Tree) SeekFirst() (*Iterator, error) {
+	it := new(Iterator)
+	if err := t.SeekFirstInto(it); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// SeekFirstInto is SeekFirst into an iterator the caller owns, closed or
+// never used, as SeekGEInto is SeekGE's.
+func (t *Tree) SeekFirstInto(it *Iterator) error {
 	id := t.root
 	for level := t.height; level > 1; level-- {
 		buf, err := t.pool.Pin(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		child := disk.PageID(storage.Page{Buf: buf}.Aux())
 		t.pool.Unpin(id, false)
 		id = child
 	}
-	return &Iterator{t: t, page: id}, nil
+	*it = Iterator{t: t, page: id}
+	return nil
 }
 
 // Next returns the next entry's key and payload. ok=false signals

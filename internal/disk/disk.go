@@ -51,12 +51,6 @@ func (s Stats) Sub(o Stats) Stats {
 		Allocs: s.Allocs - o.Allocs, Frees: s.Frees - o.Frees}
 }
 
-// Add returns the counter sums s + o.
-func (s Stats) Add(o Stats) Stats {
-	return Stats{Reads: s.Reads + o.Reads, Writes: s.Writes + o.Writes,
-		Allocs: s.Allocs + o.Allocs, Frees: s.Frees + o.Frees}
-}
-
 func (s Stats) String() string {
 	return fmt.Sprintf("reads=%d writes=%d allocs=%d io=%d", s.Reads, s.Writes, s.Allocs, s.Total())
 }

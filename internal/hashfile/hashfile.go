@@ -55,23 +55,6 @@ func Create(pool *buffer.Pool, buckets int) (*File, error) {
 	return f, nil
 }
 
-// Open re-attaches to a persisted hash file from its saved state.
-func Open(pool *buffer.Pool, s State) *File {
-	return &File{pool: pool, first: s.First, buckets: s.Buckets, count: s.Count}
-}
-
-// State is the file's out-of-page metadata, persisted by checkpoints.
-type State struct {
-	First   disk.PageID
-	Buckets int
-	Count   int
-}
-
-// State snapshots the file for persistence.
-func (f *File) State() State {
-	return State{First: f.first, Buckets: f.buckets, Count: f.count}
-}
-
 // Count returns the number of live entries.
 func (f *File) Count() int { return f.count }
 

@@ -44,15 +44,27 @@ func lendPages() *pageList {
 
 // Create allocates an empty heap file.
 func Create(pool *buffer.Pool) (*File, error) {
+	f := new(File)
+	if err := CreateInto(f, pool); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// CreateInto is Create into a File the caller owns, never created or
+// already dropped, for a holder that forms one file after another in
+// the same handle (a query temporary). On an error f is left as it was.
+func CreateInto(f *File, pool *buffer.Pool) error {
 	id, buf, err := pool.NewPage()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	storage.Page{Buf: buf}.Init(storage.TypeHeap)
 	pool.Unpin(id, true)
 	pages := lendPages()
 	pages.ids = append(pages.ids, id)
-	return &File{pool: pool, first: id, last: id, pages: pages}, nil
+	*f = File{pool: pool, first: id, last: id, pages: pages}
+	return nil
 }
 
 // Open re-attaches to an existing heap file rooted at first. The caller
@@ -76,9 +88,6 @@ func Open(pool *buffer.Pool, first disk.PageID) (*File, error) {
 	}
 	return f, nil
 }
-
-// First returns the chain head (persisted in the catalog).
-func (f *File) First() disk.PageID { return f.first }
 
 // Count returns the number of live records.
 func (f *File) Count() int { return f.count }
@@ -151,20 +160,6 @@ func (a *Appender) Close() {
 		a.f.pool.Unpin(a.f.last, a.dirty)
 		a.pg.Buf = nil
 	}
-}
-
-// Update overwrites the record at rid in place. The record stays on its
-// page (RIDs handed out never go stale); growth beyond the page's free
-// space fails with storage.ErrPageFull.
-func (f *File) Update(rid storage.RID, rec []byte) error {
-	buf, err := f.pool.Pin(rid.Page)
-	if err != nil {
-		return err
-	}
-	pg := storage.Page{Buf: buf}
-	err = pg.Update(int(rid.Slot), rec)
-	f.pool.Unpin(rid.Page, err == nil)
-	return err
 }
 
 // Get fetches the record at rid. The returned slice is a copy.

@@ -14,6 +14,9 @@ func newPool() *buffer.Pool {
 	return buffer.New(disk.NewSim(), 16)
 }
 
+// First returns the chain head, the page Open re-attaches from.
+func (f *File) First() disk.PageID { return f.first }
+
 func TestCreateEmpty(t *testing.T) {
 	f, err := Create(newPool())
 	if err != nil {

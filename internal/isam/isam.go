@@ -172,11 +172,6 @@ func Build(pool *buffer.Pool, entries []Entry) (*Index, error) {
 	return idx, nil
 }
 
-// Open re-attaches to a persisted index from its saved state.
-func Open(pool *buffer.Pool, s State) *Index {
-	return &Index{pool: pool, root: s.Root, levels: s.Levels, count: s.Count, pages: s.Pages}
-}
-
 // State is the index's out-of-page metadata, persisted by checkpoints.
 type State struct {
 	Root   disk.PageID
@@ -189,9 +184,6 @@ type State struct {
 func (x *Index) State() State {
 	return State{Root: x.root, Levels: x.levels, Count: x.count, Pages: x.pages}
 }
-
-// Root returns the root page id (persisted in the catalog).
-func (x *Index) Root() disk.PageID { return x.root }
 
 // Levels returns the number of levels (1 = a single leaf page).
 func (x *Index) Levels() int { return x.levels }

@@ -35,9 +35,6 @@ func (a IO) Sub(b IO) IO {
 	}
 }
 
-// Total returns reads plus writes — the paper's single I/O cost figure.
-func (a IO) Total() int64 { return a.Reads + a.Writes }
-
 // Ctx is the handle threaded through the stack: a tracer bound to one
 // database's counters. The zero Ctx is a valid no-op, so
 // un-instrumented code paths cost nothing.

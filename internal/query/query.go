@@ -28,17 +28,75 @@ type Int64Iter interface {
 
 // Int64Temp is a temporary relation of int64 values backed by a heap
 // file — the paper's "temp" relation "whose single attribute is OID".
+// The handle holds the file itself, so a handle an Arena lends is
+// formed into one temporary after another without an allocation.
 type Int64Temp struct {
-	file *heap.File
+	file heap.File
 }
 
-// NewInt64Temp creates an empty temporary.
+// NewInt64Temp creates an empty temporary in a handle of its own, for a
+// caller that keeps it (the benchmark's query probes, tests). A
+// retrieve takes its temporaries from its Arena instead.
 func NewInt64Temp(pool *buffer.Pool) (*Int64Temp, error) {
-	f, err := heap.Create(pool)
-	if err != nil {
+	t := new(Int64Temp)
+	if err := heap.CreateInto(&t.file, pool); err != nil {
 		return nil, err
 	}
-	return &Int64Temp{file: f}, nil
+	return t, nil
+}
+
+// Arena lends one retrieve the handles of the temporaries it forms and
+// of the readers it opens on them (NewTemp, Iter, SortTemp), each one a
+// handle an earlier retrieve left behind when there is one, so a warm
+// retrieve allocates none. Every handle stays the retrieve's until
+// Reset, which the retrieve calls when it returns — never on a
+// temporary's Drop or a reader's Close: a second Drop within the
+// retrieve then finds its own emptied file, not a later temporary
+// formed in the same handle. The zero Arena is ready; one retrieve uses
+// it at a time.
+type Arena struct {
+	temps []*Int64Temp // every handle made; the first nt are lent
+	iters []*TempIter  // every reader made; the first ni are lent
+	nt    int
+	ni    int
+}
+
+// NewTemp creates an empty temporary in a lent handle.
+func (a *Arena) NewTemp(pool *buffer.Pool) (*Int64Temp, error) {
+	if a.nt == len(a.temps) {
+		a.temps = append(a.temps, new(Int64Temp))
+	}
+	t := a.temps[a.nt]
+	if err := heap.CreateInto(&t.file, pool); err != nil {
+		return nil, err
+	}
+	a.nt++
+	return t, nil
+}
+
+// Iter is Int64Temp.Iter in a lent handle.
+func (a *Arena) Iter(t *Int64Temp) *TempIter {
+	if a.ni == len(a.iters) {
+		a.iters = append(a.iters, new(TempIter))
+	}
+	it := a.iters[a.ni]
+	*it = TempIter{t: t}
+	a.ni++
+	return it
+}
+
+// Reset takes back every handle lent since the last Reset, emptied: the
+// retrieve has dropped its temporaries and closed its readers, and a
+// handle it still points at drops and reads nothing until it is lent
+// again.
+func (a *Arena) Reset() {
+	for _, t := range a.temps[:a.nt] {
+		*t = Int64Temp{}
+	}
+	for _, it := range a.iters[:a.ni] {
+		*it = TempIter{}
+	}
+	a.nt, a.ni = 0, 0
 }
 
 // Append adds one value, paying heap-file I/O.
@@ -98,9 +156,10 @@ func (t *Int64Temp) Scan(fn func(v int64) (bool, error)) error {
 	return err
 }
 
-// Iter returns a pull iterator over the temporary in insertion order.
-// Its first Next reads the whole temporary into a buffer lent by
-// scratchPool; Close gives the buffer back.
+// Iter returns a pull iterator over the temporary in insertion order,
+// in a handle of its own (a retrieve's come from its Arena). Its first
+// Next reads the whole temporary into a buffer lent by scratchPool;
+// Close gives the buffer back.
 func (t *Int64Temp) Iter() *TempIter { return &TempIter{t: t} }
 
 // TempIter pulls values from an Int64Temp. A reader that stops before
@@ -153,14 +212,21 @@ func (it *TempIter) Close() {
 	}
 }
 
+// SortTemp is Arena.SortTemp in handles of its own, for a caller that
+// keeps the sorted temporary (the benchmark's query probes, tests).
+func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (*Int64Temp, error) {
+	return new(Arena).SortTemp(pool, in, workMem)
+}
+
 // SortTemp external-merge-sorts a temporary into a new temporary,
-// charging run-formation and merge I/O. workMem bounds the in-memory
-// working set, in values (e.g. 20 pages × ~170 values). Each run is
-// radix-sorted in memory (scratch.radixSort) in buffers lent by
-// scratchPool. The runs are dropped once merged (a single run is the
-// result itself), a refused page free failing the sort, and on an error
-// nothing SortTemp made is left behind; in stays the caller's.
-func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err error) {
+// charging run-formation and merge I/O; the runs, their readers and the
+// output are lent by a. workMem bounds the in-memory working set, in
+// values (e.g. 20 pages × ~170 values). Each run is radix-sorted in
+// memory (scratch.radixSort) in buffers lent by scratchPool. The runs
+// are dropped once merged (a single run is the result itself), a
+// refused page free failing the sort, and on an error nothing SortTemp
+// made is left behind; in stays the caller's.
+func (a *Arena) SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err error) {
 	if workMem < 2 {
 		workMem = 2
 	}
@@ -192,7 +258,7 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 			return nil
 		}
 		sorted := bufs.radixSort(cur)
-		run, err := NewInt64Temp(pool)
+		run, err := a.NewTemp(pool)
 		if err != nil {
 			return err
 		}
@@ -224,14 +290,14 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 	}
 	nruns = len(runs)
 	if len(runs) == 0 {
-		return NewInt64Temp(pool)
+		return a.NewTemp(pool)
 	}
 	if len(runs) == 1 {
 		return runs[0], nil
 	}
 	// Phase 2: k-way merge (single pass; run counts in the experiments
 	// stay far below any reasonable fan-in).
-	out, err := NewInt64Temp(pool)
+	out, err := a.NewTemp(pool)
 	if err != nil {
 		return nil, err
 	}
@@ -240,19 +306,23 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 			out.Drop()
 		}
 	}()
-	iters := make([]*TempIter, len(runs))
-	for i, r := range runs {
-		iters[i] = r.Iter()
-		defer iters[i].Close()
+	// One head per run, in the lent scratch like the run list.
+	heads := bufs.heads[:0]
+	defer func() {
+		for _, h := range heads {
+			h.it.Close()
+		}
+		clear(heads[:cap(heads)])
+		bufs.heads = heads[:0]
+	}()
+	for _, r := range runs {
+		heads = append(heads, mergeHead{it: a.Iter(r)})
 	}
-	heads := make([]int64, len(runs))
-	alive := make([]bool, len(runs))
-	for i, it := range iters {
-		v, ok, err := it.Next()
-		if err != nil {
+	for i := range heads {
+		h := &heads[i]
+		if h.v, h.alive, err = h.it.Next(); err != nil {
 			return nil, err
 		}
-		heads[i], alive[i] = v, ok
 	}
 	// Every run is in memory now (TempIter reads its heap file on the
 	// first Next), so the merge loop touches only out's tail page.
@@ -260,8 +330,8 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 	defer w.Close()
 	for {
 		best := -1
-		for i := range heads {
-			if alive[i] && (best < 0 || heads[i] < heads[best]) {
+		for i, h := range heads {
+			if h.alive && (best < 0 || h.v < heads[best].v) {
 				best = i
 			}
 		}
@@ -274,14 +344,13 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err 
 			}
 			return out, nil
 		}
-		if err := w.Append(heads[best]); err != nil {
+		h := &heads[best]
+		if err := w.Append(h.v); err != nil {
 			return nil, err
 		}
-		v, ok, err := iters[best].Next()
-		if err != nil {
+		if h.v, h.alive, err = h.it.Next(); err != nil {
 			return nil, err
 		}
-		heads[best], alive[best] = v, ok
 	}
 }
 
@@ -296,11 +365,21 @@ func dropAll(ts []*Int64Temp) error {
 
 // scratch is the package's lent memory: a TempIter's decoded values
 // (vs), or the run SortTemp collects (vs), its radix sort's second
-// buffer (aux) and the list of runs it has written (runs, every entry
-// nil while the scratch is in the pool).
+// buffer (aux), the list of runs it has written (runs) and their heads
+// in the merge (heads) — every pointer in the last two nil while the
+// scratch is in the pool.
 type scratch struct {
 	vs, aux []int64
 	runs    []*Int64Temp
+	heads   []mergeHead
+}
+
+// mergeHead is one run's reader in SortTemp's merge and the value it
+// stands on (alive false once the run is exhausted).
+type mergeHead struct {
+	it    *TempIter
+	v     int64
+	alive bool
 }
 
 // scratchPool lends scratch to SortTemp and TempIter, so neither

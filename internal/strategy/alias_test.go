@@ -88,13 +88,14 @@ func TestMergeJoinErrorReleasesCursor(t *testing.T) {
 	// An attribute index the schema does not have: the first match fails
 	// inside the join callback while the cursor holds its leaf.
 	res := &Result{}
-	err = mergeJoinChild(db, rel, tmp, project(db, rel, Query{AttrIdx: 99}, res))
+	sc := new(scratch)
+	err = sc.mergeJoinChild(db, rel, tmp, project(db, rel, Query{AttrIdx: 99}, res))
 	if err == nil {
 		t.Fatal("join with a bad attribute succeeded")
 	}
 	testutil.AssertNoLeaks(t, db.Pool)
 	// And the good path still works afterwards.
-	if err := mergeJoinChild(db, rel, tmp, project(db, rel, Query{AttrIdx: workload.FieldRet1}, res)); err != nil {
+	if err := sc.mergeJoinChild(db, rel, tmp, project(db, rel, Query{AttrIdx: workload.FieldRet1}, res)); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Values) != len(first) {
@@ -125,7 +126,7 @@ func firstKeys(db *workload.DB, relID uint16, n int) ([]int64, error) {
 // close.
 func TestTempWriterRunsPerRelation(t *testing.T) {
 	db := buildDB(t, smallCfg())
-	tw := newTempWriter(db.Pool)
+	tw := new(scratch).tempWriter(db.Pool)
 	in := []object.OID{
 		object.NewOID(7, 1), object.NewOID(7, 2), object.NewOID(9, 10),
 		object.NewOID(7, 3), object.NewOID(9, 11), object.NewOID(9, 12),

@@ -95,7 +95,7 @@ func (b bfs) joinLevel(db *workload.DB, sc *scratch, level *tempWriter, q Query,
 				return next, err
 			}
 		}
-		if err := b.joinOne(db, rel, level.temps[relID], q, res, next); err != nil {
+		if err := b.joinOne(db, sc, rel, level.temps[relID], q, res, next); err != nil {
 			return next, err
 		}
 	}
@@ -103,10 +103,11 @@ func (b bfs) joinLevel(db *workload.DB, sc *scratch, level *tempWriter, q Query,
 }
 
 // joinOne joins one temporary against one child relation, choosing the
-// join method by an I/O estimate. Whichever it chooses, each tuple the
-// join reaches goes through the level's one step (levelStep): into res
-// when rel is a last level, into next when it is an inner one.
-func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Temp, q Query, res *Result, next *tempWriter) (err error) {
+// join method by an I/O estimate, in the retrieve's scratch sc. Whichever
+// it chooses, each tuple the join reaches goes through the level's one
+// step (levelStep): into res when rel is a last level, into next when it
+// is an inner one.
+func (b bfs) joinOne(db *workload.DB, sc *scratch, rel *catalog.Relation, tmp *query.Int64Temp, q Query, res *Result, next *tempWriter) (err error) {
 	n := tmp.Count()
 	if n == 0 {
 		return nil
@@ -121,12 +122,12 @@ func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Tem
 		// query" — sort the temp and keep distinct OIDs, then join with
 		// whichever method the (smaller) deduplicated temp favours.
 		dedupSp := db.Obs.Start("strategy.bfs/dedup")
-		sorted, err := query.SortTemp(db.Pool, tmp, tempValuesPerPage*8)
+		sorted, err := sc.temps.SortTemp(db.Pool, tmp, tempValuesPerPage*8)
 		if err != nil {
 			return err
 		}
 		defer func() { firstErr(&err, sorted.Drop()) }()
-		distinct, err := distinctTemp(db.Pool, sorted)
+		distinct, err := sc.distinctTemp(db.Pool, sorted)
 		if err != nil {
 			return err
 		}
@@ -152,19 +153,18 @@ func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Tem
 		probeSp.SetAttr("values", int64(n))
 		defer probeSp.End()
 		if !db.Cfg.ProbeBatch || ci >= 0 {
-			// Each record is copied off its leaf into one buffer and
-			// taken after the pin is released: an inner level's step
-			// touches the pool.
-			var rec []byte
+			// Each record is copied off its leaf into the scratch's value
+			// buffer and taken after the pin is released: an inner
+			// level's step touches the pool.
 			return tmp.Scan(func(key int64) (bool, error) {
 				err := rel.Tree.View(key, func(payload []byte) error {
-					rec = append(rec[:0], payload...)
+					sc.value = append(sc.value[:0], payload...)
 					return nil
 				})
 				if err != nil {
 					return false, err
 				}
-				return take(key, rec)
+				return take(key, sc.value)
 			})
 		}
 		// Batched: collect the temp's keys, probe them page-ordered, and
@@ -193,14 +193,14 @@ func (b bfs) joinOne(db *workload.DB, rel *catalog.Relation, tmp *query.Int64Tem
 	// under BFSNODUP) and merge join with the ChildRel leaf scan.
 	outerTemp := tmp
 	if !b.dedup {
-		sorted, err := query.SortTemp(db.Pool, tmp, tempValuesPerPage*8)
+		sorted, err := sc.temps.SortTemp(db.Pool, tmp, tempValuesPerPage*8)
 		if err != nil {
 			return err
 		}
 		defer func() { firstErr(&err, sorted.Drop()) }()
 		outerTemp = sorted
 	}
-	return mergeJoinChild(db, rel, outerTemp, take)
+	return sc.mergeJoinChild(db, rel, outerTemp, take)
 }
 
 func (bfs) Update(db *workload.DB, op workload.Op) error {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"corep/internal/btree"
 	"corep/internal/buffer"
 	"corep/internal/catalog"
 	"corep/internal/engine"
@@ -32,34 +33,48 @@ func storedParents(db *workload.DB, lo, hi int64) (first, last int64, n int) {
 	return first, last, int(max(0, last-first+1))
 }
 
-// scratch is the working memory a scan-then-fetch retrieve borrows from
-// scratchPool and gives back (release) when it returns, on every path:
-// the scan phase's parent list and the OID arena its units are cut
-// from, the unit value buffer DFSCACHE and SMART read cached and
-// materialized units into, and the temporary writers its levels
+// scratch is the working memory a retrieve borrows from scratchPool and
+// gives back (release) when it returns, on every path: the scan phase's
+// parent list and the OID arena its units are cut from, the unit value
+// buffer DFSCACHE and SMART read cached and materialized units into
+// (and BFS's probes their records), the temporary writers its levels
 // dropped, relation tables emptied, for the next level or retrieve to
-// reuse. Nothing a Result holds aliases it.
+// reuse, the handles of its temporaries and their readers (temps), the
+// merge join's inner cursor, and DFSCLUST's group state. Nothing a
+// Result holds aliases it.
 type scratch struct {
 	parents []parentRef
 	oids    []object.OID
 	value   []byte
 	writers []*tempWriter
+	temps   query.Arena
+	inner   btree.Iterator
+	clust   clustScan
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func (s *scratch) release() { scratchPool.Put(s) }
+// release gives s back to scratchPool: the temporaries' handles go back
+// to the arena only now, after the retrieve has dropped them, and
+// nothing kept refers to the retrieve's database or result.
+func (s *scratch) release() {
+	s.temps.Reset()
+	s.inner = btree.Iterator{}
+	s.clust = clustScan{unit: s.clust.unit[:0], local: s.clust.local[:0]}
+	scratchPool.Put(s)
+}
 
-// tempWriter lends a writer over pool: one a dropped writer left behind
-// if there is one, else a new one.
+// tempWriter lends a writer over pool whose temporaries come from s's
+// arena: one a dropped writer left behind if there is one, else a new
+// one.
 func (s *scratch) tempWriter(pool *buffer.Pool) *tempWriter {
-	n := len(s.writers)
-	if n == 0 {
-		return newTempWriter(pool)
+	var w *tempWriter
+	if n := len(s.writers); n > 0 {
+		w, s.writers = s.writers[n-1], s.writers[:n-1]
+	} else {
+		w = &tempWriter{temps: make(map[uint16]*query.Int64Temp)}
 	}
-	w := s.writers[n-1]
-	s.writers = s.writers[:n-1]
-	w.pool = pool
+	w.pool, w.arena = pool, &s.temps
 	return w
 }
 
@@ -296,6 +311,7 @@ func (s ioSpan) end() int64 {
 // loop. close must be called before the temporaries are read.
 type tempWriter struct {
 	pool     *buffer.Pool
+	arena    *query.Arena // lends the temporaries' handles
 	temps    map[uint16]*query.Int64Temp
 	relOrder []uint16 // relations in order of first appearance
 	// spare is a temporary created ahead of the relation that will own
@@ -307,10 +323,6 @@ type tempWriter struct {
 	open bool
 }
 
-func newTempWriter(pool *buffer.Pool) *tempWriter {
-	return &tempWriter{pool: pool, temps: make(map[uint16]*query.Int64Temp)}
-}
-
 // reserve creates the writer's first temporary now rather than at its
 // first OID. A level below the first fills while the level above is
 // being joined, and ext-levels' counted cells have its temporary in the
@@ -318,7 +330,7 @@ func newTempWriter(pool *buffer.Pool) *tempWriter {
 // append instead, a two-level BFS at NumTop 2000 reads 166,560 pages for
 // the golden file's 167,640 (BFSNODUP 68,280 for 69,360).
 func (w *tempWriter) reserve() (err error) {
-	w.spare, err = query.NewInt64Temp(w.pool)
+	w.spare, err = w.arena.NewTemp(w.pool)
 	return err
 }
 
@@ -329,7 +341,7 @@ func (w *tempWriter) add(oid object.OID) error {
 		if tmp == nil {
 			if tmp, w.spare = w.spare, nil; tmp == nil {
 				var err error
-				if tmp, err = query.NewInt64Temp(w.pool); err != nil {
+				if tmp, err = w.arena.NewTemp(w.pool); err != nil {
 					return err
 				}
 			}
@@ -384,10 +396,11 @@ func (w *tempWriter) drop() error {
 }
 
 // distinctTemp copies the distinct values of a sorted temporary into a
-// new one — the duplicate-removal step of BFSNODUP (§3.1 [3]). On an
-// error the copy is dropped.
-func distinctTemp(pool *buffer.Pool, sorted *query.Int64Temp) (_ *query.Int64Temp, err error) {
-	distinct, err := query.NewInt64Temp(pool)
+// new one — the duplicate-removal step of BFSNODUP (§3.1 [3]). The copy
+// and the sorted side's reader are lent by s's arena. On an error the
+// copy is dropped.
+func (s *scratch) distinctTemp(pool *buffer.Pool, sorted *query.Int64Temp) (_ *query.Int64Temp, err error) {
+	distinct, err := s.temps.NewTemp(pool)
 	if err != nil {
 		return nil, err
 	}
@@ -398,7 +411,7 @@ func distinctTemp(pool *buffer.Pool, sorted *query.Int64Temp) (_ *query.Int64Tem
 	}()
 	// The sorted side is read into memory by the first Next, before the
 	// first append, so the run below is the only pool traffic.
-	in := sorted.Iter()
+	in := s.temps.Iter(sorted)
 	defer in.Close()
 	uniq := query.NewDistinct(in)
 	w := distinct.Appender()
@@ -437,16 +450,16 @@ func project(db *workload.DB, rel *catalog.Relation, q Query, res *Result) level
 }
 
 // mergeJoinChild merge-joins a sorted temporary of keys with rel's leaf
-// scan (§3.1 [2]), handing every match to take.
-func mergeJoinChild(db *workload.DB, rel *catalog.Relation, sorted *query.Int64Temp, take levelStep) error {
-	it, err := rel.Tree.SeekFirst()
-	if err != nil {
+// scan (§3.1 [2]), handing every match to take. The leaf cursor is s's,
+// the temporary's reader is lent by s's arena.
+func (s *scratch) mergeJoinChild(db *workload.DB, rel *catalog.Relation, sorted *query.Int64Temp, take levelStep) error {
+	if err := rel.Tree.SeekFirstInto(&s.inner); err != nil {
 		return err
 	}
-	defer it.Close()
-	outer := sorted.Iter()
+	defer s.inner.Close()
+	outer := s.temps.Iter(sorted)
 	defer outer.Close()
-	return query.MergeJoin(db.Obs, outer, it, take)
+	return query.MergeJoin(db.Obs, outer, &s.inner, take)
 }
 
 // --- cached-unit value codec ---

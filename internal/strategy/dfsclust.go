@@ -34,9 +34,13 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 	first, last, n := storedParents(db, q.Lo, q.Hi)
 	res := &Result{Values: make([]int64, 0, n*db.Cfg.SizeUnit)}
 	// Everything the group scan reuses from one cluster# group to the
-	// next lives in this call: strategies are shared by concurrent
-	// clients.
-	s := &clustScan{
+	// next lives in the retrieve's lent scratch, the group buffers kept
+	// from the last retrieve that used them: strategies are shared by
+	// concurrent clients.
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	s := &sc.clust
+	*s = clustScan{
 		db:          db,
 		q:           q,
 		res:         res,
@@ -50,7 +54,8 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 		// onto shared extent pages; the core's placements are consulted
 		// per key, at the reader's snapshot epoch.
 		snapE: q.Snap.Epoch(),
-		local: make([]localVal, 0, db.Cfg.SizeUnit),
+		unit:  s.unit,
+		local: s.local,
 	}
 	// Scan and fetch interleave per cluster group, so one span covers the
 	// whole retrieve; the ParCost/ChildCost split travels as attributes.
@@ -114,10 +119,11 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 	return res, nil
 }
 
-// clustScan is the state of one DFSCLUST retrieve. The group fields
-// describe the cluster# group being read and are reused, storage and
-// all, for the next one; only res outlives the retrieve, and it holds
-// integers — nothing here or there aliases a page.
+// clustScan is the state of one DFSCLUST retrieve, lent by its scratch.
+// The group fields describe the cluster# group being read and are
+// reused, storage and all, for the next one and the next retrieve; only
+// res outlives the retrieve, and it holds integers — nothing here or
+// there aliases a page.
 type clustScan struct {
 	db  *workload.DB
 	q   Query

@@ -10,14 +10,15 @@ import (
 )
 
 // TestResultsOutliveTheNextRetrieve: a retrieve's scratch — the parent
-// list, the OID arena, the temporaries' readers and page lists — is lent
-// and reused by the retrieves after it, so a result must not alias any
-// of it. Result i is kept while retrieve i+1 runs over another range,
+// list, the OID arena, the temporaries' handles, readers and page lists,
+// the inner cursor, DFSCLUST's group state — is lent and reused by the
+// retrieves after it, so a result must not alias any of it. Result i is kept while retrieve i+1 runs over another range,
 // once whole and once failing halfway through on a cold pool; result i
 // must then be unchanged and still hold a fresh DFS answer's values (its
 // set, for BFSNODUP).
 // SMART's threshold sends the narrow range through DFSCACHE and the
-// others through its breadth-first pass.
+// others through its breadth-first pass; DFSCLUST reads the clustered
+// copy every test database carries.
 func TestResultsOutliveTheNextRetrieve(t *testing.T) {
 	ranges := []Query{
 		{Lo: 0, Hi: 59}, {Lo: 200, Hi: 209}, {Lo: 60, Hi: 139}, {Lo: 140, Hi: 299}, {Lo: 30, Hi: 90}, {Lo: 0, Hi: 299},
@@ -34,7 +35,7 @@ func TestResultsOutliveTheNextRetrieve(t *testing.T) {
 		kind Kind
 	}{
 		{"DFS", oneLevel, DFS}, {"BFS", oneLevel, BFS}, {"BFSNODUP", oneLevel, BFSNODUP},
-		{"DFSCACHE", oneLevel, DFSCACHE}, {"SMART", oneLevel, SMART},
+		{"DFSCACHE", oneLevel, DFSCACHE}, {"SMART", oneLevel, SMART}, {"DFSCLUST", oneLevel, DFSCLUST},
 		{"DFS two levels", twoLevel, DFS}, {"BFS two levels", twoLevel, BFS}, {"BFSNODUP two levels", twoLevel, BFSNODUP},
 	}
 	for _, c := range cases {
@@ -105,19 +106,25 @@ func TestResultsOutliveTheNextRetrieve(t *testing.T) {
 // TestConcurrentRetrievesMatchSerial: K clients share one database and
 // one strategy value, each over its own range, as serve_2c's two DFS
 // clients do; every answer must equal the serial run's, so no two
-// retrieves ever hold the same lent scratch. BFS rides along for the
-// query package's pool and the temporaries' page lists, DFSCACHE for
-// the scratch's value buffer and the cache's recycled lock lists and
-// I-lock sets: its cache holds fewer units than the clients' ranges
-// reach, so evictions hand sets from one client's units to another's
-// while they run. Run under -race.
+// retrieves ever hold the same lent scratch. BFS, BFSNODUP and SMART's
+// breadth-first pass ride along for the query package's pool, the
+// temporaries' handles, readers and page lists and the inner cursor
+// (BFSNODUP for its distinct copy too), DFSCLUST for its lent group
+// state, and DFSCACHE for the scratch's value buffer and the cache's
+// recycled lock lists and I-lock sets: its cache holds fewer units than
+// the clients' ranges reach, so evictions hand sets from one client's
+// units to another's while they run. Run under -race.
 func TestConcurrentRetrievesMatchSerial(t *testing.T) {
 	const cacheUnits = 24
 	db := buildDB(t, workload.Config{NumParents: 300, SizeUnit: 5, UseFactor: 3, Seed: 11, PoolPages: 400, CacheUnits: cacheUnits})
 	const clients = 4
 	query := func(c int) Query { return Query{Lo: int64(40 * c), Hi: int64(40*c + 99), AttrIdx: workload.FieldRet1} }
-	for _, k := range []Kind{DFS, BFS, DFSCACHE} {
-		st := mustNew(t, k, db)
+	smart, err := newSmart(db, 20) // every client's 100 parents take the breadth-first pass
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []Strategy{mustNew(t, DFS, db), mustNew(t, BFS, db), mustNew(t, BFSNODUP, db), smart, mustNew(t, DFSCLUST, db), mustNew(t, DFSCACHE, db)} {
+		k := st.Kind()
 		before := db.Cache.Stats()
 		want := make([][]int64, clients)
 		for c := range want {

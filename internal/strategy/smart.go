@@ -3,7 +3,6 @@ package strategy
 import (
 	"slices"
 
-	"corep/internal/query"
 	"corep/internal/workload"
 )
 
@@ -71,13 +70,13 @@ func (s smart) Retrieve(db *workload.DB, q Query) (_ *Result, err error) {
 		if err != nil {
 			return nil, err
 		}
-		sorted, err := query.SortTemp(db.Pool, temps[relID], tempValuesPerPage*8)
+		sorted, err := sc.temps.SortTemp(db.Pool, temps[relID], tempValuesPerPage*8)
 		if err != nil {
 			return nil, err
 		}
 		// Every outer value matches at most once.
 		res.Values = slices.Grow(res.Values, sorted.Count())
-		err = mergeJoinChild(db, rel, sorted, project(db, rel, q, res))
+		err = sc.mergeJoinChild(db, rel, sorted, project(db, rel, q, res))
 		firstErr(&err, sorted.Drop())
 		if err != nil {
 			return nil, err

@@ -69,9 +69,6 @@ func Open(dev Device) (*Log, error) {
 	return l, nil
 }
 
-// Device returns the underlying device.
-func (l *Log) Device() Device { return l.dev }
-
 // append writes one framed record at the head and returns the offset
 // just past it (the LSN to wait on for durability).
 func (l *Log) append(typ byte, pageID disk.PageID, payload []byte) (int64, error) {
