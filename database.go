@@ -462,7 +462,7 @@ func (r *Relation) Resolve(key int64, attr string) (*Resolved, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := object.ParseChildren(row[ai].Raw)
+	c, err := object.ParseChildren(row[ai].Raw, nil)
 	if err != nil {
 		return nil, fmt.Errorf("corep: %s.%s: %w", r.rel.Name, attr, err)
 	}
@@ -536,6 +536,7 @@ func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, ca
 		epoch = snap.Epoch()
 	}
 	x := d.store.Expander()
+	defer x.Release()
 	return pql.Collect(func(out []Value) ([]Value, error) {
 		err := crel.Tree.Range(lo, hi, func(key int64, rec []byte) (bool, error) {
 			if cerr := tuple.Check(crel.Schema, rec); cerr != nil {
@@ -587,16 +588,12 @@ func (d *Database) Query(src string) (qr *QueryResult, err error) {
 	if err := d.core.Relieve(); err != nil {
 		return nil, err
 	}
-	q, err := pql.Parse(src)
+	cols, rows, err := d.store.Query(src)
 	if err != nil {
 		return nil, err
 	}
-	res, err := d.store.Execute(q)
-	if err != nil {
-		return nil, err
-	}
-	sp.SetAttr("rows", int64(len(res.Tuples)))
-	return &QueryResult{Columns: res.Schema.Names(), Rows: res.Tuples}, nil
+	sp.SetAttr("rows", int64(len(rows)))
+	return &QueryResult{Columns: cols, Rows: rows}, nil
 }
 
 // SetDeviceLatency sets the simulated per-page device latency (no-op on

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"sync"
 
 	"corep/internal/cache"
 	"corep/internal/object"
@@ -46,25 +47,35 @@ func (d *Database) CachedUnits() int {
 // Update replaces the non-children attributes of the row with the given
 // key, in place, and invalidates every cached unit holding an I-lock on
 // the updated object (§3.2). Children attributes keep their stored
-// representation.
+// representation: their bytes are copied from the old record, read in
+// place under one leaf pin, into the new one, which is encoded in a lent
+// buffer. The old row is never decoded.
 func (r *Relation) Update(key int64, row Row) error {
-	old, err := r.Get(key)
-	if err != nil {
+	u := updateBufs.Get().(*updateBuf)
+	defer updateBufs.Put(u)
+	err := r.rel.Tree.View(key, func(old []byte) error {
+		if len(row) != len(r.schema.Fields) {
+			return fmt.Errorf("corep: %d values for %d fields", len(row), len(r.schema.Fields))
+		}
+		full := append(u.row[:0], row...)
+		defer func() { clear(full); u.row = full[:0] }()
+		for i, f := range r.schema.Fields {
+			if !r.childAttrs[f.Name] {
+				continue
+			}
+			raw, err := tuple.FieldBytes(r.schema, old, i)
+			if err != nil {
+				return err
+			}
+			full[i] = tuple.BytesVal(raw) // representation unchanged; a view, encoded below
+		}
+		if full[0].Kind != tuple.KInt || full[0].Int != key {
+			return errors.New("corep: update must keep the key")
+		}
+		var err error
+		u.rec, err = tuple.Encode(u.rec[:0], r.schema, full)
 		return err
-	}
-	if len(row) != len(old) {
-		return fmt.Errorf("corep: %d values for %d fields", len(row), len(old))
-	}
-	full := make(Row, len(old))
-	copy(full, row)
-	for name := range r.childAttrs {
-		i := r.schema.MustIndex(name)
-		full[i] = old[i] // representation unchanged
-	}
-	if full[0].Kind != tuple.KInt || full[0].Int != key {
-		return errors.New("corep: update must keep the key")
-	}
-	rec, err := tuple.Encode(nil, r.schema, full)
+	})
 	if err != nil {
 		return err
 	}
@@ -76,8 +87,18 @@ func (r *Relation) Update(key int64, row Row) error {
 	oid := object.NewOID(r.rel.ID, key)
 	r.db.core.Retire(oid)
 	locks := []object.OID{oid, relLockOID(r.rel.ID)}
-	return r.db.mutate(locks, func() error { return r.rel.Tree.Update(key, rec) })
+	return r.db.mutate(locks, func() error { return r.rel.Tree.Update(key, u.rec) })
 }
+
+// updateBuf is the row and the record Update builds a new record in.
+type updateBuf struct {
+	row Row
+	rec []byte
+}
+
+// updateBufs lends Update its updateBuf. A buffer goes back holding no
+// value: the row is cleared, the record is bytes only.
+var updateBufs = sync.Pool{New: func() any { return new(updateBuf) }}
 
 // expandCached is the expander with outside caching in front of it for
 // the representations where precomputation helps: an OID list within one
@@ -92,7 +113,7 @@ func (d *Database) expandCached(x *pql.Expander, owner OID, raw []byte, segs []s
 	if err := d.core.Relieve(); err != nil {
 		return nil, err
 	}
-	c, err := object.ParseChildren(raw)
+	c, err := object.ParseChildren(raw, nil) // a unit key outlives the call: its own list
 	if err != nil {
 		return x.Expand(owner, raw, segs, out) // the expander's error, or no children
 	}

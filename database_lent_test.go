@@ -1,0 +1,135 @@
+package corep
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// TestLentStateDoesNotLeakBetweenCalls: RetrievePath and Query run in an
+// expander and scratch lent from a pool, so one call's state is the next
+// call's starting point. The expander's memo is keyed on a schema
+// pointer: a call projecting another attribute of the same relation, or
+// a stored query bound where the last one was, finds the last call's
+// pointer there, so the memo is reset on every lend. Nothing a Query
+// returns may alias its scratch, and a call that fails midway must leave
+// nothing the next call sees.
+func TestLentStateDoesNotLeakBetweenCalls(t *testing.T) {
+	db := NewDatabase(64)
+	person, err := db.CreateRelation("person", IntField("OID"), StrField("name"), IntField("age"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oids := make([]OID, 7)
+	rows := make([]Row, 7)
+	for k := 1; k <= 6; k++ {
+		rows[k] = Row{Int(int64(k)), Str(fmt.Sprintf("p%d", k)), Int(int64(10 * k))}
+		if oids[k], err = person.Insert(rows[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grp, err := db.CreateRelation("grp", IntField("key"), StrField("label"), ChildrenField("members"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The two stored queries bind different target lists at depth 0, in
+	// different orders; group 4's names an attribute person lacks.
+	for key, c := range map[int64]Children{
+		1: OIDChildren(oids[1], oids[2]),
+		2: ProcChildren(`retrieve (person.name, person.age) where person.OID = 3`),
+		3: ProcChildren(`retrieve (person.age, person.name) where person.OID = 4`),
+		4: ProcChildren(`retrieve (person.nosuch) where person.OID = 5`),
+		5: ValueChildren(person, rows[6]),
+		6: OIDChildren(oids[5]),
+	} {
+		if _, err := grp.InsertWith(Row{Int(key), Str(fmt.Sprintf("g%d", key)), Value{}}, map[string]Children{"members": c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := "[p1 p2 p3 p4]"
+	ages := "[10 20 30 40]"
+	path := func(attr string, lo, hi int64) string {
+		t.Helper()
+		vals, err := db.RetrievePath("grp", "members", attr, lo, hi)
+		if err != nil {
+			t.Fatalf("RetrievePath %s over %d-%d: %v", attr, lo, hi, err)
+		}
+		return fmt.Sprint(vals)
+	}
+	query := func(src string) *QueryResult {
+		t.Helper()
+		res, err := db.Query(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		return res
+	}
+	column := func(res *QueryResult) string {
+		vals, _ := firstColumn(res, nil)
+		return fmt.Sprint(vals)
+	}
+
+	// (a) Another attribute along the same path: a call that ends on an
+	// OID list of person leaves the memo naming the one attribute's
+	// position in person, and the next starts on another such list; the
+	// stored queries between bind their target lists in other orders.
+	for i := 0; i < 3; i++ {
+		for _, c := range []struct{ first, then, want string }{
+			{"name", "age", ages}, {"age", "name", names},
+		} {
+			path(c.first, 5, 6)
+			if got := path(c.then, 1, 3); got != c.want {
+				t.Fatalf("RetrievePath %s after %s = %s, want %s", c.then, c.first, got, c.want)
+			}
+			query(`retrieve (grp.members.` + c.first + `) where grp.key >= 5`)
+			if got := column(query(`retrieve (grp.members.` + c.then + `) where grp.key <= 3`)); got != c.want {
+				t.Fatalf("Query %s after %s = %s, want %s", c.then, c.first, got, c.want)
+			}
+		}
+	}
+
+	// (b) A result outlives the next query, with another target list, run
+	// in the same lent scratch.
+	a := query(`retrieve (grp.label, grp.members.name) where grp.key <= 3`)
+	wantCols := []string{"grp.label", "grp.members.name"}
+	wantRows := fmt.Sprint(a.Rows)
+	if !reflect.DeepEqual(a.Columns, wantCols) || wantRows != "[(g1, p1) (g1, p2) (g2, p3) (g3, p4)]" {
+		t.Fatalf("A = %v %s", a.Columns, wantRows)
+	}
+	b := query(`retrieve (grp.members.age, grp.key) where grp.key >= 5`)
+	if fmt.Sprint(b.Columns, b.Rows) != "[grp.members.age grp.key] [(60, 5) (50, 6)]" {
+		t.Fatalf("B = %v %v", b.Columns, b.Rows)
+	}
+	c := query(`retrieve (person.age, person.name, person.OID) where person.OID >= 5`)
+	if fmt.Sprint(c.Columns, c.Rows) != "[person.age person.name person.OID] [(50, p5, 5) (60, p6, 6)]" {
+		t.Fatalf("C = %v %v", c.Columns, c.Rows)
+	}
+	if !reflect.DeepEqual(a.Columns, wantCols) || fmt.Sprint(a.Rows) != wantRows {
+		t.Fatalf("A after B and C = %v %v, want %v %s", a.Columns, a.Rows, wantCols, wantRows)
+	}
+
+	// (c) A failed call leaves nothing behind: bound midway, a stored
+	// query's scan open, an expansion half done, a parse cut short.
+	for _, bad := range []func() error{
+		func() error { _, err := db.RetrievePath("grp", "members", "name", 1, 6); return err },
+		func() error { _, err := db.Query(`retrieve (grp.members.name) where grp.key >= 2`); return err },
+		func() error { _, err := db.RetrievePath("grp", "members", "label", 1, 3); return err },
+		func() error { _, err := db.Query(`retrieve (grp.members.age, grp.nosuch)`); return err },
+		func() error { _, err := db.Query(`retrieve (person.nosuch) where person.OID = 1`); return err },
+		func() error { _, err := db.Query(`retrieve (person.name) where`); return err },
+	} {
+		if err := bad(); err == nil {
+			t.Fatal("a call over a missing attribute succeeded")
+		}
+		if got := path("name", 5, 6); got != "[p6 p5]" {
+			t.Fatalf("names after a failed call = %s", got)
+		}
+		if got := path("age", 1, 3); got != ages {
+			t.Fatalf("ages after a failed call = %s, want %s", got, ages)
+		}
+		res := query(`retrieve (grp.members.name, grp.key) where grp.key >= 5`)
+		if fmt.Sprint(res.Columns, res.Rows) != "[grp.members.name grp.key] [(p6, 5) (p5, 6)]" {
+			t.Fatalf("Query after a failed call = %v %v", res.Columns, res.Rows)
+		}
+	}
+}

@@ -103,7 +103,7 @@ func (d *Database) unitMembers(key int64) ([]OID, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := object.ParseChildren(v.Raw)
+		c, err := object.ParseChildren(v.Raw, nil)
 		if err != nil {
 			return nil, fmt.Errorf("reorganize %v.%s: %w", parent, f.Name, err)
 		}

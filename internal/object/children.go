@@ -38,18 +38,27 @@ type Children struct {
 	Nested []byte
 }
 
-// ParseChildren reads an encoded children value. Only the framing the
+// ParseChildren reads an encoded children value. An OID list is decoded
+// into the storage of oids, from its start, as AppendOIDs(oids[:0], …)
+// would: a reader that walks list after list lends one buffer, and one
+// that keeps the list passes nil and gets its own. Only the framing the
 // representation owns is checked here: the members of a value-based body
 // are walked by EachNested or DecodeNested, a stored query is parsed by
 // whoever runs it.
-func ParseChildren(raw []byte) (Children, error) {
+func ParseChildren(raw []byte, oids []OID) (Children, error) {
 	if len(raw) == 0 {
 		return Children{}, fmt.Errorf("%w: empty", ErrBadChildren)
 	}
 	switch raw[0] {
 	case TagOIDs:
-		oids, err := DecodeOIDs(raw[1:])
-		return Children{Rep: OIDs, OIDs: oids}, err
+		if oids == nil {
+			oids = make([]OID, 0, len(raw)/8)
+		}
+		oids, err := AppendOIDs(oids[:0], raw[1:])
+		if err != nil {
+			return Children{}, err
+		}
+		return Children{Rep: OIDs, OIDs: oids}, nil
 	case TagProc:
 		return Children{Rep: Procedural, Query: string(raw[1:])}, nil
 	case TagValue:

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"corep/internal/tuple"
@@ -39,7 +40,7 @@ func TestChildrenRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", c, err)
 		}
-		got, err := ParseChildren(raw)
+		got, err := ParseChildren(raw, nil)
 		if err != nil {
 			t.Fatalf("%+v: parse: %v", c, err)
 		}
@@ -60,11 +61,11 @@ func TestParseChildrenRefuses(t *testing.T) {
 		"unknown tag":     {'X', 1, 2, 3},
 		"value cut short": {TagValue, 1},
 	} {
-		if _, err := ParseChildren(raw); !errors.Is(err, ErrBadChildren) {
+		if _, err := ParseChildren(raw, nil); !errors.Is(err, ErrBadChildren) {
 			t.Errorf("%s: err = %v, want ErrBadChildren", name, err)
 		}
 	}
-	if _, err := ParseChildren([]byte{TagOIDs, 1, 2, 3}); !errors.Is(err, ErrBadOIDList) {
+	if _, err := ParseChildren([]byte{TagOIDs, 1, 2, 3}, nil); !errors.Is(err, ErrBadOIDList) {
 		t.Errorf("ragged OID list: err = %v, want ErrBadOIDList", err)
 	}
 }
@@ -75,7 +76,7 @@ func TestParseChildrenNestedIsAView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := ParseChildren(raw)
+	c, err := ParseChildren(raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +87,9 @@ func TestParseChildrenNestedIsAView(t *testing.T) {
 
 // FuzzParseChildren: arbitrary bytes never panic the parser or the walk
 // over what it returns; whatever parses encodes back to the same bytes
-// and parses again to the same value; and a damaged member count cannot
-// make DecodeNested reserve more than the value could hold.
+// and parses again to the same value, also into a lent buffer that still
+// holds an earlier list; and a damaged member count cannot make
+// DecodeNested reserve more than the value could hold.
 func FuzzParseChildren(f *testing.F) {
 	for _, c := range childrenSamples(f) {
 		raw, err := c.Encode()
@@ -102,7 +104,7 @@ func FuzzParseChildren(f *testing.F) {
 	f.Add([]byte{TagOIDs, 1})
 	f.Add([]byte{'?'})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		c, err := ParseChildren(raw)
+		c, err := ParseChildren(raw, nil)
 		if err != nil {
 			return
 		}
@@ -113,9 +115,18 @@ func FuzzParseChildren(f *testing.F) {
 		if !bytes.Equal(back, raw) {
 			t.Fatalf("encode(parse(%x)) = %x", raw, back)
 		}
-		again, err := ParseChildren(back)
+		again, err := ParseChildren(back, nil)
 		if err != nil || !reflect.DeepEqual(again, c) {
 			t.Fatalf("parse(encode(%+v)) = %+v, %v", c, again, err)
+		}
+		stale := []OID{NewOID(9, 9), NewOID(8, 8), NewOID(7, 7)}
+		lent, err := ParseChildren(raw, stale[:2])
+		if err != nil || lent.Rep != c.Rep || !slices.Equal(lent.OIDs, c.OIDs) || lent.Query != c.Query ||
+			lent.RelID != c.RelID || !bytes.Equal(lent.Nested, c.Nested) {
+			t.Fatalf("parse(%x) into a used buffer = %+v, %v; into nil %+v", raw, lent, err, c)
+		}
+		if n := len(lent.OIDs); n > 0 && n <= cap(stale) && &lent.OIDs[0] != &stale[0] {
+			t.Fatalf("a %d-OID list did not land in the lent buffer", n)
 		}
 		if c.Rep != ValueBased {
 			return

@@ -38,6 +38,22 @@ func (t Target) String() string {
 	return t.Rel + "." + t.Attr + "." + strings.Join(t.Path, ".")
 }
 
+// spells reports whether name is what String returns, without building
+// it.
+func (t Target) spells(name string) bool {
+	rest, ok := strings.CutPrefix(name, t.Rel)
+	for i := -1; ok && i < len(t.Path); i++ {
+		seg := t.Attr
+		if i >= 0 {
+			seg = t.Path[i]
+		}
+		if rest, ok = strings.CutPrefix(rest, "."); ok {
+			rest, ok = strings.CutPrefix(rest, seg)
+		}
+	}
+	return ok && rest == ""
+}
+
 // Expr is a boolean where-clause expression.
 type Expr interface {
 	exprNode()
@@ -161,14 +177,16 @@ func (q *Query) String() string {
 // Parse parses a retrieve statement.
 func Parse(src string) (*Query, error) { return new(parseScratch).parse(src) }
 
-// parseScratch is the storage a statement is parsed into: the query and
-// its expression nodes. A reader that parses one statement after another
-// — an expansion meeting stored query after stored query — keeps one and
-// parses each into it in turn, which hands the nodes of the last parse
-// out again: only a statement bigger than any before it allocates. The
-// query a parse returns lives until the next one.
+// parseScratch is the storage a statement is parsed into: the query, its
+// path segments and its expression nodes. A reader that parses one
+// statement after another — an expansion meeting stored query after
+// stored query, a lent Query scratch — keeps one and parses each into it
+// in turn, which hands the nodes of the last parse out again: only a
+// statement bigger than any before it allocates. The query a parse
+// returns lives until the next one.
 type parseScratch struct {
 	q    Query
+	segs []string // the targets' paths, one after the other
 	bins []BinBool
 	nots []Not
 	cmps []Compare
@@ -176,6 +194,7 @@ type parseScratch struct {
 
 func (sc *parseScratch) parse(src string) (*Query, error) {
 	sc.q = Query{Targets: sc.q.Targets[:0]}
+	sc.segs = sc.segs[:0]
 	sc.bins, sc.nots, sc.cmps = sc.bins[:0], sc.nots[:0], sc.cmps[:0]
 	p := parser{src: src, sc: sc}
 	p.advance()
@@ -317,14 +336,20 @@ func (p *parser) target() (Target, error) {
 	}
 	t := Target{Rel: rel.text, Attr: attr.text}
 	// Further '.' segments make a multi-dot path through children
-	// attributes (group.members.name).
+	// attributes (group.members.name). They land in the scratch's
+	// segment list; the path is its own stretch of it, capped, so the
+	// next target's segments never write into it.
+	base := len(p.sc.segs)
 	for p.peek().kind == tokDot {
 		p.next()
 		seg, err := p.expect(tokIdent, "path segment")
 		if err != nil {
 			return Target{}, err
 		}
-		t.Path = append(t.Path, seg.text)
+		p.sc.segs = append(p.sc.segs, seg.text)
+	}
+	if n := len(p.sc.segs); n > base {
+		t.Path = p.sc.segs[base:n:n]
 	}
 	return t, nil
 }

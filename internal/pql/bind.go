@@ -109,18 +109,35 @@ func (b *bound) bind(cat *catalog.Catalog, q *Query, names []string) error {
 // the last query bound here is kept when it spells the same, so binding
 // the same few target lists over and over allocates no names.
 func (b *bound) addCol(rel string, f tuple.Field, c col) {
+	name := b.nextField()
+	if len(name) != len(rel)+1+len(f.Name) || name[:len(rel)] != rel || !tuple.Named(name, f.Name) {
+		name = rel + "." + f.Name
+	}
+	b.fields[len(b.fields)-1] = tuple.Field{Name: name, Kind: f.Kind, Width: f.Width}
+	b.cols = append(b.cols, c)
+}
+
+// addPathCol appends the path column of target t, an integer until the
+// first reached leaf says what it is, under the name t is written as.
+func (b *bound) addPathCol(t Target) {
+	name := b.nextField()
+	if !t.spells(name) {
+		name = t.String()
+	}
+	b.fields[len(b.fields)-1] = tuple.Field{Name: name, Kind: tuple.KInt, Width: 8}
+	b.cols = append(b.cols, col{slot: pathSlot})
+}
+
+// nextField extends b.fields by one and returns the name that field had
+// in the last query bound here, "" if none.
+func (b *bound) nextField() string {
 	n := len(b.fields)
 	if n < cap(b.fields) {
 		b.fields = b.fields[:n+1]
 	} else {
 		b.fields = append(b.fields, tuple.Field{})
 	}
-	name := b.fields[n].Name
-	if len(name) != len(rel)+1+len(f.Name) || name[:len(rel)] != rel || !tuple.Named(name, f.Name) {
-		name = rel + "." + f.Name
-	}
-	b.fields[n] = tuple.Field{Name: name, Kind: f.Kind, Width: f.Width}
-	b.cols = append(b.cols, c)
+	return b.fields[n].Name
 }
 
 // setSchema makes the result columns the result schema.

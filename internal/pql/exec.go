@@ -3,6 +3,7 @@ package pql
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -55,50 +56,112 @@ func Execute(cat *catalog.Catalog, q *Query) (*Result, error) {
 // Execute runs a parsed query against st. This is the boundary where
 // rows leave the executor: each value is materialized here through
 // tuple.DecodeField and owns its strings and bytes. The values are
-// collected (Collect), and the rows cut out of the one slab that makes.
+// collected (Collect), and the rows cut out of the one slab that makes;
+// the result schema is a copy of the one the query was bound to.
 func (st Store) Execute(q *Query) (*Result, error) { return st.execute(q, false) }
 
 // ExecuteSources is Execute with the result's Sources filled in.
 func (st Store) ExecuteSources(q *Query) (*Result, error) { return st.execute(q, true) }
 
 func (st Store) execute(q *Query, sources bool) (*Result, error) {
+	s := sinks.Get().(*sink)
+	defer s.release()
 	res := &Result{}
-	var b *bound
-	rows := 0
-	slab, err := Collect(func(vals []tuple.Value) ([]tuple.Value, error) {
-		var err error
-		b, err = run(st, q, ExecOpts{}, new(scratch), func(b *bound) error {
-			for j := range b.cols {
-				v, err := b.col(j)
-				if err != nil {
-					return err
-				}
-				vals = append(vals, v)
-			}
-			rows++
-			if sources && b.keyed {
-				key, err := tuple.Key(b.schemas[0], b.recs[0])
-				if err != nil {
-					return err
-				}
-				res.Sources = append(res.Sources, Source{RelID: b.rels[0].ID, Key: key})
-			}
-			return nil
-		})
-		return vals, err
-	})
+	if sources {
+		s.sources = &res.Sources
+	}
+	b, rows, err := s.run(st, q)
 	if err != nil {
 		return nil, err
 	}
-	res.Schema = b.schema
-	if rows > 0 {
-		w := len(b.cols)
-		res.Tuples = make([]tuple.Tuple, rows)
-		for i := range res.Tuples {
-			res.Tuples[i] = slab[i*w : (i+1)*w : (i+1)*w]
-		}
-	}
+	res.Schema = tuple.NewSchema(slices.Clone(b.schema.Fields)...)
+	res.Tuples = rows
 	return res, nil
+}
+
+// Query parses src and runs it like Execute, in scratch lent for the
+// call, and returns the result's column names and rows. Nothing returned
+// refers to the scratch.
+func (st Store) Query(src string) (cols []string, rows []tuple.Tuple, err error) {
+	s := sinks.Get().(*sink)
+	defer s.release()
+	q, err := s.parse.parse(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	b, rows, err := s.run(st, q)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b.schema.Names(), rows, nil
+}
+
+// sink is the scratch a query runs in for a caller that collects its
+// rows, with what the collection needs: take, collect bound once, and
+// what it gathers. Sinks are lent from sinks, so a query allocates its
+// result and nothing else once one as big has run before it.
+type sink struct {
+	scratch
+	take func(*bound) error
+	vals []tuple.Value // the values of the rows so far, row after row
+	rows int
+	// sources, when set, takes the Source of every keyed row.
+	sources *[]Source
+}
+
+var sinks = sync.Pool{New: func() any {
+	s := new(sink)
+	s.take = s.collect
+	return s
+}}
+
+// release gives s back to the pool, holding no value and no result.
+func (s *sink) release() {
+	s.b.path, s.vals, s.sources = tuple.Value{}, nil, nil
+	sinks.Put(s)
+}
+
+// run runs q in s and returns the bound query, for its result schema,
+// and the rows, cut out of one slab.
+func (s *sink) run(st Store, q *Query) (*bound, []tuple.Tuple, error) {
+	var b *bound
+	s.rows = 0
+	slab, err := Collect(func(vals []tuple.Value) ([]tuple.Value, error) {
+		s.vals = vals
+		var err error
+		b, err = run(st, q, ExecOpts{}, &s.scratch, s.take)
+		vals, s.vals = s.vals, nil
+		return vals, err
+	})
+	if err != nil || s.rows == 0 {
+		return b, nil, err
+	}
+	w := len(b.cols)
+	rows := make([]tuple.Tuple, s.rows)
+	for i := range rows {
+		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	return b, rows, nil
+}
+
+// collect appends the current row's values, and its Source if asked.
+func (s *sink) collect(b *bound) error {
+	for j := range b.cols {
+		v, err := b.col(j)
+		if err != nil {
+			return err
+		}
+		s.vals = append(s.vals, v)
+	}
+	s.rows++
+	if s.sources != nil && b.keyed {
+		key, err := tuple.Key(b.schemas[0], b.recs[0])
+		if err != nil {
+			return err
+		}
+		*s.sources = append(*s.sources, Source{RelID: b.rels[0].ID, Key: key})
+	}
+	return nil
 }
 
 // Collect hands fill a pooled buffer to append values to and returns one
@@ -133,11 +196,11 @@ func putValues(buf *[]tuple.Value, vals []tuple.Value) {
 }
 
 // scratch is the storage one query runs in: its parse, its relation
-// list, the bound query and the scan of its first relation. Execute runs
-// each query in a fresh one. An Expander keeps one per expansion depth
-// and runs every stored query it meets at that depth in it, one after
-// the other, so a stored query after the first at its depth allocates
-// nothing here.
+// list, the bound query and the scan of its first relation. Execute and
+// Query run each query in a lent one (sink). An Expander keeps one per
+// expansion depth and runs every stored query it meets at that depth in
+// it, one after the other, so a stored query no bigger than one run
+// there before allocates nothing here.
 type scratch struct {
 	parse parseScratch
 	names []string

@@ -8,6 +8,7 @@ package pql
 
 import (
 	"fmt"
+	"sync"
 
 	"corep/internal/btree"
 	"corep/internal/catalog"
@@ -143,8 +144,7 @@ func runPath(st Store, q *Query, opts ExecOpts, sc *scratch, emit func(*bound) e
 	// takes the field spec of the first reached leaf.
 	for i, t := range q.Targets {
 		if i == ptIdx {
-			b.fields = append(b.fields, tuple.Field{Name: pt.String(), Kind: tuple.KInt, Width: 8})
-			b.cols = append(b.cols, col{slot: pathSlot})
+			b.addPathCol(pt)
 			continue
 		}
 		if t.All() {
@@ -173,7 +173,8 @@ func runPath(st Store, q *Query, opts ExecOpts, sc *scratch, emit func(*bound) e
 		return nil, err
 	}
 	defer scan.Close()
-	px := newExpander(st, opts, &b.schema.Fields[ptIdx])
+	px := lendExpander(st, opts, &b.schema.Fields[ptIdx])
+	defer px.Release()
 	// One root row's values collect in a pooled buffer, cleared before the
 	// next row's, so the buffer holds no strings once the scan ends.
 	buf := valueBufs.Get().(*[]tuple.Value)
@@ -245,13 +246,17 @@ type Expander struct {
 	row  func(*bound) error
 	proc procRun
 	// scratch[d] is where the stored queries met at depth d run, one
-	// after the other: only the first of them in a call allocates its
-	// parse, binding and scan.
+	// after the other, in this call and the calls the expander is lent
+	// to after it: a stored query allocates its parse, binding and scan
+	// only when it is bigger than any run there before.
 	scratch [maxPathDepth]*scratch
 	// oids[d] is where the OID lists met at depth d are decoded, one
 	// after the other: a list is fetched and its members' children
 	// values copied out before the next list at that depth is decoded.
 	oids [maxPathDepth][]object.OID
+	// segs holds the segments Expand and ExpandOIDs were handed, so the
+	// caller's list is only read.
+	segs []string
 }
 
 // procRun is what takeRow does with the rows of one stored query.
@@ -274,27 +279,50 @@ type oidFetch struct {
 	rowErr error
 }
 
-func newExpander(st Store, opts ExecOpts, leaf *tuple.Field) *Expander {
-	px := &Expander{st: st, opts: opts, leaf: leaf}
+// expanders lends expanders to one retrieval at a time, with what they
+// keep between retrievals: their bound callbacks, per-depth scratch and
+// OID buffers.
+var expanders = sync.Pool{New: func() any {
+	px := new(Expander)
 	px.take, px.row = px.takeRecord, px.takeRow
+	return px
+}}
+
+// lendExpander takes an expander from the pool for one retrieval over st.
+// Everything the last retrieval left that names its own query is reset:
+// the memo above all, whose schema key is a pointer that a lent scratch,
+// or a relation this call projects another attribute of, puts back at
+// the same address.
+func lendExpander(st Store, opts ExecOpts, leaf *tuple.Field) *Expander {
+	px := expanders.Get().(*Expander)
+	px.st, px.opts, px.leaf = st, opts, leaf
+	px.cur, px.proc = oidFetch{}, procRun{}
+	clear(px.memo[:])
 	return px
 }
 
-// Expander returns an expander over st for one retrieval.
-func (st Store) Expander() *Expander { return newExpander(st, ExecOpts{}, nil) }
+// Expander lends an expander over st for one retrieval; Release gives it
+// back.
+func (st Store) Expander() *Expander { return lendExpander(st, ExecOpts{}, nil) }
+
+// Release gives px back to the pool. Nothing it expanded refers to it:
+// the values it appended own their bytes. px must not be used after.
+func (px *Expander) Release() { expanders.Put(px) }
 
 // Expand follows segs — children attributes, then the attribute to
 // project — through raw, the encoded children value of the object owner
 // (zero for one without identity), appending the projected values to out
 // in traversal order. raw is read in place and must stay valid for the
-// call; the appended values own their bytes.
+// call; segs is only read; the appended values own their bytes.
 func (px *Expander) Expand(owner object.OID, raw []byte, segs []string, out []tuple.Value) ([]tuple.Value, error) {
-	return px.expand(owner, raw, segs, 0, out)
+	px.segs = append(px.segs[:0], segs...)
+	return px.expand(owner, raw, px.segs, 0, out)
 }
 
 // ExpandOIDs is Expand for an OID list already in hand.
 func (px *Expander) ExpandOIDs(owner object.OID, oids []object.OID, segs []string, out []tuple.Value) ([]tuple.Value, error) {
-	return px.expandOIDs(owner, oids, segs, 0, out)
+	px.segs = append(px.segs[:0], segs...)
+	return px.expandOIDs(owner, oids, px.segs, 0, out)
 }
 
 func (px *Expander) expand(owner object.OID, raw []byte, segs []string, depth int, out []tuple.Value) ([]tuple.Value, error) {
@@ -304,20 +332,15 @@ func (px *Expander) expand(owner object.OID, raw []byte, segs []string, depth in
 	if len(raw) == 0 {
 		return out, nil // no children
 	}
-	if raw[0] == object.TagOIDs {
-		oids, err := object.AppendOIDs(px.oids[depth][:0], raw[1:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrExec, err)
-		}
-		px.oids[depth] = oids
-		return px.expandOIDs(owner, oids, segs, depth, out)
-	}
-	c, err := object.ParseChildren(raw)
+	c, err := object.ParseChildren(raw, px.oids[depth])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrExec, err)
 	}
 	last := len(segs) == 1
 	switch c.Rep {
+	case object.OIDs:
+		px.oids[depth] = c.OIDs
+		return px.expandOIDs(owner, c.OIDs, segs, depth, out)
 	case object.ValueBased:
 		rel, err := px.st.Cat.ByID(c.RelID)
 		if err != nil {
