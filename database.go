@@ -304,7 +304,7 @@ func ValueChildren(shape *Relation, rows ...Row) Children {
 
 // encode serializes the value for storage in a children attribute.
 func (c Children) encode() ([]byte, error) {
-	enc := object.Children{Rep: c.rep, OIDs: c.oids, Query: c.proc}
+	enc := object.Children{Rep: c.rep, OIDs: c.oids, Query: []byte(c.proc)}
 	switch c.rep {
 	case object.Procedural:
 		if _, err := pql.Parse(c.proc); err != nil {
@@ -449,7 +449,10 @@ type Resolved struct {
 }
 
 // Resolve evaluates the children attribute attr of the object with the
-// given key.
+// given key. The value is copied out under the leaf's pin into a lent
+// buffer and read once the pin is let go, as a copy of the record would
+// be; a stored query is parsed from that buffer. The rows' strings are
+// one text (pql.Collect): keeping one keeps them all.
 func (r *Relation) Resolve(key int64, attr string) (*Resolved, error) {
 	if !r.childAttrs[attr] {
 		return nil, fmt.Errorf("corep: %s.%s is not a children attribute", r.rel.Name, attr)
@@ -458,35 +461,33 @@ func (r *Relation) Resolve(key int64, attr string) (*Resolved, error) {
 	if ai < 0 {
 		return nil, fmt.Errorf("corep: %s has no attribute %q", r.rel.Name, attr)
 	}
-	row, err := r.Get(key)
+	u := rowBufs.Get().(*rowBuf)
+	defer rowBufs.Put(u)
+	err := r.rel.Tree.View(key, func(rec []byte) error {
+		raw, err := tuple.FieldBytes(r.schema, rec, ai)
+		u.rec = append(u.rec[:0], raw...)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	c, err := object.ParseChildren(row[ai].Raw, nil)
+	c, err := object.ParseChildren(u.rec, nil)
 	if err != nil {
 		return nil, fmt.Errorf("corep: %s.%s: %w", r.rel.Name, attr, err)
 	}
 	res := &Resolved{Representation: c.Rep.String(), OIDs: c.OIDs}
 	switch c.Rep {
 	case object.Procedural:
-		q, err := pql.Parse(c.Query)
-		if err != nil {
-			return nil, err
-		}
-		stored, err := r.db.store.Execute(q)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows, res.Schema = stored.Tuples, stored.Schema.Names()
+		res.Schema, res.Rows, err = r.db.store.QueryBytes(c.Query)
 	case object.ValueBased:
-		rel, err := r.db.core.Cat.ByID(c.RelID)
-		if err != nil {
-			return nil, err
+		var rel *catalog.Relation
+		if rel, err = r.db.core.Cat.ByID(c.RelID); err == nil {
+			res.Schema = rel.Schema.Names()
+			res.Rows, err = pql.NestedRows(rel.Schema, c.Nested)
 		}
-		if res.Rows, err = object.DecodeNested(rel.Schema, c.Nested); err != nil {
-			return nil, err
-		}
-		res.Schema = rel.Schema.Names()
+	}
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -500,6 +501,10 @@ func (r *Relation) Resolve(key int64, attr string) (*Resolved, error) {
 // targetAttr in the stored query's target list. With Options.CacheUnits
 // set, units and stored-query results come from the outside cache
 // (database_cache.go); the values are the same.
+//
+// The answer is two allocations: the values, and one text their strings
+// are substrings of. Keeping any one value keeps its answer's whole
+// text; copy a string (strings.Clone) to keep it alone.
 func (d *Database) RetrievePath(relName, childrenAttr, targetAttr string, lo, hi int64) (vals []Value, err error) {
 	return d.retrievePath(relName, []string{childrenAttr, targetAttr}, lo, hi, d.core.Cache != nil)
 }
@@ -511,7 +516,7 @@ func (d *Database) RetrievePath(relName, childrenAttr, targetAttr string, lo, hi
 // through a second descent — and is handed, with the segments that
 // remain, to the expander, or with cached to expandCached in front of
 // it. The values are collected (pql.Collect): the caller gets one
-// exact-size copy of them.
+// exact-size copy of them, whose strings are one exact-size text.
 func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, cached bool) (vals []Value, err error) {
 	done := d.beginSlow("query.path")
 	defer func() { done(err) }()
@@ -535,9 +540,9 @@ func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, ca
 		defer snap.Release()
 		epoch = snap.Epoch()
 	}
-	x := d.store.Expander()
-	defer x.Release()
-	return pql.Collect(func(out []Value) ([]Value, error) {
+	return pql.Collect(func(out []Value, text *tuple.Text) ([]Value, error) {
+		x := d.store.Expander(text)
+		defer x.Release()
 		err := crel.Tree.Range(lo, hi, func(key int64, rec []byte) (bool, error) {
 			if cerr := tuple.Check(crel.Schema, rec); cerr != nil {
 				return false, cerr
@@ -580,6 +585,10 @@ type QueryResult struct {
 // Query runs a QUEL-like retrieve statement, e.g.
 //
 //	retrieve (person.name, person.age) where person.age >= 60
+//
+// The rows are cut from one slab of values whose strings are substrings
+// of one text, as RetrievePath's are: keeping any one value keeps its
+// answer's whole text.
 func (d *Database) Query(src string) (qr *QueryResult, err error) {
 	done := d.beginSlow("query.pql")
 	defer func() { done(err) }()

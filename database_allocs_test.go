@@ -9,22 +9,25 @@ import (
 	"corep/internal/testutil"
 )
 
-// TestFacadeAllocationCeiling: RetrievePath and Query allocate what
-// they return and nothing else, and Update nothing it keeps. Warm, over 6
-// and over 60 groups of one representation — and of all three in turn,
-// as the benchmark's object_api lays them out — a group may cost its
-// members' strings and, for a stored query, its text; an OID list is
-// decoded into the expander's buffer for its depth and probed with
-// lent bookkeeping, so it costs nothing more (4 objects more while the
-// list and the batch probe's group table, positions and keys were
-// allocated per group). A call costs its result: RetrievePath the one
-// copy of its values; Query that slab, its row index, its column names
-// and its QueryResult. The
-// expander, the statement's parse, binding and scan and the stored
-// queries' are lent, so a lent piece allocated afresh shows as a per-call
-// figure over the ceiling (5-29 objects more while they were made per
-// call), and a copied children value, a result grown by appends, or a
-// stored query parsed and bound afresh per group as a slope over it.
+// TestFacadeAllocationCeiling: RetrievePath, RetrievePathN, Query and
+// Resolve allocate what they return and nothing else, and Update nothing
+// it keeps. Warm, over 6 and over 60 groups of one representation — and
+// of all three in turn, as the benchmark's object_api lays them out — a
+// group costs nothing: its members' strings are staged in the answer's
+// one text (a member string each while every value owned its string), a
+// stored query is parsed from its page with the names of the last one
+// parsed at its depth (its text while it was copied first), and an OID
+// list is decoded into the expander's buffer for its depth and probed
+// with lent bookkeeping (4 objects more while the list and the batch
+// probe's group table, positions and keys were allocated per group). A
+// call costs its result: RetrievePath and RetrievePathN the one copy of
+// their values and the one text; Query that slab and text, its row
+// index, its column names and its QueryResult. The expander, the
+// statement's parse, binding and scan and the stored queries' are lent,
+// so a lent piece allocated afresh shows as a per-call figure over the
+// ceiling (5-29 objects more while they were made per call), and a
+// copied children value, a string of its own, a result grown by appends,
+// or a stored query parsed and bound afresh per group as a slope over it.
 func TestFacadeAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -55,23 +58,33 @@ func TestFacadeAllocationCeiling(t *testing.T) {
 	// Groups 0-59 list their members by OID, 100-159 store a query,
 	// 200-259 hold them inline, and 300-359 take the three in turn.
 	reps := []struct {
-		name     string
-		base     int64
-		perGroup float64 // beyond the members' strings
-		kids     func(g int) Children
+		name    string
+		base    int64
+		kids    func(g int) Children
+		resolve float64 // what Resolve allocates for one group
 	}{
-		{"OID list", 0, 0, func(g int) Children { return oidList(g * members) }},
-		{"stored query", 100, 1, func(g int) Children { return stored(g * members) }},
-		{"inline", 200, 0, func(g int) Children { return inline(g * members) }},
-		{"mixed", 300, 1.0 / 3, func(g int) Children {
+		{"OID list", 0, func(g int) Children { return oidList(g * members) }, 2},
+		{"stored query", 100, func(g int) Children { return stored(g * members) }, 5},
+		{"inline", 200, func(g int) Children { return inline(g * members) }, 5},
+		{"mixed", 300, func(g int) Children {
 			return []func(int) Children{oidList, stored, inline}[g%3](g * members)
-		}},
+		}, 4},
+	}
+	// Shelf k lists group k by OID: a three-level path reaches every
+	// group's members through one more OID list.
+	shelf, err := db.CreateRelation("shelf", IntField("OID"), ChildrenField("grps"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, rep := range reps {
 		for g := 0; g < groups; g++ {
 			key := rep.base + int64(g)
 			c := map[string]Children{"members": rep.kids(g)}
-			if _, err := grp.InsertWith(Row{Int(key), Str(fmt.Sprintf("g%d", key)), Value{}}, c); err != nil {
+			oid, err := grp.InsertWith(Row{Int(key), Str(fmt.Sprintf("g%d", key)), Value{}}, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := shelf.InsertWith(Row{Int(key), Value{}}, map[string]Children{"grps": OIDChildren(oid)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -83,13 +96,20 @@ func TestFacadeAllocationCeiling(t *testing.T) {
 		setUp float64 // per call, whatever the width
 		call  func(lo, hi int64) func() (int, error)
 	}{
-		{"RetrievePath", 1, func(lo, hi int64) func() (int, error) {
+		{"RetrievePath", 2, func(lo, hi int64) func() (int, error) {
 			return func() (int, error) {
 				vals, err := db.RetrievePath("grp", "members", "name", lo, hi)
 				return len(vals), err
 			}
 		}},
-		{"Query", 4, func(lo, hi int64) func() (int, error) {
+		{"RetrievePathN, three levels", 2, func(lo, hi int64) func() (int, error) {
+			attrs := []string{"grps", "members", "name"}
+			return func() (int, error) {
+				vals, err := db.RetrievePathN("shelf", attrs, lo, hi)
+				return len(vals), err
+			}
+		}},
+		{"Query", 5, func(lo, hi int64) func() (int, error) {
 			src := fmt.Sprintf(`retrieve (grp.members.name) where grp.OID >= %d and grp.OID <= %d`, lo, hi)
 			return func() (int, error) {
 				res, err := db.Query(src)
@@ -120,10 +140,31 @@ func TestFacadeAllocationCeiling(t *testing.T) {
 			// more over the wider call reads as a fraction per group; a
 			// per-group allocation reads as a whole one, and a per-call
 			// one as a whole one more per call.
-			if slope > members+rep.perGroup+0.5 || fixed > form.setUp+0.5 {
-				t.Errorf("%s over %s groups allocates %.0f objects for 6 groups and %.0f for %d: %.1f per group (ceiling %.1f), %.1f per call (ceiling %.0f)",
-					form.name, rep.name, few, many, groups, slope, members+rep.perGroup, fixed, form.setUp)
+			if slope > 0.5 || fixed > form.setUp+0.5 {
+				t.Errorf("%s over %s groups allocates %.0f objects for 6 groups and %.0f for %d: %.1f per group (ceiling 0), %.1f per call (ceiling %.0f)",
+					form.name, rep.name, few, many, groups, slope, fixed, form.setUp)
 			}
+		}
+	}
+	// Resolve reads the children value in place and allocates its answer:
+	// the Resolved, and an OID list's own copy or the rows' slab, row
+	// index, one text and column names (6 objects for an OID list, 21-22
+	// for five members while it decoded the whole row and parsed a stored
+	// query afresh).
+	for _, rep := range reps {
+		g := 0
+		resolve := func() {
+			g = (g + 1) % groups
+			res, err := grp.Resolve(rep.base+int64(g), "members")
+			if err != nil || len(res.OIDs)+len(res.Rows) != members {
+				t.Fatalf("Resolve of %s group %d: %+v, %v", rep.name, g, res, err)
+			}
+		}
+		resolve()
+		n := testing.AllocsPerRun(3*groups, resolve)
+		t.Logf("Resolve over %s: %.1f objects per call", rep.name, n)
+		if n > rep.resolve {
+			t.Errorf("Resolve over %s allocates %.1f objects per call (ceiling %.0f)", rep.name, n, rep.resolve)
 		}
 	}
 	// A warm Update reads the old record in place and encodes the new

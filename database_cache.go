@@ -51,8 +51,8 @@ func (d *Database) CachedUnits() int {
 // place under one leaf pin, into the new one, which is encoded in a lent
 // buffer. The old row is never decoded.
 func (r *Relation) Update(key int64, row Row) error {
-	u := updateBufs.Get().(*updateBuf)
-	defer updateBufs.Put(u)
+	u := rowBufs.Get().(*rowBuf)
+	defer rowBufs.Put(u)
 	err := r.rel.Tree.View(key, func(old []byte) error {
 		if len(row) != len(r.schema.Fields) {
 			return fmt.Errorf("corep: %d values for %d fields", len(row), len(r.schema.Fields))
@@ -90,15 +90,17 @@ func (r *Relation) Update(key int64, row Row) error {
 	return r.db.mutate(locks, func() error { return r.rel.Tree.Update(key, u.rec) })
 }
 
-// updateBuf is the row and the record Update builds a new record in.
-type updateBuf struct {
+// rowBuf is the scratch of a call on one stored row: the row and the
+// record Update builds a new record in, and in rec the children value
+// Resolve reads.
+type rowBuf struct {
 	row Row
 	rec []byte
 }
 
-// updateBufs lends Update its updateBuf. A buffer goes back holding no
-// value: the row is cleared, the record is bytes only.
-var updateBufs = sync.Pool{New: func() any { return new(updateBuf) }}
+// rowBufs lends Update and Resolve their rowBuf. A buffer goes back
+// holding no value: the row is cleared, the record is bytes only.
+var rowBufs = sync.Pool{New: func() any { return new(rowBuf) }}
 
 // expandCached is the expander with outside caching in front of it for
 // the representations where precomputation helps: an OID list within one
@@ -126,7 +128,7 @@ func (d *Database) expandCached(x *pql.Expander, owner OID, raw []byte, segs []s
 		d.core.Touch(int64(owner))
 		rows, schema, err = d.cachedUnit(c.OIDs, epoch)
 	case c.Rep == object.Procedural && d.cacheMode == CacheOIDs:
-		oids, res, err := d.cachedProcOIDs(c.Query)
+		oids, res, err := d.cachedProcOIDs(string(c.Query))
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +137,7 @@ func (d *Database) expandCached(x *pql.Expander, owner OID, raw []byte, segs []s
 		}
 		rows, schema = res.Tuples, res.Schema
 	case c.Rep == object.Procedural:
-		rows, schema, err = d.cachedProc(c.Query, epoch)
+		rows, schema, err = d.cachedProc(string(c.Query), epoch)
 	default:
 		return x.Expand(owner, raw, segs, out)
 	}
@@ -258,7 +260,8 @@ func (d *Database) relLocks(q *pql.Query) []object.OID {
 // objects the last one reaches. Every level may use any of the three
 // representations, as in the same path written as a Query. Like Query,
 // it reads no cache: the outside cache holds one level's units, and
-// only RetrievePath consults it.
+// only RetrievePath consults it. Its answer is RetrievePath's: the values
+// and one text, which any one value kept keeps whole.
 func (d *Database) RetrievePathN(relName string, attrs []string, lo, hi int64) ([]Value, error) {
 	if len(attrs) < 2 {
 		return nil, errors.New("corep: RetrievePathN needs at least one children attribute and a target")

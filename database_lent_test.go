@@ -1,9 +1,15 @@
 package corep
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+
+	"corep/internal/testutil"
+	"corep/internal/tuple"
 )
 
 // TestLentStateDoesNotLeakBetweenCalls: RetrievePath and Query run in an
@@ -132,4 +138,142 @@ func TestLentStateDoesNotLeakBetweenCalls(t *testing.T) {
 			t.Fatalf("Query after a failed call = %v %v", res.Columns, res.Rows)
 		}
 	}
+}
+
+// TestAnswerTextOutlivesLaterCalls: the strings of a RetrievePath,
+// RetrievePathN, Query or Resolve answer are substrings of one text,
+// staged while the call collects in a buffer lent to that call and
+// copied out once at its end. Answers over mixed groups — an OID list,
+// inline members, a stored query, and the same reached two levels down —
+// held while 200 more calls run on the same database (stored queries,
+// calls that fail midway, and a concurrent client doing the same) keep
+// exactly what deep copies taken at once hold, and no value any call
+// returns is still staged.
+func TestAnswerTextOutlivesLaterCalls(t *testing.T) {
+	db := buildMixedDB(t, Options{BufferPages: 64})
+	grp, err := db.Relation("grp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := func(res *QueryResult, err error) ([]Value, error) {
+		if err != nil {
+			return nil, err
+		}
+		var out []Value
+		for _, r := range res.Rows {
+			out = append(out, r...)
+		}
+		return out, nil
+	}
+	resolved := func(key int64) func() ([]Value, error) {
+		return func() ([]Value, error) {
+			res, err := grp.Resolve(key, "members")
+			if err != nil {
+				return nil, err
+			}
+			var out []Value
+			for _, r := range res.Rows {
+				out = append(out, r...)
+			}
+			return out, nil
+		}
+	}
+	type form struct {
+		name string
+		get  func() ([]Value, error)
+		ok   bool // whether the call succeeds
+	}
+	held := []form{
+		{"RetrievePath", func() ([]Value, error) { return db.RetrievePath("grp", "members", "name", 1, 3) }, true},
+		{"RetrievePathN", func() ([]Value, error) {
+			return db.RetrievePathN("shelf", []string{"grps", "members", "name"}, 1, 1)
+		}, true},
+		{"Query", func() ([]Value, error) {
+			return cells(db.Query(`retrieve (grp.label, grp.members.name, grp.key) where grp.key <= 3`))
+		}, true},
+		{"Resolve, inline", resolved(2), true},
+		{"Resolve, stored query", resolved(3), true},
+	}
+	later := append(held[:len(held):len(held)],
+		form{"RetrievePath, another attribute", func() ([]Value, error) { return db.RetrievePath("grp", "members", "val", 1, 3) }, true},
+		form{"Query, a stored query's own text", func() ([]Value, error) {
+			return cells(db.Query(`retrieve (part.name, part.val) where part.OID >= 200 and part.OID <= 260 and part.val = 2050`))
+		}, true},
+		form{"Query, stored query only", func() ([]Value, error) {
+			return cells(db.Query(`retrieve (grp.members.name, grp.label) where grp.key = 3`))
+		}, true},
+		form{"RetrievePath, a dangling OID", func() ([]Value, error) { return db.RetrievePath("grp", "members", "name", 1, 4) }, false},
+		form{"Query, a dangling OID", func() ([]Value, error) {
+			return cells(db.Query(`retrieve (grp.label, grp.members.name) where grp.key >= 2`))
+		}, false},
+		form{"Query, no such attribute", func() ([]Value, error) {
+			return cells(db.Query(`retrieve (grp.members.nosuch) where grp.key <= 3`))
+		}, false},
+	)
+	copyOf := func(vals []Value) []Value {
+		out := make([]Value, len(vals))
+		for i, v := range vals {
+			out[i] = Value{Kind: v.Kind, Int: v.Int, Str: strings.Clone(v.Str), Raw: bytes.Clone(v.Raw)}
+		}
+		return out
+	}
+	// call runs f and checks what it returns: nothing staged, and an
+	// error exactly where one is due.
+	call := func(f form) ([]Value, error) {
+		vals, err := f.get()
+		if (err == nil) != f.ok {
+			return nil, fmt.Errorf("%s: err = %v", f.name, err)
+		}
+		for i, v := range vals {
+			// No value of this database is an empty string.
+			if tuple.Staged(v) || v.Kind == tuple.KString && v.Str == "" {
+				return nil, fmt.Errorf("%s: value %d is still staged: %+v", f.name, i, v)
+			}
+		}
+		return vals, nil
+	}
+	answers := make([][]Value, len(held))
+	copies := make([][]Value, len(held))
+	for i, f := range held {
+		vals, err := call(f)
+		if err != nil || len(vals) == 0 {
+			t.Fatalf("%s: %d values, %v", f.name, len(vals), err)
+		}
+		answers[i], copies[i] = vals, copyOf(vals)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; ; r++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			f := later[r%len(later)]
+			if _, err := call(f); err != nil {
+				t.Error("concurrent client:", err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 200; r++ {
+		if _, err := call(later[(r*7)%len(later)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	for i, f := range held {
+		if !reflect.DeepEqual(answers[i], copies[i]) {
+			t.Errorf("%s after 200 more calls:\n got %v\nwant %v", f.name, answers[i], copies[i])
+		}
+		again, err := call(f)
+		if err != nil || !reflect.DeepEqual(again, copies[i]) {
+			t.Errorf("%s again = %v, %v; first %v", f.name, again, err, copies[i])
+		}
+	}
+	testutil.AssertNoLeaks(t, db.core.Pool)
 }

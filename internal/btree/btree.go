@@ -12,11 +12,13 @@
 package btree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"corep/internal/buffer"
 	"corep/internal/disk"
@@ -493,6 +495,9 @@ func (t *Tree) visit(key int64, write bool, fn func(payload []byte) error) error
 	return nil
 }
 
+// batchOrders lends GetBatch the buffer it sorts a batch's positions in.
+var batchOrders = sync.Pool{New: func() any { return new([]int) }}
+
 // GetBatch fetches the payloads of many keys in one page-ordered pass.
 // Keys are visited in ascending key order regardless of input order;
 // consecutive keys that land on the same leaf share a single pin, so a
@@ -520,15 +525,20 @@ func (t *Tree) GetBatch(keys []int64, fn func(i int, payload []byte) error) erro
 		}
 		return nil
 	}
-	order := make([]int, len(keys))
+	// The visiting order, (key, position) ascending, is sorted in a lent
+	// buffer: a batch allocates nothing of its own.
+	buf := batchOrders.Get().(*[]int)
+	defer batchOrders.Put(buf)
+	order := slices.Grow((*buf)[:0], len(keys))[:len(keys)]
+	*buf = order
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if keys[order[a]] != keys[order[b]] {
-			return keys[order[a]] < keys[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 
 	var (

@@ -29,8 +29,10 @@ type Children struct {
 	Rep Primary
 	// OIDs lists the subobjects (Rep == OIDs).
 	OIDs []OID
-	// Query is the stored retrieve query (Rep == Procedural).
-	Query string
+	// Query is the stored retrieve query's text (Rep == Procedural) —
+	// after ParseChildren a view into the parsed value, which a reader
+	// that keeps the text copies.
+	Query []byte
 	// RelID names the relation whose schema the inline members follow and
 	// Nested is their EncodeNested body — after ParseChildren a view into
 	// the parsed value (Rep == ValueBased).
@@ -41,10 +43,11 @@ type Children struct {
 // ParseChildren reads an encoded children value. An OID list is decoded
 // into the storage of oids, from its start, as AppendOIDs(oids[:0], …)
 // would: a reader that walks list after list lends one buffer, and one
-// that keeps the list passes nil and gets its own. Only the framing the
-// representation owns is checked here: the members of a value-based body
-// are walked by EachNested or DecodeNested, a stored query is parsed by
-// whoever runs it.
+// that keeps the list passes nil and gets its own. A stored query and
+// inline members are views into raw, read where they stand. Only the
+// framing the representation owns is checked here: the members of a
+// value-based body are walked by EachNested or DecodeNested, a stored
+// query is parsed by whoever runs it.
 func ParseChildren(raw []byte, oids []OID) (Children, error) {
 	if len(raw) == 0 {
 		return Children{}, fmt.Errorf("%w: empty", ErrBadChildren)
@@ -60,7 +63,7 @@ func ParseChildren(raw []byte, oids []OID) (Children, error) {
 		}
 		return Children{Rep: OIDs, OIDs: oids}, nil
 	case TagProc:
-		return Children{Rep: Procedural, Query: string(raw[1:])}, nil
+		return Children{Rep: Procedural, Query: raw[1:len(raw):len(raw)]}, nil
 	case TagValue:
 		if len(raw) < 3 {
 			return Children{}, fmt.Errorf("%w: value-based children cut short", ErrBadChildren)

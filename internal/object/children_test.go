@@ -27,8 +27,8 @@ func childrenSamples(t testing.TB) []Children {
 	return []Children{
 		{Rep: OIDs, OIDs: []OID{NewOID(3, 7), NewOID(4, 1), NewOID(3, MaxKey)}},
 		{Rep: OIDs, OIDs: []OID{}},
-		{Rep: Procedural, Query: `retrieve (person.name) where person.age >= 60`},
-		{Rep: Procedural},
+		{Rep: Procedural, Query: []byte(`retrieve (person.name) where person.age >= 60`)},
+		{Rep: Procedural, Query: []byte{}},
 		{Rep: ValueBased, RelID: 0x1234, Nested: nested},
 		{Rep: ValueBased, RelID: 1, Nested: []byte{}},
 	}
@@ -70,9 +70,11 @@ func TestParseChildrenRefuses(t *testing.T) {
 	}
 }
 
-// TestParseChildrenNestedIsAView: the inline members are not copied.
+// TestParseChildrenNestedIsAView: the inline members and a stored query
+// are not copied.
 func TestParseChildrenNestedIsAView(t *testing.T) {
-	raw, err := childrenSamples(t)[4].Encode()
+	samples := childrenSamples(t)
+	raw, err := samples[4].Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +85,23 @@ func TestParseChildrenNestedIsAView(t *testing.T) {
 	if &c.Nested[0] != &raw[3] {
 		t.Fatal("Nested is not a view into the parsed value")
 	}
+	if raw, err = samples[2].Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if c, err = ParseChildren(raw, nil); err != nil {
+		t.Fatal(err)
+	}
+	if &c.Query[0] != &raw[1] || cap(c.Query) != len(c.Query) {
+		t.Fatal("Query is not a capped view into the parsed value")
+	}
 }
 
 // FuzzParseChildren: arbitrary bytes never panic the parser or the walk
 // over what it returns; whatever parses encodes back to the same bytes
 // and parses again to the same value, also into a lent buffer that still
-// holds an earlier list; and a damaged member count cannot make
-// DecodeNested reserve more than the value could hold.
+// holds an earlier list; a stored query is a capped view into the value,
+// never a copy; and a damaged member count cannot make DecodeNested
+// reserve more than the value could hold.
 func FuzzParseChildren(f *testing.F) {
 	for _, c := range childrenSamples(f) {
 		raw, err := c.Encode()
@@ -121,12 +133,16 @@ func FuzzParseChildren(f *testing.F) {
 		}
 		stale := []OID{NewOID(9, 9), NewOID(8, 8), NewOID(7, 7)}
 		lent, err := ParseChildren(raw, stale[:2])
-		if err != nil || lent.Rep != c.Rep || !slices.Equal(lent.OIDs, c.OIDs) || lent.Query != c.Query ||
+		if err != nil || lent.Rep != c.Rep || !slices.Equal(lent.OIDs, c.OIDs) || !bytes.Equal(lent.Query, c.Query) ||
 			lent.RelID != c.RelID || !bytes.Equal(lent.Nested, c.Nested) {
 			t.Fatalf("parse(%x) into a used buffer = %+v, %v; into nil %+v", raw, lent, err, c)
 		}
 		if n := len(lent.OIDs); n > 0 && n <= cap(stale) && &lent.OIDs[0] != &stale[0] {
 			t.Fatalf("a %d-OID list did not land in the lent buffer", n)
+		}
+		if c.Rep == Procedural && (len(c.Query) != len(raw)-1 || cap(c.Query) != len(c.Query) ||
+			len(c.Query) > 0 && &c.Query[0] != &raw[1]) {
+			t.Fatalf("stored query of %x is not a capped view into it", raw)
 		}
 		if c.Rep != ValueBased {
 			return

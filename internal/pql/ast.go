@@ -175,32 +175,40 @@ func (q *Query) String() string {
 }
 
 // Parse parses a retrieve statement.
-func Parse(src string) (*Query, error) { return new(parseScratch).parse(src) }
+func Parse(src string) (*Query, error) { return parse(new(parseScratch), src) }
 
 // parseScratch is the storage a statement is parsed into: the query, its
-// path segments and its expression nodes. A reader that parses one
-// statement after another — an expansion meeting stored query after
-// stored query, a lent Query scratch — keeps one and parses each into it
-// in turn, which hands the nodes of the last parse out again: only a
-// statement bigger than any before it allocates. The query a parse
-// returns lives until the next one.
+// path segments, its expression nodes and its identifiers. A reader that
+// parses one statement after another — an expansion meeting stored query
+// after stored query, a lent Query scratch — keeps one and parses each
+// into it in turn, which hands the nodes of the last parse out again:
+// only a statement bigger than any before it allocates. The query a
+// parse returns lives until the next one.
 type parseScratch struct {
 	q    Query
 	segs []string // the targets' paths, one after the other
 	bins []BinBool
 	nots []Not
 	cmps []Compare
+	// idents[k] is the k-th identifier of the last parse. A parse from
+	// bytes takes it again for its own k-th identifier when it spells the
+	// same, so a stored query read off a page allocates no names once a
+	// query of its shape has been parsed here.
+	idents []string
 }
 
-func (sc *parseScratch) parse(src string) (*Query, error) {
+// parse parses src into sc, from a string or straight from the bytes of
+// a stored children value: no text is copied but what a string constant
+// holds and an identifier the last parse did not have at its position.
+func parse[S string | []byte](sc *parseScratch, src S) (*Query, error) {
 	sc.q = Query{Targets: sc.q.Targets[:0]}
 	sc.segs = sc.segs[:0]
 	sc.bins, sc.nots, sc.cmps = sc.bins[:0], sc.nots[:0], sc.cmps[:0]
-	p := parser{src: src, sc: sc}
+	p := parser[S]{src: src, sc: sc}
 	p.advance()
 	q, err := p.query()
 	if err == nil && p.tok.kind != tokEOF {
-		err = fmt.Errorf("pql: trailing input at %s", p.tok)
+		err = fmt.Errorf("pql: trailing input at %s", p.describe(p.tok))
 	}
 	if err != nil {
 		// A character the lexer rejects anywhere in the statement is the
@@ -220,14 +228,15 @@ func (sc *parseScratch) parse(src string) (*Query, error) {
 
 // parser reads tokens off src as the grammar asks for them, one token of
 // lookahead in tok.
-type parser struct {
-	src string
+type parser[S string | []byte] struct {
+	src S
 	off int   // where the token after tok starts
 	tok token // the lookahead
 	// lexErr is the first lexing failure; the token stream reads as ended
 	// from there on.
 	lexErr error
 	sc     *parseScratch // where the query and its nodes are built
+	nident int           // identifiers read so far
 }
 
 // grab hands out the next element of *s, zeroed. A full slice is
@@ -244,52 +253,96 @@ func grab[T any](s *[]T) *T {
 	return e
 }
 
-func (p *parser) binBool(op string, l, r Expr) Expr {
+func (p *parser[S]) binBool(op string, l, r Expr) Expr {
 	n := grab(&p.sc.bins)
 	*n = BinBool{Op: op, L: l, R: r}
 	return n
 }
 
-func (p *parser) not(e Expr) Expr {
+func (p *parser[S]) not(e Expr) Expr {
 	n := grab(&p.sc.nots)
 	n.E = e
 	return n
 }
 
-func (p *parser) compare(op string, l, r Operand) Expr {
+func (p *parser[S]) compare(op string, l, r Operand) Expr {
 	n := grab(&p.sc.cmps)
 	*n = Compare{Op: op, L: l, R: r}
 	return n
 }
 
-func (p *parser) advance() {
+func (p *parser[S]) advance() {
 	if p.lexErr != nil {
 		return
 	}
 	p.tok, p.off, p.lexErr = lexAt(p.src, p.off)
 	if p.lexErr != nil {
-		p.tok = token{kind: tokEOF, pos: p.off}
+		p.tok = token{kind: tokEOF}
 	}
 }
 
-func (p *parser) peek() token { return p.tok }
+func (p *parser[S]) peek() token { return p.tok }
 
-func (p *parser) next() token {
+func (p *parser[S]) next() token {
 	t := p.tok
 	p.advance()
 	return t
 }
 
-func (p *parser) expect(kind tokKind, what string) (token, error) {
+// text is t's text, where it stands in the source.
+func (p *parser[S]) text(t token) S { return p.src[t.lo:t.hi] }
+
+// describe renders t for an error message.
+func (p *parser[S]) describe(t token) string {
+	if t.kind == tokEOF {
+		return "end of query"
+	}
+	return fmt.Sprintf("%q", string(p.text(t)))
+}
+
+// isKeyword reports whether t is the identifier kw, in any case.
+func (p *parser[S]) isKeyword(t token, kw string) bool {
+	return t.kind == tokIdent && keyword(p.text(t), kw)
+}
+
+// ident is identifier t as a string: the one the last parse into the
+// scratch read at the same position when it spells the same — the idiom
+// of bound.addCol — else a copy, remembered there for the next parse.
+func (p *parser[S]) ident(t token) string {
+	text, ids, k := p.text(t), &p.sc.idents, p.nident
+	p.nident++
+	if k < len(*ids) && (*ids)[k] == string(text) {
+		return (*ids)[k]
+	}
+	s := string(text)
+	if k < len(*ids) {
+		(*ids)[k] = s
+	} else {
+		*ids = append(*ids, s)
+	}
+	return s
+}
+
+// op is comparison operator t as one of operators.
+func (p *parser[S]) op(t token) string {
+	for _, op := range operators {
+		if string(p.text(t)) == op {
+			return op
+		}
+	}
+	panic("pql: lexer made an operator token of " + string(p.text(t)))
+}
+
+func (p *parser[S]) expect(kind tokKind, what string) (token, error) {
 	t := p.next()
 	if t.kind != kind {
-		return t, fmt.Errorf("pql: expected %s, got %s", what, t)
+		return t, fmt.Errorf("pql: expected %s, got %s", what, p.describe(t))
 	}
 	return t, nil
 }
 
-func (p *parser) query() (*Query, error) {
-	if !isKeyword(p.next(), "retrieve") {
+func (p *parser[S]) query() (*Query, error) {
+	if !p.isKeyword(p.next(), "retrieve") {
 		return nil, fmt.Errorf("pql: query must start with 'retrieve'")
 	}
 	if _, err := p.expect(tokLParen, "'('"); err != nil {
@@ -311,7 +364,7 @@ func (p *parser) query() (*Query, error) {
 	if _, err := p.expect(tokRParen, "')'"); err != nil {
 		return nil, err
 	}
-	if isKeyword(p.peek(), "where") {
+	if p.isKeyword(p.peek(), "where") {
 		p.next()
 		e, err := p.orExpr()
 		if err != nil {
@@ -322,7 +375,7 @@ func (p *parser) query() (*Query, error) {
 	return q, nil
 }
 
-func (p *parser) target() (Target, error) {
+func (p *parser[S]) target() (Target, error) {
 	rel, err := p.expect(tokIdent, "relation name")
 	if err != nil {
 		return Target{}, err
@@ -334,7 +387,7 @@ func (p *parser) target() (Target, error) {
 	if err != nil {
 		return Target{}, err
 	}
-	t := Target{Rel: rel.text, Attr: attr.text}
+	t := Target{Rel: p.ident(rel), Attr: p.ident(attr)}
 	// Further '.' segments make a multi-dot path through children
 	// attributes (group.members.name). They land in the scratch's
 	// segment list; the path is its own stretch of it, capped, so the
@@ -346,7 +399,7 @@ func (p *parser) target() (Target, error) {
 		if err != nil {
 			return Target{}, err
 		}
-		p.sc.segs = append(p.sc.segs, seg.text)
+		p.sc.segs = append(p.sc.segs, p.ident(seg))
 	}
 	if n := len(p.sc.segs); n > base {
 		t.Path = p.sc.segs[base:n:n]
@@ -354,12 +407,12 @@ func (p *parser) target() (Target, error) {
 	return t, nil
 }
 
-func (p *parser) orExpr() (Expr, error) {
+func (p *parser[S]) orExpr() (Expr, error) {
 	l, err := p.andExpr()
 	if err != nil {
 		return nil, err
 	}
-	for isKeyword(p.peek(), "or") {
+	for p.isKeyword(p.peek(), "or") {
 		p.next()
 		r, err := p.andExpr()
 		if err != nil {
@@ -370,12 +423,12 @@ func (p *parser) orExpr() (Expr, error) {
 	return l, nil
 }
 
-func (p *parser) andExpr() (Expr, error) {
+func (p *parser[S]) andExpr() (Expr, error) {
 	l, err := p.primary()
 	if err != nil {
 		return nil, err
 	}
-	for isKeyword(p.peek(), "and") {
+	for p.isKeyword(p.peek(), "and") {
 		p.next()
 		r, err := p.primary()
 		if err != nil {
@@ -386,8 +439,8 @@ func (p *parser) andExpr() (Expr, error) {
 	return l, nil
 }
 
-func (p *parser) primary() (Expr, error) {
-	if isKeyword(p.peek(), "not") {
+func (p *parser[S]) primary() (Expr, error) {
+	if p.isKeyword(p.peek(), "not") {
 		p.next()
 		e, err := p.primary()
 		if err != nil {
@@ -418,10 +471,10 @@ func (p *parser) primary() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.compare(op.text, l, r), nil
+	return p.compare(p.op(op), l, r), nil
 }
 
-func (p *parser) operand() (Operand, error) {
+func (p *parser[S]) operand() (Operand, error) {
 	t := p.next()
 	switch t.kind {
 	case tokIdent:
@@ -432,16 +485,16 @@ func (p *parser) operand() (Operand, error) {
 		if err != nil {
 			return Operand{}, err
 		}
-		return Operand{Rel: t.text, Attr: attr.text}, nil
+		return Operand{Rel: p.ident(t), Attr: p.ident(attr)}, nil
 	case tokNumber:
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return Operand{}, fmt.Errorf("pql: bad number %q", t.text)
+		n, ok := number(p.text(t))
+		if !ok {
+			return Operand{}, fmt.Errorf("pql: bad number %s", p.describe(t))
 		}
 		return Operand{Num: n}, nil
 	case tokString:
-		return Operand{IsStr: true, Str: t.text}, nil
+		return Operand{IsStr: true, Str: string(p.text(t))}, nil
 	default:
-		return Operand{}, fmt.Errorf("pql: expected operand, got %s", t)
+		return Operand{}, fmt.Errorf("pql: expected operand, got %s", p.describe(t))
 	}
 }

@@ -4,8 +4,8 @@ package pql
 // resolved once — relations to slots, attributes to field indexes and
 // kinds, comparison operators to opcodes — so evaluating a row touches
 // no map, no catalog latch and no string. Rows stay encoded: a value is
-// materialized, through tuple.DecodeField, only for a field the
-// predicate or the target list references.
+// materialized only for a field the predicate (tuple.DecodeField) or the
+// target list (tuple.Text.Field, into the answer's text) references.
 
 import (
 	"fmt"
@@ -18,7 +18,7 @@ import (
 // relation currently stands on. A record is a view into the pinned leaf
 // of the scan or probe that produced it, valid until that operator moves
 // on, so nothing downstream keeps one; what outlives the row is copied
-// out of it by DecodeField.
+// out of it, into a value or the answer's text.
 type row struct {
 	schemas [2]*tuple.Schema
 	recs    [2][]byte
@@ -58,13 +58,24 @@ type bound struct {
 	path tuple.Value
 }
 
-// col materializes result column j of the current row.
-func (b *bound) col(j int) (tuple.Value, error) {
+// col materializes result column j of the current row, for the answer
+// whose text is text: a character value is staged there.
+func (b *bound) col(j int, text *tuple.Text) (tuple.Value, error) {
 	c := b.cols[j]
 	if c.slot == pathSlot {
 		return b.path, nil
 	}
-	return b.value(c)
+	return text.Field(b.schemas[c.slot], b.recs[c.slot], c.idx)
+}
+
+// colBytes is the body of byte column j of the current row, as a view
+// into the record, valid while the row is.
+func (b *bound) colBytes(j int) ([]byte, error) {
+	c := b.cols[j]
+	if c.slot == pathSlot {
+		return b.path.Raw, nil
+	}
+	return tuple.FieldBytes(b.schemas[c.slot], b.recs[c.slot], c.idx)
 }
 
 // slotOf returns the slot of relation name, or -1.

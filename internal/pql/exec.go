@@ -54,10 +54,10 @@ func Execute(cat *catalog.Catalog, q *Query) (*Result, error) {
 }
 
 // Execute runs a parsed query against st. This is the boundary where
-// rows leave the executor: each value is materialized here through
-// tuple.DecodeField and owns its strings and bytes. The values are
-// collected (Collect), and the rows cut out of the one slab that makes;
-// the result schema is a copy of the one the query was bound to.
+// rows leave the executor: the values are collected (Collect), so their
+// strings are substrings of the result's one text and their bytes their
+// own, and the rows are cut out of the one slab that makes; the result
+// schema is a copy of the one the query was bound to.
 func (st Store) Execute(q *Query) (*Result, error) { return st.execute(q, false) }
 
 // ExecuteSources is Execute with the result's Sources filled in.
@@ -83,9 +83,19 @@ func (st Store) execute(q *Query, sources bool) (*Result, error) {
 // call, and returns the result's column names and rows. Nothing returned
 // refers to the scratch.
 func (st Store) Query(src string) (cols []string, rows []tuple.Tuple, err error) {
+	return query(st, src)
+}
+
+// QueryBytes is Query for a statement held in bytes — a stored query
+// read off its page — which is parsed where it stands, not copied.
+func (st Store) QueryBytes(src []byte) (cols []string, rows []tuple.Tuple, err error) {
+	return query(st, src)
+}
+
+func query[S string | []byte](st Store, src S) (cols []string, rows []tuple.Tuple, err error) {
 	s := sinks.Get().(*sink)
 	defer s.release()
-	q, err := s.parse.parse(src)
+	q, err := parse(&s.parse, src)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,7 +114,7 @@ type sink struct {
 	scratch
 	take func(*bound) error
 	vals []tuple.Value // the values of the rows so far, row after row
-	rows int
+	text *tuple.Text   // where their strings are staged
 	// sources, when set, takes the Source of every keyed row.
 	sources *[]Source
 }
@@ -125,35 +135,69 @@ func (s *sink) release() {
 // and the rows, cut out of one slab.
 func (s *sink) run(st Store, q *Query) (*bound, []tuple.Tuple, error) {
 	var b *bound
-	s.rows = 0
-	slab, err := Collect(func(vals []tuple.Value) ([]tuple.Value, error) {
-		s.vals = vals
+	slab, err := Collect(func(vals []tuple.Value, text *tuple.Text) ([]tuple.Value, error) {
+		s.vals, s.text = vals, text
 		var err error
-		b, err = run(st, q, ExecOpts{}, &s.scratch, s.take)
-		vals, s.vals = s.vals, nil
+		b, err = run(st, q, ExecOpts{text: text}, &s.scratch, s.take)
+		vals, s.vals, s.text = s.vals, nil, nil
 		return vals, err
 	})
-	if err != nil || s.rows == 0 {
+	if err != nil {
 		return b, nil, err
 	}
-	w := len(b.cols)
-	rows := make([]tuple.Tuple, s.rows)
+	return b, cutRows(slab, len(b.cols)), nil
+}
+
+// cutRows cuts an answer's slab, rows of w values one after the other,
+// into its rows, each capped at its end: the one place an answer's
+// layout is known.
+func cutRows(slab []tuple.Value, w int) []tuple.Tuple {
+	if len(slab) == 0 {
+		return nil
+	}
+	rows := make([]tuple.Tuple, len(slab)/w)
 	for i := range rows {
 		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
 	}
-	return b, rows, nil
+	return rows
+}
+
+// NestedRows decodes the inline members of a value-based children value,
+// records of schema s written by object.EncodeNested, as an answer: rows
+// cut from one slab whose strings are one text. Every member is
+// framing-checked before it is read.
+func NestedRows(s *tuple.Schema, nested []byte) ([]tuple.Tuple, error) {
+	slab, err := Collect(func(vals []tuple.Value, text *tuple.Text) ([]tuple.Value, error) {
+		err := object.EachNested(nested, func(rec []byte) error {
+			if err := tuple.Check(s, rec); err != nil {
+				return err
+			}
+			for i := range s.Fields {
+				v, err := text.Field(s, rec, i)
+				if err != nil {
+					return err
+				}
+				vals = append(vals, v)
+			}
+			return nil
+		})
+		return vals, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cutRows(slab, len(s.Fields)), nil
 }
 
 // collect appends the current row's values, and its Source if asked.
 func (s *sink) collect(b *bound) error {
 	for j := range b.cols {
-		v, err := b.col(j)
+		v, err := b.col(j, s.text)
 		if err != nil {
 			return err
 		}
 		s.vals = append(s.vals, v)
 	}
-	s.rows++
 	if s.sources != nil && b.keyed {
 		key, err := tuple.Key(b.schemas[0], b.recs[0])
 		if err != nil {
@@ -164,14 +208,18 @@ func (s *sink) collect(b *bound) error {
 	return nil
 }
 
-// Collect hands fill a pooled buffer to append values to and returns one
-// exact-size copy of what it appended, so a result is built without the
-// garbage of growing it and is its caller's alone. The buffer goes back
-// to the pool cleared, so the pool pins no value's strings; after an
-// error it is dropped with what it holds.
-func Collect(fill func(buf []tuple.Value) ([]tuple.Value, error)) ([]tuple.Value, error) {
-	buf := valueBufs.Get().(*[]tuple.Value)
-	vals, err := fill((*buf)[:0])
+// Collect is where an answer is built: it hands fill a pooled buffer to
+// append values to and a pooled text to stage their strings in
+// (tuple.Text), and returns one exact-size copy of the values whose
+// strings are substrings of one exact-size copy of the text. An answer
+// is two allocations, whatever it holds, and is its caller's alone;
+// keeping any one of its strings keeps the whole text. No value leaves
+// staged. The buffer and the text go back to the pool emptied, so the
+// pool pins no value's strings; after an error they are dropped with
+// what they hold.
+func Collect(fill func(buf []tuple.Value, text *tuple.Text) ([]tuple.Value, error)) ([]tuple.Value, error) {
+	a := answers.Get().(*answer)
+	vals, err := fill(a.vals[:0], &a.text)
 	if err != nil {
 		return nil, err
 	}
@@ -180,11 +228,23 @@ func Collect(fill func(buf []tuple.Value) ([]tuple.Value, error)) ([]tuple.Value
 		out = make([]tuple.Value, len(vals))
 		copy(out, vals)
 	}
-	putValues(buf, vals)
+	a.text.Resolve(out)
+	clear(vals)
+	a.vals = vals[:0]
+	answers.Put(a)
 	return out, nil
 }
 
-// valueBufs lends the buffers values are collected in.
+// answer is the buffer and the text one Collect lends its fill.
+type answer struct {
+	vals []tuple.Value
+	text tuple.Text
+}
+
+var answers = sync.Pool{New: func() any { return new(answer) }}
+
+// valueBufs lends the buffers a path query collects one root row's
+// values in.
 var valueBufs = sync.Pool{New: func() any { return new([]tuple.Value) }}
 
 // putValues clears vals, which holds values up to its length only, and

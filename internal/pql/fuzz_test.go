@@ -20,7 +20,10 @@ import (
 // re-parsing must agree with the original parse (String is the
 // canonical form the procedural representation stores on disk), except
 // for string constants whose printed form needs escapes the lexer does
-// not understand. A parse into used scratch agrees with a fresh one.
+// not understand. A parse from the statement's bytes — the way a stored
+// query is read off its page — agrees with the parse of its string, also
+// into used scratch, and keeps nothing of the bytes: scribbling over
+// them afterwards changes nothing the query holds.
 func FuzzPQLParse(f *testing.F) {
 	f.Add("retrieve (person.all) where person.age >= 60")
 	f.Add(`retrieve (person.name) where person.name = cyclist.name`)
@@ -38,21 +41,43 @@ func FuzzPQLParse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, src string) {
 		q, err := Parse(src)
-		// A scratch that has just parsed another statement — a whole one
-		// or one cut short — hands its nodes and path segments out again:
-		// the parse must come out as a fresh one does, or fail the same way.
+		// A scratch that has just parsed another statement — a whole one,
+		// one cut short, or one that shares identifiers with src — hands
+		// its nodes, path segments and identifiers out again: the parse,
+		// from src's string or its bytes, must come out as a fresh one
+		// does, or fail the same way.
 		for _, before := range []string{
+			"",
 			`retrieve (league.teams.members.name, x.all, a.b.c) where (a.b = 1 or not a.c != "s") and x.y < 3`,
 			`retrieve (a.b.c.d, e.f) where a.b = 1 and not`,
+			src,
 		} {
-			var sc parseScratch
-			sc.parse(before)
-			again, err2 := sc.parse(src)
-			if (err == nil) != (err2 == nil) || err != nil && err.Error() != err2.Error() {
-				t.Fatalf("%q after %q: error %v, fresh parse %v", src, before, err2, err)
-			}
-			if err == nil && again.String() != q.String() {
-				t.Fatalf("%q after %q parses as %s, fresh %s", src, before, again, q)
+			for _, fromBytes := range []bool{false, true} {
+				var sc parseScratch
+				if before != "" {
+					if fromBytes {
+						parse(&sc, before)
+					} else {
+						parse(&sc, []byte(before))
+					}
+				}
+				var again *Query
+				var err2 error
+				if fromBytes {
+					raw := []byte(src)
+					again, err2 = parse(&sc, raw)
+					for i := range raw {
+						raw[i] = 'x'
+					}
+				} else {
+					again, err2 = parse(&sc, src)
+				}
+				if (err == nil) != (err2 == nil) || err != nil && err.Error() != err2.Error() {
+					t.Fatalf("%q (bytes %v) after %q: error %v, fresh parse %v", src, fromBytes, before, err2, err)
+				}
+				if err == nil && again.String() != q.String() {
+					t.Fatalf("%q (bytes %v) after %q parses as %s, fresh %s", src, fromBytes, before, again, q)
+				}
 			}
 		}
 		if err != nil {

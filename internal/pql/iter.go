@@ -8,6 +8,7 @@ package pql
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"corep/internal/btree"
@@ -35,6 +36,10 @@ type ExecOpts struct {
 	// expansion meets runs a fresh pipeline, and without this one that
 	// reaches back into its own relation would recurse forever.
 	depth int
+	// text is where the character values the execution hands its caller
+	// are staged: the text of the answer being collected (Collect), which
+	// every pipeline the execution nests stages into too.
+	text *tuple.Text
 }
 
 // relScan streams the encoded records of a relation in key order,
@@ -254,25 +259,36 @@ type Expander struct {
 	// after the other: a list is fetched and its members' children
 	// values copied out before the next list at that depth is decoded.
 	oids [maxPathDepth][]object.OID
+	// kids[d] marks, in kidBytes[d], the children values an OID list or a
+	// stored query met at depth d hands on: each is copied there under
+	// the pin it was read under, and expanded once the list or the query
+	// is done, before the next one at that depth starts.
+	kids     [maxPathDepth][]span
+	kidBytes [maxPathDepth][]byte
 	// segs holds the segments Expand and ExpandOIDs were handed, so the
 	// caller's list is only read.
 	segs []string
 }
 
-// procRun is what takeRow does with the rows of one stored query.
+// span is where a kept children value sits in its depth's kidBytes.
+type span struct{ lo, hi int }
+
+// procRun is what takeRow does with the rows of one stored query: on
+// the last segment it appends the projected values to out, on an earlier
+// one it keeps the children values at depth.
 type procRun struct {
 	segs  []string
 	depth int
-	out   []tuple.Value // last segment: the projected values, appended
-	kids  [][]byte      // an earlier one: the children values
+	out   []tuple.Value
 }
 
-// oidFetch is what takeRecord does with the records of one OID list.
+// oidFetch is what takeRecord does with the records of one OID list: on
+// the last segment vals[i] takes what oids[i] projects, on an earlier
+// one kids[depth][i] marks its kept children value.
 type oidFetch struct {
 	segs  []string
 	depth int
-	vals  []tuple.Value // last segment: vals[i] takes what oids[i] projects
-	kids  [][]byte      // an earlier one: kids[i] takes its children value
+	vals  []tuple.Value
 	// rowErr is what a fetched record raised (a damaged record, a path
 	// that does not fit it): the query's error as is, where a failed
 	// fetch is wrapped as ErrExec.
@@ -280,8 +296,9 @@ type oidFetch struct {
 }
 
 // expanders lends expanders to one retrieval at a time, with what they
-// keep between retrievals: their bound callbacks, per-depth scratch and
-// OID buffers.
+// keep between retrievals: their bound callbacks, per-depth scratch, OID
+// and children-value buffers. The text the values are staged in is not
+// among them: it belongs to the caller collecting the answer.
 var expanders = sync.Pool{New: func() any {
 	px := new(Expander)
 	px.take, px.row = px.takeRecord, px.takeRow
@@ -301,19 +318,28 @@ func lendExpander(st Store, opts ExecOpts, leaf *tuple.Field) *Expander {
 	return px
 }
 
-// Expander lends an expander over st for one retrieval; Release gives it
-// back.
-func (st Store) Expander() *Expander { return lendExpander(st, ExecOpts{}, nil) }
+// Expander lends an expander over st for one retrieval, staging the
+// character values it projects in text, the text of the answer they are
+// collected into (Collect). Release gives it back.
+func (st Store) Expander(text *tuple.Text) *Expander {
+	return lendExpander(st, ExecOpts{text: text}, nil)
+}
 
 // Release gives px back to the pool. Nothing it expanded refers to it:
-// the values it appended own their bytes. px must not be used after.
-func (px *Expander) Release() { expanders.Put(px) }
+// a character value it appended is staged in the caller's text, any
+// other owns its bytes. px must not be used after.
+func (px *Expander) Release() {
+	px.opts = ExecOpts{}
+	expanders.Put(px)
+}
 
 // Expand follows segs — children attributes, then the attribute to
 // project — through raw, the encoded children value of the object owner
 // (zero for one without identity), appending the projected values to out
 // in traversal order. raw is read in place and must stay valid for the
-// call; segs is only read; the appended values own their bytes.
+// call; segs is only read. A character value is staged in the text the
+// expander was lent with, and has its string once the answer is
+// collected; any other value owns its bytes.
 func (px *Expander) Expand(owner object.OID, raw []byte, segs []string, out []tuple.Value) ([]tuple.Value, error) {
 	px.segs = append(px.segs[:0], segs...)
 	return px.expand(owner, raw, px.segs, 0, out)
@@ -376,7 +402,7 @@ func (px *Expander) expand(owner object.OID, raw []byte, segs []string, depth in
 			sc = new(scratch)
 			px.scratch[depth] = sc
 		}
-		sub, err := sc.parse.parse(c.Query)
+		sub, err := parse(&sc.parse, c.Query)
 		if err != nil {
 			return nil, fmt.Errorf("%w: stored query: %w", ErrExec, err)
 		}
@@ -389,15 +415,16 @@ func (px *Expander) expand(owner object.OID, raw []byte, segs []string, depth in
 		// one.
 		px.memo[depth].schema = nil
 		px.proc = procRun{segs: segs, depth: depth, out: out}
+		px.kids[depth], px.kidBytes[depth] = px.kids[depth][:0], px.kidBytes[depth][:0]
 		opts := px.opts
 		opts.depth += depth + 1 // runPath refuses once the nesting passes maxPathDepth
 		_, err = run(px.st, sub, opts, sc, px.row)
-		pr := px.proc
+		out = px.proc.out
 		px.proc = procRun{}
 		if err != nil {
 			return nil, err
 		}
-		return px.expandAll(nil, pr.kids, segs[1:], depth+1, pr.out)
+		return px.expandKept(nil, segs[1:], depth, out)
 	}
 }
 
@@ -408,28 +435,42 @@ func (px *Expander) takeRow(b *bound) error {
 	if err != nil {
 		return err
 	}
-	v, err := b.col(i)
+	if len(pr.segs) > 1 {
+		raw, err := b.colBytes(i)
+		if err != nil {
+			return err
+		}
+		px.kids[pr.depth] = append(px.kids[pr.depth], px.keep(pr.depth, raw))
+		return nil
+	}
+	v, err := b.col(i, px.opts.text)
 	if err != nil {
 		return err
 	}
-	if len(pr.segs) == 1 {
-		pr.out = append(pr.out, v)
-	} else {
-		pr.kids = append(pr.kids, v.Raw)
-	}
+	pr.out = append(pr.out, v)
 	return nil
 }
 
-// expandAll expands each children value in turn; owners, when not nil,
-// names the object that holds kids[i].
-func (px *Expander) expandAll(owners []object.OID, kids [][]byte, segs []string, depth int, out []tuple.Value) ([]tuple.Value, error) {
+// keep copies raw, a children value read under a pin about to be let
+// go, into the buffer of depth d, and returns where it sits there.
+func (px *Expander) keep(d int, raw []byte) span {
+	lo := len(px.kidBytes[d])
+	px.kidBytes[d] = append(px.kidBytes[d], raw...)
+	return span{lo, len(px.kidBytes[d])}
+}
+
+// expandKept expands, through the segments below, each children value
+// kept at depth in turn; owners, when not nil, names the object that
+// holds the i-th. The expansions run at depth+1 and below, so what
+// depth's buffers hold stays put while they do.
+func (px *Expander) expandKept(owners []object.OID, segs []string, depth int, out []tuple.Value) ([]tuple.Value, error) {
 	var err error
-	for i, raw := range kids {
+	for i, k := range px.kids[depth] {
 		var owner object.OID
 		if owners != nil {
 			owner = owners[i]
 		}
-		if out, err = px.expand(owner, raw, segs, depth, out); err != nil {
+		if out, err = px.expand(owner, px.kidBytes[depth][k.lo:k.hi], segs, depth+1, out); err != nil {
 			return nil, err
 		}
 	}
@@ -440,9 +481,9 @@ func (px *Expander) expandAll(owners []object.OID, kids [][]byte, segs []string,
 // through the remaining segments, in OID-list order whatever order the
 // fetch visits them in. The last segment is projected straight off the
 // pinned page, into the subobject's place in out; an earlier one has its
-// children value copied out, and the copies are expanded once the whole
-// list has been fetched, so a fetch and the expansions below it do not
-// interleave.
+// children value kept (keep), and the kept values are expanded once the
+// whole list has been fetched, so a fetch and the expansions below it do
+// not interleave.
 func (px *Expander) expandOIDs(owner object.OID, oids []object.OID, segs []string, depth int, out []tuple.Value) ([]tuple.Value, error) {
 	if len(oids) == 0 {
 		return out, nil
@@ -453,10 +494,13 @@ func (px *Expander) expandOIDs(owner object.OID, oids []object.OID, segs []strin
 	px.cur = oidFetch{segs: segs, depth: depth}
 	cur := &px.cur
 	if base := len(out); len(segs) == 1 {
-		out = append(out, make([]tuple.Value, len(oids))...)
+		out = slices.Grow(out, len(oids))[:base+len(oids)]
 		cur.vals = out[base:]
+		clear(cur.vals)
 	} else {
-		cur.kids = make([][]byte, len(oids))
+		px.kids[depth] = slices.Grow(px.kids[depth][:0], len(oids))[:len(oids)]
+		px.kidBytes[depth] = px.kidBytes[depth][:0]
+		clear(px.kids[depth])
 	}
 	// The one expansion operator: the view's page-ordered sweep of the
 	// whole list, which below btree.BatchSortMin keys is the per-OID probe
@@ -468,7 +512,10 @@ func (px *Expander) expandOIDs(owner object.OID, oids []object.OID, segs []strin
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrExec, err)
 	}
-	return px.expandAll(oids, cur.kids, segs[1:], depth+1, out)
+	if len(segs) == 1 {
+		return out, nil
+	}
+	return px.expandKept(oids, segs[1:], depth, out)
 }
 
 // takeRecord steps one fetched subobject for the fetch in progress.
@@ -479,18 +526,20 @@ func (px *Expander) takeRecord(i int, rel *catalog.Relation, rec []byte) error {
 		cur.rowErr = err
 		return err
 	}
-	if cur.kids == nil {
+	if len(cur.segs) == 1 {
 		cur.vals[i] = v
 	} else {
-		cur.kids[i] = v.Raw
+		px.kids[cur.depth][i] = px.keep(cur.depth, v.Raw)
 	}
 	return nil
 }
 
 // enter reads the next segment from a stored record of rel the path has
 // just reached — an OID's target, an inline member. The record is
-// framing-checked before anything is read from it, and the value is the
-// caller's own copy.
+// framing-checked before anything is read from it. The last segment's
+// value is staged in the answer's text if it is a character value, and
+// is the caller's own copy if not; an earlier one's children value is a
+// view into rec.
 func (px *Expander) enter(rel *catalog.Relation, rec []byte, segs []string, depth int) (tuple.Value, error) {
 	if err := tuple.Check(rel.Schema, rec); err != nil {
 		return tuple.Value{}, err
@@ -499,7 +548,11 @@ func (px *Expander) enter(rel *catalog.Relation, rec []byte, segs []string, dept
 	if err != nil {
 		return tuple.Value{}, err
 	}
-	return tuple.DecodeField(rel.Schema, rec, i)
+	if len(segs) > 1 {
+		raw, err := tuple.FieldBytes(rel.Schema, rec, i)
+		return tuple.BytesVal(raw), err
+	}
+	return px.opts.text.Field(rel.Schema, rec, i)
 }
 
 // step finds the next segment among the columns s of a row the path has

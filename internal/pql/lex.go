@@ -11,7 +11,6 @@ package pql
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
 )
 
@@ -29,50 +28,47 @@ const (
 	tokOp // comparison operator
 )
 
+// token is one token of a source: its kind and the bounds of its text —
+// the token itself, or a string constant's body between its quotes. The
+// text stays in the source, whatever the source is held in, until the
+// parser asks for it.
 type token struct {
-	kind tokKind
-	text string
-	pos  int
-}
-
-func (t token) String() string {
-	if t.kind == tokEOF {
-		return "end of query"
-	}
-	return fmt.Sprintf("%q", t.text)
+	kind   tokKind
+	lo, hi int
 }
 
 // lexAt reads the token that starts at or after src[i] and returns it
 // with the offset just past it. Keywords stay tokIdent; the parser
-// recognizes them case-insensitively. Every token text is a substring of
-// src or a constant, so lexing allocates nothing.
-func lexAt(src string, i int) (token, int, error) {
+// recognizes them case-insensitively. A token only marks where its text
+// is, so lexing allocates nothing, and a statement reads the same from a
+// string as from the bytes of a stored children value.
+func lexAt[S string | []byte](src S, i int) (token, int, error) {
 	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
 		i++
 	}
 	if i == len(src) {
-		return token{tokEOF, "", i}, i, nil
+		return token{tokEOF, i, i}, i, nil
 	}
 	c := src[i]
 	switch {
 	case c == '(':
-		return token{tokLParen, "(", i}, i + 1, nil
+		return token{tokLParen, i, i + 1}, i + 1, nil
 	case c == ')':
-		return token{tokRParen, ")", i}, i + 1, nil
+		return token{tokRParen, i, i + 1}, i + 1, nil
 	case c == ',':
-		return token{tokComma, ",", i}, i + 1, nil
+		return token{tokComma, i, i + 1}, i + 1, nil
 	case c == '.':
-		return token{tokDot, ".", i}, i + 1, nil
+		return token{tokDot, i, i + 1}, i + 1, nil
 	case c == '=':
-		return token{tokOp, "=", i}, i + 1, nil
+		return token{tokOp, i, i + 1}, i + 1, nil
 	case c == '!' && i+1 < len(src) && src[i+1] == '=':
-		return token{tokOp, "!=", i}, i + 2, nil
+		return token{tokOp, i, i + 2}, i + 2, nil
 	case c == '<' || c == '>':
 		j := i + 1
 		if j < len(src) && src[j] == '=' {
 			j++
 		}
-		return token{tokOp, src[i:j], i}, j, nil
+		return token{tokOp, i, j}, j, nil
 	case c == '"':
 		j := i + 1
 		for j < len(src) && src[j] != '"' {
@@ -81,7 +77,7 @@ func lexAt(src string, i int) (token, int, error) {
 		if j >= len(src) {
 			return token{}, i, fmt.Errorf("pql: unterminated string at %d", i)
 		}
-		return token{tokString, src[i+1 : j], i}, j + 1, nil
+		return token{tokString, i + 1, j}, j + 1, nil
 	case c == '-' || (c >= '0' && c <= '9'):
 		j := i
 		if c == '-' {
@@ -93,17 +89,53 @@ func lexAt(src string, i int) (token, int, error) {
 		if j == i || (c == '-' && j == i+1) {
 			return token{}, i, fmt.Errorf("pql: bad number at %d", i)
 		}
-		return token{tokNumber, src[i:j], i}, j, nil
+		return token{tokNumber, i, j}, j, nil
 	case unicode.IsLetter(rune(c)) || c == '_':
 		j := i
 		for j < len(src) && (unicode.IsLetter(rune(src[j])) || unicode.IsDigit(rune(src[j])) || src[j] == '_' || src[j] == '#') {
 			j++
 		}
-		return token{tokIdent, src[i:j], i}, j, nil
+		return token{tokIdent, i, j}, j, nil
 	}
 	return token{}, i, fmt.Errorf("pql: unexpected character %q at %d", c, i)
 }
 
-func isKeyword(t token, kw string) bool {
-	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
+// keyword reports whether text spells kw, a lower-case ASCII keyword, in
+// any case. It agrees with strings.EqualFold: the only runes that fold to
+// an ASCII letter outside ASCII fold to k and s, which no keyword holds.
+func keyword[S string | []byte](text S, kw string) bool {
+	if len(text) != len(kw) {
+		return false
+	}
+	for i := 0; i < len(kw); i++ {
+		if c := text[i]; c != kw[i] && c|0x20 != kw[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// operators are the comparison operators, as Compare.Op holds them.
+var operators = [...]string{"=", "!=", "<", "<=", ">", ">="}
+
+// number is strconv.ParseInt(text, 10, 64) for a tokNumber's text, read
+// where it stands: false when the value overflows an int64.
+func number[S string | []byte](text S) (int64, bool) {
+	neg := text[0] == '-'
+	i, lim := 0, uint64(1<<63-1)
+	if neg {
+		i, lim = 1, 1<<63
+	}
+	var n uint64
+	for ; i < len(text); i++ {
+		d := uint64(text[i] - '0')
+		if n > (lim-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	if neg {
+		return -int64(n), true
+	}
+	return int64(n), true
 }

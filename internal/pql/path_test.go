@@ -284,7 +284,11 @@ func TestExpansionReadsNoMorePagesThanProbes(t *testing.T) {
 			return nil
 		})
 		sweep := cold(func() (err error) {
-			expanded, err = Store{Cat: cat, View: cat}.Expander().ExpandOIDs(0, oids, []string{"name"}, nil)
+			expanded, err = Collect(func(out []tuple.Value, text *tuple.Text) ([]tuple.Value, error) {
+				x := Store{Cat: cat, View: cat}.Expander(text)
+				defer x.Release()
+				return x.ExpandOIDs(0, oids, []string{"name"}, out)
+			})
 			return err
 		})
 		if !reflect.DeepEqual(expanded, probed) {

@@ -25,6 +25,16 @@ import (
 // 100 and 1,000 OIDs over 2,000 subobjects on 118 leaves, so the merge
 // join wins at both NumTops (probes cost 300 and 3,000 pages) and every
 // temporary is sorted in one run.
+//
+// A two-level database (DFS, BFS, BFSNODUP walk an inner level; on a
+// 16-page pool the database fills, so a temporary's fresh page takes an
+// evicted frame) and Config.ProbeBatch (serve_2c's mode: a last level's
+// list in one page-ordered sweep, BFS's probes batched) hold the same
+// ceiling: DFS's values over inner levels, an inner level's OID lists,
+// the batched probe's keys, the B-tree batch's visiting order and the
+// inner level's step are lent too (two-level DFS 5 objects, BFS 3,
+// BFSNODUP 3, and under ProbeBatch DFS 5, BFS 7, BFSNODUP 7, while they
+// were allocated per retrieve or per list).
 func TestRetrieveAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -36,6 +46,9 @@ func TestRetrieveAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	batched := buildDB(t, workload.Config{NumParents: 2000, SizeUnit: 5, UseFactor: 1, ProbeBatch: true, Seed: 3})
+	twoLevel := buildTwoLevel(t, workload.TwoLevelConfig{Config: workload.Config{NumParents: 200, SizeUnit: 3, UseFactor: 2, PoolPages: 16, Seed: 17}}).DB
+	twoBatched := buildTwoLevel(t, workload.TwoLevelConfig{Config: workload.Config{NumParents: 200, SizeUnit: 3, UseFactor: 2, PoolPages: 16, ProbeBatch: true, Seed: 17}}).DB
 	for _, c := range []struct {
 		db *workload.DB
 		st Strategy
@@ -46,6 +59,14 @@ func TestRetrieveAllocationCeiling(t *testing.T) {
 		{wide, mustNew(t, BFS, wide)},
 		{wide, mustNew(t, BFSNODUP, wide)},
 		{wide, smart},
+		{batched, mustNew(t, DFS, batched)},
+		{batched, mustNew(t, BFS, batched)},
+		{batched, mustNew(t, BFSNODUP, batched)},
+		{twoLevel, mustNew(t, DFS, twoLevel)},
+		{twoLevel, mustNew(t, BFS, twoLevel)},
+		{twoLevel, mustNew(t, BFSNODUP, twoLevel)},
+		{twoBatched, mustNew(t, DFS, twoBatched)},
+		{twoBatched, mustNew(t, BFS, twoBatched)},
 	} {
 		allocs := func(numTop int64) float64 {
 			q := Query{Lo: 100, Hi: 100 + numTop - 1, AttrIdx: workload.FieldRet1}
@@ -59,9 +80,9 @@ func TestRetrieveAllocationCeiling(t *testing.T) {
 			})
 		}
 		few, many := allocs(5), allocs(50)
-		t.Logf("%v: %.0f objects per retrieve at NumTop 5, %.0f at 50", c.st.Kind(), few, many)
+		t.Logf("%v (two levels %v, ProbeBatch %v): %.0f objects per retrieve at NumTop 5, %.0f at 50", c.st.Kind(), multiLevel(c.db), c.db.Cfg.ProbeBatch, few, many)
 		if few != many || many > ceiling {
-			t.Errorf("%v allocates %.0f objects for NumTop 5 and %.0f for NumTop 50: want one count (<= %d) for both", c.st.Kind(), few, many, ceiling)
+			t.Errorf("%v (two levels %v, ProbeBatch %v) allocates %.0f objects for NumTop 5 and %.0f for NumTop 50: want one count (<= %d) for both", c.st.Kind(), multiLevel(c.db), c.db.Cfg.ProbeBatch, few, many, ceiling)
 		}
 	}
 }

@@ -167,26 +167,25 @@ func (b bfs) joinOne(db *workload.DB, sc *scratch, rel *catalog.Relation, tmp *q
 				return take(key, sc.value)
 			})
 		}
-		// Batched: collect the temp's keys, probe them page-ordered, and
-		// emit values in the temp's original order.
-		keys := make([]int64, 0, n)
+		// Batched: collect the temp's keys in the scratch, probe them
+		// page-ordered, and emit values in the temp's original order,
+		// each into its place in the result.
+		keys := sc.keys[:0]
 		err := tmp.Scan(func(key int64) (bool, error) {
 			keys = append(keys, key)
 			return true, nil
 		})
+		sc.keys = keys
 		if err != nil {
 			return err
 		}
-		vals := make([]int64, len(keys))
-		err = rel.Tree.GetBatch(keys, func(i int, payload []byte) (err error) {
+		base := len(res.Values)
+		res.Values = slices.Grow(res.Values, len(keys))[:base+len(keys)]
+		vals := res.Values[base:]
+		return rel.Tree.GetBatch(keys, func(i int, payload []byte) (err error) {
 			vals[i], err = childAttr(db, q, object.NewOID(rel.ID, keys[i]), payload)
 			return err
 		})
-		if err != nil {
-			return err
-		}
-		res.Values = append(res.Values, vals...)
-		return nil
 	}
 
 	// Competitive BFS: sort the temp (already sorted and deduplicated

@@ -40,8 +40,10 @@ func storedParents(db *workload.DB, lo, hi int64) (first, last int64, n int) {
 // (and BFS's probes their records), the temporary writers its levels
 // dropped, relation tables emptied, for the next level or retrieve to
 // reuse, the handles of its temporaries and their readers (temps), the
-// merge join's inner cursor, and DFSCLUST's group state. Nothing a
-// Result holds aliases it.
+// merge join's inner cursor, DFSCLUST's group state, the values of a
+// DFS over inner levels before they are copied into the Result and the
+// OID list of the inner-level subobject it stands on at each depth, and
+// the keys of BFS's batched probe. Nothing a Result holds aliases it.
 type scratch struct {
 	parents []parentRef
 	oids    []object.OID
@@ -50,6 +52,9 @@ type scratch struct {
 	temps   query.Arena
 	inner   btree.Iterator
 	clust   clustScan
+	vals    []int64
+	kids    [][]object.OID
+	keys    []int64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -73,6 +78,7 @@ func (s *scratch) tempWriter(pool *buffer.Pool) *tempWriter {
 		w, s.writers = s.writers[n-1], s.writers[:n-1]
 	} else {
 		w = &tempWriter{temps: make(map[uint16]*query.Int64Temp)}
+		w.step = w.takeKids
 	}
 	w.pool, w.arena = pool, &s.temps
 	return w
@@ -87,7 +93,7 @@ func (s *scratch) dropWriter(w *tempWriter) error {
 	}
 	err := w.drop()
 	clear(w.temps)
-	*w = tempWriter{temps: w.temps, relOrder: w.relOrder[:0]}
+	*w = tempWriter{temps: w.temps, relOrder: w.relOrder[:0], step: w.step, kids: w.kids[:0]}
 	s.writers = append(s.writers, w)
 	return err
 }
@@ -321,6 +327,15 @@ type tempWriter struct {
 	cur  uint16
 	run  query.TempAppender
 	open bool
+
+	// step is takeKids bound once, the inner level's step of every join
+	// that fills the writer, with the relation it reaches and the
+	// position of its children attribute in kidRel and kidIdx, and each
+	// reached tuple's list decoded into kids.
+	step   levelStep
+	kidRel *catalog.Relation
+	kidIdx int
+	kids   []object.OID
 }
 
 // reserve creates the writer's first temporary now rather than at its
@@ -356,21 +371,23 @@ func (w *tempWriter) add(oid object.OID) error {
 // takeChildren is an inner level's step: append the children of each
 // reached tuple of rel, whose children attribute sits at ci, to w — one
 // run per tuple, closed before the join that reached it touches the pool
-// again.
+// again. The step is w's own (takeKids), so a join pays nothing for it.
 func (w *tempWriter) takeChildren(rel *catalog.Relation, ci int) levelStep {
-	var kids []object.OID
-	return func(_ int64, payload []byte) (_ bool, err error) {
-		if kids, err = appendChildren(kids[:0], rel, ci, payload); err != nil {
+	w.kidRel, w.kidIdx = rel, ci
+	return w.step
+}
+
+func (w *tempWriter) takeKids(_ int64, payload []byte) (_ bool, err error) {
+	if w.kids, err = appendChildren(w.kids[:0], w.kidRel, w.kidIdx, payload); err != nil {
+		return false, err
+	}
+	defer w.close()
+	for _, oid := range w.kids {
+		if err := w.add(oid); err != nil {
 			return false, err
 		}
-		defer w.close()
-		for _, oid := range kids {
-			if err := w.add(oid); err != nil {
-				return false, err
-			}
-		}
-		return true, nil
 	}
+	return true, nil
 }
 
 // close ends the open run, if any. It is idempotent.

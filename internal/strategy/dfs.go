@@ -26,7 +26,16 @@ func (dfs) Retrieve(db *workload.DB, q Query) (*Result, error) {
 
 	child := beginIO(db.Core)
 	probeSp := db.Obs.Start("strategy.dfs/probe")
-	if res.Values, err = fetchLevel(db, sc.oids, q, nil); err != nil {
+	// One level makes as many values as OIDs, written straight into the
+	// Result's exact-size slice. Inner levels make a number no list
+	// tells ahead: the values collect in the scratch, and the Result
+	// takes one exact-size copy.
+	if !multiLevel(db) {
+		res.Values, err = sc.fetchLevel(db, sc.oids, q, nil, 0)
+	} else if sc.vals, err = sc.fetchLevel(db, sc.oids, q, sc.vals[:0], 0); err == nil {
+		res.Values = append([]int64(nil), sc.vals...)
+	}
+	if err != nil {
 		return nil, err
 	}
 	probeSp.SetAttr("values", int64(len(res.Values)))
@@ -42,8 +51,9 @@ func (dfs) Retrieve(db *workload.DB, q Query) (*Result, error) {
 // every list of the paper's two-dot query — into one page-ordered sweep
 // per relation through the catalog's grouped ProbeOIDs, the output order
 // staying that of the one-probe-at-a-time loop (the paper's INGRES
-// behaviour); inner levels are always probed one at a time.
-func fetchLevel(db *workload.DB, oids []object.OID, q Query, out []int64) ([]int64, error) {
+// behaviour); inner levels are always probed one at a time. An inner
+// subobject's list is decoded into the scratch's buffer for its depth.
+func (sc *scratch) fetchLevel(db *workload.DB, oids []object.OID, q Query, out []int64, depth int) ([]int64, error) {
 	if db.Cfg.ProbeBatch && lastLevel(db, oids) {
 		base := len(out)
 		out = append(out, make([]int64, len(oids))...)
@@ -54,7 +64,9 @@ func fetchLevel(db *workload.DB, oids []object.OID, q Query, out []int64) ([]int
 		return out, err
 	}
 	out = slices.Grow(out, len(oids))
-	var kids []object.OID
+	if len(sc.kids) == depth {
+		sc.kids = append(sc.kids, nil)
+	}
 	for _, oid := range oids {
 		rel, err := db.ChildByRelID(oid.Rel())
 		if err != nil {
@@ -66,7 +78,7 @@ func fetchLevel(db *workload.DB, oids []object.OID, q Query, out []int64) ([]int
 		ci := childrenIdx(rel)
 		err = rel.Tree.View(oid.Key(), func(rec []byte) (err error) {
 			if ci >= 0 {
-				kids, err = appendChildren(kids[:0], rel, ci, rec)
+				sc.kids[depth], err = appendChildren(sc.kids[depth][:0], rel, ci, rec)
 				return err
 			}
 			var v int64
@@ -78,7 +90,7 @@ func fetchLevel(db *workload.DB, oids []object.OID, q Query, out []int64) ([]int
 			return nil, fmt.Errorf("strategy: subobject %v: %w", oid, err)
 		}
 		if ci >= 0 {
-			if out, err = fetchLevel(db, kids, q, out); err != nil {
+			if out, err = sc.fetchLevel(db, sc.kids[depth], q, out, depth+1); err != nil {
 				return nil, err
 			}
 		}
