@@ -167,6 +167,19 @@ func TestFacadeAllocationCeiling(t *testing.T) {
 			t.Errorf("Resolve over %s allocates %.1f objects per call (ceiling %.0f)", rep.name, n, rep.resolve)
 		}
 	}
+	// A string predicate compares each row's name where it stands in its
+	// record: a Query over 200 rows allocates its own 4 objects and
+	// nothing per row (204 while each operand was decoded into a Value).
+	byName := func() {
+		res, err := db.Query(`retrieve (person.age) where person.OID < 200 and person.name = "person-0007"`)
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("Query by name: %+v, %v", res, err)
+		}
+	}
+	byName()
+	if n := testing.AllocsPerRun(20, byName); n > 4 {
+		t.Errorf("Query by name over 200 rows allocates %.1f objects (ceiling 4)", n)
+	}
 	// A warm Update reads the old record in place and encodes the new
 	// one in a lent buffer: nothing of either is allocated, with children
 	// fields to carry over or without (8-9 objects while it decoded the

@@ -277,3 +277,151 @@ func TestAnswerTextOutlivesLaterCalls(t *testing.T) {
 	}
 	testutil.AssertNoLeaks(t, db.core.Pool)
 }
+
+// TestStatementShapeReuse: a stored query or Query statement with the
+// shape of the last one run in the same lent scratch — the same tokens
+// but for its numbers — keeps that one's parse and binding. Two
+// databases with the same relation names take turns, RetrievePath and
+// Query alternate over ranges of stored-query, OID-list and inline
+// groups, and between the hits come a failed parse, a failed bind and a
+// failed run, and the relation the stored queries read is dropped and
+// created again under its old name with its columns elsewhere. Every
+// answer must be the model's: a binding kept past any of these reads
+// the wrong relation, the wrong column or the last statement's tree.
+func TestStatementShapeReuse(t *testing.T) {
+	const stored, oidLists, groups, bad = 10, 5, 20, 20
+	type fixture struct {
+		db      *Database
+		members [groups][]string
+	}
+	persons := func(db *Database, prefix string, nameFirst bool) []OID {
+		fields := []FieldDef{IntField("OID"), StrField("name"), IntField("age")}
+		if nameFirst {
+			fields[1], fields[2] = fields[2], fields[1]
+		}
+		person, err := db.CreateRelation("person", fields...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids := make([]OID, 4*stored)
+		for k := range oids {
+			row := Row{Int(int64(k)), Str(fmt.Sprintf("%s%d", prefix, k)), Int(int64(k))}
+			if nameFirst {
+				row[1], row[2] = row[2], row[1]
+			}
+			if oids[k], err = person.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return oids
+	}
+	build := func(prefix string) *fixture {
+		f := &fixture{db: NewDatabase(64)}
+		oids := persons(f.db, prefix, false)
+		person, _ := f.db.Relation("person")
+		grp, err := f.db.CreateRelation("grp", IntField("OID"), ChildrenField("members"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g <= bad; g++ {
+			var c Children
+			keys := []int{(3 * g) % 40, (7*g + 1) % 40, (11*g + 5) % 40}
+			switch {
+			case g == bad:
+				c = ProcChildren("retrieve (person.nosuch) where person.OID >= 0 and person.OID <= 1")
+			case g < stored:
+				keys = []int{4 * g, 4*g + 1, 4*g + 2, 4*g + 3}
+				c = ProcChildren(fmt.Sprintf("retrieve (person.name) where person.OID >= %d and person.OID <= %d", 4*g, 4*g+3))
+			case g < stored+oidLists:
+				c = OIDChildren(oids[keys[0]], oids[keys[1]], oids[keys[2]])
+			default:
+				var rows []Row
+				for _, k := range keys {
+					rows = append(rows, Row{Int(int64(k)), Str(fmt.Sprintf("%s%d", prefix, k)), Int(int64(k))})
+				}
+				c = ValueChildren(person, rows...)
+			}
+			if g < groups {
+				for _, k := range keys {
+					f.members[g] = append(f.members[g], fmt.Sprintf("%s%d", prefix, k))
+				}
+			}
+			if _, err := grp.InsertWith(Row{Int(int64(g)), Value{}}, map[string]Children{"members": c}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	dbs := []*fixture{build("a"), build("b")}
+	want := func(f *fixture, lo, hi int64) string {
+		var out []string
+		for g := lo; g <= hi; g++ {
+			out = append(out, f.members[g]...)
+		}
+		return fmt.Sprint(out)
+	}
+	shape := "retrieve (grp.members.name) where grp.OID >= %d and grp.OID <= %d"
+	both := func(f *fixture, lo, hi int64) {
+		t.Helper()
+		vals, err := f.db.RetrievePath("grp", "members", "name", lo, hi)
+		if err != nil {
+			t.Fatalf("RetrievePath over %d-%d: %v", lo, hi, err)
+		}
+		if got := fmt.Sprint(vals); got != want(f, lo, hi) {
+			t.Fatalf("RetrievePath over %d-%d = %s, want %s", lo, hi, got, want(f, lo, hi))
+		}
+		col, err := firstColumn(f.db.Query(fmt.Sprintf(shape, lo, hi)))
+		if err != nil {
+			t.Fatalf("Query over %d-%d: %v", lo, hi, err)
+		}
+		if got := fmt.Sprint(col); got != want(f, lo, hi) {
+			t.Fatalf("Query over %d-%d = %s, want %s", lo, hi, got, want(f, lo, hi))
+		}
+	}
+	fails := []func(f *fixture) error{
+		func(f *fixture) error {
+			_, err := f.db.Query("retrieve (grp.members.name) where grp.OID >= 1 and grp.OID <=")
+			return err
+		},
+		func(f *fixture) error {
+			// Twice, with other constants: a binding that failed midway is
+			// no binding to keep.
+			const noAttr = "retrieve (grp.nosuch.name) where grp.OID >= %d and grp.OID <= %d"
+			if _, err := f.db.Query(fmt.Sprintf(noAttr, 1, 2)); err == nil {
+				return nil
+			}
+			_, err := f.db.Query(fmt.Sprintf(noAttr, 3, 4))
+			return err
+		},
+		func(f *fixture) error { _, err := f.db.Query(fmt.Sprintf(shape, bad-1, bad)); return err },
+		func(f *fixture) error { _, err := f.db.RetrievePath("grp", "members", "name", bad-2, bad); return err },
+	}
+	span := int64(groups)
+	for i := 0; i < 120; i++ {
+		f := dbs[i%2]
+		if i == 60 {
+			// Stored queries now read a person whose name is its third
+			// column; the OID lists and inline groups name a dropped
+			// relation, so only the stored-query groups are asked for.
+			if err := dbs[0].db.core.Cat.Drop("person"); err != nil {
+				t.Fatal(err)
+			}
+			persons(dbs[0].db, "c", true)
+			for g := 0; g < stored; g++ {
+				for j := range dbs[0].members[g] {
+					dbs[0].members[g][j] = "c" + dbs[0].members[g][j][1:]
+				}
+			}
+			span = stored
+		}
+		lo := int64(i*7) % span
+		hi := min(lo+int64(i%4), span-1)
+		both(f, lo, hi)
+		if i%5 == 4 {
+			if err := fails[(i/5)%len(fails)](f); err == nil {
+				t.Fatalf("failing call %d succeeded", (i/5)%len(fails))
+			}
+		}
+		both(f, hi, hi)
+	}
+}

@@ -175,7 +175,7 @@ func (q *Query) String() string {
 }
 
 // Parse parses a retrieve statement.
-func Parse(src string) (*Query, error) { return parse(new(parseScratch), src) }
+func Parse(src string) (*Query, error) { return parseFresh(new(parseScratch), src) }
 
 // parseScratch is the storage a statement is parsed into: the query, its
 // path segments, its expression nodes and its identifiers. A reader that
@@ -195,12 +195,84 @@ type parseScratch struct {
 	// same, so a stored query read off a page allocates no names once a
 	// query of its shape has been parsed here.
 	idents []string
+	// The shape of the last statement parse read, while that parse
+	// succeeded: a copy of its text, its tokens there, and the number
+	// constants of q in token order. hit reports that the last parse
+	// found that shape again and only rewrote the constants.
+	text  []byte
+	toks  []token
+	slots []*int64
+	hit   bool
 }
 
-// parse parses src into sc, from a string or straight from the bytes of
-// a stored children value: no text is copied but what a string constant
-// holds and an identifier the last parse did not have at its position.
+// parse parses src into sc like parseFresh, but a statement with the
+// shape of the last one parsed here — the same tokens, apart from the
+// values of its numbers — is not parsed again: the last query has its
+// number constants rewritten in place, and sc.hit reports it.
 func parse[S string | []byte](sc *parseScratch, src S) (*Query, error) {
+	if sc.hit = reshape(sc, src); sc.hit {
+		return &sc.q, nil
+	}
+	q, err := parseFresh(sc, src)
+	sc.text, sc.toks, sc.slots = append(sc.text[:0], src...), sc.toks[:0], sc.slots[:0]
+	for off := 0; err == nil; {
+		t, next, _ := lexAt(sc.text, off)
+		if sc.toks = append(sc.toks, t); t.kind == tokEOF {
+			sc.slots = numberSlots(sc.slots, q.Where)
+			break
+		}
+		off = next
+	}
+	return q, err
+}
+
+// reshape reports whether src has the shape recorded in sc, writing its
+// numbers into the recorded constants as it goes: a src that turns out
+// to differ leaves some rewritten, and is parsed afresh.
+func reshape[S string | []byte](sc *parseScratch, src S) bool {
+	off, k := 0, 0
+	for _, want := range sc.toks {
+		t, next, err := lexAt(src, off)
+		if err != nil || t.kind != want.kind {
+			return false
+		}
+		if t.kind == tokNumber {
+			n, ok := number(src[t.lo:t.hi])
+			if !ok {
+				return false
+			}
+			*sc.slots[k], k = n, k+1
+		} else if string(src[t.lo:t.hi]) != string(sc.text[want.lo:want.hi]) {
+			return false
+		}
+		off = next
+	}
+	return len(sc.toks) > 0
+}
+
+// numberSlots appends where each number constant of x sits, left before
+// right: the order the parser read them in.
+func numberSlots(out []*int64, x Expr) []*int64 {
+	switch v := x.(type) {
+	case *BinBool:
+		return numberSlots(numberSlots(out, v.L), v.R)
+	case *Not:
+		return numberSlots(out, v.E)
+	case *Compare:
+		for _, o := range [...]*Operand{&v.L, &v.R} {
+			if !o.Column() && !o.IsStr {
+				out = append(out, &o.Num)
+			}
+		}
+	}
+	return out
+}
+
+// parseFresh parses src into sc, from a string or straight from the
+// bytes of a stored children value: no text is copied but what a string
+// constant holds and an identifier the last parse did not have at its
+// position.
+func parseFresh[S string | []byte](sc *parseScratch, src S) (*Query, error) {
 	sc.q = Query{Targets: sc.q.Targets[:0]}
 	sc.segs = sc.segs[:0]
 	sc.bins, sc.nots, sc.cmps = sc.bins[:0], sc.nots[:0], sc.cmps[:0]

@@ -4,10 +4,13 @@ package pql
 // resolved once — relations to slots, attributes to field indexes and
 // kinds, comparison operators to opcodes — so evaluating a row touches
 // no map, no catalog latch and no string. Rows stay encoded: a value is
-// materialized only for a field the predicate (tuple.DecodeField) or the
-// target list (tuple.Text.Field, into the answer's text) references.
+// materialized only for a field the target list (tuple.Text.Field, into
+// the answer's text) references; the predicate compares fields where they
+// stand in the record.
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 
 	"corep/internal/catalog"
@@ -34,10 +37,6 @@ type col struct {
 // current expansion's leaf rather than a field of a bound record.
 const pathSlot = -1
 
-func (r *row) value(c col) (tuple.Value, error) {
-	return tuple.DecodeField(r.schemas[c.slot], r.recs[c.slot], c.idx)
-}
-
 // bound is a query bound to the catalog: its relations in slots, its
 // predicate and target list resolved against their schemas, and the row
 // the pipeline currently stands on.
@@ -46,6 +45,7 @@ type bound struct {
 	rels  [2]*catalog.Relation
 	where *bexpr  // nil without a where clause
 	nodes []bexpr // the predicate's nodes, allocated together
+	lits  []byte  // the bytes of its string constants, one after the other
 	// cols binds result column j; schema names and types the columns. Its
 	// fields are fields, and schema is out once the target list is bound.
 	cols   []col
@@ -54,6 +54,9 @@ type bound struct {
 	schema *tuple.Schema
 	// keyed: rows report their Source, the key of the record in slot 0.
 	keyed bool
+	// pt and kids, in a path query, are the path target's index and the
+	// position of the children attribute it starts from.
+	pt, kids int
 	// path is the current value of the path column (path queries).
 	path tuple.Value
 }
@@ -95,11 +98,13 @@ func keyed(s *tuple.Schema) bool {
 
 // bind resolves the relations q names (at most two) and binds its
 // predicate into b, over whatever b held: the storage of the predicate's
-// nodes and of the result columns is kept for the columns to come. The
+// nodes and of the result columns is kept for the columns to come. A
+// query over one relation reads it through a scan bounded to keyRange,
+// and leaves out of its predicate what that scan holds (bindExpr). The
 // target list is bound by the caller: its shape differs between plain
 // and path queries.
 func (b *bound) bind(cat *catalog.Catalog, q *Query, names []string) error {
-	*b = bound{nodes: b.nodes[:0], cols: b.cols[:0], fields: b.fields[:0]}
+	*b = bound{nodes: b.nodes[:0], lits: b.lits[:0], cols: b.cols[:0], fields: b.fields[:0]}
 	for i, n := range names {
 		rel, err := cat.Get(n)
 		if err != nil {
@@ -111,7 +116,11 @@ func (b *bound) bind(cat *catalog.Catalog, q *Query, names []string) error {
 		if n := countNodes(q.Where); cap(b.nodes) < n {
 			b.nodes = make([]bexpr, 0, n)
 		}
-		b.where = b.bindExpr(q.Where, names)
+		var key *catalog.Relation
+		if len(names) == 1 {
+			key = b.rels[0]
+		}
+		b.where = b.bindExpr(q.Where, names, key)
 	}
 	return nil
 }
@@ -186,17 +195,20 @@ const (
 )
 
 // operand is a bound comparison operand: a column, or (slot < 0) the
-// constant the query's own operand cst spells.
+// constant the query's own operand cst spells, a string one's bytes
+// copied to lit.
 type operand struct {
 	col
 	cst *Operand
+	lit []byte
 }
 
 // bexpr is one node of a bound predicate.
 type bexpr struct {
 	op   uint8
-	l, r *bexpr  // opAnd, opOr, opThen; opNot uses l
-	a, b operand // comparisons
+	kind tuple.Kind // of a comparison's operands
+	l, r *bexpr     // opAnd, opOr, opThen; opNot uses l
+	a, b operand    // comparisons
 	// err is what binding found wrong with this node: an unknown
 	// attribute, operands of different kinds, an unknown operator. It is
 	// reported when the node is first evaluated, not at bind time — a
@@ -207,12 +219,21 @@ type bexpr struct {
 
 // bindExpr binds x into the next free node of b.nodes, which bind sized
 // for the whole predicate: the slice never moves, so node pointers hold.
-func (b *bound) bindExpr(x Expr, names []string) *bexpr {
-	b.nodes = append(b.nodes, bexpr{})
-	n := &b.nodes[len(b.nodes)-1]
+// Where key is not nil, x is a top-level conjunct of a predicate over a
+// scan of key bounded to keyRange, and a comparison of key's key with an
+// integer constant (keyBound) is the scan's to hold: it binds to nil.
+func (b *bound) bindExpr(x Expr, names []string, key *catalog.Relation) *bexpr {
+	var n bexpr
 	switch v := x.(type) {
 	case *BinBool:
-		n.op, n.l, n.r = opThen, b.bindExpr(v.L, names), b.bindExpr(v.R, names)
+		if v.Op != "and" {
+			key = nil
+		}
+		l, r := b.bindExpr(v.L, names, key), b.bindExpr(v.R, names, key)
+		if l == nil || r == nil {
+			return cmp.Or(l, r)
+		}
+		n.op, n.l, n.r = opThen, l, r
 		switch v.Op {
 		case "and":
 			n.op = opAnd
@@ -220,8 +241,11 @@ func (b *bound) bindExpr(x Expr, names []string) *bexpr {
 			n.op = opOr
 		}
 	case *Not:
-		n.op, n.l = opNot, b.bindExpr(v.E, names)
+		n.op, n.l = opNot, b.bindExpr(v.E, names, nil)
 	case *Compare:
+		if _, _, ok := keyBound(key, v); ok {
+			return nil
+		}
 		var ak, bk tuple.Kind
 		if n.a, ak, n.err = b.bindOperand(&v.L, names); n.err != nil {
 			break
@@ -233,6 +257,7 @@ func (b *bound) bindExpr(x Expr, names []string) *bexpr {
 			n.err = fmt.Errorf("%w: type mismatch in %s (%v vs %v)", ErrExec, v, ak, bk)
 			break
 		}
+		n.kind = ak
 		switch v.Op {
 		case "=":
 			n.op = opEQ
@@ -252,16 +277,17 @@ func (b *bound) bindExpr(x Expr, names []string) *bexpr {
 	default:
 		n.err = fmt.Errorf("%w: unknown expression node %T", ErrExec, x)
 	}
-	return n
+	b.nodes = append(b.nodes, n)
+	return &b.nodes[len(b.nodes)-1]
 }
 
 func (b *bound) bindOperand(o *Operand, names []string) (operand, tuple.Kind, error) {
 	if !o.Column() {
-		k := tuple.KInt
 		if o.IsStr {
-			k = tuple.KString
+			b.lits = append(b.lits, o.Str...)
+			return operand{col: col{slot: -1}, cst: o, lit: b.lits[len(b.lits)-len(o.Str):]}, tuple.KString, nil
 		}
-		return operand{col: col{slot: -1}, cst: o}, k, nil
+		return operand{col: col{slot: -1}, cst: o}, tuple.KInt, nil
 	}
 	slot := slotOf(names, o.Rel)
 	if slot < 0 {
@@ -274,14 +300,21 @@ func (b *bound) bindOperand(o *Operand, names []string) (operand, tuple.Kind, er
 	return operand{col: col{slot: slot, idx: i}}, b.schemas[slot].Fields[i].Kind, nil
 }
 
-func (o *operand) value(r *row) (tuple.Value, error) {
-	if o.slot >= 0 {
-		return r.value(o.col)
+// int is the operand's value in row r, for an integer comparison.
+func (o *operand) int(r *row) (int64, error) {
+	if o.slot < 0 {
+		return o.cst.Num, nil
 	}
-	if o.cst.IsStr {
-		return tuple.StrVal(o.cst.Str), nil
+	return tuple.Int(r.schemas[o.slot], r.recs[o.slot], o.idx)
+}
+
+// bytes is the operand's body in row r, for a character or byte
+// comparison: a view into the record, or the constant's copy.
+func (o *operand) bytes(r *row) ([]byte, error) {
+	if o.slot < 0 {
+		return o.lit, nil
 	}
-	return tuple.IntVal(o.cst.Num), nil
+	return tuple.FieldBytes(r.schemas[o.slot], r.recs[o.slot], o.idx)
 }
 
 // eval evaluates the predicate on row r. and/or stop at the side that
@@ -304,15 +337,10 @@ func (x *bexpr) eval(r *row) (bool, error) {
 		inner, err := x.l.eval(r)
 		return !inner && err == nil, err
 	}
-	av, err := x.a.value(r)
+	c, err := x.compare(r)
 	if err != nil {
 		return false, err
 	}
-	bv, err := x.b.value(r)
-	if err != nil {
-		return false, err
-	}
-	c := av.Compare(bv)
 	switch x.op {
 	case opEQ:
 		return c == 0, nil
@@ -327,4 +355,19 @@ func (x *bexpr) eval(r *row) (bool, error) {
 	default:
 		return c >= 0, nil
 	}
+}
+
+// compare orders the operands of comparison x in row r, -1, 0 or +1 as
+// tuple.Value.Compare does, reading a column where it stands in its
+// record.
+func (x *bexpr) compare(r *row) (int, error) {
+	a, b := &x.a, &x.b
+	if x.kind == tuple.KInt {
+		av, aerr := a.int(r)
+		bv, berr := b.int(r)
+		return cmp.Compare(av, bv), cmp.Or(aerr, berr)
+	}
+	ab, aerr := a.bytes(r)
+	bb, berr := b.bytes(r)
+	return bytes.Compare(ab, bb), cmp.Or(aerr, berr)
 }

@@ -3,6 +3,7 @@ package pql
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -266,24 +267,39 @@ type scratch struct {
 	names []string
 	b     bound
 	scan  relScan
+	// reusable: names and b hold the binding of parse's query, which the
+	// last run here made and finished without error.
+	reusable bool
 }
 
 // run binds q once, in sc, and streams its result rows to emit; the row
 // emit sees is valid for that call only. It returns the bound query for
 // its result schema, which a path query completes at the first reached
-// leaf; both live as long as sc is not reused.
-func run(st Store, q *Query, opts ExecOpts, sc *scratch, emit func(*bound) error) (*bound, error) {
+// leaf; both live as long as sc is not reused. A query parsed into sc
+// with the last one's shape (parse) keeps that one's binding, which
+// points at the constants, unless that run failed, another query ran
+// here since, or the catalog now names other relations.
+func run(st Store, q *Query, opts ExecOpts, sc *scratch, emit func(*bound) error) (b *bound, err error) {
+	parsed := q == &sc.parse.q
+	reuse := parsed && sc.parse.hit && sc.reusable
+	for i := 0; reuse && i < len(sc.names); i++ {
+		rel, gerr := st.Cat.Get(sc.names[i]) // another database's, or created again
+		reuse = gerr == nil && rel == sc.b.rels[i]
+	}
+	defer func() { sc.reusable = parsed && err == nil }()
 	for _, t := range q.Targets {
 		if t.Pathy() {
-			return runPath(st, q, opts, sc, emit)
+			return runPath(st, q, opts, sc, emit, reuse)
 		}
 	}
-	sc.names = q.appendRelations(sc.names[:0])
+	if !reuse {
+		sc.names = q.appendRelations(sc.names[:0])
+	}
 	switch len(sc.names) {
 	case 0:
 		return nil, fmt.Errorf("%w: query references no relations", ErrExec)
 	case 1:
-		return runSingle(st.Cat, q, sc, emit)
+		return runSingle(st.Cat, q, sc, emit, reuse)
 	case 2:
 		return runJoin(st.Cat, q, sc, emit)
 	default:
@@ -341,76 +357,81 @@ func ResultSchema(cat *catalog.Catalog, q *Query) (*tuple.Schema, error) {
 }
 
 // keyRange extracts a [lo,hi] bound on rel's key attribute (field 0)
-// from a conjunctive predicate, for B-tree range scans. Only top-level
-// conjunctions contribute; anything else returns the full range.
+// from a conjunctive predicate, for B-tree range scans: lo > hi when no
+// key can satisfy it. Only top-level conjunctions contribute; anything
+// else leaves the whole int64 range.
 func keyRange(rel *catalog.Relation, x Expr) (lo, hi int64) {
-	r := keyBounds{lo: -1 << 62, hi: 1 << 62}
-	if keyed(rel.Schema) {
-		r.narrow(rel.Name, rel.Schema.Fields[0].Name, x)
-	}
-	return r.lo, r.hi
-}
-
-type keyBounds struct{ lo, hi int64 }
-
-// narrow tightens the bounds by every comparison of relName.keyAttr
-// with an integer constant that e's top-level conjunction holds.
-func (r *keyBounds) narrow(relName, keyAttr string, e Expr) {
-	switch v := e.(type) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	switch v := x.(type) {
 	case *BinBool:
 		if v.Op == "and" {
-			r.narrow(relName, keyAttr, v.L)
-			r.narrow(relName, keyAttr, v.R)
+			l1, h1 := keyRange(rel, v.L)
+			l2, h2 := keyRange(rel, v.R)
+			return max(l1, l2), min(h1, h2)
 		}
 	case *Compare:
-		col, cst, op := v.L, v.R, v.Op
-		if !col.Column() && cst.Column() {
-			col, cst = cst, col
-			// Mirror the operator when the column is on the right.
-			switch op {
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
-			}
-		}
-		if !col.Column() || cst.Column() || cst.IsStr {
-			return
-		}
-		if col.Rel != relName || col.Attr != keyAttr {
-			return
-		}
-		switch op {
-		case "=":
-			r.lo, r.hi = max(r.lo, cst.Num), min(r.hi, cst.Num)
-		case "<":
-			r.hi = min(r.hi, cst.Num-1)
-		case "<=":
-			r.hi = min(r.hi, cst.Num)
-		case ">":
-			r.lo = max(r.lo, cst.Num+1)
-		case ">=":
-			r.lo = max(r.lo, cst.Num)
+		op, n, ok := keyBound(rel, v)
+		switch {
+		case !ok:
+		case op == "=":
+			return n, n
+		case op == "<" && n == math.MinInt64, op == ">" && n == math.MaxInt64:
+			return 1, 0 // nothing lies beyond the end of the range
+		case op == "<":
+			hi = n - 1
+		case op == "<=":
+			hi = n
+		case op == ">":
+			lo = n + 1
+		case op == ">=":
+			lo = n
 		}
 	}
+	return lo, hi
+}
+
+// keyBound reports whether c compares rel's key attribute (none when rel
+// is nil) with an integer constant, and how: the operator as if the key stood on its
+// left, and the constant. A scan bounded to keyRange holds every such
+// top-level conjunct.
+func keyBound(rel *catalog.Relation, c *Compare) (op string, n int64, ok bool) {
+	col, cst, op := c.L, c.R, c.Op
+	if !col.Column() && cst.Column() {
+		col, cst = cst, col
+		// Mirror the operator when the column is on the right.
+		switch op {
+		case "<":
+			op = ">"
+		case "<=":
+			op = ">="
+		case ">":
+			op = "<"
+		case ">=":
+			op = "<="
+		}
+	}
+	if rel == nil || !keyed(rel.Schema) || !col.Column() || cst.Column() || cst.IsStr ||
+		col.Rel != rel.Name || col.Attr != rel.Schema.Fields[0].Name || op == "!=" {
+		return "", 0, false
+	}
+	return op, cst.Num, true
 }
 
 // runSingle runs a single-relation selection: scan → filter → emit,
 // pulled record by record. The scan is a bounded B-tree range scan when
-// the predicate bounds the key.
-func runSingle(cat *catalog.Catalog, q *Query, sc *scratch, emit func(*bound) error) (*bound, error) {
+// the predicate bounds the key, and the filter is what the bound leaves
+// of the predicate. With reuse, sc holds q's binding already.
+func runSingle(cat *catalog.Catalog, q *Query, sc *scratch, emit func(*bound) error, reuse bool) (*bound, error) {
 	b := &sc.b
-	if err := b.bind(cat, q, sc.names); err != nil {
-		return nil, err
+	if !reuse {
+		if err := b.bind(cat, q, sc.names); err != nil {
+			return nil, err
+		}
+		if err := b.outSchema(cat, sc.names, q.Targets); err != nil {
+			return nil, err
+		}
+		b.keyed = keyed(b.schemas[0])
 	}
-	if err := b.outSchema(cat, sc.names, q.Targets); err != nil {
-		return nil, err
-	}
-	b.keyed = keyed(b.schemas[0])
 	scan := &sc.scan
 	if err := scan.open(b.rels[0], q.Where); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package pql
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"corep/internal/catalog"
@@ -101,7 +102,7 @@ func explainPath(cat *catalog.Catalog, q *Query, pt Target, p *Plan) (*Plan, err
 
 func scanStep(rel *catalog.Relation, where Expr) PlanStep {
 	if where != nil {
-		if lo, hi := keyRange(rel, where); lo > -1<<62 || hi < 1<<62 {
+		if lo, hi := keyRange(rel, where); lo > math.MinInt64 || hi < math.MaxInt64 {
 			return PlanStep{Op: "range-scan", Rel: rel.Name, Detail: fmt.Sprintf("[%d,%d]", lo, hi)}
 		}
 	}

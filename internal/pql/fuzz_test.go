@@ -3,6 +3,10 @@ package pql
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -23,7 +27,10 @@ import (
 // not understand. A parse from the statement's bytes — the way a stored
 // query is read off its page — agrees with the parse of its string, also
 // into used scratch, and keeps nothing of the bytes: scribbling over
-// them afterwards changes nothing the query holds.
+// them afterwards changes nothing the query holds. A statement of the
+// shape the scratch has just parsed — src with its numbers changed — is
+// only its constants rewritten (parse's hit), and prints as a fresh
+// parse of it does.
 func FuzzPQLParse(f *testing.F) {
 	f.Add("retrieve (person.all) where person.age >= 60")
 	f.Add(`retrieve (person.name) where person.name = cyclist.name`)
@@ -38,6 +45,9 @@ func FuzzPQLParse(f *testing.F) {
 	f.Add(`retrieve (a.b) where a.c = "unterminated`)
 	f.Add("where where where")
 	f.Add("")
+	f.Add("retrieve (café.x) where café.n >= -9223372036854775808")
+	f.Add("retrieve (ê.x, naïve1.y)")
+	f.Add("retrieve (caf\xe9.x)")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		q, err := Parse(src)
@@ -77,6 +87,33 @@ func FuzzPQLParse(f *testing.F) {
 				}
 				if err == nil && again.String() != q.String() {
 					t.Fatalf("%q (bytes %v) after %q parses as %s, fresh %s", src, fromBytes, before, again, q)
+				}
+			}
+		}
+		for _, shift := range numberShifts {
+			v := renumber(src, shift)
+			fresh, ferr := Parse(v)
+			for _, fromBytes := range []bool{false, true} {
+				var sc parseScratch
+				parse(&sc, src)
+				var got *Query
+				var err2 error
+				if fromBytes {
+					got, err2 = parse(&sc, []byte(v))
+				} else {
+					got, err2 = parse(&sc, v)
+				}
+				if (ferr == nil) != (err2 == nil) || ferr != nil && ferr.Error() != err2.Error() {
+					t.Fatalf("%q (bytes %v) after %q: error %v, fresh parse %v", v, fromBytes, src, err2, ferr)
+				}
+				if ferr != nil {
+					continue
+				}
+				if got.String() != fresh.String() {
+					t.Fatalf("%q (bytes %v) after %q parses as %s, fresh %s", v, fromBytes, src, got, fresh)
+				}
+				if err == nil && !sc.hit {
+					t.Fatalf("%q after %q, which has its shape, was parsed afresh", v, src)
 				}
 			}
 		}
@@ -225,7 +262,8 @@ func fuzzCat() *catalog.Catalog {
 // succeeds whenever execution does, and the bound executor returns
 // exactly what the decode-everything reference evaluator — one probe per
 // reached subobject — returns (reference_test.go): rows, Sources, result
-// schema, and failing or not.
+// schema, and failing or not — also when the statement runs in a lent
+// sink after others of its shape (agreeInLentSink).
 func FuzzPQLPlan(f *testing.F) {
 	for _, src := range referenceQueries {
 		f.Add(src)
@@ -236,6 +274,7 @@ func FuzzPQLPlan(f *testing.F) {
 			return
 		}
 		cat := fuzzCat()
+		agreeInLentSink(t, cat, src)
 		if _, err := agreeWithReference(t, cat, src, q); err != nil {
 			return
 		}
@@ -243,6 +282,81 @@ func FuzzPQLPlan(f *testing.F) {
 			t.Fatalf("executable query %q does not explain: %v", src, err)
 		}
 	})
+}
+
+// numberShifts change a statement's numbers, keeping its shape: the
+// same values, neighbours, far ones and both ends of int64.
+var numberShifts = []func(int64) int64{
+	func(n int64) int64 { return n },
+	func(n int64) int64 { return n + 1 },
+	func(n int64) int64 { return 2 - n },
+	func(n int64) int64 { return n * 3 },
+	func(int64) int64 { return math.MinInt64 },
+	func(int64) int64 { return math.MaxInt64 },
+}
+
+// renumber rewrites every number of src with shift and leaves the rest
+// of its text as it is: a statement of the same shape.
+func renumber(src string, shift func(int64) int64) string {
+	var b strings.Builder
+	last := 0
+	for off := 0; ; {
+		t, next, err := lexAt(src, off)
+		if err != nil || t.kind == tokEOF {
+			break
+		}
+		if t.kind == tokNumber {
+			if n, ok := number(src[t.lo:t.hi]); ok {
+				b.WriteString(src[last:t.lo])
+				b.WriteString(strconv.FormatInt(shift(n), 10))
+				last = t.hi
+			}
+		}
+		off = next
+	}
+	b.WriteString(src[last:])
+	return b.String()
+}
+
+// agreeInLentSink runs src and the statements of its shape renumber
+// makes one after the other in one lent sink, the way Query runs them:
+// each after the first reuses the last one's parse (a hit) and, when
+// that one ran, its binding. Each must fail when the reference fails
+// and else return the reference's columns and rows.
+func agreeInLentSink(t *testing.T, cat *catalog.Catalog, src string) {
+	t.Helper()
+	s := sinks.Get().(*sink)
+	defer s.release()
+	st := Store{Cat: cat, View: cat}
+	for i, shift := range numberShifts {
+		v := renumber(src, shift)
+		q, err := Parse(v)
+		if err != nil {
+			return
+		}
+		want, wantErr := refExecute(cat, q, 0)
+		cols, rows, err := queryIn(s, st, v)
+		if i > 0 && !s.parse.hit {
+			t.Fatalf("%q after a statement of its shape was parsed afresh", v)
+		}
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%q in a lent sink: error %v, reference %v", v, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if !slices.Equal(cols, want.Schema.Names()) {
+			t.Fatalf("%q in a lent sink: columns %v, reference %v", v, cols, want.Schema.Names())
+		}
+		if len(rows) != len(want.Tuples) {
+			t.Fatalf("%q in a lent sink: %d rows, reference %d", v, len(rows), len(want.Tuples))
+		}
+		for j := range rows {
+			if !reflect.DeepEqual(rows[j], want.Tuples[j]) {
+				t.Fatalf("%q in a lent sink: row %d = %v, reference %v", v, j, rows[j], want.Tuples[j])
+			}
+		}
+	}
 }
 
 // reparseable reports whether every string constant in q survives

@@ -8,6 +8,7 @@ package pql
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -49,13 +50,16 @@ type ExecOpts struct {
 // stages behind the scan read single fields.
 type relScan struct {
 	rel *catalog.Relation
-	it  *btree.Iterator // cur, or an unbounded scan's own
+	it  *btree.Iterator // cur, an unbounded scan's own, or nil: an empty range
 	cur btree.Iterator
 	key int64 // of the record it stands on
 	hi  int64
 }
 
 func (s *relScan) Next() ([]byte, bool, error) {
+	if s.it == nil {
+		return nil, false, nil // an empty range
+	}
 	key, rec, ok, err := s.it.Next()
 	if err != nil || !ok || key > s.hi {
 		return nil, false, err
@@ -85,23 +89,26 @@ func (s *relScan) Close() {
 }
 
 // open makes s the scan for rel, over whatever closed scan s was: a
-// range scan when the predicate bounds the key, a full scan otherwise.
-// A bounded scan seeks in s's own iterator, so a relScan opened scan
-// after scan allocates nothing for it.
+// range scan when the predicate bounds the key, a full scan otherwise,
+// and no scan at all when no key satisfies it. A bounded scan seeks in
+// s's own iterator, so a relScan opened scan after scan allocates
+// nothing for it.
 func (s *relScan) open(rel *catalog.Relation, where Expr) error {
 	*s = relScan{rel: rel}
-	lo, hi := int64(-1<<62), int64(1<<62)
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
 	if where != nil {
 		lo, hi = keyRange(rel, where)
 	}
+	s.hi = hi
 	var err error
-	if lo > -1<<62 || hi < 1<<62 {
+	switch {
+	case lo > hi:
+	case lo > math.MinInt64 || hi < math.MaxInt64:
 		s.it = &s.cur
 		err = rel.Tree.SeekGEInto(s.it, lo)
-	} else {
+	default:
 		s.it, err = rel.Tree.SeekFirst()
 	}
-	s.hi = hi
 	return err
 }
 
@@ -115,70 +122,27 @@ const maxPathDepth = 8
 // surviving root row is expanded through its children attributes, one
 // output row per reached subobject — plain targets repeat per expansion,
 // join-style. Exactly one path target is supported, all other targets
-// and the predicate must bind the root relation.
-func runPath(st Store, q *Query, opts ExecOpts, sc *scratch, emit func(*bound) error) (*bound, error) {
+// and the predicate must bind the root relation. With reuse, sc holds
+// q's binding already.
+func runPath(st Store, q *Query, opts ExecOpts, sc *scratch, emit func(*bound) error, reuse bool) (*bound, error) {
 	if opts.depth >= maxPathDepth {
 		return nil, fmt.Errorf("%w: stored query recursion deeper than %d (cyclic procedural attribute?)", ErrExec, maxPathDepth)
 	}
-	ptIdx := -1
-	for i, t := range q.Targets {
-		if !t.Pathy() {
-			continue
-		}
-		if ptIdx >= 0 {
-			return nil, fmt.Errorf("%w: at most one multi-dot path target per query", ErrExec)
-		}
-		ptIdx = i
-	}
-	pt := q.Targets[ptIdx]
-	if pt.All() {
-		return nil, fmt.Errorf("%w: 'all' cannot start a multi-dot path", ErrExec)
-	}
-	sc.names = q.appendRelations(sc.names[:0])
-	for _, rn := range sc.names {
-		if rn != pt.Rel {
-			return nil, fmt.Errorf("%w: path query must bind only %q (got %q)", ErrExec, pt.Rel, rn)
-		}
-	}
 	b := &sc.b
-	if err := b.bind(st.Cat, q, sc.names); err != nil {
+	if reuse {
+		// The path column starts over as an integer, as bindPath makes it.
+		f := &b.schema.Fields[b.pt]
+		f.Kind, f.Width = tuple.KInt, 8
+	} else if err := bindPath(st.Cat, q, sc); err != nil {
 		return nil, err
 	}
-	rel := b.rels[0]
-	// Plain targets resolve against the root schema; the path column
-	// takes the field spec of the first reached leaf.
-	for i, t := range q.Targets {
-		if i == ptIdx {
-			b.addPathCol(pt)
-			continue
-		}
-		if t.All() {
-			return nil, fmt.Errorf("%w: rel.all cannot accompany a path target", ErrExec)
-		}
-		fi := rel.Schema.Index(t.Attr)
-		if fi < 0 {
-			return nil, fmt.Errorf("%w: relation %q has no attribute %q", ErrExec, t.Rel, t.Attr)
-		}
-		b.addCol(t.Rel, rel.Schema.Fields[fi], col{idx: fi})
-	}
-	rootIdx := rel.Schema.Index(pt.Attr)
-	if rootIdx < 0 {
-		return nil, fmt.Errorf("%w: relation %q has no attribute %q", ErrExec, pt.Rel, pt.Attr)
-	}
-	if rel.Schema.Fields[rootIdx].Kind != tuple.KBytes {
-		return nil, fmt.Errorf("%w: %s.%s is not a children attribute", ErrExec, pt.Rel, pt.Attr)
-	}
-	if err := b.setSchema(); err != nil {
-		return nil, err
-	}
-	b.keyed = keyed(rel.Schema)
-
+	rel, pt := b.rels[0], q.Targets[b.pt]
 	scan := &sc.scan
 	if err := scan.open(rel, q.Where); err != nil {
 		return nil, err
 	}
 	defer scan.Close()
-	px := lendExpander(st, opts, &b.schema.Fields[ptIdx])
+	px := lendExpander(st, opts, &b.schema.Fields[b.pt])
 	defer px.Release()
 	// One root row's values collect in a pooled buffer, cleared before the
 	// next row's, so the buffer holds no strings once the scan ends.
@@ -201,7 +165,7 @@ func runPath(st Store, q *Query, opts ExecOpts, sc *scratch, emit func(*bound) e
 		}
 		// The children value is read in place, under the scan's pin, which
 		// holds until the expansion below has returned.
-		kids, err := tuple.FieldBytes(rel.Schema, rec, rootIdx)
+		kids, err := tuple.FieldBytes(rel.Schema, rec, b.kids)
 		if err != nil {
 			return nil, err
 		}
@@ -217,6 +181,64 @@ func runPath(st Store, q *Query, opts ExecOpts, sc *scratch, emit func(*bound) e
 		clear(vals)
 		vals = vals[:0]
 	}
+}
+
+// bindPath binds path query q into sc: its relation, what the bounded
+// root scan leaves of its predicate, and its target list — the plain
+// targets against the root schema, the path column as an integer until
+// the first reached leaf says what it is.
+func bindPath(cat *catalog.Catalog, q *Query, sc *scratch) error {
+	ptIdx := -1
+	for i, t := range q.Targets {
+		if !t.Pathy() {
+			continue
+		}
+		if ptIdx >= 0 {
+			return fmt.Errorf("%w: at most one multi-dot path target per query", ErrExec)
+		}
+		ptIdx = i
+	}
+	pt := q.Targets[ptIdx]
+	if pt.All() {
+		return fmt.Errorf("%w: 'all' cannot start a multi-dot path", ErrExec)
+	}
+	sc.names = q.appendRelations(sc.names[:0])
+	for _, rn := range sc.names {
+		if rn != pt.Rel {
+			return fmt.Errorf("%w: path query must bind only %q (got %q)", ErrExec, pt.Rel, rn)
+		}
+	}
+	b := &sc.b
+	if err := b.bind(cat, q, sc.names); err != nil {
+		return err
+	}
+	rel := b.rels[0]
+	for i, t := range q.Targets {
+		if i == ptIdx {
+			b.addPathCol(pt)
+			continue
+		}
+		if t.All() {
+			return fmt.Errorf("%w: rel.all cannot accompany a path target", ErrExec)
+		}
+		fi := rel.Schema.Index(t.Attr)
+		if fi < 0 {
+			return fmt.Errorf("%w: relation %q has no attribute %q", ErrExec, t.Rel, t.Attr)
+		}
+		b.addCol(t.Rel, rel.Schema.Fields[fi], col{idx: fi})
+	}
+	rootIdx := rel.Schema.Index(pt.Attr)
+	if rootIdx < 0 {
+		return fmt.Errorf("%w: relation %q has no attribute %q", ErrExec, pt.Rel, pt.Attr)
+	}
+	if rel.Schema.Fields[rootIdx].Kind != tuple.KBytes {
+		return fmt.Errorf("%w: %s.%s is not a children attribute", ErrExec, pt.Rel, pt.Attr)
+	}
+	if err := b.setSchema(); err != nil {
+		return err
+	}
+	b.keyed, b.pt, b.kids = keyed(rel.Schema), ptIdx, rootIdx
+	return nil
 }
 
 // Expander follows the segments of a multi-dot path through encoded

@@ -12,6 +12,7 @@ package pql
 import (
 	"fmt"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokKind int
@@ -90,14 +91,54 @@ func lexAt[S string | []byte](src S, i int) (token, int, error) {
 			return token{}, i, fmt.Errorf("pql: bad number at %d", i)
 		}
 		return token{tokNumber, i, j}, j, nil
-	case unicode.IsLetter(rune(c)) || c == '_':
+	case c >= utf8.RuneSelf || identClass[c]&identStart != 0:
 		j := i
-		for j < len(src) && (unicode.IsLetter(rune(src[j])) || unicode.IsDigit(rune(src[j])) || src[j] == '_' || src[j] == '#') {
-			j++
+		for j < len(src) {
+			r, n := rune(src[j]), 1
+			if r >= utf8.RuneSelf {
+				if r, n = runeAt(src, j); r == utf8.RuneError && n == 1 {
+					return token{}, j, fmt.Errorf("pql: invalid UTF-8 at %d", j)
+				}
+			} else if identClass[r]&identPart != 0 {
+				j++
+				continue
+			}
+			if !unicode.IsLetter(r) && (j == i || !unicode.IsDigit(r)) {
+				break
+			}
+			j += n
 		}
-		return token{tokIdent, i, j}, j, nil
+		if j > i {
+			return token{tokIdent, i, j}, j, nil
+		}
+		r, _ := runeAt(src, i)
+		return token{}, i, fmt.Errorf("pql: unexpected character %q at %d", r, i)
 	}
 	return token{}, i, fmt.Errorf("pql: unexpected character %q at %d", c, i)
+}
+
+// identClass classes the ASCII bytes for identifiers: a letter or '_'
+// may start one, and those, a digit or '#' continue it. A byte from
+// 0x80 up starts a UTF-8 sequence, whose rune is classed by unicode.
+var identClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
+		if 'a' <= c|0x20 && c|0x20 <= 'z' || c == '_' {
+			t[c] = identStart | identPart
+		} else if '0' <= c && c <= '9' || c == '#' {
+			t[c] = identPart
+		}
+	}
+	return t
+}()
+
+const (
+	identStart = 1 << iota
+	identPart
+)
+
+// runeAt decodes the rune src[j:] starts with, and its size.
+func runeAt[S string | []byte](src S, j int) (rune, int) {
+	return utf8.DecodeRuneInString(string(src[j:min(j+utf8.UTFMax, len(src))]))
 }
 
 // keyword reports whether text spells kw, a lower-case ASCII keyword, in

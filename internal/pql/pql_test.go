@@ -3,6 +3,7 @@ package pql
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -354,7 +355,7 @@ func TestKeyRangeExtraction(t *testing.T) {
 	// Disjunctions must not narrow the range.
 	q3, _ := Parse(`retrieve (person.name) where person.OID = 3 or person.age > 0`)
 	lo, hi = keyRange(rel, q3.Where)
-	if lo != -1<<62 || hi != 1<<62 {
+	if lo != math.MinInt64 || hi != math.MaxInt64 {
 		t.Fatalf("or-range = [%d,%d]", lo, hi)
 	}
 }
@@ -393,7 +394,7 @@ func TestNotDoesNotNarrowKeyRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := keyRange(rel, q.Where)
-	if lo != -1<<62 || hi != 1<<62 {
+	if lo != math.MinInt64 || hi != math.MaxInt64 {
 		t.Fatalf("not-range narrowed to [%d,%d]", lo, hi)
 	}
 	// And the query still answers correctly via full scan + filter.
