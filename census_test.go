@@ -29,6 +29,7 @@ var censusStays = map[string]string{
 	"Clear":      "cache.Cache: benchmark/probes.go",
 	"Observe":    "planner.Planner: benchmark/probes.go",
 	"ChildCount": "workload.DB and ValueDB: benchmark/",
+	"GetBatch":   "btree.Tree and buffer.Pool: benchmark/probes.go (btree's is an adapter over GetBatchIn)",
 	// A retrieve takes its temporaries from its query.Arena.
 	"NewInt64Temp": "query: benchmark/probes.go's query layer",
 }

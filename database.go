@@ -414,7 +414,7 @@ func (d *Database) Fetch(oid OID) (Row, error) {
 // the same or lower simulated I/O cost.
 func (d *Database) FetchBatch(oids []OID) ([]Row, error) {
 	rows := make([]Row, len(oids))
-	err := d.store.View.ProbeOIDs(oids, func(i int, rel *catalog.Relation, rec []byte) error {
+	err := d.store.View.ProbeOIDs(new(catalog.Probe), oids, func(i int, rel *catalog.Relation, rec []byte) error {
 		// Decode copies strings and bytes out of the view, so the row
 		// outlives the batch.
 		row, err := tuple.Decode(rel.Schema, rec)
@@ -452,7 +452,7 @@ type Resolved struct {
 // given key. The value is copied out under the leaf's pin into a lent
 // buffer and read once the pin is let go, as a copy of the record would
 // be; a stored query is parsed from that buffer. The rows' strings are
-// one text (pql.Collect): keeping one keeps them all.
+// one text (pql.NestedRows, pql.Store.Query): keeping one keeps them all.
 func (r *Relation) Resolve(key int64, attr string) (*Resolved, error) {
 	if !r.childAttrs[attr] {
 		return nil, fmt.Errorf("corep: %s.%s is not a children attribute", r.rel.Name, attr)
@@ -515,7 +515,7 @@ func (d *Database) RetrievePath(relName, childrenAttr, targetAttr string, lo, hi
 // in place from that view, under the cursor's pin, not copied or re-read
 // through a second descent — and is handed, with the segments that
 // remain, to the expander, or with cached to expandCached in front of
-// it. The values are collected (pql.Collect): the caller gets one
+// it. The values are collected (pql.Store.Collect): the caller gets one
 // exact-size copy of them, whose strings are one exact-size text.
 func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, cached bool) (vals []Value, err error) {
 	done := d.beginSlow("query.path")
@@ -540,9 +540,7 @@ func (d *Database) retrievePath(relName string, attrs []string, lo, hi int64, ca
 		defer snap.Release()
 		epoch = snap.Epoch()
 	}
-	return pql.Collect(func(out []Value, text *tuple.Text) ([]Value, error) {
-		x := d.store.Expander(text)
-		defer x.Release()
+	return d.store.Collect(func(x *pql.Expander, out []Value) ([]Value, error) {
 		err := crel.Tree.Range(lo, hi, func(key int64, rec []byte) (bool, error) {
 			if cerr := tuple.Check(crel.Schema, rec); cerr != nil {
 				return false, cerr

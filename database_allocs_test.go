@@ -207,6 +207,26 @@ func TestFacadeAllocationCeiling(t *testing.T) {
 	if vals, err := db.RetrievePath("grp", "members", "name", 301, 301); err != nil || len(vals) != members {
 		t.Fatalf("updated group's members: %v, %v", vals, err)
 	}
+	// Over a Reorganized database a path read fetches each placed member
+	// from its packed copy, whose record is copied (placedRow), and the
+	// rest of each list through the catalog in the expander's probe
+	// memory: with half of 8 groups of 4 placed, the values and the 16
+	// record copies (37 objects while each list's unplaced members and
+	// their positions were gathered in fresh slices).
+	scattered, sgroups := buildScatteredDB(t, Options{BufferPages: 256, Reclustering: true})
+	readScattered := func() {
+		if vals, err := scattered.RetrievePath("grp", "members", "val", 1, int64(sgroups)); err != nil || len(vals) != 4*sgroups {
+			t.Fatalf("RetrievePath over a reorganized database: %d values, %v", len(vals), err)
+		}
+	}
+	readScattered()
+	if res, err := scattered.Reorganize(sgroups / 2); err != nil || res.Objects != 2*sgroups {
+		t.Fatalf("Reorganize placed %+v, %v; want %d members", res, err, 2*sgroups)
+	}
+	readScattered()
+	if n := testing.AllocsPerRun(20, readScattered); n > 17 {
+		t.Errorf("RetrievePath over a reorganized database allocates %.1f objects (ceiling 17)", n)
+	}
 }
 
 // TestConcurrentPathReadsMatchSerial: a path retrieval keeps nothing
@@ -215,9 +235,9 @@ func TestFacadeAllocationCeiling(t *testing.T) {
 // goroutines running RetrievePath, RetrievePathN and Query on one
 // database get exactly what one goroutine gets, also when they project
 // different attributes through the same relations, meet a stored query
-// two levels down, or walk groups laid out like the benchmark's
-// object_api (OID list, stored query, inline in turn). Run it under
-// -race.
+// two levels down, meet a stored query that is itself a path, or walk
+// groups laid out like the benchmark's object_api (OID list, stored
+// query, inline in turn). Run it under -race.
 func TestConcurrentPathReadsMatchSerial(t *testing.T) {
 	db := buildMixedDB(t, Options{BufferPages: 64})
 	rel := func(name string) *Relation {
@@ -235,6 +255,16 @@ func TestConcurrentPathReadsMatchSerial(t *testing.T) {
 	}
 	shelves := OIDChildren(object.NewOID(rel("shelf").rel.ID, 1))
 	if _, err := hall.InsertWith(Row{Int(1), Value{}}, map[string]Children{"shelves": shelves}); err != nil {
+		t.Fatal(err)
+	}
+	// wing 1's stored query is itself a three-level path, whose own
+	// expansion runs while the wing's waits on its rows.
+	wing, err := db.CreateRelation("wing", IntField("key"), ChildrenField("rooms"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rooms := ProcChildren(`retrieve (shelf.grps.members.name) where shelf.key = 1`)
+	if _, err := wing.InsertWith(Row{Int(1), Value{}}, map[string]Children{"rooms": rooms}); err != nil {
 		t.Fatal(err)
 	}
 	team, err := db.CreateRelation("team", IntField("key"), StrField("label"), ChildrenField("members"))
@@ -292,6 +322,10 @@ func TestConcurrentPathReadsMatchSerial(t *testing.T) {
 		{"Query, mixed groups", func() ([]Value, error) {
 			return firstColumn(db.Query(`retrieve (team.members.name) where team.key >= 3 and team.key <= 22`))
 		}},
+		{"RetrievePath, stored path query", func() ([]Value, error) { return db.RetrievePath("wing", "rooms", "name", 1, 1) }},
+		{"Query, stored path query", func() ([]Value, error) {
+			return firstColumn(db.Query(`retrieve (wing.rooms.name) where wing.key = 1`))
+		}},
 	}
 	want := make([]string, len(forms))
 	for i, f := range forms {
@@ -300,6 +334,13 @@ func TestConcurrentPathReadsMatchSerial(t *testing.T) {
 			t.Fatalf("%s: %d values, %v", f.name, len(vals), err)
 		}
 		want[i] = fmt.Sprint(vals)
+	}
+	// A stored path query nested in a path expands in a lent expander of
+	// its own: its rows are the three-level path's values.
+	for _, i := range []int{len(forms) - 2, len(forms) - 1} {
+		if want[i] != want[2] {
+			t.Fatalf("%s = %s, want the stored query's own answer %s", forms[i].name, want[i], want[2])
+		}
 	}
 	const clients, rounds = 4, 25
 	var wg sync.WaitGroup

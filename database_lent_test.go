@@ -12,15 +12,24 @@ import (
 	"corep/internal/tuple"
 )
 
-// TestLentStateDoesNotLeakBetweenCalls: RetrievePath and Query run in an
-// expander and scratch lent from a pool, so one call's state is the next
-// call's starting point. The expander's memo is keyed on a schema
-// pointer: a call projecting another attribute of the same relation, or
-// a stored query bound where the last one was, finds the last call's
-// pointer there, so the memo is reset on every lend. Nothing a Query
-// returns may alias its scratch, and a call that fails midway must leave
-// nothing the next call sees.
+// TestLentStateDoesNotLeakBetweenCalls: RetrievePath, RetrievePathN,
+// Query and Resolve run in one object lent for the call (pql's call
+// state: the expanders, the statement's scratch, the answer's buffer and
+// text), so one call's state is the next call's starting point. The
+// subtests check what the call must not carry into the next one, and
+// what the next one must not reach of the answers before it.
 func TestLentStateDoesNotLeakBetweenCalls(t *testing.T) {
+	t.Run("memo, results and failed calls", lentStateOfOneCall)
+	t.Run("answer text outlives later calls", answerTextOutlivesLaterCalls)
+}
+
+// lentStateOfOneCall: the expander's memo is keyed on a schema pointer:
+// a call projecting another attribute of the same relation, or a stored
+// query bound where the last one was, finds the last call's pointer
+// there, so the memo is reset on every lend. Nothing a Query returns may
+// alias its scratch, and a call that fails midway must leave nothing the
+// next call sees.
+func lentStateOfOneCall(t *testing.T) {
 	db := NewDatabase(64)
 	person, err := db.CreateRelation("person", IntField("OID"), StrField("name"), IntField("age"))
 	if err != nil {
@@ -140,7 +149,7 @@ func TestLentStateDoesNotLeakBetweenCalls(t *testing.T) {
 	}
 }
 
-// TestAnswerTextOutlivesLaterCalls: the strings of a RetrievePath,
+// answerTextOutlivesLaterCalls: the strings of a RetrievePath,
 // RetrievePathN, Query or Resolve answer are substrings of one text,
 // staged while the call collects in a buffer lent to that call and
 // copied out once at its end. Answers over mixed groups — an OID list,
@@ -149,7 +158,7 @@ func TestLentStateDoesNotLeakBetweenCalls(t *testing.T) {
 // calls that fail midway, and a concurrent client doing the same) keep
 // exactly what deep copies taken at once hold, and no value any call
 // returns is still staged.
-func TestAnswerTextOutlivesLaterCalls(t *testing.T) {
+func answerTextOutlivesLaterCalls(t *testing.T) {
 	db := buildMixedDB(t, Options{BufferPages: 64})
 	grp, err := db.Relation("grp")
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"corep/internal/buffer"
 	"corep/internal/disk"
@@ -495,9 +494,6 @@ func (t *Tree) visit(key int64, write bool, fn func(payload []byte) error) error
 	return nil
 }
 
-// batchOrders lends GetBatch the buffer it sorts a batch's positions in.
-var batchOrders = sync.Pool{New: func() any { return new([]int) }}
-
 // GetBatch fetches the payloads of many keys in one page-ordered pass.
 // Keys are visited in ascending key order regardless of input order;
 // consecutive keys that land on the same leaf share a single pin, so a
@@ -514,6 +510,14 @@ var batchOrders = sync.Pool{New: func() any { return new([]int) }}
 // and reordering them would perturb the buffer pool's eviction sequence
 // — small batches must cost exactly what the equivalent Get loop costs.
 func (t *Tree) GetBatch(keys []int64, fn func(i int, payload []byte) error) error {
+	var order []int
+	return t.GetBatchIn(&order, keys, fn)
+}
+
+// GetBatchIn is GetBatch sorting the batch's visiting order in *order,
+// a buffer the caller keeps from one batch to the next, so a batch
+// allocates nothing of its own.
+func (t *Tree) GetBatchIn(order *[]int, keys []int64, fn func(i int, payload []byte) error) error {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -525,16 +529,13 @@ func (t *Tree) GetBatch(keys []int64, fn func(i int, payload []byte) error) erro
 		}
 		return nil
 	}
-	// The visiting order, (key, position) ascending, is sorted in a lent
-	// buffer: a batch allocates nothing of its own.
-	buf := batchOrders.Get().(*[]int)
-	defer batchOrders.Put(buf)
-	order := slices.Grow((*buf)[:0], len(keys))[:len(keys)]
-	*buf = order
-	for i := range order {
-		order[i] = i
+	// The visiting order, (key, position) ascending.
+	*order = slices.Grow((*order)[:0], len(keys))[:len(keys)]
+	visit := *order
+	for i := range visit {
+		visit[i] = i
 	}
-	slices.SortFunc(order, func(a, b int) int {
+	slices.SortFunc(visit, func(a, b int) int {
 		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
 			return c
 		}
@@ -578,8 +579,8 @@ func (t *Tree) GetBatch(keys []int64, fn func(i int, payload []byte) error) erro
 	}
 	defer unpin()
 
-	for i := 0; i < len(order); {
-		k := keys[order[i]]
+	for i := 0; i < len(visit); {
+		k := keys[visit[i]]
 		fresh := false
 		if leaf == disk.InvalidPageID {
 			id, err := t.descendToLeaf(entryRef{k, 0})
@@ -605,7 +606,7 @@ func (t *Tree) GetBatch(keys []int64, fn func(i int, payload []byte) error) erro
 				// is nowhere in the tree.
 				return fmt.Errorf("%w: %d", ErrNotFound, k)
 			}
-			if err := fn(order[i], rec[leafHdr:]); err != nil {
+			if err := fn(visit[i], rec[leafHdr:]); err != nil {
 				return err
 			}
 			i++
@@ -642,7 +643,7 @@ func (t *Tree) GetBatch(keys []int64, fn func(i int, payload []byte) error) erro
 		if leafEntryKey(rec).key != k {
 			return fmt.Errorf("%w: %d", ErrNotFound, k)
 		}
-		if err := fn(order[i], rec[leafHdr:]); err != nil {
+		if err := fn(visit[i], rec[leafHdr:]); err != nil {
 			return err
 		}
 		i++

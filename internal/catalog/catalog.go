@@ -174,60 +174,62 @@ func (c *Catalog) ViewOID(oid object.OID, fn func(rel *Relation, payload []byte)
 	return rel.Tree.View(oid.Key(), func(payload []byte) error { return fn(rel, payload) })
 }
 
-// probeScratch is the bookkeeping a ProbeOIDs call borrows from
-// probePool and gives back when it returns: the relations the list
-// references, in ascending id order, and the positions and keys of the
-// relation being probed. Nothing fn is handed aliases it.
-type probeScratch struct {
-	rels []*Relation
-	pos  []int
-	keys []int64
-}
-
-var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
-
-func (s *probeScratch) release() {
-	clear(s.rels)
-	s.rels = s.rels[:0]
-	probePool.Put(s)
+// Probe is the working memory of ProbeOIDs, which the caller owns and
+// hands to one call after another, so a warm call allocates none of it:
+// the relations the list references, in ascending id order, the
+// positions and keys of the relation being probed, and the B-tree
+// batch's visiting order. Nothing fn is handed aliases it. Its zero
+// value is ready; one call uses it at a time.
+type Probe struct {
+	rels  []*Relation
+	pos   []int
+	keys  []int64
+	order []int
+	// Rest and RestAt are a read view's that probes only part of a list
+	// through the catalog (engine.Core, which reads placed rows from
+	// their copies): the rest of the list and each one's position in it.
+	// The catalog leaves them alone.
+	Rest   []object.OID
+	RestAt []int
 }
 
 // ProbeOIDs resolves a list of OIDs with one sorted sweep per
-// referenced relation: every referenced relation is resolved first,
-// then the relations are visited in id order, each with one B-tree
-// batch lookup of its OIDs' keys, and fn receives each payload at its
-// original position — the output order of a per-OID Get loop at the
-// same or lower I/O cost. The grouping lives in lent storage, so a
-// call allocates none of it.
-func (c *Catalog) ProbeOIDs(oids []object.OID, fn func(i int, rel *Relation, payload []byte) error) error {
-	sc := probePool.Get().(*probeScratch)
-	defer sc.release()
+// referenced relation, in p: every referenced relation is resolved
+// first, then the relations are visited in id order, each with one
+// B-tree batch lookup of its OIDs' keys, and fn receives each payload at
+// its original position — the output order of a per-OID Get loop at
+// the same or lower I/O cost.
+func (c *Catalog) ProbeOIDs(p *Probe, oids []object.OID, fn func(i int, rel *Relation, payload []byte) error) error {
+	defer func() {
+		clear(p.rels)
+		p.rels = p.rels[:0]
+	}()
 	for _, oid := range oids {
 		id := oid.Rel()
 		// One list references a handful of relations: a linear scan
 		// of the sorted ones beats a map and allocates nothing.
 		g := 0
-		for g < len(sc.rels) && sc.rels[g].ID < id {
+		for g < len(p.rels) && p.rels[g].ID < id {
 			g++
 		}
-		if g < len(sc.rels) && sc.rels[g].ID == id {
+		if g < len(p.rels) && p.rels[g].ID == id {
 			continue
 		}
 		rel, err := c.ByID(id)
 		if err != nil {
 			return err
 		}
-		sc.rels = slices.Insert(sc.rels, g, rel)
+		p.rels = slices.Insert(p.rels, g, rel)
 	}
-	for _, rel := range sc.rels {
-		pos, keys := sc.pos[:0], sc.keys[:0]
+	for _, rel := range p.rels {
+		pos, keys := p.pos[:0], p.keys[:0]
 		for i, oid := range oids {
 			if oid.Rel() == rel.ID {
 				pos, keys = append(pos, i), append(keys, oid.Key())
 			}
 		}
-		sc.pos, sc.keys = pos, keys
-		err := rel.Tree.GetBatch(keys, func(j int, payload []byte) error {
+		p.pos, p.keys = pos, keys
+		err := rel.Tree.GetBatchIn(&p.order, keys, func(j int, payload []byte) error {
 			return fn(pos[j], rel, payload)
 		})
 		if err != nil {

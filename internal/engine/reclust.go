@@ -177,16 +177,16 @@ func (c *Core) placedRow(oid object.OID, rid storage.RID) (*catalog.Relation, []
 // ProbeOIDs reads placed members from their copies — one unit's members
 // share extent pages, so the pool turns the probes into one or two page
 // fetches — and the rest from the B-trees in one page-ordered sweep per
-// relation.
-func (c *Core) ProbeOIDs(oids []object.OID, fn func(i int, rel *catalog.Relation, rec []byte) error) error {
+// relation, all in p's buffers.
+func (c *Core) ProbeOIDs(p *catalog.Probe, oids []object.OID, fn func(i int, rel *catalog.Relation, rec []byte) error) error {
 	if c.Placements() == 0 {
-		return c.Cat.ProbeOIDs(oids, fn)
+		return c.Cat.ProbeOIDs(p, oids, fn)
 	}
-	rest, pos := make([]object.OID, 0, len(oids)), []int(nil)
+	rest, at := p.Rest[:0], p.RestAt[:0]
 	for i, oid := range oids {
 		rid, ok := c.Placed(oid, 0)
 		if !ok {
-			rest, pos = append(rest, oid), append(pos, i)
+			rest, at = append(rest, oid), append(at, i)
 			continue
 		}
 		rel, rec, err := c.placedRow(oid, rid)
@@ -197,8 +197,9 @@ func (c *Core) ProbeOIDs(oids []object.OID, fn func(i int, rel *catalog.Relation
 			return err
 		}
 	}
-	return c.Cat.ProbeOIDs(rest, func(i int, rel *catalog.Relation, rec []byte) error {
-		return fn(pos[i], rel, rec)
+	p.Rest, p.RestAt = rest, at
+	return c.Cat.ProbeOIDs(p, rest, func(i int, rel *catalog.Relation, rec []byte) error {
+		return fn(at[i], rel, rec)
 	})
 }
 

@@ -10,7 +10,6 @@ package heap
 
 import (
 	"errors"
-	"sync"
 
 	"corep/internal/buffer"
 	"corep/internal/disk"
@@ -19,27 +18,15 @@ import (
 
 // File is a heap file: a forward-linked chain of TypeHeap pages. The
 // chain is mirrored in pages so Drop frees the file without reading it.
+// A dropped file (pool nil) keeps its page list's memory, so a holder
+// that forms one file after another in the same handle (CreateInto)
+// grows each into the last one's list instead of a fresh slice.
 type File struct {
-	pool  *buffer.Pool
+	pool  *buffer.Pool // nil once dropped
 	first disk.PageID
 	last  disk.PageID
-	pages *pageList // lent by pageLists; nil once dropped
+	pages []disk.PageID
 	count int
-}
-
-// pageList is a file's page ids in chain order.
-type pageList struct{ ids []disk.PageID }
-
-// pageLists lends page lists: Drop gives a file's back, emptied, and
-// Create or Open takes one, so a temporary formed after another was
-// dropped grows into the dropped one's list instead of a fresh slice.
-var pageLists = sync.Pool{New: func() any { return new(pageList) }}
-
-// lendPages takes an empty page list from pageLists.
-func lendPages() *pageList {
-	l := pageLists.Get().(*pageList)
-	l.ids = l.ids[:0]
-	return l
 }
 
 // Create allocates an empty heap file.
@@ -61,16 +48,14 @@ func CreateInto(f *File, pool *buffer.Pool) error {
 	}
 	storage.Page{Buf: buf}.Init(storage.TypeHeap)
 	pool.Unpin(id, true)
-	pages := lendPages()
-	pages.ids = append(pages.ids, id)
-	*f = File{pool: pool, first: id, last: id, pages: pages}
+	*f = File{pool: pool, first: id, last: id, pages: append(f.pages[:0], id)}
 	return nil
 }
 
 // Open re-attaches to an existing heap file rooted at first. The caller
 // must know the chain head (the catalog stores it).
 func Open(pool *buffer.Pool, first disk.PageID) (*File, error) {
-	f := &File{pool: pool, first: first, last: first, pages: lendPages()}
+	f := &File{pool: pool, first: first, last: first}
 	// Walk to the tail so appends keep working; also recount records.
 	id := first
 	for id != disk.InvalidPageID {
@@ -82,7 +67,7 @@ func Open(pool *buffer.Pool, first disk.PageID) (*File, error) {
 		pg.LiveRecords(func(int, []byte) bool { f.count++; return true })
 		next := pg.Next()
 		pool.Unpin(id, false)
-		f.pages.ids = append(f.pages.ids, id)
+		f.pages = append(f.pages, id)
 		f.last = id
 		id = next
 	}
@@ -143,7 +128,7 @@ func (a *Appender) Append(rec []byte) (storage.RID, error) {
 		f.pool.Unpin(f.last, true)
 		a.pg, a.dirty = npg, true // a new page is born dirty
 		f.last = nid
-		f.pages.ids = append(f.pages.ids, nid)
+		f.pages = append(f.pages, nid)
 		slot, err = a.pg.Insert(rec)
 	}
 	if err != nil {
@@ -211,21 +196,19 @@ func (f *File) Scan(fn func(rid storage.RID, rec []byte) bool) error {
 // from the page list the file keeps, so no page is read to find them.
 // The pool is not told: a frame still holding one of the pages is
 // evicted, and written back if dirty, exactly as if the file lived on,
-// so dropping moves no I/O count. The page list goes back to
-// pageLists. The file must not be used afterwards; a second Drop does
-// nothing.
+// so dropping moves no I/O count. The file keeps its page list, emptied,
+// for the next CreateInto into it, and must not be used otherwise; a
+// second Drop does nothing.
 func (f *File) Drop() error {
-	if f.pages == nil {
+	if f.pool == nil {
 		return nil
 	}
 	dm := f.pool.Disk()
 	var err error
-	for _, id := range f.pages.ids {
+	for _, id := range f.pages {
 		err = errors.Join(err, dm.Free(id))
 	}
-	pageLists.Put(f.pages)
-	f.pages = nil
-	f.first, f.last, f.count = disk.InvalidPageID, disk.InvalidPageID, 0
+	*f = File{first: disk.InvalidPageID, last: disk.InvalidPageID, pages: f.pages[:0]}
 	return err
 }
 

@@ -201,8 +201,10 @@ func TestAppendCostsIO(t *testing.T) {
 }
 
 // TestDropLendsItsPageList: files formed one after another, each
-// dropped before the next is created — a retrieve's temporaries — reuse
-// one page list. Each Drop frees exactly its own file's pages, a second
+// dropped before the next is created — a retrieve's temporaries. Each
+// Drop frees exactly its own file's pages, a file formed in a dropped
+// one's handle (CreateInto) keeps its pages in the list the dropped one
+// grew, a second
 // Drop of a dropped file frees nothing and reports nothing, and a file
 // reopened with Open drops its whole chain too.
 func TestDropLendsItsPageList(t *testing.T) {
@@ -250,6 +252,29 @@ func TestDropLendsItsPageList(t *testing.T) {
 			t.Fatalf("file %d: %d live pages after Drop, %d before it was created", i, got, before)
 		}
 		prev = f
+	}
+
+	// One handle, one file after another: each grows into the page list
+	// the one before it kept through its Drop.
+	var h File
+	for i, n := range []int{500, 200, 500} {
+		before := live()
+		if err := CreateInto(&h, pool); err != nil {
+			t.Fatal(err)
+		}
+		kept := h.pages[:cap(h.pages)]
+		fill(&h, n)
+		if i > 0 && &h.pages[0] != &kept[0] {
+			t.Fatalf("file %d in a dropped file's handle grew a new page list", i)
+		}
+		for range 2 {
+			if err := h.Drop(); err != nil {
+				t.Fatalf("file %d in a reused handle: %v", i, err)
+			}
+			if got := live(); got != before {
+				t.Fatalf("file %d in a reused handle: %d live pages after Drop, %d before", i, got, before)
+			}
+		}
 	}
 
 	before := live()

@@ -65,13 +65,13 @@ func (st Store) Execute(q *Query) (*Result, error) { return st.execute(q, false)
 func (st Store) ExecuteSources(q *Query) (*Result, error) { return st.execute(q, true) }
 
 func (st Store) execute(q *Query, sources bool) (*Result, error) {
-	s := sinks.Get().(*sink)
-	defer s.release()
+	c := lend()
+	defer c.release()
 	res := &Result{}
 	if sources {
-		s.sources = &res.Sources
+		c.sources = &res.Sources
 	}
-	b, rows, err := s.run(st, q)
+	b, rows, err := c.run(st, q)
 	if err != nil {
 		return nil, err
 	}
@@ -80,9 +80,9 @@ func (st Store) execute(q *Query, sources bool) (*Result, error) {
 	return res, nil
 }
 
-// Query parses src and runs it like Execute, in scratch lent for the
-// call, and returns the result's column names and rows. Nothing returned
-// refers to the scratch.
+// Query parses src and runs it like Execute, in state lent for the call,
+// and returns the result's column names and rows. Nothing returned
+// refers to that state.
 func (st Store) Query(src string) (cols []string, rows []tuple.Tuple, err error) {
 	return query(st, src)
 }
@@ -94,55 +94,57 @@ func (st Store) QueryBytes(src []byte) (cols []string, rows []tuple.Tuple, err e
 }
 
 func query[S string | []byte](st Store, src S) (cols []string, rows []tuple.Tuple, err error) {
-	s := sinks.Get().(*sink)
-	defer s.release()
-	q, err := parse(&s.parse, src)
+	c := lend()
+	defer c.release()
+	q, err := parse(&c.parse, src)
 	if err != nil {
 		return nil, nil, err
 	}
-	b, rows, err := s.run(st, q)
+	b, rows, err := c.run(st, q)
 	if err != nil {
 		return nil, nil, err
 	}
 	return b.schema.Names(), rows, nil
 }
 
-// sink is the scratch a query runs in for a caller that collects its
-// rows, with what the collection needs: take, collect bound once, and
-// what it gathers. Sinks are lent from sinks, so a query allocates its
-// result and nothing else once one as big has run before it.
-type sink struct {
+// call is the state one Store call runs in, lent by calls and given
+// back when the call returns, so a call allocates its answer and nothing
+// else once one as big has run before it: the scratch of the query it
+// runs, what collecting the answer needs (take, collect bound once; the
+// values so far, row after row; the text their strings are staged in),
+// and the expanders of its path queries, one per stored-query depth
+// (ExecOpts.depth): a stored path query nested in another expands in a
+// slot of its own, never in the one of the query that met it.
+type call struct {
 	scratch
 	take func(*bound) error
-	vals []tuple.Value // the values of the rows so far, row after row
-	text *tuple.Text   // where their strings are staged
+	vals []tuple.Value
+	text tuple.Text
 	// sources, when set, takes the Source of every keyed row.
 	sources *[]Source
+	paths   [maxPathDepth]*Expander
 }
 
-var sinks = sync.Pool{New: func() any {
-	s := new(sink)
-	s.take = s.collect
-	return s
+var calls = sync.Pool{New: func() any {
+	c := new(call)
+	c.take = c.collect
+	return c
 }}
 
-// release gives s back to the pool, holding no value and no result.
-func (s *sink) release() {
-	s.b.path, s.vals, s.sources = tuple.Value{}, nil, nil
-	sinks.Put(s)
+// lend takes a call's state from calls.
+func lend() *call { return calls.Get().(*call) }
+
+// release gives c back to the pool holding no value and no result.
+func (c *call) release() {
+	c.b.path, c.sources = tuple.Value{}, nil
+	calls.Put(c)
 }
 
-// run runs q in s and returns the bound query, for its result schema,
+// run runs q in c and returns the bound query, for its result schema,
 // and the rows, cut out of one slab.
-func (s *sink) run(st Store, q *Query) (*bound, []tuple.Tuple, error) {
-	var b *bound
-	slab, err := Collect(func(vals []tuple.Value, text *tuple.Text) ([]tuple.Value, error) {
-		s.vals, s.text = vals, text
-		var err error
-		b, err = run(st, q, ExecOpts{text: text}, &s.scratch, s.take)
-		vals, s.vals, s.text = s.vals, nil, nil
-		return vals, err
-	})
+func (c *call) run(st Store, q *Query) (*bound, []tuple.Tuple, error) {
+	b, err := run(st, q, ExecOpts{call: c}, &c.scratch, c.take)
+	slab, err := c.answer(c.vals, err)
 	if err != nil {
 		return b, nil, err
 	}
@@ -168,22 +170,23 @@ func cutRows(slab []tuple.Value, w int) []tuple.Tuple {
 // cut from one slab whose strings are one text. Every member is
 // framing-checked before it is read.
 func NestedRows(s *tuple.Schema, nested []byte) ([]tuple.Tuple, error) {
-	slab, err := Collect(func(vals []tuple.Value, text *tuple.Text) ([]tuple.Value, error) {
-		err := object.EachNested(nested, func(rec []byte) error {
-			if err := tuple.Check(s, rec); err != nil {
+	c := lend()
+	defer c.release()
+	vals := c.vals[:0]
+	err := object.EachNested(nested, func(rec []byte) error {
+		if err := tuple.Check(s, rec); err != nil {
+			return err
+		}
+		for i := range s.Fields {
+			v, err := c.text.Field(s, rec, i)
+			if err != nil {
 				return err
 			}
-			for i := range s.Fields {
-				v, err := text.Field(s, rec, i)
-				if err != nil {
-					return err
-				}
-				vals = append(vals, v)
-			}
-			return nil
-		})
-		return vals, err
+			vals = append(vals, v)
+		}
+		return nil
 	})
+	slab, err := c.answer(vals, err)
 	if err != nil {
 		return nil, err
 	}
@@ -191,37 +194,47 @@ func NestedRows(s *tuple.Schema, nested []byte) ([]tuple.Tuple, error) {
 }
 
 // collect appends the current row's values, and its Source if asked.
-func (s *sink) collect(b *bound) error {
+func (c *call) collect(b *bound) error {
 	for j := range b.cols {
-		v, err := b.col(j, s.text)
+		v, err := b.col(j, &c.text)
 		if err != nil {
 			return err
 		}
-		s.vals = append(s.vals, v)
+		c.vals = append(c.vals, v)
 	}
-	if s.sources != nil && b.keyed {
+	if c.sources != nil && b.keyed {
 		key, err := tuple.Key(b.schemas[0], b.recs[0])
 		if err != nil {
 			return err
 		}
-		*s.sources = append(*s.sources, Source{RelID: b.rels[0].ID, Key: key})
+		*c.sources = append(*c.sources, Source{RelID: b.rels[0].ID, Key: key})
 	}
 	return nil
 }
 
-// Collect is where an answer is built: it hands fill a pooled buffer to
-// append values to and a pooled text to stage their strings in
-// (tuple.Text), and returns one exact-size copy of the values whose
-// strings are substrings of one exact-size copy of the text. An answer
-// is two allocations, whatever it holds, and is its caller's alone;
-// keeping any one of its strings keeps the whole text. No value leaves
-// staged. The buffer and the text go back to the pool emptied, so the
-// pool pins no value's strings; after an error they are dropped with
-// what they hold.
-func Collect(fill func(buf []tuple.Value, text *tuple.Text) ([]tuple.Value, error)) ([]tuple.Value, error) {
-	a := answers.Get().(*answer)
-	vals, err := fill(a.vals[:0], &a.text)
+// Collect is where an answer is built over st: it lends the call's
+// state, and hands fill an expander over st, which stages the character
+// values it projects in the answer's text (tuple.Text), and the answer's
+// buffer to append values to. It returns one exact-size copy of the
+// values whose strings are substrings of one exact-size copy of the text.
+// An answer is two allocations, whatever it holds, and is its caller's
+// alone; keeping any one of its strings keeps the whole text. No value
+// leaves staged. The expander is the call's: fill must not keep it.
+func (st Store) Collect(fill func(x *Expander, buf []tuple.Value) ([]tuple.Value, error)) ([]tuple.Value, error) {
+	c := lend()
+	defer c.release()
+	return c.answer(fill(c.expander(st, ExecOpts{call: c}, nil), c.vals[:0]))
+}
+
+// answer ends the answer collected in vals, c's buffer, by the work
+// that returned err. It returns one exact-size copy of the values whose
+// strings are substrings of one exact-size copy of c's text, and empties
+// both, so the pool pins no value's strings; after an error it drops
+// the buffer with what it holds and empties the text.
+func (c *call) answer(vals []tuple.Value, err error) ([]tuple.Value, error) {
 	if err != nil {
+		c.vals = nil
+		c.text.Resolve(nil)
 		return nil, err
 	}
 	var out []tuple.Value
@@ -229,36 +242,15 @@ func Collect(fill func(buf []tuple.Value, text *tuple.Text) ([]tuple.Value, erro
 		out = make([]tuple.Value, len(vals))
 		copy(out, vals)
 	}
-	a.text.Resolve(out)
+	c.text.Resolve(out)
 	clear(vals)
-	a.vals = vals[:0]
-	answers.Put(a)
+	c.vals = vals[:0]
 	return out, nil
-}
-
-// answer is the buffer and the text one Collect lends its fill.
-type answer struct {
-	vals []tuple.Value
-	text tuple.Text
-}
-
-var answers = sync.Pool{New: func() any { return new(answer) }}
-
-// valueBufs lends the buffers a path query collects one root row's
-// values in.
-var valueBufs = sync.Pool{New: func() any { return new([]tuple.Value) }}
-
-// putValues clears vals, which holds values up to its length only, and
-// returns it to the pool as buf.
-func putValues(buf *[]tuple.Value, vals []tuple.Value) {
-	clear(vals)
-	*buf = vals[:0]
-	valueBufs.Put(buf)
 }
 
 // scratch is the storage one query runs in: its parse, its relation
 // list, the bound query and the scan of its first relation. Execute and
-// Query run each query in a lent one (sink). An Expander keeps one per
+// Query run each query in a lent one (call). An Expander keeps one per
 // expansion depth and runs every stored query it meets at that depth in
 // it, one after the other, so a stored query no bigger than one run
 // there before allocates nothing here.

@@ -1,6 +1,7 @@
 package pql
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -55,10 +56,7 @@ func Explain(cat *catalog.Catalog, q *Query, _ ExecOpts) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.Steps = append(p.Steps, scanStep(rel, q.Where))
-		if q.Where != nil {
-			p.Steps = append(p.Steps, PlanStep{Op: "filter", Rel: rels[0], Detail: q.Where.String()})
-		}
+		p.scan(rel, q.Where)
 		p.Steps = append(p.Steps, PlanStep{Op: "project", Rel: rels[0]})
 		return p, nil
 	case 2:
@@ -70,7 +68,7 @@ func Explain(cat *catalog.Catalog, q *Query, _ ExecOpts) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.Steps = append(p.Steps, scanStep(outer, nil))
+		p.scan(outer, nil)
 		join := PlanStep{Op: "nested-loop", Rel: rels[1]}
 		if q.Where != nil && indexProbeCol(inner, outer, q.Where) != nil {
 			join.Op = "index-nested-loop"
@@ -88,10 +86,7 @@ func explainPath(cat *catalog.Catalog, q *Query, pt Target, p *Plan) (*Plan, err
 	if err != nil {
 		return nil, err
 	}
-	p.Steps = append(p.Steps, scanStep(rel, q.Where))
-	if q.Where != nil {
-		p.Steps = append(p.Steps, PlanStep{Op: "filter", Rel: pt.Rel, Detail: q.Where.String()})
-	}
+	p.scan(rel, q.Where)
 	segs := append([]string{pt.Attr}, pt.Path...)
 	for i := 0; i+1 < len(segs); i++ {
 		p.Steps = append(p.Steps, PlanStep{Op: "expand", Rel: segs[i]})
@@ -100,11 +95,40 @@ func explainPath(cat *catalog.Catalog, q *Query, pt Target, p *Plan) (*Plan, err
 	return p, nil
 }
 
-func scanStep(rel *catalog.Relation, where Expr) PlanStep {
+// scan appends the scan of rel a predicate where selects from: a range
+// scan when where bounds the key, then the filter of what the scan
+// leaves of where to check (residual), if anything.
+func (p *Plan) scan(rel *catalog.Relation, where Expr) {
+	step := PlanStep{Op: "full-scan", Rel: rel.Name}
 	if where != nil {
 		if lo, hi := keyRange(rel, where); lo > math.MinInt64 || hi < math.MaxInt64 {
-			return PlanStep{Op: "range-scan", Rel: rel.Name, Detail: fmt.Sprintf("[%d,%d]", lo, hi)}
+			step = PlanStep{Op: "range-scan", Rel: rel.Name, Detail: fmt.Sprintf("[%d,%d]", lo, hi)}
 		}
 	}
-	return PlanStep{Op: "full-scan", Rel: rel.Name}
+	p.Steps = append(p.Steps, step)
+	if rest := residual(rel, where); rest != nil {
+		p.Steps = append(p.Steps, PlanStep{Op: "filter", Rel: rel.Name, Detail: rest.String()})
+	}
+}
+
+// residual is what a scan of rel bounded to keyRange leaves of x to
+// check, as bindExpr binds it: x without its top-level conjuncts that
+// compare rel's key with an integer constant (keyBound), nil when none
+// is left.
+func residual(rel *catalog.Relation, x Expr) Expr {
+	switch v := x.(type) {
+	case *BinBool:
+		if v.Op == "and" {
+			l, r := residual(rel, v.L), residual(rel, v.R)
+			if l == nil || r == nil {
+				return cmp.Or(l, r)
+			}
+			return &BinBool{Op: "and", L: l, R: r}
+		}
+	case *Compare:
+		if _, _, ok := keyBound(rel, v); ok {
+			return nil
+		}
+	}
+	return x
 }

@@ -263,7 +263,7 @@ func fuzzCat() *catalog.Catalog {
 // exactly what the decode-everything reference evaluator — one probe per
 // reached subobject — returns (reference_test.go): rows, Sources, result
 // schema, and failing or not — also when the statement runs in a lent
-// sink after others of its shape (agreeInLentSink).
+// call state after others of its shape (agreeInLentSink).
 func FuzzPQLPlan(f *testing.F) {
 	for _, src := range referenceQueries {
 		f.Add(src)
@@ -319,13 +319,13 @@ func renumber(src string, shift func(int64) int64) string {
 }
 
 // agreeInLentSink runs src and the statements of its shape renumber
-// makes one after the other in one lent sink, the way Query runs them:
+// makes one after the other in one lent call state, the way Query runs them:
 // each after the first reuses the last one's parse (a hit) and, when
 // that one ran, its binding. Each must fail when the reference fails
 // and else return the reference's columns and rows.
 func agreeInLentSink(t *testing.T, cat *catalog.Catalog, src string) {
 	t.Helper()
-	s := sinks.Get().(*sink)
+	s := lend()
 	defer s.release()
 	st := Store{Cat: cat, View: cat}
 	for i, shift := range numberShifts {
@@ -340,20 +340,20 @@ func agreeInLentSink(t *testing.T, cat *catalog.Catalog, src string) {
 			t.Fatalf("%q after a statement of its shape was parsed afresh", v)
 		}
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("%q in a lent sink: error %v, reference %v", v, err, wantErr)
+			t.Fatalf("%q in a lent call state: error %v, reference %v", v, err, wantErr)
 		}
 		if err != nil {
 			continue
 		}
 		if !slices.Equal(cols, want.Schema.Names()) {
-			t.Fatalf("%q in a lent sink: columns %v, reference %v", v, cols, want.Schema.Names())
+			t.Fatalf("%q in a lent call state: columns %v, reference %v", v, cols, want.Schema.Names())
 		}
 		if len(rows) != len(want.Tuples) {
-			t.Fatalf("%q in a lent sink: %d rows, reference %d", v, len(rows), len(want.Tuples))
+			t.Fatalf("%q in a lent call state: %d rows, reference %d", v, len(rows), len(want.Tuples))
 		}
 		for j := range rows {
 			if !reflect.DeepEqual(rows[j], want.Tuples[j]) {
-				t.Fatalf("%q in a lent sink: row %d = %v, reference %v", v, j, rows[j], want.Tuples[j])
+				t.Fatalf("%q in a lent call state: row %d = %v, reference %v", v, j, rows[j], want.Tuples[j])
 			}
 		}
 	}

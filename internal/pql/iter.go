@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"corep/internal/btree"
 	"corep/internal/catalog"
@@ -19,14 +18,14 @@ import (
 )
 
 // ReadView is how an expansion reads the subobjects an OID list names:
-// one at a time, or the whole list in page order with fn seeing the
-// record of oids[i] under its position i. A record is lent to fn as a
-// view, valid until fn returns. *catalog.Catalog is the plain view; a
-// database that keeps copies of hot subobjects elsewhere supplies one
-// that knows where they are.
+// one at a time, or the whole list in page order, in the caller's probe
+// memory p, with fn seeing the record of oids[i] under its position i.
+// A record is lent to fn as a view, valid until fn returns.
+// *catalog.Catalog is the plain view; a database that keeps copies of
+// hot subobjects elsewhere supplies one that knows where they are.
 type ReadView interface {
 	ViewOID(oid object.OID, fn func(rel *catalog.Relation, rec []byte) error) error
-	ProbeOIDs(oids []object.OID, fn func(i int, rel *catalog.Relation, rec []byte) error) error
+	ProbeOIDs(p *catalog.Probe, oids []object.OID, fn func(i int, rel *catalog.Relation, rec []byte) error) error
 }
 
 // ExecOpts is the state one execution hands the pipelines it nests. The
@@ -37,10 +36,11 @@ type ExecOpts struct {
 	// expansion meets runs a fresh pipeline, and without this one that
 	// reaches back into its own relation would recurse forever.
 	depth int
-	// text is where the character values the execution hands its caller
-	// are staged: the text of the answer being collected (Collect), which
-	// every pipeline the execution nests stages into too.
-	text *tuple.Text
+	// call is the state of the Store call the execution runs in: the
+	// text of the answer being collected, where the character values it
+	// hands its caller are staged — every pipeline it nests stages into
+	// it too — and the expander of each depth.
+	call *call
 }
 
 // relScan streams the encoded records of a relation in key order,
@@ -142,19 +142,21 @@ func runPath(st Store, q *Query, opts ExecOpts, sc *scratch, emit func(*bound) e
 		return nil, err
 	}
 	defer scan.Close()
-	px := lendExpander(st, opts, &b.schema.Fields[b.pt])
-	defer px.Release()
-	// One root row's values collect in a pooled buffer, cleared before the
-	// next row's, so the buffer holds no strings once the scan ends.
-	buf := valueBufs.Get().(*[]tuple.Value)
-	vals := (*buf)[:0]
+	px := opts.call.expander(st, opts, &b.schema.Fields[b.pt])
+	// One root row's values collect in the expander's buffer, cleared
+	// before the next row's and when the scan ends; a failed expansion
+	// drops it with what it holds.
+	vals := px.rootRow[:0]
+	defer func() {
+		clear(vals)
+		px.rootRow = vals[:0]
+	}()
 	for {
 		rec, ok, err := scan.Next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			putValues(buf, vals)
 			return b, nil
 		}
 		b.recs[0] = rec
@@ -290,6 +292,11 @@ type Expander struct {
 	// segs holds the segments Expand and ExpandOIDs were handed, so the
 	// caller's list is only read.
 	segs []string
+	// probe is the fetches' memory (catalog.Probe): they never nest.
+	probe catalog.Probe
+	// rootRow is where a path query run here collects one root row's
+	// values (runPath).
+	rootRow []tuple.Value
 }
 
 // span is where a kept children value sits in its depth's kidBytes.
@@ -317,51 +324,33 @@ type oidFetch struct {
 	rowErr error
 }
 
-// expanders lends expanders to one retrieval at a time, with what they
-// keep between retrievals: their bound callbacks, per-depth scratch, OID
-// and children-value buffers. The text the values are staged in is not
-// among them: it belongs to the caller collecting the answer.
-var expanders = sync.Pool{New: func() any {
-	px := new(Expander)
-	px.take, px.row = px.takeRecord, px.takeRow
-	return px
-}}
-
-// lendExpander takes an expander from the pool for one retrieval over st.
-// Everything the last retrieval left that names its own query is reset:
-// the memo above all, whose schema key is a pointer that a lent scratch,
-// or a relation this call projects another attribute of, puts back at
-// the same address.
-func lendExpander(st Store, opts ExecOpts, leaf *tuple.Field) *Expander {
-	px := expanders.Get().(*Expander)
+// expander lends the expander of depth opts.depth for one retrieval
+// over st, made on first use, with what it keeps from the retrievals
+// before: its bound callbacks, per-depth scratch, OID, children-value and
+// probe buffers. Everything the last retrieval left that names its own
+// query is reset: the memo above all, whose schema key is a pointer that
+// a lent scratch, or a relation this call projects another attribute of,
+// puts back at the same address.
+func (c *call) expander(st Store, opts ExecOpts, leaf *tuple.Field) *Expander {
+	px := c.paths[opts.depth]
+	if px == nil {
+		px = new(Expander)
+		px.take, px.row = px.takeRecord, px.takeRow
+		c.paths[opts.depth] = px
+	}
 	px.st, px.opts, px.leaf = st, opts, leaf
 	px.cur, px.proc = oidFetch{}, procRun{}
 	clear(px.memo[:])
 	return px
 }
 
-// Expander lends an expander over st for one retrieval, staging the
-// character values it projects in text, the text of the answer they are
-// collected into (Collect). Release gives it back.
-func (st Store) Expander(text *tuple.Text) *Expander {
-	return lendExpander(st, ExecOpts{text: text}, nil)
-}
-
-// Release gives px back to the pool. Nothing it expanded refers to it:
-// a character value it appended is staged in the caller's text, any
-// other owns its bytes. px must not be used after.
-func (px *Expander) Release() {
-	px.opts = ExecOpts{}
-	expanders.Put(px)
-}
-
 // Expand follows segs — children attributes, then the attribute to
 // project — through raw, the encoded children value of the object owner
 // (zero for one without identity), appending the projected values to out
 // in traversal order. raw is read in place and must stay valid for the
-// call; segs is only read. A character value is staged in the text the
-// expander was lent with, and has its string once the answer is
-// collected; any other value owns its bytes.
+// call; segs is only read. A character value is staged in the text of
+// the answer being collected (Store.Collect), and has its string once
+// the answer is; any other value owns its bytes.
 func (px *Expander) Expand(owner object.OID, raw []byte, segs []string, out []tuple.Value) ([]tuple.Value, error) {
 	px.segs = append(px.segs[:0], segs...)
 	return px.expand(owner, raw, px.segs, 0, out)
@@ -465,7 +454,7 @@ func (px *Expander) takeRow(b *bound) error {
 		px.kids[pr.depth] = append(px.kids[pr.depth], px.keep(pr.depth, raw))
 		return nil
 	}
-	v, err := b.col(i, px.opts.text)
+	v, err := b.col(i, &px.opts.call.text)
 	if err != nil {
 		return err
 	}
@@ -527,7 +516,7 @@ func (px *Expander) expandOIDs(owner object.OID, oids []object.OID, segs []strin
 	// The one expansion operator: the view's page-ordered sweep of the
 	// whole list, which below btree.BatchSortMin keys is the per-OID probe
 	// loop and above it never reads more pages than that loop.
-	err := px.st.View.ProbeOIDs(oids, px.take)
+	err := px.st.View.ProbeOIDs(&px.probe, oids, px.take)
 	if cur.rowErr != nil {
 		return nil, cur.rowErr
 	}
@@ -574,7 +563,7 @@ func (px *Expander) enter(rel *catalog.Relation, rec []byte, segs []string, dept
 		raw, err := tuple.FieldBytes(rel.Schema, rec, i)
 		return tuple.BytesVal(raw), err
 	}
-	return px.opts.text.Field(rel.Schema, rec, i)
+	return px.opts.call.text.Field(rel.Schema, rec, i)
 }
 
 // step finds the next segment among the columns s of a row the path has

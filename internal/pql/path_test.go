@@ -284,9 +284,7 @@ func TestExpansionReadsNoMorePagesThanProbes(t *testing.T) {
 			return nil
 		})
 		sweep := cold(func() (err error) {
-			expanded, err = Collect(func(out []tuple.Value, text *tuple.Text) ([]tuple.Value, error) {
-				x := Store{Cat: cat, View: cat}.Expander(text)
-				defer x.Release()
+			expanded, err = Store{Cat: cat, View: cat}.Collect(func(x *Expander, out []tuple.Value) ([]tuple.Value, error) {
 				return x.ExpandOIDs(0, oids, []string{"name"}, out)
 			})
 			return err
@@ -356,7 +354,10 @@ func TestExecPathErrors(t *testing.T) {
 	_ = bad
 }
 
-// TestExplainPath: the plan surface names the pipeline's operators.
+// TestExplainPath: the plan surface names the pipeline's operators, and
+// its filter is what the bound predicate checks: the key conjuncts a
+// range scan holds leave it, single-relation and path queries alike, and
+// with nothing left there is no filter step.
 func TestExplainPath(t *testing.T) {
 	cat, _, _ := teamDB(t, object.TagOIDs)
 	plan, err := Explain(cat, mustParse(t, `retrieve (team.name, team.members.score) where team.OID <= 2`), ExecOpts{})
@@ -370,6 +371,30 @@ func TestExplainPath(t *testing.T) {
 	for _, want := range []string{"team", "expand", "members"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("plan %q missing %q", s, want)
+		}
+	}
+	for _, c := range []struct{ src, steps string }{
+		{`retrieve (member.name) where member.OID >= 1 and member.OID <= 3`,
+			"range-scan member [1,3]; project member"},
+		{`retrieve (member.name) where member.OID >= 1 and member.score > 4 and 3 >= member.OID`,
+			"range-scan member [1,3]; filter member member.score > 4; project member"},
+		{`retrieve (member.name) where member.OID = 1 or member.OID = 3`,
+			"full-scan member; filter member (member.OID = 1 or member.OID = 3); project member"},
+		{`retrieve (team.members.score) where team.OID >= 1 and team.OID <= 3`,
+			"range-scan team [1,3]; expand members; project score"},
+		{`retrieve (team.members.score) where team.OID >= 1 and team.name != "x"`,
+			"range-scan team [1,9223372036854775807]; filter team team.name != \"x\"; expand members; project score"},
+	} {
+		plan, err := Explain(cat, mustParse(t, c.src), ExecOpts{})
+		if err != nil {
+			t.Fatalf("%q: %v", c.src, err)
+		}
+		var steps []string
+		for _, st := range plan.Steps {
+			steps = append(steps, strings.TrimSpace(st.Op+" "+st.Rel+" "+st.Detail))
+		}
+		if got := strings.Join(steps, "; "); got != c.steps {
+			t.Errorf("%q plans\n  %s\nwant\n  %s", c.src, got, c.steps)
 		}
 	}
 }

@@ -12,10 +12,10 @@ import (
 	"corep/internal/tuple"
 )
 
-// queryIn is Store.Query in sink s, lent for more than one call: a
+// queryIn is Store.Query in call state s, lent for more than one call: a
 // statement with the shape of the last one parsed there keeps that one's
 // parse and binding (run).
-func queryIn(s *sink, st Store, src string) (cols []string, rows []tuple.Tuple, err error) {
+func queryIn(s *call, st Store, src string) (cols []string, rows []tuple.Tuple, err error) {
 	q, err := parse(&s.parse, src)
 	if err != nil {
 		return nil, nil, err
@@ -32,7 +32,7 @@ func queryIn(s *sink, st Store, src string) (cols []string, rows []tuple.Tuple, 
 // ends of int64 — `< MinInt64` and `> MaxInt64` are empty, not wrapped
 // to the whole range — and an unbounded scan must reach every key, also
 // those beyond ±2^62. Each query returns what the reference returns,
-// through Execute and through a lent sink.
+// through Execute and through a lent call state.
 func TestKeyRangeAtInt64Limits(t *testing.T) {
 	cat := catalog.New(buffer.New(disk.NewSim(), 64))
 	s := tuple.NewSchema(
@@ -108,7 +108,7 @@ func TestKeyConjunctsLeaveThePredicate(t *testing.T) {
 		{`retrieve (team.members.name) where team.OID >= 1 and team.OID <= 3`, "<nil>"},
 		{`retrieve (member.name, guest.name) where member.OID >= 2 and guest.OID = member.score`, "and"},
 	} {
-		s := sinks.Get().(*sink)
+		s := lend()
 		if _, _, err := queryIn(s, Store{Cat: cat, View: cat}, c.src); err != nil {
 			t.Fatalf("%q: %v", c.src, err)
 		}
@@ -137,10 +137,10 @@ func TestKeyConjunctsLeaveThePredicate(t *testing.T) {
 }
 
 // TestShapeHitRebindsWhenItMust: a statement with the last one's shape
-// keeps its binding only when the last run in the sink succeeded, no
+// keeps its binding only when the last run in the call state succeeded, no
 // other query ran there since, and the catalog still names the bound
 // relations — not after a failed parse, bind or run, an Execute in the
-// same sink, a catalog of another database, or a relation dropped and
+// same call state, a catalog of another database, or a relation dropped and
 // created again under its name with its columns elsewhere.
 func TestShapeHitRebindsWhenItMust(t *testing.T) {
 	build := func(prefix string, nameFirst bool) *catalog.Catalog {
@@ -149,7 +149,7 @@ func TestShapeHitRebindsWhenItMust(t *testing.T) {
 		return cat
 	}
 	a, b := build("a", false), build("b", true)
-	s := sinks.Get().(*sink)
+	s := lend()
 	defer s.release()
 	const shape = "retrieve (p.name) where p.OID >= %d and p.OID <= %d and p.age > 10"
 	check := func(cat *catalog.Catalog, lo, hi int64, want string) {
@@ -198,7 +198,7 @@ func TestShapeHitRebindsWhenItMust(t *testing.T) {
 	}
 	check(d, 5, 6, "[]")
 	check(a, 1, 2, "[(a2)]")
-	// Another query run in the sink, as Execute runs one: its binding,
+	// Another query run in the call state, as Execute runs one: its binding,
 	// without the age conjunct, is not the shape's.
 	q, err := Parse("retrieve (p.name) where p.OID >= 1 and p.OID <= 2")
 	if err != nil {

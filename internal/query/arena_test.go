@@ -17,7 +17,9 @@ import (
 // nothing, whichever temporaries are live by then. A Drop through a
 // handle of a finished retrieve, after its Reset, is as inert until the
 // arena is lent to the next retrieve (the handle is then that
-// retrieve's, which is why no handle is kept past its retrieve).
+// retrieve's, which is why no handle is kept past its retrieve). The
+// handle lent again keeps the page list its file grew, and its own
+// second Drop is as inert.
 func TestArenaSecondDropFreesOnlyItsOwn(t *testing.T) {
 	d := disk.NewSim()
 	pool := buffer.New(d, 8)
@@ -107,11 +109,30 @@ func TestArenaSecondDropFreesOnlyItsOwn(t *testing.T) {
 		t.Fatalf("%d live pages after every retrieve returned, %d before", got, before)
 	}
 
-	// The next retrieve on the arena is lent the handles back.
+	// The next retrieve on the arena is lent the handles back, each with
+	// the page list it grew (heap.TestDropLendsItsPageList): the first
+	// temporary's, kept through its Drop and the Reset, takes the new
+	// temporary's pages, and a second Drop of the new temporary still frees nothing of another
+	// retrieve's.
 	again := newTemp(&a)
 	if again != first {
 		t.Fatal("Reset did not take the handles back for the next retrieve")
 	}
+	againVals := fill(again, 500, 11) // as many pages as the list kept
+	later := newTemp(&b)
+	laterVals := fill(later, 300, 13)
+	holds("the reused handle's temporary", again, againVals)
 	drop("the next retrieve's temporary", again)
+	held = live()
+	drop("a second Drop of the reused handle", again)
+	if got := live(); got != held {
+		t.Fatalf("a second Drop of the reused handle freed %d pages of another retrieve's", held-got)
+	}
+	holds("the other retrieve's next temporary", later, laterVals)
+	drop("the other retrieve's next temporary", later)
 	a.Reset()
+	b.Reset()
+	if got := live(); got != before {
+		t.Fatalf("%d live pages after the next retrieves returned, %d before", got, before)
+	}
 }

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"math"
 	"math/bits"
-	"sync"
 
 	"corep/internal/buffer"
 	"corep/internal/heap"
@@ -38,27 +37,34 @@ type Int64Temp struct {
 // caller that keeps it (the benchmark's query probes, tests). A
 // retrieve takes its temporaries from its Arena instead.
 func NewInt64Temp(pool *buffer.Pool) (*Int64Temp, error) {
-	t := new(Int64Temp)
-	if err := heap.CreateInto(&t.file, pool); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return new(Arena).NewTemp(pool)
 }
 
 // Arena lends one retrieve the handles of the temporaries it forms and
 // of the readers it opens on them (NewTemp, Iter, SortTemp), each one a
-// handle an earlier retrieve left behind when there is one, so a warm
-// retrieve allocates none. Every handle stays the retrieve's until
-// Reset, which the retrieve calls when it returns — never on a
-// temporary's Drop or a reader's Close: a second Drop within the
-// retrieve then finds its own emptied file, not a later temporary
-// formed in the same handle. The zero Arena is ready; one retrieve uses
+// handle an earlier retrieve left behind when there is one, with the
+// page list that retrieve grew in it, and the readers and SortTemp
+// their value buffers, so a warm retrieve allocates none. Every handle
+// stays the retrieve's until Reset, which the retrieve calls when it
+// returns — never on a temporary's Drop or a reader's Close: a second
+// Drop within the retrieve then finds its own dropped file, not a later
+// temporary formed in the same handle. The zero Arena is ready; one retrieve uses
 // it at a time.
 type Arena struct {
 	temps []*Int64Temp // every handle made; the first nt are lent
 	iters []*TempIter  // every reader made; the first ni are lent
 	nt    int
 	ni    int
+	// free holds the value buffers no reader or sort is using: a reader
+	// takes one at its first Next and gives it back at Close, SortTemp
+	// one for its runs, so a retrieve keeps no more of them than it
+	// reads at once.
+	free [][]int64
+	// SortTemp's radix sort's second buffer, the runs it has written and
+	// their heads in the merge.
+	aux   []int64
+	runs  []*Int64Temp
+	heads []mergeHead
 }
 
 // NewTemp creates an empty temporary in a lent handle.
@@ -80,24 +86,35 @@ func (a *Arena) Iter(t *Int64Temp) *TempIter {
 		a.iters = append(a.iters, new(TempIter))
 	}
 	it := a.iters[a.ni]
-	*it = TempIter{t: t}
+	*it = TempIter{t: t, a: a}
 	a.ni++
 	return it
 }
 
-// Reset takes back every handle lent since the last Reset, emptied: the
-// retrieve has dropped its temporaries and closed its readers, and a
-// handle it still points at drops and reads nothing until it is lent
-// again.
-func (a *Arena) Reset() {
-	for _, t := range a.temps[:a.nt] {
-		*t = Int64Temp{}
+// values takes a buffer with room for n values from a's free ones, or
+// makes one (always, for a nil a).
+func (a *Arena) values(n int) []int64 {
+	if a != nil && len(a.free) > 0 {
+		vs := a.free[len(a.free)-1]
+		a.free = a.free[:len(a.free)-1]
+		if cap(vs) >= n {
+			return vs[:0]
+		}
 	}
-	for _, it := range a.iters[:a.ni] {
-		*it = TempIter{}
-	}
-	a.nt, a.ni = 0, 0
+	return make([]int64, 0, n)
 }
+
+// giveBack returns a buffer values lent to a's free ones.
+func (a *Arena) giveBack(vs []int64) {
+	if a != nil && vs != nil {
+		a.free = append(a.free, vs[:0])
+	}
+}
+
+// Reset takes back every handle lent since the last Reset: the retrieve
+// has dropped its temporaries, which drop nothing again, and closed its
+// readers, which read nothing again, until each is lent anew.
+func (a *Arena) Reset() { a.nt, a.ni = 0, 0 }
 
 // Append adds one value, paying heap-file I/O.
 func (t *Int64Temp) Append(v int64) error {
@@ -158,16 +175,16 @@ func (t *Int64Temp) Scan(fn func(v int64) (bool, error)) error {
 
 // Iter returns a pull iterator over the temporary in insertion order,
 // in a handle of its own (a retrieve's come from its Arena). Its first
-// Next reads the whole temporary into a buffer lent by scratchPool;
-// Close gives the buffer back.
+// Next reads the whole temporary into a buffer of its own.
 func (t *Int64Temp) Iter() *TempIter { return &TempIter{t: t} }
 
 // TempIter pulls values from an Int64Temp. A reader that stops before
 // the end (a merge join whose inner side ran out, an error) must Close
-// it; one never Closed only leaves its buffer to the collector.
+// it.
 type TempIter struct {
 	t      *Int64Temp
-	buf    *scratch // nil before the first Next and after Close
+	a      *Arena // lends vs; nil for a reader of its own
+	vs     []int64
 	pos    int
 	primed bool
 	err    error
@@ -177,14 +194,13 @@ type TempIter struct {
 // the I/O for that scan is charged at that moment. (The values
 // themselves are small — one page of OIDs holds ~170 — so holding the
 // decoded ints in memory mirrors INGRES keeping the outer stream of a
-// merge join flowing.) An error of that scan is returned by every call,
-// and the buffer goes back to the pool at once.
+// merge join flowing.) An error of that scan is returned by every call.
 func (it *TempIter) Next() (int64, bool, error) {
 	if !it.primed {
 		it.primed = true
-		it.buf = lend(it.t.Count())
+		it.vs = it.a.values(it.t.Count())
 		it.err = it.t.Scan(func(v int64) (bool, error) {
-			it.buf.vs = append(it.buf.vs, v)
+			it.vs = append(it.vs, v)
 			return true, nil
 		})
 		if it.err != nil {
@@ -194,22 +210,20 @@ func (it *TempIter) Next() (int64, bool, error) {
 	if it.err != nil {
 		return 0, false, it.err
 	}
-	if it.buf == nil || it.pos >= len(it.buf.vs) {
+	if it.pos >= len(it.vs) {
 		return 0, false, nil
 	}
-	v := it.buf.vs[it.pos]
+	v := it.vs[it.pos]
 	it.pos++
 	return v, true, nil
 }
 
-// Close gives the iterator's buffer back to scratchPool; from then on
+// Close gives the iterator's buffer back to its Arena; from then on
 // Next reports the end (or the scan's error). It is idempotent.
 func (it *TempIter) Close() {
 	it.primed = true
-	if it.buf != nil {
-		scratchPool.Put(it.buf)
-		it.buf = nil
-	}
+	it.a.giveBack(it.vs)
+	it.vs, it.pos = nil, 0
 }
 
 // SortTemp is Arena.SortTemp in handles of its own, for a caller that
@@ -222,10 +236,10 @@ func SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (*Int64Temp, error)
 // charging run-formation and merge I/O; the runs, their readers and the
 // output are lent by a. workMem bounds the in-memory working set, in
 // values (e.g. 20 pages × ~170 values). Each run is radix-sorted in
-// memory (scratch.radixSort) in buffers lent by scratchPool. The runs
-// are dropped once merged (a single run is the result itself), a
-// refused page free failing the sort, and on an error nothing SortTemp
-// made is left behind; in stays the caller's.
+// memory (Arena.radixSort) in a's buffers. The runs are dropped once
+// merged (a single run is the result itself), a refused page free
+// failing the sort, and on an error nothing SortTemp made is left
+// behind; in stays the caller's.
 func (a *Arena) SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int64Temp, err error) {
 	if workMem < 2 {
 		workMem = 2
@@ -237,27 +251,25 @@ func (a *Arena) SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int6
 		sp.SetAttr("values", int64(in.Count()))
 		sp.SetAttr("runs", int64(nruns))
 	}()
-	// Phase 1: produce sorted runs, listed in the lent scratch. The
-	// scratch goes back to the pool, its run list cleared, only after
-	// the error path below has dropped the runs: defers run last first.
-	bufs := lend(min(workMem, in.Count()))
-	runs := bufs.runs[:0]
+	// Phase 1: produce sorted runs, listed in a. The run list is given
+	// back only after the error path below has dropped the runs: defers
+	// run last first.
+	cur := a.values(min(workMem, in.Count()))
+	runs := a.runs[:0]
 	defer func() {
-		clear(runs[:cap(runs)])
-		bufs.runs = runs[:0]
-		scratchPool.Put(bufs)
+		a.runs = runs[:0]
+		a.giveBack(cur)
 	}()
 	defer func() {
 		if err != nil {
 			dropAll(runs) // the sort's own error is the one reported
 		}
 	}()
-	cur := bufs.vs
 	flush := func() error {
 		if len(cur) == 0 {
 			return nil
 		}
-		sorted := bufs.radixSort(cur)
+		sorted := a.radixSort(cur)
 		run, err := a.NewTemp(pool)
 		if err != nil {
 			return err
@@ -306,14 +318,13 @@ func (a *Arena) SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int6
 			out.Drop()
 		}
 	}()
-	// One head per run, in the lent scratch like the run list.
-	heads := bufs.heads[:0]
+	// One head per run, in a like the run list.
+	heads := a.heads[:0]
 	defer func() {
 		for _, h := range heads {
 			h.it.Close()
 		}
-		clear(heads[:cap(heads)])
-		bufs.heads = heads[:0]
+		a.heads = heads[:0]
 	}()
 	for _, r := range runs {
 		heads = append(heads, mergeHead{it: a.Iter(r)})
@@ -363,17 +374,6 @@ func dropAll(ts []*Int64Temp) error {
 	return err
 }
 
-// scratch is the package's lent memory: a TempIter's decoded values
-// (vs), or the run SortTemp collects (vs), its radix sort's second
-// buffer (aux), the list of runs it has written (runs) and their heads
-// in the merge (heads) — every pointer in the last two nil while the
-// scratch is in the pool.
-type scratch struct {
-	vs, aux []int64
-	runs    []*Int64Temp
-	heads   []mergeHead
-}
-
 // mergeHead is one run's reader in SortTemp's merge and the value it
 // stands on (alive false once the run is exhausted).
 type mergeHead struct {
@@ -382,31 +382,15 @@ type mergeHead struct {
 	alive bool
 }
 
-// scratchPool lends scratch to SortTemp and TempIter, so neither
-// allocates value memory once the pool has lent a buffer of the size
-// it needs. Nothing handed out of the package aliases it.
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// lend takes a scratch from scratchPool with vs empty and room for n
-// values.
-func lend(n int) *scratch {
-	s := scratchPool.Get().(*scratch)
-	if cap(s.vs) < n {
-		s.vs = make([]int64, 0, n)
-	}
-	s.vs = s.vs[:0]
-	return s
-}
-
 // radixSort sorts vs ascending with an LSD radix sort over the bytes of
 // v − min(vs), taken as unsigned: one stable counting pass per byte of
 // max − min, so two for a temporary of OIDs and eight at most, and no
 // pass when every value is equal. The differences are computed modulo
 // 2⁶⁴, which orders the full int64 range, negatives included. The passes
-// alternate between vs and b.aux (grown to len(vs) if shorter), and
+// alternate between vs and a.aux (grown to len(vs) if shorter), and
 // the one the last pass filled is returned: the int64s a comparison
 // sort would leave, in the same order.
-func (b *scratch) radixSort(vs []int64) []int64 {
+func (a *Arena) radixSort(vs []int64) []int64 {
 	if len(vs) < 2 {
 		return vs
 	}
@@ -418,10 +402,10 @@ func (b *scratch) radixSort(vs []int64) []int64 {
 	if passes == 0 {
 		return vs
 	}
-	if cap(b.aux) < len(vs) {
-		b.aux = make([]int64, len(vs))
+	if cap(a.aux) < len(vs) {
+		a.aux = make([]int64, len(vs))
 	}
-	src, dst := vs, b.aux[:len(vs)]
+	src, dst := vs, a.aux[:len(vs)]
 	for shift := uint(0); shift < uint(8*passes); shift += 8 {
 		var start [256]int
 		for _, v := range src {

@@ -128,8 +128,8 @@ func TestTempIterErrorIsSticky(t *testing.T) {
 			t.Fatalf("Next after the failed scan = (%d, %v, %v), want (0, false, %v)", v, ok, err, first)
 		}
 	}
-	if it.buf != nil {
-		t.Fatal("a failed iterator kept its lent buffer")
+	if len(it.vs) != 0 {
+		t.Fatal("a failed iterator kept the values it read")
 	}
 	if n := pool.PinnedCount(); n != 0 {
 		t.Fatalf("%d pages left pinned", n)
@@ -137,7 +137,7 @@ func TestTempIterErrorIsSticky(t *testing.T) {
 	it.Close()
 }
 
-// TestTempIterClose: Close gives the buffer back before the end and is
+// TestTempIterClose: Close empties the buffer before the end and is
 // idempotent; Next then reports the end, and a fresh iterator reads the
 // temporary whole.
 func TestTempIterClose(t *testing.T) {
@@ -151,8 +151,8 @@ func TestTempIterClose(t *testing.T) {
 	}
 	it.Close()
 	it.Close()
-	if it.buf != nil {
-		t.Fatal("Close kept the lent buffer")
+	if len(it.vs) != 0 {
+		t.Fatal("Close kept the values")
 	}
 	if _, ok, err := it.Next(); ok || err != nil {
 		t.Fatalf("Next after Close = (%v, %v), want the end", ok, err)

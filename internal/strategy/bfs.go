@@ -182,7 +182,7 @@ func (b bfs) joinOne(db *workload.DB, sc *scratch, rel *catalog.Relation, tmp *q
 		base := len(res.Values)
 		res.Values = slices.Grow(res.Values, len(keys))[:base+len(keys)]
 		vals := res.Values[base:]
-		return rel.Tree.GetBatch(keys, func(i int, payload []byte) (err error) {
+		return rel.Tree.GetBatchIn(&sc.order, keys, func(i int, payload []byte) (err error) {
 			vals[i], err = childAttr(db, q, object.NewOID(rel.ID, keys[i]), payload)
 			return err
 		})

@@ -42,8 +42,10 @@ func storedParents(db *workload.DB, lo, hi int64) (first, last int64, n int) {
 // reuse, the handles of its temporaries and their readers (temps), the
 // merge join's inner cursor, DFSCLUST's group state, the values of a
 // DFS over inner levels before they are copied into the Result and the
-// OID list of the inner-level subobject it stands on at each depth, and
-// the keys of BFS's batched probe. Nothing a Result holds aliases it.
+// OID list of the inner-level subobject it stands on at each depth, the
+// keys of BFS's batched probe and its B-tree batch's visiting order, and
+// the bookkeeping of ProbeBatch's grouped probes. Nothing a Result holds
+// aliases it.
 type scratch struct {
 	parents []parentRef
 	oids    []object.OID
@@ -55,6 +57,8 @@ type scratch struct {
 	vals    []int64
 	kids    [][]object.OID
 	keys    []int64
+	order   []int
+	probe   catalog.Probe
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -203,15 +207,15 @@ func childAttr(db *workload.DB, q Query, oid object.OID, payload []byte) (int64,
 // framed in unit order — to dst: DFSCACHE's materialization (§3.2). The
 // paper's mode, one probe per member, frames each record straight off
 // its pinned leaf: the descent and pin of Tree.Get without the copy.
-// Config.ProbeBatch visits the members in page order instead, so that
-// arm holds the records until the sweep is done. Under a snapshot a
+// Config.ProbeBatch visits the members in page order instead, in probe,
+// so that arm holds the records until the sweep is done. Under a snapshot a
 // member the reader sees a newer version of is patched with the overlay
 // before it is framed: the cached value must really be current as of
 // the epoch recorded with the entry.
-func materializeUnit(db *workload.DB, dst []byte, unit []object.OID, snap *txn.Snapshot) ([]byte, error) {
+func materializeUnit(db *workload.DB, probe *catalog.Probe, dst []byte, unit []object.OID, snap *txn.Snapshot) ([]byte, error) {
 	if db.Cfg.ProbeBatch {
 		recs := make([][]byte, len(unit))
-		err := db.Cat.ProbeOIDs(unit, func(i int, _ *catalog.Relation, payload []byte) error {
+		err := db.Cat.ProbeOIDs(probe, unit, func(i int, _ *catalog.Relation, payload []byte) error {
 			recs[i] = append([]byte(nil), payload...)
 			return nil
 		})

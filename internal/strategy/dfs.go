@@ -57,7 +57,7 @@ func (sc *scratch) fetchLevel(db *workload.DB, oids []object.OID, q Query, out [
 	if db.Cfg.ProbeBatch && lastLevel(db, oids) {
 		base := len(out)
 		out = append(out, make([]int64, len(oids))...)
-		err := db.Cat.ProbeOIDs(oids, func(i int, _ *catalog.Relation, payload []byte) (err error) {
+		err := db.Cat.ProbeOIDs(&sc.probe, oids, func(i int, _ *catalog.Relation, payload []byte) (err error) {
 			out[base+i], err = childAttr(db, q, oids[i], payload)
 			return err
 		})
