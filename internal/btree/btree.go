@@ -270,18 +270,24 @@ func (t *Tree) refuseDuplicate(pg storage.Page, pos int, key int64) error {
 	return holds(pp, pp.NumSlots()-1)
 }
 
+// noEntry is the error for leaf slot i, which holds no entry.
+func noEntry(pg storage.Page, i int) error {
+	return fmt.Errorf("%w: leaf slot %d of %d holds no entry", storage.ErrBadSlot, i, pg.NumSlots())
+}
+
 // lowerBound returns the first slot in [lo, hi) of a leaf whose entry
 // is ≥ ref, or hi if there is none. It is the tree's one leaf search:
 // insert, seek, Update, GetBatch and NextGE all go through it. A slot
-// that cannot be read is an error, as it is for Next.
+// that cannot be read is an error, as it is for Next. Each probe reads
+// its entry's key and sequence number in place (storage.Page.Head).
 func lowerBound(pg storage.Page, lo, hi int, ref entryRef) (int, error) {
 	for lo < hi {
 		mid := (lo + hi) / 2
-		rec, err := pg.Record(mid)
-		if err != nil {
-			return 0, err
+		key, seq, ok := pg.Head(mid)
+		if !ok {
+			return 0, noEntry(pg, mid)
 		}
-		if leafEntryKey(rec).less(ref) {
+		if (entryRef{int64(key), seq}).less(ref) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -299,12 +305,11 @@ func (t *Tree) childFor(pg storage.Page, ref entryRef) (int, disk.PageID) {
 	lo, hi := 0, pg.NumSlots()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		rec, err := pg.Record(mid)
-		if err != nil {
-			panic(fmt.Sprintf("btree: corrupt inner: %v", err))
+		key, seq, ok := pg.Head(mid)
+		if !ok {
+			panic(fmt.Sprintf("btree: corrupt inner: slot %d of %d holds no separator", mid, pg.NumSlots()))
 		}
-		sep := entryRef{int64(binary.LittleEndian.Uint64(rec)), binary.LittleEndian.Uint32(rec[8:])}
-		if !ref.less(sep) { // ref >= sep: go right of this separator
+		if !ref.less(entryRef{int64(key), seq}) { // ref >= sep: go right of this separator
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -846,13 +851,15 @@ func (it *Iterator) NextGE(key int64) (int64, []byte, bool, error) {
 			}
 		}
 		n := it.pg.NumSlots()
-		last, err := it.pg.Record(n - 1)
-		if err != nil {
+		last, _, ok := it.pg.Head(n - 1)
+		if !ok {
+			err := noEntry(it.pg, n-1)
 			it.Close()
 			return 0, nil, false, err
 		}
-		if int64(binary.LittleEndian.Uint64(last)) >= key {
+		if int64(last) >= key {
 			// The last slot qualifies, so the search need not look at it.
+			var err error
 			if it.slot, err = lowerBound(it.pg, it.slot, n-1, entryRef{key, 0}); err != nil {
 				it.Close()
 				return 0, nil, false, err

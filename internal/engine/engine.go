@@ -73,7 +73,7 @@ type Core struct {
 	// pageMu guards the bytes of extent pages. A migration batch appends
 	// to the same tail page whose earlier, already published rows
 	// concurrent readers are fetching, and both sides touch the page
-	// header and slot directory: ReadPlaced copies a row out under the
+	// header and slot directory: ViewPlaced reads a row under the
 	// shared lock, appendPlaced and RewritePlaced hold it exclusively
 	// for the one page mutation. Lock order: pageMu → pool shard.
 	pageMu sync.RWMutex

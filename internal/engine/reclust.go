@@ -151,27 +151,19 @@ func (c *Core) Placed(oid object.OID, snap uint64) (storage.RID, bool) {
 }
 
 // ViewOID and ProbeOIDs make the core a pql.ReadView: a migrated object
-// is read from its packed copy, the rest through the catalog.
+// is read from its packed copy (ViewPlaced), the rest through the
+// catalog. Either way fn's record is a view valid while fn runs, and fn
+// must not read through the core again.
 func (c *Core) ViewOID(oid object.OID, fn func(rel *catalog.Relation, rec []byte) error) error {
 	rid, ok := c.Placed(oid, 0)
 	if !ok {
 		return c.Cat.ViewOID(oid, fn)
 	}
-	rel, rec, err := c.placedRow(oid, rid)
+	rel, err := c.Cat.ByID(oid.Rel())
 	if err != nil {
 		return err
 	}
-	return fn(rel, rec)
-}
-
-// placedRow reads oid's copy at rid; the record is the caller's own.
-func (c *Core) placedRow(oid object.OID, rid storage.RID) (*catalog.Relation, []byte, error) {
-	rec, err := c.ReadPlaced(rid)
-	if err != nil {
-		return nil, nil, err
-	}
-	rel, err := c.Cat.ByID(oid.Rel())
-	return rel, rec, err
+	return c.ViewPlaced(rid, func(rec []byte) error { return fn(rel, rec) })
 }
 
 // ProbeOIDs reads placed members from their copies — one unit's members
@@ -189,9 +181,9 @@ func (c *Core) ProbeOIDs(p *catalog.Probe, oids []object.OID, fn func(i int, rel
 			rest, at = append(rest, oid), append(at, i)
 			continue
 		}
-		rel, rec, err := c.placedRow(oid, rid)
+		rel, err := c.Cat.ByID(oid.Rel())
 		if err == nil {
-			err = fn(i, rel, rec)
+			err = c.ViewPlaced(rid, func(rec []byte) error { return fn(i, rel, rec) })
 		}
 		if err != nil {
 			return err
@@ -452,22 +444,35 @@ func (c *Core) RestorePlacements(blob []byte) error {
 
 // --- the extent ---
 
-// ReadPlaced fetches a migrated copy by RID straight through the buffer
-// pool. Deliberately independent of the extent file handle: placements
-// that survived a crash stay readable even though the post-crash extent
-// chain starts fresh.
-func (c *Core) ReadPlaced(rid storage.RID) ([]byte, error) {
+// ViewPlaced calls fn with a migrated copy by RID, read straight through
+// the buffer pool: a view into the extent page, valid while fn runs
+// under the page's pin and the shared page lock, so fn must not call
+// the core's extent writers or read a placed row again. Deliberately
+// independent of the extent file handle: placements that survived a
+// crash stay readable even though the post-crash extent chain starts
+// fresh.
+func (c *Core) ViewPlaced(rid storage.RID, fn func(rec []byte) error) error {
 	c.pageMu.RLock()
 	defer c.pageMu.RUnlock()
 	buf, err := c.Pool.Pin(rid.Page)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	defer c.Pool.Unpin(rid.Page, false)
 	rec, err := storage.Page{Buf: buf}.Record(int(rid.Slot))
-	if err == nil {
-		rec = append([]byte(nil), rec...)
+	if err != nil {
+		return err
 	}
-	c.Pool.Unpin(rid.Page, false)
+	return fn(rec)
+}
+
+// ReadPlaced is ViewPlaced for a caller that keeps the record: it
+// returns a copy.
+func (c *Core) ReadPlaced(rid storage.RID) (rec []byte, err error) {
+	err = c.ViewPlaced(rid, func(v []byte) error {
+		rec = append([]byte(nil), v...)
+		return nil
+	})
 	return rec, err
 }
 

@@ -103,40 +103,75 @@ func (f *File) Appender() Appender { return Appender{f: f} }
 
 // Append inserts rec at the tail, growing the chain as needed.
 func (a *Appender) Append(rec []byte) (storage.RID, error) {
-	f := a.f
 	if len(rec) > disk.PageSize/2 {
 		return storage.RID{}, errors.New("heap: record larger than half a page")
 	}
-	if a.pg.Buf == nil {
-		buf, err := f.pool.Pin(f.last)
-		if err != nil {
-			return storage.RID{}, err
-		}
-		a.pg = storage.Page{Buf: buf}
+	if err := a.pin(); err != nil {
+		return storage.RID{}, err
 	}
 	slot, err := a.pg.Insert(rec)
 	if errors.Is(err, storage.ErrPageFull) {
-		// Grow the chain: link a fresh page in and make it the held tail.
-		nid, nbuf, nerr := f.pool.NewPage()
-		if nerr != nil {
-			return storage.RID{}, nerr
+		if err = a.grow(); err == nil {
+			slot, err = a.pg.Insert(rec)
 		}
-		npg := storage.Page{Buf: nbuf}
-		npg.Init(storage.TypeHeap)
-		npg.SetPrev(f.last)
-		a.pg.SetNext(nid)
-		f.pool.Unpin(f.last, true)
-		a.pg, a.dirty = npg, true // a new page is born dirty
-		f.last = nid
-		f.pages = append(f.pages, nid)
-		slot, err = a.pg.Insert(rec)
 	}
 	if err != nil {
 		return storage.RID{}, err
 	}
 	a.dirty = true
-	f.count++
-	return storage.RID{Page: f.last, Slot: uint16(slot)}, nil
+	a.f.count++
+	return storage.RID{Page: a.f.last, Slot: uint16(slot)}, nil
+}
+
+// AppendInt64s appends each value of vs as its own 8-byte little-endian
+// record, a page at a time (storage.Page.InsertInt64s). The pins, the
+// new pages and the bytes are those of a loop of Append calls, one per
+// value.
+func (a *Appender) AppendInt64s(vs []int64) error {
+	for len(vs) > 0 {
+		if err := a.pin(); err != nil {
+			return err
+		}
+		if k := a.pg.InsertInt64s(vs); k > 0 {
+			a.dirty = true
+			a.f.count += k
+			vs = vs[k:]
+		} else if err := a.grow(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pin holds the tail page, if the run does not hold it yet.
+func (a *Appender) pin() error {
+	if a.pg.Buf == nil {
+		buf, err := a.f.pool.Pin(a.f.last)
+		if err != nil {
+			return err
+		}
+		a.pg = storage.Page{Buf: buf}
+	}
+	return nil
+}
+
+// grow links a fresh page in after the full tail and makes it the held
+// tail.
+func (a *Appender) grow() error {
+	f := a.f
+	nid, nbuf, err := f.pool.NewPage()
+	if err != nil {
+		return err
+	}
+	npg := storage.Page{Buf: nbuf}
+	npg.Init(storage.TypeHeap)
+	npg.SetPrev(f.last)
+	a.pg.SetNext(nid)
+	f.pool.Unpin(f.last, true)
+	a.pg, a.dirty = npg, true // a new page is born dirty
+	f.last = nid
+	f.pages = append(f.pages, nid)
+	return nil
 }
 
 // Close releases the tail page. It is idempotent.
@@ -190,6 +225,34 @@ func (f *File) Scan(fn func(rid storage.RID, rec []byte) bool) error {
 		id = next
 	}
 	return nil
+}
+
+// ReadInt64s appends the value of every record, each an 8-byte
+// little-endian int64, to dst in chain order, a page at a time
+// (storage.Page.AppendInt64s): it pins the pages Scan pins, in the same
+// order. A record of another length is an error. A non-nil page is
+// called with dst after each page's values, while that page is still
+// pinned, and returns the dst to go on with: a reader that consumes the
+// values as it goes makes its pool calls where a Scan callback would.
+func (f *File) ReadInt64s(dst []int64, page func([]int64) ([]int64, error)) ([]int64, error) {
+	for id := f.first; id != disk.InvalidPageID; {
+		buf, err := f.pool.Pin(id)
+		if err != nil {
+			return dst, err
+		}
+		pg := storage.Page{Buf: buf}
+		dst, err = pg.AppendInt64s(dst)
+		if err == nil && page != nil {
+			dst, err = page(dst)
+		}
+		next := pg.Next()
+		f.pool.Unpin(id, false)
+		if err != nil {
+			return dst, err
+		}
+		id = next
+	}
+	return dst, nil
 }
 
 // Drop gives every page of the file back to the disk (disk.Manager.Free)

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+	"slices"
 
 	"corep/internal/buffer"
 	"corep/internal/heap"
@@ -145,6 +146,11 @@ func (w *TempAppender) Append(v int64) error {
 	return err
 }
 
+// AppendAll adds every value of vs to the run, a page at a time
+// (heap.Appender.AppendInt64s): the pages and the pool calls are those
+// of one Append per value.
+func (w *TempAppender) AppendAll(vs []int64) error { return w.a.AppendInt64s(vs) }
+
 // Close ends the run, releasing the tail page. It is idempotent.
 func (w *TempAppender) Close() { w.a.Close() }
 
@@ -156,7 +162,15 @@ func (t *Int64Temp) Count() int { return t.file.Count() }
 // must be closed first; the temporary must not be used afterwards.
 func (t *Int64Temp) Drop() error { return t.file.Drop() }
 
-// Scan calls fn for each value in insertion order.
+// ReadAll appends every value to dst in insertion order, a page at a
+// time (heap.File.ReadInt64s): it pins the pages Scan pins, in the same
+// order, but calls nothing between them, so it is for a reader that
+// touches the pool only once it has them all. A record that is not an
+// int64's 8 bytes is an error.
+func (t *Int64Temp) ReadAll(dst []int64) ([]int64, error) { return t.file.ReadInt64s(dst, nil) }
+
+// Scan calls fn for each value in insertion order, for a reader that
+// touches the pool between values.
 func (t *Int64Temp) Scan(fn func(v int64) (bool, error)) error {
 	var ferr error
 	err := t.file.Scan(func(_ storage.RID, rec []byte) bool {
@@ -198,11 +212,7 @@ type TempIter struct {
 func (it *TempIter) Next() (int64, bool, error) {
 	if !it.primed {
 		it.primed = true
-		it.vs = it.a.values(it.t.Count())
-		it.err = it.t.Scan(func(v int64) (bool, error) {
-			it.vs = append(it.vs, v)
-			return true, nil
-		})
+		it.vs, it.err = it.t.ReadAll(it.a.values(it.t.Count()))
 		if it.err != nil {
 			it.Close()
 		}
@@ -253,8 +263,8 @@ func (a *Arena) SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int6
 	}()
 	// Phase 1: produce sorted runs, listed in a. The run list is given
 	// back only after the error path below has dropped the runs: defers
-	// run last first.
-	cur := a.values(min(workMem, in.Count()))
+	// run last first. cur holds up to a page beyond workMem.
+	cur := a.values(min(workMem+storage.Int64sPerPage, in.Count()))
 	runs := a.runs[:0]
 	defer func() {
 		a.runs = runs[:0]
@@ -265,11 +275,7 @@ func (a *Arena) SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int6
 			dropAll(runs) // the sort's own error is the one reported
 		}
 	}()
-	flush := func() error {
-		if len(cur) == 0 {
-			return nil
-		}
-		sorted := a.radixSort(cur)
+	flush := func(vs []int64) error {
 		run, err := a.NewTemp(pool)
 		if err != nil {
 			return err
@@ -277,28 +283,26 @@ func (a *Arena) SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int6
 		runs = append(runs, run)
 		w := run.Appender()
 		defer w.Close()
-		for _, v := range sorted {
-			if err := w.Append(v); err != nil {
-				return err
-			}
-		}
-		cur = cur[:0]
-		return nil
+		return w.AppendAll(a.radixSort(vs))
 	}
-	err = in.Scan(func(v int64) (bool, error) {
-		cur = append(cur, v)
-		if len(cur) >= workMem {
-			if err := flush(); err != nil {
-				return false, err
+	// A run is written as soon as workMem values are in, under the pin
+	// of the input page that completed it, as a per-value scan would.
+	cur, err = in.file.ReadInt64s(cur, func(vs []int64) ([]int64, error) {
+		for len(vs) >= workMem {
+			if err := flush(vs[:workMem]); err != nil {
+				return vs, err
 			}
+			vs = vs[:copy(vs, vs[workMem:])]
 		}
-		return true, nil
+		return vs, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := flush(); err != nil {
-		return nil, err
+	if len(cur) > 0 {
+		if err := flush(cur); err != nil {
+			return nil, err
+		}
 	}
 	nruns = len(runs)
 	if len(runs) == 0 {
@@ -336,9 +340,12 @@ func (a *Arena) SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int6
 		}
 	}
 	// Every run is in memory now (TempIter reads its heap file on the
-	// first Next), so the merge loop touches only out's tail page.
+	// first Next), so out's tail page is the only pool traffic left: the
+	// merge fills cur, whose values are all in the runs, and appends it
+	// to out whenever it is full.
 	w := out.Appender()
 	defer w.Close()
+	merged := cur[:0]
 	for {
 		best := -1
 		for i, h := range heads {
@@ -346,23 +353,28 @@ func (a *Arena) SortTemp(pool *buffer.Pool, in *Int64Temp, workMem int) (_ *Int6
 				best = i
 			}
 		}
-		if best < 0 {
-			// Merged: the runs go now, and a refused free fails the sort.
-			merged := runs
-			runs = runs[:0]
-			if err := dropAll(merged); err != nil {
+		if best < 0 || len(merged) == cap(merged) {
+			if err := w.AppendAll(merged); err != nil {
 				return nil, err
 			}
-			return out, nil
+			merged = merged[:0]
+		}
+		if best < 0 {
+			break
 		}
 		h := &heads[best]
-		if err := w.Append(h.v); err != nil {
-			return nil, err
-		}
+		merged = append(merged, h.v)
 		if h.v, h.alive, err = h.it.Next(); err != nil {
 			return nil, err
 		}
 	}
+	// Merged: the runs go now, and a refused free fails the sort.
+	done := runs
+	runs = runs[:0]
+	if err := dropAll(done); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // dropAll drops every temporary of ts, returning their errors joined.
@@ -426,30 +438,10 @@ func (a *Arena) radixSort(vs []int64) []int64 {
 	return src
 }
 
-// Distinct wraps a sorted Int64Iter, dropping adjacent duplicates — the
-// duplicate-removal step of BFSNODUP (§3.1 [3]).
-type Distinct struct {
-	in    Int64Iter
-	last  int64
-	first bool
-}
-
-// NewDistinct wraps in, which must be sorted.
-func NewDistinct(in Int64Iter) *Distinct { return &Distinct{in: in, first: true} }
-
-// Next implements Int64Iter.
-func (d *Distinct) Next() (int64, bool, error) {
-	for {
-		v, ok, err := d.in.Next()
-		if err != nil || !ok {
-			return 0, false, err
-		}
-		if d.first || v != d.last {
-			d.first, d.last = false, v
-			return v, true, nil
-		}
-	}
-}
+// Distinct keeps one value of each run of equal values of sorted, in
+// order — the duplicate-removal step of BFSNODUP (§3.1 [3]). It works
+// in place: the result shares sorted's array.
+func Distinct(sorted []int64) []int64 { return slices.Compact(sorted) }
 
 // KeyedIter is the inner side of a merge join (a B-tree leaf scan in the
 // paper's setup): NextGE moves it forward, in key order, to the first

@@ -302,27 +302,15 @@ func TestSortChargesIO(t *testing.T) {
 }
 
 func TestDistinct(t *testing.T) {
-	d := NewDistinct(NewSliceIter([]int64{1, 1, 2, 3, 3, 3, 7}))
-	var got []int64
-	for {
-		v, ok, err := d.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, v)
-	}
+	got := Distinct([]int64{1, 1, 2, 3, 3, 3, 7})
 	if fmt.Sprint(got) != "[1 2 3 7]" {
 		t.Fatalf("got %v", got)
 	}
 }
 
 func TestDistinctEmpty(t *testing.T) {
-	d := NewDistinct(NewSliceIter(nil))
-	if _, ok, _ := d.Next(); ok {
-		t.Fatal("empty distinct yielded")
+	if got := Distinct(nil); len(got) != 0 {
+		t.Fatalf("empty distinct yielded %v", got)
 	}
 }
 

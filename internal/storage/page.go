@@ -272,6 +272,59 @@ func (p Page) LiveRecords(fn func(slot int, rec []byte) bool) {
 	}
 }
 
+// Head reads, in place, the little-endian uint64 and uint32 that begin
+// the record in slot i: a B-tree entry's key and sequence number. ok is
+// false for a slot out of range, a dead one, or a record shorter than
+// 12 bytes.
+func (p Page) Head(i int) (u64 uint64, u32 uint32, ok bool) {
+	if uint(i) < uint(p.NumSlots()) {
+		if off, ln := p.slot(i); off != 0 && ln >= 12 {
+			return binary.LittleEndian.Uint64(p.Buf[off:]), binary.LittleEndian.Uint32(p.Buf[off+8:]), true
+		}
+	}
+	return 0, 0, false
+}
+
+// int64Rec is the space one int64 record takes: its 8 bytes and its slot.
+const int64Rec = 8 + slotSize
+
+// Int64sPerPage is how many 8-byte records an empty page holds.
+const Int64sPerPage = (disk.PageSize - headerSize) / int64Rec
+
+// InsertInt64s stores the leading values of vs that fit in the page,
+// each as its own 8-byte little-endian record, and returns how many it
+// stored. The page it leaves is byte for byte the one that many Insert
+// calls leave.
+func (p Page) InsertInt64s(vs []int64) int {
+	n, free := p.NumSlots(), int(p.freePtr())
+	k := min(len(vs), max(0, free-headerSize-n*slotSize)/int64Rec)
+	for j, v := range vs[:k] {
+		free -= 8
+		binary.LittleEndian.PutUint64(p.Buf[free:], uint64(v))
+		p.setSlot(n+j, uint16(free), 8)
+	}
+	p.setFreePtr(uint16(free))
+	p.setNumSlots(n + k)
+	return k
+}
+
+// AppendInt64s appends the value of every live record, each an 8-byte
+// little-endian int64, to dst in slot order. A live record of any other
+// length is an ErrBadSlot error, returned with the values before it.
+func (p Page) AppendInt64s(dst []int64) ([]int64, error) {
+	for i, n := 0, p.NumSlots(); i < n; i++ {
+		off, ln := p.slot(i)
+		if off == 0 {
+			continue
+		}
+		if ln != 8 || int(off)+8 > len(p.Buf) {
+			return dst, fmt.Errorf("%w: slot %d holds %d bytes at %d, not an int64", ErrBadSlot, i, ln, off)
+		}
+		dst = append(dst, int64(binary.LittleEndian.Uint64(p.Buf[off:])))
+	}
+	return dst, nil
+}
+
 // RID is a record identifier: a page and a slot within it.
 type RID struct {
 	Page disk.PageID

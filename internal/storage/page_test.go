@@ -2,8 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -368,5 +370,82 @@ func TestCompactMatchesReference(t *testing.T) {
 	p := fragmentedPage(rand.New(rand.NewSource(1)), TypeHashBkt)
 	if allocs := testing.AllocsPerRun(100, p.Compact); allocs != 0 {
 		t.Errorf("Compact allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
+// TestInt64KernelsMatchRecordLoops: InsertInt64s leaves the page an
+// Insert loop leaves, behind records of other lengths and up to the
+// page-full boundary, and AppendInt64s reads back what LiveRecords
+// yields, past dead slots, refusing a live record of another length.
+func TestInt64KernelsMatchRecordLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		loop, kernel := newPage(TypeHeap), newPage(TypeHeap)
+		for i, n := 0, rng.Intn(6); i < n; i++ {
+			rec := make([]byte, 1+rng.Intn(40))
+			rng.Read(rec)
+			loop.Insert(rec)
+			kernel.Insert(rec)
+		}
+		vs := make([]int64, rng.Intn(Int64sPerPage+20))
+		for i := range vs {
+			vs[i] = rng.Int63() - rng.Int63()
+		}
+		stored := 0
+		for _, v := range vs {
+			var rec [8]byte
+			binary.LittleEndian.PutUint64(rec[:], uint64(v))
+			if _, err := loop.Insert(rec[:]); err != nil {
+				break
+			}
+			stored++
+		}
+		if k := kernel.InsertInt64s(vs); k != stored || !bytes.Equal(loop.Buf, kernel.Buf) {
+			t.Fatalf("trial %d: InsertInt64s stored %d of %d (loop %d), pages equal %v", trial, k, len(vs), stored, bytes.Equal(loop.Buf, kernel.Buf))
+		}
+
+		// Keep only the int64 records, killing some of them.
+		for i := 0; i < kernel.NumSlots(); i++ {
+			if rec, _ := kernel.Record(i); len(rec) != 8 || rng.Intn(5) == 0 {
+				kernel.Delete(i)
+			}
+		}
+		var want []int64
+		kernel.LiveRecords(func(_ int, rec []byte) bool {
+			want = append(want, int64(binary.LittleEndian.Uint64(rec)))
+			return true
+		})
+		got, err := kernel.AppendInt64s([]int64{42})
+		if err != nil || !slices.Equal(got, append([]int64{42}, want...)) {
+			t.Fatalf("trial %d: AppendInt64s %v, %v; LiveRecords %v", trial, got, err, want)
+		}
+	}
+	p := newPage(TypeHeap)
+	p.InsertInt64s([]int64{1, 2})
+	p.Insert([]byte("seven b"))
+	p.InsertInt64s([]int64{3})
+	if got, err := p.AppendInt64s(nil); !errors.Is(err, ErrBadSlot) || !slices.Equal(got, []int64{1, 2}) {
+		t.Fatalf("AppendInt64s over a 7-byte record: %v, %v", got, err)
+	}
+}
+
+// TestHeadReadsEntryPrefix: Head reads a record's first 12 bytes as a
+// uint64 and a uint32 in place, and refuses a slot out of range, a dead
+// one and a record too short to hold them.
+func TestHeadReadsEntryPrefix(t *testing.T) {
+	p := newPage(TypeBTLeaf)
+	rec := binary.LittleEndian.AppendUint64(nil, 1<<63|5)
+	rec = binary.LittleEndian.AppendUint32(rec, 77)
+	p.Insert(append(rec, "payload"...))
+	p.Insert(rec[:11])
+	p.Insert(rec)
+	p.Delete(2)
+	if u, s, ok := p.Head(0); !ok || u != 1<<63|5 || s != 77 {
+		t.Fatalf("Head(0) = %d, %d, %v", u, s, ok)
+	}
+	for _, i := range []int{-1, 1, 2, 3} {
+		if _, _, ok := p.Head(i); ok {
+			t.Fatalf("Head(%d) read an entry", i)
+		}
 	}
 }

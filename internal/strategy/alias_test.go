@@ -131,10 +131,8 @@ func TestTempWriterRunsPerRelation(t *testing.T) {
 		object.NewOID(7, 1), object.NewOID(7, 2), object.NewOID(9, 10),
 		object.NewOID(7, 3), object.NewOID(9, 11), object.NewOID(9, 12),
 	}
-	for _, oid := range in {
-		if err := tw.add(oid); err != nil {
-			t.Fatal(err)
-		}
+	if err := tw.add(in); err != nil {
+		t.Fatal(err)
 	}
 	if db.Pool.PinnedCount() != 1 {
 		t.Fatalf("open run holds %d pages, want its one tail", db.Pool.PinnedCount())

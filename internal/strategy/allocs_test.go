@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"fmt"
 	"testing"
 
 	"corep/internal/workload"
@@ -102,10 +103,19 @@ func TestCachedRetrieveAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
+	// Config.ProbeBatch materializes a unit's members in page order,
+	// holding their records in the retrieve's scratch: the paper's mode's
+	// ceilings hold for it too.
+	for _, probeBatch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ProbeBatch=%v", probeBatch), func(t *testing.T) { checkCachedRetrieveAllocations(t, probeBatch) })
+	}
+}
+
+func checkCachedRetrieveAllocations(t *testing.T, probeBatch bool) {
 	const cacheUnits, hitCeiling, perUnitCeiling = 60, 2, 1
 	// UseFactor 1: every parent has a unit of its own, so a key range
 	// never seen before misses on every unit.
-	db := buildDB(t, workload.Config{NumParents: 2000, SizeUnit: 5, UseFactor: 1, PoolPages: 4000, CacheUnits: cacheUnits, Seed: 3})
+	db := buildDB(t, workload.Config{NumParents: 2000, SizeUnit: 5, UseFactor: 1, PoolPages: 4000, CacheUnits: cacheUnits, ProbeBatch: probeBatch, Seed: 3})
 	st := mustNew(t, DFSCACHE, db)
 	retrieve := func(lo, n int64) {
 		if _, err := st.Retrieve(db, Query{Lo: lo, Hi: lo + n - 1, AttrIdx: workload.FieldRet1}); err != nil {

@@ -6,6 +6,7 @@ import (
 	"corep/internal/catalog"
 	"corep/internal/object"
 	"corep/internal/query"
+	"corep/internal/storage"
 	"corep/internal/workload"
 )
 
@@ -33,9 +34,9 @@ func (b bfs) Kind() Kind {
 	return BFS
 }
 
-// tempValuesPerPage estimates how many 8-byte OIDs fit one heap page
-// (8 data + 4 slot bytes each, 24-byte header).
-const tempValuesPerPage = (2048 - 24) / 12
+// sortWorkMem is the work memory of the sort feeding a join: eight heap
+// pages of OIDs.
+const sortWorkMem = 8 * storage.Int64sPerPage
 
 // sortPassFactor estimates external-sort I/O as a multiple of the temp's
 // pages (read input, write runs, read runs during the merge).
@@ -55,10 +56,8 @@ func (b bfs) Retrieve(db *workload.DB, q Query) (_ *Result, err error) {
 	tempSp := db.Obs.Start("strategy.bfs/temp")
 	level := sc.tempWriter(db.Pool)
 	defer func() { firstErr(&err, sc.dropWriter(level)) }()
-	for _, oid := range sc.oids {
-		if err := level.add(oid); err != nil {
-			return nil, err
-		}
+	if err := level.add(sc.oids); err != nil {
+		return nil, err
 	}
 	level.close()
 	tempSp.SetAttr("relations", int64(len(level.relOrder)))
@@ -122,7 +121,7 @@ func (b bfs) joinOne(db *workload.DB, sc *scratch, rel *catalog.Relation, tmp *q
 		// query" — sort the temp and keep distinct OIDs, then join with
 		// whichever method the (smaller) deduplicated temp favours.
 		dedupSp := db.Obs.Start("strategy.bfs/dedup")
-		sorted, err := sc.temps.SortTemp(db.Pool, tmp, tempValuesPerPage*8)
+		sorted, err := sc.temps.SortTemp(db.Pool, tmp, sortWorkMem)
 		if err != nil {
 			return err
 		}
@@ -142,7 +141,7 @@ func (b bfs) joinOne(db *workload.DB, sc *scratch, rel *catalog.Relation, tmp *q
 		// Every value of the temporary matches once at most.
 		res.Values = slices.Grow(res.Values, n)
 	}
-	tempPages := (n + tempValuesPerPage - 1) / tempValuesPerPage
+	tempPages := (n + storage.Int64sPerPage - 1) / storage.Int64sPerPage
 	probeCost := int64(n) * int64(rel.Tree.Height())
 	mergeCost := int64(sortPassFactor*tempPages) + int64(rel.Tree.LeafPages())
 
@@ -170,11 +169,7 @@ func (b bfs) joinOne(db *workload.DB, sc *scratch, rel *catalog.Relation, tmp *q
 		// Batched: collect the temp's keys in the scratch, probe them
 		// page-ordered, and emit values in the temp's original order,
 		// each into its place in the result.
-		keys := sc.keys[:0]
-		err := tmp.Scan(func(key int64) (bool, error) {
-			keys = append(keys, key)
-			return true, nil
-		})
+		keys, err := tmp.ReadAll(sc.keys[:0])
 		sc.keys = keys
 		if err != nil {
 			return err
@@ -192,7 +187,7 @@ func (b bfs) joinOne(db *workload.DB, sc *scratch, rel *catalog.Relation, tmp *q
 	// under BFSNODUP) and merge join with the ChildRel leaf scan.
 	outerTemp := tmp
 	if !b.dedup {
-		sorted, err := sc.temps.SortTemp(db.Pool, tmp, tempValuesPerPage*8)
+		sorted, err := sc.temps.SortTemp(db.Pool, tmp, sortWorkMem)
 		if err != nil {
 			return err
 		}

@@ -44,8 +44,9 @@ func storedParents(db *workload.DB, lo, hi int64) (first, last int64, n int) {
 // DFS over inner levels before they are copied into the Result and the
 // OID list of the inner-level subobject it stands on at each depth, the
 // keys of BFS's batched probe and its B-tree batch's visiting order, and
-// the bookkeeping of ProbeBatch's grouped probes. Nothing a Result holds
-// aliases it.
+// the bookkeeping of ProbeBatch's grouped probes, with the records of a
+// unit it materializes back to back in recs and each member's span of
+// them in recAt. Nothing a Result holds aliases it.
 type scratch struct {
 	parents []parentRef
 	oids    []object.OID
@@ -59,6 +60,8 @@ type scratch struct {
 	keys    []int64
 	order   []int
 	probe   catalog.Probe
+	recs    []byte
+	recAt   [][2]int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -97,7 +100,7 @@ func (s *scratch) dropWriter(w *tempWriter) error {
 	}
 	err := w.drop()
 	clear(w.temps)
-	*w = tempWriter{temps: w.temps, relOrder: w.relOrder[:0], step: w.step, kids: w.kids[:0]}
+	*w = tempWriter{temps: w.temps, relOrder: w.relOrder[:0], step: w.step, kids: w.kids[:0], keys: w.keys[:0]}
 	s.writers = append(s.writers, w)
 	return err
 }
@@ -207,23 +210,26 @@ func childAttr(db *workload.DB, q Query, oid object.OID, payload []byte) (int64,
 // framed in unit order — to dst: DFSCACHE's materialization (§3.2). The
 // paper's mode, one probe per member, frames each record straight off
 // its pinned leaf: the descent and pin of Tree.Get without the copy.
-// Config.ProbeBatch visits the members in page order instead, in probe,
-// so that arm holds the records until the sweep is done. Under a snapshot a
-// member the reader sees a newer version of is patched with the overlay
-// before it is framed: the cached value must really be current as of
-// the epoch recorded with the entry.
-func materializeUnit(db *workload.DB, probe *catalog.Probe, dst []byte, unit []object.OID, snap *txn.Snapshot) ([]byte, error) {
+// Config.ProbeBatch visits the members in page order instead, in sc's
+// probe, so that arm copies the records into sc and frames them once the
+// sweep is done. Under a snapshot a member the reader sees a newer
+// version of is patched with the overlay before it is framed: the cached
+// value must really be current as of the epoch recorded with the entry.
+func materializeUnit(db *workload.DB, sc *scratch, dst []byte, unit []object.OID, snap *txn.Snapshot) ([]byte, error) {
 	if db.Cfg.ProbeBatch {
-		recs := make([][]byte, len(unit))
-		err := db.Cat.ProbeOIDs(probe, unit, func(i int, _ *catalog.Relation, payload []byte) error {
-			recs[i] = append([]byte(nil), payload...)
+		recs, at := sc.recs[:0], slices.Grow(sc.recAt[:0], len(unit))[:len(unit)]
+		clear(at)
+		err := db.Cat.ProbeOIDs(&sc.probe, unit, func(i int, _ *catalog.Relation, payload []byte) error {
+			at[i] = [2]int{len(recs), len(recs) + len(payload)}
+			recs = append(recs, payload...)
 			return nil
 		})
+		sc.recs, sc.recAt = recs, at
 		if err != nil {
 			return dst, err
 		}
 		for i, oid := range unit {
-			rec, err := overlayRec(db, snap, oid, recs[i])
+			rec, err := overlayRec(db, snap, oid, recs[at[i][0]:at[i][1]])
 			if err != nil {
 				return dst, err
 			}
@@ -315,10 +321,11 @@ func (s ioSpan) end() int64 {
 
 // tempWriter routes subobject OIDs into one temporary per child
 // relation (§6.2). Consecutive OIDs of the same relation form a run
-// appended under one pin of that temporary's tail page; a change of
-// relation closes the run before the other temporary is touched or
-// created, so pages are used in exactly the order of a per-OID Append
-// loop. close must be called before the temporaries are read.
+// appended a page at a time under one pin of that temporary's tail page;
+// a change of relation closes the run before the other temporary is
+// touched or created, so pages are used in exactly the order of a
+// per-OID Append loop. close must be called before the temporaries are
+// read.
 type tempWriter struct {
 	pool     *buffer.Pool
 	arena    *query.Arena // lends the temporaries' handles
@@ -331,6 +338,7 @@ type tempWriter struct {
 	cur  uint16
 	run  query.TempAppender
 	open bool
+	keys []int64 // the keys of the run being appended
 
 	// step is takeKids bound once, the inner level's step of every join
 	// that fills the writer, with the relation it reaches and the
@@ -353,23 +361,36 @@ func (w *tempWriter) reserve() (err error) {
 	return err
 }
 
-func (w *tempWriter) add(oid object.OID) error {
-	if rel := oid.Rel(); !w.open || rel != w.cur {
-		w.close()
-		tmp := w.temps[rel]
-		if tmp == nil {
-			if tmp, w.spare = w.spare, nil; tmp == nil {
-				var err error
-				if tmp, err = w.arena.NewTemp(w.pool); err != nil {
-					return err
+// add appends the keys of oids to their relations' temporaries, each
+// stretch of one relation's OIDs in one AppendAll.
+func (w *tempWriter) add(oids []object.OID) error {
+	for len(oids) > 0 {
+		rel := oids[0].Rel()
+		if !w.open || rel != w.cur {
+			w.close()
+			tmp := w.temps[rel]
+			if tmp == nil {
+				if tmp, w.spare = w.spare, nil; tmp == nil {
+					var err error
+					if tmp, err = w.arena.NewTemp(w.pool); err != nil {
+						return err
+					}
 				}
+				w.temps[rel] = tmp
+				w.relOrder = append(w.relOrder, rel)
 			}
-			w.temps[rel] = tmp
-			w.relOrder = append(w.relOrder, rel)
+			w.cur, w.run, w.open = rel, tmp.Appender(), true
 		}
-		w.cur, w.run, w.open = rel, tmp.Appender(), true
+		n := 0
+		for w.keys = w.keys[:0]; n < len(oids) && oids[n].Rel() == rel; n++ {
+			w.keys = append(w.keys, oids[n].Key())
+		}
+		if err := w.run.AppendAll(w.keys); err != nil {
+			return err
+		}
+		oids = oids[n:]
 	}
-	return w.run.Append(oid.Key())
+	return nil
 }
 
 // takeChildren is an inner level's step: append the children of each
@@ -386,10 +407,8 @@ func (w *tempWriter) takeKids(_ int64, payload []byte) (_ bool, err error) {
 		return false, err
 	}
 	defer w.close()
-	for _, oid := range w.kids {
-		if err := w.add(oid); err != nil {
-			return false, err
-		}
+	if err := w.add(w.kids); err != nil {
+		return false, err
 	}
 	return true, nil
 }
@@ -418,8 +437,7 @@ func (w *tempWriter) drop() error {
 
 // distinctTemp copies the distinct values of a sorted temporary into a
 // new one — the duplicate-removal step of BFSNODUP (§3.1 [3]). The copy
-// and the sorted side's reader are lent by s's arena. On an error the
-// copy is dropped.
+// is lent by s's arena. On an error the copy is dropped.
 func (s *scratch) distinctTemp(pool *buffer.Pool, sorted *query.Int64Temp) (_ *query.Int64Temp, err error) {
 	distinct, err := s.temps.NewTemp(pool)
 	if err != nil {
@@ -430,25 +448,19 @@ func (s *scratch) distinctTemp(pool *buffer.Pool, sorted *query.Int64Temp) (_ *q
 			distinct.Drop()
 		}
 	}()
-	// The sorted side is read into memory by the first Next, before the
-	// first append, so the run below is the only pool traffic.
-	in := s.temps.Iter(sorted)
-	defer in.Close()
-	uniq := query.NewDistinct(in)
+	// The sorted side is read whole, into s's key buffer, before the
+	// first append, so the run below is the only pool traffic after it.
+	vs, err := sorted.ReadAll(s.keys[:0])
+	s.keys = vs
+	if err != nil {
+		return nil, err
+	}
 	w := distinct.Appender()
 	defer w.Close()
-	for {
-		v, ok, err := uniq.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return distinct, nil
-		}
-		if err := w.Append(v); err != nil {
-			return nil, err
-		}
+	if err := w.AppendAll(query.Distinct(vs)); err != nil {
+		return nil, err
 	}
+	return distinct, nil
 }
 
 // levelStep is what a join does with each tuple of the relation it

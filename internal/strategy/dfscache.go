@@ -76,7 +76,7 @@ func (c dfscache) Retrieve(db *workload.DB, q Query) (*Result, error) {
 		}
 		// Materialize the unit, answer from it, and cache it.
 		materialized++
-		if sc.value, err = materializeUnit(db, &sc.probe, sc.value[:0], p.unit, q.Snap); err != nil {
+		if sc.value, err = materializeUnit(db, sc, sc.value[:0], p.unit, q.Snap); err != nil {
 			return nil, err
 		}
 		if err := projectUnitValue(db, sc.value, q.AttrIdx, &res.Values); err != nil {

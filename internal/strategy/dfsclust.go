@@ -91,12 +91,11 @@ func (dfsclust) Retrieve(db *workload.DB, q Query) (*Result, error) {
 		}
 		pending = k + 1
 		span := beginIO(db.Core)
-		payload, err := db.ReadPlaced(rid)
+		err := db.ViewPlaced(rid, func(payload []byte) error {
+			s.reset(k) // a migrated parent has no rows riding along
+			return s.takeUnit(payload)
+		})
 		if err != nil {
-			return nil, err
-		}
-		s.reset(k) // a migrated parent has no rows riding along
-		if err := s.takeUnit(payload); err != nil {
 			return nil, err
 		}
 		s.scanIO += span.end()
@@ -257,10 +256,10 @@ func (s *clustScan) resolve() error {
 		if !ok {
 			var err error
 			if rid, placed := db.Placed(oid, s.snapE); placed {
-				var payload []byte
-				if payload, err = db.ReadPlaced(rid); err == nil {
+				err = db.ViewPlaced(rid, func(payload []byte) (err error) {
 					v, err = tuple.Int(db.ClusterSchema, payload, s.attrIdx)
-				}
+					return err
+				})
 			} else {
 				var rid storage.RID
 				if rid, err = db.ClusterRel.Index.Probe(int64(oid)); err != nil {

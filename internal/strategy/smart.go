@@ -56,10 +56,8 @@ func (s smart) Retrieve(db *workload.DB, q Query) (_ *Result, err error) {
 				continue
 			}
 		}
-		for _, oid := range unit {
-			if err := tw.add(oid); err != nil {
-				return nil, err
-			}
+		if err := tw.add(unit); err != nil {
+			return nil, err
 		}
 	}
 	tw.close()
@@ -70,7 +68,7 @@ func (s smart) Retrieve(db *workload.DB, q Query) (_ *Result, err error) {
 		if err != nil {
 			return nil, err
 		}
-		sorted, err := sc.temps.SortTemp(db.Pool, temps[relID], tempValuesPerPage*8)
+		sorted, err := sc.temps.SortTemp(db.Pool, temps[relID], sortWorkMem)
 		if err != nil {
 			return nil, err
 		}

@@ -2,10 +2,12 @@ package strategy
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"corep/internal/disk"
 	"corep/internal/query"
+	"corep/internal/testutil"
 	"corep/internal/workload"
 )
 
@@ -196,4 +198,40 @@ func TestRetrieveReportsDropError(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDistinctTempKeepsOneOfEach: BFSNODUP's duplicate removal copies
+// one value of each run of equal values of a sorted temporary, in
+// order, and nothing of an empty one.
+func TestDistinctTempKeepsOneOfEach(t *testing.T) {
+	db := buildDB(t, smallCfg())
+	sc := new(scratch)
+	for _, c := range []struct{ in, want []int64 }{
+		{[]int64{1, 1, 2, 3, 3, 3, 7}, []int64{1, 2, 3, 7}},
+		{[]int64{-5, -5}, []int64{-5}},
+		{nil, []int64{}},
+	} {
+		sorted, err := sc.temps.NewTemp(db.Pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := sorted.Appender()
+		err = w.AppendAll(c.in)
+		w.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct, err := sc.distinctTemp(db.Pool, sorted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := distinct.ReadAll([]int64{})
+		if err != nil || !slices.Equal(got, c.want) || distinct.Count() != len(c.want) {
+			t.Fatalf("distinct of %v: %v (count %d), %v; want %v", c.in, got, distinct.Count(), err, c.want)
+		}
+		if err := errors.Join(sorted.Drop(), distinct.Drop()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	testutil.AssertNoLeaks(t, db.Pool)
 }
