@@ -1,6 +1,7 @@
 package corep
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,7 +13,12 @@ import (
 // span many pages.
 func buildFaultDB(t *testing.T) *Database {
 	t.Helper()
-	db := NewDatabase(4)
+	return fillFaultDB(t, NewDatabase(4))
+}
+
+// fillFaultDB gives db buildFaultDB's relation.
+func fillFaultDB(t *testing.T, db *Database) *Database {
+	t.Helper()
 	rel, err := db.CreateRelation("item", IntField("OID"), StrField("name"))
 	if err != nil {
 		t.Fatal(err)
@@ -79,5 +85,40 @@ func TestFaultPlanPermanentErrorsAreAttributed(t *testing.T) {
 	}
 	if fs := db.Snapshot().Faults; fs.Permanent == 0 {
 		t.Fatalf("no permanent hits recorded: %+v", fs)
+	}
+}
+
+// TestFaultPlanOnFileBackedDatabase: a page file takes a fault plan too.
+// SetFaultPlan reaches disk.FileDisk's SetFault only through an
+// interface assertion, so without this a file database could lose its
+// faults and SetFaultPlan return false unnoticed.
+func TestFaultPlanOnFileBackedDatabase(t *testing.T) {
+	db, err := Open(Options{Path: filepath.Join(t.TempDir(), "faults.db"), BufferPages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	fillFaultDB(t, db)
+	const q = "retrieve (item.OID) where item.OID >= 1"
+	want, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !db.SetFaultPlan(&FaultConfig{Seed: 5, TransientRate: 0.3}) {
+		t.Fatal("file backend refused the fault plan")
+	}
+	got, err := db.Query(q)
+	if err != nil {
+		t.Fatalf("query under transient faults: %v", err)
+	}
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("rows diverged under transient faults: %d vs %d", len(got.Rows), len(want.Rows))
+	}
+	fs := db.Snapshot().Faults
+	if fs.Ops == 0 || fs.Injected == 0 || fs.Transient == 0 || fs.Recovered == 0 {
+		t.Fatalf("the plan did not reach the page file: %+v", fs)
+	}
+	if !db.SetFaultPlan(nil) {
+		t.Fatal("clearing the plan failed")
 	}
 }

@@ -601,7 +601,7 @@ func TestVersionedCachedReclustering(t *testing.T) {
 	if got := db.Snapshot().Txn.Commits; got != commits+1 {
 		t.Fatalf("Reorganize published %d epochs, want the batch as one", got-commits)
 	}
-	epoch := db.core.Versions.Published()
+	epoch := db.core.Versions.Stats().Published
 	for oid, e := range db.core.Reclust.Place.Snapshot() {
 		if e.Epoch != epoch {
 			t.Fatalf("placement of %v stamped epoch %d, batch published %d", oid, e.Epoch, epoch)

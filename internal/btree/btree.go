@@ -94,15 +94,8 @@ func (t *Tree) State() State {
 	return State{Root: t.root, Height: t.height, Pages: t.count, Leaves: t.leaves, Seq: t.seq}
 }
 
-// Root returns the root page id (persisted in the catalog). It changes
-// when the root splits; callers must re-read it after inserts.
-func (t *Tree) Root() disk.PageID { return t.root }
-
 // Height returns the tree height in levels (1 = root is a leaf).
 func (t *Tree) Height() int { return t.height }
-
-// NumPages returns the number of pages the tree has allocated.
-func (t *Tree) NumPages() int { return t.count }
 
 type entryRef struct {
 	key int64

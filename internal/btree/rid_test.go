@@ -144,10 +144,10 @@ func TestViewAtAndPatchAt(t *testing.T) {
 func TestViewAtBadSlot(t *testing.T) {
 	tr, _ := newTree(t, 16)
 	_ = tr.Insert(1, payload(1))
-	if err := tr.ViewAt(storage.RID{Page: tr.Root(), Slot: 99}, func([]byte) error { return nil }); err == nil {
+	if err := tr.ViewAt(storage.RID{Page: tr.root, Slot: 99}, func([]byte) error { return nil }); err == nil {
 		t.Fatal("bogus slot accepted")
 	}
-	if err := tr.PatchAt(storage.RID{Page: tr.Root(), Slot: 99}, func([]byte) error { return nil }); err == nil {
+	if err := tr.PatchAt(storage.RID{Page: tr.root, Slot: 99}, func([]byte) error { return nil }); err == nil {
 		t.Fatal("bogus slot accepted")
 	}
 }

@@ -35,7 +35,7 @@ func refuseUnique(t *testing.T, tr *Tree, key int64) {
 func treePages(t *testing.T, tr *Tree) [][]byte {
 	t.Helper()
 	var out [][]byte
-	for id := disk.PageID(1); len(out) < tr.NumPages(); id++ {
+	for id := disk.PageID(1); len(out) < tr.count; id++ {
 		buf, err := tr.pool.Pin(id)
 		if err != nil {
 			t.Fatal(err)

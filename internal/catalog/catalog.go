@@ -63,9 +63,6 @@ func New(pool *buffer.Pool) *Catalog {
 	}
 }
 
-// Pool returns the shared buffer pool.
-func (c *Catalog) Pool() *buffer.Pool { return c.pool }
-
 // CreateBTree registers a new B-tree-structured relation.
 func (c *Catalog) CreateBTree(name string, schema *tuple.Schema) (*Relation, error) {
 	tr, err := btree.Create(c.pool)
@@ -151,17 +148,6 @@ func (c *Catalog) ByID(id uint16) (*Relation, error) {
 		return nil, fmt.Errorf("%w: id %d", ErrNoRelation, id)
 	}
 	return r, nil
-}
-
-// Names returns all relation names (unordered).
-func (c *Catalog) Names() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.byName))
-	for n := range c.byName {
-		out = append(out, n)
-	}
-	return out
 }
 
 // ViewOID calls fn with the stored record of oid: a view into the pinned

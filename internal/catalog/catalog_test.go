@@ -99,13 +99,3 @@ func TestDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestNames(t *testing.T) {
-	c := newCat()
-	_, _ = c.CreateBTree("a", schema())
-	_, _ = c.CreateBTree("b", schema())
-	names := c.Names()
-	if len(names) != 2 {
-		t.Fatalf("names = %v", names)
-	}
-}

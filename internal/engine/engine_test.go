@@ -202,21 +202,21 @@ func TestPublishOrdering(t *testing.T) {
 		}
 		var before, installed, visibleInside uint64
 		if versioned {
-			before = c.Versions.Published()
+			before = c.Versions.Stats().Published
 		}
 		err := c.Publish(c.BeginUpdate(unit), unit, func(e uint64) {
 			installed = e
 			if versioned {
-				visibleInside = c.Versions.Published()
+				visibleInside = c.Versions.Stats().Published
 			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if versioned {
-			if installed != before+1 || visibleInside != before || c.Versions.Published() != installed {
+			if installed != before+1 || visibleInside != before || c.Versions.Stats().Published != installed {
 				t.Fatalf("install saw epoch %d with %d visible; before %d, after %d",
-					installed, visibleInside, before, c.Versions.Published())
+					installed, visibleInside, before, c.Versions.Stats().Published)
 			}
 		} else if installed != 0 {
 			t.Fatalf("unversioned install at epoch %d, want 0", installed)
@@ -247,7 +247,7 @@ func TestFailedCommitPublishesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	place := reclust.NewMap()
-	epoch := c.Versions.Published()
+	epoch := c.Versions.Stats().Published
 
 	u := c.BeginUpdate(unit)
 	rid, err := c.appendPlaced([]byte("copy"))
@@ -260,7 +260,7 @@ func TestFailedCommitPublishesNothing(t *testing.T) {
 	}
 	u.Abort() // what every caller does instead of Publish
 
-	if got := c.Versions.Published(); got != epoch {
+	if got := c.Versions.Stats().Published; got != epoch {
 		t.Fatalf("epoch moved %d → %d on a failed commit", epoch, got)
 	}
 	snap := c.Versions.Begin()
@@ -377,7 +377,7 @@ func TestMigrate(t *testing.T) {
 			}
 			var epoch uint64
 			if tc.version {
-				epoch = c.Versions.Published()
+				epoch = c.Versions.Stats().Published
 			}
 			for _, u := range res.Units {
 				for _, oid := range u.OIDs {

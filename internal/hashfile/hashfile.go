@@ -224,33 +224,3 @@ func (f *File) Delete(key int64) error {
 	}
 	return ErrNotFound
 }
-
-// Scan calls fn for every live entry in bucket order. Values alias the
-// page buffer only for the duration of the call.
-func (f *File) Scan(fn func(key int64, value []byte) bool) error {
-	for b := 0; b < f.buckets; b++ {
-		id := f.first + disk.PageID(b)
-		for id != disk.InvalidPageID {
-			buf, err := f.pool.Pin(id)
-			if err != nil {
-				return err
-			}
-			pg := storage.Page{Buf: buf}
-			stop := false
-			pg.LiveRecords(func(_ int, rec []byte) bool {
-				if !fn(int64(binary.LittleEndian.Uint64(rec)), rec[8:]) {
-					stop = true
-					return false
-				}
-				return true
-			})
-			next := pg.Next()
-			f.pool.Unpin(id, false)
-			if stop {
-				return nil
-			}
-			id = next
-		}
-	}
-	return nil
-}

@@ -3,7 +3,6 @@ package hashfile
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -134,47 +133,6 @@ func TestDeleteReclaimedByCompaction(t *testing.T) {
 	}
 	if pages := d.NumPages(); pages > 30 {
 		t.Fatalf("chain grew to %d pages despite compaction", pages)
-	}
-}
-
-func TestScan(t *testing.T) {
-	f, _, _ := newFile(t, 16)
-	want := map[int64]string{}
-	for i := int64(0); i < 200; i++ {
-		v := fmt.Sprintf("val-%d", i)
-		want[i] = v
-		if err := f.Put(i, []byte(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := map[int64]string{}
-	if err := f.Scan(func(k int64, v []byte) bool {
-		got[k] = string(v)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("scanned %d, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("key %d = %q, want %q", k, got[k], v)
-		}
-	}
-}
-
-func TestScanEarlyStop(t *testing.T) {
-	f, _, _ := newFile(t, 4)
-	for i := int64(0); i < 20; i++ {
-		_ = f.Put(i, []byte("x"))
-	}
-	n := 0
-	if err := f.Scan(func(int64, []byte) bool { n++; return n < 5 }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("visited %d", n)
 	}
 }
 

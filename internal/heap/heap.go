@@ -52,28 +52,6 @@ func CreateInto(f *File, pool *buffer.Pool) error {
 	return nil
 }
 
-// Open re-attaches to an existing heap file rooted at first. The caller
-// must know the chain head (the catalog stores it).
-func Open(pool *buffer.Pool, first disk.PageID) (*File, error) {
-	f := &File{pool: pool, first: first, last: first}
-	// Walk to the tail so appends keep working; also recount records.
-	id := first
-	for id != disk.InvalidPageID {
-		buf, err := pool.Pin(id)
-		if err != nil {
-			return nil, err
-		}
-		pg := storage.Page{Buf: buf}
-		pg.LiveRecords(func(int, []byte) bool { f.count++; return true })
-		next := pg.Next()
-		pool.Unpin(id, false)
-		f.pages = append(f.pages, id)
-		f.last = id
-		id = next
-	}
-	return f, nil
-}
-
 // Count returns the number of live records.
 func (f *File) Count() int { return f.count }
 
@@ -182,23 +160,6 @@ func (a *Appender) Close() {
 	}
 }
 
-// Get fetches the record at rid. The returned slice is a copy.
-func (f *File) Get(rid storage.RID) ([]byte, error) {
-	buf, err := f.pool.Pin(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	pg := storage.Page{Buf: buf}
-	rec, err := pg.Record(int(rid.Slot))
-	if err != nil {
-		f.pool.Unpin(rid.Page, false)
-		return nil, err
-	}
-	out := append([]byte(nil), rec...)
-	f.pool.Unpin(rid.Page, false)
-	return out, nil
-}
-
 // Scan calls fn for every live record in chain order. fn's rec slice is
 // only valid during the call; return false to stop early.
 func (f *File) Scan(fn func(rid storage.RID, rec []byte) bool) error {
@@ -273,22 +234,4 @@ func (f *File) Drop() error {
 	}
 	*f = File{first: disk.InvalidPageID, last: disk.InvalidPageID, pages: f.pages[:0]}
 	return err
-}
-
-// NumPages returns the length of the page chain (an I/O cost bound for a
-// full scan).
-func (f *File) NumPages() (int, error) {
-	n := 0
-	id := f.first
-	for id != disk.InvalidPageID {
-		buf, err := f.pool.Pin(id)
-		if err != nil {
-			return 0, err
-		}
-		next := storage.Page{Buf: buf}.Next()
-		f.pool.Unpin(id, false)
-		n++
-		id = next
-	}
-	return n, nil
 }

@@ -14,8 +14,18 @@ func newPool() *buffer.Pool {
 	return buffer.New(disk.NewSim(), 16)
 }
 
-// First returns the chain head, the page Open re-attaches from.
-func (f *File) First() disk.PageID { return f.first }
+// records reads f back with Scan: a copy of every live record by RID.
+func records(t *testing.T, f *File) map[storage.RID][]byte {
+	t.Helper()
+	out := map[storage.RID][]byte{}
+	if err := f.Scan(func(rid storage.RID, rec []byte) bool {
+		out[rid] = bytes.Clone(rec)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func TestCreateEmpty(t *testing.T) {
 	f, err := Create(newPool())
@@ -32,12 +42,8 @@ func TestCreateEmpty(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("scanned %d records from empty file", n)
 	}
-	pages, err := f.NumPages()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pages != 1 {
-		t.Fatalf("pages = %d", pages)
+	if len(f.pages) != 1 {
+		t.Fatalf("pages = %d", len(f.pages))
 	}
 }
 
@@ -50,11 +56,7 @@ func TestAppendGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.Get(rid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "record-one" {
+	if got := records(t, f)[rid]; string(got) != "record-one" {
 		t.Fatalf("got %q", got)
 	}
 }
@@ -78,19 +80,12 @@ func TestAppendGrowsChain(t *testing.T) {
 	if f.Count() != n {
 		t.Fatalf("count = %d", f.Count())
 	}
-	pages, err := f.NumPages()
-	if err != nil {
-		t.Fatal(err)
+	if len(f.pages) < 10 {
+		t.Fatalf("pages = %d, expected chain growth", len(f.pages))
 	}
-	if pages < 10 {
-		t.Fatalf("pages = %d, expected chain growth", pages)
-	}
+	recs := records(t, f)
 	for i, rid := range rids {
-		got, err := f.Get(rid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != byte(i) {
+		if got := recs[rid]; len(got) != len(rec) || got[0] != byte(i) {
 			t.Fatalf("record %d = %d", i, got[0])
 		}
 	}
@@ -140,33 +135,6 @@ func TestScanEarlyStop(t *testing.T) {
 	}
 }
 
-func TestOpenRecountsAndAppends(t *testing.T) {
-	pool := newPool()
-	f, err := Create(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := make([]byte, 300)
-	for i := 0; i < 20; i++ {
-		if _, err := f.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g, err := Open(pool, f.First())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Count() != 20 {
-		t.Fatalf("reopened count = %d", g.Count())
-	}
-	if _, err := g.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	if g.Count() != 21 {
-		t.Fatalf("count after append = %d", g.Count())
-	}
-}
-
 func TestOversizeRecordRejected(t *testing.T) {
 	f, _ := Create(newPool())
 	if _, err := f.Append(make([]byte, disk.PageSize)); err == nil {
@@ -204,9 +172,8 @@ func TestAppendCostsIO(t *testing.T) {
 // dropped before the next is created — a retrieve's temporaries. Each
 // Drop frees exactly its own file's pages, a file formed in a dropped
 // one's handle (CreateInto) keeps its pages in the list the dropped one
-// grew, a second
-// Drop of a dropped file frees nothing and reports nothing, and a file
-// reopened with Open drops its whole chain too.
+// grew, and a second Drop of a dropped file frees nothing and reports
+// nothing.
 func TestDropLendsItsPageList(t *testing.T) {
 	d := disk.NewSim()
 	pool := buffer.New(d, 16)
@@ -230,10 +197,7 @@ func TestDropLendsItsPageList(t *testing.T) {
 			t.Fatal(err)
 		}
 		fill(f, n)
-		pages, err := f.NumPages()
-		if err != nil {
-			t.Fatal(err)
-		}
+		pages := len(f.pages)
 		if got := live() - before; got != int64(pages) {
 			t.Fatalf("file %d: %d live pages for a %d-page chain", i, got, pages)
 		}
@@ -275,25 +239,5 @@ func TestDropLendsItsPageList(t *testing.T) {
 				t.Fatalf("file %d in a reused handle: %d live pages after Drop, %d before", i, got, before)
 			}
 		}
-	}
-
-	before := live()
-	f, err := Create(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill(f, 300)
-	if err := pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	g, err := Open(pool, f.First())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Drop(); err != nil {
-		t.Fatal(err)
-	}
-	if got := live(); got != before {
-		t.Fatalf("reopened file: %d live pages after Drop, %d before", got, before)
 	}
 }

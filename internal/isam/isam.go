@@ -43,15 +43,13 @@ type Index struct {
 	pool   *buffer.Pool
 	root   disk.PageID
 	levels int
-	count  int
-	pages  int
 }
 
 // Build constructs the index from entries, which are sorted in place by
 // key. Duplicate keys are permitted; Probe returns the first.
 func Build(pool *buffer.Pool, entries []Entry) (*Index, error) {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	idx := &Index{pool: pool, count: len(entries)}
+	idx := &Index{pool: pool}
 
 	// Leaf level.
 	type pageInfo struct {
@@ -79,7 +77,6 @@ func Build(pool *buffer.Pool, entries []Entry) (*Index, error) {
 			pg.SetPrev(prevID)
 		}
 		curID, cur = id, pg
-		idx.pages++
 		return nil
 	}
 	if err := newPage(0); err != nil {
@@ -171,28 +168,6 @@ func Build(pool *buffer.Pool, entries []Entry) (*Index, error) {
 	idx.levels = lv
 	return idx, nil
 }
-
-// State is the index's out-of-page metadata, persisted by checkpoints.
-type State struct {
-	Root   disk.PageID
-	Levels int
-	Count  int
-	Pages  int
-}
-
-// State snapshots the index for persistence.
-func (x *Index) State() State {
-	return State{Root: x.root, Levels: x.levels, Count: x.count, Pages: x.pages}
-}
-
-// Levels returns the number of levels (1 = a single leaf page).
-func (x *Index) Levels() int { return x.levels }
-
-// NumPages returns the number of pages the index occupies.
-func (x *Index) NumPages() int { return x.pages }
-
-// Count returns the number of entries.
-func (x *Index) Count() int { return x.count }
 
 // Probe returns the RID of the first entry with exactly key.
 func (x *Index) Probe(key int64) (storage.RID, error) {

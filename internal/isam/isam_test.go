@@ -34,8 +34,8 @@ func TestEmptyIndex(t *testing.T) {
 	if _, err := idx.Probe(1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("probe empty: %v", err)
 	}
-	if idx.Levels() != 1 {
-		t.Fatalf("levels = %d", idx.Levels())
+	if idx.levels != 1 {
+		t.Fatalf("levels = %d", idx.levels)
 	}
 }
 
@@ -59,8 +59,8 @@ func TestSingleEntry(t *testing.T) {
 func TestProbeAll(t *testing.T) {
 	es := mkEntries(10000) // multi-level: 126 entries/page → 80 leaves → 1 root
 	idx, pool, _ := build(t, es)
-	if idx.Levels() < 2 {
-		t.Fatalf("levels = %d, want multi-level", idx.Levels())
+	if idx.levels < 2 {
+		t.Fatalf("levels = %d, want multi-level", idx.levels)
 	}
 	for _, e := range es {
 		rid, err := idx.Probe(e.Key)
@@ -138,8 +138,8 @@ func TestProbeCostConstant(t *testing.T) {
 		t.Fatal(err)
 	}
 	reads := d.Stats().Sub(before).Reads
-	if reads != int64(idx.Levels()) {
-		t.Fatalf("cold probe cost %d reads, want %d (one per level)", reads, idx.Levels())
+	if reads != int64(idx.levels) {
+		t.Fatalf("cold probe cost %d reads, want %d (one per level)", reads, idx.levels)
 	}
 }
 
@@ -159,15 +159,5 @@ func TestNegativeAndExtremeKeys(t *testing.T) {
 		if rid.Page != disk.PageID(i+1) {
 			t.Fatalf("key %d → %v", e.Key, rid)
 		}
-	}
-}
-
-func TestCountAndPages(t *testing.T) {
-	idx, _, _ := build(t, mkEntries(1000))
-	if idx.Count() != 1000 {
-		t.Fatalf("count = %d", idx.Count())
-	}
-	if idx.NumPages() < 8 {
-		t.Fatalf("pages = %d, expected ≥ 8 leaves for 1000 entries", idx.NumPages())
 	}
 }

@@ -41,8 +41,7 @@ func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
 
 // SlowEntry is one retained operation: identity, timing, outcome, and
 // the span tree recorded while it ran. Spans carry the I/O deltas that
-// attribute the latency; Attrs carry caller-supplied context (client id,
-// fault counters).
+// attribute the latency.
 type SlowEntry struct {
 	Seq      uint64        `json:"seq"`
 	Name     string        `json:"name"`
@@ -51,42 +50,10 @@ type SlowEntry struct {
 	OverSLO  bool          `json:"over_slo,omitempty"`
 	Err      string        `json:"err,omitempty"`
 	Spans    []SpanEvent   `json:"spans,omitempty"`
-	Attrs    []Attr        `json:"attrs,omitempty"`
-}
-
-// IO sums the disk I/O attributed across the entry's spans. Parent spans
-// include their children's deltas, so only root spans (Parent == 0) are
-// summed — the per-operation total.
-func (e SlowEntry) IO() int64 {
-	var total int64
-	for _, sp := range e.Spans {
-		if sp.Parent == 0 {
-			total += sp.IO
-		}
-	}
-	return total
-}
-
-// Attr returns the named attribute value (0, false when absent).
-func (e SlowEntry) Attr(key string) (int64, bool) {
-	for _, a := range e.Attrs {
-		if a.Key == key {
-			return a.Val, true
-		}
-	}
-	return 0, false
 }
 
 // Enabled reports whether the log retains anything (false on nil).
 func (l *SlowLog) Enabled() bool { return l != nil }
-
-// Threshold returns the SLO bound (0 on nil or when unset).
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
-}
 
 // Offer records one finished operation and reports whether its spans
 // were retained. No-op (false) on a nil log.
@@ -165,15 +132,4 @@ func (l *SlowLog) Stats() SlowLogStats {
 		Capacity:   l.capacity,
 		Threshold:  l.threshold,
 	}
-}
-
-// Reset discards retained entries and zeroes the counters (no-op on nil).
-func (l *SlowLog) Reset() {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries = l.entries[:0]
-	l.observed, l.violations, l.dropped, l.seq = 0, 0, 0, 0
 }

@@ -14,7 +14,6 @@ import (
 // them per query — the differential suite leans on exactly that.
 type Planned struct {
 	P       *Planner
-	db      *workload.DB
 	statics map[strategy.Kind]strategy.Strategy
 }
 
@@ -35,7 +34,7 @@ func NewPlanned(db *workload.DB, p *Planner) (*Planned, error) {
 	if len(statics) == 0 {
 		return nil, fmt.Errorf("planner: no executable candidates")
 	}
-	return &Planned{P: p, db: db, statics: statics}, nil
+	return &Planned{P: p, statics: statics}, nil
 }
 
 // Kind identifies the adaptive dispatcher.

@@ -20,8 +20,6 @@ type Shape struct {
 	// SizeUnit is subobjects per parent; ShareFactor parents per unit.
 	SizeUnit    int
 	ShareFactor int
-	// NumChildRel spreads a parent's subobjects over this many relations.
-	NumChildRel int
 	// HasCache/CacheUnits describe the outside value cache.
 	HasCache   bool
 	CacheUnits int
@@ -43,7 +41,6 @@ func ShapeOf(db *workload.DB) Shape {
 		NumParents:  db.Cfg.NumParents,
 		SizeUnit:    db.Cfg.SizeUnit,
 		ShareFactor: db.Cfg.ShareFactor(),
-		NumChildRel: db.Cfg.NumChildRel,
 	}
 	if db.Parent != nil && db.Parent.Tree != nil {
 		s.ParentHeight = db.Parent.Tree.Height()

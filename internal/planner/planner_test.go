@@ -22,7 +22,7 @@ func testShape() Shape {
 		NumParents:   1500,
 		ParentHeight: 2, ParentLeaves: 24,
 		ChildHeight: 3, ChildLeaves: 120,
-		SizeUnit: 5, ShareFactor: 1, NumChildRel: 1,
+		SizeUnit: 5, ShareFactor: 1,
 		HasCache: true, CacheUnits: 1500,
 		HasCluster: true, ClusterHeight: 2, ClusterCoverage: 1,
 	}

@@ -260,7 +260,8 @@ func TestLazyDecodeStillChecksRecords(t *testing.T) {
 		"truncated": func(rec []byte) []byte { return rec[:len(rec)-2] },
 		"trailing":  func(rec []byte) []byte { return append(rec, 0xEE) },
 	} {
-		cat := catalog.New(buffer.New(disk.NewSim(), 16))
+		pool := buffer.New(disk.NewSim(), 16)
+		cat := catalog.New(pool)
 		schema := tuple.NewSchema(
 			tuple.Field{Name: "OID", Kind: tuple.KInt},
 			tuple.Field{Name: "name", Kind: tuple.KString, Width: 8},
@@ -330,7 +331,7 @@ func TestLazyDecodeStillChecksRecords(t *testing.T) {
 			if !errors.Is(err, tuple.ErrDecode) {
 				t.Fatalf("%s record, %s: err = %v, want tuple.ErrDecode", name, src, err)
 			}
-			testutil.AssertNoLeaks(t, cat.Pool())
+			testutil.AssertNoLeaks(t, pool)
 		}
 		// Records before the damaged one, and queries that never reach it,
 		// are unaffected.

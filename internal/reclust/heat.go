@@ -121,18 +121,6 @@ func (t *Tracker) normLocked(c *heatCell) float64 {
 	return c.h * math.Pow(t.decay, float64(t.tick-c.last))
 }
 
-// Heat returns key's heat normalized to the current tick (0 if
-// untracked).
-func (t *Tracker) Heat(key int64) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c, ok := t.cells[key]
-	if !ok {
-		return 0
-	}
-	return t.normLocked(c)
-}
-
 // TopN returns the n hottest keys, hottest first (ties on the smaller
 // key), each with its normalized heat.
 func (t *Tracker) TopN(n int) []KeyHeat {

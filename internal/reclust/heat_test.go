@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// heatOf is key's normalized heat as TopN reports it, 0 if untracked.
+func heatOf(tr *Tracker, key int64) float64 {
+	for _, kh := range tr.TopN(-1) {
+		if kh.Key == key {
+			return kh.Heat
+		}
+	}
+	return 0
+}
+
 // The decayed-counter contract: heat is linear in touch weights, so
 // scaling every weight by a constant must leave the TopN ordering
 // unchanged. Property-tested over random touch schedules.
@@ -64,11 +74,11 @@ func TestHeatEvictsColdestFirst(t *testing.T) {
 	tr.Touch(2, 1)
 	tr.Touch(3, 1) // coldest
 	tr.Touch(4, 1) // evicts 3
-	if tr.Heat(3) != 0 {
-		t.Fatalf("key 3 should have been evicted, heat %g", tr.Heat(3))
+	if heatOf(tr, 3) != 0 {
+		t.Fatalf("key 3 should have been evicted, heat %g", heatOf(tr, 3))
 	}
 	for _, k := range []int64{1, 2, 4} {
-		if tr.Heat(k) == 0 {
+		if heatOf(tr, k) == 0 {
 			t.Fatalf("key %d wrongly evicted", k)
 		}
 	}
@@ -88,10 +98,10 @@ func TestHeatEvictsColdestFirst(t *testing.T) {
 	// Key 10's heat has decayed through 40 ticks; inserting key 30 at
 	// capacity must evict 10, not the recently hot 20.
 	tr2.Touch(30, 1)
-	if tr2.Heat(10) != 0 {
-		t.Fatalf("stale key 10 should have been evicted, heat %g", tr2.Heat(10))
+	if heatOf(tr2, 10) != 0 {
+		t.Fatalf("stale key 10 should have been evicted, heat %g", heatOf(tr2, 10))
 	}
-	if tr2.Heat(20) == 0 {
+	if heatOf(tr2, 20) == 0 {
 		t.Fatalf("hot key 20 wrongly evicted")
 	}
 }
@@ -145,7 +155,7 @@ func TestHeatEvictionPropertyRandom(t *testing.T) {
 				t.Fatalf("trial %d step %d: len %d != shadow %d", trial, step, tr.Len(), len(shadow))
 			}
 			for k, c := range shadow {
-				got := tr.Heat(k)
+				got := heatOf(tr, k)
 				want := norm(c)
 				if math.Abs(got-want) > 1e-9*(1+want) {
 					t.Fatalf("trial %d step %d key %d: heat %g want %g", trial, step, k, got, want)
@@ -159,15 +169,15 @@ func TestHeatTouchRange(t *testing.T) {
 	tr := NewTracker(16, 100)
 	tr.TouchRange(5, 8, 2)
 	for k := int64(5); k <= 8; k++ {
-		if tr.Heat(k) != 2 {
-			t.Fatalf("key %d heat %g, want 2", k, tr.Heat(k))
+		if heatOf(tr, k) != 2 {
+			t.Fatalf("key %d heat %g, want 2", k, heatOf(tr, k))
 		}
 	}
-	if tr.Heat(4) != 0 || tr.Heat(9) != 0 {
+	if heatOf(tr, 4) != 0 || heatOf(tr, 9) != 0 {
 		t.Fatalf("range touch leaked outside [5,8]")
 	}
 	tr.TouchRange(9, 3, 1) // inverted range: no-op
-	if tr.Heat(6) != 2*math.Pow(tr.decay, 0) {
+	if heatOf(tr, 6) != 2*math.Pow(tr.decay, 0) {
 		// only one tick elapsed total; heat still exactly 2
 		t.Fatalf("inverted range advanced state")
 	}

@@ -331,7 +331,4 @@ type RID struct {
 	Slot uint16
 }
 
-// Valid reports whether the RID points at an allocated page.
-func (r RID) Valid() bool { return r.Page != disk.InvalidPageID }
-
 func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }

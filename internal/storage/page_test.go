@@ -284,13 +284,7 @@ func TestInsertRecordRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestRIDValid(t *testing.T) {
-	if (RID{}).Valid() {
-		t.Fatal("zero RID reported valid")
-	}
-	if !(RID{Page: 3, Slot: 0}).Valid() {
-		t.Fatal("real RID reported invalid")
-	}
+func TestRIDString(t *testing.T) {
 	if got := (RID{Page: 3, Slot: 2}).String(); got != "(3,2)" {
 		t.Fatalf("string = %q", got)
 	}

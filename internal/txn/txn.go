@@ -94,9 +94,6 @@ func (s *Store) shardOf(oid object.OID) int {
 	return int(h % uint64(len(s.shards)))
 }
 
-// Published returns the newest visible epoch.
-func (s *Store) Published() uint64 { return s.published.Load() }
-
 // Snapshot is one pinned read epoch. The zero of *Snapshot (nil) is a
 // valid "no overlay" snapshot: Read always misses and Release is a
 // no-op, so single-threaded callers pass nil and pay nothing.

@@ -82,7 +82,6 @@ func encodeRecord(dst []byte, lsn int64, typ byte, pageID disk.PageID, payload [
 
 // decoded is one validated record.
 type decoded struct {
-	lsn     int64
 	typ     byte
 	pageID  disk.PageID
 	payload []byte
@@ -105,8 +104,7 @@ func decodeAt(dev Device, off, size int64) (decoded, bool) {
 	if plen > maxPayload || off+headerSize+plen > size {
 		return decoded{}, false
 	}
-	lsn := int64(binary.LittleEndian.Uint64(hdr[8:16]))
-	if lsn != off {
+	if int64(binary.LittleEndian.Uint64(hdr[8:16])) != off {
 		return decoded{}, false
 	}
 	payload := make([]byte, plen)
@@ -131,7 +129,6 @@ func decodeAt(dev Device, off, size int64) (decoded, bool) {
 		return decoded{}, false
 	}
 	return decoded{
-		lsn:     lsn,
 		typ:     typ,
 		pageID:  disk.PageID(binary.LittleEndian.Uint32(hdr[20:24])),
 		payload: payload,

@@ -133,9 +133,6 @@ func BuildValueBased(cfg Config) (*ValueDB, error) {
 	return v, nil
 }
 
-// ChildCount returns the number of distinct logical subobjects.
-func (v *ValueDB) ChildCount() int { return v.childCount }
-
 // ChildRelID returns the pseudo relation id tagging subobject OIDs.
 func (v *ValueDB) ChildRelID() uint16 { return v.childRelID }
 

@@ -12,8 +12,8 @@ func TestValueBasedBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 100 units over 500 subobjects... NumUnits = 300/3 = 100, nChild = 500.
-	if db.ChildCount() != 500 {
-		t.Fatalf("children = %d", db.ChildCount())
+	if db.childCount != 500 {
+		t.Fatalf("children = %d", db.childCount)
 	}
 	n, err := db.Parent.Tree.Len()
 	if err != nil || n != 300 {
@@ -73,7 +73,7 @@ func TestValueBasedSequence(t *testing.T) {
 				if oid.Rel() != db.ChildRelID() {
 					t.Fatalf("update target %v not a value subobject", oid)
 				}
-				if oid.Key() >= int64(db.ChildCount()) {
+				if oid.Key() >= int64(db.childCount) {
 					t.Fatalf("update target %v out of range", oid)
 				}
 			}
